@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the hot paths: rendezvous hashing, the
 //! BURST codec and mini-JSON, the LVC ranked buffer, token buckets, the
 //! TAO query shapes (point vs range vs intersect — the cost asymmetry the
-//! whole design exploits), and Pylon publish fan-out.
+//! whole design exploits), the WAS payload fetch, and Pylon publish fan-out.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -9,10 +9,11 @@ use brass::buffer::RankedBuffer;
 use brass::limiter::TokenBucket;
 use burst::codec::{encode_to_vec, Decoder};
 use burst::frame::{Delta, Frame, StreamId};
-use burst::json::Json;
+use burst::json::{Json, PackedJson};
 use pylon::{HostId, PylonCluster, PylonConfig, Topic};
 use simkit::time::{SimDuration, SimTime};
 use tao::{LruCache, ObjectId, Tao, TaoConfig};
+use was::WebApplicationServer;
 
 fn bench_rendezvous(c: &mut Criterion) {
     let nodes: Vec<u64> = (0..128).collect();
@@ -58,6 +59,48 @@ fn bench_json(c: &mut Criterion) {
     let parsed = Json::parse(text).unwrap();
     c.bench_function("json/serialize_header", |b| {
         b.iter(|| black_box(parsed.to_string()))
+    });
+    // The progress rewrite every holder of a header applies per data
+    // frame: 41 <-> 42 overwrites in place, 99 <-> 100 changes the length.
+    for (name, lo) in [("same_len", 41u64), ("rollover", 99)] {
+        let patches = [lo, lo + 1].map(|seq| Json::obj([("last_seq", Json::from(seq))]));
+        let mut header = PackedJson::pack(&parsed);
+        header.merge(&patches[0]);
+        c.bench_function(&format!("json/packed_merge_last_seq/{name}"), |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i += 1;
+                header.merge(black_box(&patches[i % 2]));
+            })
+        });
+        black_box(&header);
+    }
+}
+
+fn bench_was_fetch(c: &mut Criterion) {
+    // A video's audience fetching its few recent comments (fetch_for_viewer
+    // is the per-delivery WAS cost: point read, privacy check, payload).
+    let mut was = WebApplicationServer::new(Tao::new(TaoConfig::small()));
+    let video = was.create_video("live");
+    let uids: Vec<u64> = (0..1_000)
+        .map(|i| was.create_user(&format!("u{i}"), "en"))
+        .collect();
+    let comments: Vec<ObjectId> = (0..64u64)
+        .map(|i| {
+            let author = uids[(i * 7_919 % 1_000) as usize];
+            let src = format!(
+                r#"mutation {{ postComment(videoId: {video}, authorId: {author}, text: "what an incredible broadcast") {{ id }} }}"#
+            );
+            was.execute_mutation(&src, i).expect("mutation executes").events[0].object
+        })
+        .collect();
+    c.bench_function("was/fetch_for_viewer", |b| {
+        let mut n = 0u64;
+        b.iter(|| {
+            n += 1;
+            let viewer = uids[(n * 7_919 % 1_000) as usize];
+            black_box(was.fetch_for_viewer(0, viewer, comments[(n % 64) as usize]))
+        })
     });
 }
 
@@ -162,6 +205,7 @@ criterion_group!(
     bench_rendezvous,
     bench_codec,
     bench_json,
+    bench_was_fetch,
     bench_ranked_buffer,
     bench_token_bucket,
     bench_lru,

@@ -4283,12 +4283,6 @@ impl SystemSim {
 
     fn run_windows_serial(&mut self, until: SimTime, w_minus: SimDuration) {
         let nshards = self.shards.len();
-        let prof = std::env::var("BR_PROF").is_ok();
-        let mut n_windows = 0u64;
-        let mut n_empty = 0u64;
-        let mut t_window = std::time::Duration::ZERO;
-        let mut t_barrier = std::time::Duration::ZERO;
-        let t_all = std::time::Instant::now();
         loop {
             let next = self.earliest_pending();
             let tick = self.next_metrics_tick;
@@ -4355,16 +4349,11 @@ impl SystemSim {
                 break;
             }
             let end = Self::window_end(next, until, tick, w_minus);
-            let t0 = std::time::Instant::now();
-            n_windows += 1;
-            let mut popped = 0u64;
             let mut results: Vec<WindowRes> = Vec::with_capacity(nshards);
             for i in 0..nshards {
                 let incoming = std::mem::take(&mut self.pending_incoming[i]);
                 let shard = &mut self.shards[i];
-                let s0 = shard.event_stats.total;
                 shard.run_window(end, incoming);
-                popped += shard.event_stats.total - s0;
                 results.push(WindowRes {
                     shard: i,
                     outbox: std::mem::take(&mut shard.outbox),
@@ -4373,11 +4362,6 @@ impl SystemSim {
                     next: shard.queue.peek_time(),
                 });
             }
-            if popped == 0 {
-                n_empty += 1;
-            }
-            let t1 = std::time::Instant::now();
-            t_window += t1 - t0;
             apply_barrier(
                 &self.world,
                 &mut self.pending_incoming,
@@ -4385,15 +4369,6 @@ impl SystemSim {
                 nshards,
                 end,
                 results,
-            );
-            t_barrier += t1.elapsed();
-        }
-        if prof {
-            eprintln!(
-                "BR_PROF windows={n_windows} empty={n_empty} t_window={:.2}s t_barrier={:.2}s t_total={:.2}s",
-                t_window.as_secs_f64(),
-                t_barrier.as_secs_f64(),
-                t_all.elapsed().as_secs_f64()
             );
         }
     }
@@ -4895,9 +4870,19 @@ impl SystemSim {
     }
 
     /// The per-metrics-tick rolling run fingerprints recorded so far.
-    /// Identical for identical `(config, seed, workload)` regardless of
-    /// worker count, chunking, hibernation, or snapshot policy; the first
-    /// differing entry between two runs brackets their first divergence.
+    /// Identical for identical `(config, seed, workload)` and an identical
+    /// sequence of `run_until` calls, regardless of worker count,
+    /// hibernation, or snapshot policy; the first differing entry between
+    /// two runs brackets their first divergence.
+    ///
+    /// Not invariant under `run_until` chunking: benchmark/README's port
+    /// check ran one chaos fixture to 889,129 events in 250 ms chunks and
+    /// 889,304 in a single call. Nor under removing events that do no
+    /// work: sizing ISSUE 12, eliding provably no-op `BrassTimer` events
+    /// shifted delivery timing (first divergence at t+5.02 s, `lvc_fanout`
+    /// seed 42). Results depend on the window schedule — which events
+    /// exist and where each `run_until` stops — not only on the events
+    /// that change state.
     pub fn tick_fingerprints(&self) -> &[(SimTime, u64)] {
         &self.fingerprints
     }

@@ -7,7 +7,9 @@
 //! preserves object key order (important for byte-stable re-encoding) and
 //! round-trips exactly through the parser (verified by property tests).
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,34 +145,37 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// The canonical compact writer. Generic over the sink so the same code
+    /// serializes into a `String`, measures a value, and fills a header
+    /// slice in place ([`PackedJson::merge`]).
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
+            Json::Null => out.write_str("null"),
+            Json::Bool(true) => out.write_str("true"),
+            Json::Bool(false) => out.write_str("false"),
             Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -191,33 +196,31 @@ impl Json {
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
+fn write_num<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
     if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64)
     } else if n.is_finite() {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}")
     } else {
         // JSON has no Inf/NaN; emit null like JavaScript's JSON.stringify.
-        out.push_str("null");
+        out.write_str("null")
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
+fn write_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 struct Parser<'a> {
@@ -487,7 +490,7 @@ impl From<bool> for Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out)?;
         f.write_str(&out)
     }
 }
@@ -501,8 +504,9 @@ impl fmt::Display for Json {
 /// The same header as compact text is one ~80-byte allocation. `PackedJson`
 /// is that text form, with the handful of operations resident copies
 /// actually need: cheap `u64` field reads (via [`top_level_u64`], no
-/// parse), rewrite merges (parse → merge → re-encode; rewrites are rare),
-/// and full unpacking when a frame must be rebuilt.
+/// parse), rewrite merges spliced into the text (no parse either — every
+/// delivered data frame carries a `last_seq` rewrite that all four holders
+/// apply), and full unpacking when a frame must be rebuilt.
 ///
 /// Because serialization is canonical (key order preserved, shortest
 /// round-trip floats) and `parse ∘ to_string` is the identity for every
@@ -533,11 +537,55 @@ impl PackedJson {
     }
 
     /// Applies a rewrite patch (object-merge semantics, like
-    /// [`Json::merge`]) by parsing, merging, and re-encoding.
+    /// [`Json::merge`]) by splicing the canonical text: each patched
+    /// member's value bytes are replaced — or `,"key":value` is appended
+    /// before the closing brace — so the result is byte-identical to
+    /// `pack(unpack().merge(patch))` without building a [`Json`] tree.
+    /// Non-object headers and non-object patches are left alone.
     pub fn merge(&mut self, patch: &Json) {
+        let Json::Obj(pairs) = patch else { return };
+        if self.0.first() != Some(&b'{') {
+            return;
+        }
+        for (key, value) in pairs {
+            self.set(key, value);
+        }
+    }
+
+    /// Sets one top-level member (first occurrence, like [`Json::set`]).
+    /// A same-length value is overwritten in place with no allocation (the
+    /// common `last_seq` step); any other builds one exact-size slice.
+    fn set(&mut self, key: &str, value: &Json) {
+        let old = &self.0;
+        let (at, member) = match member_value(old, &escaped_key(key)) {
+            Some(at) => (at, Member { key: None, value }),
+            None => {
+                let close = old.len() - 1;
+                let key = Some((key, close > 1));
+                (close..close, Member { key, value })
+            }
+        };
+        let mut len = Count(0);
+        member.write(&mut len).expect("counting never fails");
+        let to = at.start..at.start + len.0;
+        if to.end != at.end {
+            let mut new = vec![0u8; old.len() - at.len() + len.0].into_boxed_slice();
+            new[..at.start].copy_from_slice(&old[..at.start]);
+            new[to.end..].copy_from_slice(&old[at.end..]);
+            self.0 = new;
+        }
+        member
+            .write(&mut Fill(&mut self.0[to]))
+            .expect("length was measured");
+    }
+
+    /// What [`PackedJson::merge`] must equal byte for byte: parse, merge
+    /// the tree, re-encode. Kept only as the test oracle.
+    #[cfg(test)]
+    pub(crate) fn merge_oracle(&self, patch: &Json) -> PackedJson {
         let mut value = self.unpack();
         value.merge(patch);
-        *self = PackedJson::pack(&value);
+        PackedJson::pack(&value)
     }
 
     /// The canonical encoded bytes.
@@ -556,6 +604,106 @@ impl PackedJson {
             "bytes must be a canonical Json encoding"
         );
         packed
+    }
+}
+
+/// The text [`PackedJson::set`] splices in: the value alone when the member
+/// exists, or the whole `"key":value` member (after a comma unless the object
+/// was empty) when it is appended.
+struct Member<'a> {
+    key: Option<(&'a str, bool)>,
+    value: &'a Json,
+}
+
+impl Member<'_> {
+    fn write<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        if let Some((key, comma)) = self.key {
+            if comma {
+                out.write_char(',')?;
+            }
+            write_string(key, out)?;
+            out.write_char(':')?;
+        }
+        self.value.write(out)
+    }
+}
+
+/// Sink that measures what the canonical writer would produce.
+struct Count(usize);
+
+impl fmt::Write for Count {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Sink that fills a pre-measured slice front to back.
+struct Fill<'a>(&'a mut [u8]);
+
+impl fmt::Write for Fill<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.len() > self.0.len() {
+            return Err(fmt::Error);
+        }
+        let (head, tail) = std::mem::take(&mut self.0).split_at_mut(s.len());
+        head.copy_from_slice(s.as_bytes());
+        self.0 = tail;
+        Ok(())
+    }
+}
+
+/// `key` as it appears between the quotes of a canonical member name.
+fn escaped_key(key: &str) -> Cow<'_, [u8]> {
+    if !key.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        return Cow::Borrowed(key.as_bytes());
+    }
+    let mut quoted = String::new();
+    write_string(key, &mut quoted).expect("String sink never fails");
+    Cow::Owned(quoted.as_bytes()[1..quoted.len() - 1].to_vec())
+}
+
+/// Byte range of the value of the first top-level member named `key`
+/// (already escaped) in a canonical object. Canonical text has no
+/// whitespace, so members are walked as `"key":value,` with no tokenizer.
+/// Panics on bytes that are not a canonical object — the same contract as
+/// [`PackedJson::unpack`].
+fn member_value(obj: &[u8], key: &[u8]) -> Option<Range<usize>> {
+    let mut i = 1;
+    while obj[i] == b'"' {
+        let key_end = skip_string(obj, i + 1).expect("canonical member name");
+        let start = key_end + 2;
+        let end = skip_value(obj, start);
+        if &obj[i + 1..key_end] == key {
+            return Some(start..end);
+        }
+        if obj[end] == b'}' {
+            break;
+        }
+        i = end + 1;
+    }
+    None
+}
+
+/// Index just past the canonical value starting at `i` inside a container:
+/// the `,` or closing bracket that follows it.
+fn skip_value(b: &[u8], mut i: usize) -> usize {
+    let mut depth = 0u32;
+    loop {
+        match b[i] {
+            b'"' => i = skip_string(b, i + 1).expect("canonical string") + 1,
+            b'{' | b'[' => {
+                depth += 1;
+                i += 1;
+            }
+            b'}' | b']' if depth == 0 => return i,
+            b'}' | b']' => {
+                depth -= 1;
+                i += 1;
+            }
+            b',' if depth == 0 => return i,
+            _ => i += 1,
+        }
     }
 }
 
@@ -845,6 +993,42 @@ mod tests {
         })
     }
 
+    /// Values the merge property draws from: every number shape the
+    /// canonical writer distinguishes (small, negative, fractional, ≥ 1e15,
+    /// non-finite → `null`), strings needing escapes, and nesting.
+    fn arb_value() -> impl Strategy<Value = Json> {
+        let leaf = prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            (-1_000_000i64..1_000_000).prop_map(|n| Json::Num(n as f64)),
+            (0u64..1002).prop_map(Json::from),
+            (-1e3f64..1e3).prop_map(Json::Num),
+            (1e15f64..1e19).prop_map(|n| Json::Num(n.floor())),
+            any::<u64>().prop_map(Json::from),
+            Just(Json::Num(f64::NAN)),
+            "[a-z \\\\\"\\n\\t\u{1}é{}\\[\\],:]{0,8}".prop_map(Json::Str),
+        ];
+        leaf.prop_recursive(2, 12, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Json::Arr),
+                proptest::collection::vec((arb_key(), inner), 0..3).prop_map(Json::Obj),
+            ]
+        })
+    }
+
+    /// Keys from a tiny alphabet, so headers repeat keys, patches repeat
+    /// keys, and the two collide often; some need escaping, some are empty.
+    fn arb_key() -> impl Strategy<Value = String> {
+        "[ab\\\\\"\\n\u{1}é]{0,2}"
+    }
+
+    /// Mostly objects (including `{}`), sometimes a non-object document.
+    fn arb_doc() -> impl Strategy<Value = Json> {
+        let object =
+            || proptest::collection::vec((arb_key(), arb_value()), 0..5).prop_map(Json::Obj);
+        prop_oneof![object(), object(), object(), arb_value()]
+    }
+
     proptest! {
         /// Serialize-then-parse is the identity.
         #[test]
@@ -864,6 +1048,21 @@ mod tests {
             let reloaded = PackedJson::from_canonical_bytes(packed.as_bytes().to_vec());
             prop_assert_eq!(reloaded, packed.clone());
             let slow = j.get("a").and_then(Json::as_u64);
+            prop_assert_eq!(packed.get_u64("a"), slow);
+        }
+
+        /// The splice equals parse → merge → re-encode byte for byte, and
+        /// the packed field read agrees with the tree afterwards.
+        #[test]
+        fn packed_merge_matches_oracle(header in arb_doc(), patch in arb_doc()) {
+            let mut packed = PackedJson::pack(&header);
+            let want = packed.merge_oracle(&patch);
+            packed.merge(&patch);
+            prop_assert_eq!(
+                std::str::from_utf8(packed.as_bytes()).unwrap(),
+                std::str::from_utf8(want.as_bytes()).unwrap()
+            );
+            let slow = packed.unpack().get("a").and_then(Json::as_u64);
             prop_assert_eq!(packed.get_u64("a"), slow);
         }
 

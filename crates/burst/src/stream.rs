@@ -77,8 +77,9 @@ pub enum ClientAction {
 ///
 /// The header is held in its packed text form ([`PackedJson`]): a device
 /// keeps this state for the whole life of the subscription, so its resident
-/// size dominates memory at fleet scale, while the header is only ever
-/// *used* on rare events (rewrites, resubscribes, flow-status resyncs).
+/// size dominates memory at fleet scale. The per-delivery `last_seq` rewrite
+/// is spliced into the text; the header is only *unpacked* on rare events
+/// (resubscribes).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClientStream {
     sid: StreamId,
@@ -374,8 +375,9 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
 
 /// BRASS-side state for one request-stream.
 ///
-/// Like [`ClientStream`], the header lives in packed text form: it is only
-/// read on rare control-plane events (accept, rewrite), never per-delivery.
+/// Like [`ClientStream`], the header lives in packed text form: rewrites
+/// (one per data batch, for `last_seq`) splice the text, and it is unpacked
+/// only for [`ServerStream::header`].
 #[derive(Clone, Debug)]
 pub struct ServerStream {
     sid: StreamId,
@@ -1104,6 +1106,50 @@ mod tests {
         let thawed2 = ClientStream::thaw(&buf, &mut pos);
         assert_eq!(thawed2, terminated);
         assert_eq!(pos, buf.len(), "thaw consumes exactly what freeze wrote");
+    }
+
+    /// Walks `last_seq` through every digit-length rollover on all three
+    /// holders of the header and checks the spliced text against the
+    /// parse → merge → re-encode oracle after every step.
+    #[test]
+    fn progress_rewrites_splice_like_the_oracle_on_every_holder() {
+        let subscribe = Json::obj([
+            ("topic", Json::from("/LVC/1")),
+            ("app", Json::from("lvc")),
+            ("viewer", Json::from(77u64)),
+        ]);
+        let sid = StreamId(3);
+        let mut server = ServerStream::accept(sid, subscribe.clone(), false);
+        let mut proxy = ProxyStreamTable::new();
+        proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
+        let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
+        let mut oracle = PackedJson::pack(&subscribe);
+        for last in 0..=1001u64 {
+            let update = server.push(vec![0u8]);
+            let rewrite = server.rewrite_progress();
+            let Delta::RewriteRequest { patch } = &rewrite else {
+                panic!("expected rewrite, got {rewrite:?}");
+            };
+            oracle = oracle.merge_oracle(patch);
+            let batch = [update, rewrite];
+            proxy.on_response(9, sid, &batch, last);
+            client.on_batch(&batch);
+
+            let proxy_header = &proxy.get(9, sid).expect("entry").header;
+            for header in [&server.header, proxy_header, &client.header] {
+                assert_eq!(header, &oracle, "last_seq {last}");
+                assert_eq!(header.get_u64("last_seq"), Some(last));
+            }
+            let expected = ClientStream {
+                header: oracle.clone(),
+                ..client.clone()
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            client.freeze_into(&mut got);
+            expected.freeze_into(&mut want);
+            assert_eq!(got, want, "frozen bytes at last_seq {last}");
+        }
+        assert_eq!(client.delivered(), 1002);
     }
 
     #[test]

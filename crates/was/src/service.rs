@@ -17,7 +17,7 @@
 //!    (privacy only ever runs inside the WAS).
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use pylon::Topic;
 use tao::{ObjectId, QueryCost, ReplicationEvent, Tao, Value};
@@ -89,20 +89,10 @@ impl Rv {
     fn write(&self, out: &mut String) {
         match self {
             Rv::Null => out.push_str("null"),
-            Rv::Int(i) => out.push_str(&i.to_string()),
-            Rv::Float(f) => out.push_str(&format!("{f}")),
-            Rv::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            // Formatting into a `String` cannot fail.
+            Rv::Int(i) => _ = write!(out, "{i}"),
+            Rv::Float(f) => _ = write!(out, "{f}"),
+            Rv::Str(s) => write_wire_str(s, out),
             Rv::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Rv::List(items) => {
                 out.push('[');
@@ -129,6 +119,21 @@ impl Rv {
             }
         }
     }
+}
+
+/// The wire encoding of a string, shared by [`Rv::to_wire`] and the BRASS
+/// payload fetch (which writes a TAO object without building an `Rv`).
+fn write_wire_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Errors from WAS operation execution.
@@ -1047,21 +1052,29 @@ impl WebApplicationServer {
                 return Err(WasError::PrivacyDenied);
             }
         }
-        let rv = Rv::Obj(
-            std::iter::once(("id".to_owned(), Rv::Int(obj.id.0 as i64)))
-                .chain(obj.data.iter().map(|(k, v)| {
-                    let rv = match v {
-                        Value::Str(s) => Rv::Str(s.clone()),
-                        Value::Int(i) => Rv::Int(*i),
-                        Value::Float(f) => Rv::Float(*f),
-                        Value::Bool(b) => Rv::Bool(*b),
-                    };
-                    (k.to_string(), rv)
-                }))
-                .collect(),
-        );
-        Ok((rv.to_wire(), cost))
+        Ok((object_wire(&obj), cost))
     }
+}
+
+/// The wire payload of one TAO object: `{"id":…}` followed by its fields in
+/// stored order — the bytes `Rv::Obj` of the same fields serializes to.
+fn object_wire(obj: &tao::Object) -> Vec<u8> {
+    let mut out = String::with_capacity(128);
+    // Formatting into a `String` cannot fail.
+    _ = write!(out, "{{\"id\":{}", obj.id.0 as i64);
+    for (key, value) in &obj.data {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        match value {
+            Value::Str(s) => write_wire_str(s, &mut out),
+            Value::Int(i) => _ = write!(out, "{i}"),
+            Value::Float(f) => _ = write!(out, "{f}"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        }
+    }
+    out.push('}');
+    out.into_bytes()
 }
 
 fn bad(e: crate::gql::ParseError) -> WasError {
@@ -1339,6 +1352,80 @@ mod tests {
             Err(WasError::PrivacyDenied)
         );
         assert_eq!(w.counters().privacy_denials, 1);
+    }
+
+    /// What `fetch_for_viewer` used to do: copy the object into an `Rv`
+    /// tree and serialize that. Kept as the oracle for the direct writer.
+    fn rv_wire(obj: &tao::Object) -> Vec<u8> {
+        let fields = obj.data.iter().map(|(k, v)| {
+            let rv = match v {
+                Value::Str(s) => Rv::Str(s.clone()),
+                Value::Int(i) => Rv::Int(*i),
+                Value::Float(f) => Rv::Float(*f),
+                Value::Bool(b) => Rv::Bool(*b),
+            };
+            (k.to_string(), rv)
+        });
+        Rv::Obj(
+            std::iter::once(("id".to_owned(), Rv::Int(obj.id.0 as i64)))
+                .chain(fields)
+                .collect(),
+        )
+        .to_wire()
+    }
+
+    #[test]
+    fn fetch_payload_bytes_match_the_rv_path() {
+        let mut w = was();
+        let author = w.create_user("author", "en");
+        let viewer = w.create_user("viewer", "en");
+        let blocked = w.create_user("blocked", "en");
+        w.block(blocked, author, 1);
+        let objects = [
+            vec![],
+            vec![
+                ("text".into(), Value::Str("say \"hi\"\\\n\ttab é".into())),
+                ("author".into(), Value::Int(author as i64)),
+                ("neg".into(), Value::Int(i64::MIN)),
+                ("quality".into(), Value::Float(0.125)),
+                ("whole".into(), Value::Float(3.0)),
+                ("tiny".into(), Value::Float(-1e-9)),
+                ("huge".into(), Value::Float(1e300)),
+                ("nan".into(), Value::Float(f64::NAN)),
+                ("hot".into(), Value::Bool(true)),
+                ("cold".into(), Value::Bool(false)),
+                ("empty".into(), Value::Str(String::new())),
+            ],
+        ];
+        for data in objects {
+            let id = w.tao_mut().obj_add("thing", data);
+            let stored = w.tao_mut().obj_get(0, id).0.expect("just added");
+            let want = rv_wire(&stored);
+            let before = *w.counters();
+            let (payload, _) = w.fetch_for_viewer(0, viewer, id).expect("visible");
+            assert_eq!(
+                String::from_utf8(payload).unwrap(),
+                String::from_utf8(want).unwrap()
+            );
+            assert_eq!(w.counters().brass_fetches, before.brass_fetches + 1);
+            assert_eq!(w.counters().privacy_denials, before.privacy_denials);
+            // The privacy gate still runs ahead of the writer.
+            if stored.get("author").is_some() {
+                assert_eq!(
+                    w.fetch_for_viewer(0, blocked, id),
+                    Err(WasError::PrivacyDenied)
+                );
+                assert_eq!(w.counters().privacy_denials, before.privacy_denials + 1);
+                assert_eq!(w.counters().brass_fetches, before.brass_fetches + 2);
+            }
+        }
+        let before = *w.counters();
+        assert_eq!(
+            w.fetch_for_viewer(0, viewer, ObjectId(999_999)),
+            Err(WasError::NotFound(ObjectId(999_999)))
+        );
+        assert_eq!(w.counters().brass_fetches, before.brass_fetches + 1);
+        assert_eq!(w.counters().privacy_denials, before.privacy_denials);
     }
 
     #[test]
