@@ -5,13 +5,17 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use bladerunner::SystemMetrics;
+use brass::app::DeviceId;
 use brass::buffer::RankedBuffer;
+use brass::host::{BrassHost, HostConfig, HostEffect};
 use brass::limiter::TokenBucket;
 use burst::codec::{encode_to_vec, Decoder};
 use burst::frame::{Delta, Frame, StreamId};
 use burst::json::{Json, PackedJson};
 use pylon::{HostId, PylonCluster, PylonConfig, Topic};
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::{DropReason, Hop, HopOutcome, Retention, TraceId, TraceLedger};
 use tao::{LruCache, ObjectId, Tao, TaoConfig};
 use was::WebApplicationServer;
 
@@ -102,6 +106,106 @@ fn bench_was_fetch(c: &mut Criterion) {
             black_box(was.fetch_for_viewer(0, viewer, comments[(n % 64) as usize]))
         })
     });
+}
+
+fn bench_metrics_fold(c: &mut Criterion) {
+    // What one mid-run `SystemSim::metrics()` read costs at lvc_fanout's
+    // size: clone the root's series, then fold in every shard — 25 k
+    // `stream_stats` entries across the fleet default's 8 shards, at the
+    // default 24 h / 15 min series shape.
+    const STREAMS: u64 = 25_000;
+    const SHARDS: u64 = 8;
+    let new = || SystemMetrics::new(SimDuration::from_hours(24), SimDuration::from_mins(15));
+    let root = new();
+    let mut shards: Vec<SystemMetrics> = (0..SHARDS).map(|_| new()).collect();
+    for device in 0..STREAMS {
+        let at = SimTime::from_millis(device);
+        let shard = &mut shards[(device % SHARDS) as usize];
+        shard.stream_opened(device, StreamId(1), at);
+        shard.publication_for_stream(device, StreamId(1));
+        shard.deliveries.inc();
+        shard.ts_deliveries.inc(at);
+        shard.app("lvc").total.record(device as f64 % 900.0);
+    }
+    c.bench_function("metrics/fold_25k_streams", |b| {
+        b.iter(|| {
+            let mut merged = root.clone();
+            for shard in &shards {
+                merged.merge(shard);
+            }
+            black_box(merged.streams_tracked())
+        })
+    });
+}
+
+fn bench_lvc_timer(c: &mut Criterion) {
+    // A quiet fleet's BRASS work: one of a host's 500 LVC streams' push
+    // timer firing on an empty buffer and re-arming — the timer table
+    // lookup, the stream lookup, and the re-insert.
+    let mut host = BrassHost::new(HostConfig {
+        host_id: HostId(1),
+        cores: 16,
+    });
+    host.register_standard_apps();
+    fn timer_tokens(effects: &[HostEffect]) -> impl Iterator<Item = u64> + '_ {
+        effects.iter().filter_map(|e| match e {
+            HostEffect::Timer { token, .. } => Some(*token),
+            _ => None,
+        })
+    }
+    let mut timers = std::collections::VecDeque::new();
+    for d in 0..500u64 {
+        let header = Json::obj([
+            ("viewer", Json::from(d)),
+            ("lang", Json::from("en")),
+            (
+                "gql",
+                Json::from("subscription { liveVideoComments(videoId: 7) }"),
+            ),
+        ]);
+        let fx = host.on_subscribe(DeviceId(d), StreamId(1), header, SimTime::ZERO);
+        timers.extend(timer_tokens(&fx));
+    }
+    assert_eq!(timers.len(), 500, "every LVC stream arms a push timer");
+    let mut now = SimTime::from_secs(1);
+    c.bench_function("brass/lvc_on_timer", |b| {
+        b.iter(|| {
+            now += SimDuration::from_millis(8);
+            let token = timers.pop_front().expect("every pop re-arms");
+            let fx = host.on_timer("lvc", token, now);
+            timers.extend(timer_tokens(&fx));
+            black_box(fx.len())
+        })
+    });
+}
+
+fn bench_trace_record(c: &mut Criterion) {
+    // One update's hop chain under the fleet's bounded retention: per
+    // record a `states` lookup, a histogram update, the ring push.
+    const CHAIN: [(Hop, HopOutcome); 8] = [
+        (Hop::TaoCommit, HopOutcome::Ok),
+        (Hop::PylonPublish, HopOutcome::Ok),
+        (Hop::PylonDeliver, HopOutcome::Ok),
+        (
+            Hop::BrassProcess,
+            HopOutcome::Dropped(DropReason::BufferOverflow),
+        ),
+        (Hop::BrassProcess, HopOutcome::Ok),
+        (Hop::BrassSend, HopOutcome::Ok),
+        (Hop::BurstDeliver, HopOutcome::Ok),
+        (Hop::DeviceRender, HopOutcome::Ok),
+    ];
+    let mut ledger = TraceLedger::with_retention(Retention::Bounded(4_096));
+    let mut n = 0u64;
+    c.bench_function("trace/record_bounded", |b| {
+        b.iter(|| {
+            let (hop, outcome) = CHAIN[(n % 8) as usize];
+            let at = SimTime::from_millis(n);
+            ledger.record(TraceId(n / 8), hop, at, outcome);
+            n += 1;
+        })
+    });
+    black_box(ledger.trace_count());
 }
 
 fn bench_ranked_buffer(c: &mut Criterion) {
@@ -206,6 +310,9 @@ criterion_group!(
     bench_codec,
     bench_json,
     bench_was_fetch,
+    bench_metrics_fold,
+    bench_lvc_timer,
+    bench_trace_record,
     bench_ranked_buffer,
     bench_token_bucket,
     bench_lru,

@@ -1,8 +1,7 @@
 //! System-wide measurement: every quantity §5 reports.
 
-use std::collections::HashMap;
-
 use burst::frame::StreamId;
+use simkit::fxhash::FxHashMap;
 use simkit::metrics::{Counter, Histogram, QueueGauge, TimeSeries};
 use simkit::snap::{Fp64, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
@@ -101,7 +100,7 @@ pub struct SystemMetrics {
     // Latency histograms.
     // ------------------------------------------------------------------
     /// Per-application latency decompositions.
-    pub per_app: HashMap<String, AppLatencies>,
+    pub per_app: FxHashMap<String, AppLatencies>,
     /// Pylon fanout latency, streams with <10K subscribers.
     pub pylon_fanout_small: Histogram,
     /// Pylon fanout latency, streams with ≥10K subscribers.
@@ -146,7 +145,7 @@ pub struct SystemMetrics {
     /// rather than parallel `opened`/`publications` maps: at fleet scale
     /// every map shows up in bytes-per-device, and both fields are keyed
     /// identically.
-    pub stream_stats: HashMap<(u64, StreamId), StreamStat>,
+    pub stream_stats: FxHashMap<(u64, StreamId), StreamStat>,
     /// Closed streams' lifetimes.
     pub stream_lifetimes: Vec<SimDuration>,
 }
@@ -189,7 +188,7 @@ impl SystemMetrics {
             q_brass_mailbox: QueueGauge::new(horizon, interval),
             q_flow_window: QueueGauge::new(horizon, interval),
             q_pop_egress: QueueGauge::new(horizon, interval),
-            per_app: HashMap::new(),
+            per_app: FxHashMap::default(),
             pylon_fanout_small: Histogram::new(),
             pylon_fanout_large: Histogram::new(),
             sub_replication: Histogram::new(),
@@ -202,14 +201,18 @@ impl SystemMetrics {
             ts_connection_drops: ts(),
             ts_proxy_reconnects: ts(),
             availability_timeline: Vec::new(),
-            stream_stats: HashMap::new(),
+            stream_stats: FxHashMap::default(),
             stream_lifetimes: Vec::new(),
         }
     }
 
-    /// The per-app latency bucket, created on first use.
+    /// The per-app latency bucket, created on first use. Called per
+    /// delivered frame, so the name is only copied when the bucket is new.
     pub fn app(&mut self, app: &str) -> &mut AppLatencies {
-        self.per_app.entry(app.to_owned()).or_default()
+        if !self.per_app.contains_key(app) {
+            self.per_app.insert(app.to_owned(), AppLatencies::default());
+        }
+        self.per_app.get_mut(app).expect("bucket ensured above")
     }
 
     /// Appends one availability sample (fraction of subscribed streams a
@@ -288,8 +291,8 @@ impl SystemMetrics {
 
     /// Folds one shard's metrics into this aggregate.
     ///
-    /// Used by the sharded simulator to rebuild the user-visible
-    /// [`SystemMetrics`] from per-shard copies after every run. Shards are
+    /// Used by the sharded simulator to build the user-visible
+    /// [`SystemMetrics`] from per-shard copies when it is read. Shards are
     /// merged in shard-id order, so concatenated fields
     /// ([`Self::stream_lifetimes`], [`Self::availability_timeline`]) come
     /// out in a deterministic order; map-valued fields merge key-wise and

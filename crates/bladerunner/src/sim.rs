@@ -33,6 +33,8 @@
 //! `(config, seed, workload)` — the worker count only decides which OS
 //! thread executes a shard's window, never the order anything merges.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -2037,25 +2039,27 @@ impl Shard {
     }
 
     /// Best-effort application attribution for a downstream frame: one
-    /// reverse-map lookup on the stream's registered topic.
-    fn app_of_device_frame(&self, device: u64, frame: &Frame) -> String {
+    /// reverse-map lookup on the stream's registered topic. Runs twice per
+    /// delivered data frame, so the known families borrow their label;
+    /// only a family no app registered allocates.
+    fn app_of_device_frame(&self, device: u64, frame: &Frame) -> Cow<'static, str> {
         let shared = self.shared();
         let topic = frame
             .sid()
             .and_then(|sid| shared.stream_topic.get(&(device, sid)));
         let Some(topic) = topic else {
-            return "unknown".into();
+            return Cow::Borrowed("unknown");
         };
-        match topic.family() {
-            "LVC" => "lvc".into(),
-            "TI" => "typing".into(),
-            "Status" => "active_status".into(),
-            "Stories" => "stories".into(),
-            "Msgr" => "messenger".into(),
-            "Likes" => "likes".into(),
-            "Notif" => "notifications".into(),
-            other => other.to_owned(),
-        }
+        Cow::Borrowed(match topic.family() {
+            "LVC" => "lvc",
+            "TI" => "typing",
+            "Status" => "active_status",
+            "Stories" => "stories",
+            "Msgr" => "messenger",
+            "Likes" => "likes",
+            "Notif" => "notifications",
+            other => return Cow::Owned(other.to_owned()),
+        })
     }
 
     /// The trace ids of every update payload a frame carries, in batch
@@ -3739,8 +3743,12 @@ pub struct SystemSim {
     /// Root-recorded series (metrics ticks aggregate across shards).
     root_metrics: SystemMetrics,
     root_stats: EventStats,
-    /// Root + all shards, folded after every `run_until`.
-    merged_metrics: SystemMetrics,
+    /// Root + all shards, folded by the first [`SystemSim::metrics`] read
+    /// after a run and dropped when the next run starts, so a running sim
+    /// holds no second copy of its metrics.
+    merged_metrics: OnceCell<SystemMetrics>,
+    /// Root + all shards, refolded after every `run_until` (eleven adds
+    /// per shard).
     merged_stats: EventStats,
     /// Decisions seen at the last metrics tick (for per-bucket deltas).
     decisions_at_tick: u64,
@@ -3790,7 +3798,7 @@ impl SystemSim {
             .map(|id| Shard::new(id, &config, &rng, Arc::clone(&world)))
             .collect();
         let pending_incoming = (0..config.logical_shards).map(|_| Vec::new()).collect();
-        let mut sim = SystemSim {
+        SystemSim {
             latency: LatencyModel::table3(),
             rng,
             workers: 1,
@@ -3801,7 +3809,7 @@ impl SystemSim {
             pending_incoming,
             root_metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
             root_stats: EventStats::default(),
-            merged_metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
+            merged_metrics: OnceCell::new(),
             merged_stats: EventStats::default(),
             decisions_at_tick: 0,
             scenario_sids: FxHashMap::default(),
@@ -3814,9 +3822,7 @@ impl SystemSim {
             snapshots: Vec::new(),
             driver_blob: Vec::new(),
             config,
-        };
-        sim.rebuild_merged();
-        sim
+        }
     }
 
     /// Sets the number of worker threads driving shard windows. `1` (the
@@ -3851,16 +3857,18 @@ impl SystemSim {
         &self.config
     }
 
-    /// Collected metrics, aggregated across shards.
+    /// Collected metrics, aggregated across shards: folded (root series,
+    /// then every shard in id order) on the first read after a run and
+    /// cached until the next `run_until`. A harness that reads only at the
+    /// end pays one fold; one that polls every chunk pays one per chunk.
     pub fn metrics(&self) -> &SystemMetrics {
-        &self.merged_metrics
-    }
-
-    /// Mutable metrics access (harnesses add their own annotations).
-    /// Annotations land on the merged aggregate, which is rebuilt — and
-    /// the annotation lost — by the next `run_until`.
-    pub fn metrics_mut(&mut self) -> &mut SystemMetrics {
-        &mut self.merged_metrics
+        self.merged_metrics.get_or_init(|| {
+            let mut metrics = self.root_metrics.clone();
+            for shard in &self.shards {
+                metrics.merge(&shard.metrics);
+            }
+            metrics
+        })
     }
 
     /// The hop-ledger of every update traced through this run.
@@ -4230,6 +4238,9 @@ impl SystemSim {
     /// serially or on the configured worker pool — the results are
     /// identical either way.
     pub fn run_until(&mut self, until: SimTime) {
+        // Every metrics mutation happens inside a run, so this is the one
+        // place the folded aggregate goes stale.
+        self.merged_metrics.take();
         let lookahead = self.latency.min_cross_shard_hop();
         // Windows are closed intervals; the last in-window microsecond is
         // `next + lookahead - 1`.
@@ -4242,7 +4253,7 @@ impl SystemSim {
         if until > self.now {
             self.now = until;
         }
-        self.rebuild_merged();
+        self.fold_event_stats();
     }
 
     /// Earliest pending event over every shard queue and mailbox.
@@ -4838,7 +4849,7 @@ impl SystemSim {
             pending_incoming,
             root_metrics,
             root_stats,
-            merged_metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
+            merged_metrics: OnceCell::new(),
             merged_stats: EventStats::default(),
             decisions_at_tick,
             scenario_sids,
@@ -4852,7 +4863,7 @@ impl SystemSim {
             driver_blob,
             config,
         };
-        sim.rebuild_merged();
+        sim.fold_event_stats();
         Ok(sim)
     }
 
@@ -4922,16 +4933,13 @@ impl SystemSim {
             .collect()
     }
 
-    /// Folds root series and per-shard metrics/stats into the public
-    /// aggregates. Shards merge in id order, so the fold is deterministic.
-    fn rebuild_merged(&mut self) {
-        let mut metrics = self.root_metrics.clone();
+    /// Folds the root's and every shard's event counts into the public
+    /// aggregate.
+    fn fold_event_stats(&mut self) {
         let mut stats = self.root_stats.clone();
         for shard in &self.shards {
-            metrics.merge(&shard.metrics);
             stats.accumulate(&shard.event_stats);
         }
-        self.merged_metrics = metrics;
         self.merged_stats = stats;
     }
 
@@ -5037,6 +5045,27 @@ mod tests {
         // Total latency includes the ~2s WAS ranking plus fan-out and push.
         assert!(lat.total.mean() > 1_500.0, "total {}", lat.total.mean());
         assert!(lat.total.mean() < 15_000.0, "total {}", lat.total.mean());
+    }
+
+    #[test]
+    fn metrics_fold_is_cached_until_the_next_run() {
+        let mut s = sim();
+        let video = s.was_mut().create_video("cache");
+        let poster = s.create_user_device("poster", "en");
+        let viewer = s.create_user_device("viewer", "en");
+        s.subscribe_lvc(SimTime::ZERO, viewer, video);
+        s.post_comment(SimTime::from_secs(5), poster, video, "worth caching");
+        s.run_until(SimTime::from_secs(20));
+        assert!(s.merged_metrics.get().is_none(), "a run leaves no fold");
+        assert_eq!(s.metrics().deliveries.get(), 1);
+        // Move a shard counter behind the cache's back: a second read with
+        // no run between must return the cached fold, not fold again...
+        s.shards[0].metrics.deliveries.add(100);
+        assert_eq!(s.metrics().deliveries.get(), 1);
+        // ...and the next run must drop it.
+        s.run_until(SimTime::from_secs(21));
+        assert!(s.merged_metrics.get().is_none());
+        assert_eq!(s.metrics().deliveries.get(), 101);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! and must never show up in the results either: every scenario here is
 //! also replayed at several worker counts and compared bit-for-bit.
 
+use bladerunner::fault::FaultPlan;
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
-use simkit::time::SimTime;
+use simkit::snap::SnapWriter;
+use simkit::time::{SimDuration, SimTime};
 use simkit::trace::TraceLedger;
 
 /// An LVC end-to-end scenario with enough entropy sources to catch a
@@ -60,13 +62,20 @@ fn worker_count_does_not_perturb_lvc_scenario() {
 /// A chaos scenario: the canned fault plan (itself seeded) on top of a
 /// steady workload — heartbeat detection, stream repair, reconnect
 /// backoff with jitter, and WAS backfill all replay from the one seed.
-fn chaos_scenario(
-    seed: u64,
-    workers: usize,
-) -> (SystemMetrics, TraceLedger, bladerunner::fault::FaultPlan) {
+fn chaos_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger, FaultPlan) {
+    let (mut s, end, plan) = chaos_setup(seed, workers);
+    s.run_until(end);
+    let metrics = s.metrics().clone();
+    let ledger = s.trace_ledger().clone();
+    (metrics, ledger, plan)
+}
+
+/// [`chaos_scenario`] scheduled but not yet run, with the instant to run
+/// it to.
+fn chaos_setup(seed: u64, workers: usize) -> (SystemSim, SimTime, FaultPlan) {
     let mut config = SystemConfig::small();
-    config.metrics_interval = simkit::time::SimDuration::from_secs(2);
-    config.metrics_horizon = simkit::time::SimDuration::from_hours(1);
+    config.metrics_interval = SimDuration::from_secs(2);
+    config.metrics_horizon = SimDuration::from_hours(1);
     let mut s = SystemSim::new(config.clone(), seed);
     s.set_workers(workers);
     let video = s.was_mut().create_video("chaos-replay");
@@ -89,11 +98,8 @@ fn chaos_scenario(
             &format!("chaos comment {i}"),
         );
     }
-    let end = plan.heal_time() + simkit::time::SimDuration::from_secs(45);
-    s.run_until(end);
-    let metrics = s.metrics().clone();
-    let ledger = s.trace_ledger().clone();
-    (metrics, ledger, plan)
+    let end = plan.heal_time() + SimDuration::from_secs(45);
+    (s, end, plan)
 }
 
 #[test]
@@ -116,6 +122,47 @@ fn worker_count_does_not_perturb_chaos_scenario() {
         assert_eq!(p1, p, "fault timeline identical at {workers} workers");
         assert_eq!(m1, m, "metrics identical at {workers} workers under faults");
         assert_eq!(l1, l, "ledger identical at {workers} workers under faults");
+    }
+}
+
+/// The chaos scenario driven the way the benches drive a sim — 250 ms
+/// `run_until` chunks — reading `metrics()` after every chunk or only at
+/// the end. Returns everything a read could conceivably disturb: the final
+/// metrics' canonical bytes, the state fingerprint, the per-tick series.
+fn chunked_chaos(workers: usize, poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64)>) {
+    let (mut s, end, _plan) = chaos_setup(1234, workers);
+    let mut now = SimTime::ZERO;
+    while now < end {
+        now = (now + SimDuration::from_millis(250)).min(end);
+        s.run_until(now);
+        if poll {
+            // Folds and caches; were the next `run_until` not to drop the
+            // cache, the final read below would return this chunk's fold.
+            let _ = s.metrics();
+        }
+    }
+    let mut w = SnapWriter::new();
+    s.metrics().snap(&mut w);
+    (
+        w.into_bytes(),
+        s.fingerprint_now(),
+        s.tick_fingerprints().to_vec(),
+    )
+}
+
+/// `metrics()` folds lazily and caches; the fold must be a pure read (no
+/// trace in any fingerprint) and every `run_until` must invalidate it
+/// (the polled run's last read equals the unpolled run's only read).
+#[test]
+fn polling_metrics_every_chunk_equals_reading_once_at_the_end() {
+    let once = chunked_chaos(1, false);
+    assert!(!once.2.is_empty(), "the scenario must cross metrics ticks");
+    for (workers, poll) in [(1, true), (2, false), (2, true)] {
+        let other = chunked_chaos(workers, poll);
+        assert!(
+            once == other,
+            "workers={workers} poll={poll} diverged from the read-once serial run"
+        );
     }
 }
 

@@ -126,6 +126,51 @@ fn resume_bit_identical_under_chaos() {
     assert_resume_bit_identical(Retention::Full, true);
 }
 
+/// The canonical bytes of a sim's folded metrics.
+fn metrics_bytes(sim: &SystemSim) -> Vec<u8> {
+    let mut w = simkit::snap::SnapWriter::new();
+    sim.metrics().snap(&mut w);
+    w.into_bytes()
+}
+
+/// `metrics()` is a lazily folded, cached aggregate that no snapshot
+/// carries: a resumed sim must fold afresh from the restored root and
+/// shard state — equal to the run-through sim's fold at that tick — and a
+/// read before it runs on must not survive the run.
+fn assert_resumed_metrics_match_run_through(chaos: bool) {
+    let config = cfg(Retention::Full);
+    let (mut through, end) = build(&config, 99, chaos);
+    let mid = SimTime::from_secs(end.as_secs() / 2);
+    through.run_until(mid);
+    // Read first, so the run-through sim holds a cached fold while it
+    // snapshots and runs on.
+    let at_mid = metrics_bytes(&through);
+    let mut resumed =
+        SystemSim::resume(config, &through.snapshot()).expect("resuming a fresh snapshot");
+    assert!(
+        at_mid == metrics_bytes(&resumed),
+        "resumed metrics differ at t={mid:?} (chaos={chaos})"
+    );
+    through.run_until(end);
+    resumed.run_until(end);
+    let at_end = metrics_bytes(&through);
+    assert!(at_end != at_mid, "the second half must move the metrics");
+    assert!(
+        at_end == metrics_bytes(&resumed),
+        "resumed metrics differ at the end (chaos={chaos})"
+    );
+}
+
+#[test]
+fn resumed_metrics_match_run_through_calm() {
+    assert_resumed_metrics_match_run_through(false);
+}
+
+#[test]
+fn resumed_metrics_match_run_through_under_chaos() {
+    assert_resumed_metrics_match_run_through(true);
+}
+
 /// Satellite #4: the ledger's rolling fingerprint must not depend on
 /// retention mode, even after the bounded ring has wrapped many times
 /// over — it folds every record ever appended, not just the retained

@@ -6,10 +6,9 @@
 //! the device. Pushing batches only periodically prevents the device from
 //! receiving too many updates."
 
-use std::collections::HashMap;
-
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use was::{EventKind, UpdateEvent};
@@ -27,7 +26,7 @@ pub const BATCH_INTERVAL: SimDuration = SimDuration::from_secs(10);
 struct StreamState {
     friend_topics: Vec<Topic>,
     /// friend uid → last time they reported online.
-    online: HashMap<u64, SimTime>,
+    online: FxHashMap<u64, SimTime>,
     /// Snapshot sent in the previous batch (dedupe no-change batches).
     last_sent: Vec<u64>,
 }
@@ -35,11 +34,11 @@ struct StreamState {
 /// The ActiveStatus BRASS application.
 #[derive(Default)]
 pub struct ActiveStatusApp {
-    streams: HashMap<StreamKey, StreamState>,
+    streams: FxHashMap<StreamKey, StreamState>,
     /// friend uid → streams watching that friend.
-    pub(crate) watchers: HashMap<u64, Vec<StreamKey>>,
-    pending_friends: HashMap<FetchToken, StreamKey>,
-    timers: HashMap<u64, StreamKey>,
+    pub(crate) watchers: FxHashMap<u64, Vec<StreamKey>>,
+    pending_friends: FxHashMap<FetchToken, StreamKey>,
+    timers: FxHashMap<u64, StreamKey>,
     next_timer: u64,
 }
 
@@ -138,7 +137,8 @@ impl ActiveStatusApp {
     /// watcher entries or a timer counter behind its live tokens.
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -154,7 +154,8 @@ impl ActiveStatusApp {
                 friend_topics.push(Topic::restore(r)?);
             }
             let nonline = r.get_len()?;
-            let mut online: HashMap<u64, SimTime> = HashMap::with_capacity(nonline);
+            let mut online: FxHashMap<u64, SimTime> =
+                FxHashMap::with_capacity_and_hasher(nonline, Default::default());
             let mut prev_uid: Option<u64> = None;
             for _ in 0..nonline {
                 let uid = r.get_u64()?;
@@ -181,7 +182,8 @@ impl ActiveStatusApp {
             );
         }
         let nwatch = r.get_len()?;
-        let mut watchers: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nwatch);
+        let mut watchers: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nwatch, Default::default());
         let mut prev_friend: Option<u64> = None;
         for _ in 0..nwatch {
             let f = r.get_u64()?;
@@ -203,7 +205,8 @@ impl ActiveStatusApp {
             watchers.insert(f, list);
         }
         let npending = r.get_len()?;
-        let mut pending_friends: HashMap<FetchToken, StreamKey> = HashMap::with_capacity(npending);
+        let mut pending_friends: FxHashMap<FetchToken, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(npending, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..npending {
             let tok = r.get_u64()?;
@@ -216,7 +219,8 @@ impl ActiveStatusApp {
             pending_friends.insert(FetchToken(tok), StreamKey::restore(r)?);
         }
         let ntimers = r.get_len()?;
-        let mut timers: HashMap<u64, StreamKey> = HashMap::with_capacity(ntimers);
+        let mut timers: FxHashMap<u64, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
         let mut prev_timer: Option<u64> = None;
         for _ in 0..ntimers {
             let tok = r.get_u64()?;
@@ -262,7 +266,7 @@ impl BrassApp for ActiveStatusApp {
             stream,
             StreamState {
                 friend_topics: Vec::new(),
-                online: HashMap::new(),
+                online: FxHashMap::default(),
                 last_sent: Vec::new(),
             },
         );

@@ -8,10 +8,9 @@
 //! demonstration that per-app BRASS code stays tiny (§3.4: "at most a few
 //! hundred JS lines").
 
-use std::collections::HashMap;
-
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::SimDuration;
 use was::{EventKind, UpdateEvent};
@@ -37,9 +36,9 @@ struct StreamState {
 /// The NewsFeedPostLikes BRASS application.
 #[derive(Default)]
 pub struct LikesApp {
-    streams: HashMap<StreamKey, StreamState>,
-    by_post: HashMap<u64, Vec<StreamKey>>,
-    timers: HashMap<u64, StreamKey>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    by_post: FxHashMap<u64, Vec<StreamKey>>,
+    timers: FxHashMap<u64, StreamKey>,
     next_timer: u64,
 }
 
@@ -130,7 +129,8 @@ impl LikesApp {
     /// cross-map references are inconsistent.
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -158,7 +158,8 @@ impl LikesApp {
             );
         }
         let nposts = r.get_len()?;
-        let mut by_post: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nposts);
+        let mut by_post: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nposts, Default::default());
         let mut prev_post: Option<u64> = None;
         for _ in 0..nposts {
             let p = r.get_u64()?;
@@ -178,7 +179,8 @@ impl LikesApp {
             by_post.insert(p, watchers);
         }
         let ntimers = r.get_len()?;
-        let mut timers: HashMap<u64, StreamKey> = HashMap::with_capacity(ntimers);
+        let mut timers: FxHashMap<u64, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
         let mut prev_timer: Option<u64> = None;
         for _ in 0..ntimers {
             let tok = r.get_u64()?;

@@ -12,10 +12,9 @@
 //! subscribes to the per-poster overflow topics `/LVC/videoID/f-uid` for
 //! each of the viewer's friends, matching the WAS-side strategy switch.
 
-use std::collections::HashMap;
-
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
@@ -78,10 +77,10 @@ struct StreamState {
 /// The LiveVideoComments BRASS application.
 pub struct LvcApp {
     config: LvcConfig,
-    streams: HashMap<StreamKey, StreamState>,
-    by_video: HashMap<u64, Vec<StreamKey>>,
-    pending_fetch: HashMap<FetchToken, PendingFetch>,
-    timers: HashMap<u64, StreamKey>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    by_video: FxHashMap<u64, Vec<StreamKey>>,
+    pending_fetch: FxHashMap<FetchToken, PendingFetch>,
+    timers: FxHashMap<u64, StreamKey>,
     next_timer: u64,
     /// Interned viewer languages (see [`StreamState::lang`]).
     langs: Vec<Box<str>>,
@@ -101,10 +100,10 @@ impl LvcApp {
     pub fn new(config: LvcConfig) -> Self {
         LvcApp {
             config,
-            streams: HashMap::new(),
-            by_video: HashMap::new(),
-            pending_fetch: HashMap::new(),
-            timers: HashMap::new(),
+            streams: FxHashMap::default(),
+            by_video: FxHashMap::default(),
+            pending_fetch: FxHashMap::default(),
+            timers: FxHashMap::default(),
             next_timer: 0,
             langs: Vec::new(),
         }
@@ -241,7 +240,8 @@ impl LvcApp {
             langs.push(r.get_str()?.into());
         }
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -288,7 +288,8 @@ impl LvcApp {
             );
         }
         let nvideos = r.get_len()?;
-        let mut by_video: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nvideos);
+        let mut by_video: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nvideos, Default::default());
         let mut prev_video: Option<u64> = None;
         for _ in 0..nvideos {
             let v = r.get_u64()?;
@@ -308,7 +309,8 @@ impl LvcApp {
             by_video.insert(v, watchers);
         }
         let nfetch = r.get_len()?;
-        let mut pending_fetch: HashMap<FetchToken, PendingFetch> = HashMap::with_capacity(nfetch);
+        let mut pending_fetch: FxHashMap<FetchToken, PendingFetch> =
+            FxHashMap::with_capacity_and_hasher(nfetch, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..nfetch {
             let tok = r.get_u64()?;
@@ -328,10 +330,11 @@ impl LvcApp {
             pending_fetch.insert(FetchToken(tok), pending);
         }
         let ntimers = r.get_len()?;
-        let mut timers: HashMap<u64, StreamKey> = HashMap::with_capacity(ntimers);
+        let mut timers: FxHashMap<u64, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
         let mut prev_timer: Option<u64> = None;
         let next_timer_floor =
-            |timers: &HashMap<u64, StreamKey>| timers.keys().max().map_or(0, |m| m + 1);
+            |timers: &FxHashMap<u64, StreamKey>| timers.keys().max().map_or(0, |m| m + 1);
         for _ in 0..ntimers {
             let tok = r.get_u64()?;
             if prev_timer.is_some_and(|p| p >= tok) {

@@ -14,10 +14,11 @@
 //! the BURST header (`msgr_seq`) through rewrites, so resumption after
 //! failover needs no device logic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::SimDuration;
 use tao::ObjectId;
@@ -56,11 +57,11 @@ pub const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// The Messenger content-delivery BRASS application.
 #[derive(Default)]
 pub struct MessengerApp {
-    streams: HashMap<StreamKey, StreamState>,
-    by_mailbox: HashMap<u64, Vec<StreamKey>>,
-    pending_fetch: HashMap<FetchToken, (StreamKey, u64)>,
-    pending_backfill: HashMap<FetchToken, StreamKey>,
-    timers: HashMap<u64, StreamKey>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    by_mailbox: FxHashMap<u64, Vec<StreamKey>>,
+    pending_fetch: FxHashMap<FetchToken, (StreamKey, u64)>,
+    pending_backfill: FxHashMap<FetchToken, StreamKey>,
+    timers: FxHashMap<u64, StreamKey>,
     next_timer: u64,
 }
 
@@ -225,7 +226,8 @@ impl MessengerApp {
     /// or cross-map references are inconsistent.
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -282,7 +284,8 @@ impl MessengerApp {
             );
         }
         let nmail = r.get_len()?;
-        let mut by_mailbox: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nmail);
+        let mut by_mailbox: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nmail, Default::default());
         let mut prev_mail: Option<u64> = None;
         for _ in 0..nmail {
             let m = r.get_u64()?;
@@ -304,8 +307,8 @@ impl MessengerApp {
             by_mailbox.insert(m, watchers);
         }
         let nfetch = r.get_len()?;
-        let mut pending_fetch: HashMap<FetchToken, (StreamKey, u64)> =
-            HashMap::with_capacity(nfetch);
+        let mut pending_fetch: FxHashMap<FetchToken, (StreamKey, u64)> =
+            FxHashMap::with_capacity_and_hasher(nfetch, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..nfetch {
             let tok = r.get_u64()?;
@@ -320,7 +323,8 @@ impl MessengerApp {
             pending_fetch.insert(FetchToken(tok), (stream, seq));
         }
         let nback = r.get_len()?;
-        let mut pending_backfill: HashMap<FetchToken, StreamKey> = HashMap::with_capacity(nback);
+        let mut pending_backfill: FxHashMap<FetchToken, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(nback, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..nback {
             let tok = r.get_u64()?;
@@ -333,7 +337,8 @@ impl MessengerApp {
             pending_backfill.insert(FetchToken(tok), StreamKey::restore(r)?);
         }
         let ntimers = r.get_len()?;
-        let mut timers: HashMap<u64, StreamKey> = HashMap::with_capacity(ntimers);
+        let mut timers: FxHashMap<u64, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
         let mut prev_timer: Option<u64> = None;
         for _ in 0..ntimers {
             let tok = r.get_u64()?;

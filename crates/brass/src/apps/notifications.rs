@@ -8,9 +8,8 @@
 //! flushes a single coalesced payload naming the first actor and the
 //! total count.
 
-use std::collections::HashMap;
-
 use burst::json::Json;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::SimDuration;
 use tao::ObjectId;
@@ -33,7 +32,7 @@ struct PendingGroup {
 struct StreamState {
     uid: u64,
     /// Pending notifications per subject object (e.g. per liked post).
-    pending: HashMap<ObjectId, PendingGroup>,
+    pending: FxHashMap<ObjectId, PendingGroup>,
     /// Whether a flush timer is armed.
     timer_armed: bool,
 }
@@ -41,9 +40,9 @@ struct StreamState {
 /// The WebsiteNotifications BRASS application.
 #[derive(Default)]
 pub struct NotificationsApp {
-    streams: HashMap<StreamKey, StreamState>,
-    by_uid: HashMap<u64, Vec<StreamKey>>,
-    timers: HashMap<u64, StreamKey>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    by_uid: FxHashMap<u64, Vec<StreamKey>>,
+    timers: FxHashMap<u64, StreamKey>,
     next_timer: u64,
 }
 
@@ -127,7 +126,8 @@ impl NotificationsApp {
     /// groups or cross-map references are inconsistent.
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -139,7 +139,8 @@ impl NotificationsApp {
             prev = Some(key);
             let uid = r.get_u64()?;
             let npending = r.get_len()?;
-            let mut pending: HashMap<ObjectId, PendingGroup> = HashMap::with_capacity(npending);
+            let mut pending: FxHashMap<ObjectId, PendingGroup> =
+                FxHashMap::with_capacity_and_hasher(npending, Default::default());
             let mut prev_obj: Option<u64> = None;
             for _ in 0..npending {
                 let obj = r.get_u64()?;
@@ -169,7 +170,8 @@ impl NotificationsApp {
             );
         }
         let nuids = r.get_len()?;
-        let mut by_uid: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nuids);
+        let mut by_uid: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nuids, Default::default());
         let mut prev_uid: Option<u64> = None;
         for _ in 0..nuids {
             let u = r.get_u64()?;
@@ -191,7 +193,8 @@ impl NotificationsApp {
             by_uid.insert(u, watchers);
         }
         let ntimers = r.get_len()?;
-        let mut timers: HashMap<u64, StreamKey> = HashMap::with_capacity(ntimers);
+        let mut timers: FxHashMap<u64, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
         let mut prev_timer: Option<u64> = None;
         for _ in 0..ntimers {
             let tok = r.get_u64()?;
@@ -241,7 +244,7 @@ impl BrassApp for NotificationsApp {
             stream,
             StreamState {
                 uid,
-                pending: HashMap::new(),
+                pending: FxHashMap::default(),
                 timer_armed: false,
             },
         );

@@ -9,10 +9,9 @@
 //! is being displayed on the device", eliminating the two intersect queries
 //! polling would need.
 
-use std::collections::HashMap;
-
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::SimTime;
 use was::{EventKind, UpdateEvent};
@@ -48,7 +47,7 @@ impl Container {
 
 struct StreamState {
     friend_topics: Vec<Topic>,
-    containers: HashMap<u64, Container>,
+    containers: FxHashMap<u64, Container>,
     /// Authors currently displayed on the device, tray order.
     displayed: Vec<u64>,
 }
@@ -56,9 +55,9 @@ struct StreamState {
 /// The Stories BRASS application.
 pub struct StoriesApp {
     config: StoriesConfig,
-    streams: HashMap<StreamKey, StreamState>,
-    watchers: HashMap<u64, Vec<StreamKey>>,
-    pending_friends: HashMap<FetchToken, StreamKey>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    watchers: FxHashMap<u64, Vec<StreamKey>>,
+    pending_friends: FxHashMap<FetchToken, StreamKey>,
 }
 
 impl StoriesApp {
@@ -66,9 +65,9 @@ impl StoriesApp {
     pub fn new(config: StoriesConfig) -> Self {
         StoriesApp {
             config,
-            streams: HashMap::new(),
-            watchers: HashMap::new(),
-            pending_friends: HashMap::new(),
+            streams: FxHashMap::default(),
+            watchers: FxHashMap::default(),
+            pending_friends: FxHashMap::default(),
         }
     }
 
@@ -154,7 +153,8 @@ impl StoriesApp {
         }
         let config = StoriesConfig { tray_size };
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -170,7 +170,8 @@ impl StoriesApp {
                 friend_topics.push(Topic::restore(r)?);
             }
             let ncont = r.get_len()?;
-            let mut containers: HashMap<u64, Container> = HashMap::with_capacity(ncont);
+            let mut containers: FxHashMap<u64, Container> =
+                FxHashMap::with_capacity_and_hasher(ncont, Default::default());
             let mut prev_author: Option<u64> = None;
             for _ in 0..ncont {
                 let a = r.get_u64()?;
@@ -205,7 +206,8 @@ impl StoriesApp {
             );
         }
         let nwatch = r.get_len()?;
-        let mut watchers: HashMap<u64, Vec<StreamKey>> = HashMap::with_capacity(nwatch);
+        let mut watchers: FxHashMap<u64, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(nwatch, Default::default());
         let mut prev_author: Option<u64> = None;
         for _ in 0..nwatch {
             let a = r.get_u64()?;
@@ -227,7 +229,8 @@ impl StoriesApp {
             watchers.insert(a, list);
         }
         let npending = r.get_len()?;
-        let mut pending_friends: HashMap<FetchToken, StreamKey> = HashMap::with_capacity(npending);
+        let mut pending_friends: FxHashMap<FetchToken, StreamKey> =
+            FxHashMap::with_capacity_and_hasher(npending, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..npending {
             let tok = r.get_u64()?;
@@ -266,7 +269,7 @@ impl BrassApp for StoriesApp {
             stream,
             StreamState {
                 friend_topics: Vec::new(),
-                containers: HashMap::new(),
+                containers: FxHashMap::default(),
                 displayed: Vec::new(),
             },
         );

@@ -8,10 +8,9 @@
 //! triggers a privacy-checking WAS fetch before the (tiny) payload is
 //! pushed.
 
-use std::collections::HashMap;
-
 use burst::json::Json;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use was::{EventKind, UpdateEvent};
 
@@ -26,9 +25,9 @@ struct StreamState {
 /// The TypingIndicator BRASS application.
 #[derive(Default)]
 pub struct TypingApp {
-    streams: HashMap<StreamKey, StreamState>,
-    by_topic: HashMap<Topic, Vec<StreamKey>>,
-    pending: HashMap<FetchToken, Pending>,
+    streams: FxHashMap<StreamKey, StreamState>,
+    by_topic: FxHashMap<Topic, Vec<StreamKey>>,
+    pending: FxHashMap<FetchToken, Pending>,
 }
 
 struct Pending {
@@ -95,7 +94,8 @@ impl TypingApp {
     /// don't line up with the stream table.
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let nstreams = r.get_len()?;
-        let mut streams: HashMap<StreamKey, StreamState> = HashMap::with_capacity(nstreams);
+        let mut streams: FxHashMap<StreamKey, StreamState> =
+            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
         let mut prev: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let key = StreamKey::restore(r)?;
@@ -110,7 +110,8 @@ impl TypingApp {
             streams.insert(key, StreamState { viewer, topic });
         }
         let ntopics = r.get_len()?;
-        let mut by_topic: HashMap<Topic, Vec<StreamKey>> = HashMap::with_capacity(ntopics);
+        let mut by_topic: FxHashMap<Topic, Vec<StreamKey>> =
+            FxHashMap::with_capacity_and_hasher(ntopics, Default::default());
         let mut prev_topic: Option<Topic> = None;
         for _ in 0..ntopics {
             let t = Topic::restore(r)?;
@@ -130,7 +131,8 @@ impl TypingApp {
             by_topic.insert(t, watchers);
         }
         let npending = r.get_len()?;
-        let mut pending: HashMap<FetchToken, Pending> = HashMap::with_capacity(npending);
+        let mut pending: FxHashMap<FetchToken, Pending> =
+            FxHashMap::with_capacity_and_hasher(npending, Default::default());
         let mut prev_tok: Option<u64> = None;
         for _ in 0..npending {
             let tok = r.get_u64()?;

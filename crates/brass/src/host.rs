@@ -14,13 +14,13 @@
 //! driver) executes: Pylon subscribe/unsubscribe, WAS requests, BURST
 //! response frames, timers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use burst::frame::{Delta, Frame, StreamId};
 use burst::json::Json;
 use burst::stream::ServerStream;
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use simkit::time::SimTime;
 
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
@@ -93,7 +93,7 @@ struct Instance {
     counters: AppCounters,
     next_token: u64,
     /// This instance's topic reference counts.
-    topic_refs: HashMap<Topic, u32>,
+    topic_refs: FxHashMap<Topic, u32>,
 }
 
 struct StreamMeta {
@@ -122,11 +122,11 @@ type AppFactory = Box<dyn FnMut() -> Box<dyn BrassApp> + Send>;
 /// A BRASS host.
 pub struct BrassHost {
     config: HostConfig,
-    factories: HashMap<String, AppFactory>,
-    instances: HashMap<String, Instance>,
+    factories: FxHashMap<String, AppFactory>,
+    instances: FxHashMap<String, Instance>,
     /// Host-wide topic refcounts (the Pylon subscription manager).
-    host_topic_refs: HashMap<Topic, u32>,
-    streams: HashMap<StreamKey, StreamMeta>,
+    host_topic_refs: FxHashMap<Topic, u32>,
+    streams: FxHashMap<StreamKey, StreamMeta>,
     /// Interned app names handed to [`StreamMeta`] (a handful of entries).
     app_names: Vec<Arc<str>>,
     counters: HostCounters,
@@ -137,10 +137,10 @@ impl BrassHost {
     pub fn new(config: HostConfig) -> Self {
         BrassHost {
             config,
-            factories: HashMap::new(),
-            instances: HashMap::new(),
-            host_topic_refs: HashMap::new(),
-            streams: HashMap::new(),
+            factories: FxHashMap::default(),
+            instances: FxHashMap::default(),
+            host_topic_refs: FxHashMap::default(),
+            streams: FxHashMap::default(),
             app_names: Vec::new(),
             counters: HostCounters::default(),
         }
@@ -265,7 +265,7 @@ impl BrassHost {
             app: factory(),
             counters: AppCounters::default(),
             next_token: 0,
-            topic_refs: HashMap::new(),
+            topic_refs: FxHashMap::default(),
         };
         self.instances.insert(app.to_owned(), instance);
         self.counters.spool_ups += 1;
@@ -745,7 +745,8 @@ impl BrassHost {
             };
             let next_token = r.get_u64()?;
             let nrefs = r.get_len()?;
-            let mut topic_refs: HashMap<Topic, u32> = HashMap::with_capacity(nrefs);
+            let mut topic_refs: FxHashMap<Topic, u32> =
+                FxHashMap::with_capacity_and_hasher(nrefs, Default::default());
             let mut prev_topic: Option<Topic> = None;
             for _ in 0..nrefs {
                 let t = Topic::restore(r)?;

@@ -11,7 +11,9 @@
 //! [`CreditManager`] is the receiving side: it tracks consumption and emits
 //! [`Frame::Credit`] grants to keep the sender's window topped up.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use simkit::fxhash::FxHashMap;
 
 use crate::frame::{Frame, StreamId};
 
@@ -27,7 +29,7 @@ struct SendState {
 /// control frames (subscribe, cancel, ack, credit, ping, pong) bypass flow
 /// control, as is conventional.
 pub struct MuxSender {
-    streams: HashMap<StreamId, SendState>,
+    streams: FxHashMap<StreamId, SendState>,
     /// Round-robin order of streams with queued data.
     rr: VecDeque<StreamId>,
     control: VecDeque<Frame>,
@@ -39,7 +41,7 @@ impl MuxSender {
     /// Creates a sender; each new stream starts with `initial_credit` bytes.
     pub fn new(initial_credit: u64) -> Self {
         MuxSender {
-            streams: HashMap::new(),
+            streams: FxHashMap::default(),
             rr: VecDeque::new(),
             control: VecDeque::new(),
             initial_credit,
@@ -143,7 +145,7 @@ impl MuxSender {
 /// amount is emitted.
 pub struct CreditManager {
     window: u64,
-    consumed: HashMap<StreamId, u64>,
+    consumed: FxHashMap<StreamId, u64>,
 }
 
 impl CreditManager {
@@ -156,7 +158,7 @@ impl CreditManager {
         assert!(window > 0, "window must be positive");
         CreditManager {
             window,
-            consumed: HashMap::new(),
+            consumed: FxHashMap::default(),
         }
     }
 

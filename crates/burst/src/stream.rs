@@ -12,8 +12,7 @@
 //!   rewrite deltas to that copy in flight, and garbage-collects state for
 //!   dead streams.
 
-use std::collections::HashMap;
-
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 use crate::frame::{Delta, FlowStatus, Frame, Payload, StreamId, TerminateReason};
@@ -556,7 +555,7 @@ pub struct ProxyEntry {
 /// connection; callers key entries by a `conn` discriminator.
 #[derive(Default)]
 pub struct ProxyStreamTable {
-    entries: HashMap<(u64, StreamId), ProxyEntry>,
+    entries: FxHashMap<(u64, StreamId), ProxyEntry>,
 }
 
 impl ProxyStreamTable {
@@ -700,7 +699,7 @@ impl ProxyStreamTable {
     /// Reads a table back, rejecting duplicate or out-of-order keys.
     pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let n = r.get_len()?;
-        let mut entries = HashMap::with_capacity(n);
+        let mut entries = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last: Option<(u64, StreamId)> = None;
         for _ in 0..n {
             let key = (r.get_u64()?, StreamId(r.get_u64()?));

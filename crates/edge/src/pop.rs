@@ -8,11 +8,10 @@
 //! fails or loses TCP connectivity, POP Pi will detect this, and it will
 //! inform all BRASSes servicing streams instantiated by the device").
 
-use std::collections::HashMap;
-
 use burst::frame::{Delta, FlowStatus, Frame};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 /// Microseconds between device heartbeats.
@@ -63,9 +62,9 @@ pub struct Pop {
     /// Available upstream proxies.
     proxies: Vec<u32>,
     /// device → proxy currently carrying its streams.
-    device_proxy: HashMap<u64, u32>,
+    device_proxy: FxHashMap<u64, u32>,
     /// device → heartbeat monitor (fast last-mile failure detection).
-    heartbeats: HashMap<u64, HeartbeatMonitor>,
+    heartbeats: FxHashMap<u64, HeartbeatMonitor>,
     table: ProxyStreamTable,
     counters: PopCounters,
 }
@@ -81,8 +80,8 @@ impl Pop {
         Pop {
             id,
             proxies,
-            device_proxy: HashMap::new(),
-            heartbeats: HashMap::new(),
+            device_proxy: FxHashMap::default(),
+            heartbeats: FxHashMap::default(),
             table: ProxyStreamTable::new(),
             counters: PopCounters::default(),
         }
@@ -328,7 +327,7 @@ impl Pop {
             proxies.push(r.get_u32()?);
         }
         let n = r.get_len()?;
-        let mut device_proxy = HashMap::with_capacity(n);
+        let mut device_proxy = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last = None;
         for _ in 0..n {
             let d = r.get_u64()?;
@@ -339,7 +338,7 @@ impl Pop {
             device_proxy.insert(d, r.get_u32()?);
         }
         let n = r.get_len()?;
-        let mut heartbeats = HashMap::with_capacity(n);
+        let mut heartbeats = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last = None;
         for _ in 0..n {
             let d = r.get_u64()?;

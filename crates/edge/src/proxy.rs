@@ -12,12 +12,11 @@
 //! itself, while signalling the degradation and recovery to the devices
 //! (axiom 1).
 
-use std::collections::HashMap;
-
 use burst::frame::{Delta, FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::json::Json;
 use burst::stream::ProxyStreamTable;
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 /// Default microseconds between proxy→BRASS heartbeat pings.
@@ -85,12 +84,12 @@ pub struct ReverseProxy {
     id: u32,
     strategy: RouteStrategy,
     hosts: Vec<u32>,
-    host_loads: HashMap<u32, u64>,
+    host_loads: FxHashMap<u32, u64>,
     table: ProxyStreamTable,
     counters: ProxyCounters,
     /// One heartbeat monitor per host in the routing pool: the proxy's only
     /// way of learning that a host died unplanned (no omniscient teardown).
-    heartbeats: HashMap<u32, HeartbeatMonitor>,
+    heartbeats: FxHashMap<u32, HeartbeatMonitor>,
     hb_interval_us: u64,
     hb_misses: u32,
 }
@@ -561,7 +560,7 @@ impl ReverseProxy {
             hosts.push(r.get_u32()?);
         }
         let n = r.get_len()?;
-        let mut host_loads = HashMap::with_capacity(n);
+        let mut host_loads = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last = None;
         for _ in 0..n {
             let h = r.get_u32()?;
@@ -578,7 +577,7 @@ impl ReverseProxy {
             gc_collected: r.get_u64()?,
         };
         let n = r.get_len()?;
-        let mut heartbeats = HashMap::with_capacity(n);
+        let mut heartbeats = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last = None;
         for _ in 0..n {
             let h = r.get_u32()?;

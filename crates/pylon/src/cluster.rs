@@ -15,9 +15,9 @@
 //! [`subscribe`]: PylonCluster::subscribe
 //! [`publish`]: PylonCluster::publish
 
-use std::collections::HashMap;
 use std::fmt;
 
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 use crate::hash;
@@ -131,7 +131,7 @@ pub struct PylonCluster {
     nodes: Vec<KvNode>,
     node_ids: Vec<u64>,
     /// Overrides of the default shard→server mapping (rebalanced shards).
-    shard_overrides: HashMap<u32, u32>,
+    shard_overrides: FxHashMap<u32, u32>,
     per_server_requests: Vec<u64>,
     version_clock: u64,
     counters: PylonCounters,
@@ -149,7 +149,7 @@ impl PylonCluster {
         PylonCluster {
             nodes: (0..config.kv_nodes).map(|_| KvNode::new()).collect(),
             node_ids: (0..config.kv_nodes as u64).collect(),
-            shard_overrides: HashMap::new(),
+            shard_overrides: FxHashMap::default(),
             per_server_requests: vec![0; config.servers as usize],
             version_clock: 0,
             config,
@@ -422,7 +422,7 @@ impl PylonCluster {
             nodes.push(KvNode::restore(r)?);
         }
         let n = r.get_len()?;
-        let mut shard_overrides = HashMap::with_capacity(n);
+        let mut shard_overrides = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last = None;
         for _ in 0..n {
             let shard = r.get_u32()?;

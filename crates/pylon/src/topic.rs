@@ -23,9 +23,10 @@
 //! from concurrently running tests) therefore cannot perturb simulation
 //! results; `sim::tests::intern_order_does_not_change_metrics` pins this.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
+
+use simkit::fxhash::FxHashMap;
 
 use crate::hash;
 
@@ -47,14 +48,14 @@ pub struct Topic {
 
 /// The process-wide intern table.
 struct Interner {
-    by_name: HashMap<&'static str, Topic>,
+    by_name: FxHashMap<&'static str, Topic>,
 }
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
-            by_name: HashMap::new(),
+            by_name: FxHashMap::default(),
         })
     })
 }

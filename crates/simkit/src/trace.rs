@@ -28,11 +28,12 @@
 //! hop summaries, e2e latency summary) answer identically in both modes;
 //! only full-chain reconstruction degrades to the retained ring.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::fxhash::FxHashMap;
 use crate::metrics::{Histogram, Summary};
 use crate::snap::{Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::{SimDuration, SimTime};
@@ -396,11 +397,11 @@ pub struct TraceLedger {
     /// Every record in append order ([`Retention::Full`] only).
     records: Vec<HopRecord>,
     /// Indices into `records`, per trace ([`Retention::Full`] only).
-    by_trace: HashMap<TraceId, Vec<u32>>,
+    by_trace: FxHashMap<TraceId, Vec<u32>>,
     /// Ring of the most recent records ([`Retention::Bounded`] only).
     recent: VecDeque<HopRecord>,
     /// Compact per-trace accounting, maintained in both modes.
-    states: HashMap<TraceId, TraceState>,
+    states: FxHashMap<TraceId, TraceState>,
     /// Latency from the previous hop of the same trace to this hop (ms).
     hop_latency: BTreeMap<Hop, Histogram>,
     /// (hop, reason) → updates killed there.
@@ -450,23 +451,25 @@ impl TraceLedger {
         self.fp.mix_u64(trace_id.0);
         self.fp.mix_u64(at.as_micros());
         self.fp.mix_u64(((hop.tag() as u64) << 8) | outcome.code());
-        if let Some(st) = self.states.get(&trace_id) {
-            self.hop_latency
-                .entry(hop)
-                .or_default()
-                .record(at.saturating_since(st.last_at).as_millis_f64());
-        }
+        let st = match self.states.entry(trace_id) {
+            Entry::Occupied(e) => {
+                let st = e.into_mut();
+                self.hop_latency
+                    .entry(hop)
+                    .or_default()
+                    .record(at.saturating_since(st.last_at).as_millis_f64());
+                st
+            }
+            Entry::Vacant(e) => e.insert(TraceState {
+                first_at: at,
+                last_at: at,
+                delivered: false,
+                backfilled: false,
+                first_drop: None,
+            }),
+        };
         if let HopOutcome::Dropped(reason) = outcome {
             *self.drops.entry((hop, reason)).or_insert(0) += 1;
-        }
-        let st = self.states.entry(trace_id).or_insert(TraceState {
-            first_at: at,
-            last_at: at,
-            delivered: false,
-            backfilled: false,
-            first_drop: None,
-        });
-        if let HopOutcome::Dropped(reason) = outcome {
             if st.first_drop.is_none() {
                 st.first_drop = Some((hop, reason));
             }
@@ -693,7 +696,7 @@ impl TraceLedger {
             t => return Err(SnapError::Invalid(format!("retention tag {t}"))),
         };
         let records = Vec::<HopRecord>::restore(r)?;
-        let mut by_trace: HashMap<TraceId, Vec<u32>> = HashMap::new();
+        let mut by_trace: FxHashMap<TraceId, Vec<u32>> = FxHashMap::default();
         for (i, rec) in records.iter().enumerate() {
             by_trace.entry(rec.trace_id).or_default().push(i as u32);
         }
@@ -711,7 +714,7 @@ impl TraceLedger {
             _ => {}
         }
         let n = r.get_len()?;
-        let mut states = HashMap::with_capacity(n);
+        let mut states = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let t = TraceId::restore(r)?;
             let st = TraceState {

@@ -5,8 +5,9 @@
 //! threaded through a slot arena, so `get`/`insert`/`remove` are all O(1)
 //! and no per-operation allocation happens once the arena is warm.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use simkit::fxhash::FxHashMap;
 
 const NIL: usize = usize::MAX;
 
@@ -34,7 +35,7 @@ struct Slot<K, V> {
 /// assert_eq!(cache.get(&"a"), Some(&1));
 /// ```
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: FxHashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -58,7 +59,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         // run's working set never touches. Both the index map and the slot
         // arena grow organically toward the bound.
         LruCache {
-            map: HashMap::with_capacity(capacity.min(1024)),
+            map: FxHashMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             slots: Vec::with_capacity(capacity.min(1024)),
             free: Vec::new(),
             head: NIL,

@@ -5,8 +5,7 @@
 //! `id1`). Association lists are kept sorted by descending creation time,
 //! which is the access order of "recent first" range queries.
 
-use std::collections::HashMap;
-
+use simkit::fxhash::FxHashMap;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 use crate::types::{Assoc, Data, Object, ObjectId};
@@ -14,9 +13,9 @@ use crate::types::{Assoc, Data, Object, ObjectId};
 /// A single storage shard.
 #[derive(Default)]
 pub struct Shard {
-    objects: HashMap<ObjectId, Object>,
+    objects: FxHashMap<ObjectId, Object>,
     // (id1, atype) -> assocs sorted by time descending, ties by id2.
-    assocs: HashMap<(ObjectId, String), Vec<Assoc>>,
+    assocs: FxHashMap<(ObjectId, String), Vec<Assoc>>,
     reads: u64,
     writes: u64,
 }
@@ -235,7 +234,7 @@ impl Shard {
     /// duplicate `id2`s within a list.
     pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let n = r.get_len()?;
-        let mut objects = HashMap::with_capacity(n);
+        let mut objects = FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last_id: Option<ObjectId> = None;
         for _ in 0..n {
             let obj = Object::restore(r)?;
@@ -246,7 +245,8 @@ impl Shard {
             objects.insert(obj.id, obj);
         }
         let n = r.get_len()?;
-        let mut assocs: HashMap<(ObjectId, String), Vec<Assoc>> = HashMap::with_capacity(n);
+        let mut assocs: FxHashMap<(ObjectId, String), Vec<Assoc>> =
+            FxHashMap::with_capacity_and_hasher(n, Default::default());
         let mut last_key: Option<(ObjectId, String)> = None;
         for _ in 0..n {
             let key = (ObjectId(r.get_u64()?), r.get_str()?);

@@ -8,6 +8,7 @@
 //! remote regions after a cross-region delay — which is exactly the window
 //! in which remote followers serve stale data, as in the real system.
 
+use simkit::fxhash::FxHashSet;
 use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 
 use crate::cost::{CostCounters, QueryCost};
@@ -539,7 +540,7 @@ impl Tao {
         limit: usize,
     ) -> (Vec<Assoc>, QueryCost) {
         let mut cost = QueryCost::default();
-        let mut shards_touched = std::collections::HashSet::new();
+        let mut shards_touched = FxHashSet::default();
         let mut all = Vec::new();
         for &id1 in id1s {
             let shard_idx = self.shard_of(id1);

@@ -8,6 +8,7 @@
 //! substitution table). The scorer is intentionally content-sensitive so
 //! that filtering decisions are stable and testable.
 
+use simkit::fxhash::FxHashMap;
 /// Latency the ML ranking adds on the WAS, per ranked comment
 /// (milliseconds) — Table 3's measured 1,790 ms.
 pub const RANKING_LATENCY_MS: u64 = 1_790;
@@ -57,7 +58,7 @@ pub fn is_spammy(text: &str) -> bool {
     if chars.iter().all(|c| !c.is_alphanumeric()) && chars.len() > 3 {
         return true;
     }
-    let mut counts = std::collections::HashMap::new();
+    let mut counts = FxHashMap::default();
     for &c in &chars {
         *counts.entry(c).or_insert(0u32) += 1;
     }

@@ -16,10 +16,10 @@
 //!    BRASS's point query for one update, running the privacy check inline
 //!    (privacy only ever runs inside the WAS).
 
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use pylon::Topic;
+use simkit::fxhash::FxHashMap;
 use tao::{ObjectId, QueryCost, ReplicationEvent, Tao, Value};
 
 use crate::event::{EventKind, EventMeta, UpdateEvent};
@@ -226,9 +226,9 @@ pub struct WebApplicationServer {
     tao: Tao,
     next_event_id: u64,
     /// Mailbox sequence counters (the Messenger backend of §4).
-    mailbox_seq: HashMap<u64, u64>,
+    mailbox_seq: FxHashMap<u64, u64>,
     /// Videos switched to the hot strategy.
-    hot_videos: HashMap<u64, HotVideoPolicy>,
+    hot_videos: FxHashMap<u64, HotVideoPolicy>,
     counters: WasCounters,
 }
 
@@ -238,8 +238,8 @@ impl WebApplicationServer {
         WebApplicationServer {
             tao,
             next_event_id: 1,
-            mailbox_seq: HashMap::new(),
-            hot_videos: HashMap::new(),
+            mailbox_seq: FxHashMap::default(),
+            hot_videos: FxHashMap::default(),
             counters: WasCounters::default(),
         }
     }
@@ -295,7 +295,8 @@ impl WebApplicationServer {
         }
         let mailbox_seq = simkit::snap::restore_map(r)?;
         let nhot = r.get_len()?;
-        let mut hot_videos: HashMap<u64, HotVideoPolicy> = HashMap::with_capacity(nhot);
+        let mut hot_videos: FxHashMap<u64, HotVideoPolicy> =
+            FxHashMap::with_capacity_and_hasher(nhot, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..nhot {
             let v = r.get_u64()?;
