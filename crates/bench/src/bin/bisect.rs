@@ -5,11 +5,10 @@
 //! diverging event plus both trace ledgers' neighborhoods.
 //!
 //! Run: `cargo run --release -p bench --bin bisect [--seed S]
-//! [--seed-b S2] [--workers-a N] [--workers-b M] [--horizon-secs H]
-//! [--snapshot-every T] [--self-test]`.
+//! [--seed-b S2] [--horizon-secs H] [--snapshot-every T] [--self-test]`.
 //!
-//! With no overrides the two runs are the same `(config, seed)` at
-//! worker counts 1 and 4 — the determinism contract says they must agree
+//! With no overrides the two runs are two builds of the same
+//! `(config, seed)` — the determinism contract says they must agree
 //! at every tick, so the expected output is "no divergence" and a
 //! non-zero exit means the contract broke. `--seed-b` compares two
 //! different seeds (diverges immediately). `--self-test` injects one
@@ -34,21 +33,18 @@ fn bisect_config() -> SystemConfig {
 fn main() {
     let seed_a: u64 = arg_or("--seed", 42);
     let seed_b: u64 = arg_or("--seed-b", seed_a);
-    let workers_a: usize = arg_or("--workers-a", 1);
-    let workers_b: usize = arg_or("--workers-b", 4);
     let horizon = SimTime::from_secs(arg_or("--horizon-secs", 30));
     let snapshot_every: u64 = arg_or("--snapshot-every", 5);
     let self_test = arg_flag("--self-test");
 
     let config = bisect_config();
-    let spec = |label: String, seed: u64, workers: usize, tweak: bool| {
+    let spec = |label: String, seed: u64, tweak: bool| {
         let cfg = config.clone();
         RunSpec {
             label,
             config: cfg.clone(),
             build: Box::new(move || {
                 let (mut sim, video, users) = canned_scenario(&cfg, seed, horizon);
-                sim.set_workers(workers);
                 if tweak {
                     // The planted divergence: one extra comment at 70% of
                     // the horizon. The engine must walk the fingerprints
@@ -61,20 +57,14 @@ fn main() {
         }
     };
 
-    let a = spec(
-        format!("seed={seed_a} workers={workers_a}"),
-        seed_a,
-        workers_a,
-        false,
-    );
+    let a = spec(format!("A seed={seed_a}"), seed_a, false);
     let b = spec(
         if self_test {
-            format!("seed={seed_b} workers={workers_b} +planted-event")
+            format!("B seed={seed_b} +planted-event")
         } else {
-            format!("seed={seed_b} workers={workers_b}")
+            format!("B seed={seed_b}")
         },
         seed_b,
-        workers_b,
         self_test,
     );
 
@@ -120,9 +110,9 @@ fn main() {
     }
 
     if seed_a == seed_b && report.diverged {
-        // Same (config, seed, workload) at two worker counts must be
+        // Two builds of the same (config, seed, workload) must be
         // bit-identical; a divergence here is a determinism bug.
-        eprintln!("FAILED: same-seed runs diverged across worker counts");
+        eprintln!("FAILED: same-seed runs diverged");
         std::process::exit(1);
     }
     if seed_a != seed_b && !report.diverged {

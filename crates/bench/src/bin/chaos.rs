@@ -3,9 +3,7 @@
 //! audit as the pass/fail gate.
 //!
 //! Run: `cargo run --release -p bench --bin chaos [--devices N]
-//! [--shards W] [--out F] [--snapshot-every T] [--snapshot-dir D]
-//! [--resume-from F]` — `--shards` sets the worker-thread count for the
-//! sharded executor; results are bit-identical at any value.
+//! [--out F] [--snapshot-every T] [--snapshot-dir D] [--resume-from F]`.
 //! `--snapshot-every` writes a sealed resumable snapshot every T metrics
 //! ticks; `--resume-from` restarts a run from one of those files and
 //! produces bit-identical metrics, ledgers, and fingerprints to the
@@ -208,7 +206,6 @@ fn build_run(config: &SystemConfig) -> (SystemSim, RunMeta) {
 }
 
 fn main() {
-    let shards: usize = arg_or("--shards", 1);
     let out: String = arg_or("--out", "BENCH_PR3.json".to_string());
     let snap_args = snapctl::from_args();
 
@@ -227,9 +224,6 @@ fn main() {
         }
         None => build_run(&config),
     };
-    // Worker threads executing the logical shards. Results are identical
-    // at any value; only wall-clock changes.
-    sim.set_workers(shards);
     snapctl::apply(&mut sim, &snap_args);
 
     let (devices, videos, comments, seed) = (meta.devices, meta.videos, meta.comments, meta.seed);
@@ -332,7 +326,6 @@ fn main() {
             "  \"videos\": {},\n",
             "  \"comments\": {},\n",
             "  \"seed\": {},\n",
-            "  \"shards\": {},\n",
             "  \"plan_start_secs\": {:.0},\n",
             "  \"plan_heal_secs\": {:.0},\n",
             "  \"plan_kinds\": [{}],\n",
@@ -383,7 +376,6 @@ fn main() {
         videos,
         comments,
         seed,
-        shards,
         plan_start.as_micros() as f64 / 1e6,
         heal.as_micros() as f64 / 1e6,
         kinds_json,

@@ -3,8 +3,8 @@
 //! the pass/fail gate.
 //!
 //! Run: `cargo run --release -p bench --bin flashcrowd [--viewers N]
-//! [--rates R1,R2,R3] [--shards W] [--out F] [--snapshot-every T]
-//! [--snapshot-dir D] [--resume-from F]`.
+//! [--rates R1,R2,R3] [--out F] [--snapshot-every T] [--snapshot-dir D]
+//! [--resume-from F]`.
 //!
 //! `--snapshot-every` writes sealed resumable snapshots every T metrics
 //! ticks, one subdirectory per tier (`D/tier-<rate>/`). `--resume-from`
@@ -160,7 +160,7 @@ fn build_tier(
 }
 
 /// Runs one tier (fresh or resumed) to its end and gates the result.
-fn run_tier(mut sim: SystemSim, meta: TierMeta, workers: usize) -> TierResult {
+fn run_tier(mut sim: SystemSim, meta: TierMeta) -> TierResult {
     let TierMeta {
         rate,
         comments,
@@ -168,7 +168,6 @@ fn run_tier(mut sim: SystemSim, meta: TierMeta, workers: usize) -> TierResult {
         end,
         p99_bound_ms,
     } = meta;
-    sim.set_workers(workers);
     let started = Instant::now();
     sim.run_until(end);
     let wall = started.elapsed().as_secs_f64();
@@ -321,7 +320,6 @@ fn run_tier(mut sim: SystemSim, meta: TierMeta, workers: usize) -> TierResult {
 fn main() {
     let viewers: usize = arg_or("--viewers", 2_000);
     let seed: u64 = arg_or("--seed", 42);
-    let workers: usize = arg_or("--shards", 1);
     let storm_secs: u64 = arg_or("--storm", 40);
     let grace_secs: u64 = arg_or("--grace", 60);
     // The graceful-shed bound: LVC's ranked-buffer batching alone puts
@@ -345,7 +343,7 @@ fn main() {
             path.display(),
             sim.now().as_micros() as f64 / 1e6
         );
-        let tier = run_tier(sim, meta, workers);
+        let tier = run_tier(sim, meta);
         let json = format!(
             "{{\n  \"bench\": \"flashcrowd-resumed\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
             tier.json
@@ -395,7 +393,7 @@ fn main() {
                 };
                 snapctl::apply(&mut sim, &tier_args);
             }
-            run_tier(sim, meta, workers)
+            run_tier(sim, meta)
         })
         .collect();
 
@@ -410,7 +408,6 @@ fn main() {
             "  \"bench\": \"flashcrowd\",\n",
             "  \"viewers\": {},\n",
             "  \"seed\": {},\n",
-            "  \"shards\": {},\n",
             "  \"brass_service_us\": {},\n",
             "  \"brass_mailbox_capacity\": {},\n",
             "  \"egress_window_bytes\": {},\n",
@@ -423,7 +420,6 @@ fn main() {
         ),
         viewers,
         seed,
-        workers,
         SERVICE_US,
         MAILBOX_CAP,
         EGRESS_WINDOW,

@@ -8,8 +8,8 @@
 //!   `fuzz --seeds 0..200 --devices 60 --budget-secs 900`
 //! * **repro**: replay one artifact exactly and report whether its
 //!   recorded oracle still fires; `--bisect` hands the case to the PR 8
-//!   fingerprint bisector (workers=1 vs workers=N) for event-level
-//!   localization.
+//!   fingerprint bisector (two materializations of the case) for
+//!   event-level localization.
 //!   `fuzz --repro corpus/seed-17.brfuzz --bisect`
 //! * **corpus**: replay every `.brfuzz` under a directory; all must be
 //!   clean (they are fixed regressions).
@@ -31,13 +31,6 @@ use bladerunner::fuzz::{
     RunOptions, ShrinkResult,
 };
 use bladerunner::replay::{bisect, RunSpec};
-
-fn opts() -> RunOptions {
-    RunOptions {
-        xcheck_workers: arg_or("--xcheck-workers", 2usize),
-        planted: false,
-    }
-}
 
 fn main() {
     println!("== bladerunner fault-plan fuzzer ==");
@@ -69,10 +62,10 @@ fn campaign() {
     let budget_secs = arg_or("--budget-secs", 900u64);
     let shrink_runs = arg_or("--shrink-runs", 150u32);
     let artifact_dir = PathBuf::from(arg_or("--artifact-dir", "fuzz-artifacts".to_string()));
-    let opts = opts();
+    let opts = RunOptions::default();
     println!(
-        "seeds {}..{}  devices {}  xcheck-workers {}  budget {}s",
-        seeds.start, seeds.end, devices, opts.xcheck_workers, budget_secs
+        "seeds {}..{}  devices {}  budget {}s",
+        seeds.start, seeds.end, devices, budget_secs
     );
 
     let started = Instant::now();
@@ -133,7 +126,6 @@ fn campaign() {
             "  \"mode\": \"campaign\",\n",
             "  \"seeds\": \"{}\",\n",
             "  \"devices\": {},\n",
-            "  \"xcheck_workers\": {},\n",
             "  \"seeds_run\": {},\n",
             "  \"seeds_total\": {},\n",
             "  \"events_total\": {},\n",
@@ -145,7 +137,6 @@ fn campaign() {
         ),
         spec,
         devices,
-        opts.xcheck_workers,
         ran,
         total,
         events,
@@ -211,7 +202,7 @@ fn load(path: &Path) -> (FuzzCase, bladerunner::fault::Violation) {
 
 fn repro(path: &Path) {
     let (case, recorded) = load(path);
-    let opts = opts();
+    let opts = RunOptions::default();
     println!(
         "repro {}: seed {}  scenario {}  {} episode(s)  {} device(s)",
         path.display(),
@@ -250,7 +241,7 @@ fn repro(path: &Path) {
         }
     }
     if arg_flag("--bisect") {
-        bisect_case(&case, opts.xcheck_workers.max(2));
+        bisect_case(&case);
     }
     emit_json(&format!(
         concat!(
@@ -274,28 +265,18 @@ fn repro(path: &Path) {
     ));
 }
 
-/// Hands a case to the PR 8 bisector: the same case at workers=1 vs
-/// workers=N. For determinism violations this localizes the first
-/// diverging event; for everything else it certifies tick-identical
-/// executions (the repro itself is the evidence then).
-fn bisect_case(case: &FuzzCase, workers: usize) {
-    let config = case.config();
+/// Hands a case to the PR 8 bisector as two materializations of itself.
+/// For determinism violations this localizes the first diverging event;
+/// for everything else it certifies tick-identical executions (the repro
+/// itself is the evidence then).
+fn bisect_case(case: &FuzzCase) {
     let end = case.end();
-    let spec = |label: String, w: usize| RunSpec {
-        label,
-        config: config.clone(),
-        build: Box::new(move || {
-            let (mut sim, _ids) = materialize(case);
-            sim.set_workers(w);
-            sim
-        }),
+    let spec = |label: &str| RunSpec {
+        label: label.into(),
+        config: case.config(),
+        build: Box::new(|| materialize(case).0),
     };
-    let report = bisect(
-        &spec("workers=1".into(), 1),
-        &spec(format!("workers={workers}"), workers),
-        end,
-        5,
-    );
+    let report = bisect(&spec("run"), &spec("re-run"), end, 5);
     println!("\n== bisect handoff ==\n{}", report.render());
 }
 
@@ -320,7 +301,7 @@ fn corpus(dir: &Path) {
         println!("corpus {}: no artifacts; nothing to replay", dir.display());
         return;
     }
-    let opts = opts();
+    let opts = RunOptions::default();
     let mut regressed = 0usize;
     for path in &paths {
         let (case, recorded) = load(path);
@@ -361,7 +342,7 @@ fn corpus(dir: &Path) {
 fn self_test_shrink() {
     let devices = arg_or("--devices", 24u32);
     let opts = RunOptions {
-        xcheck_workers: 0,
+        rerun: false,
         planted: true,
     };
     // Find the first seed whose generated plan plants the target combo

@@ -3,9 +3,7 @@
 //! events/sec, peak RSS, and bytes-per-device.
 //!
 //! Run: `cargo run --release -p bench --bin scale [--devices N]
-//! [--shards W] [--out F] [--snapshot-every T] [--snapshot-dir D]
-//! [--resume-from F]` — `--shards` sets the worker-thread count for the
-//! sharded executor; results are bit-identical at any value.
+//! [--out F] [--snapshot-every T] [--snapshot-dir D] [--resume-from F]`.
 //! `--snapshot-every` writes a sealed resumable snapshot every T metrics
 //! ticks; `--resume-from` restarts from one of those files and produces
 //! bit-identical results. The lazy workload driver's cursors (subscribe
@@ -125,7 +123,6 @@ fn run_tiers(tiers: &str) {
         for key in [
             "--seconds",
             "--seed",
-            "--shards",
             "--comments-per-video",
             "--active-fraction",
             "--metrics-secs",
@@ -238,7 +235,6 @@ fn decode_driver(bytes: &[u8]) -> SnapResult<DriverState> {
 }
 
 fn run_one(devices: usize) -> String {
-    let shards: usize = arg_or("--shards", 1);
     let snap_args = snapctl::from_args();
 
     let (mut sim, mut state, fleet_live_heap) = match &snap_args.resume {
@@ -312,9 +308,6 @@ fn run_one(devices: usize) -> String {
             (sim, state, fleet_live_heap)
         }
     };
-    // Worker threads executing the logical shards. Results are identical
-    // at any value; only wall-clock changes.
-    sim.set_workers(shards);
     snapctl::apply(&mut sim, &snap_args);
 
     let devices = state.devices;
@@ -477,7 +470,6 @@ fn run_one(devices: usize) -> String {
             "  \"comments\": {},\n",
             "  \"sim_seconds\": {},\n",
             "  \"seed\": {},\n",
-            "  \"shards\": {},\n",
             "  \"wall_seconds\": {:.3},\n",
             "  \"events_total\": {},\n",
             "  \"events_per_sec\": {:.1},\n",
@@ -513,7 +505,6 @@ fn run_one(devices: usize) -> String {
         comment_idx,
         sim_seconds,
         seed,
-        shards,
         wall,
         stats.total,
         events_per_sec,

@@ -653,8 +653,8 @@ pub enum OracleId {
     /// Per-device, per-stream delivery order: applied sequence numbers
     /// only move forward, and calm streams account for every sequence.
     DeliveryOrder,
-    /// Workers-1-vs-N equivalence: the same (config, seed, plan) must
-    /// fingerprint identically at any worker count.
+    /// Re-run equivalence: the same (config, seed, plan) must fingerprint
+    /// identically every time it is run.
     Determinism,
     /// Test-only oracle for the shrinker self-test: "fires" on a planted
     /// episode combination rather than a real system property.

@@ -16,7 +16,7 @@
 //! 3. **check** — an oracle suite extracted from the scattered test
 //!    asserts: convergence + accounting (the [`ConvergenceReport`]
 //!    violations), heartbeat sanity, per-stream delivery order, and a
-//!    workers-1-vs-N fingerprint cross-check;
+//!    same-process re-run fingerprint cross-check;
 //! 4. **shrink** — on violation, [`shrink`] delta-debugs the case (drop
 //!    episodes, halve durations and fan-outs, strip overload knobs,
 //!    shrink the device count), re-running deterministically and keeping
@@ -474,9 +474,8 @@ fn gen_plan(rng: &mut DetRng, config: &SystemConfig, devices: &[u64]) -> FaultPl
 /// Knobs for a single [`run_case`] evaluation.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
-    /// Worker count for the determinism cross-check run (0 or 1 skips
-    /// the second run entirely).
-    pub xcheck_workers: usize,
+    /// Runs the case a second time for the determinism cross-check.
+    pub rerun: bool,
     /// Enables the test-only planted oracle (shrinker self-test).
     pub planted: bool,
 }
@@ -484,7 +483,7 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            xcheck_workers: 2,
+            rerun: true,
             planted: false,
         }
     }
@@ -510,7 +509,6 @@ pub struct CaseReport {
 /// violation, showing exactly where each lost update's trail goes cold.
 pub fn explain_unaccounted(case: &FuzzCase, cap: usize) -> Vec<String> {
     let (mut sim, _ids) = materialize(case);
-    sim.set_workers(1);
     sim.run_until(case.end());
     let ledger = sim.trace_ledger();
     let mut out = Vec::new();
@@ -532,15 +530,14 @@ pub fn explain_unaccounted(case: &FuzzCase, cap: usize) -> Vec<String> {
 /// Runs a case to its end and evaluates the oracle suite.
 pub fn run_case(case: &FuzzCase, opts: &RunOptions) -> CaseReport {
     let (mut sim, ids) = materialize(case);
-    sim.set_workers(1);
     let end = case.end();
     sim.run_until(end);
 
     let mut violations = sim.convergence_report().violations;
     violations.extend(heartbeat_oracle(&sim, case));
     violations.extend(delivery_order_oracle(&sim, &ids));
-    if opts.xcheck_workers > 1 {
-        violations.extend(determinism_oracle(&sim, case, opts.xcheck_workers));
+    if opts.rerun {
+        violations.extend(determinism_oracle(&sim, case));
     }
     if opts.planted {
         violations.extend(planted_oracle(case));
@@ -675,13 +672,14 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
     violations
 }
 
-/// Workers-1-vs-N equivalence: the reference run used one worker; this
-/// re-materializes the same case under `workers` threads and compares
-/// the per-tick fingerprint series, the final state fingerprint, and the
-/// ledger's rolling hash. Any difference is a scheduling-order leak.
-fn determinism_oracle(reference: &SystemSim, case: &FuzzCase, workers: usize) -> Vec<Violation> {
+/// Re-run equivalence: re-materializes the same case in this process and
+/// runs it again, comparing the per-tick fingerprint series, the final
+/// state fingerprint, and the ledger's rolling hash. The second
+/// materialization interns its topics after the first run's, so any
+/// difference is state leaking in from outside `(config, seed, plan)` —
+/// intern order, a process-global, hash-map iteration order.
+fn determinism_oracle(reference: &SystemSim, case: &FuzzCase) -> Vec<Violation> {
     let (mut other, _ids) = materialize(case);
-    other.set_workers(workers);
     other.run_until(case.end());
 
     let mut violations = Vec::new();
@@ -695,17 +693,13 @@ fn determinism_oracle(reference: &SystemSim, case: &FuzzCase, workers: usize) ->
         violations.push(Violation::new(
             OracleId::Determinism,
             format!("tick {}us", t.as_micros()),
-            format!("fingerprint series diverges between workers=1 and workers={workers}"),
+            "fingerprint series diverges between run and re-run",
         ));
     } else if a.len() != b.len() {
         violations.push(Violation::new(
             OracleId::Determinism,
             "ticks",
-            format!(
-                "{} ticks at workers=1 vs {} at workers={workers}",
-                a.len(),
-                b.len()
-            ),
+            format!("{} ticks on the run vs {} on the re-run", a.len(), b.len()),
         ));
     }
     if reference.fingerprint_now() != other.fingerprint_now() {
@@ -713,7 +707,7 @@ fn determinism_oracle(reference: &SystemSim, case: &FuzzCase, workers: usize) ->
             OracleId::Determinism,
             "state",
             format!(
-                "final fingerprint {:016x} (workers=1) vs {:016x} (workers={workers})",
+                "final fingerprint {:016x} (run) vs {:016x} (re-run)",
                 reference.fingerprint_now(),
                 other.fingerprint_now()
             ),
@@ -723,7 +717,7 @@ fn determinism_oracle(reference: &SystemSim, case: &FuzzCase, workers: usize) ->
         violations.push(Violation::new(
             OracleId::Determinism,
             "ledger",
-            format!("ledger rolling hash diverges between workers=1 and workers={workers}"),
+            "ledger rolling hash diverges between run and re-run",
         ));
     }
     violations
@@ -1024,7 +1018,6 @@ mod tests {
             eprintln!("{line}");
         }
         let (mut sim, _ids) = materialize(&case);
-        sim.set_workers(1);
         sim.run_until(case.end());
         assert!(
             sim.trace_ledger().unaccounted().is_empty(),

@@ -62,7 +62,7 @@ pub fn resume_from_file(config: SystemConfig, path: &Path) -> SnapResult<SystemS
 /// possibly again for the replay — and must fully schedule its workload
 /// before returning (the engine only calls `run_until` afterwards).
 pub struct RunSpec<'a> {
-    /// Label used in the report ("workers=4", "config B", …).
+    /// Label used in the report ("run A", "config B", …).
     pub label: String,
     /// The exact config `build` uses (needed to resume snapshots).
     pub config: SystemConfig,

@@ -6,7 +6,7 @@
 //! [`crate::latency::LatencyModel`]. All randomness flows
 //! from one seed, so any run is exactly reproducible.
 //!
-//! # Sharded parallel execution
+//! # Logical shards, one thread
 //!
 //! The system is partitioned into `config.logical_shards` independent
 //! event loops ([`Shard`]), each owning a disjoint slice of the world:
@@ -17,9 +17,9 @@
 //!
 //! Execution proceeds in conservative windows: every round the
 //! coordinator computes the earliest pending event across shards and runs
-//! each shard — serially or on a worker pool, see
-//! [`SystemSim::set_workers`] — up to `next + lookahead`, where the
-//! lookahead is [`LatencyModel::min_cross_shard_hop`]. Events that target
+//! each shard in id order, on the caller's thread, up to
+//! `next + lookahead`, where the lookahead is
+//! [`LatencyModel::min_cross_shard_hop`]. Events that target
 //! another shard are collected in per-shard outboxes, merged at the
 //! window barrier in `(time, src_shard, seq)` order
 //! ([`simkit::shard::merge`]), clamped out of the closed window
@@ -30,13 +30,13 @@
 //! queued as [`SharedOp`]s and applied at the barrier in shard order.
 //!
 //! The result is a simulation whose outputs are a pure function of
-//! `(config, seed, workload)` — the worker count only decides which OS
-//! thread executes a shard's window, never the order anything merges.
+//! `(config, seed, workload)`. A shard models one of the paper's
+//! single-threaded instances; the simulator scales the way the paper
+//! does, by running more of them, not by threading one.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use brass::app::{DeviceId, FetchToken, WasRequest, WasResponse};
@@ -141,17 +141,9 @@ impl EventStats {
 
     /// Field-wise accumulation (shard aggregation).
     fn accumulate(&mut self, other: &EventStats) {
-        self.total += other.total;
-        self.workload += other.workload;
-        self.pylon += other.pylon;
-        self.tao += other.tao;
-        self.brass += other.brass;
-        self.transport_up += other.transport_up;
-        self.transport_down += other.transport_down;
-        self.device_churn += other.device_churn;
-        self.faults += other.faults;
-        self.heartbeats += other.heartbeats;
-        self.metrics += other.metrics;
+        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields()) {
+            *mine += theirs;
+        }
     }
 
     /// The eleven counters in declaration order (snapshot layout).
@@ -171,6 +163,23 @@ impl EventStats {
         ]
     }
 
+    /// [`Self::fields`], writable: the same counters in the same order.
+    fn fields_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.total,
+            &mut self.workload,
+            &mut self.pylon,
+            &mut self.tao,
+            &mut self.brass,
+            &mut self.transport_up,
+            &mut self.transport_down,
+            &mut self.device_churn,
+            &mut self.faults,
+            &mut self.heartbeats,
+            &mut self.metrics,
+        ]
+    }
+
     /// Writes the stats into a snapshot.
     fn snap(&self, w: &mut SnapWriter) {
         for v in self.fields() {
@@ -181,19 +190,10 @@ impl EventStats {
     /// Reads stats back, rejecting totals that don't add up: `total` is
     /// exactly the sum of the per-subsystem buckets by construction.
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let s = EventStats {
-            total: r.get_u64()?,
-            workload: r.get_u64()?,
-            pylon: r.get_u64()?,
-            tao: r.get_u64()?,
-            brass: r.get_u64()?,
-            transport_up: r.get_u64()?,
-            transport_down: r.get_u64()?,
-            device_churn: r.get_u64()?,
-            faults: r.get_u64()?,
-            heartbeats: r.get_u64()?,
-            metrics: r.get_u64()?,
-        };
+        let mut s = EventStats::default();
+        for field in s.fields_mut() {
+            *field = r.get_u64()?;
+        }
         let buckets: u64 = s.fields()[1..].iter().sum();
         if buckets != s.total {
             return Err(SnapError::Invalid(format!(
@@ -1387,8 +1387,7 @@ impl Shard {
 
     /// Schedules an event: locally if this shard owns the target state,
     /// otherwise into the outbox for the barrier exchange. All handler
-    /// scheduling funnels through here, so the serial and threaded drivers
-    /// produce byte-identical schedules by construction.
+    /// scheduling funnels through here.
     fn send(&mut self, at: SimTime, ev: Ev) {
         let dest = shard_route(&ev, self.pops.len(), self.shards);
         if dest == self.id {
@@ -1416,9 +1415,9 @@ impl Shard {
 
     /// Whether a trace already reached its device (rendered or
     /// backfilled), per the merged ledger *plus this shard's own buffered
-    /// records*. Other shards' unmerged records are deliberately invisible
-    /// — the serial driver has exactly the same visibility, which is what
-    /// keeps worker counts out of the results.
+    /// records*. Other shards' unmerged records are deliberately invisible:
+    /// a window's outcome may depend only on what the last barrier merged,
+    /// never on how far another shard has got through the same window.
     fn trace_resolved(&self, trace: TraceId) -> bool {
         {
             let ledger = self.world.ledger.read().unwrap();
@@ -3386,93 +3385,18 @@ impl Shard {
 // The coordinator: conservative windows over the shard set.
 // ----------------------------------------------------------------------
 
-/// A command the coordinator sends a worker thread.
-enum Cmd {
-    /// Run one shard's loop up to `end` after delivering `incoming`.
-    Run {
-        shard: usize,
-        end: SimTime,
-        incoming: Vec<Envelope<Ev>>,
-    },
-    /// Take one shard's metrics-tick sample at `at`.
-    Tick { shard: usize, at: SimTime },
-    /// Serialize one shard's state (only ever sent at a tick barrier).
-    Snap { shard: usize },
-}
-
-/// What one shard hands back from a window: its barrier products and the
-/// time of its next pending event.
+/// What one shard hands the barrier after a window.
 struct WindowRes {
     shard: usize,
     outbox: Vec<(SimTime, Ev)>,
     ops: Vec<SharedOp>,
     led: Vec<LedRec>,
-    next: Option<SimTime>,
 }
 
-enum WorkerRes {
-    Window(WindowRes),
-    Tick { shard: usize, summary: TickSummary },
-    Snap { shard: usize, bytes: Vec<u8> },
-}
-
-/// A worker thread's loop: serve Run/Tick commands for the shards this
-/// worker owns until the coordinator hangs up.
-fn worker_loop(
-    mut shards: Vec<(usize, &mut Shard)>,
-    rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::Sender<WorkerRes>,
-) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Run {
-                shard,
-                end,
-                incoming,
-            } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                s.run_window(end, incoming);
-                let res = WindowRes {
-                    shard,
-                    outbox: std::mem::take(&mut s.outbox),
-                    ops: std::mem::take(&mut s.ops),
-                    led: std::mem::take(&mut s.led_pending),
-                    next: s.queue.peek_time(),
-                };
-                let _ = tx.send(WorkerRes::Window(res));
-            }
-            Cmd::Tick { shard, at } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                let summary = s.shard_tick(at);
-                let _ = tx.send(WorkerRes::Tick { shard, summary });
-            }
-            Cmd::Snap { shard } => {
-                let (_, s) = shards
-                    .iter_mut()
-                    .find(|(i, _)| *i == shard)
-                    .expect("command routed to the owning worker");
-                let mut w = SnapWriter::new();
-                s.snap(&mut w);
-                let _ = tx.send(WorkerRes::Snap {
-                    shard,
-                    bytes: w.into_bytes(),
-                });
-            }
-        }
-    }
-}
-
-/// The window barrier, shared verbatim by the serial and threaded
-/// drivers: apply deferred registry writes and ledger records in shard
-/// order, then wrap, merge, and route the cross-shard mail. Everything
-/// here is ordered by `(shard, emission index)` or `(time, src, seq)` —
-/// never by thread completion order.
+/// The window barrier: apply deferred registry writes and ledger records
+/// in shard order, then wrap, merge, and route the cross-shard mail.
+/// Everything here is ordered by `(shard, emission index)` or
+/// `(time, src, seq)`.
 fn apply_barrier(
     world: &World,
     pending_incoming: &mut [Vec<Envelope<Ev>>],
@@ -3520,209 +3444,8 @@ fn apply_barrier(
     }
 }
 
-/// Folds per-shard tick samples into the root time series (active
-/// streams, decision deltas, stream availability) exactly as the
-/// un-sharded metrics tick used to.
-fn record_tick(
-    root_metrics: &mut SystemMetrics,
-    root_stats: &mut EventStats,
-    decisions_at_tick: &mut u64,
-    fingerprints: &mut Vec<(SimTime, u64)>,
-    ledger_fp: u64,
-    at: SimTime,
-    summaries: Vec<TickSummary>,
-) {
-    // The per-tick run fingerprint: tick time, the ledger's rolling hash,
-    // and every shard's state digest (in shard order), plus the fleet
-    // aggregates the root series are about to record. Cumulative by
-    // construction — once two runs disagree at a tick, they disagree at
-    // every later tick, which is what lets the bisect harness
-    // binary-search the series.
-    let mut fp = Fp64::new();
-    fp.mix_u64(at.as_micros());
-    fp.mix_u64(ledger_fp);
-    for s in &summaries {
-        fp.mix_u64(s.fp);
-        fp.mix_u64(s.active_streams);
-        fp.mix_u64(s.decisions);
-        fp.mix_u64(s.live.len() as u64);
-        fp.mix_u64(s.open.len() as u64);
-    }
-    fingerprints.push((at, fp.value()));
-    root_stats.total += 1;
-    root_stats.metrics += 1;
-    let active: u64 = summaries.iter().map(|s| s.active_streams).sum();
-    root_metrics.ts_active_streams.record(at, active as f64);
-    let decisions: u64 = summaries.iter().map(|s| s.decisions).sum();
-    // Saturating: a crashed/upgraded host restarts with zeroed counters,
-    // so the fleet total can move backwards across a tick.
-    root_metrics
-        .ts_decisions
-        .record(at, decisions.saturating_sub(*decisions_at_tick) as f64);
-    *decisions_at_tick = decisions;
-    // One availability sample: of all open streams on currently-connected
-    // devices, the fraction a live BRASS host is serving right now.
-    let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
-    for s in &summaries {
-        live.extend(s.live.iter().copied());
-    }
-    let mut open = 0u64;
-    let mut served = 0u64;
-    for s in &summaries {
-        for key in &s.open {
-            open += 1;
-            if live.contains(key) {
-                served += 1;
-            }
-        }
-    }
-    let fraction = if open == 0 {
-        1.0
-    } else {
-        served as f64 / open as f64
-    };
-    root_metrics.record_availability(at, fraction);
-}
-
-/// Serializes the coordinator-level state plus the already-serialized
-/// per-shard bodies into one snapshot body (unsealed). Shared by the
-/// serial driver (which serializes shards inline) and the threaded driver
-/// (which collects bodies from the workers owning the shards).
-#[allow(clippy::too_many_arguments)]
-fn assemble_snapshot_body(
-    config: &SystemConfig,
-    at: SimTime,
-    next_metrics_tick: SimTime,
-    tick_index: u64,
-    decisions_at_tick: u64,
-    rng: &DetRng,
-    langs: &[String],
-    scenario_sids: &FxHashMap<u64, u64>,
-    world: &World,
-    root_metrics: &SystemMetrics,
-    root_stats: &EventStats,
-    fingerprints: &[(SimTime, u64)],
-    pending_incoming: &[Vec<Envelope<Ev>>],
-    shard_bodies: &[Vec<u8>],
-    driver_blob: &[u8],
-) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    // The config is part of the experiment definition, not the state:
-    // resume requires the caller to rebuild the exact same config and
-    // only validates it (by its Debug rendering, which covers every
-    // field) instead of round-tripping every nested knob.
-    w.put_str(&format!("{config:?}"));
-    at.snap(&mut w);
-    next_metrics_tick.snap(&mut w);
-    w.put_u64(tick_index);
-    w.put_u64(decisions_at_tick);
-    for word in rng.state() {
-        w.put_u64(word);
-    }
-    w.put_usize(langs.len());
-    for l in langs {
-        w.put_str(l);
-    }
-    snap::snap_map(scenario_sids, &mut w);
-    {
-        let shared = world.shared.read().unwrap();
-        let mut traces: Vec<_> = shared.object_trace.iter().collect();
-        traces.sort_by_key(|(k, _)| k.0);
-        w.put_usize(traces.len());
-        for (object, trace) in traces {
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut fanout_traces: Vec<_> = shared.topic_object_trace.iter().collect();
-        fanout_traces
-            .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
-        w.put_usize(fanout_traces.len());
-        for (&(topic, object), trace) in fanout_traces {
-            topic.snap(&mut w);
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut topics: Vec<_> = shared.topic_streams.iter().collect();
-        topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        w.put_usize(topics.len());
-        for (topic, streams) in topics {
-            topic.snap(&mut w);
-            // Verbatim: publication fan-out walks this vec in push order.
-            w.put_usize(streams.len());
-            for (device, sid) in streams {
-                w.put_u64(*device);
-                sid.snap(&mut w);
-            }
-        }
-        let mut stream_topics: Vec<_> = shared.stream_topic.iter().collect();
-        stream_topics.sort_by_key(|(k, _)| **k);
-        w.put_usize(stream_topics.len());
-        for (&(device, sid), topic) in stream_topics {
-            w.put_u64(device);
-            sid.snap(&mut w);
-            topic.snap(&mut w);
-        }
-        let mut proxies: Vec<_> = shared.device_proxy.iter().collect();
-        proxies.sort_by_key(|(k, _)| **k);
-        w.put_usize(proxies.len());
-        for (&device, &proxy) in proxies {
-            w.put_u64(device);
-            w.put_usize(proxy);
-        }
-        w.put_usize(shared.host_up.len());
-        for up in &shared.host_up {
-            w.put_bool(*up);
-        }
-    }
-    world.ledger.read().unwrap().snap(&mut w);
-    root_metrics.snap(&mut w);
-    root_stats.snap(&mut w);
-    w.put_usize(fingerprints.len());
-    for (tick, fp) in fingerprints {
-        tick.snap(&mut w);
-        w.put_u64(*fp);
-    }
-    w.put_usize(pending_incoming.len());
-    for mailbox in pending_incoming {
-        // Verbatim: envelope order is queue insertion order, which breaks
-        // ties between same-time events.
-        w.put_usize(mailbox.len());
-        for env in mailbox {
-            env.at.snap(&mut w);
-            w.put_usize(env.src_shard);
-            w.put_u64(env.seq);
-            env.event.snap(&mut w);
-        }
-    }
-    w.put_usize(shard_bodies.len());
-    for body in shard_bodies {
-        w.put_bytes(body);
-    }
-    w.put_bytes(driver_blob);
-    w.into_bytes()
-}
-
-/// Delivers one policy-captured snapshot: into the in-memory ring and/or
-/// onto disk, per the configured policy.
-fn store_snapshot(
-    snapshots: &mut Vec<(SimTime, Vec<u8>)>,
-    keep: bool,
-    dir: &Option<PathBuf>,
-    tick: SimTime,
-    sealed: Vec<u8>,
-) {
-    if let Some(dir) = dir {
-        let path = dir.join(format!("snap-{:012}.brsnap", tick.as_micros()));
-        std::fs::write(&path, &sealed)
-            .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-    }
-    if keep {
-        snapshots.push((tick, sealed));
-    }
-}
-
 /// The full-system simulation: a set of logical shards driven in
-/// conservative parallel windows by this coordinator. See the module docs
+/// conservative windows by this coordinator. See the module docs
 /// for the synchronisation contract.
 pub struct SystemSim {
     config: SystemConfig,
@@ -3730,9 +3453,6 @@ pub struct SystemSim {
     /// The master RNG: workload generators and fixture setup draw from it;
     /// every shard's private stream is forked off it at construction.
     rng: DetRng,
-    /// Worker threads driving shard windows (1 = serial). Purely a
-    /// performance knob: results are identical for any value.
-    workers: usize,
     now: SimTime,
     next_metrics_tick: SimTime,
     world: Arc<World>,
@@ -3801,7 +3521,6 @@ impl SystemSim {
         SystemSim {
             latency: LatencyModel::table3(),
             rng,
-            workers: 1,
             now: SimTime::ZERO,
             next_metrics_tick: SimTime::ZERO + config.metrics_interval,
             world,
@@ -3825,14 +3544,10 @@ impl SystemSim {
         }
     }
 
-    /// Sets the number of worker threads driving shard windows. `1` (the
-    /// default) runs shards serially on the caller's thread. Any value is
-    /// safe at any time: the worker count decides only which OS thread
-    /// executes a shard, never what the simulation computes — metrics and
-    /// trace ledger are bit-identical across worker counts.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
+    /// Does nothing: shard windows always run on the caller's thread. The
+    /// threaded executor this used to select lost to it on every benchmark
+    /// workload; the name stays only because `benchmark/` still calls it.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// The WAS (for fixture setup: videos, threads, friendships).
     pub fn was_mut(&mut self) -> &mut WebApplicationServer {
@@ -4234,9 +3949,7 @@ impl SystemSim {
     // Execution.
     // ------------------------------------------------------------------
 
-    /// Runs the simulation until `until` (inclusive of events at `until`),
-    /// serially or on the configured worker pool — the results are
-    /// identical either way.
+    /// Runs the simulation until `until` (inclusive of events at `until`).
     pub fn run_until(&mut self, until: SimTime) {
         // Every metrics mutation happens inside a run, so this is the one
         // place the folded aggregate goes stale.
@@ -4245,10 +3958,51 @@ impl SystemSim {
         // Windows are closed intervals; the last in-window microsecond is
         // `next + lookahead - 1`.
         let w_minus = SimDuration::from_micros(lookahead.as_micros().saturating_sub(1));
-        if self.workers > 1 && self.shards.len() > 1 {
-            self.run_windows_threaded(until, w_minus);
-        } else {
-            self.run_windows_serial(until, w_minus);
+        let nshards = self.shards.len();
+        loop {
+            let next = self.earliest_pending();
+            let tick = self.next_metrics_tick;
+            if tick <= until && next.is_none_or(|n| tick <= n) {
+                // The tick outranks same-time events, matching the old
+                // single-queue schedule order.
+                self.record_tick(tick);
+                self.next_metrics_tick = tick + self.config.metrics_interval;
+                self.tick_index += 1;
+                if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
+                    // The tick is a natural barrier: all windows before it
+                    // are fully applied and the window schedule after it
+                    // depends only on queue state, so a run resumed here
+                    // is bit-identical to one that never stopped.
+                    let sealed = snap::seal(self.snapshot_body(tick));
+                    self.store_snapshot(tick, sealed);
+                }
+                continue;
+            }
+            let Some(next) = next else { break };
+            if next > until {
+                break;
+            }
+            let end = Self::window_end(next, until, tick, w_minus);
+            let mut results: Vec<WindowRes> = Vec::with_capacity(nshards);
+            for i in 0..nshards {
+                let incoming = std::mem::take(&mut self.pending_incoming[i]);
+                let shard = &mut self.shards[i];
+                shard.run_window(end, incoming);
+                results.push(WindowRes {
+                    shard: i,
+                    outbox: std::mem::take(&mut shard.outbox),
+                    ops: std::mem::take(&mut shard.ops),
+                    led: std::mem::take(&mut shard.led_pending),
+                });
+            }
+            apply_barrier(
+                &self.world,
+                &mut self.pending_incoming,
+                self.config.pops as usize,
+                nshards,
+                end,
+                results,
+            );
         }
         if until > self.now {
             self.now = until;
@@ -4292,268 +4046,64 @@ impl SystemSim {
         end
     }
 
-    fn run_windows_serial(&mut self, until: SimTime, w_minus: SimDuration) {
-        let nshards = self.shards.len();
-        loop {
-            let next = self.earliest_pending();
-            let tick = self.next_metrics_tick;
-            if tick <= until && next.is_none_or(|n| tick <= n) {
-                // The tick outranks same-time events, matching the old
-                // single-queue schedule order.
-                let summaries: Vec<TickSummary> =
-                    self.shards.iter_mut().map(|s| s.shard_tick(tick)).collect();
-                let ledger_fp = self.world.ledger.read().unwrap().fingerprint();
-                record_tick(
-                    &mut self.root_metrics,
-                    &mut self.root_stats,
-                    &mut self.decisions_at_tick,
-                    &mut self.fingerprints,
-                    ledger_fp,
-                    tick,
-                    summaries,
-                );
-                self.next_metrics_tick = tick + self.config.metrics_interval;
-                self.tick_index += 1;
-                if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
-                    // The tick is a natural barrier: all windows before it
-                    // are fully applied and the window schedule after it
-                    // depends only on queue state, so a run resumed here
-                    // is bit-identical to one that never stopped.
-                    let bodies: Vec<Vec<u8>> = self
-                        .shards
-                        .iter()
-                        .map(|s| {
-                            let mut w = SnapWriter::new();
-                            s.snap(&mut w);
-                            w.into_bytes()
-                        })
-                        .collect();
-                    let sealed = snap::seal(assemble_snapshot_body(
-                        &self.config,
-                        tick,
-                        self.next_metrics_tick,
-                        self.tick_index,
-                        self.decisions_at_tick,
-                        &self.rng,
-                        &self.langs,
-                        &self.scenario_sids,
-                        &self.world,
-                        &self.root_metrics,
-                        &self.root_stats,
-                        &self.fingerprints,
-                        &self.pending_incoming,
-                        &bodies,
-                        &self.driver_blob,
-                    ));
-                    store_snapshot(
-                        &mut self.snapshots,
-                        self.snapshot_keep,
-                        &self.snapshot_dir,
-                        tick,
-                        sealed,
-                    );
-                }
-                continue;
-            }
-            let Some(next) = next else { break };
-            if next > until {
-                break;
-            }
-            let end = Self::window_end(next, until, tick, w_minus);
-            let mut results: Vec<WindowRes> = Vec::with_capacity(nshards);
-            for i in 0..nshards {
-                let incoming = std::mem::take(&mut self.pending_incoming[i]);
-                let shard = &mut self.shards[i];
-                shard.run_window(end, incoming);
-                results.push(WindowRes {
-                    shard: i,
-                    outbox: std::mem::take(&mut shard.outbox),
-                    ops: std::mem::take(&mut shard.ops),
-                    led: std::mem::take(&mut shard.led_pending),
-                    next: shard.queue.peek_time(),
-                });
-            }
-            apply_barrier(
-                &self.world,
-                &mut self.pending_incoming,
-                self.config.pops as usize,
-                nshards,
-                end,
-                results,
-            );
+    /// One metrics tick at `at`: samples every shard, appends the per-tick
+    /// run fingerprint, and folds the samples into the root time series
+    /// (active streams, decision deltas, stream availability).
+    fn record_tick(&mut self, at: SimTime) {
+        let summaries: Vec<TickSummary> =
+            self.shards.iter_mut().map(|s| s.shard_tick(at)).collect();
+        // The per-tick run fingerprint: tick time, the ledger's rolling hash,
+        // and every shard's state digest (in shard order), plus the fleet
+        // aggregates the root series are about to record. Cumulative by
+        // construction — once two runs disagree at a tick, they disagree at
+        // every later tick, which is what lets the bisect harness
+        // binary-search the series.
+        let mut fp = Fp64::new();
+        fp.mix_u64(at.as_micros());
+        fp.mix_u64(self.world.ledger.read().unwrap().fingerprint());
+        for s in &summaries {
+            fp.mix_u64(s.fp);
+            fp.mix_u64(s.active_streams);
+            fp.mix_u64(s.decisions);
+            fp.mix_u64(s.live.len() as u64);
+            fp.mix_u64(s.open.len() as u64);
         }
-    }
-
-    fn run_windows_threaded(&mut self, until: SimTime, w_minus: SimDuration) {
-        let nshards = self.shards.len();
-        let nworkers = self.workers.min(nshards);
-        let mut next_times: Vec<Option<SimTime>> =
-            self.shards.iter().map(|s| s.queue.peek_time()).collect();
-        // Split the borrow: the worker scope holds `shards`, the
-        // coordinator below touches everything else.
-        let SystemSim {
-            shards,
-            pending_incoming,
-            world,
-            config,
-            root_metrics,
-            root_stats,
-            decisions_at_tick,
-            next_metrics_tick,
-            rng,
-            langs,
-            scenario_sids,
-            fingerprints,
-            tick_index,
-            snapshot_every,
-            snapshot_keep,
-            snapshot_dir,
-            snapshots,
-            driver_blob,
-            ..
-        } = self;
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<WorkerRes>();
-            let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::with_capacity(nworkers);
-            let mut assignments: Vec<Vec<(usize, &mut Shard)>> =
-                (0..nworkers).map(|_| Vec::new()).collect();
-            for (i, shard) in shards.iter_mut().enumerate() {
-                assignments[i % nworkers].push((i, shard));
+        self.fingerprints.push((at, fp.value()));
+        self.root_stats.total += 1;
+        self.root_stats.metrics += 1;
+        let active: u64 = summaries.iter().map(|s| s.active_streams).sum();
+        self.root_metrics
+            .ts_active_streams
+            .record(at, active as f64);
+        let decisions: u64 = summaries.iter().map(|s| s.decisions).sum();
+        // Saturating: a crashed/upgraded host restarts with zeroed counters,
+        // so the fleet total can move backwards across a tick.
+        self.root_metrics
+            .ts_decisions
+            .record(at, decisions.saturating_sub(self.decisions_at_tick) as f64);
+        self.decisions_at_tick = decisions;
+        // One availability sample: of all open streams on currently-connected
+        // devices, the fraction a live BRASS host is serving right now.
+        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
+        for s in &summaries {
+            live.extend(s.live.iter().copied());
+        }
+        let mut open = 0u64;
+        let mut served = 0u64;
+        for s in &summaries {
+            for key in &s.open {
+                open += 1;
+                if live.contains(key) {
+                    served += 1;
+                }
             }
-            for owned in assignments {
-                let (tx, rx) = mpsc::channel::<Cmd>();
-                cmd_txs.push(tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || worker_loop(owned, rx, res_tx));
-            }
-            drop(res_tx);
-            loop {
-                let mut next: Option<SimTime> = None;
-                for s in 0..nshards {
-                    let cands = [next_times[s], pending_incoming[s].first().map(|e| e.at)];
-                    for cand in cands.into_iter().flatten() {
-                        next = Some(match next {
-                            Some(n) if n <= cand => n,
-                            _ => cand,
-                        });
-                    }
-                }
-                let tick = *next_metrics_tick;
-                if tick <= until && next.is_none_or(|n| tick <= n) {
-                    for s in 0..nshards {
-                        cmd_txs[s % nworkers]
-                            .send(Cmd::Tick { shard: s, at: tick })
-                            .expect("worker alive");
-                    }
-                    let mut summaries: Vec<Option<TickSummary>> =
-                        (0..nshards).map(|_| None).collect();
-                    for _ in 0..nshards {
-                        match res_rx.recv().expect("worker alive") {
-                            WorkerRes::Tick { shard, summary } => summaries[shard] = Some(summary),
-                            _ => unreachable!("tick round"),
-                        }
-                    }
-                    let summaries: Vec<TickSummary> = summaries
-                        .into_iter()
-                        .map(|s| s.expect("every shard ticked"))
-                        .collect();
-                    let ledger_fp = world.ledger.read().unwrap().fingerprint();
-                    record_tick(
-                        root_metrics,
-                        root_stats,
-                        decisions_at_tick,
-                        fingerprints,
-                        ledger_fp,
-                        tick,
-                        summaries,
-                    );
-                    *next_metrics_tick = tick + config.metrics_interval;
-                    *tick_index += 1;
-                    if *snapshot_every > 0 && *tick_index % *snapshot_every == 0 {
-                        // Workers own the shards inside this scope, so the
-                        // coordinator asks each for its serialized body and
-                        // assembles the snapshot from the pieces — in shard
-                        // order, like everything else at a barrier.
-                        for s in 0..nshards {
-                            cmd_txs[s % nworkers]
-                                .send(Cmd::Snap { shard: s })
-                                .expect("worker alive");
-                        }
-                        let mut bodies: Vec<Option<Vec<u8>>> = (0..nshards).map(|_| None).collect();
-                        for _ in 0..nshards {
-                            match res_rx.recv().expect("worker alive") {
-                                WorkerRes::Snap { shard, bytes } => bodies[shard] = Some(bytes),
-                                _ => unreachable!("snap round"),
-                            }
-                        }
-                        let bodies: Vec<Vec<u8>> = bodies
-                            .into_iter()
-                            .map(|b| b.expect("every shard serialized"))
-                            .collect();
-                        let sealed = snap::seal(assemble_snapshot_body(
-                            config,
-                            tick,
-                            *next_metrics_tick,
-                            *tick_index,
-                            *decisions_at_tick,
-                            rng,
-                            langs,
-                            scenario_sids,
-                            world,
-                            root_metrics,
-                            root_stats,
-                            fingerprints,
-                            pending_incoming,
-                            &bodies,
-                            driver_blob,
-                        ));
-                        store_snapshot(snapshots, *snapshot_keep, snapshot_dir, tick, sealed);
-                    }
-                    continue;
-                }
-                let Some(next) = next else { break };
-                if next > until {
-                    break;
-                }
-                let end = Self::window_end(next, until, tick, w_minus);
-                for s in 0..nshards {
-                    let incoming = std::mem::take(&mut pending_incoming[s]);
-                    cmd_txs[s % nworkers]
-                        .send(Cmd::Run {
-                            shard: s,
-                            end,
-                            incoming,
-                        })
-                        .expect("worker alive");
-                }
-                let mut results: Vec<Option<WindowRes>> = (0..nshards).map(|_| None).collect();
-                for _ in 0..nshards {
-                    match res_rx.recv().expect("worker alive") {
-                        WorkerRes::Window(r) => {
-                            let i = r.shard;
-                            results[i] = Some(r);
-                        }
-                        _ => unreachable!("window round"),
-                    }
-                }
-                let results: Vec<WindowRes> = results
-                    .into_iter()
-                    .map(|r| r.expect("every shard ran"))
-                    .collect();
-                for r in &results {
-                    next_times[r.shard] = r.next;
-                }
-                apply_barrier(
-                    world,
-                    pending_incoming,
-                    config.pops as usize,
-                    nshards,
-                    end,
-                    results,
-                );
-            }
-            // Dropping the command senders here ends every worker loop.
-        });
+        }
+        let fraction = if open == 0 {
+            1.0
+        } else {
+            served as f64 / open as f64
+        };
+        self.root_metrics.record_availability(at, fraction);
     }
 
     // ------------------------------------------------------------------
@@ -4591,32 +4141,123 @@ impl SystemSim {
     /// in-loop policy ([`Self::set_snapshot_policy`]) captures at metrics
     /// ticks, which satisfies that for any chunking.
     pub fn snapshot(&self) -> Vec<u8> {
-        let bodies: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let mut w = SnapWriter::new();
-                s.snap(&mut w);
-                w.into_bytes()
-            })
-            .collect();
-        snap::seal(assemble_snapshot_body(
-            &self.config,
-            self.now,
-            self.next_metrics_tick,
-            self.tick_index,
-            self.decisions_at_tick,
-            &self.rng,
-            &self.langs,
-            &self.scenario_sids,
-            &self.world,
-            &self.root_metrics,
-            &self.root_stats,
-            &self.fingerprints,
-            &self.pending_incoming,
-            &bodies,
-            &self.driver_blob,
-        ))
+        snap::seal(self.snapshot_body(self.now))
+    }
+
+    /// Serializes the coordinator-level state and every shard into one
+    /// snapshot body (unsealed) stamped `at`.
+    fn snapshot_body(&self, at: SimTime) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        // The config is part of the experiment definition, not the state:
+        // resume requires the caller to rebuild the exact same config and
+        // only validates it (by its Debug rendering, which covers every
+        // field) instead of round-tripping every nested knob.
+        w.put_str(&format!("{:?}", self.config));
+        at.snap(&mut w);
+        self.next_metrics_tick.snap(&mut w);
+        w.put_u64(self.tick_index);
+        w.put_u64(self.decisions_at_tick);
+        for word in self.rng.state() {
+            w.put_u64(word);
+        }
+        w.put_usize(self.langs.len());
+        for l in &self.langs {
+            w.put_str(l);
+        }
+        snap::snap_map(&self.scenario_sids, &mut w);
+        {
+            let shared = self.world.shared.read().unwrap();
+            let mut traces: Vec<_> = shared.object_trace.iter().collect();
+            traces.sort_by_key(|(k, _)| k.0);
+            w.put_usize(traces.len());
+            for (object, trace) in traces {
+                w.put_u64(object.0);
+                trace.snap(&mut w);
+            }
+            let mut fanout_traces: Vec<_> = shared.topic_object_trace.iter().collect();
+            fanout_traces
+                .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
+            w.put_usize(fanout_traces.len());
+            for (&(topic, object), trace) in fanout_traces {
+                topic.snap(&mut w);
+                w.put_u64(object.0);
+                trace.snap(&mut w);
+            }
+            let mut topics: Vec<_> = shared.topic_streams.iter().collect();
+            topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+            w.put_usize(topics.len());
+            for (topic, streams) in topics {
+                topic.snap(&mut w);
+                // Verbatim: publication fan-out walks this vec in push order.
+                w.put_usize(streams.len());
+                for (device, sid) in streams {
+                    w.put_u64(*device);
+                    sid.snap(&mut w);
+                }
+            }
+            let mut stream_topics: Vec<_> = shared.stream_topic.iter().collect();
+            stream_topics.sort_by_key(|(k, _)| **k);
+            w.put_usize(stream_topics.len());
+            for (&(device, sid), topic) in stream_topics {
+                w.put_u64(device);
+                sid.snap(&mut w);
+                topic.snap(&mut w);
+            }
+            let mut proxies: Vec<_> = shared.device_proxy.iter().collect();
+            proxies.sort_by_key(|(k, _)| **k);
+            w.put_usize(proxies.len());
+            for (&device, &proxy) in proxies {
+                w.put_u64(device);
+                w.put_usize(proxy);
+            }
+            w.put_usize(shared.host_up.len());
+            for up in &shared.host_up {
+                w.put_bool(*up);
+            }
+        }
+        self.world.ledger.read().unwrap().snap(&mut w);
+        self.root_metrics.snap(&mut w);
+        self.root_stats.snap(&mut w);
+        w.put_usize(self.fingerprints.len());
+        for (tick, fp) in &self.fingerprints {
+            tick.snap(&mut w);
+            w.put_u64(*fp);
+        }
+        w.put_usize(self.pending_incoming.len());
+        for mailbox in &self.pending_incoming {
+            // Verbatim: envelope order is queue insertion order, which breaks
+            // ties between same-time events.
+            w.put_usize(mailbox.len());
+            for env in mailbox {
+                env.at.snap(&mut w);
+                w.put_usize(env.src_shard);
+                w.put_u64(env.seq);
+                env.event.snap(&mut w);
+            }
+        }
+        // Each shard body is length-prefixed so resume can hand every
+        // shard its own bounded reader.
+        w.put_usize(self.shards.len());
+        for shard in &self.shards {
+            let mut body = SnapWriter::new();
+            shard.snap(&mut body);
+            w.put_bytes(&body.into_bytes());
+        }
+        w.put_bytes(&self.driver_blob);
+        w.into_bytes()
+    }
+
+    /// Delivers one policy-captured snapshot: into the in-memory ring and/or
+    /// onto disk, per the configured policy.
+    fn store_snapshot(&mut self, tick: SimTime, sealed: Vec<u8>) {
+        if let Some(dir) = &self.snapshot_dir {
+            let path = dir.join(format!("snap-{:012}.brsnap", tick.as_micros()));
+            std::fs::write(&path, &sealed)
+                .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
+        }
+        if self.snapshot_keep {
+            self.snapshots.push((tick, sealed));
+        }
     }
 
     /// Rebuilds a simulation from a sealed snapshot, fail-closed: the
@@ -4841,7 +4482,6 @@ impl SystemSim {
         let mut sim = SystemSim {
             latency: LatencyModel::table3(),
             rng,
-            workers: 1,
             now: at,
             next_metrics_tick,
             world,
@@ -4882,8 +4522,8 @@ impl SystemSim {
 
     /// The per-metrics-tick rolling run fingerprints recorded so far.
     /// Identical for identical `(config, seed, workload)` and an identical
-    /// sequence of `run_until` calls, regardless of worker count,
-    /// hibernation, or snapshot policy; the first differing entry between
+    /// sequence of `run_until` calls, regardless of hibernation or
+    /// snapshot policy; the first differing entry between
     /// two runs brackets their first divergence.
     ///
     /// Not invariant under `run_until` chunking: benchmark/README's port
@@ -5472,104 +5112,6 @@ mod tests {
         assert_eq!(
             baseline, shifted,
             "metrics must not depend on topic intern order"
-        );
-    }
-
-    /// Runs a fault-heavy multi-app scenario on `workers` threads and
-    /// returns an exhaustive fingerprint: metrics counters, per-app
-    /// latency bit patterns, event stats, and the full trace ledger
-    /// (every hop record of every chain). Any scheduling dependence in
-    /// the sharded executor perturbs at least one component.
-    fn parallel_fingerprint(workers: usize) -> String {
-        let mut s = SystemSim::new(SystemConfig::small(), 4242);
-        s.set_workers(workers);
-        let video = s.was_mut().create_video("parallel");
-        let poster = s.create_user_device("poster", "en");
-        let mut viewers = Vec::new();
-        for i in 0..12 {
-            let v = s.create_user_device(&format!("viewer{i}"), "en");
-            s.subscribe_lvc(SimTime::from_millis(i * 37), v, video);
-            viewers.push(v);
-        }
-        let thread = s.was_mut().create_thread(&[poster, viewers[0]]);
-        s.subscribe_mailbox(SimTime::from_millis(500), viewers[0]);
-        s.subscribe_typing(SimTime::from_millis(600), viewers[0], thread, poster);
-        for i in 0..20 {
-            s.post_comment(
-                SimTime::from_millis(2_000 + i * 450),
-                poster,
-                video,
-                &format!("comment number {i} with enough words to rank"),
-            );
-        }
-        s.set_typing(SimTime::from_secs(3), poster, thread, true);
-        s.send_message(SimTime::from_secs(4), poster, thread, "hello there");
-        // Faults across every subsystem: device churn, a planned upgrade,
-        // an unplanned crash, and a proxy outage.
-        s.schedule_device_drop(SimTime::from_secs(6), viewers[1]);
-        s.schedule_device_vanish(SimTime::from_secs(7), viewers[2]);
-        s.schedule_brass_upgrade(SimTime::from_secs(8), 1, SimDuration::from_secs(20));
-        s.schedule_brass_crash(SimTime::from_secs(10), 2, SimDuration::from_secs(25));
-        s.schedule_proxy_outage(SimTime::from_secs(12), 0, SimDuration::from_secs(15));
-        s.run_until(SimTime::from_secs(90));
-
-        let m = s.metrics();
-        let mut apps: Vec<_> = m.per_app.iter().collect();
-        apps.sort_by(|a, b| a.0.cmp(b.0));
-        let per_app: Vec<String> = apps
-            .iter()
-            .map(|(name, lat)| {
-                format!(
-                    "{name}:{}:{:x}",
-                    lat.total.count(),
-                    lat.total.mean().to_bits()
-                )
-            })
-            .collect();
-        let ledger = s.trace_ledger();
-        let mut chains = String::new();
-        for trace in ledger.trace_ids() {
-            chains.push_str(&format!("{trace:?}=["));
-            for rec in ledger.chain(trace) {
-                chains.push_str(&format!(
-                    "{:?}@{}:{:?};",
-                    rec.hop,
-                    rec.at.as_micros(),
-                    rec.outcome
-                ));
-            }
-            chains.push(']');
-        }
-        format!(
-            "deliveries={} publications={} subscriptions={} mutations={} \
-             drops={} reconnects={} hb_false={} proxy_rec={} decisions={} \
-             events={} heartbeats={} apps=[{}] traces={} chains={chains}",
-            m.deliveries.get(),
-            m.publications.get(),
-            m.subscriptions.get(),
-            m.mutations.get(),
-            m.connection_drops.get(),
-            m.host_failures_detected.get(),
-            m.device_vanishes.get(),
-            s.total_proxy_reconnects(),
-            s.total_decisions(),
-            s.event_stats().total,
-            s.event_stats().heartbeats,
-            per_app.join(","),
-            ledger.trace_count(),
-        )
-    }
-
-    /// The tentpole acceptance test: the same seed must produce
-    /// bit-identical metrics and trace ledger whether the logical shards
-    /// run serially on one thread or in parallel on several.
-    #[test]
-    fn parallel_workers_match_serial() {
-        let serial = parallel_fingerprint(1);
-        let threaded = parallel_fingerprint(3);
-        assert_eq!(
-            serial, threaded,
-            "worker count must not perturb simulation results"
         );
     }
 }

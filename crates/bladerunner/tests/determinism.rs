@@ -1,9 +1,8 @@
 //! Determinism regression: all randomness flows from the single seed, so
 //! the same seed must reproduce the run bit-for-bit — every metric and
 //! every trace-ledger hop record — while a different seed must not. The
-//! worker-thread count of the sharded executor is a pure performance knob
-//! and must never show up in the results either: every scenario here is
-//! also replayed at several worker counts and compared bit-for-bit.
+//! same holds across commits that claim to change no behaviour:
+//! `fingerprints_match_the_pinned_parent` holds literals to compare with.
 
 use bladerunner::fault::FaultPlan;
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
@@ -14,9 +13,16 @@ use simkit::trace::TraceLedger;
 /// An LVC end-to-end scenario with enough entropy sources to catch a
 /// nondeterminism regression: ranking, buffer pressure, rate-limit expiry,
 /// last-mile loss, and a mid-run device drop with reconnect.
-fn lvc_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
+fn lvc_scenario(seed: u64) -> (SystemMetrics, TraceLedger) {
+    let s = lvc_run(seed);
+    let metrics = s.metrics().clone();
+    let ledger = s.trace_ledger().clone();
+    (metrics, ledger)
+}
+
+/// [`lvc_scenario`]'s sim, run to its end.
+fn lvc_run(seed: u64) -> SystemSim {
     let mut s = SystemSim::new(SystemConfig::small(), seed);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("replay");
     let poster = s.create_user_device("poster", "en");
     let viewer = s.create_user_device("viewer", "en");
@@ -31,15 +37,13 @@ fn lvc_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
     }
     s.schedule_device_drop(SimTime::from_secs(6), viewer);
     s.run_until(SimTime::from_secs(60));
-    let metrics = s.metrics().clone();
-    let ledger = s.trace_ledger().clone();
-    (metrics, ledger)
+    s
 }
 
 #[test]
 fn same_seed_reproduces_metrics_and_ledger_exactly() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    let (m2, l2) = lvc_scenario(42, 1);
+    let (m1, l1) = lvc_scenario(42);
+    let (m2, l2) = lvc_scenario(42);
     assert_eq!(m1, m2, "metrics must be bit-identical across replays");
     assert_eq!(
         l1.records(),
@@ -49,21 +53,11 @@ fn same_seed_reproduces_metrics_and_ledger_exactly() {
     assert_eq!(l1, l2, "the full ledgers must be bit-identical");
 }
 
-#[test]
-fn worker_count_does_not_perturb_lvc_scenario() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    for workers in [2, 4] {
-        let (m, l) = lvc_scenario(42, workers);
-        assert_eq!(m1, m, "metrics identical at {workers} workers");
-        assert_eq!(l1, l, "ledger identical at {workers} workers");
-    }
-}
-
 /// A chaos scenario: the canned fault plan (itself seeded) on top of a
 /// steady workload — heartbeat detection, stream repair, reconnect
 /// backoff with jitter, and WAS backfill all replay from the one seed.
-fn chaos_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger, FaultPlan) {
-    let (mut s, end, plan) = chaos_setup(seed, workers);
+fn chaos_scenario(seed: u64) -> (SystemMetrics, TraceLedger, FaultPlan) {
+    let (mut s, end, plan) = chaos_setup(seed);
     s.run_until(end);
     let metrics = s.metrics().clone();
     let ledger = s.trace_ledger().clone();
@@ -72,12 +66,11 @@ fn chaos_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger, Fau
 
 /// [`chaos_scenario`] scheduled but not yet run, with the instant to run
 /// it to.
-fn chaos_setup(seed: u64, workers: usize) -> (SystemSim, SimTime, FaultPlan) {
+fn chaos_setup(seed: u64) -> (SystemSim, SimTime, FaultPlan) {
     let mut config = SystemConfig::small();
     config.metrics_interval = SimDuration::from_secs(2);
     config.metrics_horizon = SimDuration::from_hours(1);
     let mut s = SystemSim::new(config.clone(), seed);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("chaos-replay");
     let poster = s.create_user_device("poster", "en");
     let viewers: Vec<u64> = (0..8)
@@ -104,8 +97,8 @@ fn chaos_setup(seed: u64, workers: usize) -> (SystemSim, SimTime, FaultPlan) {
 
 #[test]
 fn same_seed_and_fault_plan_replay_bit_identically() {
-    let (m1, l1, p1) = chaos_scenario(1234, 1);
-    let (m2, l2, p2) = chaos_scenario(1234, 1);
+    let (m1, l1, p1) = chaos_scenario(1234);
+    let (m2, l2, p2) = chaos_scenario(1234);
     assert_eq!(p1, p2, "the compiled fault timeline must be identical");
     assert_eq!(
         m1, m2,
@@ -114,23 +107,12 @@ fn same_seed_and_fault_plan_replay_bit_identically() {
     assert_eq!(l1, l2, "the ledgers must be bit-identical under faults");
 }
 
-#[test]
-fn worker_count_does_not_perturb_chaos_scenario() {
-    let (m1, l1, p1) = chaos_scenario(1234, 1);
-    for workers in [2, 4] {
-        let (m, l, p) = chaos_scenario(1234, workers);
-        assert_eq!(p1, p, "fault timeline identical at {workers} workers");
-        assert_eq!(m1, m, "metrics identical at {workers} workers under faults");
-        assert_eq!(l1, l, "ledger identical at {workers} workers under faults");
-    }
-}
-
 /// The chaos scenario driven the way the benches drive a sim — 250 ms
 /// `run_until` chunks — reading `metrics()` after every chunk or only at
 /// the end. Returns everything a read could conceivably disturb: the final
 /// metrics' canonical bytes, the state fingerprint, the per-tick series.
-fn chunked_chaos(workers: usize, poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64)>) {
-    let (mut s, end, _plan) = chaos_setup(1234, workers);
+fn chunked_chaos(poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64)>) {
+    let (mut s, end, _plan) = chaos_setup(1234);
     let mut now = SimTime::ZERO;
     while now < end {
         now = (now + SimDuration::from_millis(250)).min(end);
@@ -155,15 +137,12 @@ fn chunked_chaos(workers: usize, poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64
 /// (the polled run's last read equals the unpolled run's only read).
 #[test]
 fn polling_metrics_every_chunk_equals_reading_once_at_the_end() {
-    let once = chunked_chaos(1, false);
+    let once = chunked_chaos(false);
     assert!(!once.2.is_empty(), "the scenario must cross metrics ticks");
-    for (workers, poll) in [(1, true), (2, false), (2, true)] {
-        let other = chunked_chaos(workers, poll);
-        assert!(
-            once == other,
-            "workers={workers} poll={poll} diverged from the read-once serial run"
-        );
-    }
+    assert!(
+        once == chunked_chaos(true),
+        "polling metrics() diverged from the read-once run"
+    );
 }
 
 /// The flash-crowd overload scenario with every backpressure knob engaged:
@@ -172,8 +151,8 @@ fn polling_metrics_every_chunk_equals_reading_once_at_the_end() {
 /// gauges, shed counters, and drop attributions all live inside
 /// [`SystemMetrics`]/[`TraceLedger`], so bit-equality here proves the whole
 /// overload path — including its per-stage queue-depth series — replays
-/// identically regardless of the worker count.
-fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger) {
+/// identically.
+fn flashcrowd_scenario(seed: u64) -> (SystemMetrics, TraceLedger) {
     let mut config = SystemConfig::small();
     config.metrics_interval = simkit::time::SimDuration::from_secs(2);
     config.metrics_horizon = simkit::time::SimDuration::from_hours(1);
@@ -181,7 +160,6 @@ fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger
     config.brass_mailbox_capacity = 50;
     config.egress_window_bytes = 256;
     let mut s = SystemSim::new(config, seed);
-    s.set_workers(workers);
     let fc = bladerunner::scenario::FlashCrowd::setup(
         &mut s,
         10,
@@ -215,8 +193,8 @@ fn flashcrowd_scenario(seed: u64, workers: usize) -> (SystemMetrics, TraceLedger
 
 #[test]
 fn same_seed_replays_flashcrowd_overload_exactly() {
-    let (m1, l1) = flashcrowd_scenario(4242, 1);
-    let (m2, l2) = flashcrowd_scenario(4242, 1);
+    let (m1, l1) = flashcrowd_scenario(4242);
+    let (m2, l2) = flashcrowd_scenario(4242);
     assert_eq!(m1, m2, "overload metrics must replay bit-identically");
     assert_eq!(l1, l2, "overload ledger must replay bit-identically");
     assert!(
@@ -226,25 +204,35 @@ fn same_seed_replays_flashcrowd_overload_exactly() {
 }
 
 #[test]
-fn worker_count_does_not_perturb_flashcrowd_scenario() {
-    let (m1, l1) = flashcrowd_scenario(4242, 1);
-    for workers in [2, 4] {
-        let (m, l) = flashcrowd_scenario(4242, workers);
-        assert_eq!(
-            m1.q_brass_mailbox, m.q_brass_mailbox,
-            "mailbox depth series identical at {workers} workers"
-        );
-        assert_eq!(m1, m, "overload metrics identical at {workers} workers");
-        assert_eq!(l1, l, "overload ledger identical at {workers} workers");
-    }
-}
-
-#[test]
 fn different_seed_diverges() {
-    let (m1, l1) = lvc_scenario(42, 1);
-    let (m2, l2) = lvc_scenario(777, 1);
+    let (m1, l1) = lvc_scenario(42);
+    let (m2, l2) = lvc_scenario(777);
     assert!(
         m1 != m2 || l1 != l2,
         "different seeds must not produce identical runs"
+    );
+}
+
+/// Cross-commit pin: a PR that claims bit-identical behaviour must leave
+/// these literals alone; one that means to move fingerprints re-captures
+/// them and says so. Captured at commit 363e80c.
+#[test]
+fn fingerprints_match_the_pinned_parent() {
+    let lvc = lvc_run(42);
+    assert_eq!(lvc.fingerprint_now(), 0x1c82_d8c3_ec26_e49d, "LVC seed 42");
+    // 60 s at the default 15 min cadence crosses no metrics tick.
+    assert_eq!(lvc.tick_fingerprints().last(), None, "LVC seed 42");
+
+    let (mut chaos, end, _plan) = chaos_setup(1234);
+    chaos.run_until(end);
+    assert_eq!(
+        chaos.fingerprint_now(),
+        0x2441_51a3_a22c_a90f,
+        "chaos seed 1234"
+    );
+    assert_eq!(
+        chaos.tick_fingerprints().last(),
+        Some(&(SimTime::from_secs(294), 0x496b_5cfa_d65d_b7e1)),
+        "chaos seed 1234, last of 147 ticks"
     );
 }

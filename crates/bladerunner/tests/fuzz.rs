@@ -157,7 +157,7 @@ fn shrinker_reaches_the_planted_minimum_deterministically() {
         ],
     };
     let opts = RunOptions {
-        xcheck_workers: 0,
+        rerun: false,
         planted: true,
     };
     let result = shrink(&case, OracleId::Planted, &opts, 60);

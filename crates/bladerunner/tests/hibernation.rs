@@ -2,10 +2,10 @@
 //! frozen form (and rehydrating it on the next event) is a pure memory
 //! optimisation. Runs with hibernation enabled must be bit-identical —
 //! every metric and every trace-ledger hop record — to runs with it
-//! disabled, at every worker count. The scenarios here are built to
-//! actually cycle devices through park/rehydrate: activity bursts with
-//! quiet gaps between them, plus the chaos fault plan (drops, crashes and
-//! reconnect backoff interleave with parking eligibility).
+//! disabled. The scenarios here are built to actually cycle devices
+//! through park/rehydrate: activity bursts with quiet gaps between them,
+//! plus the chaos fault plan (drops, crashes and reconnect backoff
+//! interleave with parking eligibility).
 
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
 use simkit::time::{SimDuration, SimTime};
@@ -14,11 +14,10 @@ use simkit::trace::TraceLedger;
 /// An LVC scenario with idle gaps: viewers subscribe, a comment burst
 /// lands, then the fleet goes quiet (parking), then a second burst forces
 /// rehydration. One viewer cancels mid-run, one drops and reconnects.
-fn lvc_run(hibernation: bool, workers: usize) -> (SystemMetrics, TraceLedger, usize) {
+fn lvc_run(hibernation: bool) -> (SystemMetrics, TraceLedger, usize) {
     let mut config = SystemConfig::small();
     config.hibernation = hibernation;
     let mut s = SystemSim::new(config, 42);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("hib");
     let poster = s.create_user_device("poster", "en");
     let viewers: Vec<u64> = (0..12)
@@ -60,8 +59,8 @@ fn lvc_run(hibernation: bool, workers: usize) -> (SystemMetrics, TraceLedger, us
 
 #[test]
 fn hibernation_is_invisible_to_metrics_and_ledger() {
-    let (m_off, l_off, parked_off) = lvc_run(false, 1);
-    let (m_on, l_on, parked_on) = lvc_run(true, 1);
+    let (m_off, l_off, parked_off) = lvc_run(false);
+    let (m_on, l_on, parked_on) = lvc_run(true);
     assert_eq!(parked_off, 0, "hibernation off must never park");
     assert!(
         parked_on > 0,
@@ -71,28 +70,16 @@ fn hibernation_is_invisible_to_metrics_and_ledger() {
     assert_eq!(l_off, l_on, "hop ledger must not see park/rehydrate");
 }
 
-#[test]
-fn hibernation_equivalence_holds_at_all_worker_counts() {
-    let (m_ref, l_ref, _) = lvc_run(false, 1);
-    for workers in [1, 2, 4] {
-        let (m, l, parked) = lvc_run(true, workers);
-        assert!(parked > 0, "parking must occur at {workers} workers");
-        assert_eq!(m_ref, m, "metrics identical at {workers} workers");
-        assert_eq!(l_ref, l, "ledger identical at {workers} workers");
-    }
-}
-
 /// The chaos fault plan on top of a parked-heavy fleet: crashes, proxy
 /// outages, silent device vanishes and reconnect backoff interleave with
 /// parking eligibility (drop streaks and inflight frames must veto parks
 /// without perturbing anything).
-fn chaos_run(hibernation: bool, workers: usize) -> (SystemMetrics, TraceLedger) {
+fn chaos_run(hibernation: bool) -> (SystemMetrics, TraceLedger) {
     let mut config = SystemConfig::small();
     config.hibernation = hibernation;
     config.metrics_interval = SimDuration::from_secs(2);
     config.metrics_horizon = SimDuration::from_hours(1);
     let mut s = SystemSim::new(config.clone(), 1234);
-    s.set_workers(workers);
     let video = s.was_mut().create_video("hib-chaos");
     let poster = s.create_user_device("poster", "en");
     let viewers: Vec<u64> = (0..8)
@@ -122,16 +109,8 @@ fn chaos_run(hibernation: bool, workers: usize) -> (SystemMetrics, TraceLedger) 
 
 #[test]
 fn hibernation_is_invisible_under_chaos() {
-    let (m_off, l_off) = chaos_run(false, 1);
-    for workers in [1, 2, 4] {
-        let (m, l) = chaos_run(true, workers);
-        assert_eq!(
-            m_off, m,
-            "chaos metrics identical with hibernation at {workers} workers"
-        );
-        assert_eq!(
-            l_off, l,
-            "chaos ledger identical with hibernation at {workers} workers"
-        );
-    }
+    let (m_off, l_off) = chaos_run(false);
+    let (m_on, l_on) = chaos_run(true);
+    assert_eq!(m_off, m_on, "chaos metrics identical with hibernation");
+    assert_eq!(l_off, l_on, "chaos ledger identical with hibernation");
 }

@@ -4,9 +4,9 @@
 //! it to a metrics tick, snapshotting, resuming in a fresh process-like
 //! world, and continuing to the same end are *bit-identical* — same
 //! metrics, same hop-ledger rolling hash, same per-tick fingerprint
-//! series — at any worker count, calm or under the canned chaos fault
-//! plan. And loading is fail-closed: a truncated or corrupted snapshot
-//! yields a clean error, never a partially-restored world.
+//! series — calm or under the canned chaos fault plan. And loading is
+//! fail-closed: a truncated or corrupted snapshot yields a clean error,
+//! never a partially-restored world.
 
 use bladerunner::config::SystemConfig;
 use bladerunner::fault::canned_plan;
@@ -66,47 +66,33 @@ fn build(config: &SystemConfig, seed: u64, chaos: bool) -> (SystemSim, SimTime) 
     (sim, end)
 }
 
-/// The tentpole proof: run-to-end vs snapshot-at-T-then-resume, across
-/// worker counts, calm and under chaos.
+/// The tentpole proof: run-to-end vs snapshot-at-T-then-resume, calm and
+/// under chaos.
 fn assert_resume_bit_identical(retention: Retention, chaos: bool) {
     let config = cfg(retention);
-    let mut reference: Option<Digest> = None;
-    for workers in [1usize, 2, 4] {
-        // Uninterrupted run, snapshotting every 7 ticks along the way.
-        let (mut full, end) = build(&config, 99, chaos);
-        full.set_workers(workers);
-        full.set_snapshot_policy(7, true, None);
-        full.run_until(end);
-        let full_digest = digest(&full);
+    // Uninterrupted run, snapshotting every 7 ticks along the way.
+    let (mut full, end) = build(&config, 99, chaos);
+    full.set_snapshot_policy(7, true, None);
+    full.run_until(end);
+    let full_digest = digest(&full);
 
-        // Worker count must not affect results at all.
-        match &reference {
-            None => reference = Some(digest(&full)),
-            Some(r) => assert_eq!(
-                r, &full_digest,
-                "workers={workers} full run diverged (chaos={chaos})"
-            ),
-        }
-
-        let snaps = full.snapshots();
-        assert!(
-            snaps.len() >= 2,
-            "expected several snapshots, got {}",
-            snaps.len()
-        );
-        // Resume from a mid-run snapshot and run to the same end.
-        let (at, bytes) = &snaps[snaps.len() / 2];
-        let mut resumed = SystemSim::resume(config.clone(), bytes)
-            .expect("resuming a snapshot this test just captured");
-        assert_eq!(resumed.now(), *at);
-        resumed.set_workers(workers);
-        resumed.run_until(end);
-        assert_eq!(
-            full_digest,
-            digest(&resumed),
-            "resume at t={at:?} workers={workers} chaos={chaos} not bit-identical"
-        );
-    }
+    let snaps = full.snapshots();
+    assert!(
+        snaps.len() >= 2,
+        "expected several snapshots, got {}",
+        snaps.len()
+    );
+    // Resume from a mid-run snapshot and run to the same end.
+    let (at, bytes) = &snaps[snaps.len() / 2];
+    let mut resumed = SystemSim::resume(config.clone(), bytes)
+        .expect("resuming a snapshot this test just captured");
+    assert_eq!(resumed.now(), *at);
+    resumed.run_until(end);
+    assert_eq!(
+        full_digest,
+        digest(&resumed),
+        "resume at t={at:?} chaos={chaos} not bit-identical"
+    );
 }
 
 #[test]
