@@ -340,6 +340,7 @@ fn run_one(devices: usize) -> String {
     let end = SimTime::from_secs(sim_seconds);
     let chunk = SimDuration::from_millis(250);
     let started = Instant::now();
+    let (calls_before, events_before) = (simkit::alloc::alloc_calls(), sim.event_stats().total);
     let mut t = state.scheduled_through;
     while t < end {
         let next_t = if t + chunk > end { end } else { t + chunk };
@@ -419,6 +420,10 @@ fn run_one(devices: usize) -> String {
     let rss = peak_rss_bytes();
     let live_heap = simkit::alloc::live_bytes();
     let live_heap_peak = simkit::alloc::peak_bytes();
+    // Allocator calls per event over the timed loop (injection included):
+    // exact under `count-alloc`, zero without it.
+    let allocs_per_event = (simkit::alloc::alloc_calls() - calls_before) as f64
+        / (stats.total - events_before).max(1) as f64;
 
     println!(
         "scale: {devices} devices ({engaged_devices} engaged, fraction {active_fraction}), \
@@ -450,7 +455,8 @@ fn run_one(devices: usize) -> String {
     );
     if live_heap_peak > 0 {
         println!(
-            "  live heap: fleet={:.1} MiB end={:.1} MiB peak={:.1} MiB ({:.0} live B/device)",
+            "  live heap: fleet={:.1} MiB end={:.1} MiB peak={:.1} MiB ({:.0} live B/device), \
+             {allocs_per_event:.2} allocations/event",
             fleet_live_heap as f64 / (1024.0 * 1024.0),
             live_heap as f64 / (1024.0 * 1024.0),
             live_heap_peak as f64 / (1024.0 * 1024.0),
@@ -479,6 +485,7 @@ fn run_one(devices: usize) -> String {
             "  \"live_heap_bytes\": {},\n",
             "  \"live_heap_peak_bytes\": {},\n",
             "  \"live_heap_bytes_per_device\": {:.1},\n",
+            "  \"allocs_per_event\": {:.3},\n",
             "  {},\n",
             "  \"events_by_subsystem\": {{\n",
             "    \"workload\": {},\n",
@@ -514,6 +521,7 @@ fn run_one(devices: usize) -> String {
         live_heap,
         live_heap_peak,
         live_heap as f64 / devices as f64,
+        allocs_per_event,
         snapctl::fingerprint_json(&sim),
         stats.workload,
         stats.pylon,

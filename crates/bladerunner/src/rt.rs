@@ -51,7 +51,7 @@ pub struct RtSystem {
 
 struct TimerEntry {
     deadline: Instant,
-    app: String,
+    app: &'static str,
     token: u64,
 }
 
@@ -110,10 +110,10 @@ impl Backend {
                     } => {
                         let response = self.serve_was(request);
                         let now = self.now();
-                        next.extend(self.host.on_was_response(&app, token, response, now));
+                        next.extend(self.host.on_was_response(app, token, response, now));
                     }
                     HostEffect::Send { device, frame } => {
-                        if let Frame::Response { sid, batch } = frame {
+                        if let Frame::Response { sid, batch } = *frame {
                             for delta in batch {
                                 if let Delta::Update { payload, .. } = delta {
                                     let _ = self.deliveries.send(Delivery {
@@ -229,7 +229,7 @@ impl Backend {
             {
                 let t = self.timers.pop().expect("peeked entry exists");
                 let now = self.now();
-                let fx = self.host.on_timer(&t.app, t.token, now);
+                let fx = self.host.on_timer(t.app, t.token, now);
                 self.run_effects(fx);
             }
         }

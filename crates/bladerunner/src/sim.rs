@@ -255,7 +255,9 @@ enum Ev {
     /// A BRASS-issued WAS request executes at the WAS.
     WasExec {
         host: usize,
-        app: String,
+        /// The issuing application, by the name the host registered it
+        /// under (a `Copy` handle: queued events never own a string).
+        app: &'static str,
         token: FetchToken,
         request: WasRequest,
         attributed: Option<SimTime>,
@@ -263,7 +265,7 @@ enum Ev {
     /// The WAS response arrives back at the BRASS.
     WasReply {
         host: usize,
-        app: String,
+        app: &'static str,
         token: FetchToken,
         response: WasResponse,
         attributed: Option<SimTime>,
@@ -271,7 +273,7 @@ enum Ev {
     /// An application timer fires.
     BrassTimer {
         host: usize,
-        app: String,
+        app: &'static str,
         token: u64,
     },
 
@@ -472,11 +474,13 @@ fn shard_route(ev: &Ev, pops: usize, shards: usize) -> usize {
     }
 }
 
-/// Maps a mutation-classification app name back to the `&'static str` the
-/// scheduling helpers use. The set is closed (every `schedule_mutation`
-/// call site passes one of these), so an unknown name in a snapshot means
-/// the bytes don't describe a world this build can produce.
-fn static_app(name: &str) -> Option<&'static str> {
+/// Reads an application name from a snapshot as the `&'static str` events
+/// carry. The set is closed — the applications every host registers, which
+/// are also the labels every `schedule_mutation` call site passes — so an
+/// unknown name means the bytes don't describe a world this build can
+/// produce, and the restore fails rather than guessing.
+fn restore_app(r: &mut SnapReader<'_>) -> SnapResult<&'static str> {
+    let name = r.get_str()?;
     [
         "lvc",
         "typing",
@@ -488,6 +492,7 @@ fn static_app(name: &str) -> Option<&'static str> {
     ]
     .into_iter()
     .find(|s| *s == name)
+    .ok_or_else(|| SnapError::Invalid(format!("unknown application {name:?}")))
 }
 
 /// One-line rendering of an event for the bisect event log, truncated so a
@@ -779,13 +784,10 @@ impl Snap for Ev {
                 device: r.get_u64()?,
                 sid: StreamId::restore(r)?,
             },
-            2 => {
-                let gql = r.get_str()?;
-                let name = r.get_str()?;
-                let app = static_app(&name)
-                    .ok_or_else(|| SnapError::Invalid(format!("unknown mutation app {name:?}")))?;
-                Ev::WasMutationExec { gql, app }
-            }
+            2 => Ev::WasMutationExec {
+                gql: r.get_str()?,
+                app: restore_app(r)?,
+            },
             3 => Ev::PylonPublish {
                 event: Box::new(UpdateEvent::restore(r)?),
             },
@@ -807,21 +809,21 @@ impl Snap for Ev {
             },
             8 => Ev::WasExec {
                 host: r.get_usize()?,
-                app: r.get_str()?,
+                app: restore_app(r)?,
                 token: FetchToken::restore(r)?,
                 request: WasRequest::restore(r)?,
                 attributed: Option::<SimTime>::restore(r)?,
             },
             9 => Ev::WasReply {
                 host: r.get_usize()?,
-                app: r.get_str()?,
+                app: restore_app(r)?,
                 token: FetchToken::restore(r)?,
                 response: WasResponse::restore(r)?,
                 attributed: Option::<SimTime>::restore(r)?,
             },
             10 => Ev::BrassTimer {
                 host: r.get_usize()?,
-                app: r.get_str()?,
+                app: restore_app(r)?,
                 token: r.get_u64()?,
             },
             11 => Ev::AtPop {
@@ -992,12 +994,31 @@ struct DeviceState {
     inflight_frames: u64,
 }
 
+/// What a shard keeps between one device's park and the next one's wake,
+/// so the wake-handle-park round trip of a delivered frame reuses buffers
+/// instead of building and dropping a machine and a blob each time.
+#[derive(Default)]
+struct ParkScratch {
+    /// The machine of the last device to park; the next wake rehydrates
+    /// into it (its stream table and header buffers are reused).
+    machine: Option<Device>,
+    /// The blob the last woken device came out of. A device that parks at
+    /// that length — the usual case, only `last_seq` digits moved — is
+    /// frozen into it in place.
+    blob: Box<[u8]>,
+    /// Where a parking device is frozen before its length is known.
+    frozen: Vec<u8>,
+}
+
 impl DeviceState {
     /// The live device machine, rehydrating first if parked. `id` is the
     /// map key (not stored in the state — that would duplicate it).
-    fn wake(&mut self, id: u64) -> &mut Device {
-        if let DeviceSlot::Parked(blob) = &self.slot {
-            self.slot = DeviceSlot::Live(Device::rehydrate(id, blob));
+    fn wake(&mut self, id: u64, park: &mut ParkScratch) -> &mut Device {
+        if let DeviceSlot::Parked(blob) = &mut self.slot {
+            let mut machine = park.machine.take().unwrap_or_else(|| Device::new(id));
+            machine.rehydrate_from(id, blob);
+            park.blob = std::mem::take(blob);
+            self.slot = DeviceSlot::Live(machine);
         }
         match &mut self.slot {
             DeviceSlot::Live(d) => d,
@@ -1028,7 +1049,7 @@ impl DeviceState {
     /// to avoid park/rehydrate thrash around their reconnect bursts).
     /// Devices with no streams stay live too — an empty `Device` holds no
     /// heap at all, so its blob would cost more than it saves.
-    fn maybe_park(&mut self, hibernation: bool) {
+    fn maybe_park(&mut self, hibernation: bool, park: &mut ParkScratch) {
         if !hibernation
             || !self.connected
             || self.inflight_frames != 0
@@ -1038,10 +1059,23 @@ impl DeviceState {
         {
             return;
         }
-        if let DeviceSlot::Live(d) = &self.slot {
-            if d.open_streams() > 0 {
-                self.slot = DeviceSlot::Parked(d.hibernate());
-            }
+        let DeviceSlot::Live(d) = &self.slot else {
+            return;
+        };
+        if d.open_streams() == 0 {
+            return;
+        }
+        d.hibernate_into(&mut park.frozen);
+        let mut blob = std::mem::take(&mut park.blob);
+        if blob.len() == park.frozen.len() {
+            blob.copy_from_slice(&park.frozen);
+        } else {
+            blob = park.frozen.as_slice().into();
+        }
+        if let DeviceSlot::Live(machine) =
+            std::mem::replace(&mut self.slot, DeviceSlot::Parked(blob))
+        {
+            park.machine = Some(machine);
         }
     }
 
@@ -1303,6 +1337,15 @@ struct Shard {
     /// `(time, summary)` in execution order, kept only while a bisect
     /// harness switches it on ([`SystemSim::set_event_log`]).
     evlog: Option<Vec<(SimTime, String)>>,
+
+    // Scratch: empty between events, kept for their capacity. What a
+    // component emits for one event is collected here, turned into
+    // scheduled events, and the buffer handed back.
+    host_fx: Vec<HostEffect>,
+    proxy_fx: Vec<ProxyEffect>,
+    pop_fx: Vec<PopEffect>,
+    device_out: Vec<DeviceOutput>,
+    park: ParkScratch,
 }
 
 impl Shard {
@@ -1365,6 +1408,11 @@ impl Shard {
             ops: Vec::new(),
             led_pending: Vec::new(),
             evlog: None,
+            host_fx: Vec::new(),
+            proxy_fx: Vec::new(),
+            pop_fx: Vec::new(),
+            device_out: Vec::new(),
+            park: ParkScratch::default(),
             config: config.clone(),
         }
     }
@@ -1434,8 +1482,8 @@ impl Shard {
 
     /// Runs this shard's loop up to and including `end`, after folding in
     /// the envelopes the barrier routed here.
-    fn run_window(&mut self, end: SimTime, incoming: Vec<Envelope<Ev>>) {
-        for env in incoming {
+    fn run_window(&mut self, end: SimTime, incoming: &mut Vec<Envelope<Ev>>) {
+        for env in incoming.drain(..) {
             self.queue.schedule(env.at, env.event);
         }
         while let Some((now, ev)) = self.queue.pop_until(end) {
@@ -1478,37 +1526,38 @@ impl Shard {
                 attributed,
             } => self.on_was_reply(now, host, app, token, response, attributed),
             Ev::BrassTimer { host, app, token } => {
-                let fx = self.hosts[host].on_timer(&app, token, now);
-                self.process_host_effects(now, host, fx, None);
+                self.drive_host(now, host, None, |h, fx| {
+                    h.on_timer_into(app, token, now, fx)
+                });
             }
-            Ev::AtPop { device, frame } => self.on_at_pop(now, device, *frame),
+            Ev::AtPop { device, frame } => self.on_at_pop(now, device, frame),
             Ev::AtProxy {
                 proxy,
                 device,
                 frame,
-            } => self.on_at_proxy(now, proxy, device, *frame),
+            } => self.on_at_proxy(now, proxy, device, frame),
             Ev::AtBrass {
                 host,
                 device,
                 frame,
-            } => self.on_at_brass(now, host, device, *frame),
+            } => self.on_at_brass(now, host, device, frame),
             Ev::DownAtProxy {
                 proxy,
                 host,
                 device,
                 frame,
                 sent_at,
-            } => self.on_down_at_proxy(now, proxy, host, device, *frame, sent_at),
+            } => self.on_down_at_proxy(now, proxy, host, device, frame, sent_at),
             Ev::DownAtPop {
                 device,
                 frame,
                 sent_at,
-            } => self.on_down_at_pop(now, device, *frame, sent_at),
+            } => self.on_down_at_pop(now, device, frame, sent_at),
             Ev::AtDevice {
                 device,
                 frame,
                 sent_at,
-            } => self.on_at_device(now, device, *frame, sent_at),
+            } => self.on_at_device(now, device, &frame, sent_at),
             Ev::DeviceDrop { device } => self.on_device_drop(now, device),
             Ev::DeviceReconnect { device, frames } => self.on_device_reconnect(now, device, frames),
             Ev::BrassRedirect {
@@ -1516,11 +1565,9 @@ impl Shard {
                 device,
                 sid,
                 to_host,
-            } => {
-                let fx =
-                    self.hosts[host].redirect_stream(DeviceId(device), sid, to_host as u32, now);
-                self.process_host_effects(now, host, fx, None);
-            }
+            } => self.drive_host(now, host, None, |h, fx| {
+                h.redirect_stream_into(DeviceId(device), sid, to_host as u32, now, fx)
+            }),
             Ev::BrassUpgrade { host } => self.on_brass_upgrade(now, host),
             Ev::BrassHostBack { host } => self.on_brass_host_back(now, host),
             Ev::PylonNode { node, up } => {
@@ -1562,17 +1609,16 @@ impl Shard {
                 self.on_proxy_host_restarted(now, proxy, host)
             }
             Ev::PopProxyFailed { pop, proxy } => {
-                let fx = self.pops[pop].on_proxy_failed(proxy as u32);
-                self.process_pop_effects(now, fx);
+                self.drive_pop(now, pop, |p, fx| p.on_proxy_failed_into(proxy as u32, fx));
             }
             Ev::PopAddProxy { pop, proxy } => {
-                let fx = self.pops[pop].add_proxy(proxy as u32);
-                self.process_pop_effects(now, fx);
+                self.drive_pop(now, pop, |p, fx| p.add_proxy_into(proxy as u32, fx));
             }
             Ev::ProxyDeviceGone { proxy, device } => {
                 if proxy < self.proxies.len() && self.proxy_up[proxy] {
-                    let pfx = self.proxies[proxy].on_device_disconnected(device);
-                    self.process_proxy_effects(now, proxy, pfx);
+                    self.drive_proxy(now, proxy, |p, fx| {
+                        p.on_device_disconnected_into(device, fx)
+                    });
                 }
             }
             Ev::NoteBackfill { device, sid, trace } => {
@@ -1593,8 +1639,49 @@ impl Shard {
     fn park(&mut self, device: u64) {
         let hibernation = self.config.hibernation;
         if let Some(state) = self.devices.get_mut(&device) {
-            state.maybe_park(hibernation);
+            state.maybe_park(hibernation, &mut self.park);
         }
+    }
+
+    /// Runs one BRASS host handler into the shard's effect scratch and
+    /// schedules what it emitted as of `at`.
+    fn drive_host(
+        &mut self,
+        at: SimTime,
+        host: usize,
+        attributed: Option<SimTime>,
+        handler: impl FnOnce(&mut BrassHost, &mut Vec<HostEffect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.host_fx);
+        handler(&mut self.hosts[host], &mut fx);
+        self.process_host_effects(at, host, &mut fx, attributed);
+        self.host_fx = fx;
+    }
+
+    /// [`Self::drive_host`] for a reverse proxy.
+    fn drive_proxy(
+        &mut self,
+        now: SimTime,
+        proxy: usize,
+        handler: impl FnOnce(&mut ReverseProxy, &mut Vec<ProxyEffect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.proxy_fx);
+        handler(&mut self.proxies[proxy], &mut fx);
+        self.process_proxy_effects(now, proxy, &mut fx);
+        self.proxy_fx = fx;
+    }
+
+    /// [`Self::drive_host`] for a POP.
+    fn drive_pop(
+        &mut self,
+        now: SimTime,
+        pop: usize,
+        handler: impl FnOnce(&mut Pop, &mut Vec<PopEffect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.pop_fx);
+        handler(&mut self.pops[pop], &mut fx);
+        self.process_pop_effects(now, &mut fx);
+        self.pop_fx = fx;
     }
 
     fn on_device_subscribe(&mut self, now: SimTime, device: u64, header: Json) {
@@ -1620,9 +1707,11 @@ impl Shard {
         // Fig. 7 registry: which topic does this stream's subscription
         // target? Resolved before the header moves into the stream.
         let sub_topic = brass::resolve::resolve(&header).ok().map(|sub| sub.topic);
-        let (sid, frame) = state.wake(device).open_stream(header, Vec::new());
+        let (sid, frame) = state
+            .wake(device, &mut self.park)
+            .open_stream(header, Vec::new());
         let link = state.link;
-        state.maybe_park(self.config.hibernation);
+        state.maybe_park(self.config.hibernation, &mut self.park);
         self.metrics.subscriptions.inc();
         self.metrics.ts_subscriptions.inc(now);
         self.metrics.stream_opened(device, sid, now);
@@ -1645,9 +1734,9 @@ impl Shard {
         let Some(state) = self.devices.get_mut(&device) else {
             return;
         };
-        let frame = state.wake(device).cancel_stream(sid);
+        let frame = state.wake(device, &mut self.park).cancel_stream(sid);
         let link = state.link;
-        state.maybe_park(self.config.hibernation);
+        state.maybe_park(self.config.hibernation, &mut self.park);
         let Some(frame) = frame else {
             return;
         };
@@ -1787,12 +1876,13 @@ impl Shard {
         };
         self.object_delivered.insert((host, event.object), now);
         self.record(TraceId(event.id), Hop::PylonDeliver, now, HopOutcome::Ok);
-        let fx = self.hosts[host].on_pylon_event(&event, now);
         // Effects materialise once the host works through its backlog;
         // attribution stays at `now`, so the brass_processing histogram
         // captures the queueing delay — that's the latency curve bending
         // upward as offered load approaches capacity.
-        self.process_host_effects(now + qdelay, host, fx, Some(now));
+        self.drive_host(now + qdelay, host, Some(now), |h, fx| {
+            h.on_pylon_event_into(&event, now, fx)
+        });
     }
 
     fn on_pylon_subscribe_exec(&mut self, now: SimTime, host: usize, topic: Topic, attempt: u32) {
@@ -1818,7 +1908,7 @@ impl Shard {
         &mut self,
         now: SimTime,
         host: usize,
-        app: String,
+        app: &'static str,
         token: FetchToken,
         request: WasRequest,
         attributed: Option<SimTime>,
@@ -1886,13 +1976,14 @@ impl Shard {
         &mut self,
         now: SimTime,
         host: usize,
-        app: String,
+        app: &'static str,
         token: FetchToken,
         response: WasResponse,
         attributed: Option<SimTime>,
     ) {
-        let fx = self.hosts[host].on_was_response(&app, token, response, now);
-        self.process_host_effects(now, host, fx, attributed);
+        self.drive_host(now, host, attributed, |h, fx| {
+            h.on_was_response_into(app, token, response, now, fx)
+        });
     }
 
     /// The M/D/1-style BRASS ingress model: each admitted piece of work
@@ -1931,7 +2022,8 @@ impl Shard {
         Some(backlog)
     }
 
-    /// Converts BRASS host effects into scheduled events.
+    /// Converts BRASS host effects into scheduled events, leaving
+    /// `effects` empty.
     ///
     /// `attributed` carries the instant the update event arrived at the
     /// host, for the Fig. 9 "BRASS host processing" histogram.
@@ -1939,10 +2031,18 @@ impl Shard {
         &mut self,
         now: SimTime,
         host: usize,
-        effects: Vec<HostEffect>,
+        effects: &mut Vec<HostEffect>,
         attributed: Option<SimTime>,
     ) {
-        for effect in effects {
+        // One read guard for the whole batch, taken when the first effect
+        // needs the registries (timer re-arms and WAS requests never do).
+        // It borrows this clone of the world, not `self`, so the loop can
+        // go on scheduling.
+        let world = Arc::clone(&self.world);
+        let mut guard: Option<RwLockReadGuard<'_, SharedInner>> = None;
+        // A storm drops one object from hundreds of buffers in a row.
+        let mut last_drop: Option<(ObjectId, Option<TraceId>)> = None;
+        for effect in effects.drain(..) {
             match effect {
                 HostEffect::PylonSubscribe(topic) => {
                     let d = self.latency.sub_replication(&mut self.rng);
@@ -1988,23 +2088,29 @@ impl Shard {
                     );
                 }
                 HostEffect::DropUpdate { object, reason } => {
-                    let trace = { self.shared().object_trace.get(&object).copied() };
+                    let trace = match last_drop {
+                        Some((last, trace)) if last == object => trace,
+                        _ => {
+                            let shared = guard.get_or_insert_with(|| world.shared.read().unwrap());
+                            shared.object_trace.get(&object).copied()
+                        }
+                    };
+                    last_drop = Some((object, trace));
                     if let Some(trace) = trace {
                         self.record(trace, Hop::BrassProcess, now, HopOutcome::Dropped(reason));
                     }
                 }
                 HostEffect::Send { device, frame } => {
+                    let shared = guard.get_or_insert_with(|| world.shared.read().unwrap());
                     let proc = self.latency.brass_processing(&mut self.rng);
                     let send_at = now + proc;
-                    for trace in self.frame_traces(device.0, &frame) {
+                    for trace in frame_traces(shared, device.0, &frame) {
                         self.record(trace, Hop::BrassSend, send_at, HopOutcome::Ok);
                     }
                     if let Some(event_at) = attributed {
                         // Only data batches count as event processing.
-                        if matches!(&frame, Frame::Response { batch, .. }
-                            if batch.iter().any(|d| matches!(d, burst::frame::Delta::Update { .. })))
-                        {
-                            let app_name = self.app_of_device_frame(device.0, &frame);
+                        if frame.update_payloads().next().is_some() {
+                            let app_name = app_of_device_frame(shared, device.0, &frame);
                             self.metrics
                                 .app(&app_name)
                                 .brass_processing
@@ -2015,8 +2121,7 @@ impl Shard {
                     // the shared registry; frames for devices with no known
                     // route die here (they had nowhere to go), exactly as
                     // they used to die unrouted at the proxy layer.
-                    let proxy = { self.shared().device_proxy.get(&device.0).copied() };
-                    if let Some(proxy) = proxy {
+                    if let Some(&proxy) = shared.device_proxy.get(&device.0) {
                         let d = self.latency.proxy_brass(&mut self.rng);
                         self.send(
                             send_at + d,
@@ -2024,7 +2129,7 @@ impl Shard {
                                 proxy,
                                 host,
                                 device: device.0,
-                                frame: frame.into(),
+                                frame,
                                 sent_at: send_at,
                             },
                         );
@@ -2037,44 +2142,55 @@ impl Shard {
         }
     }
 
-    /// Best-effort application attribution for a downstream frame: one
-    /// reverse-map lookup on the stream's registered topic. Runs twice per
-    /// delivered data frame, so the known families borrow their label;
-    /// only a family no app registered allocates.
-    fn app_of_device_frame(&self, device: u64, frame: &Frame) -> Cow<'static, str> {
-        let shared = self.shared();
-        let topic = frame
-            .sid()
-            .and_then(|sid| shared.stream_topic.get(&(device, sid)));
-        let Some(topic) = topic else {
-            return Cow::Borrowed("unknown");
-        };
-        Cow::Borrowed(match topic.family() {
-            "LVC" => "lvc",
-            "TI" => "typing",
-            "Status" => "active_status",
-            "Stories" => "stories",
-            "Msgr" => "messenger",
-            "Likes" => "likes",
-            "Notif" => "notifications",
-            other => return Cow::Owned(other.to_owned()),
-        })
+    /// Drops, with attribution, every update `frame` carries toward
+    /// `device` (see [`Self::register_backfill_drop`]).
+    fn drop_frame(&mut self, now: SimTime, device: u64, frame: &Frame, hop: Hop, why: DropReason) {
+        let world = Arc::clone(&self.world);
+        let shared = world.shared.read().unwrap();
+        for trace in frame_traces(&shared, device, frame) {
+            self.register_backfill_drop(now, device, frame.sid(), trace, hop, why);
+        }
     }
+}
 
-    /// The trace ids of every update payload a frame carries, in batch
-    /// order. The owning stream's subscription topic disambiguates
-    /// fan-out: one mutation can reference the same object from many
-    /// topics under distinct traces (per-mailbox message adds).
-    fn frame_traces(&self, device: u64, frame: &Frame) -> Vec<TraceId> {
-        let shared = self.shared();
-        let topic = frame
-            .sid()
-            .and_then(|sid| shared.stream_topic.get(&(device, sid)).copied());
-        frame
-            .update_payloads()
-            .filter_map(|p| payload_trace(&shared, topic, p))
-            .collect()
-    }
+/// Best-effort application attribution for a downstream frame: one
+/// reverse-map lookup on the stream's registered topic. Runs twice per
+/// delivered data frame, so the known families borrow their label;
+/// only a family no app registered allocates.
+fn app_of_device_frame(shared: &SharedInner, device: u64, frame: &Frame) -> Cow<'static, str> {
+    let topic = frame
+        .sid()
+        .and_then(|sid| shared.stream_topic.get(&(device, sid)));
+    let Some(topic) = topic else {
+        return Cow::Borrowed("unknown");
+    };
+    Cow::Borrowed(match topic.family() {
+        "LVC" => "lvc",
+        "TI" => "typing",
+        "Status" => "active_status",
+        "Stories" => "stories",
+        "Msgr" => "messenger",
+        "Likes" => "likes",
+        "Notif" => "notifications",
+        other => return Cow::Owned(other.to_owned()),
+    })
+}
+
+/// The trace ids of every update payload a frame carries, in batch
+/// order. The owning stream's subscription topic disambiguates
+/// fan-out: one mutation can reference the same object from many
+/// topics under distinct traces (per-mailbox message adds).
+fn frame_traces<'a>(
+    shared: &'a SharedInner,
+    device: u64,
+    frame: &'a Frame,
+) -> impl Iterator<Item = TraceId> + 'a {
+    let topic = frame
+        .sid()
+        .and_then(|sid| shared.stream_topic.get(&(device, sid)).copied());
+    frame
+        .update_payloads()
+        .filter_map(move |p| payload_trace(shared, topic, p))
 }
 
 /// Resolves an update payload to its trace id via the embedded TAO
@@ -2114,18 +2230,19 @@ fn frame_data_bytes(frame: &Frame) -> Option<u64> {
 }
 
 impl Shard {
-    fn on_at_pop(&mut self, now: SimTime, device: u64, frame: Frame) {
+    fn on_at_pop(&mut self, now: SimTime, device: u64, frame: Box<Frame>) {
         if !self.devices.contains_key(&device) {
             return;
         }
         // A device's POP is derived, not stored: devices co-locate with
         // `device % pops` (the same rule `shard_route` uses).
         let pop = device as usize % self.pops.len();
-        let fx = self.pops[pop].on_device_frame(device, frame, now.as_micros());
-        self.process_pop_effects(now, fx);
+        self.drive_pop(now, pop, |p, fx| {
+            p.on_device_frame_into(device, frame, now.as_micros(), fx)
+        });
     }
 
-    fn on_at_proxy(&mut self, now: SimTime, proxy: usize, device: u64, frame: Frame) {
+    fn on_at_proxy(&mut self, now: SimTime, proxy: usize, device: u64, frame: Box<Frame>) {
         if proxy >= self.proxies.len() {
             return;
         }
@@ -2133,21 +2250,23 @@ impl Shard {
             // Connection refused: the POP retries through its (repaired)
             // proxy assignment, modelling the edge's TCP-level failover.
             let d = self.latency.pop_proxy(&mut self.rng);
-            self.send(
-                now + d,
-                Ev::AtPop {
-                    device,
-                    frame: frame.into(),
-                },
-            );
+            self.send(now + d, Ev::AtPop { device, frame });
             return;
         }
-        let fx = self.proxies[proxy].on_downstream_frame(device, frame, now.as_micros());
-        self.process_proxy_effects(now, proxy, fx);
+        self.drive_proxy(now, proxy, |p, fx| {
+            p.on_downstream_frame_into(device, frame, now.as_micros(), fx)
+        });
     }
 
-    fn process_proxy_effects(&mut self, now: SimTime, proxy: usize, effects: Vec<ProxyEffect>) {
-        for effect in effects {
+    /// Converts reverse-proxy effects into scheduled events, leaving
+    /// `effects` empty.
+    fn process_proxy_effects(
+        &mut self,
+        now: SimTime,
+        proxy: usize,
+        effects: &mut Vec<ProxyEffect>,
+    ) {
+        for effect in effects.drain(..) {
             match effect {
                 ProxyEffect::ToBrass {
                     host,
@@ -2160,7 +2279,7 @@ impl Shard {
                         Ev::AtBrass {
                             host: host as usize,
                             device,
-                            frame: frame.into(),
+                            frame,
                         },
                     );
                 }
@@ -2170,7 +2289,7 @@ impl Shard {
                         now + d,
                         Ev::DownAtPop {
                             device,
-                            frame: frame.into(),
+                            frame,
                             sent_at: now,
                         },
                     );
@@ -2205,7 +2324,7 @@ impl Shard {
         }
     }
 
-    fn on_at_brass(&mut self, now: SimTime, host: usize, device: u64, frame: Frame) {
+    fn on_at_brass(&mut self, now: SimTime, host: usize, device: u64, frame: Box<Frame>) {
         if host >= self.hosts.len() {
             return;
         }
@@ -2215,14 +2334,6 @@ impl Shard {
             // repair them onto a healthy host.
             return;
         }
-        let fx = match frame {
-            Frame::Subscribe { sid, header, .. } => {
-                self.hosts[host].on_subscribe(DeviceId(device), sid, header, now)
-            }
-            Frame::Cancel { sid } => self.hosts[host].on_cancel(DeviceId(device), sid, now),
-            Frame::Ack { sid, seq } => self.hosts[host].on_ack(DeviceId(device), sid, seq, now),
-            _ => Vec::new(),
-        };
         // Control frames ride the same ingress queue as data (their
         // replies wait behind the backlog) but don't consume a service
         // slot or get shed — subscribes must survive the very overload
@@ -2230,7 +2341,15 @@ impl Shard {
         let qdelay = self
             .host_admit(now, host, false)
             .unwrap_or(SimDuration::ZERO);
-        self.process_host_effects(now + qdelay, host, fx, None);
+        let device = DeviceId(device);
+        self.drive_host(now + qdelay, host, None, |h, fx| match *frame {
+            Frame::Subscribe { sid, header, .. } => {
+                h.on_subscribe_into(device, sid, header, now, fx)
+            }
+            Frame::Cancel { sid } => h.on_cancel_into(device, sid, now, fx),
+            Frame::Ack { sid, seq } => h.on_ack_into(device, sid, seq, now, fx),
+            _ => {}
+        });
     }
 
     fn on_down_at_proxy(
@@ -2239,7 +2358,7 @@ impl Shard {
         proxy: usize,
         host: usize,
         device: u64,
-        frame: Frame,
+        frame: Box<Frame>,
         sent_at: SimTime,
     ) {
         if proxy >= self.proxies.len() {
@@ -2248,17 +2367,7 @@ impl Shard {
         if !self.proxy_up[proxy] {
             // Downstream frames through a dead proxy are lost until the
             // POP re-homes the device's streams onto a live proxy.
-            let traces: Vec<TraceId> = self.frame_traces(device, &frame);
-            for trace in traces {
-                self.register_backfill_drop(
-                    now,
-                    device,
-                    frame.sid(),
-                    trace,
-                    Hop::BurstDeliver,
-                    DropReason::HostDown,
-                );
-            }
+            self.drop_frame(now, device, &frame, Hop::BurstDeliver, DropReason::HostDown);
             return;
         }
         // Overload starvation fix: a host too backlogged to answer pings
@@ -2267,33 +2376,39 @@ impl Shard {
         // counter can cross the threshold and trigger a spurious repair
         // storm on a healthy (just slow) host.
         self.proxies[proxy].note_host_activity(host as u32);
-        let fx = self.proxies[proxy].on_upstream_frame(device, frame, now.as_micros());
-        for effect in fx {
+        // Not `drive_proxy`: the frame keeps the `sent_at` it left its
+        // BRASS with.
+        let mut fx = std::mem::take(&mut self.proxy_fx);
+        self.proxies[proxy].on_upstream_frame_into(device, frame, now.as_micros(), &mut fx);
+        for effect in fx.drain(..) {
             if let ProxyEffect::ToDevice { device, frame } = effect {
                 let d = self.latency.pop_proxy(&mut self.rng);
                 self.send(
                     now + d,
                     Ev::DownAtPop {
                         device,
-                        frame: frame.into(),
+                        frame,
                         sent_at,
                     },
                 );
             }
         }
+        self.proxy_fx = fx;
     }
 
-    fn on_down_at_pop(&mut self, now: SimTime, device: u64, frame: Frame, sent_at: SimTime) {
+    fn on_down_at_pop(&mut self, now: SimTime, device: u64, frame: Box<Frame>, sent_at: SimTime) {
         if !self.devices.contains_key(&device) {
             return;
         }
         let pop = device as usize % self.pops.len();
-        let fx = self.pops[pop].on_proxy_frame(device, frame, now.as_micros());
-        for effect in fx {
+        let mut fx = std::mem::take(&mut self.pop_fx);
+        self.pops[pop].on_proxy_frame_into(device, frame, now.as_micros(), &mut fx);
+        for effect in fx.drain(..) {
             if let PopEffect::ToDevice { device, frame } = effect {
                 self.schedule_to_device(now, device, frame, sent_at);
             }
         }
+        self.pop_fx = fx;
     }
 
     /// Records a lost delivery and — when the losing stream is known —
@@ -2322,7 +2437,13 @@ impl Shard {
         }
     }
 
-    fn schedule_to_device(&mut self, now: SimTime, device: u64, frame: Frame, sent_at: SimTime) {
+    fn schedule_to_device(
+        &mut self,
+        now: SimTime,
+        device: u64,
+        frame: Box<Frame>,
+        sent_at: SimTime,
+    ) {
         let Some(state) = self.devices.get(&device) else {
             return;
         };
@@ -2330,32 +2451,14 @@ impl Shard {
         if !state.connected {
             // Best effort: frames to disconnected devices vanish (the
             // traces stay backfill-recoverable after reconnect).
-            let traces = self.frame_traces(device, &frame);
-            for trace in traces {
-                self.register_backfill_drop(
-                    now,
-                    device,
-                    frame.sid(),
-                    trace,
-                    Hop::BurstDeliver,
-                    DropReason::DeviceDisconnected,
-                );
-            }
+            let why = DropReason::DeviceDisconnected;
+            self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
             return;
         }
         if self.rng.chance(self.config.last_mile_drop) {
             self.metrics.frames_lost.inc();
-            let traces = self.frame_traces(device, &frame);
-            for trace in traces {
-                self.register_backfill_drop(
-                    now,
-                    device,
-                    frame.sid(),
-                    trace,
-                    Hop::BurstDeliver,
-                    DropReason::LastMileLoss,
-                );
-            }
+            let why = DropReason::LastMileLoss;
+            self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
             return;
         }
         // Egress flow control: data frames beyond the device's byte window
@@ -2379,17 +2482,8 @@ impl Shard {
                 shed => {
                     self.metrics.flow_sheds.inc();
                     self.metrics.q_flow_window.dropped_n(1);
-                    let traces = self.frame_traces(device, &frame);
-                    for trace in traces {
-                        self.register_backfill_drop(
-                            now,
-                            device,
-                            frame.sid(),
-                            trace,
-                            Hop::BurstDeliver,
-                            DropReason::FlowControl,
-                        );
-                    }
+                    let why = DropReason::FlowControl;
+                    self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
                     if matches!(shed, Admit::ShedDegrade) {
                         if let Some(sid) = frame.sid() {
                             let state = self.devices.get_mut(&device).expect("checked above");
@@ -2397,21 +2491,22 @@ impl Shard {
                                 state.degraded_sids.push(sid);
                             }
                             self.metrics.flow_degraded_signals.inc();
-                            let notice = Frame::Response {
-                                sid,
-                                batch: vec![Delta::FlowStatus(FlowStatus::Degraded)],
-                            };
+                            let notice = Frame::flow_status(sid, FlowStatus::Degraded);
                             // Control frame: bypasses the window on the
                             // recursive call, so this terminates.
-                            self.schedule_to_device(now, device, notice, now);
+                            self.schedule_to_device(now, device, notice.into(), now);
                         }
                     }
                     return;
                 }
             }
         }
-        for trace in self.frame_traces(device, &frame) {
-            self.record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
+        {
+            let world = Arc::clone(&self.world);
+            let shared = world.shared.read().unwrap();
+            for trace in frame_traces(&shared, device, &frame) {
+                self.record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
+            }
         }
         let d = self.latency.last_mile(link, &mut self.rng);
         // FIFO last mile: the connection is ordered, so a frame sent later
@@ -2429,21 +2524,21 @@ impl Shard {
             at,
             Ev::AtDevice {
                 device,
-                frame: frame.into(),
+                frame,
                 sent_at,
             },
         );
     }
 
-    fn on_at_device(&mut self, now: SimTime, device: u64, frame: Frame, sent_at: SimTime) {
+    fn on_at_device(&mut self, now: SimTime, device: u64, frame: &Frame, sent_at: SimTime) {
         self.at_device_inner(now, device, frame, sent_at);
         // The frame drained and the machine reacted: if the device is now
         // quiescent it goes back to its frozen form until the next event.
         self.park(device);
     }
 
-    fn at_device_inner(&mut self, now: SimTime, device: u64, frame: Frame, sent_at: SimTime) {
-        let app = self.app_of_device_frame(device, &frame);
+    fn at_device_inner(&mut self, now: SimTime, device: u64, frame: &Frame, sent_at: SimTime) {
+        let app = app_of_device_frame(&self.shared(), device, frame);
         let Some(state) = self.devices.get_mut(&device) else {
             return;
         };
@@ -2455,7 +2550,7 @@ impl Shard {
         let egress_depth = state.inflight_frames;
         let mut recovered_sids: Vec<StreamId> = Vec::new();
         let mut flow_depth = None;
-        if let Some(bytes) = frame_data_bytes(&frame) {
+        if let Some(bytes) = frame_data_bytes(frame) {
             if state.flow.on_drained(bytes) {
                 recovered_sids = std::mem::take(&mut state.degraded_sids);
                 recovered_sids.sort_unstable_by_key(|sid| sid.0);
@@ -2472,11 +2567,8 @@ impl Shard {
             // The backlog drained past the low-water mark: every stream
             // that was told Degraded now gets its terminal Recovered.
             self.metrics.flow_recovered_signals.inc();
-            let notice = Frame::Response {
-                sid,
-                batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-            };
-            self.schedule_to_device(now, device, notice, now);
+            let notice = Frame::flow_status(sid, FlowStatus::Recovered);
+            self.schedule_to_device(now, device, notice.into(), now);
         }
         let Some(state) = self.devices.get_mut(&device) else {
             return;
@@ -2484,17 +2576,8 @@ impl Shard {
         if !state.connected {
             // The device dropped while the frame was in flight on the last
             // mile.
-            let traces = self.frame_traces(device, &frame);
-            for trace in traces {
-                self.register_backfill_drop(
-                    now,
-                    device,
-                    frame.sid(),
-                    trace,
-                    Hop::DeviceRender,
-                    DropReason::DeviceDisconnected,
-                );
-            }
+            let why = DropReason::DeviceDisconnected;
+            self.drop_frame(now, device, frame, Hop::DeviceRender, why);
             return;
         }
         // Device-observed subscription latency: first response on a stream.
@@ -2505,9 +2588,12 @@ impl Shard {
                     .record(now.saturating_since(started).as_millis_f64());
             }
         }
-        let outputs = state.wake(device).on_frame(&frame);
+        let mut outputs = std::mem::take(&mut self.device_out);
+        state
+            .wake(device, &mut self.park)
+            .on_frame_into(frame, &mut outputs);
         let mut rendered_on: Option<StreamId> = None;
-        for out in outputs {
+        for out in outputs.drain(..) {
             match out {
                 DeviceOutput::Render { payload, sid } => {
                     rendered_on = Some(sid);
@@ -2534,21 +2620,22 @@ impl Shard {
                 }
                 DeviceOutput::StreamEnded { sid, retry } => {
                     self.metrics.stream_closed(device, sid, now);
-                    if retry {
-                        let Some(state) = self.devices.get_mut(&device) else {
-                            return;
-                        };
-                        if let Some(frame) = state.wake(device).retry_stream(sid) {
-                            let link = state.link;
-                            let d = self.latency.last_mile(link, &mut self.rng);
-                            self.send(
-                                now + d,
-                                Ev::AtPop {
-                                    device,
-                                    frame: frame.into(),
-                                },
-                            );
-                        }
+                    let state = self.devices.get_mut(&device).expect("checked above");
+                    let retry_frame = if retry {
+                        state.wake(device, &mut self.park).retry_stream(sid)
+                    } else {
+                        None
+                    };
+                    if let Some(frame) = retry_frame {
+                        let link = state.link;
+                        let d = self.latency.last_mile(link, &mut self.rng);
+                        self.send(
+                            now + d,
+                            Ev::AtPop {
+                                device,
+                                frame: frame.into(),
+                            },
+                        );
                     }
                 }
                 DeviceOutput::Send(frame) => {
@@ -2576,6 +2663,7 @@ impl Shard {
                 DeviceOutput::ConnectivityChanged { .. } => {}
             }
         }
+        self.device_out = outputs;
         // Reliable applications acknowledge receipt; the BRASS's retention
         // buffer shrinks and retransmission stops.
         if app == "messenger" {
@@ -2583,7 +2671,7 @@ impl Shard {
                 let Some(state) = self.devices.get_mut(&device) else {
                     return;
                 };
-                if let Some(ack) = state.wake(device).ack(sid) {
+                if let Some(ack) = state.wake(device, &mut self.park).ack(sid) {
                     let link = state.link;
                     let d = self.latency.last_mile(link, &mut self.rng);
                     self.send(
@@ -2641,15 +2729,14 @@ impl Shard {
             return;
         }
         state.connected = false;
-        let resubscribes = state.wake(device).on_connection_lost();
+        let resubscribes = state.wake(device, &mut self.park).on_connection_lost();
         self.metrics.connection_drops.inc();
         self.metrics.ts_connection_drops.inc(now);
         let pop = device as usize % self.pops.len();
-        let fx = self.pops[pop].on_device_disconnected(device);
         // DeviceGone teardown rides through the shared effect fan-out; the
         // false-positive reconnect branch inside it no-ops because the
         // device is already marked disconnected.
-        self.process_pop_effects(now, fx);
+        self.drive_pop(now, pop, |p, fx| p.on_device_disconnected_into(device, fx));
         let backoff = self.reconnect_backoff(now, device);
         self.send(
             now + backoff,
@@ -2673,7 +2760,7 @@ impl Shard {
             return;
         }
         state.connected = false;
-        let resubscribes = state.wake(device).on_connection_lost();
+        let resubscribes = state.wake(device, &mut self.park).on_connection_lost();
         self.metrics.device_vanishes.inc();
         self.metrics.connection_drops.inc();
         self.metrics.ts_connection_drops.inc(now);
@@ -2808,8 +2895,9 @@ impl Shard {
             return;
         }
         let before = self.proxies[proxy].counters().induced_reconnects;
-        let fx = self.proxies[proxy].on_brass_host_failed(host as u32, now.as_micros());
-        self.process_proxy_effects(now, proxy, fx);
+        self.drive_proxy(now, proxy, |p, fx| {
+            p.on_brass_host_failed_into(host as u32, now.as_micros(), fx)
+        });
         let delta = self.proxies[proxy].counters().induced_reconnects - before;
         self.metrics.ts_proxy_reconnects.record(now, delta as f64);
     }
@@ -2823,8 +2911,9 @@ impl Shard {
             return;
         }
         let before = self.proxies[proxy].counters().induced_reconnects;
-        let fx = self.proxies[proxy].on_host_restarted(host as u32, now.as_micros());
-        self.process_proxy_effects(now, proxy, fx);
+        self.drive_proxy(now, proxy, |p, fx| {
+            p.on_host_restarted_into(host as u32, now.as_micros(), fx)
+        });
         let delta = self.proxies[proxy].counters().induced_reconnects - before;
         self.metrics.ts_proxy_reconnects.record(now, delta as f64);
     }
@@ -2834,8 +2923,7 @@ impl Shard {
             return;
         }
         let before = self.proxies[proxy].counters().induced_reconnects;
-        let fx = self.proxies[proxy].add_host(host as u32);
-        self.process_proxy_effects(now, proxy, fx);
+        self.drive_proxy(now, proxy, |p, fx| p.add_host_into(host as u32, fx));
         let delta = self.proxies[proxy].counters().induced_reconnects - before;
         self.metrics.ts_proxy_reconnects.record(now, delta as f64);
     }
@@ -2927,8 +3015,9 @@ impl Shard {
                 continue;
             }
             let before = self.proxies[proxy].counters().induced_reconnects;
-            let fx = self.proxies[proxy].on_heartbeat_tick(now.as_micros());
-            self.process_proxy_effects(now, proxy, fx);
+            self.drive_proxy(now, proxy, |p, fx| {
+                p.on_heartbeat_tick_into(now.as_micros(), fx)
+            });
             let delta = self.proxies[proxy].counters().induced_reconnects - before;
             if delta > 0 {
                 self.metrics.ts_proxy_reconnects.record(now, delta as f64);
@@ -2939,8 +3028,9 @@ impl Shard {
                 if pop % self.shards != self.id {
                     continue;
                 }
-                let fx = self.pops[pop].on_heartbeat_tick(now.as_micros());
-                self.process_pop_effects(now, fx);
+                self.drive_pop(now, pop, |p, fx| {
+                    p.on_heartbeat_tick_into(now.as_micros(), fx)
+                });
             }
         }
         self.queue
@@ -2948,9 +3038,10 @@ impl Shard {
     }
 
     /// Shared POP-effect fan-out (frames up to proxies, frames down to
-    /// devices, device-gone teardown at the owning proxy).
-    fn process_pop_effects(&mut self, now: SimTime, effects: Vec<PopEffect>) {
-        for effect in effects {
+    /// devices, device-gone teardown at the owning proxy), leaving
+    /// `effects` empty.
+    fn process_pop_effects(&mut self, now: SimTime, effects: &mut Vec<PopEffect>) {
+        for effect in effects.drain(..) {
             match effect {
                 PopEffect::ToProxy {
                     proxy,
@@ -2964,7 +3055,7 @@ impl Shard {
                         Ev::AtProxy {
                             proxy: proxy as usize,
                             device,
-                            frame: frame.into(),
+                            frame,
                         },
                     );
                 }
@@ -2992,7 +3083,7 @@ impl Shard {
                             state.degraded_sids.clear();
                             self.metrics.connection_drops.inc();
                             self.metrics.ts_connection_drops.inc(now);
-                            Some(state.wake(device).on_connection_lost())
+                            Some(state.wake(device, &mut self.park).on_connection_lost())
                         }
                         _ => None,
                     };
@@ -3385,49 +3476,44 @@ impl Shard {
 // The coordinator: conservative windows over the shard set.
 // ----------------------------------------------------------------------
 
-/// What one shard hands the barrier after a window.
-struct WindowRes {
-    shard: usize,
-    outbox: Vec<(SimTime, Ev)>,
-    ops: Vec<SharedOp>,
-    led: Vec<LedRec>,
-}
-
-/// The window barrier: apply deferred registry writes and ledger records
-/// in shard order, then wrap, merge, and route the cross-shard mail.
-/// Everything here is ordered by `(shard, emission index)` or
-/// `(time, src, seq)`.
+/// The window barrier: apply every shard's deferred registry writes and
+/// ledger records in shard order, then wrap, merge, and route the
+/// cross-shard mail. Everything here is ordered by `(shard, emission
+/// index)` or `(time, src, seq)`. The shards' window products are drained
+/// where they lie, so their buffers serve the next window.
 fn apply_barrier(
     world: &World,
+    shards: &mut [Shard],
     pending_incoming: &mut [Vec<Envelope<Ev>>],
     pops: usize,
-    shards: usize,
     window_end: SimTime,
-    mut results: Vec<WindowRes>,
 ) {
-    debug_assert!(results.windows(2).all(|w| w[0].shard < w[1].shard));
     {
         let mut shared = world.shared.write().unwrap();
-        for r in results.iter_mut() {
-            for op in r.ops.drain(..) {
+        for shard in shards.iter_mut() {
+            for op in shard.ops.drain(..) {
                 apply_shared_op(&mut shared, op);
             }
         }
     }
     {
         let mut ledger = world.ledger.write().unwrap();
-        for r in results.iter_mut() {
-            for (trace, hop, at, outcome) in r.led.drain(..) {
+        for shard in shards.iter_mut() {
+            for (trace, hop, at, outcome) in shard.led_pending.drain(..) {
                 ledger.record(trace, hop, at, outcome);
             }
         }
     }
-    let outboxes: Vec<Vec<Envelope<Ev>>> = results
-        .into_iter()
-        .map(|r| {
-            let src = r.shard;
-            r.outbox
-                .into_iter()
+    if shards.iter().all(|shard| shard.outbox.is_empty()) {
+        return;
+    }
+    let outboxes: Vec<Vec<Envelope<Ev>>> = shards
+        .iter_mut()
+        .map(|shard| {
+            let src = shard.id;
+            shard
+                .outbox
+                .drain(..)
                 .enumerate()
                 .map(|(i, (at, event))| Envelope {
                     at: clamp_to_window(at, window_end),
@@ -3439,7 +3525,7 @@ fn apply_barrier(
         })
         .collect();
     for env in merge(outboxes) {
-        let dest = shard_route(&env.event, pops, shards);
+        let dest = shard_route(&env.event, pops, shards.len());
         pending_incoming[dest].push(env);
     }
 }
@@ -3958,7 +4044,6 @@ impl SystemSim {
         // Windows are closed intervals; the last in-window microsecond is
         // `next + lookahead - 1`.
         let w_minus = SimDuration::from_micros(lookahead.as_micros().saturating_sub(1));
-        let nshards = self.shards.len();
         loop {
             let next = self.earliest_pending();
             let tick = self.next_metrics_tick;
@@ -3983,25 +4068,15 @@ impl SystemSim {
                 break;
             }
             let end = Self::window_end(next, until, tick, w_minus);
-            let mut results: Vec<WindowRes> = Vec::with_capacity(nshards);
-            for i in 0..nshards {
-                let incoming = std::mem::take(&mut self.pending_incoming[i]);
-                let shard = &mut self.shards[i];
+            for (shard, incoming) in self.shards.iter_mut().zip(&mut self.pending_incoming) {
                 shard.run_window(end, incoming);
-                results.push(WindowRes {
-                    shard: i,
-                    outbox: std::mem::take(&mut shard.outbox),
-                    ops: std::mem::take(&mut shard.ops),
-                    led: std::mem::take(&mut shard.led_pending),
-                });
             }
             apply_barrier(
                 &self.world,
+                &mut self.shards,
                 &mut self.pending_incoming,
                 self.config.pops as usize,
-                nshards,
                 end,
-                results,
             );
         }
         if until > self.now {
@@ -4658,6 +4733,60 @@ mod tests {
             .map(|&a| SystemSim::quorum_retry_backoff(a).as_secs())
             .collect();
         assert_eq!(secs, vec![1, 2, 4, 8, 16, 30, 30, 30, 30, 30, 30, 30]);
+    }
+
+    /// The three events that name an application carry it as a handle;
+    /// the snapshot still holds the name, and only a registered one is
+    /// accepted back.
+    #[test]
+    fn app_naming_events_round_trip_and_reject_unknown_apps() {
+        let events = [
+            Ev::BrassTimer {
+                host: 3,
+                app: "lvc",
+                token: 77,
+            },
+            Ev::WasExec {
+                host: 1,
+                app: "messenger",
+                token: FetchToken(9),
+                request: WasRequest::MailboxAfter {
+                    uid: 5,
+                    after_seq: Some(2),
+                },
+                attributed: Some(SimTime::from_millis(40)),
+            },
+            Ev::WasReply {
+                host: 2,
+                app: "typing",
+                token: FetchToken(10),
+                response: WasResponse::Payload(b"{\"id\":1}".to_vec().into()),
+                attributed: None,
+            },
+        ];
+        for ev in &events {
+            let mut w = SnapWriter::new();
+            ev.snap(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes);
+            let back = Ev::restore(&mut r).expect("restore");
+            r.finish().expect("no trailing bytes");
+            let mut w = SnapWriter::new();
+            back.snap(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "{ev:?}");
+            assert_eq!(format!("{back:?}"), format!("{ev:?}"));
+        }
+        // The same bytes with the name swapped for one no host registers.
+        for (tag, known) in [(10u8, "lvc"), (8, "messenger"), (9, "typing")] {
+            let mut w = SnapWriter::new();
+            w.put_u8(tag);
+            w.put_usize(0);
+            w.put_str("lvc2");
+            w.put_u64(0);
+            let bytes = w.into_bytes();
+            let err = Ev::restore(&mut SnapReader::new(&bytes)).expect_err(known);
+            assert!(err.to_string().contains("lvc2"), "{err}");
+        }
     }
 
     #[test]

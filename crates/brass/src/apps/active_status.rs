@@ -309,8 +309,8 @@ impl BrassApp for ActiveStatusApp {
         let Some(watchers) = self.watchers.get(&friend) else {
             return;
         };
-        for key in watchers.clone() {
-            let Some(state) = self.streams.get_mut(&key) else {
+        for key in watchers {
+            let Some(state) = self.streams.get_mut(key) else {
                 continue;
             };
             ctx.decision();

@@ -452,22 +452,31 @@ impl BrassApp for LvcApp {
         let Some(video) = Self::video_of_topic(&event.topic) else {
             return;
         };
-        let Some(watchers) = self.by_video.get(&video) else {
+        // The watcher list is read while the stream table is written: two
+        // fields, borrowed apart, so the list is walked where it lives.
+        let LvcApp {
+            config,
+            streams,
+            by_video,
+            langs,
+            ..
+        } = self;
+        let Some(watchers) = by_video.get(&video) else {
             return;
         };
         let created = SimTime::from_millis(event.meta.created_ms);
-        for key in watchers.clone() {
-            let Some(state) = self.streams.get_mut(&key) else {
+        for key in watchers {
+            let Some(state) = streams.get_mut(key) else {
                 continue;
             };
             // Per-viewer filtering (§2): language, quality, staleness.
-            let lang_ok = event.meta.lang.as_deref().is_none_or(|l| {
-                self.langs
-                    .get(state.lang as usize)
-                    .is_some_and(|s| l == &**s)
-            });
-            let fresh = ctx.now.saturating_since(created) <= self.config.max_comment_age;
-            let quality_ok = event.meta.quality >= self.config.min_quality;
+            let lang_ok = event
+                .meta
+                .lang
+                .as_deref()
+                .is_none_or(|l| langs.get(state.lang as usize).is_some_and(|s| l == &**s));
+            let fresh = ctx.now.saturating_since(created) <= config.max_comment_age;
+            let quality_ok = event.meta.quality >= config.min_quality;
             if !(lang_ok && fresh && quality_ok) {
                 // Attribute the first failing filter for the trace ledger.
                 let reason = if !lang_ok {

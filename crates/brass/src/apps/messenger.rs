@@ -431,7 +431,7 @@ impl BrassApp for MessengerApp {
         };
         let mut fetches: Vec<(StreamKey, u64, u64, ObjectId)> = Vec::new();
         let mut gaps: Vec<StreamKey> = Vec::new();
-        for key in watchers.clone() {
+        for &key in watchers {
             let Some(state) = self.streams.get_mut(&key) else {
                 continue;
             };

@@ -310,7 +310,7 @@ impl BrassApp for StoriesApp {
             return;
         };
         let tray_size = self.config.tray_size;
-        for key in watchers.clone() {
+        for &key in watchers {
             let Some(state) = self.streams.get_mut(&key) else {
                 continue;
             };

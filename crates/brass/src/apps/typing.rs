@@ -202,7 +202,7 @@ impl BrassApp for TypingApp {
             return;
         };
         let typing = event.meta.typing.unwrap_or(false);
-        for key in watchers.clone() {
+        for &key in watchers {
             let Some(state) = self.streams.get(&key) else {
                 continue;
             };

@@ -14,9 +14,7 @@
 //! driver) executes: Pylon subscribe/unsubscribe, WAS requests, BURST
 //! response frames, timers.
 
-use std::sync::Arc;
-
-use burst::frame::{Delta, Frame, StreamId};
+use burst::frame::{Delta, Frame, StreamId, TerminateReason};
 use burst::json::Json;
 use burst::stream::ServerStream;
 use pylon::Topic;
@@ -56,8 +54,9 @@ pub enum HostEffect {
     PylonUnsubscribe(Topic),
     /// Issue a WAS request on behalf of an application.
     Was {
-        /// Owning application (routes the response back).
-        app: String,
+        /// Owning application (routes the response back): the name it was
+        /// registered under.
+        app: &'static str,
         /// Correlation token.
         token: FetchToken,
         /// The request.
@@ -67,15 +66,16 @@ pub enum HostEffect {
     Send {
         /// Target device.
         device: DeviceId,
-        /// The frame (typically a `Response`).
-        frame: Frame,
+        /// The frame (typically a `Response`), in the box it travels the
+        /// transport in.
+        frame: Box<Frame>,
     },
     /// Arm a timer for an application.
     Timer {
         /// When to fire.
         at: SimTime,
-        /// Owning application.
-        app: String,
+        /// Owning application: the name it was registered under.
+        app: &'static str,
         /// Opaque app token.
         token: u64,
     },
@@ -89,6 +89,8 @@ pub enum HostEffect {
 }
 
 struct Instance {
+    /// The name the application was registered under.
+    name: &'static str,
     app: Box<dyn BrassApp>,
     counters: AppCounters,
     next_token: u64,
@@ -97,10 +99,8 @@ struct Instance {
 }
 
 struct StreamMeta {
-    /// The owning application's name, shared with every other stream of
-    /// the same app on this host — one entry exists per resident stream,
-    /// so a per-stream heap `String` would be fleet-scale overhead.
-    app: Arc<str>,
+    /// The owning application's registered name.
+    app: &'static str,
     server: ServerStream,
 }
 
@@ -120,16 +120,23 @@ pub struct HostCounters {
 type AppFactory = Box<dyn FnMut() -> Box<dyn BrassApp> + Send>;
 
 /// A BRASS host.
+///
+/// Applications are known by the `&'static str` they were registered
+/// under; that handle is what stream metadata, effects and the simulator's
+/// queued events carry, so naming an application never copies a string.
 pub struct BrassHost {
     config: HostConfig,
-    factories: FxHashMap<String, AppFactory>,
-    instances: FxHashMap<String, Instance>,
+    factories: Vec<(&'static str, AppFactory)>,
+    /// Running instances, sorted by name: at most two per core, so a scan
+    /// beats hashing the name, and every walk is already in the sorted
+    /// order that effect emission and snapshots need.
+    instances: Vec<Instance>,
     /// Host-wide topic refcounts (the Pylon subscription manager).
     host_topic_refs: FxHashMap<Topic, u32>,
     streams: FxHashMap<StreamKey, StreamMeta>,
-    /// Interned app names handed to [`StreamMeta`] (a handful of entries).
-    app_names: Vec<Arc<str>>,
     counters: HostCounters,
+    /// Application effects of the handler being run, reused across calls.
+    effects: Vec<Effect>,
 }
 
 impl BrassHost {
@@ -137,23 +144,13 @@ impl BrassHost {
     pub fn new(config: HostConfig) -> Self {
         BrassHost {
             config,
-            factories: FxHashMap::default(),
-            instances: FxHashMap::default(),
+            factories: Vec::new(),
+            instances: Vec::new(),
             host_topic_refs: FxHashMap::default(),
             streams: FxHashMap::default(),
-            app_names: Vec::new(),
             counters: HostCounters::default(),
+            effects: Vec::new(),
         }
-    }
-
-    /// Returns the shared copy of an app name, allocating it on first use.
-    fn intern_app(&mut self, name: &str) -> Arc<str> {
-        if let Some(a) = self.app_names.iter().find(|a| &***a == name) {
-            return a.clone();
-        }
-        let a: Arc<str> = Arc::from(name);
-        self.app_names.push(a.clone());
-        a
     }
 
     /// This host's Pylon identity.
@@ -162,12 +159,14 @@ impl BrassHost {
     }
 
     /// Registers an application factory; instances spool up on demand.
+    /// Registering a name again replaces its factory.
     pub fn register_app(
         &mut self,
-        name: &str,
+        name: &'static str,
         factory: impl FnMut() -> Box<dyn BrassApp> + Send + 'static,
     ) {
-        self.factories.insert(name.to_owned(), Box::new(factory));
+        self.factories.retain(|(n, _)| *n != name);
+        self.factories.push((name, Box::new(factory)));
     }
 
     /// Registers the standard applications with default configs.
@@ -227,19 +226,13 @@ impl BrassHost {
 
     /// Per-application counters, if the instance is running.
     pub fn app_counters(&self, app: &str) -> Option<AppCounters> {
-        self.instances.get(app).map(|i| i.counters)
+        self.instance_index(app).map(|i| self.instances[i].counters)
     }
 
     /// Aggregate counters across all instances on this host.
     pub fn total_app_counters(&self) -> AppCounters {
-        // Integer sums are order-independent, but aggregate in sorted app
-        // order anyway so this stays safe if a non-commutative field (a
-        // float, a "last app" sample) is ever added.
-        let mut names: Vec<&String> = self.instances.keys().collect();
-        names.sort_unstable();
         let mut total = AppCounters::default();
-        for name in names {
-            let i = &self.instances[name];
+        for i in &self.instances {
             total.decisions += i.counters.decisions;
             total.deliveries += i.counters.deliveries;
             total.events_in += i.counters.events_in;
@@ -253,23 +246,36 @@ impl BrassHost {
         self.host_topic_refs.len()
     }
 
-    fn ensure_instance(&mut self, app: &str) -> Result<(), ()> {
-        if self.instances.contains_key(app) {
-            return Ok(());
+    /// Position of the running instance named `app` in the sorted table.
+    fn instance_index(&self, app: &str) -> Option<usize> {
+        self.instances.iter().position(|i| i.name == app)
+    }
+
+    /// The running instance for `app`, spooled up if need be: its index,
+    /// or `Err` when the app is unknown or the host is at capacity.
+    fn ensure_instance(&mut self, app: &str) -> Result<usize, ()> {
+        if let Some(index) = self.instance_index(app) {
+            return Ok(index);
         }
         if self.instances.len() >= self.capacity() {
             return Err(());
         }
-        let factory = self.factories.get_mut(app).ok_or(())?;
+        let (name, factory) = self
+            .factories
+            .iter_mut()
+            .find(|(n, _)| *n == app)
+            .ok_or(())?;
         let instance = Instance {
+            name,
             app: factory(),
             counters: AppCounters::default(),
             next_token: 0,
             topic_refs: FxHashMap::default(),
         };
-        self.instances.insert(app.to_owned(), instance);
+        let index = self.instances.partition_point(|i| i.name < instance.name);
+        self.instances.insert(index, instance);
         self.counters.spool_ups += 1;
-        Ok(())
+        Ok(index)
     }
 
     /// Runs an app handler and converts its effects into host effects.
@@ -280,10 +286,11 @@ impl BrassHost {
         out: &mut Vec<HostEffect>,
         f: impl FnOnce(&mut dyn BrassApp, &mut Ctx<'_>),
     ) {
-        let Some(instance) = self.instances.get_mut(app) else {
+        let Some(index) = self.instance_index(app) else {
             return;
         };
-        let mut effects = Vec::new();
+        let instance = &mut self.instances[index];
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let mut ctx = Ctx::new(
                 now,
@@ -293,17 +300,23 @@ impl BrassHost {
             );
             f(instance.app.as_mut(), &mut ctx);
         }
-        self.apply_effects(app, effects, out);
+        self.apply_effects(index, &mut effects, out);
+        self.effects = effects;
     }
 
-    fn apply_effects(&mut self, app: &str, effects: Vec<Effect>, out: &mut Vec<HostEffect>) {
-        for effect in effects {
+    /// Drains one handler's effects into `out`. `index` is the emitting
+    /// instance: handlers never spool instances up, so it stays put.
+    fn apply_effects(
+        &mut self,
+        index: usize,
+        effects: &mut Vec<Effect>,
+        out: &mut Vec<HostEffect>,
+    ) {
+        let app = self.instances[index].name;
+        for effect in effects.drain(..) {
             match effect {
                 Effect::SubscribeTopic(topic) => {
-                    let inst = self
-                        .instances
-                        .get_mut(app)
-                        .expect("caller ensured instance");
+                    let inst = &mut self.instances[index];
                     *inst.topic_refs.entry(topic).or_insert(0) += 1;
                     let host_refs = self.host_topic_refs.entry(topic).or_insert(0);
                     *host_refs += 1;
@@ -314,10 +327,7 @@ impl BrassHost {
                     }
                 }
                 Effect::UnsubscribeTopic(topic) => {
-                    let inst = self
-                        .instances
-                        .get_mut(app)
-                        .expect("caller ensured instance");
+                    let inst = &mut self.instances[index];
                     if let Some(r) = inst.topic_refs.get_mut(&topic) {
                         *r -= 1;
                         if *r == 0 {
@@ -333,7 +343,7 @@ impl BrassHost {
                     }
                 }
                 Effect::Was { token, request } => out.push(HostEffect::Was {
-                    app: app.to_owned(),
+                    app,
                     token,
                     request,
                 }),
@@ -345,8 +355,8 @@ impl BrassHost {
                     let Some(meta) = self.streams.get_mut(&stream) else {
                         continue; // Stream closed since the app decided.
                     };
-                    let mut batch: Vec<Delta> =
-                        payloads.into_iter().map(|p| meta.server.push(p)).collect();
+                    let mut batch = Vec::with_capacity(payloads.len() + 2);
+                    batch.extend(payloads.into_iter().map(|p| meta.server.push(p)));
                     if let Some(patch) = rewrite {
                         batch.push(meta.server.rewrite(patch));
                     }
@@ -361,10 +371,10 @@ impl BrassHost {
                     batch.push(meta.server.rewrite_progress());
                     out.push(HostEffect::Send {
                         device: stream.device,
-                        frame: Frame::Response {
+                        frame: Box::new(Frame::Response {
                             sid: stream.sid,
                             batch,
-                        },
+                        }),
                     });
                 }
                 Effect::SendDeltas { stream, deltas } => {
@@ -384,20 +394,16 @@ impl BrassHost {
                     }
                     out.push(HostEffect::Send {
                         device: stream.device,
-                        frame: Frame::Response {
+                        frame: Box::new(Frame::Response {
                             sid: stream.sid,
                             batch: deltas,
-                        },
+                        }),
                     });
                     if terminated {
                         self.streams.remove(&stream);
                     }
                 }
-                Effect::Timer { at, token } => out.push(HostEffect::Timer {
-                    at,
-                    app: app.to_owned(),
-                    token,
-                }),
+                Effect::Timer { at, token } => out.push(HostEffect::Timer { at, app, token }),
                 Effect::DropUpdate { object, reason } => {
                     out.push(HostEffect::DropUpdate { object, reason })
                 }
@@ -409,10 +415,10 @@ impl BrassHost {
                     if !batch.is_empty() {
                         out.push(HostEffect::Send {
                             device: stream.device,
-                            frame: Frame::Response {
+                            frame: Box::new(Frame::Response {
                                 sid: stream.sid,
                                 batch,
-                            },
+                            }),
                         });
                     }
                 }
@@ -420,10 +426,19 @@ impl BrassHost {
         }
     }
 
-    /// Handles an incoming BURST subscribe for a stream.
-    ///
-    /// Resolution failures and capacity exhaustion produce a terminate
-    /// response rather than an error: devices are remote.
+    /// The response that ends a stream from this side.
+    fn terminate(device: DeviceId, sid: StreamId, reason: TerminateReason) -> HostEffect {
+        HostEffect::Send {
+            device,
+            frame: Box::new(Frame::Response {
+                sid,
+                batch: vec![Delta::Terminate(reason)],
+            }),
+        }
+    }
+
+    /// Handles an incoming BURST subscribe; the effects as a vector (see
+    /// [`BrassHost::on_subscribe_into`]).
     pub fn on_subscribe(
         &mut self,
         device: DeviceId,
@@ -432,89 +447,91 @@ impl BrassHost {
         now: SimTime,
     ) -> Vec<HostEffect> {
         let mut out = Vec::new();
+        self.on_subscribe_into(device, sid, header, now, &mut out);
+        out
+    }
+
+    /// Handles an incoming BURST subscribe for a stream, appending the
+    /// effects to `out`.
+    ///
+    /// Resolution failures and capacity exhaustion produce a terminate
+    /// response rather than an error: devices are remote.
+    pub fn on_subscribe_into(
+        &mut self,
+        device: DeviceId,
+        sid: StreamId,
+        header: Json,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
         let stream = StreamKey { device, sid };
-        let app = match resolve(&header) {
-            Ok(sub) => sub.app,
-            Err(_) => {
-                self.counters.streams_rejected += 1;
-                out.push(HostEffect::Send {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::Terminate(burst::frame::TerminateReason::Error)],
-                    },
-                });
-                return out;
-            }
-        };
-        if self.ensure_instance(&app).is_err() {
+        let Ok(sub) = resolve(&header) else {
             self.counters.streams_rejected += 1;
-            out.push(HostEffect::Send {
+            out.push(Self::terminate(device, sid, TerminateReason::Error));
+            return;
+        };
+        let Ok(index) = self.ensure_instance(&sub.app) else {
+            self.counters.streams_rejected += 1;
+            out.push(Self::terminate(
                 device,
-                frame: Frame::Response {
-                    sid,
-                    batch: vec![Delta::Terminate(
-                        burst::frame::TerminateReason::ServerShutdown,
-                    )],
-                },
-            });
-            return out;
-        }
+                sid,
+                TerminateReason::ServerShutdown,
+            ));
+            return;
+        };
+        let app = self.instances[index].name;
         self.counters.streams_accepted += 1;
         // Reliable apps retain unacked updates for replay.
         let retain = app == "messenger";
-        let server = ServerStream::accept(sid, header.clone(), retain);
-        let app_shared = self.intern_app(&app);
-        self.streams.insert(
-            stream,
-            StreamMeta {
-                app: app_shared,
-                server,
-            },
-        );
+        let mut server = ServerStream::accept(sid, header.clone(), retain);
         // Sticky routing (§3.5): patch the header with this host's identity
         // so a resubscribe after failure lands back here.
         let patch = Json::obj([("brass_host", Json::from(self.config.host_id.0 as u64))]);
-        if let Some(meta) = self.streams.get_mut(&stream) {
-            let _ = meta.server.rewrite(patch.clone());
-        }
+        let rewrite = server.rewrite(patch);
+        self.streams.insert(stream, StreamMeta { app, server });
         out.push(HostEffect::Send {
             device,
-            frame: Frame::Response {
+            frame: Box::new(Frame::Response {
                 sid,
-                batch: vec![Delta::RewriteRequest { patch }],
-            },
+                batch: vec![rewrite],
+            }),
         });
-        self.run_handler(&app, now, &mut out, |a, ctx| {
-            a.on_subscribe(ctx, stream, &header)
-        });
+        self.run_handler(app, now, out, |a, ctx| a.on_subscribe(ctx, stream, &header));
+    }
+
+    /// Fans a Pylon update event out; the effects as a vector (see
+    /// [`BrassHost::on_pylon_event_into`]).
+    pub fn on_pylon_event(&mut self, event: &was::UpdateEvent, now: SimTime) -> Vec<HostEffect> {
+        let mut out = Vec::new();
+        self.on_pylon_event_into(event, now, &mut out);
         out
     }
 
     /// Fans a Pylon update event to every colocated instance holding a
-    /// subscription to its topic.
-    pub fn on_pylon_event(&mut self, event: &was::UpdateEvent, now: SimTime) -> Vec<HostEffect> {
-        let mut out = Vec::new();
-        // Sorted by app name: `instances` is a hash map, and the handler
-        // order decides the order of emitted effects (and therefore of
-        // every downstream event) — iteration order must never leak in.
-        let mut apps: Vec<String> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.topic_refs.contains_key(&event.topic))
-            .map(|(name, _)| name.clone())
-            .collect();
-        apps.sort_unstable();
-        for app in apps {
-            if let Some(i) = self.instances.get_mut(&app) {
-                i.counters.events_in += 1;
+    /// subscription to its topic, in app-name order: the handler order
+    /// decides the order of emitted effects, and therefore of every
+    /// downstream event.
+    pub fn on_pylon_event_into(
+        &mut self,
+        event: &was::UpdateEvent,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
+        // A handler touches only its own instance's topic refs, so each
+        // instance can be asked as its turn comes.
+        for index in 0..self.instances.len() {
+            let instance = &mut self.instances[index];
+            if !instance.topic_refs.contains_key(&event.topic) {
+                continue;
             }
-            self.run_handler(&app, now, &mut out, |a, ctx| a.on_event(ctx, event));
+            instance.counters.events_in += 1;
+            let app = instance.name;
+            self.run_handler(app, now, out, |a, ctx| a.on_event(ctx, event));
         }
-        out
     }
 
-    /// Routes a WAS response back to the owning application.
+    /// Routes a WAS response back to the owning application; the effects
+    /// as a vector (see [`BrassHost::on_was_response_into`]).
     pub fn on_was_response(
         &mut self,
         app: &str,
@@ -523,33 +540,67 @@ impl BrassHost {
         now: SimTime,
     ) -> Vec<HostEffect> {
         let mut out = Vec::new();
-        self.run_handler(app, now, &mut out, |a, ctx| {
+        self.on_was_response_into(app, token, response, now, &mut out);
+        out
+    }
+
+    /// Routes a WAS response back to the owning application.
+    pub fn on_was_response_into(
+        &mut self,
+        app: &str,
+        token: FetchToken,
+        response: crate::app::WasResponse,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
+        self.run_handler(app, now, out, |a, ctx| {
             a.on_was_response(ctx, token, response)
         });
+    }
+
+    /// Fires an application timer; the effects as a vector (see
+    /// [`BrassHost::on_timer_into`]).
+    pub fn on_timer(&mut self, app: &str, token: u64, now: SimTime) -> Vec<HostEffect> {
+        let mut out = Vec::new();
+        self.on_timer_into(app, token, now, &mut out);
         out
     }
 
     /// Fires an application timer.
-    pub fn on_timer(&mut self, app: &str, token: u64, now: SimTime) -> Vec<HostEffect> {
+    pub fn on_timer_into(
+        &mut self,
+        app: &str,
+        token: u64,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
+        self.run_handler(app, now, out, |a, ctx| a.on_timer(ctx, token));
+    }
+
+    /// Handles a client cancel for one stream; the effects as a vector
+    /// (see [`BrassHost::on_cancel_into`]).
+    pub fn on_cancel(&mut self, device: DeviceId, sid: StreamId, now: SimTime) -> Vec<HostEffect> {
         let mut out = Vec::new();
-        self.run_handler(app, now, &mut out, |a, ctx| a.on_timer(ctx, token));
+        self.on_cancel_into(device, sid, now, &mut out);
         out
     }
 
     /// Handles a client cancel for one stream.
-    pub fn on_cancel(&mut self, device: DeviceId, sid: StreamId, now: SimTime) -> Vec<HostEffect> {
+    pub fn on_cancel_into(
+        &mut self,
+        device: DeviceId,
+        sid: StreamId,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
         let stream = StreamKey { device, sid };
-        let mut out = Vec::new();
         if let Some(meta) = self.streams.remove(&stream) {
-            let app = meta.app;
-            self.run_handler(&app, now, &mut out, |a, ctx| {
-                a.on_stream_closed(ctx, stream)
-            });
+            self.run_handler(meta.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
         }
-        out
     }
 
-    /// Handles a device ack (reliable applications replay from here).
+    /// Handles a device ack; the effects as a vector (see
+    /// [`BrassHost::on_ack_into`]).
     pub fn on_ack(
         &mut self,
         device: DeviceId,
@@ -557,14 +608,26 @@ impl BrassHost {
         seq: u64,
         now: SimTime,
     ) -> Vec<HostEffect> {
-        let stream = StreamKey { device, sid };
         let mut out = Vec::new();
+        self.on_ack_into(device, sid, seq, now, &mut out);
+        out
+    }
+
+    /// Handles a device ack (reliable applications replay from here).
+    pub fn on_ack_into(
+        &mut self,
+        device: DeviceId,
+        sid: StreamId,
+        seq: u64,
+        now: SimTime,
+        out: &mut Vec<HostEffect>,
+    ) {
+        let stream = StreamKey { device, sid };
         if let Some(meta) = self.streams.get_mut(&stream) {
             meta.server.on_ack(seq);
-            let app = meta.app.clone();
-            self.run_handler(&app, now, &mut out, |a, ctx| a.on_ack(ctx, stream, seq));
+            let app = meta.app;
+            self.run_handler(app, now, out, |a, ctx| a.on_ack(ctx, stream, seq));
         }
-        out
     }
 
     /// Handles loss of connectivity to a device: every stream it owned is
@@ -583,12 +646,25 @@ impl BrassHost {
         let mut out = Vec::new();
         for stream in affected {
             if let Some(meta) = self.streams.remove(&stream) {
-                let app = meta.app;
-                self.run_handler(&app, now, &mut out, |a, ctx| {
+                self.run_handler(meta.app, now, &mut out, |a, ctx| {
                     a.on_stream_closed(ctx, stream)
                 });
             }
         }
+        out
+    }
+
+    /// Redirects one stream to another BRASS host; the effects as a vector
+    /// (see [`BrassHost::redirect_stream_into`]).
+    pub fn redirect_stream(
+        &mut self,
+        device: DeviceId,
+        sid: StreamId,
+        to_host: u32,
+        now: SimTime,
+    ) -> Vec<HostEffect> {
+        let mut out = Vec::new();
+        self.redirect_stream_into(device, sid, to_host, now, &mut out);
         out
     }
 
@@ -597,38 +673,29 @@ impl BrassHost {
     /// with the new routing target, then the stream is terminated with
     /// [`TerminateReason::Redirect`] so the device retries — landing on
     /// `to_host` via sticky routing, with no device logic involved.
-    ///
-    /// [`TerminateReason::Redirect`]: burst::frame::TerminateReason::Redirect
-    pub fn redirect_stream(
+    pub fn redirect_stream_into(
         &mut self,
         device: DeviceId,
         sid: StreamId,
         to_host: u32,
         now: SimTime,
-    ) -> Vec<HostEffect> {
+        out: &mut Vec<HostEffect>,
+    ) {
         let stream = StreamKey { device, sid };
-        let mut out = Vec::new();
         let Some(mut meta) = self.streams.remove(&stream) else {
-            return out;
+            return;
         };
         let patch = Json::obj([("brass_host", Json::from(to_host as u64))]);
         let rewrite = meta.server.rewrite(patch);
         out.push(HostEffect::Send {
             device,
-            frame: Frame::Response {
+            frame: Box::new(Frame::Response {
                 sid,
-                batch: vec![
-                    rewrite,
-                    Delta::Terminate(burst::frame::TerminateReason::Redirect),
-                ],
-            },
+                batch: vec![rewrite, Delta::Terminate(TerminateReason::Redirect)],
+            }),
         });
         // The application releases its per-stream state (and topic refs).
-        let app = meta.app.clone();
-        self.run_handler(&app, now, &mut out, |a, ctx| {
-            a.on_stream_closed(ctx, stream)
-        });
-        out
+        self.run_handler(meta.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
     }
 
     /// Drains this host for shutdown (software upgrade / rebalancing):
@@ -641,17 +708,12 @@ impl BrassHost {
         let mut out = Vec::new();
         for stream in streams {
             if let Some(meta) = self.streams.remove(&stream) {
-                out.push(HostEffect::Send {
-                    device: stream.device,
-                    frame: Frame::Response {
-                        sid: stream.sid,
-                        batch: vec![Delta::Terminate(
-                            burst::frame::TerminateReason::ServerShutdown,
-                        )],
-                    },
-                });
-                let app = meta.app;
-                self.run_handler(&app, now, &mut out, |a, ctx| {
+                out.push(Self::terminate(
+                    stream.device,
+                    stream.sid,
+                    TerminateReason::ServerShutdown,
+                ));
+                self.run_handler(meta.app, now, &mut out, |a, ctx| {
                     a.on_stream_closed(ctx, stream)
                 });
             }
@@ -667,12 +729,9 @@ impl BrassHost {
     pub fn snap(&self, w: &mut SnapWriter) {
         w.put_u32(self.config.host_id.0);
         w.put_u32(self.config.cores);
-        let mut apps: Vec<&String> = self.instances.keys().collect();
-        apps.sort_unstable();
-        w.put_usize(apps.len());
-        for name in apps {
-            let i = &self.instances[name];
-            w.put_str(name);
+        w.put_usize(self.instances.len());
+        for i in &self.instances {
+            w.put_str(i.name);
             w.put_u64(i.counters.decisions);
             w.put_u64(i.counters.deliveries);
             w.put_u64(i.counters.events_in);
@@ -700,7 +759,7 @@ impl BrassHost {
         for key in keys {
             let meta = &self.streams[&key];
             w.put_u64(key.device.0);
-            w.put_str(&meta.app);
+            w.put_str(meta.app);
             meta.server.snap(w);
         }
         w.put_u64(self.counters.spool_ups);
@@ -729,10 +788,9 @@ impl BrassHost {
         if ninst > host.capacity() {
             return Err(SnapError::Invalid("brass host: over capacity".into()));
         }
-        let mut prev_app: Option<String> = None;
         for _ in 0..ninst {
-            let name = r.get_str()?.to_owned();
-            if prev_app.as_ref().is_some_and(|p| *p >= name) {
+            let name = r.get_str()?;
+            if host.instances.last().is_some_and(|p| *p.name >= *name) {
                 return Err(SnapError::Invalid(
                     "brass host: instances out of order".into(),
                 ));
@@ -776,16 +834,13 @@ impl BrassHost {
                     )))
                 }
             };
-            host.instances.insert(
-                name.clone(),
-                Instance {
-                    app,
-                    counters,
-                    next_token,
-                    topic_refs,
-                },
-            );
-            prev_app = Some(name);
+            host.instances.push(Instance {
+                name: app.name(),
+                app,
+                counters,
+                next_token,
+                topic_refs,
+            });
         }
         let nhost_refs = r.get_len()?;
         let mut prev_topic: Option<Topic> = None;
@@ -807,13 +862,12 @@ impl BrassHost {
         let mut prev_key: Option<StreamKey> = None;
         for _ in 0..nstreams {
             let device = DeviceId(r.get_u64()?);
-            let app_name = r.get_str()?.to_owned();
-            if !host.instances.contains_key(&app_name) {
+            let Some(owner) = host.instance_index(&r.get_str()?) else {
                 return Err(SnapError::Invalid(
                     "brass host: stream owned by absent instance".into(),
                 ));
-            }
-            let app = host.intern_app(&app_name);
+            };
+            let app = host.instances[owner].name;
             let server = ServerStream::restore(r)?;
             let key = StreamKey {
                 device,
@@ -849,6 +903,23 @@ mod tests {
         let mut h = BrassHost::new(HostConfig::small(1));
         h.register_standard_apps();
         h
+    }
+
+    /// The response a `Send` effect carries: target, stream and batch
+    /// (patterns cannot see through the frame's box).
+    fn sent(e: &HostEffect) -> Option<(DeviceId, StreamId, &[Delta])> {
+        match e {
+            HostEffect::Send { device, frame } => match &**frame {
+                Frame::Response { sid, batch } => Some((*device, *sid, batch)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Whether `e` sends a response terminating its stream for `reason`.
+    fn terminates(e: &HostEffect, reason: TerminateReason) -> bool {
+        sent(e).is_some_and(|(_, _, batch)| batch.contains(&Delta::Terminate(reason)))
     }
 
     fn lvc_header(video: u64, viewer: u64) -> Json {
@@ -900,15 +971,11 @@ mod tests {
     fn sticky_routing_rewrite_sent_on_accept() {
         let mut h = host();
         let fx = h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
-        let rewrite = fx.iter().find_map(|e| match e {
-            HostEffect::Send {
-                frame: Frame::Response { batch, .. },
-                ..
-            } => batch.iter().find_map(|d| match d {
+        let rewrite = fx.iter().filter_map(sent).find_map(|(_, _, batch)| {
+            batch.iter().find_map(|d| match d {
                 Delta::RewriteRequest { patch } => patch.get("brass_host").and_then(Json::as_u64),
                 _ => None,
-            }),
-            _ => None,
+            })
         });
         assert_eq!(rewrite, Some(1), "host identity patched for stickiness");
     }
@@ -966,32 +1033,18 @@ mod tests {
             WasResponse::Payload(b"hi".to_vec().into()),
             now,
         );
-        let frame = fx
-            .iter()
-            .find_map(|e| match e {
-                HostEffect::Send { device, frame } => {
-                    assert_eq!(*device, DeviceId(1));
-                    Some(frame.clone())
-                }
-                _ => None,
-            })
-            .expect("payload sent");
-        match frame {
-            Frame::Response { sid, batch } => {
-                assert_eq!(sid, StreamId(7));
-                // Every data batch closes with a transport-progress
-                // rewrite installing `last_seq`, so resubscribes resume
-                // sequence numbering instead of restarting at zero.
-                assert_eq!(batch.len(), 2);
-                assert_eq!(batch[0], Delta::update(0, b"hi".to_vec()));
-                match &batch[1] {
-                    Delta::RewriteRequest { patch } => {
-                        assert_eq!(patch.get("last_seq").and_then(Json::as_u64), Some(0));
-                    }
-                    other => panic!("expected progress rewrite, got {other:?}"),
-                }
+        let (device, sid, batch) = fx.iter().find_map(sent).expect("payload sent");
+        assert_eq!((device, sid), (DeviceId(1), StreamId(7)));
+        // Every data batch closes with a transport-progress rewrite
+        // installing `last_seq`, so resubscribes resume sequence
+        // numbering instead of restarting at zero.
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch[0], Delta::update(0, b"hi".to_vec()));
+        match &batch[1] {
+            Delta::RewriteRequest { patch } => {
+                assert_eq!(patch.get("last_seq").and_then(Json::as_u64), Some(0));
             }
-            other => panic!("expected response, got {other:?}"),
+            other => panic!("expected progress rewrite, got {other:?}"),
         }
         let c = h.app_counters("lvc").unwrap();
         assert_eq!(c.deliveries, 1);
@@ -1002,11 +1055,9 @@ mod tests {
     fn unknown_app_terminates_stream() {
         let mut h = BrassHost::new(HostConfig::small(1)); // no apps registered
         let fx = h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            HostEffect::Send { frame: Frame::Response { batch, .. }, .. }
-            if batch.iter().any(|d| matches!(d, Delta::Terminate(_)))
-        )));
+        assert!(fx
+            .iter()
+            .any(|e| terminates(e, TerminateReason::ServerShutdown)));
         assert_eq!(h.counters().streams_rejected, 1);
     }
 
@@ -1056,11 +1107,9 @@ mod tests {
         ]);
         let fx = h.on_subscribe(DeviceId(1), StreamId(3), msgr_header, SimTime::ZERO);
         assert_eq!(h.instance_count(), 2);
-        assert!(fx.iter().any(|e| matches!(
-            e,
-            HostEffect::Send { frame: Frame::Response { batch, .. }, .. }
-            if batch.contains(&Delta::Terminate(burst::frame::TerminateReason::ServerShutdown))
-        )));
+        assert!(fx
+            .iter()
+            .any(|e| terminates(e, TerminateReason::ServerShutdown)));
     }
 
     #[test]
@@ -1098,18 +1147,9 @@ mod tests {
             }
             h.drain_for_shutdown(SimTime::ZERO)
                 .iter()
-                .filter_map(|e| match e {
-                    HostEffect::Send {
-                        device,
-                        frame: Frame::Response { sid, batch },
-                    } if batch.contains(&Delta::Terminate(
-                        burst::frame::TerminateReason::ServerShutdown,
-                    )) =>
-                    {
-                        Some((device.0, *sid))
-                    }
-                    _ => None,
-                })
+                .filter(|e| terminates(e, TerminateReason::ServerShutdown))
+                .filter_map(sent)
+                .map(|(device, sid, _)| (device.0, sid))
                 .collect()
         };
         // Enough streams that std-HashMap iteration order would scramble.
@@ -1141,15 +1181,11 @@ mod tests {
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
         h.on_subscribe(DeviceId(2), StreamId(1), lvc_header(42, 8), SimTime::ZERO);
         let fx = h.drain_for_shutdown(SimTime::ZERO);
-        let terminates = fx
+        let terminated = fx
             .iter()
-            .filter(|e| matches!(
-                e,
-                HostEffect::Send { frame: Frame::Response { batch, .. }, .. }
-                if batch.contains(&Delta::Terminate(burst::frame::TerminateReason::ServerShutdown))
-            ))
+            .filter(|e| terminates(e, TerminateReason::ServerShutdown))
             .count();
-        assert_eq!(terminates, 2);
+        assert_eq!(terminated, 2);
         assert_eq!(h.stream_count(), 0);
     }
 
@@ -1158,23 +1194,14 @@ mod tests {
         let mut h = host();
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
         let fx = h.redirect_stream(DeviceId(1), StreamId(1), 3, SimTime::ZERO);
-        let batch = fx
-            .iter()
-            .find_map(|e| match e {
-                HostEffect::Send {
-                    frame: Frame::Response { batch, .. },
-                    ..
-                } => Some(batch.clone()),
-                _ => None,
-            })
-            .expect("redirect response");
+        let (_, _, batch) = fx.iter().find_map(sent).expect("redirect response");
         assert!(matches!(
             &batch[0],
             Delta::RewriteRequest { patch } if patch.get("brass_host").and_then(Json::as_u64) == Some(3)
         ));
         assert!(matches!(
             batch[1],
-            Delta::Terminate(burst::frame::TerminateReason::Redirect)
+            Delta::Terminate(TerminateReason::Redirect)
         ));
         assert_eq!(h.stream_count(), 0, "the stream left this host");
         // Redirecting an unknown stream is a no-op.

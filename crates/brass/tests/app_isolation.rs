@@ -132,13 +132,8 @@ fn a_noisy_tenant_does_not_corrupt_neighbours() {
     let noise_frames = fx
         .iter()
         .filter(|e| {
-            matches!(
-                e,
-                HostEffect::Send {
-                    device: DeviceId(2),
-                    frame: Frame::Response { .. }
-                }
-            )
+            matches!(e, HostEffect::Send { device: DeviceId(2), frame }
+                if matches!(**frame, Frame::Response { .. }))
         })
         .count();
     assert!(noise_frames >= 100, "the flood went to its own device only");

@@ -35,9 +35,9 @@ fn msg_event(mailbox: u64, seq: u64, object: u64) -> UpdateEvent {
     }
 }
 
-fn was_token(fx: &[HostEffect]) -> Option<(String, brass::app::FetchToken)> {
+fn was_token(fx: &[HostEffect]) -> Option<(&'static str, brass::app::FetchToken)> {
     fx.iter().find_map(|e| match e {
-        HostEffect::Was { app, token, .. } => Some((app.clone(), *token)),
+        HostEffect::Was { app, token, .. } => Some((*app, *token)),
         _ => None,
     })
 }
@@ -45,10 +45,10 @@ fn was_token(fx: &[HostEffect]) -> Option<(String, brass::app::FetchToken)> {
 fn update_frames(fx: &[HostEffect]) -> Vec<(u64, Vec<Vec<u8>>)> {
     fx.iter()
         .filter_map(|e| match e {
-            HostEffect::Send {
-                device,
-                frame: Frame::Response { batch, .. },
-            } => {
+            HostEffect::Send { device, frame } => {
+                let Frame::Response { batch, .. } = &**frame else {
+                    return None;
+                };
                 let updates: Vec<Vec<u8>> = batch
                     .iter()
                     .filter_map(|d| match d {
@@ -67,10 +67,10 @@ fn update_frames(fx: &[HostEffect]) -> Vec<(u64, Vec<Vec<u8>>)> {
         .collect()
 }
 
-fn timers(fx: &[HostEffect]) -> Vec<(SimTime, String, u64)> {
+fn timers(fx: &[HostEffect]) -> Vec<(SimTime, &'static str, u64)> {
     fx.iter()
         .filter_map(|e| match e {
-            HostEffect::Timer { at, app, token } => Some((*at, app.clone(), *token)),
+            HostEffect::Timer { at, app, token } => Some((*at, *app, *token)),
             _ => None,
         })
         .collect()
@@ -80,7 +80,7 @@ fn timers(fx: &[HostEffect]) -> Vec<(SimTime, String, u64)> {
 fn open_mailbox(host: &mut BrassHost) -> Vec<HostEffect> {
     let mut fx = host.on_subscribe(DeviceId(2), StreamId(1), msgr_header(2, 2), SimTime::ZERO);
     let (app, token) = was_token(&fx).expect("initial backfill");
-    fx.extend(host.on_was_response(&app, token, WasResponse::Mailbox(vec![]), SimTime::ZERO));
+    fx.extend(host.on_was_response(app, token, WasResponse::Mailbox(vec![]), SimTime::ZERO));
     fx
 }
 
@@ -91,14 +91,14 @@ fn unacked_messages_are_retransmitted_until_acked() {
     let fx = open_mailbox(&mut host);
     let retransmit_timer = timers(&fx)
         .into_iter()
-        .find(|(_, app, _)| app == "messenger")
+        .find(|(_, app, _)| *app == "messenger")
         .expect("retransmit timer armed on subscribe");
 
     // One message arrives and is sent.
     let fx = host.on_pylon_event(&msg_event(2, 0, 100), SimTime::from_secs(1));
     let (app, token) = was_token(&fx).unwrap();
     let fx = host.on_was_response(
-        &app,
+        app,
         token,
         WasResponse::Payload(b"m0".to_vec().into()),
         SimTime::from_secs(1),
@@ -110,7 +110,7 @@ fn unacked_messages_are_retransmitted_until_acked() {
     let replays = update_frames(&fx);
     assert_eq!(replays.len(), 1, "unacked message replayed");
     assert_eq!(replays[0].1, vec![b"m0".to_vec()]);
-    let next_timer = timers(&fx)[0].clone();
+    let next_timer = timers(&fx)[0];
 
     // The device acks; the next timer tick replays nothing.
     host.on_ack(DeviceId(2), StreamId(1), 0, next_timer.0);
@@ -126,7 +126,7 @@ fn retransmit_loop_dies_with_the_stream() {
     let fx = open_mailbox(&mut host);
     let (at, _, token) = timers(&fx)
         .into_iter()
-        .find(|(_, app, _)| app == "messenger")
+        .find(|(_, app, _)| *app == "messenger")
         .unwrap();
     host.on_cancel(DeviceId(2), StreamId(1), at);
     let fx = host.on_timer("messenger", token, at + SimDuration::from_secs(5));
@@ -164,7 +164,7 @@ fn best_effort_streams_retain_nothing() {
     let fx = host.on_timer("lvc", 0, SimTime::from_secs(2));
     let (app, token) = was_token(&fx).unwrap();
     let fx = host.on_was_response(
-        &app,
+        app,
         token,
         WasResponse::Payload(b"c".to_vec().into()),
         SimTime::from_secs(2),

@@ -180,6 +180,14 @@ impl Json {
         }
     }
 
+    /// Length in bytes of the canonical encoding: `to_string().len()`
+    /// without building the string.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = Count(0);
+        self.write(&mut len).expect("counting never fails");
+        len.0
+    }
+
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
@@ -489,9 +497,7 @@ impl From<bool> for Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out)?;
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
@@ -521,7 +527,9 @@ pub struct PackedJson(Box<[u8]>);
 impl PackedJson {
     /// Packs a value into its canonical text form.
     pub fn pack(value: &Json) -> Self {
-        PackedJson(value.to_string().into_bytes().into_boxed_slice())
+        let mut text = String::with_capacity(value.encoded_len());
+        value.write(&mut text).expect("String sink never fails");
+        PackedJson(text.into_bytes().into_boxed_slice())
     }
 
     /// Reconstructs the [`Json`] value.
@@ -593,17 +601,26 @@ impl PackedJson {
         &self.0
     }
 
-    /// Rebuilds a value from bytes previously produced by
-    /// [`PackedJson::as_bytes`] (snapshot thaw). The bytes must be a
-    /// canonical encoding; this is checked in debug builds.
-    pub fn from_canonical_bytes(bytes: Vec<u8>) -> Self {
-        let packed = PackedJson(bytes.into_boxed_slice());
+    /// A placeholder holding no text, for [`PackedJson::reload`] to fill.
+    pub(crate) fn blank() -> Self {
+        PackedJson(Box::default())
+    }
+
+    /// Replaces the value with bytes previously produced by
+    /// [`PackedJson::as_bytes`] (hibernation thaw), overwriting the buffer
+    /// in place when the length is unchanged. The bytes must be a canonical
+    /// encoding; this is checked in debug builds.
+    pub fn reload(&mut self, bytes: &[u8]) {
+        if self.0.len() == bytes.len() {
+            self.0.copy_from_slice(bytes);
+        } else {
+            self.0 = bytes.into();
+        }
         debug_assert_eq!(
-            PackedJson::pack(&packed.unpack()),
-            packed,
+            &PackedJson::pack(&self.unpack()),
+            self,
             "bytes must be a canonical Json encoding"
         );
-        packed
     }
 }
 
@@ -1045,8 +1062,10 @@ mod tests {
             let packed = PackedJson::pack(&j);
             prop_assert_eq!(packed.unpack(), j.clone());
             prop_assert_eq!(PackedJson::pack(&packed.unpack()), packed.clone());
-            let reloaded = PackedJson::from_canonical_bytes(packed.as_bytes().to_vec());
-            prop_assert_eq!(reloaded, packed.clone());
+            for mut reloaded in [PackedJson::blank(), packed.clone()] {
+                reloaded.reload(packed.as_bytes());
+                prop_assert_eq!(&reloaded, &packed);
+            }
             let slow = j.get("a").and_then(Json::as_u64);
             prop_assert_eq!(packed.get_u64("a"), slow);
         }
@@ -1064,6 +1083,12 @@ mod tests {
             );
             let slow = packed.unpack().get("a").and_then(Json::as_u64);
             prop_assert_eq!(packed.get_u64("a"), slow);
+        }
+
+        /// The measured length is the length of the text.
+        #[test]
+        fn encoded_len_matches_to_string(doc in arb_doc()) {
+            prop_assert_eq!(doc.encoded_len(), doc.to_string().len());
         }
 
         /// Parsing arbitrary bytes never panics.

@@ -201,11 +201,19 @@ impl ClientStream {
         }
     }
 
-    /// Processes one atomically-applied response batch.
+    /// Processes one atomically-applied response batch; the actions as a
+    /// vector (see [`ClientStream::on_batch_with`]).
     pub fn on_batch(&mut self, batch: &[Delta]) -> Vec<ClientAction> {
         let mut actions = Vec::new();
+        self.on_batch_with(batch, |action| actions.push(action));
+        actions
+    }
+
+    /// Processes one atomically-applied response batch, handing each
+    /// resulting action to `act` in order.
+    pub fn on_batch_with(&mut self, batch: &[Delta], mut act: impl FnMut(ClientAction)) {
         if matches!(self.state, StreamState::Terminated(_)) {
-            return actions;
+            return;
         }
         if self.state == StreamState::Subscribing {
             self.state = StreamState::Active;
@@ -219,18 +227,18 @@ impl ClientStream {
                     }
                     if *seq > self.next_seq {
                         self.gaps += 1;
-                        actions.push(ClientAction::GapDetected {
+                        act(ClientAction::GapDetected {
                             expected: self.next_seq,
                             got: *seq,
                         });
                     }
                     self.next_seq = *seq + 1;
                     self.delivered += 1;
-                    actions.push(ClientAction::Deliver(payload.clone()));
+                    act(ClientAction::Deliver(payload.clone()));
                 }
                 Delta::FlowStatus(FlowStatus::Degraded) => {
                     self.state = StreamState::Degraded;
-                    actions.push(ClientAction::NotifyDegraded);
+                    act(ClientAction::NotifyDegraded);
                 }
                 Delta::FlowStatus(FlowStatus::Recovered) => {
                     self.state = StreamState::Active;
@@ -242,20 +250,19 @@ impl ClientStream {
                     // the header carries it).
                     self.resyncs += 1;
                     self.next_seq = self.header.get_u64("last_seq").map(|s| s + 1).unwrap_or(0);
-                    actions.push(ClientAction::NotifyRecovered);
+                    act(ClientAction::NotifyRecovered);
                 }
                 Delta::RewriteRequest { patch } => {
                     self.header.merge(patch);
-                    actions.push(ClientAction::HeaderRewritten);
+                    act(ClientAction::HeaderRewritten);
                 }
                 Delta::Terminate(reason) => {
                     self.state = StreamState::Terminated(*reason);
-                    actions.push(ClientAction::Terminated(*reason));
+                    act(ClientAction::Terminated(*reason));
                     break;
                 }
             }
         }
-        actions
     }
 
     /// Serializes this stream's complete state into `out` as fixed-width
@@ -296,30 +303,42 @@ impl ClientStream {
     /// `*pos` past it. Panics on a malformed buffer: frozen bytes never
     /// leave the process, so corruption is a logic bug, not input error.
     pub fn thaw(buf: &[u8], pos: &mut usize) -> ClientStream {
-        let sid = StreamId(read_u64(buf, pos));
-        let state = decode_state(read_u8(buf, pos));
-        let next_seq = read_u64(buf, pos);
-        let delivered = read_u64(buf, pos);
-        let gaps = read_u64(buf, pos);
-        let resubscribes = read_u64(buf, pos);
-        let resyncs = read_u64(buf, pos);
+        let mut stream = ClientStream {
+            sid: StreamId(0),
+            header: PackedJson::blank(),
+            body: Box::default(),
+            state: StreamState::Subscribing,
+            next_seq: 0,
+            delivered: 0,
+            gaps: 0,
+            resubscribes: 0,
+            resyncs: 0,
+        };
+        stream.thaw_into(buf, pos);
+        stream
+    }
+
+    /// [`ClientStream::thaw`] over an existing stream, whose header and
+    /// body buffers are overwritten in place when the lengths match.
+    pub fn thaw_into(&mut self, buf: &[u8], pos: &mut usize) {
+        self.sid = StreamId(read_u64(buf, pos));
+        self.state = decode_state(read_u8(buf, pos));
+        self.next_seq = read_u64(buf, pos);
+        self.delivered = read_u64(buf, pos);
+        self.gaps = read_u64(buf, pos);
+        self.resubscribes = read_u64(buf, pos);
+        self.resyncs = read_u64(buf, pos);
         let header_len = read_u32(buf, pos) as usize;
-        let header = PackedJson::from_canonical_bytes(buf[*pos..*pos + header_len].to_vec());
+        self.header.reload(&buf[*pos..*pos + header_len]);
         *pos += header_len;
         let body_len = read_u32(buf, pos) as usize;
-        let body: Box<[u8]> = buf[*pos..*pos + body_len].into();
-        *pos += body_len;
-        ClientStream {
-            sid,
-            header,
-            body,
-            state,
-            next_seq,
-            delivered,
-            gaps,
-            resubscribes,
-            resyncs,
+        let body = &buf[*pos..*pos + body_len];
+        if self.body.len() == body_len {
+            self.body.copy_from_slice(body);
+        } else {
+            self.body = body.into();
         }
+        *pos += body_len;
     }
 }
 
@@ -1105,6 +1124,12 @@ mod tests {
         let thawed2 = ClientStream::thaw(&buf, &mut pos);
         assert_eq!(thawed2, terminated);
         assert_eq!(pos, buf.len(), "thaw consumes exactly what freeze wrote");
+        // Thawing over a stream of another shape replaces all of it.
+        let (mut reused, mut pos) = (terminated.clone(), 0);
+        reused.thaw_into(&buf, &mut pos);
+        assert_eq!(reused, c);
+        reused.thaw_into(&buf, &mut pos);
+        assert_eq!(reused, terminated);
     }
 
     /// Walks `last_seq` through every digit-length rollover on all three

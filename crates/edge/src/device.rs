@@ -125,47 +125,53 @@ impl Device {
         Some(Frame::Cancel { sid })
     }
 
-    /// Handles a frame arriving from the POP.
+    /// Handles a frame arriving from the POP; the outputs as a vector
+    /// (see [`Device::on_frame_into`]).
     pub fn on_frame(&mut self, frame: &Frame) -> Vec<DeviceOutput> {
         let mut out = Vec::new();
+        self.on_frame_into(frame, &mut out);
+        out
+    }
+
+    /// Handles a frame arriving from the POP, appending what the device
+    /// does in response to `out`.
+    pub fn on_frame_into(&mut self, frame: &Frame, out: &mut Vec<DeviceOutput>) {
         // Heartbeats are answered reflexively (§4 footnote 11).
         if let Frame::Ping { token } = frame {
             out.push(DeviceOutput::Send(Frame::Pong { token: *token }));
-            return out;
+            return;
         }
         let Frame::Response { sid, batch } = frame else {
-            return out;
+            return;
         };
         let Some(index) = self.index_of(*sid) else {
-            return out;
+            return;
         };
-        let stream = &mut self.streams[index];
-        for action in stream.on_batch(batch) {
-            match action {
-                ClientAction::Deliver(payload) => {
-                    self.delivered += 1;
-                    self.renders += 1;
-                    out.push(DeviceOutput::Render { sid: *sid, payload });
-                }
-                ClientAction::GapDetected { .. } => {
-                    out.push(DeviceOutput::BackfillPoll { sid: *sid });
-                }
-                ClientAction::NotifyDegraded => {
-                    out.push(DeviceOutput::ConnectivityChanged { degraded: true });
-                }
-                ClientAction::NotifyRecovered => {
-                    out.push(DeviceOutput::ConnectivityChanged { degraded: false });
-                }
-                ClientAction::HeaderRewritten => {}
-                ClientAction::Terminated(reason) => {
-                    let retry = matches!(
-                        reason,
-                        TerminateReason::Redirect | TerminateReason::ServerShutdown
-                    );
-                    out.push(DeviceOutput::StreamEnded { sid: *sid, retry });
-                }
+        let (delivered, renders) = (&mut self.delivered, &mut self.renders);
+        self.streams[index].on_batch_with(batch, |action| match action {
+            ClientAction::Deliver(payload) => {
+                *delivered += 1;
+                *renders += 1;
+                out.push(DeviceOutput::Render { sid: *sid, payload });
             }
-        }
+            ClientAction::GapDetected { .. } => {
+                out.push(DeviceOutput::BackfillPoll { sid: *sid });
+            }
+            ClientAction::NotifyDegraded => {
+                out.push(DeviceOutput::ConnectivityChanged { degraded: true });
+            }
+            ClientAction::NotifyRecovered => {
+                out.push(DeviceOutput::ConnectivityChanged { degraded: false });
+            }
+            ClientAction::HeaderRewritten => {}
+            ClientAction::Terminated(reason) => {
+                let retry = matches!(
+                    reason,
+                    TerminateReason::Redirect | TerminateReason::ServerShutdown
+                );
+                out.push(DeviceOutput::StreamEnded { sid: *sid, retry });
+            }
+        });
         // Drop terminated streams that will not retry.
         if let StreamState::Terminated(reason) = self.streams[index].state() {
             if !matches!(
@@ -175,7 +181,6 @@ impl Device {
                 self.streams.remove(index);
             }
         }
-        out
     }
 
     /// Resubscribes a stream the server asked to retry (after a redirect or
@@ -212,35 +217,48 @@ impl Device {
     /// also the snapshot serialization of a device.
     pub fn hibernate(&self) -> Box<[u8]> {
         let mut out = Vec::new();
+        self.hibernate_into(&mut out);
+        out.into_boxed_slice()
+    }
+
+    /// [`Device::hibernate`] into a caller-owned buffer, replacing its
+    /// contents.
+    pub fn hibernate_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         out.extend_from_slice(&self.next_sid.to_le_bytes());
         out.extend_from_slice(&self.delivered.to_le_bytes());
         out.extend_from_slice(&self.renders.to_le_bytes());
         out.extend_from_slice(&(self.streams.len() as u32).to_le_bytes());
         for stream in &self.streams {
-            stream.freeze_into(&mut out);
+            stream.freeze_into(out);
         }
-        out.into_boxed_slice()
     }
 
     /// Rebuilds a device from its hibernation blob.
     pub fn rehydrate(id: u64, blob: &[u8]) -> Device {
+        let mut device = Device::new(id);
+        device.rehydrate_from(id, blob);
+        device
+    }
+
+    /// [`Device::rehydrate`] over an existing device (whatever it held
+    /// before), reusing its stream table and per-stream buffers.
+    pub fn rehydrate_from(&mut self, id: u64, blob: &[u8]) {
         let mut pos = 0;
-        let next_sid = read_u64(blob, &mut pos);
-        let delivered = read_u64(blob, &mut pos);
-        let renders = read_u64(blob, &mut pos);
+        self.id = id;
+        self.next_sid = read_u64(blob, &mut pos);
+        self.delivered = read_u64(blob, &mut pos);
+        self.renders = read_u64(blob, &mut pos);
         let n = read_u32(blob, &mut pos) as usize;
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            streams.push(ClientStream::thaw(blob, &mut pos));
+        self.streams.truncate(n);
+        self.streams.reserve_exact(n - self.streams.len());
+        for stream in &mut self.streams {
+            stream.thaw_into(blob, &mut pos);
+        }
+        for _ in self.streams.len()..n {
+            self.streams.push(ClientStream::thaw(blob, &mut pos));
         }
         debug_assert_eq!(pos, blob.len(), "hibernation blob fully consumed");
-        Device {
-            id,
-            streams,
-            next_sid,
-            delivered,
-            renders,
-        }
     }
 
     /// Open (non-terminated) stream ids of a hibernated device, read
@@ -468,12 +486,23 @@ mod tests {
         let blob = d.hibernate();
         assert_eq!(Device::frozen_open_sids(&blob), vec![sid1]);
         assert_eq!(Device::frozen_open_streams(&blob), 1);
-        let r = Device::rehydrate(17, &blob);
+        let mut r = Device::rehydrate(17, &blob);
         assert_eq!(r.id(), d.id());
         assert_eq!(r.delivered(), d.delivered());
         assert_eq!(r.open_sids(), d.open_sids());
         assert_eq!(r.stream(sid1), d.stream(sid1));
         assert_eq!(r.stream(sid2), d.stream(sid2));
+        // Rehydrating over a device of another shape, and back, leaves
+        // nothing of the previous occupant behind.
+        let mut other = Device::new(99);
+        for topic in ["/LVC/7", "/LVC/8", "/LVC/9"] {
+            other.open_stream(header(topic), vec![1]);
+        }
+        let other_blob = other.hibernate();
+        r.rehydrate_from(99, &other_blob);
+        assert_eq!(r.hibernate(), other_blob);
+        r.rehydrate_from(17, &blob);
+        assert_eq!((r.id(), r.hibernate()), (17, blob.clone()));
         // A rehydrated device keeps allocating fresh stream ids.
         let (sid3, _) = Device::rehydrate(17, &blob).open_stream(header("/LVC/2"), vec![]);
         assert_eq!(sid3, StreamId(3));

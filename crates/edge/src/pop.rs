@@ -8,7 +8,7 @@
 //! fails or loses TCP connectivity, POP Pi will detect this, and it will
 //! inform all BRASSes servicing streams instantiated by the device").
 
-use burst::frame::{Delta, FlowStatus, Frame};
+use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
@@ -19,7 +19,8 @@ const HEARTBEAT_INTERVAL_US: u64 = 5_000_000;
 /// Unanswered heartbeats before a device is declared gone.
 const HEARTBEAT_MISSES: u32 = 3;
 
-/// What the POP asks its environment to do.
+/// What the POP asks its environment to do. Frames stay in the box they
+/// arrived in, so relaying one moves a pointer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PopEffect {
     /// Forward a frame to a reverse proxy.
@@ -29,14 +30,14 @@ pub enum PopEffect {
         /// Originating device.
         device: u64,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Forward a frame to a connected device.
     ToDevice {
         /// Target device.
         device: u64,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Inform upstream that a device vanished (proxies cancel its streams).
     DeviceGone {
@@ -119,22 +120,37 @@ impl Pop {
         p
     }
 
-    /// Handles a frame from a connected device.
+    /// Handles a frame from a connected device; the effects as a vector
+    /// (see [`Pop::on_device_frame_into`]).
     pub fn on_device_frame(&mut self, device: u64, frame: Frame, now_us: u64) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.on_device_frame_into(device, Box::new(frame), now_us, &mut out);
+        out
+    }
+
+    /// Handles a frame from a connected device, appending the effects to
+    /// `out`.
+    pub fn on_device_frame_into(
+        &mut self,
+        device: u64,
+        frame: Box<Frame>,
+        now_us: u64,
+        out: &mut Vec<PopEffect>,
+    ) {
         // Any device traffic proves liveness; pongs specifically do.
         let hb = self
             .heartbeats
             .entry(device)
             .or_insert_with(|| HeartbeatMonitor::new(HEARTBEAT_INTERVAL_US, HEARTBEAT_MISSES));
-        match &frame {
+        match &*frame {
             Frame::Pong { token } => {
                 hb.on_pong(*token);
-                return Vec::new(); // Pongs terminate at the POP.
+                return; // Pongs terminate at the POP.
             }
             _ => hb.on_activity(),
         }
         let proxy = self.proxy_for(device);
-        match &frame {
+        match &*frame {
             Frame::Subscribe { sid, header, body } => {
                 self.table.on_subscribe(
                     device,
@@ -150,39 +166,67 @@ impl Pop {
             }
             _ => {}
         }
-        vec![PopEffect::ToProxy {
+        out.push(PopEffect::ToProxy {
             proxy,
             device,
             frame,
-        }]
+        });
+    }
+
+    /// Handles a frame from an upstream proxy; the effects as a vector
+    /// (see [`Pop::on_proxy_frame_into`]).
+    pub fn on_proxy_frame(&mut self, device: u64, frame: Frame, now_us: u64) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.on_proxy_frame_into(device, Box::new(frame), now_us, &mut out);
+        out
     }
 
     /// Handles a frame from an upstream proxy: updates stored stream state
     /// and relays it to the device.
-    pub fn on_proxy_frame(&mut self, device: u64, frame: Frame, now_us: u64) -> Vec<PopEffect> {
-        if let Frame::Response { sid, batch } = &frame {
+    pub fn on_proxy_frame_into(
+        &mut self,
+        device: u64,
+        frame: Box<Frame>,
+        now_us: u64,
+        out: &mut Vec<PopEffect>,
+    ) {
+        if let Frame::Response { sid, batch } = &*frame {
             self.table.on_response(device, *sid, batch, now_us);
         }
-        vec![PopEffect::ToDevice { device, frame }]
+        out.push(PopEffect::ToDevice { device, frame });
+    }
+
+    /// Handles a detected device disconnect; the effects as a vector (see
+    /// [`Pop::on_device_disconnected_into`]).
+    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.on_device_disconnected_into(device, &mut out);
+        out
     }
 
     /// Handles a detected device disconnect: stream state is dropped and
     /// upstream parties are informed (axiom 1).
-    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<PopEffect> {
+    pub fn on_device_disconnected_into(&mut self, device: u64, out: &mut Vec<PopEffect>) {
         self.counters.device_drops += 1;
         self.table.on_connection_closed(device);
         self.heartbeats.remove(&device);
-        match self.device_proxy.remove(&device) {
-            Some(proxy) => vec![PopEffect::DeviceGone { proxy, device }],
-            None => Vec::new(),
+        if let Some(proxy) = self.device_proxy.remove(&device) {
+            out.push(PopEffect::DeviceGone { proxy, device });
         }
+    }
+
+    /// Runs the heartbeat loop; the effects as a vector (see
+    /// [`Pop::on_heartbeat_tick_into`]).
+    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.on_heartbeat_tick_into(now_us, &mut out);
+        out
     }
 
     /// Runs the heartbeat loop: emits due pings and converts silent devices
     /// into full disconnect handling — detecting dead last-mile links in
     /// seconds instead of waiting out a TCP timeout (§4 footnote 11).
-    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<PopEffect> {
-        let mut out = Vec::new();
+    pub fn on_heartbeat_tick_into(&mut self, now_us: u64, out: &mut Vec<PopEffect>) {
         let mut dead = Vec::new();
         // Stable (sorted) iteration: effect order must not depend on hash
         // order, or simulations lose run-to-run determinism.
@@ -195,7 +239,7 @@ impl Pop {
             if let Some(ping) = hb.on_tick(now_us) {
                 out.push(PopEffect::ToDevice {
                     device,
-                    frame: ping,
+                    frame: ping.into(),
                 });
             }
             if hb.health() == PeerHealth::Failed {
@@ -203,25 +247,28 @@ impl Pop {
             }
         }
         for device in dead {
-            out.extend(self.on_device_disconnected(device));
+            self.on_device_disconnected_into(device, out);
         }
+    }
+
+    /// Handles a proxy failure; the effects as a vector (see
+    /// [`Pop::on_proxy_failed_into`]).
+    pub fn on_proxy_failed(&mut self, proxy: u32) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.on_proxy_failed_into(proxy, &mut out);
         out
     }
 
     /// Removes a failed proxy and repairs every affected stream onto an
     /// alternate proxy from stored state (axiom 2), signalling affected
     /// devices along the way (axiom 1).
-    pub fn on_proxy_failed(&mut self, proxy: u32) -> Vec<PopEffect> {
+    pub fn on_proxy_failed_into(&mut self, proxy: u32, out: &mut Vec<PopEffect>) {
         self.proxies.retain(|&p| p != proxy);
         let affected = self.table.streams_via(proxy as u64);
-        let mut out = Vec::new();
         for (device, sid) in affected {
             out.push(PopEffect::ToDevice {
                 device,
-                frame: Frame::Response {
-                    sid,
-                    batch: vec![Delta::FlowStatus(FlowStatus::Degraded)],
-                },
+                frame: Frame::flow_status(sid, FlowStatus::Degraded).into(),
             });
             if self.proxies.is_empty() {
                 // Nothing to repair onto; mark the stream orphaned so
@@ -232,22 +279,38 @@ impl Pop {
             }
             let new_proxy = self.proxies[(device % self.proxies.len() as u64) as usize];
             self.device_proxy.insert(device, new_proxy);
-            if let Some(frame) = self.table.rebuild_subscribe(device, sid, new_proxy as u64) {
-                self.counters.repaired_streams += 1;
-                out.push(PopEffect::ToProxy {
-                    proxy: new_proxy,
-                    device,
-                    frame,
-                });
-                out.push(PopEffect::ToDevice {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-                    },
-                });
-            }
+            self.resubscribe_via(device, sid, new_proxy, out);
         }
+    }
+
+    /// Re-routes one stream to `proxy` from stored state and tells its
+    /// device the path is whole again.
+    fn resubscribe_via(
+        &mut self,
+        device: u64,
+        sid: StreamId,
+        proxy: u32,
+        out: &mut Vec<PopEffect>,
+    ) {
+        if let Some(frame) = self.table.rebuild_subscribe(device, sid, proxy as u64) {
+            self.counters.repaired_streams += 1;
+            out.push(PopEffect::ToProxy {
+                proxy,
+                device,
+                frame: frame.into(),
+            });
+            out.push(PopEffect::ToDevice {
+                device,
+                frame: Frame::flow_status(sid, FlowStatus::Recovered).into(),
+            });
+        }
+    }
+
+    /// Re-adds a recovered proxy; the effects as a vector (see
+    /// [`Pop::add_proxy_into`]).
+    pub fn add_proxy(&mut self, proxy: u32) -> Vec<PopEffect> {
+        let mut out = Vec::new();
+        self.add_proxy_into(proxy, &mut out);
         out
     }
 
@@ -260,33 +323,17 @@ impl Pop {
     /// time*, and nothing retried later (the proxy layer's
     /// [`add_host`](crate::proxy::ReverseProxy::add_host) already did;
     /// the POP layer did not).
-    pub fn add_proxy(&mut self, proxy: u32) -> Vec<PopEffect> {
+    pub fn add_proxy_into(&mut self, proxy: u32, out: &mut Vec<PopEffect>) {
         if !self.proxies.contains(&proxy) {
             self.proxies.push(proxy);
         }
         let live: Vec<u64> = self.proxies.iter().map(|&p| p as u64).collect();
         let orphans = self.table.streams_not_via(&live);
-        let mut out = Vec::new();
         for (device, sid) in orphans {
             let new_proxy = self.proxies[(device % self.proxies.len() as u64) as usize];
             self.device_proxy.insert(device, new_proxy);
-            if let Some(frame) = self.table.rebuild_subscribe(device, sid, new_proxy as u64) {
-                self.counters.repaired_streams += 1;
-                out.push(PopEffect::ToProxy {
-                    proxy: new_proxy,
-                    device,
-                    frame,
-                });
-                out.push(PopEffect::ToDevice {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-                    },
-                });
-            }
+            self.resubscribe_via(device, sid, new_proxy, out);
         }
-        out
     }
 
     /// Writes the POP's complete state into a snapshot. Hash-map fields
@@ -367,8 +414,30 @@ impl Pop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use burst::frame::StreamId;
+    use burst::frame::Delta;
     use burst::json::Json;
+
+    /// The frame a relay effect carries (patterns cannot see through the
+    /// box).
+    fn frame_of(e: &PopEffect) -> Option<&Frame> {
+        match e {
+            PopEffect::ToProxy { frame, .. } | PopEffect::ToDevice { frame, .. } => Some(frame),
+            PopEffect::DeviceGone { .. } => None,
+        }
+    }
+
+    /// Whether `e` sends `device`-ward exactly one flow-status delta.
+    fn signals(e: &PopEffect, status: FlowStatus) -> bool {
+        matches!(e, PopEffect::ToDevice { .. })
+            && matches!(frame_of(e), Some(Frame::Response { batch, .. })
+                if batch == &vec![Delta::FlowStatus(status)])
+    }
+
+    /// Whether `e` resubscribes a stream through `proxy`.
+    fn resubscribes_via(e: &PopEffect, proxy: u32) -> bool {
+        matches!(e, PopEffect::ToProxy { proxy: p, .. } if *p == proxy)
+            && matches!(frame_of(e), Some(Frame::Subscribe { .. }))
+    }
 
     fn header() -> Json {
         Json::obj([
@@ -409,6 +478,7 @@ mod tests {
             batch: vec![Delta::update(0, b"x".to_vec())],
         };
         let fx = p.on_proxy_frame(7, frame.clone(), 1);
+        let frame = frame.into();
         assert_eq!(fx, vec![PopEffect::ToDevice { device: 7, frame }]);
     }
 
@@ -437,11 +507,8 @@ mod tests {
         let fx = p.on_heartbeat_tick(5_000_000);
         let token = fx
             .iter()
-            .find_map(|e| match e {
-                PopEffect::ToDevice {
-                    frame: Frame::Ping { token },
-                    ..
-                } => Some(*token),
+            .find_map(|e| match frame_of(e) {
+                Some(Frame::Ping { token }) => Some(*token),
                 _ => None,
             })
             .expect("ping emitted");
@@ -486,24 +553,9 @@ mod tests {
         p.on_device_frame(200, sub(1), 0);
         let fx = p.on_proxy_failed(100);
         assert_eq!(fx.len(), 3);
-        assert!(matches!(
-            &fx[0],
-            PopEffect::ToDevice { frame: Frame::Response { batch, .. }, .. }
-            if batch == &vec![Delta::FlowStatus(FlowStatus::Degraded)]
-        ));
-        assert!(matches!(
-            &fx[1],
-            PopEffect::ToProxy {
-                proxy: 101,
-                frame: Frame::Subscribe { .. },
-                ..
-            }
-        ));
-        assert!(matches!(
-            &fx[2],
-            PopEffect::ToDevice { frame: Frame::Response { batch, .. }, .. }
-            if batch == &vec![Delta::FlowStatus(FlowStatus::Recovered)]
-        ));
+        assert!(signals(&fx[0], FlowStatus::Degraded));
+        assert!(resubscribes_via(&fx[1], 101));
+        assert!(signals(&fx[2], FlowStatus::Recovered));
         assert_eq!(p.counters().repaired_streams, 1);
         // Future frames from the device go to the new proxy.
         let fx = p.on_device_frame(200, sub(2), 10);
@@ -533,28 +585,10 @@ mod tests {
         assert_eq!(p.counters().repaired_streams, 0);
 
         let fx = p.add_proxy(101);
-        let resubs = fx
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    PopEffect::ToProxy {
-                        proxy: 101,
-                        frame: Frame::Subscribe { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
+        let resubs = fx.iter().filter(|e| resubscribes_via(e, 101)).count();
         let recovered = fx
             .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    PopEffect::ToDevice { frame: Frame::Response { batch, .. }, .. }
-                    if batch == &vec![Delta::FlowStatus(FlowStatus::Recovered)]
-                )
-            })
+            .filter(|e| signals(e, FlowStatus::Recovered))
             .count();
         assert_eq!(resubs, 2, "both orphaned streams resubscribed");
         assert_eq!(recovered, 2, "both devices told Recovered");
@@ -588,11 +622,8 @@ mod tests {
             5,
         );
         let fx = p.on_proxy_failed(100);
-        let resub_header = fx.iter().find_map(|e| match e {
-            PopEffect::ToProxy {
-                frame: Frame::Subscribe { header, .. },
-                ..
-            } => Some(header.clone()),
+        let resub_header = fx.iter().find_map(|e| match frame_of(e) {
+            Some(Frame::Subscribe { header, .. }) => Some(header.clone()),
             _ => None,
         });
         assert_eq!(

@@ -12,7 +12,7 @@
 //! itself, while signalling the degradation and recovery to the devices
 //! (axiom 1).
 
-use burst::frame::{Delta, FlowStatus, Frame, StreamId};
+use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::json::Json;
 use burst::stream::ProxyStreamTable;
@@ -34,7 +34,8 @@ pub enum RouteStrategy {
     ByLoad,
 }
 
-/// What the proxy asks its environment to do.
+/// What the proxy asks its environment to do. Frames stay in the box they
+/// arrived in, so relaying one moves a pointer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProxyEffect {
     /// Forward a frame to a BRASS host.
@@ -44,14 +45,14 @@ pub enum ProxyEffect {
         /// Originating device (BRASS needs it to address the stream).
         device: u64,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Forward a frame toward a device (via its POP).
     ToDevice {
         /// Target device.
         device: u64,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Send a heartbeat ping to a BRASS host (§4 footnote 11).
     PingHost {
@@ -162,11 +163,19 @@ impl ReverseProxy {
         self.heartbeats.remove(&host);
     }
 
+    /// Adds a host to the routing pool; the effects as a vector (see
+    /// [`ReverseProxy::add_host_into`]).
+    pub fn add_host(&mut self, host: u32) -> Vec<ProxyEffect> {
+        let mut out = Vec::new();
+        self.add_host_into(host, &mut out);
+        out
+    }
+
     /// Adds a (possibly recovered) host to the routing pool and repairs any
     /// orphaned streams (streams whose repair previously had no surviving
     /// host to land on). Axiom 2: the closest downstream component repairs
     /// once connectivity returns.
-    pub fn add_host(&mut self, host: u32) -> Vec<ProxyEffect> {
+    pub fn add_host_into(&mut self, host: u32, out: &mut Vec<ProxyEffect>) {
         if !self.hosts.contains(&host) {
             self.hosts.push(host);
             self.host_loads.insert(host, 0);
@@ -176,25 +185,40 @@ impl ReverseProxy {
             .or_insert_with(|| HeartbeatMonitor::new(self.hb_interval_us, self.hb_misses));
         let live: Vec<u64> = self.hosts.iter().map(|&h| h as u64).collect();
         let orphans = self.table.streams_not_via(&live);
-        let mut out = Vec::new();
         for (device, sid) in orphans {
             *self.host_loads.entry(host).or_insert(0) += 1;
-            if let Some(frame) = self.table.rebuild_subscribe(device, sid, host as u64) {
-                self.counters.induced_reconnects += 1;
-                out.push(ProxyEffect::ToBrass {
-                    host,
-                    device,
-                    frame,
-                });
-                out.push(ProxyEffect::ToDevice {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-                    },
-                });
-            }
+            self.resubscribe_to(device, sid, host, out);
         }
+    }
+
+    /// Re-routes one stream to `host` from stored state and tells its
+    /// device the path is whole again.
+    fn resubscribe_to(
+        &mut self,
+        device: u64,
+        sid: StreamId,
+        host: u32,
+        out: &mut Vec<ProxyEffect>,
+    ) {
+        if let Some(frame) = self.table.rebuild_subscribe(device, sid, host as u64) {
+            self.counters.induced_reconnects += 1;
+            out.push(ProxyEffect::ToBrass {
+                host,
+                device,
+                frame: frame.into(),
+            });
+            out.push(ProxyEffect::ToDevice {
+                device,
+                frame: Frame::flow_status(sid, FlowStatus::Recovered).into(),
+            });
+        }
+    }
+
+    /// Drives heartbeat-based failure detection; the effects as a vector
+    /// (see [`ReverseProxy::on_heartbeat_tick_into`]).
+    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<ProxyEffect> {
+        let mut out = Vec::new();
+        self.on_heartbeat_tick_into(now_us, &mut out);
         out
     }
 
@@ -204,10 +228,9 @@ impl ReverseProxy {
     /// by the stream-repair effects of
     /// [`on_brass_host_failed`](Self::on_brass_host_failed). This is the
     /// only path by which a proxy learns of an unplanned host crash.
-    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<ProxyEffect> {
+    pub fn on_heartbeat_tick_into(&mut self, now_us: u64, out: &mut Vec<ProxyEffect>) {
         let mut pool: Vec<u32> = self.hosts.clone();
         pool.sort_unstable();
-        let mut out = Vec::new();
         let mut dead = Vec::new();
         for host in pool {
             let Some(hb) = self.heartbeats.get_mut(&host) else {
@@ -222,9 +245,8 @@ impl ReverseProxy {
         }
         for host in dead {
             out.push(ProxyEffect::HostDown { host });
-            out.extend(self.on_brass_host_failed(host, now_us));
+            self.on_brass_host_failed_into(host, now_us, out);
         }
-        out
     }
 
     /// Handles a heartbeat pong from a BRASS host.
@@ -274,14 +296,29 @@ impl ReverseProxy {
         }
     }
 
-    /// Handles a frame arriving from a POP (device side).
+    /// Handles a frame arriving from a POP (device side); the effects as a
+    /// vector (see [`ReverseProxy::on_downstream_frame_into`]).
     pub fn on_downstream_frame(
         &mut self,
         device: u64,
         frame: Frame,
         now_us: u64,
     ) -> Vec<ProxyEffect> {
-        match &frame {
+        let mut out = Vec::new();
+        self.on_downstream_frame_into(device, Box::new(frame), now_us, &mut out);
+        out
+    }
+
+    /// Handles a frame arriving from a POP (device side), appending the
+    /// effects to `out`.
+    pub fn on_downstream_frame_into(
+        &mut self,
+        device: u64,
+        frame: Box<Frame>,
+        now_us: u64,
+        out: &mut Vec<ProxyEffect>,
+    ) {
+        let host = match &*frame {
             Frame::Subscribe { sid, header, body } => {
                 let host = self.pick_host(header);
                 if header
@@ -300,76 +337,80 @@ impl ReverseProxy {
                     Some(host as u64),
                     now_us,
                 );
-                vec![ProxyEffect::ToBrass {
-                    host,
-                    device,
-                    frame,
-                }]
+                Some(host)
             }
             Frame::Cancel { sid } => {
-                let host = self
-                    .table
-                    .get(device, *sid)
-                    .and_then(|e| e.upstream)
-                    .map(|h| h as u32);
+                let host = self.table.get(device, *sid).and_then(|e| e.upstream);
                 self.table.on_cancel(device, *sid);
-                match host {
-                    Some(host) => vec![ProxyEffect::ToBrass {
-                        host,
-                        device,
-                        frame,
-                    }],
-                    None => Vec::new(),
-                }
+                host.map(|h| h as u32)
             }
             Frame::Ack { sid, .. } => {
-                let host = self
-                    .table
-                    .get(device, *sid)
-                    .and_then(|e| e.upstream)
-                    .map(|h| h as u32);
-                match host {
-                    Some(host) => vec![ProxyEffect::ToBrass {
-                        host,
-                        device,
-                        frame,
-                    }],
-                    None => Vec::new(),
-                }
+                let host = self.table.get(device, *sid).and_then(|e| e.upstream);
+                host.map(|h| h as u32)
             }
-            _ => Vec::new(),
+            _ => None,
+        };
+        if let Some(host) = host {
+            out.push(ProxyEffect::ToBrass {
+                host,
+                device,
+                frame,
+            });
         }
     }
 
-    /// Handles a frame arriving from a BRASS host (server side): updates
-    /// stored stream state (rewrites, terminations) and forwards it down.
+    /// Handles a frame arriving from a BRASS host (server side); the
+    /// effects as a vector (see [`ReverseProxy::on_upstream_frame_into`]).
     pub fn on_upstream_frame(
         &mut self,
         device: u64,
         frame: Frame,
         now_us: u64,
     ) -> Vec<ProxyEffect> {
-        if let Frame::Response { sid, batch } = &frame {
+        let mut out = Vec::new();
+        self.on_upstream_frame_into(device, Box::new(frame), now_us, &mut out);
+        out
+    }
+
+    /// Handles a frame arriving from a BRASS host (server side): updates
+    /// stored stream state (rewrites, terminations) and forwards it down.
+    pub fn on_upstream_frame_into(
+        &mut self,
+        device: u64,
+        frame: Box<Frame>,
+        now_us: u64,
+        out: &mut Vec<ProxyEffect>,
+    ) {
+        if let Frame::Response { sid, batch } = &*frame {
             self.table.on_response(device, *sid, batch, now_us);
         }
-        vec![ProxyEffect::ToDevice { device, frame }]
+        out.push(ProxyEffect::ToDevice { device, frame });
+    }
+
+    /// Handles a detected BRASS host failure; the effects as a vector (see
+    /// [`ReverseProxy::on_brass_host_failed_into`]).
+    pub fn on_brass_host_failed(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
+        let mut out = Vec::new();
+        self.on_brass_host_failed_into(host, now_us, &mut out);
+        out
     }
 
     /// Handles a detected BRASS host failure (axioms 1 and 2): every
     /// affected stream is signalled degraded to its device, re-routed to an
     /// alternate host from stored state, and signalled recovered.
-    pub fn on_brass_host_failed(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
+    pub fn on_brass_host_failed_into(
+        &mut self,
+        host: u32,
+        now_us: u64,
+        out: &mut Vec<ProxyEffect>,
+    ) {
         self.remove_host(host);
         let affected = self.table.streams_via(host as u64);
-        let mut out = Vec::new();
         for (device, sid) in affected {
             // Axiom 1: inform the downstream endpoint.
             out.push(ProxyEffect::ToDevice {
                 device,
-                frame: Frame::Response {
-                    sid,
-                    batch: vec![Delta::FlowStatus(FlowStatus::Degraded)],
-                },
+                frame: Frame::flow_status(sid, FlowStatus::Degraded).into(),
             });
             if self.hosts.is_empty() {
                 // Nothing to repair onto; the stream is orphaned until a
@@ -396,23 +437,16 @@ impl ReverseProxy {
                 self.pick_host(&h)
             };
             *self.host_loads.entry(new_host).or_insert(0) += 1;
-            if let Some(frame) = self.table.rebuild_subscribe(device, sid, new_host as u64) {
-                self.counters.induced_reconnects += 1;
-                out.push(ProxyEffect::ToBrass {
-                    host: new_host,
-                    device,
-                    frame,
-                });
-                out.push(ProxyEffect::ToDevice {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-                    },
-                });
-            }
+            self.resubscribe_to(device, sid, new_host, out);
         }
         let _ = now_us;
+    }
+
+    /// Handles a BRASS host process restart; the effects as a vector (see
+    /// [`ReverseProxy::on_host_restarted_into`]).
+    pub fn on_host_restarted(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
+        let mut out = Vec::new();
+        self.on_host_restarted_into(host, now_us, &mut out);
         out
     }
 
@@ -426,54 +460,42 @@ impl ReverseProxy {
     /// the host itself is live, so repair lands straight back on it —
     /// and restarts the heartbeat monitor so the fresh incarnation
     /// starts with a clean slate.
-    pub fn on_host_restarted(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
+    pub fn on_host_restarted_into(&mut self, host: u32, now_us: u64, out: &mut Vec<ProxyEffect>) {
         if !self.hosts.contains(&host) {
             // The monitor did catch the death: streams were already
             // repaired off the host, and the failed/add_host pair owns
             // the rest of the lifecycle.
-            return Vec::new();
+            return;
         }
         self.heartbeats.insert(
             host,
             HeartbeatMonitor::new(self.hb_interval_us, self.hb_misses),
         );
         let affected = self.table.streams_via(host as u64);
-        let mut out = Vec::new();
         for (device, sid) in affected {
             // Axiom 1: inform the downstream endpoint.
             out.push(ProxyEffect::ToDevice {
                 device,
-                frame: Frame::Response {
-                    sid,
-                    batch: vec![Delta::FlowStatus(FlowStatus::Degraded)],
-                },
+                frame: Frame::flow_status(sid, FlowStatus::Degraded).into(),
             });
             // Axiom 2: re-subscribe from stored state.
-            if let Some(frame) = self.table.rebuild_subscribe(device, sid, host as u64) {
-                self.counters.induced_reconnects += 1;
-                out.push(ProxyEffect::ToBrass {
-                    host,
-                    device,
-                    frame,
-                });
-                out.push(ProxyEffect::ToDevice {
-                    device,
-                    frame: Frame::Response {
-                        sid,
-                        batch: vec![Delta::FlowStatus(FlowStatus::Recovered)],
-                    },
-                });
-            }
+            self.resubscribe_to(device, sid, host, out);
         }
         let _ = now_us;
+    }
+
+    /// Handles a device connection closing at the POP; the effects as a
+    /// vector (see [`ReverseProxy::on_device_disconnected_into`]).
+    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<ProxyEffect> {
+        let mut out = Vec::new();
+        self.on_device_disconnected_into(device, &mut out);
         out
     }
 
     /// Handles a device connection closing at the POP: all of its stream
     /// state is dropped, and the owning BRASSes are informed via cancels
     /// (axiom 1 upstream direction).
-    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
+    pub fn on_device_disconnected_into(&mut self, device: u64, out: &mut Vec<ProxyEffect>) {
         // Collect (sid, host) pairs before mutating the table.
         let pairs: Vec<(StreamId, Option<u64>)> = {
             let mut v = Vec::new();
@@ -491,13 +513,12 @@ impl ReverseProxy {
                 out.push(ProxyEffect::ToBrass {
                     host: host as u32,
                     device,
-                    frame: Frame::Cancel { sid },
+                    frame: Frame::Cancel { sid }.into(),
                 });
             }
         }
         let dropped = self.table.on_connection_closed(device);
         self.counters.gc_collected += dropped.len() as u64;
-        out
     }
 
     /// Garbage-collects idle stream state (§3.5).
@@ -606,6 +627,29 @@ impl ReverseProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use burst::frame::Delta;
+
+    /// The frame a relay effect carries (patterns cannot see through the
+    /// box).
+    fn frame_of(e: &ProxyEffect) -> Option<&Frame> {
+        match e {
+            ProxyEffect::ToBrass { frame, .. } | ProxyEffect::ToDevice { frame, .. } => Some(frame),
+            _ => None,
+        }
+    }
+
+    /// Whether `e` sends `device` exactly one flow-status delta.
+    fn signals(e: &ProxyEffect, device: u64, status: FlowStatus) -> bool {
+        matches!(e, ProxyEffect::ToDevice { device: d, .. } if *d == device)
+            && matches!(frame_of(e), Some(Frame::Response { batch, .. })
+                if batch == &vec![Delta::FlowStatus(status)])
+    }
+
+    /// Whether `e` resubscribes one of `device`'s streams to `host`.
+    fn resubscribes_to(e: &ProxyEffect, device: u64, host: u32) -> bool {
+        matches!(e, ProxyEffect::ToBrass { host: h, device: d, .. } if (*h, *d) == (host, device))
+            && matches!(frame_of(e), Some(Frame::Subscribe { .. }))
+    }
 
     fn sub_frame(sid: u64, header: Json) -> Frame {
         Frame::Subscribe {
@@ -678,24 +722,9 @@ mod tests {
         let fx = p.on_brass_host_failed(10, 100);
         // Degraded → resubscribe to 11 → recovered, for device 1 only.
         assert_eq!(fx.len(), 3);
-        assert!(matches!(
-            &fx[0],
-            ProxyEffect::ToDevice { device: 1, frame: Frame::Response { batch, .. } }
-            if batch == &vec![Delta::FlowStatus(FlowStatus::Degraded)]
-        ));
-        assert!(matches!(
-            &fx[1],
-            ProxyEffect::ToBrass {
-                host: 11,
-                device: 1,
-                frame: Frame::Subscribe { .. }
-            }
-        ));
-        assert!(matches!(
-            &fx[2],
-            ProxyEffect::ToDevice { device: 1, frame: Frame::Response { batch, .. } }
-            if batch == &vec![Delta::FlowStatus(FlowStatus::Recovered)]
-        ));
+        assert!(signals(&fx[0], 1, FlowStatus::Degraded));
+        assert!(resubscribes_to(&fx[1], 1, 11));
+        assert!(signals(&fx[2], 1, FlowStatus::Recovered));
         assert_eq!(p.counters().induced_reconnects, 1);
     }
 
@@ -715,11 +744,10 @@ mod tests {
             10,
         );
         let fx = p.on_brass_host_failed(10, 100);
-        let resub = fx.iter().find_map(|e| match e {
-            ProxyEffect::ToBrass {
-                frame: Frame::Subscribe { header, .. },
-                ..
-            } => header.get("last_seq").and_then(Json::as_u64),
+        let resub = fx.iter().find_map(|e| match (e, frame_of(e)) {
+            (ProxyEffect::ToBrass { .. }, Some(Frame::Subscribe { header, .. })) => {
+                header.get("last_seq").and_then(Json::as_u64)
+            }
             _ => None,
         });
         assert_eq!(resub, Some(41), "repair resumes from rewritten state");
@@ -743,19 +771,8 @@ mod tests {
         assert_eq!(fx.len(), 1);
         // The host returns: the orphan is repaired onto it.
         let fx = p.add_host(10);
-        assert!(matches!(
-            &fx[0],
-            ProxyEffect::ToBrass {
-                host: 10,
-                device: 1,
-                frame: Frame::Subscribe { .. }
-            }
-        ));
-        assert!(matches!(
-            &fx[1],
-            ProxyEffect::ToDevice { frame: Frame::Response { batch, .. }, .. }
-            if batch == &vec![Delta::FlowStatus(FlowStatus::Recovered)]
-        ));
+        assert!(resubscribes_to(&fx[0], 1, 10));
+        assert!(signals(&fx[1], 1, FlowStatus::Recovered));
         assert_eq!(p.counters().induced_reconnects, 1);
     }
 
@@ -785,13 +802,8 @@ mod tests {
         let cancels = fx
             .iter()
             .filter(|e| {
-                matches!(
-                    e,
-                    ProxyEffect::ToBrass {
-                        frame: Frame::Cancel { .. },
-                        ..
-                    }
-                )
+                matches!(e, ProxyEffect::ToBrass { .. })
+                    && matches!(frame_of(e), Some(Frame::Cancel { .. }))
             })
             .count();
         assert_eq!(cancels, 2);
@@ -851,14 +863,7 @@ mod tests {
                 // Miss threshold crossed: HostDown, then degraded →
                 // resubscribe-to-11 → recovered repair effects.
                 assert!(fx.contains(&ProxyEffect::HostDown { host: 10 }));
-                assert!(fx.iter().any(|e| matches!(
-                    e,
-                    ProxyEffect::ToBrass {
-                        host: 11,
-                        device: 1,
-                        frame: Frame::Subscribe { .. }
-                    }
-                )));
+                assert!(fx.iter().any(|e| resubscribes_to(e, 1, 11)));
             }
         }
         assert_eq!(p.counters().induced_reconnects, 1);

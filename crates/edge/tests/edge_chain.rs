@@ -27,9 +27,9 @@ fn device_to_brass(
     let mut to_brass = Vec::new();
     for fx in pop.on_device_frame(device, frame, now) {
         if let PopEffect::ToProxy { device, frame, .. } = fx {
-            for pfx in proxy.on_downstream_frame(device, frame, now) {
+            for pfx in proxy.on_downstream_frame(device, *frame, now) {
                 if let ProxyEffect::ToBrass { host, frame, .. } = pfx {
-                    to_brass.push((host, frame));
+                    to_brass.push((host, *frame));
                 }
             }
         }
@@ -49,7 +49,7 @@ fn brass_to_device(
     let mut outputs = Vec::new();
     for pfx in proxy.on_upstream_frame(dev_id, frame, now) {
         if let ProxyEffect::ToDevice { device: d, frame } = pfx {
-            for fx in pop.on_proxy_frame(d, frame, now) {
+            for fx in pop.on_proxy_frame(d, *frame, now) {
                 if let PopEffect::ToDevice { frame, .. } = fx {
                     outputs.extend(device.on_frame(&frame));
                 }
@@ -101,7 +101,7 @@ fn brass_failure_ripples_degraded_and_recovered_to_device() {
     for fx in proxy.on_brass_host_failed(host, 1) {
         match fx {
             ProxyEffect::ToDevice { frame, .. } => {
-                for pfx in pop.on_proxy_frame(7, frame, 1) {
+                for pfx in pop.on_proxy_frame(7, *frame, 1) {
                     if let PopEffect::ToDevice { frame, .. } = pfx {
                         device_outputs.extend(device.on_frame(&frame));
                     }
@@ -207,15 +207,11 @@ fn heartbeat_ping_pong_roundtrip_through_pop() {
     for i in 2..=8u64 {
         let fx = pop.on_heartbeat_tick(i * 5_000_000);
         for e in &fx {
-            if let PopEffect::ToDevice {
-                frame: Frame::Ping { .. },
-                ..
-            } = e
-            {
-                let outs = device.on_frame(match e {
-                    PopEffect::ToDevice { frame, .. } => frame,
-                    _ => unreachable!(),
-                });
+            let PopEffect::ToDevice { frame, .. } = e else {
+                continue;
+            };
+            if matches!(**frame, Frame::Ping { .. }) {
+                let outs = device.on_frame(frame);
                 if let DeviceOutput::Send(p) = &outs[0] {
                     pop.on_device_frame(7, p.clone(), i * 5_000_000 + 1);
                 }

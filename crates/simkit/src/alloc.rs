@@ -5,7 +5,8 @@
 //! metric we want *live heap bytes* as the program sees them. [`CountingAlloc`]
 //! wraps the system allocator and keeps a live-bytes counter plus a
 //! high-water mark, with relaxed atomics so the overhead is one add per
-//! alloc/dealloc.
+//! alloc/dealloc. It also counts allocation *calls* (`alloc` and `realloc`
+//! alike), the exact figure an allocations-per-event budget is held to.
 //!
 //! The type is always compiled; installing it is the binary's choice:
 //!
@@ -22,12 +23,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 /// Wraps [`System`] and counts live heap bytes. See the module docs.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
     fn on_alloc(size: usize) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         // The max update can race between threads; the mark may then read a
         // hair low, which is fine for a high-water statistic.
@@ -69,6 +72,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// installed as the global allocator).
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Allocation calls (`alloc` + `realloc`) since process start (zero unless
+/// a [`CountingAlloc`] is installed). Take the difference around a phase.
+pub fn alloc_calls() -> usize {
+    CALLS.load(Ordering::Relaxed)
 }
 
 /// High-water mark of [`live_bytes`] since process start (or the last

@@ -21,13 +21,27 @@
 //! FIFO correctness falls out of three invariants: slot vectors are
 //! append-only and cascaded in order (so same-timestamp events keep their
 //! scheduling order), a level-0 slot is one microsecond wide (so everything
-//! in it shares a timestamp), and cancellation is lazy (a live-seq set is
+//! in it shares a timestamp), and cancellation is lazy (a tombstone is
 //! consulted at pop, never reordering storage). One subtlety: skipping a
 //! *cancelled* event moves the wheel cursor past its slot without advancing
 //! simulated time, and a handler may then legally schedule into that gap —
 //! such entries go to a small `backfill` heap, which always drains before
 //! the wheel because its entries are strictly earlier than every wheel
 //! entry.
+//!
+//! # Cancellation: tombstones and the fired order
+//!
+//! Pops are strictly increasing in `(time, seq)`: the queue always yields
+//! the least stored key, and anything scheduled afterwards is clamped to
+//! `now` and carries a larger seq than everything before it. So an event
+//! has already left the queue exactly when its key is at or below the key
+//! of the last pop, and [`EventId`] carries the (clamped) instant to make
+//! that one comparison. `cancel` therefore needs no record of what is
+//! live: it rejects never-issued and already-fired ids by comparison and
+//! remembers the rest in a tombstone set that stays empty unless
+//! something cancels — `schedule` and `pop` touch no hash table.
+//! (Skipping a tombstone does not advance the clock, so one a pop discards
+//! ahead of the clock is kept aside until the next firing passes it.)
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -45,9 +59,24 @@ const LEVELS: usize = 6;
 /// Events at or beyond `cursor + 2^HORIZON_BITS` µs overflow to a heap.
 const HORIZON_BITS: usize = SLOT_BITS * LEVELS;
 
-/// Handle identifying a scheduled event, usable for cancellation.
+/// A slot buffer that has grown past this many entries — more than one per
+/// child slot — is handed back to the allocator once a cascade has emptied
+/// it; smaller ones are kept for the slot's next turn. Lower-level slots
+/// hold a handful of entries and refill every few milliseconds, so
+/// dropping their buffers costs an allocation per event or two; an
+/// upper-level slot can hold a whole fleet's timers once per rotation, and
+/// keeping 64 of those per level would pin the wheel at its high-water
+/// mark to save a re-growth that is amortised over thousands of entries.
+const RETAIN_ENTRIES: usize = SLOTS;
+
+/// Handle identifying a scheduled event, usable for cancellation: the
+/// event's `(time, seq)` key, with the time already clamped to the clock at
+/// scheduling. Only meaningful to the queue that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    at: SimTime,
+    seq: u64,
+}
 
 struct Entry<E> {
     at: SimTime,
@@ -117,12 +146,24 @@ pub struct EventQueue<E> {
     /// entry, promoted when the wheel drains up to them.
     overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Seqs scheduled but not yet fired or cancelled. Tracking the live set
-    /// (rather than a tombstone set of cancelled seqs) makes `cancel` of an
-    /// already-fired id a no-op returning `false` instead of corrupting
-    /// `len()`.
-    pending: FxHashSet<u64>,
+    /// Events scheduled and neither fired nor cancelled: what `len()`
+    /// reports.
+    live: usize,
+    /// Seqs of cancelled events still in storage (tombstones): each is
+    /// discarded, not fired, when it reaches the head.
+    cancelled: FxHashSet<u64>,
+    /// Tombstones a pop discarded ahead of the clock (a bounded pop can run
+    /// out of live events before reaching its limit). Their keys are still
+    /// above the last pop's, so they are remembered until the clock passes
+    /// them — a second `cancel` must still say `false`.
+    discarded: FxHashSet<EventId>,
+    /// Seq of the last event popped, `None` before the first pop; with
+    /// `now`, the key everything at or below which has left the queue.
+    last_seq: Option<u64>,
     now: SimTime,
+    /// Cascades move a slot's entries through here, so the slot's own
+    /// buffer survives for its next turn.
+    scratch: VecDeque<Entry<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -141,8 +182,12 @@ impl<E> EventQueue<E> {
             backfill: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             next_seq: 0,
-            pending: FxHashSet::default(),
+            live: 0,
+            cancelled: FxHashSet::default(),
+            discarded: FxHashSet::default(),
+            last_seq: None,
             now: SimTime::ZERO,
+            scratch: VecDeque::new(),
         }
     }
 
@@ -159,9 +204,9 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
+        self.live += 1;
         self.insert(Entry { at, seq, event });
-        EventId(seq)
+        EventId { at, seq }
     }
 
     /// Routes an entry to the wheel, the backfill heap (behind the cursor),
@@ -242,9 +287,16 @@ impl<E> EventQueue<E> {
                 debug_assert!(slot_start > self.cursor);
                 self.cursor = slot_start;
                 self.occupancy[level] &= !(1u64 << j);
-                let entries = std::mem::take(&mut self.slots[level * SLOTS + j]);
-                for entry in entries {
+                let slot = &mut self.slots[level * SLOTS + j];
+                self.scratch.extend(slot.drain(..));
+                if slot.capacity() > RETAIN_ENTRIES {
+                    *slot = VecDeque::new();
+                }
+                while let Some(entry) = self.scratch.pop_front() {
                     self.insert(entry);
+                }
+                if self.scratch.capacity() > RETAIN_ENTRIES {
+                    self.scratch = VecDeque::new();
                 }
                 progressed = true;
                 break;
@@ -293,7 +345,37 @@ impl<E> EventQueue<E> {
     /// cancelling an id that already fired (or was never issued) is a no-op
     /// returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.pending.remove(&id.0)
+        let fired = (id.at, Some(id.seq)) <= (self.now, self.last_seq);
+        let gone = fired || (!self.discarded.is_empty() && self.discarded.contains(&id));
+        if id.seq >= self.next_seq || gone || !self.cancelled.insert(id.seq) {
+            return false;
+        }
+        self.live -= 1;
+        true
+    }
+
+    /// Whether the entry just taken out of storage was cancelled. The set
+    /// is empty unless something cancelled, so the usual pop pays one
+    /// length check.
+    fn take_cancelled(&mut self, at: SimTime, seq: u64) -> bool {
+        if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
+            return false;
+        }
+        self.discarded.insert(EventId { at, seq });
+        true
+    }
+
+    /// Advances the clock to a popped event, which puts every tombstone
+    /// discarded on the way at or below the fired key.
+    fn fire(&mut self, entry: Entry<E>) -> (SimTime, E) {
+        self.live -= 1;
+        self.now = entry.at;
+        self.last_seq = Some(entry.seq);
+        if !self.discarded.is_empty() {
+            self.discarded
+                .retain(|id| (id.at, id.seq) > (entry.at, entry.seq));
+        }
+        (entry.at, entry.event)
     }
 
     /// Pops the earliest pending event, advancing the clock to its timestamp.
@@ -321,11 +403,10 @@ impl<E> EventQueue<E> {
                     return None;
                 }
                 let entry = self.backfill.pop().expect("peeked entry exists");
-                if !self.pending.remove(&entry.seq) {
+                if self.take_cancelled(entry.at, entry.seq) {
                     continue; // cancelled before firing
                 }
-                self.now = entry.at;
-                return Some((entry.at, entry.event));
+                return Some(self.fire(entry));
             }
             // Wheel entries precede every overflow entry (at within horizon).
             if let Some(at_us) = self.wheel_earliest() {
@@ -339,11 +420,10 @@ impl<E> EventQueue<E> {
                 if slot.is_empty() {
                     self.occupancy[0] &= !(1u64 << j);
                 }
-                if !self.pending.remove(&entry.seq) {
+                if self.take_cancelled(entry.at, entry.seq) {
                     continue; // cancelled before firing
                 }
-                self.now = entry.at;
-                return Some((entry.at, entry.event));
+                return Some(self.fire(entry));
             }
             let head_at = self.overflow.peek()?.at;
             if head_at.as_micros() > limit_us {
@@ -355,7 +435,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no events are pending.
@@ -397,16 +477,26 @@ impl<E> EventQueue<E> {
 }
 
 impl<E: Snap> EventQueue<E> {
-    /// Writes the queue's complete structure: clock, cursor, live-seq set,
-    /// both heaps (as `(time, seq)`-sorted vectors), and every wheel slot
-    /// verbatim — including entries whose seq was cancelled (tombstones),
-    /// because their storage position feeds `peek_time`'s conservative
-    /// bound and thus window partitioning.
+    /// Every stored entry: both heaps, then the wheel slots in index order.
+    fn stored(&self) -> impl Iterator<Item = &Entry<E>> {
+        let heaps = self.backfill.iter().chain(self.overflow.iter());
+        heaps.chain(self.slots.iter().flatten())
+    }
+
+    /// Writes the queue's complete structure: clock, cursor, the sorted
+    /// seqs of the live events, both heaps (as `(time, seq)`-sorted
+    /// vectors), and every wheel slot verbatim — including cancelled
+    /// entries (tombstones), because their storage position feeds
+    /// `peek_time`'s conservative bound and thus window partitioning.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.now.as_micros());
         w.put_u64(self.cursor);
         w.put_u64(self.next_seq);
-        let mut pending: Vec<u64> = self.pending.iter().copied().collect();
+        let mut pending: Vec<u64> = self
+            .stored()
+            .map(|e| e.seq)
+            .filter(|seq| !self.cancelled.contains(seq))
+            .collect();
         pending.sort_unstable();
         pending.snap(w);
         for heap in [&self.backfill, &self.overflow] {
@@ -433,8 +523,13 @@ impl<E: Snap> EventQueue<E> {
     /// structural invariants the wheel relies on: heap vectors strictly
     /// ascending in `(time, seq)`, every wheel entry stored exactly where
     /// `insert` would place it under the restored cursor, seqs unique and
-    /// below `next_seq`, and the live-seq set a subset of stored entries.
-    /// Any violation is a clean error, never a partial queue.
+    /// below `next_seq`, and the live seqs a subset of stored entries (the
+    /// stored rest are the tombstones). Any violation is a clean error,
+    /// never a partial queue. The last pop's seq is not in the snapshot;
+    /// it is taken as just below the earliest entry still stored at `now`,
+    /// which classifies every fired and every stored id of the snapshotted
+    /// queue as the original would (ids are not serializable, so nothing
+    /// but a test holds one across a restore).
     pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let now = SimTime::restore(r)?;
         let cursor = r.get_u64()?;
@@ -516,16 +611,23 @@ impl<E: Snap> EventQueue<E> {
             }
         }
 
-        Ok(EventQueue {
+        let mut queue = EventQueue {
             slots,
             occupancy,
             cursor,
             backfill,
             overflow,
             next_seq,
-            pending,
+            live: pending.len(),
+            cancelled: seen.difference(&pending).copied().collect(),
+            discarded: FxHashSet::default(),
+            last_seq: None,
             now,
-        })
+            scratch: VecDeque::new(),
+        };
+        let at_now = queue.stored().filter(|e| e.at == now).map(|e| e.seq).min();
+        queue.last_seq = at_now.unwrap_or(next_seq).checked_sub(1);
+        Ok(queue)
     }
 }
 
@@ -596,7 +698,10 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(99)));
+        assert!(!q.cancel(EventId {
+            at: SimTime::ZERO,
+            seq: 99
+        }));
     }
 
     #[test]

@@ -169,3 +169,184 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 }
+
+// ----------------------------------------------------------------------
+// Directed cancellation cases: the tombstone set decides "already fired"
+// from pop order alone, so every corner of that order gets its own test.
+// ----------------------------------------------------------------------
+
+use simkit::snap::{fnv64, SnapReader, SnapWriter};
+
+const HORIZON_US: u64 = 1 << 36;
+
+fn us(t: u64) -> SimTime {
+    SimTime::from_micros(t)
+}
+
+fn snap_bytes(q: &EventQueue<u64>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    q.snap(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn cancel_after_fire_is_false() {
+    let mut q = EventQueue::new();
+    let a = q.schedule(us(10), 0u64);
+    let b = q.schedule(us(20), 1);
+    assert_eq!(q.pop(), Some((us(10), 0)));
+    assert!(!q.cancel(a), "fired");
+    assert_eq!(q.len(), 1);
+    assert!(q.cancel(b), "still pending");
+    assert!(!q.cancel(b), "double cancel");
+    assert_eq!(q.len(), 0);
+    assert!(q.is_empty());
+    assert_eq!(q.pop(), None);
+    assert!(!q.cancel(a) && !q.cancel(b));
+    assert_eq!(q.len(), 0);
+}
+
+#[test]
+fn cancel_of_a_same_instant_event_before_and_after_its_pop() {
+    // Four events share one instant; "fired" among them is decided by seq.
+    let mut q = EventQueue::new();
+    let ids: Vec<_> = (0..4u64).map(|i| q.schedule(us(7), i)).collect();
+    assert_eq!(q.pop(), Some((us(7), 0)));
+    assert!(!q.cancel(ids[0]), "popped at this instant");
+    assert!(q.cancel(ids[2]), "same instant, not yet popped");
+    assert_eq!(q.len(), 2);
+    assert_eq!(q.pop(), Some((us(7), 1)));
+    assert_eq!(q.pop(), Some((us(7), 3)), "the cancelled one is skipped");
+    for id in &ids {
+        assert!(!q.cancel(*id), "all fired or cancelled");
+    }
+    assert!(q.is_empty());
+    // Scheduling "now" after the pops lands on the same instant with a
+    // later seq: still pending, still cancellable exactly once.
+    let late = q.schedule(us(0), 9);
+    assert_eq!(q.len(), 1);
+    assert!(q.cancel(late));
+    assert!(!q.cancel(late));
+    assert_eq!(q.pop(), None);
+}
+
+#[test]
+fn len_and_is_empty_with_tombstones_outstanding() {
+    let mut q = EventQueue::new();
+    let ids: Vec<_> = (0..10u64).map(|i| q.schedule(us(100 + i), i)).collect();
+    for id in &ids[..9] {
+        assert!(q.cancel(*id));
+    }
+    assert_eq!(q.len(), 1);
+    assert!(!q.is_empty());
+    // The stored head is a tombstone: the bound is conservative.
+    assert_eq!(q.peek_time(), Some(us(100)));
+    assert!(q.cancel(ids[9]));
+    assert_eq!(q.len(), 0);
+    assert!(q.is_empty());
+    assert_eq!(q.peek_time(), Some(us(100)), "tombstones are still stored");
+    assert_eq!(q.pop(), None);
+    assert_eq!(q.peek_time(), None);
+    assert!(q.is_empty());
+}
+
+#[test]
+fn a_tombstone_skipped_ahead_of_the_clock_stays_cancelled() {
+    // A bounded pop discards a cancelled entry without advancing `now`
+    // to it; a second cancel of that id must still say `false`, before
+    // and after the clock passes it.
+    let mut q = EventQueue::new();
+    q.schedule(us(10), 0u64);
+    let c = q.schedule(us(5_000), 1);
+    q.schedule(us(9_000), 2);
+    assert_eq!(q.pop(), Some((us(10), 0)));
+    assert!(q.cancel(c));
+    assert_eq!(q.pop_until(us(6_000)), None);
+    assert!(!q.cancel(c), "skipped, clock still behind it");
+    assert_eq!(q.len(), 1);
+    let gap = q.schedule(us(2_000), 3);
+    assert_eq!(q.pop(), Some((us(2_000), 3)));
+    assert!(!q.cancel(gap));
+    assert!(!q.cancel(c));
+    assert_eq!(q.pop(), Some((us(9_000), 2)));
+    assert!(!q.cancel(c), "clock past it");
+    assert!(q.is_empty());
+}
+
+#[test]
+fn cancel_of_an_overflow_heap_entry_and_of_a_cascaded_entry() {
+    let mut q = EventQueue::new();
+    let far = q.schedule(us(HORIZON_US + 500), 0u64);
+    let far_kept = q.schedule(us(HORIZON_US + 500), 1);
+    // Lands at a high wheel level, then cascades towards level 0 when the
+    // near event drags the cursor into its slot.
+    let cascaded = q.schedule(us(300_000), 2);
+    q.schedule(us(299_990), 3);
+    assert!(q.cancel(far), "cancelled while in the overflow heap");
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.pop(), Some((us(299_990), 3)));
+    assert!(q.cancel(cascaded), "cancelled after cascading");
+    assert!(!q.cancel(cascaded));
+    assert_eq!(q.len(), 1);
+    assert_eq!(q.pop(), Some((us(HORIZON_US + 500), 1)));
+    assert!(!q.cancel(far) && !q.cancel(far_kept));
+    assert!(q.is_empty());
+    assert_eq!(q.pop(), None);
+}
+
+/// A queue holding cancelled-but-still-stored entries in the backfill
+/// heap, every wheel level the times reach, and the overflow heap.
+fn golden_queue() -> (EventQueue<u64>, Vec<simkit::queue::EventId>) {
+    let mut q = EventQueue::new();
+    let mut ids = Vec::new();
+    for i in 0..40u64 {
+        // 3 µs … ~10 min, spread over the wheel levels.
+        ids.push(q.schedule(us(3 + i * i * i * 9_000), i));
+    }
+    for i in 0..6u64 {
+        ids.push(q.schedule(us(HORIZON_US * (1 + i % 2) + 17 * i), 100 + i));
+    }
+    for _ in 0..7 {
+        q.pop();
+    }
+    for (k, id) in ids.iter().enumerate() {
+        if k % 3 == 1 {
+            q.cancel(*id);
+        }
+    }
+    // Skip a cancelled head so the cursor runs ahead of the clock, then
+    // schedule into the gap: that entry lives in the backfill heap.
+    let head = q.peek_time().expect("entries remain");
+    assert_eq!(q.pop_until(head), None, "head is a tombstone");
+    ids.push(q.schedule(q.now() + simkit::time::SimDuration::from_micros(1), 200));
+    ids.push(q.schedule(q.now() + simkit::time::SimDuration::from_micros(2), 201));
+    q.cancel(ids[ids.len() - 2]);
+    (q, ids)
+}
+
+#[test]
+fn snapshot_bytes_with_stored_tombstones_match_the_parent_commit() {
+    let (mut q, ids) = golden_queue();
+    let bytes = snap_bytes(&q);
+    // Captured from 347116b (the live-seq-set queue) before any edit.
+    assert_eq!(
+        (bytes.len(), fnv64(&bytes)),
+        GOLDEN,
+        "snapshot layout or content moved"
+    );
+    let mut r = SnapReader::new(&bytes);
+    let mut restored = EventQueue::<u64>::restore(&mut r).expect("restore");
+    r.finish().expect("no trailing bytes");
+    assert_eq!(snap_bytes(&restored), bytes, "restore → re-snap");
+    assert_eq!(restored.len(), q.len());
+    assert_eq!(restored.peek_time(), q.peek_time());
+    // The restored copy classifies fired, pending and stored-cancelled ids
+    // as the original does. (ids[7] is the tombstone the bounded pop threw
+    // away ahead of the clock: only the original remembers that one.)
+    for (k, id) in ids.iter().enumerate().filter(|(k, _)| *k != 7) {
+        assert_eq!(restored.cancel(*id), q.cancel(*id), "id {k}");
+    }
+    assert_eq!(snap_bytes(&restored), snap_bytes(&q));
+}
+
+const GOLDEN: (usize, u64) = (4296, 0x1cc8_05fa_ee5b_b8f0);
