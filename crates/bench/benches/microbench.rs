@@ -5,7 +5,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use bladerunner::SystemMetrics;
 use brass::app::DeviceId;
 use brass::buffer::RankedBuffer;
 use brass::host::{BrassHost, HostConfig, HostEffect};
@@ -104,36 +103,6 @@ fn bench_was_fetch(c: &mut Criterion) {
             n += 1;
             let viewer = uids[(n * 7_919 % 1_000) as usize];
             black_box(was.fetch_for_viewer(0, viewer, comments[(n % 64) as usize]))
-        })
-    });
-}
-
-fn bench_metrics_fold(c: &mut Criterion) {
-    // What one mid-run `SystemSim::metrics()` read costs at lvc_fanout's
-    // size: clone the root's series, then fold in every shard — 25 k
-    // `stream_stats` entries across the fleet default's 8 shards, at the
-    // default 24 h / 15 min series shape.
-    const STREAMS: u64 = 25_000;
-    const SHARDS: u64 = 8;
-    let new = || SystemMetrics::new(SimDuration::from_hours(24), SimDuration::from_mins(15));
-    let root = new();
-    let mut shards: Vec<SystemMetrics> = (0..SHARDS).map(|_| new()).collect();
-    for device in 0..STREAMS {
-        let at = SimTime::from_millis(device);
-        let shard = &mut shards[(device % SHARDS) as usize];
-        shard.stream_opened(device, StreamId(1), at);
-        shard.publication_for_stream(device, StreamId(1));
-        shard.deliveries.inc();
-        shard.ts_deliveries.inc(at);
-        shard.app("lvc").total.record(device as f64 % 900.0);
-    }
-    c.bench_function("metrics/fold_25k_streams", |b| {
-        b.iter(|| {
-            let mut merged = root.clone();
-            for shard in &shards {
-                merged.merge(shard);
-            }
-            black_box(merged.streams_tracked())
         })
     });
 }
@@ -310,7 +279,6 @@ criterion_group!(
     bench_codec,
     bench_json,
     bench_was_fetch,
-    bench_metrics_fold,
     bench_lvc_timer,
     bench_trace_record,
     bench_ranked_buffer,

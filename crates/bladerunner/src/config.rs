@@ -104,12 +104,6 @@ pub struct SystemConfig {
     /// `FlowStatus::Degraded` (then `Recovered` once the backlog drains
     /// past half the window). `0` disables egress flow control.
     pub egress_window_bytes: u64,
-    /// Number of logical event-loop shards the simulator partitions state
-    /// into. Fixed per configuration (not per run): results are a pure
-    /// function of `(config, seed)` regardless of how many worker threads
-    /// execute the shards, so this is part of the experiment definition
-    /// while the worker count is a free performance knob.
-    pub logical_shards: usize,
     /// Whether quiescent connected devices are parked into their compact
     /// frozen form between events (rehydrated on the next event that
     /// touches them). Purely a memory knob: parking and rehydrating are
@@ -146,7 +140,6 @@ impl SystemConfig {
             brass_service_us: 0,
             brass_mailbox_capacity: 0,
             egress_window_bytes: 0,
-            logical_shards: 4,
             hibernation: true,
         }
     }
@@ -186,7 +179,6 @@ impl SystemConfig {
             brass_service_us: 0,
             brass_mailbox_capacity: 0,
             egress_window_bytes: 0,
-            logical_shards: 8,
             hibernation: true,
         }
     }
@@ -207,7 +199,6 @@ mod tests {
             assert!(!config.metrics_interval.is_zero());
             assert!(!config.heartbeat_interval.is_zero());
             assert!(config.heartbeat_misses > 0);
-            assert!(config.logical_shards > 0);
         }
     }
 }

@@ -577,12 +577,11 @@ fn heartbeat_oracle(sim: &SystemSim, case: &FuzzCase) -> Vec<Violation> {
 /// Per-device delivery order, audited two ways:
 ///
 /// * **ledger causality** — every admitted trace has a `TaoCommit`
-///   record and no hop timestamped before it. Chain *append* order is
-///   deliberately not checked: the barrier merges per-shard buffers in
-///   `(window, shard, emission index)` order, and hops like `BrassSend`
-///   are stamped with future completion times, so a fan-out trace's
-///   branches legally interleave non-monotonically. A hop *preceding its
-///   own commit* can never be legal;
+///   record and no hop timestamped before it. Ledger append order is
+///   execution order, but timestamps along a chain are still not
+///   monotone in it: hops like `BrassSend` are stamped with future
+///   completion times, so a fan-out trace's branches legally interleave.
+///   A hop *preceding its own commit* can never be legal;
 /// * **client double-entry** — on a stream that never restarted its
 ///   sequence expectations (`resubscribes() == 0 && resyncs() == 0`),
 ///   the client applied each sequence at most once and observed
@@ -604,7 +603,6 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
         }
         entry.1 = entry.1.min(rec.at);
     }
-    drop(ledger);
     let mut trace_ids: Vec<u64> = traces.keys().copied().collect();
     trace_ids.sort_unstable();
     for id in trace_ids {
@@ -673,14 +671,26 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
 }
 
 /// Re-run equivalence: re-materializes the same case in this process and
-/// runs it again, comparing the per-tick fingerprint series, the final
-/// state fingerprint, and the ledger's rolling hash. The second
+/// runs it again — in uneven, case-derived `run_until` chunks where the
+/// reference ran in one call — comparing the per-tick fingerprint series,
+/// the final state fingerprint, and the ledger's rolling hash. The second
 /// materialization interns its topics after the first run's, so any
 /// difference is state leaking in from outside `(config, seed, plan)` —
-/// intern order, a process-global, hash-map iteration order.
+/// intern order, a process-global, hash-map iteration order, or where the
+/// caller happened to slice time.
 fn determinism_oracle(reference: &SystemSim, case: &FuzzCase) -> Vec<Violation> {
     let (mut other, _ids) = materialize(case);
-    other.run_until(case.end());
+    // Strides from 1 µs to ~16 s, log-uniform, so boundaries land before,
+    // on and after metrics ticks and inside same-instant event bursts.
+    let mut strides = DetRng::new(case.seed).fork(0xC4);
+    let end = case.end();
+    let mut now = SimTime::ZERO;
+    while now < end {
+        let span = 1u64 << strides.below(25);
+        let stride = 1 + strides.below(span);
+        now = (now + SimDuration::from_micros(stride)).min(end);
+        other.run_until(now);
+    }
 
     let mut violations = Vec::new();
     let (a, b) = (reference.tick_fingerprints(), other.tick_fingerprints());

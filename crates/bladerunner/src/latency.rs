@@ -145,28 +145,6 @@ impl LatencyModel {
     pub fn cross_region(&self, rng: &mut DetRng) -> SimDuration {
         Self::ms(&self.cross_region, rng)
     }
-
-    /// Conservative lookahead for the sharded parallel simulator: a lower
-    /// bound on the latency of any *cross-shard* hop.
-    ///
-    /// The shortest edge that crosses a shard boundary is the reverse-proxy
-    /// ↔ BRASS hop (median 5 ms, P90 9 ms). Everything else that moves
-    /// between shards is far slower: POP ↔ proxy is 30 ms median, and the
-    /// Pylon paths — quorum subscribe replication (~68 ms median) and
-    /// publish fan-out (~92 ms median) — dominate, so they never bind.
-    ///
-    /// Because log-normal samplers floor at 0.1 ms, a strict lower bound
-    /// would collapse the window to nothing. Instead the barrier clamps the
-    /// rare sub-window sample to `window_end + 1µs`
-    /// ([`simkit::shard::clamp_to_window`]), which keeps causality and
-    /// determinism intact regardless of window width; the width only
-    /// controls how often a hop is distorted. At 2 ms roughly 2% of
-    /// proxy↔BRASS draws clamp, each distorted by under 2 ms against a
-    /// 5 s heartbeat scale — negligible — while windows stay wide enough
-    /// to amortise barrier synchronisation.
-    pub fn min_cross_shard_hop(&self) -> SimDuration {
-        SimDuration::from_millis(2)
-    }
 }
 
 #[cfg(test)]

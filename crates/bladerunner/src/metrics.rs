@@ -22,17 +22,6 @@ pub struct AppLatencies {
     pub total: Histogram,
 }
 
-impl AppLatencies {
-    /// Folds another app's histograms into this one (shard aggregation).
-    pub fn merge(&mut self, other: &AppLatencies) {
-        self.edge_to_was.merge(&other.edge_to_was);
-        self.was_handling.merge(&other.was_handling);
-        self.brass_processing.merge(&other.brass_processing);
-        self.brass_to_device.merge(&other.brass_to_device);
-        self.total.merge(&other.total);
-    }
-}
-
 /// All measurements collected by a system run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemMetrics {
@@ -289,75 +278,6 @@ impl SystemMetrics {
         ]
     }
 
-    /// Folds one shard's metrics into this aggregate.
-    ///
-    /// Used by the sharded simulator to build the user-visible
-    /// [`SystemMetrics`] from per-shard copies when it is read. Shards are
-    /// merged in shard-id order, so concatenated fields
-    /// ([`Self::stream_lifetimes`], [`Self::availability_timeline`]) come
-    /// out in a deterministic order; map-valued fields merge key-wise and
-    /// per-app histograms merge through sorted app names so the result is
-    /// independent of hash iteration order.
-    pub fn merge(&mut self, shard: &SystemMetrics) {
-        self.mutations.add(shard.mutations.get());
-        self.publications.add(shard.publications.get());
-        self.deliveries.add(shard.deliveries.get());
-        self.subscriptions.add(shard.subscriptions.get());
-        self.cancellations.add(shard.cancellations.get());
-        self.connection_drops.add(shard.connection_drops.get());
-        self.frames_lost.add(shard.frames_lost.get());
-        self.quorum_failures.add(shard.quorum_failures.get());
-        self.host_crashes.add(shard.host_crashes.get());
-        self.host_failures_detected
-            .add(shard.host_failures_detected.get());
-        self.hb_pings.add(shard.hb_pings.get());
-        self.proxy_outages.add(shard.proxy_outages.get());
-        self.device_vanishes.add(shard.device_vanishes.get());
-        self.backfill_polls.add(shard.backfill_polls.get());
-        self.backfills.add(shard.backfills.get());
-        self.mailbox_sheds.add(shard.mailbox_sheds.get());
-        self.flow_sheds.add(shard.flow_sheds.get());
-        self.flow_degraded_signals
-            .add(shard.flow_degraded_signals.get());
-        self.flow_recovered_signals
-            .add(shard.flow_recovered_signals.get());
-        self.q_pylon_fanout.merge(&shard.q_pylon_fanout);
-        self.q_brass_mailbox.merge(&shard.q_brass_mailbox);
-        self.q_flow_window.merge(&shard.q_flow_window);
-        self.q_pop_egress.merge(&shard.q_pop_egress);
-
-        let mut names: Vec<&String> = shard.per_app.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            self.app(name).merge(&shard.per_app[name]);
-        }
-        self.pylon_fanout_small.merge(&shard.pylon_fanout_small);
-        self.pylon_fanout_large.merge(&shard.pylon_fanout_large);
-        self.sub_replication.merge(&shard.sub_replication);
-        self.sub_e2e.merge(&shard.sub_e2e);
-
-        self.ts_active_streams.merge(&shard.ts_active_streams);
-        self.ts_subscriptions.merge(&shard.ts_subscriptions);
-        self.ts_publications.merge(&shard.ts_publications);
-        self.ts_decisions.merge(&shard.ts_decisions);
-        self.ts_deliveries.merge(&shard.ts_deliveries);
-        self.ts_connection_drops.merge(&shard.ts_connection_drops);
-        self.ts_proxy_reconnects.merge(&shard.ts_proxy_reconnects);
-
-        self.availability_timeline
-            .extend(shard.availability_timeline.iter().copied());
-
-        for (&key, s) in &shard.stream_stats {
-            let slot = self.stream_stats.entry(key).or_default();
-            slot.publications += s.publications;
-            if s.opened.is_some() {
-                slot.opened = s.opened;
-            }
-        }
-        self.stream_lifetimes
-            .extend(shard.stream_lifetimes.iter().copied());
-    }
-
     /// The overall BRASS filtered fraction: `1 - deliveries / decisions`
     /// (the paper's "80% of messages are filtered out").
     pub fn filtered_fraction(&self, decisions: u64) -> f64 {
@@ -399,8 +319,8 @@ impl SystemMetrics {
     /// written in sorted key order (and restore rejects unsorted input),
     /// so the byte encoding is canonical; Vec-valued fields
     /// ([`Self::availability_timeline`], [`Self::stream_lifetimes`]) are
-    /// written verbatim because their order is the deterministic shard
-    /// fold order, which is behaviour-visible.
+    /// written verbatim: their order is execution order, which is
+    /// behaviour-visible.
     pub fn snap(&self, w: &mut SnapWriter) {
         for c in self.counters() {
             c.snap(w);
@@ -575,8 +495,7 @@ impl SystemMetrics {
     /// Folds the cheap per-tick metrics digest into a fingerprint: every
     /// counter, queue-gauge peak, histogram population, and per-stream
     /// tally — O(counters + apps + streams-opened) per call, no float
-    /// formatting, no allocation beyond the sort of app names. Identical
-    /// across worker counts because everything mixed is.
+    /// formatting, no allocation beyond the sort of app names.
     pub fn mix_fingerprint(&self, fp: &mut Fp64) {
         for c in self.counters() {
             fp.mix_u64(c.get());
@@ -656,37 +575,6 @@ mod tests {
         m.deliveries.add(20);
         assert!((m.filtered_fraction(100) - 0.8).abs() < 1e-9);
         assert_eq!(m.filtered_fraction(0), 0.0);
-    }
-
-    #[test]
-    fn merge_aggregates_counters_maps_and_series() {
-        let mut a = metrics();
-        a.deliveries.add(3);
-        a.app("lvc").total.record(100.0);
-        a.publication_for_stream(1, StreamId(1));
-        a.ts_deliveries.record(SimTime::from_secs(1), 2.0);
-        a.stream_lifetimes.push(SimDuration::from_secs(5));
-
-        let mut b = metrics();
-        b.deliveries.add(4);
-        b.app("lvc").total.record(200.0);
-        b.app("typing").total.record(50.0);
-        b.publication_for_stream(1, StreamId(1));
-        b.publication_for_stream(2, StreamId(1));
-        b.ts_deliveries.record(SimTime::from_secs(1), 5.0);
-        b.stream_lifetimes.push(SimDuration::from_secs(7));
-
-        a.merge(&b);
-        assert_eq!(a.deliveries.get(), 7);
-        assert_eq!(a.per_app["lvc"].total.count(), 2);
-        assert_eq!(a.per_app["typing"].total.count(), 1);
-        assert_eq!(a.stream_stats[&(1, StreamId(1))].publications, 2);
-        assert_eq!(a.stream_stats[&(2, StreamId(1))].publications, 1);
-        assert_eq!(a.ts_deliveries.buckets()[0], 7.0);
-        assert_eq!(
-            a.stream_lifetimes,
-            vec![SimDuration::from_secs(5), SimDuration::from_secs(7)]
-        );
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //!   truncated or corrupted file yields a clean error, never a partial
 //!   world.
 //!
-//! * The bisect engine: given two run recipes that *should* agree (the
-//!   same config at different worker counts, or two deliberately
-//!   different configs), it runs both with per-tick fingerprints and
-//!   periodic snapshots, binary-searches the fingerprint series for the
+//! * The bisect engine: given two run recipes that *should* agree (two
+//!   builds of one spec, or two deliberately different configs), it runs
+//!   both with per-tick fingerprints and periodic snapshots,
+//!   binary-searches the fingerprint series for the
 //!   first diverging metrics tick, resumes each side from the nearest
 //!   common snapshot before it, replays the one diverging tick under a
 //!   per-event log, and reports the first event where the executions
-//!   part ways — `(time, shard, seq)`, both renderings, and both trace
+//!   part ways — `(time, seq)`, both renderings, and both trace
 //!   ledgers' neighborhoods. Replay cost is O(one tick) after an
 //!   O(log ticks) search instead of O(whole run) squinting.
 //!
@@ -75,9 +75,7 @@ pub struct RunSpec<'a> {
 pub struct DivergingEvent {
     /// When the event executed.
     pub time: SimTime,
-    /// The shard that executed it.
-    pub src_shard: usize,
-    /// Its position in that shard's pop order within the replayed span.
+    /// Its position in the pop order of the replayed span.
     pub seq: usize,
     /// The event as run A executed it (`None`: A had no event here).
     pub a: Option<String>,
@@ -141,9 +139,8 @@ impl BisectReport {
             Some(ev) => {
                 let _ = writeln!(
                     out,
-                    "first diverging event: time={}µs src_shard={} seq={}",
+                    "first diverging event: time={}µs seq={}",
                     ev.time.as_micros(),
-                    ev.src_shard,
                     ev.seq
                 );
                 let _ = writeln!(out, "  {a}: {}", ev.a.as_deref().unwrap_or("<no event>"));
@@ -261,9 +258,9 @@ pub fn bisect(a: &RunSpec<'_>, b: &RunSpec<'_>, end: SimTime, snapshot_every: u6
     let diverge_tick = tick_at(&ra).or(tick_at(&rb)).unwrap_or(end);
 
     // Latest snapshot strictly before the diverging tick that *both* runs
-    // captured. Snapshots are taken at tick barriers, so any snapshot at
-    // an agreed tick captures agreed... states for identical configs; for
-    // deliberately different configs each side resumes its own bytes.
+    // captured. A snapshot at an agreed tick captures agreed state for
+    // identical configs; for deliberately different configs each side
+    // resumes its own bytes.
     let common = ra
         .snapshots
         .iter()
@@ -271,7 +268,7 @@ pub fn bisect(a: &RunSpec<'_>, b: &RunSpec<'_>, end: SimTime, snapshot_every: u6
         .find(|(t, _)| *t < diverge_tick && rb.snapshots.iter().any(|(u, _)| u == t))
         .map(|(t, _)| *t);
 
-    let replay = |spec: &RunSpec<'_>, rec: &Recorded| -> (Vec<Vec<(SimTime, String)>>, SystemSim) {
+    let replay = |spec: &RunSpec<'_>, rec: &Recorded| -> (Vec<(SimTime, String)>, SystemSim) {
         let mut sim = match common {
             Some(s) => {
                 let bytes = &rec.snapshots.iter().find(|(t, _)| *t == s).unwrap().1;
@@ -285,42 +282,30 @@ pub fn bisect(a: &RunSpec<'_>, b: &RunSpec<'_>, end: SimTime, snapshot_every: u6
         // fingerprint went wrong: the tick at T folds every event in
         // (previous tick, T].
         sim.run_until(diverge_tick);
-        (sim.take_event_logs(), sim)
+        (sim.take_event_log(), sim)
     };
-    let (logs_a, sim_a) = replay(a, &ra);
-    let (logs_b, sim_b) = replay(b, &rb);
+    let (log_a, sim_a) = replay(a, &ra);
+    let (log_b, sim_b) = replay(b, &rb);
 
-    // First differing log entry across shards, by (time, shard, index).
-    let mut event: Option<DivergingEvent> = None;
-    let shards = logs_a.len().max(logs_b.len());
-    static EMPTY: Vec<(SimTime, String)> = Vec::new();
-    for shard in 0..shards {
-        let la = logs_a.get(shard).unwrap_or(&EMPTY);
-        let lb = logs_b.get(shard).unwrap_or(&EMPTY);
-        let len = la.len().max(lb.len());
-        for i in 0..len {
-            let ea = la.get(i);
-            let eb = lb.get(i);
-            if ea == eb {
-                continue;
+    // The logs are in execution order, so the first index where they
+    // differ (or where one ends) is the first diverging event.
+    let event = (0..log_a.len().max(log_b.len()))
+        .find(|&i| log_a.get(i) != log_b.get(i))
+        .map(|seq| {
+            let (ea, eb) = (log_a.get(seq), log_b.get(seq));
+            let render = |e: &(SimTime, String)| format!("t={}µs {}", e.0.as_micros(), e.1);
+            DivergingEvent {
+                time: ea
+                    .into_iter()
+                    .chain(eb)
+                    .map(|e| e.0)
+                    .min()
+                    .unwrap_or(diverge_tick),
+                seq,
+                a: ea.map(render),
+                b: eb.map(render),
             }
-            let time = ea.or(eb).map(|(t, _)| *t).unwrap_or(diverge_tick);
-            let better = match &event {
-                None => true,
-                Some(cur) => (time, shard, i) < (cur.time, cur.src_shard, cur.seq),
-            };
-            if better {
-                event = Some(DivergingEvent {
-                    time,
-                    src_shard: shard,
-                    seq: i,
-                    a: ea.map(|(t, s)| format!("t={}µs {s}", t.as_micros())),
-                    b: eb.map(|(t, s)| format!("t={}µs {s}", t.as_micros())),
-                });
-            }
-            break;
-        }
-    }
+        });
 
     const NEIGHBORHOOD: usize = 12;
     BisectReport {

@@ -6,38 +6,31 @@
 //! [`crate::latency::LatencyModel`]. All randomness flows
 //! from one seed, so any run is exactly reproducible.
 //!
-//! # Logical shards, one thread
+//! # One queue
 //!
-//! The system is partitioned into `config.logical_shards` independent
-//! event loops ([`Shard`]), each owning a disjoint slice of the world:
-//! devices and POPs shard by `device % pops` (a device always lives with
-//! its POP), reverse proxies by `proxy`, BRASS hosts by `host`, and the
-//! singleton backend (WAS, TAO, Pylon) lives on shard 0. Each shard has
-//! its own event queue, RNG stream, metrics, and trace buffer.
+//! The paper's unit of execution is a single-threaded event loop (§3.2),
+//! and so is the simulator's: [`SystemSim`] owns one [`EventQueue`], one
+//! engine RNG stream, one set of hosts, proxies, POPs and devices, the
+//! attribution registries, the [`TraceLedger`] and one [`SystemMetrics`],
+//! all plain fields reached through `&mut self`. `run_until` pops events
+//! in `(time, seq)` order — `seq` being scheduling order, so same-instant
+//! events run FIFO — and fires the periodic metrics tick ahead of any
+//! event at the tick's own instant.
 //!
-//! Execution proceeds in conservative windows: every round the
-//! coordinator computes the earliest pending event across shards and runs
-//! each shard in id order, on the caller's thread, up to
-//! `next + lookahead`, where the lookahead is
-//! [`LatencyModel::min_cross_shard_hop`]. Events that target
-//! another shard are collected in per-shard outboxes, merged at the
-//! window barrier in `(time, src_shard, seq)` order
-//! ([`simkit::shard::merge`]), clamped out of the closed window
-//! ([`simkit::shard::clamp_to_window`]) and delivered before the
-//! destination pops anything from the next window. Shared read-mostly
-//! state (trace registry, topic subscriptions, device routing) lives
-//! behind a lock that shards only *read* during a window; all writes are
-//! queued as [`SharedOp`]s and applied at the barrier in shard order.
+//! Two RNG streams keep the engine apart from its driver: workload
+//! generators and fixture setup draw from the master stream
+//! ([`SystemSim::rng_mut`]); every hop latency, loss and jitter draw comes
+//! from the engine stream forked off it once at construction. A driver
+//! that injects its workload lazily therefore cannot perturb the engine.
 //!
 //! The result is a simulation whose outputs are a pure function of
-//! `(config, seed, workload)`. A shard models one of the paper's
-//! single-threaded instances; the simulator scales the way the paper
-//! does, by running more of them, not by threading one.
+//! `(config, seed, workload)` and of nothing about how the caller slices
+//! time: `run_until(T)` equals any chunking of it, and a snapshot taken
+//! between any two calls resumes to the same future.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::path::PathBuf;
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 use brass::app::{DeviceId, FetchToken, WasRequest, WasResponse};
 use brass::host::{BrassHost, HostConfig, HostEffect};
@@ -51,7 +44,6 @@ use pylon::{HostId, PylonCluster, Topic};
 use simkit::fxhash::{FxHashMap, FxHashSet};
 use simkit::queue::EventQueue;
 use simkit::rng::DetRng;
-use simkit::shard::{clamp_to_window, merge, Envelope};
 use simkit::snap::{self, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome, TraceId, TraceLedger};
@@ -89,7 +81,7 @@ pub struct EventStats {
     pub faults: u64,
     /// Heartbeat ticks, pings and pong round-trips.
     pub heartbeats: u64,
-    /// Periodic metrics ticks (driven by the coordinator).
+    /// Periodic metrics ticks.
     pub metrics: u64,
 }
 
@@ -113,8 +105,7 @@ impl EventStats {
             | Ev::BrassRedirect { .. }
             | Ev::BrassUpgrade { .. }
             | Ev::BrassHostBack { .. }
-            | Ev::WasBackfillExec { .. }
-            | Ev::NoteBackfill { .. } => &mut self.brass,
+            | Ev::WasBackfillExec { .. } => &mut self.brass,
             Ev::AtPop { .. } | Ev::AtProxy { .. } | Ev::AtBrass { .. } => &mut self.transport_up,
             Ev::DownAtProxy { .. } | Ev::DownAtPop { .. } | Ev::AtDevice { .. } => {
                 &mut self.transport_down
@@ -137,13 +128,6 @@ impl EventStats {
             }
         };
         *bucket += 1;
-    }
-
-    /// Field-wise accumulation (shard aggregation).
-    fn accumulate(&mut self, other: &EventStats) {
-        for (mine, theirs) in self.fields_mut().into_iter().zip(other.fields()) {
-            *mine += theirs;
-        }
     }
 
     /// The eleven counters in declaration order (snapshot layout).
@@ -367,12 +351,10 @@ enum Ev {
     /// A device's last-mile link dies silently (no FIN): the server side
     /// learns only via POP heartbeats; the device reconnects with backoff.
     DeviceVanish { device: u64 },
-    /// The per-shard heartbeat tick driving proxy→BRASS (and optionally
-    /// POP→device) monitors for the proxies and POPs this shard owns.
-    /// Never crosses shards: each shard self-schedules its own.
+    /// The heartbeat tick driving every proxy→BRASS (and optionally
+    /// POP→device) monitor. Self-rescheduling.
     HeartbeatTick,
-    /// A proxy's heartbeat ping arrives at a BRASS host. The host-owning
-    /// shard consults the *authoritative* liveness flag; a dead host
+    /// A proxy's heartbeat ping arrives at a BRASS host; a dead host
     /// simply never answers.
     HbPingAtHost {
         proxy: usize,
@@ -390,11 +372,10 @@ enum Ev {
     WasBackfillExec { device: u64, sid: StreamId },
 
     // ------------------------------------------------------------------
-    // Cross-shard control messages (replacing what used to be direct
-    // method calls between subsystems owned by different shards).
+    // Control messages between subsystems.
     // ------------------------------------------------------------------
     /// Pylon learns a BRASS host failed (heartbeat detection or planned
-    /// drain) and purges its subscriptions. Runs on shard 0 with Pylon.
+    /// drain) and purges its subscriptions.
     PylonHostFailed { host: usize },
     /// A proxy learns a BRASS host failed (planned drain) and repairs the
     /// streams it had routed there.
@@ -414,64 +395,6 @@ enum Ev {
     /// A proxy learns (from a POP) that a device disconnected and tears
     /// its streams down.
     ProxyDeviceGone { proxy: usize, device: u64 },
-    /// The device-owning shard learns that one of its streams lost a
-    /// traced update somewhere else in the system, so a later backfill
-    /// poll can recover it.
-    NoteBackfill {
-        device: u64,
-        sid: StreamId,
-        trace: TraceId,
-    },
-}
-
-/// Routes an event to the shard owning the state it touches.
-///
-/// Devices co-locate with their POP (`device % pops`), so every
-/// device-and-POP interaction is shard-local; proxies and hosts shard by
-/// id; the singleton backend (WAS, TAO, Pylon) lives on shard 0.
-fn shard_route(ev: &Ev, pops: usize, shards: usize) -> usize {
-    let of_device = |d: u64| (d as usize % pops) % shards;
-    match ev {
-        Ev::DeviceSubscribe { device, .. }
-        | Ev::DeviceCancel { device, .. }
-        | Ev::DeviceDrop { device }
-        | Ev::DeviceReconnect { device, .. }
-        | Ev::DeviceVanish { device }
-        | Ev::AtPop { device, .. }
-        | Ev::DownAtPop { device, .. }
-        | Ev::AtDevice { device, .. }
-        | Ev::WasBackfillExec { device, .. }
-        | Ev::NoteBackfill { device, .. } => of_device(*device),
-        Ev::PopProxyFailed { pop, .. } | Ev::PopAddProxy { pop, .. } => pop % shards,
-        Ev::AtProxy { proxy, .. }
-        | Ev::DownAtProxy { proxy, .. }
-        | Ev::ProxyOutage { proxy }
-        | Ev::ProxyBack { proxy }
-        | Ev::PongFromHost { proxy, .. }
-        | Ev::ProxyHostFailed { proxy, .. }
-        | Ev::ProxyAddHost { proxy, .. }
-        | Ev::ProxyHostRestarted { proxy, .. }
-        | Ev::ProxyDeviceGone { proxy, .. } => proxy % shards,
-        Ev::AtBrass { host, .. }
-        | Ev::WasReply { host, .. }
-        | Ev::BrassTimer { host, .. }
-        | Ev::BrassRedirect { host, .. }
-        | Ev::BrassUpgrade { host }
-        | Ev::BrassHostBack { host }
-        | Ev::BrassCrash { host }
-        | Ev::BrassRecover { host }
-        | Ev::PylonDeliverHost { host, .. }
-        | Ev::HbPingAtHost { host, .. } => host % shards,
-        Ev::WasMutationExec { .. }
-        | Ev::PylonPublish { .. }
-        | Ev::TaoReplicate { .. }
-        | Ev::PylonSubscribeExec { .. }
-        | Ev::PylonUnsubscribeExec { .. }
-        | Ev::WasExec { .. }
-        | Ev::PylonNode { .. }
-        | Ev::PylonHostFailed { .. } => 0,
-        Ev::HeartbeatTick => unreachable!("heartbeat ticks are shard-local, never routed"),
-    }
 }
 
 /// Reads an application name from a snapshot as the `&'static str` events
@@ -764,12 +687,6 @@ impl Snap for Ev {
                 w.put_usize(*proxy);
                 w.put_u64(*device);
             }
-            Ev::NoteBackfill { device, sid, trace } => {
-                w.put_u8(38);
-                w.put_u64(*device);
-                sid.snap(w);
-                trace.snap(w);
-            }
         }
     }
 
@@ -938,11 +855,6 @@ impl Snap for Ev {
                 proxy: r.get_usize()?,
                 device: r.get_u64()?,
             },
-            38 => Ev::NoteBackfill {
-                device: r.get_u64()?,
-                sid: StreamId::restore(r)?,
-                trace: TraceId::restore(r)?,
-            },
             39 => Ev::ProxyHostRestarted {
                 proxy: r.get_usize()?,
                 host: r.get_usize()?,
@@ -994,9 +906,9 @@ struct DeviceState {
     inflight_frames: u64,
 }
 
-/// What a shard keeps between one device's park and the next one's wake,
-/// so the wake-handle-park round trip of a delivered frame reuses buffers
-/// instead of building and dropping a machine and a blob each time.
+/// What the simulator keeps between one device's park and the next one's
+/// wake, so the wake-handle-park round trip of a delivered frame reuses
+/// buffers instead of building and dropping a machine and a blob each time.
 #[derive(Default)]
 struct ParkScratch {
     /// The machine of the last device to park; the next wake rehydrates
@@ -1153,14 +1065,14 @@ impl DeviceState {
 }
 
 // ----------------------------------------------------------------------
-// Shared cross-shard state.
+// Attribution and routing registries.
 // ----------------------------------------------------------------------
 
-/// Read-mostly registries every shard consults. Shards take short read
-/// locks during a window; all writes are queued as [`SharedOp`]s and
-/// applied by the coordinator at the window barrier, in shard order, so
-/// the contents are identical no matter how shards are scheduled.
-struct SharedInner {
+/// The registries handlers consult to attribute frames to traces and apps
+/// and to route them back down. Grouped so a handler can walk a frame's
+/// traces while it writes the ledger and the metrics.
+#[derive(Default)]
+struct Registries {
     /// object → trace of the most recent update event referencing it, used
     /// to attribute payload fetches, frames, and renders back to traces.
     /// (Updates sharing an object — e.g. one message fanned to N mailboxes —
@@ -1179,160 +1091,105 @@ struct SharedInner {
     stream_topic: FxHashMap<(u64, StreamId), Topic>,
     /// device → proxy carrying its streams (learned from POP routing).
     device_proxy: FxHashMap<u64, usize>,
-    /// Mirror of host liveness, maintained from crash/recover ops. Only
-    /// consulted when a recovered proxy rebuilds its host roster; the
-    /// *authoritative* flags live on each host's owning shard.
-    host_up: Vec<bool>,
 }
 
-/// A deferred write to [`SharedInner`], applied at the window barrier.
-enum SharedOp {
-    /// Register (or re-point) an object's trace.
-    ObjectTrace(ObjectId, TraceId),
-    /// Register the trace of one (topic, object) fan-out leg.
-    TopicObjectTrace(Topic, ObjectId, TraceId),
-    /// Register a stream's subscription topic.
-    StreamTopicInsert(u64, StreamId, Topic),
+impl Registries {
     /// A stream closed: drop its topic registration on both sides.
-    StreamRemove(u64, StreamId),
-    /// A stream subscribed to a topic (Fig. 7 accounting).
-    TopicStreamPush(Topic, u64, StreamId),
-    /// A POP routed a device through a proxy.
-    DeviceProxy(u64, usize),
-    /// A BRASS host crashed or recovered (liveness mirror).
-    HostUp(usize, bool),
-}
-
-fn apply_shared_op(shared: &mut SharedInner, op: SharedOp) {
-    match op {
-        SharedOp::ObjectTrace(object, trace) => {
-            shared.object_trace.insert(object, trace);
-        }
-        SharedOp::TopicObjectTrace(topic, object, trace) => {
-            shared.topic_object_trace.insert((topic, object), trace);
-        }
-        SharedOp::StreamTopicInsert(device, sid, topic) => {
-            shared.stream_topic.insert((device, sid), topic);
-        }
-        SharedOp::StreamRemove(device, sid) => {
-            if let Some(topic) = shared.stream_topic.remove(&(device, sid)) {
-                if let Some(streams) = shared.topic_streams.get_mut(&topic) {
-                    streams.retain(|&(d, s)| !(d == device && s == sid));
-                }
-            }
-        }
-        SharedOp::TopicStreamPush(topic, device, sid) => {
-            shared
-                .topic_streams
-                .entry(topic)
-                .or_default()
-                .push((device, sid));
-        }
-        SharedOp::DeviceProxy(device, proxy) => {
-            shared.device_proxy.insert(device, proxy);
-        }
-        SharedOp::HostUp(host, up) => {
-            if host < shared.host_up.len() {
-                shared.host_up[host] = up;
+    fn remove_stream(&mut self, device: u64, sid: StreamId) {
+        if let Some(topic) = self.stream_topic.remove(&(device, sid)) {
+            if let Some(streams) = self.topic_streams.get_mut(&topic) {
+                streams.retain(|&(d, s)| !(d == device && s == sid));
             }
         }
     }
 }
 
-/// State shared between shards: the registries and the trace ledger.
-struct World {
-    shared: RwLock<SharedInner>,
-    /// The per-update hop ledger: every admitted update's journey through
-    /// write → Pylon → BRASS → BURST → device, with drop attribution.
-    /// Shards buffer records locally and the coordinator folds them in at
-    /// each barrier, in shard order.
-    ledger: RwLock<TraceLedger>,
-}
-
-/// A buffered trace-ledger record awaiting the window barrier.
-type LedRec = (TraceId, Hop, SimTime, HopOutcome);
-
-/// What one shard reports from a coordinator-driven metrics tick.
-struct TickSummary {
-    /// Open streams across ALL owned devices (connected or not).
-    active_streams: u64,
-    /// Sum of BRASS delivery decisions over owned hosts.
-    decisions: u64,
-    /// `(device, sid)` keys served by owned, live hosts.
-    live: Vec<(u64, StreamId)>,
-    /// `(device, sid)` keys open on owned, connected devices.
-    open: Vec<(u64, StreamId)>,
-    /// The shard's rolling state fingerprint at this tick
-    /// ([`Shard::fingerprint`]).
-    fp: u64,
-}
-
 // ----------------------------------------------------------------------
-// A shard: one event loop over a disjoint slice of the system.
+// The simulation: one event loop over the whole system.
 // ----------------------------------------------------------------------
 
-/// One logical event loop owning a disjoint slice of the system: the
-/// devices/POPs, proxies, and BRASS hosts whose ids hash to it, plus —
-/// on shard 0 — the singleton backend (WAS, TAO, Pylon). Component
-/// vectors are allocated full-size on every shard so indices stay global;
-/// a shard only ever touches the slots it owns.
-struct Shard {
-    id: usize,
-    /// Total logical shard count (`config.logical_shards`).
-    shards: usize,
+/// The full-system simulation: every component, the registries, the
+/// ledger, and the one event queue that drives them. See the module docs.
+pub struct SystemSim {
     config: SystemConfig,
     latency: LatencyModel,
-    /// This shard's private RNG stream, forked off the master seed.
+    /// The master RNG: workload generators and fixture setup draw from it.
     rng: DetRng,
+    /// The engine's stream, forked off the master once at construction:
+    /// every hop latency, loss and jitter draw.
+    engine_rng: DetRng,
     queue: EventQueue<Ev>,
-    world: Arc<World>,
+    /// The high-water mark of `run_until`.
+    now: SimTime,
+    next_metrics_tick: SimTime,
 
-    /// The web application servers + TAO (shard 0 only).
-    was: Option<WebApplicationServer>,
-    /// The Pylon cluster (shard 0 only).
-    pylon: Option<PylonCluster>,
-
+    /// The web application servers + TAO.
+    was: WebApplicationServer,
+    pylon: PylonCluster,
     hosts: Vec<BrassHost>,
     proxies: Vec<ReverseProxy>,
     pops: Vec<Pop>,
-    /// Authoritative liveness for *owned* hosts (a crash is invisible to
-    /// Pylon deliveries — the rest of the system must *detect* the death
-    /// through missed heartbeats, never observe this flag directly).
+    /// Liveness per BRASS host. A crash is invisible to Pylon deliveries —
+    /// the rest of the system must *detect* the death through missed
+    /// heartbeats, never observe this flag directly; only a recovering
+    /// proxy rebuilding its roster reads it.
     host_up: Vec<bool>,
-    /// Authoritative liveness for *owned* proxies.
+    /// Liveness per reverse proxy.
     proxy_up: Vec<bool>,
-    /// The overload model's backlog clock per owned BRASS host: the
-    /// instant the host finishes everything admitted so far. Events
-    /// arriving while `busy_until > now` queue behind the backlog (and
-    /// are shed once the mailbox cap is hit). Unused (stays ZERO) when
+    /// The overload model's backlog clock per BRASS host: the instant the
+    /// host finishes everything admitted so far. Events arriving while
+    /// `busy_until > now` queue behind the backlog (and are shed once the
+    /// mailbox cap is hit). Unused (stays ZERO) when
     /// `config.brass_service_us == 0`.
     host_busy_until: Vec<SimTime>,
 
-    /// The shard's device fleet, keyed by uid. A sorted vec, not a hash
-    /// map: the fleet is built in ascending-id order, lives for the whole
-    /// run, and at seven figures a hash table's empty buckets alone cost
-    /// hundreds of megabytes (entries are 144 B each).
+    /// The device fleet, keyed by uid. A sorted vec, not a hash map: the
+    /// fleet is built in ascending-id order, lives for the whole run, and
+    /// at seven figures a hash table's empty buckets alone cost hundreds
+    /// of megabytes (entries are 144 B each).
     devices: simkit::collections::SortedVecMap<u64, DeviceState>,
+    reg: Registries,
+    /// The per-update hop ledger: every admitted update's journey through
+    /// write → Pylon → BRASS → BURST → device, with drop attribution, in
+    /// execution order.
+    ledger: TraceLedger,
     /// (device, sid) → traces lost in delivery to that stream, recoverable
     /// by a WAS backfill poll (gap detection or reconnect).
     pending_backfill: FxHashMap<(u64, StreamId), Vec<TraceId>>,
-    /// Pylon event delivery time per (owned host, object), for
-    /// BRASS-latency attribution of later payload fetches.
+    /// Pylon event delivery time per (host, object), for BRASS-latency
+    /// attribution of later payload fetches.
     object_delivered: FxHashMap<(usize, ObjectId), SimTime>,
     /// Subscription start times (device-observed subscribe latency).
     sub_started: FxHashMap<(u64, StreamId), SimTime>,
 
     metrics: SystemMetrics,
     event_stats: EventStats,
-
-    // Window products, drained by the coordinator at each barrier.
-    /// Events targeting other shards, in emission order.
-    outbox: Vec<(SimTime, Ev)>,
-    /// Deferred writes to the shared registries, in emission order.
-    ops: Vec<SharedOp>,
-    /// Trace-ledger records buffered for the barrier, in emission order.
-    led_pending: Vec<LedRec>,
-
+    /// Decisions seen at the last metrics tick (for per-bucket deltas).
+    decisions_at_tick: u64,
+    /// Scenario bookkeeping: predicted next stream id per device.
+    scenario_sids: FxHashMap<u64, u64>,
+    /// The interned header-language table; [`DeviceState::lang`] indexes
+    /// into it.
+    langs: Vec<String>,
+    /// Per-metrics-tick rolling run fingerprints `(tick, fp)` accumulated
+    /// since construction (or since the snapshot this run resumed from,
+    /// which carries the earlier ones).
+    fingerprints: Vec<(SimTime, u64)>,
+    /// Metrics ticks fired so far (the snapshot cadence counter).
+    tick_index: u64,
+    /// Snapshot policy: capture every N metrics ticks (0 = never).
+    snapshot_every: u64,
+    /// Keep policy-captured snapshots in memory (the bisect harness
+    /// restores from them).
+    snapshot_keep: bool,
+    /// Also write policy-captured snapshots into this directory.
+    snapshot_dir: Option<PathBuf>,
+    /// In-memory snapshots captured by the policy: `(tick, sealed bytes)`.
+    snapshots: Vec<(SimTime, Vec<u8>)>,
+    /// Opaque harness state carried inside snapshots: the driving bench
+    /// serializes its workload cursors here so a resumed process can pick
+    /// up injection exactly where the original left off.
+    driver_blob: Vec<u8>,
     /// Per-event log for divergence bisection: every popped event's
     /// `(time, summary)` in execution order, kept only while a bisect
     /// harness switches it on ([`SystemSim::set_event_log`]).
@@ -1348,151 +1205,11 @@ struct Shard {
     park: ParkScratch,
 }
 
-impl Shard {
-    fn new(id: usize, config: &SystemConfig, master: &DetRng, world: Arc<World>) -> Self {
-        let shards = config.logical_shards;
-        let (was, pylon) = if id == 0 {
-            (
-                Some(WebApplicationServer::new(Tao::new(config.tao.clone()))),
-                Some(PylonCluster::new(config.pylon.clone())),
-            )
-        } else {
-            (None, None)
-        };
-        let hosts: Vec<BrassHost> = (0..config.brass_hosts)
-            .map(|i| {
-                let mut h = BrassHost::new(HostConfig::small(i));
-                h.register_standard_apps();
-                h
-            })
-            .collect();
-        let host_ids: Vec<u32> = (0..config.brass_hosts).collect();
-        let proxies: Vec<ReverseProxy> = (0..config.proxies)
-            .map(|i| {
-                ReverseProxy::new(i, config.route_strategy, host_ids.clone()).with_heartbeat(
-                    config.heartbeat_interval.as_micros(),
-                    config.heartbeat_misses,
-                )
-            })
-            .collect();
-        let proxy_ids: Vec<u32> = (0..config.proxies).collect();
-        let pops: Vec<Pop> = (0..config.pops)
-            .map(|i| Pop::new(i, proxy_ids.clone()))
-            .collect();
-        let mut queue = EventQueue::new();
-        // Every shard drives its own heartbeat monitors; ticks never
-        // cross shards.
-        queue.schedule(SimTime::ZERO + config.heartbeat_interval, Ev::HeartbeatTick);
-        Shard {
-            id,
-            shards,
-            latency: LatencyModel::table3(),
-            rng: master.fork(0x5A4D_0000 + id as u64),
-            queue,
-            world,
-            was,
-            pylon,
-            hosts,
-            proxies,
-            pops,
-            host_up: vec![true; config.brass_hosts as usize],
-            proxy_up: vec![true; config.proxies as usize],
-            host_busy_until: vec![SimTime::ZERO; config.brass_hosts as usize],
-            devices: simkit::collections::SortedVecMap::new(),
-            pending_backfill: FxHashMap::default(),
-            object_delivered: FxHashMap::default(),
-            sub_started: FxHashMap::default(),
-            metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
-            event_stats: EventStats::default(),
-            outbox: Vec::new(),
-            ops: Vec::new(),
-            led_pending: Vec::new(),
-            evlog: None,
-            host_fx: Vec::new(),
-            proxy_fx: Vec::new(),
-            pop_fx: Vec::new(),
-            device_out: Vec::new(),
-            park: ParkScratch::default(),
-            config: config.clone(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Plumbing.
-    // ------------------------------------------------------------------
-
-    fn was_ref(&mut self) -> &mut WebApplicationServer {
-        self.was.as_mut().expect("the WAS lives on shard 0")
-    }
-
-    fn pylon_ref(&mut self) -> &mut PylonCluster {
-        self.pylon.as_mut().expect("Pylon lives on shard 0")
-    }
-
-    fn owns_device(&self, device: u64) -> bool {
-        (device as usize % self.pops.len()) % self.shards == self.id
-    }
-
-    /// Schedules an event: locally if this shard owns the target state,
-    /// otherwise into the outbox for the barrier exchange. All handler
-    /// scheduling funnels through here.
-    fn send(&mut self, at: SimTime, ev: Ev) {
-        let dest = shard_route(&ev, self.pops.len(), self.shards);
-        if dest == self.id {
-            self.queue.schedule(at, ev);
-        } else {
-            self.outbox.push((at, ev));
-        }
-    }
-
-    /// A short-lived read guard over the shared registries. Guards are
-    /// always taken sequentially (never nested) inside handlers.
-    fn shared(&self) -> RwLockReadGuard<'_, SharedInner> {
-        self.world.shared.read().unwrap()
-    }
-
-    /// Buffers a trace-ledger record for the window barrier.
-    fn record(&mut self, trace: TraceId, hop: Hop, at: SimTime, outcome: HopOutcome) {
-        self.led_pending.push((trace, hop, at, outcome));
-    }
-
-    /// Queues a shared-registry write for the window barrier.
-    fn op(&mut self, op: SharedOp) {
-        self.ops.push(op);
-    }
-
+impl SystemSim {
     /// Whether a trace already reached its device (rendered or
-    /// backfilled), per the merged ledger *plus this shard's own buffered
-    /// records*. Other shards' unmerged records are deliberately invisible:
-    /// a window's outcome may depend only on what the last barrier merged,
-    /// never on how far another shard has got through the same window.
+    /// backfilled).
     fn trace_resolved(&self, trace: TraceId) -> bool {
-        {
-            let ledger = self.world.ledger.read().unwrap();
-            if ledger.is_delivered(trace) || ledger.is_backfilled(trace) {
-                return true;
-            }
-        }
-        self.led_pending.iter().any(|(t, hop, _, out)| {
-            *t == trace
-                && *out == HopOutcome::Ok
-                && matches!(hop, Hop::DeviceRender | Hop::WasBackfill)
-        })
-    }
-
-    /// Runs this shard's loop up to and including `end`, after folding in
-    /// the envelopes the barrier routed here.
-    fn run_window(&mut self, end: SimTime, incoming: &mut Vec<Envelope<Ev>>) {
-        for env in incoming.drain(..) {
-            self.queue.schedule(env.at, env.event);
-        }
-        while let Some((now, ev)) = self.queue.pop_until(end) {
-            self.event_stats.note(&ev);
-            if let Some(log) = &mut self.evlog {
-                log.push((now, ev_summary(&ev)));
-            }
-            self.handle(now, ev);
-        }
+        self.ledger.is_delivered(trace) || self.ledger.is_backfilled(trace)
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -1502,14 +1219,14 @@ impl Shard {
             Ev::WasMutationExec { gql, app } => self.on_was_mutation(now, &gql, app),
             Ev::PylonPublish { event } => self.on_pylon_publish(now, *event),
             Ev::PylonDeliverHost { host, event } => self.on_pylon_deliver(now, host, event),
-            Ev::TaoReplicate { event } => self.was_ref().tao_mut().apply_replication(&event),
+            Ev::TaoReplicate { event } => self.was.tao_mut().apply_replication(&event),
             Ev::PylonSubscribeExec {
                 host,
                 topic,
                 attempt,
             } => self.on_pylon_subscribe_exec(now, host, topic, attempt),
             Ev::PylonUnsubscribeExec { host, topic } => {
-                let _ = self.pylon_ref().unsubscribe(&topic, HostId(host as u32));
+                let _ = self.pylon.unsubscribe(&topic, HostId(host as u32));
             }
             Ev::WasExec {
                 host,
@@ -1572,9 +1289,9 @@ impl Shard {
             Ev::BrassHostBack { host } => self.on_brass_host_back(now, host),
             Ev::PylonNode { node, up } => {
                 if up {
-                    self.pylon_ref().node_up(node);
+                    self.pylon.node_up(node);
                 } else {
-                    self.pylon_ref().node_down(node);
+                    self.pylon.node_down(node);
                 }
             }
             Ev::BrassCrash { host } => self.on_brass_crash(now, host),
@@ -1584,8 +1301,7 @@ impl Shard {
             Ev::DeviceVanish { device } => self.on_device_vanish(now, device),
             Ev::HeartbeatTick => self.on_heartbeat_tick(now),
             Ev::HbPingAtHost { proxy, host, token } => {
-                // The host-owning shard consults the authoritative flag: a
-                // dead host simply never answers. A *live but overloaded*
+                // A dead host simply never answers. A *live but overloaded*
                 // host answers late — the pong waits behind the ingress
                 // backlog, which is exactly how overload masquerades as
                 // death to a naive heartbeat monitor.
@@ -1593,8 +1309,9 @@ impl Shard {
                     let qdelay = self
                         .host_admit(now, host, false)
                         .unwrap_or(SimDuration::ZERO);
-                    let back = self.latency.proxy_brass(&mut self.rng);
-                    self.send(now + qdelay + back, Ev::PongFromHost { proxy, host, token });
+                    let back = self.latency.proxy_brass(&mut self.engine_rng);
+                    self.queue
+                        .schedule(now + qdelay + back, Ev::PongFromHost { proxy, host, token });
                 }
             }
             Ev::PongFromHost { proxy, host, token } => {
@@ -1602,7 +1319,7 @@ impl Shard {
                     self.proxies[proxy].on_host_pong(host as u32, token);
                 }
             }
-            Ev::PylonHostFailed { host } => self.pylon_ref().host_failed(HostId(host as u32)),
+            Ev::PylonHostFailed { host } => self.pylon.host_failed(HostId(host as u32)),
             Ev::ProxyHostFailed { proxy, host } => self.on_proxy_host_failed(now, proxy, host),
             Ev::ProxyAddHost { proxy, host } => self.on_proxy_add_host(now, proxy, host),
             Ev::ProxyHostRestarted { proxy, host } => {
@@ -1621,18 +1338,12 @@ impl Shard {
                     });
                 }
             }
-            Ev::NoteBackfill { device, sid, trace } => {
-                self.pending_backfill
-                    .entry((device, sid))
-                    .or_default()
-                    .push(trace);
-            }
             Ev::WasBackfillExec { device, sid } => self.on_was_backfill(now, device, sid),
         }
     }
 }
 
-impl Shard {
+impl SystemSim {
     /// Re-freezes a device if it is eligible (see
     /// [`DeviceState::maybe_park`]). Called at the end of every handler
     /// that woke the device machine.
@@ -1643,7 +1354,7 @@ impl Shard {
         }
     }
 
-    /// Runs one BRASS host handler into the shard's effect scratch and
+    /// Runs one BRASS host handler into the effect scratch and
     /// schedules what it emitted as of `at`.
     fn drive_host(
         &mut self,
@@ -1717,11 +1428,15 @@ impl Shard {
         self.metrics.stream_opened(device, sid, now);
         self.sub_started.insert((device, sid), now);
         if let Some(topic) = sub_topic {
-            self.op(SharedOp::TopicStreamPush(topic, device, sid));
-            self.op(SharedOp::StreamTopicInsert(device, sid, topic));
+            self.reg
+                .topic_streams
+                .entry(topic)
+                .or_default()
+                .push((device, sid));
+            self.reg.stream_topic.insert((device, sid), topic);
         }
-        let delay = self.latency.last_mile(link, &mut self.rng);
-        self.send(
+        let delay = self.latency.last_mile(link, &mut self.engine_rng);
+        self.queue.schedule(
             now + delay,
             Ev::AtPop {
                 device,
@@ -1742,9 +1457,9 @@ impl Shard {
         };
         self.metrics.cancellations.inc();
         self.metrics.stream_closed(device, sid, now);
-        self.op(SharedOp::StreamRemove(device, sid));
-        let delay = self.latency.last_mile(link, &mut self.rng);
-        self.send(
+        self.reg.remove_stream(device, sid);
+        let delay = self.latency.last_mile(link, &mut self.engine_rng);
+        self.queue.schedule(
             now + delay,
             Ev::AtPop {
                 device,
@@ -1754,17 +1469,18 @@ impl Shard {
     }
 
     fn on_was_mutation(&mut self, now: SimTime, gql: &str, app: &'static str) {
-        let Ok(outcome) = self.was_ref().execute_mutation(gql, now.as_millis()) else {
+        let Ok(outcome) = self.was.execute_mutation(gql, now.as_millis()) else {
             return;
         };
         self.metrics.mutations.inc();
         for rep in outcome.replication {
-            let d = self.latency.cross_region(&mut self.rng);
-            self.send(now + d, Ev::TaoReplicate { event: rep.into() });
+            let d = self.latency.cross_region(&mut self.engine_rng);
+            self.queue
+                .schedule(now + d, Ev::TaoReplicate { event: rep.into() });
         }
         let was_delay = self
             .latency
-            .was_mutation(outcome.was_latency_ms, &mut self.rng);
+            .was_mutation(outcome.was_latency_ms, &mut self.engine_rng);
         self.metrics
             .app(app)
             .was_handling
@@ -1772,10 +1488,13 @@ impl Shard {
         for event in outcome.events {
             // The write committed: open the update's trace.
             let trace = TraceId(event.id);
-            self.op(SharedOp::ObjectTrace(event.object, trace));
-            self.op(SharedOp::TopicObjectTrace(event.topic, event.object, trace));
-            self.record(trace, Hop::TaoCommit, now, HopOutcome::Ok);
-            self.send(
+            self.reg.object_trace.insert(event.object, trace);
+            self.reg
+                .topic_object_trace
+                .insert((event.topic, event.object), trace);
+            self.ledger
+                .record(trace, Hop::TaoCommit, now, HopOutcome::Ok);
+            self.queue.schedule(
                 now + was_delay,
                 Ev::PylonPublish {
                     event: event.into(),
@@ -1787,26 +1506,25 @@ impl Shard {
     fn on_pylon_publish(&mut self, now: SimTime, event: UpdateEvent) {
         self.metrics.publications.inc();
         self.metrics.ts_publications.inc(now);
-        let watchers: Vec<(u64, StreamId)> = {
-            let shared = self.shared();
-            shared
-                .topic_streams
-                .get(&event.topic)
-                .cloned()
-                .unwrap_or_default()
-        };
-        for (d, s) in watchers {
+        for &(d, s) in self
+            .reg
+            .topic_streams
+            .get(&event.topic)
+            .into_iter()
+            .flatten()
+        {
             self.metrics.publication_for_stream(d, s);
         }
-        let outcome = self.pylon_ref().publish(&event.topic, event.id);
+        let outcome = self.pylon.publish(&event.topic, event.id);
         let subscribers = outcome.fast_forwards.len() + outcome.late_forwards.len();
         let publish_outcome = if subscribers == 0 {
             HopOutcome::Dropped(DropReason::NoSubscribers)
         } else {
             HopOutcome::Ok
         };
-        self.record(TraceId(event.id), Hop::PylonPublish, now, publish_outcome);
-        let fanout = self.latency.pylon_fanout(subscribers, &mut self.rng);
+        self.ledger
+            .record(TraceId(event.id), Hop::PylonPublish, now, publish_outcome);
+        let fanout = self.latency.pylon_fanout(subscribers, &mut self.engine_rng);
         if subscribers < 10_000 {
             self.metrics
                 .pylon_fanout_small
@@ -1825,7 +1543,7 @@ impl Shard {
         // One allocation, N pointers: the fan-out shares the event.
         let event = Arc::new(event);
         for host in outcome.fast_forwards {
-            self.send(
+            self.queue.schedule(
                 now + fanout,
                 Ev::PylonDeliverHost {
                     host: host.0 as usize,
@@ -1834,8 +1552,8 @@ impl Shard {
             );
         }
         for host in outcome.late_forwards {
-            let extra = self.latency.pylon_late_extra(&mut self.rng);
-            self.send(
+            let extra = self.latency.pylon_late_extra(&mut self.engine_rng);
+            self.queue.schedule(
                 now + fanout + extra,
                 Ev::PylonDeliverHost {
                     host: host.0 as usize,
@@ -1854,7 +1572,7 @@ impl Shard {
             // Pylon has not yet purged a crashed host's subscriptions
             // (that happens when a proxy's heartbeats detect the death);
             // events fanned to it meanwhile die here.
-            self.record(
+            self.ledger.record(
                 TraceId(event.id),
                 Hop::PylonDeliver,
                 now,
@@ -1866,7 +1584,7 @@ impl Shard {
         // queue; events beyond the mailbox cap are shed — attributed, so
         // the ledger never shows unaccounted loss under overload.
         let Some(qdelay) = self.host_admit(now, host, true) else {
-            self.record(
+            self.ledger.record(
                 TraceId(event.id),
                 Hop::PylonDeliver,
                 now,
@@ -1875,7 +1593,8 @@ impl Shard {
             return;
         };
         self.object_delivered.insert((host, event.object), now);
-        self.record(TraceId(event.id), Hop::PylonDeliver, now, HopOutcome::Ok);
+        self.ledger
+            .record(TraceId(event.id), Hop::PylonDeliver, now, HopOutcome::Ok);
         // Effects materialise once the host works through its backlog;
         // attribution stays at `now`, so the brass_processing histogram
         // captures the queueing delay — that's the latency curve bending
@@ -1886,13 +1605,13 @@ impl Shard {
     }
 
     fn on_pylon_subscribe_exec(&mut self, now: SimTime, host: usize, topic: Topic, attempt: u32) {
-        match self.pylon_ref().subscribe(&topic, HostId(host as u32)) {
+        match self.pylon.subscribe(&topic, HostId(host as u32)) {
             Ok(()) => {}
             Err(_) => {
                 self.metrics.quorum_failures.inc();
                 // CP subscribe failed; BRASS retries with capped
                 // exponential backoff until quorum returns.
-                self.send(
+                self.queue.schedule(
                     now + SystemSim::quorum_retry_backoff(attempt),
                     Ev::PylonSubscribeExec {
                         host,
@@ -1915,32 +1634,31 @@ impl Shard {
     ) {
         let response = match request {
             WasRequest::FetchObject { viewer, object } => {
-                let response = match self.was_ref().fetch_for_viewer(0, viewer, object) {
+                let response = match self.was.fetch_for_viewer(0, viewer, object) {
                     Ok((payload, _)) => WasResponse::Payload(payload.into()),
                     Err(was::WasError::PrivacyDenied) => WasResponse::Denied,
                     Err(_) => WasResponse::NotFound,
                 };
                 // The payload fetch is the final BRASS-processing gate:
                 // the WAS privacy check decides whether the update survives.
-                let trace = { self.shared().object_trace.get(&object).copied() };
-                if let Some(trace) = trace {
+                if let Some(&trace) = self.reg.object_trace.get(&object) {
                     let outcome = match &response {
                         WasResponse::Payload(_) => HopOutcome::Ok,
                         WasResponse::Denied => HopOutcome::Dropped(DropReason::PrivacyBlock),
                         _ => HopOutcome::Dropped(DropReason::NotFound),
                     };
-                    self.record(trace, Hop::BrassProcess, now, outcome);
+                    self.ledger.record(trace, Hop::BrassProcess, now, outcome);
                 }
                 response
             }
-            WasRequest::Friends { uid } => WasResponse::Friends(self.was_ref().friends_of(uid)),
+            WasRequest::Friends { uid } => WasResponse::Friends(self.was.friends_of(uid)),
             WasRequest::MailboxAfter { uid, after_seq } => {
                 let q = match after_seq {
                     Some(a) => format!("{{ mailbox(uid: {uid}, afterSeq: {a}) }}"),
                     None => format!("{{ mailbox(uid: {uid}) }}"),
                 };
                 let entries = self
-                    .was_ref()
+                    .was
                     .execute_query(0, &q)
                     .ok()
                     .and_then(|o| {
@@ -1959,8 +1677,8 @@ impl Shard {
                 WasResponse::Mailbox(entries)
             }
         };
-        let back = self.latency.brass_was_rtt(&mut self.rng) / 2;
-        self.send(
+        let back = self.latency.brass_was_rtt(&mut self.engine_rng) / 2;
+        self.queue.schedule(
             now + back,
             Ev::WasReply {
                 host,
@@ -2034,20 +1752,14 @@ impl Shard {
         effects: &mut Vec<HostEffect>,
         attributed: Option<SimTime>,
     ) {
-        // One read guard for the whole batch, taken when the first effect
-        // needs the registries (timer re-arms and WAS requests never do).
-        // It borrows this clone of the world, not `self`, so the loop can
-        // go on scheduling.
-        let world = Arc::clone(&self.world);
-        let mut guard: Option<RwLockReadGuard<'_, SharedInner>> = None;
         // A storm drops one object from hundreds of buffers in a row.
         let mut last_drop: Option<(ObjectId, Option<TraceId>)> = None;
         for effect in effects.drain(..) {
             match effect {
                 HostEffect::PylonSubscribe(topic) => {
-                    let d = self.latency.sub_replication(&mut self.rng);
+                    let d = self.latency.sub_replication(&mut self.engine_rng);
                     self.metrics.sub_replication.record(d.as_millis_f64());
-                    self.send(
+                    self.queue.schedule(
                         now + d,
                         Ev::PylonSubscribeExec {
                             host,
@@ -2057,8 +1769,9 @@ impl Shard {
                     );
                 }
                 HostEffect::PylonUnsubscribe(topic) => {
-                    let d = self.latency.sub_replication(&mut self.rng);
-                    self.send(now + d, Ev::PylonUnsubscribeExec { host, topic });
+                    let d = self.latency.sub_replication(&mut self.engine_rng);
+                    self.queue
+                        .schedule(now + d, Ev::PylonUnsubscribeExec { host, topic });
                 }
                 HostEffect::Was {
                     app,
@@ -2075,8 +1788,8 @@ impl Shard {
                             .or(attributed),
                         _ => attributed,
                     };
-                    let d = self.latency.brass_was_rtt(&mut self.rng) / 2;
-                    self.send(
+                    let d = self.latency.brass_was_rtt(&mut self.engine_rng) / 2;
+                    self.queue.schedule(
                         now + d,
                         Ev::WasExec {
                             host,
@@ -2090,27 +1803,29 @@ impl Shard {
                 HostEffect::DropUpdate { object, reason } => {
                     let trace = match last_drop {
                         Some((last, trace)) if last == object => trace,
-                        _ => {
-                            let shared = guard.get_or_insert_with(|| world.shared.read().unwrap());
-                            shared.object_trace.get(&object).copied()
-                        }
+                        _ => self.reg.object_trace.get(&object).copied(),
                     };
                     last_drop = Some((object, trace));
                     if let Some(trace) = trace {
-                        self.record(trace, Hop::BrassProcess, now, HopOutcome::Dropped(reason));
+                        self.ledger.record(
+                            trace,
+                            Hop::BrassProcess,
+                            now,
+                            HopOutcome::Dropped(reason),
+                        );
                     }
                 }
                 HostEffect::Send { device, frame } => {
-                    let shared = guard.get_or_insert_with(|| world.shared.read().unwrap());
-                    let proc = self.latency.brass_processing(&mut self.rng);
+                    let proc = self.latency.brass_processing(&mut self.engine_rng);
                     let send_at = now + proc;
-                    for trace in frame_traces(shared, device.0, &frame) {
-                        self.record(trace, Hop::BrassSend, send_at, HopOutcome::Ok);
+                    for trace in frame_traces(&self.reg, device.0, &frame) {
+                        self.ledger
+                            .record(trace, Hop::BrassSend, send_at, HopOutcome::Ok);
                     }
                     if let Some(event_at) = attributed {
                         // Only data batches count as event processing.
                         if frame.update_payloads().next().is_some() {
-                            let app_name = app_of_device_frame(shared, device.0, &frame);
+                            let app_name = app_of_device_frame(&self.reg, device.0, &frame);
                             self.metrics
                                 .app(&app_name)
                                 .brass_processing
@@ -2118,12 +1833,12 @@ impl Shard {
                         }
                     }
                     // The downstream route is resolved *at send time* from
-                    // the shared registry; frames for devices with no known
+                    // the routing registry; frames for devices with no known
                     // route die here (they had nowhere to go), exactly as
                     // they used to die unrouted at the proxy layer.
-                    if let Some(&proxy) = shared.device_proxy.get(&device.0) {
-                        let d = self.latency.proxy_brass(&mut self.rng);
-                        self.send(
+                    if let Some(&proxy) = self.reg.device_proxy.get(&device.0) {
+                        let d = self.latency.proxy_brass(&mut self.engine_rng);
+                        self.queue.schedule(
                             send_at + d,
                             Ev::DownAtProxy {
                                 proxy,
@@ -2136,19 +1851,27 @@ impl Shard {
                     }
                 }
                 HostEffect::Timer { at, app, token } => {
-                    self.send(at, Ev::BrassTimer { host, app, token });
+                    self.queue.schedule(at, Ev::BrassTimer { host, app, token });
                 }
             }
         }
     }
 
     /// Drops, with attribution, every update `frame` carries toward
-    /// `device` (see [`Self::register_backfill_drop`]).
+    /// `device`, and — when the losing stream is known — remembers each
+    /// trace so a later WAS backfill poll (gap detection or reconnect) can
+    /// recover it.
     fn drop_frame(&mut self, now: SimTime, device: u64, frame: &Frame, hop: Hop, why: DropReason) {
-        let world = Arc::clone(&self.world);
-        let shared = world.shared.read().unwrap();
-        for trace in frame_traces(&shared, device, frame) {
-            self.register_backfill_drop(now, device, frame.sid(), trace, hop, why);
+        let sid = frame.sid();
+        for trace in frame_traces(&self.reg, device, frame) {
+            self.ledger
+                .record(trace, hop, now, HopOutcome::Dropped(why));
+            if let Some(sid) = sid {
+                self.pending_backfill
+                    .entry((device, sid))
+                    .or_default()
+                    .push(trace);
+            }
         }
     }
 }
@@ -2157,10 +1880,10 @@ impl Shard {
 /// reverse-map lookup on the stream's registered topic. Runs twice per
 /// delivered data frame, so the known families borrow their label;
 /// only a family no app registered allocates.
-fn app_of_device_frame(shared: &SharedInner, device: u64, frame: &Frame) -> Cow<'static, str> {
+fn app_of_device_frame(reg: &Registries, device: u64, frame: &Frame) -> Cow<'static, str> {
     let topic = frame
         .sid()
-        .and_then(|sid| shared.stream_topic.get(&(device, sid)));
+        .and_then(|sid| reg.stream_topic.get(&(device, sid)));
     let Some(topic) = topic else {
         return Cow::Borrowed("unknown");
     };
@@ -2181,16 +1904,16 @@ fn app_of_device_frame(shared: &SharedInner, device: u64, frame: &Frame) -> Cow<
 /// fan-out: one mutation can reference the same object from many
 /// topics under distinct traces (per-mailbox message adds).
 fn frame_traces<'a>(
-    shared: &'a SharedInner,
+    reg: &'a Registries,
     device: u64,
     frame: &'a Frame,
 ) -> impl Iterator<Item = TraceId> + 'a {
     let topic = frame
         .sid()
-        .and_then(|sid| shared.stream_topic.get(&(device, sid)).copied());
+        .and_then(|sid| reg.stream_topic.get(&(device, sid)).copied());
     frame
         .update_payloads()
-        .filter_map(move |p| payload_trace(shared, topic, p))
+        .filter_map(move |p| payload_trace(reg, topic, p))
 }
 
 /// Resolves an update payload to its trace id via the embedded TAO
@@ -2202,15 +1925,15 @@ fn frame_traces<'a>(
 /// Runs on every update of every frame at every transport hop, so the
 /// id is pulled out with the single-pass [`burst::json::top_level_u64`]
 /// scanner instead of a full allocating parse.
-fn payload_trace(shared: &SharedInner, topic: Option<Topic>, payload: &[u8]) -> Option<TraceId> {
+fn payload_trace(reg: &Registries, topic: Option<Topic>, payload: &[u8]) -> Option<TraceId> {
     let id = burst::json::top_level_u64(payload, "id")?;
     let object = ObjectId(id);
     if let Some(topic) = topic {
-        if let Some(trace) = shared.topic_object_trace.get(&(topic, object)) {
+        if let Some(trace) = reg.topic_object_trace.get(&(topic, object)) {
             return Some(*trace);
         }
     }
-    shared.object_trace.get(&object).copied()
+    reg.object_trace.get(&object).copied()
 }
 
 /// The wire bytes a frame charges against a device's egress flow window,
@@ -2229,13 +1952,12 @@ fn frame_data_bytes(frame: &Frame) -> Option<u64> {
     }
 }
 
-impl Shard {
+impl SystemSim {
     fn on_at_pop(&mut self, now: SimTime, device: u64, frame: Box<Frame>) {
         if !self.devices.contains_key(&device) {
             return;
         }
-        // A device's POP is derived, not stored: devices co-locate with
-        // `device % pops` (the same rule `shard_route` uses).
+        // A device's POP is derived, not stored: `device % pops`.
         let pop = device as usize % self.pops.len();
         self.drive_pop(now, pop, |p, fx| {
             p.on_device_frame_into(device, frame, now.as_micros(), fx)
@@ -2249,8 +1971,8 @@ impl Shard {
         if !self.proxy_up[proxy] {
             // Connection refused: the POP retries through its (repaired)
             // proxy assignment, modelling the edge's TCP-level failover.
-            let d = self.latency.pop_proxy(&mut self.rng);
-            self.send(now + d, Ev::AtPop { device, frame });
+            let d = self.latency.pop_proxy(&mut self.engine_rng);
+            self.queue.schedule(now + d, Ev::AtPop { device, frame });
             return;
         }
         self.drive_proxy(now, proxy, |p, fx| {
@@ -2273,8 +1995,8 @@ impl Shard {
                     device,
                     frame,
                 } => {
-                    let d = self.latency.proxy_brass(&mut self.rng);
-                    self.send(
+                    let d = self.latency.proxy_brass(&mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::AtBrass {
                             host: host as usize,
@@ -2284,8 +2006,8 @@ impl Shard {
                     );
                 }
                 ProxyEffect::ToDevice { device, frame } => {
-                    let d = self.latency.pop_proxy(&mut self.rng);
-                    self.send(
+                    let d = self.latency.pop_proxy(&mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::DownAtPop {
                             device,
@@ -2296,10 +2018,9 @@ impl Shard {
                 }
                 ProxyEffect::PingHost { host, token } => {
                     self.metrics.hb_pings.inc();
-                    // The ping travels to the host's shard, which holds the
-                    // authoritative liveness flag; a dead host never answers.
-                    let d = self.latency.proxy_brass(&mut self.rng);
-                    self.send(
+                    // The ping travels to the host; a dead one never answers.
+                    let d = self.latency.proxy_brass(&mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::HbPingAtHost {
                             proxy,
@@ -2313,7 +2034,7 @@ impl Shard {
                     // dead host's subscriptions are purged (axiom 1). The
                     // proxy's own stream repair rides in the same batch.
                     self.metrics.host_failures_detected.inc();
-                    self.send(
+                    self.queue.schedule(
                         now,
                         Ev::PylonHostFailed {
                             host: host as usize,
@@ -2382,8 +2103,8 @@ impl Shard {
         self.proxies[proxy].on_upstream_frame_into(device, frame, now.as_micros(), &mut fx);
         for effect in fx.drain(..) {
             if let ProxyEffect::ToDevice { device, frame } = effect {
-                let d = self.latency.pop_proxy(&mut self.rng);
-                self.send(
+                let d = self.latency.pop_proxy(&mut self.engine_rng);
+                self.queue.schedule(
                     now + d,
                     Ev::DownAtPop {
                         device,
@@ -2411,32 +2132,6 @@ impl Shard {
         self.pop_fx = fx;
     }
 
-    /// Records a lost delivery and — when the losing stream is known —
-    /// remembers the trace so a later WAS backfill poll (gap detection or
-    /// reconnect) can recover it. When the loss happens away from the
-    /// device's shard, the note travels there as an event.
-    fn register_backfill_drop(
-        &mut self,
-        now: SimTime,
-        device: u64,
-        sid: Option<StreamId>,
-        trace: TraceId,
-        hop: Hop,
-        reason: DropReason,
-    ) {
-        self.record(trace, hop, now, HopOutcome::Dropped(reason));
-        if let Some(sid) = sid {
-            if self.owns_device(device) {
-                self.pending_backfill
-                    .entry((device, sid))
-                    .or_default()
-                    .push(trace);
-            } else {
-                self.send(now, Ev::NoteBackfill { device, sid, trace });
-            }
-        }
-    }
-
     fn schedule_to_device(
         &mut self,
         now: SimTime,
@@ -2455,7 +2150,7 @@ impl Shard {
             self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
             return;
         }
-        if self.rng.chance(self.config.last_mile_drop) {
+        if self.engine_rng.chance(self.config.last_mile_drop) {
             self.metrics.frames_lost.inc();
             let why = DropReason::LastMileLoss;
             self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
@@ -2501,14 +2196,11 @@ impl Shard {
                 }
             }
         }
-        {
-            let world = Arc::clone(&self.world);
-            let shared = world.shared.read().unwrap();
-            for trace in frame_traces(&shared, device, &frame) {
-                self.record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
-            }
+        for trace in frame_traces(&self.reg, device, &frame) {
+            self.ledger
+                .record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
         }
-        let d = self.latency.last_mile(link, &mut self.rng);
+        let d = self.latency.last_mile(link, &mut self.engine_rng);
         // FIFO last mile: the connection is ordered, so a frame sent later
         // never arrives earlier (head-of-line, not reordering).
         let at = (now + d).max(self.devices[&device].next_arrival);
@@ -2520,7 +2212,7 @@ impl Shard {
         self.metrics.q_pop_egress.enqueued_n(1);
         let depth = self.devices[&device].inflight_frames;
         self.metrics.q_pop_egress.observe_depth(now, depth);
-        self.send(
+        self.queue.schedule(
             at,
             Ev::AtDevice {
                 device,
@@ -2538,7 +2230,7 @@ impl Shard {
     }
 
     fn at_device_inner(&mut self, now: SimTime, device: u64, frame: &Frame, sent_at: SimTime) {
-        let app = app_of_device_frame(&self.shared(), device, frame);
+        let app = app_of_device_frame(&self.reg, device, frame);
         let Some(state) = self.devices.get_mut(&device) else {
             return;
         };
@@ -2609,13 +2301,10 @@ impl Shard {
                         lat.total
                             .record(now.saturating_since(created).as_millis_f64());
                     }
-                    let trace = {
-                        let shared = self.shared();
-                        let topic = shared.stream_topic.get(&(device, sid)).copied();
-                        payload_trace(&shared, topic, &payload)
-                    };
-                    if let Some(trace) = trace {
-                        self.record(trace, Hop::DeviceRender, now, HopOutcome::Ok);
+                    let topic = self.reg.stream_topic.get(&(device, sid)).copied();
+                    if let Some(trace) = payload_trace(&self.reg, topic, &payload) {
+                        self.ledger
+                            .record(trace, Hop::DeviceRender, now, HopOutcome::Ok);
                     }
                 }
                 DeviceOutput::StreamEnded { sid, retry } => {
@@ -2628,8 +2317,8 @@ impl Shard {
                     };
                     if let Some(frame) = retry_frame {
                         let link = state.link;
-                        let d = self.latency.last_mile(link, &mut self.rng);
-                        self.send(
+                        let d = self.latency.last_mile(link, &mut self.engine_rng);
+                        self.queue.schedule(
                             now + d,
                             Ev::AtPop {
                                 device,
@@ -2641,8 +2330,8 @@ impl Shard {
                 DeviceOutput::Send(frame) => {
                     // Protocol replies (pongs, flow-control) go back up.
                     let link = self.devices[&device].link;
-                    let d = self.latency.last_mile(link, &mut self.rng);
-                    self.send(
+                    let d = self.latency.last_mile(link, &mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::AtPop {
                             device,
@@ -2656,9 +2345,10 @@ impl Shard {
                     // streams push reliability into app-level refetch).
                     self.metrics.backfill_polls.inc();
                     let link = self.devices[&device].link;
-                    let d = self.latency.last_mile(link, &mut self.rng)
-                        + self.latency.edge_to_was(&mut self.rng);
-                    self.send(now + d, Ev::WasBackfillExec { device, sid });
+                    let d = self.latency.last_mile(link, &mut self.engine_rng)
+                        + self.latency.edge_to_was(&mut self.engine_rng);
+                    self.queue
+                        .schedule(now + d, Ev::WasBackfillExec { device, sid });
                 }
                 DeviceOutput::ConnectivityChanged { .. } => {}
             }
@@ -2673,8 +2363,8 @@ impl Shard {
                 };
                 if let Some(ack) = state.wake(device, &mut self.park).ack(sid) {
                     let link = state.link;
-                    let d = self.latency.last_mile(link, &mut self.rng);
-                    self.send(
+                    let d = self.latency.last_mile(link, &mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::AtPop {
                             device,
@@ -2704,7 +2394,7 @@ impl Shard {
         state.last_drop_at = now;
         let capped_us =
             (base.as_micros() << streak.min(5)).min(SimDuration::from_secs(60).as_micros());
-        let jitter_us = self.rng.below(capped_us / 2 + 1);
+        let jitter_us = self.engine_rng.below(capped_us / 2 + 1);
         SimDuration::from_micros(capped_us + jitter_us)
     }
 
@@ -2738,7 +2428,7 @@ impl Shard {
         // device is already marked disconnected.
         self.drive_pop(now, pop, |p, fx| p.on_device_disconnected_into(device, fx));
         let backoff = self.reconnect_backoff(now, device);
-        self.send(
+        self.queue.schedule(
             now + backoff,
             Ev::DeviceReconnect {
                 device,
@@ -2766,7 +2456,7 @@ impl Shard {
         self.metrics.ts_connection_drops.inc(now);
         // Deliberately NO pop/proxy notification here — that's the point.
         let backoff = self.reconnect_backoff(now, device);
-        self.send(
+        self.queue.schedule(
             now + backoff,
             Ev::DeviceReconnect {
                 device,
@@ -2788,8 +2478,8 @@ impl Shard {
             if let Some(sid) = frame.sid() {
                 self.sub_started.insert((device, sid), now);
             }
-            let d = self.latency.last_mile(link, &mut self.rng);
-            self.send(
+            let d = self.latency.last_mile(link, &mut self.engine_rng);
+            self.queue.schedule(
                 now + d,
                 Ev::AtPop {
                     device,
@@ -2808,9 +2498,10 @@ impl Shard {
         missed.sort_unstable_by_key(|sid| sid.0);
         for sid in missed {
             self.metrics.backfill_polls.inc();
-            let d = self.latency.last_mile(link, &mut self.rng)
-                + self.latency.edge_to_was(&mut self.rng);
-            self.send(now + d, Ev::WasBackfillExec { device, sid });
+            let d = self.latency.last_mile(link, &mut self.engine_rng)
+                + self.latency.edge_to_was(&mut self.engine_rng);
+            self.queue
+                .schedule(now + d, Ev::WasBackfillExec { device, sid });
         }
     }
 
@@ -2826,7 +2517,8 @@ impl Shard {
                 continue;
             }
             self.metrics.backfills.inc();
-            self.record(trace, Hop::WasBackfill, now, HopOutcome::Ok);
+            self.ledger
+                .record(trace, Hop::WasBackfill, now, HopOutcome::Ok);
         }
     }
 
@@ -2842,18 +2534,14 @@ impl Shard {
             .map(|&(_, o)| o)
             .collect();
         objects.sort_unstable_by_key(|o| o.0);
-        let traces: Vec<TraceId> = {
-            let shared = self.shared();
-            objects
-                .iter()
-                .filter_map(|o| shared.object_trace.get(o).copied())
-                .collect()
-        };
-        for trace in traces {
+        for object in objects {
+            let Some(&trace) = self.reg.object_trace.get(&object) else {
+                continue;
+            };
             if self.trace_resolved(trace) {
                 continue;
             }
-            self.record(
+            self.ledger.record(
                 trace,
                 Hop::BrassProcess,
                 now,
@@ -2872,9 +2560,10 @@ impl Shard {
         self.hosts[host] = fresh;
         // A replacement process starts with an empty ingress mailbox.
         self.host_busy_until[host] = SimTime::ZERO;
-        self.send(now, Ev::PylonHostFailed { host });
+        self.queue.schedule(now, Ev::PylonHostFailed { host });
         for proxy in 0..self.config.proxies as usize {
-            self.send(now, Ev::ProxyHostFailed { proxy, host });
+            self.queue
+                .schedule(now, Ev::ProxyHostFailed { proxy, host });
         }
     }
 
@@ -2882,7 +2571,7 @@ impl Shard {
     /// proxy's routing pool with a fresh heartbeat monitor.
     fn on_brass_host_back(&mut self, now: SimTime, host: usize) {
         for proxy in 0..self.config.proxies as usize {
-            self.send(now, Ev::ProxyAddHost { proxy, host });
+            self.queue.schedule(now, Ev::ProxyAddHost { proxy, host });
         }
     }
 
@@ -2933,7 +2622,6 @@ impl Shard {
             return;
         }
         self.host_up[host] = false;
-        self.op(SharedOp::HostUp(host, false));
         self.metrics.host_crashes.inc();
         // In-memory state — stream tables, app buffers — dies instantly;
         // updates the host was still holding are dropped with attribution.
@@ -2954,12 +2642,12 @@ impl Shard {
             return;
         }
         self.host_up[host] = true;
-        self.op(SharedOp::HostUp(host, true));
         // The restarted process resets every proxy's connections to it —
         // that reset, not heartbeat detection, is what lets proxies
         // repair streams after a crash shorter than the miss window.
         for proxy in 0..self.config.proxies as usize {
-            self.send(now, Ev::ProxyHostRestarted { proxy, host });
+            self.queue
+                .schedule(now, Ev::ProxyHostRestarted { proxy, host });
         }
         self.on_brass_host_back(now, host);
     }
@@ -2974,7 +2662,7 @@ impl Shard {
         // from its pool and repairs affected streams onto survivors
         // (axiom 2), signalling Degraded/Recovered to devices (axiom 1).
         for pop in 0..self.config.pops as usize {
-            self.send(now, Ev::PopProxyFailed { pop, proxy });
+            self.queue.schedule(now, Ev::PopProxyFailed { pop, proxy });
         }
     }
 
@@ -2983,35 +2671,32 @@ impl Shard {
             return;
         }
         // The proxy restarts empty with the full host roster minus hosts
-        // already known dead (per the shared liveness mirror); anything
-        // that dies later is re-detected by its fresh heartbeat monitors.
+        // already dead; anything that dies later is re-detected by its
+        // fresh heartbeat monitors.
         let host_ids: Vec<u32> = (0..self.config.brass_hosts).collect();
         let mut fresh = ReverseProxy::new(proxy as u32, self.config.route_strategy, host_ids)
             .with_heartbeat(
                 self.config.heartbeat_interval.as_micros(),
                 self.config.heartbeat_misses,
             );
-        {
-            let shared = self.shared();
-            for (h, up) in shared.host_up.iter().enumerate() {
-                if !*up {
-                    fresh.remove_host(h as u32);
-                }
+        for (h, up) in self.host_up.iter().enumerate() {
+            if !*up {
+                fresh.remove_host(h as u32);
             }
         }
         self.proxies[proxy] = fresh;
         self.proxy_up[proxy] = true;
         for pop in 0..self.config.pops as usize {
-            self.send(now, Ev::PopAddProxy { pop, proxy });
+            self.queue.schedule(now, Ev::PopAddProxy { pop, proxy });
         }
     }
 
-    /// The per-shard heartbeat tick: the shard's live proxies ping their
-    /// BRASS hosts (and repair streams off hosts that crossed the miss
-    /// threshold); its POPs ping devices when device heartbeats are on.
+    /// The heartbeat tick: live proxies ping their BRASS hosts (and repair
+    /// streams off hosts that crossed the miss threshold); POPs ping
+    /// devices when device heartbeats are on.
     fn on_heartbeat_tick(&mut self, now: SimTime) {
         for proxy in 0..self.proxies.len() {
-            if proxy % self.shards != self.id || !self.proxy_up[proxy] {
+            if !self.proxy_up[proxy] {
                 continue;
             }
             let before = self.proxies[proxy].counters().induced_reconnects;
@@ -3025,9 +2710,6 @@ impl Shard {
         }
         if self.config.device_heartbeats {
             for pop in 0..self.pops.len() {
-                if pop % self.shards != self.id {
-                    continue;
-                }
                 self.drive_pop(now, pop, |p, fx| {
                     p.on_heartbeat_tick_into(now.as_micros(), fx)
                 });
@@ -3048,9 +2730,9 @@ impl Shard {
                     device,
                     frame,
                 } => {
-                    self.op(SharedOp::DeviceProxy(device, proxy as usize));
-                    let d = self.latency.pop_proxy(&mut self.rng);
-                    self.send(
+                    self.reg.device_proxy.insert(device, proxy as usize);
+                    let d = self.latency.pop_proxy(&mut self.engine_rng);
+                    self.queue.schedule(
                         now + d,
                         Ev::AtProxy {
                             proxy: proxy as usize,
@@ -3063,7 +2745,7 @@ impl Shard {
                     self.schedule_to_device(now, device, frame, now);
                 }
                 PopEffect::DeviceGone { proxy, device } => {
-                    self.send(
+                    self.queue.schedule(
                         now,
                         Ev::ProxyDeviceGone {
                             proxy: proxy as usize,
@@ -3089,7 +2771,7 @@ impl Shard {
                     };
                     if let Some(resubscribes) = resubscribes {
                         let backoff = self.reconnect_backoff(now, device);
-                        self.send(
+                        self.queue.schedule(
                             now + backoff,
                             Ev::DeviceReconnect {
                                 device,
@@ -3101,521 +2783,58 @@ impl Shard {
             }
         }
     }
-
-    /// One coordinator-driven metrics tick: samples this shard's slice of
-    /// the fleet and reports the cross-shard aggregates the root series
-    /// need. Also rotates the object-attribution window.
-    fn shard_tick(&mut self, at: SimTime) -> TickSummary {
-        let active_streams: u64 = self.devices.values().map(|d| d.open_streams() as u64).sum();
-        let decisions: u64 = (0..self.hosts.len())
-            .filter(|h| h % self.shards == self.id)
-            .map(|h| self.hosts[h].total_app_counters().decisions)
-            .sum();
-        let mut live: Vec<(u64, StreamId)> = Vec::new();
-        for h in 0..self.hosts.len() {
-            if h % self.shards == self.id && self.host_up[h] {
-                live.extend(self.hosts[h].stream_keys());
-            }
-        }
-        let mut open: Vec<(u64, StreamId)> = Vec::new();
-        for (&id, state) in &self.devices {
-            if !state.connected {
-                continue;
-            }
-            open.extend(state.open_sids().into_iter().map(|sid| (id, sid)));
-        }
-        // Rotate the attribution map so it cannot grow without bound —
-        // but keep a window covering application buffering horizons, so a
-        // crash can still attribute the updates it takes down with it.
-        const ATTRIBUTION_WINDOW: SimDuration = SimDuration::from_secs(30);
-        self.object_delivered
-            .retain(|_, t| at.saturating_since(*t) <= ATTRIBUTION_WINDOW);
-        TickSummary {
-            active_streams,
-            decisions,
-            live,
-            open,
-            fp: self.fingerprint(),
-        }
-    }
-
-    /// A cheap rolling fingerprint of this shard's *executed* history:
-    /// the RNG stream position, every event-stats counter, and the
-    /// metrics digest — all of which change only when events run, never
-    /// when they are merely scheduled. Two runs of the same
-    /// `(config, seed, workload)` agree on every shard's fingerprint at
-    /// every tick; the first tick where they disagree brackets the first
-    /// diverging event, and (deliberately) a future event sitting
-    /// unexecuted in the queue does not diverge the hash early — the
-    /// bisect engine depends on divergence showing up at the tick where
-    /// behaviour actually differs.
-    fn fingerprint(&self) -> u64 {
-        let mut fp = Fp64::new();
-        fp.mix_u64(self.id as u64);
-        for word in self.rng.state() {
-            fp.mix_u64(word);
-        }
-        self.event_stats.mix_fp(&mut fp);
-        self.metrics.mix_fingerprint(&mut fp);
-        fp.value()
-    }
-
-    /// Writes this shard's complete state into a snapshot: RNG stream,
-    /// event queue, the shard-0 backend, every *owned* component slot,
-    /// liveness and backlog vectors, the device fleet, the attribution
-    /// maps, metrics, and event stats. Must be called at a window barrier
-    /// (the coordinator only snapshots at metrics-tick boundaries), where
-    /// the outbox, deferred registry writes, and buffered ledger records
-    /// are all drained — their contents are ordering products of a window
-    /// in flight, not resumable state.
-    fn snap(&self, w: &mut SnapWriter) {
-        assert!(
-            self.outbox.is_empty() && self.ops.is_empty() && self.led_pending.is_empty(),
-            "shard snapshot taken mid-window"
-        );
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        self.queue.snap(w);
-        match &self.was {
-            Some(was) => {
-                w.put_bool(true);
-                was.snap(w);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.pylon {
-            Some(pylon) => {
-                w.put_bool(true);
-                pylon.snap(w);
-            }
-            None => w.put_bool(false),
-        }
-        // Component vectors are allocated full-size on every shard but a
-        // shard only ever touches the slots it owns; foreign slots are
-        // pristine `new()` state and are rebuilt, not serialized.
-        let owned = |i: usize| i % self.shards == self.id;
-        for section in [
-            (0..self.hosts.len())
-                .filter(|&h| owned(h))
-                .collect::<Vec<_>>(),
-            (0..self.proxies.len()).filter(|&p| owned(p)).collect(),
-            (0..self.pops.len())
-                .filter(|&p| p % self.shards == self.id)
-                .collect(),
-        ] {
-            w.put_usize(section.len());
-        }
-        for h in (0..self.hosts.len()).filter(|&h| owned(h)) {
-            w.put_usize(h);
-            self.hosts[h].snap(w);
-        }
-        for p in (0..self.proxies.len()).filter(|&p| owned(p)) {
-            w.put_usize(p);
-            self.proxies[p].snap(w);
-        }
-        for p in (0..self.pops.len()).filter(|&p| owned(p)) {
-            w.put_usize(p);
-            self.pops[p].snap(w);
-        }
-        w.put_usize(self.host_up.len());
-        for up in &self.host_up {
-            w.put_bool(*up);
-        }
-        w.put_usize(self.proxy_up.len());
-        for up in &self.proxy_up {
-            w.put_bool(*up);
-        }
-        w.put_usize(self.host_busy_until.len());
-        for t in &self.host_busy_until {
-            t.snap(w);
-        }
-        w.put_usize(self.devices.len());
-        for (&id, d) in &self.devices {
-            w.put_u64(id);
-            d.snap(w);
-        }
-        // Hash maps in sorted key order so the same logical state always
-        // snapshots to the same bytes; the Vec values keep their order
-        // verbatim (backfill traces replay in arrival order).
-        let mut backfill: Vec<_> = self.pending_backfill.iter().collect();
-        backfill.sort_by_key(|(k, _)| **k);
-        w.put_usize(backfill.len());
-        for (&(device, sid), traces) in backfill {
-            w.put_u64(device);
-            sid.snap(w);
-            w.put_usize(traces.len());
-            for t in traces {
-                t.snap(w);
-            }
-        }
-        let mut delivered: Vec<_> = self.object_delivered.iter().collect();
-        delivered.sort_by_key(|((host, object), _)| (*host, object.0));
-        w.put_usize(delivered.len());
-        for (&(host, object), at) in delivered {
-            w.put_usize(host);
-            w.put_u64(object.0);
-            at.snap(w);
-        }
-        let mut started: Vec<_> = self.sub_started.iter().collect();
-        started.sort_by_key(|(k, _)| **k);
-        w.put_usize(started.len());
-        for (&(device, sid), at) in started {
-            w.put_u64(device);
-            sid.snap(w);
-            at.snap(w);
-        }
-        self.metrics.snap(w);
-        self.event_stats.snap(w);
-    }
-
-    /// Rebuilds a shard from [`Shard::snap`] bytes, validating ownership
-    /// (every restored slot, device, and map key must hash to this shard)
-    /// and sorted-key order so a hostile or stale snapshot can't smuggle
-    /// in state the live sharding could never produce.
-    fn restore(
-        id: usize,
-        config: &SystemConfig,
-        world: Arc<World>,
-        r: &mut SnapReader<'_>,
-    ) -> SnapResult<Shard> {
-        // Start from a pristine shard (correct full-size component
-        // vectors, empty queue) and overwrite everything stateful. The
-        // fork seed doesn't matter: the RNG is replaced from the snapshot.
-        let mut s = Shard::new(id, config, &DetRng::new(0), world);
-        let shards = s.shards;
-        s.rng = DetRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
-        s.queue = EventQueue::restore(r)?;
-        let has_was = r.get_bool()?;
-        if has_was != (id == 0) {
-            return Err(SnapError::Invalid(format!(
-                "WAS present on shard {id} (singleton backend lives on shard 0)"
-            )));
-        }
-        s.was = if has_was {
-            Some(WebApplicationServer::restore(r)?)
-        } else {
-            None
-        };
-        let has_pylon = r.get_bool()?;
-        if has_pylon != (id == 0) {
-            return Err(SnapError::Invalid(format!(
-                "Pylon present on shard {id} (singleton backend lives on shard 0)"
-            )));
-        }
-        s.pylon = if has_pylon {
-            Some(PylonCluster::restore(r)?)
-        } else {
-            None
-        };
-        let owned = |i: usize| i % shards == id;
-        let expect = |len: usize| (0..len).filter(|&i| owned(i)).count();
-        let n_hosts = r.get_len()?;
-        let n_proxies = r.get_len()?;
-        let n_pops = r.get_len()?;
-        if n_hosts != expect(s.hosts.len())
-            || n_proxies != expect(s.proxies.len())
-            || n_pops != expect(s.pops.len())
-        {
-            return Err(SnapError::Invalid(format!(
-                "shard {id} owned-slot counts {n_hosts}/{n_proxies}/{n_pops} don't match config"
-            )));
-        }
-        let mut last: Option<usize> = None;
-        for _ in 0..n_hosts {
-            let h = r.get_usize()?;
-            if h >= s.hosts.len() || !owned(h) || last.is_some_and(|l| h <= l) {
-                return Err(SnapError::Invalid(format!(
-                    "bad host slot {h} on shard {id}"
-                )));
-            }
-            last = Some(h);
-            s.hosts[h] = BrassHost::restore(r)?;
-            if s.hosts[h].host_id() != HostId(h as u32) {
-                return Err(SnapError::Invalid(format!(
-                    "host slot {h} holds id {}",
-                    s.hosts[h].host_id().0
-                )));
-            }
-        }
-        let mut last: Option<usize> = None;
-        for _ in 0..n_proxies {
-            let p = r.get_usize()?;
-            if p >= s.proxies.len() || !owned(p) || last.is_some_and(|l| p <= l) {
-                return Err(SnapError::Invalid(format!(
-                    "bad proxy slot {p} on shard {id}"
-                )));
-            }
-            last = Some(p);
-            s.proxies[p] = ReverseProxy::restore(r)?;
-            if s.proxies[p].id() != p as u32 {
-                return Err(SnapError::Invalid(format!(
-                    "proxy slot {p} holds id {}",
-                    s.proxies[p].id()
-                )));
-            }
-        }
-        let mut last: Option<usize> = None;
-        for _ in 0..n_pops {
-            let p = r.get_usize()?;
-            if p >= s.pops.len() || !owned(p) || last.is_some_and(|l| p <= l) {
-                return Err(SnapError::Invalid(format!(
-                    "bad POP slot {p} on shard {id}"
-                )));
-            }
-            last = Some(p);
-            s.pops[p] = Pop::restore(r)?;
-            if s.pops[p].id() != p as u32 {
-                return Err(SnapError::Invalid(format!(
-                    "POP slot {p} holds id {}",
-                    s.pops[p].id()
-                )));
-            }
-        }
-        for (name, len) in [("host_up", s.host_up.len()), ("proxy_up", s.proxy_up.len())] {
-            let n = r.get_len()?;
-            if n != len {
-                return Err(SnapError::Invalid(format!(
-                    "{name} length {n}, config says {len}"
-                )));
-            }
-            for i in 0..n {
-                let up = r.get_bool()?;
-                if name == "host_up" {
-                    s.host_up[i] = up;
-                } else {
-                    s.proxy_up[i] = up;
-                }
-            }
-        }
-        let n = r.get_len()?;
-        if n != s.host_busy_until.len() {
-            return Err(SnapError::Invalid(format!(
-                "host_busy_until length {n}, config says {}",
-                s.host_busy_until.len()
-            )));
-        }
-        for i in 0..n {
-            s.host_busy_until[i] = SimTime::restore(r)?;
-        }
-        let n = r.get_len()?;
-        let mut last_dev: Option<u64> = None;
-        for _ in 0..n {
-            let dev = r.get_u64()?;
-            if last_dev.is_some_and(|l| dev <= l) {
-                return Err(SnapError::Invalid(format!(
-                    "device ids not strictly ascending at {dev}"
-                )));
-            }
-            if !s.owns_device(dev) {
-                return Err(SnapError::Invalid(format!(
-                    "device {dev} doesn't belong on shard {id}"
-                )));
-            }
-            last_dev = Some(dev);
-            let state = DeviceState::restore(dev, r)?;
-            s.devices.insert(dev, state);
-        }
-        let n = r.get_len()?;
-        let mut last_key: Option<(u64, StreamId)> = None;
-        for _ in 0..n {
-            let device = r.get_u64()?;
-            let sid = StreamId::restore(r)?;
-            if last_key.is_some_and(|l| (device, sid) <= l) {
-                return Err(SnapError::Invalid(
-                    "pending-backfill keys not strictly ascending".into(),
-                ));
-            }
-            last_key = Some((device, sid));
-            let m = r.get_len()?;
-            let mut traces = Vec::with_capacity(m);
-            for _ in 0..m {
-                traces.push(TraceId::restore(r)?);
-            }
-            s.pending_backfill.insert((device, sid), traces);
-        }
-        let n = r.get_len()?;
-        let mut last_key: Option<(usize, u64)> = None;
-        for _ in 0..n {
-            let host = r.get_usize()?;
-            let object = ObjectId(r.get_u64()?);
-            if last_key.is_some_and(|l| (host, object.0) <= l) {
-                return Err(SnapError::Invalid(
-                    "object-delivered keys not strictly ascending".into(),
-                ));
-            }
-            if host >= s.hosts.len() || !owned(host) {
-                return Err(SnapError::Invalid(format!(
-                    "object-delivered host {host} not owned by shard {id}"
-                )));
-            }
-            last_key = Some((host, object.0));
-            s.object_delivered
-                .insert((host, object), SimTime::restore(r)?);
-        }
-        let n = r.get_len()?;
-        let mut last_key: Option<(u64, StreamId)> = None;
-        for _ in 0..n {
-            let device = r.get_u64()?;
-            let sid = StreamId::restore(r)?;
-            if last_key.is_some_and(|l| (device, sid) <= l) {
-                return Err(SnapError::Invalid(
-                    "sub-started keys not strictly ascending".into(),
-                ));
-            }
-            last_key = Some((device, sid));
-            s.sub_started.insert((device, sid), SimTime::restore(r)?);
-        }
-        s.metrics = SystemMetrics::restore(r, config.metrics_horizon, config.metrics_interval)?;
-        s.event_stats = EventStats::restore(r)?;
-        Ok(s)
-    }
-}
-
-// ----------------------------------------------------------------------
-// The coordinator: conservative windows over the shard set.
-// ----------------------------------------------------------------------
-
-/// The window barrier: apply every shard's deferred registry writes and
-/// ledger records in shard order, then wrap, merge, and route the
-/// cross-shard mail. Everything here is ordered by `(shard, emission
-/// index)` or `(time, src, seq)`. The shards' window products are drained
-/// where they lie, so their buffers serve the next window.
-fn apply_barrier(
-    world: &World,
-    shards: &mut [Shard],
-    pending_incoming: &mut [Vec<Envelope<Ev>>],
-    pops: usize,
-    window_end: SimTime,
-) {
-    {
-        let mut shared = world.shared.write().unwrap();
-        for shard in shards.iter_mut() {
-            for op in shard.ops.drain(..) {
-                apply_shared_op(&mut shared, op);
-            }
-        }
-    }
-    {
-        let mut ledger = world.ledger.write().unwrap();
-        for shard in shards.iter_mut() {
-            for (trace, hop, at, outcome) in shard.led_pending.drain(..) {
-                ledger.record(trace, hop, at, outcome);
-            }
-        }
-    }
-    if shards.iter().all(|shard| shard.outbox.is_empty()) {
-        return;
-    }
-    let outboxes: Vec<Vec<Envelope<Ev>>> = shards
-        .iter_mut()
-        .map(|shard| {
-            let src = shard.id;
-            shard
-                .outbox
-                .drain(..)
-                .enumerate()
-                .map(|(i, (at, event))| Envelope {
-                    at: clamp_to_window(at, window_end),
-                    src_shard: src,
-                    seq: i as u64,
-                    event,
-                })
-                .collect()
-        })
-        .collect();
-    for env in merge(outboxes) {
-        let dest = shard_route(&env.event, pops, shards.len());
-        pending_incoming[dest].push(env);
-    }
-}
-
-/// The full-system simulation: a set of logical shards driven in
-/// conservative windows by this coordinator. See the module docs
-/// for the synchronisation contract.
-pub struct SystemSim {
-    config: SystemConfig,
-    latency: LatencyModel,
-    /// The master RNG: workload generators and fixture setup draw from it;
-    /// every shard's private stream is forked off it at construction.
-    rng: DetRng,
-    now: SimTime,
-    next_metrics_tick: SimTime,
-    world: Arc<World>,
-    shards: Vec<Shard>,
-    /// Cross-shard envelopes awaiting delivery at each shard's next
-    /// window, in `(time, src_shard, seq)` order.
-    pending_incoming: Vec<Vec<Envelope<Ev>>>,
-    /// Root-recorded series (metrics ticks aggregate across shards).
-    root_metrics: SystemMetrics,
-    root_stats: EventStats,
-    /// Root + all shards, folded by the first [`SystemSim::metrics`] read
-    /// after a run and dropped when the next run starts, so a running sim
-    /// holds no second copy of its metrics.
-    merged_metrics: OnceCell<SystemMetrics>,
-    /// Root + all shards, refolded after every `run_until` (eleven adds
-    /// per shard).
-    merged_stats: EventStats,
-    /// Decisions seen at the last metrics tick (for per-bucket deltas).
-    decisions_at_tick: u64,
-    /// Scenario bookkeeping: predicted next stream id per device.
-    scenario_sids: FxHashMap<u64, u64>,
-    /// The interned header-language table; [`DeviceState::lang`] indexes
-    /// into it.
-    langs: Vec<String>,
-    /// Per-metrics-tick rolling run fingerprints `(tick, fp)` accumulated
-    /// since construction (or since the snapshot this run resumed from,
-    /// which carries the earlier ones).
-    fingerprints: Vec<(SimTime, u64)>,
-    /// Metrics ticks fired so far (the snapshot cadence counter).
-    tick_index: u64,
-    /// Snapshot policy: capture every N metrics ticks (0 = never).
-    snapshot_every: u64,
-    /// Keep policy-captured snapshots in memory (the bisect harness
-    /// restores from them).
-    snapshot_keep: bool,
-    /// Also write policy-captured snapshots into this directory.
-    snapshot_dir: Option<PathBuf>,
-    /// In-memory snapshots captured by the policy: `(tick, sealed bytes)`.
-    snapshots: Vec<(SimTime, Vec<u8>)>,
-    /// Opaque harness state carried inside snapshots: the driving bench
-    /// serializes its workload cursors here so a resumed process can pick
-    /// up injection exactly where the original left off.
-    driver_blob: Vec<u8>,
 }
 
 impl SystemSim {
-    /// Builds a system: `config.logical_shards` event loops around a
-    /// shared world, with the periodic metrics tick driven from here.
+    /// Builds a system with its heartbeat and metrics ticks armed.
     pub fn new(config: SystemConfig, seed: u64) -> Self {
         let rng = DetRng::new(seed);
-        let world = Arc::new(World {
-            shared: RwLock::new(SharedInner {
-                object_trace: FxHashMap::default(),
-                topic_object_trace: FxHashMap::default(),
-                topic_streams: FxHashMap::default(),
-                stream_topic: FxHashMap::default(),
-                device_proxy: FxHashMap::default(),
-                host_up: vec![true; config.brass_hosts as usize],
-            }),
-            ledger: RwLock::new(TraceLedger::with_retention(config.trace_retention)),
-        });
-        let shards: Vec<Shard> = (0..config.logical_shards)
-            .map(|id| Shard::new(id, &config, &rng, Arc::clone(&world)))
+        let engine_rng = rng.fork(0x5A4D_0000);
+        let hosts: Vec<BrassHost> = (0..config.brass_hosts)
+            .map(|i| {
+                let mut h = BrassHost::new(HostConfig::small(i));
+                h.register_standard_apps();
+                h
+            })
             .collect();
-        let pending_incoming = (0..config.logical_shards).map(|_| Vec::new()).collect();
+        let host_ids: Vec<u32> = (0..config.brass_hosts).collect();
+        let proxies: Vec<ReverseProxy> = (0..config.proxies)
+            .map(|i| {
+                ReverseProxy::new(i, config.route_strategy, host_ids.clone()).with_heartbeat(
+                    config.heartbeat_interval.as_micros(),
+                    config.heartbeat_misses,
+                )
+            })
+            .collect();
+        let proxy_ids: Vec<u32> = (0..config.proxies).collect();
+        let pops: Vec<Pop> = (0..config.pops)
+            .map(|i| Pop::new(i, proxy_ids.clone()))
+            .collect();
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::ZERO + config.heartbeat_interval, Ev::HeartbeatTick);
         SystemSim {
             latency: LatencyModel::table3(),
             rng,
+            engine_rng,
+            queue,
             now: SimTime::ZERO,
             next_metrics_tick: SimTime::ZERO + config.metrics_interval,
-            world,
-            shards,
-            pending_incoming,
-            root_metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
-            root_stats: EventStats::default(),
-            merged_metrics: OnceCell::new(),
-            merged_stats: EventStats::default(),
+            was: WebApplicationServer::new(Tao::new(config.tao.clone())),
+            pylon: PylonCluster::new(config.pylon.clone()),
+            hosts,
+            proxies,
+            pops,
+            host_up: vec![true; config.brass_hosts as usize],
+            proxy_up: vec![true; config.proxies as usize],
+            host_busy_until: vec![SimTime::ZERO; config.brass_hosts as usize],
+            devices: simkit::collections::SortedVecMap::new(),
+            reg: Registries::default(),
+            ledger: TraceLedger::with_retention(config.trace_retention),
+            pending_backfill: FxHashMap::default(),
+            object_delivered: FxHashMap::default(),
+            sub_started: FxHashMap::default(),
+            metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
+            event_stats: EventStats::default(),
             decisions_at_tick: 0,
             scenario_sids: FxHashMap::default(),
             langs: Vec::new(),
@@ -3626,31 +2845,33 @@ impl SystemSim {
             snapshot_dir: None,
             snapshots: Vec::new(),
             driver_blob: Vec::new(),
+            evlog: None,
+            host_fx: Vec::new(),
+            proxy_fx: Vec::new(),
+            pop_fx: Vec::new(),
+            device_out: Vec::new(),
+            park: ParkScratch::default(),
             config,
         }
     }
 
-    /// Does nothing: shard windows always run on the caller's thread. The
-    /// threaded executor this used to select lost to it on every benchmark
-    /// workload; the name stays only because `benchmark/` still calls it.
+    /// Does nothing: there is one event loop, on the caller's thread. The
+    /// name stays only because `benchmark/src/rep.rs` still calls it.
     pub fn set_workers(&mut self, _workers: usize) {}
 
     /// The WAS (for fixture setup: videos, threads, friendships).
     pub fn was_mut(&mut self) -> &mut WebApplicationServer {
-        self.shards[0].was_ref()
+        &mut self.was
     }
 
     /// The Pylon cluster (failure injection, counters).
     pub fn pylon(&self) -> &PylonCluster {
-        self.shards[0]
-            .pylon
-            .as_ref()
-            .expect("Pylon lives on shard 0")
+        &self.pylon
     }
 
     /// Mutable Pylon access (tests probe quorum topology directly).
     pub fn pylon_mut(&mut self) -> &mut PylonCluster {
-        self.shards[0].pylon_ref()
+        &mut self.pylon
     }
 
     /// The configuration this world was built under.
@@ -3658,43 +2879,34 @@ impl SystemSim {
         &self.config
     }
 
-    /// Collected metrics, aggregated across shards: folded (root series,
-    /// then every shard in id order) on the first read after a run and
-    /// cached until the next `run_until`. A harness that reads only at the
-    /// end pays one fold; one that polls every chunk pays one per chunk.
+    /// Collected metrics.
     pub fn metrics(&self) -> &SystemMetrics {
-        self.merged_metrics.get_or_init(|| {
-            let mut metrics = self.root_metrics.clone();
-            for shard in &self.shards {
-                metrics.merge(&shard.metrics);
-            }
-            metrics
-        })
+        &self.metrics
     }
 
     /// The hop-ledger of every update traced through this run.
-    pub fn trace_ledger(&self) -> RwLockReadGuard<'_, TraceLedger> {
-        self.world.ledger.read().unwrap()
+    pub fn trace_ledger(&self) -> &TraceLedger {
+        &self.ledger
     }
 
-    /// Per-subsystem counts of events handled so far, across shards.
+    /// Per-subsystem counts of events handled so far.
     pub fn event_stats(&self) -> &EventStats {
-        &self.merged_stats
+        &self.event_stats
     }
 
     /// Total BRASS delivery decisions across hosts.
     pub fn total_decisions(&self) -> u64 {
-        let l = self.shards.len();
-        (0..self.config.brass_hosts as usize)
-            .map(|h| self.shards[h % l].hosts[h].total_app_counters().decisions)
+        self.hosts
+            .iter()
+            .map(|h| h.total_app_counters().decisions)
             .sum()
     }
 
     /// Total proxy-induced stream reconnects across proxies.
     pub fn total_proxy_reconnects(&self) -> u64 {
-        let l = self.shards.len();
-        (0..self.config.proxies as usize)
-            .map(|p| self.shards[p % l].proxies[p].counters().induced_reconnects)
+        self.proxies
+            .iter()
+            .map(|p| p.counters().induced_reconnects)
             .sum()
     }
 
@@ -3702,56 +2914,36 @@ impl SystemSim {
     /// resident form may be the compact hibernation blob, which is
     /// rehydrated here without disturbing the simulation.
     pub fn device(&self, device: u64) -> Option<Device> {
-        self.shards[self.device_shard(device)]
-            .devices
-            .get(&device)
-            .map(|d| match &d.slot {
-                DeviceSlot::Live(dev) => dev.clone(),
-                DeviceSlot::Parked(blob) => Device::rehydrate(device, blob),
-            })
+        self.devices.get(&device).map(|d| match &d.slot {
+            DeviceSlot::Live(dev) => dev.clone(),
+            DeviceSlot::Parked(blob) => Device::rehydrate(device, blob),
+        })
     }
 
     /// Fleet hibernation census: `(parked, total)` devices. Parked devices
     /// hold their whole protocol state in one compact frozen blob.
     pub fn hibernation_census(&self) -> (usize, usize) {
-        let mut parked = 0;
-        let mut total = 0;
-        for shard in &self.shards {
-            total += shard.devices.len();
-            parked += shard
-                .devices
-                .values()
-                .filter(|d| matches!(d.slot, DeviceSlot::Parked(_)))
-                .count();
-        }
-        (parked, total)
+        let parked = self
+            .devices
+            .values()
+            .filter(|d| matches!(d.slot, DeviceSlot::Parked(_)))
+            .count();
+        (parked, self.devices.len())
     }
 
     /// Whether a BRASS host is currently up (testing / fault plans).
     pub fn host_is_up(&self, host: usize) -> bool {
-        let l = self.shards.len();
-        self.shards[host % l]
-            .host_up
-            .get(host)
-            .copied()
-            .unwrap_or(false)
+        self.host_up.get(host).copied().unwrap_or(false)
     }
 
     /// Whether a reverse proxy is currently up (testing / fault plans).
     pub fn proxy_is_up(&self, proxy: usize) -> bool {
-        let l = self.shards.len();
-        self.shards[proxy % l]
-            .proxy_up
-            .get(proxy)
-            .copied()
-            .unwrap_or(false)
+        self.proxy_up.get(proxy).copied().unwrap_or(false)
     }
 
     /// The `(device, sid)` keys a BRASS host currently serves, sorted.
     pub fn host_stream_keys(&self, host: usize) -> Vec<(u64, StreamId)> {
-        let l = self.shards.len();
-        self.shards[host % l]
-            .hosts
+        self.hosts
             .get(host)
             .map(|h| h.stream_keys())
             .unwrap_or_default()
@@ -3762,7 +2954,8 @@ impl SystemSim {
         self.now
     }
 
-    /// The per-run RNG (workload generators share the seed stream).
+    /// The master RNG, for workload generators and fixture setup. The
+    /// engine never draws from it after construction.
     pub fn rng_mut(&mut self) -> &mut DetRng {
         &mut self.rng
     }
@@ -3771,16 +2964,6 @@ impl SystemSim {
     /// client-generated stream id (devices allocate sids sequentially).
     pub fn scenario_sid_counters(&mut self) -> &mut FxHashMap<u64, u64> {
         &mut self.scenario_sids
-    }
-
-    fn device_shard(&self, device: u64) -> usize {
-        (device as usize % self.config.pops as usize) % self.shards.len()
-    }
-
-    /// Routes an externally-scheduled event into the owning shard's queue.
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
-        let dest = shard_route(&ev, self.config.pops as usize, self.shards.len());
-        self.shards[dest].queue.schedule(at, ev);
     }
 
     /// Backoff before quorum-subscribe retry `attempt + 1`. The exponent
@@ -3803,8 +2986,7 @@ impl SystemSim {
         let cat = simkit::dist::Categorical::new(&weights);
         let link = self.config.link_mix[cat.sample_index(&mut self.rng)].0;
         let lang = self.intern_lang(lang);
-        let shard = self.device_shard(uid);
-        self.shards[shard].devices.insert(
+        self.devices.insert(
             uid,
             DeviceState {
                 slot: DeviceSlot::Live(Device::new(uid)),
@@ -3836,11 +3018,12 @@ impl SystemSim {
 
     /// Schedules a subscription with an explicit header.
     pub fn subscribe_with_header(&mut self, at: SimTime, device: u64, header: Json) {
-        self.schedule(at, Ev::DeviceSubscribe { device, header });
+        self.queue
+            .schedule(at, Ev::DeviceSubscribe { device, header });
     }
 
     fn gql_header(&self, device: u64, gql: String) -> Json {
-        let lang = self.shards[self.device_shard(device)]
+        let lang = self
             .devices
             .get(&device)
             .and_then(|d| self.langs.get(d.lang as usize))
@@ -3913,19 +3096,20 @@ impl SystemSim {
 
     /// Schedules a stream cancellation.
     pub fn cancel_stream(&mut self, at: SimTime, device: u64, sid: StreamId) {
-        self.schedule(at, Ev::DeviceCancel { device, sid });
+        self.queue.schedule(at, Ev::DeviceCancel { device, sid });
     }
 
     fn schedule_mutation(&mut self, at: SimTime, device: u64, gql: String, app: &'static str) {
         // Device → POP → edge → WAS; sampled as one compound delay.
-        let link = self.shards[self.device_shard(device)]
+        let link = self
             .devices
             .get(&device)
             .map(|d| d.link)
             .unwrap_or(LinkClass::Mobile);
         let delay =
             self.latency.last_mile(link, &mut self.rng) + self.latency.edge_to_was(&mut self.rng);
-        self.schedule(at + delay, Ev::WasMutationExec { gql, app });
+        self.queue
+            .schedule(at + delay, Ev::WasMutationExec { gql, app });
     }
 
     /// Schedules a live-video comment post.
@@ -3971,7 +3155,7 @@ impl SystemSim {
 
     /// Schedules a last-mile connection drop for a device.
     pub fn schedule_device_drop(&mut self, at: SimTime, device: u64) {
-        self.schedule(at, Ev::DeviceDrop { device });
+        self.queue.schedule(at, Ev::DeviceDrop { device });
     }
 
     /// Schedules a BRASS-initiated redirect of one stream to another host
@@ -3984,7 +3168,7 @@ impl SystemSim {
         sid: StreamId,
         to_host: usize,
     ) {
-        self.schedule(
+        self.queue.schedule(
             at,
             Ev::BrassRedirect {
                 host,
@@ -3997,14 +3181,16 @@ impl SystemSim {
 
     /// Schedules a BRASS host drain/upgrade lasting `duration`.
     pub fn schedule_brass_upgrade(&mut self, at: SimTime, host: usize, duration: SimDuration) {
-        self.schedule(at, Ev::BrassUpgrade { host });
-        self.schedule(at + duration, Ev::BrassHostBack { host });
+        self.queue.schedule(at, Ev::BrassUpgrade { host });
+        self.queue
+            .schedule(at + duration, Ev::BrassHostBack { host });
     }
 
     /// Schedules a Pylon subscriber-KV node outage of `duration`.
     pub fn schedule_pylon_outage(&mut self, at: SimTime, node: u64, duration: SimDuration) {
-        self.schedule(at, Ev::PylonNode { node, up: false });
-        self.schedule(at + duration, Ev::PylonNode { node, up: true });
+        self.queue.schedule(at, Ev::PylonNode { node, up: false });
+        self.queue
+            .schedule(at + duration, Ev::PylonNode { node, up: true });
     }
 
     /// Schedules an *unplanned* BRASS host crash lasting `duration`.
@@ -4013,22 +3199,23 @@ impl SystemSim {
     /// crash time: proxies discover the death through missed heartbeat
     /// pongs and only then repair its streams (axiom 2).
     pub fn schedule_brass_crash(&mut self, at: SimTime, host: usize, duration: SimDuration) {
-        self.schedule(at, Ev::BrassCrash { host });
-        self.schedule(at + duration, Ev::BrassRecover { host });
+        self.queue.schedule(at, Ev::BrassCrash { host });
+        self.queue
+            .schedule(at + duration, Ev::BrassRecover { host });
     }
 
     /// Schedules a reverse-proxy outage (e.g. a regional PoP-to-DC link
     /// cut) lasting `duration`.
     pub fn schedule_proxy_outage(&mut self, at: SimTime, proxy: usize, duration: SimDuration) {
-        self.schedule(at, Ev::ProxyOutage { proxy });
-        self.schedule(at + duration, Ev::ProxyBack { proxy });
+        self.queue.schedule(at, Ev::ProxyOutage { proxy });
+        self.queue.schedule(at + duration, Ev::ProxyBack { proxy });
     }
 
     /// Schedules a *silent* device drop: the link dies without a FIN, so
     /// the POP learns only via heartbeats while the device reconnects on
     /// its own backoff schedule.
     pub fn schedule_device_vanish(&mut self, at: SimTime, device: u64) {
-        self.schedule(at, Ev::DeviceVanish { device });
+        self.queue.schedule(at, Ev::DeviceVanish { device });
     }
 
     // ------------------------------------------------------------------
@@ -4037,148 +3224,97 @@ impl SystemSim {
 
     /// Runs the simulation until `until` (inclusive of events at `until`).
     pub fn run_until(&mut self, until: SimTime) {
-        // Every metrics mutation happens inside a run, so this is the one
-        // place the folded aggregate goes stale.
-        self.merged_metrics.take();
-        let lookahead = self.latency.min_cross_shard_hop();
-        // Windows are closed intervals; the last in-window microsecond is
-        // `next + lookahead - 1`.
-        let w_minus = SimDuration::from_micros(lookahead.as_micros().saturating_sub(1));
         loop {
-            let next = self.earliest_pending();
             let tick = self.next_metrics_tick;
-            if tick <= until && next.is_none_or(|n| tick <= n) {
-                // The tick outranks same-time events, matching the old
-                // single-queue schedule order.
-                self.record_tick(tick);
-                self.next_metrics_tick = tick + self.config.metrics_interval;
-                self.tick_index += 1;
-                if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
-                    // The tick is a natural barrier: all windows before it
-                    // are fully applied and the window schedule after it
-                    // depends only on queue state, so a run resumed here
-                    // is bit-identical to one that never stopped.
-                    let sealed = snap::seal(self.snapshot_body(tick));
-                    self.store_snapshot(tick, sealed);
+            // The tick outranks same-instant events, so events run only up
+            // to the microsecond before it.
+            let before_tick = SimTime::from_micros(tick.as_micros().saturating_sub(1));
+            while let Some((now, ev)) = self.queue.pop_until(until.min(before_tick)) {
+                self.event_stats.note(&ev);
+                if let Some(log) = &mut self.evlog {
+                    log.push((now, ev_summary(&ev)));
                 }
-                continue;
+                self.handle(now, ev);
             }
-            let Some(next) = next else { break };
-            if next > until {
+            if tick > until {
                 break;
             }
-            let end = Self::window_end(next, until, tick, w_minus);
-            for (shard, incoming) in self.shards.iter_mut().zip(&mut self.pending_incoming) {
-                shard.run_window(end, incoming);
+            self.record_tick(tick);
+            self.next_metrics_tick = tick + self.config.metrics_interval;
+            self.tick_index += 1;
+            if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
+                let sealed = snap::seal(self.snapshot_body(tick));
+                self.store_snapshot(tick, sealed);
             }
-            apply_barrier(
-                &self.world,
-                &mut self.shards,
-                &mut self.pending_incoming,
-                self.config.pops as usize,
-                end,
-            );
         }
         if until > self.now {
             self.now = until;
         }
-        self.fold_event_stats();
     }
 
-    /// Earliest pending event over every shard queue and mailbox.
-    fn earliest_pending(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        for (s, shard) in self.shards.iter().enumerate() {
-            // Mailboxes are (time, src, seq)-sorted, so `first` is min.
-            let cands = [
-                shard.queue.peek_time(),
-                self.pending_incoming[s].first().map(|e| e.at),
-            ];
-            for cand in cands.into_iter().flatten() {
-                next = Some(match next {
-                    Some(n) if n <= cand => n,
-                    _ => cand,
-                });
+    /// One metrics tick at `at`: samples the fleet, appends the per-tick
+    /// run fingerprint, records the tick-driven series (active streams,
+    /// decision deltas, stream availability), and rotates the
+    /// object-attribution window.
+    fn record_tick(&mut self, at: SimTime) {
+        // Open streams across ALL devices (connected or not).
+        let active: u64 = self.devices.values().map(|d| d.open_streams() as u64).sum();
+        let decisions = self.total_decisions();
+        // One availability sample: of all open streams on currently-connected
+        // devices, the fraction a live BRASS host is serving right now.
+        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
+        for (host, up) in self.hosts.iter().zip(&self.host_up) {
+            if *up {
+                live.extend(host.stream_keys());
             }
         }
-        next
-    }
-
-    /// The last timestamp inside the window opening at `next`: capped by
-    /// the lookahead, the next metrics tick, and the run horizon.
-    fn window_end(next: SimTime, until: SimTime, tick: SimTime, w_minus: SimDuration) -> SimTime {
-        let mut end = next + w_minus;
-        // The tick must observe every event before it, so the window stops
-        // one microsecond short. (`tick > next` holds here, or the tick
-        // would have fired instead of a window.)
-        let cap = SimTime::from_micros(tick.as_micros().saturating_sub(1));
-        if cap < end {
-            end = cap;
+        let mut open = 0u64;
+        let mut served = 0u64;
+        for (&id, state) in &self.devices {
+            if !state.connected {
+                continue;
+            }
+            for sid in state.open_sids() {
+                open += 1;
+                if live.contains(&(id, sid)) {
+                    served += 1;
+                }
+            }
         }
-        if until < end {
-            end = until;
-        }
-        end
-    }
-
-    /// One metrics tick at `at`: samples every shard, appends the per-tick
-    /// run fingerprint, and folds the samples into the root time series
-    /// (active streams, decision deltas, stream availability).
-    fn record_tick(&mut self, at: SimTime) {
-        let summaries: Vec<TickSummary> =
-            self.shards.iter_mut().map(|s| s.shard_tick(at)).collect();
-        // The per-tick run fingerprint: tick time, the ledger's rolling hash,
-        // and every shard's state digest (in shard order), plus the fleet
-        // aggregates the root series are about to record. Cumulative by
+        // Rotate the attribution map so it cannot grow without bound —
+        // but keep a window covering application buffering horizons, so a
+        // crash can still attribute the updates it takes down with it.
+        const ATTRIBUTION_WINDOW: SimDuration = SimDuration::from_secs(30);
+        self.object_delivered
+            .retain(|_, t| at.saturating_since(*t) <= ATTRIBUTION_WINDOW);
+        // The per-tick run fingerprint: tick time, the state digest, and the
+        // fleet aggregates the series are about to record. Cumulative by
         // construction — once two runs disagree at a tick, they disagree at
         // every later tick, which is what lets the bisect harness
         // binary-search the series.
         let mut fp = Fp64::new();
         fp.mix_u64(at.as_micros());
-        fp.mix_u64(self.world.ledger.read().unwrap().fingerprint());
-        for s in &summaries {
-            fp.mix_u64(s.fp);
-            fp.mix_u64(s.active_streams);
-            fp.mix_u64(s.decisions);
-            fp.mix_u64(s.live.len() as u64);
-            fp.mix_u64(s.open.len() as u64);
-        }
+        fp.mix_u64(self.fingerprint_now());
+        fp.mix_u64(active);
+        fp.mix_u64(decisions);
+        fp.mix_u64(live.len() as u64);
+        fp.mix_u64(open);
         self.fingerprints.push((at, fp.value()));
-        self.root_stats.total += 1;
-        self.root_stats.metrics += 1;
-        let active: u64 = summaries.iter().map(|s| s.active_streams).sum();
-        self.root_metrics
-            .ts_active_streams
-            .record(at, active as f64);
-        let decisions: u64 = summaries.iter().map(|s| s.decisions).sum();
+        self.event_stats.total += 1;
+        self.event_stats.metrics += 1;
+        self.metrics.ts_active_streams.record(at, active as f64);
         // Saturating: a crashed/upgraded host restarts with zeroed counters,
         // so the fleet total can move backwards across a tick.
-        self.root_metrics
+        self.metrics
             .ts_decisions
             .record(at, decisions.saturating_sub(self.decisions_at_tick) as f64);
         self.decisions_at_tick = decisions;
-        // One availability sample: of all open streams on currently-connected
-        // devices, the fraction a live BRASS host is serving right now.
-        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
-        for s in &summaries {
-            live.extend(s.live.iter().copied());
-        }
-        let mut open = 0u64;
-        let mut served = 0u64;
-        for s in &summaries {
-            for key in &s.open {
-                open += 1;
-                if live.contains(key) {
-                    served += 1;
-                }
-            }
-        }
         let fraction = if open == 0 {
             1.0
         } else {
             served as f64 / open as f64
         };
-        self.root_metrics.record_availability(at, fraction);
+        self.metrics.record_availability(at, fraction);
     }
 
     // ------------------------------------------------------------------
@@ -4188,8 +3324,7 @@ impl SystemSim {
     /// Configures automatic snapshotting: capture the full sim state every
     /// `every_ticks` metrics ticks (0 disables), keeping the sealed bytes
     /// in memory (`keep_in_memory`) and/or writing them into `dir` as
-    /// `snap-<µs>.brsnap`. Captures happen *inside* the run loop at tick
-    /// barriers, so they never perturb the window schedule: a run with
+    /// `snap-<µs>.brsnap`. A capture only reads state, so a run with
     /// snapshotting on is bit-identical to one with it off.
     pub fn set_snapshot_policy(
         &mut self,
@@ -4209,18 +3344,18 @@ impl SystemSim {
 
     /// Serializes the complete current state into a sealed snapshot.
     ///
-    /// Valid between `run_until` calls (every window is fully applied
-    /// there). A resumed copy is bit-identical to *this* process's future
-    /// — which matches an unchunked run's future only when the snapshot
-    /// instant coincides with a boundary the original run also had; the
-    /// in-loop policy ([`Self::set_snapshot_policy`]) captures at metrics
-    /// ticks, which satisfies that for any chunking.
+    /// Exact at any instant between `run_until` calls: a resumed copy run
+    /// to `T` is bit-identical to this sim run to `T`, and to a sim that
+    /// never stopped.
     pub fn snapshot(&self) -> Vec<u8> {
         snap::seal(self.snapshot_body(self.now))
     }
 
-    /// Serializes the coordinator-level state and every shard into one
-    /// snapshot body (unsealed) stamped `at`.
+    /// Serializes the whole simulation into one snapshot body (unsealed)
+    /// stamped `at`. Hash maps go out in sorted key order so the same
+    /// logical state always snapshots to the same bytes; their Vec values
+    /// keep their order verbatim. Component and liveness vectors carry no
+    /// length: the config fixes it.
     fn snapshot_body(&self, at: SimTime) -> Vec<u8> {
         let mut w = SnapWriter::new();
         // The config is part of the experiment definition, not the state:
@@ -4232,92 +3367,117 @@ impl SystemSim {
         self.next_metrics_tick.snap(&mut w);
         w.put_u64(self.tick_index);
         w.put_u64(self.decisions_at_tick);
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
+        self.rng.state().snap(&mut w);
+        self.engine_rng.state().snap(&mut w);
         w.put_usize(self.langs.len());
         for l in &self.langs {
             w.put_str(l);
         }
         snap::snap_map(&self.scenario_sids, &mut w);
-        {
-            let shared = self.world.shared.read().unwrap();
-            let mut traces: Vec<_> = shared.object_trace.iter().collect();
-            traces.sort_by_key(|(k, _)| k.0);
-            w.put_usize(traces.len());
-            for (object, trace) in traces {
-                w.put_u64(object.0);
-                trace.snap(&mut w);
-            }
-            let mut fanout_traces: Vec<_> = shared.topic_object_trace.iter().collect();
-            fanout_traces
-                .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
-            w.put_usize(fanout_traces.len());
-            for (&(topic, object), trace) in fanout_traces {
-                topic.snap(&mut w);
-                w.put_u64(object.0);
-                trace.snap(&mut w);
-            }
-            let mut topics: Vec<_> = shared.topic_streams.iter().collect();
-            topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-            w.put_usize(topics.len());
-            for (topic, streams) in topics {
-                topic.snap(&mut w);
-                // Verbatim: publication fan-out walks this vec in push order.
-                w.put_usize(streams.len());
-                for (device, sid) in streams {
-                    w.put_u64(*device);
-                    sid.snap(&mut w);
-                }
-            }
-            let mut stream_topics: Vec<_> = shared.stream_topic.iter().collect();
-            stream_topics.sort_by_key(|(k, _)| **k);
-            w.put_usize(stream_topics.len());
-            for (&(device, sid), topic) in stream_topics {
-                w.put_u64(device);
+
+        let mut traces: Vec<_> = self.reg.object_trace.iter().collect();
+        traces.sort_by_key(|(k, _)| k.0);
+        w.put_usize(traces.len());
+        for (object, trace) in traces {
+            w.put_u64(object.0);
+            trace.snap(&mut w);
+        }
+        let mut fanout_traces: Vec<_> = self.reg.topic_object_trace.iter().collect();
+        fanout_traces
+            .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
+        w.put_usize(fanout_traces.len());
+        for (&(topic, object), trace) in fanout_traces {
+            topic.snap(&mut w);
+            w.put_u64(object.0);
+            trace.snap(&mut w);
+        }
+        let mut topics: Vec<_> = self.reg.topic_streams.iter().collect();
+        topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+        w.put_usize(topics.len());
+        for (topic, streams) in topics {
+            topic.snap(&mut w);
+            // Verbatim: publication fan-out walks this vec in push order.
+            w.put_usize(streams.len());
+            for (device, sid) in streams {
+                w.put_u64(*device);
                 sid.snap(&mut w);
-                topic.snap(&mut w);
-            }
-            let mut proxies: Vec<_> = shared.device_proxy.iter().collect();
-            proxies.sort_by_key(|(k, _)| **k);
-            w.put_usize(proxies.len());
-            for (&device, &proxy) in proxies {
-                w.put_u64(device);
-                w.put_usize(proxy);
-            }
-            w.put_usize(shared.host_up.len());
-            for up in &shared.host_up {
-                w.put_bool(*up);
             }
         }
-        self.world.ledger.read().unwrap().snap(&mut w);
-        self.root_metrics.snap(&mut w);
-        self.root_stats.snap(&mut w);
+        let mut stream_topics: Vec<_> = self.reg.stream_topic.iter().collect();
+        stream_topics.sort_by_key(|(k, _)| **k);
+        w.put_usize(stream_topics.len());
+        for (&(device, sid), topic) in stream_topics {
+            w.put_u64(device);
+            sid.snap(&mut w);
+            topic.snap(&mut w);
+        }
+        let mut routes: Vec<_> = self.reg.device_proxy.iter().collect();
+        routes.sort_by_key(|(k, _)| **k);
+        w.put_usize(routes.len());
+        for (&device, &proxy) in routes {
+            w.put_u64(device);
+            w.put_usize(proxy);
+        }
+        self.ledger.snap(&mut w);
         w.put_usize(self.fingerprints.len());
         for (tick, fp) in &self.fingerprints {
             tick.snap(&mut w);
             w.put_u64(*fp);
         }
-        w.put_usize(self.pending_incoming.len());
-        for mailbox in &self.pending_incoming {
-            // Verbatim: envelope order is queue insertion order, which breaks
-            // ties between same-time events.
-            w.put_usize(mailbox.len());
-            for env in mailbox {
-                env.at.snap(&mut w);
-                w.put_usize(env.src_shard);
-                w.put_u64(env.seq);
-                env.event.snap(&mut w);
+
+        self.queue.snap(&mut w);
+        self.was.snap(&mut w);
+        self.pylon.snap(&mut w);
+        for host in &self.hosts {
+            host.snap(&mut w);
+        }
+        for proxy in &self.proxies {
+            proxy.snap(&mut w);
+        }
+        for pop in &self.pops {
+            pop.snap(&mut w);
+        }
+        for up in self.host_up.iter().chain(&self.proxy_up) {
+            w.put_bool(*up);
+        }
+        for t in &self.host_busy_until {
+            t.snap(&mut w);
+        }
+        w.put_usize(self.devices.len());
+        for (&id, d) in &self.devices {
+            w.put_u64(id);
+            d.snap(&mut w);
+        }
+        let mut backfill: Vec<_> = self.pending_backfill.iter().collect();
+        backfill.sort_by_key(|(k, _)| **k);
+        w.put_usize(backfill.len());
+        for (&(device, sid), traces) in backfill {
+            w.put_u64(device);
+            sid.snap(&mut w);
+            // Verbatim: backfill traces replay in arrival order.
+            w.put_usize(traces.len());
+            for t in traces {
+                t.snap(&mut w);
             }
         }
-        // Each shard body is length-prefixed so resume can hand every
-        // shard its own bounded reader.
-        w.put_usize(self.shards.len());
-        for shard in &self.shards {
-            let mut body = SnapWriter::new();
-            shard.snap(&mut body);
-            w.put_bytes(&body.into_bytes());
+        let mut delivered: Vec<_> = self.object_delivered.iter().collect();
+        delivered.sort_by_key(|((host, object), _)| (*host, object.0));
+        w.put_usize(delivered.len());
+        for (&(host, object), at) in delivered {
+            w.put_usize(host);
+            w.put_u64(object.0);
+            at.snap(&mut w);
         }
+        let mut started: Vec<_> = self.sub_started.iter().collect();
+        started.sort_by_key(|(k, _)| **k);
+        w.put_usize(started.len());
+        for (&(device, sid), at) in started {
+            w.put_u64(device);
+            sid.snap(&mut w);
+            at.snap(&mut w);
+        }
+        self.metrics.snap(&mut w);
+        self.event_stats.snap(&mut w);
         w.put_bytes(&self.driver_blob);
         w.into_bytes()
     }
@@ -4338,12 +3498,12 @@ impl SystemSim {
     /// Rebuilds a simulation from a sealed snapshot, fail-closed: the
     /// container checksum, the config (rebuilt by the caller and compared
     /// field-for-field via its Debug rendering), every length, tag, key
-    /// order, and ownership invariant are validated before any state is
-    /// handed over — an error never yields a partial world. The resumed
-    /// sim continues bit-identically to the run that took the snapshot.
+    /// order, and slot identity are validated before any state is handed
+    /// over — an error never yields a partial world. The resumed sim
+    /// continues bit-identically to the run that took the snapshot.
     pub fn resume(config: SystemConfig, bytes: &[u8]) -> SnapResult<SystemSim> {
         let body = snap::unseal(bytes)?;
-        let mut r = SnapReader::new(body);
+        let r = &mut SnapReader::new(body);
         let stored = r.get_str()?;
         let live = format!("{config:?}");
         if stored != live {
@@ -4351,235 +3511,202 @@ impl SystemSim {
                 "config mismatch: snapshot took {stored}, resume built {live}"
             )));
         }
-        let at = SimTime::restore(&mut r)?;
-        let next_metrics_tick = SimTime::restore(&mut r)?;
-        let tick_index = r.get_u64()?;
-        let decisions_at_tick = r.get_u64()?;
-        let rng = DetRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
-        let n = r.get_len()?;
-        let mut langs = Vec::with_capacity(n);
-        for _ in 0..n {
+        // Start from a pristine world (component vectors of the config's
+        // sizes, empty queue) and overwrite everything stateful. The seed
+        // doesn't matter: both RNG streams are replaced from the snapshot.
+        let mut s = SystemSim::new(config, 0);
+        s.now = SimTime::restore(r)?;
+        s.next_metrics_tick = SimTime::restore(r)?;
+        s.tick_index = r.get_u64()?;
+        s.decisions_at_tick = r.get_u64()?;
+        s.rng = DetRng::from_state(Snap::restore(r)?);
+        s.engine_rng = DetRng::from_state(Snap::restore(r)?);
+        for _ in 0..r.get_len()? {
             let l = r.get_str()?;
-            if langs.contains(&l) {
+            if s.langs.contains(&l) {
                 return Err(SnapError::Invalid(format!("duplicate interned lang {l:?}")));
             }
-            langs.push(l);
+            s.langs.push(l);
         }
-        let scenario_sids: FxHashMap<u64, u64> = snap::restore_map(&mut r)?;
+        s.scenario_sids = snap::restore_map(r)?;
 
-        let n = r.get_len()?;
-        let mut object_trace = FxHashMap::default();
+        let ascending =
+            |what: &str| SnapError::Invalid(format!("{what} keys not strictly ascending"));
         let mut last: Option<u64> = None;
-        for _ in 0..n {
+        for _ in 0..r.get_len()? {
             let object = r.get_u64()?;
             if last.is_some_and(|l| object <= l) {
-                return Err(SnapError::Invalid(
-                    "object-trace keys not strictly ascending".into(),
-                ));
+                return Err(ascending("object-trace"));
             }
             last = Some(object);
-            object_trace.insert(ObjectId(object), TraceId::restore(&mut r)?);
+            s.reg
+                .object_trace
+                .insert(ObjectId(object), TraceId::restore(r)?);
         }
-        let n = r.get_len()?;
-        let mut topic_object_trace = FxHashMap::default();
         let mut last_leg: Option<(String, u64)> = None;
-        for _ in 0..n {
-            let topic = Topic::restore(&mut r)?;
+        for _ in 0..r.get_len()? {
+            let topic = Topic::restore(r)?;
             let object = r.get_u64()?;
             let key = (topic.as_str().to_owned(), object);
             if last_leg.as_ref().is_some_and(|l| key <= *l) {
-                return Err(SnapError::Invalid(
-                    "topic-object-trace keys not strictly ascending".into(),
-                ));
+                return Err(ascending("topic-object-trace"));
             }
             last_leg = Some(key);
-            topic_object_trace.insert((topic, ObjectId(object)), TraceId::restore(&mut r)?);
+            s.reg
+                .topic_object_trace
+                .insert((topic, ObjectId(object)), TraceId::restore(r)?);
         }
-        let n = r.get_len()?;
-        let mut topic_streams = FxHashMap::default();
         let mut last_name: Option<String> = None;
-        for _ in 0..n {
-            let topic = Topic::restore(&mut r)?;
+        for _ in 0..r.get_len()? {
+            let topic = Topic::restore(r)?;
             if last_name.as_deref().is_some_and(|l| topic.as_str() <= l) {
-                return Err(SnapError::Invalid(
-                    "topic-streams keys not strictly ascending".into(),
-                ));
+                return Err(ascending("topic-streams"));
             }
             last_name = Some(topic.as_str().to_owned());
             let m = r.get_len()?;
             let mut streams = Vec::with_capacity(m);
             for _ in 0..m {
                 let device = r.get_u64()?;
-                streams.push((device, StreamId::restore(&mut r)?));
+                streams.push((device, StreamId::restore(r)?));
             }
-            topic_streams.insert(topic, streams);
+            s.reg.topic_streams.insert(topic, streams);
         }
-        let n = r.get_len()?;
-        let mut stream_topic = FxHashMap::default();
         let mut last: Option<(u64, StreamId)> = None;
-        for _ in 0..n {
-            let device = r.get_u64()?;
-            let sid = StreamId::restore(&mut r)?;
-            if last.is_some_and(|l| (device, sid) <= l) {
-                return Err(SnapError::Invalid(
-                    "stream-topic keys not strictly ascending".into(),
-                ));
+        for _ in 0..r.get_len()? {
+            let key = (r.get_u64()?, StreamId::restore(r)?);
+            if last.is_some_and(|l| key <= l) {
+                return Err(ascending("stream-topic"));
             }
-            last = Some((device, sid));
-            stream_topic.insert((device, sid), Topic::restore(&mut r)?);
+            last = Some(key);
+            s.reg.stream_topic.insert(key, Topic::restore(r)?);
         }
-        let n = r.get_len()?;
-        let mut device_proxy = FxHashMap::default();
         let mut last: Option<u64> = None;
-        for _ in 0..n {
+        for _ in 0..r.get_len()? {
             let device = r.get_u64()?;
             if last.is_some_and(|l| device <= l) {
-                return Err(SnapError::Invalid(
-                    "device-proxy keys not strictly ascending".into(),
-                ));
+                return Err(ascending("device-proxy"));
             }
             last = Some(device);
             let proxy = r.get_usize()?;
-            if proxy >= config.proxies as usize {
+            if proxy >= s.proxies.len() {
                 return Err(SnapError::Invalid(format!(
                     "device-proxy route to proxy {proxy}, config has {}",
-                    config.proxies
+                    s.proxies.len()
                 )));
             }
-            device_proxy.insert(device, proxy);
+            s.reg.device_proxy.insert(device, proxy);
         }
-        let n = r.get_len()?;
-        if n != config.brass_hosts as usize {
-            return Err(SnapError::Invalid(format!(
-                "shared host_up length {n}, config says {}",
-                config.brass_hosts
-            )));
-        }
-        let mut host_up = Vec::with_capacity(n);
-        for _ in 0..n {
-            host_up.push(r.get_bool()?);
-        }
-        let ledger = TraceLedger::restore(&mut r)?;
-        let root_metrics =
-            SystemMetrics::restore(&mut r, config.metrics_horizon, config.metrics_interval)?;
-        let root_stats = EventStats::restore(&mut r)?;
-        let n = r.get_len()?;
-        let mut fingerprints = Vec::with_capacity(n);
+        s.ledger = TraceLedger::restore(r)?;
         let mut last_tick: Option<SimTime> = None;
-        for _ in 0..n {
-            let tick = SimTime::restore(&mut r)?;
+        for _ in 0..r.get_len()? {
+            let tick = SimTime::restore(r)?;
             if last_tick.is_some_and(|l| tick <= l) {
                 return Err(SnapError::Invalid(
                     "fingerprint ticks not strictly ascending".into(),
                 ));
             }
             last_tick = Some(tick);
-            fingerprints.push((tick, r.get_u64()?));
+            s.fingerprints.push((tick, r.get_u64()?));
         }
 
-        let world = Arc::new(World {
-            shared: RwLock::new(SharedInner {
-                object_trace,
-                topic_object_trace,
-                topic_streams,
-                stream_topic,
-                device_proxy,
-                host_up,
-            }),
-            ledger: RwLock::new(ledger),
-        });
-
-        let nshards = config.logical_shards;
-        let n = r.get_len()?;
-        if n != nshards {
-            return Err(SnapError::Invalid(format!(
-                "{n} shard mailboxes, config says {nshards}"
-            )));
+        s.queue = EventQueue::restore(r)?;
+        s.was = WebApplicationServer::restore(r)?;
+        s.pylon = PylonCluster::restore(r)?;
+        for (h, slot) in s.hosts.iter_mut().enumerate() {
+            *slot = BrassHost::restore(r)?;
+            if slot.host_id() != HostId(h as u32) {
+                return Err(SnapError::Invalid(format!(
+                    "host slot {h} holds id {}",
+                    slot.host_id().0
+                )));
+            }
         }
-        let mut pending_incoming: Vec<Vec<Envelope<Ev>>> = Vec::with_capacity(nshards);
-        for slot in 0..nshards {
+        for (p, slot) in s.proxies.iter_mut().enumerate() {
+            *slot = ReverseProxy::restore(r)?;
+            if slot.id() != p as u32 {
+                return Err(SnapError::Invalid(format!(
+                    "proxy slot {p} holds id {}",
+                    slot.id()
+                )));
+            }
+        }
+        for (p, slot) in s.pops.iter_mut().enumerate() {
+            *slot = Pop::restore(r)?;
+            if slot.id() != p as u32 {
+                return Err(SnapError::Invalid(format!(
+                    "POP slot {p} holds id {}",
+                    slot.id()
+                )));
+            }
+        }
+        for up in s.host_up.iter_mut().chain(&mut s.proxy_up) {
+            *up = r.get_bool()?;
+        }
+        for t in &mut s.host_busy_until {
+            *t = SimTime::restore(r)?;
+        }
+        let mut last_dev: Option<u64> = None;
+        for _ in 0..r.get_len()? {
+            let dev = r.get_u64()?;
+            if last_dev.is_some_and(|l| dev <= l) {
+                return Err(ascending("device"));
+            }
+            last_dev = Some(dev);
+            let state = DeviceState::restore(dev, r)?;
+            if state.lang as usize >= s.langs.len() {
+                return Err(SnapError::Invalid(format!(
+                    "device lang index {} outside the {}-entry intern table",
+                    state.lang,
+                    s.langs.len()
+                )));
+            }
+            s.devices.insert(dev, state);
+        }
+        let mut last: Option<(u64, StreamId)> = None;
+        for _ in 0..r.get_len()? {
+            let key = (r.get_u64()?, StreamId::restore(r)?);
+            if last.is_some_and(|l| key <= l) {
+                return Err(ascending("pending-backfill"));
+            }
+            last = Some(key);
             let m = r.get_len()?;
-            let mut mailbox = Vec::with_capacity(m);
+            let mut traces = Vec::with_capacity(m);
             for _ in 0..m {
-                let env_at = SimTime::restore(&mut r)?;
-                let src_shard = r.get_usize()?;
-                if src_shard >= nshards {
-                    return Err(SnapError::Invalid(format!(
-                        "envelope from shard {src_shard}, config has {nshards}"
-                    )));
-                }
-                let seq = r.get_u64()?;
-                let event = Ev::restore(&mut r)?;
-                let dest = shard_route(&event, config.pops as usize, nshards);
-                if dest != slot {
-                    return Err(SnapError::Invalid(format!(
-                        "envelope in shard {slot}'s mailbox routes to shard {dest}"
-                    )));
-                }
-                mailbox.push(Envelope {
-                    at: env_at,
-                    src_shard,
-                    seq,
-                    event,
-                });
+                traces.push(TraceId::restore(r)?);
             }
-            pending_incoming.push(mailbox);
+            s.pending_backfill.insert(key, traces);
         }
-        let n = r.get_len()?;
-        if n != nshards {
-            return Err(SnapError::Invalid(format!(
-                "{n} shard bodies, config says {nshards}"
-            )));
+        let mut last: Option<(usize, u64)> = None;
+        for _ in 0..r.get_len()? {
+            let host = r.get_usize()?;
+            let object = r.get_u64()?;
+            if last.is_some_and(|l| (host, object) <= l) {
+                return Err(ascending("object-delivered"));
+            }
+            if host >= s.hosts.len() {
+                return Err(SnapError::Invalid(format!(
+                    "object-delivered host {host}, config has {}",
+                    s.hosts.len()
+                )));
+            }
+            last = Some((host, object));
+            s.object_delivered
+                .insert((host, ObjectId(object)), SimTime::restore(r)?);
         }
-        let mut shards = Vec::with_capacity(nshards);
-        for id in 0..nshards {
-            let body = r.get_bytes()?;
-            let mut sr = SnapReader::new(&body);
-            let shard = Shard::restore(id, &config, Arc::clone(&world), &mut sr)?;
-            sr.finish()?;
-            shards.push(shard);
+        let mut last: Option<(u64, StreamId)> = None;
+        for _ in 0..r.get_len()? {
+            let key = (r.get_u64()?, StreamId::restore(r)?);
+            if last.is_some_and(|l| key <= l) {
+                return Err(ascending("sub-started"));
+            }
+            last = Some(key);
+            s.sub_started.insert(key, SimTime::restore(r)?);
         }
-        let driver_blob = r.get_bytes()?;
+        s.metrics = SystemMetrics::restore(r, s.config.metrics_horizon, s.config.metrics_interval)?;
+        s.event_stats = EventStats::restore(r)?;
+        s.driver_blob = r.get_bytes()?;
         r.finish()?;
-
-        for shard in &shards {
-            for d in shard.devices.values() {
-                if d.lang as usize >= langs.len() {
-                    return Err(SnapError::Invalid(format!(
-                        "device lang index {} outside the {}-entry intern table",
-                        d.lang,
-                        langs.len()
-                    )));
-                }
-            }
-        }
-
-        let mut sim = SystemSim {
-            latency: LatencyModel::table3(),
-            rng,
-            now: at,
-            next_metrics_tick,
-            world,
-            shards,
-            pending_incoming,
-            root_metrics,
-            root_stats,
-            merged_metrics: OnceCell::new(),
-            merged_stats: EventStats::default(),
-            decisions_at_tick,
-            scenario_sids,
-            langs,
-            fingerprints,
-            tick_index,
-            snapshot_every: 0,
-            snapshot_keep: false,
-            snapshot_dir: None,
-            snapshots: Vec::new(),
-            driver_blob,
-            config,
-        };
-        sim.fold_event_stats();
-        Ok(sim)
+        Ok(s)
     }
 
     /// Attaches opaque harness state (workload cursors, scenario extents)
@@ -4596,66 +3723,45 @@ impl SystemSim {
     }
 
     /// The per-metrics-tick rolling run fingerprints recorded so far.
-    /// Identical for identical `(config, seed, workload)` and an identical
-    /// sequence of `run_until` calls, regardless of hibernation or
-    /// snapshot policy; the first differing entry between
-    /// two runs brackets their first divergence.
-    ///
-    /// Not invariant under `run_until` chunking: benchmark/README's port
-    /// check ran one chaos fixture to 889,129 events in 250 ms chunks and
-    /// 889,304 in a single call. Nor under removing events that do no
-    /// work: sizing ISSUE 12, eliding provably no-op `BrassTimer` events
-    /// shifted delivery timing (first divergence at t+5.02 s, `lvc_fanout`
-    /// seed 42). Results depend on the window schedule — which events
-    /// exist and where each `run_until` stops — not only on the events
-    /// that change state.
+    /// Identical for identical `(config, seed, workload)`, however the
+    /// caller chunks `run_until` and regardless of hibernation or snapshot
+    /// policy; the first differing entry between two runs brackets their
+    /// first divergence.
     pub fn tick_fingerprints(&self) -> &[(SimTime, u64)] {
         &self.fingerprints
     }
 
-    /// A state-only fingerprint of the current instant: the ledger's
-    /// rolling hash plus every shard's state digest. Cheap (no
-    /// serialization) and stable across equal states however they were
-    /// reached — run straight or resumed from a snapshot.
+    /// A cheap rolling fingerprint of the *executed* history: the ledger's
+    /// rolling hash, the engine RNG's stream position, every event-stats
+    /// counter, and the metrics digest — all of which change only when
+    /// events run, never when they are merely scheduled. No serialization,
+    /// and stable across equal states however they were reached — run
+    /// straight, in chunks, or resumed from a snapshot. (Deliberately, a
+    /// future event sitting unexecuted in the queue does not move the hash:
+    /// the bisect engine depends on divergence showing up at the tick where
+    /// behaviour actually differs.)
     pub fn fingerprint_now(&self) -> u64 {
         let mut fp = Fp64::new();
-        fp.mix_u64(self.world.ledger.read().unwrap().fingerprint());
-        for shard in &self.shards {
-            fp.mix_u64(shard.fingerprint());
+        fp.mix_u64(self.ledger.fingerprint());
+        for word in self.engine_rng.state() {
+            fp.mix_u64(word);
         }
+        self.event_stats.mix_fp(&mut fp);
+        self.metrics.mix_fingerprint(&mut fp);
         fp.value()
     }
 
-    /// Switches the per-event diagnostic log on or off for every shard.
-    /// While on, each shard records `(time, event summary)` for every
-    /// event it pops, in execution order — the bisect harness replays a
-    /// diverging tick under this log on both runs and diffs the streams.
+    /// Switches the per-event diagnostic log on or off. While on, every
+    /// popped event's `(time, event summary)` is recorded in execution
+    /// order — the bisect harness replays a diverging tick under this log
+    /// on both runs and diffs the streams.
     pub fn set_event_log(&mut self, enabled: bool) {
-        for shard in &mut self.shards {
-            shard.evlog = if enabled { Some(Vec::new()) } else { None };
-        }
+        self.evlog = enabled.then(Vec::new);
     }
 
-    /// Drains the per-shard event logs (index = shard id). Empty vecs for
-    /// shards that saw nothing; empty overall if the log was never on.
-    pub fn take_event_logs(&mut self) -> Vec<Vec<(SimTime, String)>> {
-        self.shards
-            .iter_mut()
-            .map(|s| match &mut s.evlog {
-                Some(log) => std::mem::take(log),
-                None => Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Folds the root's and every shard's event counts into the public
-    /// aggregate.
-    fn fold_event_stats(&mut self) {
-        let mut stats = self.root_stats.clone();
-        for shard in &self.shards {
-            stats.accumulate(&shard.event_stats);
-        }
-        self.merged_stats = stats;
+    /// Drains the event log; empty if the log was never on.
+    pub fn take_event_log(&mut self) -> Vec<(SimTime, String)> {
+        self.evlog.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Audits post-heal convergence: every connected device's open streams
@@ -4663,29 +3769,21 @@ impl SystemSim {
     /// every admitted update as delivered, dropped-with-reason, or
     /// backfilled.
     pub fn convergence_report(&self) -> crate::fault::ConvergenceReport {
-        let l = self.shards.len();
         let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
         let mut dead_host_streams = 0u64;
-        for h in 0..self.config.brass_hosts as usize {
-            let shard = &self.shards[h % l];
-            if shard.host_up[h] {
-                live.extend(shard.hosts[h].stream_keys());
+        for (host, up) in self.hosts.iter().zip(&self.host_up) {
+            if *up {
+                live.extend(host.stream_keys());
             } else {
-                dead_host_streams += shard.hosts[h].stream_count() as u64;
+                dead_host_streams += host.stream_count() as u64;
             }
         }
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.devices.keys().copied())
-            .collect();
-        ids.sort_unstable();
         let mut open_streams = 0u64;
         let mut connected_devices = 0u64;
         let mut stranded: Vec<(u64, StreamId)> = Vec::new();
         let mut flow_degraded_devices = 0u64;
-        for id in ids {
-            let state = &self.shards[self.device_shard(id)].devices[&id];
+        // Ascending device id: `stranded` comes out sorted.
+        for (&id, state) in &self.devices {
             if !state.connected {
                 continue;
             }
@@ -4700,7 +3798,7 @@ impl SystemSim {
                 }
             }
         }
-        let ledger = self.world.ledger.read().unwrap();
+        let ledger = &self.ledger;
         crate::fault::ConvergenceReport {
             connected_devices,
             open_streams,
@@ -4814,27 +3912,6 @@ mod tests {
         // Total latency includes the ~2s WAS ranking plus fan-out and push.
         assert!(lat.total.mean() > 1_500.0, "total {}", lat.total.mean());
         assert!(lat.total.mean() < 15_000.0, "total {}", lat.total.mean());
-    }
-
-    #[test]
-    fn metrics_fold_is_cached_until_the_next_run() {
-        let mut s = sim();
-        let video = s.was_mut().create_video("cache");
-        let poster = s.create_user_device("poster", "en");
-        let viewer = s.create_user_device("viewer", "en");
-        s.subscribe_lvc(SimTime::ZERO, viewer, video);
-        s.post_comment(SimTime::from_secs(5), poster, video, "worth caching");
-        s.run_until(SimTime::from_secs(20));
-        assert!(s.merged_metrics.get().is_none(), "a run leaves no fold");
-        assert_eq!(s.metrics().deliveries.get(), 1);
-        // Move a shard counter behind the cache's back: a second read with
-        // no run between must return the cached fold, not fold again...
-        s.shards[0].metrics.deliveries.add(100);
-        assert_eq!(s.metrics().deliveries.get(), 1);
-        // ...and the next run must drop it.
-        s.run_until(SimTime::from_secs(21));
-        assert!(s.merged_metrics.get().is_none());
-        assert_eq!(s.metrics().deliveries.get(), 101);
     }
 
     #[test]

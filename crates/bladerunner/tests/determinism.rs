@@ -1,8 +1,9 @@
 //! Determinism regression: all randomness flows from the single seed, so
 //! the same seed must reproduce the run bit-for-bit — every metric and
-//! every trace-ledger hop record — while a different seed must not. The
-//! same holds across commits that claim to change no behaviour:
-//! `fingerprints_match_the_pinned_parent` holds literals to compare with.
+//! every trace-ledger hop record — while a different seed must not, and
+//! how the caller chunks `run_until` must not matter at all. The same
+//! holds across commits that claim to change no behaviour:
+//! `pinned_lvc_and_chaos_fingerprints` holds literals to compare with.
 
 use bladerunner::fault::FaultPlan;
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
@@ -22,6 +23,14 @@ fn lvc_scenario(seed: u64) -> (SystemMetrics, TraceLedger) {
 
 /// [`lvc_scenario`]'s sim, run to its end.
 fn lvc_run(seed: u64) -> SystemSim {
+    let (mut s, end) = lvc_setup(seed);
+    s.run_until(end);
+    s
+}
+
+/// [`lvc_scenario`] scheduled but not yet run, with the instant to run it
+/// to.
+fn lvc_setup(seed: u64) -> (SystemSim, SimTime) {
     let mut s = SystemSim::new(SystemConfig::small(), seed);
     let video = s.was_mut().create_video("replay");
     let poster = s.create_user_device("poster", "en");
@@ -36,8 +45,7 @@ fn lvc_run(seed: u64) -> SystemSim {
         );
     }
     s.schedule_device_drop(SimTime::from_secs(6), viewer);
-    s.run_until(SimTime::from_secs(60));
-    s
+    (s, SimTime::from_secs(60))
 }
 
 #[test]
@@ -118,8 +126,6 @@ fn chunked_chaos(poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64)>) {
         now = (now + SimDuration::from_millis(250)).min(end);
         s.run_until(now);
         if poll {
-            // Folds and caches; were the next `run_until` not to drop the
-            // cache, the final read below would return this chunk's fold.
             let _ = s.metrics();
         }
     }
@@ -132,9 +138,9 @@ fn chunked_chaos(poll: bool) -> (Vec<u8>, u64, Vec<(SimTime, u64)>) {
     )
 }
 
-/// `metrics()` folds lazily and caches; the fold must be a pure read (no
-/// trace in any fingerprint) and every `run_until` must invalidate it
-/// (the polled run's last read equals the unpolled run's only read).
+/// `metrics()` must be a pure read: polling it between chunks leaves no
+/// trace in any fingerprint, and the polled run's last read equals the
+/// unpolled run's only read.
 #[test]
 fn polling_metrics_every_chunk_equals_reading_once_at_the_end() {
     let once = chunked_chaos(false);
@@ -213,13 +219,117 @@ fn different_seed_diverges() {
     );
 }
 
+/// Everything a run leaves behind, down to the snapshot bytes (queue
+/// structure, both RNG streams, every component).
+#[derive(PartialEq)]
+struct RunDigest {
+    metrics: Vec<u8>,
+    state_fp: u64,
+    ticks: Vec<(SimTime, u64)>,
+    events: bladerunner::sim::EventStats,
+    ledger_fp: u64,
+    snapshot: Vec<u8>,
+}
+
+/// Runs `sim` through `stops` (ascending; the last one is the end) and
+/// digests what is left.
+fn run_through(mut sim: SystemSim, stops: impl IntoIterator<Item = SimTime>) -> RunDigest {
+    for stop in stops {
+        sim.run_until(stop);
+    }
+    let mut w = SnapWriter::new();
+    sim.metrics().snap(&mut w);
+    RunDigest {
+        metrics: w.into_bytes(),
+        state_fp: sim.fingerprint_now(),
+        ticks: sim.tick_fingerprints().to_vec(),
+        events: sim.event_stats().clone(),
+        ledger_fp: sim.trace_ledger().fingerprint(),
+        snapshot: sim.snapshot(),
+    }
+}
+
+/// Every multiple of `stride` up to `end`, then `end`.
+fn strided(stride: SimDuration, end: SimTime) -> impl Iterator<Item = SimTime> {
+    let step = stride.as_micros();
+    (1..)
+        .map(move |i| SimTime::from_micros(i * step))
+        .take_while(move |t| *t < end)
+        .chain([end])
+}
+
+/// Results are a function of `(config, seed, workload)` and of nothing
+/// about how the caller slices time: with the whole workload injected up
+/// front, one `run_until(end)` equals any chunking of it — coarse, fine,
+/// a prime stride that never lines up with anything, and boundaries that
+/// land exactly on, just before and just after every metrics tick.
+#[test]
+fn run_until_is_invariant_under_chunking() {
+    type Setup = fn() -> (SystemSim, SimTime);
+    // (name, setup, metrics ticks the run must at least cross)
+    let scenarios: [(&str, Setup, usize); 2] = [
+        (
+            "chaos",
+            || {
+                let (s, end, _plan) = chaos_setup(1234);
+                (s, end)
+            },
+            100,
+        ),
+        ("lvc", || lvc_setup(42), 0),
+    ];
+    for (name, setup, min_ticks) in scenarios {
+        let (sim, end) = setup();
+        let tick = sim.config().metrics_interval;
+        let whole = run_through(sim, [end]);
+        assert!(
+            whole.ticks.len() >= min_ticks,
+            "{name} crosses too few ticks"
+        );
+        let around_ticks: Vec<SimTime> = strided(tick, end)
+            .flat_map(|t| {
+                let us = t.as_micros();
+                [us - 1, us, us + 1].map(SimTime::from_micros)
+            })
+            .filter(|t| *t < end)
+            .chain([end])
+            .collect();
+        let schedules: [(&str, Vec<SimTime>); 4] = [
+            (
+                "250 ms",
+                strided(SimDuration::from_millis(250), end).collect(),
+            ),
+            ("7 ms", strided(SimDuration::from_millis(7), end).collect()),
+            (
+                "999,983 µs",
+                strided(SimDuration::from_micros(999_983), end).collect(),
+            ),
+            ("around every tick", around_ticks),
+        ];
+        for (label, stops) in schedules {
+            let chunked = run_through(setup().0, stops);
+            assert!(chunked.metrics == whole.metrics, "{name}, {label}: metrics");
+            assert_eq!(chunked.state_fp, whole.state_fp, "{name}, {label}");
+            assert_eq!(chunked.ticks, whole.ticks, "{name}, {label}");
+            assert_eq!(chunked.events, whole.events, "{name}, {label}");
+            assert_eq!(chunked.ledger_fp, whole.ledger_fp, "{name}, {label}");
+            assert!(
+                chunked.snapshot == whole.snapshot,
+                "{name}, {label}: snapshot"
+            );
+        }
+    }
+}
+
 /// Cross-commit pin: a PR that claims bit-identical behaviour must leave
 /// these literals alone; one that means to move fingerprints re-captures
-/// them and says so. Captured at commit 363e80c.
+/// them and says so. Captured at the one-queue engine (ISSUE 16), which
+/// moved them on purpose: event order became plain `(time, seq)`, hop
+/// latencies come from one RNG stream, and no hop is clamped to a window.
 #[test]
-fn fingerprints_match_the_pinned_parent() {
+fn pinned_lvc_and_chaos_fingerprints() {
     let lvc = lvc_run(42);
-    assert_eq!(lvc.fingerprint_now(), 0x1c82_d8c3_ec26_e49d, "LVC seed 42");
+    assert_eq!(lvc.fingerprint_now(), 0x84d8_3b80_eb54_94c3, "LVC seed 42");
     // 60 s at the default 15 min cadence crosses no metrics tick.
     assert_eq!(lvc.tick_fingerprints().last(), None, "LVC seed 42");
 
@@ -227,12 +337,12 @@ fn fingerprints_match_the_pinned_parent() {
     chaos.run_until(end);
     assert_eq!(
         chaos.fingerprint_now(),
-        0x2441_51a3_a22c_a90f,
+        0xbae1_32a3_7582_732c,
         "chaos seed 1234"
     );
     assert_eq!(
         chaos.tick_fingerprints().last(),
-        Some(&(SimTime::from_secs(294), 0x496b_5cfa_d65d_b7e1)),
+        Some(&(SimTime::from_secs(294), 0x8d22_4314_9077_a0d6)),
         "chaos seed 1234, last of 147 ticks"
     );
 }

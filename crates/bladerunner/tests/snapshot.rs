@@ -1,10 +1,11 @@
 //! Snapshot/resume equivalence and fail-closed loading.
 //!
 //! The contract under test: running a simulation to its end and running
-//! it to a metrics tick, snapshotting, resuming in a fresh process-like
-//! world, and continuing to the same end are *bit-identical* — same
-//! metrics, same hop-ledger rolling hash, same per-tick fingerprint
-//! series — calm or under the canned chaos fault plan. And loading is
+//! it to any instant — a metrics tick or not — snapshotting, resuming in
+//! a fresh process-like world, and continuing to the same end are
+//! *bit-identical* — same metrics, same hop-ledger rolling hash, same
+//! per-tick fingerprint series — calm or under the canned chaos fault
+//! plan. And loading is
 //! fail-closed: a truncated or corrupted snapshot yields a clean error,
 //! never a partially-restored world.
 
@@ -112,24 +113,57 @@ fn resume_bit_identical_under_chaos() {
     assert_resume_bit_identical(Retention::Full, true);
 }
 
-/// The canonical bytes of a sim's folded metrics.
+/// Resume-anywhere: a snapshot taken between two `run_until` calls at an
+/// instant that is neither a metrics tick nor round in any unit resumes
+/// to the same end as a run that never stopped.
+fn assert_resume_anywhere(retention: Retention, chaos: bool) {
+    let config = cfg(retention);
+    let (mut through, end) = build(&config, 99, chaos);
+    through.run_until(end);
+
+    let (mut stopped, _) = build(&config, 99, chaos);
+    let at = SimTime::from_micros(end.as_micros() / 2 + 123_457);
+    assert!(!at
+        .as_micros()
+        .is_multiple_of(config.metrics_interval.as_micros()));
+    stopped.run_until(at);
+    let mut resumed =
+        SystemSim::resume(config, &stopped.snapshot()).expect("resuming a fresh snapshot");
+    assert_eq!(resumed.now(), at);
+    resumed.run_until(end);
+    assert_eq!(
+        digest(&through),
+        digest(&resumed),
+        "resume at t={at:?} chaos={chaos} not bit-identical"
+    );
+}
+
+#[test]
+fn resume_anywhere_calm() {
+    assert_resume_anywhere(Retention::Full, false);
+    assert_resume_anywhere(Retention::Bounded(64), false);
+}
+
+#[test]
+fn resume_anywhere_under_chaos() {
+    assert_resume_anywhere(Retention::Full, true);
+    assert_resume_anywhere(Retention::Bounded(64), true);
+}
+
+/// The canonical bytes of a sim's metrics.
 fn metrics_bytes(sim: &SystemSim) -> Vec<u8> {
     let mut w = simkit::snap::SnapWriter::new();
     sim.metrics().snap(&mut w);
     w.into_bytes()
 }
 
-/// `metrics()` is a lazily folded, cached aggregate that no snapshot
-/// carries: a resumed sim must fold afresh from the restored root and
-/// shard state — equal to the run-through sim's fold at that tick — and a
-/// read before it runs on must not survive the run.
+/// A resumed sim's `metrics()` equal the run-through sim's, canonical byte
+/// for byte, at the snapshot instant and again at the end.
 fn assert_resumed_metrics_match_run_through(chaos: bool) {
     let config = cfg(Retention::Full);
     let (mut through, end) = build(&config, 99, chaos);
     let mid = SimTime::from_secs(end.as_secs() / 2);
     through.run_until(mid);
-    // Read first, so the run-through sim holds a cached fold while it
-    // snapshots and runs on.
     let at_mid = metrics_bytes(&through);
     let mut resumed =
         SystemSim::resume(config, &through.snapshot()).expect("resuming a fresh snapshot");
@@ -233,7 +267,10 @@ fn random_corruption_fails_closed() {
 }
 
 /// Resuming against a different configuration must fail closed: the
-/// snapshot embeds the config it was taken under.
+/// snapshot embeds the config it was taken under. (The same comparison
+/// rejects a `.brsnap` from before ISSUE 16 without a container version
+/// bump: its config rendering names a shard-count field that no config
+/// this build can construct has.)
 #[test]
 fn config_mismatch_fails_closed() {
     let (config, sealed) = small_sealed();

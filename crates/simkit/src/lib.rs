@@ -20,9 +20,6 @@
 //! * [`trace`] — the per-update hop ledger ([`trace::TraceLedger`]): every
 //!   update admitted to a simulation is followed write → Pylon → BRASS →
 //!   BURST → device, with per-hop latency histograms and drop attribution.
-//! * [`shard`] — cross-shard mailboxes for conservative parallel
-//!   simulation: window-clamped envelopes merged in `(time, src_shard,
-//!   seq)` order so results never depend on thread scheduling.
 //! * [`alloc`] — an opt-in counting global allocator so benches can report
 //!   live heap bytes (bytes-per-device) alongside coarse RSS.
 //! * [`snap`] — deterministic binary snapshots: a fail-closed, versioned,
@@ -54,7 +51,6 @@ pub mod fxhash;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod snap;
 pub mod time;
 pub mod trace;

@@ -234,17 +234,6 @@ impl Histogram {
         bins
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Writes the histogram into a snapshot. Only occupied buckets are
     /// written (`(index, count)` pairs); `sum`/`min`/`max` go as raw IEEE
     /// bits so the empty-histogram `±INFINITY` sentinels survive.
@@ -367,28 +356,6 @@ impl TimeSeries {
         self.buckets.iter().map(|&v| v * scale).collect()
     }
 
-    /// Merges another series into this one, bucket by bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two series differ in interval or bucket count — a
-    /// sharded simulation must build every shard's series from the same
-    /// horizon/interval config for the merge to be meaningful.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.interval, other.interval,
-            "merged series must share a bucket interval"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "merged series must share a horizon"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
     /// Raises the bucket covering `at` to at least `value` (per-bucket
     /// maximum instead of the default sum) — the right reduction for
     /// sampled gauge series like queue depths, where adding samples would
@@ -398,31 +365,6 @@ impl TimeSeries {
         let idx = idx.min(self.buckets.len() - 1);
         if value > self.buckets[idx] {
             self.buckets[idx] = value;
-        }
-    }
-
-    /// Merges another series into this one taking the per-bucket maximum
-    /// (for series built with [`TimeSeries::record_max`]). Max is
-    /// commutative and associative, so shard merge order cannot change the
-    /// result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two series differ in interval or bucket count.
-    pub fn merge_max(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.interval, other.interval,
-            "merged series must share a bucket interval"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "merged series must share a horizon"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            if *b > *a {
-                *a = *b;
-            }
         }
     }
 
@@ -482,11 +424,9 @@ impl TimeSeries {
 /// bounded growth.
 ///
 /// One gauge instance may aggregate several queues of the same stage
-/// (e.g. every BRASS mailbox a shard owns): `current`/`peak` then read as
-/// "the deepest single queue at this stage", which is the quantity the
-/// graceful-shed invariant bounds. Shard merge keeps that reading:
-/// `current` and `peak` merge by maximum, volume counters by sum — all
-/// commutative and associative, so the fold is order-independent.
+/// (e.g. every BRASS host's mailbox): `current`/`peak` then read as "the
+/// deepest single queue at this stage", which is the quantity the
+/// graceful-shed invariant bounds.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueueGauge {
     current: u64,
@@ -563,17 +503,6 @@ impl QueueGauge {
     /// The sampled depth series (per-bucket maximum).
     pub fn depth_series(&self) -> &TimeSeries {
         &self.depth
-    }
-
-    /// Merges another shard's gauge: volume counters add, depth readings
-    /// take the maximum (see the type-level docs for why).
-    pub fn merge(&mut self, other: &QueueGauge) {
-        self.current = self.current.max(other.current);
-        self.peak = self.peak.max(other.peak);
-        self.enqueued += other.enqueued;
-        self.dequeued += other.dequeued;
-        self.dropped += other.dropped;
-        self.depth.merge_max(&other.depth);
     }
 
     /// Writes the gauge into a snapshot.
@@ -744,18 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1.0);
-        b.record(100.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 100.0);
-        assert_eq!(a.min(), 1.0);
-    }
-
-    #[test]
     fn histogram_large_values_bounded_relative_error() {
         let mut h = Histogram::new();
         let v = 3_600_000.0; // one hour in ms
@@ -784,29 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_merge_adds_elementwise() {
-        let horizon = SimDuration::from_mins(60);
-        let interval = SimDuration::from_mins(15);
-        let mut a = TimeSeries::new(horizon, interval);
-        let mut b = TimeSeries::new(horizon, interval);
-        a.inc(SimTime::from_secs(10));
-        b.record(SimTime::from_secs(10), 2.0);
-        b.inc(SimTime::from_secs(16 * 60));
-        a.merge(&b);
-        assert_eq!(a.buckets(), &[3.0, 1.0, 0.0, 0.0]);
-        // b is untouched.
-        assert_eq!(b.buckets(), &[2.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket interval")]
-    fn timeseries_merge_rejects_mismatched_interval() {
-        let mut a = TimeSeries::new(SimDuration::from_mins(60), SimDuration::from_mins(15));
-        let b = TimeSeries::new(SimDuration::from_mins(60), SimDuration::from_mins(10));
-        a.merge(&b);
-    }
-
-    #[test]
     fn timeseries_overflow_goes_to_last_bucket() {
         let mut ts = TimeSeries::new(SimDuration::from_mins(30), SimDuration::from_mins(15));
         ts.inc(SimTime::from_secs(10_000_000));
@@ -823,19 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_merge_max_elementwise() {
-        let horizon = SimDuration::from_mins(30);
-        let interval = SimDuration::from_mins(15);
-        let mut a = TimeSeries::new(horizon, interval);
-        let mut b = TimeSeries::new(horizon, interval);
-        a.record_max(SimTime::from_secs(10), 5.0);
-        b.record_max(SimTime::from_secs(10), 2.0);
-        b.record_max(SimTime::from_secs(16 * 60), 9.0);
-        a.merge_max(&b);
-        assert_eq!(a.buckets(), &[5.0, 9.0]);
-    }
-
-    #[test]
     fn queue_gauge_tracks_depth_and_volume() {
         let mut q = QueueGauge::new(SimDuration::from_mins(30), SimDuration::from_mins(15));
         q.enqueued_n(3);
@@ -849,27 +730,6 @@ mod tests {
         assert_eq!(q.dequeued(), 2);
         assert_eq!(q.dropped(), 4);
         assert_eq!(q.depth_series().buckets()[0], 3.0);
-    }
-
-    #[test]
-    fn queue_gauge_merge_is_order_independent() {
-        let horizon = SimDuration::from_mins(30);
-        let interval = SimDuration::from_mins(15);
-        let mut a = QueueGauge::new(horizon, interval);
-        let mut b = QueueGauge::new(horizon, interval);
-        a.enqueued_n(10);
-        a.observe_depth(SimTime::from_secs(1), 6);
-        b.enqueued_n(4);
-        b.dropped_n(2);
-        b.observe_depth(SimTime::from_secs(1), 9);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.peak(), 9);
-        assert_eq!(ab.enqueued(), 14);
-        assert_eq!(ab.dropped(), 2);
     }
 
     #[test]

@@ -487,7 +487,7 @@ impl<E: Snap> EventQueue<E> {
     /// seqs of the live events, both heaps (as `(time, seq)`-sorted
     /// vectors), and every wheel slot verbatim — including cancelled
     /// entries (tombstones), because their storage position feeds
-    /// `peek_time`'s conservative bound and thus window partitioning.
+    /// `peek_time`'s conservative bound.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.now.as_micros());
         w.put_u64(self.cursor);

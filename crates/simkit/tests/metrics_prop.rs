@@ -72,30 +72,6 @@ proptest! {
         prop_assert!((h.cdf_at(20_000.0) - 1.0).abs() < 1e-12);
     }
 
-    /// Merging histograms is equivalent to recording into one.
-    #[test]
-    fn merge_equals_union(
-        a in proptest::collection::vec(0.0f64..100_000.0, 0..100),
-        b in proptest::collection::vec(0.0f64..100_000.0, 0..100),
-    ) {
-        let mut ha = Histogram::new();
-        let mut hb = Histogram::new();
-        let mut hu = Histogram::new();
-        for &v in &a {
-            ha.record(v);
-            hu.record(v);
-        }
-        for &v in &b {
-            hb.record(v);
-            hu.record(v);
-        }
-        ha.merge(&hb);
-        prop_assert_eq!(ha.count(), hu.count());
-        for q in [0.25, 0.5, 0.9] {
-            prop_assert_eq!(ha.quantile(q), hu.quantile(q));
-        }
-    }
-
     /// Every recorded value lands in exactly one time-series bucket: the
     /// bucket sums conserve the total.
     #[test]
