@@ -5,11 +5,21 @@
 //! holds across commits that claim to change no behaviour:
 //! `pinned_lvc_and_chaos_fingerprints` holds literals to compare with.
 
+mod common;
+
 use bladerunner::fault::FaultPlan;
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
 use simkit::snap::SnapWriter;
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::TraceLedger;
+use simkit::trace::{Retention, TraceLedger};
+
+fn lvc_setup(seed: u64) -> (SystemSim, SimTime) {
+    common::lvc_setup(seed, Retention::Full)
+}
+
+fn chaos_setup(seed: u64) -> (SystemSim, SimTime, FaultPlan) {
+    common::chaos_setup(seed, Retention::Full)
+}
 
 /// An LVC end-to-end scenario with enough entropy sources to catch a
 /// nondeterminism regression: ranking, buffer pressure, rate-limit expiry,
@@ -26,26 +36,6 @@ fn lvc_run(seed: u64) -> SystemSim {
     let (mut s, end) = lvc_setup(seed);
     s.run_until(end);
     s
-}
-
-/// [`lvc_scenario`] scheduled but not yet run, with the instant to run it
-/// to.
-fn lvc_setup(seed: u64) -> (SystemSim, SimTime) {
-    let mut s = SystemSim::new(SystemConfig::small(), seed);
-    let video = s.was_mut().create_video("replay");
-    let poster = s.create_user_device("poster", "en");
-    let viewer = s.create_user_device("viewer", "en");
-    s.subscribe_lvc(SimTime::ZERO, viewer, video);
-    for i in 0..20 {
-        s.post_comment(
-            SimTime::from_millis(2_000 + i * 300),
-            poster,
-            video,
-            &format!("replayable comment number {i} with text"),
-        );
-    }
-    s.schedule_device_drop(SimTime::from_secs(6), viewer);
-    (s, SimTime::from_secs(60))
 }
 
 #[test]
@@ -70,37 +60,6 @@ fn chaos_scenario(seed: u64) -> (SystemMetrics, TraceLedger, FaultPlan) {
     let metrics = s.metrics().clone();
     let ledger = s.trace_ledger().clone();
     (metrics, ledger, plan)
-}
-
-/// [`chaos_scenario`] scheduled but not yet run, with the instant to run
-/// it to.
-fn chaos_setup(seed: u64) -> (SystemSim, SimTime, FaultPlan) {
-    let mut config = SystemConfig::small();
-    config.metrics_interval = SimDuration::from_secs(2);
-    config.metrics_horizon = SimDuration::from_hours(1);
-    let mut s = SystemSim::new(config.clone(), seed);
-    let video = s.was_mut().create_video("chaos-replay");
-    let poster = s.create_user_device("poster", "en");
-    let viewers: Vec<u64> = (0..8)
-        .map(|i| s.create_user_device(&format!("v{i}"), "en"))
-        .collect();
-    for &v in &viewers {
-        s.subscribe_lvc(SimTime::ZERO, v, video);
-    }
-    let mut plan_rng = s.rng_mut().fork(0xFA);
-    let plan =
-        bladerunner::fault::canned_plan(SimTime::from_secs(20), &config, &viewers, &mut plan_rng);
-    plan.apply(&mut s);
-    for i in 0..18 {
-        s.post_comment(
-            SimTime::from_secs(5 + i * 15),
-            poster,
-            video,
-            &format!("chaos comment {i}"),
-        );
-    }
-    let end = plan.heal_time() + SimDuration::from_secs(45);
-    (s, end, plan)
 }
 
 #[test]

@@ -9,8 +9,11 @@
 //! fail-closed: a truncated or corrupted snapshot yields a clean error,
 //! never a partially-restored world.
 
+mod common;
+
 use bladerunner::config::SystemConfig;
-use bladerunner::fault::canned_plan;
+use bladerunner::fault::{canned_plan, FaultKind, FaultPlan};
+use bladerunner::fuzz::{materialize, FuzzCase, ScenarioMix};
 use bladerunner::replay::canned_scenario;
 use bladerunner::sim::SystemSim;
 use simkit::time::{SimDuration, SimTime};
@@ -297,4 +300,115 @@ fn driver_blob_roundtrips() {
     let sealed = sim.snapshot();
     let resumed = SystemSim::resume(config, &sealed).expect("resume");
     assert_eq!(resumed.driver_blob(), &[1, 2, 3, 250, 251, 252]);
+}
+
+/// A fuzz case over the diurnal mix (LVC, typing, active status, stories,
+/// mailbox) with the likes and notifications apps subscribed on top and
+/// every overload knob on, stopped in the middle of four overlapping
+/// fault episodes: all seven BRASS apps hold state, hosts and a proxy are
+/// down, devices are mid-backoff.
+fn seven_app_overload_world() -> SystemSim {
+    let s = SimDuration::from_secs;
+    let mut case = FuzzCase {
+        seed: 77,
+        devices: 36,
+        scenario: ScenarioMix::Diurnal,
+        service_us: 20_000,
+        mailbox_capacity: 2,
+        egress_window: 96,
+        plan: FaultPlan::new(),
+    };
+    let ids = bladerunner::fuzz::probe_device_ids(&case);
+    case.plan = FaultPlan::new()
+        .with(
+            SimTime::from_secs(30),
+            FaultKind::BrassCrash {
+                host: 1,
+                down: s(30),
+            },
+        )
+        .with(
+            SimTime::from_secs(34),
+            FaultKind::ProxyOutage {
+                proxy: 0,
+                down: s(25),
+            },
+        )
+        .with(
+            SimTime::from_secs(36),
+            FaultKind::PylonPartition {
+                nodes: vec![0, 2],
+                down: s(20),
+            },
+        )
+        .with(
+            SimTime::from_secs(38),
+            FaultKind::DeviceFlap {
+                devices: ids[..6].to_vec(),
+                flaps: 3,
+                gap: s(6),
+            },
+        );
+    let (mut sim, ids) = materialize(&case);
+    let post = sim.was_mut().create_post(ids[0], "pinned post");
+    sim.subscribe_notifications(SimTime::from_secs(3), ids[0]);
+    for (i, &d) in ids.iter().enumerate().skip(1) {
+        let i = i as u64;
+        sim.subscribe_likes(SimTime::from_millis(3_000 + i * 40), d, post);
+        sim.like_post(SimTime::from_millis(20_000 + i * 700), d, post);
+        // A burst that is still backed up in the hosts' mailboxes and the
+        // flow windows when the snapshot is taken.
+        sim.like_post(SimTime::from_millis(44_300 + i * 4), d, post);
+        sim.set_online(SimTime::from_millis(15_000 + i * 900), d);
+        if i % 5 == 0 {
+            sim.create_story(SimTime::from_millis(25_000 + i * 500), d, "clip.mp4");
+        }
+    }
+    sim.run_until(SimTime::from_micros(45_123_457));
+    sim
+}
+
+/// Cross-commit pin of the snapshot *bytes*: FNV-64 of the sealed file
+/// for worlds that between them hold every app's state, every event
+/// family and both ledger retentions. A PR that claims the encoding did
+/// not move leaves these literals alone; a sort-order or field-order slip
+/// in any one type's codec fails here by name.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let mid = |end: SimTime| SimTime::from_micros(end.as_micros() / 2 + 123_457);
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for retention in [Retention::Full, Retention::Bounded(64)] {
+        let (mut lvc, end) = common::lvc_setup(42, retention);
+        lvc.run_until(mid(end));
+        got.push((
+            format!("lvc 42 {retention:?}"),
+            simkit::snap::fnv64(&lvc.snapshot()),
+        ));
+        let (mut chaos, end, _plan) = common::chaos_setup(1234, retention);
+        chaos.run_until(mid(end));
+        got.push((
+            format!("chaos 1234 {retention:?}"),
+            simkit::snap::fnv64(&chaos.snapshot()),
+        ));
+    }
+    let seven = seven_app_overload_world();
+    let m = seven.metrics();
+    assert_eq!(m.per_app.len(), 7, "every app saw traffic");
+    assert!(!seven.host_is_up(1) && !seven.proxy_is_up(0), "mid-fault");
+    assert!(m.mailbox_sheds.get() > 0 && m.flow_sheds.get() > 0);
+    got.push((
+        "seven apps, overload".to_owned(),
+        simkit::snap::fnv64(&seven.snapshot()),
+    ));
+    let pinned: [(&str, u64); 5] = [
+        ("lvc 42 Full", 0xecc5_ff8d_82ad_5b43),
+        ("chaos 1234 Full", 0x884f_c3d1_45b6_76d8),
+        ("lvc 42 Bounded(64)", 0x6a16_412a_4fa8_8930),
+        ("chaos 1234 Bounded(64)", 0x9379_7be6_5e26_bd91),
+        ("seven apps, overload", 0x5489_5097_b7ff_69fa),
+    ];
+    for ((name, fp), (want_name, want)) in got.iter().zip(pinned) {
+        assert_eq!(name, want_name);
+        assert_eq!(*fp, want, "{name}: snapshot bytes moved (got {fp:#018x})");
+    }
 }
