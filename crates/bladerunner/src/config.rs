@@ -19,26 +19,7 @@ pub enum LinkClass {
     Slow,
 }
 
-impl LinkClass {
-    /// Snapshot tag for the class.
-    pub fn snap_tag(self) -> u8 {
-        match self {
-            LinkClass::Fast => 0,
-            LinkClass::Mobile => 1,
-            LinkClass::Slow => 2,
-        }
-    }
-
-    /// Decodes a snapshot tag.
-    pub fn from_snap_tag(tag: u8) -> Option<LinkClass> {
-        Some(match tag {
-            0 => LinkClass::Fast,
-            1 => LinkClass::Mobile,
-            2 => LinkClass::Slow,
-            _ => return None,
-        })
-    }
-}
+simkit::snap_enum!(LinkClass { 0 => Fast, 1 => Mobile, 2 => Slow });
 
 /// Top-level configuration for a [`SystemSim`](crate::sim::SystemSim).
 #[derive(Clone, Debug)]

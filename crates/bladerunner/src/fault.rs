@@ -15,9 +15,9 @@ use std::fmt;
 
 use burst::frame::StreamId;
 use simkit::rng::DetRng;
-use simkit::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::TraceId;
+use simkit::{snap_enum, snap_struct};
 
 use crate::config::SystemConfig;
 use crate::sim::SystemSim;
@@ -437,108 +437,16 @@ impl std::error::Error for PlanError {}
 // Tag bytes are part of the on-disk format — append, never renumber.
 // ----------------------------------------------------------------------
 
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            FaultKind::BrassCrash { host, down } => {
-                w.put_u8(0);
-                host.snap(w);
-                down.snap(w);
-            }
-            FaultKind::BrassUpgradeWave {
-                hosts,
-                stagger,
-                down,
-            } => {
-                w.put_u8(1);
-                hosts.snap(w);
-                stagger.snap(w);
-                down.snap(w);
-            }
-            FaultKind::PylonPartition { nodes, down } => {
-                w.put_u8(2);
-                nodes.snap(w);
-                down.snap(w);
-            }
-            FaultKind::ProxyOutage { proxy, down } => {
-                w.put_u8(3);
-                proxy.snap(w);
-                down.snap(w);
-            }
-            FaultKind::DeviceFlap {
-                devices,
-                flaps,
-                gap,
-            } => {
-                w.put_u8(4);
-                devices.snap(w);
-                flaps.snap(w);
-                gap.snap(w);
-            }
-            FaultKind::ReconnectStorm { devices } => {
-                w.put_u8(5);
-                devices.snap(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => FaultKind::BrassCrash {
-                host: Snap::restore(r)?,
-                down: Snap::restore(r)?,
-            },
-            1 => FaultKind::BrassUpgradeWave {
-                hosts: Snap::restore(r)?,
-                stagger: Snap::restore(r)?,
-                down: Snap::restore(r)?,
-            },
-            2 => FaultKind::PylonPartition {
-                nodes: Snap::restore(r)?,
-                down: Snap::restore(r)?,
-            },
-            3 => FaultKind::ProxyOutage {
-                proxy: Snap::restore(r)?,
-                down: Snap::restore(r)?,
-            },
-            4 => FaultKind::DeviceFlap {
-                devices: Snap::restore(r)?,
-                flaps: Snap::restore(r)?,
-                gap: Snap::restore(r)?,
-            },
-            5 => FaultKind::ReconnectStorm {
-                devices: Snap::restore(r)?,
-            },
-            t => return Err(SnapError::Invalid(format!("fault kind tag {t}"))),
-        })
-    }
-}
-
-impl Snap for FaultEpisode {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        self.kind.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(FaultEpisode {
-            at: Snap::restore(r)?,
-            kind: Snap::restore(r)?,
-        })
-    }
-}
-
-impl Snap for FaultPlan {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.episodes.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(FaultPlan {
-            episodes: Snap::restore(r)?,
-        })
-    }
-}
+snap_enum!(FaultKind {
+    0 => BrassCrash { host, down },
+    1 => BrassUpgradeWave { hosts, stagger, down },
+    2 => PylonPartition { nodes, down },
+    3 => ProxyOutage { proxy, down },
+    4 => DeviceFlap { devices, flaps, gap },
+    5 => ReconnectStorm { devices },
+});
+snap_struct!(FaultEpisode { at, kind });
+snap_struct!(FaultPlan { episodes });
 
 /// A canned plan covering every fault kind, scaled to the system shape.
 /// All choices draw from `rng`, so one seed fixes the whole timeline.
@@ -675,30 +583,14 @@ impl OracleId {
     }
 }
 
-impl Snap for OracleId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            OracleId::Convergence => 0,
-            OracleId::Accounting => 1,
-            OracleId::HeartbeatSanity => 2,
-            OracleId::DeliveryOrder => 3,
-            OracleId::Determinism => 4,
-            OracleId::Planted => 5,
-        });
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => OracleId::Convergence,
-            1 => OracleId::Accounting,
-            2 => OracleId::HeartbeatSanity,
-            3 => OracleId::DeliveryOrder,
-            4 => OracleId::Determinism,
-            5 => OracleId::Planted,
-            t => return Err(SnapError::Invalid(format!("oracle tag {t}"))),
-        })
-    }
-}
+snap_enum!(OracleId {
+    0 => Convergence,
+    1 => Accounting,
+    2 => HeartbeatSanity,
+    3 => DeliveryOrder,
+    4 => Determinism,
+    5 => Planted,
+});
 
 /// One machine-readable invariant breach: which oracle fired, on which
 /// entity, and what it saw.
@@ -734,21 +626,11 @@ impl fmt::Display for Violation {
     }
 }
 
-impl Snap for Violation {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.oracle.snap(w);
-        w.put_str(&self.entity);
-        w.put_str(&self.detail);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(Violation {
-            oracle: Snap::restore(r)?,
-            entity: r.get_str()?,
-            detail: r.get_str()?,
-        })
-    }
-}
+snap_struct!(Violation {
+    oracle,
+    entity,
+    detail
+});
 
 /// The post-heal audit produced by
 /// [`crate::sim::SystemSim::convergence_report`].
@@ -872,6 +754,7 @@ impl ConvergenceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn heal_time_is_the_last_heal() {

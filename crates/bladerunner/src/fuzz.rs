@@ -34,6 +34,7 @@ use simkit::rng::DetRng;
 use simkit::snap::{seal, unseal, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Hop, Retention};
+use simkit::{snap_enum, snap_struct};
 use workload::graph::{SocialGraph, SocialGraphConfig};
 
 use crate::config::SystemConfig;
@@ -75,24 +76,7 @@ impl ScenarioMix {
     }
 }
 
-impl Snap for ScenarioMix {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(match self {
-            ScenarioMix::LiveVideo => 0,
-            ScenarioMix::FlashCrowd => 1,
-            ScenarioMix::Diurnal => 2,
-        });
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => ScenarioMix::LiveVideo,
-            1 => ScenarioMix::FlashCrowd,
-            2 => ScenarioMix::Diurnal,
-            t => return Err(SnapError::Invalid(format!("scenario tag {t}"))),
-        })
-    }
-}
+snap_enum!(ScenarioMix { 0 => LiveVideo, 1 => FlashCrowd, 2 => Diurnal });
 
 /// One fully-specified fuzz input. The world a case materializes is a
 /// pure function of this struct: artifacts serialize the whole case, so
@@ -148,29 +132,15 @@ impl FuzzCase {
     }
 }
 
-impl Snap for FuzzCase {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seed);
-        w.put_u32(self.devices);
-        self.scenario.snap(w);
-        w.put_u64(self.service_us);
-        w.put_u64(self.mailbox_capacity);
-        w.put_u64(self.egress_window);
-        self.plan.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(FuzzCase {
-            seed: r.get_u64()?,
-            devices: r.get_u32()?,
-            scenario: Snap::restore(r)?,
-            service_us: r.get_u64()?,
-            mailbox_capacity: r.get_u64()?,
-            egress_window: r.get_u64()?,
-            plan: Snap::restore(r)?,
-        })
-    }
-}
+snap_struct!(FuzzCase {
+    seed,
+    devices,
+    scenario,
+    service_us,
+    mailbox_capacity,
+    egress_window,
+    plan
+});
 
 // ----------------------------------------------------------------------
 // World construction.

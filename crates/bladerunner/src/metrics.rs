@@ -3,7 +3,8 @@
 use burst::frame::StreamId;
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::{Counter, Histogram, QueueGauge, TimeSeries};
-use simkit::snap::{Fp64, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::Fp64;
+use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 
 /// Per-application latency histograms (Fig. 9 decomposition).
@@ -149,6 +150,70 @@ pub struct StreamStat {
     pub publications: u64,
 }
 
+snap_struct!(AppLatencies {
+    edge_to_was,
+    was_handling,
+    brass_processing,
+    brass_to_device,
+    total
+});
+snap_struct!(StreamStat {
+    opened,
+    publications
+});
+// Fields in declaration order. Vec-valued fields (`availability_timeline`,
+// `stream_lifetimes`) are verbatim: their order is execution order, which
+// is behaviour-visible.
+snap_struct!(
+    SystemMetrics {
+        mutations,
+        publications,
+        deliveries,
+        subscriptions,
+        cancellations,
+        connection_drops,
+        frames_lost,
+        quorum_failures,
+        host_crashes,
+        host_failures_detected,
+        hb_pings,
+        proxy_outages,
+        device_vanishes,
+        backfill_polls,
+        backfills,
+        mailbox_sheds,
+        flow_sheds,
+        flow_degraded_signals,
+        flow_recovered_signals,
+        q_pylon_fanout,
+        q_brass_mailbox,
+        q_flow_window,
+        q_pop_egress,
+        per_app,
+        pylon_fanout_small,
+        pylon_fanout_large,
+        sub_replication,
+        sub_e2e,
+        ts_active_streams,
+        ts_subscriptions,
+        ts_publications,
+        ts_decisions,
+        ts_deliveries,
+        ts_connection_drops,
+        ts_proxy_reconnects,
+        availability_timeline,
+        stream_stats,
+        stream_lifetimes
+    },
+    |m| {
+        let in_range = |&(_, fraction): &(SimTime, f64)| (0.0..=1.0).contains(&fraction);
+        if !m.availability_timeline.iter().all(in_range) {
+            return Err("availability sample outside [0, 1]".into());
+        }
+        Ok(())
+    }
+);
+
 impl SystemMetrics {
     /// Creates metrics with the given diurnal horizon and bucket interval.
     pub fn new(horizon: SimDuration, interval: SimDuration) -> Self {
@@ -288,9 +353,8 @@ impl SystemMetrics {
         }
     }
 
-    /// Every counter, in declaration order. The backbone of both the
-    /// snapshot encoding and the cheap per-tick fingerprint, so the two
-    /// can never drift apart on which counters they cover.
+    /// Every counter, in declaration order, for the cheap per-tick
+    /// fingerprint.
     fn counters(&self) -> [&Counter; 19] {
         [
             &self.mutations,
@@ -313,183 +377,6 @@ impl SystemMetrics {
             &self.flow_degraded_signals,
             &self.flow_recovered_signals,
         ]
-    }
-
-    /// Serializes the full metrics state. HashMap-valued fields are
-    /// written in sorted key order (and restore rejects unsorted input),
-    /// so the byte encoding is canonical; Vec-valued fields
-    /// ([`Self::availability_timeline`], [`Self::stream_lifetimes`]) are
-    /// written verbatim: their order is execution order, which is
-    /// behaviour-visible.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        for c in self.counters() {
-            c.snap(w);
-        }
-        self.q_pylon_fanout.snap(w);
-        self.q_brass_mailbox.snap(w);
-        self.q_flow_window.snap(w);
-        self.q_pop_egress.snap(w);
-
-        let mut names: Vec<&String> = self.per_app.keys().collect();
-        names.sort_unstable();
-        w.put_usize(names.len());
-        for name in names {
-            w.put_str(name);
-            let app = &self.per_app[name];
-            app.edge_to_was.snap(w);
-            app.was_handling.snap(w);
-            app.brass_processing.snap(w);
-            app.brass_to_device.snap(w);
-            app.total.snap(w);
-        }
-        self.pylon_fanout_small.snap(w);
-        self.pylon_fanout_large.snap(w);
-        self.sub_replication.snap(w);
-        self.sub_e2e.snap(w);
-
-        self.ts_active_streams.snap(w);
-        self.ts_subscriptions.snap(w);
-        self.ts_publications.snap(w);
-        self.ts_decisions.snap(w);
-        self.ts_deliveries.snap(w);
-        self.ts_connection_drops.snap(w);
-        self.ts_proxy_reconnects.snap(w);
-
-        w.put_usize(self.availability_timeline.len());
-        for &(at, fraction) in &self.availability_timeline {
-            w.put_u64(at.as_micros());
-            w.put_f64(fraction);
-        }
-
-        let mut keys: Vec<&(u64, StreamId)> = self.stream_stats.keys().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            w.put_u64(key.0);
-            w.put_u64(key.1 .0);
-            let stat = &self.stream_stats[key];
-            match stat.opened {
-                Some(at) => {
-                    w.put_u8(1);
-                    w.put_u64(at.as_micros());
-                }
-                None => w.put_u8(0),
-            }
-            w.put_u64(stat.publications);
-        }
-        w.put_usize(self.stream_lifetimes.len());
-        for d in &self.stream_lifetimes {
-            w.put_u64(d.as_micros());
-        }
-    }
-
-    /// Restores metrics serialized by [`Self::snap`]. `horizon` and
-    /// `interval` rebuild the (configuration-derived) series shapes; the
-    /// restored series lengths must agree with them.
-    pub fn restore(
-        r: &mut SnapReader<'_>,
-        horizon: SimDuration,
-        interval: SimDuration,
-    ) -> SnapResult<Self> {
-        let mut m = SystemMetrics::new(horizon, interval);
-        m.mutations = Counter::restore(r)?;
-        m.publications = Counter::restore(r)?;
-        m.deliveries = Counter::restore(r)?;
-        m.subscriptions = Counter::restore(r)?;
-        m.cancellations = Counter::restore(r)?;
-        m.connection_drops = Counter::restore(r)?;
-        m.frames_lost = Counter::restore(r)?;
-        m.quorum_failures = Counter::restore(r)?;
-        m.host_crashes = Counter::restore(r)?;
-        m.host_failures_detected = Counter::restore(r)?;
-        m.hb_pings = Counter::restore(r)?;
-        m.proxy_outages = Counter::restore(r)?;
-        m.device_vanishes = Counter::restore(r)?;
-        m.backfill_polls = Counter::restore(r)?;
-        m.backfills = Counter::restore(r)?;
-        m.mailbox_sheds = Counter::restore(r)?;
-        m.flow_sheds = Counter::restore(r)?;
-        m.flow_degraded_signals = Counter::restore(r)?;
-        m.flow_recovered_signals = Counter::restore(r)?;
-        m.q_pylon_fanout = QueueGauge::restore(r)?;
-        m.q_brass_mailbox = QueueGauge::restore(r)?;
-        m.q_flow_window = QueueGauge::restore(r)?;
-        m.q_pop_egress = QueueGauge::restore(r)?;
-
-        let napps = r.get_len()?;
-        let mut prev_name: Option<String> = None;
-        for _ in 0..napps {
-            let name = r.get_str()?;
-            if prev_name.as_ref().is_some_and(|p| *p >= name) {
-                return Err(SnapError::Invalid("per_app names not ascending".into()));
-            }
-            let app = AppLatencies {
-                edge_to_was: Histogram::restore(r)?,
-                was_handling: Histogram::restore(r)?,
-                brass_processing: Histogram::restore(r)?,
-                brass_to_device: Histogram::restore(r)?,
-                total: Histogram::restore(r)?,
-            };
-            m.per_app.insert(name.clone(), app);
-            prev_name = Some(name);
-        }
-        m.pylon_fanout_small = Histogram::restore(r)?;
-        m.pylon_fanout_large = Histogram::restore(r)?;
-        m.sub_replication = Histogram::restore(r)?;
-        m.sub_e2e = Histogram::restore(r)?;
-
-        m.ts_active_streams = TimeSeries::restore(r)?;
-        m.ts_subscriptions = TimeSeries::restore(r)?;
-        m.ts_publications = TimeSeries::restore(r)?;
-        m.ts_decisions = TimeSeries::restore(r)?;
-        m.ts_deliveries = TimeSeries::restore(r)?;
-        m.ts_connection_drops = TimeSeries::restore(r)?;
-        m.ts_proxy_reconnects = TimeSeries::restore(r)?;
-
-        let nsamples = r.get_len()?;
-        let mut timeline = Vec::with_capacity(nsamples);
-        for _ in 0..nsamples {
-            let at = SimTime::from_micros(r.get_u64()?);
-            let fraction = r.get_f64()?;
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(SnapError::Invalid(format!(
-                    "availability sample {fraction} outside [0, 1]"
-                )));
-            }
-            timeline.push((at, fraction));
-        }
-        m.availability_timeline = timeline;
-
-        let nstreams = r.get_len()?;
-        let mut prev_key: Option<(u64, StreamId)> = None;
-        m.stream_stats.reserve(nstreams);
-        for _ in 0..nstreams {
-            let key = (r.get_u64()?, StreamId(r.get_u64()?));
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid("stream_stats keys not ascending".into()));
-            }
-            let opened = match r.get_u8()? {
-                0 => None,
-                1 => Some(SimTime::from_micros(r.get_u64()?)),
-                t => return Err(SnapError::Invalid(format!("StreamStat opened tag {t}"))),
-            };
-            let publications = r.get_u64()?;
-            m.stream_stats.insert(
-                key,
-                StreamStat {
-                    opened,
-                    publications,
-                },
-            );
-            prev_key = Some(key);
-        }
-        let nlifetimes = r.get_len()?;
-        let mut lifetimes = Vec::with_capacity(nlifetimes);
-        for _ in 0..nlifetimes {
-            lifetimes.push(SimDuration::from_micros(r.get_u64()?));
-        }
-        m.stream_lifetimes = lifetimes;
-        Ok(m)
     }
 
     /// Folds the cheap per-tick metrics digest into a fingerprint: every

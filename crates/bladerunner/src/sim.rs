@@ -47,6 +47,7 @@ use simkit::rng::DetRng;
 use simkit::snap::{self, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome, TraceId, TraceLedger};
+use simkit::{snap_enum, snap_struct};
 use tao::{ObjectId, Tao};
 use was::service::{Rv, WebApplicationServer};
 use was::UpdateEvent;
@@ -130,7 +131,7 @@ impl EventStats {
         *bucket += 1;
     }
 
-    /// The eleven counters in declaration order (snapshot layout).
+    /// The eleven counters in declaration order.
     fn fields(&self) -> [u64; 11] {
         [
             self.total,
@@ -147,47 +148,6 @@ impl EventStats {
         ]
     }
 
-    /// [`Self::fields`], writable: the same counters in the same order.
-    fn fields_mut(&mut self) -> [&mut u64; 11] {
-        [
-            &mut self.total,
-            &mut self.workload,
-            &mut self.pylon,
-            &mut self.tao,
-            &mut self.brass,
-            &mut self.transport_up,
-            &mut self.transport_down,
-            &mut self.device_churn,
-            &mut self.faults,
-            &mut self.heartbeats,
-            &mut self.metrics,
-        ]
-    }
-
-    /// Writes the stats into a snapshot.
-    fn snap(&self, w: &mut SnapWriter) {
-        for v in self.fields() {
-            w.put_u64(v);
-        }
-    }
-
-    /// Reads stats back, rejecting totals that don't add up: `total` is
-    /// exactly the sum of the per-subsystem buckets by construction.
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let mut s = EventStats::default();
-        for field in s.fields_mut() {
-            *field = r.get_u64()?;
-        }
-        let buckets: u64 = s.fields()[1..].iter().sum();
-        if buckets != s.total {
-            return Err(SnapError::Invalid(format!(
-                "event-stats buckets sum to {buckets}, total says {}",
-                s.total
-            )));
-        }
-        Ok(s)
-    }
-
     /// Folds every counter into a rolling fingerprint.
     fn mix_fp(&self, fp: &mut Fp64) {
         for v in self.fields() {
@@ -195,6 +155,33 @@ impl EventStats {
         }
     }
 }
+
+// `total` is exactly the sum of the per-subsystem buckets by construction.
+snap_struct!(
+    EventStats {
+        total,
+        workload,
+        pylon,
+        tao,
+        brass,
+        transport_up,
+        transport_down,
+        device_churn,
+        faults,
+        heartbeats,
+        metrics
+    },
+    |s| {
+        let buckets: u64 = s.fields()[1..].iter().sum();
+        if buckets != s.total {
+            return Err(format!(
+                "event-stats buckets sum to {buckets}, total says {}",
+                s.total
+            ));
+        }
+        Ok(())
+    }
+);
 
 /// A simulation event.
 #[derive(Debug)]
@@ -208,7 +195,7 @@ enum Ev {
     DeviceCancel { device: u64, sid: StreamId },
     /// A device issues a GraphQL mutation (already includes last-mile
     /// latency; `app` classifies it for metrics).
-    WasMutationExec { gql: String, app: &'static str },
+    WasMutationExec { gql: String, app: App },
 
     // ------------------------------------------------------------------
     // Backend publish path.
@@ -241,7 +228,7 @@ enum Ev {
         host: usize,
         /// The issuing application, by the name the host registered it
         /// under (a `Copy` handle: queued events never own a string).
-        app: &'static str,
+        app: App,
         token: FetchToken,
         request: WasRequest,
         attributed: Option<SimTime>,
@@ -249,17 +236,13 @@ enum Ev {
     /// The WAS response arrives back at the BRASS.
     WasReply {
         host: usize,
-        app: &'static str,
+        app: App,
         token: FetchToken,
         response: WasResponse,
         attributed: Option<SimTime>,
     },
     /// An application timer fires.
-    BrassTimer {
-        host: usize,
-        app: &'static str,
-        token: u64,
-    },
+    BrassTimer { host: usize, app: App, token: u64 },
 
     // ------------------------------------------------------------------
     // Frame transport, client → server.
@@ -397,25 +380,36 @@ enum Ev {
     ProxyDeviceGone { proxy: usize, device: u64 },
 }
 
-/// Reads an application name from a snapshot as the `&'static str` events
-/// carry. The set is closed — the applications every host registers, which
-/// are also the labels every `schedule_mutation` call site passes — so an
-/// unknown name means the bytes don't describe a world this build can
-/// produce, and the restore fails rather than guessing.
-fn restore_app(r: &mut SnapReader<'_>) -> SnapResult<&'static str> {
-    let name = r.get_str()?;
-    [
-        "lvc",
-        "typing",
-        "active_status",
-        "stories",
-        "messenger",
-        "likes",
-        "notifications",
-    ]
-    .into_iter()
-    .find(|s| *s == name)
-    .ok_or_else(|| SnapError::Invalid(format!("unknown application {name:?}")))
+/// An application name as events carry it: the `&'static str` every host
+/// registers the application under, which is also the label every
+/// `schedule_mutation` call site passes.
+#[derive(Clone, Copy, Debug)]
+struct App(&'static str);
+
+/// The set of names is closed, so an unknown one means the bytes don't
+/// describe a world this build can produce, and the restore fails rather
+/// than guessing.
+impl Snap for App {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_str(self.0);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let name = r.get_str()?;
+        [
+            "lvc",
+            "typing",
+            "active_status",
+            "stories",
+            "messenger",
+            "likes",
+            "notifications",
+        ]
+        .into_iter()
+        .find(|s| *s == name)
+        .map(App)
+        .ok_or_else(|| SnapError::Invalid(format!("unknown application {name:?}")))
+    }
 }
 
 /// One-line rendering of an event for the bisect event log, truncated so a
@@ -434,435 +428,50 @@ fn ev_summary(ev: &Ev) -> String {
     s
 }
 
-/// Events are snapshotted with one tag byte per variant (declaration
-/// order) followed by the fields in declaration order. `Box`/`Arc`
-/// wrappers are memory shape, not state: they are flattened on write and
-/// re-wrapped on read (an `Arc` shared across N queue entries restores as
-/// N independent allocations, which no behaviour can observe).
-impl Snap for Ev {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::DeviceSubscribe { device, header } => {
-                w.put_u8(0);
-                w.put_u64(*device);
-                header.snap(w);
-            }
-            Ev::DeviceCancel { device, sid } => {
-                w.put_u8(1);
-                w.put_u64(*device);
-                sid.snap(w);
-            }
-            Ev::WasMutationExec { gql, app } => {
-                w.put_u8(2);
-                w.put_str(gql);
-                w.put_str(app);
-            }
-            Ev::PylonPublish { event } => {
-                w.put_u8(3);
-                event.snap(w);
-            }
-            Ev::PylonDeliverHost { host, event } => {
-                w.put_u8(4);
-                w.put_usize(*host);
-                event.snap(w);
-            }
-            Ev::TaoReplicate { event } => {
-                w.put_u8(5);
-                event.snap(w);
-            }
-            Ev::PylonSubscribeExec {
-                host,
-                topic,
-                attempt,
-            } => {
-                w.put_u8(6);
-                w.put_usize(*host);
-                topic.snap(w);
-                w.put_u32(*attempt);
-            }
-            Ev::PylonUnsubscribeExec { host, topic } => {
-                w.put_u8(7);
-                w.put_usize(*host);
-                topic.snap(w);
-            }
-            Ev::WasExec {
-                host,
-                app,
-                token,
-                request,
-                attributed,
-            } => {
-                w.put_u8(8);
-                w.put_usize(*host);
-                w.put_str(app);
-                token.snap(w);
-                request.snap(w);
-                attributed.snap(w);
-            }
-            Ev::WasReply {
-                host,
-                app,
-                token,
-                response,
-                attributed,
-            } => {
-                w.put_u8(9);
-                w.put_usize(*host);
-                w.put_str(app);
-                token.snap(w);
-                response.snap(w);
-                attributed.snap(w);
-            }
-            Ev::BrassTimer { host, app, token } => {
-                w.put_u8(10);
-                w.put_usize(*host);
-                w.put_str(app);
-                w.put_u64(*token);
-            }
-            Ev::AtPop { device, frame } => {
-                w.put_u8(11);
-                w.put_u64(*device);
-                frame.snap(w);
-            }
-            Ev::AtProxy {
-                proxy,
-                device,
-                frame,
-            } => {
-                w.put_u8(12);
-                w.put_usize(*proxy);
-                w.put_u64(*device);
-                frame.snap(w);
-            }
-            Ev::AtBrass {
-                host,
-                device,
-                frame,
-            } => {
-                w.put_u8(13);
-                w.put_usize(*host);
-                w.put_u64(*device);
-                frame.snap(w);
-            }
-            Ev::DownAtProxy {
-                proxy,
-                host,
-                device,
-                frame,
-                sent_at,
-            } => {
-                w.put_u8(14);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-                w.put_u64(*device);
-                frame.snap(w);
-                sent_at.snap(w);
-            }
-            Ev::DownAtPop {
-                device,
-                frame,
-                sent_at,
-            } => {
-                w.put_u8(15);
-                w.put_u64(*device);
-                frame.snap(w);
-                sent_at.snap(w);
-            }
-            Ev::AtDevice {
-                device,
-                frame,
-                sent_at,
-            } => {
-                w.put_u8(16);
-                w.put_u64(*device);
-                frame.snap(w);
-                sent_at.snap(w);
-            }
-            Ev::DeviceDrop { device } => {
-                w.put_u8(17);
-                w.put_u64(*device);
-            }
-            Ev::DeviceReconnect { device, frames } => {
-                w.put_u8(18);
-                w.put_u64(*device);
-                w.put_usize(frames.len());
-                for f in frames {
-                    f.snap(w);
-                }
-            }
-            Ev::BrassRedirect {
-                host,
-                device,
-                sid,
-                to_host,
-            } => {
-                w.put_u8(19);
-                w.put_usize(*host);
-                w.put_u64(*device);
-                sid.snap(w);
-                w.put_usize(*to_host);
-            }
-            Ev::BrassUpgrade { host } => {
-                w.put_u8(20);
-                w.put_usize(*host);
-            }
-            Ev::BrassHostBack { host } => {
-                w.put_u8(21);
-                w.put_usize(*host);
-            }
-            Ev::PylonNode { node, up } => {
-                w.put_u8(22);
-                w.put_u64(*node);
-                w.put_bool(*up);
-            }
-            Ev::BrassCrash { host } => {
-                w.put_u8(23);
-                w.put_usize(*host);
-            }
-            Ev::BrassRecover { host } => {
-                w.put_u8(24);
-                w.put_usize(*host);
-            }
-            Ev::ProxyOutage { proxy } => {
-                w.put_u8(25);
-                w.put_usize(*proxy);
-            }
-            Ev::ProxyBack { proxy } => {
-                w.put_u8(26);
-                w.put_usize(*proxy);
-            }
-            Ev::DeviceVanish { device } => {
-                w.put_u8(27);
-                w.put_u64(*device);
-            }
-            Ev::HeartbeatTick => w.put_u8(28),
-            Ev::HbPingAtHost { proxy, host, token } => {
-                w.put_u8(29);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-                w.put_u64(*token);
-            }
-            Ev::PongFromHost { proxy, host, token } => {
-                w.put_u8(30);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-                w.put_u64(*token);
-            }
-            Ev::WasBackfillExec { device, sid } => {
-                w.put_u8(31);
-                w.put_u64(*device);
-                sid.snap(w);
-            }
-            Ev::PylonHostFailed { host } => {
-                w.put_u8(32);
-                w.put_usize(*host);
-            }
-            Ev::ProxyHostFailed { proxy, host } => {
-                w.put_u8(33);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-            }
-            Ev::ProxyAddHost { proxy, host } => {
-                w.put_u8(34);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-            }
-            Ev::ProxyHostRestarted { proxy, host } => {
-                w.put_u8(39);
-                w.put_usize(*proxy);
-                w.put_usize(*host);
-            }
-            Ev::PopProxyFailed { pop, proxy } => {
-                w.put_u8(35);
-                w.put_usize(*pop);
-                w.put_usize(*proxy);
-            }
-            Ev::PopAddProxy { pop, proxy } => {
-                w.put_u8(36);
-                w.put_usize(*pop);
-                w.put_usize(*proxy);
-            }
-            Ev::ProxyDeviceGone { proxy, device } => {
-                w.put_u8(37);
-                w.put_usize(*proxy);
-                w.put_u64(*device);
-            }
-        }
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Ev> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            0 => Ev::DeviceSubscribe {
-                device: r.get_u64()?,
-                header: Json::restore(r)?,
-            },
-            1 => Ev::DeviceCancel {
-                device: r.get_u64()?,
-                sid: StreamId::restore(r)?,
-            },
-            2 => Ev::WasMutationExec {
-                gql: r.get_str()?,
-                app: restore_app(r)?,
-            },
-            3 => Ev::PylonPublish {
-                event: Box::new(UpdateEvent::restore(r)?),
-            },
-            4 => Ev::PylonDeliverHost {
-                host: r.get_usize()?,
-                event: Arc::new(UpdateEvent::restore(r)?),
-            },
-            5 => Ev::TaoReplicate {
-                event: Box::new(tao::ReplicationEvent::restore(r)?),
-            },
-            6 => Ev::PylonSubscribeExec {
-                host: r.get_usize()?,
-                topic: Topic::restore(r)?,
-                attempt: r.get_u32()?,
-            },
-            7 => Ev::PylonUnsubscribeExec {
-                host: r.get_usize()?,
-                topic: Topic::restore(r)?,
-            },
-            8 => Ev::WasExec {
-                host: r.get_usize()?,
-                app: restore_app(r)?,
-                token: FetchToken::restore(r)?,
-                request: WasRequest::restore(r)?,
-                attributed: Option::<SimTime>::restore(r)?,
-            },
-            9 => Ev::WasReply {
-                host: r.get_usize()?,
-                app: restore_app(r)?,
-                token: FetchToken::restore(r)?,
-                response: WasResponse::restore(r)?,
-                attributed: Option::<SimTime>::restore(r)?,
-            },
-            10 => Ev::BrassTimer {
-                host: r.get_usize()?,
-                app: restore_app(r)?,
-                token: r.get_u64()?,
-            },
-            11 => Ev::AtPop {
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-            },
-            12 => Ev::AtProxy {
-                proxy: r.get_usize()?,
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-            },
-            13 => Ev::AtBrass {
-                host: r.get_usize()?,
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-            },
-            14 => Ev::DownAtProxy {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-                sent_at: SimTime::restore(r)?,
-            },
-            15 => Ev::DownAtPop {
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-                sent_at: SimTime::restore(r)?,
-            },
-            16 => Ev::AtDevice {
-                device: r.get_u64()?,
-                frame: Box::new(Frame::restore(r)?),
-                sent_at: SimTime::restore(r)?,
-            },
-            17 => Ev::DeviceDrop {
-                device: r.get_u64()?,
-            },
-            18 => {
-                let device = r.get_u64()?;
-                let n = r.get_len()?;
-                let mut frames = Vec::with_capacity(n);
-                for _ in 0..n {
-                    frames.push(Frame::restore(r)?);
-                }
-                Ev::DeviceReconnect { device, frames }
-            }
-            19 => Ev::BrassRedirect {
-                host: r.get_usize()?,
-                device: r.get_u64()?,
-                sid: StreamId::restore(r)?,
-                to_host: r.get_usize()?,
-            },
-            20 => Ev::BrassUpgrade {
-                host: r.get_usize()?,
-            },
-            21 => Ev::BrassHostBack {
-                host: r.get_usize()?,
-            },
-            22 => Ev::PylonNode {
-                node: r.get_u64()?,
-                up: r.get_bool()?,
-            },
-            23 => Ev::BrassCrash {
-                host: r.get_usize()?,
-            },
-            24 => Ev::BrassRecover {
-                host: r.get_usize()?,
-            },
-            25 => Ev::ProxyOutage {
-                proxy: r.get_usize()?,
-            },
-            26 => Ev::ProxyBack {
-                proxy: r.get_usize()?,
-            },
-            27 => Ev::DeviceVanish {
-                device: r.get_u64()?,
-            },
-            28 => Ev::HeartbeatTick,
-            29 => Ev::HbPingAtHost {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-                token: r.get_u64()?,
-            },
-            30 => Ev::PongFromHost {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-                token: r.get_u64()?,
-            },
-            31 => Ev::WasBackfillExec {
-                device: r.get_u64()?,
-                sid: StreamId::restore(r)?,
-            },
-            32 => Ev::PylonHostFailed {
-                host: r.get_usize()?,
-            },
-            33 => Ev::ProxyHostFailed {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-            },
-            34 => Ev::ProxyAddHost {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-            },
-            35 => Ev::PopProxyFailed {
-                pop: r.get_usize()?,
-                proxy: r.get_usize()?,
-            },
-            36 => Ev::PopAddProxy {
-                pop: r.get_usize()?,
-                proxy: r.get_usize()?,
-            },
-            37 => Ev::ProxyDeviceGone {
-                proxy: r.get_usize()?,
-                device: r.get_u64()?,
-            },
-            39 => Ev::ProxyHostRestarted {
-                proxy: r.get_usize()?,
-                host: r.get_usize()?,
-            },
-            other => return Err(SnapError::Invalid(format!("unknown event tag {other}"))),
-        })
-    }
-}
+// One tag byte per variant, then the fields in declaration order. Tags are
+// part of the snapshot format: 38 was retired and `ProxyHostRestarted`
+// took 39 when it was added between two older variants.
+snap_enum!(Ev {
+    0 => DeviceSubscribe { device, header },
+    1 => DeviceCancel { device, sid },
+    2 => WasMutationExec { gql, app },
+    3 => PylonPublish { event },
+    4 => PylonDeliverHost { host, event },
+    5 => TaoReplicate { event },
+    6 => PylonSubscribeExec { host, topic, attempt },
+    7 => PylonUnsubscribeExec { host, topic },
+    8 => WasExec { host, app, token, request, attributed },
+    9 => WasReply { host, app, token, response, attributed },
+    10 => BrassTimer { host, app, token },
+    11 => AtPop { device, frame },
+    12 => AtProxy { proxy, device, frame },
+    13 => AtBrass { host, device, frame },
+    14 => DownAtProxy { proxy, host, device, frame, sent_at },
+    15 => DownAtPop { device, frame, sent_at },
+    16 => AtDevice { device, frame, sent_at },
+    17 => DeviceDrop { device },
+    18 => DeviceReconnect { device, frames },
+    19 => BrassRedirect { host, device, sid, to_host },
+    20 => BrassUpgrade { host },
+    21 => BrassHostBack { host },
+    22 => PylonNode { node, up },
+    23 => BrassCrash { host },
+    24 => BrassRecover { host },
+    25 => ProxyOutage { proxy },
+    26 => ProxyBack { proxy },
+    27 => DeviceVanish { device },
+    28 => HeartbeatTick,
+    29 => HbPingAtHost { proxy, host, token },
+    30 => PongFromHost { proxy, host, token },
+    31 => WasBackfillExec { device, sid },
+    32 => PylonHostFailed { host },
+    33 => ProxyHostFailed { proxy, host },
+    34 => ProxyAddHost { proxy, host },
+    39 => ProxyHostRestarted { proxy, host },
+    35 => PopProxyFailed { pop, proxy },
+    36 => PopAddProxy { pop, proxy },
+    37 => ProxyDeviceGone { proxy, device },
+});
 
 /// A device's protocol machine, either live or parked in its compact
 /// hibernation form.
@@ -1000,66 +609,52 @@ impl DeviceState {
         match &self.slot {
             DeviceSlot::Live(d) => {
                 w.put_u8(0);
-                w.put_bytes(&d.hibernate());
+                d.hibernate().snap(w);
             }
             DeviceSlot::Parked(blob) => {
                 w.put_u8(1);
-                w.put_bytes(blob);
+                blob.snap(w);
             }
         }
-        w.put_u8(self.link.snap_tag());
-        w.put_u16(self.lang);
-        w.put_bool(self.connected);
-        w.put_u32(self.drop_streak);
+        self.link.snap(w);
+        self.lang.snap(w);
+        self.connected.snap(w);
+        self.drop_streak.snap(w);
         self.last_drop_at.snap(w);
         self.next_arrival.snap(w);
         self.flow.snap(w);
-        w.put_usize(self.degraded_sids.len());
-        for sid in &self.degraded_sids {
-            sid.snap(w);
-        }
-        w.put_u64(self.inflight_frames);
+        self.degraded_sids.snap(w);
+        self.inflight_frames.snap(w);
     }
 
     /// Reads a device back. `id` is the map key (the blob doesn't store
-    /// it, mirroring [`DeviceState::wake`]).
+    /// it, mirroring [`DeviceState::wake`]). This is the one place a
+    /// hibernation blob enters the process from outside, so it is checked
+    /// here, for both slot kinds, and trusted everywhere after.
     fn restore(id: u64, r: &mut SnapReader<'_>) -> SnapResult<DeviceState> {
         let slot_tag = r.get_u8()?;
-        let blob = r.get_bytes()?;
+        let blob = Box::<[u8]>::restore(r)?;
+        Device::check_frozen(&blob).map_err(|e| SnapError::Invalid(format!("device {id}: {e}")))?;
         let slot = match slot_tag {
             0 => DeviceSlot::Live(Device::rehydrate(id, &blob)),
-            1 => DeviceSlot::Parked(blob.into_boxed_slice()),
+            1 => DeviceSlot::Parked(blob),
             other => {
                 return Err(SnapError::Invalid(format!(
                     "unknown device slot tag {other}"
                 )))
             }
         };
-        let link_tag = r.get_u8()?;
-        let link = LinkClass::from_snap_tag(link_tag)
-            .ok_or_else(|| SnapError::Invalid(format!("unknown link class tag {link_tag}")))?;
-        let lang = r.get_u16()?;
-        let connected = r.get_bool()?;
-        let drop_streak = r.get_u32()?;
-        let last_drop_at = SimTime::restore(r)?;
-        let next_arrival = SimTime::restore(r)?;
-        let flow = FlowWindow::restore(r)?;
-        let n = r.get_len()?;
-        let mut degraded_sids = Vec::with_capacity(n);
-        for _ in 0..n {
-            degraded_sids.push(StreamId::restore(r)?);
-        }
         Ok(DeviceState {
             slot,
-            link,
-            lang,
-            connected,
-            drop_streak,
-            last_drop_at,
-            next_arrival,
-            flow,
-            degraded_sids,
-            inflight_frames: r.get_u64()?,
+            link: Snap::restore(r)?,
+            lang: Snap::restore(r)?,
+            connected: Snap::restore(r)?,
+            drop_streak: Snap::restore(r)?,
+            last_drop_at: Snap::restore(r)?,
+            next_arrival: Snap::restore(r)?,
+            flow: Snap::restore(r)?,
+            degraded_sids: Snap::restore(r)?,
+            inflight_frames: Snap::restore(r)?,
         })
     }
 }
@@ -1093,6 +688,16 @@ struct Registries {
     device_proxy: FxHashMap<u64, usize>,
 }
 
+// `topic_streams` values are verbatim: publication fan-out walks them in
+// push order.
+snap_struct!(Registries {
+    object_trace,
+    topic_object_trace,
+    topic_streams,
+    stream_topic,
+    device_proxy
+});
+
 impl Registries {
     /// A stream closed: drop its topic registration on both sides.
     fn remove_stream(&mut self, device: u64, sid: StreamId) {
@@ -1102,6 +707,27 @@ impl Registries {
             }
         }
     }
+}
+
+/// Restores a fixed-length component vector in place (the config fixed its
+/// length), requiring each slot to hold the component whose id is its
+/// index.
+fn restore_slots<T: Snap>(
+    r: &mut SnapReader<'_>,
+    slots: &mut [T],
+    what: &str,
+    id: impl Fn(&T) -> u32,
+) -> SnapResult<()> {
+    for (i, slot) in slots.iter_mut().enumerate() {
+        *slot = T::restore(r)?;
+        if id(slot) != i as u32 {
+            return Err(SnapError::Invalid(format!(
+                "{what} slot {i} holds id {}",
+                id(slot)
+            )));
+        }
+    }
+    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -1216,7 +842,7 @@ impl SystemSim {
         match ev {
             Ev::DeviceSubscribe { device, header } => self.on_device_subscribe(now, device, header),
             Ev::DeviceCancel { device, sid } => self.on_device_cancel(now, device, sid),
-            Ev::WasMutationExec { gql, app } => self.on_was_mutation(now, &gql, app),
+            Ev::WasMutationExec { gql, app } => self.on_was_mutation(now, &gql, app.0),
             Ev::PylonPublish { event } => self.on_pylon_publish(now, *event),
             Ev::PylonDeliverHost { host, event } => self.on_pylon_deliver(now, host, event),
             Ev::TaoReplicate { event } => self.was.tao_mut().apply_replication(&event),
@@ -1234,17 +860,17 @@ impl SystemSim {
                 token,
                 request,
                 attributed,
-            } => self.on_was_exec(now, host, app, token, request, attributed),
+            } => self.on_was_exec(now, host, app.0, token, request, attributed),
             Ev::WasReply {
                 host,
                 app,
                 token,
                 response,
                 attributed,
-            } => self.on_was_reply(now, host, app, token, response, attributed),
+            } => self.on_was_reply(now, host, app.0, token, response, attributed),
             Ev::BrassTimer { host, app, token } => {
                 self.drive_host(now, host, None, |h, fx| {
-                    h.on_timer_into(app, token, now, fx)
+                    h.on_timer_into(app.0, token, now, fx)
                 });
             }
             Ev::AtPop { device, frame } => self.on_at_pop(now, device, frame),
@@ -1682,7 +1308,7 @@ impl SystemSim {
             now + back,
             Ev::WasReply {
                 host,
-                app,
+                app: App(app),
                 token,
                 response,
                 attributed,
@@ -1793,7 +1419,7 @@ impl SystemSim {
                         now + d,
                         Ev::WasExec {
                             host,
-                            app,
+                            app: App(app),
                             token,
                             request,
                             attributed: attr,
@@ -1851,7 +1477,14 @@ impl SystemSim {
                     }
                 }
                 HostEffect::Timer { at, app, token } => {
-                    self.queue.schedule(at, Ev::BrassTimer { host, app, token });
+                    self.queue.schedule(
+                        at,
+                        Ev::BrassTimer {
+                            host,
+                            app: App(app),
+                            token,
+                        },
+                    );
                 }
             }
         }
@@ -3109,7 +2742,7 @@ impl SystemSim {
         let delay =
             self.latency.last_mile(link, &mut self.rng) + self.latency.edge_to_was(&mut self.rng);
         self.queue
-            .schedule(at + delay, Ev::WasMutationExec { gql, app });
+            .schedule(at + delay, Ev::WasMutationExec { gql, app: App(app) });
     }
 
     /// Schedules a live-video comment post.
@@ -3352,134 +2985,49 @@ impl SystemSim {
     }
 
     /// Serializes the whole simulation into one snapshot body (unsealed)
-    /// stamped `at`. Hash maps go out in sorted key order so the same
-    /// logical state always snapshots to the same bytes; their Vec values
-    /// keep their order verbatim. Component and liveness vectors carry no
-    /// length: the config fixes it.
+    /// stamped `at`. Component and liveness vectors carry no length: the
+    /// config fixes it.
     fn snapshot_body(&self, at: SimTime) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let w = &mut SnapWriter::new();
         // The config is part of the experiment definition, not the state:
         // resume requires the caller to rebuild the exact same config and
         // only validates it (by its Debug rendering, which covers every
         // field) instead of round-tripping every nested knob.
         w.put_str(&format!("{:?}", self.config));
-        at.snap(&mut w);
-        self.next_metrics_tick.snap(&mut w);
-        w.put_u64(self.tick_index);
-        w.put_u64(self.decisions_at_tick);
-        self.rng.state().snap(&mut w);
-        self.engine_rng.state().snap(&mut w);
-        w.put_usize(self.langs.len());
-        for l in &self.langs {
-            w.put_str(l);
-        }
-        snap::snap_map(&self.scenario_sids, &mut w);
-
-        let mut traces: Vec<_> = self.reg.object_trace.iter().collect();
-        traces.sort_by_key(|(k, _)| k.0);
-        w.put_usize(traces.len());
-        for (object, trace) in traces {
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut fanout_traces: Vec<_> = self.reg.topic_object_trace.iter().collect();
-        fanout_traces
-            .sort_by(|a, b| (a.0 .0.as_str(), a.0 .1 .0).cmp(&(b.0 .0.as_str(), b.0 .1 .0)));
-        w.put_usize(fanout_traces.len());
-        for (&(topic, object), trace) in fanout_traces {
-            topic.snap(&mut w);
-            w.put_u64(object.0);
-            trace.snap(&mut w);
-        }
-        let mut topics: Vec<_> = self.reg.topic_streams.iter().collect();
-        topics.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        w.put_usize(topics.len());
-        for (topic, streams) in topics {
-            topic.snap(&mut w);
-            // Verbatim: publication fan-out walks this vec in push order.
-            w.put_usize(streams.len());
-            for (device, sid) in streams {
-                w.put_u64(*device);
-                sid.snap(&mut w);
-            }
-        }
-        let mut stream_topics: Vec<_> = self.reg.stream_topic.iter().collect();
-        stream_topics.sort_by_key(|(k, _)| **k);
-        w.put_usize(stream_topics.len());
-        for (&(device, sid), topic) in stream_topics {
-            w.put_u64(device);
-            sid.snap(&mut w);
-            topic.snap(&mut w);
-        }
-        let mut routes: Vec<_> = self.reg.device_proxy.iter().collect();
-        routes.sort_by_key(|(k, _)| **k);
-        w.put_usize(routes.len());
-        for (&device, &proxy) in routes {
-            w.put_u64(device);
-            w.put_usize(proxy);
-        }
-        self.ledger.snap(&mut w);
-        w.put_usize(self.fingerprints.len());
-        for (tick, fp) in &self.fingerprints {
-            tick.snap(&mut w);
-            w.put_u64(*fp);
-        }
-
-        self.queue.snap(&mut w);
-        self.was.snap(&mut w);
-        self.pylon.snap(&mut w);
-        for host in &self.hosts {
-            host.snap(&mut w);
-        }
-        for proxy in &self.proxies {
-            proxy.snap(&mut w);
-        }
-        for pop in &self.pops {
-            pop.snap(&mut w);
-        }
+        at.snap(w);
+        self.next_metrics_tick.snap(w);
+        self.tick_index.snap(w);
+        self.decisions_at_tick.snap(w);
+        self.rng.snap(w);
+        self.engine_rng.snap(w);
+        self.langs.snap(w);
+        self.scenario_sids.snap(w);
+        self.reg.snap(w);
+        self.ledger.snap(w);
+        self.fingerprints.snap(w);
+        self.queue.snap(w);
+        self.was.snap(w);
+        self.pylon.snap(w);
+        self.hosts.iter().for_each(|host| host.snap(w));
+        self.proxies.iter().for_each(|proxy| proxy.snap(w));
+        self.pops.iter().for_each(|pop| pop.snap(w));
         for up in self.host_up.iter().chain(&self.proxy_up) {
-            w.put_bool(*up);
+            up.snap(w);
         }
-        for t in &self.host_busy_until {
-            t.snap(&mut w);
-        }
+        self.host_busy_until.iter().for_each(|t| t.snap(w));
         w.put_usize(self.devices.len());
-        for (&id, d) in &self.devices {
-            w.put_u64(id);
-            d.snap(&mut w);
+        for (id, d) in &self.devices {
+            id.snap(w);
+            d.snap(w);
         }
-        let mut backfill: Vec<_> = self.pending_backfill.iter().collect();
-        backfill.sort_by_key(|(k, _)| **k);
-        w.put_usize(backfill.len());
-        for (&(device, sid), traces) in backfill {
-            w.put_u64(device);
-            sid.snap(&mut w);
-            // Verbatim: backfill traces replay in arrival order.
-            w.put_usize(traces.len());
-            for t in traces {
-                t.snap(&mut w);
-            }
-        }
-        let mut delivered: Vec<_> = self.object_delivered.iter().collect();
-        delivered.sort_by_key(|((host, object), _)| (*host, object.0));
-        w.put_usize(delivered.len());
-        for (&(host, object), at) in delivered {
-            w.put_usize(host);
-            w.put_u64(object.0);
-            at.snap(&mut w);
-        }
-        let mut started: Vec<_> = self.sub_started.iter().collect();
-        started.sort_by_key(|(k, _)| **k);
-        w.put_usize(started.len());
-        for (&(device, sid), at) in started {
-            w.put_u64(device);
-            sid.snap(&mut w);
-            at.snap(&mut w);
-        }
-        self.metrics.snap(&mut w);
-        self.event_stats.snap(&mut w);
-        w.put_bytes(&self.driver_blob);
-        w.into_bytes()
+        // Values verbatim: backfill traces replay in arrival order.
+        self.pending_backfill.snap(w);
+        self.object_delivered.snap(w);
+        self.sub_started.snap(w);
+        self.metrics.snap(w);
+        self.event_stats.snap(w);
+        self.driver_blob.snap(w);
+        std::mem::take(w).into_bytes()
     }
 
     /// Delivers one policy-captured snapshot: into the in-memory ring and/or
@@ -3515,141 +3063,46 @@ impl SystemSim {
         // sizes, empty queue) and overwrite everything stateful. The seed
         // doesn't matter: both RNG streams are replaced from the snapshot.
         let mut s = SystemSim::new(config, 0);
-        s.now = SimTime::restore(r)?;
-        s.next_metrics_tick = SimTime::restore(r)?;
-        s.tick_index = r.get_u64()?;
-        s.decisions_at_tick = r.get_u64()?;
-        s.rng = DetRng::from_state(Snap::restore(r)?);
-        s.engine_rng = DetRng::from_state(Snap::restore(r)?);
-        for _ in 0..r.get_len()? {
-            let l = r.get_str()?;
-            if s.langs.contains(&l) {
-                return Err(SnapError::Invalid(format!("duplicate interned lang {l:?}")));
-            }
-            s.langs.push(l);
+        s.now = Snap::restore(r)?;
+        s.next_metrics_tick = Snap::restore(r)?;
+        s.tick_index = Snap::restore(r)?;
+        s.decisions_at_tick = Snap::restore(r)?;
+        s.rng = Snap::restore(r)?;
+        s.engine_rng = Snap::restore(r)?;
+        s.langs = Snap::restore(r)?;
+        if s.langs.iter().collect::<FxHashSet<_>>().len() != s.langs.len() {
+            return Err(SnapError::Invalid("duplicate interned lang".into()));
         }
-        s.scenario_sids = snap::restore_map(r)?;
-
-        let ascending =
-            |what: &str| SnapError::Invalid(format!("{what} keys not strictly ascending"));
-        let mut last: Option<u64> = None;
-        for _ in 0..r.get_len()? {
-            let object = r.get_u64()?;
-            if last.is_some_and(|l| object <= l) {
-                return Err(ascending("object-trace"));
-            }
-            last = Some(object);
-            s.reg
-                .object_trace
-                .insert(ObjectId(object), TraceId::restore(r)?);
+        s.scenario_sids = Snap::restore(r)?;
+        s.reg = Snap::restore(r)?;
+        if let Some(proxy) = s.reg.device_proxy.values().find(|&&p| p >= s.proxies.len()) {
+            return Err(SnapError::Invalid(format!(
+                "device-proxy route to proxy {proxy}, config has {}",
+                s.proxies.len()
+            )));
         }
-        let mut last_leg: Option<(String, u64)> = None;
-        for _ in 0..r.get_len()? {
-            let topic = Topic::restore(r)?;
-            let object = r.get_u64()?;
-            let key = (topic.as_str().to_owned(), object);
-            if last_leg.as_ref().is_some_and(|l| key <= *l) {
-                return Err(ascending("topic-object-trace"));
-            }
-            last_leg = Some(key);
-            s.reg
-                .topic_object_trace
-                .insert((topic, ObjectId(object)), TraceId::restore(r)?);
-        }
-        let mut last_name: Option<String> = None;
-        for _ in 0..r.get_len()? {
-            let topic = Topic::restore(r)?;
-            if last_name.as_deref().is_some_and(|l| topic.as_str() <= l) {
-                return Err(ascending("topic-streams"));
-            }
-            last_name = Some(topic.as_str().to_owned());
-            let m = r.get_len()?;
-            let mut streams = Vec::with_capacity(m);
-            for _ in 0..m {
-                let device = r.get_u64()?;
-                streams.push((device, StreamId::restore(r)?));
-            }
-            s.reg.topic_streams.insert(topic, streams);
-        }
-        let mut last: Option<(u64, StreamId)> = None;
-        for _ in 0..r.get_len()? {
-            let key = (r.get_u64()?, StreamId::restore(r)?);
-            if last.is_some_and(|l| key <= l) {
-                return Err(ascending("stream-topic"));
-            }
-            last = Some(key);
-            s.reg.stream_topic.insert(key, Topic::restore(r)?);
-        }
-        let mut last: Option<u64> = None;
-        for _ in 0..r.get_len()? {
-            let device = r.get_u64()?;
-            if last.is_some_and(|l| device <= l) {
-                return Err(ascending("device-proxy"));
-            }
-            last = Some(device);
-            let proxy = r.get_usize()?;
-            if proxy >= s.proxies.len() {
-                return Err(SnapError::Invalid(format!(
-                    "device-proxy route to proxy {proxy}, config has {}",
-                    s.proxies.len()
-                )));
-            }
-            s.reg.device_proxy.insert(device, proxy);
-        }
-        s.ledger = TraceLedger::restore(r)?;
-        let mut last_tick: Option<SimTime> = None;
-        for _ in 0..r.get_len()? {
-            let tick = SimTime::restore(r)?;
-            if last_tick.is_some_and(|l| tick <= l) {
-                return Err(SnapError::Invalid(
-                    "fingerprint ticks not strictly ascending".into(),
-                ));
-            }
-            last_tick = Some(tick);
-            s.fingerprints.push((tick, r.get_u64()?));
-        }
-
-        s.queue = EventQueue::restore(r)?;
-        s.was = WebApplicationServer::restore(r)?;
-        s.pylon = PylonCluster::restore(r)?;
-        for (h, slot) in s.hosts.iter_mut().enumerate() {
-            *slot = BrassHost::restore(r)?;
-            if slot.host_id() != HostId(h as u32) {
-                return Err(SnapError::Invalid(format!(
-                    "host slot {h} holds id {}",
-                    slot.host_id().0
-                )));
-            }
-        }
-        for (p, slot) in s.proxies.iter_mut().enumerate() {
-            *slot = ReverseProxy::restore(r)?;
-            if slot.id() != p as u32 {
-                return Err(SnapError::Invalid(format!(
-                    "proxy slot {p} holds id {}",
-                    slot.id()
-                )));
-            }
-        }
-        for (p, slot) in s.pops.iter_mut().enumerate() {
-            *slot = Pop::restore(r)?;
-            if slot.id() != p as u32 {
-                return Err(SnapError::Invalid(format!(
-                    "POP slot {p} holds id {}",
-                    slot.id()
-                )));
-            }
-        }
+        s.ledger = Snap::restore(r)?;
+        s.fingerprints = snap::restore_sorted(r, |a: &(SimTime, u64), b| a.0 < b.0)?;
+        s.queue = Snap::restore(r)?;
+        s.was = Snap::restore(r)?;
+        s.pylon = Snap::restore(r)?;
+        restore_slots(r, &mut s.hosts, "host", |h| h.host_id().0)?;
+        restore_slots(r, &mut s.proxies, "proxy", ReverseProxy::id)?;
+        restore_slots(r, &mut s.pops, "POP", Pop::id)?;
         for up in s.host_up.iter_mut().chain(&mut s.proxy_up) {
-            *up = r.get_bool()?;
+            *up = Snap::restore(r)?;
         }
         for t in &mut s.host_busy_until {
-            *t = SimTime::restore(r)?;
+            *t = Snap::restore(r)?;
         }
+        // By hand: a device's restore needs its key.
         let mut last_dev: Option<u64> = None;
         for _ in 0..r.get_len()? {
             let dev = r.get_u64()?;
             if last_dev.is_some_and(|l| dev <= l) {
-                return Err(ascending("device"));
+                return Err(SnapError::Invalid(
+                    "device ids not strictly ascending".into(),
+                ));
             }
             last_dev = Some(dev);
             let state = DeviceState::restore(dev, r)?;
@@ -3662,49 +3115,18 @@ impl SystemSim {
             }
             s.devices.insert(dev, state);
         }
-        let mut last: Option<(u64, StreamId)> = None;
-        for _ in 0..r.get_len()? {
-            let key = (r.get_u64()?, StreamId::restore(r)?);
-            if last.is_some_and(|l| key <= l) {
-                return Err(ascending("pending-backfill"));
-            }
-            last = Some(key);
-            let m = r.get_len()?;
-            let mut traces = Vec::with_capacity(m);
-            for _ in 0..m {
-                traces.push(TraceId::restore(r)?);
-            }
-            s.pending_backfill.insert(key, traces);
+        s.pending_backfill = Snap::restore(r)?;
+        s.object_delivered = Snap::restore(r)?;
+        if let Some((host, _)) = s.object_delivered.keys().find(|k| k.0 >= s.hosts.len()) {
+            return Err(SnapError::Invalid(format!(
+                "object-delivered host {host}, config has {}",
+                s.hosts.len()
+            )));
         }
-        let mut last: Option<(usize, u64)> = None;
-        for _ in 0..r.get_len()? {
-            let host = r.get_usize()?;
-            let object = r.get_u64()?;
-            if last.is_some_and(|l| (host, object) <= l) {
-                return Err(ascending("object-delivered"));
-            }
-            if host >= s.hosts.len() {
-                return Err(SnapError::Invalid(format!(
-                    "object-delivered host {host}, config has {}",
-                    s.hosts.len()
-                )));
-            }
-            last = Some((host, object));
-            s.object_delivered
-                .insert((host, ObjectId(object)), SimTime::restore(r)?);
-        }
-        let mut last: Option<(u64, StreamId)> = None;
-        for _ in 0..r.get_len()? {
-            let key = (r.get_u64()?, StreamId::restore(r)?);
-            if last.is_some_and(|l| key <= l) {
-                return Err(ascending("sub-started"));
-            }
-            last = Some(key);
-            s.sub_started.insert(key, SimTime::restore(r)?);
-        }
-        s.metrics = SystemMetrics::restore(r, s.config.metrics_horizon, s.config.metrics_interval)?;
-        s.event_stats = EventStats::restore(r)?;
-        s.driver_blob = r.get_bytes()?;
+        s.sub_started = Snap::restore(r)?;
+        s.metrics = Snap::restore(r)?;
+        s.event_stats = Snap::restore(r)?;
+        s.driver_blob = Snap::restore(r)?;
         r.finish()?;
         Ok(s)
     }
@@ -3841,12 +3263,12 @@ mod tests {
         let events = [
             Ev::BrassTimer {
                 host: 3,
-                app: "lvc",
+                app: App("lvc"),
                 token: 77,
             },
             Ev::WasExec {
                 host: 1,
-                app: "messenger",
+                app: App("messenger"),
                 token: FetchToken(9),
                 request: WasRequest::MailboxAfter {
                     uid: 5,
@@ -3856,7 +3278,7 @@ mod tests {
             },
             Ev::WasReply {
                 host: 2,
-                app: "typing",
+                app: App("typing"),
                 token: FetchToken(10),
                 response: WasResponse::Payload(b"{\"id\":1}".to_vec().into()),
                 attributed: None,

@@ -9,7 +9,7 @@ mod common;
 
 use bladerunner::fault::FaultPlan;
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
-use simkit::snap::SnapWriter;
+use simkit::snap::{Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Retention, TraceLedger};
 

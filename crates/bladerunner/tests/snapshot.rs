@@ -16,6 +16,7 @@ use bladerunner::fault::{canned_plan, FaultKind, FaultPlan};
 use bladerunner::fuzz::{materialize, FuzzCase, ScenarioMix};
 use bladerunner::replay::canned_scenario;
 use bladerunner::sim::SystemSim;
+use simkit::snap::Snap;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Retention;
 

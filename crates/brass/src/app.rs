@@ -13,6 +13,7 @@ use burst::json::Json;
 use pylon::Topic;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
+use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::UpdateEvent;
 
@@ -29,37 +30,14 @@ pub struct StreamKey {
     pub sid: StreamId,
 }
 
-impl StreamKey {
-    /// Writes the key into a snapshot.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u64(self.device.0);
-        w.put_u64(self.sid.0);
-    }
-
-    /// Reads a key back.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        Ok(StreamKey {
-            device: DeviceId(r.get_u64()?),
-            sid: StreamId(r.get_u64()?),
-        })
-    }
-}
+snap_struct!(DeviceId { 0 });
+snap_struct!(StreamKey { device, sid });
 
 /// Token correlating a WAS request with its asynchronous response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FetchToken(pub u64);
 
-impl FetchToken {
-    /// Writes the raw token.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u64(self.0);
-    }
-
-    /// Reads a token back.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        Ok(FetchToken(r.get_u64()?))
-    }
-}
+snap_struct!(FetchToken { 0 });
 
 /// A backend request a BRASS can issue ("BRASS … may invoke any backend
 /// service", §3.2). All data access goes through the WAS, where privacy
@@ -104,110 +82,19 @@ pub enum WasResponse {
     Mailbox(Vec<(u64, ObjectId)>),
 }
 
-impl WasRequest {
-    /// Serializes the request (it rides inside queued simulator events).
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        match self {
-            WasRequest::FetchObject { viewer, object } => {
-                w.put_u8(0);
-                w.put_u64(*viewer);
-                w.put_u64(object.0);
-            }
-            WasRequest::Friends { uid } => {
-                w.put_u8(1);
-                w.put_u64(*uid);
-            }
-            WasRequest::MailboxAfter { uid, after_seq } => {
-                w.put_u8(2);
-                w.put_u64(*uid);
-                match after_seq {
-                    Some(seq) => {
-                        w.put_u8(1);
-                        w.put_u64(*seq);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-        }
-    }
-
-    /// Restores a request.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        use simkit::snap::SnapError;
-        Ok(match r.get_u8()? {
-            0 => WasRequest::FetchObject {
-                viewer: r.get_u64()?,
-                object: ObjectId(r.get_u64()?),
-            },
-            1 => WasRequest::Friends { uid: r.get_u64()? },
-            2 => WasRequest::MailboxAfter {
-                uid: r.get_u64()?,
-                after_seq: match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_u64()?),
-                    t => return Err(SnapError::Invalid(format!("MailboxAfter seq tag {t}"))),
-                },
-            },
-            t => return Err(SnapError::Invalid(format!("WasRequest tag {t}"))),
-        })
-    }
-}
-
-impl WasResponse {
-    /// Serializes the response.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        match self {
-            WasResponse::Payload(payload) => {
-                w.put_u8(0);
-                w.put_bytes(payload);
-            }
-            WasResponse::Denied => w.put_u8(1),
-            WasResponse::NotFound => w.put_u8(2),
-            WasResponse::Friends(uids) => {
-                w.put_u8(3);
-                w.put_usize(uids.len());
-                for uid in uids {
-                    w.put_u64(*uid);
-                }
-            }
-            WasResponse::Mailbox(entries) => {
-                w.put_u8(4);
-                w.put_usize(entries.len());
-                for (seq, object) in entries {
-                    w.put_u64(*seq);
-                    w.put_u64(object.0);
-                }
-            }
-        }
-    }
-
-    /// Restores a response.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        use simkit::snap::SnapError;
-        Ok(match r.get_u8()? {
-            0 => WasResponse::Payload(r.get_bytes()?.into()),
-            1 => WasResponse::Denied,
-            2 => WasResponse::NotFound,
-            3 => {
-                let n = r.get_len()?;
-                let mut uids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    uids.push(r.get_u64()?);
-                }
-                WasResponse::Friends(uids)
-            }
-            4 => {
-                let n = r.get_len()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((r.get_u64()?, ObjectId(r.get_u64()?)));
-                }
-                WasResponse::Mailbox(entries)
-            }
-            t => return Err(SnapError::Invalid(format!("WasResponse tag {t}"))),
-        })
-    }
-}
+// Requests and responses ride inside queued simulator events.
+snap_enum!(WasRequest {
+    0 => FetchObject { viewer, object },
+    1 => Friends { uid },
+    2 => MailboxAfter { uid, after_seq },
+});
+snap_enum!(WasResponse {
+    0 => Payload(payload),
+    1 => Denied,
+    2 => NotFound,
+    3 => Friends(uids),
+    4 => Mailbox(entries),
+});
 
 /// An effect requested by application code, executed by the host.
 #[derive(Clone, Debug, PartialEq)]
@@ -278,6 +165,13 @@ pub struct AppCounters {
     /// WAS requests issued.
     pub was_requests: u64,
 }
+
+snap_struct!(AppCounters {
+    decisions,
+    deliveries,
+    events_in,
+    was_requests
+});
 
 impl AppCounters {
     /// Fraction of decided updates that were filtered out (the paper's

@@ -9,7 +9,8 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
+use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 use was::{EventKind, UpdateEvent};
 
@@ -78,175 +79,40 @@ impl ActiveStatusApp {
         online.sort_unstable();
         online
     }
-
-    /// Writes the complete application state into a snapshot. Maps go out
-    /// in sorted key order; `friend_topics` and `last_sent` are verbatim —
-    /// the former drives unsubscribe order, the latter is device-visible.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_usize(s.friend_topics.len());
-            for t in &s.friend_topics {
-                t.snap(w);
-            }
-            let mut uids: Vec<u64> = s.online.keys().copied().collect();
-            uids.sort_unstable();
-            w.put_usize(uids.len());
-            for uid in uids {
-                w.put_u64(uid);
-                w.put_u64(s.online[&uid].as_micros());
-            }
-            w.put_usize(s.last_sent.len());
-            for uid in &s.last_sent {
-                w.put_u64(*uid);
-            }
-        }
-        let mut friends: Vec<u64> = self.watchers.keys().copied().collect();
-        friends.sort_unstable();
-        w.put_usize(friends.len());
-        for f in friends {
-            w.put_u64(f);
-            let watchers = &self.watchers[&f];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut tokens: Vec<FetchToken> = self.pending_friends.keys().copied().collect();
-        tokens.sort_unstable_by_key(|t| t.0);
-        w.put_usize(tokens.len());
-        for t in tokens {
-            w.put_u64(t.0);
-            self.pending_friends[&t].snap(w);
-        }
-        let mut timers: Vec<u64> = self.timers.keys().copied().collect();
-        timers.sort_unstable();
-        w.put_usize(timers.len());
-        for t in timers {
-            w.put_u64(t);
-            self.timers[&t].snap(w);
-        }
-        w.put_u64(self.next_timer);
-    }
-
-    /// Reads the application back, rejecting snapshots with dangling
-    /// watcher entries or a timer counter behind its live tokens.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "active_status: stream keys out of order".into(),
-                ));
-            }
-            prev = Some(key);
-            let nft = r.get_len()?;
-            let mut friend_topics = Vec::with_capacity(nft);
-            for _ in 0..nft {
-                friend_topics.push(Topic::restore(r)?);
-            }
-            let nonline = r.get_len()?;
-            let mut online: FxHashMap<u64, SimTime> =
-                FxHashMap::with_capacity_and_hasher(nonline, Default::default());
-            let mut prev_uid: Option<u64> = None;
-            for _ in 0..nonline {
-                let uid = r.get_u64()?;
-                if prev_uid.is_some_and(|p| p >= uid) {
-                    return Err(SnapError::Invalid(
-                        "active_status: online uids out of order".into(),
-                    ));
-                }
-                prev_uid = Some(uid);
-                online.insert(uid, SimTime::from_micros(r.get_u64()?));
-            }
-            let nsent = r.get_len()?;
-            let mut last_sent = Vec::with_capacity(nsent);
-            for _ in 0..nsent {
-                last_sent.push(r.get_u64()?);
-            }
-            streams.insert(
-                key,
-                StreamState {
-                    friend_topics,
-                    online,
-                    last_sent,
-                },
-            );
-        }
-        let nwatch = r.get_len()?;
-        let mut watchers: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nwatch, Default::default());
-        let mut prev_friend: Option<u64> = None;
-        for _ in 0..nwatch {
-            let f = r.get_u64()?;
-            if prev_friend.is_some_and(|p| p >= f) {
-                return Err(SnapError::Invalid(
-                    "active_status: watcher uids out of order".into(),
-                ));
-            }
-            prev_friend = Some(f);
-            let nw = r.get_len()?;
-            let mut list = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                if !streams.contains_key(&k) {
-                    return Err(SnapError::Invalid("active_status: dangling watcher".into()));
-                }
-                list.push(k);
-            }
-            watchers.insert(f, list);
-        }
-        let npending = r.get_len()?;
-        let mut pending_friends: FxHashMap<FetchToken, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(npending, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..npending {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "active_status: fetch tokens out of order".into(),
-                ));
-            }
-            prev_tok = Some(tok);
-            pending_friends.insert(FetchToken(tok), StreamKey::restore(r)?);
-        }
-        let ntimers = r.get_len()?;
-        let mut timers: FxHashMap<u64, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
-        let mut prev_timer: Option<u64> = None;
-        for _ in 0..ntimers {
-            let tok = r.get_u64()?;
-            if prev_timer.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "active_status: timer tokens out of order".into(),
-                ));
-            }
-            prev_timer = Some(tok);
-            timers.insert(tok, StreamKey::restore(r)?);
-        }
-        let next_timer = r.get_u64()?;
-        if timers.keys().max().is_some_and(|m| next_timer <= *m) {
-            return Err(SnapError::Invalid(
-                "active_status: next_timer behind live timers".into(),
-            ));
-        }
-        Ok(ActiveStatusApp {
-            streams,
-            watchers,
-            pending_friends,
-            timers,
-            next_timer,
-        })
-    }
 }
+
+// `friend_topics` and `last_sent` are verbatim — the former drives
+// unsubscribe order, the latter is device-visible.
+snap_struct!(StreamState {
+    friend_topics,
+    online,
+    last_sent
+});
+// Rejects snapshots with dangling watcher entries or a timer counter
+// behind its live tokens.
+snap_struct!(
+    ActiveStatusApp {
+        streams,
+        watchers,
+        pending_friends,
+        timers,
+        next_timer
+    },
+    |app| {
+        if !app
+            .watchers
+            .values()
+            .flatten()
+            .all(|k| app.streams.contains_key(k))
+        {
+            return Err("active_status: dangling watcher".into());
+        }
+        if app.timers.keys().any(|&t| t >= app.next_timer) {
+            return Err("active_status: next_timer behind live timers".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for ActiveStatusApp {
     fn name(&self) -> &'static str {
@@ -254,7 +120,7 @@ impl BrassApp for ActiveStatusApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

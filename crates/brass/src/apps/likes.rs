@@ -11,7 +11,8 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
+use simkit::snap_struct;
 use simkit::time::SimDuration;
 use was::{EventKind, UpdateEvent};
 
@@ -87,125 +88,48 @@ impl LikesApp {
             ctx.timer(wait, token);
         }
     }
-
-    /// Writes the complete application state into a snapshot. Maps go out
-    /// in sorted key order; the per-post watcher lists are verbatim because
-    /// fan-out order follows them.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_u64(s.post);
-            w.put_u64(s.count);
-            w.put_u64(s.pushed);
-            s.limiter.snap(w);
-            w.put_bool(s.timer_armed);
-        }
-        let mut posts: Vec<u64> = self.by_post.keys().copied().collect();
-        posts.sort_unstable();
-        w.put_usize(posts.len());
-        for p in posts {
-            w.put_u64(p);
-            let watchers = &self.by_post[&p];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut timers: Vec<u64> = self.timers.keys().copied().collect();
-        timers.sort_unstable();
-        w.put_usize(timers.len());
-        for t in timers {
-            w.put_u64(t);
-            self.timers[&t].snap(w);
-        }
-        w.put_u64(self.next_timer);
-    }
-
-    /// Reads the application back, rejecting snapshots whose counters or
-    /// cross-map references are inconsistent.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid("likes: stream keys out of order".into()));
-            }
-            prev = Some(key);
-            let post = r.get_u64()?;
-            let count = r.get_u64()?;
-            let pushed = r.get_u64()?;
-            if pushed > count {
-                return Err(SnapError::Invalid("likes: pushed exceeds count".into()));
-            }
-            let limiter = TokenBucket::restore(r)?;
-            let timer_armed = r.get_bool()?;
-            streams.insert(
-                key,
-                StreamState {
-                    post,
-                    count,
-                    pushed,
-                    limiter,
-                    timer_armed,
-                },
-            );
-        }
-        let nposts = r.get_len()?;
-        let mut by_post: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nposts, Default::default());
-        let mut prev_post: Option<u64> = None;
-        for _ in 0..nposts {
-            let p = r.get_u64()?;
-            if prev_post.is_some_and(|q| q >= p) {
-                return Err(SnapError::Invalid("likes: posts out of order".into()));
-            }
-            prev_post = Some(p);
-            let nw = r.get_len()?;
-            let mut watchers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                match streams.get(&k) {
-                    Some(s) if s.post == p => watchers.push(k),
-                    _ => return Err(SnapError::Invalid("likes: dangling watcher".into())),
-                }
-            }
-            by_post.insert(p, watchers);
-        }
-        let ntimers = r.get_len()?;
-        let mut timers: FxHashMap<u64, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
-        let mut prev_timer: Option<u64> = None;
-        for _ in 0..ntimers {
-            let tok = r.get_u64()?;
-            if prev_timer.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "likes: timer tokens out of order".into(),
-                ));
-            }
-            prev_timer = Some(tok);
-            timers.insert(tok, StreamKey::restore(r)?);
-        }
-        let next_timer = r.get_u64()?;
-        if timers.keys().max().is_some_and(|m| next_timer <= *m) {
-            return Err(SnapError::Invalid(
-                "likes: next_timer behind live timers".into(),
-            ));
-        }
-        Ok(LikesApp {
-            streams,
-            by_post,
-            timers,
-            next_timer,
-        })
-    }
 }
+
+snap_struct!(
+    StreamState {
+        post,
+        count,
+        pushed,
+        limiter,
+        timer_armed
+    },
+    |s| {
+        if s.pushed > s.count {
+            return Err("likes: pushed exceeds count".into());
+        }
+        Ok(())
+    }
+);
+// The per-post watcher lists are verbatim because fan-out order follows
+// them. Rejects snapshots whose counters or cross-map references are
+// inconsistent.
+snap_struct!(
+    LikesApp {
+        streams,
+        by_post,
+        timers,
+        next_timer
+    },
+    |app| {
+        let watches = |p: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.post == p);
+        if !app
+            .by_post
+            .iter()
+            .all(|(&p, ws)| ws.iter().all(|k| watches(p, k)))
+        {
+            return Err("likes: dangling watcher".into());
+        }
+        if app.timers.keys().any(|&t| t >= app.next_timer) {
+            return Err("likes: next_timer behind live timers".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for LikesApp {
     fn name(&self) -> &'static str {
@@ -213,7 +137,7 @@ impl BrassApp for LikesApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

@@ -15,9 +15,10 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
+use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
 
@@ -147,219 +148,78 @@ impl LvcApp {
             state.accounted_losses += 1;
         }
     }
-
-    /// Writes the complete application state into a snapshot. Hash maps go
-    /// out in sorted key order; the watcher lists and the language table are
-    /// written verbatim because their order is behavior-visible (fan-out
-    /// order and interned indices respectively).
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.config.buffer_capacity);
-        w.put_u64(self.config.max_comment_age.as_micros());
-        w.put_u64(self.config.push_interval.as_micros());
-        w.put_f64(self.config.min_quality);
-        w.put_usize(self.langs.len());
-        for l in &self.langs {
-            w.put_str(l);
-        }
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_u64(s.viewer);
-            w.put_u16(s.lang);
-            w.put_u64(s.video);
-            s.buffer.snap_with(w, |c, w| w.put_u64(c.object.0));
-            s.limiter.snap(w);
-            w.put_usize(s.friend_topics.len());
-            for t in &s.friend_topics {
-                t.snap(w);
-            }
-            w.put_u32(s.sends_since_rewrite);
-            w.put_u64(s.accounted_losses);
-        }
-        let mut videos: Vec<u64> = self.by_video.keys().copied().collect();
-        videos.sort_unstable();
-        w.put_usize(videos.len());
-        for v in videos {
-            w.put_u64(v);
-            let watchers = &self.by_video[&v];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut fetches: Vec<FetchToken> = self.pending_fetch.keys().copied().collect();
-        fetches.sort_unstable_by_key(|t| t.0);
-        w.put_usize(fetches.len());
-        for t in fetches {
-            w.put_u64(t.0);
-            match &self.pending_fetch[&t] {
-                PendingFetch::Comment(k, object) => {
-                    w.put_u8(0);
-                    k.snap(w);
-                    w.put_u64(object.0);
-                }
-                PendingFetch::Friends(k) => {
-                    w.put_u8(1);
-                    k.snap(w);
-                }
-            }
-        }
-        let mut timers: Vec<u64> = self.timers.keys().copied().collect();
-        timers.sort_unstable();
-        w.put_usize(timers.len());
-        for t in timers {
-            w.put_u64(t);
-            self.timers[&t].snap(w);
-        }
-        w.put_u64(self.next_timer);
-    }
-
-    /// Reads the application back, rejecting snapshots whose cross-map
-    /// references (watcher lists, language indices, timer tokens) don't
-    /// line up.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let buffer_capacity = r.get_usize()?;
-        let max_comment_age = SimDuration::from_micros(r.get_u64()?);
-        let push_interval = SimDuration::from_micros(r.get_u64()?);
-        let min_quality = r.get_f64()?;
-        if buffer_capacity == 0 || !min_quality.is_finite() {
-            return Err(SnapError::Invalid("lvc: bad config".into()));
-        }
-        let config = LvcConfig {
-            buffer_capacity,
-            max_comment_age,
-            push_interval,
-            min_quality,
-        };
-        let nlangs = r.get_len()?;
-        let mut langs: Vec<Box<str>> = Vec::with_capacity(nlangs);
-        for _ in 0..nlangs {
-            langs.push(r.get_str()?.into());
-        }
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid("lvc: stream keys out of order".into()));
-            }
-            prev = Some(key);
-            let viewer = r.get_u64()?;
-            let lang = r.get_u16()?;
-            if lang as usize >= langs.len() {
-                return Err(SnapError::Invalid("lvc: lang index out of range".into()));
-            }
-            let video = r.get_u64()?;
-            let buffer = RankedBuffer::restore_with(r, |r| {
-                Ok(BufferedComment {
-                    object: ObjectId(r.get_u64()?),
-                })
-            })?;
-            let limiter = TokenBucket::restore(r)?;
-            let nft = r.get_len()?;
-            let mut friend_topics = Vec::with_capacity(nft);
-            for _ in 0..nft {
-                friend_topics.push(Topic::restore(r)?);
-            }
-            let sends_since_rewrite = r.get_u32()?;
-            let accounted_losses = r.get_u64()?;
-            if accounted_losses > buffer.evicted() + buffer.expired() {
-                return Err(SnapError::Invalid(
-                    "lvc: accounted losses exceed losses".into(),
-                ));
-            }
-            streams.insert(
-                key,
-                StreamState {
-                    viewer,
-                    lang,
-                    video,
-                    buffer,
-                    limiter,
-                    friend_topics,
-                    sends_since_rewrite,
-                    accounted_losses,
-                },
-            );
-        }
-        let nvideos = r.get_len()?;
-        let mut by_video: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nvideos, Default::default());
-        let mut prev_video: Option<u64> = None;
-        for _ in 0..nvideos {
-            let v = r.get_u64()?;
-            if prev_video.is_some_and(|p| p >= v) {
-                return Err(SnapError::Invalid("lvc: video keys out of order".into()));
-            }
-            prev_video = Some(v);
-            let nw = r.get_len()?;
-            let mut watchers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                match streams.get(&k) {
-                    Some(s) if s.video == v => watchers.push(k),
-                    _ => return Err(SnapError::Invalid("lvc: dangling watcher".into())),
-                }
-            }
-            by_video.insert(v, watchers);
-        }
-        let nfetch = r.get_len()?;
-        let mut pending_fetch: FxHashMap<FetchToken, PendingFetch> =
-            FxHashMap::with_capacity_and_hasher(nfetch, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..nfetch {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid("lvc: fetch tokens out of order".into()));
-            }
-            prev_tok = Some(tok);
-            let pending = match r.get_u8()? {
-                0 => {
-                    let k = StreamKey::restore(r)?;
-                    let object = ObjectId(r.get_u64()?);
-                    PendingFetch::Comment(k, object)
-                }
-                1 => PendingFetch::Friends(StreamKey::restore(r)?),
-                _ => return Err(SnapError::Invalid("lvc: bad pending-fetch tag".into())),
-            };
-            pending_fetch.insert(FetchToken(tok), pending);
-        }
-        let ntimers = r.get_len()?;
-        let mut timers: FxHashMap<u64, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
-        let mut prev_timer: Option<u64> = None;
-        let next_timer_floor =
-            |timers: &FxHashMap<u64, StreamKey>| timers.keys().max().map_or(0, |m| m + 1);
-        for _ in 0..ntimers {
-            let tok = r.get_u64()?;
-            if prev_timer.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid("lvc: timer tokens out of order".into()));
-            }
-            prev_timer = Some(tok);
-            timers.insert(tok, StreamKey::restore(r)?);
-        }
-        let next_timer = r.get_u64()?;
-        if next_timer < next_timer_floor(&timers) {
-            return Err(SnapError::Invalid(
-                "lvc: next_timer behind live timers".into(),
-            ));
-        }
-        Ok(LvcApp {
-            config,
-            streams,
-            by_video,
-            pending_fetch,
-            timers,
-            next_timer,
-            langs,
-        })
-    }
 }
+
+snap_struct!(
+    LvcConfig {
+        buffer_capacity,
+        max_comment_age,
+        push_interval,
+        min_quality
+    },
+    |c| {
+        if c.buffer_capacity == 0 || !c.min_quality.is_finite() {
+            return Err("lvc: bad config".into());
+        }
+        Ok(())
+    }
+);
+snap_struct!(BufferedComment { object });
+snap_struct!(
+    StreamState {
+        viewer,
+        lang,
+        video,
+        buffer,
+        limiter,
+        friend_topics,
+        sends_since_rewrite,
+        accounted_losses
+    },
+    |s| {
+        if s.accounted_losses > s.buffer.evicted() + s.buffer.expired() {
+            return Err("lvc: accounted losses exceed losses".into());
+        }
+        Ok(())
+    }
+);
+snap_enum!(PendingFetch { 0 => Comment(stream, object), 1 => Friends(stream) });
+// The watcher lists and the language table are written verbatim because
+// their order is behavior-visible (fan-out order and interned indices
+// respectively). Reading rejects snapshots whose cross-map references
+// (watcher lists, language indices, timer tokens) don't line up.
+snap_struct!(
+    LvcApp {
+        config,
+        langs,
+        streams,
+        by_video,
+        pending_fetch,
+        timers,
+        next_timer
+    },
+    |app| {
+        if app
+            .streams
+            .values()
+            .any(|s| s.lang as usize >= app.langs.len())
+        {
+            return Err("lvc: lang index out of range".into());
+        }
+        let watches = |v: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.video == v);
+        if !app
+            .by_video
+            .iter()
+            .all(|(&v, ws)| ws.iter().all(|k| watches(v, k)))
+        {
+            return Err("lvc: dangling watcher".into());
+        }
+        if app.timers.keys().any(|&t| t >= app.next_timer) {
+            return Err("lvc: next_timer behind live timers".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for LvcApp {
     fn name(&self) -> &'static str {
@@ -367,7 +227,7 @@ impl BrassApp for LvcApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

@@ -19,8 +19,9 @@ use std::collections::BTreeMap;
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
 use simkit::time::SimDuration;
+use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
 
@@ -149,223 +150,53 @@ impl MessengerApp {
         });
         self.pending_backfill.insert(token, state_key);
     }
-
-    /// Writes the complete application state into a snapshot. Hash maps go
-    /// out in sorted key order (the reorder buffer is a BTreeMap, already
-    /// ordered); the per-mailbox watcher lists are verbatim because fan-out
-    /// order follows them.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_u64(s.viewer);
-            w.put_u64(s.mailbox);
-            s.topic.snap(w);
-            w.put_u64(s.next_seq);
-            w.put_usize(s.pending.len());
-            for (seq, slot) in &s.pending {
-                w.put_u64(*seq);
-                match slot {
-                    Slot::Fetching => w.put_u8(0),
-                    Slot::Ready(p) => {
-                        w.put_u8(1);
-                        w.put_bytes(p);
-                    }
-                }
-            }
-            w.put_bool(s.backfilling);
-            match s.persisted_seq {
-                None => w.put_u8(0),
-                Some(seq) => {
-                    w.put_u8(1);
-                    w.put_u64(seq);
-                }
-            }
-        }
-        let mut mailboxes: Vec<u64> = self.by_mailbox.keys().copied().collect();
-        mailboxes.sort_unstable();
-        w.put_usize(mailboxes.len());
-        for m in mailboxes {
-            w.put_u64(m);
-            let watchers = &self.by_mailbox[&m];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut tokens: Vec<FetchToken> = self.pending_fetch.keys().copied().collect();
-        tokens.sort_unstable_by_key(|t| t.0);
-        w.put_usize(tokens.len());
-        for t in tokens {
-            let (stream, seq) = &self.pending_fetch[&t];
-            w.put_u64(t.0);
-            stream.snap(w);
-            w.put_u64(*seq);
-        }
-        let mut tokens: Vec<FetchToken> = self.pending_backfill.keys().copied().collect();
-        tokens.sort_unstable_by_key(|t| t.0);
-        w.put_usize(tokens.len());
-        for t in tokens {
-            w.put_u64(t.0);
-            self.pending_backfill[&t].snap(w);
-        }
-        let mut timers: Vec<u64> = self.timers.keys().copied().collect();
-        timers.sort_unstable();
-        w.put_usize(timers.len());
-        for t in timers {
-            w.put_u64(t);
-            self.timers[&t].snap(w);
-        }
-        w.put_u64(self.next_timer);
-    }
-
-    /// Reads the application back, rejecting snapshots whose reorder buffer
-    /// or cross-map references are inconsistent.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "messenger: stream keys out of order".into(),
-                ));
-            }
-            prev = Some(key);
-            let viewer = r.get_u64()?;
-            let mailbox = r.get_u64()?;
-            let topic = Topic::restore(r)?;
-            let next_seq = r.get_u64()?;
-            let npending = r.get_len()?;
-            let mut pending: BTreeMap<u64, Slot> = BTreeMap::new();
-            let mut prev_seq: Option<u64> = None;
-            for _ in 0..npending {
-                let seq = r.get_u64()?;
-                if prev_seq.is_some_and(|p| p >= seq) {
-                    return Err(SnapError::Invalid(
-                        "messenger: reorder buffer out of order".into(),
-                    ));
-                }
-                prev_seq = Some(seq);
-                if seq < next_seq {
-                    return Err(SnapError::Invalid(
-                        "messenger: buffered seq behind next_seq".into(),
-                    ));
-                }
-                let slot = match r.get_u8()? {
-                    0 => Slot::Fetching,
-                    1 => Slot::Ready(r.get_bytes()?.into()),
-                    _ => return Err(SnapError::Invalid("messenger: bad slot tag".into())),
-                };
-                pending.insert(seq, slot);
-            }
-            let backfilling = r.get_bool()?;
-            let persisted_seq = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64()?),
-                _ => return Err(SnapError::Invalid("messenger: bad option tag".into())),
-            };
-            streams.insert(
-                key,
-                StreamState {
-                    viewer,
-                    mailbox,
-                    topic,
-                    next_seq,
-                    pending,
-                    backfilling,
-                    persisted_seq,
-                },
-            );
-        }
-        let nmail = r.get_len()?;
-        let mut by_mailbox: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nmail, Default::default());
-        let mut prev_mail: Option<u64> = None;
-        for _ in 0..nmail {
-            let m = r.get_u64()?;
-            if prev_mail.is_some_and(|p| p >= m) {
-                return Err(SnapError::Invalid(
-                    "messenger: mailboxes out of order".into(),
-                ));
-            }
-            prev_mail = Some(m);
-            let nw = r.get_len()?;
-            let mut watchers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                match streams.get(&k) {
-                    Some(s) if s.mailbox == m => watchers.push(k),
-                    _ => return Err(SnapError::Invalid("messenger: dangling watcher".into())),
-                }
-            }
-            by_mailbox.insert(m, watchers);
-        }
-        let nfetch = r.get_len()?;
-        let mut pending_fetch: FxHashMap<FetchToken, (StreamKey, u64)> =
-            FxHashMap::with_capacity_and_hasher(nfetch, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..nfetch {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "messenger: fetch tokens out of order".into(),
-                ));
-            }
-            prev_tok = Some(tok);
-            let stream = StreamKey::restore(r)?;
-            let seq = r.get_u64()?;
-            pending_fetch.insert(FetchToken(tok), (stream, seq));
-        }
-        let nback = r.get_len()?;
-        let mut pending_backfill: FxHashMap<FetchToken, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(nback, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..nback {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "messenger: backfill tokens out of order".into(),
-                ));
-            }
-            prev_tok = Some(tok);
-            pending_backfill.insert(FetchToken(tok), StreamKey::restore(r)?);
-        }
-        let ntimers = r.get_len()?;
-        let mut timers: FxHashMap<u64, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
-        let mut prev_timer: Option<u64> = None;
-        for _ in 0..ntimers {
-            let tok = r.get_u64()?;
-            if prev_timer.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "messenger: timer tokens out of order".into(),
-                ));
-            }
-            prev_timer = Some(tok);
-            timers.insert(tok, StreamKey::restore(r)?);
-        }
-        let next_timer = r.get_u64()?;
-        if timers.keys().max().is_some_and(|m| next_timer <= *m) {
-            return Err(SnapError::Invalid(
-                "messenger: next_timer behind live timers".into(),
-            ));
-        }
-        Ok(MessengerApp {
-            streams,
-            by_mailbox,
-            pending_fetch,
-            pending_backfill,
-            timers,
-            next_timer,
-        })
-    }
 }
+
+snap_enum!(Slot { 0 => Fetching, 1 => Ready(payload) });
+snap_struct!(
+    StreamState {
+        viewer,
+        mailbox,
+        topic,
+        next_seq,
+        pending,
+        backfilling,
+        persisted_seq
+    },
+    |s| {
+        if s.pending.keys().next().is_some_and(|&seq| seq < s.next_seq) {
+            return Err("messenger: buffered seq behind next_seq".into());
+        }
+        Ok(())
+    }
+);
+// The per-mailbox watcher lists are verbatim because fan-out order follows
+// them. Rejects snapshots whose reorder buffer or cross-map references are
+// inconsistent.
+snap_struct!(
+    MessengerApp {
+        streams,
+        by_mailbox,
+        pending_fetch,
+        pending_backfill,
+        timers,
+        next_timer
+    },
+    |app| {
+        let watches = |m: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.mailbox == m);
+        if !app
+            .by_mailbox
+            .iter()
+            .all(|(&m, ws)| ws.iter().all(|k| watches(m, k)))
+        {
+            return Err("messenger: dangling watcher".into());
+        }
+        if app.timers.keys().any(|&t| t >= app.next_timer) {
+            return Err("messenger: next_timer behind live timers".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for MessengerApp {
     fn name(&self) -> &'static str {
@@ -373,7 +204,7 @@ impl BrassApp for MessengerApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

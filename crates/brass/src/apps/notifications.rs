@@ -10,7 +10,8 @@
 
 use burst::json::Json;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
+use simkit::snap_struct;
 use simkit::time::SimDuration;
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
@@ -78,148 +79,44 @@ impl NotificationsApp {
         self.timers.insert(token, key);
         ctx.timer(COALESCE_WINDOW, token);
     }
-
-    /// Writes the complete application state into a snapshot. Maps go out
-    /// in sorted key order; the per-uid watcher lists are verbatim because
-    /// fan-out order follows them.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_u64(s.uid);
-            let mut objects: Vec<ObjectId> = s.pending.keys().copied().collect();
-            objects.sort_unstable();
-            w.put_usize(objects.len());
-            for o in objects {
-                let g = &s.pending[&o];
-                w.put_u64(o.0);
-                w.put_u64(g.first_actor);
-                w.put_u64(g.count);
-            }
-            w.put_bool(s.timer_armed);
-        }
-        let mut uids: Vec<u64> = self.by_uid.keys().copied().collect();
-        uids.sort_unstable();
-        w.put_usize(uids.len());
-        for u in uids {
-            w.put_u64(u);
-            let watchers = &self.by_uid[&u];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut timers: Vec<u64> = self.timers.keys().copied().collect();
-        timers.sort_unstable();
-        w.put_usize(timers.len());
-        for t in timers {
-            w.put_u64(t);
-            self.timers[&t].snap(w);
-        }
-        w.put_u64(self.next_timer);
-    }
-
-    /// Reads the application back, rejecting snapshots whose coalescing
-    /// groups or cross-map references are inconsistent.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "notifications: stream keys out of order".into(),
-                ));
-            }
-            prev = Some(key);
-            let uid = r.get_u64()?;
-            let npending = r.get_len()?;
-            let mut pending: FxHashMap<ObjectId, PendingGroup> =
-                FxHashMap::with_capacity_and_hasher(npending, Default::default());
-            let mut prev_obj: Option<u64> = None;
-            for _ in 0..npending {
-                let obj = r.get_u64()?;
-                if prev_obj.is_some_and(|p| p >= obj) {
-                    return Err(SnapError::Invalid(
-                        "notifications: pending objects out of order".into(),
-                    ));
-                }
-                prev_obj = Some(obj);
-                let first_actor = r.get_u64()?;
-                let count = r.get_u64()?;
-                if count == 0 {
-                    return Err(SnapError::Invalid(
-                        "notifications: empty coalescing group".into(),
-                    ));
-                }
-                pending.insert(ObjectId(obj), PendingGroup { first_actor, count });
-            }
-            let timer_armed = r.get_bool()?;
-            streams.insert(
-                key,
-                StreamState {
-                    uid,
-                    pending,
-                    timer_armed,
-                },
-            );
-        }
-        let nuids = r.get_len()?;
-        let mut by_uid: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nuids, Default::default());
-        let mut prev_uid: Option<u64> = None;
-        for _ in 0..nuids {
-            let u = r.get_u64()?;
-            if prev_uid.is_some_and(|p| p >= u) {
-                return Err(SnapError::Invalid(
-                    "notifications: uids out of order".into(),
-                ));
-            }
-            prev_uid = Some(u);
-            let nw = r.get_len()?;
-            let mut watchers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                match streams.get(&k) {
-                    Some(s) if s.uid == u => watchers.push(k),
-                    _ => return Err(SnapError::Invalid("notifications: dangling watcher".into())),
-                }
-            }
-            by_uid.insert(u, watchers);
-        }
-        let ntimers = r.get_len()?;
-        let mut timers: FxHashMap<u64, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(ntimers, Default::default());
-        let mut prev_timer: Option<u64> = None;
-        for _ in 0..ntimers {
-            let tok = r.get_u64()?;
-            if prev_timer.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "notifications: timer tokens out of order".into(),
-                ));
-            }
-            prev_timer = Some(tok);
-            timers.insert(tok, StreamKey::restore(r)?);
-        }
-        let next_timer = r.get_u64()?;
-        if timers.keys().max().is_some_and(|m| next_timer <= *m) {
-            return Err(SnapError::Invalid(
-                "notifications: next_timer behind live timers".into(),
-            ));
-        }
-        Ok(NotificationsApp {
-            streams,
-            by_uid,
-            timers,
-            next_timer,
-        })
-    }
 }
+
+snap_struct!(PendingGroup { first_actor, count }, |g| {
+    if g.count == 0 {
+        return Err("notifications: empty coalescing group".into());
+    }
+    Ok(())
+});
+snap_struct!(StreamState {
+    uid,
+    pending,
+    timer_armed
+});
+// The per-uid watcher lists are verbatim because fan-out order follows
+// them. Rejects snapshots whose coalescing groups or cross-map references
+// are inconsistent.
+snap_struct!(
+    NotificationsApp {
+        streams,
+        by_uid,
+        timers,
+        next_timer
+    },
+    |app| {
+        let watches = |u: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.uid == u);
+        if !app
+            .by_uid
+            .iter()
+            .all(|(&u, ws)| ws.iter().all(|k| watches(u, k)))
+        {
+            return Err("notifications: dangling watcher".into());
+        }
+        if app.timers.keys().any(|&t| t >= app.next_timer) {
+            return Err("notifications: next_timer behind live timers".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for NotificationsApp {
     fn name(&self) -> &'static str {
@@ -227,7 +124,7 @@ impl BrassApp for NotificationsApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

@@ -12,7 +12,8 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
+use simkit::snap_struct;
 use simkit::time::SimTime;
 use was::{EventKind, UpdateEvent};
 
@@ -94,162 +95,44 @@ impl StoriesApp {
         });
         ranked.into_iter().take(n).map(|(&uid, _)| uid).collect()
     }
-
-    /// Writes the complete application state into a snapshot. Maps go out
-    /// in sorted key order; `friend_topics` and `displayed` are verbatim —
-    /// unsubscribe order and tray order are behavior-visible.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        w.put_usize(self.config.tray_size);
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_usize(s.friend_topics.len());
-            for t in &s.friend_topics {
-                t.snap(w);
-            }
-            let mut authors: Vec<u64> = s.containers.keys().copied().collect();
-            authors.sort_unstable();
-            w.put_usize(authors.len());
-            for a in authors {
-                let c = &s.containers[&a];
-                w.put_u64(a);
-                w.put_u64(c.story_count);
-                w.put_u64(c.last_story.as_micros());
-            }
-            w.put_usize(s.displayed.len());
-            for a in &s.displayed {
-                w.put_u64(*a);
-            }
-        }
-        let mut authors: Vec<u64> = self.watchers.keys().copied().collect();
-        authors.sort_unstable();
-        w.put_usize(authors.len());
-        for a in authors {
-            w.put_u64(a);
-            let watchers = &self.watchers[&a];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut tokens: Vec<FetchToken> = self.pending_friends.keys().copied().collect();
-        tokens.sort_unstable_by_key(|t| t.0);
-        w.put_usize(tokens.len());
-        for t in tokens {
-            w.put_u64(t.0);
-            self.pending_friends[&t].snap(w);
-        }
-    }
-
-    /// Reads the application back, rejecting snapshots with dangling
-    /// watcher entries or unsorted keys.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let tray_size = r.get_usize()?;
-        if tray_size == 0 {
-            return Err(SnapError::Invalid("stories: zero tray size".into()));
-        }
-        let config = StoriesConfig { tray_size };
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "stories: stream keys out of order".into(),
-                ));
-            }
-            prev = Some(key);
-            let nft = r.get_len()?;
-            let mut friend_topics = Vec::with_capacity(nft);
-            for _ in 0..nft {
-                friend_topics.push(Topic::restore(r)?);
-            }
-            let ncont = r.get_len()?;
-            let mut containers: FxHashMap<u64, Container> =
-                FxHashMap::with_capacity_and_hasher(ncont, Default::default());
-            let mut prev_author: Option<u64> = None;
-            for _ in 0..ncont {
-                let a = r.get_u64()?;
-                if prev_author.is_some_and(|p| p >= a) {
-                    return Err(SnapError::Invalid(
-                        "stories: container authors out of order".into(),
-                    ));
-                }
-                prev_author = Some(a);
-                let story_count = r.get_u64()?;
-                let last_story = SimTime::from_micros(r.get_u64()?);
-                containers.insert(
-                    a,
-                    Container {
-                        story_count,
-                        last_story,
-                    },
-                );
-            }
-            let ndisp = r.get_len()?;
-            let mut displayed = Vec::with_capacity(ndisp);
-            for _ in 0..ndisp {
-                displayed.push(r.get_u64()?);
-            }
-            streams.insert(
-                key,
-                StreamState {
-                    friend_topics,
-                    containers,
-                    displayed,
-                },
-            );
-        }
-        let nwatch = r.get_len()?;
-        let mut watchers: FxHashMap<u64, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(nwatch, Default::default());
-        let mut prev_author: Option<u64> = None;
-        for _ in 0..nwatch {
-            let a = r.get_u64()?;
-            if prev_author.is_some_and(|p| p >= a) {
-                return Err(SnapError::Invalid(
-                    "stories: watcher authors out of order".into(),
-                ));
-            }
-            prev_author = Some(a);
-            let nw = r.get_len()?;
-            let mut list = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                if !streams.contains_key(&k) {
-                    return Err(SnapError::Invalid("stories: dangling watcher".into()));
-                }
-                list.push(k);
-            }
-            watchers.insert(a, list);
-        }
-        let npending = r.get_len()?;
-        let mut pending_friends: FxHashMap<FetchToken, StreamKey> =
-            FxHashMap::with_capacity_and_hasher(npending, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..npending {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "stories: fetch tokens out of order".into(),
-                ));
-            }
-            prev_tok = Some(tok);
-            pending_friends.insert(FetchToken(tok), StreamKey::restore(r)?);
-        }
-        Ok(StoriesApp {
-            config,
-            streams,
-            watchers,
-            pending_friends,
-        })
-    }
 }
+
+snap_struct!(StoriesConfig { tray_size }, |c| {
+    if c.tray_size == 0 {
+        return Err("stories: zero tray size".into());
+    }
+    Ok(())
+});
+snap_struct!(Container {
+    story_count,
+    last_story
+});
+// `friend_topics` and `displayed` are verbatim — unsubscribe order and
+// tray order are behavior-visible.
+snap_struct!(StreamState {
+    friend_topics,
+    containers,
+    displayed
+});
+snap_struct!(
+    StoriesApp {
+        config,
+        streams,
+        watchers,
+        pending_friends
+    },
+    |app| {
+        if !app
+            .watchers
+            .values()
+            .flatten()
+            .all(|k| app.streams.contains_key(k))
+        {
+            return Err("stories: dangling watcher".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for StoriesApp {
     fn name(&self) -> &'static str {
@@ -257,7 +140,7 @@ impl BrassApp for StoriesApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

@@ -11,7 +11,8 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapWriter};
+use simkit::snap_struct;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
@@ -51,120 +52,36 @@ impl TypingApp {
     pub fn stream_count(&self) -> usize {
         self.streams.len()
     }
-
-    /// Writes the complete application state into a snapshot. Maps go out
-    /// in sorted key order; the per-topic watcher lists are verbatim because
-    /// fan-out order follows them.
-    pub(crate) fn snap_state(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let s = &self.streams[&key];
-            key.snap(w);
-            w.put_u64(s.viewer);
-            s.topic.snap(w);
-        }
-        let mut topics: Vec<Topic> = self.by_topic.keys().copied().collect();
-        topics.sort_unstable();
-        w.put_usize(topics.len());
-        for t in topics {
-            t.snap(w);
-            let watchers = &self.by_topic[&t];
-            w.put_usize(watchers.len());
-            for k in watchers {
-                k.snap(w);
-            }
-        }
-        let mut tokens: Vec<FetchToken> = self.pending.keys().copied().collect();
-        tokens.sort_unstable_by_key(|t| t.0);
-        w.put_usize(tokens.len());
-        for t in tokens {
-            let p = &self.pending[&t];
-            w.put_u64(t.0);
-            p.stream.snap(w);
-            w.put_u64(p.object);
-            w.put_u64(p.uid);
-            w.put_bool(p.typing);
-            w.put_u64(p.created_ms);
-        }
-    }
-
-    /// Reads the application back, rejecting snapshots whose watcher lists
-    /// don't line up with the stream table.
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let nstreams = r.get_len()?;
-        let mut streams: FxHashMap<StreamKey, StreamState> =
-            FxHashMap::with_capacity_and_hasher(nstreams, Default::default());
-        let mut prev: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let key = StreamKey::restore(r)?;
-            if prev.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "typing: stream keys out of order".into(),
-                ));
-            }
-            prev = Some(key);
-            let viewer = r.get_u64()?;
-            let topic = Topic::restore(r)?;
-            streams.insert(key, StreamState { viewer, topic });
-        }
-        let ntopics = r.get_len()?;
-        let mut by_topic: FxHashMap<Topic, Vec<StreamKey>> =
-            FxHashMap::with_capacity_and_hasher(ntopics, Default::default());
-        let mut prev_topic: Option<Topic> = None;
-        for _ in 0..ntopics {
-            let t = Topic::restore(r)?;
-            if prev_topic.is_some_and(|p| p >= t) {
-                return Err(SnapError::Invalid("typing: topics out of order".into()));
-            }
-            prev_topic = Some(t);
-            let nw = r.get_len()?;
-            let mut watchers = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                let k = StreamKey::restore(r)?;
-                match streams.get(&k) {
-                    Some(s) if s.topic == t => watchers.push(k),
-                    _ => return Err(SnapError::Invalid("typing: dangling watcher".into())),
-                }
-            }
-            by_topic.insert(t, watchers);
-        }
-        let npending = r.get_len()?;
-        let mut pending: FxHashMap<FetchToken, Pending> =
-            FxHashMap::with_capacity_and_hasher(npending, Default::default());
-        let mut prev_tok: Option<u64> = None;
-        for _ in 0..npending {
-            let tok = r.get_u64()?;
-            if prev_tok.is_some_and(|p| p >= tok) {
-                return Err(SnapError::Invalid(
-                    "typing: fetch tokens out of order".into(),
-                ));
-            }
-            prev_tok = Some(tok);
-            let stream = StreamKey::restore(r)?;
-            let object = r.get_u64()?;
-            let uid = r.get_u64()?;
-            let typing = r.get_bool()?;
-            let created_ms = r.get_u64()?;
-            pending.insert(
-                FetchToken(tok),
-                Pending {
-                    stream,
-                    object,
-                    uid,
-                    typing,
-                    created_ms,
-                },
-            );
-        }
-        Ok(TypingApp {
-            streams,
-            by_topic,
-            pending,
-        })
-    }
 }
+
+snap_struct!(StreamState { viewer, topic });
+snap_struct!(Pending {
+    stream,
+    object,
+    uid,
+    typing,
+    created_ms
+});
+// The per-topic watcher lists are verbatim because fan-out order follows
+// them; they must line up with the stream table.
+snap_struct!(
+    TypingApp {
+        streams,
+        by_topic,
+        pending
+    },
+    |app| {
+        let watches = |t: &Topic, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.topic == *t);
+        if !app
+            .by_topic
+            .iter()
+            .all(|(t, ws)| ws.iter().all(|k| watches(t, k)))
+        {
+            return Err("typing: dangling watcher".into());
+        }
+        Ok(())
+    }
+);
 
 impl BrassApp for TypingApp {
     fn name(&self) -> &'static str {
@@ -172,7 +89,7 @@ impl BrassApp for TypingApp {
     }
 
     fn snap(&self, w: &mut SnapWriter) {
-        self.snap_state(w);
+        Snap::snap(self, w);
     }
 
     fn on_subscribe(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, header: &Json) {

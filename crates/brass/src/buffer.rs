@@ -11,7 +11,7 @@
 //! configured age ("comments older than n seconds become irrelevant and can
 //! be discarded", §2).
 
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 
 /// An entry in a ranked buffer.
@@ -193,70 +193,61 @@ impl<T> RankedBuffer<T> {
     pub fn drain(&mut self) -> Vec<Ranked<T>> {
         std::mem::take(&mut self.entries)
     }
+}
 
-    /// Writes the buffer into a snapshot, serializing each item with `f`.
-    /// Entries are written in buffer order (rank-descending), which is the
-    /// exact pop order — nothing to re-derive on restore.
-    pub fn snap_with(&self, w: &mut SnapWriter, mut f: impl FnMut(&T, &mut SnapWriter)) {
-        w.put_usize(self.capacity);
-        w.put_u64(self.max_age.as_micros());
-        w.put_u64(self.evicted);
-        w.put_u64(self.expired);
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_f64(e.rank);
-            w.put_u64(e.created.as_micros());
-            f(&e.item, w);
-        }
+impl<T: Snap> Snap for Ranked<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.rank.snap(w);
+        self.created.snap(w);
+        self.item.snap(w);
     }
 
-    /// Reads a buffer back, restoring each item with `f`. Rejects states
-    /// [`offer`](Self::offer) could never produce: over-capacity buffers
-    /// and entries out of (rank-descending, created-ascending) order.
-    pub fn restore_with(
-        r: &mut SnapReader<'_>,
-        mut f: impl FnMut(&mut SnapReader<'_>) -> SnapResult<T>,
-    ) -> SnapResult<Self> {
-        let capacity = r.get_usize()?;
-        if capacity == 0 {
-            return Err(SnapError::Invalid("ranked buffer: zero capacity".into()));
-        }
-        let max_age = SimDuration::from_micros(r.get_u64()?);
-        let evicted = r.get_u64()?;
-        let expired = r.get_u64()?;
-        let n = r.get_len()?;
-        if n > capacity {
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(Ranked {
+            rank: Snap::restore(r)?,
+            created: Snap::restore(r)?,
+            item: Snap::restore(r)?,
+        })
+    }
+}
+
+/// Entries are written in buffer order (rank-descending), which is the
+/// exact pop order — nothing to re-derive on restore. Reading rejects
+/// states [`offer`](RankedBuffer::offer) could never produce: over-capacity
+/// buffers, non-finite ranks and entries out of (rank-descending,
+/// created-ascending) order.
+impl<T: Snap> Snap for RankedBuffer<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.capacity.snap(w);
+        self.max_age.snap(w);
+        self.evicted.snap(w);
+        self.expired.snap(w);
+        self.entries.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let b = RankedBuffer {
+            capacity: Snap::restore(r)?,
+            max_age: Snap::restore(r)?,
+            evicted: Snap::restore(r)?,
+            expired: Snap::restore(r)?,
+            entries: Vec::<Ranked<T>>::restore(r)?,
+        };
+        if b.capacity == 0 || b.entries.len() > b.capacity {
             return Err(SnapError::Invalid("ranked buffer: over capacity".into()));
         }
-        let mut entries: Vec<Ranked<T>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rank = r.get_f64()?;
-            if !rank.is_finite() {
-                return Err(SnapError::Invalid("ranked buffer: non-finite rank".into()));
-            }
-            let created = SimTime::from_micros(r.get_u64()?);
-            let item = f(r)?;
-            if let Some(prev) = entries.last() {
-                let ordered = prev.rank > rank || (prev.rank == rank && prev.created <= created);
-                if !ordered {
-                    return Err(SnapError::Invalid(
-                        "ranked buffer: entries out of order".into(),
-                    ));
-                }
-            }
-            entries.push(Ranked {
-                rank,
-                created,
-                item,
-            });
+        if b.entries.iter().any(|e| !e.rank.is_finite()) {
+            return Err(SnapError::Invalid("ranked buffer: non-finite rank".into()));
         }
-        Ok(RankedBuffer {
-            entries,
-            capacity,
-            max_age,
-            evicted,
-            expired,
-        })
+        let ordered = |p: &[Ranked<T>]| {
+            p[0].rank > p[1].rank || (p[0].rank == p[1].rank && p[0].created <= p[1].created)
+        };
+        if !b.entries.windows(2).all(ordered) {
+            return Err(SnapError::Invalid(
+                "ranked buffer: entries out of order".into(),
+            ));
+        }
+        Ok(b)
     }
 }
 

@@ -21,7 +21,8 @@ use pylon::Topic;
 use simkit::fxhash::FxHashMap;
 use simkit::time::SimTime;
 
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 
 use crate::app::{AppCounters, BrassApp, Ctx, DeviceId, Effect, FetchToken, StreamKey, WasRequest};
 use crate::resolve::resolve;
@@ -188,7 +189,7 @@ impl BrassHost {
 
     /// Maximum instances this host can run (two per core, §3.2).
     pub fn capacity(&self) -> usize {
-        (self.config.cores * 2) as usize
+        self.config.cores as usize * 2
     }
 
     /// Currently running instances.
@@ -720,173 +721,122 @@ impl BrassHost {
         }
         out
     }
+}
 
-    /// Writes the host's complete state into a snapshot: config, every
-    /// running instance (counters, token counter, topic refcounts, app
-    /// state), the host-wide subscription manager, every server-side
-    /// stream, and the host counters. All maps go out in sorted key order.
-    /// Factories are code, not state — restore re-registers them.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.config.host_id.0);
-        w.put_u32(self.config.cores);
-        w.put_usize(self.instances.len());
-        for i in &self.instances {
-            w.put_str(i.name);
-            w.put_u64(i.counters.decisions);
-            w.put_u64(i.counters.deliveries);
-            w.put_u64(i.counters.events_in);
-            w.put_u64(i.counters.was_requests);
-            w.put_u64(i.next_token);
-            let mut topics: Vec<Topic> = i.topic_refs.keys().copied().collect();
-            topics.sort_unstable();
-            w.put_usize(topics.len());
-            for t in topics {
-                t.snap(w);
-                w.put_u32(i.topic_refs[&t]);
-            }
-            i.app.snap(w);
-        }
-        let mut topics: Vec<Topic> = self.host_topic_refs.keys().copied().collect();
-        topics.sort_unstable();
-        w.put_usize(topics.len());
-        for t in topics {
-            t.snap(w);
-            w.put_u32(self.host_topic_refs[&t]);
-        }
-        let mut keys: Vec<StreamKey> = self.streams.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let meta = &self.streams[&key];
-            w.put_u64(key.device.0);
-            w.put_str(meta.app);
-            meta.server.snap(w);
-        }
-        w.put_u64(self.counters.spool_ups);
-        w.put_u64(self.counters.streams_accepted);
-        w.put_u64(self.counters.streams_rejected);
-        w.put_u64(self.counters.dedup_subscribes);
+snap_struct!(HostConfig { host_id, cores }, |c| {
+    if c.cores == 0 {
+        return Err("brass host: zero cores".into());
+    }
+    Ok(())
+});
+snap_struct!(HostCounters {
+    spool_ups,
+    streams_accepted,
+    streams_rejected,
+    dedup_subscribes
+});
+
+/// Rejects a refcount table holding a zero: entries are removed when their
+/// count drops to zero.
+fn check_refs(refs: &FxHashMap<Topic, u32>) -> SnapResult<()> {
+    if refs.values().any(|&n| n == 0) {
+        return Err(SnapError::Invalid("brass host: zero topic refcount".into()));
+    }
+    Ok(())
+}
+
+/// Counters, token counter, topic refcounts and the application's own
+/// state, which is restored by dispatching on the application name —
+/// snapshots holding non-standard applications are rejected.
+impl Snap for Instance {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_str(self.name);
+        self.counters.snap(w);
+        self.next_token.snap(w);
+        self.topic_refs.snap(w);
+        self.app.snap(w);
     }
 
-    /// Reads a host back. The standard application factories are
-    /// re-registered (closures aren't serializable) and each instance's
-    /// state is restored by dispatching on its application name — snapshots
-    /// holding non-standard applications are rejected.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         use crate::apps::{
             ActiveStatusApp, LikesApp, LvcApp, MessengerApp, NotificationsApp, StoriesApp,
             TypingApp,
         };
-        let host_id = pylon::HostId(r.get_u32()?);
-        let cores = r.get_u32()?;
-        if cores == 0 {
-            return Err(SnapError::Invalid("brass host: zero cores".into()));
+        let name = r.get_str()?;
+        let counters = Snap::restore(r)?;
+        let next_token = Snap::restore(r)?;
+        let topic_refs = Snap::restore(r)?;
+        check_refs(&topic_refs)?;
+        let app: Box<dyn BrassApp> = match name.as_str() {
+            "lvc" => Box::new(LvcApp::restore(r)?),
+            "typing" => Box::new(TypingApp::restore(r)?),
+            "active_status" => Box::new(ActiveStatusApp::restore(r)?),
+            "stories" => Box::new(StoriesApp::restore(r)?),
+            "messenger" => Box::new(MessengerApp::restore(r)?),
+            "likes" => Box::new(LikesApp::restore(r)?),
+            "notifications" => Box::new(NotificationsApp::restore(r)?),
+            other => {
+                return Err(SnapError::Invalid(format!(
+                    "brass host: unknown application {other:?}"
+                )))
+            }
+        };
+        Ok(Instance {
+            name: app.name(),
+            app,
+            counters,
+            next_token,
+            topic_refs,
+        })
+    }
+}
+
+/// Config, every running instance, the host-wide subscription manager,
+/// every server-side stream (keyed by its device, owned by application
+/// name), and the host counters. Factories are code, not state: restore
+/// re-registers the standard ones (closures aren't serializable).
+impl Snap for BrassHost {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.config.snap(w);
+        self.instances.snap(w);
+        self.host_topic_refs.snap(w);
+        let mut keys: Vec<&StreamKey> = self.streams.keys().collect();
+        keys.sort_unstable();
+        w.put_usize(keys.len());
+        for key in keys {
+            let meta = &self.streams[key];
+            key.device.snap(w);
+            w.put_str(meta.app);
+            meta.server.snap(w);
         }
-        let mut host = BrassHost::new(HostConfig { host_id, cores });
+        self.counters.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let mut host = BrassHost::new(HostConfig::restore(r)?);
         host.register_standard_apps();
-        let ninst = r.get_len()?;
-        if ninst > host.capacity() {
+        host.instances = restore_sorted(r, |a: &Instance, b| a.name < b.name)?;
+        if host.instances.len() > host.capacity() {
             return Err(SnapError::Invalid("brass host: over capacity".into()));
         }
-        for _ in 0..ninst {
-            let name = r.get_str()?;
-            if host.instances.last().is_some_and(|p| *p.name >= *name) {
-                return Err(SnapError::Invalid(
-                    "brass host: instances out of order".into(),
-                ));
-            }
-            let counters = AppCounters {
-                decisions: r.get_u64()?,
-                deliveries: r.get_u64()?,
-                events_in: r.get_u64()?,
-                was_requests: r.get_u64()?,
-            };
-            let next_token = r.get_u64()?;
-            let nrefs = r.get_len()?;
-            let mut topic_refs: FxHashMap<Topic, u32> =
-                FxHashMap::with_capacity_and_hasher(nrefs, Default::default());
-            let mut prev_topic: Option<Topic> = None;
-            for _ in 0..nrefs {
-                let t = Topic::restore(r)?;
-                if prev_topic.is_some_and(|p| p >= t) {
-                    return Err(SnapError::Invalid(
-                        "brass host: topic refs out of order".into(),
-                    ));
-                }
-                prev_topic = Some(t);
-                let refs = r.get_u32()?;
-                if refs == 0 {
-                    return Err(SnapError::Invalid("brass host: zero topic refcount".into()));
-                }
-                topic_refs.insert(t, refs);
-            }
-            let app: Box<dyn BrassApp> = match name.as_str() {
-                "lvc" => Box::new(LvcApp::restore(r)?),
-                "typing" => Box::new(TypingApp::restore(r)?),
-                "active_status" => Box::new(ActiveStatusApp::restore(r)?),
-                "stories" => Box::new(StoriesApp::restore(r)?),
-                "messenger" => Box::new(MessengerApp::restore(r)?),
-                "likes" => Box::new(LikesApp::restore(r)?),
-                "notifications" => Box::new(NotificationsApp::restore(r)?),
-                other => {
-                    return Err(SnapError::Invalid(format!(
-                        "brass host: unknown application {other:?}"
-                    )))
-                }
-            };
-            host.instances.push(Instance {
-                name: app.name(),
-                app,
-                counters,
-                next_token,
-                topic_refs,
-            });
-        }
-        let nhost_refs = r.get_len()?;
-        let mut prev_topic: Option<Topic> = None;
-        for _ in 0..nhost_refs {
-            let t = Topic::restore(r)?;
-            if prev_topic.is_some_and(|p| p >= t) {
-                return Err(SnapError::Invalid(
-                    "brass host: host topic refs out of order".into(),
-                ));
-            }
-            prev_topic = Some(t);
-            let refs = r.get_u32()?;
-            if refs == 0 {
-                return Err(SnapError::Invalid("brass host: zero topic refcount".into()));
-            }
-            host.host_topic_refs.insert(t, refs);
-        }
-        let nstreams = r.get_len()?;
-        let mut prev_key: Option<StreamKey> = None;
-        for _ in 0..nstreams {
-            let device = DeviceId(r.get_u64()?);
-            let Some(owner) = host.instance_index(&r.get_str()?) else {
+        host.host_topic_refs = Snap::restore(r)?;
+        check_refs(&host.host_topic_refs)?;
+        let by_key = |a: &(DeviceId, String, ServerStream),
+                      b: &(DeviceId, String, ServerStream)| {
+            (a.0, a.2.sid()) < (b.0, b.2.sid())
+        };
+        for (device, app, server) in restore_sorted(r, by_key)? {
+            let Some(owner) = host.instance_index(&app) else {
                 return Err(SnapError::Invalid(
                     "brass host: stream owned by absent instance".into(),
                 ));
             };
             let app = host.instances[owner].name;
-            let server = ServerStream::restore(r)?;
-            let key = StreamKey {
-                device,
-                sid: server.sid(),
-            };
-            if prev_key.is_some_and(|p| p >= key) {
-                return Err(SnapError::Invalid(
-                    "brass host: streams out of order".into(),
-                ));
-            }
-            prev_key = Some(key);
-            host.streams.insert(key, StreamMeta { app, server });
+            let sid = server.sid();
+            host.streams
+                .insert(StreamKey { device, sid }, StreamMeta { app, server });
         }
-        host.counters = HostCounters {
-            spool_ups: r.get_u64()?,
-            streams_accepted: r.get_u64()?,
-            streams_rejected: r.get_u64()?,
-            dedup_subscribes: r.get_u64()?,
-        };
+        host.counters = Snap::restore(r)?;
         Ok(host)
     }
 }

@@ -30,7 +30,7 @@
 //! the accumulator round-trips through a header patch losslessly.
 
 use burst::json::Json;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 
 /// A token bucket: capacity `burst` whole tokens, refilled at
@@ -50,6 +50,31 @@ pub struct TokenBucket {
     acc_us: u64,
     last_refill: SimTime,
 }
+
+// The exact bucket state (unlike the JSON header export, this is the
+// internal integer representation verbatim — no float round-trip at all),
+// rejecting states `refill` could never produce.
+snap_struct!(
+    TokenBucket {
+        us_per_token,
+        burst,
+        tokens,
+        acc_us,
+        last_refill
+    },
+    |b| {
+        if b.us_per_token == 0 || b.burst == 0 {
+            return Err("token bucket: zero quantum or burst".into());
+        }
+        if b.tokens > b.burst
+            || b.acc_us >= b.us_per_token
+            || (b.tokens == b.burst && b.acc_us != 0)
+        {
+            return Err("token bucket: inconsistent fill state".into());
+        }
+        Ok(())
+    }
+);
 
 impl TokenBucket {
     /// Creates a full bucket. `burst` is truncated to whole tokens (the
@@ -125,44 +150,6 @@ impl TokenBucket {
         } else {
             SimDuration::from_micros(self.us_per_token - self.acc_us)
         }
-    }
-
-    /// Writes the exact bucket state into a snapshot (unlike the JSON
-    /// header export, this is the internal integer representation
-    /// verbatim — no float round-trip at all).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.us_per_token);
-        w.put_u64(self.burst);
-        w.put_u64(self.tokens);
-        w.put_u64(self.acc_us);
-        w.put_u64(self.last_refill.as_micros());
-    }
-
-    /// Reads a bucket back, rejecting states [`refill`](Self::refill)
-    /// could never produce.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let us_per_token = r.get_u64()?;
-        let burst = r.get_u64()?;
-        let tokens = r.get_u64()?;
-        let acc_us = r.get_u64()?;
-        let last_refill = SimTime::from_micros(r.get_u64()?);
-        if us_per_token == 0 || burst == 0 {
-            return Err(SnapError::Invalid(
-                "token bucket: zero quantum or burst".into(),
-            ));
-        }
-        if tokens > burst || acc_us >= us_per_token || (tokens == burst && acc_us != 0) {
-            return Err(SnapError::Invalid(
-                "token bucket: inconsistent fill state".into(),
-            ));
-        }
-        Ok(TokenBucket {
-            us_per_token,
-            burst,
-            tokens,
-            acc_us,
-            last_refill,
-        })
     }
 
     /// Exports the limiter state as a JSON header patch.

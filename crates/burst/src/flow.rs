@@ -101,31 +101,22 @@ impl FlowWindow {
         self.in_flight = 0;
         self.degraded = false;
     }
-
-    /// Writes the window's complete state into a snapshot.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u64(self.capacity);
-        w.put_u64(self.in_flight);
-        w.put_bool(self.degraded);
-    }
-
-    /// Reads a window back, rejecting states `try_send` cannot produce.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        let capacity = r.get_u64()?;
-        let in_flight = r.get_u64()?;
-        let degraded = r.get_bool()?;
-        if degraded && (capacity == 0 || in_flight == 0) {
-            return Err(simkit::snap::SnapError::Invalid(
-                "degraded flow window with nothing in flight".into(),
-            ));
-        }
-        Ok(FlowWindow {
-            capacity,
-            in_flight,
-            degraded,
-        })
-    }
 }
+
+// Rejects states `try_send` cannot produce.
+simkit::snap_struct!(
+    FlowWindow {
+        capacity,
+        in_flight,
+        degraded
+    },
+    |w| {
+        if w.degraded && (w.capacity == 0 || w.in_flight == 0) {
+            return Err("degraded flow window with nothing in flight".into());
+        }
+        Ok(())
+    }
+);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //! TCP timeout. Both ends run one; the responder side answers pings
 //! reflexively via [`HeartbeatMonitor::on_ping`].
 
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::{snap_enum, snap_struct};
 
 use crate::frame::Frame;
 
@@ -118,49 +118,26 @@ impl HeartbeatMonitor {
         self.health = PeerHealth::Alive;
         self.next_ping_at = now_us + self.interval_us;
     }
-
-    /// Writes the monitor's complete state into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.interval_us);
-        w.put_u32(self.miss_threshold);
-        w.put_u64(self.next_ping_at);
-        w.put_u64(self.next_token);
-        w.put_u32(self.outstanding);
-        w.put_u8(match self.health {
-            PeerHealth::Alive => 0,
-            PeerHealth::Suspect => 1,
-            PeerHealth::Failed => 2,
-        });
-    }
-
-    /// Reads a monitor back, rejecting configurations `new` would refuse.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let interval_us = r.get_u64()?;
-        let miss_threshold = r.get_u32()?;
-        if interval_us == 0 || miss_threshold == 0 {
-            return Err(SnapError::Invalid(
-                "zero heartbeat interval/threshold".into(),
-            ));
-        }
-        let next_ping_at = r.get_u64()?;
-        let next_token = r.get_u64()?;
-        let outstanding = r.get_u32()?;
-        let health = match r.get_u8()? {
-            0 => PeerHealth::Alive,
-            1 => PeerHealth::Suspect,
-            2 => PeerHealth::Failed,
-            _ => return Err(SnapError::Invalid("bad peer-health tag".into())),
-        };
-        Ok(HeartbeatMonitor {
-            interval_us,
-            miss_threshold,
-            next_ping_at,
-            next_token,
-            outstanding,
-            health,
-        })
-    }
 }
+
+snap_enum!(PeerHealth { 0 => Alive, 1 => Suspect, 2 => Failed });
+// Rejects configurations `new` would refuse.
+snap_struct!(
+    HeartbeatMonitor {
+        interval_us,
+        miss_threshold,
+        next_ping_at,
+        next_token,
+        outstanding,
+        health
+    },
+    |m| {
+        if m.interval_us == 0 || m.miss_threshold == 0 {
+            return Err("zero heartbeat interval/threshold".into());
+        }
+        Ok(())
+    }
+);
 
 #[cfg(test)]
 mod tests {

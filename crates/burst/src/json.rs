@@ -816,20 +816,40 @@ fn parse_number_u64(input: &[u8], start: usize) -> Option<u64> {
     }
 }
 
-impl Json {
-    /// Serializes the value as its canonical compact text (the same
-    /// encoding [`PackedJson`] uses). `parse ∘ to_string` is the identity
-    /// for every value the system produces, so the text form doubles as
-    /// the snapshot serialization.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
+/// A value snapshots as its canonical compact text (the same encoding
+/// [`PackedJson`] uses). `parse ∘ to_string` is the identity for every
+/// value the system produces; text that parses but is not what
+/// `to_string` would write (stray whitespace, reordered escapes) is
+/// rejected, so an accepted snapshot re-snapshots to the same bytes.
+impl simkit::snap::Snap for Json {
+    fn snap(&self, w: &mut simkit::snap::SnapWriter) {
         w.put_str(&self.to_string());
     }
 
-    /// Restores a value from its canonical text form.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Json> {
+    fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Json> {
         let text = r.get_str()?;
-        Json::parse(&text)
-            .map_err(|e| simkit::snap::SnapError::Invalid(format!("Json snapshot: {e}")))
+        match Json::parse(&text) {
+            Ok(parsed) if parsed.to_string() == text => Ok(parsed),
+            Ok(_) => Err(simkit::snap::SnapError::Invalid(
+                "Json snapshot: text is not canonical".into(),
+            )),
+            Err(e) => Err(simkit::snap::SnapError::Invalid(format!(
+                "Json snapshot: {e}"
+            ))),
+        }
+    }
+}
+
+/// A packed value snapshots as its canonical bytes. Fail-closed: the
+/// bytes must parse as JSON and be exactly what packing the parsed value
+/// writes, so a valid snapshot restores bit-identically.
+impl simkit::snap::Snap for PackedJson {
+    fn snap(&self, w: &mut simkit::snap::SnapWriter) {
+        w.put_bytes(&self.0);
+    }
+
+    fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
+        Ok(PackedJson::pack(&simkit::snap::Snap::restore(r)?))
     }
 }
 

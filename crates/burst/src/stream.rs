@@ -13,26 +13,10 @@
 //!   dead streams.
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 
 use crate::frame::{Delta, FlowStatus, Frame, Payload, StreamId, TerminateReason};
 use crate::json::{Json, PackedJson};
-
-/// Writes a packed header into a snapshot (canonical bytes).
-fn snap_packed(p: &PackedJson, w: &mut SnapWriter) {
-    w.put_bytes(p.as_bytes());
-}
-
-/// Reads a packed header back, fail-closed: the bytes must parse as JSON.
-/// Parsing then re-packing reproduces canonical bytes exactly, so a valid
-/// snapshot restores bit-identically.
-fn restore_packed(r: &mut SnapReader<'_>) -> SnapResult<PackedJson> {
-    let bytes = r.get_bytes()?;
-    let text =
-        std::str::from_utf8(&bytes).map_err(|_| SnapError::Invalid("header not UTF-8".into()))?;
-    let json = Json::parse(text).map_err(|_| SnapError::Invalid("header not valid JSON".into()))?;
-    Ok(PackedJson::pack(&json))
-}
 
 /// Lifecycle of a stream, as seen by the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -299,9 +283,37 @@ impl ClientStream {
         (sid, state < 3)
     }
 
+    /// Walks one frozen stream the way [`ClientStream::thaw`] would, but
+    /// bounds-checked and without building anything: the check for frozen
+    /// bytes that *did* leave the process (a snapshot being loaded).
+    /// Advances `*pos` past the stream and returns its id; fails on a read
+    /// past the end, a state code `thaw` would panic on, or a header that
+    /// is not canonical JSON.
+    pub fn check_frozen(buf: &[u8], pos: &mut usize) -> Result<StreamId, &'static str> {
+        let mut take = |n: usize| {
+            let bytes = buf.get(*pos..).and_then(|rest| rest.get(..n));
+            *pos += n;
+            bytes.ok_or("frozen stream truncated")
+        };
+        let sid = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        if take(1)?[0] > 7 {
+            return Err("bad frozen stream state code");
+        }
+        take(40)?; // next_seq, delivered, gaps, resubscribes, resyncs
+        let header_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
+        let header = std::str::from_utf8(take(header_len as usize)?).ok();
+        if !header.is_some_and(|text| Json::parse(text).is_ok_and(|j| j.to_string() == text)) {
+            return Err("frozen stream header is not canonical JSON");
+        }
+        let body_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
+        take(body_len as usize)?;
+        Ok(StreamId(sid))
+    }
+
     /// Reads one frozen stream out of `buf` starting at `*pos`, advancing
     /// `*pos` past it. Panics on a malformed buffer: frozen bytes never
-    /// leave the process, so corruption is a logic bug, not input error.
+    /// leave the process unchecked (see [`ClientStream::check_frozen`]), so
+    /// corruption here is a logic bug, not input error.
     pub fn thaw(buf: &[u8], pos: &mut usize) -> ClientStream {
         let mut stream = ClientStream {
             sid: StreamId(0),
@@ -488,69 +500,31 @@ impl ServerStream {
             })
             .collect()
     }
-
-    /// Writes this stream's complete state into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.sid.0);
-        snap_packed(&self.header, w);
-        w.put_u64(self.next_seq);
-        match self.acked_seq {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                w.put_u64(s);
-            }
-        }
-        w.put_usize(self.unacked.len());
-        for (seq, payload) in &self.unacked {
-            w.put_u64(*seq);
-            w.put_bytes(payload);
-        }
-        w.put_bool(self.retain);
-    }
-
-    /// Reads a stream back, rejecting snapshots that violate the retention
-    /// invariants (unacked seqs strictly ascending and below `next_seq`).
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let sid = StreamId(r.get_u64()?);
-        let header = restore_packed(r)?;
-        let next_seq = r.get_u64()?;
-        let acked_seq = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u64()?),
-            _ => return Err(SnapError::Invalid("bad acked_seq tag".into())),
-        };
-        let n = r.get_len()?;
-        let mut unacked: Vec<(u64, Payload)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            if seq >= next_seq {
-                return Err(SnapError::Invalid("unacked seq beyond next_seq".into()));
-            }
-            if unacked.last().is_some_and(|(last, _)| *last >= seq) {
-                return Err(SnapError::Invalid(
-                    "unacked seqs not strictly ascending".into(),
-                ));
-            }
-            let payload: Payload = r.get_bytes()?.into();
-            unacked.push((seq, payload));
-        }
-        let retain = r.get_bool()?;
-        if !retain && !unacked.is_empty() {
-            return Err(SnapError::Invalid(
-                "unacked entries on !retain stream".into(),
-            ));
-        }
-        Ok(ServerStream {
-            sid,
-            header,
-            next_seq,
-            acked_seq,
-            unacked,
-            retain,
-        })
-    }
 }
+
+// Rejects snapshots that violate the retention invariants: unacked seqs
+// strictly ascending and below `next_seq`, none on a `!retain` stream.
+snap_struct!(
+    ServerStream {
+        sid,
+        header,
+        next_seq,
+        acked_seq,
+        unacked,
+        retain
+    },
+    |s| {
+        if s.unacked.windows(2).any(|p| p[0].0 >= p[1].0)
+            || s.unacked.last().is_some_and(|(seq, _)| *seq >= s.next_seq)
+        {
+            return Err("unacked seqs must ascend strictly below next_seq".into());
+        }
+        if !s.retain && !s.unacked.is_empty() {
+            return Err("unacked entries on !retain stream".into());
+        }
+        Ok(())
+    }
+);
 
 /// One proxy's stored state for a stream passing through it.
 #[derive(Clone, Debug)]
@@ -567,6 +541,13 @@ pub struct ProxyEntry {
     pub last_activity_us: u64,
 }
 
+snap_struct!(ProxyEntry {
+    header,
+    body,
+    upstream,
+    last_activity_us
+});
+
 /// Proxy-side table of stream state, keyed by `(connection, sid)` scoped to
 /// one proxy.
 ///
@@ -576,6 +557,8 @@ pub struct ProxyEntry {
 pub struct ProxyStreamTable {
     entries: FxHashMap<(u64, StreamId), ProxyEntry>,
 }
+
+snap_struct!(ProxyStreamTable { entries });
 
 impl ProxyStreamTable {
     /// Creates an empty table.
@@ -692,63 +675,6 @@ impl ProxyStreamTable {
         v
     }
 
-    /// Writes the table into a snapshot, entries in ascending `(conn, sid)`
-    /// order so the encoding is independent of hash-map iteration order.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        let mut keys: Vec<(u64, StreamId)> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_usize(keys.len());
-        for key in keys {
-            let entry = &self.entries[&key];
-            w.put_u64(key.0);
-            w.put_u64(key.1 .0);
-            snap_packed(&entry.header, w);
-            w.put_bytes(&entry.body);
-            match entry.upstream {
-                None => w.put_u8(0),
-                Some(u) => {
-                    w.put_u8(1);
-                    w.put_u64(u);
-                }
-            }
-            w.put_u64(entry.last_activity_us);
-        }
-    }
-
-    /// Reads a table back, rejecting duplicate or out-of-order keys.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let n = r.get_len()?;
-        let mut entries = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last: Option<(u64, StreamId)> = None;
-        for _ in 0..n {
-            let key = (r.get_u64()?, StreamId(r.get_u64()?));
-            if last.is_some_and(|l| l >= key) {
-                return Err(SnapError::Invalid(
-                    "proxy table keys not strictly ascending".into(),
-                ));
-            }
-            last = Some(key);
-            let header = restore_packed(r)?;
-            let body: Box<[u8]> = r.get_bytes()?.into();
-            let upstream = match r.get_u8()? {
-                0 => None,
-                1 => Some(r.get_u64()?),
-                _ => return Err(SnapError::Invalid("bad upstream tag".into())),
-            };
-            let last_activity_us = r.get_u64()?;
-            entries.insert(
-                key,
-                ProxyEntry {
-                    header,
-                    body,
-                    upstream,
-                    last_activity_us,
-                },
-            );
-        }
-        Ok(ProxyStreamTable { entries })
-    }
-
     /// Re-routes a stream to a new upstream and returns the resubscribe
     /// frame built from the stored (last-rewritten) header.
     pub fn rebuild_subscribe(
@@ -777,6 +703,7 @@ impl ProxyStreamTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::snap::{Snap, SnapReader, SnapWriter};
 
     fn header() -> Json {
         Json::obj([("topic", Json::from("/LVC/1"))])

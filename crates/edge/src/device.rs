@@ -261,6 +261,33 @@ impl Device {
         debug_assert_eq!(pos, blob.len(), "hibernation blob fully consumed");
     }
 
+    /// Validates a hibernation blob that comes from outside the process (a
+    /// snapshot being loaded), so that [`Device::rehydrate`] and the
+    /// `frozen_*` readers — which index without checking — can trust it:
+    /// every stream [`ClientStream::check_frozen`]-clean, ids ascending and
+    /// below `next_sid`, and the blob consumed exactly (a stream count
+    /// beyond the blob runs off its end). Never called on the wake path.
+    pub fn check_frozen(blob: &[u8]) -> Result<(), &'static str> {
+        if blob.len() < 28 {
+            return Err("hibernation blob shorter than its header");
+        }
+        let mut pos = 0;
+        let next_sid = read_u64(blob, &mut pos);
+        pos = 24; // past delivered, renders
+        let mut prev = None;
+        for _ in 0..read_u32(blob, &mut pos) {
+            let sid = ClientStream::check_frozen(blob, &mut pos)?;
+            if prev.is_some_and(|p| p >= sid) || sid.0 >= next_sid {
+                return Err("frozen stream ids not ascending below next_sid");
+            }
+            prev = Some(sid);
+        }
+        if pos != blob.len() {
+            return Err("trailing bytes after the last frozen stream");
+        }
+        Ok(())
+    }
+
     /// Open (non-terminated) stream ids of a hibernated device, read
     /// straight from the blob — no rehydration, no header unpacking.
     pub fn frozen_open_sids(blob: &[u8]) -> Vec<StreamId> {

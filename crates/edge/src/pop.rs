@@ -12,7 +12,7 @@ use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 
 /// Microseconds between device heartbeats.
 const HEARTBEAT_INTERVAL_US: u64 = 5_000_000;
@@ -335,81 +335,30 @@ impl Pop {
             self.resubscribe_via(device, sid, new_proxy, out);
         }
     }
-
-    /// Writes the POP's complete state into a snapshot. Hash-map fields
-    /// are written in sorted key order; the proxy pool vec is written
-    /// verbatim because its order feeds the modulo assignment in
-    /// [`proxy_for`](Self::proxy_for).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.id);
-        w.put_usize(self.proxies.len());
-        for &p in &self.proxies {
-            w.put_u32(p);
-        }
-        let mut devices: Vec<u64> = self.device_proxy.keys().copied().collect();
-        devices.sort_unstable();
-        w.put_usize(devices.len());
-        for d in devices {
-            w.put_u64(d);
-            w.put_u32(self.device_proxy[&d]);
-        }
-        let mut monitored: Vec<u64> = self.heartbeats.keys().copied().collect();
-        monitored.sort_unstable();
-        w.put_usize(monitored.len());
-        for d in monitored {
-            w.put_u64(d);
-            self.heartbeats[&d].snap(w);
-        }
-        self.table.snap(w);
-        w.put_u64(self.counters.device_drops);
-        w.put_u64(self.counters.repaired_streams);
-    }
-
-    /// Reads a POP back, rejecting duplicate keys.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let id = r.get_u32()?;
-        let n = r.get_len()?;
-        let mut proxies = Vec::with_capacity(n);
-        for _ in 0..n {
-            proxies.push(r.get_u32()?);
-        }
-        let n = r.get_len()?;
-        let mut device_proxy = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last = None;
-        for _ in 0..n {
-            let d = r.get_u64()?;
-            if last.is_some_and(|l| l >= d) {
-                return Err(SnapError::Invalid("device_proxy keys not ascending".into()));
-            }
-            last = Some(d);
-            device_proxy.insert(d, r.get_u32()?);
-        }
-        let n = r.get_len()?;
-        let mut heartbeats = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last = None;
-        for _ in 0..n {
-            let d = r.get_u64()?;
-            if last.is_some_and(|l| l >= d) {
-                return Err(SnapError::Invalid("heartbeat keys not ascending".into()));
-            }
-            last = Some(d);
-            heartbeats.insert(d, HeartbeatMonitor::restore(r)?);
-        }
-        let table = ProxyStreamTable::restore(r)?;
-        let counters = PopCounters {
-            device_drops: r.get_u64()?,
-            repaired_streams: r.get_u64()?,
-        };
-        Ok(Pop {
-            id,
-            proxies,
-            device_proxy,
-            heartbeats,
-            table,
-            counters,
-        })
-    }
 }
+
+snap_struct!(PopCounters {
+    device_drops,
+    repaired_streams
+});
+// The proxy pool vec is verbatim because its order feeds the modulo
+// assignment in `proxy_for`, which also needs it non-empty.
+snap_struct!(
+    Pop {
+        id,
+        proxies,
+        device_proxy,
+        heartbeats,
+        table,
+        counters
+    },
+    |p| {
+        if p.proxies.is_empty() {
+            return Err("POP needs at least one proxy".into());
+        }
+        Ok(())
+    }
+);
 
 #[cfg(test)]
 mod tests {

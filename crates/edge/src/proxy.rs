@@ -17,7 +17,7 @@ use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::json::Json;
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::{snap_enum, snap_struct};
 
 /// Default microseconds between proxy→BRASS heartbeat pings.
 pub const HOST_HEARTBEAT_INTERVAL_US: u64 = 5_000_000;
@@ -531,98 +531,26 @@ impl ReverseProxy {
     fn host_set(&self) -> Vec<u32> {
         self.hosts.clone()
     }
-
-    /// Writes the proxy's complete state into a snapshot. The host pool
-    /// vec is written verbatim (its order feeds `ByTopic` modulo routing);
-    /// hash-map fields are written in sorted key order.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.id);
-        w.put_u8(match self.strategy {
-            RouteStrategy::ByTopic => 0,
-            RouteStrategy::ByLoad => 1,
-        });
-        w.put_usize(self.hosts.len());
-        for &h in &self.hosts {
-            w.put_u32(h);
-        }
-        let mut loads: Vec<u32> = self.host_loads.keys().copied().collect();
-        loads.sort_unstable();
-        w.put_usize(loads.len());
-        for h in loads {
-            w.put_u32(h);
-            w.put_u64(self.host_loads[&h]);
-        }
-        self.table.snap(w);
-        w.put_u64(self.counters.induced_reconnects);
-        w.put_u64(self.counters.sticky_routes);
-        w.put_u64(self.counters.gc_collected);
-        let mut monitored: Vec<u32> = self.heartbeats.keys().copied().collect();
-        monitored.sort_unstable();
-        w.put_usize(monitored.len());
-        for h in monitored {
-            w.put_u32(h);
-            self.heartbeats[&h].snap(w);
-        }
-        w.put_u64(self.hb_interval_us);
-        w.put_u32(self.hb_misses);
-    }
-
-    /// Reads a proxy back, rejecting duplicate keys and bad tags.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let id = r.get_u32()?;
-        let strategy = match r.get_u8()? {
-            0 => RouteStrategy::ByTopic,
-            1 => RouteStrategy::ByLoad,
-            _ => return Err(SnapError::Invalid("bad route-strategy tag".into())),
-        };
-        let n = r.get_len()?;
-        let mut hosts = Vec::with_capacity(n);
-        for _ in 0..n {
-            hosts.push(r.get_u32()?);
-        }
-        let n = r.get_len()?;
-        let mut host_loads = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last = None;
-        for _ in 0..n {
-            let h = r.get_u32()?;
-            if last.is_some_and(|l| l >= h) {
-                return Err(SnapError::Invalid("host_loads keys not ascending".into()));
-            }
-            last = Some(h);
-            host_loads.insert(h, r.get_u64()?);
-        }
-        let table = ProxyStreamTable::restore(r)?;
-        let counters = ProxyCounters {
-            induced_reconnects: r.get_u64()?,
-            sticky_routes: r.get_u64()?,
-            gc_collected: r.get_u64()?,
-        };
-        let n = r.get_len()?;
-        let mut heartbeats = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last = None;
-        for _ in 0..n {
-            let h = r.get_u32()?;
-            if last.is_some_and(|l| l >= h) {
-                return Err(SnapError::Invalid("heartbeat keys not ascending".into()));
-            }
-            last = Some(h);
-            heartbeats.insert(h, HeartbeatMonitor::restore(r)?);
-        }
-        let hb_interval_us = r.get_u64()?;
-        let hb_misses = r.get_u32()?;
-        Ok(ReverseProxy {
-            id,
-            strategy,
-            hosts,
-            host_loads,
-            table,
-            counters,
-            heartbeats,
-            hb_interval_us,
-            hb_misses,
-        })
-    }
 }
+
+snap_enum!(RouteStrategy { 0 => ByTopic, 1 => ByLoad });
+snap_struct!(ProxyCounters {
+    induced_reconnects,
+    sticky_routes,
+    gc_collected
+});
+// The host pool vec is verbatim: its order feeds `ByTopic` modulo routing.
+snap_struct!(ReverseProxy {
+    id,
+    strategy,
+    hosts,
+    host_loads,
+    table,
+    counters,
+    heartbeats,
+    hb_interval_us,
+    hb_misses
+});
 
 #[cfg(test)]
 mod tests {

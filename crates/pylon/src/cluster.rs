@@ -18,7 +18,8 @@
 use std::fmt;
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 
 use crate::hash;
 use crate::kv::{merge_entries, KvNode, SubEntry};
@@ -359,52 +360,39 @@ impl PylonCluster {
     pub fn topic_footprint(&self) -> usize {
         self.nodes.iter().map(|n| n.topic_count()).sum()
     }
+}
 
-    /// Writes the cluster's complete state into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.config.topic_shards);
-        w.put_u32(self.config.servers);
-        w.put_u32(self.config.kv_nodes);
-        w.put_usize(self.config.replicas);
-        w.put_usize(self.nodes.len());
-        for n in &self.nodes {
-            n.snap(w);
-        }
-        let mut shards: Vec<u32> = self.shard_overrides.keys().copied().collect();
-        shards.sort_unstable();
-        w.put_usize(shards.len());
-        for s in shards {
-            w.put_u32(s);
-            w.put_u32(self.shard_overrides[&s]);
-        }
-        w.put_usize(self.per_server_requests.len());
-        for &l in &self.per_server_requests {
-            w.put_u64(l);
-        }
-        w.put_u64(self.version_clock);
-        let c = &self.counters;
-        for v in [
-            c.subscribes,
-            c.unsubscribes,
-            c.quorum_failures,
-            c.publishes,
-            c.forwards,
-            c.repairs,
-            c.lost_publishes,
-        ] {
-            w.put_u64(v);
-        }
+snap_struct!(HostId { 0 });
+snap_struct!(PylonConfig {
+    topic_shards,
+    servers,
+    kv_nodes,
+    replicas
+});
+snap_struct!(PylonCounters {
+    subscribes,
+    unsubscribes,
+    quorum_failures,
+    publishes,
+    forwards,
+    repairs,
+    lost_publishes
+});
+
+/// Reading rejects shapes `new` would refuse or that disagree with their
+/// own config.
+impl Snap for PylonCluster {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.config.snap(w);
+        self.nodes.snap(w);
+        self.shard_overrides.snap(w);
+        self.per_server_requests.snap(w);
+        self.version_clock.snap(w);
+        self.counters.snap(w);
     }
 
-    /// Reads a cluster back, rejecting shapes `new` would refuse or that
-    /// disagree with their own config.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let config = PylonConfig {
-            topic_shards: r.get_u32()?,
-            servers: r.get_u32()?,
-            kv_nodes: r.get_u32()?,
-            replicas: r.get_usize()?,
-        };
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let config = PylonConfig::restore(r)?;
         if config.topic_shards == 0
             || config.servers == 0
             || config.kv_nodes == 0
@@ -413,55 +401,28 @@ impl PylonCluster {
         {
             return Err(SnapError::Invalid("bad pylon config".into()));
         }
-        let n = r.get_len()?;
-        if n != config.kv_nodes as usize {
-            return Err(SnapError::Invalid("kv node count != config".into()));
+        let nodes = Vec::<KvNode>::restore(r)?;
+        let shard_overrides = FxHashMap::<u32, u32>::restore(r)?;
+        let per_server_requests = Vec::<u64>::restore(r)?;
+        if nodes.len() != config.kv_nodes as usize
+            || per_server_requests.len() != config.servers as usize
+        {
+            return Err(SnapError::Invalid("node or server count != config".into()));
         }
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(KvNode::restore(r)?);
-        }
-        let n = r.get_len()?;
-        let mut shard_overrides = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last = None;
-        for _ in 0..n {
-            let shard = r.get_u32()?;
-            if last.is_some_and(|l| l >= shard) {
-                return Err(SnapError::Invalid("shard overrides not ascending".into()));
-            }
-            last = Some(shard);
-            let server = r.get_u32()?;
-            if shard >= config.topic_shards || server >= config.servers {
-                return Err(SnapError::Invalid("shard override out of range".into()));
-            }
-            shard_overrides.insert(shard, server);
-        }
-        let n = r.get_len()?;
-        if n != config.servers as usize {
-            return Err(SnapError::Invalid("server load count != config".into()));
-        }
-        let mut per_server_requests = Vec::with_capacity(n);
-        for _ in 0..n {
-            per_server_requests.push(r.get_u64()?);
-        }
-        let version_clock = r.get_u64()?;
-        let counters = PylonCounters {
-            subscribes: r.get_u64()?,
-            unsubscribes: r.get_u64()?,
-            quorum_failures: r.get_u64()?,
-            publishes: r.get_u64()?,
-            forwards: r.get_u64()?,
-            repairs: r.get_u64()?,
-            lost_publishes: r.get_u64()?,
+        let in_range = |(&shard, &server): (&u32, &u32)| {
+            shard < config.topic_shards && server < config.servers
         };
+        if !shard_overrides.iter().all(in_range) {
+            return Err(SnapError::Invalid("shard override out of range".into()));
+        }
         Ok(PylonCluster {
-            node_ids: (0..config.kv_nodes as u64).collect(),
+            node_ids: (0..nodes.len() as u64).collect(),
             nodes,
             shard_overrides,
             per_server_requests,
-            version_clock,
+            version_clock: Snap::restore(r)?,
+            counters: Snap::restore(r)?,
             config,
-            counters,
         })
     }
 }

@@ -8,7 +8,7 @@
 //! it performs patch operations based on a quorum of responses").
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap_struct;
 
 use crate::cluster::HostId;
 use crate::topic::Topic;
@@ -141,67 +141,27 @@ impl KvNode {
     pub fn topic_count(&self) -> usize {
         self.store.len()
     }
-
-    /// Writes the node into a snapshot, topics in lexicographic order.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_bool(self.up);
-        let mut topics: Vec<&Topic> = self.store.keys().collect();
-        topics.sort_unstable();
-        w.put_usize(topics.len());
-        for t in topics {
-            t.snap(w);
-            let subs = &self.store[t];
-            w.put_usize(subs.len());
-            for &(host, entry) in subs {
-                w.put_u32(host.0);
-                w.put_u64(entry.version);
-                w.put_bool(entry.tombstone);
-            }
-        }
-        w.put_u64(self.writes);
-        w.put_u64(self.reads);
-    }
-
-    /// Reads a node back, rejecting duplicate topics and entry lists that
-    /// are not strictly host-sorted — the sorted order is the type's
-    /// comparison form, so accepting a permutation would change replica
-    /// repair behaviour.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let up = r.get_bool()?;
-        let n = r.get_len()?;
-        let mut store: FxHashMap<Topic, SubEntries> = FxHashMap::default();
-        let mut last_topic: Option<Topic> = None;
-        for _ in 0..n {
-            let topic = Topic::restore(r)?;
-            if last_topic.is_some_and(|l| l >= topic) {
-                return Err(SnapError::Invalid("kv topics not ascending".into()));
-            }
-            last_topic = Some(topic);
-            let m = r.get_len()?;
-            let mut subs: SubEntries = Vec::with_capacity(m);
-            for _ in 0..m {
-                let host = HostId(r.get_u32()?);
-                if subs.last().is_some_and(|&(h, _)| h >= host) {
-                    return Err(SnapError::Invalid(
-                        "kv subscriber entries not host-sorted".into(),
-                    ));
-                }
-                let version = r.get_u64()?;
-                let tombstone = r.get_bool()?;
-                subs.push((host, SubEntry { version, tombstone }));
-            }
-            store.insert(topic, subs);
-        }
-        let writes = r.get_u64()?;
-        let reads = r.get_u64()?;
-        Ok(KvNode {
-            up,
-            store,
-            writes,
-            reads,
-        })
-    }
 }
+
+snap_struct!(SubEntry { version, tombstone });
+// Entry lists must be strictly host-sorted: the sorted order is the type's
+// comparison form, so accepting a permutation would change replica repair
+// behaviour.
+snap_struct!(
+    KvNode {
+        up,
+        store,
+        writes,
+        reads
+    },
+    |n| {
+        let sorted = |subs: &SubEntries| subs.windows(2).all(|p| p[0].0 < p[1].0);
+        if !n.store.values().all(sorted) {
+            return Err("kv subscriber entries not host-sorted".into());
+        }
+        Ok(())
+    }
+);
 
 /// Merges entry lists from several replicas, newest version winning per
 /// host; the result is host-sorted like every [`SubEntries`].

@@ -183,24 +183,25 @@ impl Topic {
         intern(&format!("/Msgr/{uid}"))
     }
 
-    /// Writes the topic into a snapshot as its name string. Intern ids are
-    /// process-local and never serialized; restoring re-interns the name,
-    /// and nothing behaviour-visible depends on id values.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_str(self.name);
-    }
-
-    /// Reads a topic back by re-interning its name, rejecting strings the
-    /// validating constructor would refuse.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Topic> {
-        let name = r.get_str()?;
-        Topic::new(&name)
-            .map_err(|e| simkit::snap::SnapError::Invalid(format!("bad topic {name:?}: {e}")))
-    }
-
     /// Website-notifications topic: `/Notif/uid`.
     pub fn notifications(uid: u64) -> Topic {
         intern(&format!("/Notif/{uid}"))
+    }
+}
+
+/// A topic snapshots as its name string. Intern ids are process-local and
+/// never serialized; restoring re-interns the name (rejecting strings the
+/// validating constructor would refuse), and nothing behaviour-visible
+/// depends on id values.
+impl simkit::snap::Snap for Topic {
+    fn snap(&self, w: &mut simkit::snap::SnapWriter) {
+        w.put_str(self.name);
+    }
+
+    fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Topic> {
+        let name = r.get_str()?;
+        Topic::new(&name)
+            .map_err(|e| simkit::snap::SnapError::Invalid(format!("bad topic {name:?}: {e}")))
     }
 }
 

@@ -15,6 +15,8 @@
 //!   insertion history, so fleet scans can never become a hidden source
 //!   of run-to-run divergence.
 
+use crate::snap::{restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};
+
 /// A map from `K` to `V` backed by a single sorted vector.
 ///
 /// # Examples
@@ -127,38 +129,18 @@ impl<K: Ord, V> SortedVecMap<K, V> {
     }
 }
 
-impl<K, V> SortedVecMap<K, V>
-where
-    K: Ord + crate::snap::Snap,
-    V: crate::snap::Snap,
-{
-    /// Writes the map into a snapshot, entries in ascending key order
-    /// (which is also storage order — one of the type's invariants).
-    pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.put_usize(self.entries.len());
-        for (k, v) in &self.entries {
-            k.snap(w);
-            v.snap(w);
-        }
+/// Entries in ascending key order, which is also storage order. Reading
+/// is strict: accepting unsorted keys would silently change iteration
+/// order (and thus simulation behaviour) relative to the writer.
+impl<K: Ord + Snap, V: Snap> Snap for SortedVecMap<K, V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.entries.snap(w);
     }
 
-    /// Reads a map back, rejecting any snapshot whose keys are not
-    /// strictly ascending: accepting one would silently change iteration
-    /// order (and thus simulation behaviour) relative to the writer.
-    pub fn restore(r: &mut crate::snap::SnapReader<'_>) -> crate::snap::SnapResult<Self> {
-        let n = r.get_len()?;
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let k = K::restore(r)?;
-            let v = V::restore(r)?;
-            if entries.last().is_some_and(|(last, _)| *last >= k) {
-                return Err(crate::snap::SnapError::Invalid(
-                    "SortedVecMap keys not strictly ascending".into(),
-                ));
-            }
-            entries.push((k, v));
-        }
-        Ok(SortedVecMap { entries })
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(SortedVecMap {
+            entries: restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?,
+        })
     }
 }
 

@@ -6,7 +6,8 @@
 
 use std::fmt;
 
-use crate::snap::{Fp64, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{restore_sorted, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap_struct;
 use crate::time::{SimDuration, SimTime};
 
 /// A monotonically increasing event counter.
@@ -34,21 +35,13 @@ impl Counter {
         self.0
     }
 
-    /// Writes the counter into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-
-    /// Reads a counter back from a snapshot.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(Counter(r.get_u64()?))
-    }
-
     /// Folds the counter into a rolling fingerprint.
     pub fn mix_into(&self, fp: &mut Fp64) {
         fp.mix_u64(self.0);
     }
 }
+
+snap_struct!(Counter { 0 });
 
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -234,56 +227,6 @@ impl Histogram {
         bins
     }
 
-    /// Writes the histogram into a snapshot. Only occupied buckets are
-    /// written (`(index, count)` pairs); `sum`/`min`/`max` go as raw IEEE
-    /// bits so the empty-histogram `±INFINITY` sentinels survive.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        let occupied = self.counts.iter().filter(|&&c| c != 0).count();
-        w.put_usize(occupied);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                w.put_u32(i as u32);
-                w.put_u64(c);
-            }
-        }
-        w.put_u64(self.total);
-        w.put_f64(self.sum);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-
-    /// Reads a histogram back, validating bucket indices are in range and
-    /// strictly ascending, and that bucket counts sum to `total`.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let n = r.get_len()?;
-        let mut h = Histogram::new();
-        let mut last: Option<u32> = None;
-        let mut seen = 0u64;
-        for _ in 0..n {
-            let i = r.get_u32()?;
-            let c = r.get_u64()?;
-            if i as usize >= NUM_BUCKETS {
-                return Err(SnapError::Invalid(format!("histogram bucket {i}")));
-            }
-            if last.is_some_and(|l| l >= i) || c == 0 {
-                return Err(SnapError::Invalid("histogram buckets malformed".into()));
-            }
-            last = Some(i);
-            h.counts[i as usize] = c;
-            seen = seen
-                .checked_add(c)
-                .ok_or_else(|| SnapError::Invalid("histogram count overflow".into()))?;
-        }
-        h.total = r.get_u64()?;
-        if h.total != seen {
-            return Err(SnapError::Invalid("histogram total mismatch".into()));
-        }
-        h.sum = r.get_f64()?;
-        h.min = r.get_f64()?;
-        h.max = r.get_f64()?;
-        Ok(h)
-    }
-
     /// Folds the histogram into a rolling fingerprint (bucket occupancy,
     /// total, and the exact accumulator bits).
     pub fn mix_into(&self, fp: &mut Fp64) {
@@ -366,32 +309,6 @@ impl TimeSeries {
         if value > self.buckets[idx] {
             self.buckets[idx] = value;
         }
-    }
-
-    /// Writes the series into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.interval.as_micros());
-        w.put_usize(self.buckets.len());
-        for &b in &self.buckets {
-            w.put_f64(b);
-        }
-    }
-
-    /// Reads a series back from a snapshot.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let interval = SimDuration::from_micros(r.get_u64()?);
-        if interval.is_zero() {
-            return Err(SnapError::Invalid("zero time-series interval".into()));
-        }
-        let n = r.get_len()?;
-        if n == 0 {
-            return Err(SnapError::Invalid("empty time series".into()));
-        }
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            buckets.push(r.get_f64()?);
-        }
-        Ok(TimeSeries { interval, buckets })
     }
 
     /// Folds the series into a rolling fingerprint.
@@ -505,33 +422,6 @@ impl QueueGauge {
         &self.depth
     }
 
-    /// Writes the gauge into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.current);
-        w.put_u64(self.peak);
-        w.put_u64(self.enqueued);
-        w.put_u64(self.dequeued);
-        w.put_u64(self.dropped);
-        self.depth.snap(w);
-    }
-
-    /// Reads a gauge back from a snapshot.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let current = r.get_u64()?;
-        let peak = r.get_u64()?;
-        if current > peak {
-            return Err(SnapError::Invalid("gauge current exceeds peak".into()));
-        }
-        Ok(QueueGauge {
-            current,
-            peak,
-            enqueued: r.get_u64()?,
-            dequeued: r.get_u64()?,
-            dropped: r.get_u64()?,
-            depth: TimeSeries::restore(r)?,
-        })
-    }
-
     /// Folds the gauge into a rolling fingerprint.
     pub fn mix_into(&self, fp: &mut Fp64) {
         fp.mix_u64(self.current);
@@ -542,6 +432,73 @@ impl QueueGauge {
         self.depth.mix_into(fp);
     }
 }
+
+/// Only occupied buckets are written (`(index, count)` pairs, ascending);
+/// `sum`/`min`/`max` go as raw IEEE bits so the empty-histogram `±INFINITY`
+/// sentinels survive. Reading validates that indices are in range, counts
+/// non-zero, and that they sum to `total`.
+impl Snap for Histogram {
+    fn snap(&self, w: &mut SnapWriter) {
+        let occupied = self.counts.iter().filter(|&&c| c != 0).count();
+        w.put_usize(occupied);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c != 0 {
+                w.put_u32(i as u32);
+                w.put_u64(c);
+            }
+        }
+        w.put_u64(self.total);
+        w.put_f64(self.sum);
+        w.put_f64(self.min);
+        w.put_f64(self.max);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let mut h = Histogram::new();
+        let mut seen = 0u64;
+        for (i, c) in restore_sorted(r, |a: &(u32, u64), b| a.0 < b.0)? {
+            if i as usize >= NUM_BUCKETS || c == 0 {
+                return Err(SnapError::Invalid(format!("histogram bucket {i} = {c}")));
+            }
+            h.counts[i as usize] = c;
+            seen = seen
+                .checked_add(c)
+                .ok_or_else(|| SnapError::Invalid("histogram count overflow".into()))?;
+        }
+        h.total = r.get_u64()?;
+        if h.total != seen {
+            return Err(SnapError::Invalid("histogram total mismatch".into()));
+        }
+        h.sum = r.get_f64()?;
+        h.min = r.get_f64()?;
+        h.max = r.get_f64()?;
+        Ok(h)
+    }
+}
+
+snap_struct!(TimeSeries { interval, buckets }, |s| {
+    if s.interval.is_zero() || s.buckets.is_empty() {
+        return Err("zero-interval or empty time series".into());
+    }
+    Ok(())
+});
+
+snap_struct!(
+    QueueGauge {
+        current,
+        peak,
+        enqueued,
+        dequeued,
+        dropped,
+        depth
+    },
+    |g| {
+        if g.current > g.peak {
+            return Err("gauge current exceeds peak".into());
+        }
+        Ok(())
+    }
+);
 
 /// Summary statistics extracted from a [`Histogram`], printable as a table
 /// row.

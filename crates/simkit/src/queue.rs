@@ -47,7 +47,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::fxhash::FxHashSet;
-use crate::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::SimTime;
 
 /// Slots per wheel level (64, so occupancy fits one `u64` bitmap).
@@ -482,16 +482,34 @@ impl<E: Snap> EventQueue<E> {
         let heaps = self.backfill.iter().chain(self.overflow.iter());
         heaps.chain(self.slots.iter().flatten())
     }
+}
 
+impl<E: Snap> Snap for Entry<E> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.at.snap(w);
+        self.seq.snap(w);
+        self.event.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(Entry {
+            at: Snap::restore(r)?,
+            seq: Snap::restore(r)?,
+            event: Snap::restore(r)?,
+        })
+    }
+}
+
+impl<E: Snap> Snap for EventQueue<E> {
     /// Writes the queue's complete structure: clock, cursor, the sorted
     /// seqs of the live events, both heaps (as `(time, seq)`-sorted
     /// vectors), and every wheel slot verbatim — including cancelled
     /// entries (tombstones), because their storage position feeds
     /// `peek_time`'s conservative bound.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.now.as_micros());
-        w.put_u64(self.cursor);
-        w.put_u64(self.next_seq);
+    fn snap(&self, w: &mut SnapWriter) {
+        self.now.snap(w);
+        self.cursor.snap(w);
+        self.next_seq.snap(w);
         let mut pending: Vec<u64> = self
             .stored()
             .map(|e| e.seq)
@@ -504,18 +522,11 @@ impl<E: Snap> EventQueue<E> {
             entries.sort_by_key(|e| (e.at, e.seq));
             w.put_usize(entries.len());
             for e in entries {
-                e.at.snap(w);
-                w.put_u64(e.seq);
-                e.event.snap(w);
+                e.snap(w);
             }
         }
         for slot in &self.slots {
-            w.put_usize(slot.len());
-            for e in slot {
-                e.at.snap(w);
-                w.put_u64(e.seq);
-                e.event.snap(w);
-            }
+            slot.snap(w);
         }
     }
 
@@ -530,43 +541,29 @@ impl<E: Snap> EventQueue<E> {
     /// which classifies every fired and every stored id of the snapshotted
     /// queue as the original would (ids are not serializable, so nothing
     /// but a test holds one across a restore).
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let now = SimTime::restore(r)?;
         let cursor = r.get_u64()?;
         let next_seq = r.get_u64()?;
-        let pending_vec = Vec::<u64>::restore(r)?;
-        let mut pending = FxHashSet::default();
-        for s in &pending_vec {
-            if !pending.insert(*s) {
-                return Err(SnapError::Invalid("duplicate pending seq".into()));
-            }
-        }
+        let pending = FxHashSet::<u64>::restore(r)?;
 
         let mut seen = FxHashSet::default();
-        let read_entry = |r: &mut SnapReader<'_>, seen: &mut FxHashSet<u64>| {
-            let at = SimTime::restore(r)?;
-            let seq = r.get_u64()?;
-            let event = E::restore(r)?;
+        let mut check_seq = |seq: u64| {
             if seq >= next_seq {
                 return Err(SnapError::Invalid(format!("seq {seq} >= next_seq")));
             }
             if !seen.insert(seq) {
                 return Err(SnapError::Invalid(format!("duplicate stored seq {seq}")));
             }
-            Ok(Entry { at, seq, event })
+            Ok(())
         };
 
         let mut backfill = BinaryHeap::new();
         let mut overflow = BinaryHeap::new();
         for (which, heap) in [&mut backfill, &mut overflow].into_iter().enumerate() {
-            let n = r.get_len()?;
-            let mut last: Option<(SimTime, u64)> = None;
-            for _ in 0..n {
-                let e = read_entry(r, &mut seen)?;
-                if last.is_some_and(|l| l >= (e.at, e.seq)) {
-                    return Err(SnapError::Invalid("heap entries not ascending".into()));
-                }
-                last = Some((e.at, e.seq));
+            let by_time_seq = |a: &Entry<E>, b: &Entry<E>| (a.at, a.seq) < (b.at, b.seq);
+            for e in restore_sorted(r, by_time_seq)? {
+                check_seq(e.seq)?;
                 let at_us = e.at.as_micros();
                 let ok = if which == 0 {
                     at_us < cursor
@@ -582,33 +579,30 @@ impl<E: Snap> EventQueue<E> {
             }
         }
 
-        let mut slots: Vec<VecDeque<Entry<E>>> =
-            (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect();
+        let mut slots: Vec<VecDeque<Entry<E>>> = Vec::with_capacity(LEVELS * SLOTS);
         let mut occupancy = [0u64; LEVELS];
-        for (i, slot_q) in slots.iter_mut().enumerate() {
-            let n = r.get_len()?;
+        for i in 0..LEVELS * SLOTS {
+            let slot_q = VecDeque::<Entry<E>>::restore(r)?;
             let (level, slot) = (i / SLOTS, i % SLOTS);
-            for _ in 0..n {
-                let e = read_entry(r, &mut seen)?;
+            for e in &slot_q {
+                check_seq(e.seq)?;
                 if Self::placement(cursor, e.at.as_micros()) != Some((level, slot)) {
                     return Err(SnapError::Invalid(format!(
                         "wheel entry at {}µs misplaced in level {level} slot {slot}",
                         e.at.as_micros()
                     )));
                 }
-                slot_q.push_back(e);
             }
             if !slot_q.is_empty() {
                 occupancy[level] |= 1u64 << slot;
             }
+            slots.push(slot_q);
         }
 
-        for s in &pending_vec {
-            if !seen.contains(s) {
-                return Err(SnapError::Invalid(format!(
-                    "pending seq {s} has no stored entry"
-                )));
-            }
+        if let Some(s) = pending.difference(&seen).next() {
+            return Err(SnapError::Invalid(format!(
+                "pending seq {s} has no stored entry"
+            )));
         }
 
         let mut queue = EventQueue {

@@ -156,6 +156,9 @@ impl DetRng {
     }
 }
 
+// The generator's whole state is its four words.
+crate::snap_struct!(DetRng { s });
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,6 +19,37 @@
 //!   ascending, subscriber lists ordered) so a corrupt file can never leave
 //!   a half-built world behind.
 //!
+//! # One codec per type
+//!
+//! Every state-bearing type has exactly one [`Snap`] impl, so containers
+//! compose (`Vec<T>`, `Option<T>`, tuples, `Box<T>`, `Arc<T>`, maps)
+//! instead of being unrolled at each use. Fieldwise types derive theirs
+//! from one field list:
+//!
+//! ```
+//! # use simkit::{snap_enum, snap_struct};
+//! # struct Id(u64);
+//! # struct Point { x: u64, y: u64 }
+//! # enum Shape { Dot, Line { from: Point, to: Point }, Tagged(Id, u8) }
+//! snap_struct!(Id { 0 });                 // tuple structs by index
+//! snap_struct!(Point { x, y }, |p| {      // optional whole-value check
+//!     if p.x <= p.y { Ok(()) } else { Err("x > y".into()) }
+//! });
+//! snap_enum!(Shape {                      // explicit one-byte tags
+//!     0 => Dot,
+//!     1 => Line { from, to },
+//!     7 => Tagged(id, flags),
+//! });
+//! ```
+//!
+//! [`snap_enum!`] rejects an unknown tag; tags need not be contiguous or
+//! ordered. Maps and sets go through the `HashMap`/`HashSet`/`BTreeMap`
+//! impls here (or [`restore_sorted`] for a sorted `Vec`) only, and those
+//! are **strict**: keys are written sorted and must be strictly ascending
+//! on read, so an accepted file re-snapshots to the same bytes. An impl is
+//! hand-written only where restoring needs context from outside the bytes
+//! or derives a field the bytes do not carry.
+//!
 //! The module also provides [`Fp64`], the rolling fingerprint used to hash
 //! metrics and hop ledgers tick-by-tick; the bisect harness compares these
 //! fingerprints to binary-search two runs down to their first diverging
@@ -545,6 +576,46 @@ impl Snap for Box<[u8]> {
     }
 }
 
+impl Snap for std::sync::Arc<[u8]> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_bytes(self);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(r.get_bytes()?.into())
+    }
+}
+
+impl Snap for Fp64 {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(self.0);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(Fp64(r.get_u64()?))
+    }
+}
+
+/// `Box` is memory shape, not state: the pointee is written in place.
+impl<T: Snap> Snap for Box<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(Box::new(T::restore(r)?))
+    }
+}
+
+/// `Arc` is memory shape, not state: the pointee is written in place, and
+/// a value shared by N holders restores as N independent allocations,
+/// which no behaviour can observe.
+impl<T: Snap> Snap for std::sync::Arc<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(std::sync::Arc::new(T::restore(r)?))
+    }
+}
+
 impl Snap for SimTime {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.as_micros());
@@ -652,6 +723,21 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
     }
 }
 
+/// Reads a length-prefixed run of entries and requires each to sort
+/// strictly before the next (`lt(a, b)`): the one order every writer
+/// produces, so a file that loads re-snapshots to the same bytes. Subsumes
+/// the duplicate check.
+pub fn restore_sorted<E: Snap>(
+    r: &mut SnapReader<'_>,
+    lt: impl Fn(&E, &E) -> bool,
+) -> SnapResult<Vec<E>> {
+    let entries = Vec::<E>::restore(r)?;
+    if entries.windows(2).any(|p| !lt(&p[0], &p[1])) {
+        return Err(SnapError::Invalid("entries not strictly ascending".into()));
+    }
+    Ok(entries)
+}
+
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
@@ -661,83 +747,116 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let n = r.get_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::restore(r)?;
-            let v = V::restore(r)?;
-            if out.insert(k, v).is_some() {
-                return Err(SnapError::Invalid("duplicate BTreeMap key".into()));
+        Ok(restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?
+            .into_iter()
+            .collect())
+    }
+}
+
+/// Entries are written in sorted key order, so the same logical map
+/// always snapshots to the same bytes regardless of hasher history.
+impl<K, V, S> Snap for HashMap<K, V, S>
+where
+    K: Snap + Ord + std::hash::Hash,
+    V: Snap,
+    S: BuildHasher + Default,
+{
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?
+            .into_iter()
+            .collect())
+    }
+}
+
+/// Elements are written in sorted order.
+impl<T, S> Snap for HashSet<T, S>
+where
+    T: Snap + Ord + std::hash::Hash,
+    S: BuildHasher + Default,
+{
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut elems: Vec<&T> = self.iter().collect();
+        elems.sort();
+        w.put_usize(elems.len());
+        for e in elems {
+            e.snap(w);
+        }
+    }
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(restore_sorted(r, |a: &T, b| a < b)?.into_iter().collect())
+    }
+}
+
+/// Derives [`Snap`] for a struct from its field list, in encoding order:
+/// `snap_struct!(T { a, b })`, or `snap_struct!(T { 0 })` for a tuple
+/// struct. Every field's type must itself be `Snap`. An optional trailing
+/// `fn(&T) -> Result<(), String>` validates the decoded value as a whole
+/// (one field against another, a range); its `Err` fails the restore.
+#[macro_export]
+macro_rules! snap_struct {
+    ($T:ty { $($f:tt),* $(,)? }) => {
+        $crate::snap_struct!($T { $($f),* }, |_| Ok(()));
+    };
+    ($T:ty { $($f:tt),* $(,)? }, $check:expr) => {
+        impl $crate::snap::Snap for $T {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                $( $crate::snap::Snap::snap(&self.$f, w); )*
+            }
+            fn restore(r: &mut $crate::snap::SnapReader<'_>) -> $crate::snap::SnapResult<Self> {
+                let v = Self { $( $f: $crate::snap::Snap::restore(r)?, )* };
+                let check: fn(&Self) -> Result<(), String> = $check;
+                check(&v).map_err($crate::snap::SnapError::Invalid)?;
+                Ok(v)
             }
         }
-        Ok(out)
-    }
+    };
 }
 
-/// Writes a hash map with entries in sorted key order, so the same logical
-/// map always snapshots to the same bytes regardless of hasher history.
-pub fn snap_map<K, V, S>(map: &HashMap<K, V, S>, w: &mut SnapWriter)
-where
-    K: Snap + Ord,
-    V: Snap,
-    S: BuildHasher,
-{
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    w.put_usize(entries.len());
-    for (k, v) in entries {
-        k.snap(w);
-        v.snap(w);
-    }
-}
-
-/// Restores a hash map written by [`snap_map`], rejecting duplicate keys.
-pub fn restore_map<K, V, S>(r: &mut SnapReader<'_>) -> SnapResult<HashMap<K, V, S>>
-where
-    K: Snap + Ord + std::hash::Hash + Eq,
-    V: Snap,
-    S: BuildHasher + Default,
-{
-    let n = r.get_len()?;
-    let mut out = HashMap::with_capacity_and_hasher(n, S::default());
-    for _ in 0..n {
-        let k = K::restore(r)?;
-        let v = V::restore(r)?;
-        if out.insert(k, v).is_some() {
-            return Err(SnapError::Invalid("duplicate map key".into()));
+/// Derives [`Snap`] for an enum: one explicit tag byte per variant, then
+/// the variant's fields in the order listed —
+/// `snap_enum!(T { 0 => A { x, y }, 28 => Unit, 39 => B(z) })`. Tags need
+/// not be contiguous; a tag that names no variant fails the restore.
+#[macro_export]
+macro_rules! snap_enum {
+    ($T:ty { $(
+        $tag:literal => $V:ident $({ $($sf:ident),* $(,)? })? $(( $($tf:ident),* $(,)? ))?
+    ),* $(,)? }) => {
+        impl $crate::snap::Snap for $T {
+            fn snap(&self, w: &mut $crate::snap::SnapWriter) {
+                match self { $(
+                    Self::$V $({ $($sf),* })? $(( $($tf),* ))? => {
+                        w.put_u8($tag);
+                        $($( $crate::snap::Snap::snap($sf, w); )*)?
+                        $($( $crate::snap::Snap::snap($tf, w); )*)?
+                    }
+                )* }
+            }
+            fn restore(r: &mut $crate::snap::SnapReader<'_>) -> $crate::snap::SnapResult<Self> {
+                Ok(match r.get_u8()? {
+                    $( $tag => {
+                        $($( let $sf = $crate::snap::Snap::restore(r)?; )*)?
+                        $($( let $tf = $crate::snap::Snap::restore(r)?; )*)?
+                        Self::$V $({ $($sf),* })? $(( $($tf),* ))?
+                    } )*
+                    t => {
+                        return Err($crate::snap::SnapError::Invalid(format!(
+                            concat!(stringify!($T), " tag {}"),
+                            t
+                        )))
+                    }
+                })
+            }
         }
-    }
-    Ok(out)
-}
-
-/// Writes a hash set with elements in sorted order.
-pub fn snap_set<T, S>(set: &HashSet<T, S>, w: &mut SnapWriter)
-where
-    T: Snap + Ord,
-    S: BuildHasher,
-{
-    let mut elems: Vec<&T> = set.iter().collect();
-    elems.sort();
-    w.put_usize(elems.len());
-    for e in elems {
-        e.snap(w);
-    }
-}
-
-/// Restores a hash set written by [`snap_set`], rejecting duplicates.
-pub fn restore_set<T, S>(r: &mut SnapReader<'_>) -> SnapResult<HashSet<T, S>>
-where
-    T: Snap + Ord + std::hash::Hash + Eq,
-    S: BuildHasher + Default,
-{
-    let n = r.get_len()?;
-    let mut out = HashSet::with_capacity_and_hasher(n, S::default());
-    for _ in 0..n {
-        if !out.insert(T::restore(r)?) {
-            return Err(SnapError::Invalid("duplicate set element".into()));
-        }
-    }
-    Ok(out)
+    };
 }
 
 #[cfg(test)]
@@ -792,8 +911,8 @@ mod tests {
         }
         let mut w1 = SnapWriter::new();
         let mut w2 = SnapWriter::new();
-        snap_map(&m1, &mut w1);
-        snap_map(&m2, &mut w2);
+        m1.snap(&mut w1);
+        m2.snap(&mut w2);
         assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 

@@ -37,6 +37,7 @@ use crate::fxhash::FxHashMap;
 use crate::metrics::{Histogram, Summary};
 use crate::snap::{Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::{SimDuration, SimTime};
+use crate::{snap_enum, snap_struct};
 
 /// Identifier of one traced update. The simulation assigns these at write
 /// commit (one per update event admitted to the pipeline).
@@ -85,20 +86,6 @@ impl Hop {
             Hop::DeviceRender => 6,
             Hop::WasBackfill => 7,
         }
-    }
-
-    fn from_tag(t: u8) -> Option<Hop> {
-        Some(match t {
-            0 => Hop::TaoCommit,
-            1 => Hop::PylonPublish,
-            2 => Hop::PylonDeliver,
-            3 => Hop::BrassProcess,
-            4 => Hop::BrassSend,
-            5 => Hop::BurstDeliver,
-            6 => Hop::DeviceRender,
-            7 => Hop::WasBackfill,
-            _ => return None,
-        })
     }
 
     /// Short stable name, used in tables and dumps.
@@ -183,26 +170,6 @@ impl DropReason {
         }
     }
 
-    fn from_tag(t: u8) -> Option<DropReason> {
-        Some(match t {
-            0 => DropReason::LanguageFilter,
-            1 => DropReason::QualityFilter,
-            2 => DropReason::Stale,
-            3 => DropReason::PrivacyBlock,
-            4 => DropReason::RateLimit,
-            5 => DropReason::BufferOverflow,
-            6 => DropReason::NotFound,
-            7 => DropReason::NoSubscribers,
-            8 => DropReason::DeviceDisconnected,
-            9 => DropReason::LastMileLoss,
-            10 => DropReason::HostDown,
-            11 => DropReason::MailboxOverflow,
-            12 => DropReason::FlowControl,
-            13 => DropReason::NoAudience,
-            _ => return None,
-        })
-    }
-
     /// Short stable name, used in tables and dumps.
     pub fn name(self) -> &'static str {
         match self {
@@ -273,34 +240,48 @@ impl fmt::Display for HopRecord {
     }
 }
 
-impl Snap for TraceId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(TraceId(r.get_u64()?))
-    }
-}
-
-impl Snap for Hop {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.tag());
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let t = r.get_u8()?;
-        Hop::from_tag(t).ok_or_else(|| SnapError::Invalid(format!("hop tag {t}")))
-    }
-}
-
-impl Snap for DropReason {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u8(self.tag());
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let t = r.get_u8()?;
-        DropReason::from_tag(t).ok_or_else(|| SnapError::Invalid(format!("drop-reason tag {t}")))
-    }
-}
+snap_struct!(TraceId { 0 });
+snap_enum!(Hop {
+    0 => TaoCommit,
+    1 => PylonPublish,
+    2 => PylonDeliver,
+    3 => BrassProcess,
+    4 => BrassSend,
+    5 => BurstDeliver,
+    6 => DeviceRender,
+    7 => WasBackfill,
+});
+snap_enum!(DropReason {
+    0 => LanguageFilter,
+    1 => QualityFilter,
+    2 => Stale,
+    3 => PrivacyBlock,
+    4 => RateLimit,
+    5 => BufferOverflow,
+    6 => NotFound,
+    7 => NoSubscribers,
+    8 => DeviceDisconnected,
+    9 => LastMileLoss,
+    10 => HostDown,
+    11 => MailboxOverflow,
+    12 => FlowControl,
+    13 => NoAudience,
+});
+snap_enum!(HopOutcome { 0 => Ok, 1 => Dropped(reason) });
+snap_struct!(HopRecord {
+    trace_id,
+    hop,
+    at,
+    outcome
+});
+snap_enum!(Retention { 0 => Full, 1 => Bounded(cap) });
+snap_struct!(TraceState {
+    first_at,
+    last_at,
+    delivered,
+    backfilled,
+    first_drop
+});
 
 impl HopOutcome {
     /// Compact code for fingerprinting: 0 for [`HopOutcome::Ok`],
@@ -310,42 +291,6 @@ impl HopOutcome {
             HopOutcome::Ok => 0,
             HopOutcome::Dropped(r) => 1 + r.tag() as u64,
         }
-    }
-}
-
-impl Snap for HopOutcome {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            HopOutcome::Ok => w.put_u8(0),
-            HopOutcome::Dropped(r) => {
-                w.put_u8(1);
-                r.snap(w);
-            }
-        }
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        match r.get_u8()? {
-            0 => Ok(HopOutcome::Ok),
-            1 => Ok(HopOutcome::Dropped(DropReason::restore(r)?)),
-            t => Err(SnapError::Invalid(format!("hop-outcome tag {t}"))),
-        }
-    }
-}
-
-impl Snap for HopRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.trace_id.snap(w);
-        self.hop.snap(w);
-        self.at.snap(w);
-        self.outcome.snap(w);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(HopRecord {
-            trace_id: TraceId::restore(r)?,
-            hop: Hop::restore(r)?,
-            at: SimTime::restore(r)?,
-            outcome: HopOutcome::restore(r)?,
-        })
     }
 }
 
@@ -646,117 +591,6 @@ impl TraceLedger {
         self.fp.value()
     }
 
-    /// Writes the ledger's complete state, including accounting maps,
-    /// latency histograms, and the rolling fingerprint.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        match self.retention {
-            Retention::Full => w.put_u8(0),
-            Retention::Bounded(cap) => {
-                w.put_u8(1);
-                w.put_usize(cap);
-            }
-        }
-        self.records.snap(w);
-        // `by_trace` is derived from `records` and rebuilt on restore.
-        let mut recent: Vec<&HopRecord> = self.recent.iter().collect();
-        w.put_usize(recent.len());
-        for rec in recent.drain(..) {
-            rec.snap(w);
-        }
-        let mut states: Vec<(&TraceId, &TraceState)> = self.states.iter().collect();
-        states.sort_by_key(|(t, _)| **t);
-        w.put_usize(states.len());
-        for (t, st) in states {
-            t.snap(w);
-            st.first_at.snap(w);
-            st.last_at.snap(w);
-            w.put_bool(st.delivered);
-            w.put_bool(st.backfilled);
-            st.first_drop.snap(w);
-        }
-        w.put_usize(self.hop_latency.len());
-        for (hop, h) in &self.hop_latency {
-            hop.snap(w);
-            h.snap(w);
-        }
-        self.drops.snap(w);
-        self.delivered.snap(w);
-        self.e2e.snap(w);
-        w.put_u64(self.delivered_count);
-        w.put_u64(self.fp.value());
-    }
-
-    /// Rebuilds a ledger written by [`snap`](Self::snap). The per-trace
-    /// record index is reconstructed from the record list; a bounded ring
-    /// longer than its cap is rejected.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let retention = match r.get_u8()? {
-            0 => Retention::Full,
-            1 => Retention::Bounded(r.get_usize()?),
-            t => return Err(SnapError::Invalid(format!("retention tag {t}"))),
-        };
-        let records = Vec::<HopRecord>::restore(r)?;
-        let mut by_trace: FxHashMap<TraceId, Vec<u32>> = FxHashMap::default();
-        for (i, rec) in records.iter().enumerate() {
-            by_trace.entry(rec.trace_id).or_default().push(i as u32);
-        }
-        let recent = VecDeque::<HopRecord>::restore(r)?;
-        match retention {
-            Retention::Full if !recent.is_empty() => {
-                return Err(SnapError::Invalid("full ledger has a recent ring".into()));
-            }
-            Retention::Bounded(cap) if recent.len() > cap => {
-                return Err(SnapError::Invalid(format!(
-                    "ring of {} exceeds cap {cap}",
-                    recent.len()
-                )));
-            }
-            _ => {}
-        }
-        let n = r.get_len()?;
-        let mut states = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let t = TraceId::restore(r)?;
-            let st = TraceState {
-                first_at: SimTime::restore(r)?,
-                last_at: SimTime::restore(r)?,
-                delivered: r.get_bool()?,
-                backfilled: r.get_bool()?,
-                first_drop: Option::<(Hop, DropReason)>::restore(r)?,
-            };
-            if states.insert(t, st).is_some() {
-                return Err(SnapError::Invalid("duplicate trace state".into()));
-            }
-        }
-        let n = r.get_len()?;
-        let mut hop_latency = BTreeMap::new();
-        for _ in 0..n {
-            let hop = Hop::restore(r)?;
-            let h = Histogram::restore(r)?;
-            if hop_latency.insert(hop, h).is_some() {
-                return Err(SnapError::Invalid("duplicate hop histogram".into()));
-            }
-        }
-        let drops = BTreeMap::<(Hop, DropReason), u64>::restore(r)?;
-        let delivered = Vec::<(TraceId, SimDuration)>::restore(r)?;
-        let e2e = Histogram::restore(r)?;
-        let delivered_count = r.get_u64()?;
-        let fp = Fp64::from_value(r.get_u64()?);
-        Ok(TraceLedger {
-            retention,
-            records,
-            by_trace,
-            recent,
-            states,
-            hop_latency,
-            drops,
-            delivered,
-            e2e,
-            delivered_count,
-            fp,
-        })
-    }
-
     /// Renders one trace's chain as text (for `trace-dump` and debugging).
     pub fn format_chain(&self, trace_id: TraceId) -> String {
         let chain = self.chain(trace_id);
@@ -791,6 +625,60 @@ impl TraceLedger {
             (false, None) => out.push_str("  still in flight\n"),
         }
         out
+    }
+}
+
+/// The ledger's complete state, including accounting maps, latency
+/// histograms, and the rolling fingerprint. The per-trace record index is
+/// derived from the record list and rebuilt on restore; a bounded ring
+/// longer than its cap is rejected.
+impl Snap for TraceLedger {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.retention.snap(w);
+        self.records.snap(w);
+        self.recent.snap(w);
+        self.states.snap(w);
+        self.hop_latency.snap(w);
+        self.drops.snap(w);
+        self.delivered.snap(w);
+        self.e2e.snap(w);
+        self.delivered_count.snap(w);
+        self.fp.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let retention = Retention::restore(r)?;
+        let records = Vec::<HopRecord>::restore(r)?;
+        let mut by_trace: FxHashMap<TraceId, Vec<u32>> = FxHashMap::default();
+        for (i, rec) in records.iter().enumerate() {
+            by_trace.entry(rec.trace_id).or_default().push(i as u32);
+        }
+        let recent = VecDeque::<HopRecord>::restore(r)?;
+        match retention {
+            Retention::Full if !recent.is_empty() => {
+                return Err(SnapError::Invalid("full ledger has a recent ring".into()));
+            }
+            Retention::Bounded(cap) if recent.len() > cap => {
+                return Err(SnapError::Invalid(format!(
+                    "ring of {} exceeds cap {cap}",
+                    recent.len()
+                )));
+            }
+            _ => {}
+        }
+        Ok(TraceLedger {
+            retention,
+            records,
+            by_trace,
+            recent,
+            states: Snap::restore(r)?,
+            hop_latency: Snap::restore(r)?,
+            drops: Snap::restore(r)?,
+            delivered: Snap::restore(r)?,
+            e2e: Snap::restore(r)?,
+            delivered_count: Snap::restore(r)?,
+            fp: Snap::restore(r)?,
+        })
     }
 }
 

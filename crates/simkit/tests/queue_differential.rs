@@ -175,7 +175,7 @@ proptest! {
 // from pop order alone, so every corner of that order gets its own test.
 // ----------------------------------------------------------------------
 
-use simkit::snap::{fnv64, SnapReader, SnapWriter};
+use simkit::snap::{fnv64, Snap, SnapReader, SnapWriter};
 
 const HORIZON_US: u64 = 1 << 36;
 

@@ -26,6 +26,15 @@ pub struct QueryCost {
     pub cpu_us: u64,
 }
 
+simkit::snap_struct!(QueryCost {
+    shards_touched,
+    rows_read,
+    rows_written,
+    cache_hits,
+    cache_misses,
+    cpu_us
+});
+
 /// CPU cost constants (microseconds), loosely calibrated so that a point
 /// read is cheap, rows scanned dominate range queries, and intersect
 /// queries pay a per-candidate merge cost.
@@ -75,6 +84,12 @@ pub struct CostCounters {
     /// Accumulated per-operation costs.
     pub total: QueryCost,
 }
+
+simkit::snap_struct!(CostCounters {
+    ops,
+    empty_ops,
+    total
+});
 
 impl CostCounters {
     /// Records one operation's cost; `rows` is the result-set size.

@@ -235,20 +235,32 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Rebuilds a cache from entries in most-recently-used-first order plus
     /// the hit/miss statistics. The rebuilt cache evicts in exactly the same
-    /// order the original would have.
+    /// order the original would have. Fails on more entries than `capacity`
+    /// or a repeated key: no cache holds either.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or `entries.len() > capacity`.
-    pub fn from_recency(capacity: usize, entries: Vec<(K, V)>, hits: u64, misses: u64) -> Self {
-        assert!(entries.len() <= capacity, "more entries than capacity");
+    /// Panics if `capacity` is zero.
+    pub fn from_recency(
+        capacity: usize,
+        entries: Vec<(K, V)>,
+        hits: u64,
+        misses: u64,
+    ) -> Result<Self, &'static str> {
+        if entries.len() > capacity {
+            return Err("more cache entries than capacity");
+        }
+        let supplied = entries.len();
         let mut cache = LruCache::new(capacity);
         for (k, v) in entries.into_iter().rev() {
             cache.insert(k, v);
         }
+        if cache.len() != supplied {
+            return Err("duplicate cache key");
+        }
         cache.hits = hits;
         cache.misses = misses;
-        cache
+        Ok(cache)
     }
 }
 

@@ -6,7 +6,7 @@
 //! which is the access order of "recent first" range queries.
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 
 use crate::types::{Assoc, Data, Object, ObjectId};
 
@@ -201,83 +201,51 @@ impl Shard {
     pub fn assocs_mut(&mut self) -> impl Iterator<Item = &mut Assoc> {
         self.assocs.values_mut().flatten()
     }
+}
 
-    /// Writes the shard into a snapshot: objects in id order, association
-    /// lists in `(id1, atype)` order with each list verbatim (lists carry
-    /// a maintained time-descending order that must survive as-is).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        let mut ids: Vec<ObjectId> = self.objects.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_usize(ids.len());
-        for id in ids {
-            self.objects[&id].snap(w);
+/// Objects in id order, association lists in `(id1, atype)` order with
+/// each list verbatim (lists carry a maintained time-descending order that
+/// must survive as-is). Reading rejects snapshots that violate the storage
+/// invariants: out-of-order keys, entries whose embedded ids disagree with
+/// their map key, lists not time-descending, or duplicate `id2`s within a
+/// list.
+impl Snap for Shard {
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut objects: Vec<&Object> = self.objects.values().collect();
+        objects.sort_unstable_by_key(|o| o.id);
+        w.put_usize(objects.len());
+        for obj in objects {
+            obj.snap(w);
         }
-        let mut list_keys: Vec<&(ObjectId, String)> = self.assocs.keys().collect();
-        list_keys.sort_unstable();
-        w.put_usize(list_keys.len());
-        for key in list_keys {
-            w.put_u64(key.0 .0);
-            w.put_str(&key.1);
-            let list = &self.assocs[key];
-            w.put_usize(list.len());
-            for a in list {
-                a.snap(w);
-            }
-        }
-        w.put_u64(self.reads);
-        w.put_u64(self.writes);
+        self.assocs.snap(w);
+        self.reads.snap(w);
+        self.writes.snap(w);
     }
 
-    /// Reads a shard back, rejecting snapshots that violate the storage
-    /// invariants: duplicate or out-of-order keys, entries whose embedded
-    /// ids disagree with their map key, lists not time-descending, or
-    /// duplicate `id2`s within a list.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let n = r.get_len()?;
-        let mut objects = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last_id: Option<ObjectId> = None;
-        for _ in 0..n {
-            let obj = Object::restore(r)?;
-            if last_id.is_some_and(|l| l >= obj.id) {
-                return Err(SnapError::Invalid("shard object ids not ascending".into()));
-            }
-            last_id = Some(obj.id);
-            objects.insert(obj.id, obj);
-        }
-        let n = r.get_len()?;
-        let mut assocs: FxHashMap<(ObjectId, String), Vec<Assoc>> =
-            FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut last_key: Option<(ObjectId, String)> = None;
-        for _ in 0..n {
-            let key = (ObjectId(r.get_u64()?), r.get_str()?);
-            if last_key.as_ref().is_some_and(|l| *l >= key) {
-                return Err(SnapError::Invalid("assoc list keys not ascending".into()));
-            }
-            let m = r.get_len()?;
-            let mut list = Vec::with_capacity(m);
-            for _ in 0..m {
-                let a = Assoc::restore(r)?;
-                if a.id1 != key.0 || a.atype != key.1 {
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let objects = restore_sorted(r, |a: &Object, b| a.id < b.id)?
+            .into_iter()
+            .map(|obj| (obj.id, obj))
+            .collect();
+        let assocs = FxHashMap::<(ObjectId, String), Vec<Assoc>>::restore(r)?;
+        for ((id1, atype), list) in &assocs {
+            for (i, a) in list.iter().enumerate() {
+                if a.id1 != *id1 || a.atype != *atype {
                     return Err(SnapError::Invalid("assoc disagrees with list key".into()));
                 }
-                if list.iter().any(|b: &Assoc| b.id2 == a.id2) {
+                if list[..i].iter().any(|b| b.id2 == a.id2) {
                     return Err(SnapError::Invalid("duplicate id2 in assoc list".into()));
                 }
-                if list.last().is_some_and(|b: &Assoc| b.time < a.time) {
+                if i > 0 && list[i - 1].time < a.time {
                     return Err(SnapError::Invalid("assoc list not time-descending".into()));
                 }
-                list.push(a);
             }
-            assocs.insert(key.clone(), list);
-            last_key = Some(key);
         }
-        let reads = r.get_u64()?;
-        let writes = r.get_u64()?;
         Ok(Shard {
             objects,
             assocs,
-            reads,
-            writes,
+            reads: Snap::restore(r)?,
+            writes: Snap::restore(r)?,
         })
     }
 }

@@ -8,8 +8,11 @@
 //! remote regions after a cross-region delay — which is exactly the window
 //! in which remote followers serve stale data, as in the real system.
 
+use std::sync::Arc;
+
 use simkit::fxhash::FxHashSet;
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::{snap_enum, snap_struct};
 
 use crate::cost::{CostCounters, QueryCost};
 use crate::lru::LruCache;
@@ -50,6 +53,12 @@ impl TaoConfig {
     }
 }
 
+snap_struct!(TaoConfig {
+    shards,
+    regions,
+    cache_capacity
+});
+
 /// A key in the follower cache.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum CacheKey {
@@ -64,6 +73,9 @@ enum CacheVal {
     Obj(Object),
     AssocHead(Vec<Assoc>),
 }
+
+snap_enum!(CacheKey { 0 => Obj(id), 1 => AssocHead(id, atype) });
+snap_enum!(CacheVal { 0 => Obj(obj), 1 => AssocHead(head) });
 
 /// A pending cross-region cache invalidation.
 ///
@@ -80,42 +92,12 @@ pub struct ReplicationEvent {
     pub assoc_head: Option<(ObjectId, String)>,
 }
 
-impl ReplicationEvent {
-    /// Serializes the replication event (it rides inside queued simulator
-    /// events, so it must round-trip through snapshots).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u16(self.region);
-        w.put_u64(self.object.0);
-        match &self.assoc_head {
-            Some((id1, atype)) => {
-                w.put_u8(1);
-                w.put_u64(id1.0);
-                w.put_str(atype);
-            }
-            None => w.put_u8(0),
-        }
-    }
-
-    /// Restores a replication event.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<ReplicationEvent> {
-        let region = r.get_u16()?;
-        let object = ObjectId(r.get_u64()?);
-        let assoc_head = match r.get_u8()? {
-            0 => None,
-            1 => Some((ObjectId(r.get_u64()?), r.get_str()?)),
-            t => {
-                return Err(SnapError::Invalid(format!(
-                    "ReplicationEvent assoc tag {t}"
-                )))
-            }
-        };
-        Ok(ReplicationEvent {
-            region,
-            object,
-            assoc_head,
-        })
-    }
-}
+// It rides inside queued simulator events.
+snap_struct!(ReplicationEvent {
+    region,
+    object,
+    assoc_head
+});
 
 struct RegionTier {
     cache: LruCache<CacheKey, CacheVal>,
@@ -558,191 +540,101 @@ impl Tao {
         self.regions[region as usize].counters.record(cost, n);
         (all, cost)
     }
+}
 
-    /// Writes the store's complete state into a snapshot: config, intern
-    /// tables (in intern order), leader shards, and each region's follower
-    /// cache in recency order plus its cost counters.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.config.shards);
-        w.put_u16(self.config.regions);
-        w.put_usize(self.config.cache_capacity);
-        w.put_usize(self.otypes.len());
-        for t in &self.otypes {
-            w.put_str(t);
-        }
-        w.put_usize(self.keys.len());
-        for k in &self.keys {
-            w.put_str(k);
-        }
+/// Config, intern tables (in intern order), leader shards, and each
+/// region's follower cache in recency order plus its cost counters.
+/// Reading re-points every restored `otype` and payload key at the
+/// restored intern tables, reproducing the sharing the live store
+/// maintains; strings absent from the tables are a corruption signal and
+/// fail the restore.
+impl Snap for Tao {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.config.snap(w);
+        self.otypes.snap(w);
+        self.keys.snap(w);
         for shard in &self.shards {
             shard.snap(w);
         }
         for tier in &self.regions {
             w.put_usize(tier.cache.len());
             for (key, val) in tier.cache.iter_recency() {
-                match key {
-                    CacheKey::Obj(id) => {
-                        w.put_u8(0);
-                        w.put_u64(id.0);
-                    }
-                    CacheKey::AssocHead(id, atype) => {
-                        w.put_u8(1);
-                        w.put_u64(id.0);
-                        w.put_str(atype);
-                    }
-                }
-                match val {
-                    CacheVal::Obj(obj) => {
-                        w.put_u8(0);
-                        obj.snap(w);
-                    }
-                    CacheVal::AssocHead(head) => {
-                        w.put_u8(1);
-                        w.put_usize(head.len());
-                        for a in head {
-                            a.snap(w);
-                        }
-                    }
-                }
+                key.snap(w);
+                val.snap(w);
             }
             w.put_u64(tier.cache.hits());
             w.put_u64(tier.cache.misses());
-            let c = &tier.counters;
-            w.put_u64(c.ops);
-            w.put_u64(c.empty_ops);
-            for v in [
-                c.total.shards_touched,
-                c.total.rows_read,
-                c.total.rows_written,
-                c.total.cache_hits,
-                c.total.cache_misses,
-                c.total.cpu_us,
-            ] {
-                w.put_u64(v);
-            }
+            tier.counters.snap(w);
         }
-        w.put_u64(self.next_id);
+        self.next_id.snap(w);
     }
 
-    /// Reads a store back. Every restored `otype` and payload key is
-    /// re-pointed at the restored intern tables, reproducing the sharing
-    /// the live store maintains; strings absent from the tables are a
-    /// corruption signal and fail the restore.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let config = TaoConfig {
-            shards: r.get_u32()?,
-            regions: r.get_u16()?,
-            cache_capacity: r.get_usize()?,
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let config = TaoConfig::restore(r)?;
+        // The counts size allocations below and every shard and region
+        // encodes at least one byte, so neither can exceed what is left.
+        let fits = |n: usize| n > 0 && n <= r.remaining();
+        if !fits(config.shards as usize)
+            || !fits(config.regions as usize)
+            || config.cache_capacity == 0
+        {
+            return Err(SnapError::Invalid(format!("bad tao config {config:?}")));
+        }
+        let intern_table = |r: &mut SnapReader<'_>| -> SnapResult<Vec<Arc<str>>> {
+            let table = Vec::<Arc<str>>::restore(r)?;
+            if table.iter().collect::<FxHashSet<_>>().len() != table.len() {
+                return Err(SnapError::Invalid("duplicate interned string".into()));
+            }
+            Ok(table)
         };
-        if config.shards == 0 || config.regions == 0 || config.cache_capacity == 0 {
-            return Err(SnapError::Invalid("bad tao config".into()));
-        }
-        let n = r.get_len()?;
-        let mut otypes: Vec<std::sync::Arc<str>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = r.get_str()?;
-            if otypes.iter().any(|t| t.as_ref() == s) {
-                return Err(SnapError::Invalid("duplicate interned otype".into()));
-            }
-            otypes.push(s.into());
-        }
-        let n = r.get_len()?;
-        let mut keys: Vec<std::sync::Arc<str>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = r.get_str()?;
-            if keys.iter().any(|t| t.as_ref() == s) {
-                return Err(SnapError::Invalid("duplicate interned key".into()));
-            }
-            keys.push(s.into());
-        }
-        let reintern = |table: &[std::sync::Arc<str>],
-                        s: &str,
-                        what: &str|
-         -> SnapResult<std::sync::Arc<str>> {
-            table
-                .iter()
-                .find(|t| ***t == *s)
+        let otypes = intern_table(r)?;
+        let keys = intern_table(r)?;
+        let reintern = |table: &[Arc<str>], s: &mut Arc<str>| -> SnapResult<()> {
+            let shared = table.iter().find(|t| **t == *s);
+            *s = shared
                 .cloned()
-                .ok_or_else(|| SnapError::Invalid(format!("{what} {s:?} not in intern table")))
-        };
-        let reintern_data = |data: &mut Data| -> SnapResult<()> {
-            for (k, _) in data.iter_mut() {
-                *k = reintern(&keys, k, "payload key")?;
-            }
+                .ok_or_else(|| SnapError::Invalid(format!("{s:?} not in intern table")))?;
             Ok(())
+        };
+        let reintern_data =
+            |data: &mut Data| data.iter_mut().try_for_each(|(k, _)| reintern(&keys, k));
+        let reintern_object = |obj: &mut Object| -> SnapResult<()> {
+            reintern(&otypes, &mut obj.otype)?;
+            reintern_data(&mut obj.data)
         };
         let mut shards = Vec::with_capacity(config.shards as usize);
         for _ in 0..config.shards {
             let mut shard = Shard::restore(r)?;
-            for obj in shard.objects_mut() {
-                obj.otype = reintern(&otypes, &obj.otype, "otype")?;
-                reintern_data(&mut obj.data)?;
-            }
-            for a in shard.assocs_mut() {
-                reintern_data(&mut a.data)?;
-            }
+            shard.objects_mut().try_for_each(reintern_object)?;
+            shard
+                .assocs_mut()
+                .try_for_each(|a| reintern_data(&mut a.data))?;
             shards.push(shard);
         }
         let mut regions = Vec::with_capacity(config.regions as usize);
         for _ in 0..config.regions {
-            let n = r.get_len()?;
-            if n > config.cache_capacity {
-                return Err(SnapError::Invalid("cache entries exceed capacity".into()));
-            }
-            let mut entries: Vec<(CacheKey, CacheVal)> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = match r.get_u8()? {
-                    0 => CacheKey::Obj(ObjectId(r.get_u64()?)),
-                    1 => CacheKey::AssocHead(ObjectId(r.get_u64()?), r.get_str()?),
-                    _ => return Err(SnapError::Invalid("bad cache key tag".into())),
-                };
-                if entries.iter().any(|(k, _)| *k == key) {
-                    return Err(SnapError::Invalid("duplicate cache key".into()));
+            let mut entries = Vec::<(CacheKey, CacheVal)>::restore(r)?;
+            for (_, val) in &mut entries {
+                match val {
+                    CacheVal::Obj(obj) => reintern_object(obj)?,
+                    CacheVal::AssocHead(head) => head
+                        .iter_mut()
+                        .try_for_each(|a| reintern_data(&mut a.data))?,
                 }
-                let val = match r.get_u8()? {
-                    0 => {
-                        let mut obj = Object::restore(r)?;
-                        obj.otype = reintern(&otypes, &obj.otype, "otype")?;
-                        reintern_data(&mut obj.data)?;
-                        CacheVal::Obj(obj)
-                    }
-                    1 => {
-                        let m = r.get_len()?;
-                        let mut head = Vec::with_capacity(m);
-                        for _ in 0..m {
-                            let mut a = Assoc::restore(r)?;
-                            reintern_data(&mut a.data)?;
-                            head.push(a);
-                        }
-                        CacheVal::AssocHead(head)
-                    }
-                    _ => return Err(SnapError::Invalid("bad cache value tag".into())),
-                };
-                entries.push((key, val));
             }
-            let hits = r.get_u64()?;
-            let misses = r.get_u64()?;
-            let cache = LruCache::from_recency(config.cache_capacity, entries, hits, misses);
-            let counters = CostCounters {
-                ops: r.get_u64()?,
-                empty_ops: r.get_u64()?,
-                total: QueryCost {
-                    shards_touched: r.get_u64()?,
-                    rows_read: r.get_u64()?,
-                    rows_written: r.get_u64()?,
-                    cache_hits: r.get_u64()?,
-                    cache_misses: r.get_u64()?,
-                    cpu_us: r.get_u64()?,
-                },
-            };
-            regions.push(RegionTier { cache, counters });
+            let (hits, misses) = Snap::restore(r)?;
+            let cache = LruCache::from_recency(config.cache_capacity, entries, hits, misses)
+                .map_err(|e| SnapError::Invalid(e.into()))?;
+            regions.push(RegionTier {
+                cache,
+                counters: Snap::restore(r)?,
+            });
         }
-        let next_id = r.get_u64()?;
         Ok(Tao {
             config,
             shards,
             regions,
-            next_id,
+            next_id: Snap::restore(r)?,
             otypes,
             keys,
         })

@@ -158,109 +158,30 @@ impl Assoc {
     }
 }
 
-use simkit::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
-
-impl Value {
-    /// Writes the value into a snapshot (tagged; floats as raw bits).
-    pub fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Value::Str(s) => {
-                w.put_u8(0);
-                w.put_str(s);
-            }
-            Value::Int(i) => {
-                w.put_u8(1);
-                w.put_i64(*i);
-            }
-            Value::Float(f) => {
-                w.put_u8(2);
-                w.put_f64(*f);
-            }
-            Value::Bool(b) => {
-                w.put_u8(3);
-                w.put_bool(*b);
-            }
-        }
-    }
-
-    /// Reads a value back.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => Value::Str(r.get_str()?),
-            1 => Value::Int(r.get_i64()?),
-            2 => Value::Float(r.get_f64()?),
-            3 => Value::Bool(r.get_bool()?),
-            _ => return Err(SnapError::Invalid("bad value tag".into())),
-        })
-    }
-}
-
-/// Writes a [`Data`] payload into a snapshot, preserving field order
-/// (payloads are ordered vecs, not maps — order is construction order and
-/// must survive verbatim).
-pub fn snap_data(data: &Data, w: &mut SnapWriter) {
-    w.put_usize(data.len());
-    for (k, v) in data {
-        w.put_str(k);
-        v.snap(w);
-    }
-}
-
-/// Reads a [`Data`] payload back. Keys come out as fresh allocations; the
-/// store re-points them at its intern table.
-pub fn restore_data(r: &mut SnapReader<'_>) -> SnapResult<Data> {
-    let n = r.get_len()?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k: Key = r.get_str()?.into();
-        let v = Value::restore(r)?;
-        data.push((k, v));
-    }
-    Ok(data)
-}
-
-impl Object {
-    /// Writes the object into a snapshot; the shared `otype` handle is
-    /// written as its string and re-interned by the store on restore.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id.0);
-        w.put_str(&self.otype);
-        snap_data(&self.data, w);
-        w.put_u64(self.version);
-    }
-
-    /// Reads an object back (with fresh, not-yet-interned strings).
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(Object {
-            id: ObjectId(r.get_u64()?),
-            otype: r.get_str()?.into(),
-            data: restore_data(r)?,
-            version: r.get_u64()?,
-        })
-    }
-}
-
-impl Assoc {
-    /// Writes the association into a snapshot.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.id1.0);
-        w.put_str(&self.atype);
-        w.put_u64(self.id2.0);
-        w.put_u64(self.time);
-        snap_data(&self.data, w);
-    }
-
-    /// Reads an association back.
-    pub fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(Assoc {
-            id1: ObjectId(r.get_u64()?),
-            atype: r.get_str()?,
-            id2: ObjectId(r.get_u64()?),
-            time: r.get_u64()?,
-            data: restore_data(r)?,
-        })
-    }
-}
+// Snapshot codecs. Payloads are ordered vecs, not maps — order is
+// construction order and survives verbatim. Shared `otype`/key handles are
+// written as their strings and come back as fresh allocations; the store
+// re-points them at its intern tables.
+simkit::snap_struct!(ObjectId { 0 });
+simkit::snap_enum!(Value {
+    0 => Str(s),
+    1 => Int(i),
+    2 => Float(f),
+    3 => Bool(b),
+});
+simkit::snap_struct!(Object {
+    id,
+    otype,
+    data,
+    version
+});
+simkit::snap_struct!(Assoc {
+    id1,
+    atype,
+    id2,
+    time,
+    data
+});
 
 #[cfg(test)]
 mod tests {

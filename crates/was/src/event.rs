@@ -9,6 +9,7 @@
 //! payloads out of the event halves cross-region bandwidth.
 
 use pylon::Topic;
+use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 
 /// What kind of mutation an event describes.
@@ -74,140 +75,41 @@ impl UpdateEvent {
     }
 }
 
-impl EventKind {
-    /// Writes the variant tag.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u8(match self {
-            EventKind::CommentPosted => 0,
-            EventKind::TypingChanged => 1,
-            EventKind::StatusOnline => 2,
-            EventKind::StoryCreated => 3,
-            EventKind::MessageAdded => 4,
-            EventKind::PostLiked => 5,
-            EventKind::NotificationPosted => 6,
-            EventKind::Generic => 7,
-        });
-    }
-
-    /// Reads a variant tag.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<EventKind> {
-        Ok(match r.get_u8()? {
-            0 => EventKind::CommentPosted,
-            1 => EventKind::TypingChanged,
-            2 => EventKind::StatusOnline,
-            3 => EventKind::StoryCreated,
-            4 => EventKind::MessageAdded,
-            5 => EventKind::PostLiked,
-            6 => EventKind::NotificationPosted,
-            7 => EventKind::Generic,
-            t => {
-                return Err(simkit::snap::SnapError::Invalid(format!(
-                    "EventKind tag {t}"
-                )))
-            }
-        })
-    }
-}
-
-impl EventMeta {
-    /// Serializes the metadata (floats as raw bits, options tagged).
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u64(self.uid);
-        w.put_f64(self.quality);
-        match &self.lang {
-            Some(lang) => {
-                w.put_u8(1);
-                w.put_str(lang);
-            }
-            None => w.put_u8(0),
+snap_enum!(EventKind {
+    0 => CommentPosted,
+    1 => TypingChanged,
+    2 => StatusOnline,
+    3 => StoryCreated,
+    4 => MessageAdded,
+    5 => PostLiked,
+    6 => NotificationPosted,
+    7 => Generic,
+});
+snap_struct!(
+    EventMeta {
+        uid,
+        quality,
+        lang,
+        created_ms,
+        seq,
+        typing
+    },
+    |m| {
+        if !m.quality.is_finite() {
+            return Err("EventMeta quality not finite".into());
         }
-        w.put_u64(self.created_ms);
-        match self.seq {
-            Some(seq) => {
-                w.put_u8(1);
-                w.put_u64(seq);
-            }
-            None => w.put_u8(0),
-        }
-        match self.typing {
-            Some(t) => {
-                w.put_u8(1);
-                w.put_bool(t);
-            }
-            None => w.put_u8(0),
-        }
+        Ok(())
     }
-
-    /// Restores the metadata, rejecting non-finite quality scores.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<EventMeta> {
-        let uid = r.get_u64()?;
-        let quality = r.get_f64()?;
-        if !quality.is_finite() {
-            return Err(simkit::snap::SnapError::Invalid(
-                "EventMeta quality not finite".into(),
-            ));
-        }
-        let lang = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_str()?),
-            t => {
-                return Err(simkit::snap::SnapError::Invalid(format!(
-                    "EventMeta lang tag {t}"
-                )))
-            }
-        };
-        let created_ms = r.get_u64()?;
-        let seq = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_u64()?),
-            t => {
-                return Err(simkit::snap::SnapError::Invalid(format!(
-                    "EventMeta seq tag {t}"
-                )))
-            }
-        };
-        let typing = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_bool()?),
-            t => {
-                return Err(simkit::snap::SnapError::Invalid(format!(
-                    "EventMeta typing tag {t}"
-                )))
-            }
-        };
-        Ok(EventMeta {
-            uid,
-            quality,
-            lang,
-            created_ms,
-            seq,
-            typing,
-        })
-    }
-}
-
-impl UpdateEvent {
-    /// Serializes the event; the interned topic is written as its string
-    /// and re-interned (validated) on restore.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_u64(self.id);
-        self.topic.snap(w);
-        w.put_u64(self.object.0);
-        self.kind.snap(w);
-        self.meta.snap(w);
-    }
-
-    /// Restores the event.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<UpdateEvent> {
-        Ok(UpdateEvent {
-            id: r.get_u64()?,
-            topic: Topic::restore(r)?,
-            object: ObjectId(r.get_u64()?),
-            kind: EventKind::restore(r)?,
-            meta: EventMeta::restore(r)?,
-        })
-    }
-}
+);
+// The interned topic is written as its string and re-interned (validated)
+// on restore.
+snap_struct!(UpdateEvent {
+    id,
+    topic,
+    object,
+    kind,
+    meta
+});
 
 #[cfg(test)]
 mod tests {

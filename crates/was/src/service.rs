@@ -20,6 +20,7 @@ use std::fmt::{self, Write as _};
 
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
+use simkit::snap_struct;
 use tao::{ObjectId, QueryCost, ReplicationEvent, Tao, Value};
 
 use crate::event::{EventKind, EventMeta, UpdateEvent};
@@ -232,6 +233,44 @@ pub struct WebApplicationServer {
     counters: WasCounters,
 }
 
+snap_struct!(WasCounters {
+    queries,
+    mutations,
+    events_published,
+    preranked_discards,
+    brass_fetches,
+    privacy_denials
+});
+snap_struct!(
+    HotVideoPolicy {
+        discard_below,
+        headline_at
+    },
+    |p| {
+        if !p.discard_below.is_finite() || !p.headline_at.is_finite() {
+            return Err("was: non-finite hot policy".into());
+        }
+        Ok(())
+    }
+);
+// The TAO store, the event-id counter, mailbox sequence counters,
+// hot-video policies, and the aggregate counters.
+snap_struct!(
+    WebApplicationServer {
+        tao,
+        next_event_id,
+        mailbox_seq,
+        hot_videos,
+        counters
+    },
+    |was| {
+        if was.next_event_id == 0 {
+            return Err("was: zero event-id counter".into());
+        }
+        Ok(())
+    }
+);
+
 impl WebApplicationServer {
     /// Wraps a TAO store.
     pub fn new(tao: Tao) -> Self {
@@ -258,80 +297,6 @@ impl WebApplicationServer {
         let id = self.next_event_id;
         self.next_event_id += 1;
         id
-    }
-
-    /// Writes the WAS's complete state into a snapshot: the TAO store, the
-    /// event-id counter, mailbox sequence counters, hot-video policies, and
-    /// the aggregate counters. Maps go out in sorted key order.
-    pub fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        self.tao.snap(w);
-        w.put_u64(self.next_event_id);
-        simkit::snap::snap_map(&self.mailbox_seq, w);
-        let mut videos: Vec<u64> = self.hot_videos.keys().copied().collect();
-        videos.sort_unstable();
-        w.put_usize(videos.len());
-        for v in videos {
-            let p = &self.hot_videos[&v];
-            w.put_u64(v);
-            w.put_f64(p.discard_below);
-            w.put_f64(p.headline_at);
-        }
-        w.put_u64(self.counters.queries);
-        w.put_u64(self.counters.mutations);
-        w.put_u64(self.counters.events_published);
-        w.put_u64(self.counters.preranked_discards);
-        w.put_u64(self.counters.brass_fetches);
-        w.put_u64(self.counters.privacy_denials);
-    }
-
-    /// Reads a WAS back, rejecting snapshots with unsorted keys or
-    /// non-finite ranking thresholds.
-    pub fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
-        use simkit::snap::SnapError;
-        let tao = Tao::restore(r)?;
-        let next_event_id = r.get_u64()?;
-        if next_event_id == 0 {
-            return Err(SnapError::Invalid("was: zero event-id counter".into()));
-        }
-        let mailbox_seq = simkit::snap::restore_map(r)?;
-        let nhot = r.get_len()?;
-        let mut hot_videos: FxHashMap<u64, HotVideoPolicy> =
-            FxHashMap::with_capacity_and_hasher(nhot, Default::default());
-        let mut prev: Option<u64> = None;
-        for _ in 0..nhot {
-            let v = r.get_u64()?;
-            if prev.is_some_and(|p| p >= v) {
-                return Err(SnapError::Invalid("was: hot videos out of order".into()));
-            }
-            prev = Some(v);
-            let discard_below = r.get_f64()?;
-            let headline_at = r.get_f64()?;
-            if !discard_below.is_finite() || !headline_at.is_finite() {
-                return Err(SnapError::Invalid("was: non-finite hot policy".into()));
-            }
-            hot_videos.insert(
-                v,
-                HotVideoPolicy {
-                    discard_below,
-                    headline_at,
-                },
-            );
-        }
-        let counters = WasCounters {
-            queries: r.get_u64()?,
-            mutations: r.get_u64()?,
-            events_published: r.get_u64()?,
-            preranked_discards: r.get_u64()?,
-            brass_fetches: r.get_u64()?,
-            privacy_denials: r.get_u64()?,
-        };
-        Ok(WebApplicationServer {
-            tao,
-            next_event_id,
-            mailbox_seq,
-            hot_videos,
-            counters,
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1085,6 +1050,7 @@ fn bad(e: crate::gql::ParseError) -> WasError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::snap::Snap;
     use tao::TaoConfig;
 
     fn was() -> WebApplicationServer {
