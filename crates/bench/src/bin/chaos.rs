@@ -17,12 +17,12 @@
 //! — heartbeat detection, stream repair, reconnect backoff, WAS backfill
 //! — is the system's own behaviour. Exits non-zero if the convergence
 //! checker finds a stranded stream, a stream pinned to a dead host, or an
-//! unaccounted admitted update. Writes a machine-readable summary
-//! (default `BENCH_PR3.json`).
+//! unaccounted admitted update. Writes a machine-readable summary to the
+//! `--out` file, or to stdout when none is named.
 
 use std::time::Instant;
 
-use bench::{arg_or, peak_rss_bytes, snapctl, violations_json};
+use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl, violations_json};
 use bladerunner::config::SystemConfig;
 use bladerunner::fault::canned_plan;
 use bladerunner::replay;
@@ -206,7 +206,6 @@ fn build_run(config: &SystemConfig) -> (SystemSim, RunMeta) {
 }
 
 fn main() {
-    let out: String = arg_or("--out", "BENCH_PR3.json".to_string());
     let snap_args = snapctl::from_args();
 
     let config = chaos_config();
@@ -415,8 +414,7 @@ fn main() {
         report.converged(),
         violations_json(&report.violations),
     );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("  wrote {out}");
+    emit_summary(&json);
 
     if !report.converged() {
         eprintln!("convergence FAILED:");

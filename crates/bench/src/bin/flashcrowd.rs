@@ -26,12 +26,13 @@
 //! falsely declared dead under pure overload, and the admitted-update
 //! p99 stays bounded — excess load is shed with attribution
 //! (mailbox_overflow / flow_control / rate-limit), never absorbed as
-//! unbounded queueing. Writes the tail-latency-vs-offered-load curve to
-//! a machine-readable summary (default `BENCH_PR6.json`).
+//! unbounded queueing. Writes the tail-latency-vs-offered-load curve as a
+//! machine-readable summary to the `--out` file, or to stdout when none is
+//! named.
 
 use std::time::Instant;
 
-use bench::{arg_or, peak_rss_bytes, snapctl, violations_json};
+use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl, violations_json};
 use bladerunner::config::SystemConfig;
 use bladerunner::replay;
 use bladerunner::scenario::FlashCrowd;
@@ -328,7 +329,6 @@ fn main() {
     // Unbounded queueing would blow far past this within one storm.
     let p99_bound_ms: f64 = arg_or("--p99-bound-ms", 15_000.0);
     let rates_csv: String = arg_or("--rates", "25,100,300".to_string());
-    let out: String = arg_or("--out", "BENCH_PR6.json".to_string());
     let snap_args = snapctl::from_args();
 
     // Resume mode replays one tier from a snapshot file: its rate and
@@ -348,8 +348,7 @@ fn main() {
             "{{\n  \"bench\": \"flashcrowd-resumed\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
             tier.json
         );
-        std::fs::write(&out, json).expect("write bench summary");
-        println!("wrote {out}");
+        emit_summary(&json);
         if !tier.ok {
             eprintln!("graceful-shed gate FAILED:");
             for line in &tier.failures {
@@ -429,8 +428,7 @@ fn main() {
         peak_rss_bytes(),
         tiers_json,
     );
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("wrote {out}");
+    emit_summary(&json);
 
     let failed: Vec<&TierResult> = results.iter().filter(|t| !t.ok).collect();
     if !failed.is_empty() {

@@ -13,7 +13,8 @@
 //!
 //! `--tiers 100000,300000,1000000` runs each tier in a fresh child process
 //! (so every tier gets its own peak-RSS measurement) and writes one
-//! combined summary (default `BENCH_PR7.json`) with the memory curve.
+//! combined summary with the memory curve. Summaries go to the `--out`
+//! file, or to stdout when none is named.
 //!
 //! Build with `--features count-alloc` to additionally report *live heap
 //! bytes* via the counting global allocator — RSS folds allocator slack
@@ -38,7 +39,7 @@
 
 use std::time::Instant;
 
-use bench::{arg_or, peak_rss_bytes, snapctl};
+use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl};
 use bladerunner::config::SystemConfig;
 use bladerunner::replay;
 use bladerunner::sim::SystemSim;
@@ -89,16 +90,12 @@ fn main() {
         return;
     }
     let devices: usize = arg_or("--devices", 100_000);
-    let out: String = arg_or("--out", "BENCH_PR2.json".to_string());
-    let json = run_one(devices);
-    std::fs::write(&out, json).expect("write bench summary");
-    println!("  wrote {out}");
+    emit_summary(&run_one(devices));
 }
 
 /// Runs each tier in a fresh child process (its own address space, so
 /// peak RSS is per-tier, not max-so-far) and writes the combined curve.
 fn run_tiers(tiers: &str) {
-    let out: String = arg_or("--out", "BENCH_PR7.json".to_string());
     let exe = std::env::current_exe().expect("current exe");
     let mut bodies = Vec::new();
     for tier in tiers.split(',').filter(|t| !t.is_empty()) {
@@ -148,7 +145,7 @@ fn run_tiers(tiers: &str) {
         concat!(
             "{{\n  \"bench\": \"scale-tiers\",\n",
             "  \"note\": \"Tiers below 500k devices default to full duty ",
-            "(active fraction 1.0, the historical BENCH_PR2/PR5 workload ",
+            "(active fraction 1.0, the historical workload ",
             "shape); larger tiers default to the diurnal 0.3 (see ",
             "--active-fraction). Event and delivery counts are ",
             "seed-deterministic and comparable across hosts; wall-clock ",
@@ -157,8 +154,7 @@ fn run_tiers(tiers: &str) {
         ),
         bodies.join(",\n    ")
     );
-    std::fs::write(&out, json).expect("write tier summary");
-    println!("wrote {out}");
+    emit_summary(&json);
 }
 
 /// Whether device `i` is in the always-engaged fraction. A multiplicative

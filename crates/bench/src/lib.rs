@@ -170,6 +170,20 @@ pub fn arg_opt(key: &str) -> Option<String> {
         .cloned()
 }
 
+/// Delivers a bin's JSON summary: into the file `--out` names, or, when
+/// there is no `--out`, onto stdout. Nothing is written by default — a
+/// number is only comparable with a same-host run of the previous commit,
+/// so no bin leaves one behind in the checkout.
+pub fn emit_summary(json: &str) {
+    match arg_opt("--out") {
+        Some(out) => {
+            std::fs::write(&out, json).expect("write bench summary");
+            println!("wrote {out}");
+        }
+        None => print!("{json}"),
+    }
+}
+
 /// Returns whether a bare `--flag` argument is present.
 pub fn arg_flag(key: &str) -> bool {
     std::env::args().any(|a| a == key)

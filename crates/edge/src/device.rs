@@ -535,6 +535,42 @@ mod tests {
         assert_eq!(sid3, StreamId(3));
     }
 
+    /// `check_frozen` accepts what `hibernate` writes and rejects every
+    /// blob `rehydrate` or the `frozen_*` readers would index out of, panic
+    /// on, or silently misread.
+    #[test]
+    fn check_frozen_accepts_hibernate_output_and_rejects_damage() {
+        let mut d = Device::new(17);
+        d.open_stream(header("/LVC/1"), vec![7, 8]);
+        d.open_stream(header("/LVC/2"), vec![]);
+        let blob = d.hibernate();
+        assert_eq!(Device::check_frozen(&blob), Ok(()));
+        assert_eq!(Device::check_frozen(&Device::new(1).hibernate()), Ok(()));
+        for cut in 0..blob.len() {
+            assert!(Device::check_frozen(&blob[..cut]).is_err(), "cut at {cut}");
+        }
+        let damaged = |at: usize, byte: u8| {
+            let mut bad = blob.to_vec();
+            bad[at] = byte;
+            Device::check_frozen(&bad)
+        };
+        // A stream count beyond the blob: `reserve_exact` of gigabytes.
+        assert!(damaged(27, 0x7f).is_err());
+        assert!(damaged(24, 3).is_err());
+        // A state code `thaw` panics on.
+        assert!(damaged(28 + 8, 8).is_err());
+        // Stream ids out of order, and an id `next_sid` would hand out again.
+        assert!(damaged(28, 2).is_err());
+        assert!(damaged(0, 2).is_err());
+        // A header that is no longer the canonical JSON `reload` expects.
+        assert!(damaged(28 + 8 + 1 + 40 + 4, b' ').is_err());
+        // A header length reaching past the end, and trailing bytes.
+        assert!(damaged(28 + 8 + 1 + 40 + 3, 0x7f).is_err());
+        let mut long = blob.to_vec();
+        long.push(0);
+        assert!(Device::check_frozen(&long).is_err());
+    }
+
     #[test]
     fn ack_frame_reports_progress() {
         let mut d = Device::new(1);

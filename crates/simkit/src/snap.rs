@@ -963,6 +963,97 @@ mod tests {
         assert_eq!(a.value(), c.value());
     }
 
+    /// Encodes `keys` (each with a unit-ish value) as a map body.
+    fn map_bytes(keys: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_usize(keys.len());
+        for k in keys {
+            w.put_u64(*k);
+            w.put_u8(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn maps_and_sets_reject_descending_and_duplicate_keys() {
+        for (keys, ok) in [
+            (&[1u64, 2, 9][..], true),
+            (&[2, 1, 9], false),
+            (&[1, 2, 2], false),
+        ] {
+            let bytes = map_bytes(keys);
+            let hash = HashMap::<u64, u8>::restore(&mut SnapReader::new(&bytes));
+            let tree = BTreeMap::<u64, u8>::restore(&mut SnapReader::new(&bytes));
+            assert_eq!((hash.is_ok(), tree.is_ok()), (ok, ok), "map {keys:?}");
+            let mut w = SnapWriter::new();
+            keys.to_vec().snap(&mut w);
+            let set = HashSet::<u64>::restore(&mut SnapReader::new(&w.into_bytes()));
+            assert_eq!(set.is_ok(), ok, "set {keys:?}");
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Id(u64);
+    #[derive(Debug, PartialEq)]
+    struct Span {
+        from: Id,
+        to: Id,
+    }
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line { span: Box<Span>, label: String },
+        Tagged(std::sync::Arc<Id>, u8),
+    }
+    snap_struct!(Id { 0 });
+    snap_struct!(Span { from, to }, |s| {
+        if s.from.0 > s.to.0 {
+            return Err("span runs backwards".into());
+        }
+        Ok(())
+    });
+    snap_enum!(Shape {
+        0 => Dot,
+        28 => Line { span, label },
+        7 => Tagged(id, flags),
+    });
+
+    #[test]
+    fn macros_round_trip_and_reject_unknown_tags_and_failed_checks() {
+        let span = |from, to| Span {
+            from: Id(from),
+            to: Id(to),
+        };
+        let shapes = vec![
+            Shape::Dot,
+            Shape::Line {
+                span: Box::new(span(1, 2)),
+                label: "edge".into(),
+            },
+            Shape::Tagged(std::sync::Arc::new(Id(5)), 9),
+        ];
+        let mut w = SnapWriter::new();
+        shapes.snap(&mut w);
+        let bytes = w.into_bytes();
+        // Box and Arc are flattened: len, then tag 0; tag 28, two ids, the
+        // label; tag 7, one id, one byte.
+        assert_eq!(bytes.len(), 8 + 1 + (1 + 16 + 8 + 4) + (1 + 8 + 1));
+        assert_eq!(bytes[9], 28);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(Vec::<Shape>::restore(&mut r).unwrap(), shapes);
+        r.finish().unwrap();
+
+        let mut unknown = bytes.clone();
+        unknown[8] = 1; // no variant carries tag 1
+        let err = Vec::<Shape>::restore(&mut SnapReader::new(&unknown)).unwrap_err();
+        assert_eq!(err, SnapError::Invalid("Shape tag 1".into()));
+
+        let mut w = SnapWriter::new();
+        span(3, 2).snap(&mut w);
+        let err = Span::restore(&mut SnapReader::new(&w.into_bytes())).unwrap_err();
+        assert_eq!(err, SnapError::Invalid("span runs backwards".into()));
+    }
+
     #[test]
     fn get_len_rejects_absurd_lengths() {
         let mut w = SnapWriter::new();
