@@ -3,7 +3,7 @@
 use burst::frame::StreamId;
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::{Counter, Histogram, QueueGauge, TimeSeries};
-use simkit::snap::Fp64;
+use simkit::snap::{ensure, Fp64};
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 
@@ -207,10 +207,10 @@ snap_struct!(
     },
     |m| {
         let in_range = |&(_, fraction): &(SimTime, f64)| (0.0..=1.0).contains(&fraction);
-        if !m.availability_timeline.iter().all(in_range) {
-            return Err("availability sample outside [0, 1]".into());
-        }
-        Ok(())
+        ensure(
+            m.availability_timeline.iter().all(in_range),
+            "availability sample outside [0, 1]",
+        )
     }
 );
 

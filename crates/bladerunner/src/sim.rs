@@ -2988,7 +2988,8 @@ impl SystemSim {
     /// stamped `at`. Component and liveness vectors carry no length: the
     /// config fixes it.
     fn snapshot_body(&self, at: SimTime) -> Vec<u8> {
-        let w = &mut SnapWriter::new();
+        let mut out = SnapWriter::new();
+        let w = &mut out;
         // The config is part of the experiment definition, not the state:
         // resume requires the caller to rebuild the exact same config and
         // only validates it (by its Debug rendering, which covers every
@@ -3026,8 +3027,8 @@ impl SystemSim {
         self.sub_started.snap(w);
         self.metrics.snap(w);
         self.event_stats.snap(w);
-        self.driver_blob.snap(w);
-        std::mem::take(w).into_bytes()
+        w.put_bytes(&self.driver_blob);
+        out.into_bytes()
     }
 
     /// Delivers one policy-captured snapshot: into the in-memory ring and/or
@@ -3126,7 +3127,7 @@ impl SystemSim {
         s.sub_started = Snap::restore(r)?;
         s.metrics = Snap::restore(r)?;
         s.event_stats = Snap::restore(r)?;
-        s.driver_blob = Snap::restore(r)?;
+        s.driver_blob = r.get_bytes()?;
         r.finish()?;
         Ok(s)
     }

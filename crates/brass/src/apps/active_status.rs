@@ -9,7 +9,7 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 use was::{EventKind, UpdateEvent};
@@ -99,18 +99,15 @@ snap_struct!(
         next_timer
     },
     |app| {
-        if !app
-            .watchers
-            .values()
-            .flatten()
-            .all(|k| app.streams.contains_key(k))
-        {
-            return Err("active_status: dangling watcher".into());
-        }
-        if app.timers.keys().any(|&t| t >= app.next_timer) {
-            return Err("active_status: next_timer behind live timers".into());
-        }
-        Ok(())
+        let mut watchers = app.watchers.values().flatten();
+        ensure(
+            watchers.all(|k| app.streams.contains_key(k)),
+            "active_status: dangling watcher",
+        )?;
+        ensure(
+            app.timers.keys().all(|&t| t < app.next_timer),
+            "active_status: next_timer behind live timers",
+        )
     }
 );
 

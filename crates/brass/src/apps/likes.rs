@@ -11,7 +11,7 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
 use simkit::time::SimDuration;
 use was::{EventKind, UpdateEvent};
@@ -98,12 +98,7 @@ snap_struct!(
         limiter,
         timer_armed
     },
-    |s| {
-        if s.pushed > s.count {
-            return Err("likes: pushed exceeds count".into());
-        }
-        Ok(())
-    }
+    |s| ensure(s.pushed <= s.count, "likes: pushed exceeds count")
 );
 // The per-post watcher lists are verbatim because fan-out order follows
 // them. Rejects snapshots whose counters or cross-map references are
@@ -117,17 +112,12 @@ snap_struct!(
     },
     |app| {
         let watches = |p: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.post == p);
-        if !app
-            .by_post
-            .iter()
-            .all(|(&p, ws)| ws.iter().all(|k| watches(p, k)))
-        {
-            return Err("likes: dangling watcher".into());
-        }
-        if app.timers.keys().any(|&t| t >= app.next_timer) {
-            return Err("likes: next_timer behind live timers".into());
-        }
-        Ok(())
+        let watched = |(&p, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(p, k));
+        ensure(app.by_post.iter().all(watched), "likes: dangling watcher")?;
+        ensure(
+            app.timers.keys().all(|&t| t < app.next_timer),
+            "likes: next_timer behind live timers",
+        )
     }
 );
 

@@ -15,7 +15,7 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
 use simkit::{snap_enum, snap_struct};
@@ -158,10 +158,10 @@ snap_struct!(
         min_quality
     },
     |c| {
-        if c.buffer_capacity == 0 || !c.min_quality.is_finite() {
-            return Err("lvc: bad config".into());
-        }
-        Ok(())
+        ensure(
+            c.buffer_capacity != 0 && c.min_quality.is_finite(),
+            "lvc: bad config",
+        )
     }
 );
 snap_struct!(BufferedComment { object });
@@ -177,10 +177,10 @@ snap_struct!(
         accounted_losses
     },
     |s| {
-        if s.accounted_losses > s.buffer.evicted() + s.buffer.expired() {
-            return Err("lvc: accounted losses exceed losses".into());
-        }
-        Ok(())
+        ensure(
+            s.accounted_losses <= s.buffer.evicted() + s.buffer.expired(),
+            "lvc: accounted losses exceed losses",
+        )
     }
 );
 snap_enum!(PendingFetch { 0 => Comment(stream, object), 1 => Friends(stream) });
@@ -199,25 +199,18 @@ snap_struct!(
         next_timer
     },
     |app| {
-        if app
-            .streams
-            .values()
-            .any(|s| s.lang as usize >= app.langs.len())
-        {
-            return Err("lvc: lang index out of range".into());
-        }
+        let langs = app.langs.len();
+        ensure(
+            app.streams.values().all(|s| (s.lang as usize) < langs),
+            "lvc: lang index out of range",
+        )?;
         let watches = |v: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.video == v);
-        if !app
-            .by_video
-            .iter()
-            .all(|(&v, ws)| ws.iter().all(|k| watches(v, k)))
-        {
-            return Err("lvc: dangling watcher".into());
-        }
-        if app.timers.keys().any(|&t| t >= app.next_timer) {
-            return Err("lvc: next_timer behind live timers".into());
-        }
-        Ok(())
+        let watched = |(&v, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(v, k));
+        ensure(app.by_video.iter().all(watched), "lvc: dangling watcher")?;
+        ensure(
+            app.timers.keys().all(|&t| t < app.next_timer),
+            "lvc: next_timer behind live timers",
+        )
     }
 );
 

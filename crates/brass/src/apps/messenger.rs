@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::time::SimDuration;
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
@@ -164,10 +164,10 @@ snap_struct!(
         persisted_seq
     },
     |s| {
-        if s.pending.keys().next().is_some_and(|&seq| seq < s.next_seq) {
-            return Err("messenger: buffered seq behind next_seq".into());
-        }
-        Ok(())
+        ensure(
+            s.pending.keys().next().is_none_or(|&seq| seq >= s.next_seq),
+            "messenger: buffered seq behind next_seq",
+        )
     }
 );
 // The per-mailbox watcher lists are verbatim because fan-out order follows
@@ -184,17 +184,15 @@ snap_struct!(
     },
     |app| {
         let watches = |m: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.mailbox == m);
-        if !app
-            .by_mailbox
-            .iter()
-            .all(|(&m, ws)| ws.iter().all(|k| watches(m, k)))
-        {
-            return Err("messenger: dangling watcher".into());
-        }
-        if app.timers.keys().any(|&t| t >= app.next_timer) {
-            return Err("messenger: next_timer behind live timers".into());
-        }
-        Ok(())
+        let watched = |(&m, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(m, k));
+        ensure(
+            app.by_mailbox.iter().all(watched),
+            "messenger: dangling watcher",
+        )?;
+        ensure(
+            app.timers.keys().all(|&t| t < app.next_timer),
+            "messenger: next_timer behind live timers",
+        )
     }
 );
 

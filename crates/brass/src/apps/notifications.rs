@@ -10,7 +10,7 @@
 
 use burst::json::Json;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
 use simkit::time::SimDuration;
 use tao::ObjectId;
@@ -82,10 +82,7 @@ impl NotificationsApp {
 }
 
 snap_struct!(PendingGroup { first_actor, count }, |g| {
-    if g.count == 0 {
-        return Err("notifications: empty coalescing group".into());
-    }
-    Ok(())
+    ensure(g.count != 0, "notifications: empty coalescing group")
 });
 snap_struct!(StreamState {
     uid,
@@ -104,17 +101,15 @@ snap_struct!(
     },
     |app| {
         let watches = |u: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.uid == u);
-        if !app
-            .by_uid
-            .iter()
-            .all(|(&u, ws)| ws.iter().all(|k| watches(u, k)))
-        {
-            return Err("notifications: dangling watcher".into());
-        }
-        if app.timers.keys().any(|&t| t >= app.next_timer) {
-            return Err("notifications: next_timer behind live timers".into());
-        }
-        Ok(())
+        let watched = |(&u, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(u, k));
+        ensure(
+            app.by_uid.iter().all(watched),
+            "notifications: dangling watcher",
+        )?;
+        ensure(
+            app.timers.keys().all(|&t| t < app.next_timer),
+            "notifications: next_timer behind live timers",
+        )
     }
 );
 

@@ -12,7 +12,7 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
 use simkit::time::SimTime;
 use was::{EventKind, UpdateEvent};
@@ -98,10 +98,7 @@ impl StoriesApp {
 }
 
 snap_struct!(StoriesConfig { tray_size }, |c| {
-    if c.tray_size == 0 {
-        return Err("stories: zero tray size".into());
-    }
-    Ok(())
+    ensure(c.tray_size != 0, "stories: zero tray size")
 });
 snap_struct!(Container {
     story_count,
@@ -122,15 +119,11 @@ snap_struct!(
         pending_friends
     },
     |app| {
-        if !app
-            .watchers
-            .values()
-            .flatten()
-            .all(|k| app.streams.contains_key(k))
-        {
-            return Err("stories: dangling watcher".into());
-        }
-        Ok(())
+        let mut watchers = app.watchers.values().flatten();
+        ensure(
+            watchers.all(|k| app.streams.contains_key(k)),
+            "stories: dangling watcher",
+        )
     }
 );
 

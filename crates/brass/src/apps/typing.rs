@@ -11,7 +11,7 @@
 use burst::json::Json;
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
 use was::{EventKind, UpdateEvent};
 
@@ -72,14 +72,8 @@ snap_struct!(
     },
     |app| {
         let watches = |t: &Topic, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.topic == *t);
-        if !app
-            .by_topic
-            .iter()
-            .all(|(t, ws)| ws.iter().all(|k| watches(t, k)))
-        {
-            return Err("typing: dangling watcher".into());
-        }
-        Ok(())
+        let watched = |(t, ws): (&Topic, &Vec<StreamKey>)| ws.iter().all(|k| watches(t, k));
+        ensure(app.by_topic.iter().all(watched), "typing: dangling watcher")
     }
 );
 

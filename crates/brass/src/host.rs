@@ -21,7 +21,7 @@ use pylon::Topic;
 use simkit::fxhash::FxHashMap;
 use simkit::time::SimTime;
 
-use simkit::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{ensure, restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::snap_struct;
 
 use crate::app::{AppCounters, BrassApp, Ctx, DeviceId, Effect, FetchToken, StreamKey, WasRequest};
@@ -724,10 +724,7 @@ impl BrassHost {
 }
 
 snap_struct!(HostConfig { host_id, cores }, |c| {
-    if c.cores == 0 {
-        return Err("brass host: zero cores".into());
-    }
-    Ok(())
+    ensure(c.cores != 0, "brass host: zero cores")
 });
 snap_struct!(HostCounters {
     spool_ups,

@@ -30,6 +30,7 @@
 //! the accumulator round-trips through a header patch losslessly.
 
 use burst::json::Json;
+use simkit::snap::ensure;
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 
@@ -63,16 +64,16 @@ snap_struct!(
         last_refill
     },
     |b| {
-        if b.us_per_token == 0 || b.burst == 0 {
-            return Err("token bucket: zero quantum or burst".into());
-        }
-        if b.tokens > b.burst
-            || b.acc_us >= b.us_per_token
-            || (b.tokens == b.burst && b.acc_us != 0)
-        {
-            return Err("token bucket: inconsistent fill state".into());
-        }
-        Ok(())
+        ensure(
+            b.us_per_token != 0 && b.burst != 0,
+            "token bucket: zero quantum or burst",
+        )?;
+        ensure(
+            b.tokens <= b.burst
+                && b.acc_us < b.us_per_token
+                && (b.tokens < b.burst || b.acc_us == 0),
+            "token bucket: inconsistent fill state",
+        )
     }
 );
 

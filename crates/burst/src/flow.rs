@@ -111,10 +111,10 @@ simkit::snap_struct!(
         degraded
     },
     |w| {
-        if w.degraded && (w.capacity == 0 || w.in_flight == 0) {
-            return Err("degraded flow window with nothing in flight".into());
-        }
-        Ok(())
+        simkit::snap::ensure(
+            !w.degraded || (w.capacity != 0 && w.in_flight != 0),
+            "degraded flow window with nothing in flight",
+        )
     }
 );
 

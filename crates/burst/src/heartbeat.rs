@@ -11,6 +11,7 @@
 //! TCP timeout. Both ends run one; the responder side answers pings
 //! reflexively via [`HeartbeatMonitor::on_ping`].
 
+use simkit::snap::ensure;
 use simkit::{snap_enum, snap_struct};
 
 use crate::frame::Frame;
@@ -132,10 +133,10 @@ snap_struct!(
         health
     },
     |m| {
-        if m.interval_us == 0 || m.miss_threshold == 0 {
-            return Err("zero heartbeat interval/threshold".into());
-        }
-        Ok(())
+        ensure(
+            m.interval_us != 0 && m.miss_threshold != 0,
+            "zero heartbeat interval/threshold",
+        )
     }
 );
 

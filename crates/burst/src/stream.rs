@@ -13,6 +13,7 @@
 //!   dead streams.
 
 use simkit::fxhash::FxHashMap;
+use simkit::snap::ensure;
 use simkit::snap_struct;
 
 use crate::frame::{Delta, FlowStatus, Frame, Payload, StreamId, TerminateReason};
@@ -514,15 +515,15 @@ snap_struct!(
         retain
     },
     |s| {
-        if s.unacked.windows(2).any(|p| p[0].0 >= p[1].0)
-            || s.unacked.last().is_some_and(|(seq, _)| *seq >= s.next_seq)
-        {
-            return Err("unacked seqs must ascend strictly below next_seq".into());
-        }
-        if !s.retain && !s.unacked.is_empty() {
-            return Err("unacked entries on !retain stream".into());
-        }
-        Ok(())
+        ensure(
+            s.unacked.windows(2).all(|p| p[0].0 < p[1].0)
+                && s.unacked.last().is_none_or(|(seq, _)| *seq < s.next_seq),
+            "unacked seqs must ascend strictly below next_seq",
+        )?;
+        ensure(
+            s.retain || s.unacked.is_empty(),
+            "unacked entries on !retain stream",
+        )
     }
 );
 

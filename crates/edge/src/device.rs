@@ -271,9 +271,8 @@ impl Device {
         if blob.len() < 28 {
             return Err("hibernation blob shorter than its header");
         }
-        let mut pos = 0;
-        let next_sid = read_u64(blob, &mut pos);
-        pos = 24; // past delivered, renders
+        let next_sid = read_u64(blob, &mut 0);
+        let mut pos = 24; // past next_sid, delivered, renders
         let mut prev = None;
         for _ in 0..read_u32(blob, &mut pos) {
             let sid = ClientStream::check_frozen(blob, &mut pos)?;

@@ -12,6 +12,7 @@ use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
+use simkit::snap::ensure;
 use simkit::snap_struct;
 
 /// Microseconds between device heartbeats.
@@ -352,12 +353,7 @@ snap_struct!(
         table,
         counters
     },
-    |p| {
-        if p.proxies.is_empty() {
-            return Err("POP needs at least one proxy".into());
-        }
-        Ok(())
-    }
+    |p| ensure(!p.proxies.is_empty(), "POP needs at least one proxy")
 );
 
 #[cfg(test)]

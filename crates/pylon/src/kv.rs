@@ -8,6 +8,7 @@
 //! it performs patch operations based on a quorum of responses").
 
 use simkit::fxhash::FxHashMap;
+use simkit::snap::ensure;
 use simkit::snap_struct;
 
 use crate::cluster::HostId;
@@ -156,10 +157,10 @@ snap_struct!(
     },
     |n| {
         let sorted = |subs: &SubEntries| subs.windows(2).all(|p| p[0].0 < p[1].0);
-        if !n.store.values().all(sorted) {
-            return Err("kv subscriber entries not host-sorted".into());
-        }
-        Ok(())
+        ensure(
+            n.store.values().all(sorted),
+            "kv subscriber entries not host-sorted",
+        )
     }
 );
 

@@ -6,7 +6,9 @@
 
 use std::fmt;
 
-use crate::snap::{restore_sorted, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{
+    ensure, restore_sorted, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter,
+};
 use crate::snap_struct;
 use crate::time::{SimDuration, SimTime};
 
@@ -477,10 +479,10 @@ impl Snap for Histogram {
 }
 
 snap_struct!(TimeSeries { interval, buckets }, |s| {
-    if s.interval.is_zero() || s.buckets.is_empty() {
-        return Err("zero-interval or empty time series".into());
-    }
-    Ok(())
+    ensure(
+        !s.interval.is_zero() && !s.buckets.is_empty(),
+        "zero-interval or empty time series",
+    )
 });
 
 snap_struct!(
@@ -492,12 +494,7 @@ snap_struct!(
         dropped,
         depth
     },
-    |g| {
-        if g.current > g.peak {
-            return Err("gauge current exceeds peak".into());
-        }
-        Ok(())
-    }
+    |g| ensure(g.current <= g.peak, "gauge current exceeds peak")
 );
 
 /// Summary statistics extracted from a [`Histogram`], printable as a table

@@ -33,7 +33,7 @@
 //! # enum Shape { Dot, Line { from: Point, to: Point }, Tagged(Id, u8) }
 //! snap_struct!(Id { 0 });                 // tuple structs by index
 //! snap_struct!(Point { x, y }, |p| {      // optional whole-value check
-//!     if p.x <= p.y { Ok(()) } else { Err("x > y".into()) }
+//!     simkit::snap::ensure(p.x <= p.y, "x > y")
 //! });
 //! snap_enum!(Shape {                      // explicit one-byte tags
 //!     0 => Dot,
@@ -738,18 +738,32 @@ pub fn restore_sorted<E: Snap>(
     Ok(entries)
 }
 
+/// Writes map entries in the order given (the caller sorted them).
+fn snap_entries<'a, K: Snap + 'a, V: Snap + 'a>(
+    entries: impl ExactSizeIterator<Item = (&'a K, &'a V)>,
+    w: &mut SnapWriter,
+) {
+    w.put_usize(entries.len());
+    for (k, v) in entries {
+        k.snap(w);
+        v.snap(w);
+    }
+}
+
+/// Reads map entries, keys strictly ascending, into any map.
+fn restore_entries<K: Snap + Ord, V: Snap, M: FromIterator<(K, V)>>(
+    r: &mut SnapReader<'_>,
+) -> SnapResult<M> {
+    let entries = restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?;
+    Ok(entries.into_iter().collect())
+}
+
 impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.len());
-        for (k, v) in self {
-            k.snap(w);
-            v.snap(w);
-        }
+        snap_entries(self.iter(), w);
     }
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?
-            .into_iter()
-            .collect())
+        restore_entries(r)
     }
 }
 
@@ -764,16 +778,10 @@ where
     fn snap(&self, w: &mut SnapWriter) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(entries.len());
-        for (k, v) in entries {
-            k.snap(w);
-            v.snap(w);
-        }
+        snap_entries(entries.into_iter(), w);
     }
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?
-            .into_iter()
-            .collect())
+        restore_entries(r)
     }
 }
 
@@ -796,11 +804,22 @@ where
     }
 }
 
+/// `Ok` when `holds`, otherwise `what` as the error: one line of a
+/// [`snap_struct!`] whole-value check, stating an invariant positively.
+pub fn ensure(holds: bool, what: &str) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(what.to_owned())
+    }
+}
+
 /// Derives [`Snap`] for a struct from its field list, in encoding order:
 /// `snap_struct!(T { a, b })`, or `snap_struct!(T { 0 })` for a tuple
 /// struct. Every field's type must itself be `Snap`. An optional trailing
 /// `fn(&T) -> Result<(), String>` validates the decoded value as a whole
-/// (one field against another, a range); its `Err` fails the restore.
+/// (one field against another, a range; see [`ensure`]); its `Err` fails
+/// the restore.
 #[macro_export]
 macro_rules! snap_struct {
     ($T:ty { $($f:tt),* $(,)? }) => {
@@ -1007,10 +1026,7 @@ mod tests {
     }
     snap_struct!(Id { 0 });
     snap_struct!(Span { from, to }, |s| {
-        if s.from.0 > s.to.0 {
-            return Err("span runs backwards".into());
-        }
-        Ok(())
+        ensure(s.from.0 <= s.to.0, "span runs backwards")
     });
     snap_enum!(Shape {
         0 => Dot,

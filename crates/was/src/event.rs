@@ -9,6 +9,7 @@
 //! payloads out of the event halves cross-region bandwidth.
 
 use pylon::Topic;
+use simkit::snap::ensure;
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 
@@ -94,12 +95,7 @@ snap_struct!(
         seq,
         typing
     },
-    |m| {
-        if !m.quality.is_finite() {
-            return Err("EventMeta quality not finite".into());
-        }
-        Ok(())
-    }
+    |m| ensure(m.quality.is_finite(), "EventMeta quality not finite")
 );
 // The interned topic is written as its string and re-interned (validated)
 // on restore.

@@ -20,6 +20,7 @@ use std::fmt::{self, Write as _};
 
 use pylon::Topic;
 use simkit::fxhash::FxHashMap;
+use simkit::snap::ensure;
 use simkit::snap_struct;
 use tao::{ObjectId, QueryCost, ReplicationEvent, Tao, Value};
 
@@ -247,10 +248,10 @@ snap_struct!(
         headline_at
     },
     |p| {
-        if !p.discard_below.is_finite() || !p.headline_at.is_finite() {
-            return Err("was: non-finite hot policy".into());
-        }
-        Ok(())
+        ensure(
+            p.discard_below.is_finite() && p.headline_at.is_finite(),
+            "was: non-finite hot policy",
+        )
     }
 );
 // The TAO store, the event-id counter, mailbox sequence counters,
@@ -263,12 +264,7 @@ snap_struct!(
         hot_videos,
         counters
     },
-    |was| {
-        if was.next_event_id == 0 {
-            return Err("was: zero event-id counter".into());
-        }
-        Ok(())
-    }
+    |was| ensure(was.next_event_id != 0, "was: zero event-id counter")
 );
 
 impl WebApplicationServer {
