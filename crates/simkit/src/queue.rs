@@ -5,29 +5,52 @@
 //! they were scheduled. Determinism here is what makes whole-system runs
 //! reproducible bit-for-bit from a seed.
 //!
-//! # Implementation: hierarchical timing wheel
+//! # Implementation: one calendar ring over a slab
 //!
 //! Scheduling and popping near-future events is the simulator's innermost
-//! loop, so the queue is a hierarchical timing wheel rather than a binary
-//! heap: [`LEVELS`] levels of [`SLOTS`] slots each, with level `l` covering
-//! `64^(l+1)` microseconds at a granularity of `64^l` µs (level 0 slots are
-//! exactly one microsecond wide). A per-level 64-bit occupancy bitmap turns
-//! "find the next non-empty slot" into a mask and `trailing_zeros`, so
-//! `schedule` and `pop` are O(1) for events within the wheel horizon
-//! (`64^LEVELS` µs ≈ 19 simulated hours ahead) and events beyond it fall
-//! back to an overflow binary heap, promoted into the wheel when the
-//! cursor catches up.
+//! loop, and what it costs there is cache lines, not comparisons: an event
+//! is 80–100 bytes and a line that has gone cold costs as much as a few
+//! hundred instructions. So an event is written once, into a **slab** slot
+//! it never leaves ([`Entry`]; freed slots are reused last-freed-first, so
+//! the slot a pop just emptied is the warm one the next `schedule` fills),
+//! and everything that orders events moves 4-byte slab indices or 24-byte
+//! [`Key`]s instead:
 //!
-//! FIFO correctness falls out of three invariants: slot vectors are
-//! append-only and cascaded in order (so same-timestamp events keep their
-//! scheduling order), a level-0 slot is one microsecond wide (so everything
-//! in it shares a timestamp), and cancellation is lazy (a tombstone is
-//! consulted at pop, never reordering storage). One subtlety: skipping a
-//! *cancelled* event moves the wheel cursor past its slot without advancing
-//! simulated time, and a handler may then legally schedule into that gap —
-//! such entries go to a small `backfill` heap, which always drains before
-//! the wheel because its entries are strictly earlier than every wheel
-//! entry.
+//! * **The ring** — [`RING`] buckets of `2^BUCKET_BITS` µs, covering the
+//!   buckets strictly after the cursor's up to `cursor + RING`. A bucket is
+//!   an unordered list of slab indices; `schedule` appends one `u32`.
+//! * **The due list** — when the cursor reaches a bucket its entries' keys
+//!   are gathered from the slab (independent loads, which also warm the
+//!   entries about to pop), sorted once by `(time, seq)`, and popped off
+//!   the end. Sort-on-arrival is what lets buckets stay unordered: FIFO
+//!   ties fall out of the seq in the key, not out of storage order.
+//! * **The late heap** — keys scheduled at or behind the cursor's bucket:
+//!   a handler scheduling "now" or a few hundred µs ahead into the bucket
+//!   being drained, and inserts behind a cursor that a bounded pop or a
+//!   skipped tombstone moved ahead of the clock. Small; every pop takes the
+//!   lesser of its head and the due list's.
+//! * **The overflow heap** — keys at or beyond `cursor + RING`, moved into
+//!   the ring as the cursor's window reaches them. Every key there is later
+//!   than every ring entry.
+//!
+//! Why one ring and no hierarchy: a hierarchy buys a long horizon by
+//! re-filing every entry once per tier it descends, and each re-filing
+//! copied the whole event between cold slots. Nearly everything this
+//! simulator schedules lies within a few seconds (hop latencies of
+//! micro- to milliseconds, 2 s push timers, heartbeats), so the ring is
+//! sized to hold that — 1,024 µs × 4,096 = 4.19 s — and the rest (workload
+//! injected up front, reconnect backoffs) waits in a heap of keys, paying
+//! one `O(log n)` push and pop each. The width trades sort size against
+//! ring length: at 1,024 µs a non-empty bucket holds ≈22 entries with
+//! 20 k devices (≈110 with 100 k), a sort that stays in L1, while 4,096
+//! `Vec` headers plus a 512-byte occupancy bitmap stay resident in L2.
+//! Both are constants because nothing a caller knows would pick them
+//! better; they affect speed only, never order.
+//!
+//! A bucket keeps its index buffer between turns unless it grew past
+//! [`RETAIN_INDICES`]: small buffers refill every few seconds and would
+//! cost an allocation per turn, while one burst's buffer kept in each of
+//! 4,096 slots would pin the ring at its high-water mark.
 //!
 //! # Cancellation: tombstones and the fired order
 //!
@@ -43,31 +66,20 @@
 //! (Skipping a tombstone does not advance the clock, so one a pop discards
 //! ahead of the clock is kept aside until the next firing passes it.)
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::fxhash::FxHashSet;
-use crate::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::SimTime;
 
-/// Slots per wheel level (64, so occupancy fits one `u64` bitmap).
-const SLOTS: usize = 64;
-/// Bits of the time value consumed per level.
-const SLOT_BITS: usize = 6;
-/// Wheel levels; the horizon is `2^(SLOT_BITS * LEVELS)` µs ≈ 19.1 h.
-const LEVELS: usize = 6;
-/// Events at or beyond `cursor + 2^HORIZON_BITS` µs overflow to a heap.
-const HORIZON_BITS: usize = SLOT_BITS * LEVELS;
-
-/// A slot buffer that has grown past this many entries — more than one per
-/// child slot — is handed back to the allocator once a cascade has emptied
-/// it; smaller ones are kept for the slot's next turn. Lower-level slots
-/// hold a handful of entries and refill every few milliseconds, so
-/// dropping their buffers costs an allocation per event or two; an
-/// upper-level slot can hold a whole fleet's timers once per rotation, and
-/// keeping 64 of those per level would pin the wheel at its high-water
-/// mark to save a re-growth that is amortised over thousands of entries.
-const RETAIN_ENTRIES: usize = SLOTS;
+/// A bucket is `2^BUCKET_BITS` = 1,024 µs wide.
+const BUCKET_BITS: u32 = 10;
+/// Buckets in the ring: a 4.19 s window ahead of the cursor.
+const RING: usize = 1 << 12;
+/// A bucket's index buffer that grew past this many entries is handed back
+/// to the allocator once the bucket drains; smaller ones are kept.
+const RETAIN_INDICES: usize = 256;
 
 /// Handle identifying a scheduled event, usable for cancellation: the
 /// event's `(time, seq)` key, with the time already clamped to the clock at
@@ -78,34 +90,25 @@ pub struct EventId {
     seq: u64,
 }
 
+/// A slab slot: one stored event, or a free slot (`event` is `None`).
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    event: E,
+    event: Option<E>,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// What orders an entry, and where it lives. Compared field by field, so
+/// by `(time, seq)`: seqs are unique and the index never decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    idx: u32,
 }
 
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Key {
+    fn bucket(&self) -> u64 {
+        self.at.as_micros() >> BUCKET_BITS
     }
 }
 
@@ -126,25 +129,26 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop().unwrap().1, "even later");
 /// ```
 pub struct EventQueue<E> {
-    /// Slot rings for all levels, flattened level-major
-    /// (`slots[l * SLOTS + j]`). Slot vectors stay seq-ordered per
-    /// timestamp: appends happen in scheduling order and cascades preserve
-    /// relative order.
-    slots: Vec<VecDeque<Entry<E>>>,
-    /// Per-level bitmaps: bit `j` set iff `slots[l * SLOTS + j]` is
-    /// non-empty.
-    occupancy: [u64; LEVELS],
-    /// Wheel position in µs. Every entry stored in the wheel fires at or
-    /// after this; it advances monotonically as slots drain.
+    /// Every stored entry, cancelled or not, at an index it keeps for as
+    /// long as it is stored.
+    slab: Vec<Entry<E>>,
+    /// Free slab slots; the last one freed is the next one filled.
+    free: Vec<u32>,
+    /// `ring[b % RING]` holds the slab indices of the entries in bucket `b`
+    /// (`at >> BUCKET_BITS`), for `cursor < b < cursor + RING`, unordered.
+    ring: Vec<Vec<u32>>,
+    /// Bit `s` set iff `ring[s]` is non-empty.
+    occupied: [u64; RING / 64],
+    /// The bucket being drained. Advances monotonically; never beyond the
+    /// bucket of a bounded pop's limit, but possibly ahead of the clock.
     cursor: u64,
-    /// Entries scheduled into `(now, cursor)` after the wheel structurally
-    /// passed their timestamp (possible when cancelled events were
-    /// skipped). Strictly earlier than every wheel entry, so this drains
-    /// first.
-    backfill: BinaryHeap<Entry<E>>,
-    /// Entries beyond the wheel horizon; strictly later than every wheel
-    /// entry, promoted when the wheel drains up to them.
-    overflow: BinaryHeap<Entry<E>>,
+    /// The cursor bucket's keys, sorted descending: the next to pop is last.
+    due: Vec<Key>,
+    /// Keys scheduled at or behind the cursor's bucket.
+    late: BinaryHeap<Reverse<Key>>,
+    /// Keys at or beyond bucket `cursor + RING`: later than every ring
+    /// entry, moved into the ring when its window reaches them.
+    overflow: BinaryHeap<Reverse<Key>>,
     next_seq: u64,
     /// Events scheduled and neither fired nor cancelled: what `len()`
     /// reports.
@@ -161,9 +165,6 @@ pub struct EventQueue<E> {
     /// `now`, the key everything at or below which has left the queue.
     last_seq: Option<u64>,
     now: SimTime,
-    /// Cascades move a slot's entries through here, so the slot's own
-    /// buffer survives for its next turn.
-    scratch: VecDeque<Entry<E>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -176,10 +177,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occupancy: [0; LEVELS],
+            slab: Vec::new(),
+            free: Vec::new(),
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            occupied: [0; RING / 64],
             cursor: 0,
-            backfill: BinaryHeap::new(),
+            due: Vec::new(),
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             next_seq: 0,
             live: 0,
@@ -187,7 +191,6 @@ impl<E> EventQueue<E> {
             discarded: FxHashSet::default(),
             last_seq: None,
             now: SimTime::ZERO,
-            scratch: VecDeque::new(),
         }
     }
 
@@ -205,137 +208,107 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.insert(Entry { at, seq, event });
+        self.store(at, seq, event);
         EventId { at, seq }
     }
 
-    /// Routes an entry to the wheel, the backfill heap (behind the cursor),
-    /// or the overflow heap (beyond the horizon).
-    fn insert(&mut self, entry: Entry<E>) {
-        let at_us = entry.at.as_micros();
-        if at_us < self.cursor {
-            self.backfill.push(entry);
-            return;
-        }
-        let xor = at_us ^ self.cursor;
-        if xor >> HORIZON_BITS != 0 {
-            self.overflow.push(entry);
-            return;
-        }
-        let level = if xor == 0 {
-            0
+    /// Writes an entry into a slab slot and files its key.
+    fn store(&mut self, at: SimTime, seq: u64, event: E) {
+        let event = Some(event);
+        let entry = Entry { at, seq, event };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx as usize] = entry;
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slab.len()).expect("under 2^32 stored events");
+                self.slab.push(entry);
+                idx
+            }
+        };
+        self.file(Key { at, seq, idx });
+    }
+
+    /// Routes a key to the late heap (at or behind the cursor's bucket),
+    /// the ring, or the overflow heap (beyond the ring's window).
+    fn file(&mut self, key: Key) {
+        let bucket = key.bucket();
+        if bucket <= self.cursor {
+            self.late.push(Reverse(key));
+        } else if bucket - self.cursor < RING as u64 {
+            let slot = bucket as usize % RING;
+            self.ring[slot].push(key.idx);
+            self.occupied[slot / 64] |= 1 << (slot % 64);
         } else {
-            (63 - xor.leading_zeros() as usize) / SLOT_BITS
-        };
-        let slot = (at_us >> (SLOT_BITS * level)) as usize & (SLOTS - 1);
-        self.occupancy[level] |= 1u64 << slot;
-        self.slots[level * SLOTS + slot].push_back(entry);
-    }
-
-    /// Timestamp (µs) of the earliest wheel entry, cancelled or not,
-    /// without mutating anything.
-    ///
-    /// Levels are strictly time-ordered (level `l` entries all precede
-    /// level `l+1` entries, because each level is confined to the cursor's
-    /// current parent slot), so the first occupied slot of the lowest
-    /// occupied level holds the minimum. Level-0 slots are 1 µs wide so the
-    /// slot index *is* the timestamp; higher-level slots need a scan.
-    fn wheel_earliest(&self) -> Option<u64> {
-        for level in 0..LEVELS {
-            let current = (self.cursor >> (SLOT_BITS * level)) as u32 & (SLOTS as u32 - 1);
-            let masked = self.occupancy[level] & (!0u64 << current);
-            if masked == 0 {
-                continue;
-            }
-            let j = masked.trailing_zeros() as u64;
-            if level == 0 {
-                return Some((self.cursor & !(SLOTS as u64 - 1)) + j);
-            }
-            let slot = &self.slots[level * SLOTS + j as usize];
-            return slot.iter().map(|e| e.at.as_micros()).min();
-        }
-        None
-    }
-
-    /// Advances the cursor to the earliest wheel entry, cascading
-    /// higher-level slots down until it sits in level 0, and returns its
-    /// level-0 slot index. Must only be called when the wheel is non-empty.
-    fn settle_head(&mut self) -> usize {
-        loop {
-            let current = (self.cursor & (SLOTS as u64 - 1)) as u32;
-            let masked = self.occupancy[0] & (!0u64 << current);
-            if masked != 0 {
-                let j = masked.trailing_zeros() as usize;
-                self.cursor = (self.cursor & !(SLOTS as u64 - 1)) + j as u64;
-                return j;
-            }
-            let mut progressed = false;
-            for level in 1..LEVELS {
-                let current = (self.cursor >> (SLOT_BITS * level)) as u32 & (SLOTS as u32 - 1);
-                let masked = self.occupancy[level] & (!0u64 << current);
-                if masked == 0 {
-                    continue;
-                }
-                let j = masked.trailing_zeros() as usize;
-                // Jump to the start of that slot and redistribute its
-                // entries relative to the new cursor: each lands at a
-                // strictly lower level, preserving order (the vector is
-                // seq-ordered per timestamp and drained front to back).
-                let width = SLOT_BITS * (level + 1);
-                let slot_start =
-                    (self.cursor & !((1u64 << width) - 1)) + ((j as u64) << (SLOT_BITS * level));
-                debug_assert!(slot_start > self.cursor);
-                self.cursor = slot_start;
-                self.occupancy[level] &= !(1u64 << j);
-                let slot = &mut self.slots[level * SLOTS + j];
-                self.scratch.extend(slot.drain(..));
-                if slot.capacity() > RETAIN_ENTRIES {
-                    *slot = VecDeque::new();
-                }
-                while let Some(entry) = self.scratch.pop_front() {
-                    self.insert(entry);
-                }
-                if self.scratch.capacity() > RETAIN_ENTRIES {
-                    self.scratch = VecDeque::new();
-                }
-                progressed = true;
-                break;
-            }
-            debug_assert!(progressed, "settle_head called on an empty wheel");
-            if !progressed {
-                unreachable!("settle_head called on an empty wheel");
-            }
+            self.overflow.push(Reverse(key));
         }
     }
 
-    /// Jumps the cursor to the overflow head and promotes every overflow
-    /// entry that now fits the wheel horizon. Only called when the wheel
-    /// and backfill are empty, so the jump cannot leapfrog anything.
-    ///
-    /// Horizon-boundary audit: [`Self::insert`] overflows on
-    /// `(at ^ cursor) >> HORIZON_BITS != 0`, i.e. whenever `at` falls in a
-    /// different `2^HORIZON_BITS`-µs block than the cursor — which is
-    /// *not* the same as `at >= cursor + 2^HORIZON_BITS`. An event only
-    /// 1µs away can overflow (cursor `2^36 − 1`, at `2^36`), and an event
-    /// nearly `2^36` µs away can stay in the wheel (cursor `2^36`, at
-    /// `2^37 − 1`). Both are correct: every overflow entry has strictly
-    /// greater high bits than the cursor had at insert time, so it sorts
-    /// after every wheel entry of that block and the cursor jump here can
-    /// never move backwards past a stored event. The
-    /// `dense_events_straddling_horizon_boundary_*` tests pin exactly the
-    /// `cursor + 2^HORIZON_BITS` seam against the heap reference.
-    fn promote_overflow(&mut self) {
-        let Some(head) = self.overflow.peek() else {
-            return;
+    /// The first non-empty ring bucket after the cursor's.
+    fn next_in_ring(&self) -> Option<u64> {
+        const WORDS: usize = RING / 64;
+        let start = (self.cursor as usize + 1) % RING;
+        let (word, bit) = (start / 64, start % 64);
+        // The starting word is looked at twice: from `bit` up first, and
+        // below `bit` after the scan has wrapped all the way round.
+        let slot = (0..=WORDS).find_map(|i| {
+            let w = (word + i) % WORDS;
+            let bits = match i {
+                0 => self.occupied[w] & (!0 << bit),
+                WORDS => self.occupied[w] & !(!0 << bit),
+                _ => self.occupied[w],
+            };
+            (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
+        })?;
+        // Ring entries lie within RING buckets of the cursor, so the slot
+        // names exactly one of them.
+        Some(self.cursor + (slot as u64).wrapping_sub(self.cursor) % RING as u64)
+    }
+
+    /// With nothing due or late, moves the cursor to the next stored bucket
+    /// and loads it. `false`, and nothing moves, if nothing is stored or
+    /// that bucket begins after `limit_us`.
+    fn advance(&mut self, limit_us: u64) -> bool {
+        debug_assert!(self.due.is_empty() && self.late.is_empty());
+        let next = self
+            .next_in_ring()
+            .or_else(|| self.overflow.peek().map(|head| head.0.bucket()));
+        let Some(next) = next.filter(|&b| b <= limit_us >> BUCKET_BITS) else {
+            return false;
         };
-        debug_assert!(head.at.as_micros() >= self.cursor);
-        self.cursor = head.at.as_micros();
-        while let Some(head) = self.overflow.peek() {
-            if (head.at.as_micros() ^ self.cursor) >> HORIZON_BITS != 0 {
+        self.cursor = next;
+        while let Some(&Reverse(key)) = self.overflow.peek() {
+            if key.bucket() - next >= RING as u64 {
                 break;
             }
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            self.insert(entry);
+            self.overflow.pop();
+            self.file(key);
+        }
+        let slot = next as usize % RING;
+        let indices = &mut self.ring[slot];
+        self.due.extend(indices.iter().map(|&idx| {
+            let e = &self.slab[idx as usize];
+            let (at, seq) = (e.at, e.seq);
+            Key { at, seq, idx }
+        }));
+        if indices.capacity() > RETAIN_INDICES {
+            *indices = Vec::new();
+        } else {
+            indices.clear();
+        }
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        self.due.sort_unstable_by(|a, b| b.cmp(a));
+        true
+    }
+
+    /// The least stored key at or behind the cursor's bucket, and whether
+    /// it heads the late heap (otherwise the due list).
+    fn head(&self) -> Option<(Key, bool)> {
+        match (self.due.last(), self.late.peek()) {
+            (Some(&due), Some(&Reverse(late))) if late < due => Some((late, true)),
+            (Some(&due), _) => Some((due, false)),
+            (None, late) => late.map(|&Reverse(late)| (late, true)),
         }
     }
 
@@ -367,15 +340,14 @@ impl<E> EventQueue<E> {
 
     /// Advances the clock to a popped event, which puts every tombstone
     /// discarded on the way at or below the fired key.
-    fn fire(&mut self, entry: Entry<E>) -> (SimTime, E) {
+    fn fire(&mut self, at: SimTime, seq: u64, event: E) -> (SimTime, E) {
         self.live -= 1;
-        self.now = entry.at;
-        self.last_seq = Some(entry.seq);
+        self.now = at;
+        self.last_seq = Some(seq);
         if !self.discarded.is_empty() {
-            self.discarded
-                .retain(|id| (id.at, id.seq) > (entry.at, entry.seq));
+            self.discarded.retain(|id| (id.at, id.seq) > (at, seq));
         }
-        (entry.at, entry.event)
+        (at, event)
     }
 
     /// Pops the earliest pending event, advancing the clock to its timestamp.
@@ -390,46 +362,34 @@ impl<E> EventQueue<E> {
         self.pop_bounded(until.as_micros())
     }
 
-    /// Shared pop core: drains backfill, then the wheel, then promotes
-    /// overflow, skipping cancelled entries, never firing past `limit_us`.
-    /// Like the head of a heap, the earliest *stored* entry bounds the
-    /// earliest *live* entry, so a cancelled head past the limit still
-    /// (conservatively and correctly) returns `None`.
+    /// Shared pop core: takes the least stored key, skipping cancelled
+    /// entries, never firing past `limit_us`. Like the head of a heap, the
+    /// earliest *stored* entry bounds the earliest *live* entry, so a
+    /// cancelled head past the limit still (conservatively and correctly)
+    /// returns `None`.
     fn pop_bounded(&mut self, limit_us: u64) -> Option<(SimTime, E)> {
         loop {
-            // Backfill entries precede every wheel entry (at < cursor).
-            if let Some(head) = self.backfill.peek() {
-                if head.at.as_micros() > limit_us {
-                    return None;
+            let Some((key, from_late)) = self.head() else {
+                if self.advance(limit_us) {
+                    continue;
                 }
-                let entry = self.backfill.pop().expect("peeked entry exists");
-                if self.take_cancelled(entry.at, entry.seq) {
-                    continue; // cancelled before firing
-                }
-                return Some(self.fire(entry));
-            }
-            // Wheel entries precede every overflow entry (at within horizon).
-            if let Some(at_us) = self.wheel_earliest() {
-                if at_us > limit_us {
-                    return None;
-                }
-                let j = self.settle_head();
-                let slot = &mut self.slots[j];
-                let entry = slot.pop_front().expect("settled slot is non-empty");
-                debug_assert_eq!(entry.at.as_micros(), at_us);
-                if slot.is_empty() {
-                    self.occupancy[0] &= !(1u64 << j);
-                }
-                if self.take_cancelled(entry.at, entry.seq) {
-                    continue; // cancelled before firing
-                }
-                return Some(self.fire(entry));
-            }
-            let head_at = self.overflow.peek()?.at;
-            if head_at.as_micros() > limit_us {
+                return None;
+            };
+            if key.at.as_micros() > limit_us {
                 return None;
             }
-            self.promote_overflow();
+            if from_late {
+                self.late.pop();
+            } else {
+                self.due.pop();
+            }
+            let stored = self.slab[key.idx as usize].event.take();
+            self.free.push(key.idx);
+            if self.take_cancelled(key.at, key.seq) {
+                continue; // cancelled before firing
+            }
+            let event = stored.expect("a filed key names a stored entry");
+            return Some(self.fire(key.at, key.seq, event));
         }
     }
 
@@ -446,181 +406,73 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         // Cancelled entries may sit at the head; this is a conservative
-        // bound, exact once compaction occurs on pop.
-        if let Some(head) = self.backfill.peek() {
-            return Some(head.at);
+        // bound, exact once a pop has discarded them.
+        if let Some((key, _)) = self.head() {
+            return Some(key.at);
         }
-        if let Some(at_us) = self.wheel_earliest() {
-            return Some(SimTime::from_micros(at_us));
+        if let Some(bucket) = self.next_in_ring() {
+            let indices = &self.ring[bucket as usize % RING];
+            return indices.iter().map(|&i| self.slab[i as usize].at).min();
         }
-        self.overflow.peek().map(|e| e.at)
-    }
-
-    /// The wheel placement `insert` would choose for `at_us` under `cursor`,
-    /// or `None` if the entry belongs in backfill/overflow instead.
-    fn placement(cursor: u64, at_us: u64) -> Option<(usize, usize)> {
-        if at_us < cursor {
-            return None;
-        }
-        let xor = at_us ^ cursor;
-        if xor >> HORIZON_BITS != 0 {
-            return None;
-        }
-        let level = if xor == 0 {
-            0
-        } else {
-            (63 - xor.leading_zeros() as usize) / SLOT_BITS
-        };
-        let slot = (at_us >> (SLOT_BITS * level)) as usize & (SLOTS - 1);
-        Some((level, slot))
+        self.overflow.peek().map(|head| head.0.at)
     }
 }
 
-impl<E: Snap> EventQueue<E> {
-    /// Every stored entry: both heaps, then the wheel slots in index order.
-    fn stored(&self) -> impl Iterator<Item = &Entry<E>> {
-        let heaps = self.backfill.iter().chain(self.overflow.iter());
-        heaps.chain(self.slots.iter().flatten())
-    }
-}
-
-impl<E: Snap> Snap for Entry<E> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.at.snap(w);
-        self.seq.snap(w);
-        self.event.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(Entry {
-            at: Snap::restore(r)?,
-            seq: Snap::restore(r)?,
-            event: Snap::restore(r)?,
-        })
-    }
-}
-
+/// The queue's **contents, not its shape**: clock, `next_seq`, every stored
+/// entry (tombstones included — their position feeds `peek_time`'s
+/// conservative bound) in `(time, seq)` order, and the tombstone seqs. How
+/// the entries are spread over slab, ring and heaps is not written, so a
+/// change to the structure moves no snapshot byte.
 impl<E: Snap> Snap for EventQueue<E> {
-    /// Writes the queue's complete structure: clock, cursor, the sorted
-    /// seqs of the live events, both heaps (as `(time, seq)`-sorted
-    /// vectors), and every wheel slot verbatim — including cancelled
-    /// entries (tombstones), because their storage position feeds
-    /// `peek_time`'s conservative bound.
     fn snap(&self, w: &mut SnapWriter) {
         self.now.snap(w);
-        self.cursor.snap(w);
         self.next_seq.snap(w);
-        let mut pending: Vec<u64> = self
-            .stored()
-            .map(|e| e.seq)
-            .filter(|seq| !self.cancelled.contains(seq))
-            .collect();
-        pending.sort_unstable();
-        pending.snap(w);
-        for heap in [&self.backfill, &self.overflow] {
-            let mut entries: Vec<&Entry<E>> = heap.iter().collect();
-            entries.sort_by_key(|e| (e.at, e.seq));
-            w.put_usize(entries.len());
-            for e in entries {
-                e.snap(w);
-            }
+        let mut stored: Vec<&Entry<E>> = self.slab.iter().filter(|e| e.event.is_some()).collect();
+        stored.sort_unstable_by_key(|e| (e.at, e.seq));
+        w.put_usize(stored.len());
+        for e in stored {
+            e.at.snap(w);
+            e.seq.snap(w);
+            e.event.as_ref().expect("filtered above").snap(w);
         }
-        for slot in &self.slots {
-            slot.snap(w);
-        }
+        self.cancelled.snap(w);
     }
 
-    /// Rebuilds a queue written by [`snap`](Self::snap), validating the
-    /// structural invariants the wheel relies on: heap vectors strictly
-    /// ascending in `(time, seq)`, every wheel entry stored exactly where
-    /// `insert` would place it under the restored cursor, seqs unique and
-    /// below `next_seq`, and the live seqs a subset of stored entries (the
-    /// stored rest are the tombstones). Any violation is a clean error,
-    /// never a partial queue. The last pop's seq is not in the snapshot;
-    /// it is taken as just below the earliest entry still stored at `now`,
-    /// which classifies every fired and every stored id of the snapshotted
-    /// queue as the original would (ids are not serializable, so nothing
-    /// but a test holds one across a restore).
+    /// Re-inserts what [`snap`](Self::snap) wrote, validating it: entries
+    /// strictly ascending in `(time, seq)` and not before the clock, seqs
+    /// unique and below `next_seq`, every tombstone naming a stored entry.
+    /// Any violation is a clean error, never a partial queue. The last
+    /// pop's seq is not in the snapshot; it is taken as just below the
+    /// earliest entry still stored at `now`, which classifies every fired
+    /// and every stored id of the snapshotted queue as the original would
+    /// (ids are not serializable, so nothing but a test holds one across a
+    /// restore).
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let now = SimTime::restore(r)?;
-        let cursor = r.get_u64()?;
-        let next_seq = r.get_u64()?;
-        let pending = FxHashSet::<u64>::restore(r)?;
-
-        let mut seen = FxHashSet::default();
-        let mut check_seq = |seq: u64| {
-            if seq >= next_seq {
-                return Err(SnapError::Invalid(format!("seq {seq} >= next_seq")));
+        let invalid = |what: String| Err(SnapError::Invalid(format!("queue: {what}")));
+        let mut queue = EventQueue::new();
+        queue.now = SimTime::restore(r)?;
+        queue.next_seq = r.get_u64()?;
+        queue.cursor = queue.now.as_micros() >> BUCKET_BITS;
+        let mut seqs = FxHashSet::default();
+        let mut prev = None;
+        for _ in 0..r.get_len()? {
+            let (at, seq) = (SimTime::restore(r)?, r.get_u64()?);
+            if at < queue.now || seq >= queue.next_seq {
+                return invalid(format!("entry ({at:?}, {seq}) before the clock or unissued"));
             }
-            if !seen.insert(seq) {
-                return Err(SnapError::Invalid(format!("duplicate stored seq {seq}")));
+            if prev >= Some((at, seq)) || !seqs.insert(seq) {
+                return invalid(format!("entry ({at:?}, {seq}) out of order or repeated"));
             }
-            Ok(())
-        };
-
-        let mut backfill = BinaryHeap::new();
-        let mut overflow = BinaryHeap::new();
-        for (which, heap) in [&mut backfill, &mut overflow].into_iter().enumerate() {
-            let by_time_seq = |a: &Entry<E>, b: &Entry<E>| (a.at, a.seq) < (b.at, b.seq);
-            for e in restore_sorted(r, by_time_seq)? {
-                check_seq(e.seq)?;
-                let at_us = e.at.as_micros();
-                let ok = if which == 0 {
-                    at_us < cursor
-                } else {
-                    at_us >= cursor && (at_us ^ cursor) >> HORIZON_BITS != 0
-                };
-                if !ok {
-                    return Err(SnapError::Invalid(format!(
-                        "heap entry at {at_us}µs inconsistent with cursor {cursor}"
-                    )));
-                }
-                heap.push(e);
-            }
+            prev = Some((at, seq));
+            queue.store(at, seq, E::restore(r)?);
         }
-
-        let mut slots: Vec<VecDeque<Entry<E>>> = Vec::with_capacity(LEVELS * SLOTS);
-        let mut occupancy = [0u64; LEVELS];
-        for i in 0..LEVELS * SLOTS {
-            let slot_q = VecDeque::<Entry<E>>::restore(r)?;
-            let (level, slot) = (i / SLOTS, i % SLOTS);
-            for e in &slot_q {
-                check_seq(e.seq)?;
-                if Self::placement(cursor, e.at.as_micros()) != Some((level, slot)) {
-                    return Err(SnapError::Invalid(format!(
-                        "wheel entry at {}µs misplaced in level {level} slot {slot}",
-                        e.at.as_micros()
-                    )));
-                }
-            }
-            if !slot_q.is_empty() {
-                occupancy[level] |= 1u64 << slot;
-            }
-            slots.push(slot_q);
+        queue.cancelled = Snap::restore(r)?;
+        if let Some(seq) = queue.cancelled.difference(&seqs).next() {
+            return invalid(format!("tombstone {seq} has no stored entry"));
         }
-
-        if let Some(s) = pending.difference(&seen).next() {
-            return Err(SnapError::Invalid(format!(
-                "pending seq {s} has no stored entry"
-            )));
-        }
-
-        let mut queue = EventQueue {
-            slots,
-            occupancy,
-            cursor,
-            backfill,
-            overflow,
-            next_seq,
-            live: pending.len(),
-            cancelled: seen.difference(&pending).copied().collect(),
-            discarded: FxHashSet::default(),
-            last_seq: None,
-            now,
-            scratch: VecDeque::new(),
-        };
-        let at_now = queue.stored().filter(|e| e.at == now).map(|e| e.seq).min();
-        queue.last_seq = at_now.unwrap_or(next_seq).checked_sub(1);
+        queue.live = seqs.len() - queue.cancelled.len();
+        let at_now = queue.slab.first().filter(|e| e.at == queue.now);
+        queue.last_seq = at_now.map_or(queue.next_seq, |e| e.seq).checked_sub(1);
         Ok(queue)
     }
 }
@@ -629,6 +481,9 @@ impl<E: Snap> Snap for EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    /// The ring's window: what lies this far past the cursor overflows.
+    const SPAN_US: u64 = (RING as u64) << BUCKET_BITS;
 
     #[test]
     fn orders_by_time() {
@@ -755,43 +610,47 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflows_and_promotes_between_levels() {
-        // An event beyond the 64^6 µs ≈ 19 h wheel horizon lands in the
-        // overflow heap, then promotes into the wheel (cascading down
-        // through the levels) once everything nearer has drained — and
-        // pops in exact (time, seq) order throughout.
+    fn far_future_waits_in_overflow_and_moves_into_the_ring() {
+        // An event beyond the ring's window lands in the overflow heap and
+        // is moved into the ring (or straight under the cursor) once
+        // everything nearer has drained — in exact (time, seq) order.
         let mut q = EventQueue::new();
-        let horizon_us = 1u64 << HORIZON_BITS;
-        let far = SimTime::from_micros(horizon_us + 12_345);
-        let farther = SimTime::from_micros(3 * horizon_us + 99);
+        let far = SimTime::from_micros(SPAN_US + 12_345);
+        let farther = SimTime::from_micros(3 * SPAN_US + 99);
         q.schedule(far, "far");
         q.schedule(farther, "farther");
-        assert_eq!(q.overflow.len(), 2, "beyond-horizon events overflow");
-        q.schedule(SimTime::from_micros(5), "near");
+        assert_eq!(q.overflow.len(), 2, "beyond-window events overflow");
+        q.schedule(SimTime::from_micros(20_000), "near");
         assert_eq!(q.overflow.len(), 2);
+        assert_eq!(q.slab.len(), 3);
 
-        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(5), "near"));
-        // Popping the far event forces a promotion out of overflow and a
-        // cascade down every wheel level to a 1 µs level-0 slot.
-        assert_eq!(q.pop().unwrap(), (far, "far"));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_micros(20_000), "near"));
+        // The near bucket's cursor brings `far` inside the window.
         assert_eq!(q.overflow.len(), 1, "still-too-far event stays in overflow");
+        assert_eq!(q.pop().unwrap(), (far, "far"));
+        // Nothing in the ring: the cursor jumps to the overflow head.
         assert_eq!(q.pop().unwrap(), (farther, "farther"));
         assert!(q.pop().is_none());
+        assert_eq!(q.free.len(), 3, "every slab slot came back");
     }
 
     #[test]
-    fn same_instant_fifo_across_wheel_and_promotion() {
+    fn same_instant_fifo_across_ring_late_and_overflow() {
         // FIFO ties must hold even when same-timestamp events take
-        // different routes into the wheel (direct insert at different
-        // levels vs. overflow promotion).
+        // different routes: overflow, the ring, and the late heap.
         let mut q = EventQueue::new();
-        let t = SimTime::from_micros((1 << HORIZON_BITS) + 77);
+        let t = SimTime::from_micros(SPAN_US + 77);
         q.schedule(t, 0); // overflow
-        q.schedule(SimTime::from_micros(1), 100); // near
+        q.schedule(SimTime::from_micros(2_000), 100);
         q.schedule(t, 1); // overflow, after 0
         assert_eq!(q.pop().unwrap().1, 100);
-        q.schedule(t, 2); // still overflow relative to cursor=1
-        for expect in 0..3 {
+        q.schedule(t, 2); // within the window now: the ring
+        assert_eq!((q.overflow.len(), q.late.len()), (0, 0));
+        q.schedule(SimTime::from_micros(SPAN_US + 70), 200);
+        assert_eq!(q.pop().unwrap().1, 200);
+        q.schedule(t, 3); // the bucket being drained: the late heap
+        assert_eq!(q.late.len(), 1);
+        for expect in 0..4 {
             let (at, v) = q.pop().unwrap();
             assert_eq!(at, t);
             assert_eq!(v, expect, "same-instant events pop in schedule order");
@@ -799,9 +658,36 @@ mod tests {
     }
 
     #[test]
+    fn slab_slots_are_reused_last_freed_first_and_big_buckets_release() {
+        let mut q = EventQueue::new();
+        for i in 0..4u64 {
+            q.schedule(SimTime::from_micros(10 + i), i);
+        }
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.free, vec![0, 1]);
+        q.schedule(SimTime::from_micros(20), 9);
+        assert_eq!(q.free, vec![0], "the slot the last pop emptied is refilled");
+        assert_eq!(q.slab.len(), 4);
+        // A burst in one bucket: its index buffer goes back to the
+        // allocator when the bucket is loaded, a small one is kept.
+        let burst = 5_000;
+        let slot = |at: u64| (at >> BUCKET_BITS) as usize;
+        for i in 0..RETAIN_INDICES as u64 + 1 {
+            q.schedule(SimTime::from_micros(burst + i % 7), 100 + i);
+        }
+        q.schedule(SimTime::from_micros(burst + 2_000), 999);
+        while q.pop().is_some_and(|(_, v)| v != 100) {}
+        assert_eq!(q.ring[slot(burst)].capacity(), 0);
+        while q.pop().is_some_and(|(_, v)| v != 999) {}
+        assert!(q.ring[slot(burst + 2_000)].capacity() > 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn schedule_into_cursor_gap_after_cancelled_skip() {
-        // Skipping a cancelled event moves the wheel cursor to its slot;
-        // a handler may then schedule an event earlier than that slot
+        // Skipping a cancelled event moves the cursor to its bucket; a
+        // handler may then schedule an event earlier than that bucket
         // (but after `now`). It must still pop, and in time order.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(10), "t10");
@@ -810,7 +696,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "t10");
         assert!(q.cancel(c));
         // No live event ≤ 6000: this skips the cancelled 5000 µs entry,
-        // structurally advancing the wheel past it.
+        // moving the cursor past it.
         assert!(q.pop_until(SimTime::from_micros(6_000)).is_none());
         // Schedule into the gap the cursor already passed.
         q.schedule(SimTime::from_micros(2_000), "gap");
@@ -825,11 +711,11 @@ mod tests {
         let mut rng = crate::rng::DetRng::new(1234);
         let mut ids = Vec::new();
         for i in 0..20_000u64 {
-            // Mix near-future, mid-wheel, and beyond-horizon times.
+            // Mix same-bucket, in-window, and beyond-window times.
             let at = match rng.below(10) {
-                0..=5 => rng.below(1 << 18),
-                6..=8 => rng.below(1 << 34),
-                _ => (1 << HORIZON_BITS) + rng.below(1 << 38),
+                0..=5 => rng.below(1 << 12),
+                6..=8 => rng.below(SPAN_US),
+                _ => SPAN_US + rng.below(1 << 38),
             };
             ids.push(q.schedule(SimTime::from_micros(at), i));
         }
@@ -850,8 +736,8 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Differential reference: a plain binary heap with FIFO tie-breaking,
-    /// mirroring the queue's contract without any wheel/overflow structure.
+    /// Differential reference: a plain sort with FIFO tie-breaking,
+    /// mirroring the queue's contract without any ring/overflow structure.
     fn heap_reference(events: &[(u64, u64)]) -> Vec<(u64, u64)> {
         let mut sorted: Vec<(u64, u64, u64)> = events
             .iter()
@@ -862,34 +748,34 @@ mod tests {
         sorted.into_iter().map(|(at, _, v)| (at, v)).collect()
     }
 
-    /// Satellite audit test: dense events straddling exactly
-    /// `cursor + 2^HORIZON_BITS` while the cursor sits just below the
-    /// block seam, so the overflow condition `(at ^ cursor) >> HORIZON_BITS`
-    /// flips for events only a microsecond apart. Pop order must match the
-    /// heap reference bit for bit.
+    /// Dense events straddling exactly `cursor + RING` buckets while the
+    /// cursor sits mid-ring, so `file` flips between the ring and the
+    /// overflow heap for events a microsecond apart. Pop order must match
+    /// the reference bit for bit.
     #[test]
-    fn dense_events_straddling_horizon_boundary_pop_in_order() {
-        let seam = 1u64 << HORIZON_BITS;
-        // Park the cursor just below the seam: pop a pilot event there.
+    fn dense_events_straddling_the_window_edge_pop_in_order() {
+        // Park the cursor: pop a pilot event in bucket 1,234.
+        let base = 1_234 << BUCKET_BITS;
+        let edge = base + SPAN_US;
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(seam - 100), 999_999u64);
-        assert_eq!(q.pop().unwrap().0.as_micros(), seam - 100);
-        // Dense cluster across the seam: seam + [-3, +3] (one µs apart,
-        // flipping the XOR-block test), plus the exact distance-2^36
-        // points from the parked cursor and from the seam itself.
+        q.schedule(SimTime::from_micros(base + 100), 999_999u64);
+        assert_eq!(q.pop().unwrap().0.as_micros(), base + 100);
+        // edge + [-3, +3], the exact distance-SPAN points from the clock,
+        // and the last µs of the bucket before the edge's.
         let mut events = Vec::new();
-        let mut tag = 0u64;
         for delta in 0..7u64 {
-            events.push((seam - 3 + delta, tag));
-            tag += 1;
+            events.push((edge - 3 + delta, delta));
         }
-        for at in [seam - 100 + seam, seam + seam, seam + seam + 1] {
-            events.push((at, tag));
-            tag += 1;
+        for (i, at) in [base + 100 + SPAN_US, edge + SPAN_US, edge - 1_025]
+            .into_iter()
+            .enumerate()
+        {
+            events.push((at, 7 + i as u64));
         }
         for &(at, v) in &events {
             q.schedule(SimTime::from_micros(at), v);
         }
+        assert_eq!(q.overflow.len(), 6);
         let expect = heap_reference(&events);
         let mut got = Vec::new();
         while let Some((t, v)) = q.pop() {
@@ -928,19 +814,19 @@ mod tests {
         for i in 0..5_000u64 {
             let at = match rng.below(10) {
                 0..=6 => rng.below(1 << 20),
-                7..=8 => rng.below(1 << 34),
-                _ => (1 << HORIZON_BITS) + rng.below(1 << 38),
+                7..=8 => rng.below(SPAN_US),
+                _ => SPAN_US + rng.below(1 << 38),
             };
             ids.push(q.schedule(SimTime::from_micros(at), i));
         }
-        // Cancel a quarter so tombstones sit in the wheel and heaps.
+        // Cancel a quarter so tombstones sit in the ring and heaps.
         for (k, id) in ids.iter().enumerate() {
             if k % 4 == 0 {
                 q.cancel(*id);
             }
         }
-        // Drain partway so cursor, backfill, and promotion state are all
-        // non-trivial at snapshot time.
+        // Drain partway so the cursor, the due list and the late heap are
+        // all non-trivial at snapshot time.
         for _ in 0..1_500 {
             q.pop();
         }
@@ -953,8 +839,8 @@ mod tests {
         // Empty queue.
         let mut q: EventQueue<u64> = EventQueue::new();
         assert_snapshot_transparent(&mut q);
-        // Cursor parked just below the horizon seam with straddling events.
-        let seam = 1u64 << HORIZON_BITS;
+        // Cursor parked just below the window's edge with straddling events.
+        let seam = SPAN_US;
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(seam - 2), 0u64);
         q.pop();
@@ -983,41 +869,40 @@ mod tests {
         }
     }
 
-    /// Randomised differential across the horizon seam: events scattered
-    /// densely on both sides of `cursor + 2^HORIZON_BITS` (including exact
-    /// seam hits), with interleaved pops that drag the cursor across the
-    /// boundary and cancellations thinning the wheel so promotion runs
-    /// from many different cursor positions.
+    /// Randomised differential across the window's edge: events scattered
+    /// densely on both sides of `cursor + RING` buckets (including exact
+    /// edge hits), with bounded pops that drag the cursor — and the edge —
+    /// through the cluster, and cancellations thinning it.
     #[test]
-    fn dense_events_straddling_horizon_boundary_differential() {
-        let seam = 1u64 << HORIZON_BITS;
+    fn dense_events_straddling_the_window_edge_differential() {
         for seed in 0..8u64 {
             let mut rng = crate::rng::DetRng::new(0xB0D5 + seed);
-            // Base cursor position below the seam varies per round so the
-            // XOR block boundary is exercised from aligned and unaligned
-            // cursors alike.
-            let base = seam - 1 - rng.below(1 << 12);
+            // The clock's offset inside its bucket varies per round so the
+            // edge is exercised from aligned and unaligned clocks alike.
+            let base = (77 << BUCKET_BITS) + rng.below(1 << BUCKET_BITS);
+            let edge = (78 << BUCKET_BITS) + SPAN_US;
             let mut q = EventQueue::new();
             q.schedule(SimTime::from_micros(base), 0u64);
             assert_eq!(q.pop().unwrap().0.as_micros(), base);
 
             let mut events: Vec<(u64, u64)> = Vec::new();
             for i in 1..=2_000u64 {
-                // Cluster radius ±2^13 around the seam, plus exact seam and
-                // exact `base + 2^HORIZON_BITS` hits sprinkled in.
+                // Cluster radius ±2^13 around the edge, plus exact edge and
+                // exact `base + SPAN_US` hits sprinkled in.
                 let at = match rng.below(20) {
-                    0 => seam,
-                    1 => base + seam,
-                    2 => base + seam + 1,
-                    3 => base.wrapping_add(seam).wrapping_sub(1),
-                    _ => seam - (1 << 13) + rng.below(1 << 14),
+                    0 => edge,
+                    1 => base + SPAN_US,
+                    2 => edge - 1,
+                    3 => edge - (1 << BUCKET_BITS),
+                    _ => edge - (1 << 13) + rng.below(1 << 14),
                 };
-                events.push((at.max(base), i));
+                events.push((at, i));
             }
             let mut ids = Vec::new();
             for &(at, v) in &events {
                 ids.push((q.schedule(SimTime::from_micros(at), v), v));
             }
+            assert!(!q.overflow.is_empty() && q.occupied.iter().any(|w| *w != 0));
             // Cancel a third; drop them from the reference too.
             let mut live: Vec<(u64, u64)> = Vec::new();
             for (k, (&(at, v), &(id, _))) in events.iter().zip(ids.iter()).enumerate() {
@@ -1031,16 +916,17 @@ mod tests {
                 .into_iter()
                 .filter(|&(at, v)| live.contains(&(at, v)))
                 .collect();
-            // Pop half through a limit below the seam first (bounded pops
-            // straddle the promotion), then drain.
+            // Pop up to a limit inside the cluster first (the bounded pop
+            // stops mid-bucket with overflow half moved), then drain.
             let mut got = Vec::new();
-            while let Some((t, v)) = q.pop_until(SimTime::from_micros(seam - 1)) {
+            while let Some((t, v)) = q.pop_until(SimTime::from_micros(edge - 1)) {
                 got.push((t.as_micros(), v));
             }
             while let Some((t, v)) = q.pop() {
                 got.push((t.as_micros(), v));
             }
-            assert_eq!(got, expect, "seed {seed} diverged from heap reference");
+            assert_eq!(got, expect, "seed {seed} diverged from the reference");
         }
     }
+
 }
