@@ -547,21 +547,21 @@ impl DeviceState {
         }
     }
 
-    /// Open-stream count without waking a parked device (the metrics tick
-    /// peeks the frozen blob instead of rehydrating the whole fleet).
-    fn open_streams(&self) -> usize {
+    /// Visits the open stream ids, oldest first, without waking a parked
+    /// device (the metrics tick peeks the frozen blob instead of
+    /// rehydrating the whole fleet) and without allocating.
+    fn for_each_open_sid(&self, visit: impl FnMut(StreamId)) {
         match &self.slot {
-            DeviceSlot::Live(d) => d.open_streams(),
-            DeviceSlot::Parked(blob) => Device::frozen_open_streams(blob),
+            DeviceSlot::Live(d) => d.iter_open_sids().for_each(visit),
+            DeviceSlot::Parked(blob) => Device::iter_frozen_open_sids(blob).for_each(visit),
         }
     }
 
     /// Open stream ids without waking a parked device.
     fn open_sids(&self) -> Vec<StreamId> {
-        match &self.slot {
-            DeviceSlot::Live(d) => d.open_sids(),
-            DeviceSlot::Parked(blob) => Device::frozen_open_sids(blob),
-        }
+        let mut sids = Vec::new();
+        self.for_each_open_sid(|sid| sids.push(sid));
+        sids
     }
 
     /// Parks the device into its compact frozen form if it is quiescent:
@@ -970,14 +970,12 @@ impl SystemSim {
 }
 
 impl SystemSim {
-    /// Re-freezes a device if it is eligible (see
-    /// [`DeviceState::maybe_park`]). Called at the end of every handler
-    /// that woke the device machine.
-    fn park(&mut self, device: u64) {
+    /// Re-freezes the device in fleet slot `slot` if it is eligible (see
+    /// [`DeviceState::maybe_park`]).
+    fn park(&mut self, slot: usize) {
         let hibernation = self.config.hibernation;
-        if let Some(state) = self.devices.get_mut(&device) {
-            state.maybe_park(hibernation, &mut self.park);
-        }
+        let state = self.devices.at_mut(slot);
+        state.maybe_park(hibernation, &mut self.park);
     }
 
     /// Runs one BRASS host handler into the effect scratch and
@@ -1751,30 +1749,33 @@ impl SystemSim {
     }
 
     fn on_down_at_pop(&mut self, now: SimTime, device: u64, frame: Box<Frame>, sent_at: SimTime) {
-        if !self.devices.contains_key(&device) {
+        let Some(slot) = self.devices.slot(&device) else {
             return;
-        }
+        };
         let pop = device as usize % self.pops.len();
         let mut fx = std::mem::take(&mut self.pop_fx);
         self.pops[pop].on_proxy_frame_into(device, frame, now.as_micros(), &mut fx);
         for effect in fx.drain(..) {
-            if let PopEffect::ToDevice { device, frame } = effect {
-                self.schedule_to_device(now, device, frame, sent_at);
+            // A POP passes a proxy's frame on to the device it came for.
+            if let PopEffect::ToDevice { frame, .. } = effect {
+                self.schedule_to_device(now, slot, device, frame, sent_at);
             }
         }
         self.pop_fx = fx;
     }
 
+    /// Puts a frame on the last mile toward `device`, whose fleet slot the
+    /// caller resolved (see [`simkit::collections::SortedVecMap::slot`];
+    /// the fleet is never removed from, so a slot stays good).
     fn schedule_to_device(
         &mut self,
         now: SimTime,
+        slot: usize,
         device: u64,
         frame: Box<Frame>,
         sent_at: SimTime,
     ) {
-        let Some(state) = self.devices.get(&device) else {
-            return;
-        };
+        let state = self.devices.at(slot);
         let link = state.link;
         if !state.connected {
             // Best effort: frames to disconnected devices vanish (the
@@ -1795,15 +1796,10 @@ impl SystemSim {
         // frames that actually reach the wire charge the window, so the
         // admit sits after the disconnect/loss checks above.
         if let Some(bytes) = frame_data_bytes(&frame) {
-            let admit = self
-                .devices
-                .get_mut(&device)
-                .expect("checked above")
-                .flow
-                .try_send(bytes);
-            match admit {
+            let flow = &mut self.devices.at_mut(slot).flow;
+            match flow.try_send(bytes) {
                 Admit::Ok => {
-                    let depth = self.devices[&device].flow.in_flight();
+                    let depth = flow.in_flight();
                     self.metrics.q_flow_window.enqueued_n(1);
                     self.metrics.q_flow_window.observe_depth(now, depth);
                 }
@@ -1814,7 +1810,7 @@ impl SystemSim {
                     self.drop_frame(now, device, &frame, Hop::BurstDeliver, why);
                     if matches!(shed, Admit::ShedDegrade) {
                         if let Some(sid) = frame.sid() {
-                            let state = self.devices.get_mut(&device).expect("checked above");
+                            let state = self.devices.at_mut(slot);
                             if !state.degraded_sids.contains(&sid) {
                                 state.degraded_sids.push(sid);
                             }
@@ -1822,7 +1818,7 @@ impl SystemSim {
                             let notice = Frame::flow_status(sid, FlowStatus::Degraded);
                             // Control frame: bypasses the window on the
                             // recursive call, so this terminates.
-                            self.schedule_to_device(now, device, notice.into(), now);
+                            self.schedule_to_device(now, slot, device, notice.into(), now);
                         }
                     }
                     return;
@@ -1836,14 +1832,12 @@ impl SystemSim {
         let d = self.latency.last_mile(link, &mut self.engine_rng);
         // FIFO last mile: the connection is ordered, so a frame sent later
         // never arrives earlier (head-of-line, not reordering).
-        let at = (now + d).max(self.devices[&device].next_arrival);
-        {
-            let state = self.devices.get_mut(&device).expect("checked above");
-            state.next_arrival = at;
-            state.inflight_frames += 1;
-        }
+        let state = self.devices.at_mut(slot);
+        let at = (now + d).max(state.next_arrival);
+        state.next_arrival = at;
+        state.inflight_frames += 1;
+        let depth = state.inflight_frames;
         self.metrics.q_pop_egress.enqueued_n(1);
-        let depth = self.devices[&device].inflight_frames;
         self.metrics.q_pop_egress.observe_depth(now, depth);
         self.queue.schedule(
             at,
@@ -1856,17 +1850,26 @@ impl SystemSim {
     }
 
     fn on_at_device(&mut self, now: SimTime, device: u64, frame: &Frame, sent_at: SimTime) {
-        self.at_device_inner(now, device, frame, sent_at);
-        // The frame drained and the machine reacted: if the device is now
-        // quiescent it goes back to its frozen form until the next event.
-        self.park(device);
-    }
-
-    fn at_device_inner(&mut self, now: SimTime, device: u64, frame: &Frame, sent_at: SimTime) {
-        let app = app_of_device_frame(&self.reg, device, frame);
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(slot) = self.devices.slot(&device) else {
             return;
         };
+        self.at_device_inner(now, slot, device, frame, sent_at);
+        // The frame drained and the machine reacted: if the device is now
+        // quiescent it goes back to its frozen form until the next event.
+        self.park(slot);
+    }
+
+    /// A frame reaches `device`, which lives in fleet slot `slot`.
+    fn at_device_inner(
+        &mut self,
+        now: SimTime,
+        slot: usize,
+        device: u64,
+        frame: &Frame,
+        sent_at: SimTime,
+    ) {
+        let app = app_of_device_frame(&self.reg, device, frame);
+        let state = self.devices.at_mut(slot);
         // Egress accounting drains unconditionally — every frame put on
         // the wire arrives here exactly once, delivered or not. Draining
         // before the connected check is what makes admission/drain
@@ -1893,11 +1896,9 @@ impl SystemSim {
             // that was told Degraded now gets its terminal Recovered.
             self.metrics.flow_recovered_signals.inc();
             let notice = Frame::flow_status(sid, FlowStatus::Recovered);
-            self.schedule_to_device(now, device, notice.into(), now);
+            self.schedule_to_device(now, slot, device, notice.into(), now);
         }
-        let Some(state) = self.devices.get_mut(&device) else {
-            return;
-        };
+        let state = self.devices.at_mut(slot);
         if !state.connected {
             // The device dropped while the frame was in flight on the last
             // mile.
@@ -1906,8 +1907,12 @@ impl SystemSim {
             return;
         }
         // Device-observed subscription latency: first response on a stream.
-        if let Some(sid) = frame.sid() {
-            if let Some(started) = self.sub_started.remove(&(device, sid)) {
+        // (Nothing is waiting once the ramp's subscribes have answered.)
+        if !self.sub_started.is_empty() {
+            let started = frame
+                .sid()
+                .and_then(|sid| self.sub_started.remove(&(device, sid)));
+            if let Some(started) = started {
                 self.metrics
                     .sub_e2e
                     .record(now.saturating_since(started).as_millis_f64());
@@ -1942,7 +1947,7 @@ impl SystemSim {
                 }
                 DeviceOutput::StreamEnded { sid, retry } => {
                     self.metrics.stream_closed(device, sid, now);
-                    let state = self.devices.get_mut(&device).expect("checked above");
+                    let state = self.devices.at_mut(slot);
                     let retry_frame = if retry {
                         state.wake(device, &mut self.park).retry_stream(sid)
                     } else {
@@ -1962,7 +1967,7 @@ impl SystemSim {
                 }
                 DeviceOutput::Send(frame) => {
                     // Protocol replies (pongs, flow-control) go back up.
-                    let link = self.devices[&device].link;
+                    let link = self.devices.at(slot).link;
                     let d = self.latency.last_mile(link, &mut self.engine_rng);
                     self.queue.schedule(
                         now + d,
@@ -1977,7 +1982,7 @@ impl SystemSim {
                     // the window it missed (the paper's at-most-once
                     // streams push reliability into app-level refetch).
                     self.metrics.backfill_polls.inc();
-                    let link = self.devices[&device].link;
+                    let link = self.devices.at(slot).link;
                     let d = self.latency.last_mile(link, &mut self.engine_rng)
                         + self.latency.edge_to_was(&mut self.engine_rng);
                     self.queue
@@ -1991,9 +1996,7 @@ impl SystemSim {
         // buffer shrinks and retransmission stops.
         if app == "messenger" {
             if let Some(sid) = rendered_on {
-                let Some(state) = self.devices.get_mut(&device) else {
-                    return;
-                };
+                let state = self.devices.at_mut(slot);
                 if let Some(ack) = state.wake(device, &mut self.park).ack(sid) {
                     let link = state.link;
                     let d = self.latency.last_mile(link, &mut self.engine_rng);
@@ -2375,7 +2378,9 @@ impl SystemSim {
                     );
                 }
                 PopEffect::ToDevice { device, frame } => {
-                    self.schedule_to_device(now, device, frame, now);
+                    if let Some(slot) = self.devices.slot(&device) {
+                        self.schedule_to_device(now, slot, device, frame, now);
+                    }
                 }
                 PopEffect::DeviceGone { proxy, device } => {
                     self.queue.schedule(
@@ -2890,8 +2895,6 @@ impl SystemSim {
     /// decision deltas, stream availability), and rotates the
     /// object-attribution window.
     fn record_tick(&mut self, at: SimTime) {
-        // Open streams across ALL devices (connected or not).
-        let active: u64 = self.devices.values().map(|d| d.open_streams() as u64).sum();
         let decisions = self.total_decisions();
         // One availability sample: of all open streams on currently-connected
         // devices, the fraction a live BRASS host is serving right now.
@@ -2901,18 +2904,18 @@ impl SystemSim {
                 live.extend(host.stream_keys());
             }
         }
-        let mut open = 0u64;
-        let mut served = 0u64;
+        // One walk of each device (for a parked one, of its blob): open
+        // streams across ALL devices, and of those on connected devices,
+        // how many are served.
+        let (mut active, mut open, mut served) = (0u64, 0u64, 0u64);
         for (&id, state) in &self.devices {
-            if !state.connected {
-                continue;
-            }
-            for sid in state.open_sids() {
-                open += 1;
-                if live.contains(&(id, sid)) {
-                    served += 1;
+            state.for_each_open_sid(|sid| {
+                active += 1;
+                if state.connected {
+                    open += 1;
+                    served += u64::from(live.contains(&(id, sid)));
                 }
-            }
+            });
         }
         // Rotate the attribution map so it cannot grow without bound —
         // but keep a window covering application buffering horizons, so a

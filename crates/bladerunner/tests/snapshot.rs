@@ -329,15 +329,18 @@ fn random_corruption_fails_closed() {
 /// The exhaustive sweep: one flip for every body byte (~100 k resumes;
 /// CI runs it in release). The snapshot bytes are pinned, so the same
 /// flips hit the same fields from commit to commit and a reject count
-/// below the one measured when the bytes were pinned (29,652 of 103,545;
-/// the commit before rejected 27,256, loaded 51 non-canonically and
-/// aborted on 2) means a validation was lost.
+/// below the one measured when the bytes were pinned means a validation
+/// was lost. Pinned twice so far: 29,652 of 103,545 with the one-codec
+/// layer, and 26,771 of 100,185 when the queue section became the
+/// queue's contents (3,360 bytes shorter here, and most of what went was
+/// 384 always-checked slot lengths; the 2,052 queue bytes left reject
+/// 1,216 flips).
 #[test]
 #[ignore = "~100k resumes; run in release"]
 fn every_body_byte_flip_is_rejected_or_canonical() {
     let (rejected, canonical) = reseal_sweep(|len| (0..len).collect());
     println!("re-sealed sweep: {rejected} rejected, {canonical} canonical, 0 non-canonical");
-    assert!(rejected >= 29_652, "only {rejected} flips rejected");
+    assert!(rejected >= 26_771, "only {rejected} flips rejected");
 }
 
 /// Resuming against a different configuration must fail closed: the
@@ -472,14 +475,18 @@ fn snapshot_bytes_are_pinned() {
         simkit::snap::fnv64(&seven.snapshot()),
     ));
     let pinned: [(&str, u64); 5] = [
-        ("lvc 42 Full", 0xecc5_ff8d_82ad_5b43),
-        ("chaos 1234 Full", 0x884f_c3d1_45b6_76d8),
-        ("lvc 42 Bounded(64)", 0x6a16_412a_4fa8_8930),
-        ("chaos 1234 Bounded(64)", 0x9379_7be6_5e26_bd91),
-        ("seven apps, overload", 0x5489_5097_b7ff_69fa),
+        ("lvc 42 Full", 0x92cf_7921_800a_0f5a),
+        ("chaos 1234 Full", 0xd8bf_51d1_c57e_e66b),
+        ("lvc 42 Bounded(64)", 0x2a4e_d138_fb4d_5322),
+        ("chaos 1234 Bounded(64)", 0xd9a0_ee3d_d413_f79a),
+        ("seven apps, overload", 0x58f5_fcf8_3101_5af9),
     ];
-    for ((name, fp), (want_name, want)) in got.iter().zip(pinned) {
-        assert_eq!(name, want_name);
-        assert_eq!(*fp, want, "{name}: snapshot bytes moved (got {fp:#018x})");
-    }
+    // All five at once: a PR that re-pins needs every new value.
+    let moved: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((name, fp), (want_name, want))| name != want_name || fp != want)
+        .map(|((name, fp), _)| format!("{name}: got {fp:#018x}"))
+        .collect();
+    assert!(moved.is_empty(), "snapshot bytes moved: {moved:#?}");
 }

@@ -8,6 +8,7 @@
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
@@ -38,8 +39,10 @@ pub struct ActiveStatusApp {
     streams: FxHashMap<StreamKey, StreamState>,
     /// friend uid → streams watching that friend.
     pub(crate) watchers: FxHashMap<u64, Vec<StreamKey>>,
-    pending_friends: FxHashMap<FetchToken, StreamKey>,
-    timers: FxHashMap<u64, StreamKey>,
+    /// In-flight friend-list requests, by [`FetchToken`] value.
+    pending_friends: SeqMap<StreamKey>,
+    /// The armed batch timer of each stream, by timer token.
+    timers: SeqMap<StreamKey>,
     next_timer: u64,
 }
 
@@ -105,7 +108,7 @@ snap_struct!(
             "active_status: dangling watcher",
         )?;
         ensure(
-            app.timers.keys().all(|&t| t < app.next_timer),
+            app.timers.keys().all(|t| t < app.next_timer),
             "active_status: next_timer behind live timers",
         )
     }
@@ -125,23 +128,21 @@ impl BrassApp for ActiveStatusApp {
             ctx.terminate(stream, burst::frame::TerminateReason::Error);
             return;
         };
-        self.streams.insert(
-            stream,
-            StreamState {
-                friend_topics: Vec::new(),
-                online: FxHashMap::default(),
-                last_sent: Vec::new(),
-            },
-        );
+        let state = StreamState {
+            friend_topics: Vec::new(),
+            online: FxHashMap::default(),
+            last_sent: Vec::new(),
+        };
+        self.streams.insert(stream, state);
         // One device subscribe → many BRASS subscriptions: fetch the friend
         // list, then subscribe per friend.
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
-        self.pending_friends.insert(token, stream);
+        self.pending_friends.insert(token.0, stream);
         self.arm_timer(ctx, stream);
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some(stream) = self.pending_friends.remove(&token) else {
+        let Some(stream) = self.pending_friends.remove(token.0) else {
             return;
         };
         let Some(state) = self.streams.get_mut(&stream) else {
@@ -182,7 +183,7 @@ impl BrassApp for ActiveStatusApp {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(stream) = self.timers.remove(&token) else {
+        let Some(stream) = self.timers.remove(token) else {
             return;
         };
         let Some(state) = self.streams.get_mut(&stream) else {

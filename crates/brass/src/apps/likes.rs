@@ -10,6 +10,7 @@
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
@@ -39,7 +40,8 @@ struct StreamState {
 pub struct LikesApp {
     streams: FxHashMap<StreamKey, StreamState>,
     by_post: FxHashMap<u64, Vec<StreamKey>>,
-    timers: FxHashMap<u64, StreamKey>,
+    /// Deferred flushes, by timer token.
+    timers: SeqMap<StreamKey>,
     next_timer: u64,
 }
 
@@ -115,7 +117,7 @@ snap_struct!(
         let watched = |(&p, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(p, k));
         ensure(app.by_post.iter().all(watched), "likes: dangling watcher")?;
         ensure(
-            app.timers.keys().all(|&t| t < app.next_timer),
+            app.timers.keys().all(|t| t < app.next_timer),
             "likes: next_timer behind live timers",
         )
     }
@@ -180,7 +182,7 @@ impl BrassApp for LikesApp {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(key) = self.timers.remove(&token) else {
+        let Some(key) = self.timers.remove(token) else {
             return;
         };
         if let Some(state) = self.streams.get_mut(&key) {

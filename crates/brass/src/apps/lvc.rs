@@ -14,6 +14,7 @@
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
@@ -80,8 +81,10 @@ pub struct LvcApp {
     config: LvcConfig,
     streams: FxHashMap<StreamKey, StreamState>,
     by_video: FxHashMap<u64, Vec<StreamKey>>,
-    pending_fetch: FxHashMap<FetchToken, PendingFetch>,
-    timers: FxHashMap<u64, StreamKey>,
+    /// In-flight WAS requests, by [`FetchToken`] value.
+    pending_fetch: SeqMap<PendingFetch>,
+    /// The armed push timer of each stream, by timer token.
+    timers: SeqMap<StreamKey>,
     next_timer: u64,
     /// Interned viewer languages (see [`StreamState::lang`]).
     langs: Vec<Box<str>>,
@@ -103,8 +106,8 @@ impl LvcApp {
             config,
             streams: FxHashMap::default(),
             by_video: FxHashMap::default(),
-            pending_fetch: FxHashMap::default(),
-            timers: FxHashMap::default(),
+            pending_fetch: SeqMap::new(),
+            timers: SeqMap::new(),
             next_timer: 0,
             langs: Vec::new(),
         }
@@ -199,6 +202,16 @@ snap_struct!(
         next_timer
     },
     |app| {
+        // Losses are turned into decisions one by one, and at most a
+        // buffer's worth can be waiting (every offer settles the count):
+        // a larger debt is a corrupt counter, and would be paid in a loop.
+        let owed = |s: &StreamState| s.buffer.evicted() + s.buffer.expired() - s.accounted_losses;
+        ensure(
+            app.streams
+                .values()
+                .all(|s| owed(s) <= app.config.buffer_capacity as u64),
+            "lvc: more unaccounted losses than a buffer holds",
+        )?;
         let langs = app.langs.len();
         ensure(
             app.streams.values().all(|s| (s.lang as usize) < langs),
@@ -208,7 +221,7 @@ snap_struct!(
         let watched = |(&v, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(v, k));
         ensure(app.by_video.iter().all(watched), "lvc: dangling watcher")?;
         ensure(
-            app.timers.keys().all(|&t| t < app.next_timer),
+            app.timers.keys().all(|t| t < app.next_timer),
             "lvc: next_timer behind live timers",
         )
     }
@@ -293,7 +306,7 @@ impl BrassApp for LvcApp {
             // friends; the friend list comes from the backend.
             let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
             self.pending_fetch
-                .insert(token, PendingFetch::Friends(stream));
+                .insert(token.0, PendingFetch::Friends(stream));
         }
         self.arm_timer(ctx, stream, self.config.push_interval);
     }
@@ -360,7 +373,7 @@ impl BrassApp for LvcApp {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(stream) = self.timers.remove(&token) else {
+        let Some(stream) = self.timers.remove(token) else {
             return;
         };
         let push_interval = self.config.push_interval;
@@ -381,7 +394,7 @@ impl BrassApp for LvcApp {
                     object: comment.object,
                 });
                 self.pending_fetch
-                    .insert(token, PendingFetch::Comment(stream, comment.object));
+                    .insert(token.0, PendingFetch::Comment(stream, comment.object));
             }
             if let Some(state) = self.streams.get_mut(&stream) {
                 Self::account_buffer_losses(state, ctx);
@@ -391,7 +404,7 @@ impl BrassApp for LvcApp {
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        match self.pending_fetch.remove(&token) {
+        match self.pending_fetch.remove(token.0) {
             Some(PendingFetch::Comment(stream, object)) => {
                 if !self.streams.contains_key(&stream) {
                     // The stream was torn down while the fetch was in
@@ -651,6 +664,36 @@ mod tests {
             obj,
             Some(ObjectId(500)),
             "buffered comment survives the resubscribe"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_loss_debt_no_run_could_owe() {
+        use simkit::snap::SnapReader;
+        let mut d = driver();
+        d.subscribe(stream(1), &header(42, 9));
+        for i in 0..11u64 {
+            // Rising quality: each one past the fifth evicts the lowest.
+            d.event(&comment_event(42, 700 + i, 0.5 + i as f64 / 100.0, "en", 0));
+        }
+        let restore = |app: &LvcApp| {
+            let mut w = SnapWriter::new();
+            Snap::snap(app, &mut w);
+            let bytes = w.into_bytes();
+            <LvcApp as Snap>::restore(&mut SnapReader::new(&bytes)).map(drop)
+        };
+        let owes = |d: &mut TestDriver<LvcApp>, owed: u64| {
+            let state = d.app.streams.get_mut(&stream(1)).expect("subscribed");
+            state.accounted_losses = state.buffer.evicted() - owed;
+        };
+        assert_eq!(d.app.streams[&stream(1)].accounted_losses, 6);
+        assert!(restore(&d.app).is_ok());
+        owes(&mut d, 5);
+        assert!(restore(&d.app).is_ok(), "a full buffer's worth can be owed");
+        owes(&mut d, 6);
+        assert!(
+            restore(&d.app).is_err(),
+            "more than that is a corrupt counter"
         );
     }
 

@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::time::SimDuration;
@@ -60,9 +61,12 @@ pub const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 pub struct MessengerApp {
     streams: FxHashMap<StreamKey, StreamState>,
     by_mailbox: FxHashMap<u64, Vec<StreamKey>>,
-    pending_fetch: FxHashMap<FetchToken, (StreamKey, u64)>,
-    pending_backfill: FxHashMap<FetchToken, StreamKey>,
-    timers: FxHashMap<u64, StreamKey>,
+    /// In-flight message fetches `(stream, seq)`, by [`FetchToken`] value.
+    pending_fetch: SeqMap<(StreamKey, u64)>,
+    /// In-flight mailbox backfills, by [`FetchToken`] value.
+    pending_backfill: SeqMap<StreamKey>,
+    /// The armed retransmit timer of each stream, by timer token.
+    timers: SeqMap<StreamKey>,
     next_timer: u64,
 }
 
@@ -118,7 +122,7 @@ impl MessengerApp {
     }
 
     fn on_timer_impl(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(stream) = self.timers.remove(&token) else {
+        let Some(stream) = self.timers.remove(token) else {
             return;
         };
         if !self.streams.contains_key(&stream) {
@@ -148,7 +152,7 @@ impl MessengerApp {
             uid: state.mailbox,
             after_seq: after,
         });
-        self.pending_backfill.insert(token, state_key);
+        self.pending_backfill.insert(token.0, state_key);
     }
 }
 
@@ -190,7 +194,7 @@ snap_struct!(
             "messenger: dangling watcher",
         )?;
         ensure(
-            app.timers.keys().all(|&t| t < app.next_timer),
+            app.timers.keys().all(|t| t < app.next_timer),
             "messenger: next_timer behind live timers",
         )
     }
@@ -222,18 +226,16 @@ impl BrassApp for MessengerApp {
             .map(|s| s + 1)
             .unwrap_or(0);
         ctx.subscribe(sub.topic);
-        self.streams.insert(
-            stream,
-            StreamState {
-                viewer: sub.viewer,
-                mailbox,
-                topic: sub.topic,
-                next_seq,
-                pending: BTreeMap::new(),
-                backfilling: false,
-                persisted_seq: header.get("msgr_seq").and_then(Json::as_u64),
-            },
-        );
+        let state = StreamState {
+            viewer: sub.viewer,
+            mailbox,
+            topic: sub.topic,
+            next_seq,
+            pending: BTreeMap::new(),
+            backfilling: false,
+            persisted_seq: header.get("msgr_seq").and_then(Json::as_u64),
+        };
+        self.streams.insert(stream, state);
         let watchers = self.by_mailbox.entry(mailbox).or_default();
         if !watchers.contains(&stream) {
             watchers.push(stream);
@@ -279,7 +281,7 @@ impl BrassApp for MessengerApp {
         }
         for (key, seq, viewer, object) in fetches {
             let token = ctx.was_request(WasRequest::FetchObject { viewer, object });
-            self.pending_fetch.insert(token, (key, seq));
+            self.pending_fetch.insert(token.0, (key, seq));
         }
         for key in gaps {
             self.start_backfill(key, ctx);
@@ -287,7 +289,7 @@ impl BrassApp for MessengerApp {
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        if let Some((stream, seq)) = self.pending_fetch.remove(&token) {
+        if let Some((stream, seq)) = self.pending_fetch.remove(token.0) {
             let Some(state) = self.streams.get_mut(&stream) else {
                 return;
             };
@@ -310,7 +312,7 @@ impl BrassApp for MessengerApp {
             }
             return;
         }
-        if let Some(stream) = self.pending_backfill.remove(&token) {
+        if let Some(stream) = self.pending_backfill.remove(token.0) {
             let Some(state) = self.streams.get_mut(&stream) else {
                 return;
             };
@@ -325,7 +327,7 @@ impl BrassApp for MessengerApp {
                 }
                 for (seq, viewer, object) in fetches {
                     let token = ctx.was_request(WasRequest::FetchObject { viewer, object });
-                    self.pending_fetch.insert(token, (stream, seq));
+                    self.pending_fetch.insert(token.0, (stream, seq));
                 }
             }
         }

@@ -9,6 +9,7 @@
 //! total count.
 
 use burst::json::Json;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
@@ -43,7 +44,8 @@ struct StreamState {
 pub struct NotificationsApp {
     streams: FxHashMap<StreamKey, StreamState>,
     by_uid: FxHashMap<u64, Vec<StreamKey>>,
-    timers: FxHashMap<u64, StreamKey>,
+    /// Armed coalescing flushes, by timer token.
+    timers: SeqMap<StreamKey>,
     next_timer: u64,
 }
 
@@ -107,7 +109,7 @@ snap_struct!(
             "notifications: dangling watcher",
         )?;
         ensure(
-            app.timers.keys().all(|&t| t < app.next_timer),
+            app.timers.keys().all(|t| t < app.next_timer),
             "notifications: next_timer behind live timers",
         )
     }
@@ -174,7 +176,7 @@ impl BrassApp for NotificationsApp {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(key) = self.timers.remove(&token) else {
+        let Some(key) = self.timers.remove(token) else {
             return;
         };
         let Some(state) = self.streams.get_mut(&key) else {

@@ -11,6 +11,7 @@
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
@@ -58,7 +59,8 @@ pub struct StoriesApp {
     config: StoriesConfig,
     streams: FxHashMap<StreamKey, StreamState>,
     watchers: FxHashMap<u64, Vec<StreamKey>>,
-    pending_friends: FxHashMap<FetchToken, StreamKey>,
+    /// In-flight friend-list requests, by [`FetchToken`] value.
+    pending_friends: SeqMap<StreamKey>,
 }
 
 impl StoriesApp {
@@ -68,7 +70,7 @@ impl StoriesApp {
             config,
             streams: FxHashMap::default(),
             watchers: FxHashMap::default(),
-            pending_friends: FxHashMap::default(),
+            pending_friends: SeqMap::new(),
         }
     }
 
@@ -150,11 +152,11 @@ impl BrassApp for StoriesApp {
             },
         );
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
-        self.pending_friends.insert(token, stream);
+        self.pending_friends.insert(token.0, stream);
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some(stream) = self.pending_friends.remove(&token) else {
+        let Some(stream) = self.pending_friends.remove(token.0) else {
             return;
         };
         let Some(state) = self.streams.get_mut(&stream) else {

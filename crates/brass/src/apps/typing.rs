@@ -10,6 +10,7 @@
 
 use burst::json::Json;
 use pylon::Topic;
+use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
 use simkit::snap_struct;
@@ -28,7 +29,8 @@ struct StreamState {
 pub struct TypingApp {
     streams: FxHashMap<StreamKey, StreamState>,
     by_topic: FxHashMap<Topic, Vec<StreamKey>>,
-    pending: FxHashMap<FetchToken, Pending>,
+    /// In-flight privacy fetches, by [`FetchToken`] value.
+    pending: SeqMap<Pending>,
 }
 
 struct Pending {
@@ -125,7 +127,7 @@ impl BrassApp for TypingApp {
                 object: event.object,
             });
             self.pending.insert(
-                token,
+                token.0,
                 Pending {
                     stream: key,
                     object: event.object.0,
@@ -138,7 +140,7 @@ impl BrassApp for TypingApp {
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some(pending) = self.pending.remove(&token) else {
+        let Some(pending) = self.pending.remove(token.0) else {
             return;
         };
         if !self.streams.contains_key(&pending.stream) {

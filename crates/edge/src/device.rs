@@ -83,10 +83,7 @@ impl Device {
 
     /// Number of open (non-terminated) streams.
     pub fn open_streams(&self) -> usize {
-        self.streams
-            .iter()
-            .filter(|s| !matches!(s.state(), StreamState::Terminated(_)))
-            .count()
+        self.iter_open_sids().count()
     }
 
     /// Total updates delivered across all streams.
@@ -101,11 +98,13 @@ impl Device {
 
     /// Ids of open (non-terminated) streams, oldest first.
     pub fn open_sids(&self) -> Vec<StreamId> {
-        self.streams
-            .iter()
-            .filter(|s| !matches!(s.state(), StreamState::Terminated(_)))
-            .map(|s| s.sid())
-            .collect()
+        self.iter_open_sids().collect()
+    }
+
+    /// [`Device::open_sids`] without the vector.
+    pub fn iter_open_sids(&self) -> impl Iterator<Item = StreamId> + '_ {
+        let open = |s: &&ClientStream| !matches!(s.state(), StreamState::Terminated(_));
+        self.streams.iter().filter(open).map(|s| s.sid())
     }
 
     /// Opens a new request-stream; returns its id and the subscribe frame.
@@ -290,22 +289,24 @@ impl Device {
     /// Open (non-terminated) stream ids of a hibernated device, read
     /// straight from the blob — no rehydration, no header unpacking.
     pub fn frozen_open_sids(blob: &[u8]) -> Vec<StreamId> {
+        Self::iter_frozen_open_sids(blob).collect()
+    }
+
+    /// [`Device::frozen_open_sids`] without the vector: one walk of the
+    /// blob, a stream at a time.
+    pub fn iter_frozen_open_sids(blob: &[u8]) -> impl Iterator<Item = StreamId> + '_ {
         let mut pos = 24; // skip next_sid, delivered, renders
-        let n = read_u32(blob, &mut pos) as usize;
-        let mut sids = Vec::new();
-        for _ in 0..n {
+        let streams = read_u32(blob, &mut pos);
+        (0..streams).filter_map(move |_| {
             let (sid, open) = ClientStream::peek_frozen(blob, &mut pos);
-            if open {
-                sids.push(sid);
-            }
-        }
-        sids
+            open.then_some(sid)
+        })
     }
 
     /// Number of open streams in a hibernation blob (see
     /// [`Device::frozen_open_sids`]).
     pub fn frozen_open_streams(blob: &[u8]) -> usize {
-        Self::frozen_open_sids(blob).len()
+        Self::iter_frozen_open_sids(blob).count()
     }
 }
 

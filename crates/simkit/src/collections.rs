@@ -1,4 +1,5 @@
-//! Compact ordered collections for large resident state.
+//! Compact ordered collections for large resident state: two maps that
+//! replace a hash table where the keys have a shape a hash throws away.
 //!
 //! [`SortedVecMap`] is a map stored as one contiguous `Vec<(K, V)>` kept
 //! sorted by key. Against a hash map it trades O(log n) lookups and O(n)
@@ -14,6 +15,24 @@
 //! * **Deterministic iteration** — always key order, independent of
 //!   insertion history, so fleet scans can never become a hidden source
 //!   of run-to-run divergence.
+//!
+//! A population that is only ever appended to can also be addressed by
+//! position: [`SortedVecMap::slot`] does the one binary search and
+//! [`SortedVecMap::at`] / [`at_mut`](SortedVecMap::at_mut) reuse it, so a
+//! handler that touches one entry six times searches once.
+//!
+//! [`SeqMap`] is a map for keys handed out by an increasing counter —
+//! timer tokens, request tokens — whose entries live briefly. The live
+//! keys are then a short run of recent integers, and a hash table turns
+//! that run into random probes: moving one timer from token `t` to
+//! `t + n` touches two unrelated buckets, both usually cold. `SeqMap`
+//! keeps a window of slots indexed by `key − base` instead, so inserts
+//! land at the back, removals near the front, and both stay on the few
+//! lines the last call touched. An entry that outlives its neighbours by
+//! far (one long timer among thousands of short ones) is moved to a side
+//! map rather than left to pin a window of empty slots.
+
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::snap::{restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};
 
@@ -103,6 +122,23 @@ impl<K: Ord, V> SortedVecMap<K, V> {
         self.position(key).is_ok()
     }
 
+    /// The position of `key`'s entry, for [`at`](Self::at) and
+    /// [`at_mut`](Self::at_mut). It stays valid until an insert or remove
+    /// of a smaller key — for a map that is only appended to, for good.
+    pub fn slot(&self, key: &K) -> Option<usize> {
+        self.position(key).ok()
+    }
+
+    /// The value at a position [`slot`](Self::slot) returned.
+    pub fn at(&self, slot: usize) -> &V {
+        &self.entries[slot].1
+    }
+
+    /// The value at a position [`slot`](Self::slot) returned, mutably.
+    pub fn at_mut(&mut self, slot: usize) -> &mut V {
+        &mut self.entries[slot].1
+    }
+
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
@@ -161,6 +197,184 @@ impl<K: Ord, V> std::ops::Index<&K> for SortedVecMap<K, V> {
     }
 }
 
+/// A map from counter-issued `u64` keys to `V`: a window of slots indexed
+/// by `key − base`, plus a side map for stragglers. See the module docs.
+///
+/// Any key may be inserted or removed at any time; what the counter shape
+/// buys is speed, not correctness. Iteration is in ascending key order.
+///
+/// # Examples
+///
+/// ```
+/// use simkit::collections::SeqMap;
+///
+/// let mut timers = SeqMap::new();
+/// for token in 100..104u64 {
+///     timers.insert(token, token * 2);
+/// }
+/// assert_eq!(timers.remove(101), Some(202));
+/// assert_eq!(timers.remove(101), None);
+/// assert_eq!(timers.keys().collect::<Vec<_>>(), vec![100, 102, 103]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct SeqMap<V> {
+    /// The key of `window[0]`.
+    base: u64,
+    /// Slot `i` holds key `base + i`. The front slot is never empty: the
+    /// front is trimmed on removal.
+    window: VecDeque<Option<V>>,
+    /// Occupied window slots.
+    in_window: usize,
+    /// Entries that fell too far behind the window; every key is below
+    /// `base`.
+    spilled: BTreeMap<u64, V>,
+}
+
+impl<V> Default for SeqMap<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V> SeqMap<V> {
+    /// The window may span this many slots per occupied one (plus a
+    /// constant) before its oldest entry is spilled: the window's memory
+    /// and the cost of iterating it stay O(live entries).
+    const SPAN_PER_ENTRY: u64 = 4;
+    const SPAN_SLACK: u64 = 64;
+
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        SeqMap {
+            base: 0,
+            window: VecDeque::new(),
+            in_window: 0,
+            spilled: BTreeMap::new(),
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.in_window + self.spilled.len()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The window slot of a key at or above `base`.
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        usize::try_from(key - self.base).ok()
+    }
+
+    /// Drops empty slots off the front so the window starts at an entry.
+    fn trim_front(&mut self) {
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            // Saturating for the one slot that can hold key `u64::MAX`.
+            self.base = self.base.saturating_add(1);
+        }
+    }
+
+    /// Inserts `value` at `key`, returning the previous value if any.
+    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        if key < self.base {
+            return self.spilled.insert(key, value);
+        }
+        // Entries this far behind the new key would pin a window of mostly
+        // empty slots: move them aside. (Also what keeps a hostile key from
+        // sizing an allocation: the span is bounded before it is padded.)
+        while key - self.base >= Self::SPAN_PER_ENTRY * self.in_window as u64 + Self::SPAN_SLACK {
+            let Some(oldest) = self.window.pop_front().flatten() else {
+                break; // the window is empty
+            };
+            self.spilled.insert(self.base, oldest);
+            self.base += 1;
+            self.in_window -= 1;
+            self.trim_front();
+        }
+        if self.window.is_empty() {
+            self.base = key;
+        }
+        let at = self.slot_of(key).expect("the span was bounded above");
+        if at >= self.window.len() {
+            self.window.resize_with(at + 1, || None);
+        }
+        let previous = self.window[at].replace(value);
+        self.in_window += usize::from(previous.is_none());
+        previous
+    }
+
+    /// Removes and returns the value at `key`.
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        if key < self.base {
+            return self.spilled.remove(&key);
+        }
+        let at = self.slot_of(key)?;
+        let value = self.window.get_mut(at)?.take()?;
+        self.in_window -= 1;
+        self.trim_front();
+        Some(value)
+    }
+
+    /// A reference to the value at `key`.
+    pub fn get(&self, key: u64) -> Option<&V> {
+        if key < self.base {
+            return self.spilled.get(&key);
+        }
+        self.window.get(self.slot_of(key)?)?.as_ref()
+    }
+
+    /// Keeps only the entries `keep` approves of.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &V) -> bool) {
+        self.spilled.retain(|&key, value| keep(key, value));
+        for (i, slot) in self.window.iter_mut().enumerate() {
+            if slot
+                .as_ref()
+                .is_some_and(|value| !keep(self.base + i as u64, value))
+            {
+                *slot = None;
+                self.in_window -= 1;
+            }
+        }
+        self.trim_front();
+    }
+
+    /// `(key, value)` pairs in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        let window = self.window.iter().enumerate();
+        let window = window.filter_map(|(i, slot)| Some((self.base + i as u64, slot.as_ref()?)));
+        self.spilled.iter().map(|(&key, v)| (key, v)).chain(window)
+    }
+
+    /// Keys in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(key, _)| key)
+    }
+}
+
+/// The same bytes a hash map of the same pairs writes — a length, then
+/// `(key, value)` ascending — and the same strict reading, so a table can
+/// move between the two without moving a snapshot byte.
+impl<V: Snap> Snap for SeqMap<V> {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len());
+        for (key, value) in self.iter() {
+            key.snap(w);
+            value.snap(w);
+        }
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let mut map = SeqMap::new();
+        for (key, value) in restore_sorted(r, |a: &(u64, V), b| a.0 < b.0)? {
+            map.insert(key, value);
+        }
+        Ok(map)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,5 +426,211 @@ mod tests {
             m.values().take(3).copied().collect()
         };
         assert_eq!(doubled, vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn slot_addresses_an_entry_without_searching_again() {
+        let mut m = SortedVecMap::new();
+        for k in [10u64, 20, 30] {
+            m.insert(k, k + 1);
+        }
+        assert_eq!(m.slot(&5), None);
+        assert_eq!(m.slot(&25), None);
+        let slot = m.slot(&20).expect("present");
+        assert_eq!(*m.at(slot), 21);
+        *m.at_mut(slot) += 100;
+        assert_eq!(m.get(&20), Some(&121));
+        // Appending (the fleet only ever grows at the end) moves no slot.
+        m.insert(40, 41);
+        assert_eq!(m.slot(&20), Some(slot));
+        assert_eq!(m.slot(&40), Some(3));
+    }
+
+    fn snap_of(v: &impl Snap) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn seq_map_window_follows_the_live_keys() {
+        // A timer chain: every tick removes the oldest token and issues a
+        // new one. The window slides; it never grows.
+        let mut m = SeqMap::new();
+        for token in 0..100u64 {
+            m.insert(token, token);
+        }
+        for token in 100..10_000u64 {
+            assert_eq!(m.remove(token - 100), Some(token - 100));
+            assert_eq!(m.insert(token, token), None);
+        }
+        assert_eq!((m.len(), m.base, m.window.len()), (100, 9_900, 100));
+        assert!(m.spilled.is_empty());
+        assert!(m.window.capacity() <= 256, "no high-water growth");
+        assert_eq!(m.get(9_950), Some(&9_950));
+        assert_eq!(m.get(9_899), None);
+        assert_eq!(m.insert(9_950, 1), Some(9_950));
+        // Draining it leaves an empty window that restarts at the next key.
+        for token in 9_900..10_000 {
+            assert!(m.remove(token).is_some());
+        }
+        assert!(m.is_empty() && m.window.is_empty());
+        m.insert(1 << 40, 7);
+        assert_eq!((m.base, m.window.len()), (1 << 40, 1));
+    }
+
+    #[test]
+    fn seq_map_spills_a_straggler_instead_of_pinning_the_window() {
+        let mut m = SeqMap::new();
+        m.insert(0u64, "long timer");
+        for token in 1..5_000u64 {
+            m.insert(token, "short");
+            assert_eq!(m.remove(token), Some("short"));
+        }
+        assert_eq!(m.len(), 1);
+        assert!(m.window.len() <= 70, "window {}", m.window.len());
+        for token in 5_000..5_100u64 {
+            m.insert(token, "short");
+        }
+        assert_eq!(m.spilled.len(), 1, "the straggler moved aside");
+        assert_eq!(m.get(0), Some(&"long timer"));
+        assert_eq!(m.keys().next(), Some(0), "still first in key order");
+        assert_eq!(m.window.len(), 100);
+        // A key from before the window (never issued by a counter, but
+        // legal) joins the stragglers; both come out again.
+        assert_eq!(m.insert(17, "old"), None);
+        assert_eq!(m.keys().take(3).collect::<Vec<_>>(), vec![0, 17, 5_000]);
+        assert_eq!(m.remove(0), Some("long timer"));
+        assert_eq!(m.remove(17), Some("old"));
+        assert_eq!(m.len(), 100);
+        // A far jump moves the whole window aside rather than padding
+        // 2^50 slots.
+        m.insert(1 << 50, "far");
+        assert_eq!((m.spilled.len(), m.window.len()), (100, 1));
+        assert_eq!(m.len(), 101);
+        m.retain(|key, _| key % 2 == 0);
+        assert_eq!(m.len(), 51);
+        assert_eq!(m.keys().last(), Some(1 << 50));
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum SeqOp {
+        /// Issue the next key after skipping this many.
+        Issue(u64),
+        /// Remove the nth live key, counting from the oldest.
+        RemoveNth(usize),
+        /// Remove the newest live key.
+        RemoveNewest,
+        /// Insert at (or over) an arbitrary earlier key.
+        InsertOld(u64),
+        RetainOdd,
+    }
+
+    fn seq_op(kind: u8, raw: u64) -> SeqOp {
+        match kind % 16 {
+            0..=6 => SeqOp::Issue(if raw.is_multiple_of(5) {
+                raw >> 8 & 0x3ff
+            } else {
+                raw % 3
+            }),
+            // Mostly the oldest few (timers fire roughly in issue order),
+            // sometimes anywhere — which is what leaves stragglers behind.
+            7..=10 => SeqOp::RemoveNth((raw % 4) as usize),
+            11 | 12 => SeqOp::RemoveNth((raw >> 4) as usize),
+            13 => SeqOp::RemoveNewest,
+            14 => SeqOp::InsertOld(raw),
+            _ => SeqOp::RetainOdd,
+        }
+    }
+
+    proptest::proptest! {
+        /// Against a `BTreeMap`: same answers, same iteration order, the
+        /// same snapshot bytes as a hash map of the same pairs, and a
+        /// window that stays O(live).
+        #[test]
+        fn seq_map_matches_a_btree_model(
+            ops in proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u64>()), 1..400)
+        ) {
+            let mut map = SeqMap::new();
+            let mut model = BTreeMap::new();
+            let mut next = 0u64;
+            for (i, &(kind, raw)) in ops.iter().enumerate() {
+                match seq_op(kind, raw) {
+                    SeqOp::Issue(gap) => {
+                        next += gap;
+                        assert_eq!(map.insert(next, i), model.insert(next, i));
+                        next += 1;
+                        // Checked where it is enforced: when the window grows.
+                        let bound = SeqMap::<usize>::SPAN_PER_ENTRY as usize * map.in_window
+                            + SeqMap::<usize>::SPAN_SLACK as usize;
+                        assert!(map.window.len() <= bound, "window {} > {bound}", map.window.len());
+                    }
+                    SeqOp::RemoveNth(n) if !model.is_empty() => {
+                        let key = *model.keys().nth(n % model.len()).expect("in range");
+                        assert_eq!(map.remove(key), model.remove(&key));
+                        assert_eq!(map.remove(key), None);
+                    }
+                    SeqOp::RemoveNewest => {
+                        let key = model.keys().next_back().copied().unwrap_or(next);
+                        assert_eq!(map.remove(key), model.remove(&key));
+                    }
+                    SeqOp::InsertOld(raw) if next > 0 => {
+                        let key = raw % next;
+                        assert_eq!(map.insert(key, i), model.insert(key, i));
+                    }
+                    SeqOp::RetainOdd => {
+                        map.retain(|key, _| key % 2 == 1);
+                        model.retain(|key, _| key % 2 == 1);
+                    }
+                    SeqOp::RemoveNth(_) | SeqOp::InsertOld(_) => {}
+                }
+                assert_eq!(map.len(), model.len());
+                assert!(map.iter().eq(model.iter().map(|(&k, v)| (k, v))), "op {i}");
+                assert_eq!(map.get(raw % (next + 1)), model.get(&(raw % (next + 1))));
+                assert!(map.window.front().is_none_or(Option::is_some));
+                assert!(map.spilled.keys().all(|&k| k < map.base));
+            }
+            let hashed: crate::fxhash::FxHashMap<u64, usize> =
+                model.iter().map(|(&k, &v)| (k, v)).collect();
+            let bytes = snap_of(&map);
+            assert_eq!(bytes, snap_of(&hashed), "snap(SeqMap) == snap(FxHashMap)");
+            let mut r = SnapReader::new(&bytes);
+            let restored = SeqMap::<usize>::restore(&mut r).expect("restore");
+            r.finish().expect("no trailing bytes");
+            assert!(restored.iter().eq(map.iter()));
+            assert_eq!(snap_of(&restored), bytes);
+        }
+    }
+
+    #[test]
+    fn seq_map_restore_is_strict_and_bounded() {
+        let bytes_of = |keys: &[u64]| {
+            let mut w = SnapWriter::new();
+            w.put_usize(keys.len());
+            for &k in keys {
+                w.put_u64(k);
+                w.put_u64(!k);
+            }
+            w.into_bytes()
+        };
+        let restore = |keys: &[u64]| {
+            let bytes = bytes_of(keys);
+            SeqMap::<u64>::restore(&mut SnapReader::new(&bytes))
+        };
+        assert!(restore(&[3, 2]).is_err(), "descending");
+        assert!(restore(&[3, 3]).is_err(), "duplicate");
+        // Keys a counter would never leave this far apart load anyway,
+        // without padding the gap.
+        let sparse = restore(&[1, 1 << 40, u64::MAX]).expect("ascending");
+        assert_eq!(sparse.len(), 3);
+        assert!(sparse.window.len() <= 64);
+        assert_eq!(sparse.get(u64::MAX), Some(&0));
+        let mut sparse = sparse;
+        assert_eq!(sparse.remove(u64::MAX), Some(0));
+        assert_eq!(sparse.insert(u64::MAX, 5), None);
+        assert_eq!(
+            sparse.keys().collect::<Vec<_>>(),
+            vec![1, 1 << 40, u64::MAX]
+        );
     }
 }

@@ -458,7 +458,9 @@ impl<E: Snap> Snap for EventQueue<E> {
         for _ in 0..r.get_len()? {
             let (at, seq) = (SimTime::restore(r)?, r.get_u64()?);
             if at < queue.now || seq >= queue.next_seq {
-                return invalid(format!("entry ({at:?}, {seq}) before the clock or unissued"));
+                return invalid(format!(
+                    "entry ({at:?}, {seq}) before the clock or unissued"
+                ));
             }
             if prev >= Some((at, seq)) || !seqs.insert(seq) {
                 return invalid(format!("entry ({at:?}, {seq}) out of order or repeated"));
@@ -928,5 +930,4 @@ mod tests {
             assert_eq!(got, expect, "seed {seed} diverged from the reference");
         }
     }
-
 }

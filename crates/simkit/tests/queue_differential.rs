@@ -527,13 +527,31 @@ fn restore_rejects_what_snap_never_writes() {
     };
     let ok = build(10, 9, &[(10, 4), (10, 6), (5_000_000, 2)], &[2]).expect("well-formed");
     assert_eq!((ok.len(), ok.peek_time()), (2, Some(us(10))));
-    assert!(build(10, 9, &[(9, 4)], &[]).is_err(), "entry before the clock");
+    assert!(
+        build(10, 9, &[(9, 4)], &[]).is_err(),
+        "entry before the clock"
+    );
     assert!(build(10, 9, &[(10, 9)], &[]).is_err(), "seq never issued");
-    assert!(build(10, 9, &[(10, 6), (10, 4)], &[]).is_err(), "descending");
-    assert!(build(10, 9, &[(10, 4), (10, 4)], &[]).is_err(), "repeated key");
-    assert!(build(10, 9, &[(10, 4), (11, 4)], &[]).is_err(), "repeated seq");
-    assert!(build(10, 9, &[(10, 4)], &[5]).is_err(), "dangling tombstone");
-    assert!(build(10, 9, &[(10, 4)], &[4, 4]).is_err(), "repeated tombstone");
+    assert!(
+        build(10, 9, &[(10, 6), (10, 4)], &[]).is_err(),
+        "descending"
+    );
+    assert!(
+        build(10, 9, &[(10, 4), (10, 4)], &[]).is_err(),
+        "repeated key"
+    );
+    assert!(
+        build(10, 9, &[(10, 4), (11, 4)], &[]).is_err(),
+        "repeated seq"
+    );
+    assert!(
+        build(10, 9, &[(10, 4)], &[5]).is_err(),
+        "dangling tombstone"
+    );
+    assert!(
+        build(10, 9, &[(10, 4)], &[4, 4]).is_err(),
+        "repeated tombstone"
+    );
 }
 
 const GOLDEN: (usize, u64) = (1096, 0xdf1d_bace_0e1d_bdcc);
