@@ -262,8 +262,10 @@ impl BrassApp for LvcApp {
             }
             // Same key, different identity: the old stream is gone for
             // good. Account its buffer before replacing it, mirroring
-            // `on_stream_closed`.
+            // `on_stream_closed` — and disarm its timer, or the old chain
+            // would tick the new stream alongside the one armed below.
             let mut old = self.streams.remove(&stream).expect("checked above");
+            self.timers.retain(|_, armed| *armed != stream);
             for e in old.buffer.drain() {
                 ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
             }
@@ -665,6 +667,23 @@ mod tests {
             Some(ObjectId(500)),
             "buffered comment survives the resubscribe"
         );
+    }
+
+    #[test]
+    fn resubscribe_with_a_new_identity_leaves_one_timer_chain() {
+        let mut d = driver();
+        d.subscribe(stream(1), &header(42, 9));
+        let fx = d.subscribe(stream(1), &header(43, 9));
+        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::live_video_comments(42))));
+        let armed = d.timers();
+        assert_eq!(armed.len(), 2, "one timer per subscribe");
+        assert_eq!(d.app.timers.len(), 1, "the replaced stream's is disarmed");
+        d.advance(SimDuration::from_secs(2));
+        // The old chain's token is dead: firing it re-arms nothing.
+        assert_eq!(d.fire_timer(armed[0].1), vec![]);
+        let fx = d.fire_timer(armed[1].1);
+        assert!(matches!(fx[..], [Effect::Timer { .. }]), "{fx:?}");
+        assert_eq!(d.app.timers.len(), 1);
     }
 
     #[test]
