@@ -249,7 +249,7 @@ enum Ev {
     // ------------------------------------------------------------------
     /// A device frame arrives at its POP. Frames are boxed throughout the
     /// transport variants: one long-lived timer or in-flight frame per
-    /// stream would otherwise inflate every `Ev` in the wheel to the size
+    /// stream would otherwise inflate every `Ev` in the queue to the size
     /// of the fattest variant.
     AtPop { device: u64, frame: Box<Frame> },
     /// A frame arrives at a reverse proxy.

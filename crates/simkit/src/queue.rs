@@ -27,8 +27,10 @@
 //! * **The late heap** — keys scheduled at or behind the cursor's bucket:
 //!   a handler scheduling "now" or a few hundred µs ahead into the bucket
 //!   being drained, and inserts behind a cursor that a bounded pop or a
-//!   skipped tombstone moved ahead of the clock. Small; every pop takes the
-//!   lesser of its head and the due list's.
+//!   skipped tombstone moved ahead of the clock. Small and usually empty
+//!   (the simulator's hops are all longer than a bucket: under 1 pop in
+//!   1,000 comes from here); every pop takes the lesser of its head and
+//!   the due list's.
 //! * **The overflow heap** — keys at or beyond `cursor + RING`, moved into
 //!   the ring as the cursor's window reaches them. Every key there is later
 //!   than every ring entry.
@@ -41,9 +43,10 @@
 //! sized to hold that — 1,024 µs × 4,096 = 4.19 s — and the rest (workload
 //! injected up front, reconnect backoffs) waits in a heap of keys, paying
 //! one `O(log n)` push and pop each. The width trades sort size against
-//! ring length: at 1,024 µs a non-empty bucket holds ≈22 entries with
-//! 20 k devices (≈110 with 100 k), a sort that stays in L1, while 4,096
-//! `Vec` headers plus a 512-byte occupancy bitmap stay resident in L2.
+//! ring length: at 1,024 µs a non-empty bucket holds ≈23 entries with
+//! 20 k LVC devices (≈114 with 100 k; 6–9 on the chaos, flash-crowd and
+//! chat workloads), a sort that stays in L1, while 4,096 `Vec` headers
+//! plus a 512-byte occupancy bitmap stay resident in L2.
 //! Both are constants because nothing a caller knows would pick them
 //! better; they affect speed only, never order.
 //!
