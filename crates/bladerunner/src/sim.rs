@@ -553,7 +553,7 @@ impl DeviceState {
     fn for_each_open_sid(&self, visit: impl FnMut(StreamId)) {
         match &self.slot {
             DeviceSlot::Live(d) => d.iter_open_sids().for_each(visit),
-            DeviceSlot::Parked(blob) => Device::iter_frozen_open_sids(blob).for_each(visit),
+            DeviceSlot::Parked(blob) => Device::frozen_open_sids(blob).for_each(visit),
         }
     }
 

@@ -286,27 +286,16 @@ impl Device {
         Ok(())
     }
 
-    /// Open (non-terminated) stream ids of a hibernated device, read
-    /// straight from the blob — no rehydration, no header unpacking.
-    pub fn frozen_open_sids(blob: &[u8]) -> Vec<StreamId> {
-        Self::iter_frozen_open_sids(blob).collect()
-    }
-
-    /// [`Device::frozen_open_sids`] without the vector: one walk of the
-    /// blob, a stream at a time.
-    pub fn iter_frozen_open_sids(blob: &[u8]) -> impl Iterator<Item = StreamId> + '_ {
+    /// Open (non-terminated) stream ids of a hibernated device, oldest
+    /// first, read straight from the blob a stream at a time — no
+    /// rehydration, no header unpacking, no vector.
+    pub fn frozen_open_sids(blob: &[u8]) -> impl Iterator<Item = StreamId> + '_ {
         let mut pos = 24; // skip next_sid, delivered, renders
         let streams = read_u32(blob, &mut pos);
         (0..streams).filter_map(move |_| {
             let (sid, open) = ClientStream::peek_frozen(blob, &mut pos);
             open.then_some(sid)
         })
-    }
-
-    /// Number of open streams in a hibernation blob (see
-    /// [`Device::frozen_open_sids`]).
-    pub fn frozen_open_streams(blob: &[u8]) -> usize {
-        Self::iter_frozen_open_sids(blob).count()
     }
 }
 
@@ -511,8 +500,7 @@ mod tests {
             batch: vec![Delta::Terminate(TerminateReason::Redirect)],
         });
         let blob = d.hibernate();
-        assert_eq!(Device::frozen_open_sids(&blob), vec![sid1]);
-        assert_eq!(Device::frozen_open_streams(&blob), 1);
+        assert!(Device::frozen_open_sids(&blob).eq([sid1]));
         let mut r = Device::rehydrate(17, &blob);
         assert_eq!(r.id(), d.id());
         assert_eq!(r.delivered(), d.delivered());

@@ -318,14 +318,6 @@ impl<V> SeqMap<V> {
         Some(value)
     }
 
-    /// A reference to the value at `key`.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        if key < self.base {
-            return self.spilled.get(&key);
-        }
-        self.window.get(self.slot_of(key)?)?.as_ref()
-    }
-
     /// Keeps only the entries `keep` approves of.
     pub fn retain(&mut self, mut keep: impl FnMut(u64, &V) -> bool) {
         self.spilled.retain(|&key, value| keep(key, value));
@@ -467,8 +459,7 @@ mod tests {
         assert_eq!((m.len(), m.base, m.window.len()), (100, 9_900, 100));
         assert!(m.spilled.is_empty());
         assert!(m.window.capacity() <= 256, "no high-water growth");
-        assert_eq!(m.get(9_950), Some(&9_950));
-        assert_eq!(m.get(9_899), None);
+        assert_eq!(m.remove(9_899), None);
         assert_eq!(m.insert(9_950, 1), Some(9_950));
         // Draining it leaves an empty window that restarts at the next key.
         for token in 9_900..10_000 {
@@ -493,8 +484,7 @@ mod tests {
             m.insert(token, "short");
         }
         assert_eq!(m.spilled.len(), 1, "the straggler moved aside");
-        assert_eq!(m.get(0), Some(&"long timer"));
-        assert_eq!(m.keys().next(), Some(0), "still first in key order");
+        assert_eq!(m.iter().next(), Some((0, &"long timer")), "still first");
         assert_eq!(m.window.len(), 100);
         // A key from before the window (never issued by a counter, but
         // legal) joins the stragglers; both come out again.
@@ -586,7 +576,6 @@ mod tests {
                 }
                 assert_eq!(map.len(), model.len());
                 assert!(map.iter().eq(model.iter().map(|(&k, v)| (k, v))), "op {i}");
-                assert_eq!(map.get(raw % (next + 1)), model.get(&(raw % (next + 1))));
                 assert!(map.window.front().is_none_or(Option::is_some));
                 assert!(map.spilled.keys().all(|&k| k < map.base));
             }
@@ -621,11 +610,9 @@ mod tests {
         assert!(restore(&[3, 3]).is_err(), "duplicate");
         // Keys a counter would never leave this far apart load anyway,
         // without padding the gap.
-        let sparse = restore(&[1, 1 << 40, u64::MAX]).expect("ascending");
+        let mut sparse = restore(&[1, 1 << 40, u64::MAX]).expect("ascending");
         assert_eq!(sparse.len(), 3);
         assert!(sparse.window.len() <= 64);
-        assert_eq!(sparse.get(u64::MAX), Some(&0));
-        let mut sparse = sparse;
         assert_eq!(sparse.remove(u64::MAX), Some(0));
         assert_eq!(sparse.insert(u64::MAX, 5), None);
         assert_eq!(
