@@ -1,0 +1,513 @@
+use brass::app::{FetchToken, WasRequest, WasResponse};
+use burst::frame::StreamId;
+use pylon::Topic;
+use simkit::snap::{Snap, SnapReader, SnapWriter};
+use simkit::time::{SimDuration, SimTime};
+use simkit::trace::{Hop, HopOutcome};
+
+use super::ev::{App, Ev};
+use super::SystemSim;
+use crate::config::SystemConfig;
+
+fn sim() -> SystemSim {
+    SystemSim::new(SystemConfig::small(), 7)
+}
+
+#[test]
+fn quorum_retry_backoff_is_capped_at_any_attempt() {
+    // Early attempts double; later attempts clamp at the cap instead
+    // of shifting past 63 bits (attempt 64+ would have overflowed).
+    let secs: Vec<u64> = [0u32, 1, 2, 3, 4, 5, 6, 8, 63, 64, 1_000, u32::MAX]
+        .iter()
+        .map(|&a| SystemSim::quorum_retry_backoff(a).as_secs())
+        .collect();
+    assert_eq!(secs, vec![1, 2, 4, 8, 16, 30, 30, 30, 30, 30, 30, 30]);
+}
+
+/// The three events that name an application carry it as a handle;
+/// the snapshot still holds the name, and only a registered one is
+/// accepted back.
+#[test]
+fn app_naming_events_round_trip_and_reject_unknown_apps() {
+    let events = [
+        Ev::BrassTimer {
+            host: 3,
+            app: App("lvc"),
+            token: 77,
+        },
+        Ev::WasExec {
+            host: 1,
+            app: App("messenger"),
+            token: FetchToken(9),
+            request: WasRequest::MailboxAfter {
+                uid: 5,
+                after_seq: Some(2),
+            },
+            attributed: Some(SimTime::from_millis(40)),
+        },
+        Ev::WasReply {
+            host: 2,
+            app: App("typing"),
+            token: FetchToken(10),
+            response: WasResponse::Payload(b"{\"id\":1}".to_vec().into()),
+            attributed: None,
+        },
+    ];
+    for ev in &events {
+        let mut w = SnapWriter::new();
+        ev.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = Ev::restore(&mut r).expect("restore");
+        r.finish().expect("no trailing bytes");
+        let mut w = SnapWriter::new();
+        back.snap(&mut w);
+        assert_eq!(w.into_bytes(), bytes, "{ev:?}");
+        assert_eq!(format!("{back:?}"), format!("{ev:?}"));
+    }
+    // The same bytes with the name swapped for one no host registers.
+    for (tag, known) in [(10u8, "lvc"), (8, "messenger"), (9, "typing")] {
+        let mut w = SnapWriter::new();
+        w.put_u8(tag);
+        w.put_usize(0);
+        w.put_str("lvc2");
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let err = Ev::restore(&mut SnapReader::new(&bytes)).expect_err(known);
+        assert!(err.to_string().contains("lvc2"), "{err}");
+    }
+}
+
+#[test]
+fn comment_flows_end_to_end() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("eclipse");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.post_comment(
+        SimTime::from_secs(2),
+        poster,
+        video,
+        "an astonishing ring of fire over the ocean",
+    );
+    s.run_until(SimTime::from_secs(60));
+    assert_eq!(
+        s.metrics().deliveries.get(),
+        1,
+        "comment reached the viewer"
+    );
+    assert_eq!(s.metrics().publications.get(), 1);
+    let lat = &s.metrics().per_app["lvc"];
+    assert_eq!(lat.total.count(), 1);
+    // Total latency includes the ~2s WAS ranking plus fan-out and push.
+    assert!(lat.total.mean() > 1_500.0, "total {}", lat.total.mean());
+    assert!(lat.total.mean() < 15_000.0, "total {}", lat.total.mean());
+}
+
+#[test]
+fn poster_does_not_receive_without_subscription() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    s.post_comment(
+        SimTime::from_secs(1),
+        poster,
+        video,
+        "talking to the void here",
+    );
+    s.run_until(SimTime::from_secs(30));
+    assert_eq!(s.metrics().deliveries.get(), 0);
+    assert_eq!(
+        s.metrics().publications.get(),
+        1,
+        "published but nobody listens"
+    );
+}
+
+#[test]
+fn typing_indicator_round_trip() {
+    let mut s = sim();
+    let a = s.create_user_device("a", "en");
+    let b = s.create_user_device("b", "en");
+    let thread = s.was_mut().create_thread(&[a, b]);
+    // b watches a's typing state.
+    s.subscribe_typing(SimTime::ZERO, b, thread, a);
+    s.set_typing(SimTime::from_secs(2), a, thread, true);
+    s.run_until(SimTime::from_secs(20));
+    assert_eq!(s.metrics().deliveries.get(), 1);
+    let lat = &s.metrics().per_app["typing"];
+    assert!(lat.total.count() == 1, "typing total latency recorded");
+    // Typing avoids ranking: total latency well under the LVC path.
+    assert!(lat.total.mean() < 3_000.0, "total {}", lat.total.mean());
+}
+
+#[test]
+fn messenger_delivers_reliably_in_order() {
+    let mut s = sim();
+    let a = s.create_user_device("a", "en");
+    let b = s.create_user_device("b", "en");
+    let thread = s.was_mut().create_thread(&[a, b]);
+    s.subscribe_mailbox(SimTime::ZERO, b);
+    for i in 0..5 {
+        s.send_message(
+            SimTime::from_secs(2 + i),
+            a,
+            thread,
+            &format!("message number {i}"),
+        );
+    }
+    s.run_until(SimTime::from_secs(60));
+    // b receives all 5 (a has no open mailbox stream).
+    assert_eq!(s.metrics().deliveries.get(), 5);
+}
+
+#[test]
+fn rate_limit_caps_lvc_deliveries() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("hot");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    // 40 comments in 4 seconds.
+    for i in 0..40 {
+        s.post_comment(
+            SimTime::from_millis(2_000 + i * 100),
+            poster,
+            video,
+            &format!("burst comment number {i} with some substance"),
+        );
+    }
+    s.run_until(SimTime::from_secs(40));
+    // At 1 message / 2 s with a 10 s freshness window, only a handful
+    // survive.
+    let delivered = s.metrics().deliveries.get();
+    assert!(delivered >= 2, "some comments delivered: {delivered}");
+    assert!(
+        delivered <= 12,
+        "rate limit must cap deliveries: {delivered}"
+    );
+    assert!(s.total_decisions() > delivered, "most updates filtered");
+}
+
+#[test]
+fn device_drop_and_resubscribe_resumes_delivery() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.post_comment(
+        SimTime::from_secs(2),
+        poster,
+        video,
+        "before the drop happens here",
+    );
+    s.run_until(SimTime::from_secs(15));
+    let before = s.metrics().deliveries.get();
+    assert_eq!(before, 1);
+    // Drop the viewer; it reconnects and resubscribes automatically.
+    s.schedule_device_drop(SimTime::from_secs(16), viewer);
+    s.post_comment(
+        SimTime::from_secs(25),
+        poster,
+        video,
+        "after reconnect this arrives",
+    );
+    s.run_until(SimTime::from_secs(60));
+    assert_eq!(s.metrics().connection_drops.get(), 1);
+    assert_eq!(
+        s.metrics().deliveries.get(),
+        2,
+        "delivery resumed after reconnect"
+    );
+}
+
+#[test]
+fn brass_upgrade_repairs_streams_via_proxy() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.run_until(SimTime::from_secs(10));
+    // Upgrade every host in turn at t=12; the stream's host is repaired.
+    for h in 0..4 {
+        s.schedule_brass_upgrade(
+            SimTime::from_secs(12 + h),
+            h as usize,
+            SimDuration::from_secs(30),
+        );
+    }
+    s.post_comment(
+        SimTime::from_secs(50),
+        poster,
+        video,
+        "life after the upgrade wave",
+    );
+    s.run_until(SimTime::from_secs(90));
+    assert!(s.total_proxy_reconnects() >= 1, "proxy repaired the stream");
+    assert_eq!(
+        s.metrics().deliveries.get(),
+        1,
+        "delivery works after repair"
+    );
+}
+
+#[test]
+fn pylon_outage_fails_subscribes_but_not_publishes() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let viewer = s.create_user_device("viewer", "en");
+    // Take down ALL subscriber-KV nodes: quorum for every topic is gone.
+    for n in 0..s.pylon().config().kv_nodes as u64 {
+        s.schedule_pylon_outage(SimTime::ZERO, n, SimDuration::from_secs(30));
+    }
+    s.subscribe_lvc(SimTime::from_secs(5), viewer, video);
+    s.run_until(SimTime::from_secs(20));
+    assert!(
+        s.metrics().quorum_failures.get() >= 1,
+        "CP subscribe failed"
+    );
+    // After the outage the retry succeeds and delivery flows.
+    let poster = s.create_user_device("poster", "en");
+    s.post_comment(
+        SimTime::from_secs(60),
+        poster,
+        video,
+        "postquorum comment arrives fine",
+    );
+    s.run_until(SimTime::from_secs(120));
+    assert_eq!(s.metrics().deliveries.get(), 1);
+}
+
+#[test]
+fn deterministic_across_runs() {
+    let run = || {
+        let mut s = SystemSim::new(SystemConfig::small(), 99);
+        let video = s.was_mut().create_video("v");
+        let poster = s.create_user_device("poster", "en");
+        let viewer = s.create_user_device("viewer", "en");
+        s.subscribe_lvc(SimTime::ZERO, viewer, video);
+        for i in 0..10 {
+            s.post_comment(
+                SimTime::from_secs(2 + i),
+                poster,
+                video,
+                &format!("comment {i} with consistent text"),
+            );
+        }
+        s.run_until(SimTime::from_secs(60));
+        (
+            s.metrics().deliveries.get(),
+            s.metrics().publications.get(),
+            s.total_decisions(),
+        )
+    };
+    assert_eq!(run(), run());
+}
+
+#[test]
+fn stream_lifetime_and_publication_accounting() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.post_comment(
+        SimTime::from_secs(1),
+        poster,
+        video,
+        "a single interesting comment",
+    );
+    s.run_until(SimTime::from_secs(20));
+    s.cancel_stream(SimTime::from_secs(21), viewer, StreamId(1));
+    s.run_until(SimTime::from_secs(30));
+    assert_eq!(s.metrics().stream_lifetimes.len(), 1);
+    assert!(s.metrics().stream_lifetimes[0] >= SimDuration::from_secs(20));
+    let buckets = s.metrics().publication_buckets();
+    assert_eq!(buckets[1], 100.0, "the one stream saw 1-9 publications");
+}
+
+#[test]
+fn lvc_traces_account_for_every_update() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("traced");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    // A burst dense enough to exercise the drop paths: buffer
+    // overflow and rate-limit expiry alongside ordinary delivery.
+    for i in 0..30 {
+        s.post_comment(
+            SimTime::from_millis(2_000 + i * 200),
+            poster,
+            video,
+            &format!("burst comment number {i} with plenty of text"),
+        );
+    }
+    // Posts end by t=8s; with a 10s freshness window and a 2s push
+    // timer, every buffered comment is pushed or expired long before
+    // t=60s, so no trace can still be in flight at the end.
+    s.run_until(SimTime::from_secs(60));
+
+    let ledger = s.trace_ledger();
+    assert_eq!(ledger.trace_count() as u64, s.metrics().publications.get());
+    assert!(ledger.unaccounted().is_empty(), "every update resolved");
+
+    let mut delivered = 0u64;
+    for trace in ledger.trace_ids() {
+        let chain = ledger.chain(trace);
+        assert_eq!(chain[0].hop, Hop::TaoCommit, "chains start at commit");
+        for pair in chain.windows(2) {
+            assert!(pair[0].at <= pair[1].at, "hop timestamps are monotone");
+        }
+        if ledger.is_delivered(trace) {
+            delivered += 1;
+            let last = chain.last().unwrap();
+            assert_eq!(last.hop, Hop::DeviceRender);
+            assert_eq!(last.outcome, HopOutcome::Ok);
+            // Per-hop latencies telescope to the end-to-end latency.
+            let hop_sum = chain
+                .windows(2)
+                .map(|p| p[1].at.saturating_since(p[0].at))
+                .fold(SimDuration::ZERO, |a, b| a + b);
+            let e2e = ledger
+                .deliveries()
+                .iter()
+                .find(|(t, _)| *t == trace)
+                .map(|(_, d)| *d)
+                .unwrap();
+            assert_eq!(hop_sum, e2e, "hop latencies sum to delivery latency");
+        } else {
+            ledger
+                .drop_of(trace)
+                .expect("non-delivered update has a drop record naming hop and reason");
+        }
+    }
+    assert_eq!(delivered, s.metrics().deliveries.get());
+    assert!(delivered > 0, "some comments were delivered");
+    assert!(
+        delivered < 30,
+        "the burst must overflow the buffer / rate limit"
+    );
+    assert!(
+        !ledger.drop_table().is_empty(),
+        "drop attribution table is populated"
+    );
+    assert!(
+        !ledger.hop_summaries().is_empty(),
+        "per-hop latency histograms are populated"
+    );
+}
+
+#[test]
+fn sub_e2e_latency_recorded() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.run_until(SimTime::from_secs(10));
+    assert_eq!(s.metrics().sub_e2e.count(), 1);
+    // The sticky-routing rewrite response travels device→BRASS→device.
+    assert!(s.metrics().sub_e2e.mean() > 100.0);
+}
+
+/// Runs a multi-app scenario and returns an exact fingerprint of the
+/// metrics: any dependence on `TopicId` assignment order would perturb
+/// at least one of these numbers.
+fn metrics_fingerprint() -> String {
+    let mut s = sim();
+    let video = s.was_mut().create_video("eclipse");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    let thread = s.was_mut().create_thread(&[poster, viewer]);
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.subscribe_mailbox(SimTime::from_millis(10), viewer);
+    s.subscribe_typing(SimTime::from_millis(20), viewer, thread, poster);
+    s.subscribe_active_status(SimTime::from_millis(30), viewer);
+    for i in 0..8 {
+        s.post_comment(
+            SimTime::from_millis(2_000 + i * 700),
+            poster,
+            video,
+            &format!("comment number {i} with enough words to rank"),
+        );
+    }
+    s.set_typing(SimTime::from_secs(3), poster, thread, true);
+    s.send_message(SimTime::from_secs(4), poster, thread, "hello there");
+    s.set_online(SimTime::from_secs(5), poster);
+    s.run_until(SimTime::from_secs(60));
+    let m = s.metrics();
+    let mut apps: Vec<_> = m.per_app.iter().collect();
+    apps.sort_by(|a, b| a.0.cmp(b.0));
+    let per_app: Vec<String> = apps
+        .iter()
+        .map(|(name, lat)| {
+            format!(
+                "{name}:{}:{:x}",
+                lat.total.count(),
+                lat.total.mean().to_bits()
+            )
+        })
+        .collect();
+    format!(
+        "deliveries={} publications={} subscriptions={} mutations={} \
+         decisions={} events={} apps=[{}]",
+        m.deliveries.get(),
+        m.publications.get(),
+        m.subscriptions.get(),
+        m.mutations.get(),
+        s.total_decisions(),
+        s.event_stats().total,
+        per_app.join(",")
+    )
+}
+
+/// Child half of `intern_order_does_not_change_metrics`: only active
+/// when re-executed by the parent with `BR_INTERN_DECOYS` set. Interns
+/// that many decoy topics *first* — shifting every `TopicId` the
+/// scenario will allocate — then prints the metrics fingerprint.
+#[test]
+fn intern_order_child() {
+    let Ok(decoys) = std::env::var("BR_INTERN_DECOYS") else {
+        return;
+    };
+    let decoys: u32 = decoys.parse().expect("BR_INTERN_DECOYS is a count");
+    for i in 0..decoys {
+        Topic::new(&format!("/Decoy/{i}")).unwrap();
+    }
+    println!("FINGERPRINT {}", metrics_fingerprint());
+}
+
+/// Interning is process-global, so perturbing id assignment requires a
+/// fresh process: the test re-executes its own binary twice, once with
+/// no decoy topics and once with 64 interned up front, and asserts the
+/// two runs produce bit-identical metrics. Referenced from the module
+/// docs of `pylon::topic`.
+#[test]
+fn intern_order_does_not_change_metrics() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let run = |decoys: &str| -> String {
+        let out = std::process::Command::new(&exe)
+            .args(["sim::tests::intern_order_child", "--exact", "--nocapture"])
+            .env("BR_INTERN_DECOYS", decoys)
+            .output()
+            .expect("re-exec test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "child failed:\n{stdout}");
+        // The harness may prefix its own status on the same line, so
+        // split on the marker rather than anchoring at column zero.
+        stdout
+            .lines()
+            .find_map(|l| l.split("FINGERPRINT ").nth(1))
+            .unwrap_or_else(|| panic!("no fingerprint in child output:\n{stdout}"))
+            .to_owned()
+    };
+    let baseline = run("0");
+    let shifted = run("64");
+    assert_eq!(
+        baseline, shifted,
+        "metrics must not depend on topic intern order"
+    );
+}
