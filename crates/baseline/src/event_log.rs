@@ -67,7 +67,6 @@ impl std::error::Error for EventLogError {}
 
 struct Partition {
     records: Vec<u64>, // event ids
-    broker: u32,
     appends: u64,
     reads: u64,
 }
@@ -120,26 +119,22 @@ impl EventLog {
             return Err(EventLogError::PartitionCapacityExhausted);
         }
         // Place each partition on the least-loaded broker.
-        let mut placements = Vec::new();
         for _ in 0..self.config.partitions_per_topic {
             let broker = self
                 .broker_partitions
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &l)| l)
-                .map(|(b, _)| b as u32)
+                .map(|(b, _)| b)
                 .expect("at least one broker");
-            self.broker_partitions[broker as usize] += 1;
-            placements.push(broker);
+            self.broker_partitions[broker] += 1;
         }
         self.topics.insert(
             name.to_owned(),
             TopicState {
-                partitions: placements
-                    .into_iter()
-                    .map(|broker| Partition {
+                partitions: (0..self.config.partitions_per_topic)
+                    .map(|_| Partition {
                         records: Vec::new(),
-                        broker,
                         appends: 0,
                         reads: 0,
                     })
@@ -205,14 +200,6 @@ impl EventLog {
     /// Broker partition counts.
     pub fn broker_loads(&self) -> &[u32] {
         &self.broker_partitions
-    }
-
-    /// The broker hosting a given partition of a topic.
-    pub fn broker_of(&self, topic: &str, partition: u32) -> Option<u32> {
-        self.topics
-            .get(topic)
-            .and_then(|t| t.partitions.get(partition as usize))
-            .map(|p| p.broker)
     }
 }
 

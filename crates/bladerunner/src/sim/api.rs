@@ -236,64 +236,56 @@ impl SystemSim {
         (self.langs.len() - 1) as u16
     }
 
-    /// Schedules a subscription with an explicit header.
-    pub fn subscribe_with_header(&mut self, at: SimTime, device: u64, header: Json) {
-        self.queue
-            .schedule(at, Ev::DeviceSubscribe { device, header });
-    }
-
-    fn gql_header(&self, device: u64, gql: String) -> Json {
+    /// Schedules a subscription to `gql` under the device's viewer id and
+    /// language.
+    fn subscribe_gql(&mut self, at: SimTime, device: u64, gql: String) {
         let lang = self
             .devices
             .get(&device)
             .and_then(|d| self.langs.get(d.lang as usize))
             .map_or("en", String::as_str);
-        Json::obj([
+        let header = Json::obj([
             ("viewer", Json::from(device)),
             ("lang", Json::from(lang)),
             ("gql", Json::from(gql)),
-        ])
+        ]);
+        self.queue
+            .schedule(at, Ev::DeviceSubscribe { device, header });
     }
 
     /// Schedules a LiveVideoComments subscription.
     pub fn subscribe_lvc(&mut self, at: SimTime, device: u64, video: u64) {
-        let header = self.gql_header(
+        self.subscribe_gql(
+            at,
             device,
             format!("subscription {{ liveVideoComments(videoId: {video}) }}"),
         );
-        self.subscribe_with_header(at, device, header);
     }
 
     /// Schedules a TypingIndicator subscription.
     pub fn subscribe_typing(&mut self, at: SimTime, device: u64, thread: u64, counterparty: u64) {
-        let header = self.gql_header(
-            device,
-            format!(
+        self.subscribe_gql(at, device, format!(
                 "subscription {{ typingIndicator(threadId: {thread}, counterpartyId: {counterparty}) }}"
-            ),
-        );
-        self.subscribe_with_header(at, device, header);
+            ));
     }
 
     /// Schedules an ActiveStatus subscription.
     pub fn subscribe_active_status(&mut self, at: SimTime, device: u64) {
-        let header = self.gql_header(device, "subscription { activeStatus }".to_owned());
-        self.subscribe_with_header(at, device, header);
+        self.subscribe_gql(at, device, "subscription { activeStatus }".to_owned());
     }
 
     /// Schedules a Stories tray subscription.
     pub fn subscribe_stories(&mut self, at: SimTime, device: u64) {
-        let header = self.gql_header(device, "subscription { storiesTray }".to_owned());
-        self.subscribe_with_header(at, device, header);
+        self.subscribe_gql(at, device, "subscription { storiesTray }".to_owned());
     }
 
     /// Schedules a NewsFeedPostLikes subscription.
     pub fn subscribe_likes(&mut self, at: SimTime, device: u64, post: u64) {
-        let header = self.gql_header(
+        self.subscribe_gql(
+            at,
             device,
             format!("subscription {{ postLikes(postId: {post}) }}"),
         );
-        self.subscribe_with_header(at, device, header);
     }
 
     /// Schedules a like on a post.
@@ -304,14 +296,16 @@ impl SystemSim {
 
     /// Schedules a WebsiteNotifications subscription.
     pub fn subscribe_notifications(&mut self, at: SimTime, device: u64) {
-        let header = self.gql_header(device, "subscription { notifications }".to_owned());
-        self.subscribe_with_header(at, device, header);
+        self.subscribe_gql(at, device, "subscription { notifications }".to_owned());
     }
 
     /// Schedules a Messenger mailbox subscription.
     pub fn subscribe_mailbox(&mut self, at: SimTime, device: u64) {
-        let header = self.gql_header(device, format!("subscription {{ mailbox(uid: {device}) }}"));
-        self.subscribe_with_header(at, device, header);
+        self.subscribe_gql(
+            at,
+            device,
+            format!("subscription {{ mailbox(uid: {device}) }}"),
+        );
     }
 
     /// Schedules a stream cancellation.

@@ -84,11 +84,9 @@ impl SystemSim {
         }
         // Device stream cap ("each mobile app up to 20 concurrent
         // streams"): the oldest stream makes room for the new one.
-        let evict: Vec<StreamId> = {
-            let open = state.open_sids();
-            let over = (open.len() + 1).saturating_sub(self.config.max_streams_per_device);
-            open.into_iter().take(over).collect()
-        };
+        let mut evict: Vec<StreamId> = Vec::new();
+        state.for_each_open_sid(|sid| evict.push(sid));
+        evict.truncate((evict.len() + 1).saturating_sub(self.config.max_streams_per_device));
         for sid in evict {
             self.on_device_cancel(now, device, sid);
         }

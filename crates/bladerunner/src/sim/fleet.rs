@@ -94,13 +94,6 @@ impl DeviceState {
         }
     }
 
-    /// Open stream ids without waking a parked device.
-    pub(super) fn open_sids(&self) -> Vec<StreamId> {
-        let mut sids = Vec::new();
-        self.for_each_open_sid(|sid| sids.push(sid));
-        sids
-    }
-
     /// Parks the device into its compact frozen form if it is quiescent:
     /// connected, nothing on the wire toward it, no flow-control episode
     /// in progress, and no recent drop streak (churning devices stay live

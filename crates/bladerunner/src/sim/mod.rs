@@ -27,6 +27,17 @@
 //! `(config, seed, workload)` and of nothing about how the caller slices
 //! time: `run_until(T)` equals any chunking of it, and a snapshot taken
 //! between any two calls resumes to the same future.
+//!
+//! # Map
+//!
+//! This file holds the struct, the dispatch table (`handle`), `run_until`
+//! and the metrics tick. Each `Ev` kind's handler lives with its layer:
+//! `ev` (the event vocabulary and its snapshot tags), `fleet` (a device's
+//! resident form, park and wake), `backend` (workload, WAS, Pylon, BRASS
+//! and trace attribution), `transport` (a frame's way up and down between
+//! device and BRASS), `faults` (churn, crashes, outages, heartbeats),
+//! `snapshot` (snapshot, resume, fingerprints, the convergence audit) and
+//! `api` (what a driver calls).
 
 mod api;
 mod backend;

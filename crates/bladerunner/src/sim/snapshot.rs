@@ -300,12 +300,12 @@ impl SystemSim {
             if state.flow.is_degraded() || !state.degraded_sids.is_empty() {
                 flow_degraded_devices += 1;
             }
-            for sid in state.open_sids() {
+            state.for_each_open_sid(|sid| {
                 open_streams += 1;
                 if !live.contains(&(id, sid)) {
                     stranded.push((id, sid));
                 }
-            }
+            });
         }
         let ledger = &self.ledger;
         crate::fault::ConvergenceReport {

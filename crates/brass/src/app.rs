@@ -444,19 +444,6 @@ impl<A: BrassApp> TestDriver<A> {
             })
             .collect()
     }
-
-    /// Payload sends among emitted effects.
-    pub fn sent_payloads(&self) -> Vec<(StreamKey, Vec<Payload>)> {
-        self.effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::SendPayloads {
-                    stream, payloads, ..
-                } => Some((*stream, payloads.clone())),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

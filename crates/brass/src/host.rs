@@ -212,14 +212,6 @@ impl BrassHost {
         keys
     }
 
-    /// Whether this host serves the given stream.
-    pub fn has_stream(&self, device: u64, sid: StreamId) -> bool {
-        self.streams.contains_key(&StreamKey {
-            device: DeviceId(device),
-            sid,
-        })
-    }
-
     /// Host counters.
     pub fn counters(&self) -> &HostCounters {
         &self.counters
@@ -578,14 +570,6 @@ impl BrassHost {
         self.run_handler(app, now, out, |a, ctx| a.on_timer(ctx, token));
     }
 
-    /// Handles a client cancel for one stream; the effects as a vector
-    /// (see [`BrassHost::on_cancel_into`]).
-    pub fn on_cancel(&mut self, device: DeviceId, sid: StreamId, now: SimTime) -> Vec<HostEffect> {
-        let mut out = Vec::new();
-        self.on_cancel_into(device, sid, now, &mut out);
-        out
-    }
-
     /// Handles a client cancel for one stream.
     pub fn on_cancel_into(
         &mut self,
@@ -598,20 +582,6 @@ impl BrassHost {
         if let Some(meta) = self.streams.remove(&stream) {
             self.run_handler(meta.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
         }
-    }
-
-    /// Handles a device ack; the effects as a vector (see
-    /// [`BrassHost::on_ack_into`]).
-    pub fn on_ack(
-        &mut self,
-        device: DeviceId,
-        sid: StreamId,
-        seq: u64,
-        now: SimTime,
-    ) -> Vec<HostEffect> {
-        let mut out = Vec::new();
-        self.on_ack_into(device, sid, seq, now, &mut out);
-        out
     }
 
     /// Handles a device ack (reliable applications replay from here).
@@ -652,20 +622,6 @@ impl BrassHost {
                 });
             }
         }
-        out
-    }
-
-    /// Redirects one stream to another BRASS host; the effects as a vector
-    /// (see [`BrassHost::redirect_stream_into`]).
-    pub fn redirect_stream(
-        &mut self,
-        device: DeviceId,
-        sid: StreamId,
-        to_host: u32,
-        now: SimTime,
-    ) -> Vec<HostEffect> {
-        let mut out = Vec::new();
-        self.redirect_stream_into(device, sid, to_host, now, &mut out);
         out
     }
 
@@ -846,6 +802,13 @@ mod tests {
     use was::event::{EventKind, EventMeta};
     use was::UpdateEvent;
 
+    /// What an `_into` handler emits, as a vector.
+    fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
+        let mut out = Vec::new();
+        run(&mut out);
+        out
+    }
+
     fn host() -> BrassHost {
         let mut h = BrassHost::new(HostConfig::small(1));
         h.register_standard_apps();
@@ -948,11 +911,11 @@ mod tests {
         let mut h = host();
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 1), SimTime::ZERO);
         h.on_subscribe(DeviceId(2), StreamId(1), lvc_header(42, 2), SimTime::ZERO);
-        let fx = h.on_cancel(DeviceId(1), StreamId(1), SimTime::ZERO);
+        let fx = collect(|out| h.on_cancel_into(DeviceId(1), StreamId(1), SimTime::ZERO, out));
         assert!(!fx
             .iter()
             .any(|e| matches!(e, HostEffect::PylonUnsubscribe(_))));
-        let fx = h.on_cancel(DeviceId(2), StreamId(1), SimTime::ZERO);
+        let fx = collect(|out| h.on_cancel_into(DeviceId(2), StreamId(1), SimTime::ZERO, out));
         assert!(fx
             .iter()
             .any(|e| matches!(e, HostEffect::PylonUnsubscribe(t) if t.as_str() == "/LVC/42")));
@@ -1140,7 +1103,8 @@ mod tests {
     fn redirect_rewrites_then_terminates() {
         let mut h = host();
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
-        let fx = h.redirect_stream(DeviceId(1), StreamId(1), 3, SimTime::ZERO);
+        let fx =
+            collect(|out| h.redirect_stream_into(DeviceId(1), StreamId(1), 3, SimTime::ZERO, out));
         let (_, _, batch) = fx.iter().find_map(sent).expect("redirect response");
         assert!(matches!(
             &batch[0],
@@ -1152,9 +1116,14 @@ mod tests {
         ));
         assert_eq!(h.stream_count(), 0, "the stream left this host");
         // Redirecting an unknown stream is a no-op.
-        assert!(h
-            .redirect_stream(DeviceId(1), StreamId(1), 3, SimTime::ZERO)
-            .is_empty());
+        assert!(collect(|out| h.redirect_stream_into(
+            DeviceId(1),
+            StreamId(1),
+            3,
+            SimTime::ZERO,
+            out
+        ))
+        .is_empty());
     }
 
     #[test]
@@ -1194,7 +1163,7 @@ mod tests {
         );
         assert!(fx.iter().any(|e| matches!(e, HostEffect::Send { .. })));
         // Ack releases retained state (observable: no panic, stream intact).
-        h.on_ack(DeviceId(1), StreamId(1), 0, SimTime::ZERO);
+        h.on_ack_into(DeviceId(1), StreamId(1), 0, SimTime::ZERO, &mut Vec::new());
         assert_eq!(h.stream_count(), 1);
     }
 
@@ -1269,8 +1238,8 @@ mod tests {
             ),
             (a.on_timer("lvc", 0, now), b.on_timer("lvc", 0, now)),
             (
-                a.on_cancel(DeviceId(2), StreamId(1), now),
-                b.on_cancel(DeviceId(2), StreamId(1), now),
+                collect(|out| a.on_cancel_into(DeviceId(2), StreamId(1), now, out)),
+                collect(|out| b.on_cancel_into(DeviceId(2), StreamId(1), now, out)),
             ),
             (
                 a.on_device_disconnected(DeviceId(3), now),

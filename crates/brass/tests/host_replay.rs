@@ -11,6 +11,13 @@ use tao::ObjectId;
 use was::event::{EventKind, EventMeta};
 use was::UpdateEvent;
 
+/// What an `_into` handler emits, as a vector.
+fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
+    let mut out = Vec::new();
+    run(&mut out);
+    out
+}
+
 fn msgr_header(mailbox: u64, viewer: u64) -> Json {
     Json::obj([
         ("viewer", Json::from(viewer)),
@@ -113,7 +120,7 @@ fn unacked_messages_are_retransmitted_until_acked() {
     let next_timer = timers(&fx)[0];
 
     // The device acks; the next timer tick replays nothing.
-    host.on_ack(DeviceId(2), StreamId(1), 0, next_timer.0);
+    host.on_ack_into(DeviceId(2), StreamId(1), 0, next_timer.0, &mut Vec::new());
     let fx = host.on_timer("messenger", next_timer.2, next_timer.0);
     assert!(update_frames(&fx).is_empty(), "acked messages are released");
     assert!(!timers(&fx).is_empty(), "the loop keeps running");
@@ -128,7 +135,7 @@ fn retransmit_loop_dies_with_the_stream() {
         .into_iter()
         .find(|(_, app, _)| *app == "messenger")
         .unwrap();
-    host.on_cancel(DeviceId(2), StreamId(1), at);
+    host.on_cancel_into(DeviceId(2), StreamId(1), at, &mut Vec::new());
     let fx = host.on_timer("messenger", token, at + SimDuration::from_secs(5));
     assert!(fx.is_empty(), "no replay and no re-arm after cancel");
 }
@@ -172,6 +179,7 @@ fn best_effort_streams_retain_nothing() {
     assert_eq!(update_frames(&fx).len(), 1);
     // An LVC ack is harmless and retains nothing to release (best-effort
     // streams never buffer); this is a no-crash/no-effect check.
-    let fx = host.on_ack(DeviceId(9), StreamId(1), 0, SimTime::from_secs(3));
+    let fx =
+        collect(|out| host.on_ack_into(DeviceId(9), StreamId(1), 0, SimTime::from_secs(3), out));
     assert!(update_frames(&fx).is_empty());
 }

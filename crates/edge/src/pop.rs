@@ -197,14 +197,6 @@ impl Pop {
         out.push(PopEffect::ToDevice { device, frame });
     }
 
-    /// Handles a detected device disconnect; the effects as a vector (see
-    /// [`Pop::on_device_disconnected_into`]).
-    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<PopEffect> {
-        let mut out = Vec::new();
-        self.on_device_disconnected_into(device, &mut out);
-        out
-    }
-
     /// Handles a detected device disconnect: stream state is dropped and
     /// upstream parties are informed (axiom 1).
     pub fn on_device_disconnected_into(&mut self, device: u64, out: &mut Vec<PopEffect>) {
@@ -214,14 +206,6 @@ impl Pop {
         if let Some(proxy) = self.device_proxy.remove(&device) {
             out.push(PopEffect::DeviceGone { proxy, device });
         }
-    }
-
-    /// Runs the heartbeat loop; the effects as a vector (see
-    /// [`Pop::on_heartbeat_tick_into`]).
-    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<PopEffect> {
-        let mut out = Vec::new();
-        self.on_heartbeat_tick_into(now_us, &mut out);
-        out
     }
 
     /// Runs the heartbeat loop: emits due pings and converts silent devices
@@ -252,14 +236,6 @@ impl Pop {
         }
     }
 
-    /// Handles a proxy failure; the effects as a vector (see
-    /// [`Pop::on_proxy_failed_into`]).
-    pub fn on_proxy_failed(&mut self, proxy: u32) -> Vec<PopEffect> {
-        let mut out = Vec::new();
-        self.on_proxy_failed_into(proxy, &mut out);
-        out
-    }
-
     /// Removes a failed proxy and repairs every affected stream onto an
     /// alternate proxy from stored state (axiom 2), signalling affected
     /// devices along the way (axiom 1).
@@ -273,7 +249,7 @@ impl Pop {
             });
             if self.proxies.is_empty() {
                 // Nothing to repair onto; mark the stream orphaned so
-                // [`add_proxy`](Self::add_proxy) can find and repair it
+                // [`add_proxy_into`](Self::add_proxy_into) can find and repair it
                 // when a proxy returns.
                 self.table.clear_upstream(device, sid);
                 continue;
@@ -307,22 +283,15 @@ impl Pop {
         }
     }
 
-    /// Re-adds a recovered proxy; the effects as a vector (see
-    /// [`Pop::add_proxy_into`]).
-    pub fn add_proxy(&mut self, proxy: u32) -> Vec<PopEffect> {
-        let mut out = Vec::new();
-        self.add_proxy_into(proxy, &mut out);
-        out
-    }
-
     /// Re-adds a recovered proxy to the pool and repairs any orphaned
-    /// streams — streams degraded by [`on_proxy_failed`](Self::on_proxy_failed)
-    /// while the pool was empty. Without this re-repair the devices
+    /// streams — streams degraded by
+    /// [`on_proxy_failed_into`](Self::on_proxy_failed_into) while the pool
+    /// was empty. Without this re-repair the devices
     /// behind a fully-dark POP region stayed `Degraded` forever after
     /// the outage healed: the failure path only ever emitted the
     /// terminal `Recovered` when an alternate proxy existed *at failure
     /// time*, and nothing retried later (the proxy layer's
-    /// [`add_host`](crate::proxy::ReverseProxy::add_host) already did;
+    /// [`add_host_into`](crate::proxy::ReverseProxy::add_host_into) already did;
     /// the POP layer did not).
     pub fn add_proxy_into(&mut self, proxy: u32, out: &mut Vec<PopEffect>) {
         if !self.proxies.contains(&proxy) {
@@ -361,6 +330,13 @@ mod tests {
     use super::*;
     use burst::frame::Delta;
     use burst::json::Json;
+
+    /// What an `_into` handler emits, as a vector.
+    fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
+        let mut out = Vec::new();
+        run(&mut out);
+        out
+    }
 
     /// The frame a relay effect carries (patterns cannot see through the
     /// box).
@@ -432,7 +408,7 @@ mod tests {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(7, sub(1), 0);
         p.on_device_frame(7, sub(2), 0);
-        let fx = p.on_device_disconnected(7);
+        let fx = collect(|out| p.on_device_disconnected_into(7, out));
         assert_eq!(
             fx,
             vec![PopEffect::DeviceGone {
@@ -449,7 +425,7 @@ mod tests {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(7, sub(1), 0);
         // The device answers the first ping, then goes silent.
-        let fx = p.on_heartbeat_tick(5_000_000);
+        let fx = collect(|out| p.on_heartbeat_tick_into(5_000_000, out));
         let token = fx
             .iter()
             .find_map(|e| match frame_of(e) {
@@ -461,7 +437,7 @@ mod tests {
         // Silence across the next four intervals crosses the threshold.
         let mut gone = false;
         for i in 2..=6u64 {
-            let fx = p.on_heartbeat_tick(i * 5_000_000);
+            let fx = collect(|out| p.on_heartbeat_tick_into(i * 5_000_000, out));
             gone |= fx
                 .iter()
                 .any(|e| matches!(e, PopEffect::DeviceGone { device: 7, .. }));
@@ -476,7 +452,7 @@ mod tests {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(7, sub(1), 0);
         for i in 1..=10u64 {
-            p.on_heartbeat_tick(i * 5_000_000);
+            p.on_heartbeat_tick_into(i * 5_000_000, &mut Vec::new());
             // The device keeps sending real traffic; no pongs needed.
             p.on_device_frame(
                 7,
@@ -496,7 +472,7 @@ mod tests {
         let mut p = Pop::new(1, vec![100, 101]);
         // Device 200 maps to proxy 100 (200 % 2 == 0).
         p.on_device_frame(200, sub(1), 0);
-        let fx = p.on_proxy_failed(100);
+        let fx = collect(|out| p.on_proxy_failed_into(100, out));
         assert_eq!(fx.len(), 3);
         assert!(signals(&fx[0], FlowStatus::Degraded));
         assert!(resubscribes_via(&fx[1], 101));
@@ -511,7 +487,7 @@ mod tests {
     fn proxy_failure_with_no_alternative_degrades_only() {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(200, sub(1), 0);
-        let fx = p.on_proxy_failed(100);
+        let fx = collect(|out| p.on_proxy_failed_into(100, out));
         assert_eq!(fx.len(), 1);
         assert_eq!(p.counters().repaired_streams, 0);
     }
@@ -525,11 +501,11 @@ mod tests {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(200, sub(1), 0);
         p.on_device_frame(201, sub(1), 0);
-        let fx = p.on_proxy_failed(100);
+        let fx = collect(|out| p.on_proxy_failed_into(100, out));
         assert_eq!(fx.len(), 2, "degraded-only: no repair target exists");
         assert_eq!(p.counters().repaired_streams, 0);
 
-        let fx = p.add_proxy(101);
+        let fx = collect(|out| p.add_proxy_into(101, out));
         let resubs = fx.iter().filter(|e| resubscribes_via(e, 101)).count();
         let recovered = fx
             .iter()
@@ -547,7 +523,7 @@ mod tests {
     fn add_proxy_with_healthy_streams_repairs_nothing() {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(200, sub(1), 0);
-        let fx = p.add_proxy(101);
+        let fx = collect(|out| p.add_proxy_into(101, out));
         assert!(fx.is_empty(), "healthy streams are left on their proxy");
         assert_eq!(p.counters().repaired_streams, 0);
     }
@@ -566,7 +542,7 @@ mod tests {
             },
             5,
         );
-        let fx = p.on_proxy_failed(100);
+        let fx = collect(|out| p.on_proxy_failed_into(100, out));
         let resub_header = fx.iter().find_map(|e| match frame_of(e) {
             Some(Frame::Subscribe { header, .. }) => Some(header.clone()),
             _ => None,

@@ -163,14 +163,6 @@ impl ReverseProxy {
         self.heartbeats.remove(&host);
     }
 
-    /// Adds a host to the routing pool; the effects as a vector (see
-    /// [`ReverseProxy::add_host_into`]).
-    pub fn add_host(&mut self, host: u32) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
-        self.add_host_into(host, &mut out);
-        out
-    }
-
     /// Adds a (possibly recovered) host to the routing pool and repairs any
     /// orphaned streams (streams whose repair previously had no surviving
     /// host to land on). Axiom 2: the closest downstream component repairs
@@ -214,20 +206,12 @@ impl ReverseProxy {
         }
     }
 
-    /// Drives heartbeat-based failure detection; the effects as a vector
-    /// (see [`ReverseProxy::on_heartbeat_tick_into`]).
-    pub fn on_heartbeat_tick(&mut self, now_us: u64) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
-        self.on_heartbeat_tick_into(now_us, &mut out);
-        out
-    }
-
     /// Drives heartbeat-based failure detection (§4 footnote 11): emits a
     /// ping per host whose interval elapsed, and — for hosts whose miss
     /// threshold was crossed — a [`ProxyEffect::HostDown`] marker followed
     /// by the stream-repair effects of
-    /// [`on_brass_host_failed`](Self::on_brass_host_failed). This is the
-    /// only path by which a proxy learns of an unplanned host crash.
+    /// [`on_brass_host_failed_into`](Self::on_brass_host_failed_into). This
+    /// is the only path by which a proxy learns of an unplanned host crash.
     pub fn on_heartbeat_tick_into(&mut self, now_us: u64, out: &mut Vec<ProxyEffect>) {
         let mut pool: Vec<u32> = self.hosts.clone();
         pool.sort_unstable();
@@ -387,14 +371,6 @@ impl ReverseProxy {
         out.push(ProxyEffect::ToDevice { device, frame });
     }
 
-    /// Handles a detected BRASS host failure; the effects as a vector (see
-    /// [`ReverseProxy::on_brass_host_failed_into`]).
-    pub fn on_brass_host_failed(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
-        self.on_brass_host_failed_into(host, now_us, &mut out);
-        out
-    }
-
     /// Handles a detected BRASS host failure (axioms 1 and 2): every
     /// affected stream is signalled degraded to its device, re-routed to an
     /// alternate host from stored state, and signalled recovered.
@@ -414,7 +390,7 @@ impl ReverseProxy {
             });
             if self.hosts.is_empty() {
                 // Nothing to repair onto; the stream is orphaned until a
-                // host returns (see [`add_host`](Self::add_host)).
+                // host returns (see [`add_host_into`](Self::add_host_into)).
                 self.table.clear_upstream(device, sid);
                 continue;
             }
@@ -440,14 +416,6 @@ impl ReverseProxy {
             self.resubscribe_to(device, sid, new_host, out);
         }
         let _ = now_us;
-    }
-
-    /// Handles a BRASS host process restart; the effects as a vector (see
-    /// [`ReverseProxy::on_host_restarted_into`]).
-    pub fn on_host_restarted(&mut self, host: u32, now_us: u64) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
-        self.on_host_restarted_into(host, now_us, &mut out);
-        out
     }
 
     /// Handles a BRASS host process restart that the heartbeat monitor
@@ -482,14 +450,6 @@ impl ReverseProxy {
             self.resubscribe_to(device, sid, host, out);
         }
         let _ = now_us;
-    }
-
-    /// Handles a device connection closing at the POP; the effects as a
-    /// vector (see [`ReverseProxy::on_device_disconnected_into`]).
-    pub fn on_device_disconnected(&mut self, device: u64) -> Vec<ProxyEffect> {
-        let mut out = Vec::new();
-        self.on_device_disconnected_into(device, &mut out);
-        out
     }
 
     /// Handles a device connection closing at the POP: all of its stream
@@ -556,6 +516,13 @@ snap_struct!(ReverseProxy {
 mod tests {
     use super::*;
     use burst::frame::Delta;
+
+    /// What an `_into` handler emits, as a vector.
+    fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
+        let mut out = Vec::new();
+        run(&mut out);
+        out
+    }
 
     /// The frame a relay effect carries (patterns cannot see through the
     /// box).
@@ -647,7 +614,7 @@ mod tests {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0); // → 10
         p.on_downstream_frame(2, sub_frame(1, header("/LVC/6")), 0); // → 11
-        let fx = p.on_brass_host_failed(10, 100);
+        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
         // Degraded → resubscribe to 11 → recovered, for device 1 only.
         assert_eq!(fx.len(), 3);
         assert!(signals(&fx[0], 1, FlowStatus::Degraded));
@@ -671,7 +638,7 @@ mod tests {
             },
             10,
         );
-        let fx = p.on_brass_host_failed(10, 100);
+        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
         let resub = fx.iter().find_map(|e| match (e, frame_of(e)) {
             (ProxyEffect::ToBrass { .. }, Some(Frame::Subscribe { header, .. })) => {
                 header.get("last_seq").and_then(Json::as_u64)
@@ -685,7 +652,7 @@ mod tests {
     fn failure_with_no_alternates_leaves_devices_degraded() {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
-        let fx = p.on_brass_host_failed(10, 100);
+        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
         assert_eq!(fx.len(), 1, "only the degraded signal");
         assert_eq!(p.counters().induced_reconnects, 0);
     }
@@ -695,10 +662,10 @@ mod tests {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
         // The only host dies: the stream is orphaned (degraded only).
-        let fx = p.on_brass_host_failed(10, 100);
+        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
         assert_eq!(fx.len(), 1);
         // The host returns: the orphan is repaired onto it.
-        let fx = p.add_host(10);
+        let fx = collect(|out| p.add_host_into(10, out));
         assert!(resubscribes_to(&fx[0], 1, 10));
         assert!(signals(&fx[1], 1, FlowStatus::Recovered));
         assert_eq!(p.counters().induced_reconnects, 1);
@@ -726,7 +693,7 @@ mod tests {
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
         p.on_downstream_frame(1, sub_frame(2, header("/LVC/6")), 0);
         p.on_downstream_frame(2, sub_frame(1, header("/LVC/7")), 0);
-        let fx = p.on_device_disconnected(1);
+        let fx = collect(|out| p.on_device_disconnected_into(1, out));
         let cancels = fx
             .iter()
             .filter(|e| {
@@ -758,7 +725,7 @@ mod tests {
     fn heartbeat_tick_pings_every_host() {
         let mut p =
             ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
-        let fx = p.on_heartbeat_tick(1_000);
+        let fx = collect(|out| p.on_heartbeat_tick_into(1_000, out));
         let pinged: Vec<u32> = fx
             .iter()
             .filter_map(|e| match e {
@@ -775,7 +742,7 @@ mod tests {
             ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0); // → 10
         for t in 1..=4u64 {
-            let fx = p.on_heartbeat_tick(t * 1_000);
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
             // Host 11 answers its pings; host 10 stays silent.
             for e in &fx {
                 if let ProxyEffect::PingHost { host: 11, token } = e {
@@ -801,7 +768,7 @@ mod tests {
     fn responsive_hosts_are_never_declared_dead() {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]).with_heartbeat(1_000, 3);
         for t in 1..=20u64 {
-            let fx = p.on_heartbeat_tick(t * 1_000);
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
             for e in &fx {
                 assert!(!matches!(e, ProxyEffect::HostDown { .. }));
                 if let ProxyEffect::PingHost { host, token } = e {
@@ -819,7 +786,7 @@ mod tests {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]).with_heartbeat(1_000, 3);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
         for t in 1..=20u64 {
-            let fx = p.on_heartbeat_tick(t * 1_000);
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
             assert!(
                 !fx.iter().any(|e| matches!(e, ProxyEffect::HostDown { .. })),
                 "data-emitting host declared dead at t={t} despite activity"
@@ -836,20 +803,20 @@ mod tests {
         let mut p =
             ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
         for t in 1..=4u64 {
-            for e in p.on_heartbeat_tick(t * 1_000) {
+            for e in collect(|out| p.on_heartbeat_tick_into(t * 1_000, out)) {
                 if let ProxyEffect::PingHost { host: 11, token } = e {
                     p.on_host_pong(11, token);
                 }
             }
         }
         // Host 10 is gone from the pool; ticks stop mentioning it.
-        let fx = p.on_heartbeat_tick(5_000);
+        let fx = collect(|out| p.on_heartbeat_tick_into(5_000, out));
         assert!(!fx
             .iter()
             .any(|e| matches!(e, ProxyEffect::PingHost { host: 10, .. })));
         // It recovers: pings resume and it is not instantly re-failed.
-        p.add_host(10);
-        let fx = p.on_heartbeat_tick(6_000);
+        p.add_host_into(10, &mut Vec::new());
+        let fx = collect(|out| p.on_heartbeat_tick_into(6_000, out));
         assert!(fx
             .iter()
             .any(|e| matches!(e, ProxyEffect::PingHost { host: 10, .. })));

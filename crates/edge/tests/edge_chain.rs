@@ -8,6 +8,13 @@ use edge::device::{Device, DeviceOutput};
 use edge::pop::{Pop, PopEffect};
 use edge::proxy::{ProxyEffect, ReverseProxy, RouteStrategy};
 
+/// What an `_into` handler emits, as a vector.
+fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
+    let mut out = Vec::new();
+    run(&mut out);
+    out
+}
+
 fn header(topic: &str) -> Json {
     Json::obj([
         ("viewer", Json::from(7u64)),
@@ -98,7 +105,7 @@ fn brass_failure_ripples_degraded_and_recovered_to_device() {
     // The serving BRASS dies; the proxy signals and repairs.
     let mut device_outputs = Vec::new();
     let mut resubscribed_to = None;
-    for fx in proxy.on_brass_host_failed(host, 1) {
+    for fx in collect(|out| proxy.on_brass_host_failed_into(host, 1, out)) {
         match fx {
             ProxyEffect::ToDevice { frame, .. } => {
                 for pfx in pop.on_proxy_frame(7, *frame, 1) {
@@ -188,7 +195,7 @@ fn heartbeat_ping_pong_roundtrip_through_pop() {
     let (_, sub) = device.open_stream(header("/LVC/5"), vec![]);
     pop.on_device_frame(7, sub, 0);
     // A heartbeat tick pings the device.
-    let fx = pop.on_heartbeat_tick(5_000_000);
+    let fx = collect(|out| pop.on_heartbeat_tick_into(5_000_000, out));
     let ping = fx
         .iter()
         .find_map(|e| match e {
@@ -205,7 +212,7 @@ fn heartbeat_ping_pong_roundtrip_through_pop() {
     assert!(fx.is_empty(), "pongs are absorbed by the POP");
     // Liveness held: many more ticks, no disconnect (device keeps answering).
     for i in 2..=8u64 {
-        let fx = pop.on_heartbeat_tick(i * 5_000_000);
+        let fx = collect(|out| pop.on_heartbeat_tick_into(i * 5_000_000, out));
         for e in &fx {
             let PopEffect::ToDevice { frame, .. } = e else {
                 continue;

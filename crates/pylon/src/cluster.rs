@@ -59,16 +59,6 @@ impl PylonConfig {
             replicas: 3,
         }
     }
-
-    /// A production-shaped configuration (512K shards).
-    pub fn production_shape() -> Self {
-        PylonConfig {
-            topic_shards: 512 * 1_024,
-            servers: 2_048,
-            kv_nodes: 128,
-            replicas: 3,
-        }
-    }
 }
 
 /// Why a subscribe (CP) operation failed.

@@ -130,11 +130,6 @@ impl Histogram {
         self.max = self.max.max(value.max(0.0));
     }
 
-    /// Records a duration in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.total
@@ -197,17 +192,6 @@ impl Histogram {
         let idx = Self::bucket_index(value);
         let below: u64 = self.counts[..=idx].iter().sum();
         below as f64 / self.total as f64
-    }
-
-    /// Extracts `(value, cumulative_fraction)` points for plotting a CDF.
-    pub fn cdf_points(&self, resolution: usize) -> Vec<(f64, f64)> {
-        let resolution = resolution.max(2);
-        (0..=resolution)
-            .map(|i| {
-                let q = i as f64 / resolution as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
     }
 
     /// Counts of values falling in each `[edges[i], edges[i+1])` bin, with a
@@ -319,16 +303,6 @@ impl TimeSeries {
         for &b in &self.buckets {
             fp.mix_u64(b.to_bits());
         }
-    }
-
-    /// Labels each bucket with its start time, for table output.
-    pub fn labeled(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.buckets.iter().enumerate().map(move |(i, &v)| {
-            (
-                SimTime::ZERO + SimDuration::from_micros(self.interval.as_micros() * i as u64),
-                v,
-            )
-        })
     }
 }
 

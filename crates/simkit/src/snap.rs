@@ -166,13 +166,6 @@ impl Fp64 {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// Rebuilds a fingerprint from a previously extracted [`value`].
-    ///
-    /// [`value`]: Fp64::value
-    pub fn from_value(v: u64) -> Self {
-        Fp64(v)
-    }
 }
 
 impl Default for Fp64 {

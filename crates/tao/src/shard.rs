@@ -36,11 +36,6 @@ impl Shard {
         self.writes
     }
 
-    /// Number of objects stored.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Inserts or replaces an object.
     pub fn put_object(&mut self, obj: Object) {
         self.writes += 1;

@@ -184,11 +184,6 @@ impl Tao {
         &self.regions[region as usize].counters
     }
 
-    /// Read accesses per shard, for hot-shard analysis.
-    pub fn shard_read_loads(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.reads()).collect()
-    }
-
     /// Follower-cache hit rate for a region.
     pub fn cache_hit_rate(&self, region: RegionId) -> f64 {
         self.regions[region as usize].cache.hit_rate()

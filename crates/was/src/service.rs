@@ -409,11 +409,6 @@ impl WebApplicationServer {
         }
     }
 
-    /// Whether a video is currently in hot mode.
-    pub fn video_is_hot(&self, video: u64) -> bool {
-        self.hot_videos.contains_key(&video)
-    }
-
     // ------------------------------------------------------------------
     // Mutations.
     // ------------------------------------------------------------------
