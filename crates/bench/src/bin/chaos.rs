@@ -22,37 +22,21 @@
 
 use std::time::Instant;
 
-use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl, violations_json};
+use bench::driver::ChaosMeta;
+use bench::{arg_or, emit_summary, fleet_config, peak_rss_bytes, snapctl, violations_json};
 use bladerunner::config::SystemConfig;
 use bladerunner::fault::canned_plan;
-use bladerunner::replay;
 use bladerunner::sim::SystemSim;
-use pylon::PylonConfig;
-use simkit::snap::{SnapReader, SnapResult, SnapWriter};
+use burst::json::Json;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Retention;
-use tao::TaoConfig;
 
-/// A medium system shape with the full failure-detection stack switched
-/// on: proxy→host heartbeats drive crash detection, POP→device
-/// heartbeats reap silently-vanished devices, and the ledger keeps full
-/// retention so the convergence audit can account every admitted update.
+/// The fleet shape with the full failure-detection stack switched on:
+/// proxy→host heartbeats drive crash detection, POP→device heartbeats reap
+/// silently-vanished devices, and the ledger keeps full retention so the
+/// convergence audit can account every admitted update.
 fn chaos_config() -> SystemConfig {
-    let mut config = SystemConfig::medium();
-    config.tao = TaoConfig {
-        shards: 64,
-        regions: 3,
-        cache_capacity: 1 << 20,
-    };
-    config.pylon = PylonConfig {
-        topic_shards: 65_536,
-        servers: 64,
-        kv_nodes: 16,
-        replicas: 3,
-    };
-    config.brass_hosts = 32;
-    config.proxies = 8;
-    config.pops = 8;
+    let mut config = fleet_config();
     config.device_heartbeats = true;
     config.trace_retention = Retention::Full;
     // A tight metrics tick so the availability timeline resolves each
@@ -62,81 +46,9 @@ fn chaos_config() -> SystemConfig {
     config
 }
 
-/// Everything the post-run report needs that is not recoverable from the
-/// sim itself. Rides in the snapshot's driver blob so `--resume-from`
-/// prints the same report the uninterrupted run would have.
-struct RunMeta {
-    devices: usize,
-    videos: usize,
-    comments: usize,
-    seed: u64,
-    plan_start: SimTime,
-    heal: SimTime,
-    end: SimTime,
-    kinds: Vec<String>,
-    /// Per-episode `(kind label, injected at, heals at)`.
-    episodes: Vec<(String, SimTime, SimTime)>,
-}
-
-fn encode_meta(m: &RunMeta) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_usize(m.devices);
-    w.put_usize(m.videos);
-    w.put_usize(m.comments);
-    w.put_u64(m.seed);
-    w.put_u64(m.plan_start.as_micros());
-    w.put_u64(m.heal.as_micros());
-    w.put_u64(m.end.as_micros());
-    w.put_usize(m.kinds.len());
-    for k in &m.kinds {
-        w.put_str(k);
-    }
-    w.put_usize(m.episodes.len());
-    for (label, at, heals) in &m.episodes {
-        w.put_str(label);
-        w.put_u64(at.as_micros());
-        w.put_u64(heals.as_micros());
-    }
-    w.into_bytes()
-}
-
-fn decode_meta(bytes: &[u8]) -> SnapResult<RunMeta> {
-    let mut r = SnapReader::new(bytes);
-    let devices = r.get_usize()?;
-    let videos = r.get_usize()?;
-    let comments = r.get_usize()?;
-    let seed = r.get_u64()?;
-    let plan_start = SimTime::from_micros(r.get_u64()?);
-    let heal = SimTime::from_micros(r.get_u64()?);
-    let end = SimTime::from_micros(r.get_u64()?);
-    let mut kinds = Vec::new();
-    for _ in 0..r.get_usize()? {
-        kinds.push(r.get_str()?);
-    }
-    let mut episodes = Vec::new();
-    for _ in 0..r.get_usize()? {
-        let label = r.get_str()?;
-        let at = SimTime::from_micros(r.get_u64()?);
-        let heals = SimTime::from_micros(r.get_u64()?);
-        episodes.push((label, at, heals));
-    }
-    r.finish()?;
-    Ok(RunMeta {
-        devices,
-        videos,
-        comments,
-        seed,
-        plan_start,
-        heal,
-        end,
-        kinds,
-        episodes,
-    })
-}
-
 /// Builds the chaos run from scratch: fixture, fault plan, comment
 /// schedule — everything pre-scheduled before the clock moves.
-fn build_run(config: &SystemConfig) -> (SystemSim, RunMeta) {
+fn build_run(config: &SystemConfig) -> (SystemSim, ChaosMeta) {
     let devices: usize = arg_or("--devices", 20_000);
     let videos: usize = arg_or("--videos", (devices / 500).max(1));
     let seed: u64 = arg_or("--seed", 42);
@@ -186,7 +98,7 @@ fn build_run(config: &SystemConfig) -> (SystemSim, RunMeta) {
     // Run through the last heal plus grace: detection windows close,
     // reconnect backoffs drain, backfills land.
     let end = heal + SimDuration::from_secs(grace_secs);
-    let meta = RunMeta {
+    let meta = ChaosMeta {
         devices,
         videos,
         comments,
@@ -201,7 +113,7 @@ fn build_run(config: &SystemConfig) -> (SystemSim, RunMeta) {
             .map(|ep| (ep.kind.label().to_string(), ep.at, ep.heals_at()))
             .collect(),
     };
-    sim.set_driver_blob(encode_meta(&meta));
+    snapctl::set_driver(&mut sim, &meta);
     (sim, meta)
 }
 
@@ -211,9 +123,7 @@ fn main() {
     let config = chaos_config();
     let (mut sim, meta) = match &snap_args.resume {
         Some(path) => {
-            let sim = replay::resume_from_file(config.clone(), path)
-                .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
-            let meta = decode_meta(sim.driver_blob()).expect("driver blob");
+            let (sim, meta): (_, ChaosMeta) = snapctl::resume(config.clone(), path);
             println!(
                 "resumed from {} at t={:.0}s",
                 path.display(),
@@ -258,16 +168,12 @@ fn main() {
         let recovery_secs = recovered_at
             .map(|t| t.saturating_since(heals_at).as_micros() as f64 / 1e6)
             .unwrap_or(-1.0);
-        episode_rows.push(format!(
-            concat!(
-                "    {{ \"kind\": \"{}\", \"at_secs\": {:.0}, ",
-                "\"heals_at_secs\": {:.0}, \"recovery_secs\": {:.1} }}"
-            ),
-            kind,
-            at.as_micros() as f64 / 1e6,
-            heals_at.as_micros() as f64 / 1e6,
-            recovery_secs,
-        ));
+        episode_rows.push(Json::obj([
+            ("kind", Json::from(kind.as_str())),
+            ("at_secs", Json::from(at.as_secs_f64())),
+            ("heals_at_secs", Json::from(heals_at.as_secs_f64())),
+            ("recovery_secs", Json::from(recovery_secs)),
+        ]));
         println!(
             "episode {:>18} at {:>4.0}s heals {:>4.0}s reconverged {}",
             kind,
@@ -311,110 +217,73 @@ fn main() {
     );
     println!("  peak_rss={:.1} MiB", rss as f64 / (1024.0 * 1024.0));
 
-    let kinds_json = meta
-        .kinds
-        .iter()
-        .map(|k| format!("\"{k}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"chaos\",\n",
-            "  \"devices\": {},\n",
-            "  \"videos\": {},\n",
-            "  \"comments\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"plan_start_secs\": {:.0},\n",
-            "  \"plan_heal_secs\": {:.0},\n",
-            "  \"plan_kinds\": [{}],\n",
-            "  \"episodes\": [\n{}\n  ],\n",
-            "  \"availability\": {{\n",
-            "    \"fault_window_min\": {:.4},\n",
-            "    \"fault_window_mean\": {:.4},\n",
-            "    \"post_heal_min\": {:.4},\n",
-            "    \"post_heal_mean\": {:.4},\n",
-            "    \"samples\": {}\n",
-            "  }},\n",
-            "  \"wall_seconds\": {:.3},\n",
-            "  \"events_total\": {},\n",
-            "  \"events_per_sec\": {:.1},\n",
-            "  \"events_faults\": {},\n",
-            "  \"events_heartbeats\": {},\n",
-            "  \"peak_rss_bytes\": {},\n",
-            "  {},\n",
-            "  \"metrics\": {{\n",
-            "    \"deliveries\": {},\n",
-            "    \"publications\": {},\n",
-            "    \"subscriptions\": {},\n",
-            "    \"host_crashes\": {},\n",
-            "    \"host_failures_detected\": {},\n",
-            "    \"hb_pings\": {},\n",
-            "    \"proxy_outages\": {},\n",
-            "    \"device_vanishes\": {},\n",
-            "    \"connection_drops\": {},\n",
-            "    \"quorum_failures\": {},\n",
-            "    \"backfill_polls\": {},\n",
-            "    \"backfills\": {}\n",
-            "  }},\n",
-            "  \"convergence\": {{\n",
-            "    \"connected_devices\": {},\n",
-            "    \"open_streams\": {},\n",
-            "    \"stranded\": {},\n",
-            "    \"dead_host_streams\": {},\n",
-            "    \"delivered\": {},\n",
-            "    \"dropped\": {},\n",
-            "    \"backfilled\": {},\n",
-            "    \"unaccounted\": {},\n",
-            "    \"converged\": {},\n",
-            "    \"violations\": {}\n",
-            "  }}\n",
-            "}}\n"
+    let count = |n: usize| Json::from(n as u64);
+    emit_summary(&Json::obj([
+        ("bench", Json::from("chaos")),
+        ("devices", count(devices)),
+        ("videos", count(videos)),
+        ("comments", count(comments)),
+        ("seed", Json::from(seed)),
+        ("plan_start_secs", Json::from(plan_start.as_secs_f64())),
+        ("plan_heal_secs", Json::from(heal.as_secs_f64())),
+        (
+            "plan_kinds",
+            Json::Arr(meta.kinds.iter().map(|k| Json::from(k.as_str())).collect()),
         ),
-        devices,
-        videos,
-        comments,
-        seed,
-        plan_start.as_micros() as f64 / 1e6,
-        heal.as_micros() as f64 / 1e6,
-        kinds_json,
-        episode_rows.join(",\n"),
-        fault_min,
-        fault_mean,
-        post_min,
-        post_mean,
-        m.availability_timeline.len(),
-        wall,
-        stats.total,
-        events_per_sec,
-        stats.faults,
-        stats.heartbeats,
-        rss,
-        snapctl::fingerprint_json(&sim),
-        m.deliveries.get(),
-        m.publications.get(),
-        m.subscriptions.get(),
-        m.host_crashes.get(),
-        m.host_failures_detected.get(),
-        m.hb_pings.get(),
-        m.proxy_outages.get(),
-        m.device_vanishes.get(),
-        m.connection_drops.get(),
-        m.quorum_failures.get(),
-        m.backfill_polls.get(),
-        m.backfills.get(),
-        report.connected_devices,
-        report.open_streams,
-        report.stranded.len(),
-        report.dead_host_streams,
-        report.delivered,
-        report.dropped,
-        report.backfilled,
-        report.unaccounted.len(),
-        report.converged(),
-        violations_json(&report.violations),
-    );
-    emit_summary(&json);
+        ("episodes", Json::Arr(episode_rows)),
+        (
+            "availability",
+            Json::obj([
+                ("fault_window_min", Json::from(fault_min)),
+                ("fault_window_mean", Json::from(fault_mean)),
+                ("post_heal_min", Json::from(post_min)),
+                ("post_heal_mean", Json::from(post_mean)),
+                ("samples", count(m.availability_timeline.len())),
+            ]),
+        ),
+        ("wall_seconds", Json::from(wall)),
+        ("events_total", Json::from(stats.total)),
+        ("events_per_sec", Json::from(events_per_sec)),
+        ("events_faults", Json::from(stats.faults)),
+        ("events_heartbeats", Json::from(stats.heartbeats)),
+        ("peak_rss_bytes", Json::from(rss)),
+        ("fingerprint", snapctl::fingerprint_json(&sim)),
+        (
+            "metrics",
+            Json::obj([
+                ("deliveries", Json::from(m.deliveries.get())),
+                ("publications", Json::from(m.publications.get())),
+                ("subscriptions", Json::from(m.subscriptions.get())),
+                ("host_crashes", Json::from(m.host_crashes.get())),
+                (
+                    "host_failures_detected",
+                    Json::from(m.host_failures_detected.get()),
+                ),
+                ("hb_pings", Json::from(m.hb_pings.get())),
+                ("proxy_outages", Json::from(m.proxy_outages.get())),
+                ("device_vanishes", Json::from(m.device_vanishes.get())),
+                ("connection_drops", Json::from(m.connection_drops.get())),
+                ("quorum_failures", Json::from(m.quorum_failures.get())),
+                ("backfill_polls", Json::from(m.backfill_polls.get())),
+                ("backfills", Json::from(m.backfills.get())),
+            ]),
+        ),
+        (
+            "convergence",
+            Json::obj([
+                ("connected_devices", Json::from(report.connected_devices)),
+                ("open_streams", Json::from(report.open_streams)),
+                ("stranded", count(report.stranded.len())),
+                ("dead_host_streams", Json::from(report.dead_host_streams)),
+                ("delivered", Json::from(report.delivered)),
+                ("dropped", Json::from(report.dropped)),
+                ("backfilled", Json::from(report.backfilled)),
+                ("unaccounted", count(report.unaccounted.len())),
+                ("converged", Json::from(report.converged())),
+                ("violations", violations_json(&report.violations)),
+            ]),
+        ),
+    ]));
 
     if !report.converged() {
         eprintln!("convergence FAILED:");

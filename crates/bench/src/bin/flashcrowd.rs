@@ -32,12 +32,12 @@
 
 use std::time::Instant;
 
+use bench::driver::TierMeta;
 use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl, violations_json};
 use bladerunner::config::SystemConfig;
-use bladerunner::replay;
 use bladerunner::scenario::FlashCrowd;
 use bladerunner::sim::SystemSim;
-use simkit::snap::{SnapReader, SnapResult, SnapWriter};
+use burst::json::Json;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Retention;
 
@@ -71,42 +71,9 @@ fn flashcrowd_config() -> SystemConfig {
 
 struct TierResult {
     rate: f64,
-    json: String,
+    json: Json,
     ok: bool,
     failures: Vec<String>,
-}
-
-/// Per-tier metadata the post-run report needs; rides in the snapshot's
-/// driver blob so `--resume-from` reproduces the tier's report.
-struct TierMeta {
-    rate: f64,
-    comments: usize,
-    vanished: usize,
-    end: SimTime,
-    p99_bound_ms: f64,
-}
-
-fn encode_tier_meta(m: &TierMeta) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_f64(m.rate);
-    w.put_usize(m.comments);
-    w.put_usize(m.vanished);
-    w.put_u64(m.end.as_micros());
-    w.put_f64(m.p99_bound_ms);
-    w.into_bytes()
-}
-
-fn decode_tier_meta(bytes: &[u8]) -> SnapResult<TierMeta> {
-    let mut r = SnapReader::new(bytes);
-    let meta = TierMeta {
-        rate: r.get_f64()?,
-        comments: r.get_usize()?,
-        vanished: r.get_usize()?,
-        end: SimTime::from_micros(r.get_u64()?),
-        p99_bound_ms: r.get_f64()?,
-    };
-    r.finish()?;
-    Ok(meta)
 }
 
 /// Builds one tier's run from scratch: crowd ramp, comment storm, and
@@ -156,7 +123,7 @@ fn build_tier(
         end,
         p99_bound_ms,
     };
-    sim.set_driver_blob(encode_tier_meta(&meta));
+    snapctl::set_driver(&mut sim, &meta);
     (sim, meta)
 }
 
@@ -198,11 +165,7 @@ fn run_tier(mut sim: SystemSim, meta: TierMeta) -> TierResult {
         }
     }
     by_reason.sort_unstable_by_key(|&(r, _)| r);
-    let drops_json = by_reason
-        .iter()
-        .map(|(r, n)| format!("\"{r}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
+    let drops = by_reason.iter().map(|&(r, n)| (r, Json::from(n)));
 
     // The graceful-shed gate.
     let mut failures: Vec<String> = report.failures();
@@ -248,68 +211,62 @@ fn run_tier(mut sim: SystemSim, meta: TierMeta) -> TierResult {
         eprintln!("    FAIL: {line}");
     }
 
-    let json = format!(
-        concat!(
-            "    {{\n",
-            "      \"offered_per_sec\": {:.1},\n",
-            "      \"comments\": {},\n",
-            "      \"vanished_devices\": {},\n",
-            "      \"deliveries\": {},\n",
-            "      \"lvc_delivered\": {},\n",
-            "      \"p50_total_ms\": {:.1},\n",
-            "      \"p99_total_ms\": {:.1},\n",
-            "      \"p99_brass_ms\": {:.1},\n",
-            "      \"drops\": {{ {} }},\n",
-            "      \"mailbox_sheds\": {},\n",
-            "      \"flow_sheds\": {},\n",
-            "      \"flow_degraded_signals\": {},\n",
-            "      \"flow_recovered_signals\": {},\n",
-            "      \"queue_peaks\": {{ \"pylon_fanout\": {}, \"brass_mailbox\": {}, ",
-            "\"flow_window\": {}, \"pop_egress\": {} }},\n",
-            "      \"host_failures_detected\": {},\n",
-            "      \"backfills\": {},\n",
-            "      \"events_total\": {},\n",
-            "      \"wall_seconds\": {:.3},\n",
-            "      {},\n",
-            "      \"convergence\": {{ \"delivered\": {}, \"dropped\": {}, ",
-            "\"backfilled\": {}, \"unaccounted\": {}, \"flow_degraded_devices\": {}, ",
-            "\"stranded\": {}, \"converged\": {},\n",
-            "        \"violations\": {} }},\n",
-            "      \"ok\": {}\n",
-            "    }}"
+    let count = |n: usize| Json::from(n as u64);
+    let json = Json::obj([
+        ("offered_per_sec", Json::from(rate)),
+        ("comments", count(comments)),
+        ("vanished_devices", count(vanished)),
+        ("deliveries", Json::from(m.deliveries.get())),
+        ("lvc_delivered", Json::from(delivered_lvc)),
+        ("p50_total_ms", Json::from(p50_total)),
+        ("p99_total_ms", Json::from(p99_total)),
+        ("p99_brass_ms", Json::from(p99_brass)),
+        ("drops", Json::obj(drops)),
+        ("mailbox_sheds", Json::from(m.mailbox_sheds.get())),
+        ("flow_sheds", Json::from(m.flow_sheds.get())),
+        (
+            "flow_degraded_signals",
+            Json::from(m.flow_degraded_signals.get()),
         ),
-        rate,
-        comments,
-        vanished,
-        m.deliveries.get(),
-        delivered_lvc,
-        p50_total,
-        p99_total,
-        p99_brass,
-        drops_json,
-        m.mailbox_sheds.get(),
-        m.flow_sheds.get(),
-        m.flow_degraded_signals.get(),
-        m.flow_recovered_signals.get(),
-        m.q_pylon_fanout.peak(),
-        m.q_brass_mailbox.peak(),
-        m.q_flow_window.peak(),
-        m.q_pop_egress.peak(),
-        m.host_failures_detected.get(),
-        m.backfills.get(),
-        stats.total,
-        wall,
-        snapctl::fingerprint_json(&sim),
-        report.delivered,
-        report.dropped,
-        report.backfilled,
-        report.unaccounted.len(),
-        report.flow_degraded_devices,
-        report.stranded.len(),
-        report.converged(),
-        violations_json(&report.violations),
-        ok,
-    );
+        (
+            "flow_recovered_signals",
+            Json::from(m.flow_recovered_signals.get()),
+        ),
+        (
+            "queue_peaks",
+            Json::obj([
+                ("pylon_fanout", Json::from(m.q_pylon_fanout.peak())),
+                ("brass_mailbox", Json::from(m.q_brass_mailbox.peak())),
+                ("flow_window", Json::from(m.q_flow_window.peak())),
+                ("pop_egress", Json::from(m.q_pop_egress.peak())),
+            ]),
+        ),
+        (
+            "host_failures_detected",
+            Json::from(m.host_failures_detected.get()),
+        ),
+        ("backfills", Json::from(m.backfills.get())),
+        ("events_total", Json::from(stats.total)),
+        ("wall_seconds", Json::from(wall)),
+        ("fingerprint", snapctl::fingerprint_json(&sim)),
+        (
+            "convergence",
+            Json::obj([
+                ("delivered", Json::from(report.delivered)),
+                ("dropped", Json::from(report.dropped)),
+                ("backfilled", Json::from(report.backfilled)),
+                ("unaccounted", count(report.unaccounted.len())),
+                (
+                    "flow_degraded_devices",
+                    Json::from(report.flow_degraded_devices),
+                ),
+                ("stranded", count(report.stranded.len())),
+                ("converged", Json::from(report.converged())),
+                ("violations", violations_json(&report.violations)),
+            ]),
+        ),
+        ("ok", Json::from(ok)),
+    ]);
     TierResult {
         rate,
         json,
@@ -334,9 +291,7 @@ fn main() {
     // Resume mode replays one tier from a snapshot file: its rate and
     // schedule are already inside, so the sweep flags are ignored.
     if let Some(path) = &snap_args.resume {
-        let sim = replay::resume_from_file(flashcrowd_config(), path)
-            .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
-        let meta = decode_tier_meta(sim.driver_blob()).expect("driver blob");
+        let (sim, meta): (_, TierMeta) = snapctl::resume(flashcrowd_config(), path);
         println!(
             "resumed tier {:.0}/s from {} at t={:.0}s",
             meta.rate,
@@ -344,20 +299,11 @@ fn main() {
             sim.now().as_micros() as f64 / 1e6
         );
         let tier = run_tier(sim, meta);
-        let json = format!(
-            "{{\n  \"bench\": \"flashcrowd-resumed\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
-            tier.json
-        );
-        emit_summary(&json);
-        if !tier.ok {
-            eprintln!("graceful-shed gate FAILED:");
-            for line in &tier.failures {
-                eprintln!("  - tier {:.0}/s: {line}", tier.rate);
-            }
-            std::process::exit(1);
-        }
-        println!("graceful-shed gate: OK (resumed tier)");
-        return;
+        emit_summary(&Json::obj([
+            ("bench", Json::from("flashcrowd-resumed")),
+            ("tiers", Json::Arr(vec![tier.json.clone()])),
+        ]));
+        return gate(&[tier]);
     }
 
     let rates: Vec<f64> = rates_csv
@@ -396,40 +342,31 @@ fn main() {
         })
         .collect();
 
-    let tiers_json = results
-        .iter()
-        .map(|t| t.json.clone())
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"flashcrowd\",\n",
-            "  \"viewers\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"brass_service_us\": {},\n",
-            "  \"brass_mailbox_capacity\": {},\n",
-            "  \"egress_window_bytes\": {},\n",
-            "  \"capacity_per_host_per_sec\": {:.0},\n",
-            "  \"storm_secs\": {},\n",
-            "  \"p99_bound_ms\": {:.0},\n",
-            "  \"peak_rss_bytes\": {},\n",
-            "  \"tiers\": [\n{}\n  ]\n",
-            "}}\n"
+    emit_summary(&Json::obj([
+        ("bench", Json::from("flashcrowd")),
+        ("viewers", Json::from(viewers as u64)),
+        ("seed", Json::from(seed)),
+        ("brass_service_us", Json::from(SERVICE_US)),
+        ("brass_mailbox_capacity", Json::from(MAILBOX_CAP)),
+        ("egress_window_bytes", Json::from(EGRESS_WINDOW)),
+        (
+            "capacity_per_host_per_sec",
+            Json::from(1e6 / SERVICE_US as f64),
         ),
-        viewers,
-        seed,
-        SERVICE_US,
-        MAILBOX_CAP,
-        EGRESS_WINDOW,
-        1e6 / SERVICE_US as f64,
-        storm_secs,
-        p99_bound_ms,
-        peak_rss_bytes(),
-        tiers_json,
-    );
-    emit_summary(&json);
+        ("storm_secs", Json::from(storm_secs)),
+        ("p99_bound_ms", Json::from(p99_bound_ms)),
+        ("peak_rss_bytes", Json::from(peak_rss_bytes())),
+        (
+            "tiers",
+            Json::Arr(results.iter().map(|t| t.json.clone()).collect()),
+        ),
+    ]));
 
+    gate(&results);
+}
+
+/// Exits non-zero, naming each broken guarantee, unless every tier held.
+fn gate(results: &[TierResult]) {
     let failed: Vec<&TierResult> = results.iter().filter(|t| !t.ok).collect();
     if !failed.is_empty() {
         eprintln!("graceful-shed gate FAILED:");

@@ -24,13 +24,14 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bench::{arg_flag, arg_opt, arg_or, parse_seed_range};
+use bench::{arg_flag, arg_opt, arg_or, emit_summary, parse_seed_range};
 use bladerunner::fault::OracleId;
 use bladerunner::fuzz::{
     decode_artifact, encode_artifact, gen_case, materialize, run_case, shrink, FuzzCase,
     RunOptions, ShrinkResult,
 };
 use bladerunner::replay::{bisect, RunSpec};
+use burst::json::Json;
 
 fn main() {
     println!("== bladerunner fault-plan fuzzer ==");
@@ -119,38 +120,29 @@ fn campaign() {
         artifacts.len()
     );
 
-    emit_json(&format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fuzz\",\n",
-            "  \"mode\": \"campaign\",\n",
-            "  \"seeds\": \"{}\",\n",
-            "  \"devices\": {},\n",
-            "  \"seeds_run\": {},\n",
-            "  \"seeds_total\": {},\n",
-            "  \"events_total\": {},\n",
-            "  \"wall_secs\": {:.2},\n",
-            "  \"budget_secs\": {},\n",
-            "  \"budget_exceeded\": {},\n",
-            "  \"violation_seeds\": [{}]\n",
-            "}}\n"
+    let violation = |(seed, oracle, path): &(u64, String, String)| {
+        Json::obj([
+            ("seed", Json::from(*seed)),
+            ("oracle", Json::from(oracle.as_str())),
+            ("artifact", Json::from(path.as_str())),
+        ])
+    };
+    emit_summary(&Json::obj([
+        ("bench", Json::from("fuzz")),
+        ("mode", Json::from("campaign")),
+        ("seeds", Json::from(spec)),
+        ("devices", Json::from(devices as u64)),
+        ("seeds_run", Json::from(ran)),
+        ("seeds_total", Json::from(total)),
+        ("events_total", Json::from(events)),
+        ("wall_secs", Json::from(wall)),
+        ("budget_secs", Json::from(budget_secs)),
+        ("budget_exceeded", Json::from(budget_exceeded)),
+        (
+            "violation_seeds",
+            Json::Arr(artifacts.iter().map(violation).collect()),
         ),
-        spec,
-        devices,
-        ran,
-        total,
-        events,
-        wall,
-        budget_secs,
-        budget_exceeded,
-        artifacts
-            .iter()
-            .map(|(s, o, p)| format!(
-                "{{ \"seed\": {s}, \"oracle\": \"{o}\", \"artifact\": \"{p}\" }}"
-            ))
-            .collect::<Vec<_>>()
-            .join(", "),
-    ));
+    ]));
 
     if budget_exceeded {
         eprintln!(
@@ -243,26 +235,19 @@ fn repro(path: &Path) {
     if arg_flag("--bisect") {
         bisect_case(&case);
     }
-    emit_json(&format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fuzz\",\n",
-            "  \"mode\": \"repro\",\n",
-            "  \"artifact\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"recorded_oracle\": \"{}\",\n",
-            "  \"violations\": {},\n",
-            "  \"reproduced\": {},\n",
-            "  \"fingerprint\": \"{:016x}\"\n",
-            "}}\n"
+    emit_summary(&Json::obj([
+        ("bench", Json::from("fuzz")),
+        ("mode", Json::from("repro")),
+        ("artifact", Json::from(path.display().to_string())),
+        ("seed", Json::from(case.seed)),
+        ("recorded_oracle", Json::from(recorded.oracle.name())),
+        ("violations", Json::from(report.violations.len() as u64)),
+        ("reproduced", Json::from(reproduced)),
+        (
+            "fingerprint",
+            Json::from(format!("{:016x}", report.fingerprint)),
         ),
-        path.display(),
-        case.seed,
-        recorded.oracle.name(),
-        report.violations.len(),
-        reproduced,
-        report.fingerprint,
-    ));
+    ]));
 }
 
 /// Hands a case to the PR 8 bisector as two materializations of itself.
@@ -384,28 +369,23 @@ fn self_test_shrink() {
     let again = shrink(&planted, OracleId::Planted, &opts, 200);
     let deterministic = again.case == result.case;
     let minimal = result.case.plan.episodes.len() <= 2;
-    emit_json(&format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"fuzz\",\n",
-            "  \"mode\": \"self_test_shrink\",\n",
-            "  \"planted_seed\": {},\n",
-            "  \"initial_episodes\": {},\n",
-            "  \"minimized_episodes\": {},\n",
-            "  \"minimized_devices\": {},\n",
-            "  \"shrink_runs\": {},\n",
-            "  \"deterministic\": {},\n",
-            "  \"passed\": {}\n",
-            "}}\n"
+    emit_summary(&Json::obj([
+        ("bench", Json::from("fuzz")),
+        ("mode", Json::from("self_test_shrink")),
+        ("planted_seed", Json::from(planted.seed)),
+        (
+            "initial_episodes",
+            Json::from(planted.plan.episodes.len() as u64),
         ),
-        planted.seed,
-        planted.plan.episodes.len(),
-        result.case.plan.episodes.len(),
-        result.case.devices,
-        result.runs,
-        deterministic,
-        minimal && deterministic,
-    ));
+        (
+            "minimized_episodes",
+            Json::from(result.case.plan.episodes.len() as u64),
+        ),
+        ("minimized_devices", Json::from(result.case.devices as u64)),
+        ("shrink_runs", Json::from(result.runs as u64)),
+        ("deterministic", Json::from(deterministic)),
+        ("passed", Json::from(minimal && deterministic)),
+    ]));
     if !minimal {
         eprintln!(
             "shrinker FAILED to minimize: {} episodes remain (expected <= 2)",
@@ -418,17 +398,4 @@ fn self_test_shrink() {
         std::process::exit(1);
     }
     println!("shrinker self-test: OK");
-}
-
-// ----------------------------------------------------------------------
-// Output.
-// ----------------------------------------------------------------------
-
-fn emit_json(json: &str) {
-    if let Some(out) = arg_opt("--out") {
-        std::fs::write(&out, json).expect("write bench summary");
-        println!("  wrote {out}");
-    } else {
-        print!("{json}");
-    }
 }

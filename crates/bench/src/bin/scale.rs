@@ -39,38 +39,22 @@
 
 use std::time::Instant;
 
-use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl};
+use bench::driver::ScaleDriver;
+use bench::{arg_or, emit_summary, fleet_config, peak_rss_bytes, snapctl};
 use bladerunner::config::SystemConfig;
-use bladerunner::replay;
 use bladerunner::sim::SystemSim;
 use burst::frame::StreamId;
-use pylon::PylonConfig;
-use simkit::snap::{SnapReader, SnapResult, SnapWriter};
+use burst::json::Json;
 use simkit::time::{SimDuration, SimTime};
-use tao::TaoConfig;
 use workload::activity::PoissonArrivals;
 
 #[cfg(feature = "count-alloc")]
 #[global_allocator]
 static ALLOC: simkit::alloc::CountingAlloc = simkit::alloc::CountingAlloc;
 
-/// A system shape sized for six- and seven-figure device counts.
+/// The fleet shape with a lossless last mile and a caller-set tick.
 fn scale_config() -> SystemConfig {
-    let mut config = SystemConfig::medium();
-    config.tao = TaoConfig {
-        shards: 64,
-        regions: 3,
-        cache_capacity: 1 << 20,
-    };
-    config.pylon = PylonConfig {
-        topic_shards: 65_536,
-        servers: 64,
-        kv_nodes: 16,
-        replicas: 3,
-    };
-    config.brass_hosts = 32;
-    config.proxies = 8;
-    config.pops = 8;
+    let mut config = fleet_config();
     // The bench measures simulator throughput, not loss behaviour; keep the
     // last mile lossless so delivered-event counts track the workload.
     config.last_mile_drop = 0.0;
@@ -133,28 +117,22 @@ fn run_tiers(tiers: &str) {
         assert!(status.success(), "tier {devices} failed");
         let body = std::fs::read_to_string(&tmp).expect("read tier summary");
         let _ = std::fs::remove_file(&tmp);
-        let indented: String = body
-            .trim_end()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        bodies.push(indented.trim_start().to_string());
+        bodies.push(Json::parse(&body).expect("tier summary is JSON"));
     }
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"scale-tiers\",\n",
-            "  \"note\": \"Tiers below 500k devices default to full duty ",
-            "(active fraction 1.0, the historical workload ",
-            "shape); larger tiers default to the diurnal 0.3 (see ",
-            "--active-fraction). Event and delivery counts are ",
-            "seed-deterministic and comparable across hosts; wall-clock ",
-            "events/sec is not -- compare it only against a same-host run.\",\n",
-            "  \"tiers\": [\n    {}\n  ]\n}}\n"
+    emit_summary(&Json::obj([
+        ("bench", Json::from("scale-tiers")),
+        (
+            "note",
+            Json::from(
+                "Tiers below 500k devices default to full duty (active fraction 1.0, the \
+                 historical workload shape); larger tiers default to the diurnal 0.3 (see \
+                 --active-fraction). Event and delivery counts are seed-deterministic and \
+                 comparable across hosts; wall-clock events/sec is not -- compare it only \
+                 against a same-host run.",
+            ),
         ),
-        bodies.join(",\n    ")
-    );
-    emit_summary(&json);
+        ("tiers", Json::Arr(bodies)),
+    ]));
 }
 
 /// Whether device `i` is in the always-engaged fraction. A multiplicative
@@ -165,79 +143,12 @@ fn engaged(i: usize, active_fraction: f64) -> bool {
     (h as f64) < active_fraction * (1u64 << 24) as f64
 }
 
-/// The lazy workload driver's complete resumable state. Refreshed into
-/// the sim's driver blob before every chunk, so any snapshot carries
-/// cursors consistent with its event queues: everything scheduled
-/// strictly before `scheduled_through` is already in the queues, and a
-/// resumed driver continues scheduling from there.
-struct DriverState {
-    devices: usize,
-    videos: usize,
-    sim_seconds: u64,
-    seed: u64,
-    active_fraction: f64,
-    /// First video / device id (both ranges are contiguous).
-    video0: u64,
-    device0: u64,
-    comment_rate: f64,
-    next_sub: usize,
-    next_brief: usize,
-    /// The Poisson stream's pending arrival ([`PoissonArrivals::state`]).
-    comment_next: SimTime,
-    comment_idx: usize,
-    churned: bool,
-    scheduled_through: SimTime,
-}
-
-fn encode_driver(s: &DriverState) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    w.put_usize(s.devices);
-    w.put_usize(s.videos);
-    w.put_u64(s.sim_seconds);
-    w.put_u64(s.seed);
-    w.put_f64(s.active_fraction);
-    w.put_u64(s.video0);
-    w.put_u64(s.device0);
-    w.put_f64(s.comment_rate);
-    w.put_usize(s.next_sub);
-    w.put_usize(s.next_brief);
-    w.put_u64(s.comment_next.as_micros());
-    w.put_usize(s.comment_idx);
-    w.put_bool(s.churned);
-    w.put_u64(s.scheduled_through.as_micros());
-    w.into_bytes()
-}
-
-fn decode_driver(bytes: &[u8]) -> SnapResult<DriverState> {
-    let mut r = SnapReader::new(bytes);
-    let s = DriverState {
-        devices: r.get_usize()?,
-        videos: r.get_usize()?,
-        sim_seconds: r.get_u64()?,
-        seed: r.get_u64()?,
-        active_fraction: r.get_f64()?,
-        video0: r.get_u64()?,
-        device0: r.get_u64()?,
-        comment_rate: r.get_f64()?,
-        next_sub: r.get_usize()?,
-        next_brief: r.get_usize()?,
-        comment_next: SimTime::from_micros(r.get_u64()?),
-        comment_idx: r.get_usize()?,
-        churned: r.get_bool()?,
-        scheduled_through: SimTime::from_micros(r.get_u64()?),
-    };
-    r.finish()?;
-    Ok(s)
-}
-
-fn run_one(devices: usize) -> String {
+fn run_one(devices: usize) -> Json {
     let snap_args = snapctl::from_args();
 
     let (mut sim, mut state, fleet_live_heap) = match &snap_args.resume {
         Some(path) => {
-            let sim = replay::resume_from_file(scale_config(), path)
-                .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
-            let state = decode_driver(sim.driver_blob()).expect("driver blob");
+            let (sim, state): (_, ScaleDriver) = snapctl::resume(scale_config(), path);
             println!(
                 "resumed from {} at t={:.2}s (driver scheduled through {:.2}s)",
                 path.display(),
@@ -285,7 +196,7 @@ fn run_one(devices: usize) -> String {
             let comment_rate = (videos * comments_per_video) as f64 / 30.0;
             let comment_start = SimTime::from_secs(10);
             let comments = PoissonArrivals::new(comment_rate, comment_start, sim.rng_mut());
-            let state = DriverState {
+            let state = ScaleDriver {
                 devices,
                 videos,
                 sim_seconds,
@@ -399,7 +310,7 @@ fn run_one(devices: usize) -> String {
         // cursors consistent with what is now in the queues.
         state.comment_next = comments.state();
         state.scheduled_through = next_t;
-        sim.set_driver_blob(encode_driver(&state));
+        snapctl::set_driver(&mut sim, &state);
         sim.run_until(next_t);
         t = next_t;
     }
@@ -460,75 +371,51 @@ fn run_one(devices: usize) -> String {
         );
     }
 
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"scale\",\n",
-            "  \"devices\": {},\n",
-            "  \"active_fraction\": {},\n",
-            "  \"engaged_devices\": {},\n",
-            "  \"parked_devices\": {},\n",
-            "  \"videos\": {},\n",
-            "  \"comments\": {},\n",
-            "  \"sim_seconds\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"wall_seconds\": {:.3},\n",
-            "  \"events_total\": {},\n",
-            "  \"events_per_sec\": {:.1},\n",
-            "  \"peak_rss_bytes\": {},\n",
-            "  \"bytes_per_device\": {:.1},\n",
-            "  \"fleet_live_heap_bytes\": {},\n",
-            "  \"live_heap_bytes\": {},\n",
-            "  \"live_heap_peak_bytes\": {},\n",
-            "  \"live_heap_bytes_per_device\": {:.1},\n",
-            "  \"allocs_per_event\": {:.3},\n",
-            "  {},\n",
-            "  \"events_by_subsystem\": {{\n",
-            "    \"workload\": {},\n",
-            "    \"pylon\": {},\n",
-            "    \"tao\": {},\n",
-            "    \"brass\": {},\n",
-            "    \"transport_up\": {},\n",
-            "    \"transport_down\": {},\n",
-            "    \"device_churn\": {},\n",
-            "    \"metrics\": {}\n",
-            "  }},\n",
-            "  \"metrics\": {{\n",
-            "    \"deliveries\": {},\n",
-            "    \"publications\": {},\n",
-            "    \"subscriptions\": {}\n",
-            "  }}\n",
-            "}}\n"
+    let count = |n: usize| Json::from(n as u64);
+    Json::obj([
+        ("bench", Json::from("scale")),
+        ("devices", count(devices)),
+        ("active_fraction", Json::from(active_fraction)),
+        ("engaged_devices", count(engaged_devices)),
+        ("parked_devices", count(parked)),
+        ("videos", count(videos)),
+        ("comments", count(comment_idx)),
+        ("sim_seconds", Json::from(sim_seconds)),
+        ("seed", Json::from(seed)),
+        ("wall_seconds", Json::from(wall)),
+        ("events_total", Json::from(stats.total)),
+        ("events_per_sec", Json::from(events_per_sec)),
+        ("peak_rss_bytes", Json::from(rss)),
+        ("bytes_per_device", Json::from(rss as f64 / devices as f64)),
+        ("fleet_live_heap_bytes", count(fleet_live_heap)),
+        ("live_heap_bytes", count(live_heap)),
+        ("live_heap_peak_bytes", count(live_heap_peak)),
+        (
+            "live_heap_bytes_per_device",
+            Json::from(live_heap as f64 / devices as f64),
         ),
-        devices,
-        active_fraction,
-        engaged_devices,
-        parked,
-        videos,
-        comment_idx,
-        sim_seconds,
-        seed,
-        wall,
-        stats.total,
-        events_per_sec,
-        rss,
-        rss as f64 / devices as f64,
-        fleet_live_heap,
-        live_heap,
-        live_heap_peak,
-        live_heap as f64 / devices as f64,
-        allocs_per_event,
-        snapctl::fingerprint_json(&sim),
-        stats.workload,
-        stats.pylon,
-        stats.tao,
-        stats.brass,
-        stats.transport_up,
-        stats.transport_down,
-        stats.device_churn,
-        stats.metrics,
-        m.deliveries.get(),
-        m.publications.get(),
-        m.subscriptions.get(),
-    )
+        ("allocs_per_event", Json::from(allocs_per_event)),
+        ("fingerprint", snapctl::fingerprint_json(&sim)),
+        (
+            "events_by_subsystem",
+            Json::obj([
+                ("workload", Json::from(stats.workload)),
+                ("pylon", Json::from(stats.pylon)),
+                ("tao", Json::from(stats.tao)),
+                ("brass", Json::from(stats.brass)),
+                ("transport_up", Json::from(stats.transport_up)),
+                ("transport_down", Json::from(stats.transport_down)),
+                ("device_churn", Json::from(stats.device_churn)),
+                ("metrics", Json::from(stats.metrics)),
+            ]),
+        ),
+        (
+            "metrics",
+            Json::obj([
+                ("deliveries", Json::from(m.deliveries.get())),
+                ("publications", Json::from(m.publications.get())),
+                ("subscriptions", Json::from(m.subscriptions.get())),
+            ]),
+        ),
+    ])
 }

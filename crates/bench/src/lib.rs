@@ -6,7 +6,11 @@
 //! histograms, and CDF point lists so that EXPERIMENTS.md can quote them
 //! directly.
 
+use bladerunner::config::SystemConfig;
+use burst::json::Json;
+use pylon::PylonConfig;
 use simkit::metrics::Histogram;
+use tao::TaoConfig;
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -111,43 +115,75 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Escapes a string for embedding in the hand-rolled JSON summaries.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// Renders a summary the way every bin writes one: two-space indent, one
+/// member per line, `": "` after keys (CI's gates load these files as JSON;
+/// `benchmark/src/port.rs` scans them for `"key": ` followed by digits).
+/// Scalars and empty containers print as [`Json`]'s compact form.
+pub fn pretty(value: &Json) -> String {
+    let mut out = String::new();
+    write_pretty(value, 0, &mut out);
+    out.push('\n');
     out
 }
 
-/// Renders a convergence report's machine-readable violations as a JSON
-/// array, one `{oracle, entity, detail}` object per breach — the gate
-/// summaries embed this so CI can consume breaches without scraping
-/// log lines.
-pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> String {
-    if violations.is_empty() {
-        return "[]".to_string();
+fn write_pretty(value: &Json, depth: usize, out: &mut String) {
+    let (brackets, members): (_, Vec<(Option<&str>, &Json)>) = match value {
+        Json::Arr(items) if !items.is_empty() => {
+            ("[]", items.iter().map(|item| (None, item)).collect())
+        }
+        Json::Obj(pairs) if !pairs.is_empty() => (
+            "{}",
+            pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        scalar => return out.push_str(&scalar.to_string()),
+    };
+    out.push_str(&brackets[..1]);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            out.push_str(&format!("{}: ", Json::from(key)));
+        }
+        write_pretty(member, depth + 1, out);
     }
-    let rows = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "      {{ \"oracle\": \"{}\", \"entity\": \"{}\", \"detail\": \"{}\" }}",
-                v.oracle.name(),
-                json_escape(&v.entity),
-                json_escape(&v.detail),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("[\n{rows}\n    ]")
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push_str(&brackets[1..]);
+}
+
+/// A convergence report's machine-readable violations, one
+/// `{oracle, entity, detail}` object per breach — the gate summaries embed
+/// this so CI can consume breaches without scraping log lines.
+pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
+    let row = |v: &bladerunner::fault::Violation| {
+        Json::obj([
+            ("oracle", Json::from(v.oracle.name())),
+            ("entity", Json::from(v.entity.as_str())),
+            ("detail", Json::from(v.detail.as_str())),
+        ])
+    };
+    Json::Arr(violations.iter().map(row).collect())
+}
+
+/// The system shape sized for six- and seven-figure device counts that
+/// `scale` and `chaos` both start from.
+pub fn fleet_config() -> SystemConfig {
+    let mut config = SystemConfig::medium();
+    config.tao = TaoConfig {
+        shards: 64,
+        regions: 3,
+        cache_capacity: 1 << 20,
+    };
+    config.pylon = PylonConfig {
+        topic_shards: 65_536,
+        servers: 64,
+        kv_nodes: 16,
+        replicas: 3,
+    };
+    config.brass_hosts = 32;
+    config.proxies = 8;
+    config.pops = 8;
+    config
 }
 
 /// Parses a `--key value` style argument from the process args, with a
@@ -174,7 +210,8 @@ pub fn arg_opt(key: &str) -> Option<String> {
 /// there is no `--out`, onto stdout. Nothing is written by default — a
 /// number is only comparable with a same-host run of the previous commit,
 /// so no bin leaves one behind in the checkout.
-pub fn emit_summary(json: &str) {
+pub fn emit_summary(summary: &Json) {
+    let json = pretty(summary);
     match arg_opt("--out") {
         Some(out) => {
             std::fs::write(&out, json).expect("write bench summary");
@@ -220,9 +257,14 @@ pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
 /// `--resume-from <path>`) and emits the same per-tick fingerprint block
 /// into its JSON summary.
 pub mod snapctl {
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
+    use bladerunner::config::SystemConfig;
+    use bladerunner::replay;
     use bladerunner::sim::SystemSim;
+    use burst::json::Json;
+    use simkit::snap::{Snap, SnapReader, SnapResult, SnapWriter};
+    use simkit::time::SimTime;
 
     /// Parsed snapshot CLI flags.
     pub struct SnapshotArgs {
@@ -259,30 +301,148 @@ pub mod snapctl {
         );
     }
 
-    /// The per-tick fingerprint block for a bench JSON summary (no
-    /// surrounding comma): the full `(tick, fingerprint)` series plus the
-    /// end-of-run state fingerprint. Two runs of the same
-    /// `(config, seed, workload)` — at any worker count, resumed or not —
-    /// produce identical blocks; the first differing tick brackets a
-    /// divergence.
-    pub fn fingerprint_json(sim: &SystemSim) -> String {
-        let ticks = sim
-            .tick_fingerprints()
-            .iter()
-            .map(|(t, fp)| {
-                format!(
-                    "    {{ \"t_us\": {}, \"fp\": \"{fp:016x}\" }}",
-                    t.as_micros()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "\"fingerprint\": {{\n  \"final\": \"{:016x}\",\n  \"ticks\": [\n{}\n  ]\n}}",
-            sim.fingerprint_now(),
-            ticks
-        )
+    /// Attaches a driver's resumable state to every snapshot the sim takes
+    /// from here on.
+    pub fn set_driver<T: Snap>(sim: &mut SystemSim, state: &T) {
+        let mut w = SnapWriter::new();
+        state.snap(&mut w);
+        sim.set_driver_blob(w.into_bytes());
     }
+
+    /// Decodes a driver blob, which must hold exactly one `T`.
+    pub fn driver<T: Snap>(blob: &[u8]) -> SnapResult<T> {
+        let mut r = SnapReader::new(blob);
+        let state = T::restore(&mut r)?;
+        r.finish()?;
+        Ok(state)
+    }
+
+    /// Resumes a run from a snapshot file: the sim, and the driver state
+    /// that rode in its blob. The caller rebuilds the exact `config` the
+    /// snapshot was taken under (a mismatch fails closed).
+    pub fn resume<T: Snap>(config: SystemConfig, path: &Path) -> (SystemSim, T) {
+        let sim = replay::resume_from_file(config, path)
+            .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
+        let state = driver(sim.driver_blob()).expect("driver blob");
+        (sim, state)
+    }
+
+    /// The `"fingerprint"` member of a bench summary: the full
+    /// `(tick, fingerprint)` series plus the end-of-run state fingerprint.
+    /// Two runs of the same `(config, seed, workload)` — resumed or not —
+    /// produce equal values; the first differing tick brackets a
+    /// divergence.
+    pub fn fingerprint_json(sim: &SystemSim) -> Json {
+        let hex = |fp: u64| Json::from(format!("{fp:016x}"));
+        let tick = |(t, fp): &(SimTime, u64)| {
+            Json::obj([("t_us", Json::from(t.as_micros())), ("fp", hex(*fp))])
+        };
+        Json::obj([
+            ("final", hex(sim.fingerprint_now())),
+            (
+                "ticks",
+                Json::Arr(sim.tick_fingerprints().iter().map(tick).collect()),
+            ),
+        ])
+    }
+}
+
+/// What each resumable bin keeps in its snapshots' driver blob (see
+/// [`snapctl::set_driver`]). A blob is only read by the build that wrote
+/// it.
+pub mod driver {
+    use simkit::snap_struct;
+    use simkit::time::SimTime;
+
+    /// `scale`'s lazy workload driver, complete. Refreshed into the blob
+    /// before every chunk, so any snapshot carries cursors consistent with
+    /// its event queue: everything scheduled strictly before
+    /// `scheduled_through` is already queued, and a resumed driver
+    /// continues scheduling from there.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ScaleDriver {
+        pub devices: usize,
+        pub videos: usize,
+        pub sim_seconds: u64,
+        pub seed: u64,
+        pub active_fraction: f64,
+        /// First video / device id (both ranges are contiguous).
+        pub video0: u64,
+        pub device0: u64,
+        pub comment_rate: f64,
+        pub next_sub: usize,
+        pub next_brief: usize,
+        /// The Poisson stream's pending arrival
+        /// ([`workload::activity::PoissonArrivals::state`]).
+        pub comment_next: SimTime,
+        pub comment_idx: usize,
+        pub churned: bool,
+        pub scheduled_through: SimTime,
+    }
+
+    snap_struct!(ScaleDriver {
+        devices,
+        videos,
+        sim_seconds,
+        seed,
+        active_fraction,
+        video0,
+        device0,
+        comment_rate,
+        next_sub,
+        next_brief,
+        comment_next,
+        comment_idx,
+        churned,
+        scheduled_through
+    });
+
+    /// Everything `chaos`' post-run report needs that is not recoverable
+    /// from the sim itself, so `--resume-from` prints the report the
+    /// uninterrupted run would have.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ChaosMeta {
+        pub devices: usize,
+        pub videos: usize,
+        pub comments: usize,
+        pub seed: u64,
+        pub plan_start: SimTime,
+        pub heal: SimTime,
+        pub end: SimTime,
+        pub kinds: Vec<String>,
+        /// Per-episode `(kind label, injected at, heals at)`.
+        pub episodes: Vec<(String, SimTime, SimTime)>,
+    }
+
+    snap_struct!(ChaosMeta {
+        devices,
+        videos,
+        comments,
+        seed,
+        plan_start,
+        heal,
+        end,
+        kinds,
+        episodes
+    });
+
+    /// What one `flashcrowd` tier's report needs beyond the sim.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct TierMeta {
+        pub rate: f64,
+        pub comments: usize,
+        pub vanished: usize,
+        pub end: SimTime,
+        pub p99_bound_ms: f64,
+    }
+
+    snap_struct!(TierMeta {
+        rate,
+        comments,
+        vanished,
+        end,
+        p99_bound_ms
+    });
 }
 
 #[cfg(test)]

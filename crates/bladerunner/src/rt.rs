@@ -14,8 +14,8 @@ use std::collections::BinaryHeap;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use brass::app::{DeviceId, WasRequest, WasResponse};
-use brass::host::{BrassHost, HostConfig, HostEffect};
+use brass::app::DeviceId;
+use brass::host::{BrassHost, HostEffect};
 use burst::frame::{Delta, Frame, StreamId};
 use burst::json::Json;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -23,6 +23,8 @@ use pylon::{PylonCluster, PylonConfig};
 use simkit::time::SimTime;
 use tao::{Tao, TaoConfig};
 use was::service::WebApplicationServer;
+
+use crate::sim::{fresh_host, serve_was};
 
 /// Commands accepted by the backend thread.
 enum Command {
@@ -108,7 +110,7 @@ impl Backend {
                         token,
                         request,
                     } => {
-                        let response = self.serve_was(request);
+                        let response = serve_was(&mut self.was, request);
                         let now = self.now();
                         next.extend(self.host.on_was_response(app, token, response, now));
                     }
@@ -140,44 +142,6 @@ impl Backend {
                 }
             }
             queue = next;
-        }
-    }
-
-    fn serve_was(&mut self, request: WasRequest) -> WasResponse {
-        match request {
-            WasRequest::FetchObject { viewer, object } => {
-                match self.was.fetch_for_viewer(0, viewer, object) {
-                    Ok((payload, _)) => WasResponse::Payload(payload.into()),
-                    Err(was::WasError::PrivacyDenied) => WasResponse::Denied,
-                    Err(_) => WasResponse::NotFound,
-                }
-            }
-            WasRequest::Friends { uid } => WasResponse::Friends(self.was.friends_of(uid)),
-            WasRequest::MailboxAfter { uid, after_seq } => {
-                let q = match after_seq {
-                    Some(a) => format!("{{ mailbox(uid: {uid}, afterSeq: {a}) }}"),
-                    None => format!("{{ mailbox(uid: {uid}) }}"),
-                };
-                let entries = self
-                    .was
-                    .execute_query(0, &q)
-                    .ok()
-                    .and_then(|o| {
-                        o.response.get("mailbox").map(|m| {
-                            m.items()
-                                .iter()
-                                .filter_map(|e| {
-                                    use was::service::Rv;
-                                    let seq = e.get("seq").and_then(Rv::as_int)? as u64;
-                                    let obj = e.get("messageId").and_then(Rv::as_int)? as u64;
-                                    Some((seq, tao::ObjectId(obj)))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .unwrap_or_default();
-                WasResponse::Mailbox(entries)
-            }
         }
     }
 
@@ -245,12 +209,10 @@ impl RtSystem {
     pub fn start<T>(setup: impl FnOnce(&mut WebApplicationServer) -> T) -> (RtSystem, T) {
         let mut was = WebApplicationServer::new(Tao::new(TaoConfig::small()));
         let fixture = setup(&mut was);
-        let mut host = BrassHost::new(HostConfig::small(0));
-        host.register_standard_apps();
         let backend = Backend {
             was,
             pylon: PylonCluster::new(PylonConfig::small()),
-            host,
+            host: fresh_host(0),
             timers: BinaryHeap::new(),
             epoch: Instant::now(),
             deliveries: {

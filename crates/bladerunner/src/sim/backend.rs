@@ -18,7 +18,7 @@ use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome, TraceId};
 use tao::ObjectId;
-use was::service::Rv;
+use was::service::{Rv, WebApplicationServer};
 use was::UpdateEvent;
 
 use super::ev::{App, Ev};
@@ -302,51 +302,21 @@ impl SystemSim {
         request: WasRequest,
         attributed: Option<SimTime>,
     ) {
-        let response = match request {
-            WasRequest::FetchObject { viewer, object } => {
-                let response = match self.was.fetch_for_viewer(0, viewer, object) {
-                    Ok((payload, _)) => WasResponse::Payload(payload.into()),
-                    Err(was::WasError::PrivacyDenied) => WasResponse::Denied,
-                    Err(_) => WasResponse::NotFound,
-                };
-                // The payload fetch is the final BRASS-processing gate:
-                // the WAS privacy check decides whether the update survives.
-                if let Some(&trace) = self.reg.object_trace.get(&object) {
-                    let outcome = match &response {
-                        WasResponse::Payload(_) => HopOutcome::Ok,
-                        WasResponse::Denied => HopOutcome::Dropped(DropReason::PrivacyBlock),
-                        _ => HopOutcome::Dropped(DropReason::NotFound),
-                    };
-                    self.ledger.record(trace, Hop::BrassProcess, now, outcome);
-                }
-                response
-            }
-            WasRequest::Friends { uid } => WasResponse::Friends(self.was.friends_of(uid)),
-            WasRequest::MailboxAfter { uid, after_seq } => {
-                let q = match after_seq {
-                    Some(a) => format!("{{ mailbox(uid: {uid}, afterSeq: {a}) }}"),
-                    None => format!("{{ mailbox(uid: {uid}) }}"),
-                };
-                let entries = self
-                    .was
-                    .execute_query(0, &q)
-                    .ok()
-                    .and_then(|o| {
-                        o.response.get("mailbox").map(|m| {
-                            m.items()
-                                .iter()
-                                .filter_map(|e| {
-                                    let seq = e.get("seq").and_then(Rv::as_int)? as u64;
-                                    let obj = e.get("messageId").and_then(Rv::as_int)? as u64;
-                                    Some((seq, ObjectId(obj)))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .unwrap_or_default();
-                WasResponse::Mailbox(entries)
-            }
+        let fetched = match request {
+            WasRequest::FetchObject { object, .. } => Some(object),
+            _ => None,
         };
+        let response = serve_was(&mut self.was, request);
+        // The payload fetch is the final BRASS-processing gate: the WAS
+        // privacy check decides whether the update survives.
+        if let Some(&trace) = fetched.and_then(|object| self.reg.object_trace.get(&object)) {
+            let outcome = match &response {
+                WasResponse::Payload(_) => HopOutcome::Ok,
+                WasResponse::Denied => HopOutcome::Dropped(DropReason::PrivacyBlock),
+                _ => HopOutcome::Dropped(DropReason::NotFound),
+            };
+            self.ledger.record(trace, Hop::BrassProcess, now, outcome);
+        }
         let back = self.latency.brass_was_rtt(&mut self.engine_rng) / 2;
         self.queue.schedule(
             now + back,
@@ -358,20 +328,6 @@ impl SystemSim {
                 attributed,
             },
         );
-    }
-
-    pub(super) fn on_was_reply(
-        &mut self,
-        now: SimTime,
-        host: usize,
-        app: &'static str,
-        token: FetchToken,
-        response: WasResponse,
-        attributed: Option<SimTime>,
-    ) {
-        self.drive_host(now, host, attributed, |h, fx| {
-            h.on_was_response_into(app, token, response, now, fx)
-        });
     }
 
     /// The M/D/1-style BRASS ingress model: each admitted piece of work
@@ -587,6 +543,43 @@ impl SystemSim {
     pub(super) fn quorum_retry_backoff(attempt: u32) -> SimDuration {
         const CAP_SECS: u64 = 30;
         SimDuration::from_secs((1u64 << attempt.min(5)).min(CAP_SECS))
+    }
+}
+
+/// Answers a BRASS host's request at the WAS.
+pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> WasResponse {
+    match request {
+        WasRequest::FetchObject { viewer, object } => {
+            match was.fetch_for_viewer(0, viewer, object) {
+                Ok((payload, _)) => WasResponse::Payload(payload.into()),
+                Err(was::WasError::PrivacyDenied) => WasResponse::Denied,
+                Err(_) => WasResponse::NotFound,
+            }
+        }
+        WasRequest::Friends { uid } => WasResponse::Friends(was.friends_of(uid)),
+        WasRequest::MailboxAfter { uid, after_seq } => {
+            let q = match after_seq {
+                Some(a) => format!("{{ mailbox(uid: {uid}, afterSeq: {a}) }}"),
+                None => format!("{{ mailbox(uid: {uid}) }}"),
+            };
+            let entries = was
+                .execute_query(0, &q)
+                .ok()
+                .and_then(|o| {
+                    o.response.get("mailbox").map(|m| {
+                        m.items()
+                            .iter()
+                            .filter_map(|e| {
+                                let seq = e.get("seq").and_then(Rv::as_int)? as u64;
+                                let obj = e.get("messageId").and_then(Rv::as_int)? as u64;
+                                Some((seq, ObjectId(obj)))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .unwrap_or_default();
+            WasResponse::Mailbox(entries)
+        }
     }
 }
 

@@ -317,7 +317,7 @@ impl SystemSim {
 }
 
 /// An empty BRASS host process with the standard applications registered.
-pub(super) fn fresh_host(id: u32) -> BrassHost {
+pub(crate) fn fresh_host(id: u32) -> BrassHost {
     let mut host = BrassHost::new(HostConfig::small(id));
     host.register_standard_apps();
     host

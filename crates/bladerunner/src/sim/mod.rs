@@ -45,8 +45,6 @@ mod ev;
 mod faults;
 mod fleet;
 mod snapshot;
-#[cfg(test)]
-mod tests;
 mod transport;
 
 use std::path::PathBuf;
@@ -71,9 +69,11 @@ use crate::config::SystemConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::SystemMetrics;
 
+pub(crate) use backend::serve_was;
 use backend::Registries;
 pub use ev::EventStats;
 use ev::{ev_summary, Ev};
+pub(crate) use faults::fresh_host;
 use fleet::{DeviceState, ParkScratch};
 
 // ----------------------------------------------------------------------
@@ -213,7 +213,9 @@ impl SystemSim {
                 token,
                 response,
                 attributed,
-            } => self.on_was_reply(now, host, app.0, token, response, attributed),
+            } => self.drive_host(now, host, attributed, |h, fx| {
+                h.on_was_response_into(app.0, token, response, now, fx)
+            }),
             Ev::BrassTimer { host, app, token } => {
                 self.drive_host(now, host, None, |h, fx| {
                     h.on_timer_into(app.0, token, now, fx)
@@ -337,7 +339,7 @@ impl SystemSim {
     ) {
         let mut fx = std::mem::take(&mut self.proxy_fx);
         handler(&mut self.proxies[proxy], &mut fx);
-        self.process_proxy_effects(now, proxy, &mut fx);
+        self.process_proxy_effects(now, proxy, &mut fx, now);
         self.proxy_fx = fx;
     }
 
@@ -451,3 +453,6 @@ impl SystemSim {
         self.metrics.record_availability(at, fraction);
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -97,12 +97,15 @@ impl SystemSim {
     }
 
     /// Converts reverse-proxy effects into scheduled events, leaving
-    /// `effects` empty.
+    /// `effects` empty. `sent_at` is when a frame bound for a device left
+    /// its sender: `now` for one the proxy made, the BRASS's own send time
+    /// for one it relays.
     pub(super) fn process_proxy_effects(
         &mut self,
         now: SimTime,
         proxy: usize,
         effects: &mut Vec<ProxyEffect>,
+        sent_at: SimTime,
     ) {
         for effect in effects.drain(..) {
             match effect {
@@ -128,7 +131,7 @@ impl SystemSim {
                         Ev::DownAtPop {
                             device,
                             frame,
-                            sent_at: now,
+                            sent_at,
                         },
                     );
                 }
@@ -223,19 +226,7 @@ impl SystemSim {
         // BRASS with.
         let mut fx = std::mem::take(&mut self.proxy_fx);
         self.proxies[proxy].on_upstream_frame_into(device, frame, now.as_micros(), &mut fx);
-        for effect in fx.drain(..) {
-            if let ProxyEffect::ToDevice { device, frame } = effect {
-                let d = self.latency.pop_proxy(&mut self.engine_rng);
-                self.queue.schedule(
-                    now + d,
-                    Ev::DownAtPop {
-                        device,
-                        frame,
-                        sent_at,
-                    },
-                );
-            }
-        }
+        self.process_proxy_effects(now, proxy, &mut fx, sent_at);
         self.proxy_fx = fx;
     }
 
