@@ -484,4 +484,85 @@ mod tests {
         assert!(parse_seed_range("5..5").is_err());
         assert!(parse_seed_range("x..3").is_err());
     }
+
+    #[test]
+    fn pretty_output_parses_back_and_puts_each_member_on_its_own_line() {
+        let value = Json::obj([
+            ("events_total", Json::from(12u64)),
+            ("wall_seconds", Json::from(0.25)),
+            ("note", Json::from("tab\there, \"quoted\"")),
+            ("metrics", Json::obj([("deliveries", Json::from(3u64))])),
+            (
+                "tiers",
+                Json::Arr(vec![Json::from(1u64), Json::Arr(vec![])]),
+            ),
+            ("empty", Json::obj(Vec::<(String, Json)>::new())),
+        ]);
+        let text = pretty(&value);
+        assert_eq!(Json::parse(&text).expect("pretty output is JSON"), value);
+        // The shape `benchmark/src/port.rs` scans for.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "{");
+        assert_eq!(lines[1], "  \"events_total\": 12,");
+        assert!(lines.contains(&"  \"metrics\": {"));
+        assert!(lines.contains(&"    \"deliveries\": 3"));
+        assert!(lines.contains(&"  \"empty\": {}"));
+        assert!(text.ends_with("}\n"));
+    }
+
+    #[test]
+    fn driver_blobs_round_trip_and_reject_truncation() {
+        use simkit::snap::{Snap, SnapWriter};
+        use simkit::time::SimTime;
+        fn check<T: Snap + PartialEq + std::fmt::Debug>(state: T) {
+            let mut w = SnapWriter::new();
+            state.snap(&mut w);
+            let blob = w.into_bytes();
+            assert_eq!(snapctl::driver::<T>(&blob).expect("round trip"), state);
+            for cut in 0..blob.len() {
+                assert!(snapctl::driver::<T>(&blob[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut longer = blob;
+            longer.push(0);
+            assert!(snapctl::driver::<T>(&longer).is_err(), "trailing byte");
+        }
+        check(driver::ScaleDriver {
+            devices: 2_000,
+            videos: 4,
+            sim_seconds: 30,
+            seed: 42,
+            active_fraction: 0.3,
+            video0: 1,
+            device0: 5,
+            comment_rate: 0.8,
+            next_sub: 17,
+            next_brief: 3,
+            comment_next: SimTime::from_millis(10_250),
+            comment_idx: 2,
+            churned: true,
+            scheduled_through: SimTime::from_secs(11),
+        });
+        check(driver::ChaosMeta {
+            devices: 2_000,
+            videos: 4,
+            comments: 90,
+            seed: 7,
+            plan_start: SimTime::from_secs(30),
+            heal: SimTime::from_secs(400),
+            end: SimTime::from_secs(460),
+            kinds: vec!["brass_crash".into(), "proxy_outage".into()],
+            episodes: vec![(
+                "brass_crash".into(),
+                SimTime::from_secs(40),
+                SimTime::from_secs(70),
+            )],
+        });
+        check(driver::TierMeta {
+            rate: 300.0,
+            comments: 12_000,
+            vanished: 75,
+            end: SimTime::from_secs(105),
+            p99_bound_ms: 15_000.0,
+        });
+    }
 }

@@ -1,4 +1,5 @@
 use brass::app::{FetchToken, WasRequest, WasResponse};
+use burst::flow::{Admit, FlowWindow};
 use burst::frame::StreamId;
 use pylon::Topic;
 use simkit::snap::{Snap, SnapReader, SnapWriter};
@@ -510,4 +511,55 @@ fn intern_order_does_not_change_metrics() {
         baseline, shifted,
         "metrics must not depend on topic intern order"
     );
+}
+
+/// What `lose_connection` carries for every way a device's connection
+/// dies, and the one thing that is the announced drop's own: only it tells
+/// the proxy before heartbeats could.
+#[test]
+fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
+    for announced in [true, false] {
+        let mut s = sim();
+        let video = s.was_mut().create_video("v");
+        let viewer = s.create_user_device("viewer", "en");
+        s.subscribe_lvc(SimTime::ZERO, viewer, video);
+        s.run_until(SimTime::from_secs(10));
+        assert_eq!(s.proxies.iter().map(|p| p.stream_count()).sum::<usize>(), 1);
+        // A flow-control episode in progress, so the reset is observable.
+        let state = s.devices.get_mut(&viewer).expect("viewer exists");
+        state.flow = FlowWindow::new(100);
+        state.flow.try_send(80);
+        assert_eq!(state.flow.try_send(80), Admit::ShedDegrade);
+        state.degraded_sids.push(StreamId(1));
+
+        let at = SimTime::from_secs(11);
+        if announced {
+            s.schedule_device_drop(at, viewer);
+        } else {
+            s.schedule_device_vanish(at, viewer);
+        }
+        // Inside the 2 s base backoff, and far inside the 15 s it takes
+        // POP heartbeats to reap a silent device.
+        s.run_until(at + SimDuration::from_secs(1));
+        let state = s.devices.get(&viewer).expect("viewer exists");
+        assert!(!state.connected, "announced={announced}");
+        assert_eq!(state.flow.in_flight(), 0);
+        assert!(!state.flow.is_degraded() && state.degraded_sids.is_empty());
+        assert_eq!(s.metrics().connection_drops.get(), 1);
+        assert_eq!(s.metrics().device_vanishes.get(), u64::from(!announced));
+        let proxy_streams: usize = s.proxies.iter().map(|p| p.stream_count()).sum();
+        assert_eq!(
+            proxy_streams,
+            usize::from(!announced),
+            "announced={announced}"
+        );
+
+        // One reconnect: the one open stream resubscribes once.
+        assert_eq!(s.metrics().subscriptions.get(), 1);
+        s.run_until(at + SimDuration::from_secs(10));
+        assert!(s.devices.get(&viewer).expect("viewer exists").connected);
+        assert_eq!(s.metrics().subscriptions.get(), 2);
+        assert_eq!(s.metrics().connection_drops.get(), 1);
+        assert_eq!(s.proxies.iter().map(|p| p.stream_count()).sum::<usize>(), 1);
+    }
 }

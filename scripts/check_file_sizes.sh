@@ -1,0 +1,21 @@
+#!/usr/bin/env bash
+# File-size gate: no source file under crates/*/src carries more than 1,500
+# lines of non-test code — everything before the file's `#[cfg(test)]`. A
+# file past that holds more than one subsystem (sim.rs held the whole
+# event loop at 3,242); split it along its seams, and while splitting,
+# write each repeated body once.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+limit=1500
+status=0
+while IFS= read -r file; do
+    lines=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
+    if [ "$lines" -gt "$limit" ]; then
+        echo "$file: $lines non-test lines (limit $limit)"
+        status=1
+    fi
+done < <(find crates/*/src -name '*.rs' | sort)
+if [ "$status" -ne 0 ]; then
+    echo "error: split the file along its seams (see crates/bladerunner/src/sim/ for the shape)" >&2
+fi
+exit "$status"
