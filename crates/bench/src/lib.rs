@@ -119,7 +119,7 @@ pub fn peak_rss_bytes() -> u64 {
 /// member per line, `": "` after keys (CI's gates load these files as JSON;
 /// `benchmark/src/port.rs` scans them for `"key": ` followed by digits).
 /// Scalars and empty containers print as [`Json`]'s compact form.
-pub fn pretty(value: &Json) -> String {
+fn pretty(value: &Json) -> String {
     let mut out = String::new();
     write_pretty(value, 0, &mut out);
     out.push('\n');
@@ -127,17 +127,18 @@ pub fn pretty(value: &Json) -> String {
 }
 
 fn write_pretty(value: &Json, depth: usize, out: &mut String) {
-    let (brackets, members): (_, Vec<(Option<&str>, &Json)>) = match value {
+    let (open, close, members): (_, _, Vec<(Option<&str>, &Json)>) = match value {
         Json::Arr(items) if !items.is_empty() => {
-            ("[]", items.iter().map(|item| (None, item)).collect())
+            ('[', ']', items.iter().map(|item| (None, item)).collect())
         }
         Json::Obj(pairs) if !pairs.is_empty() => (
-            "{}",
+            '{',
+            '}',
             pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
         ),
         scalar => return out.push_str(&scalar.to_string()),
     };
-    out.push_str(&brackets[..1]);
+    out.push(open);
     for (i, (key, member)) in members.into_iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&"  ".repeat(depth + 1));
@@ -148,7 +149,7 @@ fn write_pretty(value: &Json, depth: usize, out: &mut String) {
     }
     out.push('\n');
     out.push_str(&"  ".repeat(depth));
-    out.push_str(&brackets[1..]);
+    out.push(close);
 }
 
 /// A convergence report's machine-readable violations, one
@@ -310,7 +311,7 @@ pub mod snapctl {
     }
 
     /// Decodes a driver blob, which must hold exactly one `T`.
-    pub fn driver<T: Snap>(blob: &[u8]) -> SnapResult<T> {
+    pub(crate) fn driver<T: Snap>(blob: &[u8]) -> SnapResult<T> {
         let mut r = SnapReader::new(blob);
         let state = T::restore(&mut r)?;
         r.finish()?;

@@ -454,5 +454,7 @@ impl SystemSim {
     }
 }
 
+// Declared last: the hasher and file-size gates read a file up to its
+// first `#[cfg(test)]`.
 #[cfg(test)]
 mod tests;
