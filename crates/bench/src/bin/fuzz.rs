@@ -1,6 +1,6 @@
 //! Deterministic fault-plan fuzzing harness (PR 9).
 //!
-//! Four modes, one binary:
+//! Three modes, one binary:
 //!
 //! * **campaign** (default): run a seed range through the generator +
 //!   oracle suite; shrink and persist a `.brfuzz` artifact for every
@@ -14,18 +14,17 @@
 //! * **corpus**: replay every `.brfuzz` under a directory; all must be
 //!   clean (they are fixed regressions).
 //!   `fuzz --corpus corpus`
-//! * **shrinker self-test**: plant a violation via the test-only oracle
-//!   and require the shrinker to minimize it to ≤ 2 episodes.
-//!   `fuzz --self-test-shrink`
 //!
-//! Exit codes: 0 clean · 1 violations / budget exceeded / self-test or
-//! corpus failure · 2 unreadable artifact.
+//! The shrinker's own regression test is
+//! `crates/bladerunner/tests/fuzz.rs`.
+//!
+//! Exit codes: 0 clean · 1 violations / budget exceeded / corpus failure
+//! · 2 unreadable artifact.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bench::{arg_flag, arg_opt, arg_or, emit_summary, parse_seed_range};
-use bladerunner::fault::OracleId;
 use bladerunner::fuzz::{
     decode_artifact, encode_artifact, gen_case, materialize, run_case, shrink, FuzzCase,
     RunOptions, ShrinkResult,
@@ -35,9 +34,7 @@ use burst::json::Json;
 
 fn main() {
     println!("== bladerunner fault-plan fuzzer ==");
-    if arg_flag("--self-test-shrink") {
-        self_test_shrink();
-    } else if let Some(path) = arg_opt("--repro") {
+    if let Some(path) = arg_opt("--repro") {
         repro(Path::new(&path));
     } else if let Some(dir) = arg_opt("--corpus") {
         corpus(Path::new(&dir));
@@ -313,89 +310,4 @@ fn corpus(dir: &Path) {
     if regressed > 0 {
         std::process::exit(1);
     }
-}
-
-// ----------------------------------------------------------------------
-// Shrinker self-test.
-// ----------------------------------------------------------------------
-
-/// Plants a violation via the test-only oracle (fires iff the plan has
-/// both a proxy outage and a reconnect storm), hands the shrinker a fat
-/// generated case guaranteed to contain both, and requires a ≤2-episode
-/// minimum that still fires. Fully deterministic: fixed seed scan, fixed
-/// shrink order.
-fn self_test_shrink() {
-    let devices = arg_or("--devices", 24u32);
-    let opts = RunOptions {
-        rerun: false,
-        planted: true,
-    };
-    // Find the first seed whose generated plan plants the target combo
-    // alongside at least two bystander episodes.
-    let planted = (0..500u64)
-        .map(|seed| gen_case(seed, devices))
-        .find(|case| {
-            let outages = case
-                .plan
-                .episodes
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        bladerunner::fault::FaultKind::ProxyOutage { .. }
-                            | bladerunner::fault::FaultKind::ReconnectStorm { .. }
-                    )
-                })
-                .count();
-            outages >= 2 && case.plan.episodes.len() >= 4 && {
-                !run_case(case, &opts).violations.is_empty()
-            }
-        })
-        .expect("some seed under 500 plants the combo");
-    println!(
-        "planted: seed {} with {} episode(s), {} device(s)",
-        planted.seed,
-        planted.plan.episodes.len(),
-        planted.devices
-    );
-    let result = shrink(&planted, OracleId::Planted, &opts, 200);
-    println!(
-        "minimized: {} episode(s), {} device(s), {} run(s)",
-        result.case.plan.episodes.len(),
-        result.case.devices,
-        result.runs
-    );
-    // Determinism: shrinking again lands on the identical case.
-    let again = shrink(&planted, OracleId::Planted, &opts, 200);
-    let deterministic = again.case == result.case;
-    let minimal = result.case.plan.episodes.len() <= 2;
-    emit_summary(&Json::obj([
-        ("bench", Json::from("fuzz")),
-        ("mode", Json::from("self_test_shrink")),
-        ("planted_seed", Json::from(planted.seed)),
-        (
-            "initial_episodes",
-            Json::from(planted.plan.episodes.len() as u64),
-        ),
-        (
-            "minimized_episodes",
-            Json::from(result.case.plan.episodes.len() as u64),
-        ),
-        ("minimized_devices", Json::from(result.case.devices as u64)),
-        ("shrink_runs", Json::from(result.runs as u64)),
-        ("deterministic", Json::from(deterministic)),
-        ("passed", Json::from(minimal && deterministic)),
-    ]));
-    if !minimal {
-        eprintln!(
-            "shrinker FAILED to minimize: {} episodes remain (expected <= 2)",
-            result.case.plan.episodes.len()
-        );
-        std::process::exit(1);
-    }
-    if !deterministic {
-        eprintln!("shrinker NOT deterministic: two runs minimized differently");
-        std::process::exit(1);
-    }
-    println!("shrinker self-test: OK");
 }

@@ -125,7 +125,9 @@ impl SystemConfig {
         }
     }
 
-    /// A medium system for experiment harnesses.
+    /// A medium system for experiment harnesses: [`SystemConfig::small`]
+    /// with a bigger backend and fleet, lossier links, no device
+    /// heartbeats and a bounded trace ledger.
     pub fn medium() -> Self {
         SystemConfig {
             tao: TaoConfig {
@@ -142,7 +144,6 @@ impl SystemConfig {
             brass_hosts: 16,
             proxies: 4,
             pops: 4,
-            route_strategy: RouteStrategy::ByLoad,
             link_mix: vec![
                 (LinkClass::Fast, 0.35),
                 (LinkClass::Mobile, 0.45),
@@ -150,17 +151,9 @@ impl SystemConfig {
             ],
             last_mile_drop: 0.002,
             reconnect_delay: SimDuration::from_secs(3),
-            heartbeat_interval: SimDuration::from_secs(5),
-            heartbeat_misses: 3,
             device_heartbeats: false,
             trace_retention: Retention::Bounded(4_096),
-            max_streams_per_device: 20,
-            metrics_interval: SimDuration::from_mins(15),
-            metrics_horizon: SimDuration::from_hours(24),
-            brass_service_us: 0,
-            brass_mailbox_capacity: 0,
-            egress_window_bytes: 0,
-            hibernation: true,
+            ..SystemConfig::small()
         }
     }
 }

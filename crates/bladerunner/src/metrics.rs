@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn filtered_fraction() {
         let mut m = metrics();
-        m.deliveries.add(20);
+        (0..20).for_each(|_| m.deliveries.inc());
         assert!((m.filtered_fraction(100) - 0.8).abs() < 1e-9);
         assert_eq!(m.filtered_fraction(0), 0.0);
     }

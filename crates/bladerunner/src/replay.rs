@@ -36,11 +36,6 @@ use simkit::trace::HopRecord;
 use crate::config::SystemConfig;
 use crate::sim::SystemSim;
 
-/// Writes a sealed snapshot to disk.
-pub fn save_snapshot(path: &Path, sealed: &[u8]) -> io::Result<()> {
-    std::fs::write(path, sealed)
-}
-
 /// Reads a sealed snapshot from disk. Validation (magic, version,
 /// checksum, and every structural invariant) happens in
 /// [`SystemSim::resume`]; this is just the IO.
@@ -401,8 +396,8 @@ mod tests {
         assert!(report.diverged, "{}", report.render());
         let tick = report.first_diverging_tick.expect("diverging tick");
         assert!(
-            tick >= SimTime::from_secs(14) && tick <= SimTime::from_secs(16),
-            "diverging tick {tick:?} should bracket the extra event"
+            tick >= extra_at && tick <= SimTime::from_secs(16),
+            "diverging tick {tick:?} should bracket the extra event, not precede it"
         );
         // The runs agree for 14+ ticks with snapshots every 4, so the replay
         // must start from a common snapshot, not from scratch.
@@ -446,7 +441,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bladerunner-replay-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.brsnap");
-        save_snapshot(&path, &sealed).unwrap();
+        std::fs::write(&path, &sealed).unwrap();
         let resumed = resume_from_file(config, &path).unwrap();
         assert_eq!(resumed.now(), sim.now());
         assert_eq!(resumed.fingerprint_now(), sim.fingerprint_now());

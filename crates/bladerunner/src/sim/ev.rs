@@ -12,6 +12,8 @@ use simkit::time::SimTime;
 use simkit::{snap_enum, snap_struct};
 use was::UpdateEvent;
 
+use crate::config::SystemConfig;
+
 /// Per-subsystem event-loop accounting: how many events the simulator
 /// popped and handled, grouped by the layer the event models. This is the
 /// denominator of the `scale` bench's events/sec figure and shows where
@@ -334,6 +336,79 @@ pub(super) enum Ev {
     /// A proxy learns (from a POP) that a device disconnected and tears
     /// its streams down.
     ProxyDeviceGone { proxy: usize, device: u64 },
+}
+
+impl Ev {
+    /// Checks every host, proxy, POP and Pylon-node index the event carries
+    /// against the config: a restored queue must not hold an event that
+    /// would index past a component vector when it runs.
+    pub(super) fn check_indices(&self, config: &SystemConfig) -> Result<(), String> {
+        let within = |what: &str, index: usize, len: u32| {
+            if index < len as usize {
+                Ok(())
+            } else {
+                Err(format!(
+                    "queued event names {what} {index}, config has {len}"
+                ))
+            }
+        };
+        let host = |h: usize| within("host", h, config.brass_hosts);
+        let proxy = |p: usize| within("proxy", p, config.proxies);
+        let pop = |p: usize| within("POP", p, config.pops);
+        match *self {
+            Ev::PylonDeliverHost { host: h, .. }
+            | Ev::PylonSubscribeExec { host: h, .. }
+            | Ev::PylonUnsubscribeExec { host: h, .. }
+            | Ev::WasExec { host: h, .. }
+            | Ev::WasReply { host: h, .. }
+            | Ev::BrassTimer { host: h, .. }
+            | Ev::AtBrass { host: h, .. }
+            | Ev::BrassUpgrade { host: h }
+            | Ev::BrassHostBack { host: h }
+            | Ev::BrassCrash { host: h }
+            | Ev::BrassRecover { host: h }
+            | Ev::PylonHostFailed { host: h } => host(h),
+            Ev::BrassRedirect {
+                host: h, to_host, ..
+            } => host(h).and(host(to_host)),
+            Ev::AtProxy { proxy: p, .. }
+            | Ev::ProxyOutage { proxy: p }
+            | Ev::ProxyBack { proxy: p }
+            | Ev::ProxyDeviceGone { proxy: p, .. } => proxy(p),
+            Ev::DownAtProxy {
+                proxy: p, host: h, ..
+            }
+            | Ev::HbPingAtHost {
+                proxy: p, host: h, ..
+            }
+            | Ev::PongFromHost {
+                proxy: p, host: h, ..
+            }
+            | Ev::ProxyHostFailed { proxy: p, host: h }
+            | Ev::ProxyAddHost { proxy: p, host: h }
+            | Ev::ProxyHostRestarted { proxy: p, host: h } => proxy(p).and(host(h)),
+            Ev::PopProxyFailed { pop: q, proxy: p } | Ev::PopAddProxy { pop: q, proxy: p } => {
+                pop(q).and(proxy(p))
+            }
+            Ev::PylonNode { node, .. } => {
+                let node = usize::try_from(node).unwrap_or(usize::MAX);
+                within("Pylon node", node, config.pylon.kv_nodes)
+            }
+            Ev::DeviceSubscribe { .. }
+            | Ev::DeviceCancel { .. }
+            | Ev::WasMutationExec { .. }
+            | Ev::PylonPublish { .. }
+            | Ev::TaoReplicate { .. }
+            | Ev::AtPop { .. }
+            | Ev::DownAtPop { .. }
+            | Ev::AtDevice { .. }
+            | Ev::DeviceDrop { .. }
+            | Ev::DeviceReconnect { .. }
+            | Ev::DeviceVanish { .. }
+            | Ev::HeartbeatTick
+            | Ev::WasBackfillExec { .. } => Ok(()),
+        }
+    }
 }
 
 /// An application name as events carry it: the `&'static str` every host

@@ -171,6 +171,13 @@ impl SystemSim {
         s.ledger = Snap::restore(r)?;
         s.fingerprints = snap::restore_sorted(r, |a: &(SimTime, u64), b| a.0 < b.0)?;
         s.queue = Snap::restore(r)?;
+        if let Some(err) = s
+            .queue
+            .stored()
+            .find_map(|ev| ev.check_indices(&s.config).err())
+        {
+            return Err(SnapError::Invalid(err));
+        }
         s.was = Snap::restore(r)?;
         s.pylon = Snap::restore(r)?;
         restore_slots(r, &mut s.hosts, "host", |h| h.host_id().0)?;

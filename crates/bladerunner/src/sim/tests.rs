@@ -563,3 +563,39 @@ fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
         assert_eq!(s.proxies.iter().map(|p| p.stream_count()).sum::<usize>(), 1);
     }
 }
+
+/// A snapshot whose queue holds an event naming a host the config does
+/// not have is rejected at resume, not loaded to panic on an index when
+/// the event runs.
+#[test]
+fn resume_rejects_a_queued_event_naming_a_missing_host() {
+    let timer = |host| Ev::BrassTimer {
+        host,
+        app: App("lvc"),
+        token: 0x5EED_7153,
+    };
+    let encode = |ev: &Ev| {
+        let mut w = SnapWriter::new();
+        ev.snap(&mut w);
+        w.into_bytes()
+    };
+    let mut s = sim();
+    s.queue.schedule(SimTime::from_secs(1), timer(0));
+    let body = simkit::snap::unseal(&s.snapshot())
+        .expect("pristine")
+        .to_vec();
+    let (good, bad) = (encode(&timer(0)), encode(&timer(s.hosts.len())));
+    assert_eq!(good.len(), bad.len());
+    let at = body
+        .windows(good.len())
+        .position(|w| w == good)
+        .expect("the timer is in the queue section");
+    let mut resealed = body.clone();
+    resealed[at..at + good.len()].copy_from_slice(&bad);
+    let config = SystemConfig::small();
+    SystemSim::resume(config.clone(), &simkit::snap::seal(body)).expect("pristine world resumes");
+    let Err(err) = SystemSim::resume(config, &simkit::snap::seal(resealed)) else {
+        panic!("a queued timer for host {} was accepted", s.hosts.len());
+    };
+    assert!(format!("{err}").contains("host 4, config has 4"), "{err}");
+}

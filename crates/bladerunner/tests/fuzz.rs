@@ -112,11 +112,42 @@ fn artifact_corruption_fails_closed() {
     }
 }
 
-/// Shrinker self-test at integration scale: a hand-built case plants the
-/// test-only oracle's trigger (a proxy outage plus a reconnect storm)
-/// among bystander episodes. The shrinker must reduce it to the
-/// two-episode minimum, and shrinking twice must land on the identical
-/// case — the determinism the checked-in corpus relies on.
+/// Shrinks a case that fires the test-only oracle, twice: the minimum
+/// must be the two-episode trigger (a proxy outage plus a reconnect
+/// storm), and the second shrink must land on the identical case — the
+/// determinism the checked-in corpus relies on.
+fn assert_shrinks_to_planted_minimum(case: &FuzzCase, max_runs: u32) {
+    let opts = RunOptions {
+        rerun: false,
+        planted: true,
+    };
+    let result = shrink(case, OracleId::Planted, &opts, max_runs);
+    assert!(
+        result.case.plan.episodes.len() <= 2,
+        "seed {}: shrinker left {} episodes",
+        case.seed,
+        result.case.plan.episodes.len()
+    );
+    let kinds: Vec<&str> = result
+        .case
+        .plan
+        .episodes
+        .iter()
+        .map(|e| e.kind.label())
+        .collect();
+    assert!(
+        kinds.contains(&"proxy_outage") && kinds.contains(&"reconnect_storm"),
+        "seed {}: minimum lost the planted combo: {kinds:?}",
+        case.seed
+    );
+    let again = shrink(case, OracleId::Planted, &opts, max_runs);
+    assert_eq!(again.case, result.case, "shrinking is not deterministic");
+}
+
+/// Shrinker self-test at integration scale, on two inputs: a hand-built
+/// case that plants the trigger among bystander episodes, and the first
+/// generated case that holds the trigger among at least two bystanders —
+/// what a campaign would hand the shrinker.
 #[test]
 fn shrinker_reaches_the_planted_minimum_deterministically() {
     let mut case = gen_case(3, 6);
@@ -156,27 +187,13 @@ fn shrinker_reaches_the_planted_minimum_deterministically() {
             },
         ],
     };
-    let opts = RunOptions {
-        rerun: false,
-        planted: true,
-    };
-    let result = shrink(&case, OracleId::Planted, &opts, 60);
-    assert!(
-        result.case.plan.episodes.len() <= 2,
-        "shrinker left {} episodes",
-        result.case.plan.episodes.len()
-    );
-    let kinds: Vec<&str> = result
-        .case
-        .plan
-        .episodes
-        .iter()
-        .map(|e| e.kind.label())
-        .collect();
-    assert!(
-        kinds.contains(&"proxy_outage") && kinds.contains(&"reconnect_storm"),
-        "minimum lost the planted combo: {kinds:?}"
-    );
-    let again = shrink(&case, OracleId::Planted, &opts, 60);
-    assert_eq!(again.case, result.case, "shrinking is not deterministic");
+    assert_shrinks_to_planted_minimum(&case, 60);
+
+    let has =
+        |case: &FuzzCase, label: &str| case.plan.episodes.iter().any(|e| e.kind.label() == label);
+    let generated = (0..500u64)
+        .map(|seed| gen_case(seed, 24))
+        .find(|c| has(c, "proxy_outage") && has(c, "reconnect_storm") && c.plan.episodes.len() >= 4)
+        .expect("some seed under 500 plants the trigger among two bystanders");
+    assert_shrinks_to_planted_minimum(&generated, 200);
 }

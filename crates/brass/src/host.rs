@@ -362,13 +362,7 @@ impl BrassHost {
                     // expectations permanently ahead of the new one, and
                     // every later update is swallowed as a duplicate.
                     batch.push(meta.server.rewrite_progress());
-                    out.push(HostEffect::Send {
-                        device: stream.device,
-                        frame: Box::new(Frame::Response {
-                            sid: stream.sid,
-                            batch,
-                        }),
-                    });
+                    out.push(Self::respond(stream.device, stream.sid, batch));
                 }
                 Effect::SendDeltas { stream, deltas } => {
                     let Some(meta) = self.streams.get_mut(&stream) else {
@@ -385,13 +379,7 @@ impl BrassHost {
                             _ => {}
                         }
                     }
-                    out.push(HostEffect::Send {
-                        device: stream.device,
-                        frame: Box::new(Frame::Response {
-                            sid: stream.sid,
-                            batch: deltas,
-                        }),
-                    });
+                    out.push(Self::respond(stream.device, stream.sid, deltas));
                     if terminated {
                         self.streams.remove(&stream);
                     }
@@ -406,28 +394,24 @@ impl BrassHost {
                     };
                     let batch = meta.server.replay_unacked();
                     if !batch.is_empty() {
-                        out.push(HostEffect::Send {
-                            device: stream.device,
-                            frame: Box::new(Frame::Response {
-                                sid: stream.sid,
-                                batch,
-                            }),
-                        });
+                        out.push(Self::respond(stream.device, stream.sid, batch));
                     }
                 }
             }
         }
     }
 
-    /// The response that ends a stream from this side.
-    fn terminate(device: DeviceId, sid: StreamId, reason: TerminateReason) -> HostEffect {
+    /// The effect that sends one response batch down a stream.
+    fn respond(device: DeviceId, sid: StreamId, batch: Vec<Delta>) -> HostEffect {
         HostEffect::Send {
             device,
-            frame: Box::new(Frame::Response {
-                sid,
-                batch: vec![Delta::Terminate(reason)],
-            }),
+            frame: Box::new(Frame::Response { sid, batch }),
         }
+    }
+
+    /// The response that ends a stream from this side.
+    fn terminate(device: DeviceId, sid: StreamId, reason: TerminateReason) -> HostEffect {
+        Self::respond(device, sid, vec![Delta::Terminate(reason)])
     }
 
     /// Handles an incoming BURST subscribe; the effects as a vector (see
@@ -482,13 +466,7 @@ impl BrassHost {
         let patch = Json::obj([("brass_host", Json::from(self.config.host_id.0 as u64))]);
         let rewrite = server.rewrite(patch);
         self.streams.insert(stream, StreamMeta { app, server });
-        out.push(HostEffect::Send {
-            device,
-            frame: Box::new(Frame::Response {
-                sid,
-                batch: vec![rewrite],
-            }),
-        });
+        out.push(Self::respond(device, sid, vec![rewrite]));
         self.run_handler(app, now, out, |a, ctx| a.on_subscribe(ctx, stream, &header));
     }
 
@@ -601,30 +579,6 @@ impl BrassHost {
         }
     }
 
-    /// Handles loss of connectivity to a device: every stream it owned is
-    /// closed (§4: the POP "will inform all BRASSes servicing streams
-    /// instantiated by the device").
-    pub fn on_device_disconnected(&mut self, device: DeviceId, now: SimTime) -> Vec<HostEffect> {
-        let mut affected: Vec<StreamKey> = self
-            .streams
-            .keys()
-            .filter(|k| k.device == device)
-            .copied()
-            .collect();
-        // Hash-map key order must not decide teardown order: close-handler
-        // effects (unsubscribes, buffer flushes) feed scheduled events.
-        affected.sort_unstable_by_key(|k| (k.device.0, k.sid.0));
-        let mut out = Vec::new();
-        for stream in affected {
-            if let Some(meta) = self.streams.remove(&stream) {
-                self.run_handler(meta.app, now, &mut out, |a, ctx| {
-                    a.on_stream_closed(ctx, stream)
-                });
-            }
-        }
-        out
-    }
-
     /// Redirects one stream to another BRASS host (§3.5 "Redirects": load
     /// balancing, consolidation, or host drain). The header is rewritten
     /// with the new routing target, then the stream is terminated with
@@ -644,38 +598,10 @@ impl BrassHost {
         };
         let patch = Json::obj([("brass_host", Json::from(to_host as u64))]);
         let rewrite = meta.server.rewrite(patch);
-        out.push(HostEffect::Send {
-            device,
-            frame: Box::new(Frame::Response {
-                sid,
-                batch: vec![rewrite, Delta::Terminate(TerminateReason::Redirect)],
-            }),
-        });
+        let batch = vec![rewrite, Delta::Terminate(TerminateReason::Redirect)];
+        out.push(Self::respond(device, sid, batch));
         // The application releases its per-stream state (and topic refs).
         self.run_handler(meta.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
-    }
-
-    /// Drains this host for shutdown (software upgrade / rebalancing):
-    /// every stream receives a redirect-terminate so proxies re-route it.
-    pub fn drain_for_shutdown(&mut self, now: SimTime) -> Vec<HostEffect> {
-        let mut streams: Vec<StreamKey> = self.streams.keys().copied().collect();
-        // Chaos-time stream repair replays these terminates: the order
-        // must be a function of the streams, not of hash-map iteration.
-        streams.sort_unstable_by_key(|k| (k.device.0, k.sid.0));
-        let mut out = Vec::new();
-        for stream in streams {
-            if let Some(meta) = self.streams.remove(&stream) {
-                out.push(Self::terminate(
-                    stream.device,
-                    stream.sid,
-                    TerminateReason::ServerShutdown,
-                ));
-                self.run_handler(meta.app, now, &mut out, |a, ctx| {
-                    a.on_stream_closed(ctx, stream)
-                });
-            }
-        }
-        out
     }
 }
 
@@ -1023,83 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn device_disconnect_closes_all_its_streams() {
-        let mut h = host();
-        h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
-        h.on_subscribe(DeviceId(1), StreamId(2), lvc_header(43, 9), SimTime::ZERO);
-        h.on_subscribe(DeviceId(2), StreamId(1), lvc_header(42, 8), SimTime::ZERO);
-        let fx = h.on_device_disconnected(DeviceId(1), SimTime::ZERO);
-        assert_eq!(h.stream_count(), 1);
-        // Video 43 lost its only watcher → unsubscribed; 42 still watched.
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, HostEffect::PylonUnsubscribe(t) if t.as_str() == "/LVC/43")));
-        assert!(!fx
-            .iter()
-            .any(|e| matches!(e, HostEffect::PylonUnsubscribe(t) if t.as_str() == "/LVC/42")));
-    }
-
-    /// Regression for the `streams.keys()` hash-order family of bugs: a
-    /// host crammed with many streams (both the shutdown drain and a
-    /// device disconnect touch multiple keys) must emit its teardown
-    /// effects in `(device, sid)` order, independent of insertion order.
-    #[test]
-    fn teardown_order_is_sorted_not_hash_order() {
-        let drain_order = |subscribe_order: &[(u64, u64)]| -> Vec<(u64, StreamId)> {
-            let mut h = host();
-            for &(device, sid) in subscribe_order {
-                h.on_subscribe(
-                    DeviceId(device),
-                    StreamId(sid),
-                    lvc_header(40 + device % 3, device),
-                    SimTime::ZERO,
-                );
-            }
-            h.drain_for_shutdown(SimTime::ZERO)
-                .iter()
-                .filter(|e| terminates(e, TerminateReason::ServerShutdown))
-                .filter_map(sent)
-                .map(|(device, sid, _)| (device.0, sid))
-                .collect()
-        };
-        // Enough streams that std-HashMap iteration order would scramble.
-        let forward: Vec<(u64, u64)> = (1..=64).map(|d| (d, 1 + d % 4)).collect();
-        let mut reversed = forward.clone();
-        reversed.reverse();
-        let a = drain_order(&forward);
-        let b = drain_order(&reversed);
-        assert_eq!(a, b, "drain order must not depend on insertion order");
-        let mut sorted = a.clone();
-        sorted.sort_unstable_by_key(|&(d, s)| (d, s.0));
-        assert_eq!(a, sorted, "drain order is (device, sid)-sorted");
-        assert_eq!(a.len(), 64);
-
-        // Same property for a multi-stream device disconnect.
-        let mut h = host();
-        for sid in [9u64, 3, 7, 1, 5, 2, 8, 4, 6, 10] {
-            h.on_subscribe(DeviceId(1), StreamId(sid), lvc_header(42, 1), SimTime::ZERO);
-        }
-        let before = h.stream_count();
-        assert_eq!(before, 10);
-        h.on_device_disconnected(DeviceId(1), SimTime::ZERO);
-        assert_eq!(h.stream_count(), 0);
-    }
-
-    #[test]
-    fn drain_for_shutdown_terminates_everything() {
-        let mut h = host();
-        h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
-        h.on_subscribe(DeviceId(2), StreamId(1), lvc_header(42, 8), SimTime::ZERO);
-        let fx = h.drain_for_shutdown(SimTime::ZERO);
-        let terminated = fx
-            .iter()
-            .filter(|e| terminates(e, TerminateReason::ServerShutdown))
-            .count();
-        assert_eq!(terminated, 2);
-        assert_eq!(h.stream_count(), 0);
-    }
-
-    #[test]
     fn redirect_rewrites_then_terminates() {
         let mut h = host();
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
@@ -1242,8 +1091,8 @@ mod tests {
                 collect(|out| b.on_cancel_into(DeviceId(2), StreamId(1), now, out)),
             ),
             (
-                a.on_device_disconnected(DeviceId(3), now),
-                b.on_device_disconnected(DeviceId(3), now),
+                collect(|out| a.on_cancel_into(DeviceId(3), StreamId(1), now, out)),
+                collect(|out| b.on_cancel_into(DeviceId(3), StreamId(1), now, out)),
             ),
         ] {
             assert_eq!(format!("{fa:?}"), format!("{fb:?}"));

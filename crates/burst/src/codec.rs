@@ -108,7 +108,6 @@ mod tag {
     pub const CANCEL: u8 = 0x02;
     pub const ACK: u8 = 0x03;
     pub const RESPONSE: u8 = 0x04;
-    pub const CREDIT: u8 = 0x05;
     pub const PING: u8 = 0x06;
     pub const PONG: u8 = 0x07;
 
@@ -239,11 +238,6 @@ pub fn encode_frame(frame: &Frame, out: &mut BytesMut) {
                 encode_delta(delta, &mut body);
             }
         }
-        Frame::Credit { sid, bytes } => {
-            body.put_u8(tag::CREDIT);
-            put_varint(&mut body, sid.0);
-            put_varint(&mut body, *bytes);
-        }
         Frame::Ping { token } => {
             body.put_u8(tag::PING);
             put_varint(&mut body, *token);
@@ -291,10 +285,6 @@ fn decode_body(mut body: Bytes) -> Result<Frame, DecodeError> {
             }
             Frame::Response { sid, batch }
         }
-        tag::CREDIT => Frame::Credit {
-            sid: StreamId(get_varint(&mut body)?),
-            bytes: get_varint(&mut body)?,
-        },
         tag::PING => Frame::Ping {
             token: get_varint(&mut body)?,
         },
@@ -421,10 +411,6 @@ mod tests {
                 },
                 Delta::Terminate(TerminateReason::Redirect),
             ],
-        });
-        roundtrip(Frame::Credit {
-            sid: StreamId(1),
-            bytes: 65_536,
         });
         roundtrip(Frame::Ping { token: 0 });
         roundtrip(Frame::Pong { token: u64::MAX });

@@ -8,8 +8,8 @@
 //! [`HeartbeatMonitor`] drives [`Frame::Ping`]/[`Frame::Pong`] exchange on
 //! a connection: the local side pings on an interval, and declares the peer
 //! dead after a configurable number of unanswered pings — far faster than a
-//! TCP timeout. Both ends run one; the responder side answers pings
-//! reflexively via [`HeartbeatMonitor::on_ping`].
+//! TCP timeout. The monitoring side runs one; the responder answers each
+//! ping with a pong carrying its token (`edge::Device` does so itself).
 
 use simkit::snap::ensure;
 use simkit::{snap_enum, snap_struct};
@@ -65,11 +65,6 @@ impl HeartbeatMonitor {
         self.health
     }
 
-    /// When the next ping is due (microseconds).
-    pub fn next_ping_at(&self) -> u64 {
-        self.next_ping_at
-    }
-
     /// Advances the clock; returns a ping frame to send if one is due.
     ///
     /// Each due interval with an already-outstanding ping counts as a miss;
@@ -95,11 +90,6 @@ impl HeartbeatMonitor {
         Some(Frame::Ping { token })
     }
 
-    /// Handles an incoming ping: reflexively answer with a pong.
-    pub fn on_ping(&self, token: u64) -> Frame {
-        Frame::Pong { token }
-    }
-
     /// Handles an incoming pong; any response proves liveness.
     pub fn on_pong(&mut self, _token: u64) {
         self.outstanding = 0;
@@ -111,13 +101,6 @@ impl HeartbeatMonitor {
     /// Any other traffic from the peer also proves liveness.
     pub fn on_activity(&mut self) {
         self.on_pong(0);
-    }
-
-    /// Resets the monitor for a reconnected peer.
-    pub fn reset(&mut self, now_us: u64) {
-        self.outstanding = 0;
-        self.health = PeerHealth::Alive;
-        self.next_ping_at = now_us + self.interval_us;
     }
 }
 
@@ -204,25 +187,6 @@ mod tests {
         m.on_tick(2_000);
         m.on_activity();
         assert_eq!(m.health(), PeerHealth::Alive);
-    }
-
-    #[test]
-    fn ping_is_answered_with_matching_pong() {
-        let m = monitor();
-        assert_eq!(m.on_ping(77), Frame::Pong { token: 77 });
-    }
-
-    #[test]
-    fn reset_revives_after_reconnect() {
-        let mut m = monitor();
-        for t in 1..5u64 {
-            m.on_tick(t * 1_000);
-        }
-        assert_eq!(m.health(), PeerHealth::Failed);
-        m.reset(10_000);
-        assert_eq!(m.health(), PeerHealth::Alive);
-        assert!(m.on_tick(10_500).is_none());
-        assert!(m.on_tick(11_000).is_some());
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!   with an incremental decoder.
 //! * [`stream`] — per-stream state machines for the client, proxy, and
 //!   server roles, including in-order delivery and gap detection.
-//! * [`mux`] — multiplexing many streams over one connection with
-//!   **byte-based** credit flow control (the paper's critique of RSocket is
-//!   that message-count flow control breaks down with diverse sizes).
-//! * [`flow`] — egress windows with Degraded/Recovered hysteresis: the
+//! * [`flow`] — per-device **byte**-based egress windows (the paper's
+//!   critique of RSocket is that message-count flow control breaks down
+//!   with diverse sizes) with Degraded/Recovered hysteresis: the
 //!   shed-and-signal side of overload, feeding `flow_status` deltas.
 //!
 //! # Examples
@@ -40,7 +39,8 @@
 //! let mut stream = ClientStream::new(StreamId(1), header, Vec::new());
 //! let _sub = stream.subscribe_request();
 //! // ... the subscribe travels to a BRASS, which starts responding:
-//! let actions = stream.on_batch(&[Delta::update(0, b"payload".to_vec())]);
+//! let mut actions = Vec::new();
+//! stream.on_batch_with(&[Delta::update(0, b"payload".to_vec())], |a| actions.push(a));
 //! assert!(matches!(actions[0], ClientAction::Deliver(_)));
 //! ```
 
@@ -49,7 +49,6 @@ pub mod flow;
 pub mod frame;
 pub mod heartbeat;
 pub mod json;
-pub mod mux;
 pub mod stream;
 
 pub use flow::{Admit, FlowWindow};

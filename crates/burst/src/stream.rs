@@ -186,14 +186,6 @@ impl ClientStream {
         }
     }
 
-    /// Processes one atomically-applied response batch; the actions as a
-    /// vector (see [`ClientStream::on_batch_with`]).
-    pub fn on_batch(&mut self, batch: &[Delta]) -> Vec<ClientAction> {
-        let mut actions = Vec::new();
-        self.on_batch_with(batch, |action| actions.push(action));
-        actions
-    }
-
     /// Processes one atomically-applied response batch, handing each
     /// resulting action to `act` in order.
     pub fn on_batch_with(&mut self, batch: &[Delta], mut act: impl FnMut(ClientAction)) {
@@ -706,6 +698,12 @@ mod tests {
     use super::*;
     use simkit::snap::{Snap, SnapReader, SnapWriter};
 
+    fn apply_batch(c: &mut ClientStream, batch: &[Delta]) -> Vec<ClientAction> {
+        let mut actions = Vec::new();
+        c.on_batch_with(batch, |action| actions.push(action));
+        actions
+    }
+
     fn header() -> Json {
         Json::obj([("topic", Json::from("/LVC/1"))])
     }
@@ -776,10 +774,13 @@ mod tests {
     fn client_in_order_delivery() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
         assert_eq!(c.state(), StreamState::Subscribing);
-        let a = c.on_batch(&[
-            Delta::update(0, b"a".to_vec()),
-            Delta::update(1, b"b".to_vec()),
-        ]);
+        let a = apply_batch(
+            &mut c,
+            &[
+                Delta::update(0, b"a".to_vec()),
+                Delta::update(1, b"b".to_vec()),
+            ],
+        );
         assert_eq!(c.state(), StreamState::Active);
         assert_eq!(
             a,
@@ -794,8 +795,8 @@ mod tests {
     #[test]
     fn client_detects_gap_and_drops_duplicates() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        c.on_batch(&[Delta::update(0, vec![])]);
-        let a = c.on_batch(&[Delta::update(3, b"x".to_vec())]);
+        apply_batch(&mut c, &[Delta::update(0, vec![])]);
+        let a = apply_batch(&mut c, &[Delta::update(3, b"x".to_vec())]);
         assert_eq!(
             a[0],
             ClientAction::GapDetected {
@@ -806,7 +807,7 @@ mod tests {
         assert_eq!(a[1], ClientAction::Deliver(b"x".to_vec().into()));
         assert_eq!(c.gaps(), 1);
         // A replay of an old seq is silently dropped.
-        let a = c.on_batch(&[Delta::update(2, b"old".to_vec())]);
+        let a = apply_batch(&mut c, &[Delta::update(2, b"old".to_vec())]);
         assert!(a.is_empty());
         assert_eq!(c.delivered(), 2);
     }
@@ -814,10 +815,10 @@ mod tests {
     #[test]
     fn client_flow_status_transitions() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        let a = c.on_batch(&[Delta::FlowStatus(FlowStatus::Degraded)]);
+        let a = apply_batch(&mut c, &[Delta::FlowStatus(FlowStatus::Degraded)]);
         assert_eq!(a, vec![ClientAction::NotifyDegraded]);
         assert_eq!(c.state(), StreamState::Degraded);
-        let a = c.on_batch(&[Delta::FlowStatus(FlowStatus::Recovered)]);
+        let a = apply_batch(&mut c, &[Delta::FlowStatus(FlowStatus::Recovered)]);
         assert_eq!(a, vec![ClientAction::NotifyRecovered]);
         assert_eq!(c.state(), StreamState::Active);
     }
@@ -825,11 +826,14 @@ mod tests {
     #[test]
     fn recovery_resyncs_sequence_expectations() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        c.on_batch(&[Delta::update(0, vec![]), Delta::update(1, vec![])]);
+        apply_batch(
+            &mut c,
+            &[Delta::update(0, vec![]), Delta::update(1, vec![])],
+        );
         // A proxy repaired the stream onto a fresh BRASS incarnation.
-        c.on_batch(&[Delta::FlowStatus(FlowStatus::Degraded)]);
-        c.on_batch(&[Delta::FlowStatus(FlowStatus::Recovered)]);
-        let a = c.on_batch(&[Delta::update(0, b"new-incarnation".to_vec())]);
+        apply_batch(&mut c, &[Delta::FlowStatus(FlowStatus::Degraded)]);
+        apply_batch(&mut c, &[Delta::FlowStatus(FlowStatus::Recovered)]);
+        let a = apply_batch(&mut c, &[Delta::update(0, b"new-incarnation".to_vec())]);
         assert_eq!(
             a,
             vec![ClientAction::Deliver(b"new-incarnation".to_vec().into())]
@@ -839,12 +843,15 @@ mod tests {
     #[test]
     fn client_rewrite_updates_resubscribe() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![1, 2]);
-        c.on_batch(&[Delta::RewriteRequest {
-            patch: Json::obj([
-                ("brass", Json::from("b-9")),
-                ("last_seq", Json::from(41u64)),
-            ]),
-        }]);
+        apply_batch(
+            &mut c,
+            &[Delta::RewriteRequest {
+                patch: Json::obj([
+                    ("brass", Json::from("b-9")),
+                    ("last_seq", Json::from(41u64)),
+                ]),
+            }],
+        );
         assert_eq!(c.header().get("brass").unwrap().as_str(), Some("b-9"));
         let f = c.resubscribe_request();
         match f {
@@ -864,32 +871,41 @@ mod tests {
     #[test]
     fn client_terminate_stops_processing() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        let a = c.on_batch(&[
-            Delta::Terminate(TerminateReason::Redirect),
-            Delta::update(0, b"never".to_vec()),
-        ]);
+        let a = apply_batch(
+            &mut c,
+            &[
+                Delta::Terminate(TerminateReason::Redirect),
+                Delta::update(0, b"never".to_vec()),
+            ],
+        );
         assert_eq!(a, vec![ClientAction::Terminated(TerminateReason::Redirect)]);
         assert_eq!(
             c.state(),
             StreamState::Terminated(TerminateReason::Redirect)
         );
-        assert!(c.on_batch(&[Delta::update(0, vec![])]).is_empty());
+        assert!(apply_batch(&mut c, &[Delta::update(0, vec![])]).is_empty());
     }
 
     #[test]
     fn resubscribe_resets_sequence_expectations() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        c.on_batch(&[Delta::update(0, vec![]), Delta::update(1, vec![])]);
+        apply_batch(
+            &mut c,
+            &[Delta::update(0, vec![]), Delta::update(1, vec![])],
+        );
         // Without resumption state, a fresh incarnation restarts at 0.
         c.resubscribe_request();
-        let a = c.on_batch(&[Delta::update(0, b"fresh".to_vec())]);
+        let a = apply_batch(&mut c, &[Delta::update(0, b"fresh".to_vec())]);
         assert_eq!(a, vec![ClientAction::Deliver(b"fresh".to_vec().into())]);
         // With a last_seq rewrite, numbering resumes after it.
-        c.on_batch(&[Delta::RewriteRequest {
-            patch: Json::obj([("last_seq", Json::from(9u64))]),
-        }]);
+        apply_batch(
+            &mut c,
+            &[Delta::RewriteRequest {
+                patch: Json::obj([("last_seq", Json::from(9u64))]),
+            }],
+        );
         c.resubscribe_request();
-        let a = c.on_batch(&[Delta::update(10, b"resumed".to_vec())]);
+        let a = apply_batch(&mut c, &[Delta::update(10, b"resumed".to_vec())]);
         assert_eq!(a, vec![ClientAction::Deliver(b"resumed".to_vec().into())]);
         assert_eq!(c.gaps(), 0, "no false gap after resumption");
     }
@@ -897,7 +913,7 @@ mod tests {
     #[test]
     fn client_connection_lost_marks_degraded() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        c.on_batch(&[Delta::update(0, vec![])]);
+        apply_batch(&mut c, &[Delta::update(0, vec![])]);
         c.on_connection_lost();
         assert_eq!(c.state(), StreamState::Degraded);
     }
@@ -905,7 +921,10 @@ mod tests {
     #[test]
     fn client_ack_reports_progress() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
-        c.on_batch(&[Delta::update(0, vec![]), Delta::update(1, vec![])]);
+        apply_batch(
+            &mut c,
+            &[Delta::update(0, vec![]), Delta::update(1, vec![])],
+        );
         assert_eq!(
             c.ack_request(),
             Frame::Ack {
@@ -1035,16 +1054,25 @@ mod tests {
     #[test]
     fn client_freeze_thaw_roundtrip() {
         let mut c = ClientStream::new(StreamId(7), header(), vec![1, 2, 3]);
-        c.on_batch(&[Delta::update(0, b"a".to_vec()), Delta::update(2, vec![])]);
-        c.on_batch(&[Delta::RewriteRequest {
-            patch: Json::obj([("last_seq", Json::from(2u64))]),
-        }]);
+        apply_batch(
+            &mut c,
+            &[Delta::update(0, b"a".to_vec()), Delta::update(2, vec![])],
+        );
+        apply_batch(
+            &mut c,
+            &[Delta::RewriteRequest {
+                patch: Json::obj([("last_seq", Json::from(2u64))]),
+            }],
+        );
         c.resubscribe_request();
         let mut buf = Vec::new();
         c.freeze_into(&mut buf);
         // A second stream in the same buffer, in every terminal state.
         let mut terminated = ClientStream::new(StreamId(8), header(), vec![]);
-        terminated.on_batch(&[Delta::Terminate(TerminateReason::Denied)]);
+        apply_batch(
+            &mut terminated,
+            &[Delta::Terminate(TerminateReason::Denied)],
+        );
         terminated.freeze_into(&mut buf);
         let mut pos = 0;
         let thawed = ClientStream::thaw(&buf, &mut pos);
@@ -1085,7 +1113,7 @@ mod tests {
             oracle = oracle.merge_oracle(patch);
             let batch = [update, rewrite];
             proxy.on_response(9, sid, &batch, last);
-            client.on_batch(&batch);
+            apply_batch(&mut client, &batch);
 
             let proxy_header = &proxy.get(9, sid).expect("entry").header;
             for header in [&server.header, proxy_header, &client.header] {

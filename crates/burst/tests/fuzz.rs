@@ -1,14 +1,16 @@
 //! Protocol fuzzing: random frame sequences over fragmenting/corrupting
 //! transports, client state machine robustness under arbitrary delta
-//! streams, and multiplexer liveness under random credit schedules.
+//! streams, and egress-window hysteresis under random send/drain schedules.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use burst::codec::{encode_frame, Decoder};
+use burst::flow::{Admit, FlowWindow};
 use burst::frame::{Delta, FlowStatus, Frame, StreamId, TerminateReason};
 use burst::json::Json;
-use burst::mux::{CreditManager, MuxSender};
-use burst::stream::{ClientStream, StreamState};
+use burst::stream::{ClientAction, ClientStream, StreamState};
 use bytes::BytesMut;
 
 fn arb_delta() -> impl Strategy<Value = Delta> {
@@ -52,10 +54,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 batch,
             }
         }),
-        (any::<u64>(), any::<u64>()).prop_map(|(sid, bytes)| Frame::Credit {
-            sid: StreamId(sid),
-            bytes
-        }),
         any::<u64>().prop_map(|token| Frame::Ping { token }),
         any::<u64>().prop_map(|token| Frame::Pong { token }),
     ]
@@ -81,6 +79,12 @@ fn arb_failure_frame() -> impl Strategy<Value = Frame> {
             batch,
         }
     })
+}
+
+fn apply_batch(c: &mut ClientStream, batch: &[Delta]) -> Vec<ClientAction> {
+    let mut actions = Vec::new();
+    c.on_batch_with(batch, |action| actions.push(action));
+    actions
 }
 
 proptest! {
@@ -207,15 +211,15 @@ proptest! {
         let mut delivered = 0u64;
         let mut terminated = false;
         for batch in &batches {
-            let actions = c.on_batch(batch);
+            let actions = apply_batch(&mut c, batch);
             if terminated {
                 prop_assert!(actions.is_empty(), "no actions after termination");
             }
             for a in &actions {
-                if matches!(a, burst::stream::ClientAction::Deliver(_)) {
+                if matches!(a, ClientAction::Deliver(_)) {
                     delivered += 1;
                 }
-                if matches!(a, burst::stream::ClientAction::Terminated(_)) {
+                if matches!(a, ClientAction::Terminated(_)) {
                     terminated = true;
                 }
             }
@@ -226,47 +230,50 @@ proptest! {
         }
     }
 
-    /// The multiplexer is live: with periodic credit grants every queued
-    /// frame is eventually released, none twice.
+    /// The egress window the simulator drives: under any interleaving of
+    /// sends and drains of what was admitted, the bytes in flight are
+    /// admitted minus drained, Degraded and Recovered strictly alternate,
+    /// and draining everything always ends recovered.
     #[test]
-    fn mux_liveness(
-        lens in proptest::collection::vec((1u64..5, 1usize..300), 1..40),
-        grant in 64u64..4_096,
+    fn flow_window_signals_alternate_and_always_recover(
+        capacity in 0u64..2_000,
+        ops in proptest::collection::vec(prop_oneof![(1u64..600).prop_map(Some), Just(None)], 1..80),
     ) {
-        let mut sender = MuxSender::new(grant);
-        let mut receiver = CreditManager::new(grant.max(64));
-        let total = lens.len();
-        for (i, &(sid, len)) in lens.iter().enumerate() {
-            sender.enqueue(Frame::Response {
-                sid: StreamId(sid),
-                batch: vec![Delta::Update { seq: i as u64, payload: vec![0; len].into() }],
-            });
-        }
-        let mut received = 0usize;
-        // Bounded rounds: each frame needs at most a few credit exchanges.
-        for _ in 0..total * 8 + 8 {
-            let frames = sender.poll_sendable();
-            if frames.is_empty() {
-                // Stalled: top up every stream (the receiver application
-                // consumed its buffers).
-                for sid in 1u64..5 {
-                    sender.on_credit(StreamId(sid), grant);
-                }
-                continue;
-            }
-            for f in frames {
-                let sid = f.sid().unwrap();
-                if let Some(Frame::Credit { sid, bytes }) =
-                    receiver.on_received(sid, &f)
-                {
-                    sender.on_credit(sid, bytes);
-                }
-                received += 1;
-            }
-            if received == total {
+        let mut window = FlowWindow::new(capacity);
+        let mut queue = VecDeque::new();
+        let (mut admitted, mut drained) = (0u64, 0u64);
+        let mut signals = Vec::new(); // true = Degraded, false = Recovered
+        // After the scripted ops, keep draining until nothing is in flight.
+        for (i, op) in ops.iter().copied().chain(std::iter::repeat(None)).enumerate() {
+            if i >= ops.len() && queue.is_empty() {
                 break;
             }
+            match op {
+                Some(bytes) => match window.try_send(bytes) {
+                    Admit::Ok => {
+                        admitted += bytes;
+                        queue.push_back(bytes);
+                    }
+                    Admit::ShedDegrade => signals.push(true),
+                    Admit::Shed => prop_assert!(window.is_degraded()),
+                },
+                None => {
+                    if let Some(bytes) = queue.pop_front() {
+                        drained += bytes;
+                        if window.on_drained(bytes) {
+                            signals.push(false);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(window.in_flight(), admitted - drained);
         }
-        prop_assert_eq!(received, total, "all frames eventually flow");
+        prop_assert!(
+            signals.iter().enumerate().all(|(i, &degrade)| degrade == (i % 2 == 0)),
+            "signals do not alternate: {:?}", signals
+        );
+        prop_assert_eq!(signals.len() % 2, 0, "a full drain ends recovered");
+        prop_assert!(!window.is_degraded());
+        prop_assert_eq!(window.in_flight(), 0);
     }
 }

@@ -80,14 +80,7 @@ pub fn alloc_calls() -> usize {
     CALLS.load(Ordering::Relaxed)
 }
 
-/// High-water mark of [`live_bytes`] since process start (or the last
-/// [`reset_peak`]).
+/// High-water mark of [`live_bytes`] since process start.
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
-}
-
-/// Resets the high-water mark to the current live count, so a caller can
-/// measure the peak of one phase in isolation.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }

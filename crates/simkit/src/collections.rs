@@ -158,11 +158,6 @@ impl<K: Ord, V> SortedVecMap<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
-
-    /// Drops excess capacity left over from growth doubling.
-    pub fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
-    }
 }
 
 /// Entries in ascending key order, which is also storage order. Reading

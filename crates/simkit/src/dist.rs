@@ -1,7 +1,7 @@
 //! Probability distributions, implemented from scratch.
 //!
 //! The workload generators (Zipf video popularity, power-law friend counts,
-//! bursty comment arrivals) and the latency models (log-normal hop latencies
+//! Poisson comment arrivals) and the latency models (log-normal hop latencies
 //! calibrated to the paper's Table 3) are all driven by the samplers here.
 //! Everything draws from [`DetRng`] so runs are reproducible.
 
@@ -11,11 +11,6 @@ use crate::rng::DetRng;
 pub trait Distribution {
     /// Draws one sample.
     fn sample(&self, rng: &mut DetRng) -> f64;
-
-    /// Draws `n` samples into a vector.
-    fn sample_n(&self, rng: &mut DetRng, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
@@ -38,11 +33,6 @@ impl Exponential {
             "lambda must be positive"
         );
         Exponential { lambda }
-    }
-
-    /// Creates an exponential distribution with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
     }
 }
 
@@ -88,7 +78,7 @@ impl Poisson {
                 k += 1;
             }
         } else {
-            // Normal approximation with continuity correction for large means.
+            // Gaussian approximation with continuity correction for large means.
             let n = normal(rng) * self.lambda.sqrt() + self.lambda;
             n.max(0.0).round() as u64
         }
@@ -106,31 +96,6 @@ fn normal(rng: &mut DetRng) -> f64 {
     let u1 = rng.f64_open();
     let u2 = rng.f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Normal (Gaussian) distribution.
-#[derive(Clone, Copy, Debug)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or the parameters are not finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0);
-        Normal { mean, std_dev }
-    }
-}
-
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.mean + self.std_dev * normal(rng)
-    }
 }
 
 /// Log-normal distribution parameterised by the mean and standard deviation
@@ -326,134 +291,6 @@ impl Categorical {
     }
 }
 
-/// An empirical distribution defined by linear interpolation between CDF
-/// points `(value, cumulative_probability)`.
-///
-/// This is how we feed the paper's published curves (e.g. the Fig. 6 polling
-/// latency histogram) back into the simulator as input models.
-#[derive(Clone, Debug)]
-pub struct Empirical {
-    points: Vec<(f64, f64)>,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution from CDF points.
-    ///
-    /// Points must be sorted by value, with cumulative probabilities
-    /// non-decreasing in `[0, 1]` and ending at 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two points are supplied or the invariants above
-    /// are violated.
-    pub fn from_cdf(points: &[(f64, f64)]) -> Self {
-        assert!(points.len() >= 2, "need at least two CDF points");
-        for w in points.windows(2) {
-            assert!(w[0].0 <= w[1].0, "values must be sorted");
-            assert!(w[0].1 <= w[1].1, "CDF must be non-decreasing");
-        }
-        let last = points.last().expect("non-empty");
-        assert!(
-            (last.1 - 1.0).abs() < 1e-9,
-            "CDF must end at 1.0, got {}",
-            last.1
-        );
-        Empirical {
-            points: points.to_vec(),
-        }
-    }
-
-    /// Evaluates the inverse CDF (quantile function) at `u` in `[0, 1]`.
-    pub fn quantile(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0);
-        let first = self.points[0];
-        if u <= first.1 {
-            return first.0;
-        }
-        for w in self.points.windows(2) {
-            let (v0, p0) = w[0];
-            let (v1, p1) = w[1];
-            if u <= p1 {
-                if p1 - p0 < 1e-12 {
-                    return v1;
-                }
-                let f = (u - p0) / (p1 - p0);
-                return v0 + f * (v1 - v0);
-            }
-        }
-        self.points.last().expect("non-empty").0
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.quantile(rng.f64())
-    }
-}
-
-/// A Markov-modulated Poisson process with two states (quiet and burst).
-///
-/// §2 of the paper: "some video streams have very few comments for prolonged
-/// periods of time, but then incur a burst of many comments". This process
-/// alternates between a quiet rate and a burst rate with exponentially
-/// distributed dwell times, producing exactly that pattern.
-#[derive(Clone, Copy, Debug)]
-pub struct Mmpp2 {
-    /// Event rate in the quiet state (events per second).
-    pub quiet_rate: f64,
-    /// Event rate in the burst state (events per second).
-    pub burst_rate: f64,
-    /// Mean dwell time in the quiet state (seconds).
-    pub quiet_dwell: f64,
-    /// Mean dwell time in the burst state (seconds).
-    pub burst_dwell: f64,
-}
-
-/// Mutable sampling state for an [`Mmpp2`] process.
-#[derive(Clone, Copy, Debug)]
-pub struct Mmpp2State {
-    in_burst: bool,
-    state_ends_at: f64,
-    now: f64,
-}
-
-impl Mmpp2 {
-    /// Creates the initial sampling state starting in the quiet phase.
-    pub fn start(&self, rng: &mut DetRng) -> Mmpp2State {
-        Mmpp2State {
-            in_burst: false,
-            state_ends_at: Exponential::with_mean(self.quiet_dwell).sample(rng),
-            now: 0.0,
-        }
-    }
-
-    /// Returns the time (in seconds, absolute) of the next event.
-    pub fn next_event(&self, state: &mut Mmpp2State, rng: &mut DetRng) -> f64 {
-        loop {
-            let rate = if state.in_burst {
-                self.burst_rate
-            } else {
-                self.quiet_rate
-            };
-            let gap = Exponential::new(rate).sample(rng);
-            if state.now + gap <= state.state_ends_at {
-                state.now += gap;
-                return state.now;
-            }
-            // Phase change before the next event: advance to the boundary and
-            // flip state.
-            state.now = state.state_ends_at;
-            state.in_burst = !state.in_burst;
-            let dwell = if state.in_burst {
-                self.burst_dwell
-            } else {
-                self.quiet_dwell
-            };
-            state.state_ends_at = state.now + Exponential::with_mean(dwell).sample(rng);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,14 +299,18 @@ mod tests {
         DetRng::new(0xB1AD_E001)
     }
 
-    fn mean_of(d: &impl Distribution, n: usize) -> f64 {
+    fn samples(d: &impl Distribution, n: usize) -> Vec<f64> {
         let mut r = rng();
-        d.sample_n(&mut r, n).iter().sum::<f64>() / n as f64
+        (0..n).map(|_| d.sample(&mut r)).collect()
+    }
+
+    fn mean_of(d: &impl Distribution, n: usize) -> f64 {
+        samples(d, n).iter().sum::<f64>() / n as f64
     }
 
     #[test]
     fn exponential_mean() {
-        let d = Exponential::with_mean(2.5);
+        let d = Exponential::new(1.0 / 2.5);
         let m = mean_of(&d, 200_000);
         assert!((m - 2.5).abs() < 0.05, "mean {m}");
     }
@@ -496,22 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let d = Normal::new(10.0, 2.0);
-        let mut r = rng();
-        let xs = d.sample_n(&mut r, 200_000);
-        let m = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((m - 10.0).abs() < 0.05, "mean {m}");
-        assert!((var - 4.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
     fn lognormal_median_calibration() {
         let d = LogNormal::from_median_p90(100.0, 160.0);
         assert!((d.median() - 100.0).abs() < 1e-9);
-        let mut r = rng();
-        let mut xs = d.sample_n(&mut r, 100_000);
+        let mut xs = samples(&d, 100_000);
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let med = xs[xs.len() / 2];
         let p90 = xs[(xs.len() as f64 * 0.9) as usize];
@@ -522,8 +351,7 @@ mod tests {
     #[test]
     fn pareto_tail() {
         let d = Pareto::new(1.0, 2.0);
-        let mut r = rng();
-        let xs = d.sample_n(&mut r, 100_000);
+        let xs = samples(&d, 100_000);
         assert!(xs.iter().all(|&x| x >= 1.0));
         // P(X > 10) = 10^-2 = 1%.
         let tail = xs.iter().filter(|&&x| x > 10.0).count() as f64 / xs.len() as f64;
@@ -574,73 +402,5 @@ mod tests {
     #[should_panic(expected = "sum to a positive")]
     fn categorical_rejects_zero_weights() {
         Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn empirical_quantiles_interpolate() {
-        let d = Empirical::from_cdf(&[(0.0, 0.0), (10.0, 0.5), (20.0, 1.0)]);
-        assert!((d.quantile(0.25) - 5.0).abs() < 1e-9);
-        assert!((d.quantile(0.75) - 15.0).abs() < 1e-9);
-        assert_eq!(d.quantile(0.0), 0.0);
-        assert_eq!(d.quantile(1.0), 20.0);
-    }
-
-    #[test]
-    fn empirical_sampling_matches_cdf() {
-        let d = Empirical::from_cdf(&[(0.0, 0.0), (1.0, 0.8), (10.0, 1.0)]);
-        let mut r = rng();
-        let xs = d.sample_n(&mut r, 100_000);
-        let below_one = xs.iter().filter(|&&x| x <= 1.0).count() as f64 / xs.len() as f64;
-        assert!((below_one - 0.8).abs() < 0.01, "frac {below_one}");
-    }
-
-    #[test]
-    fn mmpp_burstiness() {
-        // A strongly bursty process should have a much higher event count
-        // during bursts than quiet phases, visible as variance in windowed
-        // counts far above Poisson.
-        let p = Mmpp2 {
-            quiet_rate: 1.0,
-            burst_rate: 200.0,
-            quiet_dwell: 50.0,
-            burst_dwell: 5.0,
-        };
-        let mut r = rng();
-        let mut st = p.start(&mut r);
-        let horizon = 2_000.0;
-        let mut windows = vec![0u32; horizon as usize / 10];
-        loop {
-            let t = p.next_event(&mut st, &mut r);
-            if t >= horizon {
-                break;
-            }
-            windows[(t / 10.0) as usize] += 1;
-        }
-        let mean = windows.iter().map(|&c| c as f64).sum::<f64>() / windows.len() as f64;
-        let var = windows
-            .iter()
-            .map(|&c| (c as f64 - mean).powi(2))
-            .sum::<f64>()
-            / windows.len() as f64;
-        // Poisson would give var ~= mean; MMPP burstiness inflates variance.
-        assert!(var > 3.0 * mean, "var {var} mean {mean}");
-    }
-
-    #[test]
-    fn mmpp_events_monotone() {
-        let p = Mmpp2 {
-            quiet_rate: 2.0,
-            burst_rate: 40.0,
-            quiet_dwell: 10.0,
-            burst_dwell: 2.0,
-        };
-        let mut r = rng();
-        let mut st = p.start(&mut r);
-        let mut last = 0.0;
-        for _ in 0..10_000 {
-            let t = p.next_event(&mut st, &mut r);
-            assert!(t >= last);
-            last = t;
-        }
     }
 }

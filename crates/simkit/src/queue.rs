@@ -406,6 +406,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Every stored event, cancelled ones included, in no particular
+    /// order: what a caller validates after restoring a queue.
+    pub fn stored(&self) -> impl Iterator<Item = &E> {
+        self.slab.iter().filter_map(|e| e.event.as_ref())
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         // Cancelled entries may sit at the head; this is a conservative

@@ -123,17 +123,6 @@ impl DetRng {
         self.f64() < p
     }
 
-    /// Picks a uniformly random element of `items`.
-    ///
-    /// Returns `None` if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
-
     /// Shuffles `items` in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -239,13 +228,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn shuffle_permutes() {
         let mut r = DetRng::new(13);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        let items = [1, 2, 3];
-        assert!(items.contains(r.choose(&items).unwrap()));
-
         let mut v: Vec<u32> = (0..100).collect();
         let orig = v.clone();
         r.shuffle(&mut v);

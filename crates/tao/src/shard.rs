@@ -63,12 +63,6 @@ impl Shard {
         }
     }
 
-    /// Deletes an object. Returns `true` if it existed.
-    pub fn delete_object(&mut self, id: ObjectId) -> bool {
-        self.writes += 1;
-        self.objects.remove(&id).is_some()
-    }
-
     /// Adds an association, keeping the list time-sorted (descending).
     ///
     /// Re-adding an existing `(id1, atype, id2)` replaces it (TAO semantics).
@@ -84,18 +78,6 @@ impl Shard {
         // Descending by time; binary search for the insertion point.
         let pos = list.partition_point(|a| a.time > assoc.time);
         list.insert(pos, assoc);
-    }
-
-    /// Deletes an association. Returns `true` if it existed.
-    pub fn delete_assoc(&mut self, id1: ObjectId, atype: &str, id2: ObjectId) -> bool {
-        self.writes += 1;
-        if let Some(list) = self.assocs.get_mut(&(id1, atype.to_owned())) {
-            if let Some(pos) = list.iter().position(|a| a.id2 == id2) {
-                list.remove(pos);
-                return true;
-            }
-        }
-        false
     }
 
     /// Point lookup of specific associations; returns them in `id2s` order.
@@ -276,8 +258,6 @@ mod tests {
         assert!(s.get_object(ObjectId(1)).is_some());
         assert!(s.update_object(ObjectId(1), vec![("k".into(), Value::from(1i64))]));
         assert_eq!(s.get_object(ObjectId(1)).unwrap().version, 1);
-        assert!(s.delete_object(ObjectId(1)));
-        assert!(s.get_object(ObjectId(1)).is_none());
         assert!(!s.update_object(ObjectId(9), vec![]));
     }
 
@@ -336,15 +316,6 @@ mod tests {
         let (rows, _) = s.get_assocs(ObjectId(1), "e", &[ObjectId(3), ObjectId(9)]);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].id2, ObjectId(3));
-    }
-
-    #[test]
-    fn delete_assoc() {
-        let mut s = Shard::new();
-        s.add_assoc(assoc(1, 2, 1));
-        assert!(s.delete_assoc(ObjectId(1), "e", ObjectId(2)));
-        assert!(!s.delete_assoc(ObjectId(1), "e", ObjectId(2)));
-        assert_eq!(s.assoc_count(ObjectId(1), "e"), 0);
     }
 
     #[test]

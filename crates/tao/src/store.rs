@@ -42,15 +42,6 @@ impl TaoConfig {
             cache_capacity: 4_096,
         }
     }
-
-    /// A larger configuration for experiment harnesses.
-    pub fn large() -> Self {
-        TaoConfig {
-            shards: 256,
-            regions: 5,
-            cache_capacity: 262_144,
-        }
-    }
 }
 
 snap_struct!(TaoConfig {
@@ -274,16 +265,6 @@ impl Tao {
         }
     }
 
-    /// Deletes an object. Returns replication events, or `None` if absent.
-    pub fn obj_delete(&mut self, id: ObjectId) -> Option<Vec<ReplicationEvent>> {
-        let shard = self.shard_of(id) as usize;
-        if self.shards[shard].delete_object(id) {
-            Some(self.invalidate_all_regions(id, None))
-        } else {
-            None
-        }
-    }
-
     /// Adds an association `(id1) -[atype]-> (id2)` at time `time`.
     pub fn assoc_add(
         &mut self,
@@ -303,22 +284,6 @@ impl Tao {
             data,
         });
         self.invalidate_all_regions(id1, Some((id1, atype.to_owned())))
-    }
-
-    /// Deletes an association. Returns replication events, or `None` if it
-    /// did not exist.
-    pub fn assoc_delete(
-        &mut self,
-        id1: ObjectId,
-        atype: &str,
-        id2: ObjectId,
-    ) -> Option<Vec<ReplicationEvent>> {
-        let shard = self.shard_of(id1) as usize;
-        if self.shards[shard].delete_assoc(id1, atype, id2) {
-            Some(self.invalidate_all_regions(id1, Some((id1, atype.to_owned()))))
-        } else {
-            None
-        }
     }
 
     // ------------------------------------------------------------------
@@ -784,18 +749,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let (n, _) = t.assoc_count(0, u, "friend");
         assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn assoc_delete_removes_edge() {
-        let mut t = tao();
-        let u = t.obj_add("user", vec![]);
-        let v = t.obj_add("user", vec![]);
-        t.assoc_add(u, "friend", v, 1, vec![]);
-        assert!(t.assoc_delete(u, "friend", v).is_some());
-        assert!(t.assoc_delete(u, "friend", v).is_none());
-        let (n, _) = t.assoc_count(0, u, "friend");
-        assert_eq!(n, 0);
     }
 
     #[test]

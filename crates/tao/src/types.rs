@@ -51,15 +51,6 @@ impl Value {
         }
     }
 
-    /// Returns the float if this is a [`Value::Float`] (or an int, widened).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// Returns the boolean if this is a [`Value::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -191,8 +182,6 @@ mod tests {
     fn value_conversions() {
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert_eq!(Value::from(3i64).as_int(), Some(3));
-        assert_eq!(Value::from(3i64).as_float(), Some(3.0));
-        assert_eq!(Value::from(2.5).as_float(), Some(2.5));
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(1.0).as_int(), None);
     }

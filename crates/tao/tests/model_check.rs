@@ -10,15 +10,10 @@ use tao::{ObjectId, Tao, TaoConfig, Value};
 enum Op {
     AddObject,
     UpdateObject(usize),
-    DeleteObject(usize),
     AddAssoc {
         from: usize,
         to: usize,
         time: u64,
-    },
-    DeleteAssoc {
-        from: usize,
-        to: usize,
     },
     Get(usize),
     Range {
@@ -38,13 +33,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::AddObject),
         (0usize..12).prop_map(Op::UpdateObject),
-        (0usize..12).prop_map(Op::DeleteObject),
         (0usize..12, 0usize..12, 0u64..50).prop_map(|(from, to, time)| Op::AddAssoc {
             from,
             to,
             time
         }),
-        (0usize..12, 0usize..12).prop_map(|(from, to)| Op::DeleteAssoc { from, to }),
         (0usize..12).prop_map(Op::Get),
         (0usize..12, 0usize..4, 1usize..8).prop_map(|(from, offset, limit)| Op::Range {
             from,
@@ -113,11 +106,6 @@ proptest! {
                     }
                     next_v += 1;
                 }
-                Op::DeleteObject(i) => {
-                    let id = ids[i % ids.len()];
-                    let deleted = tao.obj_delete(id).is_some();
-                    prop_assert_eq!(deleted, model.objects.remove(&id).is_some());
-                }
                 Op::AddAssoc { from, to, time } => {
                     let f = ids[from % ids.len()];
                     let t = ids[to % ids.len()];
@@ -131,15 +119,6 @@ proptest! {
                         .position(|&(_, lt)| lt < time)
                         .unwrap_or(list.len());
                     list.insert(pos, (t, time));
-                }
-                Op::DeleteAssoc { from, to } => {
-                    let f = ids[from % ids.len()];
-                    let t = ids[to % ids.len()];
-                    let deleted = tao.assoc_delete(f, "edge", t).is_some();
-                    let list = model.assocs.entry(f).or_default();
-                    let was = list.iter().any(|&(id2, _)| id2 == t);
-                    list.retain(|&(id2, _)| id2 != t);
-                    prop_assert_eq!(deleted, was);
                 }
                 Op::Get(i) => {
                     let id = ids[i % ids.len()];

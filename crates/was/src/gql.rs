@@ -71,15 +71,6 @@ impl GqlValue {
             _ => None,
         }
     }
-
-    /// The value as a float (widening ints).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            GqlValue::Float(f) => Some(*f),
-            GqlValue::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
 }
 
 /// A selected field with arguments and nested selections.
@@ -554,7 +545,6 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(GqlValue::Int(3).as_float(), Some(3.0));
         assert_eq!(GqlValue::Int(-1).as_id(), None);
         assert_eq!(GqlValue::Enum("X".into()).as_str(), Some("X"));
         assert_eq!(GqlValue::Null.as_int(), None);

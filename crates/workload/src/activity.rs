@@ -2,11 +2,11 @@
 //!
 //! Fig. 8 shows every per-user Bladerunner series following a diurnal
 //! pattern; [`DiurnalCurve`] reproduces that modulation. Comment arrivals
-//! use Poisson (steady) or MMPP (bursty) processes; "predicting the rate at
-//! which comments for a video are posted is infeasible" (§2), so the
-//! harnesses pick per-video intensities at random.
+//! are Poisson; "predicting the rate at which comments for a video are
+//! posted is infeasible" (§2), so the harnesses pick per-video intensities
+//! at random.
 
-use simkit::dist::{Distribution, Exponential, Mmpp2, Mmpp2State};
+use simkit::dist::{Distribution, Exponential};
 use simkit::rng::DetRng;
 use simkit::time::{SimDuration, SimTime};
 
@@ -23,16 +23,6 @@ pub struct DiurnalCurve {
 }
 
 impl DiurnalCurve {
-    /// The Fig. 8 "active request-streams per user" curve (≈6 at the
-    /// trough, ≈11 at the peak).
-    pub fn active_streams_per_user() -> Self {
-        DiurnalCurve {
-            min: 6.0,
-            max: 11.0,
-            peak_hour: 17.0,
-        }
-    }
-
     /// The Fig. 8 "client subscription requests per minute per user" curve
     /// (0.5–0.75).
     pub fn subscriptions_per_min() -> Self {
@@ -109,173 +99,17 @@ impl PoissonArrivals {
     }
 }
 
-/// A lazily drawn arrival stream: anything that can report its next
-/// arrival instant and advance past it.
-///
-/// Chunked harnesses pump these with [`drain_window`] instead of
-/// materialising the whole schedule up front, so workload memory is O(1)
-/// per process — one pending arrival — no matter how many events the run
-/// will inject. At a million devices the difference is the bench's entire
-/// memory budget: a pre-built schedule holds every future subscribe and
-/// mutation (headers included) in the event queue at once.
-pub trait ArrivalProcess {
-    /// The next arrival instant (does not advance the process).
-    fn peek(&self) -> SimTime;
-    /// Consumes the next arrival, drawing the one after.
-    fn pop(&mut self, rng: &mut DetRng) -> SimTime;
-}
-
-impl ArrivalProcess for PoissonArrivals {
-    fn peek(&self) -> SimTime {
-        PoissonArrivals::peek(self)
-    }
-    fn pop(&mut self, rng: &mut DetRng) -> SimTime {
-        PoissonArrivals::pop(self, rng)
-    }
-}
-
-/// A diurnally modulated Poisson stream (non-homogeneous, by thinning):
-/// candidate gaps are drawn at the curve's peak rate and kept with
-/// probability `rate(t) / peak` — the Lewis–Shedler construction — so
-/// arrivals follow `curve.value_at(t) * scale` while the process holds
-/// only one pending draw.
-#[derive(Clone, Debug)]
-pub struct DiurnalArrivals {
-    curve: DiurnalCurve,
-    scale: f64,
-    next: SimTime,
-}
-
-impl DiurnalArrivals {
-    /// Creates a stream whose instantaneous rate (events/second) is
-    /// `curve.value_at(t) * scale`, starting at `start`.
-    pub fn new(curve: DiurnalCurve, scale: f64, start: SimTime, rng: &mut DetRng) -> Self {
-        let mut s = DiurnalArrivals {
-            curve,
-            scale,
-            next: start,
-        };
-        s.advance(rng);
-        s
-    }
-
-    fn advance(&mut self, rng: &mut DetRng) {
-        let peak = self.curve.max * self.scale;
-        let gap = Exponential::new(peak);
-        let mut t = self.next;
-        loop {
-            t += SimDuration::from_secs_f64(gap.sample(rng));
-            let rate = self.curve.value_at(t) * self.scale;
-            if rng.chance(rate / peak) {
-                break;
-            }
-        }
-        self.next = t;
-    }
-}
-
-impl ArrivalProcess for DiurnalArrivals {
-    fn peek(&self) -> SimTime {
-        self.next
-    }
-    fn pop(&mut self, rng: &mut DetRng) -> SimTime {
-        let t = self.next;
-        self.advance(rng);
-        t
-    }
-}
-
-/// Drains every arrival strictly before `end`, invoking `f` with each
-/// instant in order. Windows are half-open, so pumping `[t0,t1) [t1,t2) …`
-/// visits every arrival exactly once.
-pub fn drain_window<P: ArrivalProcess, F: FnMut(SimTime)>(
-    process: &mut P,
-    end: SimTime,
-    rng: &mut DetRng,
-    mut f: F,
-) {
-    while process.peek() < end {
-        f(process.pop(rng));
-    }
-}
-
-/// A bursty arrival process (two-state MMPP) for comment storms: long quiet
-/// stretches punctuated by intense bursts — the lunar-eclipse pattern.
-#[derive(Clone, Debug)]
-pub struct BurstyArrivals {
-    process: Mmpp2,
-    state: Mmpp2State,
-    origin: SimTime,
-}
-
-impl BurstyArrivals {
-    /// Creates a bursty process.
-    ///
-    /// `base_rate` is the quiet-phase rate (events/second); bursts run at
-    /// `burst_multiplier` times that.
-    pub fn new(
-        base_rate: f64,
-        burst_multiplier: f64,
-        quiet_dwell_secs: f64,
-        burst_dwell_secs: f64,
-        origin: SimTime,
-        rng: &mut DetRng,
-    ) -> Self {
-        let process = Mmpp2 {
-            quiet_rate: base_rate,
-            burst_rate: base_rate * burst_multiplier,
-            quiet_dwell: quiet_dwell_secs,
-            burst_dwell: burst_dwell_secs,
-        };
-        let state = process.start(rng);
-        BurstyArrivals {
-            process,
-            state,
-            origin,
-        }
-    }
-
-    /// Returns the next arrival instant.
-    pub fn next(&mut self, rng: &mut DetRng) -> SimTime {
-        let t = self.process.next_event(&mut self.state, rng);
-        self.origin + SimDuration::from_secs_f64(t)
-    }
-}
-
-/// Samples a thinned non-homogeneous Poisson arrival count for an interval
-/// under a diurnal rate curve.
-///
-/// Useful for bucketed harnesses (Fig. 8): how many events land in
-/// `[start, start+len)` when the per-second rate is `curve.value_at(t) *
-/// scale`.
-pub fn diurnal_count_in(
-    curve: &DiurnalCurve,
-    scale: f64,
-    start: SimTime,
-    len: SimDuration,
-    rng: &mut DetRng,
-) -> u64 {
-    // The curve moves slowly relative to our buckets: use the midpoint rate.
-    let mid = start + len / 2;
-    let rate = curve.value_at(mid) * scale;
-    let mean = rate * len.as_secs_f64();
-    if mean <= 0.0 {
-        return 0;
-    }
-    simkit::dist::Poisson::new(mean).sample_count(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn diurnal_peaks_and_troughs() {
-        let c = DiurnalCurve::active_streams_per_user();
+        let c = DiurnalCurve::publications_per_min();
         let peak = c.value_at(SimTime::from_secs(17 * 3_600));
         let trough = c.value_at(SimTime::from_secs(5 * 3_600));
-        assert!((peak - 11.0).abs() < 0.01, "peak {peak}");
-        assert!((trough - 6.0).abs() < 0.01, "trough {trough}");
+        assert!((peak - 1.5).abs() < 1e-9, "peak {peak}");
+        assert!((trough - 0.8).abs() < 1e-9, "trough {trough}");
     }
 
     #[test]
@@ -312,56 +146,5 @@ mod tests {
         }
         // Expect ~1000 arrivals in 100 s at 10/s.
         assert!((900..1_100).contains(&count), "count {count}");
-    }
-
-    #[test]
-    fn bursty_arrivals_cluster() {
-        let mut rng = DetRng::new(2);
-        let mut b = BurstyArrivals::new(0.5, 100.0, 60.0, 3.0, SimTime::ZERO, &mut rng);
-        let mut gaps = Vec::new();
-        let mut last = SimTime::ZERO;
-        for _ in 0..2_000 {
-            let t = b.next(&mut rng);
-            gaps.push(t.saturating_since(last).as_secs_f64());
-            last = t;
-        }
-        gaps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = gaps[gaps.len() / 2];
-        let p99 = gaps[(gaps.len() as f64 * 0.99) as usize];
-        // Bursty: tiny median gap (inside bursts) but a heavy tail
-        // (quiet stretches) — orders of magnitude apart.
-        assert!(p99 / median.max(1e-9) > 20.0, "median {median}, p99 {p99}");
-    }
-
-    #[test]
-    fn diurnal_counts_track_curve() {
-        let c = DiurnalCurve::publications_per_min();
-        let mut rng = DetRng::new(3);
-        let at_peak: u64 = (0..50)
-            .map(|_| {
-                diurnal_count_in(
-                    &c,
-                    1.0,
-                    SimTime::from_secs(17 * 3_600),
-                    SimDuration::from_mins(15),
-                    &mut rng,
-                )
-            })
-            .sum();
-        let at_trough: u64 = (0..50)
-            .map(|_| {
-                diurnal_count_in(
-                    &c,
-                    1.0,
-                    SimTime::from_secs(5 * 3_600),
-                    SimDuration::from_mins(15),
-                    &mut rng,
-                )
-            })
-            .sum();
-        assert!(
-            at_peak as f64 > at_trough as f64 * 1.5,
-            "peak {at_peak} vs trough {at_trough}"
-        );
     }
 }

@@ -9,9 +9,8 @@
 //! * [`tables`] — the explicit mixtures of **Table 1** (updates per area of
 //!   interest in 24 h: 83% of areas get zero, a 0.0001% sliver gets >100 M)
 //!   and **Table 2** (request-stream lifetimes: 45% < 15 min, 4% > 24 h).
-//! * [`activity`] — diurnal modulation (the Fig. 8 shape), Poisson and
-//!   bursty (MMPP) comment arrival processes, and per-user session
-//!   behaviour (streams per device, subscription churn).
+//! * [`activity`] — diurnal modulation (the Fig. 8 shape) and the Poisson
+//!   comment arrival process.
 
 pub mod activity;
 pub mod graph;

@@ -41,20 +41,18 @@ fn table2_mixture_tight_tolerances() {
 
 #[test]
 fn diurnal_curves_match_fig8_bands() {
-    let streams = DiurnalCurve::active_streams_per_user();
     let subs = DiurnalCurve::subscriptions_per_min();
     let pubs = DiurnalCurve::publications_per_min();
-    let mut s_min = f64::INFINITY;
-    let mut s_max = 0.0f64;
+    let mut p_min = f64::INFINITY;
+    let mut p_max = 0.0f64;
     for m in 0..(24 * 60) {
         let t = SimTime::from_secs(m * 60);
-        let v = streams.value_at(t);
-        s_min = s_min.min(v);
-        s_max = s_max.max(v);
+        let v = pubs.value_at(t);
+        p_min = p_min.min(v);
+        p_max = p_max.max(v);
         assert!((0.5 - 1e-9..=0.75 + 1e-9).contains(&subs.value_at(t)));
-        assert!((0.8 - 1e-9..=1.5 + 1e-9).contains(&pubs.value_at(t)));
     }
-    assert!((s_min - 6.0).abs() < 0.01 && (s_max - 11.0).abs() < 0.01);
+    assert!((p_min - 0.8).abs() < 0.01 && (p_max - 1.5).abs() < 0.01);
 }
 
 #[test]

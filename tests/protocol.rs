@@ -3,9 +3,16 @@
 //! exchange, including wire encoding on every hop.
 
 use burst::codec::{encode_to_vec, Decoder};
+use burst::flow::{Admit, FlowWindow};
 use burst::frame::{Delta, Frame, StreamId, TerminateReason};
 use burst::json::Json;
 use burst::stream::{ClientAction, ClientStream, ProxyStreamTable, ServerStream, StreamState};
+
+fn apply_batch(client: &mut ClientStream, batch: &[Delta]) -> Vec<ClientAction> {
+    let mut actions = Vec::new();
+    client.on_batch_with(batch, |action| actions.push(action));
+    actions
+}
 
 /// Pushes a frame through a wire hop: encode, then decode on the far side.
 fn wire(frame: &Frame) -> Frame {
@@ -70,7 +77,7 @@ fn subscribe_rewrite_deliver_cancel_across_hops() {
         Some(7),
         "proxy state tracks the rewrite"
     );
-    let actions = client.on_batch(&batch);
+    let actions = apply_batch(&mut client, &batch);
     assert_eq!(
         actions,
         vec![
@@ -112,7 +119,7 @@ fn failover_resumes_from_rewritten_state() {
         server_a.rewrite_progress(), // installs last_seq = 1
     ];
     proxy.on_response(9, StreamId(5), &batch, 1);
-    client.on_batch(&batch);
+    apply_batch(&mut client, &batch);
     assert_eq!(client.delivered(), 2);
 
     // Host 1 dies; the proxy repairs onto host 2 using stored state.
@@ -123,8 +130,14 @@ fn failover_resumes_from_rewritten_state() {
         panic!("expected subscribe");
     };
     // Client learns of the repair (degraded → recovered resyncs its seq).
-    client.on_batch(&[Delta::FlowStatus(burst::frame::FlowStatus::Degraded)]);
-    client.on_batch(&[Delta::FlowStatus(burst::frame::FlowStatus::Recovered)]);
+    apply_batch(
+        &mut client,
+        &[Delta::FlowStatus(burst::frame::FlowStatus::Degraded)],
+    );
+    apply_batch(
+        &mut client,
+        &[Delta::FlowStatus(burst::frame::FlowStatus::Recovered)],
+    );
 
     let mut server_b = ServerStream::accept(sid, header, true);
     assert_eq!(
@@ -133,7 +146,7 @@ fn failover_resumes_from_rewritten_state() {
         "resumes after the rewritten last_seq"
     );
     let batch = vec![server_b.push(b"m2".to_vec())];
-    let actions = client.on_batch(&batch);
+    let actions = apply_batch(&mut client, &batch);
     assert_eq!(actions, vec![ClientAction::Deliver(b"m2".to_vec().into())]);
     assert_eq!(client.gaps(), 0, "no gap, no replay");
 }
@@ -152,7 +165,7 @@ fn redirect_flow() {
         server.rewrite(Json::obj([("brass_host", Json::from(99u64))])),
         Delta::Terminate(TerminateReason::Redirect),
     ];
-    let actions = client.on_batch(&batch);
+    let actions = apply_batch(&mut client, &batch);
     assert!(actions.contains(&ClientAction::Terminated(TerminateReason::Redirect)));
     // The client retries; its subscribe carries the new routing hint.
     let f = client.resubscribe_request();
@@ -175,7 +188,7 @@ fn ack_retention_replay_cycle() {
         server.push(b"b".to_vec()),
         server.push(b"c".to_vec()),
     ];
-    client.on_batch(&batch);
+    apply_batch(&mut client, &batch);
     // The client acks; the wire hop preserves it; retention shrinks.
     let ack = wire(&client.ack_request());
     let Frame::Ack { seq, .. } = ack else {
@@ -187,37 +200,49 @@ fn ack_retention_replay_cycle() {
     server.push(b"d".to_vec());
     let replay = server.replay_unacked();
     assert_eq!(replay, vec![Delta::update(3, b"d".to_vec())]);
-    let actions = client.on_batch(&replay);
+    let actions = apply_batch(&mut client, &replay);
     assert_eq!(actions, vec![ClientAction::Deliver(b"d".to_vec().into())]);
 }
 
 #[test]
 fn flow_control_end_to_end_over_wire() {
-    use burst::mux::{CreditManager, MuxSender};
-    let mut sender = MuxSender::new(200);
-    let mut receiver = CreditManager::new(200);
+    // The egress window the simulator drives on each device: a data frame
+    // is charged its wire size, what does not fit is shed with one
+    // Degraded, and draining what went out signals one Recovered.
+    let mut window = FlowWindow::new(200);
+    let mut admitted = Vec::new();
+    let mut degraded = 0;
     for i in 0..10u64 {
-        sender.enqueue(Frame::Response {
+        let frame = Frame::Response {
             sid: StreamId(1),
-            batch: vec![Delta::update(i, vec![0u8; 80])],
-        });
-    }
-    let mut received = 0;
-    for _round in 0..50 {
-        let frames = sender.poll_sendable();
-        if frames.is_empty() && sender.queued(StreamId(1)) == 0 {
-            break;
-        }
-        for f in frames {
-            let delivered = wire(&f);
-            if let Some(grant) = receiver.on_received(StreamId(1), &delivered) {
-                let granted = wire(&grant);
-                if let Frame::Credit { sid, bytes } = granted {
-                    sender.on_credit(sid, bytes);
-                }
-            }
-            received += 1;
+            batch: vec![Delta::update(i, vec![i as u8; 80])],
+        };
+        match window.try_send(frame.wire_size() as u64) {
+            Admit::Ok => admitted.push(frame),
+            Admit::ShedDegrade => degraded += 1,
+            Admit::Shed => {}
         }
     }
-    assert_eq!(received, 10, "credit loop drains the queue over the wire");
+    let size = admitted[0].wire_size() as u64;
+    assert_eq!(
+        admitted.len() as u64,
+        200 / size,
+        "admitted until the window is full"
+    );
+    assert_eq!(window.in_flight(), admitted.len() as u64 * size);
+    assert_eq!(degraded, 1, "the shed frames signal Degraded once");
+    let mut recovered = 0;
+    for frame in &admitted {
+        let received = wire(frame);
+        assert_eq!(&received, frame, "an admitted frame decodes intact");
+        if window.on_drained(received.wire_size() as u64) {
+            recovered += 1;
+        }
+    }
+    assert_eq!(
+        recovered, 1,
+        "draining what was received signals Recovered once"
+    );
+    assert_eq!(window.in_flight(), 0);
+    assert!(!window.is_degraded());
 }
