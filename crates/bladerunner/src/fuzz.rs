@@ -563,10 +563,11 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     // Ledger causality (full retention: every record is here). One pass
-    // collects each trace's commit time and earliest hop time.
+    // collects each trace's commit time and earliest hop time; neither
+    // cares how often a record repeats, so the pass reads runs.
     let ledger = sim.trace_ledger();
     let mut traces: HashMap<u64, (Option<SimTime>, SimTime)> = HashMap::new();
-    for rec in ledger.records() {
+    for (rec, _) in ledger.runs() {
         let entry = traces.entry(rec.trace_id.0).or_insert((None, rec.at));
         if matches!(rec.hop, Hop::TaoCommit) && entry.0.is_none() {
             entry.0 = Some(rec.at);

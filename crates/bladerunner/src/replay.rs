@@ -185,11 +185,10 @@ fn record_run(spec: &RunSpec<'_>, end: SimTime, snapshot_every: u64) -> Recorded
 /// The last ledger records at or before `cutoff` (newest last), rendered.
 fn ledger_tail(sim: &SystemSim, cutoff: SimTime, n: usize) -> Vec<String> {
     let ledger = sim.trace_ledger();
-    let render = |r: &HopRecord| format!("{r}");
+    let render = |r: HopRecord| format!("{r}");
     let mut tail: Vec<String> = ledger
         .records()
-        .iter()
-        .chain(ledger.recent_records())
+        .chain(ledger.recent_records().copied())
         .filter(|r| r.at <= cutoff)
         .map(render)
         .collect();

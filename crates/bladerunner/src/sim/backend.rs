@@ -431,18 +431,23 @@ impl SystemSim {
                         },
                     );
                 }
-                HostEffect::DropUpdate { object, reason } => {
+                HostEffect::DropUpdate {
+                    object,
+                    reason,
+                    count,
+                } => {
                     let trace = match last_drop {
                         Some((last, trace)) if last == object => trace,
                         _ => self.reg.object_trace.get(&object).copied(),
                     };
                     last_drop = Some((object, trace));
                     if let Some(trace) = trace {
-                        self.ledger.record(
+                        self.ledger.record_n(
                             trace,
                             Hop::BrassProcess,
                             now,
                             HopOutcome::Dropped(reason),
+                            count,
                         );
                     }
                 }

@@ -43,9 +43,8 @@ fn same_seed_reproduces_metrics_and_ledger_exactly() {
     let (m1, l1) = lvc_scenario(42);
     let (m2, l2) = lvc_scenario(42);
     assert_eq!(m1, m2, "metrics must be bit-identical across replays");
-    assert_eq!(
-        l1.records(),
-        l2.records(),
+    assert!(
+        l1.records().eq(l2.records()),
         "hop records must be bit-identical across replays"
     );
     assert_eq!(l1, l2, "the full ledgers must be bit-identical");

@@ -15,6 +15,7 @@ use bladerunner::config::SystemConfig;
 use bladerunner::fault::{canned_plan, FaultKind, FaultPlan};
 use bladerunner::fuzz::{materialize, FuzzCase, ScenarioMix};
 use bladerunner::replay::canned_scenario;
+use bladerunner::scenario::FlashCrowd;
 use bladerunner::sim::SystemSim;
 use simkit::snap::Snap;
 use simkit::time::{SimDuration, SimTime};
@@ -208,7 +209,7 @@ fn ledger_fingerprint_identical_bounded_vs_full_after_ring_wrap() {
     let (mut bounded, _) = build(&cfg(Retention::Bounded(16)), seed, false);
     bounded.run_until(end);
 
-    let full_records = full.trace_ledger().records().len();
+    let full_records = full.trace_ledger().records().count();
     assert!(
         full_records > 16 * 10,
         "workload too small to wrap the ring ({full_records} records)"
@@ -443,6 +444,62 @@ fn seven_app_overload_world() -> SystemSim {
     }
     sim.run_until(SimTime::from_micros(45_123_457));
     sim
+}
+
+/// A comment storm on one video whose 300 viewers' ranked buffers
+/// overflow: each comment is dropped from hundreds of buffers in the same
+/// instant, so the full ledger holds long runs of identical drop records.
+/// Stopped mid-storm, off any metrics tick.
+fn flash_crowd_world() -> (SystemConfig, SystemSim) {
+    let config = cfg(Retention::Full);
+    let mut sim = SystemSim::new(config.clone(), 26);
+    let crowd = FlashCrowd::setup(
+        &mut sim,
+        300,
+        4,
+        SimTime::from_secs(1),
+        SimDuration::from_secs(2),
+    );
+    crowd.drive_storm(
+        &mut sim,
+        SimTime::from_secs(4),
+        SimDuration::from_secs(8),
+        20.0,
+    );
+    sim.run_until(SimTime::from_micros(9_123_457));
+    (config, sim)
+}
+
+/// Cross-commit pin of a world where drop records fold: the snapshot bytes
+/// mid-storm and both fingerprints at the end were captured before the
+/// ledger stored runs, so they hold only if runs expand back to the same
+/// records. A resume folds them into the same runs, and the full ledger's
+/// record count is what `simkit.trace.records` derives from the hop
+/// histograms: one per trace plus one per histogram sample.
+#[test]
+fn flash_crowd_drop_runs_are_pinned() {
+    let (config, mut sim) = flash_crowd_world();
+    let sealed = sim.snapshot();
+    assert_eq!(simkit::snap::fnv64(&sealed), 0xdf2d_e537_90aa_77ef);
+    let ledger = sim.trace_ledger();
+    let records = ledger.records().count();
+    assert_eq!(records, 19_733);
+    let runs = ledger.runs().count();
+    assert!(runs * 4 < records, "{records} records in {runs} runs");
+    let resumed = SystemSim::resume(config, &sealed).expect("resuming a fresh snapshot");
+    assert!(resumed.trace_ledger() == ledger, "restore changed the runs");
+    assert!(resumed.snapshot() == sealed, "restore is not canonical");
+
+    sim.run_until(SimTime::from_secs(40));
+    assert_eq!(sim.fingerprint_now(), 0x87a2_13cc_6f27_126e);
+    let ledger = sim.trace_ledger();
+    assert_eq!(ledger.fingerprint(), 0xc10a_ec5b_bf49_a645);
+    assert!(ledger.unaccounted().is_empty());
+    let samples: u64 = ledger.hop_summaries().iter().map(|(_, s)| s.count).sum();
+    assert_eq!(
+        ledger.records().count() as u64,
+        ledger.trace_count() as u64 + samples
+    );
 }
 
 /// Cross-commit pin of the snapshot *bytes*: FNV-64 of the sealed file

@@ -149,6 +149,9 @@ pub enum Effect {
         object: ObjectId,
         /// Why the update was dropped.
         reason: DropReason,
+        /// How many drops in a row this stands for: one per viewer when a
+        /// storm update is dropped from many viewers' buffers in one turn.
+        count: u32,
     },
 }
 
@@ -190,6 +193,9 @@ pub struct Ctx<'a> {
     /// Current simulated time.
     pub now: SimTime,
     effects: &'a mut Vec<Effect>,
+    /// Length of `effects` when this handler turn began: effects before it
+    /// belong to earlier turns and are never folded into.
+    turn_start: usize,
     counters: &'a mut AppCounters,
     next_token: &'a mut u64,
 }
@@ -204,6 +210,7 @@ impl<'a> Ctx<'a> {
     ) -> Self {
         Ctx {
             now,
+            turn_start: effects.len(),
             effects,
             counters,
             next_token,
@@ -236,7 +243,12 @@ impl<'a> Ctx<'a> {
     /// metric is meaningful; deliveries are counted automatically by
     /// [`send`](Self::send) / [`send_batch`](Self::send_batch).
     pub fn decision(&mut self) {
-        self.counters.decisions += 1;
+        self.decisions(1);
+    }
+
+    /// Records `n` deliver-or-drop judgements at once.
+    pub fn decisions(&mut self, n: u64) {
+        self.counters.decisions += n;
     }
 
     /// Sends one payload to a stream (counts one delivery).
@@ -313,8 +325,28 @@ impl<'a> Ctx<'a> {
     /// Reports that the app dropped an update referencing `object`, for
     /// trace-ledger drop attribution. Observational only; pair with
     /// [`decision`](Self::decision) where the drop is also a judgement.
+    ///
+    /// A drop of the same object for the same reason as the effect just
+    /// emitted in this turn extends that effect's count instead of adding
+    /// one, so a storm dropped from every viewer's buffer costs one effect;
+    /// expanding the counts gives back the drops one by one, in order.
     pub fn dropped(&mut self, object: ObjectId, reason: DropReason) {
-        self.effects.push(Effect::DropUpdate { object, reason });
+        if let Some(Effect::DropUpdate {
+            object: o,
+            reason: r,
+            count,
+        }) = self.effects[self.turn_start..].last_mut()
+        {
+            if (*o, *r) == (object, reason) && *count < u32::MAX {
+                *count += 1;
+                return;
+            }
+        }
+        self.effects.push(Effect::DropUpdate {
+            object,
+            reason,
+            count: 1,
+        });
     }
 }
 
@@ -475,6 +507,48 @@ mod tests {
         assert_eq!(counters.deliveries, 1, "send counts the delivery");
         assert_eq!(counters.was_requests, 2);
         assert!((counters.filtered_fraction() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    /// Adjacent drops of one object for one reason share an effect; any
+    /// other effect, object or reason in between starts a new one, and a
+    /// new handler turn never extends an earlier turn's effect.
+    #[test]
+    fn dropped_folds_adjacent_repeats_within_a_turn() {
+        let mut effects = Vec::new();
+        let mut counters = AppCounters::default();
+        let mut token = 0;
+        let (a, b) = (ObjectId(1), ObjectId(2));
+        let drop = |object, reason, count| Effect::DropUpdate {
+            object,
+            reason,
+            count,
+        };
+        let mut ctx = Ctx::new(SimTime::ZERO, &mut effects, &mut counters, &mut token);
+        for _ in 0..3 {
+            ctx.dropped(a, DropReason::BufferOverflow);
+        }
+        ctx.dropped(a, DropReason::RateLimit);
+        ctx.dropped(b, DropReason::RateLimit);
+        ctx.timer(SimDuration::from_secs(1), 7);
+        ctx.dropped(b, DropReason::RateLimit);
+        ctx.decisions(4);
+        let mut next = Ctx::new(SimTime::ZERO, &mut effects, &mut counters, &mut token);
+        next.dropped(b, DropReason::RateLimit);
+        assert_eq!(
+            effects,
+            vec![
+                drop(a, DropReason::BufferOverflow, 3),
+                drop(a, DropReason::RateLimit, 1),
+                drop(b, DropReason::RateLimit, 1),
+                Effect::Timer {
+                    at: SimTime::from_secs(1),
+                    token: 7
+                },
+                drop(b, DropReason::RateLimit, 1),
+                drop(b, DropReason::RateLimit, 1),
+            ]
+        );
+        assert_eq!(counters.decisions, 4);
     }
 
     #[test]

@@ -146,10 +146,8 @@ impl LvcApp {
     /// into drop decisions, so the Fig. 8 decision counts include them.
     fn account_buffer_losses(state: &mut StreamState, ctx: &mut Ctx<'_>) {
         let losses = state.buffer.evicted() + state.buffer.expired();
-        while state.accounted_losses < losses {
-            ctx.decision();
-            state.accounted_losses += 1;
-        }
+        ctx.decisions(losses.saturating_sub(state.accounted_losses));
+        state.accounted_losses = state.accounted_losses.max(losses);
     }
 }
 
@@ -202,9 +200,9 @@ snap_struct!(
         next_timer
     },
     |app| {
-        // Losses are turned into decisions one by one, and at most a
-        // buffer's worth can be waiting (every offer settles the count):
-        // a larger debt is a corrupt counter, and would be paid in a loop.
+        // At most a buffer's worth of losses can be waiting to become
+        // decisions (every offer settles the count): a larger debt is a
+        // corrupt counter, and paying it would inflate the decision count.
         let owed = |s: &StreamState| s.buffer.evicted() + s.buffer.expired() - s.accounted_losses;
         ensure(
             app.streams
@@ -740,6 +738,7 @@ mod tests {
             vec![Effect::DropUpdate {
                 object: ObjectId(400),
                 reason: DropReason::PrivacyBlock,
+                count: 1,
             }]
         );
         assert_eq!(d.counters.deliveries, 0);

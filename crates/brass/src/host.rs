@@ -86,6 +86,8 @@ pub enum HostEffect {
         object: tao::ObjectId,
         /// Why the update was dropped.
         reason: simkit::trace::DropReason,
+        /// How many identical drops in a row this stands for.
+        count: u32,
     },
 }
 
@@ -385,9 +387,15 @@ impl BrassHost {
                     }
                 }
                 Effect::Timer { at, token } => out.push(HostEffect::Timer { at, app, token }),
-                Effect::DropUpdate { object, reason } => {
-                    out.push(HostEffect::DropUpdate { object, reason })
-                }
+                Effect::DropUpdate {
+                    object,
+                    reason,
+                    count,
+                } => out.push(HostEffect::DropUpdate {
+                    object,
+                    reason,
+                    count,
+                }),
                 Effect::ReplayUnacked { stream } => {
                     let Some(meta) = self.streams.get(&stream) else {
                         continue;

@@ -118,11 +118,25 @@ impl Histogram {
 
     /// Records one value (negative values are clamped to zero).
     pub fn record(&mut self, value: f64) {
-        self.counts[Self::bucket_index(value)] += 1;
-        self.total += 1;
-        self.sum += value.max(0.0);
-        self.min = self.min.min(value.max(0.0));
-        self.max = self.max.max(value.max(0.0));
+        self.record_n(value, 1);
+    }
+
+    /// Records `value` `n` times, bit-exact with `n` calls to
+    /// [`Self::record`]. A run of zeros costs one add: once the sum has
+    /// taken the first `+ 0.0`, adding another changes no bit.
+    pub fn record_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let v = value.max(0.0);
+        self.counts[Self::bucket_index(value)] += n;
+        self.total += n;
+        let adds = if v == 0.0 { 1 } else { n };
+        for _ in 0..adds {
+            self.sum += v;
+        }
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Number of recorded values.

@@ -18,8 +18,13 @@
 //!
 //! A ledger runs in one of two [`Retention`] modes. [`Retention::Full`]
 //! (the default, what `trace-dump` wants) keeps every record and a
-//! per-trace index, so full chains can be reconstructed — O(records)
-//! memory. [`Retention::Bounded`] keeps only a fixed-size ring of the most
+//! per-trace index, so full chains can be reconstructed. It stores runs:
+//! a record identical to the one appended just before it (a storm update
+//! dropped from hundreds of viewers' buffers in one instant) extends that
+//! record's count instead of taking a slot, so memory is O(runs), while
+//! [`TraceLedger::records`], [`TraceLedger::chain`], the fingerprint and
+//! the snapshot all see the records one by one. [`Retention::Bounded`]
+//! keeps only a fixed-size ring of the most
 //! recent records plus compact per-trace accounting state (delivered /
 //! first drop / backfilled, first and last timestamps) and folds latencies
 //! into histograms on the fly, so bench-scale chaos runs don't blow peak
@@ -240,6 +245,31 @@ impl fmt::Display for HopRecord {
     }
 }
 
+/// A run of identical consecutive records, as [`Retention::Full`] stores
+/// them. Flat, so the count sits where a [`HopRecord`] has padding and a
+/// run costs no more than the one record it replaces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    trace_id: TraceId,
+    at: SimTime,
+    count: u32,
+    hop: Hop,
+    outcome: HopOutcome,
+}
+
+const _: () = assert!(std::mem::size_of::<Run>() == std::mem::size_of::<HopRecord>());
+
+impl Run {
+    fn record(&self) -> HopRecord {
+        HopRecord {
+            trace_id: self.trace_id,
+            hop: self.hop,
+            at: self.at,
+            outcome: self.outcome,
+        }
+    }
+}
+
 snap_struct!(TraceId { 0 });
 snap_enum!(Hop {
     0 => TaoCommit,
@@ -339,9 +369,10 @@ struct TraceState {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLedger {
     retention: Retention,
-    /// Every record in append order ([`Retention::Full`] only).
-    records: Vec<HopRecord>,
-    /// Indices into `records`, per trace ([`Retention::Full`] only).
+    /// Every record in append order, identical neighbours folded into one
+    /// run ([`Retention::Full`] only).
+    runs: Vec<Run>,
+    /// Indices into `runs`, per trace ([`Retention::Full`] only).
     by_trace: FxHashMap<TraceId, Vec<u32>>,
     /// Ring of the most recent records ([`Retention::Bounded`] only).
     recent: VecDeque<HopRecord>,
@@ -359,7 +390,7 @@ pub struct TraceLedger {
     /// Total successful renders (first per trace), both modes.
     delivered_count: u64,
     /// Rolling hash over every record as it is appended. Because it folds
-    /// records in at [`Self::record`] time, its value is independent of
+    /// records in at [`Self::record_n`] time, its value is independent of
     /// retention: a bounded ledger that evicted everything still carries
     /// the same fingerprint as a full one fed the same history.
     fp: Fp64,
@@ -393,39 +424,70 @@ impl TraceLedger {
     /// time since the trace's previous record) and, on a
     /// [`Hop::DeviceRender`] success, the delivery accounting.
     pub fn record(&mut self, trace_id: TraceId, hop: Hop, at: SimTime, outcome: HopOutcome) {
-        self.fp.mix_u64(trace_id.0);
-        self.fp.mix_u64(at.as_micros());
-        self.fp.mix_u64(((hop.tag() as u64) << 8) | outcome.code());
-        let st = match self.states.entry(trace_id) {
+        self.record_n(trace_id, hop, at, outcome, 1);
+    }
+
+    /// Appends `n` identical hop records, leaving the ledger exactly as `n`
+    /// calls to [`Self::record`] would: same fingerprint, histograms, drop
+    /// table and snapshot bytes. Every repeat after the first shares its
+    /// trace's `last_at`, so its hop latency is exactly 0; the run costs
+    /// one histogram update and at most one stored entry.
+    pub fn record_n(
+        &mut self,
+        trace_id: TraceId,
+        hop: Hop,
+        at: SimTime,
+        outcome: HopOutcome,
+        n: u32,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let code = ((hop.tag() as u64) << 8) | outcome.code();
+        for _ in 0..n {
+            self.fp.mix_u64(trace_id.0);
+            self.fp.mix_u64(at.as_micros());
+            self.fp.mix_u64(code);
+        }
+        let (st, latency) = match self.states.entry(trace_id) {
             Entry::Occupied(e) => {
                 let st = e.into_mut();
-                self.hop_latency
-                    .entry(hop)
-                    .or_default()
-                    .record(at.saturating_since(st.last_at).as_millis_f64());
-                st
+                let ms = at.saturating_since(st.last_at).as_millis_f64();
+                (st, Some(ms))
             }
-            Entry::Vacant(e) => e.insert(TraceState {
-                first_at: at,
-                last_at: at,
-                delivered: false,
-                backfilled: false,
-                first_drop: None,
-            }),
+            Entry::Vacant(e) => {
+                let st = e.insert(TraceState {
+                    first_at: at,
+                    last_at: at,
+                    delivered: false,
+                    backfilled: false,
+                    first_drop: None,
+                });
+                (st, None)
+            }
         };
+        let repeats = u64::from(n - 1);
+        if latency.is_some() || repeats > 0 {
+            let h = self.hop_latency.entry(hop).or_default();
+            if let Some(ms) = latency {
+                h.record(ms);
+            }
+            h.record_n(0.0, repeats);
+        }
         if let HopOutcome::Dropped(reason) = outcome {
-            *self.drops.entry((hop, reason)).or_insert(0) += 1;
+            *self.drops.entry((hop, reason)).or_insert(0) += u64::from(n);
             if st.first_drop.is_none() {
                 st.first_drop = Some((hop, reason));
             }
         }
         if hop == Hop::DeviceRender && outcome == HopOutcome::Ok {
             let e2e = at.saturating_since(st.first_at);
-            self.e2e.record(e2e.as_millis_f64());
-            self.delivered_count += 1;
+            self.e2e.record_n(e2e.as_millis_f64(), u64::from(n));
+            self.delivered_count += u64::from(n);
             st.delivered = true;
             if self.retention == Retention::Full {
-                self.delivered.push((trace_id, e2e));
+                self.delivered
+                    .extend(std::iter::repeat_n((trace_id, e2e), n as usize));
             }
         }
         if hop == Hop::WasBackfill && outcome == HopOutcome::Ok {
@@ -439,13 +501,11 @@ impl TraceLedger {
             outcome,
         };
         match self.retention {
-            Retention::Full => {
-                let idx = self.records.len() as u32;
-                self.by_trace.entry(trace_id).or_default().push(idx);
-                self.records.push(rec);
-            }
+            Retention::Full => self.push_run(rec, n),
             Retention::Bounded(cap) => {
-                self.recent.push_back(rec);
+                // Copies beyond `cap` would be evicted by the copies after them.
+                let copies = (n as usize).min(cap);
+                self.recent.extend(std::iter::repeat_n(rec, copies));
                 while self.recent.len() > cap {
                     self.recent.pop_front();
                 }
@@ -453,10 +513,43 @@ impl TraceLedger {
         }
     }
 
-    /// All records, in append order. Empty in [`Retention::Bounded`] mode —
-    /// see [`Self::recent_records`] for the retained ring.
-    pub fn records(&self) -> &[HopRecord] {
-        &self.records
+    /// Appends `n` copies of `rec` to the stored runs, extending the last
+    /// run when it holds the same record. Live appends and snapshot
+    /// restores both come through here, so a restored ledger folds its
+    /// records into exactly the runs the original held.
+    fn push_run(&mut self, rec: HopRecord, mut n: u32) {
+        if let Some(last) = self.runs.last_mut().filter(|r| r.record() == rec) {
+            let take = n.min(u32::MAX - last.count);
+            last.count += take;
+            n -= take;
+        }
+        if n > 0 {
+            let idx = self.runs.len() as u32;
+            self.by_trace.entry(rec.trace_id).or_default().push(idx);
+            self.runs.push(Run {
+                trace_id: rec.trace_id,
+                at: rec.at,
+                count: n,
+                hop: rec.hop,
+                outcome: rec.outcome,
+            });
+        }
+    }
+
+    /// All records, in append order, one per record appended (runs
+    /// expanded). Empty in [`Retention::Bounded`] mode — see
+    /// [`Self::recent_records`] for the retained ring.
+    pub fn records(&self) -> impl Iterator<Item = HopRecord> + '_ {
+        self.runs()
+            .flat_map(|(rec, n)| std::iter::repeat_n(rec, n as usize))
+    }
+
+    /// The stored runs, in append order: each record with how many times it
+    /// was appended back to back. Expanding them gives [`Self::records`];
+    /// a pass that does not care about repeats (earliest instant per trace,
+    /// say) reads these instead. Empty in [`Retention::Bounded`] mode.
+    pub fn runs(&self) -> impl Iterator<Item = (HopRecord, u32)> + '_ {
+        self.runs.iter().map(|r| (r.record(), r.count))
     }
 
     /// The retained ring of most recent records ([`Retention::Bounded`]
@@ -474,19 +567,34 @@ impl TraceLedger {
     /// The hop chain of one trace, in order. Under [`Retention::Bounded`]
     /// this is only the part still inside the retained ring.
     pub fn chain(&self, trace_id: TraceId) -> Vec<HopRecord> {
+        self.chain_runs(trace_id)
+            .into_iter()
+            .flat_map(|(rec, n)| std::iter::repeat_n(rec, n as usize))
+            .collect()
+    }
+
+    /// [`Self::chain`] with identical consecutive records folded into
+    /// `(record, count)` runs.
+    fn chain_runs(&self, trace_id: TraceId) -> Vec<(HopRecord, u64)> {
+        let mut out: Vec<(HopRecord, u64)> = Vec::new();
+        let mut push = |rec: HopRecord, n: u64| match out.last_mut() {
+            Some((last, count)) if *last == rec => *count += n,
+            _ => out.push((rec, n)),
+        };
         match self.retention {
-            Retention::Full => self
-                .by_trace
-                .get(&trace_id)
-                .map(|idxs| idxs.iter().map(|&i| self.records[i as usize]).collect())
-                .unwrap_or_default(),
-            Retention::Bounded(_) => self
-                .recent
-                .iter()
-                .filter(|r| r.trace_id == trace_id)
-                .copied()
-                .collect(),
+            Retention::Full => {
+                for &i in self.by_trace.get(&trace_id).into_iter().flatten() {
+                    let run = &self.runs[i as usize];
+                    push(run.record(), u64::from(run.count));
+                }
+            }
+            Retention::Bounded(_) => {
+                for rec in self.recent.iter().filter(|r| r.trace_id == trace_id) {
+                    push(*rec, 1);
+                }
+            }
         }
+        out
     }
 
     /// All trace ids, ascending.
@@ -591,31 +699,29 @@ impl TraceLedger {
         self.fp.value()
     }
 
-    /// Renders one trace's chain as text (for `trace-dump` and debugging).
+    /// Renders one trace's chain as text (for `trace-dump` and debugging),
+    /// one line per run of identical records, marked `×N` when N > 1.
     pub fn format_chain(&self, trace_id: TraceId) -> String {
-        let chain = self.chain(trace_id);
-        if chain.is_empty() {
+        let chain = self.chain_runs(trace_id);
+        let Some(first) = chain.first().map(|(r, _)| r.at) else {
             return format!("{trace_id}: no records");
-        }
+        };
         let mut out = String::new();
-        let first = chain[0].at;
         out.push_str(&format!("{trace_id}:\n"));
         let mut prev = first;
-        for r in &chain {
-            out.push_str(&format!(
-                "  {r}  (+{:.3}ms)\n",
-                r.at.saturating_since(prev).as_millis_f64()
-            ));
+        for (r, n) in &chain {
+            let gap = r.at.saturating_since(prev).as_millis_f64();
+            match n {
+                1 => out.push_str(&format!("  {r}  (+{gap:.3}ms)\n")),
+                _ => out.push_str(&format!("  {r}  (+{gap:.3}ms)  ×{n}\n")),
+            }
             prev = r.at;
         }
         match (self.is_delivered(trace_id), self.drop_of(trace_id)) {
-            (true, _) => {
-                let last = chain.last().expect("non-empty").at;
-                out.push_str(&format!(
-                    "  delivered in {:.3}ms\n",
-                    last.saturating_since(first).as_millis_f64()
-                ));
-            }
+            (true, _) => out.push_str(&format!(
+                "  delivered in {:.3}ms\n",
+                prev.saturating_since(first).as_millis_f64()
+            )),
             (false, Some((hop, reason))) => {
                 out.push_str(&format!("  dropped at {hop}: {reason}\n"));
                 if self.is_backfilled(trace_id) {
@@ -629,13 +735,17 @@ impl TraceLedger {
 }
 
 /// The ledger's complete state, including accounting maps, latency
-/// histograms, and the rolling fingerprint. The per-trace record index is
-/// derived from the record list and rebuilt on restore; a bounded ring
-/// longer than its cap is rejected.
+/// histograms, and the rolling fingerprint. Records are written one by one,
+/// as the plain record list the runs stand for, and folded back into runs
+/// on restore; the per-trace index is derived from the runs. A bounded
+/// ring longer than its cap is rejected.
 impl Snap for TraceLedger {
     fn snap(&self, w: &mut SnapWriter) {
         self.retention.snap(w);
-        self.records.snap(w);
+        w.put_usize(self.runs.iter().map(|r| r.count as usize).sum());
+        for rec in self.records() {
+            rec.snap(w);
+        }
         self.recent.snap(w);
         self.states.snap(w);
         self.hop_latency.snap(w);
@@ -647,14 +757,12 @@ impl Snap for TraceLedger {
     }
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let retention = Retention::restore(r)?;
-        let records = Vec::<HopRecord>::restore(r)?;
-        let mut by_trace: FxHashMap<TraceId, Vec<u32>> = FxHashMap::default();
-        for (i, rec) in records.iter().enumerate() {
-            by_trace.entry(rec.trace_id).or_default().push(i as u32);
+        let mut ledger = TraceLedger::with_retention(Retention::restore(r)?);
+        for _ in 0..r.get_len()? {
+            ledger.push_run(HopRecord::restore(r)?, 1);
         }
         let recent = VecDeque::<HopRecord>::restore(r)?;
-        match retention {
+        match ledger.retention {
             Retention::Full if !recent.is_empty() => {
                 return Err(SnapError::Invalid("full ledger has a recent ring".into()));
             }
@@ -667,9 +775,6 @@ impl Snap for TraceLedger {
             _ => {}
         }
         Ok(TraceLedger {
-            retention,
-            records,
-            by_trace,
             recent,
             states: Snap::restore(r)?,
             hop_latency: Snap::restore(r)?,
@@ -678,6 +783,7 @@ impl Snap for TraceLedger {
             e2e: Snap::restore(r)?,
             delivered_count: Snap::restore(r)?,
             fp: Snap::restore(r)?,
+            ..ledger
         })
     }
 }
@@ -834,7 +940,29 @@ mod tests {
         assert!(text.contains("tao_commit"));
         assert!(text.contains("no_subscribers"));
         assert!(text.contains("dropped at pylon_publish"));
+        assert!(!text.contains('×'), "no run, no count: {text}");
         assert_eq!(l.format_chain(TraceId(999)), "t999: no records");
+    }
+
+    /// A run of identical drops renders as one line with its count, in
+    /// both retentions, while `chain` still lists every record.
+    #[test]
+    fn format_chain_folds_runs() {
+        let overflow = HopOutcome::Dropped(DropReason::BufferOverflow);
+        for mut l in [TraceLedger::new(), TraceLedger::bounded(16)] {
+            let (t, other) = (TraceId(1), TraceId(2));
+            l.record(t, Hop::TaoCommit, ms(1), HopOutcome::Ok);
+            l.record_n(t, Hop::BrassProcess, ms(4), overflow, 3);
+            // Another trace in between does not split the chain's run.
+            l.record(other, Hop::TaoCommit, ms(4), HopOutcome::Ok);
+            l.record_n(t, Hop::BrassProcess, ms(4), overflow, 2);
+            l.record(t, Hop::BrassProcess, ms(5), overflow);
+            assert_eq!(l.chain(t).len(), 7);
+            let text = l.format_chain(t);
+            assert_eq!(text.lines().count(), 5, "{text}");
+            assert!(text.contains("buffer_overflow  (+3.000ms)  ×5\n"), "{text}");
+            assert!(text.contains("buffer_overflow  (+1.000ms)\n"), "{text}");
+        }
     }
 
     #[test]
@@ -889,8 +1017,8 @@ mod tests {
             assert_eq!(full.is_backfilled(t), bounded.is_backfilled(t));
         }
         // Raw history: full keeps everything, bounded keeps the ring.
-        assert_eq!(full.records().len(), 34);
-        assert!(bounded.records().is_empty());
+        assert_eq!(full.records().count(), 34);
+        assert!(bounded.records().next().is_none());
         assert_eq!(bounded.recent_records().count(), 4);
         let last = bounded.recent_records().last().unwrap();
         assert_eq!(last.trace_id, TraceId(9));
