@@ -36,9 +36,7 @@ fn bench_codec(c: &mut Criterion) {
         batch: vec![
             Delta::update(0, vec![7; 256]),
             Delta::update(1, vec![9; 256]),
-            Delta::RewriteRequest {
-                patch: Json::obj([("last_seq", Json::from(1u64))]),
-            },
+            Delta::progress(1),
         ],
     };
     let wire = encode_to_vec(&frame);
@@ -63,8 +61,12 @@ fn bench_json(c: &mut Criterion) {
     c.bench_function("json/serialize_header", |b| {
         b.iter(|| black_box(parsed.to_string()))
     });
-    // The progress rewrite every holder of a header applies per data
-    // frame: 41 <-> 42 overwrites in place, 99 <-> 100 changes the length.
+    // Per-delivery progress on a held header: 41 <-> 42 overwrites in
+    // place, 99 <-> 100 changes the length. `packed_merge_last_seq` is the
+    // JSON-patch path (what a `{"last_seq":n}` rewrite used to cost every
+    // holder); `packed_set_last_seq_fold` is the typed path a device takes
+    // (record, then splice the digits), and BRASS, proxy and POP stop at
+    // the record.
     for (name, lo) in [("same_len", 41u64), ("rollover", 99)] {
         let patches = [lo, lo + 1].map(|seq| Json::obj([("last_seq", Json::from(seq))]));
         let mut header = PackedJson::pack(&parsed);
@@ -74,6 +76,14 @@ fn bench_json(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 header.merge(black_box(&patches[i % 2]));
+            })
+        });
+        c.bench_function(&format!("json/packed_set_last_seq_fold/{name}"), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                header.set_last_seq(black_box(lo + i % 2));
+                header.fold();
             })
         });
         black_box(&header);

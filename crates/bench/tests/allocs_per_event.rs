@@ -24,7 +24,7 @@ use simkit::time::{SimDuration, SimTime};
 #[global_allocator]
 static ALLOC: simkit::alloc::CountingAlloc = simkit::alloc::CountingAlloc;
 
-/// Ceiling on allocator calls per handled event past the ramp; measured 5.9.
+/// Ceiling on allocator calls per handled event past the ramp; measured 5.1.
 const CEILING_ALLOCS_PER_EVENT: f64 = 9.0;
 
 #[test]

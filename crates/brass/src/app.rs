@@ -290,11 +290,11 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Sends a header rewrite to a stream.
+    /// Sends a header rewrite to a stream ([`Delta::rewrite`]).
     pub fn rewrite(&mut self, stream: StreamKey, patch: Json) {
         self.effects.push(Effect::SendDeltas {
             stream,
-            deltas: vec![Delta::RewriteRequest { patch }],
+            deltas: vec![Delta::rewrite(patch)],
         });
     }
 

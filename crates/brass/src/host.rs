@@ -372,14 +372,9 @@ impl BrassHost {
                     };
                     let mut terminated = false;
                     for delta in &deltas {
-                        match delta {
-                            Delta::RewriteRequest { patch } => {
-                                // Keep the server-side header copy current.
-                                let _ = meta.server.rewrite(patch.clone());
-                            }
-                            Delta::Terminate(_) => terminated = true,
-                            _ => {}
-                        }
+                        // Keep the server-side header copy current.
+                        meta.server.apply_rewrite(delta);
+                        terminated |= matches!(delta, Delta::Terminate(_));
                     }
                     out.push(Self::respond(stream.device, stream.sid, deltas));
                     if terminated {
@@ -884,12 +879,7 @@ mod tests {
         // numbering instead of restarting at zero.
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0], Delta::update(0, b"hi".to_vec()));
-        match &batch[1] {
-            Delta::RewriteRequest { patch } => {
-                assert_eq!(patch.get("last_seq").and_then(Json::as_u64), Some(0));
-            }
-            other => panic!("expected progress rewrite, got {other:?}"),
-        }
+        assert_eq!(batch[1], Delta::Progress { last_seq: 0 });
         let c = h.app_counters("lvc").unwrap();
         assert_eq!(c.deliveries, 1);
         assert_eq!(c.events_in, 1);

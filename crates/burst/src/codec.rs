@@ -164,7 +164,8 @@ fn encode_delta(delta: &Delta, buf: &mut BytesMut) {
             buf.put_u8(tag::D_FLOW);
             buf.put_u8(flow_to_byte(*s));
         }
-        Delta::RewriteRequest { patch } => {
+        Delta::RewriteRequest { .. } | Delta::Progress { .. } => {
+            let patch = delta.rewrite_patch().expect("a rewrite");
             buf.put_u8(tag::D_REWRITE);
             put_bytes(buf, patch.to_string().as_bytes());
         }
@@ -194,9 +195,7 @@ fn decode_delta(buf: &mut Bytes) -> Result<Delta, DecodeError> {
             }
             Ok(Delta::FlowStatus(flow_from_byte(buf.get_u8())?))
         }
-        tag::D_REWRITE => Ok(Delta::RewriteRequest {
-            patch: get_json(buf)?,
-        }),
+        tag::D_REWRITE => Ok(Delta::rewrite(get_json(buf)?)),
         tag::D_TERMINATE => {
             if !buf.has_remaining() {
                 return Err(DecodeError::Truncated);
@@ -374,7 +373,10 @@ pub fn encode_to_vec(frame: &Frame) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::arb_last_seq;
+    use crate::json::PLAIN_INT_LIMIT;
     use proptest::prelude::*;
+    use simkit::snap::{Snap, SnapReader, SnapWriter};
 
     fn roundtrip(frame: Frame) {
         let wire = encode_to_vec(&frame);
@@ -541,6 +543,42 @@ mod tests {
             let mut dec = Decoder::new();
             dec.feed(&data);
             while let Ok(Some(_)) = dec.next_frame() {}
+        }
+
+        /// A progress delta is the rewrite it stands for, on the wire and
+        /// in a snapshot: the same bytes and the same `wire_size`, and the
+        /// rewrite decodes and restores to the canonical (progress) form.
+        #[test]
+        fn progress_is_its_rewrite_on_the_wire(last_seq in arb_last_seq()) {
+            let patch = Json::obj([("last_seq", Json::from(last_seq))]);
+            let frame = |delta| Frame::Response {
+                sid: StreamId(3),
+                batch: vec![Delta::update(7, b"x".to_vec()), delta],
+            };
+            let typed = frame(Delta::Progress { last_seq });
+            let json = frame(Delta::RewriteRequest { patch: patch.clone() });
+            let canonical = frame(Delta::progress(last_seq));
+            prop_assert_eq!(Delta::rewrite(patch), Delta::progress(last_seq));
+            prop_assert_eq!(
+                matches!(canonical, Frame::Response { ref batch, .. } if matches!(batch[1], Delta::Progress { .. })),
+                last_seq < PLAIN_INT_LIMIT
+            );
+
+            let wire = encode_to_vec(&json);
+            prop_assert_eq!(&encode_to_vec(&typed), &wire);
+            prop_assert_eq!(typed.wire_size(), json.wire_size());
+            let mut dec = Decoder::new();
+            dec.feed(&wire);
+            prop_assert_eq!(dec.next_frame().unwrap(), Some(canonical.clone()));
+
+            let snap = |f: &Frame| {
+                let mut w = SnapWriter::new();
+                f.snap(&mut w);
+                w.into_bytes()
+            };
+            let bytes = snap(&json);
+            prop_assert_eq!(&snap(&typed), &bytes);
+            prop_assert_eq!(Frame::restore(&mut SnapReader::new(&bytes)).unwrap(), canonical);
         }
 
         /// A split at any point yields identical frames.

@@ -127,12 +127,12 @@ impl Json {
         }
     }
 
-    /// The numeric value as u64, if this is a non-negative integral number.
+    /// The numeric value as u64, if this is a non-negative integral number
+    /// below 2^64. (`u64::MAX as f64` rounds up to 2^64 itself, which no
+    /// `u64` holds, so the bound is strict.)
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) => num_as_u64(*n),
             _ => None,
         }
     }
@@ -204,8 +204,32 @@ impl Json {
     }
 }
 
+/// Integers below this bound print as plain digits; from it on, [`Json`]
+/// writes numbers in their float form.
+pub const PLAIN_INT_LIMIT: u64 = 1_000_000_000_000_000;
+
+/// [`Json::as_u64`] of a number.
+fn num_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
+}
+
+/// `n` in decimal, written at the end of `buf`: the text [`Json`] writes
+/// for any integer below [`PLAIN_INT_LIMIT`], without the formatter.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
 fn write_num<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
-    if n.is_finite() && n.fract() == 0.0 && n.abs() < 1e15 {
+    if n.is_finite() && n.fract() == 0.0 && n.abs() < PLAIN_INT_LIMIT as f64 {
         write!(out, "{}", n as i64)
     } else if n.is_finite() {
         write!(out, "{n}")
@@ -510,9 +534,18 @@ impl fmt::Display for Json {
 /// The same header as compact text is one ~80-byte allocation. `PackedJson`
 /// is that text form, with the handful of operations resident copies
 /// actually need: cheap `u64` field reads (via [`top_level_u64`], no
-/// parse), rewrite merges spliced into the text (no parse either — every
-/// delivered data frame carries a `last_seq` rewrite that all four holders
-/// apply), and full unpacking when a frame must be rebuilt.
+/// parse), rewrite merges spliced into the text (no parse either), and full
+/// unpacking when a frame must be rebuilt.
+///
+/// Every delivered data batch closes with a transport-progress delta, so
+/// every holder of a header sees a new `last_seq` per delivery. Recording
+/// one ([`PackedJson::set_last_seq`]) only stores the number beside the
+/// text; the text is not touched until something reads it. Every read —
+/// [`unpack`](PackedJson::unpack), [`get_u64`](PackedJson::get_u64),
+/// [`to_bytes`](PackedJson::to_bytes), the snapshot, `==` — answers as if
+/// the value had been spliced in, and [`merge`](PackedJson::merge) and
+/// [`fold`](PackedJson::fold) splice it for real (merge first, so key order
+/// is the one an eager splice per delivery would have produced).
 ///
 /// Because serialization is canonical (key order preserved, shortest
 /// round-trip floats) and `parse ∘ to_string` is the identity for every
@@ -521,27 +554,77 @@ impl fmt::Display for Json {
 /// This also makes the byte form directly usable as a serialized snapshot
 /// representation (device hibernation, and the ROADMAP's snapshot/replay
 /// item).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PackedJson(Box<[u8]>);
+#[derive(Clone, Debug)]
+pub struct PackedJson {
+    text: Box<[u8]>,
+    /// A `last_seq` recorded and not yet spliced into `text` (always below
+    /// [`PLAIN_INT_LIMIT`]), or [`NO_PENDING`]. Eight bytes beside the
+    /// text pointer, in the holder's own cache line.
+    pending: u64,
+}
+
+/// The pending slot of a [`PackedJson`] with no `last_seq` waiting.
+const NO_PENDING: u64 = u64::MAX;
 
 impl PackedJson {
     /// Packs a value into its canonical text form.
     pub fn pack(value: &Json) -> Self {
         let mut text = String::with_capacity(value.encoded_len());
         value.write(&mut text).expect("String sink never fails");
-        PackedJson(text.into_bytes().into_boxed_slice())
+        PackedJson {
+            text: text.into_bytes().into_boxed_slice(),
+            pending: NO_PENDING,
+        }
+    }
+
+    /// The `last_seq` waiting to be spliced, if the text is an object it
+    /// will be spliced into (merges leave non-object headers alone).
+    fn pending_last_seq(&self) -> Option<u64> {
+        (self.pending != NO_PENDING && self.text.first() == Some(&b'{')).then_some(self.pending)
     }
 
     /// Reconstructs the [`Json`] value.
     pub fn unpack(&self) -> Json {
-        let text = std::str::from_utf8(&self.0).expect("canonical bytes are UTF-8");
-        Json::parse(text).expect("canonical bytes parse")
+        let text = std::str::from_utf8(&self.text).expect("canonical bytes are UTF-8");
+        let mut value = Json::parse(text).expect("canonical bytes parse");
+        if let Some(last_seq) = self.pending_last_seq() {
+            value.set("last_seq", Json::from(last_seq));
+        }
+        value
     }
 
     /// Reads a top-level `u64` field without parsing (hot-path reads like
     /// `last_seq`). Matches `unpack().get(key).and_then(Json::as_u64)`.
     pub fn get_u64(&self, key: &str) -> Option<u64> {
-        top_level_u64(&self.0, key)
+        match self.pending_last_seq() {
+            Some(last_seq) if key == "last_seq" => Some(last_seq),
+            _ => top_level_u64(&self.text, key),
+        }
+    }
+
+    /// Records `last_seq` as the header's `"last_seq"` member, like merging
+    /// `{"last_seq": last_seq}`, without touching the text: the number is
+    /// kept beside it until a read or a merge needs it there. A value from
+    /// [`PLAIN_INT_LIMIT`] on, which [`Json`] writes as a float, is merged
+    /// through the tree instead.
+    pub fn set_last_seq(&mut self, last_seq: u64) {
+        if last_seq < PLAIN_INT_LIMIT {
+            self.pending = last_seq;
+        } else {
+            self.merge(&Json::obj([("last_seq", Json::from(last_seq))]));
+        }
+    }
+
+    /// Splices a `last_seq` recorded by [`PackedJson::set_last_seq`] into
+    /// the text, digits written directly: in place when the length did not
+    /// change, else into one exact-size slice.
+    pub fn fold(&mut self) {
+        let last_seq = self.pending_last_seq();
+        self.pending = NO_PENDING;
+        if let Some(last_seq) = last_seq {
+            let mut digits = [0u8; 20];
+            self.set("last_seq", Value::Text(decimal(last_seq, &mut digits)));
+        }
     }
 
     /// Applies a rewrite patch (object-merge semantics, like
@@ -552,19 +635,20 @@ impl PackedJson {
     /// Non-object headers and non-object patches are left alone.
     pub fn merge(&mut self, patch: &Json) {
         let Json::Obj(pairs) = patch else { return };
-        if self.0.first() != Some(&b'{') {
+        self.fold();
+        if self.text.first() != Some(&b'{') {
             return;
         }
         for (key, value) in pairs {
-            self.set(key, value);
+            self.set(key, Value::Json(value));
         }
     }
 
     /// Sets one top-level member (first occurrence, like [`Json::set`]).
     /// A same-length value is overwritten in place with no allocation (the
     /// common `last_seq` step); any other builds one exact-size slice.
-    fn set(&mut self, key: &str, value: &Json) {
-        let old = &self.0;
+    fn set(&mut self, key: &str, value: Value<'_>) {
+        let old = &self.text;
         let (at, member) = match member_value(old, &escaped_key(key)) {
             Some(at) => (at, Member { key: None, value }),
             None => {
@@ -580,10 +664,10 @@ impl PackedJson {
             let mut new = vec![0u8; old.len() - at.len() + len.0].into_boxed_slice();
             new[..at.start].copy_from_slice(&old[..at.start]);
             new[to.end..].copy_from_slice(&old[at.end..]);
-            self.0 = new;
+            self.text = new;
         }
         member
-            .write(&mut Fill(&mut self.0[to]))
+            .write(&mut Fill(&mut self.text[to]))
             .expect("length was measured");
     }
 
@@ -596,26 +680,36 @@ impl PackedJson {
         PackedJson::pack(&value)
     }
 
-    /// The canonical encoded bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+    /// The canonical encoded bytes, a recorded `last_seq` included:
+    /// borrowed when none is waiting to be spliced.
+    pub fn to_bytes(&self) -> Cow<'_, [u8]> {
+        if self.pending_last_seq().is_none() {
+            return Cow::Borrowed(&self.text);
+        }
+        let mut folded = self.clone();
+        folded.fold();
+        Cow::Owned(folded.text.into_vec())
     }
 
     /// A placeholder holding no text, for [`PackedJson::reload`] to fill.
     pub(crate) fn blank() -> Self {
-        PackedJson(Box::default())
+        PackedJson {
+            text: Box::default(),
+            pending: NO_PENDING,
+        }
     }
 
     /// Replaces the value with bytes previously produced by
-    /// [`PackedJson::as_bytes`] (hibernation thaw), overwriting the buffer
+    /// [`PackedJson::to_bytes`] (hibernation thaw), overwriting the buffer
     /// in place when the length is unchanged. The bytes must be a canonical
     /// encoding; this is checked in debug builds.
     pub fn reload(&mut self, bytes: &[u8]) {
-        if self.0.len() == bytes.len() {
-            self.0.copy_from_slice(bytes);
+        if self.text.len() == bytes.len() {
+            self.text.copy_from_slice(bytes);
         } else {
-            self.0 = bytes.into();
+            self.text = bytes.into();
         }
+        self.pending = NO_PENDING;
         debug_assert_eq!(
             &PackedJson::pack(&self.unpack()),
             self,
@@ -624,12 +718,26 @@ impl PackedJson {
     }
 }
 
+/// Equal when the encodings are, a recorded `last_seq` included.
+impl PartialEq for PackedJson {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_bytes() == other.to_bytes()
+    }
+}
+
 /// The text [`PackedJson::set`] splices in: the value alone when the member
 /// exists, or the whole `"key":value` member (after a comma unless the object
 /// was empty) when it is appended.
 struct Member<'a> {
     key: Option<(&'a str, bool)>,
-    value: &'a Json,
+    value: Value<'a>,
+}
+
+/// A member value to splice: a tree to write canonically, or text that
+/// already is its canonical encoding.
+enum Value<'a> {
+    Json(&'a Json),
+    Text(&'a str),
 }
 
 impl Member<'_> {
@@ -641,7 +749,10 @@ impl Member<'_> {
             write_string(key, out)?;
             out.write_char(':')?;
         }
-        self.value.write(out)
+        match self.value {
+            Value::Json(value) => value.write(out),
+            Value::Text(text) => out.write_str(text),
+        }
     }
 }
 
@@ -809,11 +920,7 @@ fn parse_number_u64(input: &[u8], start: usize) -> Option<u64> {
         return None;
     }
     let n: f64 = std::str::from_utf8(&input[start..end]).ok()?.parse().ok()?;
-    if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-        Some(n as u64)
-    } else {
-        None
-    }
+    num_as_u64(n)
 }
 
 /// A value snapshots as its canonical compact text (the same encoding
@@ -845,7 +952,7 @@ impl simkit::snap::Snap for Json {
 /// writes, so a valid snapshot restores bit-identically.
 impl simkit::snap::Snap for PackedJson {
     fn snap(&self, w: &mut simkit::snap::SnapWriter) {
-        w.put_bytes(&self.0);
+        w.put_bytes(&self.to_bytes());
     }
 
     fn restore(r: &mut simkit::snap::SnapReader<'_>) -> simkit::snap::SnapResult<Self> {
@@ -854,7 +961,7 @@ impl simkit::snap::Snap for PackedJson {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1007,6 +1114,46 @@ mod tests {
         assert_eq!(Json::from("5").as_u64(), None);
     }
 
+    /// 2^64 − 1 parses to the `f64` 2^64, which no `u64` holds: both
+    /// readers refuse it instead of saturating to `u64::MAX` (whose
+    /// successor overflows). 1e19 is a `u64` and reads as one.
+    #[test]
+    fn u64_reads_stop_below_two_to_the_64() {
+        for (text, want) in [
+            ("18446744073709551615", None),
+            ("18446744073709551616", None),
+            ("1e19", Some(10_000_000_000_000_000_000)),
+            ("18446744073709549568", Some(18_446_744_073_709_549_568)),
+        ] {
+            let doc = format!(r#"{{"last_seq":{text}}}"#);
+            let parsed = Json::parse(&doc).unwrap();
+            assert_eq!(
+                parsed.get("last_seq").and_then(Json::as_u64),
+                want,
+                "{text}"
+            );
+            assert_eq!(top_level_u64(doc.as_bytes(), "last_seq"), want, "{text}");
+            assert_eq!(
+                PackedJson::pack(&parsed).get_u64("last_seq"),
+                want,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn decimal_writes_what_json_writes() {
+        let mut buf = [0u8; 20];
+        for n in [0, 7, 10, 99, 100, 123_456, PLAIN_INT_LIMIT - 1, u64::MAX] {
+            let want = if n < PLAIN_INT_LIMIT {
+                Json::from(n).to_string()
+            } else {
+                n.to_string()
+            };
+            assert_eq!(decimal(n, &mut buf), want);
+        }
+    }
+
     #[test]
     fn integers_serialize_without_decimal_point() {
         assert_eq!(Json::Num(42.0).to_string(), "42");
@@ -1066,6 +1213,30 @@ mod tests {
         prop_oneof![object(), object(), object(), arb_value()]
     }
 
+    /// Sequence numbers around every place the `last_seq` text changes
+    /// shape: digit-count rollovers, the [`PLAIN_INT_LIMIT`] boundary where
+    /// [`Json`] switches to its float form, and the top of the `u64` range.
+    pub(crate) fn arb_last_seq() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..1_200,
+            (0u32..20).prop_map(|k| 10u64.pow(k)),
+            (1u32..20).prop_map(|k| 10u64.pow(k) - 1),
+            (PLAIN_INT_LIMIT - 2)..(PLAIN_INT_LIMIT + 2),
+            any::<u64>(),
+        ]
+    }
+
+    /// A document from [`arb_doc`], sometimes carrying `last_seq` (set on an
+    /// object, so it replaces or appends like a merge would).
+    fn arb_doc_with_last_seq() -> impl Strategy<Value = Json> {
+        (arb_doc(), proptest::option::of(arb_last_seq())).prop_map(|(mut doc, last_seq)| {
+            if let Some(n) = last_seq {
+                doc.set("last_seq", Json::from(n));
+            }
+            doc
+        })
+    }
+
     proptest! {
         /// Serialize-then-parse is the identity.
         #[test]
@@ -1083,7 +1254,7 @@ mod tests {
             prop_assert_eq!(packed.unpack(), j.clone());
             prop_assert_eq!(PackedJson::pack(&packed.unpack()), packed.clone());
             for mut reloaded in [PackedJson::blank(), packed.clone()] {
-                reloaded.reload(packed.as_bytes());
+                reloaded.reload(&packed.to_bytes());
                 prop_assert_eq!(&reloaded, &packed);
             }
             let slow = j.get("a").and_then(Json::as_u64);
@@ -1098,11 +1269,50 @@ mod tests {
             let want = packed.merge_oracle(&patch);
             packed.merge(&patch);
             prop_assert_eq!(
-                std::str::from_utf8(packed.as_bytes()).unwrap(),
-                std::str::from_utf8(want.as_bytes()).unwrap()
+                std::str::from_utf8(&packed.to_bytes()).unwrap(),
+                std::str::from_utf8(&want.to_bytes()).unwrap()
             );
             let slow = packed.unpack().get("a").and_then(Json::as_u64);
             prop_assert_eq!(packed.get_u64("a"), slow);
+        }
+
+        /// Recording `last_seq` and merging patches, interleaved in any
+        /// order, reads after every step exactly like merging each step
+        /// into the tree: the recorded value is spliced where an eager
+        /// splice would have put it, before the keys a later patch appends.
+        #[test]
+        fn packed_set_last_seq_matches_oracle(
+            header in arb_doc_with_last_seq(),
+            steps in proptest::collection::vec(
+                prop_oneof![arb_last_seq().prop_map(Ok), arb_doc_with_last_seq().prop_map(Err)],
+                1..8,
+            ),
+        ) {
+            let mut packed = PackedJson::pack(&header);
+            let mut oracle = packed.clone();
+            for step in steps {
+                match &step {
+                    Ok(n) => {
+                        oracle = oracle.merge_oracle(&Json::obj([("last_seq", Json::from(*n))]));
+                        packed.set_last_seq(*n);
+                    }
+                    Err(patch) => {
+                        oracle = oracle.merge_oracle(patch);
+                        packed.merge(patch);
+                    }
+                }
+                prop_assert_eq!(
+                    std::str::from_utf8(&packed.to_bytes()).unwrap(),
+                    std::str::from_utf8(&oracle.to_bytes()).unwrap()
+                );
+                prop_assert_eq!(&packed, &oracle);
+                prop_assert_eq!(packed.unpack().to_string(), oracle.unpack().to_string());
+                for key in ["last_seq", "a"] {
+                    prop_assert_eq!(packed.get_u64(key), oracle.get_u64(key));
+                }
+            }
+            packed.fold();
+            prop_assert_eq!(&packed.text, &oracle.text);
         }
 
         /// The measured length is the length of the text.

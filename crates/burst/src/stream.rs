@@ -61,9 +61,11 @@ pub enum ClientAction {
 ///
 /// The header is held in its packed text form ([`PackedJson`]): a device
 /// keeps this state for the whole life of the subscription, so its resident
-/// size dominates memory at fleet scale. The per-delivery `last_seq` rewrite
-/// is spliced into the text; the header is only *unpacked* on rare events
-/// (resubscribes).
+/// size dominates memory at fleet scale. Progress deltas are spliced into
+/// the text as they arrive (digits written directly, no tree): a device's
+/// streams are thawed just before a frame and frozen right after it, so the
+/// text is warm and must be current. The header is only *unpacked* on rare
+/// events (resubscribes).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClientStream {
     sid: StreamId,
@@ -162,7 +164,7 @@ impl ClientStream {
     pub fn resubscribe_request(&mut self) -> Frame {
         self.state = StreamState::Subscribing;
         self.resubscribes += 1;
-        self.next_seq = self.header.get_u64("last_seq").map(|s| s + 1).unwrap_or(0);
+        self.next_seq = resume_seq(&self.header);
         Frame::Subscribe {
             sid: self.sid,
             header: self.header.unpack(),
@@ -226,11 +228,12 @@ impl ClientStream {
                     // expectations resync (resuming after `last_seq` when
                     // the header carries it).
                     self.resyncs += 1;
-                    self.next_seq = self.header.get_u64("last_seq").map(|s| s + 1).unwrap_or(0);
+                    self.next_seq = resume_seq(&self.header);
                     act(ClientAction::NotifyRecovered);
                 }
-                Delta::RewriteRequest { patch } => {
-                    self.header.merge(patch);
+                Delta::RewriteRequest { .. } | Delta::Progress { .. } => {
+                    record_rewrite(&mut self.header, delta);
+                    self.header.fold();
                     act(ClientAction::HeaderRewritten);
                 }
                 Delta::Terminate(reason) => {
@@ -254,9 +257,9 @@ impl ClientStream {
         out.extend_from_slice(&self.gaps.to_le_bytes());
         out.extend_from_slice(&self.resubscribes.to_le_bytes());
         out.extend_from_slice(&self.resyncs.to_le_bytes());
-        let header = self.header.as_bytes();
+        let header = self.header.to_bytes();
         out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        out.extend_from_slice(header);
+        out.extend_from_slice(&header);
         out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.body);
     }
@@ -378,6 +381,27 @@ fn decode_state(code: u8) -> StreamState {
     }
 }
 
+/// Where sequence numbering resumes for a header: after the `last_seq` it
+/// carries, or at 0 when it carries none. Headers arrive from devices, so a
+/// `last_seq` with no successor restarts at 0 rather than overflowing.
+fn resume_seq(header: &PackedJson) -> u64 {
+    header
+        .get_u64("last_seq")
+        .and_then(|last| last.checked_add(1))
+        .unwrap_or(0)
+}
+
+/// Records a rewrite delta in a held copy of the header: progress as a
+/// pending number ([`PackedJson::set_last_seq`]), a patch by merging. Other
+/// deltas leave the header alone.
+fn record_rewrite(header: &mut PackedJson, delta: &Delta) {
+    match delta {
+        Delta::Progress { last_seq } => header.set_last_seq(*last_seq),
+        Delta::RewriteRequest { patch } => header.merge(patch),
+        _ => {}
+    }
+}
+
 fn read_u8(buf: &[u8], pos: &mut usize) -> u8 {
     let v = buf[*pos];
     *pos += 1;
@@ -398,9 +422,10 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
 
 /// BRASS-side state for one request-stream.
 ///
-/// Like [`ClientStream`], the header lives in packed text form: rewrites
-/// (one per data batch, for `last_seq`) splice the text, and it is unpacked
-/// only for [`ServerStream::header`].
+/// Like [`ClientStream`], the header lives in packed text form, unpacked
+/// only for [`ServerStream::header`]. The progress recorded with every data
+/// batch ([`ServerStream::rewrite_progress`]) is kept as a number beside the
+/// text and spliced in only when the text is next read or patched.
 #[derive(Clone, Debug)]
 pub struct ServerStream {
     sid: StreamId,
@@ -420,7 +445,7 @@ impl ServerStream {
     /// incarnation via rewrite), sequence numbering resumes after it.
     pub fn accept(sid: StreamId, header: Json, retain: bool) -> Self {
         let header = PackedJson::pack(&header);
-        let next_seq = header.get_u64("last_seq").map(|s| s + 1).unwrap_or(0);
+        let next_seq = resume_seq(&header);
         ServerStream {
             sid,
             header,
@@ -458,18 +483,27 @@ impl ServerStream {
         Delta::Update { seq, payload }
     }
 
-    /// Builds a rewrite delta and applies the patch to the local copy.
+    /// Builds a rewrite delta ([`Delta::rewrite`]) and applies the patch to
+    /// the local copy.
     pub fn rewrite(&mut self, patch: Json) -> Delta {
-        self.header.merge(&patch);
-        Delta::RewriteRequest { patch }
+        let delta = Delta::rewrite(patch);
+        self.apply_rewrite(&delta);
+        delta
     }
 
-    /// Convenience: rewrite recording the last sequence number sent, so a
+    /// The progress delta recording the last sequence number sent, so a
     /// resubscribe resumes instead of replaying from zero ("Resumption",
-    /// §3.5).
+    /// §3.5). The local copy records it without touching the header text.
     pub fn rewrite_progress(&mut self) -> Delta {
-        let last = self.next_seq.saturating_sub(1);
-        self.rewrite(Json::obj([("last_seq", Json::from(last))]))
+        let delta = Delta::progress(self.next_seq.saturating_sub(1));
+        self.apply_rewrite(&delta);
+        delta
+    }
+
+    /// Applies a rewrite delta sent down this stream by other means to the
+    /// local copy; any other delta is ignored.
+    pub fn apply_rewrite(&mut self, delta: &Delta) {
+        record_rewrite(&mut self.header, delta);
     }
 
     /// Handles a client ack: retained updates up to `seq` are released.
@@ -591,16 +625,17 @@ impl ProxyStreamTable {
     }
 
     /// Observes a response batch passing through: applies rewrites to the
-    /// stored header, refreshes activity, and drops state on termination.
+    /// stored header (progress as a pending number, so the per-delivery
+    /// step never touches the header text), refreshes activity, and drops
+    /// state on termination.
     pub fn on_response(&mut self, conn: u64, sid: StreamId, batch: &[Delta], now_us: u64) {
         let mut remove = false;
         if let Some(entry) = self.entries.get_mut(&(conn, sid)) {
             entry.last_activity_us = now_us;
             for delta in batch {
                 match delta {
-                    Delta::RewriteRequest { patch } => entry.header.merge(patch),
                     Delta::Terminate(_) => remove = true,
-                    _ => {}
+                    _ => record_rewrite(&mut entry.header, delta),
                 }
             }
         }
@@ -696,6 +731,8 @@ impl ProxyStreamTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::arb_last_seq;
+    use proptest::prelude::*;
     use simkit::snap::{Snap, SnapReader, SnapWriter};
 
     fn apply_batch(c: &mut ClientStream, batch: &[Delta]) -> Vec<ClientAction> {
@@ -758,7 +795,7 @@ mod tests {
         for &(conn, sid) in &[(2, StreamId(1)), (1, StreamId(9)), (1, StreamId(3))] {
             let a = t.get(conn, sid).unwrap();
             let b = restored.get(conn, sid).unwrap();
-            assert_eq!(a.header.as_bytes(), b.header.as_bytes());
+            assert_eq!(a.header.to_bytes(), b.header.to_bytes());
             assert_eq!(a.body, b.body);
             assert_eq!(a.upstream, b.upstream);
             assert_eq!(a.last_activity_us, b.last_activity_us);
@@ -973,13 +1010,7 @@ mod tests {
         let mut s = ServerStream::accept(StreamId(1), header(), false);
         s.push(vec![]);
         s.push(vec![]);
-        let d = s.rewrite_progress();
-        match d {
-            Delta::RewriteRequest { patch } => {
-                assert_eq!(patch.get("last_seq").unwrap().as_u64(), Some(1));
-            }
-            other => panic!("expected rewrite, got {other:?}"),
-        }
+        assert_eq!(s.rewrite_progress(), Delta::Progress { last_seq: 1 });
         assert_eq!(s.header().get("last_seq").unwrap().as_u64(), Some(1));
     }
 
@@ -1107,10 +1138,7 @@ mod tests {
         for last in 0..=1001u64 {
             let update = server.push(vec![0u8]);
             let rewrite = server.rewrite_progress();
-            let Delta::RewriteRequest { patch } = &rewrite else {
-                panic!("expected rewrite, got {rewrite:?}");
-            };
-            oracle = oracle.merge_oracle(patch);
+            oracle = oracle.merge_oracle(&rewrite.rewrite_patch().expect("a rewrite"));
             let batch = [update, rewrite];
             proxy.on_response(9, sid, &batch, last);
             apply_batch(&mut client, &batch);
@@ -1130,6 +1158,119 @@ mod tests {
             assert_eq!(got, want, "frozen bytes at last_seq {last}");
         }
         assert_eq!(client.delivered(), 1002);
+    }
+
+    fn snap_bytes(value: &impl Snap) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        value.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// One header rewrite sent down a stream: progress, or a patch of a few
+    /// members (which may itself be exactly `{"last_seq": n}`).
+    #[derive(Clone, Debug)]
+    enum Step {
+        Progress(u64),
+        Patch(Vec<(&'static str, Json)>),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let value = prop_oneof![
+            arb_last_seq().prop_map(Json::from),
+            (-1e3f64..1e3).prop_map(Json::Num),
+            "[a-z\"\\\\]{0,6}".prop_map(Json::Str),
+            Just(Json::Null),
+        ];
+        const KEYS: [&str; 4] = ["last_seq", "brass_host", "rl_tokens", "z"];
+        let key = (0..KEYS.len()).prop_map(|i| KEYS[i]);
+        let progress = || arb_last_seq().prop_map(Step::Progress);
+        let patch = proptest::collection::vec((key, value), 0..3).prop_map(Step::Patch);
+        prop_oneof![progress(), progress(), patch]
+    }
+
+    proptest! {
+        /// Every holder of a header — BRASS, proxy / POP, device — reads
+        /// after every rewrite exactly like the parse → merge → re-encode
+        /// oracle: unpacked header, `u64` field reads, snapshot bytes and
+        /// frozen bytes, whether the rewrite was recorded as a pending
+        /// number or spliced.
+        #[test]
+        fn holders_match_the_merge_oracle(steps in proptest::collection::vec(arb_step(), 1..24)) {
+            let subscribe = Json::obj([
+                ("topic", Json::from("/LVC/1")),
+                ("viewer", Json::from(77u64)),
+            ]);
+            let sid = StreamId(3);
+            let mut server = ServerStream::accept(sid, subscribe.clone(), false);
+            let mut proxy = ProxyStreamTable::new();
+            proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
+            let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
+            let mut oracle = subscribe;
+            for step in steps {
+                let (delta, patch) = match step {
+                    Step::Progress(n) => {
+                        (Delta::progress(n), Json::obj([("last_seq", Json::from(n))]))
+                    }
+                    Step::Patch(members) => {
+                        let patch = Json::obj(members);
+                        (Delta::rewrite(patch.clone()), patch)
+                    }
+                };
+                oracle.merge(&patch);
+                let want = PackedJson::pack(&oracle);
+                server.apply_rewrite(&delta);
+                proxy.on_response(9, sid, std::slice::from_ref(&delta), 1);
+                apply_batch(&mut client, std::slice::from_ref(&delta));
+
+                let proxy_header = &proxy.get(9, sid).expect("entry").header;
+                for header in [&server.header, proxy_header, &client.header] {
+                    prop_assert_eq!(header.unpack().to_string(), oracle.to_string());
+                    prop_assert_eq!(header, &want);
+                    for key in ["last_seq", "brass_host", "viewer"] {
+                        let slow = oracle.get(key).and_then(Json::as_u64);
+                        prop_assert_eq!(header.get_u64(key), slow);
+                    }
+                    prop_assert_eq!(snap_bytes(header), snap_bytes(&want));
+                }
+                prop_assert_eq!(server.header().to_string(), oracle.to_string());
+                // The device splices at once: freezing borrows its text.
+                let frozen_text = client.header.to_bytes();
+                prop_assert!(matches!(frozen_text, std::borrow::Cow::Borrowed(_)));
+                let spliced = ServerStream { header: want.clone(), ..server.clone() };
+                let bytes = snap_bytes(&server);
+                prop_assert_eq!(&bytes, &snap_bytes(&spliced));
+                let restored = ServerStream::restore(&mut SnapReader::new(&bytes)).expect("restore");
+                prop_assert_eq!(&restored.header, &want);
+                let spliced = ClientStream { header: want.clone(), ..client.clone() };
+                let (mut got, mut expected) = (Vec::new(), Vec::new());
+                client.freeze_into(&mut got);
+                spliced.freeze_into(&mut expected);
+                prop_assert_eq!(got, expected);
+            }
+        }
+    }
+
+    /// A `last_seq` from a device's header never overflows the resume
+    /// point. 2^64 − 1 reads as the `f64` 2^64, which is no `u64`, so
+    /// numbering starts at 0; 1e19 is a `u64` and numbering resumes after
+    /// it.
+    #[test]
+    fn untrusted_last_seq_never_overflows_the_resume_point() {
+        for (last_seq, resume) in [
+            ("18446744073709551615", 0),
+            ("1e19", 10_000_000_000_000_000_001),
+        ] {
+            let text = format!(r#"{{"topic":"/LVC/1","last_seq":{last_seq}}}"#);
+            let header = Json::parse(&text).unwrap();
+            let server = ServerStream::accept(StreamId(1), header.clone(), false);
+            assert_eq!(server.next_seq(), resume, "accept, {last_seq}");
+            let mut client = ClientStream::new(StreamId(1), header, vec![]);
+            client.resubscribe_request();
+            assert_eq!(client.expected_seq(), resume, "resubscribe, {last_seq}");
+            apply_batch(&mut client, &[Delta::update(resume + 5, vec![])]);
+            apply_batch(&mut client, &[Delta::FlowStatus(FlowStatus::Recovered)]);
+            assert_eq!(client.expected_seq(), resume, "recovered, {last_seq}");
+        }
     }
 
     #[test]
