@@ -1,20 +1,26 @@
-//! Shared output helpers for the experiment harnesses.
+//! The bench binaries' shared front end.
 //!
-//! Every table and figure in the paper's evaluation (§5) has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's experiment index); the
-//! helpers here render their output as aligned text tables, ASCII bar
-//! histograms, and CDF point lists so that EXPERIMENTS.md can quote them
-//! directly.
+//! Every table and figure in the paper's evaluation (§5) is an entry of
+//! [`paper::CATALOG`], which `bench --bin paper` prints with its claims
+//! checked against the paper (see DESIGN.md's experiment index). The rest
+//! serves the sim-throughput and chaos bins: argument parsing, the JSON
+//! summary they emit, and snapshot/resume plumbing.
 
 use bladerunner::config::SystemConfig;
 use burst::json::Json;
 use pylon::PylonConfig;
-use simkit::metrics::Histogram;
 use tao::TaoConfig;
+
+pub mod paper;
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+    print!("{}", table(title, headers, rows));
+}
+
+/// An aligned text table: a blank line, `== title ==`, the headers, a
+/// rule, then one line per row.
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -31,69 +37,15 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>())
-    );
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let mut out = format!("\n== {title} ==\n{}\n{rule}\n", fmt_row(&headers));
     for row in rows {
-        println!("{}", fmt_row(row));
+        out.push_str(&fmt_row(row));
+        out.push('\n');
     }
+    out
 }
-
-/// Prints an ASCII bar histogram from labelled fractions.
-pub fn print_bars(title: &str, bars: &[(String, f64)], unit: &str) {
-    println!("\n== {title} ==");
-    let max = bars.iter().map(|(_, v)| *v).fold(0.0, f64::max).max(1e-9);
-    for (label, value) in bars {
-        let n = ((value / max) * 50.0).round() as usize;
-        println!("{label:>12} | {:<50} {value:.1}{unit}", "#".repeat(n));
-    }
-}
-
-/// Percent-of-total bars from bucket counts.
-pub fn bars_from_counts(labels: &[&str], counts: &[u64]) -> Vec<(String, f64)> {
-    let total: u64 = counts.iter().sum();
-    let total = total.max(1) as f64;
-    labels
-        .iter()
-        .zip(counts)
-        .map(|(l, &c)| (l.to_string(), c as f64 / total * 100.0))
-        .collect()
-}
-
-/// Prints CDF points from a histogram at the given quantiles (values are
-/// milliseconds in all of this repo's histograms).
-pub fn print_cdf(title: &str, hist: &Histogram, quantiles: &[f64]) {
-    println!("\n== {title} (n={}) ==", hist.count());
-    println!("{:>8}  {:>12}", "quantile", "latency_ms");
-    for &q in quantiles {
-        println!("{:>8.2}  {:>12.0}", q, hist.quantile(q));
-    }
-}
-
-/// Standard quantile grid for CDF output.
-pub const CDF_GRID: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99];
-
-/// Formats a mean/percentile summary row for a histogram (milliseconds).
-pub fn summary_row(label: &str, h: &Histogram) -> Vec<String> {
-    vec![
-        label.to_string(),
-        format!("{}", h.count()),
-        format!("{:.0}", h.mean()),
-        format!("{:.0}", h.quantile(0.5)),
-        format!("{:.0}", h.quantile(0.75)),
-        format!("{:.0}", h.quantile(0.9)),
-        format!("{:.0}", h.quantile(0.95)),
-        format!("{:.0}", h.quantile(0.99)),
-    ]
-}
-
-/// Header matching [`summary_row`].
-pub const SUMMARY_HEADER: [&str; 8] = ["series", "n", "mean", "p50", "p75", "p90", "p95", "p99"];
 
 /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`);
 /// 0 where procfs is unavailable.
@@ -449,29 +401,6 @@ pub mod driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bars_from_counts_normalizes() {
-        let bars = bars_from_counts(&["a", "b"], &[3, 1]);
-        assert_eq!(bars[0], ("a".to_string(), 75.0));
-        assert_eq!(bars[1], ("b".to_string(), 25.0));
-    }
-
-    #[test]
-    fn bars_from_zero_counts() {
-        let bars = bars_from_counts(&["a"], &[0]);
-        assert_eq!(bars[0].1, 0.0);
-    }
-
-    #[test]
-    fn summary_row_shape() {
-        let mut h = Histogram::new();
-        h.record(10.0);
-        let row = summary_row("x", &h);
-        assert_eq!(row.len(), SUMMARY_HEADER.len());
-        assert_eq!(row[0], "x");
-        assert_eq!(row[1], "1");
-    }
 
     #[test]
     fn arg_or_default() {
