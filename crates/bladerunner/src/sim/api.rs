@@ -55,7 +55,7 @@ impl SystemSim {
             host_up: vec![true; config.brass_hosts as usize],
             proxy_up: vec![true; config.proxies as usize],
             host_busy_until: vec![SimTime::ZERO; config.brass_hosts as usize],
-            devices: simkit::collections::SortedVecMap::new(),
+            devices: simkit::collections::IdMap::new(),
             reg: Registries::default(),
             ledger: TraceLedger::with_retention(config.trace_retention),
             pending_backfill: FxHashMap::default(),
@@ -142,7 +142,7 @@ impl SystemSim {
     /// resident form may be the compact hibernation blob, which is
     /// rehydrated here without disturbing the simulation.
     pub fn device(&self, device: u64) -> Option<Device> {
-        self.devices.get(&device).map(|d| match &d.slot {
+        self.devices.get(device).map(|d| match &d.slot {
             DeviceSlot::Live(dev) => dev.clone(),
             DeviceSlot::Parked(blob) => Device::rehydrate(device, blob),
         })
@@ -206,7 +206,7 @@ impl SystemSim {
         let cat = simkit::dist::Categorical::new(&weights);
         let link = self.config.link_mix[cat.sample_index(&mut self.rng)].0;
         let lang = self.intern_lang(lang);
-        self.devices.insert(
+        self.devices.push(
             uid,
             DeviceState {
                 slot: DeviceSlot::Live(Device::new(uid)),
@@ -241,7 +241,7 @@ impl SystemSim {
     fn subscribe_gql(&mut self, at: SimTime, device: u64, gql: String) {
         let lang = self
             .devices
-            .get(&device)
+            .get(device)
             .and_then(|d| self.langs.get(d.lang as usize))
             .map_or("en", String::as_str);
         let header = Json::obj([
@@ -317,7 +317,7 @@ impl SystemSim {
         // Device → POP → edge → WAS; sampled as one compound delay.
         let link = self
             .devices
-            .get(&device)
+            .get(device)
             .map(|d| d.link)
             .unwrap_or(LinkClass::Mobile);
         let delay =

@@ -76,7 +76,7 @@ impl Registries {
 
 impl SystemSim {
     pub(super) fn on_device_subscribe(&mut self, now: SimTime, device: u64, header: Json) {
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(state) = self.devices.get_mut(device) else {
             return;
         };
         if !state.connected {
@@ -90,7 +90,7 @@ impl SystemSim {
         for sid in evict {
             self.on_device_cancel(now, device, sid);
         }
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(state) = self.devices.get_mut(device) else {
             return;
         };
         // Fig. 7 registry: which topic does this stream's subscription
@@ -117,7 +117,7 @@ impl SystemSim {
     }
 
     pub(super) fn on_device_cancel(&mut self, now: SimTime, device: u64, sid: StreamId) {
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(state) = self.devices.get_mut(device) else {
             return;
         };
         let frame = state.wake(device, &mut self.park).cancel_stream(sid);

@@ -22,7 +22,7 @@ impl SystemSim {
     /// thundering herd.
     fn reconnect_backoff(&mut self, now: SimTime, device: u64) -> SimDuration {
         let base = self.config.reconnect_delay;
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(state) = self.devices.get_mut(device) else {
             return base;
         };
         // A quiet couple of minutes forgives the streak.
@@ -44,7 +44,7 @@ impl SystemSim {
     /// is deliberately left alone — frames still on the wire will arrive
     /// and decrement it regardless of connection state.
     fn reset_flow_state(&mut self, device: u64) {
-        if let Some(state) = self.devices.get_mut(&device) {
+        if let Some(state) = self.devices.get_mut(device) {
             state.flow.reset();
             state.degraded_sids.clear();
         }
@@ -57,7 +57,7 @@ impl SystemSim {
     /// connected.
     fn lose_connection(&mut self, now: SimTime, device: u64) -> Option<Vec<Frame>> {
         self.reset_flow_state(device);
-        let state = self.devices.get_mut(&device)?;
+        let state = self.devices.get_mut(device)?;
         if !state.connected {
             return None;
         }
@@ -114,7 +114,7 @@ impl SystemSim {
 
     pub(super) fn on_device_reconnect(&mut self, now: SimTime, device: u64, frames: Vec<Frame>) {
         self.reset_flow_state(device);
-        let Some(state) = self.devices.get_mut(&device) else {
+        let Some(state) = self.devices.get_mut(device) else {
             return;
         };
         state.connected = true;

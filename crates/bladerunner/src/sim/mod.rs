@@ -115,11 +115,14 @@ pub struct SystemSim {
     /// `config.brass_service_us == 0`.
     host_busy_until: Vec<SimTime>,
 
-    /// The device fleet, keyed by uid. A sorted vec, not a hash map: the
-    /// fleet is built in ascending-id order, lives for the whole run, and
-    /// at seven figures a hash table's empty buckets alone cost hundreds
-    /// of megabytes (entries are 144 B each).
-    devices: simkit::collections::SortedVecMap<u64, DeviceState>,
+    /// The device fleet, keyed by uid. An [`IdMap`], not a hash map: the
+    /// fleet is built in ascending-id order and lives for the whole run,
+    /// so a device is found by `uid − first uid` through a 4-byte-per-id
+    /// index, and at seven figures a hash table's empty buckets alone
+    /// would cost hundreds of megabytes (entries are 144 B each).
+    ///
+    /// [`IdMap`]: simkit::collections::IdMap
+    devices: simkit::collections::IdMap<DeviceState>,
     reg: Registries,
     /// The per-update hop ledger: every admitted update's journey through
     /// write → Pylon → BRASS → BURST → device, with drop attribution, in
@@ -408,7 +411,7 @@ impl SystemSim {
         // streams across ALL devices, and of those on connected devices,
         // how many are served.
         let (mut active, mut open, mut served) = (0u64, 0u64, 0u64);
-        for (&id, state) in &self.devices {
+        for (id, state) in &self.devices {
             state.for_each_open_sid(|sid| {
                 active += 1;
                 if state.connected {

@@ -189,7 +189,10 @@ impl SystemSim {
         for t in &mut s.host_busy_until {
             *t = Snap::restore(r)?;
         }
-        // By hand: a device's restore needs its key.
+        // By hand: a device's restore needs its key. Every device id is a
+        // TAO user id, so one the TAO never issued is corrupt; checking it
+        // also bounds the fleet index to the TAO's id space.
+        let next_object_id = s.was.tao().next_object_id();
         let mut last_dev: Option<u64> = None;
         for _ in 0..r.get_len()? {
             let dev = r.get_u64()?;
@@ -197,6 +200,11 @@ impl SystemSim {
                 return Err(SnapError::Invalid(
                     "device ids not strictly ascending".into(),
                 ));
+            }
+            if dev >= next_object_id {
+                return Err(SnapError::Invalid(format!(
+                    "device id {dev}, the TAO has issued ids below {next_object_id}"
+                )));
             }
             last_dev = Some(dev);
             let state = DeviceState::restore(dev, r)?;
@@ -207,7 +215,7 @@ impl SystemSim {
                     s.langs.len()
                 )));
             }
-            s.devices.insert(dev, state);
+            s.devices.push(dev, state);
         }
         s.pending_backfill = Snap::restore(r)?;
         s.object_delivered = Snap::restore(r)?;
@@ -299,7 +307,7 @@ impl SystemSim {
         let mut stranded: Vec<(u64, StreamId)> = Vec::new();
         let mut flow_degraded_devices = 0u64;
         // Ascending device id: `stranded` comes out sorted.
-        for (&id, state) in &self.devices {
+        for (id, state) in &self.devices {
             if !state.connected {
                 continue;
             }

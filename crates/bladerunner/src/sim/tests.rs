@@ -526,7 +526,7 @@ fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
         s.run_until(SimTime::from_secs(10));
         assert_eq!(s.proxies.iter().map(|p| p.stream_count()).sum::<usize>(), 1);
         // A flow-control episode in progress, so the reset is observable.
-        let state = s.devices.get_mut(&viewer).expect("viewer exists");
+        let state = s.devices.get_mut(viewer).expect("viewer exists");
         state.flow = FlowWindow::new(100);
         state.flow.try_send(80);
         assert_eq!(state.flow.try_send(80), Admit::ShedDegrade);
@@ -541,7 +541,7 @@ fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
         // Inside the 2 s base backoff, and far inside the 15 s it takes
         // POP heartbeats to reap a silent device.
         s.run_until(at + SimDuration::from_secs(1));
-        let state = s.devices.get(&viewer).expect("viewer exists");
+        let state = s.devices.get(viewer).expect("viewer exists");
         assert!(!state.connected, "announced={announced}");
         assert_eq!(state.flow.in_flight(), 0);
         assert!(!state.flow.is_degraded() && state.degraded_sids.is_empty());
@@ -557,7 +557,7 @@ fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
         // One reconnect: the one open stream resubscribes once.
         assert_eq!(s.metrics().subscriptions.get(), 1);
         s.run_until(at + SimDuration::from_secs(10));
-        assert!(s.devices.get(&viewer).expect("viewer exists").connected);
+        assert!(s.devices.get(viewer).expect("viewer exists").connected);
         assert_eq!(s.metrics().subscriptions.get(), 2);
         assert_eq!(s.metrics().connection_drops.get(), 1);
         assert_eq!(s.proxies.iter().map(|p| p.stream_count()).sum::<usize>(), 1);
@@ -598,4 +598,54 @@ fn resume_rejects_a_queued_event_naming_a_missing_host() {
         panic!("a queued timer for host {} was accepted", s.hosts.len());
     };
     assert!(format!("{err}").contains("host 4, config has 4"), "{err}");
+}
+
+/// A snapshot naming a device id the TAO never issued is rejected at
+/// resume. The id is the last device's, raised far past the TAO's next id
+/// but still ascending: loading it would size the fleet index at 4 bytes
+/// per id in range, terabytes, so this passing also shows the check runs
+/// before the index grows.
+#[test]
+fn resume_rejects_a_device_id_the_tao_never_issued() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let viewers: Vec<u64> = (0..3)
+        .map(|i| s.create_user_device(&format!("u{i}"), "en"))
+        .collect();
+    // An object after the fleet: the TAO's next id is not last + 1.
+    s.was_mut().create_video("after the fleet");
+    for &v in &viewers {
+        s.subscribe_lvc(SimTime::ZERO, v, video);
+    }
+    s.run_until(SimTime::from_secs(5));
+    let next = s.was.tao().next_object_id();
+    let body = simkit::snap::unseal(&s.snapshot())
+        .expect("pristine")
+        .to_vec();
+    let (last, state) = s.devices.iter().last().expect("a fleet");
+    let mut w = SnapWriter::new();
+    last.snap(&mut w);
+    state.snap(&mut w);
+    let entry = w.into_bytes();
+    let at = body
+        .windows(entry.len())
+        .position(|w| w == entry)
+        .expect("the last device's entry is in the device section");
+    assert_eq!(body.windows(entry.len()).filter(|w| *w == entry).count(), 1);
+    let config = SystemConfig::small();
+    let with_id = |id: u64| {
+        let mut bad = body.clone();
+        bad[at..at + 8].copy_from_slice(&id.to_le_bytes());
+        SystemSim::resume(config.clone(), &simkit::snap::seal(bad))
+    };
+    assert!(with_id(last).is_ok(), "pristine world resumes");
+    for id in [next, next + 1, 1 << 40, u64::MAX] {
+        let Err(err) = with_id(id) else {
+            panic!("device id {id} accepted; the TAO issued ids below {next}");
+        };
+        assert!(
+            format!("{err}").contains(&format!("device id {id}")),
+            "{err}"
+        );
+    }
 }

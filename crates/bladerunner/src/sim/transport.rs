@@ -64,7 +64,7 @@ impl SystemSim {
     }
 
     pub(super) fn on_at_pop(&mut self, now: SimTime, device: u64, frame: Box<Frame>) {
-        if !self.devices.contains_key(&device) {
+        if !self.devices.contains_key(device) {
             return;
         }
         // A device's POP is derived, not stored: `device % pops`.
@@ -237,7 +237,7 @@ impl SystemSim {
         frame: Box<Frame>,
         sent_at: SimTime,
     ) {
-        let Some(slot) = self.devices.slot(&device) else {
+        let Some(slot) = self.devices.slot(device) else {
             return;
         };
         let pop = device as usize % self.pops.len();
@@ -253,8 +253,8 @@ impl SystemSim {
     }
 
     /// Puts a frame on the last mile toward `device`, whose fleet slot the
-    /// caller resolved (see [`simkit::collections::SortedVecMap::slot`];
-    /// the fleet is never removed from, so a slot stays good).
+    /// caller resolved (see [`simkit::collections::IdMap::slot`]; the
+    /// fleet is never removed from, so a slot stays good).
     fn schedule_to_device(
         &mut self,
         now: SimTime,
@@ -344,7 +344,7 @@ impl SystemSim {
         frame: &Frame,
         sent_at: SimTime,
     ) {
-        let Some(slot) = self.devices.slot(&device) else {
+        let Some(slot) = self.devices.slot(device) else {
             return;
         };
         self.at_device_inner(now, slot, device, frame, sent_at);
@@ -504,7 +504,7 @@ impl SystemSim {
                     );
                 }
                 PopEffect::ToDevice { device, frame } => {
-                    if let Some(slot) = self.devices.slot(&device) {
+                    if let Some(slot) = self.devices.slot(device) {
                         self.schedule_to_device(now, slot, device, frame, now);
                     }
                 }

@@ -1,25 +1,27 @@
-//! Compact ordered collections for large resident state: two maps that
-//! replace a hash table where the keys have a shape a hash throws away.
+//! Compact collections for large resident state: two maps that replace a
+//! hash table where the keys have a shape a hash throws away.
 //!
-//! [`SortedVecMap`] is a map stored as one contiguous `Vec<(K, V)>` kept
-//! sorted by key. Against a hash map it trades O(log n) lookups and O(n)
-//! arbitrary inserts for three properties that matter when an instance
-//! holds a million entries for the life of a run:
+//! [`IdMap`] is a map from ids handed out in ascending order (a fleet
+//! created in id order), stored as one contiguous `Vec<(u64, V)>` in id
+//! order plus a dense index from `id − first id` to the entry's position.
+//! Against a hash map it gives up arbitrary inserts for three properties
+//! that matter when an instance holds a million entries for the life of a
+//! run:
 //!
-//! * **Exact footprint** — `len * size_of::<(K, V)>()` plus bounded vec
-//!   growth slack. A hash table sized for the same population sits at
-//!   50–87% load, which at seven figures is hundreds of megabytes of
-//!   empty buckets.
-//! * **Ascending-append fast path** — populations created in id order
-//!   (the common case for fleet construction) insert in O(1) amortised.
-//! * **Deterministic iteration** — always key order, independent of
-//!   insertion history, so fleet scans can never become a hidden source
-//!   of run-to-run divergence.
+//! * **O(1) lookups without hashing** — one subtraction and one 4-byte
+//!   load find an entry's position; an id in range with no entry (another
+//!   object drawn from the same counter) holds a sentinel.
+//! * **Exact footprint** — `len * size_of::<(u64, V)>()` plus 4 bytes per
+//!   id in range, plus bounded vec growth slack. A hash table sized for the
+//!   same population sits at 50–87% load, which at seven figures is
+//!   hundreds of megabytes of empty buckets.
+//! * **Deterministic iteration** — always id order, so fleet scans can
+//!   never become a hidden source of run-to-run divergence.
 //!
-//! A population that is only ever appended to can also be addressed by
-//! position: [`SortedVecMap::slot`] does the one binary search and
-//! [`SortedVecMap::at`] / [`at_mut`](SortedVecMap::at_mut) reuse it, so a
-//! handler that touches one entry six times searches once.
+//! Nothing is ever removed, so a position stays good for the life of the
+//! map: [`IdMap::slot`] resolves an id once and [`IdMap::at`] /
+//! [`at_mut`](IdMap::at_mut) reuse it, so a handler that touches one entry
+//! six times looks it up once.
 //!
 //! [`SeqMap`] is a map for keys handed out by an increasing counter —
 //! timer tokens, request tokens — whose entries live briefly. The live
@@ -36,29 +38,48 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::snap::{restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};
 
-/// A map from `K` to `V` backed by a single sorted vector.
+/// An [`IdMap`] index entry for an id in range that has no entry.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A map from `u64` ids, pushed in ascending order, to `V`. See the module
+/// docs.
 ///
 /// # Examples
 ///
 /// ```
-/// use simkit::collections::SortedVecMap;
+/// use simkit::collections::IdMap;
 ///
-/// let mut m = SortedVecMap::new();
-/// m.insert(2u64, "b");
-/// m.insert(1, "a");
-/// assert_eq!(m.get(&1), Some(&"a"));
-/// assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+/// let mut m = IdMap::new();
+/// m.push(3, "c");
+/// m.push(5, "e");
+/// assert_eq!(m.get(5), Some(&"e"));
+/// assert_eq!(m.get(4), None);
+/// assert_eq!(m.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![3, 5]);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SortedVecMap<K, V> {
-    entries: Vec<(K, V)>,
+#[derive(Clone, Debug)]
+pub struct IdMap<V> {
+    /// Entries in ascending id order.
+    entries: Vec<(u64, V)>,
+    /// The id of `entries[0]`.
+    base: u64,
+    /// `index[id − base]` is `id`'s position in `entries`, or [`NO_SLOT`].
+    /// Derived from `entries`; never part of any snapshot.
+    index: Vec<u32>,
 }
 
-impl<K: Ord, V> SortedVecMap<K, V> {
+impl<V> Default for IdMap<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V> IdMap<V> {
     /// Creates an empty map.
     pub fn new() -> Self {
-        SortedVecMap {
+        IdMap {
             entries: Vec::new(),
+            base: 0,
+            index: Vec::new(),
         }
     }
 
@@ -72,61 +93,38 @@ impl<K: Ord, V> SortedVecMap<K, V> {
         self.entries.is_empty()
     }
 
-    fn position(&self, key: &K) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
-    }
-
-    /// Inserts `value` at `key`, returning the previous value if any.
-    /// Ascending-key appends (the fleet-construction pattern) are O(1)
-    /// amortised; out-of-order inserts shift the tail.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        if self.entries.last().is_none_or(|(k, _)| *k < key) {
-            self.entries.push((key, value));
-            return None;
+    /// Appends `value` at `id`. The index grows to cover every id from the
+    /// first entry's to this one, 4 bytes each, so a caller loading ids
+    /// from outside bounds them first.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not above every id present, or the map already holds
+    /// `u32::MAX` entries.
+    pub fn push(&mut self, id: u64, value: V) {
+        match self.entries.last() {
+            Some(&(last, _)) => assert!(id > last, "id {id} pushed after {last}"),
+            None => self.base = id,
         }
-        match self.position(&key) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
-            Err(i) => {
-                self.entries.insert(i, (key, value));
-                None
-            }
+        let slot = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&slot| slot != NO_SLOT)
+            .expect("an IdMap holds fewer than u32::MAX entries");
+        let at = usize::try_from(id - self.base).expect("id range fits the address space");
+        self.index.resize(at, NO_SLOT);
+        self.index.push(slot);
+        self.entries.push((id, value));
+    }
+
+    /// The position of `id`'s entry, for [`at`](Self::at) and
+    /// [`at_mut`](Self::at_mut). Positions never move.
+    pub fn slot(&self, id: u64) -> Option<usize> {
+        // An id below the first wraps far past the end of the index.
+        let at = usize::try_from(id.wrapping_sub(self.base)).ok()?;
+        match *self.index.get(at)? {
+            NO_SLOT => None,
+            slot => Some(slot as usize),
         }
-    }
-
-    /// Removes and returns the value at `key`.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        match self.position(key) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    /// A reference to the value at `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        match self.position(key) {
-            Ok(i) => Some(&self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    /// A mutable reference to the value at `key`.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self.position(key) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.position(key).is_ok()
-    }
-
-    /// The position of `key`'s entry, for [`at`](Self::at) and
-    /// [`at_mut`](Self::at_mut). It stays valid until an insert or remove
-    /// of a smaller key — for a map that is only appended to, for good.
-    pub fn slot(&self, key: &K) -> Option<usize> {
-        self.position(key).ok()
     }
 
     /// The value at a position [`slot`](Self::slot) returned.
@@ -139,56 +137,40 @@ impl<K: Ord, V> SortedVecMap<K, V> {
         &mut self.entries[slot].1
     }
 
-    /// Keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+    /// A reference to the value at `id`.
+    pub fn get(&self, id: u64) -> Option<&V> {
+        Some(self.at(self.slot(id)?))
     }
 
-    /// Values in ascending key order.
+    /// A mutable reference to the value at `id`.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut V> {
+        let slot = self.slot(id)?;
+        Some(self.at_mut(slot))
+    }
+
+    /// Whether `id` is present.
+    pub fn contains_key(&self, id: u64) -> bool {
+        self.slot(id).is_some()
+    }
+
+    /// Values in ascending id order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// Mutable values in ascending key order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
-    }
-
-    /// `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    /// `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.entries.iter().map(|(id, v)| (*id, v))
     }
 }
 
-/// Entries in ascending key order, which is also storage order. Reading
-/// is strict: accepting unsorted keys would silently change iteration
-/// order (and thus simulation behaviour) relative to the writer.
-impl<K: Ord + Snap, V: Snap> Snap for SortedVecMap<K, V> {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.entries.snap(w);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(SortedVecMap {
-            entries: restore_sorted(r, |a: &(K, V), b| a.0 < b.0)?,
-        })
-    }
-}
-
-impl<'a, K: Ord, V> IntoIterator for &'a SortedVecMap<K, V> {
-    type Item = (&'a K, &'a V);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (K, V)>, fn(&'a (K, V)) -> (&'a K, &'a V)>;
+impl<'a, V> IntoIterator for &'a IdMap<V> {
+    type Item = (u64, &'a V);
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, (u64, V)>, fn(&'a (u64, V)) -> (u64, &'a V)>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-}
-
-impl<K: Ord, V> std::ops::Index<&K> for SortedVecMap<K, V> {
-    type Output = V;
-
-    fn index(&self, key: &K) -> &V {
-        self.get(key).expect("key not present in SortedVecMap")
+        self.entries.iter().map(|(id, v)| (*id, v))
     }
 }
 
@@ -367,70 +349,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut m = SortedVecMap::new();
-        assert_eq!(m.insert(5u64, "e"), None);
-        assert_eq!(m.insert(1, "a"), None);
-        assert_eq!(m.insert(3, "c"), None);
-        assert_eq!(m.insert(3, "c2"), Some("c"));
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.get(&3), Some(&"c2"));
-        assert!(m.contains_key(&1));
-        assert!(!m.contains_key(&2));
-        assert_eq!(m.remove(&1), Some("a"));
-        assert_eq!(m.remove(&1), None);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn iteration_is_key_ordered_regardless_of_insert_order() {
-        let mut m = SortedVecMap::new();
-        for k in [9u64, 2, 7, 4, 1] {
-            m.insert(k, k * 10);
+    fn id_map_slot_addresses_an_entry_without_looking_up_again() {
+        let mut m = IdMap::new();
+        assert_eq!((m.slot(0), m.slot(10)), (None, None), "empty");
+        for id in [10u64, 20, 30] {
+            m.push(id, id + 1);
         }
-        let keys: Vec<u64> = m.keys().copied().collect();
-        assert_eq!(keys, vec![1, 2, 4, 7, 9]);
-        let pairs: Vec<(u64, u64)> = m.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(pairs[0], (1, 10));
-        for (&k, &v) in &m {
-            assert_eq!(v, k * 10);
+        for id in [0, 5, 9, 11, 25, 31, u64::MAX] {
+            assert_eq!(m.slot(id), None, "{id}");
         }
-    }
-
-    #[test]
-    fn ascending_append_and_index() {
-        let mut m = SortedVecMap::new();
-        for k in 0u64..1000 {
-            m.insert(k, k);
-        }
-        assert_eq!(m.len(), 1000);
-        assert_eq!(m[&999], 999);
-        assert_eq!(m.values().sum::<u64>(), 499_500);
-        let doubled: Vec<u64> = {
-            for v in m.values_mut() {
-                *v *= 2;
-            }
-            m.values().take(3).copied().collect()
-        };
-        assert_eq!(doubled, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn slot_addresses_an_entry_without_searching_again() {
-        let mut m = SortedVecMap::new();
-        for k in [10u64, 20, 30] {
-            m.insert(k, k + 1);
-        }
-        assert_eq!(m.slot(&5), None);
-        assert_eq!(m.slot(&25), None);
-        let slot = m.slot(&20).expect("present");
+        let slot = m.slot(20).expect("present");
         assert_eq!(*m.at(slot), 21);
         *m.at_mut(slot) += 100;
-        assert_eq!(m.get(&20), Some(&121));
+        assert_eq!(m.get(20), Some(&121));
+        *m.get_mut(30).expect("present") += 1;
         // Appending (the fleet only ever grows at the end) moves no slot.
-        m.insert(40, 41);
-        assert_eq!(m.slot(&20), Some(slot));
-        assert_eq!(m.slot(&40), Some(3));
+        m.push(40, 41);
+        assert_eq!(m.slot(20), Some(slot));
+        assert_eq!(m.slot(40), Some(3));
+        assert_eq!(m.len(), 4);
+        let pairs: Vec<(u64, u64)> = (&m).into_iter().map(|(id, &v)| (id, v)).collect();
+        assert_eq!(pairs, vec![(10, 11), (20, 121), (30, 32), (40, 41)]);
+        assert_eq!(m.values().sum::<u64>(), 205);
+    }
+
+    #[test]
+    #[should_panic(expected = "id 20 pushed after 20")]
+    fn id_map_rejects_an_id_out_of_order() {
+        let mut m = IdMap::new();
+        m.push(20u64, ());
+        m.push(20, ());
+    }
+
+    proptest::proptest! {
+        /// Against a binary search over the entries (the lookup this index
+        /// replaced): a fleet of ascending ids with other objects' ids
+        /// interleaved, probed at every id in range and around it.
+        #[test]
+        fn id_map_slot_matches_a_binary_search(
+            gaps in proptest::collection::vec((0..4u64, proptest::prelude::any::<bool>()), 0..300),
+            first in 0..1_000u64,
+        ) {
+            let mut m = IdMap::new();
+            let mut next = first;
+            for &(skip, device) in &gaps {
+                next += skip;
+                if device {
+                    m.push(next, next * 3);
+                }
+                next += 1;
+            }
+            let ids: Vec<u64> = m.iter().map(|(id, _)| id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            let low = first.saturating_sub(3);
+            for id in (low..next + 3).chain([u64::MAX, u64::MAX - 1]) {
+                let oracle = ids.binary_search(&id).ok();
+                assert_eq!(m.slot(id), oracle, "id {id}");
+                assert_eq!(m.get(id).copied(), oracle.map(|_| id * 3), "id {id}");
+            }
+            // 4 bytes per id from the first entry's to the last's.
+            let span = ids.last().map_or(0, |last| (last - ids[0] + 1) as usize);
+            assert_eq!(m.index.len(), span);
+            assert_eq!(m.index.iter().filter(|&&slot| slot != NO_SLOT).count(), ids.len());
+        }
     }
 
     fn snap_of(v: &impl Snap) -> Vec<u8> {

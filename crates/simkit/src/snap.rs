@@ -51,9 +51,9 @@
 //! or derives a field the bytes do not carry.
 //!
 //! The module also provides [`Fp64`], the rolling fingerprint used to hash
-//! metrics and hop ledgers tick-by-tick; the bisect harness compares these
-//! fingerprints to binary-search two runs down to their first diverging
-//! event.
+//! metrics and the whole simulation tick-by-tick; the bisect harness
+//! compares these fingerprints to binary-search two runs down to their
+//! first diverging event.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -122,8 +122,9 @@ pub type SnapResult<T> = Result<T, SnapError>;
 
 /// Rolling 64-bit fingerprint (FNV-1a core with an avalanche finish per
 /// word). Identical input sequences give identical values, and the state is
-/// one `u64`, so ledgers can fingerprint every hop record as it is appended
-/// regardless of whether the record itself is retained.
+/// one `u64`. It digests state once per tick (event stats, metrics,
+/// snapshots); the hop ledger, which hashes every record, has its own
+/// [`LedgerFp`](crate::trace::LedgerFp), whose runs fold in O(log n).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fp64(u64);
 

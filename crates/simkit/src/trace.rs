@@ -23,7 +23,9 @@
 //! dropped from hundreds of viewers' buffers in one instant) extends that
 //! record's count instead of taking a slot, so memory is O(runs), while
 //! [`TraceLedger::records`], [`TraceLedger::chain`], the fingerprint and
-//! the snapshot all see the records one by one. [`Retention::Bounded`]
+//! the snapshot all see the records one by one. The fingerprint
+//! ([`LedgerFp`]) is a polynomial hash whose value for a run has a closed
+//! form, so a run costs O(log n) to fingerprint. [`Retention::Bounded`]
 //! keeps only a fixed-size ring of the most
 //! recent records plus compact per-trace accounting state (delivered /
 //! first drop / backfilled, first and last timestamps) and folds latencies
@@ -40,7 +42,7 @@ use std::fmt;
 
 use crate::fxhash::FxHashMap;
 use crate::metrics::{Histogram, Summary};
-use crate::snap::{Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 use crate::{snap_enum, snap_struct};
 
@@ -324,6 +326,123 @@ impl HopOutcome {
     }
 }
 
+/// The Mersenne prime 2^61 − 1, the field [`LedgerFp`] computes in.
+const P: u64 = (1 << 61) - 1;
+/// The evaluation point: a fixed constant, chosen once and independently
+/// of any record.
+const B: u64 = 0x06c2_8596_ea12_5c50;
+const B2: u64 = mul_mod(B, B);
+/// A record is three words, so a record steps by B³.
+const B3: u64 = mul_mod(B2, B);
+/// The fingerprint of the empty history. Non-zero, so two histories of
+/// different lengths differ in their leading coefficient.
+const F0: u64 = 0x0e16_a2d9_32cc_d896;
+
+/// `x mod p`, for `x < 2p`.
+const fn fold(x: u64) -> u64 {
+    if x >= P {
+        x - P
+    } else {
+        x
+    }
+}
+
+/// `x mod p`, for any `x`: 2^61 ≡ 1, so the high bits add to the low.
+const fn reduce(x: u64) -> u64 {
+    fold((x & P) + (x >> 61))
+}
+
+/// `a·b mod p`, for `a, b < p`.
+const fn mul_mod(a: u64, b: u64) -> u64 {
+    let x = a as u128 * b as u128;
+    fold((x as u64 & P) + (x >> 61) as u64)
+}
+
+/// `(K^n, K^(n−1) + … + K + 1)` for K = B³: what a run of `n` identical
+/// records multiplies the fingerprint and the record's value by. Binary
+/// doubling, high bit first: the pair of a run of m records followed by
+/// one of k is `(pow_m·pow_k, sum_m·pow_k + sum_k)`.
+fn run_factors(n: u32) -> (u64, u64) {
+    let (mut pow, mut sum) = (1, 0);
+    for bit in (0..u32::BITS - n.leading_zeros()).rev() {
+        sum = reduce(mul_mod(sum, pow) + sum);
+        pow = mul_mod(pow, pow);
+        if n >> bit & 1 == 1 {
+            sum = reduce(mul_mod(sum, B3) + 1);
+            pow = mul_mod(pow, B3);
+        }
+    }
+    (pow, sum)
+}
+
+/// The hop ledger's rolling fingerprint: a polynomial hash, modulo the
+/// Mersenne prime p = 2^61 − 1, of the word stream `trace, at, code` of
+/// every record appended, evaluated at a fixed point B by Horner's rule
+/// (F ← F·B + word per word; `code` packs the hop and the outcome).
+///
+/// Two distinct word streams of at most L words collide only if B is a
+/// root of their difference, a non-zero polynomial of degree ≤ L, so with
+/// probability ≤ L/p for a B chosen independently of the data
+/// (Schwartz–Zippel): about 1.3·10⁻⁹ for 10⁹ records. Words enter mod p,
+/// which is exact for trace ids and microsecond times below 2^61.
+///
+/// What the algebra buys is a cheap run: `n` copies of one record fold in
+/// closed form, F ← F·K^n + h·(K^(n−1) + … + 1), where K = B³ and h is the
+/// record's own three-word value, in ⌈log₂(n + 1)⌉ doubling steps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LedgerFp(u64);
+
+impl LedgerFp {
+    /// The fingerprint of the empty history.
+    pub const fn new() -> Self {
+        LedgerFp(F0)
+    }
+
+    /// Folds one word in: F ← F·B + (word mod p).
+    pub fn mix(&mut self, word: u64) {
+        self.0 = reduce(mul_mod(self.0, B) + reduce(word));
+    }
+
+    /// Folds in `n` copies of the record `trace, at, code`: the value `n`
+    /// rounds of three [`Self::mix`] calls give, in O(log n).
+    fn mix_record(&mut self, trace: u64, at: u64, code: u64, n: u32) {
+        let h = reduce(mul_mod(reduce(trace), B2) + mul_mod(reduce(at), B) + code);
+        let (pow, sum) = match n {
+            1 => (B3, 1),
+            _ => run_factors(n),
+        };
+        self.0 = reduce(mul_mod(self.0, pow) + mul_mod(h, sum));
+    }
+
+    /// The current fingerprint value, below p.
+    pub fn value(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for LedgerFp {
+    fn default() -> Self {
+        LedgerFp::new()
+    }
+}
+
+/// One word; a word at or above p is no state a ledger reaches.
+impl Snap for LedgerFp {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_u64(self.0);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let v = r.get_u64()?;
+        if v >= P {
+            return Err(SnapError::Invalid(format!(
+                "ledger fingerprint {v:#x} is not below 2^61 − 1"
+            )));
+        }
+        Ok(LedgerFp(v))
+    }
+}
+
 /// How much raw record history a [`TraceLedger`] keeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Retention {
@@ -389,11 +508,12 @@ pub struct TraceLedger {
     e2e: Histogram,
     /// Total successful renders (first per trace), both modes.
     delivered_count: u64,
-    /// Rolling hash over every record as it is appended. Because it folds
-    /// records in at [`Self::record_n`] time, its value is independent of
-    /// retention: a bounded ledger that evicted everything still carries
-    /// the same fingerprint as a full one fed the same history.
-    fp: Fp64,
+    /// Polynomial hash over every record as it is appended ([`LedgerFp`]).
+    /// Because it folds records in at [`Self::record_n`] time, its value is
+    /// independent of retention: a bounded ledger that evicted everything
+    /// still carries the same fingerprint as a full one fed the same
+    /// history. A run of `n` records costs one closed-form step, not `n`.
+    fp: LedgerFp,
 }
 
 impl TraceLedger {
@@ -431,7 +551,8 @@ impl TraceLedger {
     /// calls to [`Self::record`] would: same fingerprint, histograms, drop
     /// table and snapshot bytes. Every repeat after the first shares its
     /// trace's `last_at`, so its hop latency is exactly 0; the run costs
-    /// one histogram update and at most one stored entry.
+    /// one histogram update, at most one stored entry, and one
+    /// O(log n) fingerprint step ([`LedgerFp`]).
     pub fn record_n(
         &mut self,
         trace_id: TraceId,
@@ -444,11 +565,7 @@ impl TraceLedger {
             return;
         }
         let code = ((hop.tag() as u64) << 8) | outcome.code();
-        for _ in 0..n {
-            self.fp.mix_u64(trace_id.0);
-            self.fp.mix_u64(at.as_micros());
-            self.fp.mix_u64(code);
-        }
+        self.fp.mix_record(trace_id.0, at.as_micros(), code, n);
         let (st, latency) = match self.states.entry(trace_id) {
             Entry::Occupied(e) => {
                 let st = e.into_mut();
@@ -692,9 +809,11 @@ impl TraceLedger {
         self.drops.values().sum()
     }
 
-    /// The rolling ledger fingerprint: a hash of every record ever
-    /// appended, in order, regardless of retention mode. Two ledgers have
-    /// equal fingerprints iff they were fed the same record history.
+    /// The rolling ledger fingerprint: a polynomial hash mod 2^61 − 1 of
+    /// every record ever appended, in order, regardless of retention mode
+    /// ([`LedgerFp`]). Two ledgers fed the same record history have equal
+    /// fingerprints; two fed different ones collide with probability at
+    /// most (3 × records) / (2^61 − 1).
     pub fn fingerprint(&self) -> u64 {
         self.fp.value()
     }
@@ -1101,6 +1220,111 @@ mod tests {
                     .and_then(|_| r.finish())
                     .is_err());
             }
+        }
+    }
+
+    /// `n` rounds of three single-word steps, the definition the closed
+    /// form has to meet.
+    fn stepped(mut fp: LedgerFp, words: [u64; 3], n: u64) -> LedgerFp {
+        for _ in 0..n {
+            words.iter().for_each(|&w| fp.mix(w));
+        }
+        fp
+    }
+
+    fn run(mut fp: LedgerFp, [trace, at, code]: [u64; 3], n: u32) -> LedgerFp {
+        fp.mix_record(trace, at, code, n);
+        fp
+    }
+
+    #[test]
+    fn fingerprint_run_closed_form_equals_iterated_steps() {
+        let mut rng = crate::rng::DetRng::new(30);
+        let mut start = LedgerFp::new();
+        start.mix(17);
+        let words = [41, 9_123_457, 5 << 8 | 6];
+        let random = (0..8).map(|_| rng.below(100_000) as u32 + 1);
+        for n in [0, 1, 2, 3, 63, 64, 65, 1000].into_iter().chain(random) {
+            let want = stepped(start, words, u64::from(n));
+            assert_eq!(run(start, words, n), want, "n = {n}");
+        }
+        // Words at or above p enter reduced, in both forms (2^64 − 1 is
+        // 8p + 7).
+        let big = [u64::MAX, P, P + 5];
+        assert_eq!(run(start, big, 3), stepped(start, big, 3));
+        assert_eq!(run(start, big, 1), run(start, [7, 0, 5], 1));
+        assert!(LedgerFp::new().value() < P && LedgerFp::new().value() != 0);
+    }
+
+    /// Two back-to-back runs of one record are one run of their total, up
+    /// to the longest run `record_n` takes, which also shows the step is
+    /// O(log n): u32::MAX single steps would be ~1.3·10¹⁰ word mixes.
+    #[test]
+    fn fingerprint_runs_split_anywhere() {
+        let drop = HopOutcome::Dropped(DropReason::BufferOverflow);
+        let mut rng = crate::rng::DetRng::new(31);
+        let mut totals = vec![2, 1 << 20, u32::MAX];
+        totals.extend((0..6).map(|_| rng.below(u64::from(u32::MAX - 1)) as u32 + 2));
+        for total in totals {
+            let a = rng.below(u64::from(total - 1)) as u32 + 1;
+            let mut whole = TraceLedger::new();
+            let mut split = TraceLedger::new();
+            for l in [&mut whole, &mut split] {
+                l.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
+            }
+            whole.record_n(TraceId(1), Hop::BrassProcess, ms(4), drop, total);
+            split.record_n(TraceId(1), Hop::BrassProcess, ms(4), drop, a);
+            split.record_n(TraceId(1), Hop::BrassProcess, ms(4), drop, total - a);
+            assert_eq!(
+                split.fingerprint(),
+                whole.fingerprint(),
+                "{a} + {}",
+                total - a
+            );
+            assert!(split == whole);
+            assert_eq!(whole.total_drops(), u64::from(total));
+        }
+    }
+
+    /// Any one field of one record, or one run's length by ±1, moves the
+    /// fingerprint of a 10 k-record history.
+    #[test]
+    fn fingerprint_sees_every_field_and_count() {
+        let mut rng = crate::rng::DetRng::new(32);
+        let history: Vec<([u64; 3], u32)> = (0..10_000)
+            .map(|_| {
+                let words = [rng.below(50), rng.below(1 << 40), rng.below(1 << 11)];
+                (words, [1, 1, 2, 300][rng.index(4)])
+            })
+            .collect();
+        let fp = |h: &[([u64; 3], u32)]| h.iter().fold(LedgerFp::new(), |f, &(w, n)| run(f, w, n));
+        let base = fp(&history);
+        let mut probes: Vec<usize> = (0..60).map(|_| rng.index(history.len())).collect();
+        probes.extend([0, history.len() - 1]);
+        for i in probes {
+            for field in 0..3 {
+                let mut h = history.clone();
+                h[i].0[field] ^= 1 << rng.below(11);
+                assert_ne!(fp(&h), base, "record {i}, field {field}");
+            }
+            for n in [history[i].1 - 1, history[i].1 + 1] {
+                let mut h = history.clone();
+                h[i].1 = n;
+                assert_ne!(fp(&h), base, "record {i}, count {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_restore_rejects_words_outside_the_field() {
+        let load = |v: u64| {
+            let bytes = v.to_le_bytes();
+            LedgerFp::restore(&mut crate::snap::SnapReader::new(&bytes))
+        };
+        assert_eq!(load(P - 1), Ok(LedgerFp(P - 1)));
+        assert_eq!(load(0), Ok(LedgerFp(0)));
+        for v in [P, P + 1, 1 << 62, u64::MAX] {
+            assert!(load(v).is_err(), "{v:#x}");
         }
     }
 

@@ -1,18 +1,23 @@
 //! Differential test: a hop ledger that stores runs of identical records
 //! must be observably identical to a plain per-record ledger, however the
 //! records arrive — one [`TraceLedger::record`] call each, or one
-//! [`TraceLedger::record_n`] call per run — and in both retention modes.
-//! The reference below keeps every record in a `Vec` and recomputes each
-//! query from it; the fingerprint and the record section of the snapshot
-//! are rebuilt from that `Vec` too, so neither can drift with the storage.
+//! [`TraceLedger::record_n`] call per run, with or without a snapshot and
+//! restore partway — and in both retention modes. The reference below
+//! keeps every record in a `Vec` and recomputes each query from it; the
+//! fingerprint (three single-word [`LedgerFp::mix`] steps per record,
+//! never the closed form for a run) and the record section of the
+//! snapshot are rebuilt from that `Vec` too, so neither can drift with the
+//! storage.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 use simkit::metrics::{Histogram, Summary};
-use simkit::snap::{Fp64, Snap, SnapReader, SnapWriter};
+use simkit::snap::{Snap, SnapReader, SnapWriter};
 use simkit::time::SimTime;
-use simkit::trace::{DropReason, Hop, HopOutcome, HopRecord, Retention, TraceId, TraceLedger};
+use simkit::trace::{
+    DropReason, Hop, HopOutcome, HopRecord, LedgerFp, Retention, TraceId, TraceLedger,
+};
 
 const HOPS: [Hop; 8] = [
     Hop::TaoCommit,
@@ -50,7 +55,7 @@ struct Reference {
     times: BTreeMap<TraceId, (SimTime, SimTime)>,
     hops: BTreeMap<Hop, Histogram>,
     e2e: Histogram,
-    fp: Fp64,
+    fp: LedgerFp,
 }
 
 impl Reference {
@@ -60,9 +65,10 @@ impl Reference {
             HopOutcome::Ok => 0,
             HopOutcome::Dropped(reason) => 1 + reason as u64,
         };
-        self.fp.mix_u64(rec.trace_id.0);
-        self.fp.mix_u64(rec.at.as_micros());
-        self.fp.mix_u64(((rec.hop as u64) << 8) | code);
+        // One record, three single-word steps.
+        self.fp.mix(rec.trace_id.0);
+        self.fp.mix(rec.at.as_micros());
+        self.fp.mix(((rec.hop as u64) << 8) | code);
         // A trace's first record has no predecessor, so no hop latency.
         let first = match self.times.get_mut(&rec.trace_id) {
             Some((first, last)) => {
@@ -236,11 +242,17 @@ fn assert_matches(ledger: &TraceLedger, reference: &Reference, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Record by record or run by run, Full or Bounded: every query, the
-    /// fingerprint and the snapshot bytes match the per-record reference,
-    /// and both ways of feeding a ledger snapshot to the same bytes.
+    /// Record by record or run by run, Full or Bounded, straight through or
+    /// restored from a snapshot after the first `cut` runs: every query,
+    /// the fingerprint and the snapshot bytes match the per-record
+    /// reference, and every way of feeding a ledger snapshots to the same
+    /// bytes.
     #[test]
-    fn run_ledger_matches_per_record_reference(stream in runs(), cap in 0..12usize) {
+    fn run_ledger_matches_per_record_reference(
+        stream in runs(),
+        cap in 0..12usize,
+        cut in 0..61usize,
+    ) {
         let mut reference = Reference::default();
         for &(rec, n) in &stream {
             for _ in 0..n {
@@ -250,16 +262,24 @@ proptest! {
         for retention in [Retention::Full, Retention::Bounded(cap)] {
             let mut one_by_one = TraceLedger::with_retention(retention);
             let mut by_run = TraceLedger::with_retention(retention);
-            for &(rec, n) in &stream {
+            let mut resumed = TraceLedger::with_retention(retention);
+            for (i, &(rec, n)) in stream.iter().enumerate() {
                 for _ in 0..n {
                     one_by_one.record(rec.trace_id, rec.hop, rec.at, rec.outcome);
                 }
                 by_run.record_n(rec.trace_id, rec.hop, rec.at, rec.outcome, n);
+                if i == cut {
+                    let bytes = bytes_of(&resumed);
+                    resumed = TraceLedger::restore(&mut SnapReader::new(&bytes)).expect("restore");
+                }
+                resumed.record_n(rec.trace_id, rec.hop, rec.at, rec.outcome, n);
             }
             assert_matches(&one_by_one, &reference, &format!("{retention:?} record"));
             assert_matches(&by_run, &reference, &format!("{retention:?} record_n"));
+            assert_matches(&resumed, &reference, &format!("{retention:?} resumed at {cut}"));
             prop_assert!(one_by_one == by_run);
             prop_assert!(bytes_of(&one_by_one) == bytes_of(&by_run));
+            prop_assert!(bytes_of(&resumed) == bytes_of(&by_run));
         }
     }
 

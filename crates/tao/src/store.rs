@@ -180,6 +180,12 @@ impl Tao {
         self.regions[region as usize].cache.hit_rate()
     }
 
+    /// The id the next object added will get: every id issued so far is
+    /// below it.
+    pub fn next_object_id(&self) -> u64 {
+        self.next_id
+    }
+
     fn alloc_id(&mut self) -> ObjectId {
         let id = ObjectId(self.next_id);
         self.next_id += 1;

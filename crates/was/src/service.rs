@@ -279,6 +279,11 @@ impl WebApplicationServer {
         }
     }
 
+    /// The underlying store.
+    pub fn tao(&self) -> &Tao {
+        &self.tao
+    }
+
     /// Direct access to the underlying store (setup and assertions).
     pub fn tao_mut(&mut self) -> &mut Tao {
         &mut self.tao
