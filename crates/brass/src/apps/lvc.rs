@@ -14,9 +14,9 @@
 
 use burst::json::Json;
 use pylon::Topic;
-use simkit::collections::SeqMap;
+use simkit::collections::{SeqMap, SlotTable};
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{ensure, Snap, SnapWriter};
+use simkit::snap::{ensure, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
 use simkit::{snap_enum, snap_struct};
@@ -77,26 +77,52 @@ struct StreamState {
 }
 
 /// The LiveVideoComments BRASS application.
+///
+/// Each stream's state sits in a [`SlotTable`] slot. Only a subscribe and
+/// a close resolve a [`StreamKey`]; watcher lists, timers and in-flight
+/// fetches carry the slot, so a comment offered to every viewer of a
+/// video, a push tick and a fetch response reach their stream by index. A
+/// timer or fetch holds its slot, so one that outlives its stream finds
+/// the key's current stream (or none), exactly as a lookup by key would.
 pub struct LvcApp {
     config: LvcConfig,
-    streams: FxHashMap<StreamKey, StreamState>,
-    by_video: FxHashMap<u64, Vec<StreamKey>>,
+    streams: SlotTable<StreamKey, StreamState>,
+    /// Each video's watching streams, by slot, in subscribe order.
+    by_video: FxHashMap<u64, Vec<u32>>,
     /// In-flight WAS requests, by [`FetchToken`] value.
     pending_fetch: SeqMap<PendingFetch>,
     /// The armed push timer of each stream, by timer token.
-    timers: SeqMap<StreamKey>,
+    timers: SeqMap<u32>,
     next_timer: u64,
     /// Interned viewer languages (see [`StreamState::lang`]).
     langs: Vec<Box<str>>,
 }
 
-enum PendingFetch {
+/// An in-flight WAS request. In memory `S` is the stream's slot; a
+/// snapshot writes its key.
+#[derive(Clone, Copy)]
+enum PendingFetch<S = u32> {
     /// A popped comment awaiting its payload/privacy fetch. Carries the
     /// object so the fetch outcome can be attributed if the comment never
     /// reaches the device (privacy denial, deletion, stream teardown
     /// while the fetch was in flight).
-    Comment(StreamKey, ObjectId),
-    Friends(StreamKey),
+    Comment(S, ObjectId),
+    Friends(S),
+}
+
+impl<S> PendingFetch<S> {
+    fn stream(&self) -> &S {
+        match self {
+            PendingFetch::Comment(stream, _) | PendingFetch::Friends(stream) => stream,
+        }
+    }
+
+    fn map<T>(self, f: impl FnOnce(S) -> T) -> PendingFetch<T> {
+        match self {
+            PendingFetch::Comment(stream, object) => PendingFetch::Comment(f(stream), object),
+            PendingFetch::Friends(stream) => PendingFetch::Friends(f(stream)),
+        }
+    }
 }
 
 impl LvcApp {
@@ -104,7 +130,7 @@ impl LvcApp {
     pub fn new(config: LvcConfig) -> Self {
         LvcApp {
             config,
-            streams: FxHashMap::default(),
+            streams: SlotTable::new(),
             by_video: FxHashMap::default(),
             pending_fetch: SeqMap::new(),
             timers: SeqMap::new(),
@@ -135,11 +161,31 @@ impl LvcApp {
         segs.next()?.parse().ok()
     }
 
-    fn arm_timer(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey, after: SimDuration) {
+    /// Arms a push timer for the stream in `slot`. The timer takes over a
+    /// hold on the slot the caller has already placed.
+    fn arm_timer(&mut self, ctx: &mut Ctx<'_>, slot: u32, after: SimDuration) {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.timers.insert(token, stream);
+        self.timers.insert(token, slot);
         ctx.timer(after, token);
+    }
+
+    fn await_fetch(&mut self, token: FetchToken, pending: PendingFetch) {
+        self.streams.hold(*pending.stream());
+        self.pending_fetch.insert(token.0, pending);
+    }
+
+    /// Takes a stream's state out of its slot and drops the slot from its
+    /// video's watcher list; timers and fetches still hold the slot.
+    fn remove_stream(&mut self, slot: u32) -> Option<StreamState> {
+        let state = self.streams.take(slot)?;
+        if let Some(watchers) = self.by_video.get_mut(&state.video) {
+            watchers.retain(|&w| w != slot);
+            if watchers.is_empty() {
+                self.by_video.remove(&state.video);
+            }
+        }
+        Some(state)
     }
 
     /// Converts buffer evictions/expiries that happened since the last call
@@ -184,46 +230,90 @@ snap_struct!(
         )
     }
 );
-snap_enum!(PendingFetch { 0 => Comment(stream, object), 1 => Friends(stream) });
-// The watcher lists and the language table are written verbatim because
+snap_enum!(PendingFetch<StreamKey> { 0 => Comment(stream, object), 1 => Friends(stream) });
+
+// Every slot is written as its key, so the bytes are those of a table
+// keyed by stream and never depend on slot numbering. The
+// watcher lists and the language table are written verbatim because
 // their order is behavior-visible (fan-out order and interned indices
 // respectively). Reading rejects snapshots whose cross-map references
-// (watcher lists, language indices, timer tokens) don't line up.
-snap_struct!(
-    LvcApp {
-        config,
-        langs,
-        streams,
-        by_video,
-        pending_fetch,
-        timers,
-        next_timer
-    },
-    |app| {
+// (watcher lists, language indices, timer tokens) don't line up, and
+// gives a slot to a key that only a timer or a fetch still names.
+impl Snap for LvcApp {
+    fn snap(&self, w: &mut SnapWriter) {
+        let key = |slot: u32| *self.streams.key(slot);
+        self.config.snap(w);
+        self.langs.snap(w);
+        self.streams.snap(w);
+        let mut videos: Vec<(&u64, &Vec<u32>)> = self.by_video.iter().collect();
+        videos.sort_unstable_by_key(|&(&video, _)| video);
+        w.put_usize(videos.len());
+        for (video, watchers) in videos {
+            video.snap(w);
+            w.put_usize(watchers.len());
+            watchers.iter().for_each(|&slot| key(slot).snap(w));
+        }
+        w.put_usize(self.pending_fetch.len());
+        for (token, pending) in self.pending_fetch.iter() {
+            token.snap(w);
+            pending.map(key).snap(w);
+        }
+        w.put_usize(self.timers.len());
+        for (token, &slot) in self.timers.iter() {
+            token.snap(w);
+            key(slot).snap(w);
+        }
+        self.next_timer.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let mut app = LvcApp::new(Snap::restore(r)?);
+        app.langs = Snap::restore(r)?;
+        app.streams = Snap::restore(r)?;
+        let by_video: FxHashMap<u64, Vec<StreamKey>> = Snap::restore(r)?;
+        let pending_fetch: SeqMap<PendingFetch<StreamKey>> = Snap::restore(r)?;
+        let timers: SeqMap<StreamKey> = Snap::restore(r)?;
+        app.next_timer = Snap::restore(r)?;
+        let check = |holds, what| ensure(holds, what).map_err(SnapError::Invalid);
         // At most a buffer's worth of losses can be waiting to become
         // decisions (every offer settles the count): a larger debt is a
         // corrupt counter, and paying it would inflate the decision count.
         let owed = |s: &StreamState| s.buffer.evicted() + s.buffer.expired() - s.accounted_losses;
-        ensure(
-            app.streams
-                .values()
-                .all(|s| owed(s) <= app.config.buffer_capacity as u64),
+        let capacity = app.config.buffer_capacity as u64;
+        check(
+            app.streams.values().all(|s| owed(s) <= capacity),
             "lvc: more unaccounted losses than a buffer holds",
         )?;
         let langs = app.langs.len();
-        ensure(
+        check(
             app.streams.values().all(|s| (s.lang as usize) < langs),
             "lvc: lang index out of range",
         )?;
-        let watches = |v: u64, k: &StreamKey| app.streams.get(k).is_some_and(|s| s.video == v);
-        let watched = |(&v, ws): (&u64, &Vec<StreamKey>)| ws.iter().all(|k| watches(v, k));
-        ensure(app.by_video.iter().all(watched), "lvc: dangling watcher")?;
-        ensure(
-            app.timers.keys().all(|t| t < app.next_timer),
+        for (video, keys) in by_video {
+            let streams = &app.streams;
+            let watching = |k: &StreamKey| {
+                let slot = streams.slot(k)?;
+                (streams.get(slot)?.video == video).then_some(slot)
+            };
+            let slots: Option<Vec<u32>> = keys.iter().map(watching).collect();
+            check(slots.is_some(), "lvc: dangling watcher")?;
+            app.by_video.insert(video, slots.unwrap_or_default());
+        }
+        check(
+            timers.keys().all(|t| t < app.next_timer),
             "lvc: next_timer behind live timers",
-        )
+        )?;
+        for (token, pending) in pending_fetch.iter() {
+            let pending = pending.map(|k| app.streams.acquire(k));
+            app.pending_fetch.insert(token, pending);
+        }
+        for (token, &key) in timers.iter() {
+            let slot = app.streams.acquire(key);
+            app.timers.insert(token, slot);
+        }
+        Ok(app)
     }
-);
+}
 
 impl BrassApp for LvcApp {
     fn name(&self) -> &'static str {
@@ -253,25 +343,30 @@ impl BrassApp for LvcApp {
         // Rebuilding from scratch here silently lost every buffered
         // comment, double-armed the pop timer, and leaked a topic
         // subscription refcount per repair.
-        if let Some(existing) = self.streams.get_mut(&stream) {
+        let slot = self.streams.slot(&stream);
+        if let Some(existing) = slot.and_then(|slot| self.streams.get_mut(slot)) {
             if existing.viewer == sub.viewer && existing.video == video {
                 existing.lang = lang;
                 return;
             }
+        }
+        if let Some(mut old) = slot.and_then(|slot| self.remove_stream(slot)) {
             // Same key, different identity: the old stream is gone for
             // good. Account its buffer before replacing it, mirroring
             // `on_stream_closed` — and disarm its timer, or the old chain
             // would tick the new stream alongside the one armed below.
-            let mut old = self.streams.remove(&stream).expect("checked above");
-            self.timers.retain(|_, armed| *armed != stream);
+            let LvcApp {
+                streams, timers, ..
+            } = self;
+            timers.retain(|_, &armed| {
+                let disarm = Some(armed) == slot;
+                if disarm {
+                    streams.release(armed);
+                }
+                !disarm
+            });
             for e in old.buffer.drain() {
                 ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
-            }
-            if let Some(watchers) = self.by_video.get_mut(&old.video) {
-                watchers.retain(|k| *k != stream);
-                if watchers.is_empty() {
-                    self.by_video.remove(&old.video);
-                }
             }
             ctx.unsubscribe(Topic::live_video_comments(old.video));
             for topic in old.friend_topics {
@@ -295,20 +390,20 @@ impl BrassApp for LvcApp {
             sends_since_rewrite: 0,
             accounted_losses: 0,
         };
-        self.streams.insert(stream, state);
+        let slot = self.streams.insert(stream, state);
         let watchers = self.by_video.entry(video).or_default();
-        if !watchers.contains(&stream) {
+        if !watchers.contains(&slot) {
             // Resubscribes after failures reuse the same stream key.
-            watchers.push(stream);
+            watchers.push(slot);
         }
         if hot {
             // Hot strategy: also follow per-poster topics for the viewer's
             // friends; the friend list comes from the backend.
             let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
-            self.pending_fetch
-                .insert(token.0, PendingFetch::Friends(stream));
+            self.await_fetch(token, PendingFetch::Friends(slot));
         }
-        self.arm_timer(ctx, stream, self.config.push_interval);
+        self.streams.hold(slot);
+        self.arm_timer(ctx, slot, self.config.push_interval);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &UpdateEvent) {
@@ -331,8 +426,8 @@ impl BrassApp for LvcApp {
             return;
         };
         let created = SimTime::from_millis(event.meta.created_ms);
-        for key in watchers {
-            let Some(state) = streams.get_mut(key) else {
+        for &slot in watchers {
+            let Some(state) = streams.get_mut(slot) else {
                 continue;
             };
             // Per-viewer filtering (§2): language, quality, staleness.
@@ -373,74 +468,74 @@ impl BrassApp for LvcApp {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let Some(stream) = self.timers.remove(token) else {
+        let Some(slot) = self.timers.remove(token) else {
             return;
         };
-        let push_interval = self.config.push_interval;
-        let Some(state) = self.streams.get_mut(&stream) else {
-            return; // Stream closed; let the timer chain die.
+        let Some(state) = self.streams.get_mut(slot) else {
+            // Stream closed; let the timer chain die.
+            self.streams.release(slot);
+            return;
         };
         // Comments that aged out died waiting for the rate-limited push slot.
         for e in state.buffer.take_expired(ctx.now) {
             ctx.dropped(e.item.object, DropReason::RateLimit);
         }
+        let mut fetch = None;
         if state.limiter.try_acquire(ctx.now) {
             if let Some(comment) = state.buffer.pop_best(ctx.now) {
                 // Popping is the deliver decision; the fetch decides privacy.
                 ctx.decision();
-                let viewer = state.viewer;
                 let token = ctx.was_request(WasRequest::FetchObject {
-                    viewer,
+                    viewer: state.viewer,
                     object: comment.object,
                 });
-                self.pending_fetch
-                    .insert(token.0, PendingFetch::Comment(stream, comment.object));
+                fetch = Some((token, PendingFetch::Comment(slot, comment.object)));
             }
-            if let Some(state) = self.streams.get_mut(&stream) {
-                Self::account_buffer_losses(state, ctx);
-            }
+            Self::account_buffer_losses(state, ctx);
         }
-        self.arm_timer(ctx, stream, push_interval);
+        if let Some((token, pending)) = fetch {
+            self.await_fetch(token, pending);
+        }
+        // The fired timer's hold on the slot passes to the next one.
+        self.arm_timer(ctx, slot, self.config.push_interval);
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        match self.pending_fetch.remove(token.0) {
-            Some(PendingFetch::Comment(stream, object)) => {
-                if !self.streams.contains_key(&stream) {
-                    // The stream was torn down while the fetch was in
-                    // flight; the popped comment dies here with it.
-                    ctx.dropped(object, DropReason::DeviceDisconnected);
-                    return;
-                }
-                match response {
-                    WasResponse::Payload(payload) => {
-                        ctx.send(stream, payload);
-                        let state = self.streams.get_mut(&stream).expect("checked above");
-                        state.sends_since_rewrite += 1;
-                        // Periodically persist limiter state into the header
-                        // so a failover BRASS continues the rate limit.
-                        if state.sends_since_rewrite >= 8 {
-                            state.sends_since_rewrite = 0;
-                            let patch = state.limiter.to_header();
-                            ctx.rewrite(stream, patch);
-                        }
-                    }
-                    // The decision was already counted at pop; the drop
-                    // still needs trace attribution or the update ledger
-                    // shows unaccounted loss.
-                    WasResponse::Denied => {
-                        ctx.dropped(object, DropReason::PrivacyBlock);
-                    }
-                    WasResponse::NotFound => {
-                        ctx.dropped(object, DropReason::NotFound);
-                    }
-                    _ => {}
-                }
+        let Some(pending) = self.pending_fetch.remove(token.0) else {
+            return;
+        };
+        let slot = *pending.stream();
+        let stream = *self.streams.key(slot);
+        match (pending, self.streams.get_mut(slot)) {
+            // The stream was torn down while the fetch was in flight; the
+            // popped comment dies here with it.
+            (PendingFetch::Comment(_, object), None) => {
+                ctx.dropped(object, DropReason::DeviceDisconnected);
             }
-            Some(PendingFetch::Friends(stream)) => {
-                let Some(state) = self.streams.get_mut(&stream) else {
-                    return;
-                };
+            (PendingFetch::Comment(_, object), Some(state)) => match response {
+                WasResponse::Payload(payload) => {
+                    ctx.send(stream, payload);
+                    state.sends_since_rewrite += 1;
+                    // Periodically persist limiter state into the header so
+                    // a failover BRASS continues the rate limit.
+                    if state.sends_since_rewrite >= 8 {
+                        state.sends_since_rewrite = 0;
+                        let patch = state.limiter.to_header();
+                        ctx.rewrite(stream, patch);
+                    }
+                }
+                // The decision was already counted at pop; the drop still
+                // needs trace attribution or the update ledger shows
+                // unaccounted loss.
+                WasResponse::Denied => {
+                    ctx.dropped(object, DropReason::PrivacyBlock);
+                }
+                WasResponse::NotFound => {
+                    ctx.dropped(object, DropReason::NotFound);
+                }
+                _ => {}
+            },
+            (PendingFetch::Friends(_), Some(state)) => {
                 if let WasResponse::Friends(friends) = response {
                     for f in friends {
                         let topic = Topic::live_video_comments_by(state.video, f);
@@ -449,24 +544,20 @@ impl BrassApp for LvcApp {
                     }
                 }
             }
-            None => {}
+            (PendingFetch::Friends(_), None) => {}
         }
+        self.streams.release(slot);
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(mut state) = self.streams.remove(&stream) else {
+        let slot = self.streams.slot(&stream);
+        let Some(mut state) = slot.and_then(|slot| self.remove_stream(slot)) else {
             return;
         };
         // Comments still buffered when the stream goes away never reach the
         // device; attribute them so their traces resolve.
         for e in state.buffer.drain() {
             ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
-        }
-        if let Some(watchers) = self.by_video.get_mut(&state.video) {
-            watchers.retain(|k| *k != stream);
-            if watchers.is_empty() {
-                self.by_video.remove(&state.video);
-            }
         }
         // One unsubscribe per subscribe; the host's subscription manager
         // refcounts and only drops the Pylon subscription at zero.
@@ -684,6 +775,61 @@ mod tests {
         assert_eq!(d.app.timers.len(), 1);
     }
 
+    /// A fetch and a timer in flight when a stream closes and the same key
+    /// resubscribes reach the reopened stream, through a snapshot taken
+    /// while only they still name the key: the effects a table keyed by
+    /// stream gave.
+    #[test]
+    fn references_to_a_closed_key_reach_its_reopened_stream() {
+        use simkit::snap::SnapReader;
+        let mut d = driver();
+        d.subscribe(stream(1), &header(42, 9));
+        d.event(&comment_event(42, 800, 0.9, "en", 0));
+        d.advance(SimDuration::from_secs(2));
+        let (_, first) = d.timers()[0];
+        let fx = d.fire_timer(first);
+        let fetch = fx.iter().find_map(|e| match e {
+            Effect::Was { token, .. } => Some(*token),
+            _ => None,
+        });
+        let fetch = fetch.expect("the tick fetches the comment");
+        let (_, old_chain) = *d.timers().last().expect("re-armed");
+        d.close(stream(1));
+        assert_eq!(d.app.stream_count(), 0);
+        // Only the fetch and the timer name the key now; a restore gives
+        // it a slot again.
+        let bytes = |app: &LvcApp| {
+            let mut w = SnapWriter::new();
+            Snap::snap(app, &mut w);
+            w.into_bytes()
+        };
+        let closed = bytes(&d.app);
+        d.app = <LvcApp as Snap>::restore(&mut SnapReader::new(&closed)).expect("restores");
+        assert_eq!(bytes(&d.app), closed);
+        d.subscribe(stream(1), &header(42, 9));
+        d.event(&comment_event(42, 801, 0.9, "en", d.now().as_millis()));
+        // The fetched payload is sent on the reopened stream.
+        let fx = d.was_response(fetch, WasResponse::Payload(b"p".to_vec().into()));
+        assert!(
+            matches!(&fx[..], [Effect::SendPayloads { stream: s, .. }] if *s == stream(1)),
+            "{fx:?}"
+        );
+        // ROADMAP item 5's two-chain defect: the close did not disarm the
+        // old chain, so its timer ticks the reopened stream — it pops the
+        // comment buffered there — and re-arms beside the new chain.
+        let fx = d.fire_timer(old_chain);
+        let popped = fx.iter().find_map(|e| match e {
+            Effect::Was {
+                request: WasRequest::FetchObject { object, .. },
+                ..
+            } => Some(*object),
+            _ => None,
+        });
+        assert_eq!(popped, Some(ObjectId(801)), "{fx:?}");
+        assert!(matches!(fx.last(), Some(Effect::Timer { .. })), "{fx:?}");
+        assert_eq!(d.app.timers.len(), 2, "two timer chains on one stream");
+    }
+
     #[test]
     fn restore_rejects_a_loss_debt_no_run_could_owe() {
         use simkit::snap::SnapReader;
@@ -700,10 +846,12 @@ mod tests {
             <LvcApp as Snap>::restore(&mut SnapReader::new(&bytes)).map(drop)
         };
         let owes = |d: &mut TestDriver<LvcApp>, owed: u64| {
-            let state = d.app.streams.get_mut(&stream(1)).expect("subscribed");
+            let slot = d.app.streams.slot(&stream(1)).expect("subscribed");
+            let state = d.app.streams.get_mut(slot).expect("open");
             state.accounted_losses = state.buffer.evicted() - owed;
         };
-        assert_eq!(d.app.streams[&stream(1)].accounted_losses, 6);
+        let slot = d.app.streams.slot(&stream(1)).expect("subscribed");
+        assert_eq!(d.app.streams.get(slot).expect("open").accounted_losses, 6);
         assert!(restore(&d.app).is_ok());
         owes(&mut d, 5);
         assert!(restore(&d.app).is_ok(), "a full buffer's worth can be owed");

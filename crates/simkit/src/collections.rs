@@ -1,5 +1,6 @@
-//! Compact collections for large resident state: two maps that replace a
-//! hash table where the keys have a shape a hash throws away.
+//! Compact collections for large resident state: maps that replace a hash
+//! table where the keys have a shape a hash throws away, or where a hot
+//! path can carry an index instead of a key.
 //!
 //! [`IdMap`] is a map from ids handed out in ascending order (a fleet
 //! created in id order), stored as one contiguous `Vec<(u64, V)>` in id
@@ -33,9 +34,20 @@
 //! lines the last call touched. An entry that outlives its neighbours by
 //! far (one long timer among thousands of short ones) is moved to a side
 //! map rather than left to pin a window of empty slots.
+//!
+//! [`SlotTable`] is a keyed map whose entries also have a dense `u32`
+//! *slot*: the key is hashed once, where an entry is created or removed,
+//! and everything that refers to the entry afterwards — a watcher list, a
+//! timer, an in-flight request — holds the slot and reaches the value with
+//! one `Vec` index. A slot outlives its value while anything still holds
+//! it, so a late reference finds the key's current value (or none) rather
+//! than another key's; once the value is gone and the last holder lets go,
+//! the slot is reused.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hash;
 
+use crate::fxhash::FxHashMap;
 use crate::snap::{restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};
 
 /// An [`IdMap`] index entry for an id in range that has no entry.
@@ -344,6 +356,221 @@ impl<V: Snap> Snap for SeqMap<V> {
     }
 }
 
+/// One [`SlotTable`] entry: its key, its value if it has one, and how many
+/// holders still name the slot.
+#[derive(Clone, Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: Option<V>,
+    holds: u32,
+}
+
+/// A map from `K` to `V` that gives each key a dense `u32` slot. See the
+/// module docs.
+///
+/// A key keeps its slot while it has a value or while any holder
+/// ([`hold`](Self::hold) / [`acquire`](Self::acquire), undone by
+/// [`release`](Self::release)) names it. Taking the value of a held slot
+/// keeps the key there, so inserting the key again reaches the same slot —
+/// and its holders reach the new value. Slot numbers are never part of a
+/// snapshot: the table snapshots as a hash map of its live pairs.
+///
+/// # Examples
+///
+/// ```
+/// use simkit::collections::SlotTable;
+///
+/// let mut streams = SlotTable::new();
+/// let s = streams.insert("a", 1);
+/// streams.hold(s); // a timer names the slot
+/// assert_eq!(streams.take(s), Some(1));
+/// assert_eq!(streams.insert("a", 2), s, "held: the key kept its slot");
+/// assert_eq!(streams.get(s), Some(&2));
+/// streams.release(s);
+/// assert_eq!(streams.take(s), Some(2));
+/// assert_eq!(streams.slot(&"a"), None, "unheld and empty: freed");
+/// ```
+#[derive(Clone, Debug)]
+pub struct SlotTable<K, V> {
+    /// The slot of every key that has one.
+    index: FxHashMap<K, u32>,
+    slots: Vec<Slot<K, V>>,
+    /// Slots with no key, reused before the table grows.
+    free: Vec<u32>,
+    /// Slots holding a value.
+    live: usize,
+}
+
+impl<K, V> Default for SlotTable<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K, V> SlotTable<K, V> {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        SlotTable {
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
+    /// Number of keys with a value.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no key has a value.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The value in `slot`, if it has one.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` was never handed out.
+    pub fn get(&self, slot: u32) -> Option<&V> {
+        self.slots[slot as usize].value.as_ref()
+    }
+
+    /// The value in `slot`, mutably, if it has one.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` was never handed out.
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut V> {
+        self.slots[slot as usize].value.as_mut()
+    }
+
+    /// The key `slot` belongs to. Meaningful only while the slot has a
+    /// value or a holder.
+    pub fn key(&self, slot: u32) -> &K {
+        &self.slots[slot as usize].key
+    }
+
+    /// Live values, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().filter_map(|s| s.value.as_ref())
+    }
+
+    /// Adds a holder to `slot`: it keeps its key until
+    /// [`release`](Self::release)d.
+    pub fn hold(&mut self, slot: u32) {
+        let holds = &mut self.slots[slot as usize].holds;
+        *holds = holds.checked_add(1).expect("fewer than u32::MAX holders");
+    }
+}
+
+impl<K: Copy + Eq + Hash, V> SlotTable<K, V> {
+    /// The slot `key` has, with or without a value. The one lookup that
+    /// hashes.
+    pub fn slot(&self, key: &K) -> Option<u32> {
+        self.index.get(key).copied()
+    }
+
+    /// `key`'s slot, created empty if the key has none.
+    fn slot_or_new(&mut self, key: K) -> u32 {
+        if let Some(slot) = self.slot(&key) {
+            return slot;
+        }
+        let entry = Slot {
+            key,
+            value: None,
+            holds: 0,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots");
+                self.slots.push(entry);
+                slot
+            }
+        };
+        self.index.insert(key, slot);
+        slot
+    }
+
+    /// Sets `key`'s value, replacing any it had, and returns its slot.
+    pub fn insert(&mut self, key: K, value: V) -> u32 {
+        let slot = self.slot_or_new(key);
+        let previous = self.slots[slot as usize].value.replace(value);
+        self.live += usize::from(previous.is_none());
+        slot
+    }
+
+    /// `key`'s slot with one more holder, created empty if the key has
+    /// none: how a restored reference finds its slot.
+    pub fn acquire(&mut self, key: K) -> u32 {
+        let slot = self.slot_or_new(key);
+        self.hold(slot);
+        slot
+    }
+
+    /// Removes and returns `slot`'s value. The slot is freed unless held.
+    pub fn take(&mut self, slot: u32) -> Option<V> {
+        let value = self.slots[slot as usize].value.take()?;
+        self.live -= 1;
+        self.free_if_unused(slot);
+        Some(value)
+    }
+
+    /// Drops one holder of `slot`. The slot is freed if that was the last
+    /// and it has no value.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` has no holder.
+    pub fn release(&mut self, slot: u32) {
+        let holds = &mut self.slots[slot as usize].holds;
+        *holds = holds.checked_sub(1).expect("released a slot nobody holds");
+        self.free_if_unused(slot);
+    }
+
+    fn free_if_unused(&mut self, slot: u32) {
+        let s = &self.slots[slot as usize];
+        if s.holds == 0 && s.value.is_none() {
+            self.index.remove(&s.key);
+            self.free.push(slot);
+        }
+    }
+}
+
+/// The same bytes a hash map of the live pairs writes — a length, then
+/// `(key, value)` in ascending key order — and the same strict reading;
+/// restored keys take slots `0..len` in key order, with no holders.
+impl<K, V> Snap for SlotTable<K, V>
+where
+    K: Snap + Ord + Copy + Hash,
+    V: Snap,
+{
+    fn snap(&self, w: &mut SnapWriter) {
+        let live = self.slots.iter();
+        let live = live.filter_map(|s| Some((&s.key, s.value.as_ref()?)));
+        let mut pairs: Vec<(&K, &V)> = live.collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(pairs.len());
+        for (key, value) in pairs {
+            key.snap(w);
+            value.snap(w);
+        }
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let mut table = SlotTable::new();
+        for (key, value) in restore_sorted(r, |a: &(K, V), b| a.0 < b.0)? {
+            table.insert(key, value);
+        }
+        Ok(table)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,6 +790,130 @@ mod tests {
             let restored = SeqMap::<usize>::restore(&mut r).expect("restore");
             r.finish().expect("no trailing bytes");
             assert!(restored.iter().eq(map.iter()));
+            assert_eq!(snap_of(&restored), bytes);
+        }
+    }
+
+    #[test]
+    fn slot_table_frees_a_slot_only_when_closed_and_unheld() {
+        let mut t = SlotTable::new();
+        let a = t.insert(10u64, "a");
+        let b = t.insert(20u64, "b");
+        assert_ne!(a, b);
+        t.hold(a);
+        t.hold(a);
+        assert_eq!(t.take(a), Some("a"));
+        assert_eq!((t.len(), t.slot(&10)), (1, Some(a)), "held: kept");
+        t.release(a);
+        assert_eq!(t.slot(&10), Some(a), "one holder left");
+        // Reopened while held: the same slot, and the holder reaches the
+        // new value.
+        assert_eq!(t.insert(10, "a2"), a);
+        assert_eq!(t.get(a), Some(&"a2"));
+        t.release(a);
+        assert_eq!(t.slot(&10), Some(a), "open: kept without holders");
+        assert_eq!(t.take(a), Some("a2"));
+        assert_eq!(t.take(a), None);
+        assert_eq!(t.slot(&10), None, "closed and unheld: freed");
+        // The freed slot is reused before the table grows.
+        assert_eq!(t.insert(30, "c"), a);
+        assert_eq!((t.slots.len(), t.index.len(), t.len()), (2, 2, 2));
+        assert_eq!(*t.key(a), 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "released a slot nobody holds")]
+    fn slot_table_rejects_an_unmatched_release() {
+        let mut t = SlotTable::new();
+        let s = t.insert(1u64, ());
+        t.release(s);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum SlotOp {
+        /// Insert (open, or replace the value of) a key.
+        Open(u64),
+        /// Take the value of a key's slot, if it has one.
+        Close(u64),
+        /// A new holder of a key that has a slot (a timer or a fetch).
+        Hold(u64),
+        /// Let go of the nth holder.
+        Release(usize),
+    }
+
+    fn slot_op(kind: u8, raw: u64) -> SlotOp {
+        let key = raw % 24;
+        match kind % 8 {
+            0..=2 => SlotOp::Open(key),
+            3 | 4 => SlotOp::Close(key),
+            5 => SlotOp::Hold(key),
+            _ => SlotOp::Release((raw >> 8) as usize),
+        }
+    }
+
+    proptest::proptest! {
+        /// Against a `BTreeMap` of the open keys plus a list of holders:
+        /// every holder reaches its key's current value, a key has a slot
+        /// exactly while it is open or held, a reopened held key keeps its
+        /// slot, the bytes are a hash map's of the open pairs, and restore
+        /// gives slots in key order that every holder's key resolves to.
+        #[test]
+        fn slot_table_matches_a_keyed_model(
+            ops in proptest::collection::vec((proptest::prelude::any::<u8>(), proptest::prelude::any::<u64>()), 1..400)
+        ) {
+            let mut table = SlotTable::new();
+            let mut open: BTreeMap<u64, usize> = BTreeMap::new();
+            let mut holders: Vec<(u64, u32)> = Vec::new();
+            for (i, &(kind, raw)) in ops.iter().enumerate() {
+                match slot_op(kind, raw) {
+                    SlotOp::Open(key) => {
+                        let before = table.slot(&key);
+                        let slot = table.insert(key, i);
+                        assert!(before.is_none_or(|b| b == slot), "a key with a slot keeps it");
+                        open.insert(key, i);
+                    }
+                    SlotOp::Close(key) => {
+                        let taken = table.slot(&key).and_then(|slot| table.take(slot));
+                        assert_eq!(taken, open.remove(&key));
+                    }
+                    SlotOp::Hold(key) => {
+                        if let Some(slot) = table.slot(&key) {
+                            table.hold(slot);
+                            holders.push((key, slot));
+                        }
+                    }
+                    SlotOp::Release(n) if !holders.is_empty() => {
+                        let (_, slot) = holders.swap_remove(n % holders.len());
+                        table.release(slot);
+                    }
+                    SlotOp::Release(_) => {}
+                }
+                for &(key, slot) in &holders {
+                    assert_eq!(table.slot(&key), Some(slot), "op {i}");
+                    assert_eq!(table.get(slot), open.get(&key), "op {i}");
+                }
+                for key in 0..24 {
+                    let kept = open.contains_key(&key) || holders.iter().any(|h| h.0 == key);
+                    assert_eq!(table.slot(&key).is_some(), kept, "op {i}, key {key}");
+                }
+                assert_eq!(table.len(), open.len());
+                assert_eq!(table.index.len() + table.free.len(), table.slots.len());
+            }
+            let hashed: crate::fxhash::FxHashMap<u64, usize> =
+                open.iter().map(|(&k, &v)| (k, v)).collect();
+            let bytes = snap_of(&table);
+            assert_eq!(bytes, snap_of(&hashed), "snap(SlotTable) == snap(FxHashMap)");
+            let mut r = SnapReader::new(&bytes);
+            let mut restored = SlotTable::<u64, usize>::restore(&mut r).expect("restore");
+            r.finish().expect("no trailing bytes");
+            for (n, key) in open.keys().enumerate() {
+                assert_eq!(restored.slot(key), Some(n as u32), "key order");
+            }
+            for &(key, _) in &holders {
+                let slot = restored.acquire(key);
+                assert_eq!(*restored.key(slot), key);
+                assert_eq!(restored.get(slot), open.get(&key));
+            }
             assert_eq!(snap_of(&restored), bytes);
         }
     }
