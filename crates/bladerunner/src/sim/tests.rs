@@ -330,6 +330,56 @@ fn stream_lifetime_and_publication_accounting() {
     assert_eq!(buckets[1], 100.0, "the one stream saw 1-9 publications");
 }
 
+/// A redirect ends a stream at the device, which retries it under the
+/// same sid and keeps receiving updates. The stream stays registered on
+/// its topic until the device cancels it, so every publication after the
+/// redirect still counts toward Fig. 7, and a snapshot taken after the
+/// redirect resumes with the registration and its count intact.
+#[test]
+fn redirected_stream_keeps_counting_publications_across_resume() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.post_comment(SimTime::from_secs(2), poster, video, "before the redirect");
+    s.run_until(SimTime::from_secs(5));
+    let device = s.device(viewer).expect("created");
+    let serving = device
+        .stream(StreamId(1))
+        .and_then(|st| {
+            st.header()
+                .get("brass_host")
+                .and_then(burst::json::Json::as_u64)
+        })
+        .expect("sticky host patched") as usize;
+    let to_host = (serving + 1) % s.config().brass_hosts as usize;
+    s.schedule_brass_redirect(SimTime::from_secs(6), serving, viewer, StreamId(1), to_host);
+    for i in 0..9 {
+        let text = format!("after the redirect, comment {i}");
+        s.post_comment(SimTime::from_secs(20 + 2 * i), poster, video, &text);
+    }
+    s.run_until(SimTime::from_secs(27));
+    assert_eq!(
+        s.metrics().stream_lifetimes.len(),
+        1,
+        "the redirect ended it"
+    );
+    let mut resumed = SystemSim::resume(s.config().clone(), &s.snapshot())
+        .expect("a snapshot taken after a redirect resumes");
+    s.run_until(SimTime::from_secs(60));
+    resumed.run_until(SimTime::from_secs(60));
+    assert_eq!(s.metrics().publications.get(), 10);
+    assert_eq!(s.metrics().streams_tracked(), 1);
+    let buckets = s.metrics().publication_buckets();
+    assert_eq!(
+        buckets,
+        [0.0, 0.0, 100.0, 0.0],
+        "all ten publications count"
+    );
+    assert!(resumed.metrics() == s.metrics(), "resumed counts match");
+}
+
 #[test]
 fn lvc_traces_account_for_every_update() {
     let mut s = sim();

@@ -433,7 +433,7 @@ impl SystemSim {
                         lat.total
                             .record(now.saturating_since(created).as_millis_f64());
                     }
-                    let topic = self.reg.stream_topic.get(&(device, sid)).copied();
+                    let topic = self.reg.topic_of(device, sid);
                     if let Some(trace) = payload_trace(&self.reg, topic, &payload) {
                         self.ledger
                             .record(trace, Hop::DeviceRender, now, HopOutcome::Ok);
