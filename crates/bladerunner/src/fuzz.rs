@@ -554,10 +554,11 @@ fn heartbeat_oracle(sim: &SystemSim, case: &FuzzCase) -> Vec<Violation> {
 ///   A hop *preceding its own commit* can never be legal;
 /// * **client double-entry** — on a stream that never restarted its
 ///   sequence expectations (`resubscribes() == 0 && resyncs() == 0`),
-///   the client applied each sequence at most once and observed
-///   `delivered == expected_seq` iff it saw no gap. The PR 5 FIFO bug
-///   class — reordered frames silently dropped by the stale-seq dedupe —
-///   lands exactly here.
+///   every sequence below `expected_seq` was delivered once, is an open
+///   gap, or was forgotten from a full gap list:
+///   `delivered + open_gap_seqs + evicted_gap_seqs == expected_seq`. The
+///   FIFO bug class — reordered frames silently dropped by the stale-seq
+///   dedupe — lands exactly here.
 fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
     const CAP: usize = 8;
     let mut violations = Vec::new();
@@ -616,20 +617,14 @@ fn delivery_order_oracle(sim: &SystemSim, ids: &[u64]) -> Vec<Violation> {
                 continue;
             }
             let (delivered, expected) = (stream.delivered(), stream.expected_seq());
-            let broken = if stream.gaps() == 0 {
-                delivered != expected
-            } else {
-                delivered > expected
-            };
-            if broken {
+            let (open, evicted) = (stream.open_gap_seqs(), stream.evicted_gap_seqs());
+            if delivered + open + evicted != expected {
                 violations.push(Violation::new(
                     OracleId::DeliveryOrder,
                     format!("device {id} sid {}", sid.0),
                     format!(
-                        "delivered {delivered} vs expected_seq {expected} (gaps {}, resubs {}, resyncs {})",
+                        "delivered {delivered} + open {open} + evicted {evicted} vs expected_seq {expected} (gaps {})",
                         stream.gaps(),
-                        stream.resubscribes(),
-                        stream.resyncs()
                     ),
                 ));
                 if violations.len() >= CAP {

@@ -46,7 +46,8 @@ pub(super) struct Registries {
     /// collapsing onto the object's most recent one.
     pub(super) topic_object_trace: FxHashMap<(Topic, ObjectId), TraceId>,
     /// The topic each stream subscribed to, from the device's subscribe
-    /// until its cancel; powers per-frame app attribution. The one record
+    /// until its cancel or a server end it does not retry; powers
+    /// per-frame app attribution. The one record
     /// of which stream is registered on which topic: it changes only in
     /// [`Self::register_stream`] and [`Self::unregister_stream`], which
     /// start and stop the stream's Fig. 7 publication count with it.
@@ -84,8 +85,14 @@ impl Registries {
             .expect("a subscribed stream is opened first");
     }
 
-    /// A device cancelled a stream: its registration, if any, ends.
-    fn unregister_stream(&mut self, metrics: &mut SystemMetrics, device: u64, sid: StreamId) {
+    /// A device cancelled a stream, or the server ended it for good: its
+    /// registration, if any, ends.
+    pub(super) fn unregister_stream(
+        &mut self,
+        metrics: &mut SystemMetrics,
+        device: u64,
+        sid: StreamId,
+    ) {
         if self.stream_topic.remove(&(device, sid)).is_some() {
             metrics.unregister_stream(device, sid);
         }

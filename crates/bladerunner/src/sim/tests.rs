@@ -380,6 +380,55 @@ fn redirected_stream_keeps_counting_publications_across_resume() {
     assert!(resumed.metrics() == s.metrics(), "resumed counts match");
 }
 
+/// A stream the server ends for good (an Error terminate, which the
+/// device does not retry) is gone from the device, so its registration
+/// ends with it: publications on its topic after the end do not count
+/// toward Fig. 7, and a snapshot taken after the end resumes.
+#[test]
+fn stream_ended_for_good_stops_counting_publications() {
+    let mut s = sim();
+    let alice = s.create_user_device("alice", "en");
+    let bob = s.create_user_device("bob", "en");
+    let thread = s.was_mut().create_thread(&[alice, bob]);
+    // Pre-resolved to bob's mailbox topic but routed to LVC, which ends
+    // any stream whose topic names no video.
+    let header = burst::json::Json::obj([
+        ("viewer", burst::json::Json::from(bob)),
+        ("app", burst::json::Json::from("lvc")),
+        ("topic", burst::json::Json::from(format!("/Msgr/{bob}"))),
+    ]);
+    s.queue.schedule(
+        SimTime::ZERO,
+        Ev::DeviceSubscribe {
+            device: bob,
+            header,
+        },
+    );
+    s.run_until(SimTime::from_secs(5));
+    let device = s.device(bob).expect("created");
+    assert_eq!(device.open_streams(), 0, "the server ended it for good");
+    for i in 0..3 {
+        let text = format!("after the end, message {i}");
+        s.send_message(SimTime::from_secs(10 + i), alice, thread, &text);
+    }
+    s.run_until(SimTime::from_secs(20));
+    let mut resumed = SystemSim::resume(s.config().clone(), &s.snapshot())
+        .expect("a snapshot taken after the end resumes");
+    s.run_until(SimTime::from_secs(30));
+    resumed.run_until(SimTime::from_secs(30));
+    assert!(
+        s.metrics().publications.get() >= 3,
+        "bob's mailbox was published to"
+    );
+    assert_eq!(s.metrics().stream_lifetimes.len(), 1);
+    assert_eq!(
+        s.metrics().publication_buckets(),
+        [100.0, 0.0, 0.0, 0.0],
+        "none counts for the ended stream"
+    );
+    assert!(resumed.metrics() == s.metrics(), "resumed counts match");
+}
+
 #[test]
 fn lvc_traces_account_for_every_update() {
     let mut s = sim();

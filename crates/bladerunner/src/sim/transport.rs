@@ -193,7 +193,7 @@ impl SystemSim {
                 h.on_subscribe_into(device, sid, header, now, fx)
             }
             Frame::Cancel { sid } => h.on_cancel_into(device, sid, now, fx),
-            Frame::Ack { sid, seq } => h.on_ack_into(device, sid, seq, now, fx),
+            Frame::Ack { sid, seq } => h.on_ack(device, sid, seq),
             _ => {}
         });
     }
@@ -441,6 +441,11 @@ impl SystemSim {
                 }
                 DeviceOutput::StreamEnded { sid, retry } => {
                     self.metrics.stream_closed(device, sid, now);
+                    if !retry {
+                        // Ended for good: the device dropped the stream,
+                        // so its registration ends here, not at a cancel.
+                        self.reg.unregister_stream(&mut self.metrics, device, sid);
+                    }
                     let state = self.devices.at_mut(slot);
                     let retry_frame = if retry {
                         state.wake(device, &mut self.park).retry_stream(sid)
@@ -463,6 +468,21 @@ impl SystemSim {
                     // streams push reliability into app-level refetch).
                     let link = self.devices.at(slot).link;
                     self.schedule_backfill_poll(now, link, device, sid);
+                }
+                DeviceOutput::Expired { sid, payload } => {
+                    // Too late for a gap the stream had to forget: unless
+                    // it already arrived, the update is dropped here, on
+                    // the record, and stays backfill-recoverable.
+                    let topic = self.reg.topic_of(device, sid);
+                    let trace = payload_trace(&self.reg, topic, &payload);
+                    if let Some(trace) = trace.filter(|&t| !self.trace_resolved(t)) {
+                        let why = HopOutcome::Dropped(DropReason::Stale);
+                        self.ledger.record(trace, Hop::DeviceRender, now, why);
+                        self.pending_backfill
+                            .entry((device, sid))
+                            .or_default()
+                            .push(trace);
+                    }
                 }
                 DeviceOutput::ConnectivityChanged { .. } => {}
             }

@@ -331,7 +331,7 @@ fn random_corruption_fails_closed() {
 /// CI runs it in release). The snapshot bytes are pinned, so the same
 /// flips hit the same fields from commit to commit and a reject count
 /// below the one measured when the bytes were pinned means a validation
-/// was lost. Pinned four times so far: 29,652 of 103,545 with the
+/// was lost. Pinned six times so far: 29,652 of 103,545 with the
 /// one-codec layer; 26,771 of 100,185 when the queue section became the
 /// queue's contents (3,360 bytes shorter here, and most of what went was
 /// 384 always-checked slot lengths; the 2,052 queue bytes left reject
@@ -345,13 +345,17 @@ fn random_corruption_fails_closed() {
 /// 99,771 when Fig. 7 began counting publications per topic (the
 /// registries lost their topic → streams lists, and `resume` began
 /// requiring every stream registered on a topic to be one the metrics
-/// saw open).
+/// saw open); and 27,259 of 99,795 when each frozen device stream gained
+/// its open-gap byte and each Messenger stream its retransmit phase and
+/// armed tick (24 more body bytes; `check_frozen` rejects a gap byte that
+/// claims gaps on a stream that accepted nothing, and restore rejects an
+/// armed tick the timer table does not hold).
 #[test]
 #[ignore = "~100k resumes; run in release"]
 fn every_body_byte_flip_is_rejected_or_canonical() {
     let (rejected, canonical) = reseal_sweep(|len| (0..len).collect());
     println!("re-sealed sweep: {rejected} rejected, {canonical} canonical, 0 non-canonical");
-    assert!(rejected >= 27_250, "only {rejected} flips rejected");
+    assert!(rejected >= 27_259, "only {rejected} flips rejected");
 }
 
 /// Resuming against a different configuration must fail closed: the
@@ -485,7 +489,8 @@ fn flash_crowd_world() -> (SystemConfig, SystemSim) {
 /// moving only in the ledger's fingerprint word and the per-tick series;
 /// the snapshot's again when the registries stopped writing their topic →
 /// streams lists (the body lost exactly those bytes; the fingerprints
-/// did not move).
+/// did not move), and when each frozen device stream gained its open-gap
+/// byte (the fingerprints did not move).
 /// A resume folds the records into the same runs, and the full ledger's
 /// record count is what `simkit.trace.records` derives from the hop
 /// histograms: one per trace plus one per histogram sample.
@@ -493,7 +498,7 @@ fn flash_crowd_world() -> (SystemConfig, SystemSim) {
 fn flash_crowd_drop_runs_are_pinned() {
     let (config, mut sim) = flash_crowd_world();
     let sealed = sim.snapshot();
-    assert_eq!(simkit::snap::fnv64(&sealed), 0xd678_c2b0_961e_e657);
+    assert_eq!(simkit::snap::fnv64(&sealed), 0x1c65_9fe1_2bb4_5071);
     let ledger = sim.trace_ledger();
     let records = ledger.records().count();
     assert_eq!(records, 19_733);
@@ -519,9 +524,9 @@ fn flash_crowd_drop_runs_are_pinned() {
 /// for worlds that between them hold every app's state, every event
 /// family and both ledger retentions. A PR that claims the encoding did
 /// not move leaves these literals alone; a sort-order or field-order slip
-/// in any one type's codec fails here by name. Last re-captured when the
-/// registries stopped writing their topic → streams lists: each body is
-/// the previous one with exactly that range removed.
+/// in any one type's codec fails here by name. Last re-captured when each
+/// frozen device stream gained its open-gap byte and each Messenger stream
+/// its retransmit phase and armed tick.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let mid = |end: SimTime| SimTime::from_micros(end.as_micros() / 2 + 123_457);
@@ -554,11 +559,11 @@ fn snapshot_bytes_are_pinned() {
         simkit::snap::fnv64(&sealed),
     ));
     let pinned: [(&str, u64); 5] = [
-        ("lvc 42 Full", 0x8e81_485e_e87d_7fb8),
-        ("chaos 1234 Full", 0xac98_205f_c964_b4fc),
-        ("lvc 42 Bounded(64)", 0xbabf_3b6b_374a_9207),
-        ("chaos 1234 Bounded(64)", 0x92b5_12f0_816a_2662),
-        ("seven apps, overload", 0xb92e_2dec_ee2d_2244),
+        ("lvc 42 Full", 0x8fc6_a30a_44eb_bc1d),
+        ("chaos 1234 Full", 0x218e_4a18_892d_69aa),
+        ("lvc 42 Bounded(64)", 0xa81d_50a3_6ebc_e636),
+        ("chaos 1234 Bounded(64)", 0x1f41_f4fb_a64c_21c5),
+        ("seven apps, overload", 0xe1b4_4df3_2173_bb50),
     ];
     // All five at once: a PR that re-pins needs every new value.
     let moved: Vec<String> = got

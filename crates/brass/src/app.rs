@@ -8,6 +8,8 @@
 //! event loop, executing logic on each incoming … request and each backend
 //! service response" (§3.2).
 
+use std::collections::BTreeSet;
+
 use burst::frame::{Delta, Payload, StreamId};
 use burst::json::Json;
 use pylon::Topic;
@@ -188,6 +190,13 @@ impl AppCounters {
     }
 }
 
+/// What a handler may ask of the host's per-stream transport state. The
+/// host's server streams own it; an app reads it, never keeps a copy.
+pub trait StreamView {
+    /// Whether `stream` holds sent updates its device has not acknowledged.
+    fn has_unacked(&self, stream: StreamKey) -> bool;
+}
+
 /// Handler context: the current time plus an effect sink and counters.
 pub struct Ctx<'a> {
     /// Current simulated time.
@@ -198,6 +207,7 @@ pub struct Ctx<'a> {
     turn_start: usize,
     counters: &'a mut AppCounters,
     next_token: &'a mut u64,
+    streams: &'a dyn StreamView,
 }
 
 impl<'a> Ctx<'a> {
@@ -207,6 +217,7 @@ impl<'a> Ctx<'a> {
         effects: &'a mut Vec<Effect>,
         counters: &'a mut AppCounters,
         next_token: &'a mut u64,
+        streams: &'a dyn StreamView,
     ) -> Self {
         Ctx {
             now,
@@ -214,7 +225,14 @@ impl<'a> Ctx<'a> {
             effects,
             counters,
             next_token,
+            streams,
         }
+    }
+
+    /// Whether `stream` holds sent updates its device has not acknowledged,
+    /// as of this handler turn (effects emitted in it are not yet applied).
+    pub fn has_unacked(&self, stream: StreamKey) -> bool {
+        self.streams.has_unacked(stream)
     }
 
     /// Subscribes this BRASS to a Pylon topic (deduplicated host-wide).
@@ -375,9 +393,6 @@ pub trait BrassApp: Send {
     /// A stream went away (cancel, device disconnect, or proxy GC).
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey);
 
-    /// The device acknowledged updates up to `seq` (reliable apps only).
-    fn on_ack(&mut self, _ctx: &mut Ctx<'_>, _stream: StreamKey, _seq: u64) {}
-
     /// Writes this application's complete state into a snapshot.
     ///
     /// The default writes nothing: only the standard applications
@@ -397,8 +412,18 @@ pub struct TestDriver<A> {
     pub effects: Vec<Effect>,
     /// Counters accumulated so far.
     pub counters: AppCounters,
+    /// Streams the harness reports as holding unacknowledged updates: a
+    /// stream joins when payloads are sent to it, and nothing acks, so a
+    /// test takes it out to model the device's ack.
+    pub unacked: BTreeSet<StreamKey>,
     next_token: u64,
     now: SimTime,
+}
+
+impl StreamView for BTreeSet<StreamKey> {
+    fn has_unacked(&self, stream: StreamKey) -> bool {
+        self.contains(&stream)
+    }
 }
 
 impl<A: BrassApp> TestDriver<A> {
@@ -408,6 +433,7 @@ impl<A: BrassApp> TestDriver<A> {
             app,
             effects: Vec::new(),
             counters: AppCounters::default(),
+            unacked: BTreeSet::new(),
             next_token: 0,
             now: SimTime::ZERO,
         }
@@ -430,9 +456,16 @@ impl<A: BrassApp> TestDriver<A> {
             &mut self.effects,
             &mut self.counters,
             &mut self.next_token,
+            &self.unacked,
         );
         f(&mut self.app, &mut ctx);
-        self.effects[before..].to_vec()
+        let emitted = self.effects[before..].to_vec();
+        for effect in &emitted {
+            if let Effect::SendPayloads { stream, .. } = effect {
+                self.unacked.insert(*stream);
+            }
+        }
+        emitted
     }
 
     /// Delivers a subscribe and returns the newly emitted effects.
@@ -461,11 +494,6 @@ impl<A: BrassApp> TestDriver<A> {
         self.with_ctx(|app, ctx| app.on_stream_closed(ctx, stream))
     }
 
-    /// Delivers an ack.
-    pub fn ack(&mut self, stream: StreamKey, seq: u64) -> Vec<Effect> {
-        self.with_ctx(|app, ctx| app.on_ack(ctx, stream, seq))
-    }
-
     /// Pending timers among emitted effects (at, token), in emission order.
     pub fn timers(&self) -> Vec<(SimTime, u64)> {
         self.effects
@@ -484,10 +512,17 @@ mod tests {
 
     #[test]
     fn ctx_collects_effects_and_counters() {
+        let none = BTreeSet::new();
         let mut effects = Vec::new();
         let mut counters = AppCounters::default();
         let mut token = 0;
-        let mut ctx = Ctx::new(SimTime::ZERO, &mut effects, &mut counters, &mut token);
+        let mut ctx = Ctx::new(
+            SimTime::ZERO,
+            &mut effects,
+            &mut counters,
+            &mut token,
+            &none,
+        );
         ctx.subscribe(Topic::active_status(1));
         let t1 = ctx.was_request(WasRequest::Friends { uid: 1 });
         let t2 = ctx.was_request(WasRequest::Friends { uid: 2 });
@@ -514,6 +549,7 @@ mod tests {
     /// new handler turn never extends an earlier turn's effect.
     #[test]
     fn dropped_folds_adjacent_repeats_within_a_turn() {
+        let none = BTreeSet::new();
         let mut effects = Vec::new();
         let mut counters = AppCounters::default();
         let mut token = 0;
@@ -523,7 +559,13 @@ mod tests {
             reason,
             count,
         };
-        let mut ctx = Ctx::new(SimTime::ZERO, &mut effects, &mut counters, &mut token);
+        let mut ctx = Ctx::new(
+            SimTime::ZERO,
+            &mut effects,
+            &mut counters,
+            &mut token,
+            &none,
+        );
         for _ in 0..3 {
             ctx.dropped(a, DropReason::BufferOverflow);
         }
@@ -532,7 +574,13 @@ mod tests {
         ctx.timer(SimDuration::from_secs(1), 7);
         ctx.dropped(b, DropReason::RateLimit);
         ctx.decisions(4);
-        let mut next = Ctx::new(SimTime::ZERO, &mut effects, &mut counters, &mut token);
+        let mut next = Ctx::new(
+            SimTime::ZERO,
+            &mut effects,
+            &mut counters,
+            &mut token,
+            &none,
+        );
         next.dropped(b, DropReason::RateLimit);
         assert_eq!(
             effects,

@@ -13,6 +13,15 @@
 //! gap triggers a mailbox backfill via the WAS. Progress is persisted into
 //! the BURST header (`msgr_seq`) through rewrites, so resumption after
 //! failover needs no device logic.
+//!
+//! Retransmission: "BRASS can rely on device acks to ensure the device
+//! receives each update". A stream's retransmit tick runs only while the
+//! host holds sends its device has not acked, and only at
+//! `phase + k·RETRANSMIT_INTERVAL` (the subscribe instant plus whole
+//! intervals): a send arms the next such instant when no tick is armed, a
+//! tick that finds unacked sends replays them and arms the next, and one
+//! that finds none ends the chain. Replays thus land exactly where a tick
+//! running every interval from subscribe would have made them.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +30,7 @@ use pylon::Topic;
 use simkit::collections::SeqMap;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, Snap, SnapWriter};
-use simkit::time::SimDuration;
+use simkit::time::{SimDuration, SimTime};
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
@@ -51,6 +60,13 @@ struct StreamState {
     backfilling: bool,
     /// Sequence persisted in the header via the last rewrite.
     persisted_seq: Option<u64>,
+    /// The subscribe instant: retransmit ticks fire only at
+    /// `phase + k·RETRANSMIT_INTERVAL`.
+    phase: SimTime,
+    /// The token of this stream's armed retransmit tick. A fire with any
+    /// other token is stale (armed for a replaced incarnation of the key)
+    /// and does nothing, so a stream has at most one chain.
+    armed: Option<u64>,
 }
 
 /// How often sent-but-unacked updates are retransmitted.
@@ -95,8 +111,8 @@ impl MessengerApp {
     }
 
     /// Delivers every contiguous ready message starting at `next_seq`, then
-    /// persists progress into the header.
-    fn drain_ready(state: &mut StreamState, stream: StreamKey, ctx: &mut Ctx<'_>) {
+    /// persists progress into the header. Returns whether it sent anything.
+    fn drain_ready(state: &mut StreamState, stream: StreamKey, ctx: &mut Ctx<'_>) -> bool {
         let mut batch: Vec<Payload> = Vec::new();
         while let Some(Slot::Ready(_)) = state.pending.get(&state.next_seq) {
             let Slot::Ready(payload) = state
@@ -118,25 +134,44 @@ impl MessengerApp {
             let last = state.next_seq - 1;
             state.persisted_seq = Some(last);
             ctx.send_batch_rewriting(stream, batch, Json::obj([("msgr_seq", Json::from(last))]));
+            return true;
         }
+        false
     }
 
     fn on_timer_impl(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let Some(stream) = self.timers.remove(token) else {
             return;
         };
-        if !self.streams.contains_key(&stream) {
+        let Some(state) = self.streams.get_mut(&stream) else {
             return; // Stream closed; the timer chain dies.
+        };
+        if state.armed != Some(token) {
+            return; // A replaced incarnation's tick.
         }
-        ctx.replay_unacked(stream);
-        self.arm_retransmit(stream, ctx);
+        state.armed = None;
+        if ctx.has_unacked(stream) {
+            ctx.replay_unacked(stream);
+            self.arm_retransmit(stream, ctx);
+        }
     }
 
+    /// Arms `stream`'s retransmit tick at its first grid instant after now,
+    /// unless one is armed already.
     fn arm_retransmit(&mut self, stream: StreamKey, ctx: &mut Ctx<'_>) {
+        let Some(state) = self.streams.get_mut(&stream) else {
+            return;
+        };
+        if state.armed.is_some() {
+            return;
+        }
         let token = self.next_timer;
         self.next_timer += 1;
         self.timers.insert(token, stream);
-        ctx.timer(RETRANSMIT_INTERVAL, token);
+        state.armed = Some(token);
+        let interval = RETRANSMIT_INTERVAL.as_micros();
+        let into_period = ctx.now.saturating_since(state.phase).as_micros() % interval;
+        ctx.timer(SimDuration::from_micros(interval - into_period), token);
     }
 
     fn start_backfill(&mut self, state_key: StreamKey, ctx: &mut Ctx<'_>) {
@@ -165,7 +200,9 @@ snap_struct!(
         next_seq,
         pending,
         backfilling,
-        persisted_seq
+        persisted_seq,
+        phase,
+        armed
     },
     |s| {
         ensure(
@@ -196,6 +233,14 @@ snap_struct!(
         ensure(
             app.timers.keys().all(|t| t < app.next_timer),
             "messenger: next_timer behind live timers",
+        )?;
+        let armed_here = |(k, s): (&StreamKey, &StreamState)| {
+            s.armed
+                .is_none_or(|t| t < app.next_timer && app.timers.get(t) == Some(k))
+        };
+        ensure(
+            app.streams.iter().all(armed_here),
+            "messenger: armed tick not in the timer table",
         )
     }
 );
@@ -234,17 +279,17 @@ impl BrassApp for MessengerApp {
             pending: BTreeMap::new(),
             backfilling: false,
             persisted_seq: header.get("msgr_seq").and_then(Json::as_u64),
+            phase: ctx.now,
+            armed: None,
         };
         self.streams.insert(stream, state);
         let watchers = self.by_mailbox.entry(mailbox).or_default();
         if !watchers.contains(&stream) {
             watchers.push(stream);
         }
-        // Catch up on anything missed while disconnected.
+        // Catch up on anything missed while disconnected. No retransmit
+        // tick yet: the first send arms one.
         self.start_backfill(stream, ctx);
-        // Retransmission loop: unacked updates are replayed until acked
-        // (the device's duplicate suppression makes this idempotent).
-        self.arm_retransmit(stream, ctx);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &UpdateEvent) {
@@ -298,17 +343,22 @@ impl BrassApp for MessengerApp {
                     if let Some(slot) = state.pending.get_mut(&seq) {
                         *slot = Slot::Ready(payload);
                     }
-                    Self::drain_ready(state, stream, ctx);
                 }
                 _ => {
                     // Denied/missing content: skip this seq so the stream
                     // does not stall forever.
                     state.pending.remove(&seq);
-                    if state.next_seq == seq {
-                        state.next_seq += 1;
-                        Self::drain_ready(state, stream, ctx);
+                    if state.next_seq != seq {
+                        return;
                     }
+                    state.next_seq += 1;
                 }
+            }
+            if Self::drain_ready(state, stream, ctx) {
+                // Retransmission: unacked updates are replayed until acked
+                // (the device's duplicate suppression makes this
+                // idempotent).
+                self.arm_retransmit(stream, ctx);
             }
             return;
         }
@@ -357,6 +407,7 @@ mod tests {
     use super::*;
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
+    use simkit::time::SimDuration;
     use was::event::EventMeta;
 
     fn stream(n: u64) -> StreamKey {
@@ -566,6 +617,66 @@ mod tests {
         let fx = d.was_response(t0, WasResponse::Denied);
         assert_eq!(sent(&fx), vec!["m1"]);
         assert_eq!(d.app.next_seq(stream(1)), Some(2));
+    }
+
+    /// Delivers message `seq` of mailbox 7 to every subscribed stream.
+    fn deliver(d: &mut TestDriver<MessengerApp>, seq: u64) -> Vec<Effect> {
+        let fx = d.event(&msg_event(7, seq, 100 + seq));
+        let mut out = Vec::new();
+        for t in fetch_tokens(&fx) {
+            out.extend(d.was_response(t, WasResponse::Payload(b"m".to_vec().into())));
+        }
+        out
+    }
+
+    fn ticks(fx: &[Effect]) -> Vec<(SimTime, u64)> {
+        fx.iter()
+            .filter_map(|e| match e {
+                Effect::Timer { at, token } => Some((*at, *token)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A resubscribe of a live key replaces its stream, chain and all: the
+    /// replaced incarnation's tick fires as a no-op, and from then on one
+    /// tick per interval replays and re-arms.
+    #[test]
+    fn resubscribe_of_a_live_key_leaves_one_chain() {
+        let mut d = TestDriver::new(MessengerApp::new());
+        subscribe_empty(&mut d, stream(1), 7);
+        assert!(d.timers().is_empty(), "no tick before a send");
+        let first = ticks(&deliver(&mut d, 0));
+        assert_eq!(first, vec![(SimTime::from_secs(5), first[0].1)]);
+
+        d.advance(SimDuration::from_secs(2));
+        subscribe_empty(&mut d, stream(1), 7);
+        assert!(d.timers().len() == 1, "a resubscribe arms nothing");
+        // The header carries no `msgr_seq`: the new incarnation starts at 0.
+        let second = ticks(&deliver(&mut d, 0));
+        assert_eq!(second, vec![(SimTime::from_secs(7), second[0].1)]);
+        assert_eq!(d.app.timers.len(), 2, "the stale tick is still queued");
+
+        // Fire every queued tick in time order for a minute; nothing acks.
+        let mut queue = vec![first[0], second[0]];
+        let mut replays_at = Vec::new();
+        while let Some(i) = (0..queue.len()).min_by_key(|&i| queue[i].0) {
+            let (at, token) = queue.swap_remove(i);
+            if at > SimTime::from_secs(60) {
+                break;
+            }
+            d.advance(at.saturating_since(d.now()));
+            let fx = d.fire_timer(token);
+            if at == SimTime::from_secs(5) {
+                assert!(fx.is_empty(), "the replaced stream's tick is a no-op");
+            }
+            if fx.contains(&Effect::ReplayUnacked { stream: stream(1) }) {
+                replays_at.push(at.as_secs());
+            }
+            queue.extend(ticks(&fx));
+            assert!(queue.len() <= 1, "one armed tick at a time");
+        }
+        assert_eq!(replays_at, (1..=11).map(|k| 2 + 5 * k).collect::<Vec<_>>());
     }
 
     #[test]

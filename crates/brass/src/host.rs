@@ -24,7 +24,9 @@ use simkit::time::SimTime;
 use simkit::snap::{ensure, restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::snap_struct;
 
-use crate::app::{AppCounters, BrassApp, Ctx, DeviceId, Effect, FetchToken, StreamKey, WasRequest};
+use crate::app::{
+    AppCounters, BrassApp, Ctx, DeviceId, Effect, FetchToken, StreamKey, StreamView, WasRequest,
+};
 use crate::resolve::resolve;
 
 /// Host configuration.
@@ -105,6 +107,14 @@ struct StreamMeta {
     /// The owning application's registered name.
     app: &'static str,
     server: ServerStream,
+}
+
+/// The server streams' retention is the one record of what is unacked.
+impl StreamView for FxHashMap<StreamKey, StreamMeta> {
+    fn has_unacked(&self, stream: StreamKey) -> bool {
+        self.get(&stream)
+            .is_some_and(|meta| !meta.server.unacked().is_empty())
+    }
 }
 
 /// Host-level counters.
@@ -292,6 +302,7 @@ impl BrassHost {
                 &mut effects,
                 &mut instance.counters,
                 &mut instance.next_token,
+                &self.streams,
             );
             f(instance.app.as_mut(), &mut ctx);
         }
@@ -565,20 +576,11 @@ impl BrassHost {
         }
     }
 
-    /// Handles a device ack (reliable applications replay from here).
-    pub fn on_ack_into(
-        &mut self,
-        device: DeviceId,
-        sid: StreamId,
-        seq: u64,
-        now: SimTime,
-        out: &mut Vec<HostEffect>,
-    ) {
-        let stream = StreamKey { device, sid };
-        if let Some(meta) = self.streams.get_mut(&stream) {
+    /// Handles a device ack: the stream's retained updates up to `seq`
+    /// are released (reliable applications replay the rest).
+    pub fn on_ack(&mut self, device: DeviceId, sid: StreamId, seq: u64) {
+        if let Some(meta) = self.streams.get_mut(&StreamKey { device, sid }) {
             meta.server.on_ack(seq);
-            let app = meta.app;
-            self.run_handler(app, now, out, |a, ctx| a.on_ack(ctx, stream, seq));
         }
     }
 
@@ -1009,8 +1011,14 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(fx.iter().any(|e| matches!(e, HostEffect::Send { .. })));
-        // Ack releases retained state (observable: no panic, stream intact).
-        h.on_ack_into(DeviceId(1), StreamId(1), 0, SimTime::ZERO, &mut Vec::new());
+        let stream = StreamKey {
+            device: DeviceId(1),
+            sid: StreamId(1),
+        };
+        assert!(h.streams.has_unacked(stream));
+        // The ack releases what was retained; the stream stays open.
+        h.on_ack(DeviceId(1), StreamId(1), 0);
+        assert!(!h.streams.has_unacked(stream));
         assert_eq!(h.stream_count(), 1);
     }
 

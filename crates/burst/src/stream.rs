@@ -37,7 +37,9 @@ pub enum StreamState {
 pub enum ClientAction {
     /// Deliver this payload to the application.
     Deliver(Payload),
-    /// A sequence gap was observed: updates in `[expected, got)` were lost.
+    /// A sequence gap was observed: updates in `[expected, got)` were lost
+    /// or overtaken. The stream keeps the range open, so any of them that
+    /// arrives late is still delivered.
     ///
     /// Best-effort applications ignore this; reliable ones (Messenger)
     /// trigger a backfill poll.
@@ -47,6 +49,10 @@ pub enum ClientAction {
         /// Sequence number that actually arrived.
         got: u64,
     },
+    /// A late update below an open gap the stream no longer tracks (the
+    /// list of open gaps is bounded): it may have been delivered already,
+    /// so it is not delivered again, and the caller accounts for it.
+    Expired(Payload),
     /// The path degraded; the UI may show a connectivity indicator.
     NotifyDegraded,
     /// The path recovered.
@@ -77,6 +83,68 @@ pub struct ClientStream {
     gaps: u64,
     resubscribes: u64,
     resyncs: u64,
+    /// Skipped sequences that may still arrive; boxed so a stream with
+    /// none pays one null pointer.
+    open: Option<Box<OpenGaps>>,
+}
+
+/// The sequences below a stream's `next_seq` it skipped and has not seen
+/// since: an update overtaken in transit arrives after a later one and is
+/// still delivered.
+#[derive(Clone, Debug, PartialEq)]
+struct OpenGaps {
+    /// Disjoint `[lo, hi)` ranges, ascending, all below `next_seq`.
+    ranges: Vec<(u64, u64)>,
+    /// Sequences in ranges forgotten to keep `ranges` bounded.
+    evicted: u64,
+    /// Every forgotten sequence lies below this.
+    evicted_below: u64,
+}
+
+/// Open gap ranges a stream tracks; beyond this the oldest is forgotten.
+pub const MAX_OPEN_GAPS: usize = 8;
+
+impl OpenGaps {
+    /// Opens `[lo, hi)` above every open range.
+    fn open(&mut self, lo: u64, hi: u64) {
+        self.ranges.push((lo, hi));
+        self.forget_overflow();
+    }
+
+    /// Forgets the oldest range while more than [`MAX_OPEN_GAPS`] are open.
+    fn forget_overflow(&mut self) {
+        while self.ranges.len() > MAX_OPEN_GAPS {
+            let (lo, hi) = self.ranges.remove(0);
+            self.evicted += hi - lo;
+            self.evicted_below = hi;
+        }
+    }
+
+    /// Closes `seq` if it is open; whether it was.
+    fn close(&mut self, seq: u64) -> bool {
+        let i = self.ranges.partition_point(|&(_, hi)| hi <= seq);
+        let Some(&(lo, hi)) = self.ranges.get(i).filter(|&&(lo, _)| lo <= seq) else {
+            return false;
+        };
+        match (lo == seq, seq + 1 == hi) {
+            (true, true) => {
+                self.ranges.remove(i);
+            }
+            (true, false) => self.ranges[i].0 = seq + 1,
+            (false, true) => self.ranges[i].1 = seq,
+            (false, false) => {
+                self.ranges[i].1 = seq;
+                self.ranges.insert(i + 1, (seq + 1, hi));
+                self.forget_overflow();
+            }
+        }
+        true
+    }
+
+    /// Sequences still open.
+    fn open_count(&self) -> u64 {
+        self.ranges.iter().map(|(lo, hi)| hi - lo).sum()
+    }
 }
 
 impl ClientStream {
@@ -92,6 +160,7 @@ impl ClientStream {
             gaps: 0,
             resubscribes: 0,
             resyncs: 0,
+            open: None,
         }
     }
 
@@ -121,13 +190,26 @@ impl ClientStream {
         self.gaps
     }
 
-    /// The next sequence number this stream will accept. On a stream that
-    /// never resynced (no resubscribe, no flow recovery), every sequence
-    /// in `0..expected_seq()` was applied exactly once, so
-    /// `delivered() == expected_seq()` iff no gap was ever observed —
-    /// the double-entry invariant the fuzz delivery-order oracle audits.
+    /// The sequence number after the highest one this stream accepted. On
+    /// a stream that never resynced (no resubscribe, no flow recovery),
+    /// every sequence in `0..expected_seq()` was delivered exactly once,
+    /// is still open, or was forgotten from a full gap list, so
+    /// `delivered() + open_gap_seqs() + evicted_gap_seqs() ==
+    /// expected_seq()` — the double-entry invariant the fuzz
+    /// delivery-order oracle audits.
     pub fn expected_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Skipped sequences below `expected_seq` that may still arrive.
+    pub fn open_gap_seqs(&self) -> u64 {
+        self.open.as_ref().map_or(0, |g| g.open_count())
+    }
+
+    /// Skipped sequences the stream stopped waiting for because its list
+    /// of open gaps was full (see [`MAX_OPEN_GAPS`]).
+    pub fn evicted_gap_seqs(&self) -> u64 {
+        self.open.as_ref().map_or(0, |g| g.evicted)
     }
 
     /// Times this stream has resubscribed after a failure.
@@ -165,6 +247,7 @@ impl ClientStream {
         self.state = StreamState::Subscribing;
         self.resubscribes += 1;
         self.next_seq = resume_seq(&self.header);
+        self.open = None;
         Frame::Subscribe {
             sid: self.sid,
             header: self.header.unpack(),
@@ -190,6 +273,11 @@ impl ClientStream {
 
     /// Processes one atomically-applied response batch, handing each
     /// resulting action to `act` in order.
+    ///
+    /// A batch whose updates all lie below `next_seq` is late: it was
+    /// overtaken in transit or is a replay. Its updates fill open gaps, and
+    /// its header rewrites are skipped when the header already holds the
+    /// progress of a batch at least as new.
     pub fn on_batch_with(&mut self, batch: &[Delta], mut act: impl FnMut(ClientAction)) {
         if matches!(self.state, StreamState::Terminated(_)) {
             return;
@@ -197,19 +285,42 @@ impl ClientStream {
         if self.state == StreamState::Subscribing {
             self.state = StreamState::Active;
         }
+        // Whether an update moved `next_seq`, and the newest one that
+        // arrived below it.
+        let (mut advanced, mut late) = (false, None);
         for delta in batch {
             match delta {
-                Delta::Update { seq, payload } => {
-                    if *seq < self.next_seq {
-                        // Duplicate (e.g. replayed after reconnect): drop.
-                        continue;
+                Delta::Update { seq, payload } if *seq < self.next_seq => {
+                    late = late.max(Some(*seq));
+                    let Some(open) = self.open.as_deref_mut() else {
+                        continue; // Duplicate (e.g. replayed): drop.
+                    };
+                    if open.close(*seq) {
+                        if open.ranges.is_empty() && open.evicted == 0 {
+                            self.open = None;
+                        }
+                        self.delivered += 1;
+                        act(ClientAction::Deliver(payload.clone()));
+                    } else if *seq < open.evicted_below {
+                        act(ClientAction::Expired(payload.clone()));
                     }
+                }
+                Delta::Update { seq, payload } => {
+                    advanced = true;
                     if *seq > self.next_seq {
                         self.gaps += 1;
                         act(ClientAction::GapDetected {
                             expected: self.next_seq,
                             got: *seq,
                         });
+                        let open = self.open.get_or_insert_with(|| {
+                            Box::new(OpenGaps {
+                                ranges: Vec::new(),
+                                evicted: 0,
+                                evicted_below: 0,
+                            })
+                        });
+                        open.open(self.next_seq, *seq);
                     }
                     self.next_seq = *seq + 1;
                     self.delivered += 1;
@@ -229,8 +340,11 @@ impl ClientStream {
                     // the header carries it).
                     self.resyncs += 1;
                     self.next_seq = resume_seq(&self.header);
+                    self.open = None;
                     act(ClientAction::NotifyRecovered);
                 }
+                Delta::RewriteRequest { .. } | Delta::Progress { .. }
+                    if !advanced && late.is_some_and(|l| self.header_is_past(l)) => {}
                 Delta::RewriteRequest { .. } | Delta::Progress { .. } => {
                     record_rewrite(&mut self.header, delta);
                     self.header.fold();
@@ -245,6 +359,14 @@ impl ClientStream {
         }
     }
 
+    /// Whether the header holds the progress of a batch that carried `seq`
+    /// or a later update.
+    fn header_is_past(&self, seq: u64) -> bool {
+        self.header
+            .get_u64("last_seq")
+            .is_some_and(|last| last >= seq)
+    }
+
     /// Serializes this stream's complete state into `out` as fixed-width
     /// little-endian fields plus the packed header / body bytes. The frozen
     /// form is the device-hibernation (and snapshot) representation:
@@ -257,6 +379,21 @@ impl ClientStream {
         out.extend_from_slice(&self.gaps.to_le_bytes());
         out.extend_from_slice(&self.resubscribes.to_le_bytes());
         out.extend_from_slice(&self.resyncs.to_le_bytes());
+        // One byte for a stream with no open gaps: 0. Otherwise the range
+        // count plus one, then that many 16-byte words: the eviction count
+        // and bound, and each range.
+        match &self.open {
+            None => out.push(0),
+            Some(open) => {
+                out.push(open.ranges.len() as u8 + 1);
+                out.extend_from_slice(&open.evicted.to_le_bytes());
+                out.extend_from_slice(&open.evicted_below.to_le_bytes());
+                for (lo, hi) in &open.ranges {
+                    out.extend_from_slice(&lo.to_le_bytes());
+                    out.extend_from_slice(&hi.to_le_bytes());
+                }
+            }
+        }
         let header = self.header.to_bytes();
         out.extend_from_slice(&(header.len() as u32).to_le_bytes());
         out.extend_from_slice(&header);
@@ -272,6 +409,7 @@ impl ClientStream {
         let sid = StreamId(read_u64(buf, pos));
         let state = read_u8(buf, pos);
         *pos += 40; // next_seq, delivered, gaps, resubscribes, resyncs
+        *pos += 16 * read_u8(buf, pos) as usize; // open gaps
         let header_len = read_u32(buf, pos) as usize;
         *pos += header_len;
         let body_len = read_u32(buf, pos) as usize;
@@ -295,7 +433,30 @@ impl ClientStream {
         if take(1)?[0] > 7 {
             return Err("bad frozen stream state code");
         }
-        take(40)?; // next_seq, delivered, gaps, resubscribes, resyncs
+        let next_seq = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
+        take(32)?; // delivered, gaps, resubscribes, resyncs
+        let ranges = match take(1)?[0] {
+            0 => None,
+            n if n as usize <= MAX_OPEN_GAPS + 1 => Some(n as usize - 1),
+            _ => return Err("frozen stream holds too many open gaps"),
+        };
+        if let Some(ranges) = ranges {
+            let words: Vec<u64> = take(16 + 16 * ranges)?
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                .collect();
+            let (evicted, mut floor) = (words[0], words[1]);
+            let evictions_canonical = (evicted == 0) == (floor == 0) && evicted <= floor;
+            if (ranges == 0 && evicted == 0) || !evictions_canonical || floor > next_seq {
+                return Err("frozen open gaps not canonical");
+            }
+            for range in words[2..].chunks_exact(2) {
+                if range[0] < floor || range[0] >= range[1] || range[1] > next_seq {
+                    return Err("frozen open gaps not ascending below next_seq");
+                }
+                floor = range[1];
+            }
+        }
         let header_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
         let header = std::str::from_utf8(take(header_len as usize)?).ok();
         if !header.is_some_and(|text| Json::parse(text).is_ok_and(|j| j.to_string() == text)) {
@@ -321,6 +482,7 @@ impl ClientStream {
             gaps: 0,
             resubscribes: 0,
             resyncs: 0,
+            open: None,
         };
         stream.thaw_into(buf, pos);
         stream
@@ -336,6 +498,21 @@ impl ClientStream {
         self.gaps = read_u64(buf, pos);
         self.resubscribes = read_u64(buf, pos);
         self.resyncs = read_u64(buf, pos);
+        self.open = match read_u8(buf, pos) {
+            0 => None,
+            n => {
+                let evicted = read_u64(buf, pos);
+                let evicted_below = read_u64(buf, pos);
+                let ranges = (1..n)
+                    .map(|_| (read_u64(buf, pos), read_u64(buf, pos)))
+                    .collect();
+                Some(Box::new(OpenGaps {
+                    ranges,
+                    evicted,
+                    evicted_below,
+                }))
+            }
+        };
         let header_len = read_u32(buf, pos) as usize;
         self.header.reload(&buf[*pos..*pos + header_len]);
         *pos += header_len;
@@ -833,7 +1010,10 @@ mod tests {
     fn client_detects_gap_and_drops_duplicates() {
         let mut c = ClientStream::new(StreamId(1), header(), vec![]);
         apply_batch(&mut c, &[Delta::update(0, vec![])]);
-        let a = apply_batch(&mut c, &[Delta::update(3, b"x".to_vec())]);
+        let a = apply_batch(
+            &mut c,
+            &[Delta::update(3, b"x".to_vec()), Delta::progress(3)],
+        );
         assert_eq!(
             a[0],
             ClientAction::GapDetected {
@@ -842,11 +1022,89 @@ mod tests {
             }
         );
         assert_eq!(a[1], ClientAction::Deliver(b"x".to_vec().into()));
-        assert_eq!(c.gaps(), 1);
-        // A replay of an old seq is silently dropped.
-        let a = apply_batch(&mut c, &[Delta::update(2, b"old".to_vec())]);
-        assert!(a.is_empty());
-        assert_eq!(c.delivered(), 2);
+        assert_eq!((c.gaps(), c.open_gap_seqs()), (1, 2));
+        let held = c.header();
+        // Seq 2 was overtaken in transit: it fills its gap. The batch's
+        // rewrites are older than the header's progress and are skipped.
+        let late = [
+            Delta::update(2, b"late".to_vec()),
+            Delta::RewriteRequest {
+                patch: Json::obj([("msgr_seq", Json::from(2u64))]),
+            },
+            Delta::progress(2),
+        ];
+        let a = apply_batch(&mut c, &late);
+        assert_eq!(a, vec![ClientAction::Deliver(b"late".to_vec().into())]);
+        assert_eq!(c.header(), held, "a late batch rewrites nothing");
+        // A replay of a delivered seq is still silently dropped.
+        for seq in [0, 2, 3] {
+            assert!(apply_batch(&mut c, &[Delta::update(seq, b"old".to_vec())]).is_empty());
+        }
+        assert_eq!(
+            (c.delivered(), c.open_gap_seqs(), c.expected_seq()),
+            (3, 1, 4)
+        );
+        // A batch that also advances is current: its rewrites apply.
+        apply_batch(
+            &mut c,
+            &[
+                Delta::update(1, vec![]),
+                Delta::update(4, vec![]),
+                Delta::progress(4),
+            ],
+        );
+        assert_eq!((c.delivered(), c.open_gap_seqs()), (5, 0));
+        assert_eq!(c.header().get("last_seq").and_then(Json::as_u64), Some(4));
+        assert_eq!(c.open, None, "no gaps, no box");
+        // An original overtaken by its own replay is late, but the header
+        // lags it (replays carry no progress): its rewrites still apply.
+        apply_batch(&mut c, &[Delta::update(5, vec![])]);
+        let original = [Delta::update(5, vec![]), Delta::progress(5)];
+        assert!(apply_batch(&mut c, &original).contains(&ClientAction::HeaderRewritten));
+        assert_eq!(c.header().get("last_seq").and_then(Json::as_u64), Some(5));
+    }
+
+    /// Past [`MAX_OPEN_GAPS`] the oldest range is forgotten; a late update
+    /// in it is handed back as expired, never silently dropped, and the
+    /// double entry still balances.
+    #[test]
+    fn a_forgotten_gap_expires_its_late_updates() {
+        let mut c = ClientStream::new(StreamId(1), header(), vec![]);
+        for k in 0..=MAX_OPEN_GAPS as u64 {
+            apply_batch(&mut c, &[Delta::update(2 * k + 1, vec![])]);
+        }
+        let balance = |c: &ClientStream| c.delivered() + c.open_gap_seqs() + c.evicted_gap_seqs();
+        assert_eq!(
+            (c.evicted_gap_seqs(), c.open_gap_seqs()),
+            (1, MAX_OPEN_GAPS as u64)
+        );
+        assert_eq!(balance(&c), c.expected_seq());
+        let a = apply_batch(&mut c, &[Delta::update(0, b"lost".to_vec())]);
+        assert_eq!(a, vec![ClientAction::Expired(b"lost".to_vec().into())]);
+        let a = apply_batch(&mut c, &[Delta::update(2, b"kept".to_vec())]);
+        assert_eq!(a, vec![ClientAction::Deliver(b"kept".to_vec().into())]);
+        assert_eq!(balance(&c), c.expected_seq());
+        // Frozen and thawed, the gaps survive; a resubscribe clears them.
+        let mut buf = Vec::new();
+        c.freeze_into(&mut buf);
+        let mut pos = 0;
+        assert_eq!(ClientStream::check_frozen(&buf, &mut pos), Ok(StreamId(1)));
+        assert_eq!(ClientStream::thaw(&buf, &mut 0), c);
+        c.resubscribe_request();
+        assert_eq!((c.open_gap_seqs(), c.evicted_gap_seqs()), (0, 0));
+        let mut fresh = Vec::new();
+        c.freeze_into(&mut fresh);
+        assert_eq!(buf.len() - fresh.len(), 16 + 16 * (MAX_OPEN_GAPS - 1));
+    }
+
+    #[test]
+    fn recovery_clears_open_gaps() {
+        let mut c = ClientStream::new(StreamId(1), header(), vec![]);
+        apply_batch(&mut c, &[Delta::update(2, vec![])]);
+        assert_eq!(c.open_gap_seqs(), 2);
+        apply_batch(&mut c, &[Delta::FlowStatus(FlowStatus::Recovered)]);
+        assert_eq!((c.open_gap_seqs(), c.expected_seq()), (0, 0));
+        assert_eq!(c.open, None);
     }
 
     #[test]
@@ -1246,6 +1504,34 @@ mod tests {
                 client.freeze_into(&mut got);
                 spliced.freeze_into(&mut expected);
                 prop_assert_eq!(got, expected);
+            }
+        }
+    }
+
+    proptest! {
+        /// Any arrival order of any set of sequences, repeats included:
+        /// each sequence is delivered at most once, what the stream
+        /// delivers plus what it still waits for or forgot is everything
+        /// below `expected_seq`, and the frozen form thaws to the same
+        /// stream and passes `check_frozen`.
+        #[test]
+        fn open_gaps_balance_the_double_entry(
+            arrivals in proptest::collection::vec(0u64..40, 1..60),
+        ) {
+            let mut c = ClientStream::new(StreamId(1), header(), vec![]);
+            let mut seen = std::collections::BTreeSet::new();
+            for seq in arrivals {
+                for action in apply_batch(&mut c, &[Delta::update(seq, seq.to_le_bytes().to_vec())]) {
+                    if let ClientAction::Deliver(payload) = action {
+                        prop_assert!(seen.insert(payload.to_vec()), "seq {} twice", seq);
+                    }
+                }
+                let balance = c.delivered() + c.open_gap_seqs() + c.evicted_gap_seqs();
+                prop_assert_eq!(balance, c.expected_seq());
+                let mut buf = Vec::new();
+                c.freeze_into(&mut buf);
+                prop_assert_eq!(ClientStream::check_frozen(&buf, &mut 0), Ok(StreamId(1)));
+                prop_assert_eq!(&ClientStream::thaw(&buf, &mut 0), &c);
             }
         }
     }

@@ -30,6 +30,14 @@ pub enum DeviceOutput {
         /// The affected stream.
         sid: StreamId,
     },
+    /// A late update the stream could no longer place (its gap was
+    /// forgotten): not rendered, so the caller accounts for it.
+    Expired {
+        /// The stream it arrived on.
+        sid: StreamId,
+        /// The payload.
+        payload: Payload,
+    },
     /// Show/hide the connectivity indicator.
     ConnectivityChanged {
         /// `true` when degraded.
@@ -155,6 +163,9 @@ impl Device {
             }
             ClientAction::GapDetected { .. } => {
                 out.push(DeviceOutput::BackfillPoll { sid: *sid });
+            }
+            ClientAction::Expired(payload) => {
+                out.push(DeviceOutput::Expired { sid: *sid, payload });
             }
             ClientAction::NotifyDegraded => {
                 out.push(DeviceOutput::ConnectivityChanged { degraded: true });
@@ -550,10 +561,12 @@ mod tests {
         // Stream ids out of order, and an id `next_sid` would hand out again.
         assert!(damaged(28, 2).is_err());
         assert!(damaged(0, 2).is_err());
+        // Open gaps on a stream that has accepted nothing.
+        assert!(damaged(28 + 8 + 1 + 40, 1).is_err());
         // A header that is no longer the canonical JSON `reload` expects.
-        assert!(damaged(28 + 8 + 1 + 40 + 4, b' ').is_err());
+        assert!(damaged(28 + 8 + 1 + 41 + 4, b' ').is_err());
         // A header length reaching past the end, and trailing bytes.
-        assert!(damaged(28 + 8 + 1 + 40 + 3, 0x7f).is_err());
+        assert!(damaged(28 + 8 + 1 + 41 + 3, 0x7f).is_err());
         let mut long = blob.to_vec();
         long.push(0);
         assert!(Device::check_frozen(&long).is_err());

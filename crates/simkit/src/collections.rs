@@ -295,6 +295,14 @@ impl<V> SeqMap<V> {
         previous
     }
 
+    /// The value at `key`.
+    pub fn get(&self, key: u64) -> Option<&V> {
+        if key < self.base {
+            return self.spilled.get(&key);
+        }
+        self.window.get(self.slot_of(key)?)?.as_ref()
+    }
+
     /// Removes and returns the value at `key`.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         if key < self.base {
@@ -779,6 +787,9 @@ mod tests {
                 }
                 assert_eq!(map.len(), model.len());
                 assert!(map.iter().eq(model.iter().map(|(&k, v)| (k, v))), "op {i}");
+                for key in [raw % (next + 1), next, next.wrapping_sub(1)] {
+                    assert_eq!(map.get(key), model.get(&key), "get {key} after op {i}");
+                }
                 assert!(map.window.front().is_none_or(Option::is_some));
                 assert!(map.spilled.keys().all(|&k| k < map.base));
             }
