@@ -16,6 +16,8 @@
 //!   [`app::Effect`] vocabulary (subscribe to Pylon, fetch from the
 //!   WAS, send a delta batch, arm a timer).
 //! * [`resolve`] — GraphQL-subscription → (application, topic) resolution.
+//! * [`table`] — the [`StreamTable`](table::StreamTable) every application
+//!   keeps its streams, watcher lists, timers and in-flight requests in.
 //! * [`buffer`] — the bounded, time-expiring [`RankedBuffer`](buffer::RankedBuffer)
 //!   behind LiveVideoComments.
 //! * [`limiter`] — a token-bucket rate limiter whose state serialises into
@@ -32,6 +34,8 @@ pub mod buffer;
 pub mod host;
 pub mod limiter;
 pub mod resolve;
+pub mod table;
 
 pub use app::{AppCounters, BrassApp, Ctx, DeviceId, Effect, StreamKey, WasRequest, WasResponse};
 pub use host::{BrassHost, HostConfig};
+pub use resolve::ResolvedSub;

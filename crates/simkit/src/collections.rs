@@ -465,6 +465,12 @@ impl<K, V> SlotTable<K, V> {
         self.slots.iter().filter_map(|s| s.value.as_ref())
     }
 
+    /// Live `(slot, value)` pairs, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
+        let slots = self.slots.iter().enumerate();
+        slots.filter_map(|(slot, s)| Some((slot as u32, s.value.as_ref()?)))
+    }
+
     /// Adds a holder to `slot`: it keeps its key until
     /// [`release`](Self::release)d.
     pub fn hold(&mut self, slot: u32) {
@@ -507,10 +513,15 @@ impl<K: Copy + Eq + Hash, V> SlotTable<K, V> {
 
     /// Sets `key`'s value, replacing any it had, and returns its slot.
     pub fn insert(&mut self, key: K, value: V) -> u32 {
+        self.replace(key, value).0
+    }
+
+    /// Sets `key`'s value and returns its slot and the value it replaced.
+    pub fn replace(&mut self, key: K, value: V) -> (u32, Option<V>) {
         let slot = self.slot_or_new(key);
         let previous = self.slots[slot as usize].value.replace(value);
         self.live += usize::from(previous.is_none());
-        slot
+        (slot, previous)
     }
 
     /// `key`'s slot with one more holder, created empty if the key has

@@ -522,6 +522,14 @@ impl Snap for f64 {
     }
 }
 
+/// Writes nothing: the payload of a map entry that has none.
+impl Snap for () {
+    fn snap(&self, _w: &mut SnapWriter) {}
+    fn restore(_r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(())
+    }
+}
+
 impl Snap for bool {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_bool(*self);
