@@ -1,0 +1,129 @@
+//! A resubscribe of a live `(device, sid)` replaces the stream it names.
+//! Whatever the replaced incarnation held — Pylon topic references, a
+//! timer chain — is released, so that once the stream is cancelled the
+//! host holds nothing for it.
+
+use std::collections::BTreeMap;
+
+use brass::app::{DeviceId, WasRequest, WasResponse};
+use brass::host::{BrassHost, HostConfig, HostEffect};
+use burst::frame::StreamId;
+use burst::json::Json;
+use pylon::Topic;
+use simkit::time::SimTime;
+
+/// A host driven to quiescence at each step: every WAS request is answered
+/// at once (friend lists name users 2 and 3; mailboxes are empty), every
+/// timer is queued, and Pylon (un)subscriptions are counted per topic.
+struct Driven {
+    host: BrassHost,
+    now: SimTime,
+    timers: Vec<(SimTime, &'static str, u64)>,
+    subscribes: BTreeMap<Topic, u32>,
+    unsubscribes: BTreeMap<Topic, u32>,
+}
+
+impl Driven {
+    fn new() -> Self {
+        let mut host = BrassHost::new(HostConfig::small(1));
+        host.register_standard_apps();
+        Driven {
+            host,
+            now: SimTime::ZERO,
+            timers: Vec::new(),
+            subscribes: BTreeMap::new(),
+            unsubscribes: BTreeMap::new(),
+        }
+    }
+
+    fn absorb(&mut self, mut effects: Vec<HostEffect>) {
+        while let Some(effect) = effects.pop() {
+            match effect {
+                HostEffect::PylonSubscribe(t) => *self.subscribes.entry(t).or_default() += 1,
+                HostEffect::PylonUnsubscribe(t) => *self.unsubscribes.entry(t).or_default() += 1,
+                HostEffect::Timer { at, app, token } => self.timers.push((at, app, token)),
+                HostEffect::Was {
+                    app,
+                    token,
+                    request,
+                } => {
+                    let response = match request {
+                        WasRequest::Friends { .. } => WasResponse::Friends(vec![2, 3]),
+                        WasRequest::MailboxAfter { .. } => WasResponse::Mailbox(Vec::new()),
+                        WasRequest::FetchObject { .. } => WasResponse::NotFound,
+                    };
+                    let fx = self.host.on_was_response(app, token, response, self.now);
+                    effects.extend(fx);
+                }
+                HostEffect::Send { .. } | HostEffect::DropUpdate { .. } => {}
+            }
+        }
+    }
+
+    fn subscribe(&mut self, header: &Json) {
+        let fx = self
+            .host
+            .on_subscribe(DeviceId(1), StreamId(1), header.clone(), self.now);
+        self.absorb(fx);
+    }
+
+    /// Fires every queued timer due by `until`, in time order.
+    fn run_until(&mut self, until: SimTime) {
+        while let Some(next) = (0..self.timers.len()).min_by_key(|&i| self.timers[i].0) {
+            let (at, app, token) = self.timers[next];
+            if at > until {
+                break;
+            }
+            self.timers.swap_remove(next);
+            self.now = at;
+            let fx = self.host.on_timer(app, token, at);
+            self.absorb(fx);
+        }
+        self.now = until;
+    }
+}
+
+fn header(gql: &str) -> Json {
+    Json::obj([("viewer", Json::from(9u64)), ("gql", Json::from(gql))])
+}
+
+#[test]
+fn a_resubscribed_then_cancelled_stream_leaves_nothing_behind() {
+    let apps = [
+        "subscription { liveVideoComments(videoId: 42) }",
+        "subscription { typingIndicator(threadId: 5, counterpartyId: 6) }",
+        "subscription { activeStatus }",
+        "subscription { storiesTray }",
+        "subscription { mailbox(uid: 9) }",
+        "subscription { postLikes(postId: 5) }",
+        "subscription { notifications }",
+    ];
+    let secs = SimTime::from_secs;
+    for gql in apps {
+        let mut d = Driven::new();
+        d.subscribe(&header(gql));
+        d.run_until(secs(3));
+        d.subscribe(&header(gql));
+        d.run_until(secs(33));
+        assert!(
+            d.timers.len() <= 1,
+            "{gql}: {} armed chains",
+            d.timers.len()
+        );
+        let mut out = Vec::new();
+        d.host
+            .on_cancel_into(DeviceId(1), StreamId(1), d.now, &mut out);
+        d.absorb(out);
+        d.run_until(secs(90));
+        assert!(d.timers.is_empty(), "{gql}: a chain outlived the stream");
+        assert_eq!(d.host.subscribed_topics(), 0, "{gql}: topics still held");
+        assert!(!d.subscribes.is_empty(), "{gql}: subscribed to nothing");
+        for (topic, n) in &d.subscribes {
+            assert_eq!(*n, 1, "{gql}: {topic} subscribed {n} times");
+        }
+        assert_eq!(
+            d.unsubscribes, d.subscribes,
+            "{gql}: one Pylon unsubscribe per topic"
+        );
+    }
+}
