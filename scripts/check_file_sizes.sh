@@ -4,17 +4,33 @@
 # file past that holds more than one subsystem (sim.rs held the whole
 # event loop at 3,242); split it along its seams, and while splitting,
 # write each repeated body once.
+#
+# It also prints the non-test lines of each crate and of all of them: the
+# code size ROADMAP.md quotes. crates/bladerunner/src/sim/tests.rs is a
+# test module the `#[cfg(test)]` rule cannot see, so the totals skip it.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 limit=1500
 status=0
+declare -A crate_lines
+total=0
 while IFS= read -r file; do
     lines=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")
     if [ "$lines" -gt "$limit" ]; then
         echo "$file: $lines non-test lines (limit $limit)"
         status=1
     fi
+    if [ "$file" != crates/bladerunner/src/sim/tests.rs ]; then
+        crate=${file#crates/}
+        crate=${crate%%/*}
+        crate_lines[$crate]=$((${crate_lines[$crate]:-0} + lines))
+        total=$((total + lines))
+    fi
 done < <(find crates/*/src -name '*.rs' | sort)
+for crate in $(printf '%s\n' "${!crate_lines[@]}" | sort); do
+    printf '%-12s %6d non-test lines\n' "$crate" "${crate_lines[$crate]}"
+done
+printf '%-12s %6d non-test lines\n' total "$total"
 if [ "$status" -ne 0 ]; then
     echo "error: split the file along its seams (see crates/bladerunner/src/sim/ for the shape)" >&2
 fi
