@@ -238,13 +238,13 @@ impl<'a> Ctx<'a> {
         self.streams.has_unacked(stream)
     }
 
-    /// Subscribes this BRASS to a Pylon topic (deduplicated host-wide).
-    pub fn subscribe(&mut self, topic: Topic) {
+    /// Subscribes this BRASS to a Pylon topic (the stream table's job).
+    pub(crate) fn subscribe(&mut self, topic: Topic) {
         self.effects.push(Effect::SubscribeTopic(topic));
     }
 
-    /// Unsubscribes from a Pylon topic.
-    pub fn unsubscribe(&mut self, topic: Topic) {
+    /// Unsubscribes from a Pylon topic (the stream table's job).
+    pub(crate) fn unsubscribe(&mut self, topic: Topic) {
         self.effects.push(Effect::UnsubscribeTopic(topic));
     }
 

@@ -25,22 +25,13 @@ pub const ONLINE_TTL: SimDuration = SimDuration::from_secs(30);
 pub const BATCH_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 struct StreamState {
-    friend_topics: Vec<Topic>,
     /// friend uid → last time they reported online.
     online: FxHashMap<u64, SimTime>,
     /// Snapshot sent in the previous batch (dedupe no-change batches).
     last_sent: Vec<u64>,
 }
 
-impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        self.friend_topics
-            .iter()
-            .filter_map(|t| t.id_under("Status"))
-    }
-}
+impl Stream for StreamState {}
 
 /// The ActiveStatus BRASS application.
 #[derive(Default)]
@@ -63,13 +54,8 @@ impl ActiveStatusApp {
     }
 }
 
-// `friend_topics` and `last_sent` are verbatim — the former drives
-// unsubscribe order, the latter is device-visible.
-snap_struct!(StreamState {
-    friend_topics,
-    online,
-    last_sent
-});
+// `last_sent` is verbatim — it is device-visible.
+snap_struct!(StreamState { online, last_sent });
 snap_struct!(ActiveStatusApp { table });
 
 impl BrassApp for ActiveStatusApp {
@@ -80,13 +66,9 @@ impl BrassApp for ActiveStatusApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        // A live key's new incarnation takes over the old one's friend
-        // topics, so Pylon sees no churn; its own friend list then adds
-        // only friends it does not follow yet.
-        let live = self.table.find_mut(&stream);
-        let friend_topics = live.map(|s| std::mem::take(&mut s.friend_topics));
+        // A live key's new incarnation keeps the old one's friend topics
+        // until its own friend list answers, so Pylon sees no churn.
         let state = StreamState {
-            friend_topics: friend_topics.unwrap_or_default(),
             online: FxHashMap::default(),
             last_sent: Vec::new(),
         };
@@ -96,30 +78,18 @@ impl BrassApp for ActiveStatusApp {
             self.table.disarm(slot);
         }
         // One device subscribe → many BRASS subscriptions: fetch the friend
-        // list, then subscribe per friend.
+        // list, then declare a topic per friend.
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
         self.table.await_fetch(token, slot, ());
         self.table.arm(ctx, slot, BATCH_INTERVAL);
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some((slot, ())) = self.table.answer(token) else {
-            return;
-        };
-        let Some(state) = self.table.get_mut(slot) else {
-            return;
-        };
-        if let WasResponse::Friends(friends) = response {
-            for &f in &friends {
-                let topic = Topic::active_status(f);
-                if !state.friend_topics.contains(&topic) {
-                    state.friend_topics.push(topic);
-                    ctx.subscribe(topic);
-                }
-            }
-            for f in friends {
-                self.table.watch(slot, f);
-            }
+        if let (Some((slot, ())), WasResponse::Friends(friends)) =
+            (self.table.answer(token), response)
+        {
+            let topics: Vec<Topic> = friends.into_iter().map(Topic::active_status).collect();
+            self.table.set_topics(ctx, slot, &topics);
         }
     }
 
@@ -130,7 +100,7 @@ impl BrassApp for ActiveStatusApp {
         let Some(friend) = event.topic.id_under("Status") else {
             return;
         };
-        self.table.fan_out(&friend, |table, slot| {
+        self.table.fan_out(&event.topic, |table, slot| {
             let Some(state) = table.get_mut(slot) else {
                 return;
             };
@@ -169,13 +139,7 @@ impl BrassApp for ActiveStatusApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        // One unsubscribe per per-friend subscribe; host refcounts.
-        for topic in state.friend_topics {
-            ctx.unsubscribe(topic);
-        }
+        self.table.close(ctx, &stream);
     }
 }
 

@@ -10,7 +10,6 @@
 
 use burst::frame::TerminateReason;
 use burst::json::Json;
-use pylon::Topic;
 use simkit::snap::ensure;
 use simkit::snap_struct;
 use simkit::time::SimDuration;
@@ -35,26 +34,16 @@ struct StreamState {
     timer_armed: bool,
 }
 
-impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.post)
-    }
-}
+impl Stream for StreamState {}
 
 /// The NewsFeedPostLikes BRASS application.
 #[derive(Default)]
 pub struct LikesApp {
-    /// Streams listed under their post, and their deferred flushes.
+    /// Streams listed under their post's topic, and their deferred flushes.
     table: StreamTable<StreamState>,
 }
 
 impl LikesApp {
-    fn topic(post: u64) -> Topic {
-        Topic::new(&format!("/Likes/{post}")).expect("static shape")
-    }
-
     fn push_or_defer(table: &mut StreamTable<StreamState>, ctx: &mut Ctx<'_>, slot: u32) {
         let key = table.key(slot);
         let Some(state) = table.get_mut(slot) else {
@@ -105,7 +94,6 @@ impl BrassApp for LikesApp {
             ctx.terminate(stream, TerminateReason::Error);
             return;
         };
-        ctx.subscribe(sub.topic);
         let state = StreamState {
             post,
             count: 0,
@@ -113,23 +101,19 @@ impl BrassApp for LikesApp {
             limiter: TokenBucket::per_interval(PUSH_INTERVAL),
             timer_armed: false,
         };
-        // A live key's old incarnation lets go of its topic after the new
-        // one holds its own, so Pylon sees no churn, and of its deferred
-        // flush.
-        if let (slot, Some(old)) = self.table.open(stream, state) {
+        // A live key's old incarnation's deferred flush dies with it.
+        let (slot, replaced) = self.table.open(stream, state);
+        if replaced.is_some() {
             self.table.disarm(slot);
-            ctx.unsubscribe(Self::topic(old.post));
         }
+        self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &UpdateEvent) {
         if event.kind != EventKind::PostLiked {
             return;
         }
-        let Some(post) = event.topic.id_under("Likes") else {
-            return;
-        };
-        self.table.fan_out(&post, |table, slot| {
+        self.table.fan_out(&event.topic, |table, slot| {
             if let Some(state) = table.get_mut(slot) {
                 ctx.decision();
                 state.count += 1;
@@ -149,10 +133,7 @@ impl BrassApp for LikesApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        ctx.unsubscribe(Self::topic(state.post));
+        self.table.close(ctx, &stream);
     }
 }
 
@@ -161,6 +142,7 @@ mod tests {
     use super::*;
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
+    use pylon::Topic;
     use tao::ObjectId;
     use was::event::EventMeta;
 
@@ -270,7 +252,7 @@ mod tests {
     }
 
     /// A resubscribe of a live key replaces its stream, deferred flush and
-    /// all: the topic passes from the old incarnation to the new one, and
+    /// all: the new incarnation keeps the topic without a Pylon effect, and
     /// the old flush's token is dead.
     #[test]
     fn resubscribe_of_a_live_key_leaves_one_timer_chain() {
@@ -280,14 +262,7 @@ mod tests {
         d.event(&like(7, 2));
         assert_eq!(d.app.table.timer_count(), 1, "the second like is deferred");
         let fx = d.subscribe(stream(1), &header(7, 9));
-        let topic = LikesApp::topic(7);
-        assert_eq!(
-            fx,
-            vec![
-                Effect::SubscribeTopic(topic),
-                Effect::UnsubscribeTopic(topic)
-            ]
-        );
+        assert_eq!(fx, vec![], "the topic is kept");
         assert_eq!(d.app.table.timer_count(), 0, "the old flush is disarmed");
         d.event(&like(7, 3));
         d.event(&like(7, 4));

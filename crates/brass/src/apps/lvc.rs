@@ -9,8 +9,11 @@
 //! Per-viewer filters implemented here (§2): language mismatch, low ML
 //! quality, stale comments (age > 10 s), and — via the WAS fetch — blocked
 //! users and other privacy rules. In **hot mode** the stream additionally
-//! subscribes to the per-poster overflow topics `/LVC/videoID/f-uid` for
-//! each of the viewer's friends, matching the WAS-side strategy switch.
+//! holds the per-poster overflow topics `/LVC/videoID/f-uid` for each of
+//! the viewer's friends, matching the WAS-side strategy switch. A comment
+//! fans out by its topic, so a per-poster comment reaches only the streams
+//! holding that topic (the poster's friends' streams), not every viewer of
+//! the video.
 
 use burst::frame::TerminateReason;
 use burst::json::Json;
@@ -70,19 +73,12 @@ struct StreamState {
     video: u64,
     buffer: RankedBuffer<BufferedComment>,
     limiter: TokenBucket,
-    friend_topics: Vec<Topic>,
     sends_since_rewrite: u32,
     /// Buffer-loss counters already converted into drop decisions.
     accounted_losses: u64,
 }
 
-impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.video)
-    }
-}
+impl Stream for StreamState {}
 
 /// The LiveVideoComments BRASS application.
 ///
@@ -94,7 +90,7 @@ pub struct LvcApp {
     config: LvcConfig,
     /// Interned viewer languages (see [`StreamState::lang`]).
     langs: Vec<Box<str>>,
-    /// Streams listed under their video, their fetches and push timers.
+    /// Streams listed under their topics, their fetches and push timers.
     table: StreamTable<StreamState, PendingFetch>,
 }
 
@@ -166,7 +162,6 @@ snap_struct!(
         video,
         buffer,
         limiter,
-        friend_topics,
         sends_since_rewrite,
         accounted_losses
     },
@@ -225,12 +220,13 @@ impl BrassApp for LvcApp {
         // Rebuilding from scratch here silently lost every buffered
         // comment, double-armed the pop timer, and leaked a topic
         // subscription refcount per repair.
-        if let Some(existing) = self.table.find_mut(&stream) {
-            if existing.viewer == sub.viewer && existing.video == video {
-                existing.lang = lang;
+        let replaced = match self.table.find_mut(&stream) {
+            Some(live) if live.viewer == sub.viewer && live.video == video => {
+                live.lang = lang;
                 return;
             }
-        }
+            live => live.is_some(),
+        };
         // Resumption (§3.5): restore rate-limiter state a previous BRASS
         // stored in the header, if any.
         let limiter = TokenBucket::from_header(header)
@@ -242,29 +238,20 @@ impl BrassApp for LvcApp {
             video,
             buffer: RankedBuffer::new(self.config.buffer_capacity, self.config.max_comment_age),
             limiter,
-            friend_topics: Vec::new(),
             sends_since_rewrite: 0,
             accounted_losses: 0,
         };
         // Same key, different identity: the old stream is gone for good,
         // so it is closed first and the new one joins its video's viewers
         // last.
-        let replaced = self.table.close(&stream);
+        self.on_stream_closed(ctx, stream);
         let (slot, _) = self.table.open(stream, state);
-        if let Some(mut old) = replaced {
-            // Account the old buffer, mirroring `on_stream_closed` — and
-            // disarm its timer, or the old chain would tick the new stream
-            // alongside the one armed below.
+        if replaced {
+            // Its timer chain would tick the new stream alongside the one
+            // armed below.
             self.table.disarm(slot);
-            for e in old.buffer.drain() {
-                ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
-            }
-            ctx.unsubscribe(Topic::live_video_comments(old.video));
-            for topic in old.friend_topics {
-                ctx.unsubscribe(topic);
-            }
         }
-        ctx.subscribe(sub.topic);
+        self.table.set_topics(ctx, slot, &[sub.topic]);
         if hot {
             // Hot strategy: also follow per-poster topics for the viewer's
             // friends; the friend list comes from the backend.
@@ -278,16 +265,13 @@ impl BrassApp for LvcApp {
         if event.kind != EventKind::CommentPosted {
             return;
         }
-        let Some(video) = event.topic.id_under("LVC") else {
-            return;
-        };
         let LvcApp {
             config,
             langs,
             table,
         } = self;
         let created = SimTime::from_millis(event.meta.created_ms);
-        table.fan_out(&video, |table, slot| {
+        table.fan_out(&event.topic, |table, slot| {
             let Some(state) = table.get_mut(slot) else {
                 return;
             };
@@ -394,11 +378,14 @@ impl BrassApp for LvcApp {
             },
             (PendingFetch::Friends, Some(state)) => {
                 if let WasResponse::Friends(friends) = response {
-                    for f in friends {
-                        let topic = Topic::live_video_comments_by(state.video, f);
-                        state.friend_topics.push(topic);
-                        ctx.subscribe(topic);
-                    }
+                    let video = state.video;
+                    let mut topics = vec![Topic::live_video_comments(video)];
+                    topics.extend(
+                        friends
+                            .into_iter()
+                            .map(|f| Topic::live_video_comments_by(video, f)),
+                    );
+                    self.table.set_topics(ctx, slot, &topics);
                 }
             }
             (PendingFetch::Friends, None) => {}
@@ -406,7 +393,7 @@ impl BrassApp for LvcApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(mut state) = self.table.close(&stream) else {
+        let Some(state) = self.table.find_mut(&stream) else {
             return;
         };
         // Comments still buffered when the stream goes away never reach the
@@ -414,12 +401,7 @@ impl BrassApp for LvcApp {
         for e in state.buffer.drain() {
             ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
         }
-        // One unsubscribe per subscribe; the host's subscription manager
-        // refcounts and only drops the Pylon subscription at zero.
-        ctx.unsubscribe(Topic::live_video_comments(state.video));
-        for topic in state.friend_topics {
-            ctx.unsubscribe(topic);
-        }
+        self.table.close(ctx, &stream);
     }
 }
 
@@ -782,6 +764,27 @@ mod tests {
                 42, 6
             )))
         );
+    }
+
+    /// A per-poster comment fans out by its own topic: it reaches the hot
+    /// stream that follows the poster, not every viewer of the video.
+    #[test]
+    fn a_per_poster_comment_reaches_only_the_posters_friends() {
+        let mut d = driver();
+        let mut hot = header(42, 1);
+        hot.set("hot", Json::from(true));
+        let fx = d.subscribe(stream(1), &hot);
+        let friends = fx.iter().find_map(|e| match e {
+            Effect::Was { token, .. } => Some(*token),
+            _ => None,
+        });
+        d.was_response(friends.unwrap(), WasResponse::Friends(vec![7]));
+        d.subscribe(stream(2), &header(42, 2));
+        let mut comment = comment_event(42, 100, 0.9, "en", 0);
+        comment.topic = Topic::live_video_comments_by(42, 7);
+        d.event(&comment);
+        let mut buffered = |n| d.app.table.find_mut(&stream(n)).map(|s| s.buffer.len());
+        assert_eq!((buffered(1), buffered(2)), (Some(1), Some(0)));
     }
 
     #[test]

@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 
 use burst::frame::{Payload, TerminateReason};
 use burst::json::Json;
-use pylon::Topic;
 use simkit::snap::ensure;
 use simkit::time::{SimDuration, SimTime};
 use simkit::{snap_enum, snap_struct};
@@ -48,7 +47,6 @@ enum Slot {
 struct StreamState {
     viewer: u64,
     mailbox: u64,
-    topic: Topic,
     /// Next mailbox sequence number the device expects.
     next_seq: u64,
     /// Reorder buffer keyed by mailbox seq.
@@ -67,12 +65,6 @@ struct StreamState {
 }
 
 impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.mailbox)
-    }
-
     fn armed(&self) -> Option<u64> {
         self.armed
     }
@@ -92,7 +84,7 @@ pub const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// The Messenger content-delivery BRASS application.
 #[derive(Default)]
 pub struct MessengerApp {
-    /// Streams listed under their mailbox, their fetches and backfills,
+    /// Streams listed under their mailbox's topic, their fetches and backfills,
     /// and their retransmit ticks.
     table: StreamTable<StreamState, Fetch>,
 }
@@ -168,7 +160,6 @@ snap_struct!(
     StreamState {
         viewer,
         mailbox,
-        topic,
         next_seq,
         pending,
         backfilling,
@@ -204,11 +195,9 @@ impl BrassApp for MessengerApp {
             .and_then(Json::as_u64)
             .map(|s| s + 1)
             .unwrap_or(0);
-        ctx.subscribe(sub.topic);
         let state = StreamState {
             viewer: sub.viewer,
             mailbox,
-            topic: sub.topic,
             next_seq,
             pending: BTreeMap::new(),
             backfilling: false,
@@ -216,13 +205,10 @@ impl BrassApp for MessengerApp {
             phase: ctx.now,
             armed: None,
         };
-        let (slot, replaced) = self.table.open(stream, state);
-        // A live key's old incarnation lets go of its topic after the new
-        // one holds its own, so Pylon sees no churn. Its retransmit tick
-        // finds another armed token and does nothing.
-        if let Some(old) = replaced {
-            ctx.unsubscribe(old.topic);
-        }
+        // A live key's old incarnation's retransmit tick finds another
+        // armed token and does nothing.
+        let (slot, _) = self.table.open(stream, state);
+        self.table.set_topics(ctx, slot, &[sub.topic]);
         // Catch up on anything missed while disconnected. No retransmit
         // tick yet: the first send arms one.
         Self::start_backfill(&mut self.table, slot, ctx);
@@ -232,14 +218,11 @@ impl BrassApp for MessengerApp {
         if event.kind != EventKind::MessageAdded {
             return;
         }
-        let Some(mailbox) = event.topic.id_under("Msgr") else {
-            return;
-        };
         let Some(seq) = event.meta.seq else {
             return;
         };
         let mut gaps: Vec<u32> = Vec::new();
-        self.table.fan_out(&mailbox, |table, slot| {
+        self.table.fan_out(&event.topic, |table, slot| {
             let Some(state) = table.get_mut(slot) else {
                 return;
             };
@@ -338,11 +321,7 @@ impl BrassApp for MessengerApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        // One unsubscribe per subscribe; the host refcounts topic interest.
-        ctx.unsubscribe(state.topic);
+        self.table.close(ctx, &stream);
     }
 }
 
@@ -351,6 +330,7 @@ mod tests {
     use super::*;
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
+    use pylon::Topic;
     use simkit::time::SimDuration;
     use tao::ObjectId;
     use was::event::EventMeta;

@@ -33,25 +33,19 @@ struct PendingGroup {
 }
 
 struct StreamState {
-    uid: u64,
     /// Pending notifications per subject object (e.g. per liked post).
     pending: FxHashMap<ObjectId, PendingGroup>,
     /// Whether a flush timer is armed.
     timer_armed: bool,
 }
 
-impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.uid)
-    }
-}
+impl Stream for StreamState {}
 
 /// The WebsiteNotifications BRASS application.
 #[derive(Default)]
 pub struct NotificationsApp {
-    /// Streams listed under their user, and their coalescing flushes.
+    /// Streams listed under their user's topic, and their coalescing
+    /// flushes.
     table: StreamTable<StreamState>,
 }
 
@@ -72,7 +66,6 @@ snap_struct!(PendingGroup { first_actor, count }, |g| {
     ensure(g.count != 0, "notifications: empty coalescing group")
 });
 snap_struct!(StreamState {
-    uid,
     pending,
     timer_armed
 });
@@ -86,32 +79,27 @@ impl BrassApp for NotificationsApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        let Some(uid) = sub.topic.id_under("Notif") else {
+        if sub.topic.id_under("Notif").is_none() {
             ctx.terminate(stream, TerminateReason::Error);
             return;
-        };
-        ctx.subscribe(sub.topic);
+        }
         let state = StreamState {
-            uid,
             pending: FxHashMap::default(),
             timer_armed: false,
         };
-        // A live key's old incarnation lets go of its topic after the new
-        // one holds its own, so Pylon sees no churn, and of its flush.
-        if let (slot, Some(old)) = self.table.open(stream, state) {
+        // A live key's old incarnation's flush dies with it.
+        let (slot, replaced) = self.table.open(stream, state);
+        if replaced.is_some() {
             self.table.disarm(slot);
-            ctx.unsubscribe(pylon::Topic::notifications(old.uid));
         }
+        self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &UpdateEvent) {
         if event.kind != EventKind::NotificationPosted {
             return;
         }
-        let Some(uid) = event.topic.id_under("Notif") else {
-            return;
-        };
-        self.table.fan_out(&uid, |table, slot| {
+        self.table.fan_out(&event.topic, |table, slot| {
             if let Some(state) = table.get_mut(slot) {
                 ctx.decision();
                 let group = state.pending.entry(event.object).or_default();
@@ -158,10 +146,7 @@ impl BrassApp for NotificationsApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        ctx.unsubscribe(pylon::Topic::notifications(state.uid));
+        self.table.close(ctx, &stream);
     }
 }
 
@@ -303,22 +288,15 @@ mod tests {
     }
 
     /// A resubscribe of a live key replaces its stream, pending flush and
-    /// all: the topic passes from the old incarnation to the new one, and
-    /// the old flush's token is dead.
+    /// all: the new incarnation keeps the topic without a Pylon effect,
+    /// and the old flush's token is dead.
     #[test]
     fn resubscribe_of_a_live_key_leaves_one_timer_chain() {
         let mut d = TestDriver::new(NotificationsApp::default());
         d.subscribe(stream(1), &header(9));
         d.event(&notif(9, 7, 100));
         let fx = d.subscribe(stream(1), &header(9));
-        let topic = pylon::Topic::notifications(9);
-        assert_eq!(
-            fx,
-            vec![
-                Effect::SubscribeTopic(topic),
-                Effect::UnsubscribeTopic(topic)
-            ]
-        );
+        assert_eq!(fx, vec![], "the topic is kept");
         assert_eq!(d.app.table.timer_count(), 0, "the old flush is disarmed");
         d.event(&notif(9, 8, 101));
         d.advance(COALESCE_WINDOW);

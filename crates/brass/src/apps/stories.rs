@@ -48,21 +48,12 @@ impl Container {
 }
 
 struct StreamState {
-    friend_topics: Vec<Topic>,
     containers: FxHashMap<u64, Container>,
     /// Authors currently displayed on the device, tray order.
     displayed: Vec<u64>,
 }
 
-impl Stream for StreamState {
-    type Watch = u64;
-
-    fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-        self.friend_topics
-            .iter()
-            .filter_map(|t| t.id_under("Stories"))
-    }
-}
+impl Stream for StreamState {}
 
 /// The Stories BRASS application.
 pub struct StoriesApp {
@@ -107,10 +98,8 @@ snap_struct!(Container {
     story_count,
     last_story
 });
-// `friend_topics` and `displayed` are verbatim — unsubscribe order and
-// tray order are behavior-visible.
+// `displayed` is verbatim — tray order is behavior-visible.
 snap_struct!(StreamState {
-    friend_topics,
     containers,
     displayed
 });
@@ -124,13 +113,9 @@ impl BrassApp for StoriesApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        // A live key's new incarnation takes over the old one's friend
-        // topics, so Pylon sees no churn; its own friend list then adds
-        // only friends it does not follow yet.
-        let live = self.table.find_mut(&stream);
-        let friend_topics = live.map(|s| std::mem::take(&mut s.friend_topics));
+        // A live key's new incarnation keeps the old one's friend topics
+        // until its own friend list answers, so Pylon sees no churn.
         let state = StreamState {
-            friend_topics: friend_topics.unwrap_or_default(),
             containers: FxHashMap::default(),
             displayed: Vec::new(),
         };
@@ -140,23 +125,11 @@ impl BrassApp for StoriesApp {
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some((slot, ())) = self.table.answer(token) else {
-            return;
-        };
-        let Some(state) = self.table.get_mut(slot) else {
-            return;
-        };
-        if let WasResponse::Friends(friends) = response {
-            for &f in &friends {
-                let topic = Topic::stories(f);
-                if !state.friend_topics.contains(&topic) {
-                    state.friend_topics.push(topic);
-                    ctx.subscribe(topic);
-                }
-            }
-            for f in friends {
-                self.table.watch(slot, f);
-            }
+        if let (Some((slot, ())), WasResponse::Friends(friends)) =
+            (self.table.answer(token), response)
+        {
+            let topics: Vec<Topic> = friends.into_iter().map(Topic::stories).collect();
+            self.table.set_topics(ctx, slot, &topics);
         }
     }
 
@@ -168,7 +141,7 @@ impl BrassApp for StoriesApp {
             return;
         };
         let tray_size = self.config.tray_size;
-        self.table.fan_out(&author, |table, slot| {
+        self.table.fan_out(&event.topic, |table, slot| {
             let key = table.key(slot);
             let Some(state) = table.get_mut(slot) else {
                 return;
@@ -200,13 +173,7 @@ impl BrassApp for StoriesApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        // One unsubscribe per per-friend subscribe; host refcounts.
-        for topic in state.friend_topics {
-            ctx.unsubscribe(topic);
-        }
+        self.table.close(ctx, &stream);
     }
 }
 

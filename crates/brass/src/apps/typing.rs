@@ -9,7 +9,6 @@
 //! pushed.
 
 use burst::json::Json;
-use pylon::Topic;
 use simkit::snap_struct;
 use was::{EventKind, UpdateEvent};
 
@@ -19,16 +18,9 @@ use crate::table::{Stream, StreamTable};
 
 struct StreamState {
     viewer: u64,
-    topic: Topic,
 }
 
-impl Stream for StreamState {
-    type Watch = Topic;
-
-    fn watches(&self) -> impl Iterator<Item = Topic> + '_ {
-        std::iter::once(self.topic)
-    }
-}
+impl Stream for StreamState {}
 
 /// The TypingIndicator BRASS application.
 #[derive(Default)]
@@ -48,7 +40,7 @@ struct Pending {
     created_ms: u64,
 }
 
-snap_struct!(StreamState { viewer, topic });
+snap_struct!(StreamState { viewer });
 snap_struct!(Pending {
     object,
     uid,
@@ -65,16 +57,9 @@ impl BrassApp for TypingApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        ctx.subscribe(sub.topic);
-        let state = StreamState {
-            viewer: sub.viewer,
-            topic: sub.topic,
-        };
-        // A live key's old incarnation lets go of its topic after the new
-        // one holds its own, so Pylon sees no churn.
-        if let (_, Some(old)) = self.table.open(stream, state) {
-            ctx.unsubscribe(old.topic);
-        }
+        let state = StreamState { viewer: sub.viewer };
+        let (slot, _) = self.table.open(stream, state);
+        self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: &UpdateEvent) {
@@ -127,11 +112,7 @@ impl BrassApp for TypingApp {
     }
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
-        let Some(state) = self.table.close(&stream) else {
-            return;
-        };
-        // One unsubscribe per subscribe; the host refcounts topic interest.
-        ctx.unsubscribe(state.topic);
+        self.table.close(ctx, &stream);
     }
 }
 
@@ -140,6 +121,7 @@ mod tests {
     use super::*;
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
+    use pylon::Topic;
     use tao::ObjectId;
     use was::event::EventMeta;
 

@@ -17,7 +17,8 @@
 //!   WAS, send a delta batch, arm a timer).
 //! * [`resolve`] — GraphQL-subscription → (application, topic) resolution.
 //! * [`table`] — the [`StreamTable`](table::StreamTable) every application
-//!   keeps its streams, watcher lists, timers and in-flight requests in.
+//!   keeps its streams, their declared Pylon topics, watcher lists, timers
+//!   and in-flight requests in.
 //! * [`buffer`] — the bounded, time-expiring [`RankedBuffer`](buffer::RankedBuffer)
 //!   behind LiveVideoComments.
 //! * [`limiter`] — a token-bucket rate limiter whose state serialises into

@@ -1,19 +1,23 @@
 //! The per-stream bookkeeping every BRASS application shares: each
-//! stream's state, the streams listed under each key an update fans out by
-//! (a video, a post, a friend), and the timers and WAS requests that name a
-//! stream. An application's handlers then hold only its policy (Muppet's
-//! split: the framework owns each key's state).
+//! stream's state and Pylon topics, the streams listed under each topic,
+//! and the timers and WAS requests that name a stream. An application's
+//! handlers then hold only its policy (Muppet's split: the framework owns
+//! each key's state). An application declares each stream's topics
+//! ([`StreamTable::set_topics`]) and never subscribes itself: the table
+//! holds one reference per stream and topic, and lists a topic's holders
+//! in the order they declared it, the order an update on it fans out in.
 //!
 //! States sit in [`SlotTable`] slots. Only a subscribe and a close resolve
 //! a [`StreamKey`]; watcher lists, timers and requests carry the slot, and
 //! a timer or request *holds* it, so one that outlives its stream finds the
 //! key's current stream (or none), exactly as a lookup by key would. A
-//! snapshot writes keys, never slots.
+//! snapshot writes keys, never slots, and topic names, never ids.
 
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
+use pylon::{Topic, TopicId};
 use simkit::collections::{SeqMap, SlotTable};
-use simkit::fxhash::FxHashMap;
+use simkit::fxhash::{FxHashMap, FxHashSet};
 use simkit::snap::{restore_sorted, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::SimDuration;
 
@@ -21,12 +25,6 @@ use crate::app::{Ctx, FetchToken, StreamKey};
 
 /// One stream's state in a [`StreamTable`].
 pub trait Stream: Snap {
-    /// What a stream is listed under for fan-out.
-    type Watch: Copy + Eq + Hash + Ord + Snap;
-
-    /// Every key this stream is listed under.
-    fn watches(&self) -> impl Iterator<Item = Self::Watch> + '_;
-
     /// The token of the one timer this stream keeps armed, if the app
     /// tracks it: a restore requires the timer table to hold it.
     fn armed(&self) -> Option<u64> {
@@ -34,11 +32,41 @@ pub trait Stream: Snap {
     }
 }
 
-/// Streams by slot, their watcher lists, requests carrying `F`, timers.
+/// A stream's topics in the order it declared them: the first inline, the
+/// rest boxed, so a one-topic stream allocates nothing.
+#[derive(Default)]
+struct Topics(Option<TopicId>, Box<[TopicId]>);
+
+impl Topics {
+    fn iter(&self) -> impl Iterator<Item = TopicId> + '_ {
+        self.0.into_iter().chain(self.1.iter().copied())
+    }
+
+    fn holds(&self, id: TopicId) -> bool {
+        self.iter().any(|held| held == id)
+    }
+}
+
+impl FromIterator<TopicId> for Topics {
+    fn from_iter<I: IntoIterator<Item = TopicId>>(ids: I) -> Self {
+        let mut ids = ids.into_iter();
+        Topics(ids.next(), ids.collect())
+    }
+}
+
+/// An open stream: its state and the topics it holds.
+struct Entry<S> {
+    state: S,
+    topics: Topics,
+}
+
+/// Streams by slot, their topics and watcher lists, requests carrying
+/// `F`, timers.
 pub struct StreamTable<S: Stream, F = ()> {
-    streams: SlotTable<StreamKey, S>,
-    /// Each watch key's streams in subscribe order, the fan-out order.
-    watchers: FxHashMap<S::Watch, Vec<u32>>,
+    streams: SlotTable<StreamKey, Entry<S>>,
+    /// Each topic's holders in the order they declared it: the fan-out
+    /// order.
+    watchers: FxHashMap<TopicId, Vec<u32>>,
     /// In-flight WAS requests, by [`FetchToken`] value.
     fetches: SeqMap<(u32, F)>,
     /// Armed timers, by token.
@@ -61,12 +89,12 @@ impl<S: Stream, F> Default for StreamTable<S, F> {
 impl<S: Stream, F> StreamTable<S, F> {
     /// The stream in `slot`, if open.
     pub fn get(&self, slot: u32) -> Option<&S> {
-        self.streams.get(slot)
+        self.streams.get(slot).map(|e| &e.state)
     }
 
     /// The stream in `slot`, mutably, if open.
     pub fn get_mut(&mut self, slot: u32) -> Option<&mut S> {
-        self.streams.get_mut(slot)
+        self.streams.get_mut(slot).map(|e| &mut e.state)
     }
 
     /// The key of `slot`. Meaningful while the slot is open or held.
@@ -80,72 +108,78 @@ impl<S: Stream, F> StreamTable<S, F> {
     }
 
     /// Opens `key` with `state` and returns its slot and the state it
-    /// replaced, if `key` was open. The stream keeps its place under every
-    /// key both states watch, leaves the lists only the replaced state
-    /// watched, and joins, last, those only `state` watches.
+    /// replaced, if `key` was open. A replacing state takes over the old
+    /// one's topics and its place in their lists; a new stream holds none.
     pub fn open(&mut self, key: StreamKey, state: S) -> (u32, Option<S>) {
-        let (slot, replaced) = self.streams.replace(key, state);
-        let StreamTable {
-            streams, watchers, ..
-        } = self;
-        let state = streams.get(slot).expect("just opened");
-        for watch in replaced.iter().flat_map(S::watches) {
-            if !state.watches().any(|w| w == watch) {
-                Self::unlist(watchers, slot, watch);
-            }
+        let live = self.streams.slot(&key);
+        if let Some((slot, entry)) = live.and_then(|s| Some((s, self.streams.get_mut(s)?))) {
+            return (slot, Some(std::mem::replace(&mut entry.state, state)));
         }
-        for watch in state.watches() {
-            Self::list(watchers, slot, watch);
-        }
-        (slot, replaced)
+        let topics = Topics::default();
+        (self.streams.insert(key, Entry { state, topics }), None)
     }
 
-    /// Closes `key`: takes its state and unlists it. Timers and requests
-    /// still hold the slot.
-    pub fn close(&mut self, key: &StreamKey) -> Option<S> {
+    /// Declares the topics of the stream in `slot`, if open. Topics it
+    /// keeps keep their order and list places; new ones are subscribed and
+    /// join their lists last; then dropped ones leave their lists and are
+    /// unsubscribed, so Pylon never sees a kept topic churn.
+    pub fn set_topics(&mut self, ctx: &mut Ctx<'_>, slot: u32, topics: &[Topic]) {
+        let Some(entry) = self.streams.get_mut(slot) else {
+            return;
+        };
+        let held = std::mem::take(&mut entry.topics);
+        let named = |id| topics.iter().any(|t| t.id() == id);
+        // Each topic the set gains, once, in declaration order.
+        let new = |&(i, t): &(usize, &Topic)| !held.holds(t.id()) && !topics[..i].contains(t);
+        let added = || topics.iter().enumerate().filter(&new).map(|(_, &t)| t);
+        let kept = held.iter().filter(|&id| named(id));
+        entry.topics = kept.chain(added().map(|t| t.id())).collect();
+        for topic in added() {
+            self.watchers.entry(topic.id()).or_default().push(slot);
+            ctx.subscribe(topic);
+        }
+        for id in held.iter().filter(|&id| !named(id)) {
+            self.release_topic(ctx, slot, id);
+        }
+    }
+
+    /// Closes `key`: takes its state and releases its topics, in the order
+    /// it declared them. Timers and requests still hold the slot.
+    pub fn close(&mut self, ctx: &mut Ctx<'_>, key: &StreamKey) -> Option<S> {
         let slot = self.streams.slot(key)?;
-        let state = self.streams.take(slot)?;
-        for watch in state.watches() {
-            Self::unlist(&mut self.watchers, slot, watch);
+        let entry = self.streams.take(slot)?;
+        for id in entry.topics.iter() {
+            self.release_topic(ctx, slot, id);
         }
-        Some(state)
+        Some(entry.state)
     }
 
-    /// Lists the stream in `slot` under `watch`, after the streams already
-    /// there, unless it is listed already. The caller's state must report
-    /// `watch` among its [`Stream::watches`].
-    pub fn watch(&mut self, slot: u32, watch: S::Watch) {
-        Self::list(&mut self.watchers, slot, watch);
-    }
-
-    fn list(watchers: &mut FxHashMap<S::Watch, Vec<u32>>, slot: u32, watch: S::Watch) {
-        let list = watchers.entry(watch).or_default();
-        if !list.contains(&slot) {
-            list.push(slot);
-        }
-    }
-
-    fn unlist(watchers: &mut FxHashMap<S::Watch, Vec<u32>>, slot: u32, watch: S::Watch) {
-        if let Some(list) = watchers.get_mut(&watch) {
+    /// Unlists the stream in `slot` from `id` and drops its reference.
+    fn release_topic(&mut self, ctx: &mut Ctx<'_>, slot: u32, id: TopicId) {
+        if let Some(list) = self.watchers.get_mut(&id) {
             list.retain(|&s| s != slot);
             if list.is_empty() {
-                watchers.remove(&watch);
+                self.watchers.remove(&id);
             }
         }
+        ctx.unsubscribe(Topic::of_id(id));
     }
 
-    /// Runs `f` on the slot of every stream listed under `watch`, in
-    /// subscribe order. `f` may use the whole table but must not list or
-    /// unlist anything under `watch`: the list is taken out while it runs.
-    pub fn fan_out(&mut self, watch: &S::Watch, mut f: impl FnMut(&mut Self, u32)) {
-        let Some(list) = self.watchers.get_mut(watch) else {
+    /// Runs `f` on the slot of every stream holding `topic`, in the order
+    /// they declared it. `f` may use the whole table but must not change
+    /// who holds `topic`: the list is taken out while it runs.
+    pub fn fan_out(&mut self, topic: &Topic, mut f: impl FnMut(&mut Self, u32)) {
+        let Some(list) = self.watchers.get_mut(&topic.id()) else {
             return;
         };
         let list = std::mem::take(list);
         for &slot in &list {
             f(self, slot);
         }
-        let place = self.watchers.get_mut(watch).expect("fan-out kept its list");
+        let place = self
+            .watchers
+            .get_mut(&topic.id())
+            .expect("fan-out kept its list");
         debug_assert!(place.is_empty(), "fan-out changed its own list");
         *place = list;
     }
@@ -205,7 +239,7 @@ impl<S: Stream, F> StreamTable<S, F> {
 
     /// Open streams, in slot order.
     pub fn values(&self) -> impl Iterator<Item = &S> {
-        self.streams.values()
+        self.streams.values().map(|e| &e.state)
     }
 }
 
@@ -213,10 +247,31 @@ fn invalid(what: &str) -> SnapError {
     SnapError::Invalid(format!("brass streams: {what}"))
 }
 
-/// Streams, watcher lists, requests, timers and the timer counter, each
-/// slot written as its key. Restoring checks every cross-reference: each
-/// watcher watches its key, no timer token has reached the counter, each
-/// armed tick is in the timer table.
+/// A stream's state, then its topics' names in the order it declared them.
+impl<S: Snap> Snap for Entry<S> {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.state.snap(w);
+        let names: Vec<Topic> = self.topics.iter().map(Topic::of_id).collect();
+        names.snap(w);
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let (state, names): (S, Vec<Topic>) = Snap::restore(r)?;
+        let twice = |(i, t): (usize, &Topic)| names[..i].contains(t);
+        if names.iter().enumerate().any(twice) {
+            return Err(invalid("a topic held twice by one stream"));
+        }
+        let topics = names.iter().map(Topic::id).collect();
+        Ok(Entry { state, topics })
+    }
+}
+
+/// Streams with their topics, watcher lists by topic name, requests,
+/// timers and the timer counter, each slot written as its key. Restoring
+/// checks every cross-reference: a list names only streams that hold its
+/// topic, each once, and every held topic's list names its holder; no
+/// timer token has reached the counter; each armed tick is in the timer
+/// table.
 impl<S, F> Snap for StreamTable<S, F>
 where
     S: Stream,
@@ -225,14 +280,10 @@ where
     fn snap(&self, w: &mut SnapWriter) {
         let key = |slot: u32| self.key(slot);
         self.streams.snap(w);
-        let mut lists: Vec<(&S::Watch, &Vec<u32>)> = self.watchers.iter().collect();
-        lists.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.put_usize(lists.len());
-        for (watch, slots) in lists {
-            watch.snap(w);
-            w.put_usize(slots.len());
-            slots.iter().for_each(|&slot| key(slot).snap(w));
-        }
+        let list = |slots: &Vec<u32>| slots.iter().map(|&slot| key(slot)).collect();
+        let lists = self.watchers.iter();
+        let lists = lists.map(|(&id, slots)| (Topic::of_id(id), list(slots)));
+        lists.collect::<BTreeMap<Topic, Vec<StreamKey>>>().snap(w);
         w.put_usize(self.fetches.len());
         for (token, (slot, fetch)) in self.fetches.iter() {
             token.snap(w);
@@ -252,31 +303,35 @@ where
             streams: Snap::restore(r)?,
             ..StreamTable::default()
         };
-        let watchers: FxHashMap<S::Watch, Vec<StreamKey>> = Snap::restore(r)?;
+        let watchers: FxHashMap<Topic, Vec<StreamKey>> = Snap::restore(r)?;
         let by_token = |a: &(u64, (StreamKey, F)), b: &(u64, (StreamKey, F))| a.0 < b.0;
         let fetches = restore_sorted(r, by_token)?;
         let timers: SeqMap<StreamKey> = Snap::restore(r)?;
         table.next_timer = Snap::restore(r)?;
-        for (watch, keys) in watchers {
+        let mut listed = FxHashSet::default();
+        for (topic, keys) in watchers {
             let streams = &table.streams;
-            let watching = |key: &StreamKey| {
-                let slot = streams.slot(key)?;
-                streams
-                    .get(slot)?
-                    .watches()
-                    .any(|w| w == watch)
-                    .then_some(slot)
-            };
-            let slots: Option<Vec<u32>> = keys.iter().map(watching).collect();
-            table
-                .watchers
-                .insert(watch, slots.ok_or_else(|| invalid("dangling watcher"))?);
+            let id = topic.id();
+            let holds = |slot| streams.get(slot).is_some_and(|e| e.topics.holds(id));
+            let mut slots = Vec::with_capacity(keys.len());
+            for key in &keys {
+                let slot = streams.slot(key).filter(|&slot| holds(slot));
+                let slot = slot.ok_or_else(|| invalid("a list names a non-holder"))?;
+                if !listed.insert((slot, id)) {
+                    return Err(invalid("a stream listed twice under one topic"));
+                }
+                slots.push(slot);
+            }
+            table.watchers.insert(id, slots);
         }
         if timers.keys().any(|token| token >= table.next_timer) {
             return Err(invalid("timer token at or above the counter"));
         }
-        for (slot, state) in table.streams.iter() {
+        for (slot, Entry { state, topics }) in table.streams.iter() {
             let key = table.streams.key(slot);
+            if topics.iter().any(|id| !listed.contains(&(slot, id))) {
+                return Err(invalid("a held topic no list names"));
+            }
             if state.armed().is_some_and(|t| timers.get(t) != Some(key)) {
                 return Err(invalid("armed tick not in the timer table"));
             }
@@ -295,9 +350,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use burst::frame::StreamId;
+    use proptest::prelude::*;
     use simkit::snap::Snap;
     use simkit::snap_struct;
     use simkit::time::SimTime;
@@ -305,21 +361,15 @@ mod tests {
     use super::*;
     use crate::app::{AppCounters, DeviceId, Effect};
 
-    /// A stream watching one key, with an optional armed tick.
+    /// A stream with an optional armed tick.
+    #[derive(Default)]
     struct Toy {
-        watch: u64,
         armed: Option<u64>,
     }
 
-    snap_struct!(Toy { watch, armed });
+    snap_struct!(Toy { armed });
 
     impl Stream for Toy {
-        type Watch = u64;
-
-        fn watches(&self) -> impl Iterator<Item = u64> + '_ {
-            std::iter::once(self.watch)
-        }
-
         fn armed(&self) -> Option<u64> {
             self.armed
         }
@@ -332,22 +382,41 @@ mod tests {
         }
     }
 
-    fn toy(watch: u64) -> Toy {
-        Toy { watch, armed: None }
+    fn topic(n: u64) -> Topic {
+        Topic::new(&format!("/toy/{n}")).expect("static shape")
+    }
+
+    fn armed(t: u64) -> Toy {
+        Toy { armed: Some(t) }
     }
 
     /// Runs `f` with a handler context; returns the effects it emitted.
-    fn with_ctx(f: impl FnOnce(&mut Ctx<'_>)) -> Vec<Effect> {
+    fn with_ctx<T>(f: impl FnOnce(&mut Ctx<'_>) -> T) -> (T, Vec<Effect>) {
         let none = BTreeSet::new();
         let (mut effects, mut counters, mut token) = (Vec::new(), AppCounters::default(), 0);
-        f(&mut Ctx::new(
+        let out = f(&mut Ctx::new(
             SimTime::ZERO,
             &mut effects,
             &mut counters,
             &mut token,
             &none,
         ));
-        effects
+        (out, effects)
+    }
+
+    /// Opens `n` holding `topics`.
+    fn open(table: &mut StreamTable<Toy, u8>, n: u64, topics: &[u64]) -> u32 {
+        let (slot, _) = table.open(key(n), Toy::default());
+        let topics: Vec<Topic> = topics.iter().map(|&t| topic(t)).collect();
+        with_ctx(|ctx| table.set_topics(ctx, slot, &topics));
+        slot
+    }
+
+    /// The devices `fan_out` visits for topic `t`, in order.
+    fn order(table: &mut StreamTable<Toy, u8>, t: u64) -> Vec<u64> {
+        let mut keys = Vec::new();
+        table.fan_out(&topic(t), |table, slot| keys.push(table.key(slot).device.0));
+        keys
     }
 
     fn bytes(table: &StreamTable<Toy, u8>) -> Vec<u8> {
@@ -366,20 +435,25 @@ mod tests {
     /// A table in the snapshot's own layout, written field by field, so a
     /// test can state cross-references no handler sequence would leave.
     fn written(
-        streams: &[(u64, Toy)],
+        streams: &[(u64, Toy, &[u64])],
         watchers: &[(u64, &[u64])],
         timers: &[(u64, u64)],
         next_timer: u64,
     ) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_usize(streams.len());
-        for (n, state) in streams {
+        for (n, state, topics) in streams {
             key(*n).snap(&mut w);
             state.snap(&mut w);
+            topics
+                .iter()
+                .map(|&t| topic(t))
+                .collect::<Vec<_>>()
+                .snap(&mut w);
         }
         w.put_usize(watchers.len());
-        for (watch, keys) in watchers {
-            watch.snap(&mut w);
+        for (t, keys) in watchers {
+            topic(*t).snap(&mut w);
             keys.iter()
                 .map(|&n| key(n))
                 .collect::<Vec<_>>()
@@ -399,47 +473,66 @@ mod tests {
         match restore(bytes) {
             Err(SnapError::Invalid(msg)) => assert!(msg.contains(what), "{msg}"),
             Err(other) => panic!("rejected for another reason: {other}"),
-            Ok(_) => panic!("accepted a table with a {what}"),
+            Ok(_) => panic!("accepted a table with {what}"),
         }
     }
 
     #[test]
     fn restore_checks_every_cross_reference() {
-        let armed = |watch, t| Toy {
-            watch,
-            armed: Some(t),
-        };
+        let none = Toy::default;
         let valid = written(
-            &[(1, armed(7, 0)), (2, toy(7)), (3, toy(8))],
-            &[(7, &[2, 1]), (8, &[3])],
+            &[(1, armed(0), &[7]), (2, none(), &[8, 7]), (3, none(), &[8])],
+            &[(7, &[2, 1]), (8, &[3, 2])],
             &[(0, 1), (1, 4)],
             2,
         );
         let table = restore(&valid).expect("a consistent table restores");
         assert_eq!(bytes(&table), valid, "and re-snapshots to the same bytes");
 
-        // A watcher whose key is not open, or is open watching another key.
+        // A list naming a stream that is not open, or open without its
+        // topic.
+        let non_holder = "a list names a non-holder";
         rejects(
-            &written(&[(1, toy(7))], &[(7, &[1, 2])], &[], 0),
-            "dangling watcher",
+            &written(&[(1, none(), &[7])], &[(7, &[1, 2])], &[], 0),
+            non_holder,
         );
         rejects(
-            &written(&[(1, toy(7)), (2, toy(8))], &[(7, &[1, 2])], &[], 0),
-            "dangling watcher",
+            &written(
+                &[(1, none(), &[7]), (2, none(), &[8])],
+                &[(7, &[1, 2]), (8, &[2])],
+                &[],
+                0,
+            ),
+            non_holder,
+        );
+        // A stream listed twice under one topic.
+        rejects(
+            &written(&[(1, none(), &[7])], &[(7, &[1, 1])], &[], 0),
+            "a stream listed twice under one topic",
+        );
+        // A held topic no list names.
+        rejects(
+            &written(&[(1, none(), &[7, 8])], &[(7, &[1])], &[], 0),
+            "a held topic no list names",
+        );
+        // A topic held twice by one stream.
+        rejects(
+            &written(&[(1, none(), &[7, 7])], &[(7, &[1])], &[], 0),
+            "a topic held twice by one stream",
         );
         // A timer token the counter has not reached yet.
         rejects(
-            &written(&[(1, toy(7))], &[(7, &[1])], &[(2, 1)], 2),
+            &written(&[(1, none(), &[7])], &[(7, &[1])], &[(2, 1)], 2),
             "timer token at or above the counter",
         );
         // An armed tick the timer table lacks, or holds for another stream.
         rejects(
-            &written(&[(1, armed(7, 0))], &[(7, &[1])], &[], 1),
+            &written(&[(1, armed(0), &[7])], &[(7, &[1])], &[], 1),
             "armed tick not in the timer table",
         );
         rejects(
             &written(
-                &[(1, armed(7, 0)), (2, toy(7))],
+                &[(1, armed(0), &[7]), (2, none(), &[7])],
                 &[(7, &[1, 2])],
                 &[(0, 2)],
                 1,
@@ -448,41 +541,175 @@ mod tests {
         );
     }
 
-    /// Fan-out follows subscribe order; a replaced or closed stream leaves
-    /// every list; a held slot reaches the key's reopened stream.
+    /// Fan-out follows declaration order; a replacing state keeps its
+    /// topics and places; a declared set subscribes what it gains before
+    /// it unsubscribes what it loses; a closed stream releases its topics
+    /// in declaration order; a held slot reaches the key's reopened
+    /// stream.
     #[test]
-    fn lists_follow_opens_and_closes() {
+    fn topics_follow_declarations() {
         let mut table: StreamTable<Toy, u8> = StreamTable::default();
         for n in [3, 1, 2] {
-            table.open(key(n), toy(7));
+            open(&mut table, n, &[7]);
         }
-        let order = |table: &mut StreamTable<Toy, u8>, watch| {
-            let mut keys = Vec::new();
-            table.fan_out(&watch, |t, slot| keys.push(t.key(slot).device.0));
-            keys
-        };
         assert_eq!(order(&mut table, 7), vec![3, 1, 2]);
 
-        let (slot, replaced) = table.open(key(1), toy(8));
-        assert_eq!(replaced.map(|t| t.watch), Some(7));
-        assert_eq!(order(&mut table, 7), vec![3, 2]);
-        assert_eq!(order(&mut table, 8), vec![1]);
+        let (slot, replaced) = table.open(key(1), armed(0));
+        assert!(replaced.is_some_and(|t| t.armed.is_none()));
+        assert_eq!(order(&mut table, 7), vec![3, 1, 2], "kept its place");
 
-        let fx = with_ctx(|ctx| {
-            table.arm(ctx, slot, SimDuration::from_secs(1));
-        });
+        let set = [8, 7, 9, 8].map(topic);
+        let ((), fx) = with_ctx(|ctx| table.set_topics(ctx, slot, &set));
+        let sub = Effect::SubscribeTopic;
+        assert_eq!(fx, vec![sub(topic(8)), sub(topic(9))], "7 is kept");
+        assert_eq!(order(&mut table, 7), vec![3, 1, 2]);
+        let ((), fx) = with_ctx(|ctx| table.set_topics(ctx, slot, &[topic(9), topic(5)]));
+        let unsub = Effect::UnsubscribeTopic;
+        assert_eq!(fx, vec![sub(topic(5)), unsub(topic(7)), unsub(topic(8))]);
+        assert_eq!(order(&mut table, 7), vec![3, 2]);
+        assert_eq!(order(&mut table, 9), vec![1]);
+
+        let (_, fx) = with_ctx(|ctx| table.arm(ctx, slot, SimDuration::from_secs(1)));
         assert!(matches!(fx[..], [Effect::Timer { token: 0, .. }]));
         table.await_fetch(FetchToken(5), slot, 9);
-        assert_eq!(table.close(&key(1)).map(|t| t.watch), Some(8));
-        assert!(order(&mut table, 8).is_empty() && table.find_mut(&key(1)).is_none());
+        let (closed, fx) = with_ctx(|ctx| table.close(ctx, &key(1)));
+        assert!(closed.is_some());
+        assert_eq!(fx, vec![unsub(topic(9)), unsub(topic(5))]);
+        assert!(order(&mut table, 9).is_empty() && table.find_mut(&key(1)).is_none());
         assert_eq!(table.values().count(), 2);
 
-        // Closed, but named by a timer and a fetch: reopening reaches them.
-        let (reopened, _) = table.open(key(1), toy(9));
+        // Closed, but named by a timer and a fetch: reopening reaches them,
+        // holding no topic.
+        let (reopened, _) = table.open(key(1), Toy::default());
         assert_eq!(reopened, slot);
         assert_eq!(table.fire(0), Some(slot));
         assert_eq!(table.answer(FetchToken(5)), Some((slot, 9)));
-        assert_eq!(table.get(slot).map(|t| t.watch), Some(9));
+        assert!(table.get(slot).is_some_and(|t| t.armed.is_none()));
         assert_eq!((table.fire(0), table.timer_count()), (None, 0));
+        let (_, fx) = with_ctx(|ctx| table.close(ctx, &key(1)));
+        assert!(fx.is_empty(), "the reopened stream held nothing");
+    }
+
+    /// One step of [`random_sequences_keep_interest_equal_to_the_sets`].
+    #[derive(Clone, Debug)]
+    enum Op {
+        Open(u64),
+        SetTopics(u64, Vec<u64>),
+        Close(u64),
+        Arm(u64),
+        Fire,
+        FanOut(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let stream = 0u64..4;
+        prop_oneof![
+            stream.clone().prop_map(Op::Open),
+            (stream.clone(), proptest::collection::vec(0u64..5, 0..5))
+                .prop_map(|(n, ts)| Op::SetTopics(n, ts)),
+            stream.clone().prop_map(Op::Close),
+            stream.prop_map(Op::Arm),
+            Just(Op::Fire),
+            (0u64..5).prop_map(Op::FanOut),
+        ]
+    }
+
+    proptest! {
+        /// Against a model of declared sets and list orders: the topics
+        /// the effects leave subscribed are the union of the open streams'
+        /// sets, a declaration never unsubscribes a topic it names, fan-out
+        /// visits holders in declaration order, and a snapshot taken at any
+        /// step restores and re-snapshots to the same bytes.
+        #[test]
+        fn random_sequences_keep_interest_equal_to_the_sets(
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let mut table: StreamTable<Toy, u8> = StreamTable::default();
+            let mut sets: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            let mut lists: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            let mut refs: BTreeMap<Topic, u32> = BTreeMap::new();
+            let mut armed: Vec<u64> = Vec::new();
+            for op in ops {
+                let slot = |table: &StreamTable<Toy, u8>, n| {
+                    let slot = table.streams.slot(&key(n))?;
+                    table.streams.get(slot).map(|_| slot)
+                };
+                let fx = match op.clone() {
+                    Op::Open(n) => {
+                        table.open(key(n), Toy::default());
+                        sets.entry(n).or_default();
+                        Vec::new()
+                    }
+                    Op::SetTopics(n, ts) => {
+                        let Some(slot) = slot(&table, n) else { continue };
+                        let set: Vec<Topic> = ts.iter().map(|&t| topic(t)).collect();
+                        let ((), fx) = with_ctx(|ctx| table.set_topics(ctx, slot, &set));
+                        for e in &fx {
+                            if let Effect::UnsubscribeTopic(t) = e {
+                                prop_assert!(!set.contains(t), "{op:?} dropped {t}");
+                            }
+                        }
+                        let held = sets.get_mut(&n).expect("open");
+                        for &t in held.iter().filter(|t| !ts.contains(t)) {
+                            lists.get_mut(&t).expect("listed").retain(|&m| m != n);
+                        }
+                        held.retain(|t| ts.contains(t));
+                        for &t in &ts {
+                            if !held.contains(&t) {
+                                held.push(t);
+                                lists.entry(t).or_default().push(n);
+                            }
+                        }
+                        fx
+                    }
+                    Op::Close(n) => {
+                        let (_, fx) = with_ctx(|ctx| table.close(ctx, &key(n)));
+                        for t in sets.remove(&n).unwrap_or_default() {
+                            lists.get_mut(&t).expect("listed").retain(|&m| m != n);
+                        }
+                        fx
+                    }
+                    Op::Arm(n) => {
+                        let Some(slot) = slot(&table, n) else { continue };
+                        let after = SimDuration::from_secs(1);
+                        let (token, _) = with_ctx(|ctx| table.arm(ctx, slot, after));
+                        armed.push(token);
+                        Vec::new()
+                    }
+                    Op::Fire => {
+                        if !armed.is_empty() {
+                            table.fire(armed.remove(0));
+                        }
+                        Vec::new()
+                    }
+                    Op::FanOut(t) => {
+                        let want = lists.get(&t).cloned().unwrap_or_default();
+                        prop_assert_eq!(order(&mut table, t), want);
+                        Vec::new()
+                    }
+                };
+                for e in fx {
+                    match e {
+                        Effect::SubscribeTopic(t) => *refs.entry(t).or_default() += 1,
+                        Effect::UnsubscribeTopic(t) => {
+                            let r = refs.get_mut(&t).expect("subscribed before");
+                            *r -= 1;
+                            if *r == 0 {
+                                refs.remove(&t);
+                            }
+                        }
+                        other => prop_assert!(false, "unexpected {other:?}"),
+                    }
+                }
+                let mut union: BTreeMap<Topic, u32> = BTreeMap::new();
+                for &t in sets.values().flatten() {
+                    *union.entry(topic(t)).or_default() += 1;
+                }
+                prop_assert_eq!(&refs, &union);
+                let snap = bytes(&table);
+                let restored = restore(&snap).expect("a live table restores");
+                prop_assert_eq!(bytes(&restored), snap);
+            }
+        }
     }
 }

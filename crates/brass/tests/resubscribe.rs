@@ -13,11 +13,13 @@ use pylon::Topic;
 use simkit::time::SimTime;
 
 /// A host driven to quiescence at each step: every WAS request is answered
-/// at once (friend lists name users 2 and 3; mailboxes are empty), every
-/// timer is queued, and Pylon (un)subscriptions are counted per topic.
+/// at once (friend lists name `friends`, users 2 and 3 unless a test
+/// changes them; mailboxes are empty), every timer is queued, and Pylon
+/// (un)subscriptions are counted per topic.
 struct Driven {
     host: BrassHost,
     now: SimTime,
+    friends: Vec<u64>,
     timers: Vec<(SimTime, &'static str, u64)>,
     subscribes: BTreeMap<Topic, u32>,
     unsubscribes: BTreeMap<Topic, u32>,
@@ -30,6 +32,7 @@ impl Driven {
         Driven {
             host,
             now: SimTime::ZERO,
+            friends: vec![2, 3],
             timers: Vec::new(),
             subscribes: BTreeMap::new(),
             unsubscribes: BTreeMap::new(),
@@ -48,7 +51,7 @@ impl Driven {
                     request,
                 } => {
                     let response = match request {
-                        WasRequest::Friends { .. } => WasResponse::Friends(vec![2, 3]),
+                        WasRequest::Friends { .. } => WasResponse::Friends(self.friends.clone()),
                         WasRequest::MailboxAfter { .. } => WasResponse::Mailbox(Vec::new()),
                         WasRequest::FetchObject { .. } => WasResponse::NotFound,
                     };
@@ -125,5 +128,29 @@ fn a_resubscribed_then_cancelled_stream_leaves_nothing_behind() {
             d.unsubscribes, d.subscribes,
             "{gql}: one Pylon unsubscribe per topic"
         );
+    }
+}
+
+/// A resubscribe whose friend list shrank releases the friend it dropped,
+/// and only that friend: the kept one's topic sees no Pylon effect.
+#[test]
+fn a_resubscribe_whose_friend_list_shrank_releases_the_dropped_friend() {
+    let apps = [
+        ("subscription { activeStatus }", "Status"),
+        ("subscription { storiesTray }", "Stories"),
+    ];
+    for (gql, family) in apps {
+        let topic = |uid: u64| Topic::new(&format!("/{family}/{uid}")).unwrap();
+        let mut d = Driven::new();
+        d.subscribe(&header(gql));
+        let both = BTreeMap::from([(topic(2), 1), (topic(3), 1)]);
+        assert_eq!(d.subscribes, both, "{gql}");
+        d.subscribes.clear();
+        d.friends = vec![2];
+        d.subscribe(&header(gql));
+        assert!(d.subscribes.is_empty(), "{gql}: {:?}", d.subscribes);
+        let dropped = BTreeMap::from([(topic(3), 1)]);
+        assert_eq!(d.unsubscribes, dropped, "{gql}");
+        assert_eq!(d.host.subscribed_topics(), 1, "{gql}");
     }
 }

@@ -48,7 +48,9 @@ pub struct Topic {
 
 /// The process-wide intern table.
 struct Interner {
-    by_name: FxHashMap<&'static str, Topic>,
+    by_name: FxHashMap<&'static str, TopicId>,
+    /// Every interned topic, at its id.
+    by_id: Vec<Topic>,
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -56,6 +58,7 @@ fn interner() -> &'static Mutex<Interner> {
     INTERNER.get_or_init(|| {
         Mutex::new(Interner {
             by_name: FxHashMap::default(),
+            by_id: Vec::new(),
         })
     })
 }
@@ -63,16 +66,17 @@ fn interner() -> &'static Mutex<Interner> {
 /// Interns a pre-validated topic string.
 fn intern(s: &str) -> Topic {
     let mut table = interner().lock().expect("topic interner poisoned");
-    if let Some(&t) = table.by_name.get(s) {
-        return t;
+    if let Some(&id) = table.by_name.get(s) {
+        return table.by_id[id.0 as usize];
     }
     let name: &'static str = Box::leak(s.to_owned().into_boxed_str());
     let topic = Topic {
-        id: TopicId(u32::try_from(table.by_name.len()).expect("topic table overflow")),
+        id: TopicId(u32::try_from(table.by_id.len()).expect("topic table overflow")),
         route_hash: hash::hash_key(name.as_bytes()),
         name,
     };
-    table.by_name.insert(name, topic);
+    table.by_name.insert(name, topic.id);
+    table.by_id.push(topic);
     topic
 }
 
@@ -127,6 +131,11 @@ impl Topic {
     /// The interned id: dense, unique per distinct topic string.
     pub fn id(&self) -> TopicId {
         self.id
+    }
+
+    /// The topic interned as `id`; panics if none was.
+    pub fn of_id(id: TopicId) -> Topic {
+        interner().lock().expect("topic interner poisoned").by_id[id.0 as usize]
     }
 
     /// The cached routing hash (FNV-1a of the topic string), used for
@@ -333,6 +342,18 @@ mod tests {
         let c = Topic::new("/LVC/4243").unwrap();
         assert_ne!(a, c);
         assert_ne!(a.id(), c.id());
+    }
+
+    #[test]
+    fn of_id_finds_each_interned_topic() {
+        let first = Topic::new("/of_id/first").unwrap();
+        for n in 0..3 {
+            Topic::new(&format!("/of_id/between/{n}")).unwrap();
+        }
+        let later = Topic::new("/of_id/later").unwrap();
+        assert_eq!(Topic::of_id(first.id()).as_str(), "/of_id/first");
+        assert_eq!(Topic::of_id(later.id()).as_str(), "/of_id/later");
+        assert_eq!(Topic::of_id(later.id()).route_hash(), later.route_hash());
     }
 
     #[test]
