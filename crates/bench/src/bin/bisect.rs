@@ -1,5 +1,5 @@
 //! Divergence-bisecting replay harness: runs two configurations of the
-//! canned scenario, binary-searches their per-tick fingerprints for the
+//! `chatter` world, binary-searches their per-tick fingerprints for the
 //! first diverging metrics tick, replays that one tick from the nearest
 //! common snapshot with the per-event log on, and prints the first
 //! diverging event plus both trace ledgers' neighborhoods.
@@ -16,7 +16,8 @@
 
 use bench::arg_or;
 use bladerunner::config::SystemConfig;
-use bladerunner::replay::{bisect, canned_scenario, RunSpec};
+use bladerunner::replay::{bisect, RunSpec};
+use bladerunner::scenario::chatter;
 use simkit::time::{SimDuration, SimTime};
 
 fn bisect_config() -> SystemConfig {
@@ -41,7 +42,7 @@ fn main() {
         RunSpec {
             label,
             config: cfg.clone(),
-            build: Box::new(move || canned_scenario(&cfg, seed, horizon).0),
+            build: Box::new(move || chatter(&cfg, seed, horizon).0),
         }
     };
     let a = spec(format!("A seed={seed_a}"), seed_a);

@@ -11,7 +11,9 @@
 //! the snapshot's event queues; the run's timeline metadata rides in the
 //! snapshot's driver blob).
 //!
-//! The plan covers all six fault kinds (unplanned BRASS crash, rolling
+//! The world is `bladerunner::scenario::chaos` (`--devices`, `--videos`,
+//! `--seed`, `--grace`); `bench`'s `chaos_gate` test holds its 2k-device
+//! run to the availability bounds. The plan covers all six fault kinds (unplanned BRASS crash, rolling
 //! upgrade wave, minority + majority Pylon partitions, proxy outage,
 //! device flapping, reconnect storm); everything downstream of injection
 //! — heartbeat detection, stream repair, reconnect backoff, WAS backfill
@@ -22,108 +24,16 @@
 
 use std::time::Instant;
 
-use bench::driver::ChaosMeta;
-use bench::{arg_or, emit_summary, fleet_config, peak_rss_bytes, snapctl, violations_json};
-use bladerunner::config::SystemConfig;
-use bladerunner::fault::canned_plan;
-use bladerunner::sim::SystemSim;
+use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl, violations_json};
+use bladerunner::scenario::{self, ChaosMeta};
 use burst::json::Json;
-use simkit::time::{SimDuration, SimTime};
-use simkit::trace::Retention;
-
-/// The fleet shape with the full failure-detection stack switched on:
-/// proxy→host heartbeats drive crash detection, POP→device heartbeats reap
-/// silently-vanished devices, and the ledger keeps full retention so the
-/// convergence audit can account every admitted update.
-fn chaos_config() -> SystemConfig {
-    let mut config = fleet_config();
-    config.device_heartbeats = true;
-    config.trace_retention = Retention::Full;
-    // A tight metrics tick so the availability timeline resolves each
-    // episode's dip and recovery.
-    config.metrics_interval = SimDuration::from_secs(2);
-    config.metrics_horizon = SimDuration::from_hours(2);
-    config
-}
-
-/// Builds the chaos run from scratch: fixture, fault plan, comment
-/// schedule — everything pre-scheduled before the clock moves.
-fn build_run(config: &SystemConfig) -> (SystemSim, ChaosMeta) {
-    let devices: usize = arg_or("--devices", 20_000);
-    let videos: usize = arg_or("--videos", (devices / 500).max(1));
-    let seed: u64 = arg_or("--seed", 42);
-    let grace_secs: u64 = arg_or("--grace", 60);
-
-    let mut sim = SystemSim::new(config.clone(), seed);
-
-    // Fixture: live videos with the audience scattered across them,
-    // subscribes spread over the first five simulated seconds.
-    let video_ids: Vec<u64> = (0..videos)
-        .map(|i| sim.was_mut().create_video(&format!("chaos{i}")))
-        .collect();
-    let mut device_ids = Vec::with_capacity(devices);
-    for i in 0..devices {
-        let d = sim.create_user_device(&format!("u{i}"), "en");
-        let at = SimTime::from_micros(i as u64 * 5_000_000 / devices as u64);
-        sim.subscribe_lvc(at, d, video_ids[i.wrapping_mul(2_654_435_761) % videos]);
-        device_ids.push(d);
-    }
-
-    // The fault plan: all six kinds, compiled from the run's seed.
-    let plan_start = SimTime::from_secs(30);
-    let mut plan_rng = sim.rng_mut().fork(0xFA);
-    let plan = canned_plan(plan_start, config, &device_ids, &mut plan_rng);
-    assert!(
-        plan.kinds().len() >= 5,
-        "the canned plan must cover at least 5 fault kinds (got {:?})",
-        plan.kinds()
-    );
-    plan.apply(&mut sim);
-    let heal = plan.heal_time();
-
-    // Comments flow throughout the chaos window so every episode has
-    // updates in flight: each video gets one every ~10s, phase-offset per
-    // video so publishes interleave.
-    let mut comments = 0usize;
-    for (v, &video) in video_ids.iter().enumerate() {
-        let mut t =
-            SimTime::from_secs(10) + SimDuration::from_micros((v as u64 * 7_919) % 10_000_000);
-        while t < heal {
-            sim.post_comment(t, device_ids[v % devices], video, "chaos bench comment");
-            comments += 1;
-            t += SimDuration::from_secs(10);
-        }
-    }
-
-    // Run through the last heal plus grace: detection windows close,
-    // reconnect backoffs drain, backfills land.
-    let end = heal + SimDuration::from_secs(grace_secs);
-    let meta = ChaosMeta {
-        devices,
-        videos,
-        comments,
-        seed,
-        plan_start,
-        heal,
-        end,
-        kinds: plan.kinds().iter().map(|k| k.to_string()).collect(),
-        episodes: plan
-            .episodes
-            .iter()
-            .map(|ep| (ep.kind.label().to_string(), ep.at, ep.heals_at()))
-            .collect(),
-    };
-    snapctl::set_driver(&mut sim, &meta);
-    (sim, meta)
-}
 
 fn main() {
     let snap_args = snapctl::from_args();
 
-    let config = chaos_config();
     let (mut sim, meta) = match &snap_args.resume {
         Some(path) => {
-            let (sim, meta): (_, ChaosMeta) = snapctl::resume(config.clone(), path);
+            let (sim, meta): (_, ChaosMeta) = snapctl::resume(scenario::chaos_config(), path);
             println!(
                 "resumed from {} at t={:.0}s",
                 path.display(),
@@ -131,13 +41,16 @@ fn main() {
             );
             (sim, meta)
         }
-        None => build_run(&config),
+        None => {
+            let devices: usize = arg_or("--devices", 20_000);
+            let videos = arg_or("--videos", (devices / 500).max(1));
+            scenario::chaos(devices, videos, arg_or("--seed", 42), arg_or("--grace", 60))
+        }
     };
     snapctl::apply(&mut sim, &snap_args);
 
     let (devices, videos, comments, seed) = (meta.devices, meta.videos, meta.comments, meta.seed);
     let (plan_start, heal, end) = (meta.plan_start, meta.heal, meta.end);
-    let grace_secs: u64 = end.saturating_since(heal).as_micros() / 1_000_000;
     let started = Instant::now();
     sim.run_until(end);
     let wall = started.elapsed().as_secs_f64();
@@ -148,10 +61,7 @@ fn main() {
     let events_per_sec = stats.total as f64 / wall.max(1e-9);
     let rss = peak_rss_bytes();
 
-    // Availability under fault vs after healing.
-    let (fault_min, fault_mean) = m.availability_stats(plan_start, heal);
-    let (post_min, post_mean) =
-        m.availability_stats(heal + SimDuration::from_secs(grace_secs / 2), end);
+    let [(fault_min, fault_mean), (post_min, post_mean)] = meta.availability(m);
 
     // Per-episode time-to-reconverge: first availability sample at or
     // after the episode's heal that is back at (effectively) 1.0. With

@@ -6,10 +6,7 @@
 //! serves the sim-throughput and chaos bins: argument parsing, the JSON
 //! summary they emit, and snapshot/resume plumbing.
 
-use bladerunner::config::SystemConfig;
 use burst::json::Json;
-use pylon::PylonConfig;
-use tao::TaoConfig;
 
 pub mod paper;
 
@@ -118,27 +115,6 @@ pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
     Json::Arr(violations.iter().map(row).collect())
 }
 
-/// The system shape sized for six- and seven-figure device counts that
-/// `scale` and `chaos` both start from.
-pub fn fleet_config() -> SystemConfig {
-    let mut config = SystemConfig::medium();
-    config.tao = TaoConfig {
-        shards: 64,
-        regions: 3,
-        cache_capacity: 1 << 20,
-    };
-    config.pylon = PylonConfig {
-        topic_shards: 65_536,
-        servers: 64,
-        kv_nodes: 16,
-        replicas: 3,
-    };
-    config.brass_hosts = 32;
-    config.proxies = 8;
-    config.pops = 8;
-    config
-}
-
 /// Parses a `--key value` style argument from the process args, with a
 /// default.
 pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -216,7 +192,7 @@ pub mod snapctl {
     use bladerunner::replay;
     use bladerunner::sim::SystemSim;
     use burst::json::Json;
-    use simkit::snap::{Snap, SnapReader, SnapResult, SnapWriter};
+    use simkit::snap::{Snap, SnapReader, SnapResult};
     use simkit::time::SimTime;
 
     /// Parsed snapshot CLI flags.
@@ -252,14 +228,6 @@ pub mod snapctl {
             args.every,
             args.dir.display()
         );
-    }
-
-    /// Attaches a driver's resumable state to every snapshot the sim takes
-    /// from here on.
-    pub fn set_driver<T: Snap>(sim: &mut SystemSim, state: &T) {
-        let mut w = SnapWriter::new();
-        state.snap(&mut w);
-        sim.set_driver_blob(w.into_bytes());
     }
 
     /// Decodes a driver blob, which must hold exactly one `T`.
@@ -298,104 +266,6 @@ pub mod snapctl {
             ),
         ])
     }
-}
-
-/// What each resumable bin keeps in its snapshots' driver blob (see
-/// [`snapctl::set_driver`]). A blob is only read by the build that wrote
-/// it.
-pub mod driver {
-    use simkit::snap_struct;
-    use simkit::time::SimTime;
-
-    /// `scale`'s lazy workload driver, complete. Refreshed into the blob
-    /// before every chunk, so any snapshot carries cursors consistent with
-    /// its event queue: everything scheduled strictly before
-    /// `scheduled_through` is already queued, and a resumed driver
-    /// continues scheduling from there.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct ScaleDriver {
-        pub devices: usize,
-        pub videos: usize,
-        pub sim_seconds: u64,
-        pub seed: u64,
-        pub active_fraction: f64,
-        /// First video / device id (both ranges are contiguous).
-        pub video0: u64,
-        pub device0: u64,
-        pub comment_rate: f64,
-        pub next_sub: usize,
-        pub next_brief: usize,
-        /// The Poisson stream's pending arrival
-        /// ([`workload::activity::PoissonArrivals::state`]).
-        pub comment_next: SimTime,
-        pub comment_idx: usize,
-        pub churned: bool,
-        pub scheduled_through: SimTime,
-    }
-
-    snap_struct!(ScaleDriver {
-        devices,
-        videos,
-        sim_seconds,
-        seed,
-        active_fraction,
-        video0,
-        device0,
-        comment_rate,
-        next_sub,
-        next_brief,
-        comment_next,
-        comment_idx,
-        churned,
-        scheduled_through
-    });
-
-    /// Everything `chaos`' post-run report needs that is not recoverable
-    /// from the sim itself, so `--resume-from` prints the report the
-    /// uninterrupted run would have.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct ChaosMeta {
-        pub devices: usize,
-        pub videos: usize,
-        pub comments: usize,
-        pub seed: u64,
-        pub plan_start: SimTime,
-        pub heal: SimTime,
-        pub end: SimTime,
-        pub kinds: Vec<String>,
-        /// Per-episode `(kind label, injected at, heals at)`.
-        pub episodes: Vec<(String, SimTime, SimTime)>,
-    }
-
-    snap_struct!(ChaosMeta {
-        devices,
-        videos,
-        comments,
-        seed,
-        plan_start,
-        heal,
-        end,
-        kinds,
-        episodes
-    });
-
-    /// What one `flashcrowd` tier's report needs beyond the sim.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct TierMeta {
-        pub rate: f64,
-        pub comments: usize,
-        pub vanished: usize,
-        pub end: SimTime,
-        pub p99_bound_ms: f64,
-    }
-
-    snap_struct!(TierMeta {
-        rate,
-        comments,
-        vanished,
-        end,
-        p99_bound_ms
-    });
 }
 
 #[cfg(test)]
@@ -456,7 +326,7 @@ mod tests {
             longer.push(0);
             assert!(snapctl::driver::<T>(&longer).is_err(), "trailing byte");
         }
-        check(driver::ScaleDriver {
+        check(bladerunner::scenario::ScaleDriver {
             devices: 2_000,
             videos: 4,
             sim_seconds: 30,
@@ -472,7 +342,7 @@ mod tests {
             churned: true,
             scheduled_through: SimTime::from_secs(11),
         });
-        check(driver::ChaosMeta {
+        check(bladerunner::scenario::ChaosMeta {
             devices: 2_000,
             videos: 4,
             comments: 90,
@@ -486,13 +356,6 @@ mod tests {
                 SimTime::from_secs(40),
                 SimTime::from_secs(70),
             )],
-        });
-        check(driver::TierMeta {
-            rate: 300.0,
-            comments: 12_000,
-            vanished: 75,
-            end: SimTime::from_secs(105),
-            p99_bound_ms: 15_000.0,
         });
     }
 }

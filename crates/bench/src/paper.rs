@@ -12,7 +12,7 @@ use std::fmt;
 use baseline::polling::ClientPoller;
 use bladerunner::config::{LinkClass, SystemConfig};
 use bladerunner::latency::LatencyModel;
-use bladerunner::scenario::{DiurnalDay, LiveVideo};
+use bladerunner::scenario::{diurnal_day, LiveVideo};
 use bladerunner::sim::SystemSim;
 use simkit::dist::{Distribution, Exponential, Poisson};
 use simkit::metrics::Histogram;
@@ -21,7 +21,6 @@ use simkit::time::{SimDuration, SimTime};
 use tao::{Tao, TaoConfig};
 use was::service::{Rv, WebApplicationServer};
 use workload::activity::DiurnalCurve;
-use workload::graph::{SocialGraph, SocialGraphConfig};
 use workload::tables::{AreaUpdateModel, StreamLifetimeModel};
 
 use crate::table;
@@ -132,27 +131,6 @@ fn share_rows(labels: &[&str], columns: &[(&[f64], usize)]) -> Vec<Vec<String>> 
         std::iter::once(label.to_string()).chain(cells).collect()
     };
     labels.iter().enumerate().map(|(i, l)| row(i, l)).collect()
-}
-
-/// A diurnal day on a small system: `users` devices over a generated social
-/// graph with `videos` live videos and `threads` message threads, at
-/// `scale` times the paper's per-user activity. Nothing has run yet.
-fn diurnal_day(
-    system: SystemConfig,
-    seed: u64,
-    users: usize,
-    videos: usize,
-    threads: usize,
-    scale: f64,
-) -> (SystemSim, DiurnalDay) {
-    let mut sim = SystemSim::new(system, seed);
-    let mut config = SocialGraphConfig::small();
-    config.users = users;
-    config.videos = videos;
-    config.threads = threads;
-    let graph = SocialGraph::generate(&config, sim.rng_mut());
-    let day = DiurnalDay::setup(&mut sim, &graph, scale);
-    (sim, day)
 }
 
 /// Table 1: updates within 24 h per targeted area of interest in the social

@@ -29,17 +29,15 @@
 
 use std::collections::HashMap;
 
-use simkit::dist::{Distribution, Exponential};
 use simkit::rng::DetRng;
 use simkit::snap::{seal, unseal, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Hop, Retention};
 use simkit::{snap_enum, snap_struct};
-use workload::graph::{SocialGraph, SocialGraphConfig};
 
 use crate::config::SystemConfig;
 use crate::fault::{FaultKind, FaultPlan, OracleId, Violation};
-use crate::scenario::{FlashCrowd, LiveVideo};
+use crate::scenario;
 use crate::sim::SystemSim;
 
 /// Post-heal settling time before the oracles audit the world. Generous
@@ -147,158 +145,22 @@ snap_struct!(FuzzCase {
 // ----------------------------------------------------------------------
 
 /// Builds the case's world: config, population, and (when `drive` is
-/// set) scheduled workload up to [`FuzzCase::activity_end`]. Returns the
-/// sim and the fleet's device ids, sorted. Device ids depend only on
-/// (seed, devices, scenario) — never on the plan or knobs — so the
-/// generator can probe them with an empty plan and the shrinker can
-/// retarget a shrunken fleet.
+/// set) the scenario's workload up to [`FuzzCase::activity_end`], from
+/// the catalog's fuzz mixes. Returns the sim and the fleet's device ids,
+/// sorted. Device ids depend only on (seed, devices, scenario) — never on
+/// the plan or knobs — so the generator can probe them with an empty plan
+/// and the shrinker can retarget a shrunken fleet.
 fn build_world(case: &FuzzCase, drive: bool) -> (SystemSim, Vec<u64>) {
-    let config = case.config();
-    let mut sim = SystemSim::new(config, case.seed);
-    let until = case.activity_end();
+    let mut sim = SystemSim::new(case.config(), case.seed);
+    let until = drive.then(|| case.activity_end());
     let n = case.devices.max(4) as usize;
-    let ids = match case.scenario {
-        ScenarioMix::LiveVideo => {
-            let viewers = (n * 2 / 3).max(2);
-            let posters = (n - viewers).max(1);
-            let lv = LiveVideo::setup(&mut sim, viewers, posters, SimTime::from_secs(1));
-            let mut ids = lv.viewers.clone();
-            ids.extend_from_slice(&lv.posters);
-            if drive {
-                let rate = 0.5 + sim.rng_mut().f64() * 1.5;
-                let from = SimTime::from_secs(5);
-                lv.drive_comments(&mut sim, from, until.saturating_since(from), rate);
-            }
-            ids
-        }
-        ScenarioMix::FlashCrowd => {
-            let posters = (n / 10).max(2);
-            let viewers = (n - posters).max(2);
-            let fc = FlashCrowd::setup(
-                &mut sim,
-                viewers,
-                posters,
-                SimTime::from_secs(2),
-                SimDuration::from_secs(5),
-            );
-            let mut ids = fc.viewers.clone();
-            ids.extend_from_slice(&fc.posters);
-            if drive {
-                let rate = 2.0 + sim.rng_mut().f64() * 3.0;
-                let from = SimTime::from_secs(8);
-                fc.drive_storm(&mut sim, from, until.saturating_since(from), rate);
-            }
-            ids
-        }
-        ScenarioMix::Diurnal => build_diurnal_lite(&mut sim, case, drive, until),
+    let mut ids = match case.scenario {
+        ScenarioMix::LiveVideo => scenario::live_video_mix(&mut sim, n, until),
+        ScenarioMix::FlashCrowd => scenario::flash_crowd_mix(&mut sim, n, until),
+        ScenarioMix::Diurnal => scenario::diurnal_lite(&mut sim, case.seed, n, until),
     };
-    let mut ids = ids;
     ids.sort_unstable();
     (sim, ids)
-}
-
-/// A bounded cut of the PR 4 diurnal driver: a small social graph whose
-/// devices open streams across the five apps and post mixed mutations —
-/// but only until `until`, so the grace window stays quiet and the
-/// convergence audit is not chasing a moving target.
-fn build_diurnal_lite(
-    sim: &mut SystemSim,
-    case: &FuzzCase,
-    drive: bool,
-    until: SimTime,
-) -> Vec<u64> {
-    let n = case.devices.max(4) as usize;
-    let mut gcfg = SocialGraphConfig::small();
-    gcfg.users = n;
-    gcfg.videos = (n / 12).max(2);
-    gcfg.threads = (n / 6).max(2);
-    // The graph has its own stream so its shape never shifts the sim's
-    // arrival draws.
-    let mut graph_rng = DetRng::new(case.seed).fork(0xD1);
-    let graph = SocialGraph::generate(&gcfg, &mut graph_rng);
-
-    let device_ids: Vec<u64> = graph
-        .users
-        .iter()
-        .map(|u| sim.create_user_device(&u.name, &u.lang))
-        .collect();
-    for u in &graph.users {
-        if u.verified {
-            sim.was_mut().set_verified(device_ids[u.index]);
-        }
-        for &f in &u.friends {
-            if f > u.index {
-                sim.was_mut()
-                    .add_friend(device_ids[u.index], device_ids[f], 0);
-            }
-        }
-    }
-    let video_ids: Vec<u64> = graph
-        .videos
-        .iter()
-        .map(|v| sim.was_mut().create_video(&v.title))
-        .collect();
-    let thread_ids: Vec<u64> = graph
-        .threads
-        .iter()
-        .map(|t| {
-            let members: Vec<u64> = t.members.iter().map(|&m| device_ids[m]).collect();
-            sim.was_mut().create_thread(&members)
-        })
-        .collect();
-    if !drive {
-        return device_ids;
-    }
-
-    // Mixed subscribe/mutation arrivals at a rate that scales with the
-    // fleet, all scheduled before the run starts (deterministic).
-    let rate = (n as f64 / 30.0).max(0.5);
-    let gap = Exponential::new(rate);
-    let mut t = SimTime::from_secs(2);
-    loop {
-        t += SimDuration::from_secs_f64(gap.sample(sim.rng_mut()));
-        if t >= until {
-            return device_ids;
-        }
-        let idx = sim.rng_mut().index(device_ids.len());
-        let device = device_ids[idx];
-        match sim.rng_mut().below(10) {
-            0..=1 => {
-                let v = sim.rng_mut().index(video_ids.len());
-                sim.subscribe_lvc(t, device, video_ids[v]);
-            }
-            2 => {
-                let ti = sim.rng_mut().index(thread_ids.len());
-                let other = graph.threads[ti]
-                    .members
-                    .iter()
-                    .copied()
-                    .find(|&m| m != idx)
-                    .unwrap_or(0);
-                sim.subscribe_typing(t, device, thread_ids[ti], device_ids[other]);
-            }
-            3 => sim.subscribe_active_status(t, device),
-            4 => sim.subscribe_stories(t, device),
-            5 => sim.subscribe_mailbox(t, device),
-            6..=7 => {
-                let v = sim.rng_mut().index(video_ids.len());
-                sim.post_comment(
-                    t,
-                    device,
-                    video_ids[v],
-                    "a perfectly reasonable live comment",
-                );
-            }
-            8 => {
-                let ti = sim.rng_mut().index(thread_ids.len());
-                sim.send_message(t, device, thread_ids[ti], "a short chat message");
-            }
-            _ => {
-                let ti = sim.rng_mut().index(thread_ids.len());
-                sim.set_typing(t, device, thread_ids[ti], true);
-            }
-        }
-    }
 }
 
 /// Materializes a case into a runnable world: scenario plus fault plan.
@@ -1018,19 +880,6 @@ mod tests {
             );
             assert!(!case.plan.episodes.is_empty());
         }
-    }
-
-    #[test]
-    fn materialize_is_pure_in_the_case() {
-        let case = tiny_case(7);
-        let (mut a, ids_a) = materialize(&case);
-        let (mut b, ids_b) = materialize(&case);
-        assert_eq!(ids_a, ids_b);
-        let end = case.end();
-        a.run_until(end);
-        b.run_until(end);
-        assert_eq!(a.fingerprint_now(), b.fingerprint_now());
-        assert_eq!(a.tick_fingerprints(), b.tick_fingerprints());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! * [`metrics`] — every series/histogram the §5 figures need.
 //! * [`sim`] — [`SystemSim`], the deterministic discrete-event
 //!   orchestrator, including failure injection for §4's axioms.
-//! * [`scenario`] — canned workload drivers (live-video audiences, diurnal
-//!   days, messenger sessions) shared by examples and benches.
+//! * [`scenario`] — the scenario catalog: every world the benches, the
+//!   fuzzer and the snapshot and replay suites run, each built once, and
+//!   the drivers (live-video audiences, flash crowds, diurnal days) they
+//!   and the examples compose.
 //! * [`rt`] — a real-time threaded driver proving the same sans-io
 //!   components run outside the simulator.
 //!

@@ -30,7 +30,7 @@ use std::io;
 use std::path::Path;
 
 use simkit::snap::SnapResult;
-use simkit::time::{SimDuration, SimTime};
+use simkit::time::SimTime;
 use simkit::trace::HopRecord;
 
 use crate::config::SystemConfig;
@@ -314,38 +314,11 @@ pub fn bisect(a: &RunSpec<'_>, b: &RunSpec<'_>, end: SimTime, snapshot_every: u6
     }
 }
 
-/// A tiny canned scenario shared by the bisect self-test and the bench
-/// bin: a handful of users watching one live video with steady comments,
-/// fully scheduled up front so replays need no driver. Returns the sim
-/// plus the video id and device ids so callers can schedule extra events
-/// against the same objects.
-pub fn canned_scenario(
-    config: &SystemConfig,
-    seed: u64,
-    horizon: SimTime,
-) -> (SystemSim, u64, Vec<u64>) {
-    let mut sim = SystemSim::new(config.clone(), seed);
-    let video = sim.was_mut().create_video("bisect-fixture");
-    let users: Vec<u64> = (0..24)
-        .map(|i| sim.create_user_device(&format!("user{i}"), if i % 3 == 0 { "es" } else { "en" }))
-        .collect();
-    for (i, &u) in users.iter().enumerate() {
-        sim.subscribe_lvc(SimTime::from_millis(10 + i as u64 * 7), u, video);
-    }
-    let mut t = SimTime::from_millis(500);
-    let mut i = 0usize;
-    while t < horizon {
-        let author = users[i % users.len()];
-        sim.post_comment(t, author, video, "deterministic chatter");
-        t += SimDuration::from_millis(740);
-        i += 1;
-    }
-    (sim, video, users)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::chatter;
+    use simkit::time::SimDuration;
 
     fn test_config() -> SystemConfig {
         let mut config = SystemConfig::small();
@@ -361,7 +334,7 @@ mod tests {
         let spec = |label: &str| RunSpec {
             label: label.to_string(),
             config: config.clone(),
-            build: Box::new(move || canned_scenario(&test_config(), 7, horizon).0),
+            build: Box::new(move || chatter(&test_config(), 7, horizon).0),
         };
         let report = bisect(&spec("a"), &spec("b"), horizon, 3);
         assert!(!report.diverged, "{}", report.render());
@@ -376,7 +349,7 @@ mod tests {
         let base = RunSpec {
             label: "base".to_string(),
             config: config.clone(),
-            build: Box::new(move || canned_scenario(&test_config(), 7, horizon).0),
+            build: Box::new(move || chatter(&test_config(), 7, horizon).0),
         };
         // Same build plus one extra comment late in the run: the runs agree
         // for ~14 s, then part ways. Scheduling draws no RNG, so the common
@@ -386,7 +359,7 @@ mod tests {
             label: "tweaked".to_string(),
             config: config.clone(),
             build: Box::new(move || {
-                let (mut sim, video, users) = canned_scenario(&test_config(), 7, horizon);
+                let (mut sim, video, users) = chatter(&test_config(), 7, horizon);
                 sim.post_comment(extra_at, users[3], video, "the divergence");
                 sim
             }),
@@ -421,7 +394,7 @@ mod tests {
         let mk = |label: &str, seed: u64| RunSpec {
             label: label.to_string(),
             config: config.clone(),
-            build: Box::new(move || canned_scenario(&test_config(), seed, horizon).0),
+            build: Box::new(move || chatter(&test_config(), seed, horizon).0),
         };
         let report = bisect(&mk("s7", 7), &mk("s8", 8), horizon, 3);
         assert!(report.diverged, "{}", report.render());
@@ -434,7 +407,7 @@ mod tests {
     fn snapshot_file_roundtrip() {
         let config = test_config();
         let horizon = SimTime::from_secs(5);
-        let (mut sim, _, _) = canned_scenario(&config, 11, horizon);
+        let (mut sim, _, _) = chatter(&config, 11, horizon);
         sim.run_until(SimTime::from_secs(3));
         let sealed = sim.snapshot();
         let dir = std::env::temp_dir().join("bladerunner-replay-test");

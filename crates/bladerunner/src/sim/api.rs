@@ -64,7 +64,6 @@ impl SystemSim {
             metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
             event_stats: EventStats::default(),
             decisions_at_tick: 0,
-            scenario_sids: FxHashMap::default(),
             langs: Vec::new(),
             fingerprints: Vec::new(),
             tick_index: 0,
@@ -186,12 +185,6 @@ impl SystemSim {
     /// engine never draws from it after construction.
     pub fn rng_mut(&mut self) -> &mut DetRng {
         &mut self.rng
-    }
-
-    /// Scenario bookkeeping: per-device counters predicting the next
-    /// client-generated stream id (devices allocate sids sequentially).
-    pub fn scenario_sid_counters(&mut self) -> &mut FxHashMap<u64, u64> {
-        &mut self.scenario_sids
     }
 
     // ------------------------------------------------------------------

@@ -141,8 +141,6 @@ pub struct SystemSim {
     event_stats: EventStats,
     /// Decisions seen at the last metrics tick (for per-bucket deltas).
     decisions_at_tick: u64,
-    /// Scenario bookkeeping: predicted next stream id per device.
-    scenario_sids: FxHashMap<u64, u64>,
     /// The interned header-language table; [`DeviceState::lang`] indexes
     /// into it.
     langs: Vec<String>,

@@ -88,7 +88,6 @@ impl SystemSim {
         self.rng.snap(w);
         self.engine_rng.snap(w);
         self.langs.snap(w);
-        self.scenario_sids.snap(w);
         self.reg.snap(w);
         self.ledger.snap(w);
         self.fingerprints.snap(w);
@@ -160,7 +159,6 @@ impl SystemSim {
         if s.langs.iter().collect::<FxHashSet<_>>().len() != s.langs.len() {
             return Err(SnapError::Invalid("duplicate interned lang".into()));
         }
-        s.scenario_sids = Snap::restore(r)?;
         s.reg = Snap::restore(r)?;
         if let Some(proxy) = s.reg.device_proxy.values().find(|&&p| p >= s.proxies.len()) {
             return Err(SnapError::Invalid(format!(

@@ -1,5 +1,6 @@
-//! Scenario builders shared by the determinism and snapshot suites, so a
-//! literal pinned in one file names the same world as in the other.
+//! Scenario builders shared by the determinism, snapshot and hibernation
+//! suites, so a literal pinned in one file names the same world as in
+//! another.
 #![allow(dead_code)] // each suite uses its own subset
 
 use bladerunner::fault::FaultPlan;
@@ -31,15 +32,21 @@ pub fn lvc_setup(seed: u64, retention: Retention) -> (SystemSim, SimTime) {
     (s, SimTime::from_secs(60))
 }
 
-/// A chaos scenario: the canned fault plan (itself seeded) on top of a
-/// steady workload — heartbeat detection, stream repair, reconnect
-/// backoff with jitter, and WAS backfill all replay from the one seed.
-/// Scheduled but not yet run; returns the instant to run it to.
-pub fn chaos_setup(seed: u64, retention: Retention) -> (SystemSim, SimTime, FaultPlan) {
+/// The system [`chaos_setup`]'s pinned worlds run on: the small preset
+/// with 2 s metrics ticks over an hour and the given ledger retention.
+pub fn chaos_config(retention: Retention) -> SystemConfig {
     let mut config = SystemConfig::small();
     config.metrics_interval = SimDuration::from_secs(2);
     config.metrics_horizon = SimDuration::from_hours(1);
     config.trace_retention = retention;
+    config
+}
+
+/// A chaos scenario on `config`: the canned fault plan (itself seeded) on
+/// top of a steady workload — heartbeat detection, stream repair,
+/// reconnect backoff with jitter, and WAS backfill all replay from the
+/// one seed. Scheduled but not yet run; returns the instant to run it to.
+pub fn chaos_setup(config: SystemConfig, seed: u64) -> (SystemSim, SimTime, FaultPlan) {
     let mut s = SystemSim::new(config.clone(), seed);
     let video = s.was_mut().create_video("chaos-replay");
     let poster = s.create_user_device("poster", "en");

@@ -18,7 +18,7 @@ fn lvc_setup(seed: u64) -> (SystemSim, SimTime) {
 }
 
 fn chaos_setup(seed: u64) -> (SystemSim, SimTime, FaultPlan) {
-    common::chaos_setup(seed, Retention::Full)
+    common::chaos_setup(common::chaos_config(Retention::Full), seed)
 }
 
 /// An LVC end-to-end scenario with enough entropy sources to catch a

@@ -7,9 +7,11 @@
 //! plus the chaos fault plan (drops, crashes and reconnect backoff
 //! interleave with parking eligibility).
 
+mod common;
+
 use bladerunner::{SystemConfig, SystemMetrics, SystemSim};
-use simkit::time::{SimDuration, SimTime};
-use simkit::trace::TraceLedger;
+use simkit::time::SimTime;
+use simkit::trace::{Retention, TraceLedger};
 
 /// An LVC scenario with idle gaps: viewers subscribe, a comment burst
 /// lands, then the fleet goes quiet (parking), then a second burst forces
@@ -75,36 +77,11 @@ fn hibernation_is_invisible_to_metrics_and_ledger() {
 /// parking eligibility (drop streaks and inflight frames must veto parks
 /// without perturbing anything).
 fn chaos_run(hibernation: bool) -> (SystemMetrics, TraceLedger) {
-    let mut config = SystemConfig::small();
+    let mut config = common::chaos_config(Retention::Full);
     config.hibernation = hibernation;
-    config.metrics_interval = SimDuration::from_secs(2);
-    config.metrics_horizon = SimDuration::from_hours(1);
-    let mut s = SystemSim::new(config.clone(), 1234);
-    let video = s.was_mut().create_video("hib-chaos");
-    let poster = s.create_user_device("poster", "en");
-    let viewers: Vec<u64> = (0..8)
-        .map(|i| s.create_user_device(&format!("v{i}"), "en"))
-        .collect();
-    for &v in &viewers {
-        s.subscribe_lvc(SimTime::ZERO, v, video);
-    }
-    let mut plan_rng = s.rng_mut().fork(0xFA);
-    let plan =
-        bladerunner::fault::canned_plan(SimTime::from_secs(20), &config, &viewers, &mut plan_rng);
-    plan.apply(&mut s);
-    for i in 0..18 {
-        s.post_comment(
-            SimTime::from_secs(5 + i * 15),
-            poster,
-            video,
-            &format!("chaos comment {i}"),
-        );
-    }
-    let end = plan.heal_time() + SimDuration::from_secs(45);
+    let (mut s, end, _plan) = common::chaos_setup(config, 1234);
     s.run_until(end);
-    let metrics = s.metrics().clone();
-    let ledger = s.trace_ledger().clone();
-    (metrics, ledger)
+    (s.metrics().clone(), s.trace_ledger().clone())
 }
 
 #[test]
