@@ -14,7 +14,7 @@
 //! different seeds (diverges immediately). The harness's own regression
 //! tests (a planted event must be pinned) are in `bladerunner::replay`.
 
-use bench::arg_or;
+use bench::Args;
 use bladerunner::config::SystemConfig;
 use bladerunner::replay::{bisect, RunSpec};
 use bladerunner::scenario::chatter;
@@ -31,10 +31,11 @@ fn bisect_config() -> SystemConfig {
 }
 
 fn main() {
-    let seed_a: u64 = arg_or("--seed", 42);
-    let seed_b: u64 = arg_or("--seed-b", seed_a);
-    let horizon = SimTime::from_secs(arg_or("--horizon-secs", 30));
-    let snapshot_every: u64 = arg_or("--snapshot-every", 5);
+    let args = Args::from_env();
+    let seed_a: u64 = args.or("--seed", 42);
+    let seed_b: u64 = args.or("--seed-b", seed_a);
+    let horizon = SimTime::from_secs(args.or("--horizon-secs", 30));
+    let snapshot_every: u64 = args.or("--snapshot-every", 5);
 
     let config = bisect_config();
     let spec = |label: String, seed: u64| {

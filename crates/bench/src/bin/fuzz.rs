@@ -1,6 +1,6 @@
 //! Deterministic fault-plan fuzzing harness (PR 9).
 //!
-//! Three modes, one binary:
+//! Two modes, one binary:
 //!
 //! * **campaign** (default): run a seed range through the generator +
 //!   oracle suite; shrink and persist a `.brfuzz` artifact for every
@@ -11,20 +11,18 @@
 //!   fingerprint bisector (two materializations of the case) for
 //!   event-level localization.
 //!   `fuzz --repro corpus/seed-17.brfuzz --bisect`
-//! * **corpus**: replay every `.brfuzz` under a directory; all must be
-//!   clean (they are fixed regressions).
-//!   `fuzz --corpus corpus`
 //!
-//! The shrinker's own regression test is
-//! `crates/bladerunner/tests/fuzz.rs`.
+//! `crates/bladerunner/tests/fuzz.rs` holds the shrinker's own regression
+//! test and `corpus_replays_clean`, which replays every artifact under
+//! `corpus/` (each a fixed regression) and requires it clean.
 //!
-//! Exit codes: 0 clean · 1 violations / budget exceeded / corpus failure
-//! · 2 unreadable artifact.
+//! Exit codes: 0 clean · 1 violations / budget exceeded · 2 unreadable
+//! artifact or bad argument.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bench::{arg_flag, arg_opt, arg_or, emit_summary, parse_seed_range};
+use bench::{die, emit_summary, parse_seed_range, Args};
 use bladerunner::fuzz::{
     decode_artifact, encode_artifact, gen_case, materialize, run_case, shrink, FuzzCase,
     RunOptions, ShrinkResult,
@@ -34,12 +32,10 @@ use burst::json::Json;
 
 fn main() {
     println!("== bladerunner fault-plan fuzzer ==");
-    if let Some(path) = arg_opt("--repro") {
-        repro(Path::new(&path));
-    } else if let Some(dir) = arg_opt("--corpus") {
-        corpus(Path::new(&dir));
-    } else {
-        campaign();
+    let args = Args::from_env();
+    match args.opt::<String>("--repro") {
+        Some(path) => repro(&args, Path::new(&path)),
+        None => campaign(&args),
     }
 }
 
@@ -47,19 +43,13 @@ fn main() {
 // Campaign.
 // ----------------------------------------------------------------------
 
-fn campaign() {
-    let spec = arg_or("--seeds", "0..50".to_string());
-    let seeds = match parse_seed_range(&spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("--seeds: {e}");
-            std::process::exit(2);
-        }
-    };
-    let devices = arg_or("--devices", 60u32);
-    let budget_secs = arg_or("--budget-secs", 900u64);
-    let shrink_runs = arg_or("--shrink-runs", 150u32);
-    let artifact_dir = PathBuf::from(arg_or("--artifact-dir", "fuzz-artifacts".to_string()));
+fn campaign(args: &Args) {
+    let spec = args.or("--seeds", "0..50".to_string());
+    let seeds = parse_seed_range(&spec).unwrap_or_else(|e| die(&format!("--seeds: {e}")));
+    let devices = args.or("--devices", 60u32);
+    let budget_secs = args.or("--budget-secs", 900u64);
+    let shrink_runs = args.or("--shrink-runs", 150u32);
+    let artifact_dir = PathBuf::from(args.or("--artifact-dir", "fuzz-artifacts".to_string()));
     let opts = RunOptions::default();
     println!(
         "seeds {}..{}  devices {}  budget {}s",
@@ -172,25 +162,11 @@ fn write_artifact_file(dir: &Path, seed: u64, minimized: &ShrinkResult) -> PathB
 // Repro.
 // ----------------------------------------------------------------------
 
-fn load(path: &Path) -> (FuzzCase, bladerunner::fault::Violation) {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    match decode_artifact(&bytes) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("cannot decode {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-fn repro(path: &Path) {
-    let (case, recorded) = load(path);
+fn repro(args: &Args, path: &Path) {
+    let bytes = std::fs::read(path)
+        .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
+    let (case, recorded) = decode_artifact(&bytes)
+        .unwrap_or_else(|e| die(&format!("cannot decode {}: {e}", path.display())));
     let opts = RunOptions::default();
     println!(
         "repro {}: seed {}  scenario {}  {} episode(s)  {} device(s)",
@@ -224,12 +200,12 @@ fn repro(path: &Path) {
         "fingerprint {:016x}  reproduced: {reproduced}",
         report.fingerprint
     );
-    if arg_flag("--explain") {
+    if args.flag("--explain") {
         for line in bladerunner::fuzz::explain_unaccounted(&case, 8) {
             println!("  {line}");
         }
     }
-    if arg_flag("--bisect") {
+    if args.flag("--bisect") {
         bisect_case(&case);
     }
     emit_summary(&Json::obj([
@@ -260,54 +236,4 @@ fn bisect_case(case: &FuzzCase) {
     };
     let report = bisect(&spec("run"), &spec("re-run"), end, 5);
     println!("\n== bisect handoff ==\n{}", report.render());
-}
-
-// ----------------------------------------------------------------------
-// Corpus replay.
-// ----------------------------------------------------------------------
-
-fn corpus(dir: &Path) {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "brfuzz"))
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot list {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    };
-    paths.sort();
-    if paths.is_empty() {
-        println!("corpus {}: no artifacts; nothing to replay", dir.display());
-        return;
-    }
-    let opts = RunOptions::default();
-    let mut regressed = 0usize;
-    for path in &paths {
-        let (case, recorded) = load(path);
-        let report = run_case(&case, &opts);
-        if report.violations.is_empty() {
-            println!("  {}: clean", path.display());
-        } else {
-            regressed += 1;
-            println!(
-                "  {}: REGRESSED (recorded [{}])",
-                path.display(),
-                recorded.oracle.name()
-            );
-            for v in &report.violations {
-                println!("    - {}", v.render());
-            }
-        }
-    }
-    println!(
-        "corpus: {} artifact(s), {} regressed",
-        paths.len(),
-        regressed
-    );
-    if regressed > 0 {
-        std::process::exit(1);
-    }
 }

@@ -3,23 +3,18 @@
 //! events/sec, peak RSS, and bytes-per-device.
 //!
 //! Run: `cargo run --release -p bench --bin scale [--devices N]
-//! [--out F] [--snapshot-every T] [--snapshot-dir D] [--resume-from F]`.
-//! `--snapshot-every` writes a sealed resumable snapshot every T metrics
-//! ticks; `--resume-from` restarts from one of those files and produces
-//! bit-identical results. The lazy workload driver's cursors (subscribe
-//! ramps, the Poisson comment stream's pending arrival, the churn flag)
-//! ride in each snapshot's driver blob, refreshed every chunk, so the
-//! resumed driver picks up scheduling exactly where the original was.
+//! [--seconds S] [--seed N] [--metrics-secs T] [--out F]`; the summary is
+//! [`bench::summary::scale`]'s.
 //!
 //! `--tiers 100000,300000,1000000` runs each tier in a fresh child process
 //! (so every tier gets its own peak-RSS measurement) and writes one
 //! combined summary with the memory curve. Summaries go to the `--out`
 //! file, or to stdout when none is named.
 //!
-//! Build with `--features count-alloc` to additionally report *live heap
-//! bytes* via the counting global allocator — RSS folds allocator slack
-//! and code pages into the number; live bytes is what the fleet actually
-//! holds.
+//! The counting global allocator is installed, so the summary reports
+//! *live heap bytes* and allocator calls per event next to peak RSS — RSS
+//! folds allocator slack and code pages into the number; live bytes is
+//! what the fleet actually holds.
 //!
 //! The world is `bladerunner::scenario::scale`. Its workload is generated
 //! lazily: arrival processes are pumped one chunk of simulated time ahead
@@ -38,14 +33,9 @@
 //! paper says does not exist. The fraction used is recorded in the
 //! summary JSON.
 
-use std::time::Instant;
-
-use bench::{arg_or, emit_summary, peak_rss_bytes, snapctl};
-use bladerunner::scenario::{self, ScaleDriver};
+use bench::{die, emit_summary, Args};
 use burst::json::Json;
-use simkit::time::SimDuration;
 
-#[cfg(feature = "count-alloc")]
 #[global_allocator]
 static ALLOC: simkit::alloc::CountingAlloc = simkit::alloc::CountingAlloc;
 
@@ -60,18 +50,17 @@ const TIER_FLAGS: [&str; 6] = [
 ];
 
 fn main() {
-    let tiers: String = arg_or("--tiers", String::new());
-    if !tiers.is_empty() {
-        run_tiers(&tiers);
-        return;
-    }
-    let devices: usize = arg_or("--devices", 100_000);
-    emit_summary(&run_one(devices));
+    let args = Args::from_env();
+    let summary = match args.opt::<String>("--tiers") {
+        Some(tiers) => run_tiers(&args, &tiers),
+        None => bench::summary::scale(&args),
+    };
+    emit_summary(&summary);
 }
 
 /// A tier child's arguments: its device count and summary file, then each
 /// of [`TIER_FLAGS`] that `args` (the parent's) gives a value.
-fn tier_args(args: &[String], devices: usize, out: &str) -> Vec<String> {
+fn tier_args(args: &Args, devices: usize, out: &str) -> Result<Vec<String>, String> {
     let mut child = vec![
         "--devices".to_string(),
         devices.to_string(),
@@ -79,25 +68,23 @@ fn tier_args(args: &[String], devices: usize, out: &str) -> Vec<String> {
         out.to_string(),
     ];
     for key in TIER_FLAGS {
-        let value = args.iter().skip_while(|a| *a != key).nth(1);
-        if let Some(value) = value.filter(|v| !v.starts_with("--")) {
+        if let Some(value) = args.parse::<String>(key)? {
             child.push(key.to_string());
-            child.push(value.clone());
+            child.push(value);
         }
     }
-    child
+    Ok(child)
 }
 
 /// Runs each tier in a fresh child process (its own address space, so
-/// peak RSS is per-tier, not max-so-far) and writes the combined curve.
-fn run_tiers(tiers: &str) {
+/// peak RSS is per-tier, not max-so-far) and returns the combined curve.
+fn run_tiers(args: &Args, tiers: &str) -> Json {
     let exe = std::env::current_exe().expect("current exe");
-    let parent_args: Vec<String> = std::env::args().collect();
     let mut bodies = Vec::new();
     for tier in tiers.split(',').filter(|t| !t.is_empty()) {
         let devices: usize = tier.trim().parse().expect("tier device count");
         let tmp = std::env::temp_dir().join(format!("scale-tier-{devices}.json"));
-        let args = tier_args(&parent_args, devices, &tmp.display().to_string());
+        let args = tier_args(args, devices, &tmp.display().to_string()).unwrap_or_else(|e| die(&e));
         let status = std::process::Command::new(&exe)
             .args(&args)
             .status()
@@ -107,7 +94,7 @@ fn run_tiers(tiers: &str) {
         let _ = std::fs::remove_file(&tmp);
         bodies.push(Json::parse(&body).expect("tier summary is JSON"));
     }
-    emit_summary(&Json::obj([
+    Json::obj([
         ("bench", Json::from("scale-tiers")),
         (
             "note",
@@ -120,160 +107,6 @@ fn run_tiers(tiers: &str) {
             ),
         ),
         ("tiers", Json::Arr(bodies)),
-    ]));
-}
-
-fn run_one(devices: usize) -> Json {
-    let snap_args = snapctl::from_args();
-    // The default 15-minute tick never fires inside the usual 60 s run, so
-    // snapshot users pass a finer `--metrics-secs`; a resumed run must pass
-    // the same value (the config is checked against the snapshot).
-    let config = scenario::scale_config(SimDuration::from_secs(arg_or("--metrics-secs", 900)));
-
-    let (mut sim, mut driver, fleet_live_heap) = match &snap_args.resume {
-        Some(path) => {
-            let (sim, driver): (_, ScaleDriver) = snapctl::resume(config, path);
-            println!(
-                "resumed from {} at t={:.2}s (driver scheduled through {:.2}s)",
-                path.display(),
-                sim.now().as_micros() as f64 / 1e6,
-                driver.scheduled_through.as_micros() as f64 / 1e6,
-            );
-            (sim, driver, 0usize)
-        }
-        None => {
-            let (sim, driver) = scenario::scale(
-                config,
-                devices,
-                arg_or("--videos", (devices / 500).max(1)),
-                arg_or("--comments-per-video", 6),
-                arg_or("--seconds", 60),
-                arg_or("--seed", 42),
-                arg_or(
-                    "--active-fraction",
-                    if devices >= 500_000 { 0.3 } else { 1.0 },
-                ),
-            );
-            // The resident fixture (videos and the device fleet) is the
-            // state whose footprint is measured; the workload is
-            // scheduled lazily as the run goes.
-            (sim, driver, simkit::alloc::live_bytes())
-        }
-    };
-    snapctl::apply(&mut sim, &snap_args);
-
-    let ScaleDriver {
-        devices,
-        videos,
-        sim_seconds,
-        seed,
-        active_fraction,
-        ..
-    } = driver;
-    let started = Instant::now();
-    let (calls_before, events_before) = (simkit::alloc::alloc_calls(), sim.event_stats().total);
-    driver.run_until(&mut sim, driver.end());
-    let wall = started.elapsed().as_secs_f64();
-    let comment_idx = driver.comment_idx;
-
-    let stats = sim.event_stats().clone();
-    let (parked, _fleet) = sim.hibernation_census();
-    let engaged_devices = driver.engaged_devices();
-    let m = sim.metrics();
-    let events_per_sec = stats.total as f64 / wall.max(1e-9);
-    let rss = peak_rss_bytes();
-    let live_heap = simkit::alloc::live_bytes();
-    let live_heap_peak = simkit::alloc::peak_bytes();
-    // Allocator calls per event over the timed loop (injection included):
-    // exact under `count-alloc`, zero without it.
-    let allocs_per_event = (simkit::alloc::alloc_calls() - calls_before) as f64
-        / (stats.total - events_before).max(1) as f64;
-
-    println!(
-        "scale: {devices} devices ({engaged_devices} engaged, fraction {active_fraction}), \
-         {videos} videos, ~{} comments, {sim_seconds}s simulated, {parked} parked at end",
-        comment_idx
-    );
-    println!(
-        "  events: {} in {wall:.2}s wall -> {events_per_sec:.0} events/sec",
-        stats.total
-    );
-    println!(
-        "  by subsystem: workload={} pylon={} tao={} brass={} up={} down={} churn={} metrics={}",
-        stats.workload,
-        stats.pylon,
-        stats.tao,
-        stats.brass,
-        stats.transport_up,
-        stats.transport_down,
-        stats.device_churn,
-        stats.metrics
-    );
-    println!(
-        "  deliveries={} publications={} subscriptions={} peak_rss={:.1} MiB ({:.0} B/device)",
-        m.deliveries.get(),
-        m.publications.get(),
-        m.subscriptions.get(),
-        rss as f64 / (1024.0 * 1024.0),
-        rss as f64 / devices as f64
-    );
-    if live_heap_peak > 0 {
-        println!(
-            "  live heap: fleet={:.1} MiB end={:.1} MiB peak={:.1} MiB ({:.0} live B/device), \
-             {allocs_per_event:.2} allocations/event",
-            fleet_live_heap as f64 / (1024.0 * 1024.0),
-            live_heap as f64 / (1024.0 * 1024.0),
-            live_heap_peak as f64 / (1024.0 * 1024.0),
-            live_heap as f64 / devices as f64
-        );
-    }
-
-    let count = |n: usize| Json::from(n as u64);
-    Json::obj([
-        ("bench", Json::from("scale")),
-        ("devices", count(devices)),
-        ("active_fraction", Json::from(active_fraction)),
-        ("engaged_devices", count(engaged_devices)),
-        ("parked_devices", count(parked)),
-        ("videos", count(videos)),
-        ("comments", count(comment_idx)),
-        ("sim_seconds", Json::from(sim_seconds)),
-        ("seed", Json::from(seed)),
-        ("wall_seconds", Json::from(wall)),
-        ("events_total", Json::from(stats.total)),
-        ("events_per_sec", Json::from(events_per_sec)),
-        ("peak_rss_bytes", Json::from(rss)),
-        ("bytes_per_device", Json::from(rss as f64 / devices as f64)),
-        ("fleet_live_heap_bytes", count(fleet_live_heap)),
-        ("live_heap_bytes", count(live_heap)),
-        ("live_heap_peak_bytes", count(live_heap_peak)),
-        (
-            "live_heap_bytes_per_device",
-            Json::from(live_heap as f64 / devices as f64),
-        ),
-        ("allocs_per_event", Json::from(allocs_per_event)),
-        ("fingerprint", snapctl::fingerprint_json(&sim)),
-        (
-            "events_by_subsystem",
-            Json::obj([
-                ("workload", Json::from(stats.workload)),
-                ("pylon", Json::from(stats.pylon)),
-                ("tao", Json::from(stats.tao)),
-                ("brass", Json::from(stats.brass)),
-                ("transport_up", Json::from(stats.transport_up)),
-                ("transport_down", Json::from(stats.transport_down)),
-                ("device_churn", Json::from(stats.device_churn)),
-                ("metrics", Json::from(stats.metrics)),
-            ]),
-        ),
-        (
-            "metrics",
-            Json::obj([
-                ("deliveries", Json::from(m.deliveries.get())),
-                ("publications", Json::from(m.publications.get())),
-                ("subscriptions", Json::from(m.subscriptions.get())),
-            ]),
-        ),
     ])
 }
 
@@ -283,16 +116,16 @@ mod tests {
 
     #[test]
     fn tier_children_inherit_every_workload_flag() {
-        let parent: Vec<String> =
-            "scale --tiers 100,300 --videos 50 --seed 7 --out all.json --seconds --metrics-secs 5"
-                .split(' ')
-                .map(String::from)
-                .collect();
-        let child = tier_args(&parent, 300, "t.json");
+        let parent = "--tiers 100,300 --videos 50 --seed 7 --out all.json --metrics-secs 5";
+        let child = tier_args(&Args::new(parent.split(' ')), 300, "t.json");
         assert_eq!(
-            child.join(" "),
-            "--devices 300 --out t.json --seed 7 --videos 50 --metrics-secs 5",
-            "a flag without a value (--seconds) is not forwarded"
+            child.unwrap().join(" "),
+            "--devices 300 --out t.json --seed 7 --videos 50 --metrics-secs 5"
         );
+        // A flag without a value is an error, not a child run at the
+        // default.
+        let parent = "--tiers 100,300 --seconds --metrics-secs 5";
+        let child = tier_args(&Args::new(parent.split(' ')), 300, "t.json");
+        assert_eq!(child, Err("--seconds: missing value".to_string()));
     }
 }

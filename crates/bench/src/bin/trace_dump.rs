@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p bench --bin trace-dump -- \
 //!         [--seed S] [--secs T] [--slowest N] [--trace ID]`
 
-use bench::{arg_or, print_table};
+use bench::{print_table, Args};
 use bladerunner::config::SystemConfig;
 use bladerunner::scenario::LiveVideo;
 use bladerunner::sim::SystemSim;
@@ -16,10 +16,11 @@ use simkit::time::{SimDuration, SimTime};
 use simkit::trace::TraceId;
 
 fn main() {
-    let seed: u64 = arg_or("--seed", 9);
-    let secs: u64 = arg_or("--secs", 120);
-    let slowest: usize = arg_or("--slowest", 10);
-    let trace: u64 = arg_or("--trace", u64::MAX);
+    let args = Args::from_env();
+    let seed: u64 = args.or("--seed", 9);
+    let secs: u64 = args.or("--secs", 120);
+    let slowest: usize = args.or("--slowest", 10);
+    let trace: u64 = args.or("--trace", u64::MAX);
 
     let mut sim = SystemSim::new(SystemConfig::small(), seed);
     let lv = LiveVideo::setup(&mut sim, 10, 5, SimTime::ZERO);

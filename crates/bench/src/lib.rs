@@ -3,12 +3,15 @@
 //! Every table and figure in the paper's evaluation (§5) is an entry of
 //! [`paper::CATALOG`], which `bench --bin paper` prints with its claims
 //! checked against the paper (see DESIGN.md's experiment index). The rest
-//! serves the sim-throughput and chaos bins: argument parsing, the JSON
-//! summary they emit, and snapshot/resume plumbing.
+//! serves the other bins: argument parsing, and the JSON summaries
+//! [`summary`] builds for the sim-throughput and chaos bins.
+
+use std::str::FromStr;
 
 use burst::json::Json;
 
 pub mod paper;
+pub mod summary;
 
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -45,7 +48,7 @@ pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`);
-/// 0 where procfs is unavailable.
+/// 0 where procfs is unavailable, so a gate on it first asserts a reading.
 pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -65,8 +68,8 @@ pub fn peak_rss_bytes() -> u64 {
 }
 
 /// Renders a summary the way every bin writes one: two-space indent, one
-/// member per line, `": "` after keys (CI's gates load these files as JSON;
-/// `benchmark/src/port.rs` scans them for `"key": ` followed by digits).
+/// member per line, `": "` after keys (`benchmark/src/port.rs` scans them
+/// for `"key": ` followed by digits; [`summary`]'s tests pin that shape).
 /// Scalars and empty containers print as [`Json`]'s compact form.
 fn pretty(value: &Json) -> String {
     let mut out = String::new();
@@ -102,8 +105,8 @@ fn write_pretty(value: &Json, depth: usize, out: &mut String) {
 }
 
 /// A convergence report's machine-readable violations, one
-/// `{oracle, entity, detail}` object per breach — the gate summaries embed
-/// this so CI can consume breaches without scraping log lines.
+/// `{oracle, entity, detail}` object per breach — the chaos summary embeds
+/// this so a reader can consume breaches without scraping log lines.
 pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
     let row = |v: &bladerunner::fault::Violation| {
         Json::obj([
@@ -115,24 +118,61 @@ pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
     Json::Arr(violations.iter().map(row).collect())
 }
 
-/// Parses a `--key value` style argument from the process args, with a
-/// default.
-pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// A bin's command line: `--key value` options and bare `--flag`s. An
+/// option whose value is missing, is the next flag or does not parse is
+/// an error naming the option, and the bins exit 2 on it rather than run
+/// a default the caller did not ask for.
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The process's arguments, without the program name. `--out` is
+    /// checked here, since [`emit_summary`] reads it only once a run ends.
+    pub fn from_env() -> Args {
+        let args = Args(std::env::args().skip(1).collect());
+        args.opt::<String>("--out");
+        args
+    }
+
+    /// A command line from its arguments, without the program name.
+    pub fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Args {
+        Args(args.into_iter().map(Into::into).collect())
+    }
+
+    /// `key`'s value, parsed; `Ok(None)` when `key` is absent.
+    pub fn parse<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let Some(at) = self.0.iter().position(|a| a == key) else {
+            return Ok(None);
+        };
+        match self.0.get(at + 1) {
+            Some(value) if !value.starts_with("--") => value
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("{key}: cannot parse {value:?}")),
+            _ => Err(format!("{key}: missing value")),
+        }
+    }
+
+    /// `key`'s value, `None` when absent; exits 2 on a bad value.
+    pub fn opt<T: FromStr>(&self, key: &str) -> Option<T> {
+        self.parse(key).unwrap_or_else(|e| die(&e))
+    }
+
+    /// `key`'s value, `default` when absent; exits 2 on a bad value.
+    pub fn or<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.opt(key).unwrap_or(default)
+    }
+
+    /// Whether the bare flag `key` is present.
+    pub fn flag(&self, key: &str) -> bool {
+        self.0.iter().any(|a| a == key)
+    }
 }
 
-/// Parses a `--key value` argument, `None` when absent.
-pub fn arg_opt(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Prints `message` and exits 2, the bins' code for a bad argument or an
+/// unreadable input.
+pub fn die(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Delivers a bin's JSON summary: into the file `--out` names, or, when
@@ -141,18 +181,13 @@ pub fn arg_opt(key: &str) -> Option<String> {
 /// so no bin leaves one behind in the checkout.
 pub fn emit_summary(summary: &Json) {
     let json = pretty(summary);
-    match arg_opt("--out") {
+    match Args::from_env().opt::<String>("--out") {
         Some(out) => {
             std::fs::write(&out, json).expect("write bench summary");
             println!("wrote {out}");
         }
         None => print!("{json}"),
     }
-}
-
-/// Returns whether a bare `--flag` argument is present.
-pub fn arg_flag(key: &str) -> bool {
-    std::env::args().any(|a| a == key)
 }
 
 /// Parses a half-open `A..B` seed range ("0..200"); a bare number `N`
@@ -180,101 +215,38 @@ pub fn parse_seed_range(spec: &str) -> Result<std::ops::Range<u64>, String> {
     }
 }
 
-/// Snapshot/resume plumbing shared by the bench binaries: every bin that
-/// supports deterministic resume takes the same three flags
-/// (`--snapshot-every <ticks>`, `--snapshot-dir <dir>`,
-/// `--resume-from <path>`) and emits the same per-tick fingerprint block
-/// into its JSON summary.
-pub mod snapctl {
-    use std::path::{Path, PathBuf};
-
-    use bladerunner::config::SystemConfig;
-    use bladerunner::replay;
-    use bladerunner::sim::SystemSim;
-    use burst::json::Json;
-    use simkit::snap::{Snap, SnapReader, SnapResult};
-    use simkit::time::SimTime;
-
-    /// Parsed snapshot CLI flags.
-    pub struct SnapshotArgs {
-        /// Snapshot every N metrics ticks (0: never).
-        pub every: u64,
-        /// Directory snapshot files land in (`snap-<t_us>.brsnap`).
-        pub dir: PathBuf,
-        /// Snapshot file to resume from instead of building the run fresh.
-        pub resume: Option<PathBuf>,
-    }
-
-    /// Reads `--snapshot-every` / `--snapshot-dir` / `--resume-from`.
-    pub fn from_args() -> SnapshotArgs {
-        SnapshotArgs {
-            every: super::arg_or("--snapshot-every", 0u64),
-            dir: PathBuf::from(super::arg_or("--snapshot-dir", "snapshots".to_string())),
-            resume: super::arg_opt("--resume-from").map(PathBuf::from),
-        }
-    }
-
-    /// Applies the snapshot policy to a (fresh or resumed) sim: creates
-    /// the target directory and arranges a sealed snapshot file every
-    /// `every` metrics ticks. No-op when `every` is 0.
-    pub fn apply(sim: &mut SystemSim, args: &SnapshotArgs) {
-        if args.every == 0 {
-            return;
-        }
-        std::fs::create_dir_all(&args.dir).expect("create snapshot dir");
-        sim.set_snapshot_policy(args.every, false, Some(args.dir.clone()));
-        println!(
-            "snapshots: every {} ticks into {}",
-            args.every,
-            args.dir.display()
-        );
-    }
-
-    /// Decodes a driver blob, which must hold exactly one `T`.
-    pub(crate) fn driver<T: Snap>(blob: &[u8]) -> SnapResult<T> {
-        let mut r = SnapReader::new(blob);
-        let state = T::restore(&mut r)?;
-        r.finish()?;
-        Ok(state)
-    }
-
-    /// Resumes a run from a snapshot file: the sim, and the driver state
-    /// that rode in its blob. The caller rebuilds the exact `config` the
-    /// snapshot was taken under (a mismatch fails closed).
-    pub fn resume<T: Snap>(config: SystemConfig, path: &Path) -> (SystemSim, T) {
-        let sim = replay::resume_from_file(config, path)
-            .unwrap_or_else(|e| panic!("resume from {}: {e}", path.display()));
-        let state = driver(sim.driver_blob()).expect("driver blob");
-        (sim, state)
-    }
-
-    /// The `"fingerprint"` member of a bench summary: the full
-    /// `(tick, fingerprint)` series plus the end-of-run state fingerprint.
-    /// Two runs of the same `(config, seed, workload)` — resumed or not —
-    /// produce equal values; the first differing tick brackets a
-    /// divergence.
-    pub fn fingerprint_json(sim: &SystemSim) -> Json {
-        let hex = |fp: u64| Json::from(format!("{fp:016x}"));
-        let tick = |(t, fp): &(SimTime, u64)| {
-            Json::obj([("t_us", Json::from(t.as_micros())), ("fp", hex(*fp))])
-        };
-        Json::obj([
-            ("final", hex(sim.fingerprint_now())),
-            (
-                "ticks",
-                Json::Arr(sim.tick_fingerprints().iter().map(tick).collect()),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn arg_or_default() {
-        assert_eq!(arg_or("--nonexistent", 42u32), 42);
+    fn options_parse_or_name_the_flag() {
+        let args = Args::new(["--devices", "2000", "--rate", "0.5", "--json", "--quiet"]);
+        assert_eq!(args.or("--devices", 7usize), 2000);
+        assert_eq!(args.or("--absent", 42u32), 42);
+        assert_eq!(args.parse::<f64>("--rate"), Ok(Some(0.5)));
+        assert!(args.flag("--quiet") && !args.flag("--loud"));
+        // `scale --devices 2k` must not run the default 100,000 devices.
+        let bad = Args::new(["--devices", "2k"]);
+        assert_eq!(
+            bad.parse::<usize>("--devices"),
+            Err("--devices: cannot parse \"2k\"".to_string())
+        );
+        // A flag at the end of the line has no value.
+        let last = Args::new(["--seed", "7", "--devices"]);
+        assert_eq!(
+            last.parse::<usize>("--devices"),
+            Err("--devices: missing value".to_string())
+        );
+        // `scale --out --seed 7` must not write a file named `--seed`.
+        let next = Args::new(["--out", "--seed", "7"]);
+        assert_eq!(
+            next.parse::<String>("--out"),
+            Err("--out: missing value".to_string())
+        );
+        assert_eq!(next.parse::<u64>("--seed"), Ok(Some(7)));
+        // A bare flag followed by another flag has no value.
+        assert!(args.parse::<String>("--json").is_err());
     }
 
     #[test]
@@ -308,54 +280,5 @@ mod tests {
         assert!(lines.contains(&"    \"deliveries\": 3"));
         assert!(lines.contains(&"  \"empty\": {}"));
         assert!(text.ends_with("}\n"));
-    }
-
-    #[test]
-    fn driver_blobs_round_trip_and_reject_truncation() {
-        use simkit::snap::{Snap, SnapWriter};
-        use simkit::time::SimTime;
-        fn check<T: Snap + PartialEq + std::fmt::Debug>(state: T) {
-            let mut w = SnapWriter::new();
-            state.snap(&mut w);
-            let blob = w.into_bytes();
-            assert_eq!(snapctl::driver::<T>(&blob).expect("round trip"), state);
-            for cut in 0..blob.len() {
-                assert!(snapctl::driver::<T>(&blob[..cut]).is_err(), "cut at {cut}");
-            }
-            let mut longer = blob;
-            longer.push(0);
-            assert!(snapctl::driver::<T>(&longer).is_err(), "trailing byte");
-        }
-        check(bladerunner::scenario::ScaleDriver {
-            devices: 2_000,
-            videos: 4,
-            sim_seconds: 30,
-            seed: 42,
-            active_fraction: 0.3,
-            video0: 1,
-            device0: 5,
-            comment_rate: 0.8,
-            next_sub: 17,
-            next_brief: 3,
-            comment_next: SimTime::from_millis(10_250),
-            comment_idx: 2,
-            churned: true,
-            scheduled_through: SimTime::from_secs(11),
-        });
-        check(bladerunner::scenario::ChaosMeta {
-            devices: 2_000,
-            videos: 4,
-            comments: 90,
-            seed: 7,
-            plan_start: SimTime::from_secs(30),
-            heal: SimTime::from_secs(400),
-            end: SimTime::from_secs(460),
-            kinds: vec!["brass_crash".into(), "proxy_outage".into()],
-            episodes: vec![(
-                "brass_crash".into(),
-                SimTime::from_secs(40),
-                SimTime::from_secs(70),
-            )],
-        });
     }
 }

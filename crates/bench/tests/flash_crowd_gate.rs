@@ -82,6 +82,7 @@ fn every_load_tier_sheds_gracefully() {
         "flash crowd: top-tier mailbox sheds={mailbox_sheds}, peak RSS {:.1} MiB",
         rss as f64 / (1 << 20) as f64
     );
+    assert!(rss > 0, "no peak RSS reading");
     assert!(
         rss < 24 << 20,
         "peak RSS {:.1} MiB: per-viewer records are back",

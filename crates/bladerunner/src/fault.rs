@@ -433,7 +433,7 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 // ----------------------------------------------------------------------
-// Snap serde: plans ride `.brfuzz` artifacts and bench driver blobs.
+// Snap serde: plans ride `.brfuzz` artifacts.
 // Tag bytes are part of the on-disk format — append, never renumber.
 // ----------------------------------------------------------------------
 

@@ -1,55 +1,29 @@
-//! Deterministic snapshot files and divergence-bisecting replay.
+//! Divergence-bisecting replay.
 //!
-//! Two halves:
-//!
-//! * File helpers around [`SystemSim::snapshot`] / [`SystemSim::resume`]:
-//!   a snapshot is a sealed, versioned, checksummed byte container
-//!   ([`simkit::snap::seal`]); loading is fail-closed end to end — a
-//!   truncated or corrupted file yields a clean error, never a partial
-//!   world.
-//!
-//! * The bisect engine: given two run recipes that *should* agree (two
-//!   builds of one spec, or two deliberately different configs), it runs
-//!   both with per-tick fingerprints and periodic snapshots,
-//!   binary-searches the fingerprint series for the
-//!   first diverging metrics tick, resumes each side from the nearest
-//!   common snapshot before it, replays the one diverging tick under a
-//!   per-event log, and reports the first event where the executions
-//!   part ways — `(time, seq)`, both renderings, and both trace
-//!   ledgers' neighborhoods. Replay cost is O(one tick) after an
-//!   O(log ticks) search instead of O(whole run) squinting.
+//! Given two run recipes that *should* agree (two builds of one spec, or
+//! two deliberately different configs), the bisect engine runs both with
+//! per-tick fingerprints and periodic snapshots
+//! ([`SystemSim::snapshot`] / [`SystemSim::resume`]), binary-searches the
+//! fingerprint series for the first diverging metrics tick, resumes each
+//! side from the nearest common snapshot before it, replays the one
+//! diverging tick under a per-event log, and reports the first event
+//! where the executions part ways — `(time, seq)`, both renderings, and
+//! both trace ledgers' neighborhoods. Replay cost is O(one tick) after an
+//! O(log ticks) search instead of O(whole run) squinting.
 //!
 //! The engine requires runs whose workload is fully scheduled before
-//! `run_until` (the chaos and flash-crowd benches, the canned bisect
-//! scenario). Lazily-pumped drivers (the scale bench) resume fine — their
+//! `run_until` (the chaos and flash-crowd worlds, the canned bisect
+//! scenario). Lazily-pumped drivers (the scale world) resume fine — their
 //! cursors ride in the snapshot's driver blob — but bisecting them would
 //! need the driver replayed too, which the engine does not do.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
-use simkit::snap::SnapResult;
 use simkit::time::SimTime;
 use simkit::trace::HopRecord;
 
 use crate::config::SystemConfig;
 use crate::sim::SystemSim;
-
-/// Reads a sealed snapshot from disk. Validation (magic, version,
-/// checksum, and every structural invariant) happens in
-/// [`SystemSim::resume`]; this is just the IO.
-pub fn load_snapshot(path: &Path) -> io::Result<Vec<u8>> {
-    std::fs::read(path)
-}
-
-/// Convenience: load + resume in one fail-closed step.
-pub fn resume_from_file(config: SystemConfig, path: &Path) -> SnapResult<SystemSim> {
-    let bytes = load_snapshot(path).map_err(|e| {
-        simkit::snap::SnapError::Invalid(format!("reading {}: {e}", path.display()))
-    })?;
-    SystemSim::resume(config, &bytes)
-}
 
 /// One side of a bisection: how to build (and rebuild) the run.
 ///
@@ -170,7 +144,7 @@ struct Recorded {
 
 fn record_run(spec: &RunSpec<'_>, end: SimTime, snapshot_every: u64) -> Recorded {
     let mut sim = (spec.build)();
-    sim.set_snapshot_policy(snapshot_every, true, None);
+    sim.set_snapshot_policy(snapshot_every);
     sim.run_until(end);
     Recorded {
         fps: sim.tick_fingerprints().to_vec(),
@@ -401,22 +375,5 @@ mod tests {
         // Different seeds diverge from the very first tick — before any
         // snapshot — so the replay falls back to a fresh build.
         assert!(report.resumed_from.is_none(), "{}", report.render());
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let config = test_config();
-        let horizon = SimTime::from_secs(5);
-        let (mut sim, _, _) = chatter(&config, 11, horizon);
-        sim.run_until(SimTime::from_secs(3));
-        let sealed = sim.snapshot();
-        let dir = std::env::temp_dir().join("bladerunner-replay-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.brsnap");
-        std::fs::write(&path, &sealed).unwrap();
-        let resumed = resume_from_file(config, &path).unwrap();
-        assert_eq!(resumed.now(), sim.now());
-        assert_eq!(resumed.fingerprint_now(), sim.fingerprint_now());
-        std::fs::remove_file(&path).ok();
     }
 }

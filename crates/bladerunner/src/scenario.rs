@@ -10,7 +10,7 @@
 //!
 //! | entry | the world | built by |
 //! |---|---|---|
-//! | [`scale`] ([`ScaleDriver`]) | a fleet-sized system: LVC audiences, notification topics, brief visitors and churn, scheduled lazily chunk by chunk | `bench --bin scale`; `benchmark/` ports it as `lvc_fanout` |
+//! | [`scale`] ([`ScaleDriver`], [`resume_scale`]) | a fleet-sized system: LVC audiences, notification topics, brief visitors and churn, scheduled lazily chunk by chunk | `bench --bin scale`, `bench`'s `scale_gate`, `scale_resume` and `scale_memory` tests; `benchmark/` ports it as `lvc_fanout` |
 //! | [`chaos`] ([`ChaosMeta`]) | the canned fault plan over a fleet of LVC viewers | `bench --bin chaos`, `bench`'s `chaos_gate` test; ported as `chaos_repair` |
 //! | [`flash_crowd_tier`] | one offered-load tier of the flash crowd under the overload model | `bench`'s `flash_crowd_gate` test |
 //! | [`diurnal_day`] | a 24 h day over a generated social graph | `bench::paper` (Table 2, Figs. 7, 8, 10) |
@@ -23,7 +23,7 @@
 use simkit::dist::{Distribution, Exponential};
 use simkit::fxhash::FxHashMap;
 use simkit::rng::DetRng;
-use simkit::snap::{Snap, SnapWriter};
+use simkit::snap::{Snap, SnapReader, SnapResult, SnapWriter};
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Retention;
@@ -438,14 +438,6 @@ fn social_graph(users: usize, videos: usize, threads: usize, rng: &mut DetRng) -
 // The catalog.
 // ----------------------------------------------------------------------
 
-/// Attaches a driver's resumable state to every snapshot the sim takes
-/// from here on.
-fn set_driver<T: Snap>(sim: &mut SystemSim, state: &T) {
-    let mut w = SnapWriter::new();
-    state.snap(&mut w);
-    sim.set_driver_blob(w.into_bytes());
-}
-
 /// The system shape sized for six- and seven-figure device counts that
 /// the [`scale`] and [`chaos`] worlds start from.
 fn fleet_config() -> SystemConfig {
@@ -584,6 +576,18 @@ pub fn scale(
     (sim, driver)
 }
 
+/// Resumes a [`scale`] world from a sealed snapshot taken while its
+/// driver ran: the sim, and the driver rebuilt from the snapshot's driver
+/// blob. `config` must be the one the world was built on (a mismatch
+/// fails closed), and the blob must hold exactly one [`ScaleDriver`].
+pub fn resume_scale(config: SystemConfig, snapshot: &[u8]) -> SnapResult<(SystemSim, ScaleDriver)> {
+    let sim = SystemSim::resume(config, snapshot)?;
+    let mut r = SnapReader::new(sim.driver_blob());
+    let driver = ScaleDriver::restore(&mut r)?;
+    r.finish()?;
+    Ok((sim, driver))
+}
+
 impl ScaleDriver {
     /// When the world ends.
     pub fn end(&self) -> SimTime {
@@ -671,7 +675,9 @@ impl ScaleDriver {
             }
             self.comment_next = comments.state();
             self.scheduled_through = next_t;
-            set_driver(sim, self);
+            let mut w = SnapWriter::new();
+            self.snap(&mut w);
+            sim.set_driver_blob(w.into_bytes());
             sim.run_until(next_t);
             t = next_t;
         }
@@ -701,15 +707,10 @@ pub fn chaos_config() -> SystemConfig {
     config
 }
 
-/// What a [`chaos`] run's report needs that is not recoverable from the
-/// sim itself. It rides in the snapshots' driver blob, so a resumed run
-/// reports what the uninterrupted run would have.
-#[derive(Clone, Debug, PartialEq)]
+/// What a [`chaos`] run's report needs that is neither its caller's
+/// input nor recoverable from the sim itself.
 pub struct ChaosMeta {
-    pub devices: usize,
-    pub videos: usize,
     pub comments: usize,
-    pub seed: u64,
     pub plan_start: SimTime,
     pub heal: SimTime,
     pub end: SimTime,
@@ -717,18 +718,6 @@ pub struct ChaosMeta {
     /// Per-episode `(kind label, injected at, heals at)`.
     pub episodes: Vec<(String, SimTime, SimTime)>,
 }
-
-snap_struct!(ChaosMeta {
-    devices,
-    videos,
-    comments,
-    seed,
-    plan_start,
-    heal,
-    end,
-    kinds,
-    episodes
-});
 
 /// The chaos world on [`chaos_config`], everything scheduled before the
 /// clock moves: `devices` LVC viewers scattered over `videos` videos and
@@ -774,10 +763,7 @@ pub fn chaos(devices: usize, videos: usize, seed: u64, grace_secs: u64) -> (Syst
     }
 
     let meta = ChaosMeta {
-        devices,
-        videos,
         comments,
-        seed,
         plan_start,
         heal,
         end: heal + SimDuration::from_secs(grace_secs),
@@ -788,7 +774,6 @@ pub fn chaos(devices: usize, videos: usize, seed: u64, grace_secs: u64) -> (Syst
             .map(|ep| (ep.kind.label().to_string(), ep.at, ep.heals_at()))
             .collect(),
     };
-    set_driver(&mut sim, &meta);
     (sim, meta)
 }
 
@@ -1044,6 +1029,29 @@ mod tests {
         sim.run_until(SimTime::from_secs(30 * 60));
         assert!(sim.metrics().subscriptions.get() > 0);
         assert!(sim.metrics().publications.get() > 0);
+    }
+
+    /// A scale world resumed from a mid-run snapshot carries its driver's
+    /// cursors and finishes where the uninterrupted run does; a driver
+    /// blob cut short or run long fails closed.
+    #[test]
+    fn a_scale_world_resumes_with_its_driver() {
+        let config = scale_config(SimDuration::from_secs(5));
+        let (mut sim, mut driver) = scale(config.clone(), 120, 2, 6, 30, 42, 0.5);
+        driver.run_until(&mut sim, SimTime::from_secs(7));
+        let (mut resumed, mut again) = resume_scale(config.clone(), &sim.snapshot()).unwrap();
+        assert_eq!(again, driver);
+        let blob = sim.driver_blob().to_vec();
+        let cuts = [0, blob.len() / 2, blob.len() - 1].map(|cut| blob[..cut].to_vec());
+        for bad in cuts.into_iter().chain([[&blob[..], &[0]].concat()]) {
+            let mut broken = SystemSim::resume(config.clone(), &sim.snapshot()).unwrap();
+            broken.set_driver_blob(bad);
+            assert!(resume_scale(config.clone(), &broken.snapshot()).is_err());
+        }
+        driver.run_until(&mut sim, driver.end());
+        again.run_until(&mut resumed, again.end());
+        assert_eq!(resumed.fingerprint_now(), sim.fingerprint_now());
+        assert_eq!(resumed.event_stats(), sim.event_stats());
     }
 
     /// Every catalog entry at smoke size, built twice and run to a short

@@ -68,8 +68,6 @@ impl SystemSim {
             fingerprints: Vec::new(),
             tick_index: 0,
             snapshot_every: 0,
-            snapshot_keep: false,
-            snapshot_dir: None,
             snapshots: Vec::new(),
             driver_blob: Vec::new(),
             evlog: None,

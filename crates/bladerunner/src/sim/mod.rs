@@ -47,8 +47,6 @@ mod fleet;
 mod snapshot;
 mod transport;
 
-use std::path::PathBuf;
-
 use brass::app::DeviceId;
 use brass::host::{BrassHost, HostEffect};
 use burst::frame::StreamId;
@@ -152,11 +150,6 @@ pub struct SystemSim {
     tick_index: u64,
     /// Snapshot policy: capture every N metrics ticks (0 = never).
     snapshot_every: u64,
-    /// Keep policy-captured snapshots in memory (the bisect harness
-    /// restores from them).
-    snapshot_keep: bool,
-    /// Also write policy-captured snapshots into this directory.
-    snapshot_dir: Option<PathBuf>,
     /// In-memory snapshots captured by the policy: `(tick, sealed bytes)`.
     snapshots: Vec<(SimTime, Vec<u8>)>,
     /// Opaque harness state carried inside snapshots: the driving bench
@@ -383,7 +376,7 @@ impl SystemSim {
             self.tick_index += 1;
             if self.snapshot_every > 0 && self.tick_index.is_multiple_of(self.snapshot_every) {
                 let sealed = snap::seal(self.snapshot_body(tick));
-                self.store_snapshot(tick, sealed);
+                self.snapshots.push((tick, sealed));
             }
         }
         if until > self.now {

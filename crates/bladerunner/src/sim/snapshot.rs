@@ -1,8 +1,6 @@
 //! Snapshot, resume, the divergence fingerprints and the post-heal
 //! convergence audit: everything that reads the whole world at once.
 
-use std::path::PathBuf;
-
 use burst::frame::StreamId;
 use edge::pop::Pop;
 use edge::proxy::ReverseProxy;
@@ -41,19 +39,11 @@ impl SystemSim {
     // ------------------------------------------------------------------
 
     /// Configures automatic snapshotting: capture the full sim state every
-    /// `every_ticks` metrics ticks (0 disables), keeping the sealed bytes
-    /// in memory (`keep_in_memory`) and/or writing them into `dir` as
-    /// `snap-<µs>.brsnap`. A capture only reads state, so a run with
-    /// snapshotting on is bit-identical to one with it off.
-    pub fn set_snapshot_policy(
-        &mut self,
-        every_ticks: u64,
-        keep_in_memory: bool,
-        dir: Option<PathBuf>,
-    ) {
+    /// `every_ticks` metrics ticks (0 disables) and keep the sealed bytes
+    /// in memory ([`SystemSim::snapshots`]). A capture only reads state, so
+    /// a run with snapshotting on is bit-identical to one with it off.
+    pub fn set_snapshot_policy(&mut self, every_ticks: u64) {
         self.snapshot_every = every_ticks;
-        self.snapshot_keep = keep_in_memory;
-        self.snapshot_dir = dir;
     }
 
     /// Policy-captured in-memory snapshots, oldest first.
@@ -114,19 +104,6 @@ impl SystemSim {
         self.event_stats.snap(w);
         w.put_bytes(&self.driver_blob);
         out.into_bytes()
-    }
-
-    /// Delivers one policy-captured snapshot: into the in-memory ring and/or
-    /// onto disk, per the configured policy.
-    pub(super) fn store_snapshot(&mut self, tick: SimTime, sealed: Vec<u8>) {
-        if let Some(dir) = &self.snapshot_dir {
-            let path = dir.join(format!("snap-{:012}.brsnap", tick.as_micros()));
-            std::fs::write(&path, &sealed)
-                .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-        }
-        if self.snapshot_keep {
-            self.snapshots.push((tick, sealed));
-        }
     }
 
     /// Rebuilds a simulation from a sealed snapshot, fail-closed: the

@@ -8,11 +8,12 @@
 //! truncation at every byte boundary and random corruption anywhere in
 //! the file yield a clean error, never a panic or a half-built case;
 //! (c) the shrinker is deterministic — shrinking the same planted case
-//! twice lands on the identical minimum.
+//! twice lands on the identical minimum; (d) every checked-in artifact
+//! under `corpus/` replays clean.
 
 use bladerunner::fault::{FaultEpisode, FaultKind, FaultPlan, OracleId, Violation};
 use bladerunner::fuzz::{
-    decode_artifact, encode_artifact, gen_case, shrink, FuzzCase, RunOptions, ScenarioMix,
+    decode_artifact, encode_artifact, gen_case, run_case, shrink, FuzzCase, RunOptions, ScenarioMix,
 };
 use simkit::snap::{Snap, SnapReader, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
@@ -196,4 +197,40 @@ fn shrinker_reaches_the_planted_minimum_deterministically() {
         .find(|c| has(c, "proxy_outage") && has(c, "reconnect_storm") && c.plan.episodes.len() >= 4)
         .expect("some seed under 500 plants the trigger among two bystanders");
     assert_shrinks_to_planted_minimum(&generated, 200);
+}
+
+/// Every minimized artifact under `corpus/` is the shrunk repro of a bug
+/// that has since been fixed, so each must replay with no violation; a
+/// reappearing one is a regression of that exact bug. An unreadable
+/// artifact or an empty corpus fails too, so a wrong path cannot pass.
+#[test]
+fn corpus_replays_clean() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.expect("corpus entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "brfuzz"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no artifacts under {}", dir.display());
+    let mut regressed = Vec::new();
+    for path in &paths {
+        let name = path.file_name().expect("a file name").to_string_lossy();
+        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {name}: {e}"));
+        let (case, recorded) =
+            decode_artifact(&bytes).unwrap_or_else(|e| panic!("cannot decode {name}: {e}"));
+        let report = run_case(&case, &RunOptions::default());
+        for v in &report.violations {
+            regressed.push(format!(
+                "{name} (recorded [{}]): {}",
+                recorded.oracle.name(),
+                v.render()
+            ));
+        }
+    }
+    assert!(
+        regressed.is_empty(),
+        "corpus regressed:\n{}",
+        regressed.join("\n")
+    );
 }

@@ -77,7 +77,7 @@ fn assert_resume_bit_identical(retention: Retention, chaos: bool) {
     let config = cfg(retention);
     // Uninterrupted run, snapshotting every 7 ticks along the way.
     let (mut full, end) = build(&config, 99, chaos);
-    full.set_snapshot_policy(7, true, None);
+    full.set_snapshot_policy(7);
     full.run_until(end);
     let full_digest = digest(&full);
 

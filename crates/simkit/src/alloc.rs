@@ -15,8 +15,9 @@
 //! static ALLOC: simkit::alloc::CountingAlloc = simkit::alloc::CountingAlloc;
 //! ```
 //!
-//! The bench binaries install it behind the `count-alloc` feature so the
-//! default build keeps the stock allocator.
+//! The `scale` bench binary and the allocation gates' test binaries
+//! (`crates/bench/tests/`) install it; every other build keeps the stock
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
