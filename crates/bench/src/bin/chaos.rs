@@ -20,8 +20,9 @@ use bench::{emit_summary, Args};
 
 fn main() {
     let args = Args::from_env();
+    let out = args.opt::<String>("--out");
     let (summary, report) = bench::summary::chaos(&args);
-    emit_summary(&summary);
+    emit_summary(out.as_deref(), &summary);
     if !report.converged() {
         eprintln!("convergence FAILED:");
         for line in report.failures() {

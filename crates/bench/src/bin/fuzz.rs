@@ -44,6 +44,7 @@ fn main() {
 // ----------------------------------------------------------------------
 
 fn campaign(args: &Args) {
+    let out = args.opt::<String>("--out");
     let spec = args.or("--seeds", "0..50".to_string());
     let seeds = parse_seed_range(&spec).unwrap_or_else(|e| die(&format!("--seeds: {e}")));
     let devices = args.or("--devices", 60u32);
@@ -114,7 +115,7 @@ fn campaign(args: &Args) {
             ("artifact", Json::from(path.as_str())),
         ])
     };
-    emit_summary(&Json::obj([
+    let summary = Json::obj([
         ("bench", Json::from("fuzz")),
         ("mode", Json::from("campaign")),
         ("seeds", Json::from(spec)),
@@ -129,7 +130,8 @@ fn campaign(args: &Args) {
             "violation_seeds",
             Json::Arr(artifacts.iter().map(violation).collect()),
         ),
-    ]));
+    ]);
+    emit_summary(out.as_deref(), &summary);
 
     if budget_exceeded {
         eprintln!(
@@ -163,6 +165,7 @@ fn write_artifact_file(dir: &Path, seed: u64, minimized: &ShrinkResult) -> PathB
 // ----------------------------------------------------------------------
 
 fn repro(args: &Args, path: &Path) {
+    let out = args.opt::<String>("--out");
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
     let (case, recorded) = decode_artifact(&bytes)
@@ -208,7 +211,7 @@ fn repro(args: &Args, path: &Path) {
     if args.flag("--bisect") {
         bisect_case(&case);
     }
-    emit_summary(&Json::obj([
+    let summary = Json::obj([
         ("bench", Json::from("fuzz")),
         ("mode", Json::from("repro")),
         ("artifact", Json::from(path.display().to_string())),
@@ -220,7 +223,8 @@ fn repro(args: &Args, path: &Path) {
             "fingerprint",
             Json::from(format!("{:016x}", report.fingerprint)),
         ),
-    ]));
+    ]);
+    emit_summary(out.as_deref(), &summary);
 }
 
 /// Hands a case to the PR 8 bisector as two materializations of itself.

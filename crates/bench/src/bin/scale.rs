@@ -51,11 +51,12 @@ const TIER_FLAGS: [&str; 6] = [
 
 fn main() {
     let args = Args::from_env();
+    let out = args.opt::<String>("--out");
     let summary = match args.opt::<String>("--tiers") {
         Some(tiers) => run_tiers(&args, &tiers),
         None => bench::summary::scale(&args),
     };
-    emit_summary(&summary);
+    emit_summary(out.as_deref(), &summary);
 }
 
 /// A tier child's arguments: its device count and summary file, then each

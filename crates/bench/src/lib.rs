@@ -125,12 +125,9 @@ pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
 pub struct Args(Vec<String>);
 
 impl Args {
-    /// The process's arguments, without the program name. `--out` is
-    /// checked here, since [`emit_summary`] reads it only once a run ends.
+    /// The process's arguments, without the program name.
     pub fn from_env() -> Args {
-        let args = Args(std::env::args().skip(1).collect());
-        args.opt::<String>("--out");
-        args
+        Args(std::env::args().skip(1).collect())
     }
 
     /// A command line from its arguments, without the program name.
@@ -175,15 +172,16 @@ pub fn die(message: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Delivers a bin's JSON summary: into the file `--out` names, or, when
-/// there is no `--out`, onto stdout. Nothing is written by default — a
-/// number is only comparable with a same-host run of the previous commit,
-/// so no bin leaves one behind in the checkout.
-pub fn emit_summary(summary: &Json) {
+/// Delivers a bin's JSON summary: into the file `out` (the bin's `--out`,
+/// read before its run so a bad value fails fast) or, when there is none,
+/// onto stdout. Nothing is written by default — a number is only
+/// comparable with a same-host run of the previous commit, so no bin
+/// leaves one behind in the checkout.
+pub fn emit_summary(out: Option<&str>, summary: &Json) {
     let json = pretty(summary);
-    match Args::from_env().opt::<String>("--out") {
+    match out {
         Some(out) => {
-            std::fs::write(&out, json).expect("write bench summary");
+            std::fs::write(out, json).expect("write bench summary");
             println!("wrote {out}");
         }
         None => print!("{json}"),

@@ -26,14 +26,14 @@ fn smoke_world_stays_under_the_cost_and_rss_ceilings() {
     assert!(events > 0, "bench produced no events");
     assert!(deliveries > 0, "bench delivered nothing");
     // The gate is host cost per delivered update — events/sec rewards
-    // doing *more* events — with a ceiling ~10x what this world costs
-    // (≈25 µs), so it only trips on order-of-magnitude regressions, not
-    // runner noise.
+    // doing *more* events — with a ceiling well above what this world
+    // costs (≈11 µs measured), so it only trips on order-of-magnitude
+    // regressions, not runner noise.
     let us = wall * 1e6 / deliveries as f64;
     // RSS sanity at smoke scale: fixed costs dominate 2k devices, so this
     // is an absolute cap, not a per-device one — it catches a leak or an
-    // accidentally-resident prealloc, not layout drift. ~40% above
-    // measured (12.3 MiB with one set of component vectors).
+    // accidentally-resident prealloc, not layout drift (≈11.7 MiB
+    // measured).
     let rss = peak_rss_bytes();
     let rss_mib = rss as f64 / (1 << 20) as f64;
     println!("scale smoke: {us:.1} wall-us/delivery, peak RSS {rss_mib:.1} MiB");

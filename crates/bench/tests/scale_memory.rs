@@ -39,10 +39,9 @@ fn per_device_state_stays_under_the_ceilings() {
         "memory: {rss_per_device:.0} B/device RSS, {live_per_device:.0} B/device live, \
          {allocs_per_event:.2} allocations/event, {parked} parked"
     );
-    // Ceilings sit ~40% above measured (3531 B/device RSS, 3072 B/device
-    // live with one set of component vectors) so runner noise never trips
-    // them; reintroducing a per-stream heavyweight (~hundreds of bytes x
-    // 200k) fails.
+    // Ceilings sit well above measured (3,213 B/device RSS, 3,063
+    // B/device live) so runner noise never trips them; reintroducing a
+    // per-stream heavyweight (~hundreds of bytes x 200k) fails.
     assert!(rss > 0, "no peak RSS reading");
     assert!(
         rss_per_device < 4950.0,
@@ -52,7 +51,7 @@ fn per_device_state_stays_under_the_ceilings() {
         live_per_device < 4200.0,
         "live heap/device {live_per_device:.0} B >= 4200 B"
     );
-    // Allocations per event are exact for a seed (3.98 measured, ramp
+    // Allocations per event are exact for a seed (3.58 measured, ramp
     // included); a String or Vec back on a per-event path fails here the
     // way a per-stream heavyweight does.
     assert!(

@@ -582,10 +582,16 @@ pub fn scale(
 /// fails closed), and the blob must hold exactly one [`ScaleDriver`].
 pub fn resume_scale(config: SystemConfig, snapshot: &[u8]) -> SnapResult<(SystemSim, ScaleDriver)> {
     let sim = SystemSim::resume(config, snapshot)?;
-    let mut r = SnapReader::new(sim.driver_blob());
+    let driver = driver_from_blob(sim.driver_blob())?;
+    Ok((sim, driver))
+}
+
+/// Decodes a driver blob that must hold exactly one [`ScaleDriver`].
+fn driver_from_blob(blob: &[u8]) -> SnapResult<ScaleDriver> {
+    let mut r = SnapReader::new(blob);
     let driver = ScaleDriver::restore(&mut r)?;
     r.finish()?;
-    Ok((sim, driver))
+    Ok(driver)
 }
 
 impl ScaleDriver {
@@ -1041,13 +1047,15 @@ mod tests {
         driver.run_until(&mut sim, SimTime::from_secs(7));
         let (mut resumed, mut again) = resume_scale(config.clone(), &sim.snapshot()).unwrap();
         assert_eq!(again, driver);
-        let blob = sim.driver_blob().to_vec();
-        let cuts = [0, blob.len() / 2, blob.len() - 1].map(|cut| blob[..cut].to_vec());
-        for bad in cuts.into_iter().chain([[&blob[..], &[0]].concat()]) {
-            let mut broken = SystemSim::resume(config.clone(), &sim.snapshot()).unwrap();
-            broken.set_driver_blob(bad);
-            assert!(resume_scale(config.clone(), &broken.snapshot()).is_err());
+        let blob = sim.driver_blob();
+        assert_eq!(driver_from_blob(blob).unwrap(), driver);
+        for cut in 0..blob.len() {
+            assert!(driver_from_blob(&blob[..cut]).is_err(), "cut at {cut}");
         }
+        assert!(driver_from_blob(&[blob, &[0]].concat()).is_err());
+        let mut broken = SystemSim::resume(config.clone(), &sim.snapshot()).unwrap();
+        broken.set_driver_blob(blob[..blob.len() - 1].to_vec());
+        assert!(resume_scale(config.clone(), &broken.snapshot()).is_err());
         driver.run_until(&mut sim, driver.end());
         again.run_until(&mut resumed, again.end());
         assert_eq!(resumed.fingerprint_now(), sim.fingerprint_now());
