@@ -36,6 +36,7 @@ fn main() {
     let seed_b: u64 = args.or("--seed-b", seed_a);
     let horizon = SimTime::from_secs(args.or("--horizon-secs", 30));
     let snapshot_every: u64 = args.or("--snapshot-every", 5);
+    args.finish();
 
     let config = bisect_config();
     let spec = |label: String, seed: u64| {

@@ -51,6 +51,7 @@ fn campaign(args: &Args) {
     let budget_secs = args.or("--budget-secs", 900u64);
     let shrink_runs = args.or("--shrink-runs", 150u32);
     let artifact_dir = PathBuf::from(args.or("--artifact-dir", "fuzz-artifacts".to_string()));
+    args.finish();
     let opts = RunOptions::default();
     println!(
         "seeds {}..{}  devices {}  budget {}s",
@@ -166,6 +167,8 @@ fn write_artifact_file(dir: &Path, seed: u64, minimized: &ShrinkResult) -> PathB
 
 fn repro(args: &Args, path: &Path) {
     let out = args.opt::<String>("--out");
+    let (explain, bisect) = (args.flag("--explain"), args.flag("--bisect"));
+    args.finish();
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
     let (case, recorded) = decode_artifact(&bytes)
@@ -203,12 +206,12 @@ fn repro(args: &Args, path: &Path) {
         "fingerprint {:016x}  reproduced: {reproduced}",
         report.fingerprint
     );
-    if args.flag("--explain") {
+    if explain {
         for line in bladerunner::fuzz::explain_unaccounted(&case, 8) {
             println!("  {line}");
         }
     }
-    if args.flag("--bisect") {
+    if bisect {
         bisect_case(&case);
     }
     let summary = Json::obj([

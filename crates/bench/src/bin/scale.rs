@@ -59,15 +59,10 @@ fn main() {
     emit_summary(out.as_deref(), &summary);
 }
 
-/// A tier child's arguments: its device count and summary file, then each
-/// of [`TIER_FLAGS`] that `args` (the parent's) gives a value.
-fn tier_args(args: &Args, devices: usize, out: &str) -> Result<Vec<String>, String> {
-    let mut child = vec![
-        "--devices".to_string(),
-        devices.to_string(),
-        "--out".to_string(),
-        out.to_string(),
-    ];
+/// The arguments every tier child inherits: each of [`TIER_FLAGS`] that
+/// `args` (the parent's) gives a value.
+fn tier_args(args: &Args) -> Result<Vec<String>, String> {
+    let mut child = Vec::new();
     for key in TIER_FLAGS {
         if let Some(value) = args.parse::<String>(key)? {
             child.push(key.to_string());
@@ -81,13 +76,16 @@ fn tier_args(args: &Args, devices: usize, out: &str) -> Result<Vec<String>, Stri
 /// peak RSS is per-tier, not max-so-far) and returns the combined curve.
 fn run_tiers(args: &Args, tiers: &str) -> Json {
     let exe = std::env::current_exe().expect("current exe");
+    let inherited = tier_args(args).unwrap_or_else(|e| die(&e));
+    args.finish();
     let mut bodies = Vec::new();
     for tier in tiers.split(',').filter(|t| !t.is_empty()) {
         let devices: usize = tier.trim().parse().expect("tier device count");
         let tmp = std::env::temp_dir().join(format!("scale-tier-{devices}.json"));
-        let args = tier_args(args, devices, &tmp.display().to_string()).unwrap_or_else(|e| die(&e));
         let status = std::process::Command::new(&exe)
-            .args(&args)
+            .args(["--devices", &devices.to_string(), "--out"])
+            .arg(&tmp)
+            .args(&inherited)
             .status()
             .expect("spawn tier child");
         assert!(status.success(), "tier {devices} failed");
@@ -118,15 +116,28 @@ mod tests {
     #[test]
     fn tier_children_inherit_every_workload_flag() {
         let parent = "--tiers 100,300 --videos 50 --seed 7 --out all.json --metrics-secs 5";
-        let child = tier_args(&Args::new(parent.split(' ')), 300, "t.json");
+        let child = tier_args(&Args::new(parent.split(' ')));
         assert_eq!(
             child.unwrap().join(" "),
-            "--devices 300 --out t.json --seed 7 --videos 50 --metrics-secs 5"
+            "--seed 7 --videos 50 --metrics-secs 5"
         );
         // A flag without a value is an error, not a child run at the
         // default.
         let parent = "--tiers 100,300 --seconds --metrics-secs 5";
-        let child = tier_args(&Args::new(parent.split(' ')), 300, "t.json");
+        let child = tier_args(&Args::new(parent.split(' ')));
         assert_eq!(child, Err("--seconds: missing value".to_string()));
+    }
+
+    /// A child reads every flag its parent hands it (an unread one exits
+    /// 2), and so every flag `benchmark/src/port.rs` passes `scale`.
+    #[test]
+    fn a_tier_child_reads_every_flag_it_inherits() {
+        let every: Vec<&str> = TIER_FLAGS.iter().flat_map(|&flag| [flag, "1"]).collect();
+        let mut child = tier_args(&Args::new(every)).unwrap();
+        child.extend(["--devices", "100", "--out", "t.json"].map(String::from));
+        let child = Args::new(child);
+        assert_eq!(child.opt::<String>("--out").as_deref(), Some("t.json"));
+        let summary = bench::summary::scale(&child);
+        assert!(summary.get("events_total").and_then(Json::as_u64) > Some(0));
     }
 }

@@ -21,6 +21,7 @@ fn main() {
     let secs: u64 = args.or("--secs", 120);
     let slowest: usize = args.or("--slowest", 10);
     let trace: u64 = args.or("--trace", u64::MAX);
+    args.finish();
 
     let mut sim = SystemSim::new(SystemConfig::small(), seed);
     let lv = LiveVideo::setup(&mut sim, 10, 5, SimTime::ZERO);

@@ -6,6 +6,7 @@
 //! serves the other bins: argument parsing, and the JSON summaries
 //! [`summary`] builds for the sim-throughput and chaos bins.
 
+use std::cell::RefCell;
 use std::str::FromStr;
 
 use burst::json::Json;
@@ -120,27 +121,36 @@ pub fn violations_json(violations: &[bladerunner::fault::Violation]) -> Json {
 
 /// A bin's command line: `--key value` options and bare `--flag`s. An
 /// option whose value is missing, is the next flag or does not parse is
-/// an error naming the option, and the bins exit 2 on it rather than run
-/// a default the caller did not ask for.
-pub struct Args(Vec<String>);
+/// an error naming the option, and so, at [`Args::finish`], is a flag the
+/// bin never read; the bins exit 2 on either ([`die`]) rather than run a
+/// default the caller did not ask for or ignore a flag.
+pub struct Args {
+    line: Vec<String>,
+    /// Every key a read has asked for.
+    read: RefCell<Vec<String>>,
+}
 
 impl Args {
     /// The process's arguments, without the program name.
     pub fn from_env() -> Args {
-        Args(std::env::args().skip(1).collect())
+        Args::new(std::env::args().skip(1))
     }
 
     /// A command line from its arguments, without the program name.
     pub fn new<S: Into<String>>(args: impl IntoIterator<Item = S>) -> Args {
-        Args(args.into_iter().map(Into::into).collect())
+        Args {
+            line: args.into_iter().map(Into::into).collect(),
+            read: RefCell::default(),
+        }
     }
 
     /// `key`'s value, parsed; `Ok(None)` when `key` is absent.
     pub fn parse<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        let Some(at) = self.0.iter().position(|a| a == key) else {
+        self.read.borrow_mut().push(key.to_owned());
+        let Some(at) = self.line.iter().position(|a| a == key) else {
             return Ok(None);
         };
-        match self.0.get(at + 1) {
+        match self.line.get(at + 1) {
             Some(value) if !value.starts_with("--") => value
                 .parse()
                 .map(Some)
@@ -161,7 +171,28 @@ impl Args {
 
     /// Whether the bare flag `key` is present.
     pub fn flag(&self, key: &str) -> bool {
-        self.0.iter().any(|a| a == key)
+        self.read.borrow_mut().push(key.to_owned());
+        self.line.iter().any(|a| a == key)
+    }
+
+    /// An error naming a `--flag` no read has asked for.
+    pub fn unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self
+            .line
+            .iter()
+            .find(|a| a.starts_with("--") && !read.contains(a))
+        {
+            Some(flag) => Err(format!("{flag}: unknown flag")),
+            None => Ok(()),
+        }
+    }
+
+    /// Exits 2 on [`Args::unread`]'s error. A bin calls it once it has read
+    /// every option it takes and before it runs, so that a flag it does
+    /// not take stops it instead of being ignored.
+    pub fn finish(&self) {
+        self.unread().unwrap_or_else(|e| die(&e));
     }
 }
 
@@ -245,6 +276,26 @@ mod tests {
         assert_eq!(next.parse::<u64>("--seed"), Ok(Some(7)));
         // A bare flag followed by another flag has no value.
         assert!(args.parse::<String>("--json").is_err());
+    }
+
+    #[test]
+    fn a_flag_the_bin_does_not_read_is_named() {
+        // `scale --snapshot-every 3` must not run and ignore the flag.
+        let args = Args::new(["--devices", "200", "--snapshot-every", "3", "--json"]);
+        let unknown = |flag: &str| Err(format!("{flag}: unknown flag"));
+        assert_eq!(args.unread(), unknown("--devices"));
+        assert_eq!(args.or("--devices", 7usize), 200);
+        assert!(!args.flag("--quiet") && args.flag("--json"));
+        assert_eq!(args.unread(), unknown("--snapshot-every"));
+        // A read of an absent or bad option still reads the key.
+        assert!(args.parse::<u64>("--snapshot-every").is_ok());
+        assert_eq!(args.unread(), Ok(()));
+        // Values are not flags, however they read; no flag at all is fine.
+        let values = Args::new(["--out", "-snapshot", "--seed", "-3"]);
+        assert_eq!(values.opt::<String>("--out").as_deref(), Some("-snapshot"));
+        assert_eq!(values.opt::<String>("--seed").as_deref(), Some("-3"));
+        assert_eq!(values.unread(), Ok(()));
+        assert_eq!(Args::new(Vec::<String>::new()).unread(), Ok(()));
     }
 
     #[test]

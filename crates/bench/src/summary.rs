@@ -23,18 +23,16 @@ pub fn scale(args: &Args) -> Json {
     let devices: usize = args.or("--devices", 100_000);
     // The default 15-minute tick never fires inside the usual 60 s run.
     let config = scenario::scale_config(SimDuration::from_secs(args.or("--metrics-secs", 900)));
-    let (mut sim, mut driver) = scenario::scale(
-        config,
-        devices,
-        args.or("--videos", (devices / 500).max(1)),
-        args.or("--comments-per-video", 6),
-        args.or("--seconds", 60),
-        args.or("--seed", 42),
-        args.or(
-            "--active-fraction",
-            if devices >= 500_000 { 0.3 } else { 1.0 },
-        ),
+    let videos = args.or("--videos", (devices / 500).max(1));
+    let comments = args.or("--comments-per-video", 6);
+    let (seconds, seed) = (args.or("--seconds", 60), args.or("--seed", 42));
+    let active = args.or(
+        "--active-fraction",
+        if devices >= 500_000 { 0.3 } else { 1.0 },
     );
+    args.finish();
+    let (mut sim, mut driver) =
+        scenario::scale(config, devices, videos, comments, seconds, seed, active);
     // The resident fixture (videos and the device fleet) is the state
     // whose footprint is measured; the workload is scheduled lazily as
     // the run goes.
@@ -156,8 +154,9 @@ pub fn scale(args: &Args) -> Json {
 pub fn chaos(args: &Args) -> (Json, ConvergenceReport) {
     let devices: usize = args.or("--devices", 20_000);
     let videos = args.or("--videos", (devices / 500).max(1));
-    let seed = args.or("--seed", 42);
-    let (mut sim, meta) = scenario::chaos(devices, videos, seed, args.or("--grace", 60));
+    let (seed, grace) = (args.or("--seed", 42), args.or("--grace", 60));
+    args.finish();
+    let (mut sim, meta) = scenario::chaos(devices, videos, seed, grace);
     let (comments, plan_start, heal, end) = (meta.comments, meta.plan_start, meta.heal, meta.end);
     let started = Instant::now();
     sim.run_until(end);
@@ -364,7 +363,16 @@ mod tests {
 
     #[test]
     fn summaries_carry_what_the_port_check_reads() {
-        let scale = scale(&Args::new(["--devices", "200", "--seconds", "30"]));
+        // The scale and chaos flags `benchmark/src/port.rs` passes are read
+        // (an unread one exits 2), at smaller sizes.
+        let scale = scale(&Args::new([
+            "--devices",
+            "200",
+            "--seconds",
+            "30",
+            "--seed",
+            "42",
+        ]));
         check(
             &scale,
             &[
@@ -386,7 +394,14 @@ mod tests {
             "nothing delivered"
         );
 
-        let (chaos, report) = chaos(&Args::new(["--devices", "40", "--grace", "20"]));
+        let (chaos, report) = chaos(&Args::new([
+            "--devices",
+            "40",
+            "--seed",
+            "42",
+            "--grace",
+            "20",
+        ]));
         assert!(report.converged(), "{:?}", report.failures());
         check(
             &chaos,

@@ -13,9 +13,9 @@
 //! several allocations to most events and fails: the commit before this
 //! gate measured 13.8 on the same fixture. What is left is almost all
 //! inside the WAS payload fetch (TAO object and association copies), once
-//! per delivery. Counted in a debug build, where the canonical-header
-//! assertions of the hibernation path allocate too; a release build reads
-//! lower.
+//! per delivery. Counted in a debug build, where the wake path's debug
+//! assertion that a woken device passes `Device::check` (which parses
+//! every stream header) allocates too; a release build reads lower.
 
 use bladerunner::config::SystemConfig;
 use bladerunner::sim::SystemSim;

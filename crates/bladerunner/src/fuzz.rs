@@ -150,8 +150,8 @@ snap_struct!(FuzzCase {
 /// sorted. Device ids depend only on (seed, devices, scenario) — never on
 /// the plan or knobs — so the generator can probe them with an empty plan
 /// and the shrinker can retarget a shrunken fleet.
-fn build_world(case: &FuzzCase, drive: bool) -> (SystemSim, Vec<u64>) {
-    let mut sim = SystemSim::new(case.config(), case.seed);
+fn build_world(case: &FuzzCase, config: SystemConfig, drive: bool) -> (SystemSim, Vec<u64>) {
+    let mut sim = SystemSim::new(config, case.seed);
     let until = drive.then(|| case.activity_end());
     let n = case.devices.max(4) as usize;
     let mut ids = match case.scenario {
@@ -166,7 +166,13 @@ fn build_world(case: &FuzzCase, drive: bool) -> (SystemSim, Vec<u64>) {
 /// Materializes a case into a runnable world: scenario plus fault plan.
 /// Pure in the case — two calls build bit-identical worlds.
 pub fn materialize(case: &FuzzCase) -> (SystemSim, Vec<u64>) {
-    let (mut sim, ids) = build_world(case, true);
+    materialize_with(case, case.config())
+}
+
+/// [`materialize`] on `config` rather than the case's own, for a caller
+/// that varies what the case does not fix (whether devices hibernate).
+pub fn materialize_with(case: &FuzzCase, config: SystemConfig) -> (SystemSim, Vec<u64>) {
+    let (mut sim, ids) = build_world(case, config, true);
     case.plan.apply(&mut sim);
     (sim, ids)
 }
@@ -174,7 +180,7 @@ pub fn materialize(case: &FuzzCase) -> (SystemSim, Vec<u64>) {
 /// The device ids a case's scenario will create, without driving any
 /// workload (cheap: population setup only).
 pub fn probe_device_ids(case: &FuzzCase) -> Vec<u64> {
-    build_world(case, false).1
+    build_world(case, case.config(), false).1
 }
 
 // ----------------------------------------------------------------------

@@ -135,9 +135,9 @@ impl SystemSim {
             .sum()
     }
 
-    /// A device's current state (testing). Returns an owned snapshot: the
-    /// resident form may be the compact hibernation blob, which is
-    /// rehydrated here without disturbing the simulation.
+    /// A device's current state (testing). Returns an owned copy: the
+    /// resident form may be the compact hibernation blob, which is read
+    /// back here ([`Device::rehydrate`]) without disturbing the simulation.
     pub fn device(&self, device: u64) -> Option<Device> {
         self.devices.get(device).map(|d| match &d.slot {
             DeviceSlot::Live(dev) => dev.clone(),
@@ -146,7 +146,8 @@ impl SystemSim {
     }
 
     /// Fleet hibernation census: `(parked, total)` devices. Parked devices
-    /// hold their whole protocol state in one compact frozen blob.
+    /// hold their whole protocol state in one compact blob, written
+    /// through the snapshot codec.
     pub fn hibernation_census(&self) -> (usize, usize) {
         let parked = self
             .devices

@@ -11,10 +11,11 @@ use super::SystemSim;
 use crate::config::LinkClass;
 
 /// A device's protocol machine, either live or parked in its compact
-/// hibernation form.
+/// hibernation form: the bytes [`Device::snap`] writes through
+/// `simkit::snap`, the device's one codec, which a snapshot reuses.
 ///
-/// Parking and rehydrating are pure data transforms ([`Device::hibernate`]
-/// / [`Device::rehydrate`]): no RNG draws, no scheduling, no observable
+/// Parking and rehydrating are pure data transforms ([`Device::snap`] /
+/// [`Device::rehydrate_from`]): no RNG draws, no scheduling, no observable
 /// state change — so whether a device happens to be parked when an event
 /// arrives can never perturb results, only resident bytes.
 pub(super) enum DeviceSlot {
@@ -62,9 +63,9 @@ pub(super) struct ParkScratch {
     machine: Option<Device>,
     /// The blob the last woken device came out of. A device that parks at
     /// that length — the usual case, only `last_seq` digits moved — is
-    /// frozen into it in place.
+    /// copied into it in place.
     blob: Box<[u8]>,
-    /// Where a parking device is frozen before its length is known.
+    /// Where a parking device is written before its length is known.
     frozen: Vec<u8>,
 }
 
@@ -74,7 +75,10 @@ impl DeviceState {
     pub(super) fn wake(&mut self, id: u64, park: &mut ParkScratch) -> &mut Device {
         if let DeviceSlot::Parked(blob) = &mut self.slot {
             let mut machine = park.machine.take().unwrap_or_else(|| Device::new(id));
-            machine.rehydrate_from(id, blob);
+            machine
+                .rehydrate_from(id, blob)
+                .expect("a parked blob was written in-process");
+            debug_assert_eq!(machine.check(), Ok(()), "a parked device reads back whole");
             park.blob = std::mem::take(blob);
             self.slot = DeviceSlot::Live(machine);
         }
@@ -116,7 +120,9 @@ impl DeviceState {
         if d.open_streams() == 0 {
             return;
         }
-        d.hibernate_into(&mut park.frozen);
+        let mut frozen = SnapWriter::over(std::mem::take(&mut park.frozen));
+        d.snap(&mut frozen);
+        park.frozen = frozen.into_bytes();
         let mut blob = std::mem::take(&mut park.blob);
         if blob.len() == park.frozen.len() {
             blob.copy_from_slice(&park.frozen);
@@ -130,8 +136,9 @@ impl DeviceState {
         }
     }
 
-    /// Writes the device into a snapshot. The protocol machine reuses the
-    /// hibernation blob ([`Device::hibernate`] is total and lossless), with
+    /// Writes the device into a snapshot. The protocol machine is its
+    /// hibernation blob (a parked one verbatim, a live one through the same
+    /// [`Device::snap`], which is total and lossless), with
     /// a tag remembering whether the resident form was live or parked —
     /// park state is pure memory shape, but preserving it keeps a resumed
     /// process's hibernation census identical to the original's.
@@ -159,14 +166,22 @@ impl DeviceState {
 
     /// Reads a device back. `id` is the map key (the blob doesn't store
     /// it, mirroring [`DeviceState::wake`]). This is the one place a
-    /// hibernation blob enters the process from outside, so it is checked
-    /// here, for both slot kinds, and trusted everywhere after.
-    pub(super) fn restore(id: u64, r: &mut SnapReader<'_>) -> SnapResult<DeviceState> {
+    /// hibernation blob enters the process from outside, so it is read
+    /// once, into `scratch` (whose buffers the next device's read reuses
+    /// when this one stays parked), and checked here, for both slot kinds,
+    /// and trusted everywhere after.
+    pub(super) fn restore(
+        id: u64,
+        r: &mut SnapReader<'_>,
+        scratch: &mut Device,
+    ) -> SnapResult<DeviceState> {
         let slot_tag = r.get_u8()?;
         let blob = Box::<[u8]>::restore(r)?;
-        Device::check_frozen(&blob).map_err(|e| SnapError::Invalid(format!("device {id}: {e}")))?;
+        let read = scratch.rehydrate_from(id, &blob).map_err(|e| e.to_string());
+        read.and_then(|()| scratch.check())
+            .map_err(|e| SnapError::Invalid(format!("device {id}: {e}")))?;
         let slot = match slot_tag {
-            0 => DeviceSlot::Live(Device::rehydrate(id, &blob)),
+            0 => DeviceSlot::Live(std::mem::replace(scratch, Device::new(id))),
             1 => DeviceSlot::Parked(blob),
             other => {
                 return Err(SnapError::Invalid(format!(

@@ -2,6 +2,7 @@
 //! convergence audit: everything that reads the whole world at once.
 
 use burst::frame::StreamId;
+use edge::device::Device;
 use edge::pop::Pop;
 use edge::proxy::ReverseProxy;
 use simkit::fxhash::FxHashSet;
@@ -169,6 +170,7 @@ impl SystemSim {
         // also bounds the fleet index to the TAO's id space.
         let next_object_id = s.was.tao().next_object_id();
         let mut last_dev: Option<u64> = None;
+        let mut scratch = Device::new(0);
         for _ in 0..r.get_len()? {
             let dev = r.get_u64()?;
             if last_dev.is_some_and(|l| dev <= l) {
@@ -182,7 +184,7 @@ impl SystemSim {
                 )));
             }
             last_dev = Some(dev);
-            let state = DeviceState::restore(dev, r)?;
+            let state = DeviceState::restore(dev, r, &mut scratch)?;
             if state.lang as usize >= s.langs.len() {
                 return Err(SnapError::Invalid(format!(
                     "device lang index {} outside the {}-entry intern table",

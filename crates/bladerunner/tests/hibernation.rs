@@ -5,7 +5,9 @@
 //! disabled. The scenarios here are built to actually cycle devices
 //! through park/rehydrate: activity bursts with quiet gaps between them,
 //! plus the chaos fault plan (drops, crashes and reconnect backoff
-//! interleave with parking eligibility).
+//! interleave with parking eligibility), and the seven-app overload world
+//! (every app's stream state, Messenger's retained sends, flow-control
+//! sheds).
 
 mod common;
 
@@ -90,4 +92,24 @@ fn hibernation_is_invisible_under_chaos() {
     let (m_on, l_on) = chaos_run(true);
     assert_eq!(m_off, m_on, "chaos metrics identical with hibernation");
     assert_eq!(l_off, l_on, "chaos ledger identical with hibernation");
+}
+
+/// Every app at once, under overload and faults: the seven-app world holds
+/// Messenger's retained sends, flow-control sheds and each app's stream
+/// state, stopped mid-fault with hosts and a proxy down.
+#[test]
+fn hibernation_is_invisible_across_every_app() {
+    let run = |hibernation| {
+        let s = common::seven_app_overload_world(hibernation);
+        let (parked, _) = s.hibernation_census();
+        (s.metrics().clone(), s.trace_ledger().clone(), parked)
+    };
+    let (m_off, l_off, parked_off) = run(false);
+    let (m_on, l_on, parked_on) = run(true);
+    assert_eq!(parked_off, 0, "hibernation off must never park");
+    assert!(parked_on > 0, "the world must park devices");
+    assert_eq!(m_on.per_app.len(), 7, "every app saw traffic");
+    assert!(m_on.flow_sheds.get() > 0, "flow control shed");
+    assert_eq!(m_off, m_on, "metrics must not see park/rehydrate");
+    assert_eq!(l_off, l_on, "hop ledger must not see park/rehydrate");
 }

@@ -13,8 +13,8 @@
 //!   dead streams.
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::ensure;
-use simkit::snap_struct;
+use simkit::snap::{ensure, Snap, SnapReader, SnapResult, SnapWriter};
+use simkit::{snap_enum, snap_struct};
 
 use crate::frame::{Delta, FlowStatus, Frame, Payload, StreamId, TerminateReason};
 use crate::json::{Json, PackedJson};
@@ -367,112 +367,10 @@ impl ClientStream {
             .is_some_and(|last| last >= seq)
     }
 
-    /// Serializes this stream's complete state into `out` as fixed-width
-    /// little-endian fields plus the packed header / body bytes. The frozen
-    /// form is the device-hibernation (and snapshot) representation:
-    /// [`ClientStream::thaw`] reconstructs a bit-identical stream.
-    pub fn freeze_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.sid.0.to_le_bytes());
-        out.push(encode_state(self.state));
-        out.extend_from_slice(&self.next_seq.to_le_bytes());
-        out.extend_from_slice(&self.delivered.to_le_bytes());
-        out.extend_from_slice(&self.gaps.to_le_bytes());
-        out.extend_from_slice(&self.resubscribes.to_le_bytes());
-        out.extend_from_slice(&self.resyncs.to_le_bytes());
-        // One byte for a stream with no open gaps: 0. Otherwise the range
-        // count plus one, then that many 16-byte words: the eviction count
-        // and bound, and each range.
-        match &self.open {
-            None => out.push(0),
-            Some(open) => {
-                out.push(open.ranges.len() as u8 + 1);
-                out.extend_from_slice(&open.evicted.to_le_bytes());
-                out.extend_from_slice(&open.evicted_below.to_le_bytes());
-                for (lo, hi) in &open.ranges {
-                    out.extend_from_slice(&lo.to_le_bytes());
-                    out.extend_from_slice(&hi.to_le_bytes());
-                }
-            }
-        }
-        let header = self.header.to_bytes();
-        out.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.body);
-    }
-
-    /// Reads just the id and open/terminated flag of a frozen stream,
-    /// advancing `*pos` past it — no header unpack, no allocation. Lets
-    /// holders of frozen state answer "which streams are open" without
-    /// thawing.
-    pub fn peek_frozen(buf: &[u8], pos: &mut usize) -> (StreamId, bool) {
-        let sid = StreamId(read_u64(buf, pos));
-        let state = read_u8(buf, pos);
-        *pos += 40; // next_seq, delivered, gaps, resubscribes, resyncs
-        *pos += 16 * read_u8(buf, pos) as usize; // open gaps
-        let header_len = read_u32(buf, pos) as usize;
-        *pos += header_len;
-        let body_len = read_u32(buf, pos) as usize;
-        *pos += body_len;
-        (sid, state < 3)
-    }
-
-    /// Walks one frozen stream the way [`ClientStream::thaw`] would, but
-    /// bounds-checked and without building anything: the check for frozen
-    /// bytes that *did* leave the process (a snapshot being loaded).
-    /// Advances `*pos` past the stream and returns its id; fails on a read
-    /// past the end, a state code `thaw` would panic on, or a header that
-    /// is not canonical JSON.
-    pub fn check_frozen(buf: &[u8], pos: &mut usize) -> Result<StreamId, &'static str> {
-        let mut take = |n: usize| {
-            let bytes = buf.get(*pos..).and_then(|rest| rest.get(..n));
-            *pos += n;
-            bytes.ok_or("frozen stream truncated")
-        };
-        let sid = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        if take(1)?[0] > 7 {
-            return Err("bad frozen stream state code");
-        }
-        let next_seq = u64::from_le_bytes(take(8)?.try_into().expect("8 bytes"));
-        take(32)?; // delivered, gaps, resubscribes, resyncs
-        let ranges = match take(1)?[0] {
-            0 => None,
-            n if n as usize <= MAX_OPEN_GAPS + 1 => Some(n as usize - 1),
-            _ => return Err("frozen stream holds too many open gaps"),
-        };
-        if let Some(ranges) = ranges {
-            let words: Vec<u64> = take(16 + 16 * ranges)?
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
-                .collect();
-            let (evicted, mut floor) = (words[0], words[1]);
-            let evictions_canonical = (evicted == 0) == (floor == 0) && evicted <= floor;
-            if (ranges == 0 && evicted == 0) || !evictions_canonical || floor > next_seq {
-                return Err("frozen open gaps not canonical");
-            }
-            for range in words[2..].chunks_exact(2) {
-                if range[0] < floor || range[0] >= range[1] || range[1] > next_seq {
-                    return Err("frozen open gaps not ascending below next_seq");
-                }
-                floor = range[1];
-            }
-        }
-        let header_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
-        let header = std::str::from_utf8(take(header_len as usize)?).ok();
-        if !header.is_some_and(|text| Json::parse(text).is_ok_and(|j| j.to_string() == text)) {
-            return Err("frozen stream header is not canonical JSON");
-        }
-        let body_len = u32::from_le_bytes(take(4)?.try_into().expect("4 bytes"));
-        take(body_len as usize)?;
-        Ok(StreamId(sid))
-    }
-
-    /// Reads one frozen stream out of `buf` starting at `*pos`, advancing
-    /// `*pos` past it. Panics on a malformed buffer: frozen bytes never
-    /// leave the process unchecked (see [`ClientStream::check_frozen`]), so
-    /// corruption here is a logic bug, not input error.
-    pub fn thaw(buf: &[u8], pos: &mut usize) -> ClientStream {
-        let mut stream = ClientStream {
+    /// A stream holding nothing, for [`ClientStream::restore_into`] to
+    /// fill.
+    pub fn blank() -> ClientStream {
+        ClientStream {
             sid: StreamId(0),
             header: PackedJson::blank(),
             body: Box::default(),
@@ -483,80 +381,114 @@ impl ClientStream {
             resubscribes: 0,
             resyncs: 0,
             open: None,
-        };
-        stream.thaw_into(buf, pos);
-        stream
+        }
     }
 
-    /// [`ClientStream::thaw`] over an existing stream, whose header and
-    /// body buffers are overwritten in place when the lengths match.
-    pub fn thaw_into(&mut self, buf: &[u8], pos: &mut usize) {
-        self.sid = StreamId(read_u64(buf, pos));
-        self.state = decode_state(read_u8(buf, pos));
-        self.next_seq = read_u64(buf, pos);
-        self.delivered = read_u64(buf, pos);
-        self.gaps = read_u64(buf, pos);
-        self.resubscribes = read_u64(buf, pos);
-        self.resyncs = read_u64(buf, pos);
-        self.open = match read_u8(buf, pos) {
-            0 => None,
-            n => {
-                let evicted = read_u64(buf, pos);
-                let evicted_below = read_u64(buf, pos);
-                let ranges = (1..n)
-                    .map(|_| (read_u64(buf, pos), read_u64(buf, pos)))
-                    .collect();
-                Some(Box::new(OpenGaps {
-                    ranges,
-                    evicted,
-                    evicted_below,
-                }))
-            }
-        };
-        let header_len = read_u32(buf, pos) as usize;
-        self.header.reload(&buf[*pos..*pos + header_len]);
-        *pos += header_len;
-        let body_len = read_u32(buf, pos) as usize;
-        let body = &buf[*pos..*pos + body_len];
-        if self.body.len() == body_len {
+    /// Writes this stream's complete state, id and state first (see
+    /// [`ClientStream::peek`]): the device-hibernation and snapshot form,
+    /// which [`ClientStream::restore_into`] reads back bit-identical.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        (self.sid, self.state).snap(w);
+        self.next_seq.snap(w);
+        self.delivered.snap(w);
+        self.gaps.snap(w);
+        self.resubscribes.snap(w);
+        self.resyncs.snap(w);
+        self.open.snap(w);
+        self.header.snap(w);
+        self.body.snap(w);
+    }
+
+    /// Reads a stream [`ClientStream::snap`] wrote over this one, whose
+    /// header and body buffers are overwritten in place when the lengths
+    /// match. Bounds and tags are checked; a stream from outside the
+    /// process must pass [`ClientStream::check`] too.
+    pub fn restore_into(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+        (self.sid, self.state) = Snap::restore(r)?;
+        self.next_seq = r.get_u64()?;
+        self.delivered = r.get_u64()?;
+        self.gaps = r.get_u64()?;
+        self.resubscribes = r.get_u64()?;
+        self.resyncs = r.get_u64()?;
+        self.open = Snap::restore(r)?;
+        self.header.reload(r.get_slice()?);
+        let body = r.get_slice()?;
+        if self.body.len() == body.len() {
             self.body.copy_from_slice(body);
         } else {
             self.body = body.into();
         }
-        *pos += body_len;
+        Ok(())
     }
-}
 
-fn encode_state(state: StreamState) -> u8 {
-    match state {
-        StreamState::Subscribing => 0,
-        StreamState::Active => 1,
-        StreamState::Degraded => 2,
-        StreamState::Terminated(reason) => {
-            3 + match reason {
-                TerminateReason::Cancelled => 0,
-                TerminateReason::Redirect => 1,
-                TerminateReason::ServerShutdown => 2,
-                TerminateReason::Denied => 3,
-                TerminateReason::Error => 4,
+    /// Reads the id and state of a stream [`ClientStream::snap`] wrote and
+    /// steps past the rest: no header unpack, no allocation. Lets holders
+    /// of written streams answer "which streams are open" without reading
+    /// them back.
+    pub fn peek(r: &mut SnapReader<'_>) -> SnapResult<(StreamId, StreamState)> {
+        let head = Snap::restore(r)?;
+        <[u64; 5]>::restore(r)?; // next_seq, delivered, gaps, resubscribes, resyncs
+        if r.get_bool()? {
+            // Open gaps: the eviction count and bound, then each range.
+            <[u64; 2]>::restore(r)?;
+            for _ in 0..r.get_len()? {
+                <[u64; 2]>::restore(r)?;
             }
         }
+        r.get_slice()?; // header
+        r.get_slice()?; // body
+        Ok(head)
+    }
+
+    /// Checks what [`ClientStream::restore_into`] leaves to its caller for
+    /// a stream from outside the process (a snapshot being loaded): open
+    /// gaps below `next_seq`, and a header in the canonical JSON encoding,
+    /// the only text a [`PackedJson`] holds.
+    pub fn check(&self) -> Result<(), String> {
+        let gaps_top = self.open.as_ref().map_or(0, |g| {
+            g.ranges.last().map_or(g.evicted_below, |&(_, hi)| hi)
+        });
+        ensure(gaps_top <= self.next_seq, "open gaps reach past next_seq")?;
+        let text = self.header.to_bytes();
+        let parsed = std::str::from_utf8(&text)
+            .ok()
+            .and_then(|t| Json::parse(t).ok());
+        let canonical = parsed.is_some_and(|j| PackedJson::pack(&j) == self.header);
+        ensure(canonical, "stream header is not canonical JSON")
     }
 }
 
-fn decode_state(code: u8) -> StreamState {
-    match code {
-        0 => StreamState::Subscribing,
-        1 => StreamState::Active,
-        2 => StreamState::Degraded,
-        3 => StreamState::Terminated(TerminateReason::Cancelled),
-        4 => StreamState::Terminated(TerminateReason::Redirect),
-        5 => StreamState::Terminated(TerminateReason::ServerShutdown),
-        6 => StreamState::Terminated(TerminateReason::Denied),
-        7 => StreamState::Terminated(TerminateReason::Error),
-        other => panic!("bad frozen stream state code {other}"),
+snap_enum!(StreamState {
+    0 => Subscribing,
+    1 => Active,
+    2 => Degraded,
+    3 => Terminated(reason),
+});
+
+// Open gaps as `open` and `close` leave them: at most `MAX_OPEN_GAPS`
+// non-empty ranges, ascending and disjoint above the eviction bound; an
+// eviction count exactly when there is a bound; never nothing at all.
+snap_struct!(
+    OpenGaps {
+        evicted,
+        evicted_below,
+        ranges
+    },
+    |g| {
+        ensure(g.ranges.len() <= MAX_OPEN_GAPS, "too many open ranges")?;
+        let mut floor = g.evicted_below;
+        let ascending = g.ranges.iter().all(|&(lo, hi)| {
+            let above = floor <= lo && lo < hi;
+            floor = hi;
+            above
+        });
+        ensure(ascending, "open ranges not ascending")?;
+        let evictions = (g.evicted == 0) == (g.evicted_below == 0) && g.evicted <= g.evicted_below;
+        ensure(evictions, "eviction count disagrees with its bound")?;
+        let some = g.evicted != 0 || !g.ranges.is_empty();
+        ensure(some, "open gaps holding nothing")
     }
-}
+);
 
 /// Where sequence numbering resumes for a header: after the `last_seq` it
 /// carries, or at 0 when it carries none. Headers arrive from devices, so a
@@ -577,24 +509,6 @@ fn record_rewrite(header: &mut PackedJson, delta: &Delta) {
         Delta::RewriteRequest { patch } => header.merge(patch),
         _ => {}
     }
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> u8 {
-    let v = buf[*pos];
-    *pos += 1;
-    v
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("u32"));
-    *pos += 4;
-    v
-}
-
-fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
-    let v = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("u64"));
-    *pos += 8;
-    v
 }
 
 /// BRASS-side state for one request-stream.
@@ -910,7 +824,7 @@ mod tests {
     use super::*;
     use crate::json::tests::arb_last_seq;
     use proptest::prelude::*;
-    use simkit::snap::{Snap, SnapReader, SnapWriter};
+    use simkit::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
     fn apply_batch(c: &mut ClientStream, batch: &[Delta]) -> Vec<ClientAction> {
         let mut actions = Vec::new();
@@ -1084,17 +998,18 @@ mod tests {
         let a = apply_batch(&mut c, &[Delta::update(2, b"kept".to_vec())]);
         assert_eq!(a, vec![ClientAction::Deliver(b"kept".to_vec().into())]);
         assert_eq!(balance(&c), c.expected_seq());
-        // Frozen and thawed, the gaps survive; a resubscribe clears them.
-        let mut buf = Vec::new();
-        c.freeze_into(&mut buf);
-        let mut pos = 0;
-        assert_eq!(ClientStream::check_frozen(&buf, &mut pos), Ok(StreamId(1)));
-        assert_eq!(ClientStream::thaw(&buf, &mut 0), c);
+        // Written and read back, the gaps survive, and a peek steps over
+        // them; a resubscribe clears them.
+        let buf = stream_bytes(&c);
+        let read = read_stream(&buf);
+        assert_eq!((read.check(), &read), (Ok(()), &c));
+        let mut peek = SnapReader::new(&buf);
+        assert_eq!(ClientStream::peek(&mut peek), Ok((StreamId(1), c.state())));
+        assert_eq!(peek.finish(), Ok(()));
         c.resubscribe_request();
         assert_eq!((c.open_gap_seqs(), c.evicted_gap_seqs()), (0, 0));
-        let mut fresh = Vec::new();
-        c.freeze_into(&mut fresh);
-        assert_eq!(buf.len() - fresh.len(), 16 + 16 * (MAX_OPEN_GAPS - 1));
+        let fresh = stream_bytes(&c);
+        assert_eq!(buf.len() - fresh.len(), 24 + 16 * (MAX_OPEN_GAPS - 1));
     }
 
     #[test]
@@ -1354,27 +1269,63 @@ mod tests {
             }],
         );
         c.resubscribe_request();
-        let mut buf = Vec::new();
-        c.freeze_into(&mut buf);
-        // A second stream in the same buffer, in every terminal state.
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        // A second stream in the same buffer, terminated.
         let mut terminated = ClientStream::new(StreamId(8), header(), vec![]);
         apply_batch(
             &mut terminated,
             &[Delta::Terminate(TerminateReason::Denied)],
         );
-        terminated.freeze_into(&mut buf);
-        let mut pos = 0;
-        let thawed = ClientStream::thaw(&buf, &mut pos);
-        assert_eq!(thawed, c);
-        let thawed2 = ClientStream::thaw(&buf, &mut pos);
-        assert_eq!(thawed2, terminated);
-        assert_eq!(pos, buf.len(), "thaw consumes exactly what freeze wrote");
-        // Thawing over a stream of another shape replaces all of it.
-        let (mut reused, mut pos) = (terminated.clone(), 0);
-        reused.thaw_into(&buf, &mut pos);
+        terminated.snap(&mut w);
+        let buf = w.into_bytes();
+        let (mut r, mut peek) = (SnapReader::new(&buf), SnapReader::new(&buf));
+        for want in [&c, &terminated] {
+            let mut read = ClientStream::blank();
+            assert_eq!(read.restore_into(&mut r), Ok(()));
+            assert_eq!(&read, want);
+            let head = ClientStream::peek(&mut peek);
+            assert_eq!(head, Ok((want.sid(), want.state())));
+        }
+        assert_eq!((r.finish(), peek.finish()), (Ok(()), Ok(())));
+        // Reading over a stream of another shape replaces all of it.
+        let (mut reused, mut r) = (terminated.clone(), SnapReader::new(&buf));
+        assert_eq!(reused.restore_into(&mut r), Ok(()));
         assert_eq!(reused, c);
-        reused.thaw_into(&buf, &mut pos);
+        assert_eq!(reused.restore_into(&mut r), Ok(()));
         assert_eq!(reused, terminated);
+    }
+
+    /// Open gaps read back only in a shape `open` and `close` leave: each
+    /// check rejects its own damage, the shapes they leave pass.
+    #[test]
+    fn open_gaps_read_back_only_as_streams_leave_them() {
+        let read = |evicted, evicted_below, ranges: Vec<(u64, u64)>| {
+            let bytes = snap_bytes(&OpenGaps {
+                ranges,
+                evicted,
+                evicted_below,
+            });
+            OpenGaps::restore(&mut SnapReader::new(&bytes)).map(|_| ())
+        };
+        let invalid = |what: &str| Err(SnapError::Invalid(what.into()));
+        let full: Vec<(u64, u64)> = (0..MAX_OPEN_GAPS as u64)
+            .map(|k| (2 * k, 2 * k + 1))
+            .collect();
+        assert_eq!(read(0, 0, full.clone()), Ok(()));
+        assert_eq!(read(1, 1, vec![(1, 2)]), Ok(()));
+        assert_eq!(read(3, 9, vec![]), Ok(()));
+        let over = [&full[..], &[(99, 100)]].concat();
+        assert_eq!(read(0, 0, over), invalid("too many open ranges"));
+        let not_ascending = "open ranges not ascending";
+        assert_eq!(read(0, 0, vec![(3, 4), (1, 2)]), invalid(not_ascending));
+        assert_eq!(read(0, 0, vec![(2, 2)]), invalid(not_ascending));
+        assert_eq!(read(1, 5, vec![(4, 6)]), invalid(not_ascending));
+        let evictions = "eviction count disagrees with its bound";
+        assert_eq!(read(1, 0, vec![(1, 2)]), invalid(evictions));
+        assert_eq!(read(0, 4, vec![(5, 6)]), invalid(evictions));
+        assert_eq!(read(5, 4, vec![]), invalid(evictions));
+        assert_eq!(read(0, 0, vec![]), invalid("open gaps holding nothing"));
     }
 
     /// Walks `last_seq` through every digit-length rollover on all three
@@ -1410,10 +1361,11 @@ mod tests {
                 header: oracle.clone(),
                 ..client.clone()
             };
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            client.freeze_into(&mut got);
-            expected.freeze_into(&mut want);
-            assert_eq!(got, want, "frozen bytes at last_seq {last}");
+            assert_eq!(
+                stream_bytes(&client),
+                stream_bytes(&expected),
+                "written bytes at last_seq {last}"
+            );
         }
         assert_eq!(client.delivered(), 1002);
     }
@@ -1422,6 +1374,20 @@ mod tests {
         let mut w = SnapWriter::new();
         value.snap(&mut w);
         w.into_bytes()
+    }
+
+    fn stream_bytes(c: &ClientStream) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// Reads back one stream [`stream_bytes`] wrote, every byte consumed.
+    fn read_stream(bytes: &[u8]) -> ClientStream {
+        let (mut c, mut r) = (ClientStream::blank(), SnapReader::new(bytes));
+        c.restore_into(&mut r).expect("a written stream reads back");
+        r.finish().expect("a written stream is read exactly");
+        c
     }
 
     /// One header rewrite sent down a stream: progress, or a patch of a few
@@ -1500,10 +1466,7 @@ mod tests {
                 let restored = ServerStream::restore(&mut SnapReader::new(&bytes)).expect("restore");
                 prop_assert_eq!(&restored.header, &want);
                 let spliced = ClientStream { header: want.clone(), ..client.clone() };
-                let (mut got, mut expected) = (Vec::new(), Vec::new());
-                client.freeze_into(&mut got);
-                spliced.freeze_into(&mut expected);
-                prop_assert_eq!(got, expected);
+                prop_assert_eq!(stream_bytes(&client), stream_bytes(&spliced));
             }
         }
     }
@@ -1512,8 +1475,8 @@ mod tests {
         /// Any arrival order of any set of sequences, repeats included:
         /// each sequence is delivered at most once, what the stream
         /// delivers plus what it still waits for or forgot is everything
-        /// below `expected_seq`, and the frozen form thaws to the same
-        /// stream and passes `check_frozen`.
+        /// below `expected_seq`, and the written form reads back to the
+        /// same stream and passes its checks.
         #[test]
         fn open_gaps_balance_the_double_entry(
             arrivals in proptest::collection::vec(0u64..40, 1..60),
@@ -1528,10 +1491,9 @@ mod tests {
                 }
                 let balance = c.delivered() + c.open_gap_seqs() + c.evicted_gap_seqs();
                 prop_assert_eq!(balance, c.expected_seq());
-                let mut buf = Vec::new();
-                c.freeze_into(&mut buf);
-                prop_assert_eq!(ClientStream::check_frozen(&buf, &mut 0), Ok(StreamId(1)));
-                prop_assert_eq!(&ClientStream::thaw(&buf, &mut 0), &c);
+                let read = read_stream(&stream_bytes(&c));
+                prop_assert_eq!(read.check(), Ok(()));
+                prop_assert_eq!(&read, &c);
             }
         }
     }

@@ -12,6 +12,7 @@
 use burst::frame::{Frame, Payload, StreamId, TerminateReason};
 use burst::json::Json;
 use burst::stream::{ClientAction, ClientStream, StreamState};
+use simkit::snap::{ensure, Snap, SnapReader, SnapResult, SnapWriter};
 
 /// What a device does in response to protocol input.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,19 +176,13 @@ impl Device {
             }
             ClientAction::HeaderRewritten => {}
             ClientAction::Terminated(reason) => {
-                let retry = matches!(
-                    reason,
-                    TerminateReason::Redirect | TerminateReason::ServerShutdown
-                );
+                let retry = retries(reason);
                 out.push(DeviceOutput::StreamEnded { sid: *sid, retry });
             }
         });
         // Drop terminated streams that will not retry.
         if let StreamState::Terminated(reason) = self.streams[index].state() {
-            if !matches!(
-                reason,
-                TerminateReason::Redirect | TerminateReason::ServerShutdown
-            ) {
+            if !retries(reason) {
                 self.streams.remove(index);
             }
         }
@@ -221,111 +216,100 @@ impl Device {
         self.index_of(sid).map(|i| self.streams[i].ack_request())
     }
 
-    /// Freezes the whole device into its compact hibernation form: scalar
-    /// counters plus each stream's [`ClientStream::freeze_into`] encoding.
-    /// [`Device::rehydrate`] reconstructs an identical device; the blob is
-    /// also the snapshot serialization of a device.
+    /// Writes the device's protocol state, all of it but the id its holder
+    /// keys it by: the counters, then each stream's [`ClientStream::snap`].
+    /// This is the hibernation blob, and a device's snapshot form.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        (self.next_sid, self.delivered, self.renders).snap(w);
+        w.put_usize(self.streams.len());
+        self.streams.iter().for_each(|stream| stream.snap(w));
+    }
+
+    /// The device's compact hibernation form: [`Device::snap`]'s bytes.
     pub fn hibernate(&self) -> Box<[u8]> {
-        let mut out = Vec::new();
-        self.hibernate_into(&mut out);
-        out.into_boxed_slice()
+        let mut w = SnapWriter::new();
+        self.snap(&mut w);
+        w.into_bytes().into_boxed_slice()
     }
 
-    /// [`Device::hibernate`] into a caller-owned buffer, replacing its
-    /// contents.
-    pub fn hibernate_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(&self.next_sid.to_le_bytes());
-        out.extend_from_slice(&self.delivered.to_le_bytes());
-        out.extend_from_slice(&self.renders.to_le_bytes());
-        out.extend_from_slice(&(self.streams.len() as u32).to_le_bytes());
-        for stream in &self.streams {
-            stream.freeze_into(out);
-        }
-    }
-
-    /// Rebuilds a device from its hibernation blob.
+    /// Rebuilds a device from a hibernation blob this process wrote.
     pub fn rehydrate(id: u64, blob: &[u8]) -> Device {
         let mut device = Device::new(id);
-        device.rehydrate_from(id, blob);
+        device
+            .rehydrate_from(id, blob)
+            .expect("a blob this process wrote reads back");
         device
     }
 
-    /// [`Device::rehydrate`] over an existing device (whatever it held
-    /// before), reusing its stream table and per-stream buffers.
-    pub fn rehydrate_from(&mut self, id: u64, blob: &[u8]) {
-        let mut pos = 0;
+    /// Reads a hibernation blob over this device (whatever it held
+    /// before), reusing its stream table and per-stream buffers. Checks
+    /// bounds, tags and that the blob is read exactly; a blob from outside
+    /// the process must pass [`Device::check`] too.
+    pub fn rehydrate_from(&mut self, id: u64, blob: &[u8]) -> SnapResult<()> {
+        let mut r = SnapReader::new(blob);
         self.id = id;
-        self.next_sid = read_u64(blob, &mut pos);
-        self.delivered = read_u64(blob, &mut pos);
-        self.renders = read_u64(blob, &mut pos);
-        let n = read_u32(blob, &mut pos) as usize;
+        (self.next_sid, self.delivered, self.renders) = Snap::restore(&mut r)?;
+        let n = r.get_len()?;
         self.streams.truncate(n);
         self.streams.reserve_exact(n - self.streams.len());
+        self.streams.resize_with(n, ClientStream::blank);
         for stream in &mut self.streams {
-            stream.thaw_into(blob, &mut pos);
+            stream.restore_into(&mut r)?;
         }
-        for _ in self.streams.len()..n {
-            self.streams.push(ClientStream::thaw(blob, &mut pos));
-        }
-        debug_assert_eq!(pos, blob.len(), "hibernation blob fully consumed");
+        r.finish()
     }
 
-    /// Validates a hibernation blob that comes from outside the process (a
-    /// snapshot being loaded), so that [`Device::rehydrate`] and the
-    /// `frozen_*` readers — which index without checking — can trust it:
-    /// every stream [`ClientStream::check_frozen`]-clean, ids ascending and
-    /// below `next_sid`, and the blob consumed exactly (a stream count
-    /// beyond the blob runs off its end). Never called on the wake path.
-    pub fn check_frozen(blob: &[u8]) -> Result<(), &'static str> {
-        if blob.len() < 28 {
-            return Err("hibernation blob shorter than its header");
-        }
-        let next_sid = read_u64(blob, &mut 0);
-        let mut pos = 24; // past next_sid, delivered, renders
-        let mut prev = None;
-        for _ in 0..read_u32(blob, &mut pos) {
-            let sid = ClientStream::check_frozen(blob, &mut pos)?;
-            if prev.is_some_and(|p| p >= sid) || sid.0 >= next_sid {
-                return Err("frozen stream ids not ascending below next_sid");
+    /// Checks what [`Device::rehydrate_from`] leaves to its caller for a
+    /// blob from outside the process (a snapshot being loaded): stream ids
+    /// ascending below `next_sid`, no stream in a terminal state a device
+    /// drops at once, and each stream's [`ClientStream::check`].
+    pub fn check(&self) -> Result<(), String> {
+        let streams = &self.streams;
+        let ascending = streams.windows(2).all(|p| p[0].sid() < p[1].sid());
+        ensure(ascending, "stream ids out of order")?;
+        let below = streams.last().is_none_or(|s| s.sid().0 < self.next_sid);
+        ensure(below, "a stream id next_sid hands out again")?;
+        for stream in streams {
+            if let StreamState::Terminated(reason) = stream.state() {
+                ensure(retries(reason), "a stream no device keeps")?;
             }
-            prev = Some(sid);
-        }
-        if pos != blob.len() {
-            return Err("trailing bytes after the last frozen stream");
+            stream.check()?;
         }
         Ok(())
     }
 
     /// Open (non-terminated) stream ids of a hibernated device, oldest
-    /// first, read straight from the blob a stream at a time — no
-    /// rehydration, no header unpacking, no vector.
+    /// first, peeked from the blob a stream at a time
+    /// ([`ClientStream::peek`]): no rehydration, no header unpacking, no
+    /// allocation.
     pub fn frozen_open_sids(blob: &[u8]) -> impl Iterator<Item = StreamId> + '_ {
-        let mut pos = 24; // skip next_sid, delivered, renders
-        let streams = read_u32(blob, &mut pos);
+        const READ: &str = "a parked blob was read whole once";
+        let mut r = SnapReader::new(blob);
+        // Past next_sid, delivered and renders to the stream count.
+        let streams = <[u64; 3]>::restore(&mut r).and_then(|_| r.get_len());
+        let streams = streams.expect(READ);
         (0..streams).filter_map(move |_| {
-            let (sid, open) = ClientStream::peek_frozen(blob, &mut pos);
-            open.then_some(sid)
+            let (sid, state) = ClientStream::peek(&mut r).expect(READ);
+            (!matches!(state, StreamState::Terminated(_))).then_some(sid)
         })
     }
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> u32 {
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("u32"));
-    *pos += 4;
-    v
-}
-
-fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
-    let v = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("u64"));
-    *pos += 8;
-    v
+/// Whether a stream the server ended for `reason` is retried (redirects,
+/// shutdowns); a device drops any other terminated stream at once.
+fn retries(reason: TerminateReason) -> bool {
+    matches!(
+        reason,
+        TerminateReason::Redirect | TerminateReason::ServerShutdown
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use burst::frame::Delta;
+    use burst::stream::MAX_OPEN_GAPS;
+    use simkit::snap::SnapError;
 
     fn header(topic: &str) -> Json {
         Json::obj([
@@ -525,51 +509,139 @@ mod tests {
             other.open_stream(header(topic), vec![1]);
         }
         let other_blob = other.hibernate();
-        r.rehydrate_from(99, &other_blob);
+        assert_eq!(r.rehydrate_from(99, &other_blob), Ok(()));
         assert_eq!(r.hibernate(), other_blob);
-        r.rehydrate_from(17, &blob);
+        assert_eq!(r.rehydrate_from(17, &blob), Ok(()));
         assert_eq!((r.id(), r.hibernate()), (17, blob.clone()));
         // A rehydrated device keeps allocating fresh stream ids.
         let (sid3, _) = Device::rehydrate(17, &blob).open_stream(header("/LVC/2"), vec![]);
         assert_eq!(sid3, StreamId(3));
     }
 
-    /// `check_frozen` accepts what `hibernate` writes and rejects every
-    /// blob `rehydrate` or the `frozen_*` readers would index out of, panic
-    /// on, or silently misread.
+    /// A device's snapshot load path: the blob read over a blank device,
+    /// then checked. A read error names its kind, not where it struck.
+    fn load(blob: &[u8]) -> Result<Device, String> {
+        let mut device = Device::new(17);
+        device.rehydrate_from(17, blob).map_err(|e| match e {
+            SnapError::Eof { .. } => "truncated".to_string(),
+            SnapError::Trailing { .. } => "trailing bytes".to_string(),
+            SnapError::Invalid(what) => what,
+            e => e.to_string(),
+        })?;
+        device.check().map(|()| device)
+    }
+
+    /// The load path accepts what `hibernate` writes and, for every
+    /// truncation and every single-byte flip of a blob holding each kind of
+    /// stream state, either rejects the bytes or reads a device that writes
+    /// them back exactly and whose parked open-sid visit is its live one.
+    /// Each check the load path makes rejects at least one flip.
     #[test]
     fn check_frozen_accepts_hibernate_output_and_rejects_damage() {
         let mut d = Device::new(17);
-        d.open_stream(header("/LVC/1"), vec![7, 8]);
-        d.open_stream(header("/LVC/2"), vec![]);
+        let (gapped, _) = d.open_stream(header("/LVC/1"), vec![7, 8]);
+        let (redirected, _) = d.open_stream(Json::Obj(Vec::new()), vec![]);
+        // Every other sequence: one more skipped than a stream keeps open,
+        // then the progress a rewrite records in the header.
+        let last = 2 * (MAX_OPEN_GAPS as u64 + 1);
+        let mut batch: Vec<Delta> = (0..=last)
+            .step_by(2)
+            .map(|seq| Delta::update(seq, vec![]))
+            .collect();
+        batch.push(Delta::Progress { last_seq: last });
+        d.on_frame(&Frame::Response { sid: gapped, batch });
+        let redirect = vec![Delta::Terminate(TerminateReason::Redirect)];
+        d.on_frame(&Frame::Response {
+            sid: redirected,
+            batch: redirect,
+        });
+        let stream = d.stream(gapped).expect("open");
+        let gaps = (stream.open_gap_seqs(), stream.evicted_gap_seqs());
+        assert_eq!(gaps, (MAX_OPEN_GAPS as u64, 1));
+        assert_eq!(stream.header().get("last_seq"), Some(&Json::from(last)));
         let blob = d.hibernate();
-        assert_eq!(Device::check_frozen(&blob), Ok(()));
-        assert_eq!(Device::check_frozen(&Device::new(1).hibernate()), Ok(()));
+        assert_eq!(load(&blob).map(|d| d.hibernate()), Ok(blob.clone()));
+        assert!(load(&Device::new(1).hibernate()).is_ok());
         for cut in 0..blob.len() {
-            assert!(Device::check_frozen(&blob[..cut]).is_err(), "cut at {cut}");
+            assert!(load(&blob[..cut]).is_err(), "cut at {cut}");
         }
-        let damaged = |at: usize, byte: u8| {
-            let mut bad = blob.to_vec();
-            bad[at] = byte;
-            Device::check_frozen(&bad)
-        };
-        // A stream count beyond the blob: `reserve_exact` of gigabytes.
-        assert!(damaged(27, 0x7f).is_err());
-        assert!(damaged(24, 3).is_err());
-        // A state code `thaw` panics on.
-        assert!(damaged(28 + 8, 8).is_err());
-        // Stream ids out of order, and an id `next_sid` would hand out again.
-        assert!(damaged(28, 2).is_err());
-        assert!(damaged(0, 2).is_err());
-        // Open gaps on a stream that has accepted nothing.
-        assert!(damaged(28 + 8 + 1 + 40, 1).is_err());
-        // A header that is no longer the canonical JSON `reload` expects.
-        assert!(damaged(28 + 8 + 1 + 41 + 4, b' ').is_err());
-        // A header length reaching past the end, and trailing bytes.
-        assert!(damaged(28 + 8 + 1 + 41 + 3, 0x7f).is_err());
         let mut long = blob.to_vec();
         long.push(0);
-        assert!(Device::check_frozen(&long).is_err());
+        assert_eq!(load(&long).err(), Some("trailing bytes".into()));
+        // What each check says when it rejects.
+        let checks = [
+            "truncated",
+            "trailing bytes",
+            "exceeds",
+            "StreamState tag",
+            "TerminateReason tag",
+            "Option tag",
+            "too many open ranges",
+            "open ranges not ascending",
+            "eviction count disagrees with its bound",
+            "open gaps reach past next_seq",
+            "stream header is not canonical JSON",
+            "stream ids out of order",
+            "a stream id next_sid hands out again",
+            "a stream no device keeps",
+        ];
+        let mut fired = checks.map(|_| false);
+        let mut bad = blob.to_vec();
+        for at in 0..blob.len() {
+            for flip in 1..=u8::MAX {
+                bad[at] = blob[at] ^ flip;
+                match load(&bad) {
+                    Ok(device) => {
+                        assert_eq!(*device.hibernate(), *bad, "byte {at} ^{flip:#x}");
+                        let parked = Device::frozen_open_sids(&bad);
+                        assert!(parked.eq(device.iter_open_sids()), "byte {at} ^{flip:#x}");
+                    }
+                    Err(why) => {
+                        let check = checks.iter().position(|c| why.contains(c));
+                        let check = check.unwrap_or_else(|| panic!("byte {at} ^{flip:#x}: {why}"));
+                        fired[check] = true;
+                    }
+                }
+            }
+            bad[at] = blob[at];
+        }
+        let silent: Vec<_> = checks
+            .iter()
+            .zip(fired)
+            .filter_map(|(c, f)| (!f).then_some(c))
+            .collect();
+        assert!(silent.is_empty(), "no flip trips {silent:?}");
+    }
+
+    /// A device drops a stream terminated for any reason but a retry at
+    /// once, so a blob holding one comes from no run: the byte naming a
+    /// retrying stream's reason, flipped to another reason, loads only as
+    /// the other retrying one.
+    #[test]
+    fn reader_rejects_a_terminated_stream_no_device_keeps() {
+        let ended = |reason| {
+            let mut d = Device::new(17);
+            let (sid, _) = d.open_stream(header("/LVC/1"), vec![]);
+            let batch = vec![Delta::Terminate(reason)];
+            d.on_frame(&Frame::Response { sid, batch });
+            d.hibernate()
+        };
+        let (redirect, shutdown) = (
+            ended(TerminateReason::Redirect),
+            ended(TerminateReason::ServerShutdown),
+        );
+        let differ: Vec<usize> = (0..redirect.len())
+            .filter(|&i| redirect[i] != shutdown[i])
+            .collect();
+        let [at] = differ[..] else {
+            panic!("the reasons differ in {differ:?}");
+        };
+        let reasons = (0..=u8::MAX).filter(|&code| {
+            let mut bad = redirect.to_vec();
+            bad[at] = code;
+            load(&bad).is_ok()
+        });
+        assert!(reasons.eq([redirect[at], shutdown[at]]));
     }
 
     #[test]

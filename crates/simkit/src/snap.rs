@@ -48,7 +48,11 @@
 //! are **strict**: keys are written sorted and must be strictly ascending
 //! on read, so an accepted file re-snapshots to the same bytes. An impl is
 //! hand-written only where restoring needs context from outside the bytes
-//! or derives a field the bytes do not carry.
+//! or derives a field the bytes do not carry. A type whose reader fills an
+//! existing value to reuse its buffers (a parked device waking into the
+//! last parked machine) has one inherent writer and one reader instead,
+//! over the same [`SnapWriter`] and [`SnapReader`]. No other code encodes
+//! state: every integer byte order is this module's.
 //!
 //! The module also provides [`Fp64`], the rolling fingerprint used to hash
 //! metrics and the whole simulation tick-by-tick; the bisect harness
@@ -195,10 +199,20 @@ pub struct SnapWriter {
     buf: Vec<u8>,
 }
 
+// The per-value primitives here and in `SnapReader` are `#[inline]`: a
+// parked device is written and read through them at every park and wake,
+// from other crates.
 impl SnapWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         SnapWriter { buf: Vec::new() }
+    }
+
+    /// A writer over `buf`, emptied first so its capacity is reused;
+    /// [`SnapWriter::into_bytes`] hands it back.
+    pub fn over(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        SnapWriter { buf }
     }
 
     /// Bytes written so far.
@@ -217,6 +231,7 @@ impl SnapWriter {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -237,6 +252,7 @@ impl SnapWriter {
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -247,6 +263,7 @@ impl SnapWriter {
     }
 
     /// Writes a `usize` as a `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -258,6 +275,7 @@ impl SnapWriter {
     }
 
     /// Writes a length-prefixed byte string.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
@@ -303,16 +321,17 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> SnapResult<&'a [u8]> {
-        if self.remaining() < n {
+        let Some(s) = self.buf[self.pos..].get(..n) else {
             return Err(SnapError::Eof { at: self.pos });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        };
         self.pos += n;
         Ok(s)
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> SnapResult<u8> {
         Ok(self.take(1)?[0])
     }
@@ -339,6 +358,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> SnapResult<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -353,6 +373,7 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a `usize` written by [`SnapWriter::put_usize`], rejecting
     /// values that do not fit the platform's pointer width.
+    #[inline]
     pub fn get_usize(&mut self) -> SnapResult<usize> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| SnapError::Invalid(format!("usize overflow: {v}")))
@@ -361,6 +382,7 @@ impl<'a> SnapReader<'a> {
     /// Reads a length that is about to size an allocation. The length is
     /// additionally capped by the bytes remaining, so a corrupt prefix can
     /// never trigger a multi-gigabyte `Vec::with_capacity`.
+    #[inline]
     pub fn get_len(&mut self) -> SnapResult<usize> {
         let n = self.get_usize()?;
         // Every element of every collection occupies at least one encoded
@@ -381,8 +403,15 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> SnapResult<Vec<u8>> {
+        Ok(self.get_slice()?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte string in place, for a caller that
+    /// copies it into a buffer it already holds.
+    #[inline]
+    pub fn get_slice(&mut self) -> SnapResult<&'a [u8]> {
         let n = self.get_len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -460,9 +489,11 @@ pub trait Snap: Sized {
 }
 
 impl Snap for u8 {
+    #[inline]
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u8(*self);
     }
+    #[inline]
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         r.get_u8()
     }
@@ -487,9 +518,11 @@ impl Snap for u32 {
 }
 
 impl Snap for u64 {
+    #[inline]
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(*self);
     }
+    #[inline]
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         r.get_u64()
     }
