@@ -8,7 +8,7 @@
 //! an event to effectively be serialized." (§2)
 //!
 //! This module implements a faithful small event log — topics, partitions,
-//! offset-based consumer polling — so the harnesses can demonstrate both
+//! offset-based consumer polling — so `paper ablations` can demonstrate both
 //! structural mismatches concretely.
 
 use std::collections::HashMap;
@@ -184,22 +184,12 @@ impl EventLog {
             .collect())
     }
 
-    /// Partitions for a topic.
-    pub fn partitions(&self, topic: &str) -> Option<u32> {
-        self.topics.get(topic).map(|t| t.partitions.len() as u32)
-    }
-
     /// Per-partition access counts for a topic (appends + reads) — the
     /// serialization hotspot measurement.
     pub fn partition_loads(&self, topic: &str) -> Option<Vec<u64>> {
         self.topics
             .get(topic)
             .map(|t| t.partitions.iter().map(|p| p.appends + p.reads).collect())
-    }
-
-    /// Broker partition counts.
-    pub fn broker_loads(&self) -> &[u32] {
-        &self.broker_partitions
     }
 }
 
@@ -283,17 +273,5 @@ mod tests {
         log.create_topic("t").unwrap();
         log.create_topic("t").unwrap();
         assert_eq!(log.topic_count(), 1);
-    }
-
-    #[test]
-    fn broker_placement_balances() {
-        let mut log = EventLog::new(EventLogConfig::small());
-        for i in 0..8 {
-            log.create_topic(&format!("t{i}")).unwrap();
-        }
-        let loads = log.broker_loads();
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
-        assert!(max - min <= 1, "balanced placement: {loads:?}");
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! This module implements that system honestly — AND/OR filter trees,
 //! per-topic config knobs, an (implicitly ordered!) processing pipeline —
-//! so the ablation benchmarks can demonstrate both failure modes: the
+//! so `paper ablations` can demonstrate both failure modes: the
 //! configuration-space explosion and the rate-limit/privacy mis-ordering.
 
 use std::collections::HashMap;
@@ -127,13 +127,6 @@ impl GenericFilterEngine {
             // +2 for rate limit and privacy placement themselves.
             .map(|c| c.filter.knob_count() + 2)
             .sum()
-    }
-
-    /// Size of the configuration *space*: the product over topics of each
-    /// topic's knob combinations (taking each knob as binary). Grows
-    /// exponentially with onboarded applications.
-    pub fn config_space_log2(&self) -> f64 {
-        self.total_knobs() as f64
     }
 
     /// Processes one window of candidate messages for a viewer.
@@ -266,8 +259,6 @@ mod tests {
         }
         // 4 filter leaves + 2 pipeline knobs per app.
         assert_eq!(engine.total_knobs(), 60);
-        // Config space doubles with every knob: 2^60 states to reason about.
-        assert!(engine.config_space_log2() >= 60.0);
     }
 
     #[test]

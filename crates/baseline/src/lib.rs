@@ -3,9 +3,8 @@
 //! "We briefly review several different architectures we either deployed or
 //! experimented with to target the LiveVideoComments application":
 //!
-//! * [`polling`] — **client-side polling** (the production predecessor) and
-//!   the **server-side polling agent** variant. Both hammer TAO with range
-//!   and intersect queries, most of which return nothing.
+//! * [`polling`] — **client-side polling** (the production predecessor):
+//!   it hammers TAO with range queries, most of which return nothing.
 //! * [`trigger`] — **pub/sub triggering** (Thialfi-like): a reliable
 //!   notification tells the client to poll; eliminates empty polls but
 //!   retains the expensive query shape and can overwhelm devices with
@@ -18,12 +17,12 @@
 //!   "spent years" building before declaring it a failure: a configuration
 //!   matrix whose parameter interactions (e.g. privacy-check placement vs
 //!   rate limiting) produce wrong behaviour that per-app BRASS code avoids.
+//!
+//! Each is measured by a `bench::paper` entry: polling by `fig6` and
+//! `headline`, the other three by `ablations`. A public item no entry
+//! reaches does not belong here.
 
 pub mod event_log;
 pub mod generic_filter;
 pub mod polling;
 pub mod trigger;
-
-pub use event_log::{EventLog, EventLogConfig, EventLogError};
-pub use polling::{ClientPoller, PollOutcome, ServerPollingAgent};
-pub use trigger::TriggerService;

@@ -1,4 +1,4 @@
-//! Client-side and server-side polling baselines.
+//! The client-side polling baseline (the production predecessor).
 //!
 //! Client-side polling "is easy to implement client-side, and its
 //! request-response model easily copes with server and connection failures"
@@ -62,11 +62,6 @@ impl ClientPoller {
         self.next_poll
     }
 
-    /// Total polls issued.
-    pub fn polls(&self) -> u64 {
-        self.polls
-    }
-
     /// Fraction of polls that returned nothing.
     pub fn empty_fraction(&self) -> f64 {
         if self.polls == 0 {
@@ -126,61 +121,6 @@ impl ClientPoller {
     }
 }
 
-/// A server-side polling agent: polls on behalf of connected clients and
-/// pushes new data down a persistent connection.
-///
-/// "Server-side polling substantially reduces client and last-mile network
-/// overheads. But it still causes excessive backend server overhead for
-/// parsing, evaluating, and executing each incoming query poll."
-pub struct ServerPollingAgent {
-    poller: ClientPoller,
-    /// Number of clients sharing this agent's poll results.
-    subscribers: usize,
-    pushes: u64,
-}
-
-impl ServerPollingAgent {
-    /// Creates an agent polling `video` for `subscribers` clients.
-    pub fn new(video: u64, interval: SimDuration, start: SimTime, subscribers: usize) -> Self {
-        ServerPollingAgent {
-            poller: ClientPoller::new(video, interval, start),
-            subscribers,
-            pushes: 0,
-        }
-    }
-
-    /// The next scheduled backend poll.
-    pub fn next_poll_at(&self) -> SimTime {
-        self.poller.next_poll_at()
-    }
-
-    /// Backend polls issued so far (one per interval, *not* per client —
-    /// that is the saving over client-side polling).
-    pub fn backend_polls(&self) -> u64 {
-        self.poller.polls()
-    }
-
-    /// Push messages emitted to clients so far.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Polls once and fans results to subscribers; returns what each client
-    /// received.
-    pub fn poll_and_push(
-        &mut self,
-        was: &mut WebApplicationServer,
-        region: u16,
-        now: SimTime,
-    ) -> Result<PollOutcome, WasError> {
-        let outcome = self.poller.poll(was, region, now)?;
-        if !outcome.empty {
-            self.pushes += self.subscribers as u64;
-        }
-        Ok(outcome)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,7 +170,6 @@ mod tests {
             p.poll(&mut was, 0, SimTime::from_secs(s)).unwrap();
         }
         assert!(p.empty_fraction() >= 0.9, "{}", p.empty_fraction());
-        assert_eq!(p.polls(), 10);
     }
 
     #[test]
@@ -240,22 +179,6 @@ mod tests {
         assert_eq!(p.next_poll_at(), SimTime::from_secs(3));
         p.poll(&mut was, 0, SimTime::from_secs(3)).unwrap();
         assert_eq!(p.next_poll_at(), SimTime::from_secs(6));
-    }
-
-    #[test]
-    fn server_agent_amortizes_backend_polls() {
-        let (mut was, video, user) = setup();
-        let mut agent =
-            ServerPollingAgent::new(video, SimDuration::from_secs(2), SimTime::ZERO, 100);
-        post(&mut was, video, user, 1_000);
-        agent
-            .poll_and_push(&mut was, 0, SimTime::from_secs(2))
-            .unwrap();
-        agent
-            .poll_and_push(&mut was, 0, SimTime::from_secs(4))
-            .unwrap();
-        assert_eq!(agent.backend_polls(), 2, "one backend poll per interval");
-        assert_eq!(agent.pushes(), 100, "first poll fanned to all 100 clients");
     }
 
     #[test]

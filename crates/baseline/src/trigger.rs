@@ -16,10 +16,9 @@ use std::collections::HashMap;
 pub struct TriggerService {
     /// topic → subscribed client ids.
     subscribers: HashMap<String, Vec<u64>>,
-    /// Pending notification queue per client (at-least-once, so failures
-    /// re-enqueue; duplicates are possible by design).
+    /// Pending notification queue per client: each entry is a TAO poll
+    /// the client owes.
     pending: HashMap<u64, Vec<String>>,
-    notifications_sent: u64,
     replication_writes: u64,
     /// Replication factor for notification durability.
     replicas: u64,
@@ -47,22 +46,19 @@ impl TriggerService {
     ///
     /// Returns the number of notifications enqueued.
     pub fn publish(&mut self, topic: &str) -> u64 {
+        // At-least-once delivery => the notification itself is replicated,
+        // whatever its fan-out.
+        self.replication_writes += self.replicas;
         let Some(subs) = self.subscribers.get(topic) else {
-            // Durability writes happen regardless of fan-out.
-            self.replication_writes += self.replicas;
             return 0;
         };
-        let count = subs.len() as u64;
-        for &client in subs.clone().iter() {
+        for &client in subs {
             self.pending
                 .entry(client)
                 .or_default()
                 .push(topic.to_owned());
         }
-        self.notifications_sent += count;
-        // At-least-once delivery => the notification itself is replicated.
-        self.replication_writes += self.replicas;
-        count
+        subs.len() as u64
     }
 
     /// Drains a client's pending triggers (each one costs a TAO poll).
@@ -70,26 +66,9 @@ impl TriggerService {
         self.pending.remove(&client).unwrap_or_default()
     }
 
-    /// Pending trigger backlog for a client — the "devices could easily be
-    /// overwhelmed with update signals" failure mode.
-    pub fn backlog(&self, client: u64) -> usize {
-        self.pending.get(&client).map_or(0, Vec::len)
-    }
-
-    /// Total notifications sent.
-    pub fn notifications_sent(&self) -> u64 {
-        self.notifications_sent
-    }
-
     /// Replication writes performed for notification durability.
     pub fn replication_writes(&self) -> u64 {
         self.replication_writes
-    }
-
-    /// Simulates an at-least-once redelivery after a client failure: the
-    /// drained triggers are re-enqueued (duplicates are expected).
-    pub fn redeliver(&mut self, client: u64, triggers: Vec<String>) {
-        self.pending.entry(client).or_default().extend(triggers);
     }
 }
 
@@ -118,18 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_topic_overwhelms_device_backlog() {
-        let mut t = TriggerService::new(3);
-        t.subscribe("/LVC/hot", 1);
-        for _ in 0..10_000 {
-            t.publish("/LVC/hot");
-        }
-        // Every single update produced a signal to the device: the
-        // firehose problem that made triggering unsuitable.
-        assert_eq!(t.backlog(1), 10_000);
-    }
-
-    #[test]
     fn replication_cost_scales_with_publishes() {
         let mut t = TriggerService::new(3);
         t.subscribe("/a", 1);
@@ -138,17 +105,5 @@ mod tests {
         }
         // At-least-once: 3 replica writes per notification event.
         assert_eq!(t.replication_writes(), 300);
-    }
-
-    #[test]
-    fn redelivery_duplicates_are_possible() {
-        let mut t = TriggerService::new(1);
-        t.subscribe("/a", 1);
-        t.publish("/a");
-        let drained = t.drain(1);
-        // The client crashed before acting: at-least-once redelivers.
-        t.redeliver(1, drained);
-        t.publish("/a");
-        assert_eq!(t.backlog(1), 2, "duplicate trigger plus the new one");
     }
 }

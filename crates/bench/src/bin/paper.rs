@@ -1,10 +1,9 @@
-//! The paper's evaluation (§5): every table and figure, each printed with
-//! its claims checked against the paper.
+//! The paper's evaluation (§5) and §2's ablations: every table and figure,
+//! each printed with its claims checked against the paper.
 //!
 //! Run: `cargo run --release -p bench --bin paper [id ...]` — no id runs
-//! the whole catalog (`table1 table2 table3 fig6 fig7 fig8 fig9 fig10
-//! headline`), each under a separator line. Exits 1 naming every claim
-//! that fails, 2 on an unknown id.
+//! the whole catalog (`paper::CATALOG`), each entry under a separator
+//! line. Exits 1 naming every claim that fails, 2 on an unknown id.
 
 use bench::paper::{self, Run, CATALOG};
 
@@ -17,7 +16,8 @@ fn main() {
             .map(|id| match paper::figure(id) {
                 Some(run) => (id.as_str(), run),
                 None => {
-                    eprintln!("unknown figure {id:?}; known: table1-3 fig6-10 headline");
+                    let known: Vec<&str> = CATALOG.iter().map(|&(name, _)| name).collect();
+                    eprintln!("unknown figure {id:?}; known: {}", known.join(" "));
                     std::process::exit(2)
                 }
             })

@@ -1,7 +1,8 @@
-//! The paper's evaluation (§5): Tables 1–3, Figs. 6–10 and the §1/§5
-//! headline numbers, one catalog entry each. An entry runs its figure at
-//! the size EXPERIMENTS.md quotes and returns a [`Report`]: the tables and
-//! notes to print, and the paper's claims computed from what was measured.
+//! The paper's evaluation (§5): Tables 1–3, Figs. 6–10, the §1/§5
+//! headline numbers and §2's ablations, one catalog entry each. An entry
+//! runs its figure at the size EXPERIMENTS.md quotes and returns a
+//! [`Report`]: the tables and notes to print, and the paper's claims
+//! computed from what was measured.
 //!
 //! `cargo run --release -p bench --bin paper [id ...]` prints the reports
 //! and exits non-zero when a claim fails; `tests/paper_shapes.rs` runs the
@@ -9,16 +10,21 @@
 
 use std::fmt;
 
+use baseline::event_log::{EventLog, EventLogConfig, EventLogError};
+use baseline::generic_filter::{Filter, GenericFilterEngine, Meta, PrivacyPlacement, TopicConfig};
 use baseline::polling::ClientPoller;
+use baseline::trigger::TriggerService;
 use bladerunner::config::{LinkClass, SystemConfig};
 use bladerunner::latency::LatencyModel;
 use bladerunner::scenario::{diurnal_day, LiveVideo};
 use bladerunner::sim::SystemSim;
+use pylon::{HostId, PylonCluster, PylonConfig, Topic};
 use simkit::dist::{Distribution, Exponential, Poisson};
 use simkit::metrics::Histogram;
 use simkit::rng::DetRng;
 use simkit::time::{SimDuration, SimTime};
-use tao::{Tao, TaoConfig};
+use tao::{ObjectId, Tao, TaoConfig};
+use was::event::{EventKind, EventMeta, UpdateEvent};
 use was::service::{Rv, WebApplicationServer};
 use workload::activity::DiurnalCurve;
 use workload::tables::{AreaUpdateModel, StreamLifetimeModel};
@@ -28,9 +34,9 @@ use crate::table;
 /// A figure run at the size and seed EXPERIMENTS.md quotes.
 pub type Run = fn() -> Report;
 
-/// Every table and figure in the paper's order, by its id on `paper`'s
-/// command line.
-pub static CATALOG: [(&str, Run); 9] = [
+/// Every table and figure in the paper's order, then §2's ablations, by
+/// its id on `paper`'s command line.
+pub static CATALOG: [(&str, Run); 10] = [
     ("table1", || table1(2_000_000, 1)),
     ("table2", || table2(1_000_000, 2)),
     ("table3", || table3(3)),
@@ -40,6 +46,7 @@ pub static CATALOG: [(&str, Run); 9] = [
     ("fig9", || fig9(20, 9)),
     ("fig10", || fig10(120, 10)),
     ("headline", || headline(50, 10, 1_500, 11)),
+    ("ablations", ablations),
 ];
 
 /// The run of the catalog entry named `id`.
@@ -998,4 +1005,173 @@ fn messenger_cpu() -> (u64, u64) {
             .expect("the recipient can read each message");
     }
     (poll, cpu_us(&mut was) - before)
+}
+
+/// §2's rejected alternatives against the design choices that replaced
+/// them (DESIGN.md §5), each counted through the `baseline` model of the
+/// alternative, so the report repeats byte for byte on any host.
+pub fn ablations() -> Report {
+    const CONSUMERS: u64 = 8;
+    const PUBLISHES: u64 = 100;
+    // Events, not payloads: one update's bytes per cross-region hop.
+    let event = UpdateEvent {
+        id: 1,
+        topic: Topic::live_video_comments(42),
+        object: ObjectId(7),
+        kind: EventKind::CommentPosted,
+        meta: EventMeta {
+            lang: Some("en".into()),
+            ..EventMeta::default()
+        },
+    };
+    let (event_bytes, payload_bytes) = (event.wire_size(), event.wire_size() + 2_048);
+
+    // Best-effort Pylon against an at-least-once trigger service, fanning
+    // the same publishes out to the same consumers.
+    let topic = Topic::live_video_comments(7);
+    let mut pylon = PylonCluster::new(PylonConfig::small());
+    let replicas = pylon.config().replicas as u64;
+    let mut trigger = TriggerService::new(replicas);
+    for host in 0..CONSUMERS {
+        pylon
+            .subscribe(&topic, HostId(host as u32))
+            .expect("replicas up");
+        trigger.subscribe(topic.as_str(), host);
+    }
+    for id in 0..PUBLISHES {
+        pylon.publish(&topic, id);
+        trigger.publish(topic.as_str());
+    }
+    let pylon_writes = pylon.counters().repairs * replicas;
+    let forwards = pylon.counters().forwards / PUBLISHES;
+    let owed_polls = trigger.drain(0).len() as u64;
+
+    // The generic filter engine: its knobs per onboarded app, and the
+    // rate-limit/privacy ordering with every other author blocked.
+    let config = |privacy| TopicConfig {
+        filter: Filter::And(vec![Filter::MinQuality(0.2), Filter::LangIs("en".into())]),
+        rate_limit: 3,
+        privacy,
+    };
+    let mut engine = GenericFilterEngine::new();
+    let knobs: Vec<usize> = (0..10)
+        .map(|app| {
+            engine.configure(&app.to_string(), config(PrivacyPlacement::BeforeRateLimit));
+            engine.total_knobs()
+        })
+        .collect();
+    let candidates: Vec<Meta> = (0..6)
+        .map(|author| Meta {
+            author,
+            quality: 0.9,
+            lang: "en".into(),
+            age_ms: 0,
+        })
+        .collect();
+    let [before, after] = [
+        PrivacyPlacement::BeforeRateLimit,
+        PrivacyPlacement::AfterRateLimit,
+    ]
+    .map(|privacy| {
+        engine.configure("lvc", config(privacy));
+        engine.deliver_window("lvc", &candidates, &|author| author % 2 == 0)
+    });
+
+    // The event log: its topic cap, then one event read by every consumer.
+    let mut log = EventLog::new(EventLogConfig::small());
+    let refused = (0..=EventLogConfig::small().max_topics)
+        .find_map(|topic| log.create_topic(&topic.to_string()).err());
+    let next = log.topic_count() as u64;
+    let pylon_next = pylon.subscribe(&Topic::live_video_comments(next), HostId(0));
+    let (partition, offset) = log.append("0", 1).expect("a created topic");
+    for _ in 0..CONSUMERS {
+        log.poll("0", partition, offset, 16).expect("a partition");
+    }
+    let loads = log.partition_loads("0").expect("a created topic");
+    let (log_ops, hot) = (loads.iter().sum::<u64>(), loads[partition as usize]);
+
+    // TAO's query shapes: BRASS's point read against polling's range read
+    // and 50-friend intersect.
+    let mut tao = Tao::new(TaoConfig::small());
+    let video = tao.obj_add("video", vec![]);
+    let mut comment = video;
+    for time in 0..500 {
+        comment = tao.obj_add("comment", vec![]);
+        tao.assoc_add(video, "has_comment", comment, time, vec![]);
+    }
+    let mut friends = Vec::new();
+    for time in 0..50 {
+        let (friend, story) = (tao.obj_add("user", vec![]), tao.obj_add("story", vec![]));
+        tao.assoc_add(friend, "has_story", story, time, vec![]);
+        friends.push(friend);
+    }
+    let point = tao.obj_get(0, comment).1;
+    let range = tao
+        .assoc_time_range(0, video, "has_comment", 100, u64::MAX, 50)
+        .1;
+    let intersect = tao.assoc_intersect(0, &friends, "has_story", 10).1;
+    let shapes = [
+        ("point", point),
+        ("range, 50 since X", range),
+        ("intersect, 50 friends", intersect),
+    ];
+    let shape_rows = shapes.map(|(shape, c)| {
+        let counts = [c.shards_touched, c.rows_read, c.cpu_us].map(|v| v.to_string());
+        [vec![shape.to_string()], counts.to_vec()].concat()
+    });
+    let trigger_writes = trigger.replication_writes();
+    let rows_x = range.rows_read / point.rows_read;
+    let shards_x = intersect.shards_touched / point.shards_touched;
+    let mut r = Report {
+        text: table(
+            "Ablations — TAO query shapes: BRASS's point read vs polling's",
+            &["shape", "shards", "rows", "est. CPU us"],
+            &shape_rows,
+        ),
+        claims: Vec::new(),
+    };
+    r.claims.push(Claim {
+        text: "bytes per cross-region hop: an event is <= 1/10 of it with a 2 KiB payload".into(),
+        measured: format!("{event_bytes} B vs {payload_bytes} B"),
+        paper: "events, not payloads".into(),
+        holds: payload_bytes >= 10 * event_bytes,
+    });
+    r.claims.push(Claim {
+        text: "100 publishes: best-effort writes no replica; a trigger writes and owes polls"
+            .into(),
+        measured: format!("{pylon_writes} vs {trigger_writes} writes, {owed_polls} polls owed"),
+        paper: "best-effort delivery; signal overload".into(),
+        holds: pylon_writes == 0 && trigger_writes >= PUBLISHES && owed_polls == PUBLISHES,
+    });
+    r.claims.push(Claim {
+        text: "the generic engine's knobs grow with every onboarded app".into(),
+        measured: format!("{knobs:?}"),
+        paper: "ever more configuration parameters".into(),
+        holds: knobs.windows(2).all(|w| w[0] < w[1]),
+    });
+    r.claims.push(Claim {
+        text: "rate limit 3, half blocked: privacy after the limit under-delivers".into(),
+        measured: format!("{} vs {} delivered", after.delivered, before.delivered),
+        paper: "fewer messages than intended".into(),
+        holds: before.delivered == 3 && after.delivered < before.delivered,
+    });
+    r.claims.push(Claim {
+        text: "the event log refuses a topic past its cap; Pylon subscribes it".into(),
+        measured: format!("{refused:?} at {next} topics; Pylon {pylon_next:?}"),
+        paper: "no billions of dynamic topics".into(),
+        holds: refused == Some(EventLogError::TopicCapacityExhausted) && pylon_next.is_ok(),
+    });
+    r.claims.push(Claim {
+        text: "one event to 8 consumers: 1 publish vs append + 8 polls on one partition".into(),
+        measured: format!("{forwards} forwards vs {log_ops} log operations, {hot} on one"),
+        paper: "accesses serialized on one partition".into(),
+        holds: forwards == CONSUMERS && log_ops == 1 + CONSUMERS && hot == log_ops,
+    });
+    r.claims.push(Claim {
+        text: "polling's shapes read >= 10x the rows or shards of a point read".into(),
+        measured: format!("{rows_x}x rows (range), {shards_x}x shards (intersect)"),
+        paper: "polling's expensive query shapes".into(),
+        holds: rows_x >= 10 && shards_x >= 10,
+    });
+    r
 }

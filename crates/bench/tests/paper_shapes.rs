@@ -77,3 +77,12 @@ fn fig10() {
 fn headline() {
     claims_hold("headline");
 }
+
+/// The ablations are counted, not timed: a second run prints the same
+/// bytes, so no wall-clock reading can creep into a claim.
+#[test]
+fn ablations() {
+    claims_hold("ablations");
+    let run = paper::figure("ablations").expect("a catalog entry");
+    assert_eq!(run().to_string(), run().to_string());
+}

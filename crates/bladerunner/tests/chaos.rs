@@ -23,7 +23,7 @@ fn chaos_config() -> SystemConfig {
     config
 }
 
-/// The acceptance-criterion test: an *unplanned* BRASS crash is learned
+/// The acceptance test: an *unplanned* BRASS crash is learned
 /// of exclusively through missed heartbeat pongs — no repair happens
 /// before the miss threshold, and the crashed host's streams land on a
 /// healthy host within the detection window.

@@ -8,6 +8,9 @@
 # It also prints the non-test lines of each crate and of all of them: the
 # code size ROADMAP.md quotes. crates/bladerunner/src/sim/tests.rs is a
 # test module the `#[cfg(test)]` rule cannot see, so the totals skip it.
+# Then, with no limit, every line of each vendored shim's src/, of all
+# shims together and of examples/: the counts ROADMAP.md quotes outside
+# crates/*/src.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 limit=1500
@@ -31,6 +34,13 @@ for crate in $(printf '%s\n' "${!crate_lines[@]}" | sort); do
     printf '%-12s %6d non-test lines\n' "$crate" "${crate_lines[$crate]}"
 done
 printf '%-12s %6d non-test lines\n' total "$total"
+lines_in() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
+shims=(shims/*/src)
+for src in "${shims[@]}"; do
+    printf '%-16s %6d lines\n' "${src%/src}" "$(lines_in "$src")"
+done
+printf '%-16s %6d lines in %d shims\n' shims "$(lines_in "${shims[@]}")" "${#shims[@]}"
+printf '%-16s %6d lines\n' examples "$(lines_in examples)"
 if [ "$status" -ne 0 ]; then
     echo "error: split the file along its seams (see crates/bladerunner/src/sim/ for the shape)" >&2
 fi
