@@ -16,9 +16,9 @@ use std::collections::HashMap;
 pub struct TriggerService {
     /// topic → subscribed client ids.
     subscribers: HashMap<String, Vec<u64>>,
-    /// Pending notification queue per client: each entry is a TAO poll
-    /// the client owes.
-    pending: HashMap<u64, Vec<String>>,
+    /// Pending notifications per client: each is a TAO poll the client
+    /// owes.
+    pending: HashMap<u64, u64>,
     replication_writes: u64,
     /// Replication factor for notification durability.
     replicas: u64,
@@ -53,17 +53,14 @@ impl TriggerService {
             return 0;
         };
         for &client in subs {
-            self.pending
-                .entry(client)
-                .or_default()
-                .push(topic.to_owned());
+            *self.pending.entry(client).or_default() += 1;
         }
         subs.len() as u64
     }
 
-    /// Drains a client's pending triggers (each one costs a TAO poll).
-    pub fn drain(&mut self, client: u64) -> Vec<String> {
-        self.pending.remove(&client).unwrap_or_default()
+    /// Drains a client's pending triggers: how many TAO polls it owes.
+    pub fn drain(&mut self, client: u64) -> u64 {
+        self.pending.remove(&client).unwrap_or(0)
     }
 
     /// Replication writes performed for notification durability.
@@ -83,9 +80,11 @@ mod tests {
         t.subscribe("/LVC/1", 11);
         t.subscribe("/LVC/2", 12);
         assert_eq!(t.publish("/LVC/1"), 2);
-        assert_eq!(t.drain(10), vec!["/LVC/1"]);
-        assert_eq!(t.drain(11), vec!["/LVC/1"]);
-        assert!(t.drain(12).is_empty());
+        assert_eq!(t.publish("/LVC/1"), 2);
+        assert_eq!(t.drain(10), 2);
+        assert_eq!(t.drain(11), 2);
+        assert_eq!(t.drain(12), 0);
+        assert_eq!(t.drain(10), 0, "a drain empties the queue");
     }
 
     #[test]

@@ -1044,7 +1044,7 @@ pub fn ablations() -> Report {
     }
     let pylon_writes = pylon.counters().repairs * replicas;
     let forwards = pylon.counters().forwards / PUBLISHES;
-    let owed_polls = trigger.drain(0).len() as u64;
+    let owed_polls = trigger.drain(0);
 
     // The generic filter engine: its knobs per onboarded app, and the
     // rate-limit/privacy ordering with every other author blocked.

@@ -151,13 +151,17 @@ pub struct SystemMetrics {
 /// back settles it. [`Self::publications`] is the one place that does;
 /// the Fig. 7 buckets, equality and the snapshot all read through it, and
 /// unregistering writes the settled count back. The topic counters are
-/// therefore not state: a snapshot holds settled counts, and `resume`
-/// registers the streams again against fresh counters.
+/// therefore not state: a snapshot holds settled counts and each
+/// registered stream's topic name, and its restore registers the streams
+/// again against fresh counters.
 ///
-/// Registration is not the stream's lifetime. The simulator's registries
-/// register a stream when the device subscribes and unregister it when
-/// the device cancels it; a stream the server ended (a redirect the
-/// device retries under the same sid, say) is closed but keeps counting.
+/// This is the engine's one record of which stream is registered on which
+/// topic ([`SystemMetrics::stream_topic`]); the per-frame attribution
+/// reads it. Registration is not the stream's lifetime: a stream is
+/// registered when the device subscribes and unregistered when the device
+/// cancels it or drops it for good; a stream the server ended (a redirect
+/// the device retries under the same sid, say) is closed but keeps
+/// counting.
 #[derive(Clone, Debug, Default)]
 struct StreamStats {
     streams: FxHashMap<(u64, StreamId), StreamStat>,
@@ -177,8 +181,10 @@ struct StreamStat {
     topic: Option<TopicId>,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct TopicCount {
+    /// The topic, kept so a stream's topic is read without the interner.
+    topic: Topic,
     /// Publications since the entry was created.
     published: u64,
     /// Streams registered on the topic; the entry goes with the last.
@@ -192,20 +198,25 @@ impl StreamStats {
         stat.publications.wrapping_add(published)
     }
 
+    /// The topic `stat` is registered on.
+    fn topic(&self, stat: &StreamStat) -> Option<Topic> {
+        stat.topic.map(|id| self.topics[&id].topic)
+    }
+
     /// Registers the tracked stream `key` on `topic`, settling any earlier
-    /// registration; fails for a stream never opened.
-    fn register(&mut self, key: (u64, StreamId), topic: TopicId) -> Result<(), String> {
-        ensure(
-            self.streams.contains_key(&key),
-            "a registered stream was never opened",
-        )?;
+    /// registration.
+    fn register(&mut self, key: (u64, StreamId), topic: Topic) {
         self.unregister(key);
-        let count = self.topics.entry(topic).or_default();
+        let new = TopicCount {
+            topic,
+            published: 0,
+            streams: 0,
+        };
+        let count = self.topics.entry(topic.id()).or_insert(new);
         count.streams += 1;
-        let stat = self.streams.get_mut(&key).expect("checked above");
+        let stat = self.streams.entry(key).or_default();
         stat.publications = stat.publications.wrapping_sub(count.published);
-        stat.topic = Some(topic);
-        Ok(())
+        stat.topic = Some(topic.id());
     }
 
     /// Ends `key`'s registration, if any, writing its settled count back.
@@ -224,55 +235,53 @@ impl StreamStats {
         }
     }
 
-    /// `(key, opened, settled publications)` in ascending key order.
-    fn settled(&self) -> Vec<((u64, StreamId), Option<SimTime>, u64)> {
+    /// `(key, (opened, settled publications, topic))` in ascending key
+    /// order.
+    fn settled(&self) -> Vec<SettledRow> {
         let mut rows: Vec<_> = self
             .streams
             .iter()
-            .map(|(&key, stat)| (key, stat.opened, self.publications(stat)))
+            .map(|(&key, s)| (key, (s.opened, self.publications(s), self.topic(s))))
             .collect();
         rows.sort_unstable_by_key(|row| row.0);
         rows
     }
 }
 
-/// Equal when the same streams hold the same settled counts, whatever
-/// the topic counters they are stored against.
+/// A stream's snapshot row: see [`StreamStats::settled`].
+type SettledRow = ((u64, StreamId), (Option<SimTime>, u64, Option<Topic>));
+
+/// Equal when the same streams hold the same settled counts and
+/// registrations, whatever the topic counters they are stored against.
 impl PartialEq for StreamStats {
     fn eq(&self, other: &Self) -> bool {
         self.settled() == other.settled()
     }
 }
 
-/// The bytes of a hash map from stream to `(opened, publications)`, with
-/// every count settled; a restored stream is unregistered until `resume`
-/// registers it again.
+/// The bytes of a hash map from stream to `(opened, publications, topic)`,
+/// with every count settled and the topic named while the stream is
+/// registered; restoring registers those streams again.
 impl Snap for StreamStats {
     fn snap(&self, w: &mut SnapWriter) {
-        let rows = self.settled();
-        w.put_usize(rows.len());
-        for (key, opened, publications) in rows {
-            key.snap(w);
-            opened.snap(w);
-            publications.snap(w);
-        }
+        self.settled().snap(w);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        type Row = ((u64, StreamId), (Option<SimTime>, u64));
-        let rows = restore_sorted(r, |a: &Row, b| a.0 < b.0)?;
-        let streams = rows.into_iter().map(|(key, (opened, publications))| {
+        let rows = restore_sorted(r, |a: &SettledRow, b| a.0 < b.0)?;
+        let mut stats = StreamStats::default();
+        for (key, (opened, publications, topic)) in rows {
             let stat = StreamStat {
                 opened,
                 publications,
                 topic: None,
             };
-            (key, stat)
-        });
-        Ok(StreamStats {
-            streams: streams.collect(),
-            topics: FxHashMap::default(),
-        })
+            stats.streams.insert(key, stat);
+            if let Some(topic) = topic {
+                stats.register(key, topic);
+            }
+        }
+        Ok(stats)
     }
 }
 
@@ -414,13 +423,15 @@ impl SystemMetrics {
         (min, mean)
     }
 
-    /// Records a stream opening.
-    pub fn stream_opened(&mut self, device: u64, sid: StreamId, at: SimTime) {
-        self.stream_stats
-            .streams
-            .entry((device, sid))
-            .or_default()
-            .opened = Some(at);
+    /// Records a stream opening and registers it on the topic its
+    /// subscription targets, if any: `topic`'s publications are credited
+    /// to it until [`Self::unregister_stream`].
+    pub fn stream_opened(&mut self, device: u64, sid: StreamId, at: SimTime, topic: Option<Topic>) {
+        let stats = &mut self.stream_stats;
+        stats.streams.entry((device, sid)).or_default().opened = Some(at);
+        if let Some(topic) = topic {
+            stats.register((device, sid), topic);
+        }
     }
 
     /// Records a stream closing, accumulating its lifetime. Its
@@ -436,21 +447,16 @@ impl SystemMetrics {
         }
     }
 
-    /// Starts crediting `topic`'s publications to a stream already
-    /// opened. Fails for a stream never opened, which only a corrupt
-    /// snapshot's registries can name.
-    pub(crate) fn register_stream(
-        &mut self,
-        device: u64,
-        sid: StreamId,
-        topic: Topic,
-    ) -> Result<(), String> {
-        self.stream_stats.register((device, sid), topic.id())
-    }
-
     /// Stops crediting publications to a stream, keeping its count.
     pub(crate) fn unregister_stream(&mut self, device: u64, sid: StreamId) {
         self.stream_stats.unregister((device, sid));
+    }
+
+    /// The topic a stream is registered on. Read for every frame, so it
+    /// never takes the topic interner's lock.
+    pub(crate) fn stream_topic(&self, device: u64, sid: StreamId) -> Option<Topic> {
+        let stats = &self.stream_stats;
+        stats.topic(stats.streams.get(&(device, sid))?)
     }
 
     /// Counts one publication on `topic` for every stream registered on
@@ -581,7 +587,7 @@ mod tests {
     #[test]
     fn stream_lifetime_accounting() {
         let mut m = metrics();
-        m.stream_opened(1, StreamId(1), SimTime::from_secs(10));
+        m.stream_opened(1, StreamId(1), SimTime::from_secs(10), None);
         m.stream_closed(1, StreamId(1), SimTime::from_secs(70));
         assert_eq!(m.stream_lifetimes, vec![SimDuration::from_secs(60)]);
         // Closing an unknown stream is a no-op.
@@ -594,8 +600,7 @@ mod tests {
         let mut m = metrics();
         for (i, n) in [(1u64, 0u64), (2, 5), (3, 50), (4, 500)] {
             let topic = Topic::new(&format!("/Fig7/{i}")).expect("valid");
-            m.stream_opened(i, StreamId(1), SimTime::ZERO);
-            m.register_stream(i, StreamId(1), topic).expect("opened");
+            m.stream_opened(i, StreamId(1), SimTime::ZERO, Some(topic));
             for _ in 0..n {
                 m.publication(topic);
             }
@@ -619,10 +624,15 @@ mod tests {
         publications: u64,
     }
 
-    simkit::snap_struct!(EagerStat {
-        opened,
-        publications
-    });
+    /// The stream stats' snapshot bytes the model implies: its rows in key
+    /// order, each naming the topic the stream is registered on.
+    fn eager_bytes(model: &EagerModel) -> Vec<u8> {
+        let rows = model.stats.iter().map(|(key, s)| {
+            let topic = model.stream_topic.get(key).copied();
+            (*key, (s.opened, s.publications, topic))
+        });
+        bytes_of(&rows.collect::<std::collections::BTreeMap<_, _>>())
+    }
 
     fn eager_buckets(model: &EagerModel) -> [f64; 4] {
         let total = model.stats.len().max(1) as f64;
@@ -649,7 +659,8 @@ mod tests {
         /// ends (closed, still registered, as after a redirect) and
         /// publishes, with a snapshot and resume at a random cut, against
         /// the eager per-stream counter: the same settled counts, the same
-        /// Fig. 7 buckets and the same snapshot bytes after every step.
+        /// registered topics, the same Fig. 7 buckets and the same snapshot
+        /// bytes after every step, the resumed metrics included.
         #[test]
         fn per_topic_counting_matches_eager_per_stream_counting(
             ops in proptest::collection::vec((0..9u8, 0..64u64), 1..300),
@@ -679,10 +690,9 @@ mod tests {
                         let key = (device, StreamId(next_sid[device as usize]));
                         next_sid[device as usize] += 1;
                         let topic = (raw % 5 != 4).then(|| topics[(raw / 6 % 4) as usize]);
-                        m.stream_opened(key.0, key.1, at);
+                        m.stream_opened(key.0, key.1, at, topic);
                         model.stats.entry(key).or_default().opened = Some(at);
                         if let Some(topic) = topic {
-                            m.register_stream(key.0, key.1, topic).expect("opened");
                             model.topic_streams.entry(topic).or_default().push(key);
                             model.stream_topic.insert(key, topic);
                         }
@@ -716,19 +726,18 @@ mod tests {
                 }
                 if i == cut % ops.len() {
                     let bytes = bytes_of(&m);
-                    let mut resumed = SystemMetrics::restore(&mut SnapReader::new(&bytes)).expect("restores");
-                    for (&(device, sid), &topic) in &model.stream_topic {
-                        resumed.register_stream(device, sid, topic).expect("registered streams are tracked");
-                    }
+                    let resumed = SystemMetrics::restore(&mut SnapReader::new(&bytes)).expect("restores");
                     assert!(resumed == m, "resumed metrics equal the run-through");
                     m = resumed;
                 }
                 for (key, stat) in &m.stream_stats.streams {
                     assert_eq!(m.stream_stats.publications(stat), model.stats[key].publications, "op {i}");
+                    let topic = model.stream_topic.get(key).copied();
+                    assert_eq!(m.stream_topic(key.0, key.1), topic, "op {i}");
                 }
                 assert_eq!(m.streams_tracked(), model.stats.len());
                 assert_eq!(m.publication_buckets(), eager_buckets(&model));
-                assert_eq!(bytes_of(&m.stream_stats), bytes_of(&model.stats), "op {i}");
+                assert_eq!(bytes_of(&m.stream_stats), eager_bytes(&model), "op {i}");
             }
             // A topic's counter lives exactly as long as a stream is
             // registered on it.
@@ -740,22 +749,18 @@ mod tests {
         }
     }
 
-    /// A stream the server ended is closed yet still registered, so a
-    /// resume registers it again; only a stream never opened is refused.
+    /// A stream the server ended is closed yet still registered, so its
+    /// snapshot row names its topic and a restore registers it again.
     #[test]
-    fn a_closed_stream_registers_and_an_unknown_one_does_not() {
+    fn a_closed_stream_stays_registered_through_a_restore() {
         let topic = Topic::new("/Pubs/closed").expect("valid");
         let mut m = metrics();
-        m.stream_opened(1, StreamId(1), SimTime::ZERO);
-        m.register_stream(1, StreamId(1), topic).expect("opened");
+        m.stream_opened(1, StreamId(1), SimTime::ZERO, Some(topic));
         m.stream_closed(1, StreamId(1), SimTime::from_secs(1));
         m.publication(topic);
         let mut resumed =
             SystemMetrics::restore(&mut SnapReader::new(&bytes_of(&m))).expect("restores");
-        resumed
-            .register_stream(1, StreamId(1), topic)
-            .expect("a closed stream is tracked");
-        assert!(resumed.register_stream(2, StreamId(1), topic).is_err());
+        assert_eq!(resumed.stream_topic(1, StreamId(1)), Some(topic));
         for counts in [&mut m, &mut resumed] {
             counts.publication(topic);
             assert_eq!(counts.publication_buckets(), [0.0, 100.0, 0.0, 0.0]);

@@ -3,7 +3,9 @@
 //! `WasMutationExec`, `PylonPublish`, `PylonDeliverHost`,
 //! `PylonSubscribeExec`, `WasExec`, `WasReply`, `WasBackfillExec`, and
 //! every host effect), plus the registries that attribute a frame to its
-//! traces and its application.
+//! traces and route it down. A frame's stream topic, which picks its
+//! application and its fan-out leg, is read from the metrics' Fig. 7
+//! registration ([`SystemMetrics::stream_topic`]).
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -29,9 +31,9 @@ use crate::metrics::SystemMetrics;
 // Attribution and routing registries.
 // ----------------------------------------------------------------------
 
-/// The registries handlers consult to attribute frames to traces and apps
-/// and to route them back down. Grouped so a handler can walk a frame's
-/// traces while it writes the ledger and the metrics.
+/// The registries handlers consult to attribute frames to traces and to
+/// route them back down. Grouped so a handler can walk a frame's traces
+/// while it writes the ledger.
 #[derive(Default)]
 pub(super) struct Registries {
     /// object → trace of the most recent update event referencing it, used
@@ -45,13 +47,6 @@ pub(super) struct Registries {
     /// subscription topic land on the exact per-mailbox trace instead of
     /// collapsing onto the object's most recent one.
     pub(super) topic_object_trace: FxHashMap<(Topic, ObjectId), TraceId>,
-    /// The topic each stream subscribed to, from the device's subscribe
-    /// until its cancel or a server end it does not retry; powers
-    /// per-frame app attribution. The one record
-    /// of which stream is registered on which topic: it changes only in
-    /// [`Self::register_stream`] and [`Self::unregister_stream`], which
-    /// start and stop the stream's Fig. 7 publication count with it.
-    stream_topic: FxHashMap<(u64, StreamId), Topic>,
     /// device → proxy carrying its streams (learned from POP routing).
     pub(super) device_proxy: FxHashMap<u64, usize>,
 }
@@ -59,54 +54,8 @@ pub(super) struct Registries {
 snap_struct!(Registries {
     object_trace,
     topic_object_trace,
-    stream_topic,
     device_proxy
 });
-
-impl Registries {
-    /// The topic a registered stream subscribed to.
-    pub(super) fn topic_of(&self, device: u64, sid: StreamId) -> Option<Topic> {
-        self.stream_topic.get(&(device, sid)).copied()
-    }
-
-    /// A device subscribed a stream, already opened in `metrics`, to
-    /// `topic`: its frames are attributed to the topic and its Fig. 7
-    /// count starts.
-    fn register_stream(
-        &mut self,
-        metrics: &mut SystemMetrics,
-        device: u64,
-        sid: StreamId,
-        topic: Topic,
-    ) {
-        self.stream_topic.insert((device, sid), topic);
-        metrics
-            .register_stream(device, sid, topic)
-            .expect("a subscribed stream is opened first");
-    }
-
-    /// A device cancelled a stream, or the server ended it for good: its
-    /// registration, if any, ends.
-    pub(super) fn unregister_stream(
-        &mut self,
-        metrics: &mut SystemMetrics,
-        device: u64,
-        sid: StreamId,
-    ) {
-        if self.stream_topic.remove(&(device, sid)).is_some() {
-            metrics.unregister_stream(device, sid);
-        }
-    }
-
-    /// After a resume: a snapshot holds settled Fig. 7 counts, not
-    /// registrations, so every restored registration starts counting
-    /// again. Fails if one names a stream `metrics` never saw open.
-    pub(super) fn restore_registrations(&self, metrics: &mut SystemMetrics) -> Result<(), String> {
-        self.stream_topic
-            .iter()
-            .try_for_each(|(&(device, sid), &topic)| metrics.register_stream(device, sid, topic))
-    }
-}
 
 impl SystemSim {
     pub(super) fn on_device_subscribe(&mut self, now: SimTime, device: u64, header: Json) {
@@ -127,7 +76,7 @@ impl SystemSim {
         let Some(state) = self.devices.get_mut(device) else {
             return;
         };
-        // Fig. 7 registry: which topic does this stream's subscription
+        // Fig. 7 registration: which topic does this stream's subscription
         // target? Resolved before the header moves into the stream.
         let sub_topic = brass::resolve::resolve(&header).ok().map(|sub| sub.topic);
         let (sid, frame) = state
@@ -137,12 +86,8 @@ impl SystemSim {
         state.maybe_park(self.config.hibernation, &mut self.park);
         self.metrics.subscriptions.inc();
         self.metrics.ts_subscriptions.inc(now);
-        self.metrics.stream_opened(device, sid, now);
+        self.metrics.stream_opened(device, sid, now, sub_topic);
         self.sub_started.insert((device, sid), now);
-        if let Some(topic) = sub_topic {
-            self.reg
-                .register_stream(&mut self.metrics, device, sid, topic);
-        }
         self.send_up(now, link, device, frame);
     }
 
@@ -158,7 +103,7 @@ impl SystemSim {
         };
         self.metrics.cancellations.inc();
         self.metrics.stream_closed(device, sid, now);
-        self.reg.unregister_stream(&mut self.metrics, device, sid);
+        self.metrics.unregister_stream(device, sid);
         self.send_up(now, link, device, frame);
     }
 
@@ -476,14 +421,14 @@ impl SystemSim {
                 HostEffect::Send { device, frame } => {
                     let proc = self.latency.brass_processing(&mut self.engine_rng);
                     let send_at = now + proc;
-                    for trace in frame_traces(&self.reg, device.0, &frame) {
+                    for trace in frame_traces(&self.reg, &self.metrics, device.0, &frame) {
                         self.ledger
                             .record(trace, Hop::BrassSend, send_at, HopOutcome::Ok);
                     }
                     if let Some(event_at) = attributed {
                         // Only data batches count as event processing.
                         if frame.update_payloads().next().is_some() {
-                            let app_name = app_of_device_frame(&self.reg, device.0, &frame);
+                            let app_name = app_of_device_frame(&self.metrics, device.0, &frame);
                             self.metrics
                                 .app(&app_name)
                                 .brass_processing
@@ -535,7 +480,7 @@ impl SystemSim {
         why: DropReason,
     ) {
         let sid = frame.sid();
-        for trace in frame_traces(&self.reg, device, frame) {
+        for trace in frame_traces(&self.reg, &self.metrics, device, frame) {
             self.ledger
                 .record(trace, hop, now, HopOutcome::Dropped(why));
             if let Some(sid) = sid {
@@ -615,13 +560,13 @@ pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> 
 /// delivered data frame, so the known families borrow their label;
 /// only a family no app registered allocates.
 pub(super) fn app_of_device_frame(
-    reg: &Registries,
+    metrics: &SystemMetrics,
     device: u64,
     frame: &Frame,
 ) -> Cow<'static, str> {
     let topic = frame
         .sid()
-        .and_then(|sid| reg.stream_topic.get(&(device, sid)));
+        .and_then(|sid| metrics.stream_topic(device, sid));
     let Some(topic) = topic else {
         return Cow::Borrowed("unknown");
     };
@@ -643,12 +588,13 @@ pub(super) fn app_of_device_frame(
 /// topics under distinct traces (per-mailbox message adds).
 pub(super) fn frame_traces<'a>(
     reg: &'a Registries,
+    metrics: &SystemMetrics,
     device: u64,
     frame: &'a Frame,
 ) -> impl Iterator<Item = TraceId> + 'a {
     let topic = frame
         .sid()
-        .and_then(|sid| reg.stream_topic.get(&(device, sid)).copied());
+        .and_then(|sid| metrics.stream_topic(device, sid));
     frame
         .update_payloads()
         .filter_map(move |p| payload_trace(reg, topic, p))

@@ -204,9 +204,6 @@ impl SystemSim {
         }
         s.sub_started = Snap::restore(r)?;
         s.metrics = Snap::restore(r)?;
-        s.reg
-            .restore_registrations(&mut s.metrics)
-            .map_err(SnapError::Invalid)?;
         s.event_stats = Snap::restore(r)?;
         s.driver_blob = r.get_bytes()?;
         r.finish()?;

@@ -313,7 +313,7 @@ impl SystemSim {
                 }
             }
         }
-        for trace in frame_traces(&self.reg, device, &frame) {
+        for trace in frame_traces(&self.reg, &self.metrics, device, &frame) {
             self.ledger
                 .record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
         }
@@ -362,7 +362,7 @@ impl SystemSim {
         frame: &Frame,
         sent_at: SimTime,
     ) {
-        let app = app_of_device_frame(&self.reg, device, frame);
+        let app = app_of_device_frame(&self.metrics, device, frame);
         let state = self.devices.at_mut(slot);
         // Egress accounting drains unconditionally — every frame put on
         // the wire arrives here exactly once, delivered or not. Draining
@@ -433,7 +433,7 @@ impl SystemSim {
                         lat.total
                             .record(now.saturating_since(created).as_millis_f64());
                     }
-                    let topic = self.reg.topic_of(device, sid);
+                    let topic = self.metrics.stream_topic(device, sid);
                     if let Some(trace) = payload_trace(&self.reg, topic, &payload) {
                         self.ledger
                             .record(trace, Hop::DeviceRender, now, HopOutcome::Ok);
@@ -444,7 +444,7 @@ impl SystemSim {
                     if !retry {
                         // Ended for good: the device dropped the stream,
                         // so its registration ends here, not at a cancel.
-                        self.reg.unregister_stream(&mut self.metrics, device, sid);
+                        self.metrics.unregister_stream(device, sid);
                     }
                     let state = self.devices.at_mut(slot);
                     let retry_frame = if retry {
@@ -473,7 +473,7 @@ impl SystemSim {
                     // Too late for a gap the stream had to forget: unless
                     // it already arrived, the update is dropped here, on
                     // the record, and stays backfill-recoverable.
-                    let topic = self.reg.topic_of(device, sid);
+                    let topic = self.metrics.stream_topic(device, sid);
                     let trace = payload_trace(&self.reg, topic, &payload);
                     if let Some(trace) = trace.filter(|&t| !self.trace_resolved(t)) {
                         let why = HopOutcome::Dropped(DropReason::Stale);

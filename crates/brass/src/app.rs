@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use burst::frame::{Delta, Payload, StreamId, TerminateReason};
 use burst::json::Json;
-use pylon::Topic;
+use pylon::{Topic, TopicId};
 use simkit::snap::{Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
@@ -104,9 +104,9 @@ snap_enum!(WasResponse {
 /// An effect requested by application code, executed by the host.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Effect {
-    /// Subscribe this BRASS to a Pylon topic.
+    /// A topic gained its first holder among this application's streams.
     SubscribeTopic(Topic),
-    /// Drop this BRASS's subscription to a Pylon topic.
+    /// A topic lost its last holder among this application's streams.
     UnsubscribeTopic(Topic),
     /// Issue an asynchronous WAS request.
     Was {
@@ -238,12 +238,14 @@ impl<'a> Ctx<'a> {
         self.streams.has_unacked(stream)
     }
 
-    /// Subscribes this BRASS to a Pylon topic (the stream table's job).
+    /// Tells the host a topic gained its first holder (the stream table's
+    /// job).
     pub(crate) fn subscribe(&mut self, topic: Topic) {
         self.effects.push(Effect::SubscribeTopic(topic));
     }
 
-    /// Unsubscribes from a Pylon topic (the stream table's job).
+    /// Tells the host a topic lost its last holder (the stream table's
+    /// job).
     pub(crate) fn unsubscribe(&mut self, topic: Topic) {
         self.effects.push(Effect::UnsubscribeTopic(topic));
     }
@@ -401,6 +403,11 @@ pub trait BrassApp: Send + AppSnap {
 
     /// A stream went away (cancel, device disconnect, or proxy GC).
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey);
+
+    /// Whether a stream of this application holds `topic`: the host routes
+    /// Pylon events by it and asks it before changing its own Pylon
+    /// subscription. Apps answer from their [`StreamTable`](crate::table::StreamTable).
+    fn watches(&self, topic: TopicId) -> bool;
 }
 
 /// How a host writes an application's whole state into a snapshot (its

@@ -7,7 +7,7 @@
 //! receiving too many updates."
 
 use burst::json::Json;
-use pylon::Topic;
+use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
@@ -140,6 +140,10 @@ impl BrassApp for ActiveStatusApp {
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
         self.table.close(ctx, &stream);
+    }
+
+    fn watches(&self, topic: TopicId) -> bool {
+        self.table.watches(topic)
     }
 }
 
@@ -300,10 +304,11 @@ mod tests {
         subscribe_with_friends(&mut d, stream(1), 9, vec![5, 6]);
         subscribe_with_friends(&mut d, stream(2), 10, vec![5]);
         let fx = d.close(stream(1));
-        // Each per-friend subscribe is balanced by an unsubscribe; the
-        // host's refcounting keeps friend 5 subscribed for stream 2.
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::active_status(6))));
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::active_status(5))));
+        // Friend 6 lost its last holder; stream 2 still holds friend 5.
+        let unsub = |uid| Effect::UnsubscribeTopic(Topic::active_status(uid));
+        assert_eq!(fx, vec![unsub(6)]);
+        assert!(d.app.watches(Topic::active_status(5).id()));
+        assert!(!d.app.watches(Topic::active_status(6).id()));
         let decided = d.counters.decisions;
         d.event(&status_event(5));
         assert_eq!(

@@ -135,6 +135,10 @@ impl BrassApp for LikesApp {
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
         self.table.close(ctx, &stream);
     }
+
+    fn watches(&self, topic: pylon::TopicId) -> bool {
+        self.table.watches(topic)
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use burst::frame::TerminateReason;
 use burst::json::Json;
-use pylon::Topic;
+use pylon::{Topic, TopicId};
 use simkit::snap::ensure;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::DropReason;
@@ -402,6 +402,10 @@ impl BrassApp for LvcApp {
             ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
         }
         self.table.close(ctx, &stream);
+    }
+
+    fn watches(&self, topic: TopicId) -> bool {
+        self.table.watches(topic)
     }
 }
 
@@ -792,11 +796,14 @@ mod tests {
         let mut d = driver();
         d.subscribe(stream(1), &header(42, 9));
         d.subscribe(stream(2), &header(42, 10));
-        // One unsubscribe per closed stream; the host refcounts them.
+        // The topic's one subscribe is balanced when its last holder goes.
+        let topic = Topic::live_video_comments(42);
         let fx = d.close(stream(1));
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::live_video_comments(42))));
+        assert!(!fx.contains(&Effect::UnsubscribeTopic(topic)));
+        assert!(d.app.watches(topic.id()), "stream 2 holds it");
         let fx = d.close(stream(2));
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::live_video_comments(42))));
+        assert!(fx.contains(&Effect::UnsubscribeTopic(topic)));
+        assert!(!d.app.watches(topic.id()));
         assert_eq!(d.app.table.values().count(), 0);
     }
 

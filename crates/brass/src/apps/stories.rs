@@ -10,7 +10,7 @@
 //! polling would need.
 
 use burst::json::Json;
-use pylon::Topic;
+use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
 use simkit::snap::ensure;
 use simkit::snap_struct;
@@ -174,6 +174,10 @@ impl BrassApp for StoriesApp {
 
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
         self.table.close(ctx, &stream);
+    }
+
+    fn watches(&self, topic: TopicId) -> bool {
+        self.table.watches(topic)
     }
 }
 

@@ -114,6 +114,10 @@ impl BrassApp for TypingApp {
     fn on_stream_closed(&mut self, ctx: &mut Ctx<'_>, stream: StreamKey) {
         self.table.close(ctx, &stream);
     }
+
+    fn watches(&self, topic: pylon::TopicId) -> bool {
+        self.table.watches(topic)
+    }
 }
 
 #[cfg(test)]
@@ -217,10 +221,15 @@ mod tests {
         let mut d = TestDriver::new(TypingApp::default());
         d.subscribe(stream(1), &header(7, 2, 9));
         d.subscribe(stream(2), &header(7, 2, 11));
+        let topic = Topic::typing_indicator(7, 2);
         let fx = d.close(stream(1));
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::typing_indicator(7, 2))));
+        assert!(
+            !fx.contains(&Effect::UnsubscribeTopic(topic)),
+            "stream 2 holds it"
+        );
         let fx = d.close(stream(2));
-        assert!(fx.contains(&Effect::UnsubscribeTopic(Topic::typing_indicator(7, 2))));
+        assert!(fx.contains(&Effect::UnsubscribeTopic(topic)));
+        assert!(!d.app.watches(topic.id()));
         assert_eq!(d.app.table.values().count(), 0);
     }
 

@@ -5,9 +5,12 @@
 //! doesn't already have a running BRASS instance for the target
 //! application"; "the number of BRASSes per host is limited to two per core
 //! to reduce context switching". Each host also runs a **Pylon subscription
-//! manager** (footnote 10): topic subscriptions from colocated BRASSes are
-//! reference-counted so Pylon sees at most one subscription per (host,
-//! topic).
+//! manager** (footnote 10), so Pylon sees at most one subscription per
+//! (host, topic). It keeps no count of its own: each application's stream
+//! table tells it when a topic gains its first holder or loses its last
+//! ([`Effect::SubscribeTopic`] / [`Effect::UnsubscribeTopic`]), and the host
+//! subscribes or unsubscribes Pylon when no other instance
+//! [watches](BrassApp::watches) the topic.
 //!
 //! [`BrassHost`] turns application [`Effect`]s into [`HostEffect`]s — the
 //! externally visible actions the simulation orchestrator (or the real-time
@@ -17,7 +20,7 @@
 use burst::frame::{Delta, Frame, StreamId, TerminateReason};
 use burst::json::Json;
 use burst::stream::ServerStream;
-use pylon::Topic;
+use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
 use simkit::time::SimTime;
 
@@ -102,8 +105,6 @@ struct Instance {
     app: Box<dyn BrassApp>,
     counters: AppCounters,
     next_token: u64,
-    /// This instance's topic reference counts.
-    topic_refs: FxHashMap<Topic, u32>,
 }
 
 struct StreamMeta {
@@ -129,8 +130,6 @@ pub struct HostCounters {
     pub streams_accepted: u64,
     /// Subscribe requests rejected (capacity or unknown app).
     pub streams_rejected: u64,
-    /// Pylon subscriptions deduplicated by the host manager.
-    pub dedup_subscribes: u64,
 }
 
 type AppFactory = Box<dyn FnMut() -> Box<dyn BrassApp> + Send>;
@@ -174,8 +173,6 @@ pub struct BrassHost {
     /// beats hashing the name, and every walk is already in the sorted
     /// order that effect emission and snapshots need.
     instances: Vec<Instance>,
-    /// Host-wide topic refcounts (the Pylon subscription manager).
-    host_topic_refs: FxHashMap<Topic, u32>,
     streams: FxHashMap<StreamKey, StreamMeta>,
     counters: HostCounters,
     /// Application effects of the handler being run, reused across calls.
@@ -189,7 +186,6 @@ impl BrassHost {
             config,
             factories: Vec::new(),
             instances: Vec::new(),
-            host_topic_refs: FxHashMap::default(),
             streams: FxHashMap::default(),
             counters: HostCounters::default(),
             effects: Vec::new(),
@@ -266,9 +262,16 @@ impl BrassHost {
         total
     }
 
-    /// Topics this host currently holds Pylon subscriptions for.
-    pub fn subscribed_topics(&self) -> usize {
-        self.host_topic_refs.len()
+    /// Whether a stream on this host holds `topic`: exactly when the host
+    /// holds a Pylon subscription to it.
+    pub fn watches(&self, topic: Topic) -> bool {
+        self.instances.iter().any(|i| i.app.watches(topic.id()))
+    }
+
+    /// Whether an instance other than the one at `index` holds `topic`.
+    fn watched_elsewhere(&self, index: usize, topic: TopicId) -> bool {
+        let mut all = self.instances.iter().enumerate();
+        all.any(|(i, other)| i != index && other.app.watches(topic))
     }
 
     /// Position of the running instance named `app` in the sorted table.
@@ -295,7 +298,6 @@ impl BrassHost {
             app: factory(),
             counters: AppCounters::default(),
             next_token: 0,
-            topic_refs: FxHashMap::default(),
         };
         let index = self.instances.partition_point(|i| i.name < instance.name);
         self.instances.insert(index, instance);
@@ -341,33 +343,17 @@ impl BrassHost {
         let app = self.instances[index].name;
         for effect in effects.drain(..) {
             match effect {
-                Effect::SubscribeTopic(topic) => {
-                    let inst = &mut self.instances[index];
-                    *inst.topic_refs.entry(topic).or_insert(0) += 1;
-                    let host_refs = self.host_topic_refs.entry(topic).or_insert(0);
-                    *host_refs += 1;
-                    if *host_refs == 1 {
-                        out.push(HostEffect::PylonSubscribe(topic));
-                    } else {
-                        self.counters.dedup_subscribes += 1;
-                    }
+                // The emitting instance's first holder came or its last
+                // went; Pylon hears of it unless another instance holds
+                // the topic. Other instances' tables are settled: only the
+                // emitting handler has run.
+                Effect::SubscribeTopic(topic) if !self.watched_elsewhere(index, topic.id()) => {
+                    out.push(HostEffect::PylonSubscribe(topic));
                 }
-                Effect::UnsubscribeTopic(topic) => {
-                    let inst = &mut self.instances[index];
-                    if let Some(r) = inst.topic_refs.get_mut(&topic) {
-                        *r -= 1;
-                        if *r == 0 {
-                            inst.topic_refs.remove(&topic);
-                        }
-                        if let Some(hr) = self.host_topic_refs.get_mut(&topic) {
-                            *hr -= 1;
-                            if *hr == 0 {
-                                self.host_topic_refs.remove(&topic);
-                                out.push(HostEffect::PylonUnsubscribe(topic));
-                            }
-                        }
-                    }
+                Effect::UnsubscribeTopic(topic) if !self.watched_elsewhere(index, topic.id()) => {
+                    out.push(HostEffect::PylonUnsubscribe(topic));
                 }
+                Effect::SubscribeTopic(_) | Effect::UnsubscribeTopic(_) => {}
                 Effect::Was { token, request } => out.push(HostEffect::Was {
                     app,
                     token,
@@ -383,9 +369,7 @@ impl BrassHost {
                     };
                     let mut batch = Vec::with_capacity(payloads.len() + 2);
                     batch.extend(payloads.into_iter().map(|p| meta.server.push(p)));
-                    if let Some(patch) = rewrite {
-                        batch.push(meta.server.rewrite(patch));
-                    }
+                    batch.extend(rewrite.map(Delta::rewrite));
                     // Transport-level resumption ("Resumption", §3.5): every
                     // data batch installs `last_seq`, so a resubscribe — to
                     // this incarnation or a replacement — resumes sequence
@@ -398,15 +382,10 @@ impl BrassHost {
                     out.push(Self::respond(stream.device, stream.sid, batch));
                 }
                 Effect::SendDeltas { stream, deltas } => {
-                    let Some(meta) = self.streams.get_mut(&stream) else {
+                    if !self.streams.contains_key(&stream) {
                         continue;
-                    };
-                    let mut terminated = false;
-                    for delta in &deltas {
-                        // Keep the server-side header copy current.
-                        meta.server.apply_rewrite(delta);
-                        terminated |= matches!(delta, Delta::Terminate(_));
                     }
+                    let terminated = deltas.iter().any(|d| matches!(d, Delta::Terminate(_)));
                     out.push(Self::respond(stream.device, stream.sid, deltas));
                     if terminated {
                         self.streams.remove(&stream);
@@ -494,11 +473,11 @@ impl BrassHost {
         self.counters.streams_accepted += 1;
         // Reliable apps retain unacked updates for replay.
         let retain = app == "messenger";
-        let mut server = ServerStream::accept(sid, header.clone(), retain);
+        let server = ServerStream::accept(sid, &header, retain);
         // Sticky routing (§3.5): patch the header with this host's identity
         // so a resubscribe after failure lands back here.
         let patch = Json::obj([("brass_host", Json::from(self.config.host_id.0 as u64))]);
-        let rewrite = server.rewrite(patch);
+        let rewrite = Delta::rewrite(patch);
         self.streams.insert(stream, StreamMeta { app, server });
         out.push(Self::respond(device, sid, vec![rewrite]));
         self.run_handler(app, now, out, |a, ctx| {
@@ -524,11 +503,11 @@ impl BrassHost {
         now: SimTime,
         out: &mut Vec<HostEffect>,
     ) {
-        // A handler touches only its own instance's topic refs, so each
+        // A handler changes only its own instance's topics, so each
         // instance can be asked as its turn comes.
         for index in 0..self.instances.len() {
             let instance = &mut self.instances[index];
-            if !instance.topic_refs.contains_key(&event.topic) {
+            if !instance.app.watches(event.topic.id()) {
                 continue;
             }
             instance.counters.events_in += 1;
@@ -620,14 +599,17 @@ impl BrassHost {
         out: &mut Vec<HostEffect>,
     ) {
         let stream = StreamKey { device, sid };
-        let Some(mut meta) = self.streams.remove(&stream) else {
+        let Some(meta) = self.streams.remove(&stream) else {
             return;
         };
         let patch = Json::obj([("brass_host", Json::from(to_host as u64))]);
-        let rewrite = meta.server.rewrite(patch);
-        let batch = vec![rewrite, Delta::Terminate(TerminateReason::Redirect)];
-        out.push(Self::respond(device, sid, batch));
-        // The application releases its per-stream state (and topic refs).
+        let redirect = Delta::Terminate(TerminateReason::Redirect);
+        out.push(Self::respond(
+            device,
+            sid,
+            vec![Delta::rewrite(patch), redirect],
+        ));
+        // The application releases its per-stream state (and topics).
         self.run_handler(meta.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
     }
 }
@@ -638,28 +620,18 @@ snap_struct!(HostConfig { host_id, cores }, |c| {
 snap_struct!(HostCounters {
     spool_ups,
     streams_accepted,
-    streams_rejected,
-    dedup_subscribes
+    streams_rejected
 });
 
-/// Rejects a refcount table holding a zero: entries are removed when their
-/// count drops to zero.
-fn check_refs(refs: &FxHashMap<Topic, u32>) -> SnapResult<()> {
-    if refs.values().any(|&n| n == 0) {
-        return Err(SnapError::Invalid("brass host: zero topic refcount".into()));
-    }
-    Ok(())
-}
-
-/// Counters, token counter, topic refcounts and the application's own
-/// state, which is restored by dispatching on the application name —
-/// snapshots holding non-standard applications are rejected.
+/// Counters, token counter and the application's own state (its stream
+/// table is its record of interest), which is restored by dispatching on
+/// the application name — snapshots holding non-standard applications are
+/// rejected.
 impl Snap for Instance {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_str(self.name);
         self.counters.snap(w);
         self.next_token.snap(w);
-        self.topic_refs.snap(w);
         self.app.snap_state(w);
     }
 
@@ -667,8 +639,6 @@ impl Snap for Instance {
         let name = r.get_str()?;
         let counters = Snap::restore(r)?;
         let next_token = Snap::restore(r)?;
-        let topic_refs = Snap::restore(r)?;
-        check_refs(&topic_refs)?;
         let Some(app) = STANDARD_APPS.iter().find(|app| app.name == name) else {
             let error = format!("brass host: unknown application {name:?}");
             return Err(SnapError::Invalid(error));
@@ -678,20 +648,17 @@ impl Snap for Instance {
             app: (app.restore)(r)?,
             counters,
             next_token,
-            topic_refs,
         })
     }
 }
 
-/// Config, every running instance, the host-wide subscription manager,
-/// every server-side stream (keyed by its device, owned by application
+/// Config, every running instance, every server-side stream (keyed by its device, owned by application
 /// name), and the host counters. Factories are code, not state: restore
 /// re-registers the standard ones (closures aren't serializable).
 impl Snap for BrassHost {
     fn snap(&self, w: &mut SnapWriter) {
         self.config.snap(w);
         self.instances.snap(w);
-        self.host_topic_refs.snap(w);
         let mut keys: Vec<&StreamKey> = self.streams.keys().collect();
         keys.sort_unstable();
         w.put_usize(keys.len());
@@ -711,8 +678,6 @@ impl Snap for BrassHost {
         if host.instances.len() > host.capacity() {
             return Err(SnapError::Invalid("brass host: over capacity".into()));
         }
-        host.host_topic_refs = Snap::restore(r)?;
-        check_refs(&host.host_topic_refs)?;
         let by_key = |a: &(DeviceId, String, ServerStream),
                       b: &(DeviceId, String, ServerStream)| {
             (a.0, a.2.sid()) < (b.0, b.2.sid())
@@ -841,8 +806,8 @@ mod tests {
                 .count();
         }
         assert_eq!(pylon_subs, 1, "one Pylon subscription per (host, topic)");
-        assert_eq!(h.counters().dedup_subscribes, 4);
-        assert_eq!(h.subscribed_topics(), 1);
+        assert!(h.watches(Topic::live_video_comments(42)));
+        assert!(!h.watches(Topic::live_video_comments(43)));
     }
 
     #[test]
@@ -858,7 +823,7 @@ mod tests {
         assert!(fx
             .iter()
             .any(|e| matches!(e, HostEffect::PylonUnsubscribe(t) if t.as_str() == "/LVC/42")));
-        assert_eq!(h.subscribed_topics(), 0);
+        assert!(!h.watches(Topic::live_video_comments(42)));
     }
 
     #[test]
@@ -1078,7 +1043,10 @@ mod tests {
         assert_eq!(bytes, w2.into_bytes(), "snap(restore(snap(h))) differs");
         assert_eq!(restored.stream_count(), h.stream_count());
         assert_eq!(restored.instance_count(), h.instance_count());
-        assert_eq!(restored.subscribed_topics(), h.subscribed_topics());
+        for video in 40..44 {
+            let topic = Topic::live_video_comments(video);
+            assert_eq!(restored.watches(topic), h.watches(topic));
+        }
         assert_eq!(restored.stream_keys(), h.stream_keys());
     }
 

@@ -24,8 +24,10 @@
 //! * [`limiter`] — a token-bucket rate limiter whose state serialises into
 //!   BURST headers (so a rewrite can carry it across BRASS failover, §3.5).
 //! * [`host`] — the [`host::BrassHost`]: serverless instance
-//!   spool-up, the host-level Pylon subscription manager (deduplicating
-//!   subscriptions across colocated BRASSes), and stream bookkeeping.
+//!   spool-up, the host-level Pylon subscription manager (one Pylon
+//!   subscription per topic however many colocated BRASSes watch it; it
+//!   asks each app's [`BrassApp::watches`] rather than counting), and
+//!   stream bookkeeping.
 //! * [`apps`] — the five sample applications of §3.4/§4:
 //!   LiveVideoComments, ActiveStatus, TypingIndicator, Stories, Messenger.
 

@@ -4,8 +4,10 @@
 //! handlers then hold only its policy (Muppet's split: the framework owns
 //! each key's state). An application declares each stream's topics
 //! ([`StreamTable::set_topics`]) and never subscribes itself: the table
-//! holds one reference per stream and topic, and lists a topic's holders
-//! in the order they declared it, the order an update on it fans out in.
+//! lists a topic's holders in the order they declared it, the order an
+//! update on it fans out in, and those lists are the application's one
+//! record of interest. A topic is subscribed when its list is opened and
+//! unsubscribed when it empties; the host asks [`StreamTable::watches`].
 //!
 //! States sit in [`SlotTable`] slots. Only a subscribe and a close resolve
 //! a [`StreamKey`]; watcher lists, timers and requests carry the slot, and
@@ -120,9 +122,10 @@ impl<S: Stream, F> StreamTable<S, F> {
     }
 
     /// Declares the topics of the stream in `slot`, if open. Topics it
-    /// keeps keep their order and list places; new ones are subscribed and
-    /// join their lists last; then dropped ones leave their lists and are
-    /// unsubscribed, so Pylon never sees a kept topic churn.
+    /// keeps keep their order and list places; new ones join their lists
+    /// last; then dropped ones leave their lists, so a kept topic never
+    /// churns. A list opened or emptied subscribes or unsubscribes its
+    /// topic.
     pub fn set_topics(&mut self, ctx: &mut Ctx<'_>, slot: u32, topics: &[Topic]) {
         let Some(entry) = self.streams.get_mut(slot) else {
             return;
@@ -135,8 +138,11 @@ impl<S: Stream, F> StreamTable<S, F> {
         let kept = held.iter().filter(|&id| named(id));
         entry.topics = kept.chain(added().map(|t| t.id())).collect();
         for topic in added() {
-            self.watchers.entry(topic.id()).or_default().push(slot);
-            ctx.subscribe(topic);
+            let list = self.watchers.entry(topic.id()).or_default();
+            if list.is_empty() {
+                ctx.subscribe(topic);
+            }
+            list.push(slot);
         }
         for id in held.iter().filter(|&id| !named(id)) {
             self.release_topic(ctx, slot, id);
@@ -154,15 +160,21 @@ impl<S: Stream, F> StreamTable<S, F> {
         Some(entry.state)
     }
 
-    /// Unlists the stream in `slot` from `id` and drops its reference.
+    /// Unlists the stream in `slot` from `id`; the last one out
+    /// unsubscribes the topic.
     fn release_topic(&mut self, ctx: &mut Ctx<'_>, slot: u32, id: TopicId) {
         if let Some(list) = self.watchers.get_mut(&id) {
             list.retain(|&s| s != slot);
             if list.is_empty() {
                 self.watchers.remove(&id);
+                ctx.unsubscribe(Topic::of_id(id));
             }
         }
-        ctx.unsubscribe(Topic::of_id(id));
+    }
+
+    /// Whether an open stream holds `topic`.
+    pub fn watches(&self, topic: TopicId) -> bool {
+        self.watchers.contains_key(&topic)
     }
 
     /// Runs `f` on the slot of every stream holding `topic`, in the order
@@ -543,9 +555,9 @@ mod tests {
 
     /// Fan-out follows declaration order; a replacing state keeps its
     /// topics and places; a declared set subscribes what it gains before
-    /// it unsubscribes what it loses; a closed stream releases its topics
-    /// in declaration order; a held slot reaches the key's reopened
-    /// stream.
+    /// it unsubscribes what it loses, and only a topic whose list opens or
+    /// empties; a closed stream releases its topics in declaration order; a
+    /// held slot reaches the key's reopened stream.
     #[test]
     fn topics_follow_declarations() {
         let mut table: StreamTable<Toy, u8> = StreamTable::default();
@@ -565,7 +577,7 @@ mod tests {
         assert_eq!(order(&mut table, 7), vec![3, 1, 2]);
         let ((), fx) = with_ctx(|ctx| table.set_topics(ctx, slot, &[topic(9), topic(5)]));
         let unsub = Effect::UnsubscribeTopic;
-        assert_eq!(fx, vec![sub(topic(5)), unsub(topic(7)), unsub(topic(8))]);
+        assert_eq!(fx, vec![sub(topic(5)), unsub(topic(8))], "3 and 2 hold 7");
         assert_eq!(order(&mut table, 7), vec![3, 2]);
         assert_eq!(order(&mut table, 9), vec![1]);
 
@@ -617,9 +629,11 @@ mod tests {
     proptest! {
         /// Against a model of declared sets and list orders: the topics
         /// the effects leave subscribed are the union of the open streams'
-        /// sets, a declaration never unsubscribes a topic it names, fan-out
-        /// visits holders in declaration order, and a snapshot taken at any
-        /// step restores and re-snapshots to the same bytes.
+        /// sets and the ones [`StreamTable::watches`] names, no topic is
+        /// subscribed twice without an unsubscribe between, a declaration
+        /// never unsubscribes a topic it names, fan-out visits holders in
+        /// declaration order, and a snapshot taken at any step restores and
+        /// re-snapshots to the same bytes.
         #[test]
         fn random_sequences_keep_interest_equal_to_the_sets(
             ops in proptest::collection::vec(op(), 1..40),
@@ -627,7 +641,7 @@ mod tests {
             let mut table: StreamTable<Toy, u8> = StreamTable::default();
             let mut sets: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
             let mut lists: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            let mut refs: BTreeMap<Topic, u32> = BTreeMap::new();
+            let mut subscribed: BTreeSet<Topic> = BTreeSet::new();
             let mut armed: Vec<u64> = Vec::new();
             for op in ops {
                 let slot = |table: &StreamTable<Toy, u8>, n| {
@@ -690,22 +704,16 @@ mod tests {
                 };
                 for e in fx {
                     match e {
-                        Effect::SubscribeTopic(t) => *refs.entry(t).or_default() += 1,
-                        Effect::UnsubscribeTopic(t) => {
-                            let r = refs.get_mut(&t).expect("subscribed before");
-                            *r -= 1;
-                            if *r == 0 {
-                                refs.remove(&t);
-                            }
-                        }
+                        Effect::SubscribeTopic(t) => prop_assert!(subscribed.insert(t), "{t} twice"),
+                        Effect::UnsubscribeTopic(t) => prop_assert!(subscribed.remove(&t), "{t} not held"),
                         other => prop_assert!(false, "unexpected {other:?}"),
                     }
                 }
-                let mut union: BTreeMap<Topic, u32> = BTreeMap::new();
-                for &t in sets.values().flatten() {
-                    *union.entry(topic(t)).or_default() += 1;
+                let union: BTreeSet<Topic> = sets.values().flatten().map(|&t| topic(t)).collect();
+                prop_assert_eq!(&subscribed, &union);
+                for t in 0..5 {
+                    prop_assert_eq!(table.watches(topic(t).id()), union.contains(&topic(t)));
                 }
-                prop_assert_eq!(&refs, &union);
                 let snap = bytes(&table);
                 let restored = restore(&snap).expect("a live table restores");
                 prop_assert_eq!(bytes(&restored), snap);

@@ -107,6 +107,9 @@ impl BrassApp for NoisyApp {
     }
     fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: &UpdateEvent) {}
     fn on_stream_closed(&mut self, _ctx: &mut Ctx<'_>, _stream: StreamKey) {}
+    fn watches(&self, _topic: pylon::TopicId) -> bool {
+        false
+    }
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //!   subscription header, enforces in-order delivery, detects sequence gaps,
 //!   and produces the resubscribe request used after failures.
 //! * [`ServerStream`] — BRASS side: assigns sequence numbers, tracks acks,
-//!   retains unacknowledged updates for apps that implement reliability,
-//!   and emits rewrites.
+//!   and retains unacknowledged updates for apps that implement
+//!   reliability. It holds no header: BRASS edits the device's by rewrite.
 //! * [`ProxyStreamTable`] — POP / reverse-proxy side: keeps "a copy of the
 //!   current header and body of each stream passing through" so it can
 //!   resubscribe clients after an upstream failure (§3.5, §4), applies
@@ -246,7 +246,7 @@ impl ClientStream {
     pub fn resubscribe_request(&mut self) -> Frame {
         self.state = StreamState::Subscribing;
         self.resubscribes += 1;
-        self.next_seq = resume_seq(&self.header);
+        self.next_seq = resume_seq(self.header.get_u64("last_seq"));
         self.open = None;
         Frame::Subscribe {
             sid: self.sid,
@@ -339,7 +339,7 @@ impl ClientStream {
                     // expectations resync (resuming after `last_seq` when
                     // the header carries it).
                     self.resyncs += 1;
-                    self.next_seq = resume_seq(&self.header);
+                    self.next_seq = resume_seq(self.header.get_u64("last_seq"));
                     self.open = None;
                     act(ClientAction::NotifyRecovered);
                 }
@@ -493,11 +493,8 @@ snap_struct!(
 /// Where sequence numbering resumes for a header: after the `last_seq` it
 /// carries, or at 0 when it carries none. Headers arrive from devices, so a
 /// `last_seq` with no successor restarts at 0 rather than overflowing.
-fn resume_seq(header: &PackedJson) -> u64 {
-    header
-        .get_u64("last_seq")
-        .and_then(|last| last.checked_add(1))
-        .unwrap_or(0)
+fn resume_seq(last_seq: Option<u64>) -> u64 {
+    last_seq.and_then(|last| last.checked_add(1)).unwrap_or(0)
 }
 
 /// Records a rewrite delta in a held copy of the header: progress as a
@@ -511,18 +508,17 @@ fn record_rewrite(header: &mut PackedJson, delta: &Delta) {
     }
 }
 
-/// BRASS-side state for one request-stream.
+/// BRASS-side state for one request-stream: sequence numbering and, for
+/// apps that implement reliability, the updates sent but not yet acked.
 ///
-/// Like [`ClientStream`], the header lives in packed text form, unpacked
-/// only for [`ServerStream::header`]. The progress recorded with every data
-/// batch ([`ServerStream::rewrite_progress`]) is kept as a number beside the
-/// text and spliced in only when the text is next read or patched.
+/// BRASS keeps no copy of the header. The header is resumption state the
+/// device and the proxies carry (§3.5): BRASS reads `last_seq` from it once,
+/// at [`ServerStream::accept`], and after that only edits it by sending
+/// rewrites down the stream.
 #[derive(Clone, Debug)]
 pub struct ServerStream {
     sid: StreamId,
-    header: PackedJson,
     next_seq: u64,
-    acked_seq: Option<u64>,
     /// Updates sent but not yet acknowledged, retained for apps that need
     /// replay after reconnect. Best-effort apps leave `retain` off.
     unacked: Vec<(u64, Payload)>,
@@ -534,14 +530,10 @@ impl ServerStream {
     ///
     /// If the header carries a `"last_seq"` field (installed by a previous
     /// incarnation via rewrite), sequence numbering resumes after it.
-    pub fn accept(sid: StreamId, header: Json, retain: bool) -> Self {
-        let header = PackedJson::pack(&header);
-        let next_seq = resume_seq(&header);
+    pub fn accept(sid: StreamId, header: &Json, retain: bool) -> Self {
         ServerStream {
             sid,
-            header,
-            next_seq,
-            acked_seq: None,
+            next_seq: resume_seq(header.get("last_seq").and_then(Json::as_u64)),
             unacked: Vec::new(),
             retain,
         }
@@ -550,11 +542,6 @@ impl ServerStream {
     /// This stream's id.
     pub fn sid(&self) -> StreamId {
         self.sid
-    }
-
-    /// The header as last rewritten, unpacked from its resident text form.
-    pub fn header(&self) -> Json {
-        self.header.unpack()
     }
 
     /// Next sequence number to be assigned.
@@ -574,32 +561,15 @@ impl ServerStream {
         Delta::Update { seq, payload }
     }
 
-    /// Builds a rewrite delta ([`Delta::rewrite`]) and applies the patch to
-    /// the local copy.
-    pub fn rewrite(&mut self, patch: Json) -> Delta {
-        let delta = Delta::rewrite(patch);
-        self.apply_rewrite(&delta);
-        delta
-    }
-
     /// The progress delta recording the last sequence number sent, so a
     /// resubscribe resumes instead of replaying from zero ("Resumption",
-    /// §3.5). The local copy records it without touching the header text.
-    pub fn rewrite_progress(&mut self) -> Delta {
-        let delta = Delta::progress(self.next_seq.saturating_sub(1));
-        self.apply_rewrite(&delta);
-        delta
-    }
-
-    /// Applies a rewrite delta sent down this stream by other means to the
-    /// local copy; any other delta is ignored.
-    pub fn apply_rewrite(&mut self, delta: &Delta) {
-        record_rewrite(&mut self.header, delta);
+    /// §3.5).
+    pub fn rewrite_progress(&self) -> Delta {
+        Delta::progress(self.next_seq.saturating_sub(1))
     }
 
     /// Handles a client ack: retained updates up to `seq` are released.
     pub fn on_ack(&mut self, seq: u64) {
-        self.acked_seq = Some(self.acked_seq.map_or(seq, |a| a.max(seq)));
         self.unacked.retain(|(s, _)| *s > seq);
     }
 
@@ -625,9 +595,7 @@ impl ServerStream {
 snap_struct!(
     ServerStream {
         sid,
-        header,
         next_seq,
-        acked_seq,
         unacked,
         retain
     },
@@ -838,12 +806,11 @@ mod tests {
 
     #[test]
     fn server_stream_snapshot_roundtrip() {
-        let mut s = ServerStream::accept(StreamId(7), header(), true);
+        let mut s = ServerStream::accept(StreamId(7), &header(), true);
         for i in 0..5u8 {
             s.push(vec![i; 3]);
         }
         s.on_ack(1);
-        s.rewrite_progress();
         let mut w = SnapWriter::new();
         s.snap(&mut w);
         let bytes = w.into_bytes();
@@ -852,7 +819,6 @@ mod tests {
         r.finish().expect("no trailing bytes");
         assert_eq!(restored.sid(), s.sid());
         assert_eq!(restored.next_seq(), s.next_seq());
-        assert_eq!(restored.header().to_string(), s.header().to_string());
         assert_eq!(restored.unacked().len(), s.unacked().len());
         for ((sa, pa), (sb, pb)) in restored.unacked().iter().zip(s.unacked()) {
             assert_eq!(sa, sb);
@@ -1146,7 +1112,7 @@ mod tests {
 
     #[test]
     fn server_assigns_sequence_numbers() {
-        let mut s = ServerStream::accept(StreamId(1), header(), false);
+        let mut s = ServerStream::accept(StreamId(1), &header(), false);
         assert_eq!(s.push(b"a".to_vec()), Delta::update(0, b"a".to_vec()));
         assert_eq!(s.push(b"b".to_vec()), Delta::update(1, b"b".to_vec()));
         assert!(s.unacked().is_empty(), "retention off by default");
@@ -1156,14 +1122,14 @@ mod tests {
     fn server_resumes_from_header_seq() {
         let mut h = header();
         h.set("last_seq", Json::from(9u64));
-        let mut s = ServerStream::accept(StreamId(1), h, false);
+        let mut s = ServerStream::accept(StreamId(1), &h, false);
         assert_eq!(s.next_seq(), 10);
         assert_eq!(s.push(vec![]), Delta::update(10, vec![]));
     }
 
     #[test]
     fn server_retention_and_acks() {
-        let mut s = ServerStream::accept(StreamId(1), header(), true);
+        let mut s = ServerStream::accept(StreamId(1), &header(), true);
         s.push(b"a".to_vec());
         s.push(b"b".to_vec());
         s.push(b"c".to_vec());
@@ -1180,11 +1146,16 @@ mod tests {
 
     #[test]
     fn server_rewrite_progress_installs_last_seq() {
-        let mut s = ServerStream::accept(StreamId(1), header(), false);
+        let mut s = ServerStream::accept(StreamId(1), &header(), false);
         s.push(vec![]);
         s.push(vec![]);
-        assert_eq!(s.rewrite_progress(), Delta::Progress { last_seq: 1 });
-        assert_eq!(s.header().get("last_seq").unwrap().as_u64(), Some(1));
+        let progress = s.rewrite_progress();
+        assert_eq!(progress, Delta::Progress { last_seq: 1 });
+        // The device's header carries it to the next incarnation.
+        let mut c = ClientStream::new(StreamId(1), header(), vec![]);
+        apply_batch(&mut c, &[progress]);
+        let next = ServerStream::accept(StreamId(1), &c.header(), false);
+        assert_eq!(next.next_seq(), 2);
     }
 
     #[test]
@@ -1328,9 +1299,9 @@ mod tests {
         assert_eq!(read(0, 0, vec![]), invalid("open gaps holding nothing"));
     }
 
-    /// Walks `last_seq` through every digit-length rollover on all three
-    /// holders of the header and checks the spliced text against the
-    /// parse → merge → re-encode oracle after every step.
+    /// Walks `last_seq` through every digit-length rollover on both
+    /// holders of the header (proxy, device) and checks the spliced text
+    /// against the parse → merge → re-encode oracle after every step.
     #[test]
     fn progress_rewrites_splice_like_the_oracle_on_every_holder() {
         let subscribe = Json::obj([
@@ -1339,7 +1310,7 @@ mod tests {
             ("viewer", Json::from(77u64)),
         ]);
         let sid = StreamId(3);
-        let mut server = ServerStream::accept(sid, subscribe.clone(), false);
+        let mut server = ServerStream::accept(sid, &subscribe, false);
         let mut proxy = ProxyStreamTable::new();
         proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
         let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
@@ -1353,7 +1324,7 @@ mod tests {
             apply_batch(&mut client, &batch);
 
             let proxy_header = &proxy.get(9, sid).expect("entry").header;
-            for header in [&server.header, proxy_header, &client.header] {
+            for header in [proxy_header, &client.header] {
                 assert_eq!(header, &oracle, "last_seq {last}");
                 assert_eq!(header.get_u64("last_seq"), Some(last));
             }
@@ -1413,11 +1384,11 @@ mod tests {
     }
 
     proptest! {
-        /// Every holder of a header — BRASS, proxy / POP, device — reads
-        /// after every rewrite exactly like the parse → merge → re-encode
-        /// oracle: unpacked header, `u64` field reads, snapshot bytes and
-        /// frozen bytes, whether the rewrite was recorded as a pending
-        /// number or spliced.
+        /// Every holder of a header — proxy / POP, device — reads after
+        /// every rewrite exactly like the parse → merge → re-encode oracle:
+        /// unpacked header, `u64` field reads, snapshot bytes and frozen
+        /// bytes, whether the rewrite was recorded as a pending number or
+        /// spliced.
         #[test]
         fn holders_match_the_merge_oracle(steps in proptest::collection::vec(arb_step(), 1..24)) {
             let subscribe = Json::obj([
@@ -1425,7 +1396,6 @@ mod tests {
                 ("viewer", Json::from(77u64)),
             ]);
             let sid = StreamId(3);
-            let mut server = ServerStream::accept(sid, subscribe.clone(), false);
             let mut proxy = ProxyStreamTable::new();
             proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
             let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
@@ -1442,12 +1412,11 @@ mod tests {
                 };
                 oracle.merge(&patch);
                 let want = PackedJson::pack(&oracle);
-                server.apply_rewrite(&delta);
                 proxy.on_response(9, sid, std::slice::from_ref(&delta), 1);
                 apply_batch(&mut client, std::slice::from_ref(&delta));
 
                 let proxy_header = &proxy.get(9, sid).expect("entry").header;
-                for header in [&server.header, proxy_header, &client.header] {
+                for header in [proxy_header, &client.header] {
                     prop_assert_eq!(header.unpack().to_string(), oracle.to_string());
                     prop_assert_eq!(header, &want);
                     for key in ["last_seq", "brass_host", "viewer"] {
@@ -1456,15 +1425,9 @@ mod tests {
                     }
                     prop_assert_eq!(snap_bytes(header), snap_bytes(&want));
                 }
-                prop_assert_eq!(server.header().to_string(), oracle.to_string());
                 // The device splices at once: freezing borrows its text.
                 let frozen_text = client.header.to_bytes();
                 prop_assert!(matches!(frozen_text, std::borrow::Cow::Borrowed(_)));
-                let spliced = ServerStream { header: want.clone(), ..server.clone() };
-                let bytes = snap_bytes(&server);
-                prop_assert_eq!(&bytes, &snap_bytes(&spliced));
-                let restored = ServerStream::restore(&mut SnapReader::new(&bytes)).expect("restore");
-                prop_assert_eq!(&restored.header, &want);
                 let spliced = ClientStream { header: want.clone(), ..client.clone() };
                 prop_assert_eq!(stream_bytes(&client), stream_bytes(&spliced));
             }
@@ -1510,7 +1473,7 @@ mod tests {
         ] {
             let text = format!(r#"{{"topic":"/LVC/1","last_seq":{last_seq}}}"#);
             let header = Json::parse(&text).unwrap();
-            let server = ServerStream::accept(StreamId(1), header.clone(), false);
+            let server = ServerStream::accept(StreamId(1), &header, false);
             assert_eq!(server.next_seq(), resume, "accept, {last_seq}");
             let mut client = ClientStream::new(StreamId(1), header, vec![]);
             client.resubscribe_request();

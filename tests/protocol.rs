@@ -50,8 +50,8 @@ fn subscribe_rewrite_deliver_cancel_across_hops() {
     proxy.on_subscribe(9, sid, header.clone(), body, Some(7), 0);
 
     // BRASS accepts, patches sticky routing, and pushes two updates.
-    let mut server = ServerStream::accept(sid, header, false);
-    let rewrite = server.rewrite(Json::obj([("brass_host", Json::from(7u64))]));
+    let mut server = ServerStream::accept(sid, &header, false);
+    let rewrite = Delta::rewrite(Json::obj([("brass_host", Json::from(7u64))]));
     let batch = vec![
         rewrite,
         server.push(b"u0".to_vec()),
@@ -112,7 +112,7 @@ fn failover_resumes_from_rewritten_state() {
     let mut proxy = ProxyStreamTable::new();
     proxy.on_subscribe(9, StreamId(5), header.clone(), vec![], Some(1), 0);
 
-    let mut server_a = ServerStream::accept(StreamId(5), header, true);
+    let mut server_a = ServerStream::accept(StreamId(5), &header, true);
     let batch = vec![
         server_a.push(b"m0".to_vec()),
         server_a.push(b"m1".to_vec()),
@@ -139,7 +139,7 @@ fn failover_resumes_from_rewritten_state() {
         &[Delta::FlowStatus(burst::frame::FlowStatus::Recovered)],
     );
 
-    let mut server_b = ServerStream::accept(sid, header, true);
+    let mut server_b = ServerStream::accept(sid, &header, true);
     assert_eq!(
         server_b.next_seq(),
         2,
@@ -157,12 +157,11 @@ fn redirect_flow() {
         ("viewer", Json::from(1u64)),
         ("topic", Json::from("/LVC/1")),
     ]);
-    let mut client = ClientStream::new(StreamId(2), header.clone(), vec![]);
-    let mut server = ServerStream::accept(StreamId(2), header, false);
+    let mut client = ClientStream::new(StreamId(2), header, vec![]);
     // The BRASS wants this stream elsewhere: rewrite routing info, then
     // terminate with Redirect.
     let batch = vec![
-        server.rewrite(Json::obj([("brass_host", Json::from(99u64))])),
+        Delta::rewrite(Json::obj([("brass_host", Json::from(99u64))])),
         Delta::Terminate(TerminateReason::Redirect),
     ];
     let actions = apply_batch(&mut client, &batch);
@@ -182,7 +181,7 @@ fn ack_retention_replay_cycle() {
         ("topic", Json::from("/Msgr/1")),
     ]);
     let mut client = ClientStream::new(StreamId(3), header.clone(), vec![]);
-    let mut server = ServerStream::accept(StreamId(3), header, true);
+    let mut server = ServerStream::accept(StreamId(3), &header, true);
     let batch = vec![
         server.push(b"a".to_vec()),
         server.push(b"b".to_vec()),
