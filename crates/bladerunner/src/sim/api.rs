@@ -76,6 +76,7 @@ impl SystemSim {
             pop_fx: Vec::new(),
             device_out: Vec::new(),
             park: ParkScratch::default(),
+            served: Default::default(),
             config,
         }
     }
@@ -141,7 +142,7 @@ impl SystemSim {
     pub fn device(&self, device: u64) -> Option<Device> {
         self.devices.get(device).map(|d| match &d.slot {
             DeviceSlot::Live(dev) => dev.clone(),
-            DeviceSlot::Parked(blob) => Device::rehydrate(device, blob),
+            DeviceSlot::Parked { blob, .. } => Device::rehydrate(device, blob),
         })
     }
 
@@ -152,7 +153,7 @@ impl SystemSim {
         let parked = self
             .devices
             .values()
-            .filter(|d| matches!(d.slot, DeviceSlot::Parked(_)))
+            .filter(|d| matches!(d.slot, DeviceSlot::Parked { .. }))
             .count();
         (parked, self.devices.len())
     }
@@ -169,10 +170,13 @@ impl SystemSim {
 
     /// The `(device, sid)` keys a BRASS host currently serves, sorted.
     pub fn host_stream_keys(&self, host: usize) -> Vec<(u64, StreamId)> {
-        self.hosts
+        let mut keys: Vec<(u64, StreamId)> = self
+            .hosts
             .get(host)
-            .map(|h| h.stream_keys())
-            .unwrap_or_default()
+            .map(|h| h.iter_stream_keys().collect())
+            .unwrap_or_default();
+        keys.sort_unstable();
+        keys
     }
 
     /// Current simulated time (the high-water mark of `run_until`).

@@ -20,7 +20,51 @@ use crate::config::LinkClass;
 /// arrives can never perturb results, only resident bytes.
 pub(super) enum DeviceSlot {
     Live(Device),
-    Parked(Box<[u8]>),
+    Parked { blob: Box<[u8]>, sids: OpenSids },
+}
+
+// A parked device's sids ride in the room the live machine already takes.
+const _: () = assert!(size_of::<DeviceSlot>() == 56 && size_of::<DeviceState>() == 136);
+
+/// Open stream ids kept inline.
+const INLINE_SIDS: usize = 7;
+
+/// A parked device's open stream ids, oldest first, kept beside its blob
+/// so the metrics tick reads no blob: derived state, written at park and
+/// at snapshot load, never snapshotted. A device with more open streams
+/// than fit, or an id past `u32`, keeps none and is read from its blob.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) struct OpenSids {
+    /// How many of `ids` are set, or [`OpenSids::IN_BLOB`].
+    len: u8,
+    ids: [u32; INLINE_SIDS],
+}
+
+impl OpenSids {
+    const IN_BLOB: u8 = u8::MAX;
+
+    fn of(sids: impl Iterator<Item = StreamId>) -> OpenSids {
+        let mut inline = OpenSids {
+            len: 0,
+            ids: [0; INLINE_SIDS],
+        };
+        for sid in sids {
+            let slot = inline.ids.get_mut(inline.len as usize);
+            let (Some(slot), Ok(id)) = (slot, u32::try_from(sid.0)) else {
+                inline.len = Self::IN_BLOB;
+                return inline;
+            };
+            *slot = id;
+            inline.len += 1;
+        }
+        inline
+    }
+
+    /// The ids, if they fit inline.
+    fn inline(&self) -> Option<impl Iterator<Item = StreamId> + '_> {
+        let ids = self.ids.get(..self.len as usize)?;
+        Some(ids.iter().map(|&id| StreamId(id.into())))
+    }
 }
 
 pub(super) struct DeviceState {
@@ -73,7 +117,7 @@ impl DeviceState {
     /// The live device machine, rehydrating first if parked. `id` is the
     /// map key (not stored in the state — that would duplicate it).
     pub(super) fn wake(&mut self, id: u64, park: &mut ParkScratch) -> &mut Device {
-        if let DeviceSlot::Parked(blob) = &mut self.slot {
+        if let DeviceSlot::Parked { blob, .. } = &mut self.slot {
             let mut machine = park.machine.take().unwrap_or_else(|| Device::new(id));
             machine
                 .rehydrate_from(id, blob)
@@ -84,17 +128,21 @@ impl DeviceState {
         }
         match &mut self.slot {
             DeviceSlot::Live(d) => d,
-            DeviceSlot::Parked(_) => unreachable!("rehydrated above"),
+            DeviceSlot::Parked { .. } => unreachable!("rehydrated above"),
         }
     }
 
     /// Visits the open stream ids, oldest first, without waking a parked
-    /// device (the metrics tick peeks the frozen blob instead of
-    /// rehydrating the whole fleet) and without allocating.
+    /// device and without allocating: a parked device's come from the ids
+    /// kept beside its blob ([`OpenSids`]), and only one with more open
+    /// streams than fit there has its blob peeked.
     pub(super) fn for_each_open_sid(&self, visit: impl FnMut(StreamId)) {
         match &self.slot {
             DeviceSlot::Live(d) => d.iter_open_sids().for_each(visit),
-            DeviceSlot::Parked(blob) => Device::frozen_open_sids(blob).for_each(visit),
+            DeviceSlot::Parked { blob, sids } => match sids.inline() {
+                Some(inline) => inline.for_each(visit),
+                None => Device::frozen_open_sids(blob).for_each(visit),
+            },
         }
     }
 
@@ -117,7 +165,8 @@ impl DeviceState {
         let DeviceSlot::Live(d) = &self.slot else {
             return;
         };
-        if d.open_streams() == 0 {
+        let sids = OpenSids::of(d.iter_open_sids());
+        if sids.len == 0 {
             return;
         }
         let mut frozen = SnapWriter::over(std::mem::take(&mut park.frozen));
@@ -129,8 +178,12 @@ impl DeviceState {
         } else {
             blob = park.frozen.as_slice().into();
         }
+        debug_assert!(
+            (sids.inline()).is_none_or(|inline| inline.eq(Device::frozen_open_sids(&blob))),
+            "inline open sids match the blob"
+        );
         if let DeviceSlot::Live(machine) =
-            std::mem::replace(&mut self.slot, DeviceSlot::Parked(blob))
+            std::mem::replace(&mut self.slot, DeviceSlot::Parked { blob, sids })
         {
             park.machine = Some(machine);
         }
@@ -148,7 +201,7 @@ impl DeviceState {
                 w.put_u8(0);
                 d.hibernate().snap(w);
             }
-            DeviceSlot::Parked(blob) => {
+            DeviceSlot::Parked { blob, .. } => {
                 w.put_u8(1);
                 blob.snap(w);
             }
@@ -182,7 +235,10 @@ impl DeviceState {
             .map_err(|e| SnapError::Invalid(format!("device {id}: {e}")))?;
         let slot = match slot_tag {
             0 => DeviceSlot::Live(std::mem::replace(scratch, Device::new(id))),
-            1 => DeviceSlot::Parked(blob),
+            1 => DeviceSlot::Parked {
+                sids: OpenSids::of(scratch.iter_open_sids()),
+                blob,
+            },
             other => {
                 return Err(SnapError::Invalid(format!(
                     "unknown device slot tag {other}"
@@ -211,5 +267,155 @@ impl SystemSim {
         let hibernation = self.config.hibernation;
         let state = self.devices.at_mut(slot);
         state.maybe_park(hibernation, &mut self.park);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use burst::frame::{Delta, Frame, TerminateReason};
+    use burst::json::Json;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Open,
+        /// The `k`th open stream (cycling) is cancelled.
+        Cancel(usize),
+        /// The `k`th open stream is ended by the server: by a redirect
+        /// (`true`: kept, to retry) or an error (dropped).
+        Terminate(usize, bool),
+        /// The `k`th stream ever opened (cycling), if the device still
+        /// holds it, resubscribes: a redirected one opens again.
+        Retry(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let k = || 0usize..12;
+        prop_oneof![
+            Just(Op::Open),
+            Just(Op::Open),
+            k().prop_map(Op::Cancel),
+            (k(), any::<bool>()).prop_map(|(k, redirect)| Op::Terminate(k, redirect)),
+            k().prop_map(Op::Retry),
+        ]
+    }
+
+    /// Applies `op`; `opened` is every sid the device handed out.
+    fn apply(device: &mut Device, op: &Op, opened: &mut Vec<StreamId>) {
+        let open = device.open_sids();
+        let nth = |k: usize| (!open.is_empty()).then(|| open[k % open.len()]);
+        match *op {
+            Op::Open => {
+                let header = Json::obj([("topic", Json::from("/LVC/1"))]);
+                opened.push(device.open_stream(header, vec![1]).0);
+            }
+            Op::Cancel(k) => {
+                nth(k).map(|sid| device.cancel_stream(sid));
+            }
+            Op::Terminate(k, redirect) => {
+                if let Some(sid) = nth(k) {
+                    let reason = if redirect {
+                        TerminateReason::Redirect
+                    } else {
+                        TerminateReason::Error
+                    };
+                    let batch = vec![Delta::Terminate(reason)];
+                    device.on_frame(&Frame::Response { sid, batch });
+                }
+            }
+            Op::Retry(k) => {
+                if !opened.is_empty() {
+                    device.retry_stream(opened[k % opened.len()]);
+                }
+            }
+        }
+    }
+
+    fn state(id: u64) -> DeviceState {
+        DeviceState {
+            slot: DeviceSlot::Live(Device::new(id)),
+            link: LinkClass::Fast,
+            lang: 0,
+            connected: true,
+            drop_streak: 0,
+            last_drop_at: SimTime::ZERO,
+            next_arrival: SimTime::ZERO,
+            flow: FlowWindow::new(0),
+            degraded_sids: Vec::new(),
+            inflight_frames: 0,
+        }
+    }
+
+    fn visited(state: &DeviceState) -> Vec<StreamId> {
+        let mut sids = Vec::new();
+        state.for_each_open_sid(|sid| sids.push(sid));
+        sids
+    }
+
+    proptest! {
+        /// After every park, the ids kept beside the blob are the blob's
+        /// open ids and the live machine's, or — past the inline room —
+        /// absent, with the tick reading the blob instead; a snapshot
+        /// round trip of the parked slot rebuilds the same ids.
+        #[test]
+        fn parked_sids_match_the_blob(ops in proptest::collection::vec(op(), 1..48)) {
+            let id = 5;
+            let mut state = state(id);
+            let mut park = ParkScratch::default();
+            let mut opened = Vec::new();
+            for op in &ops {
+                let device = state.wake(id, &mut park);
+                apply(device, op, &mut opened);
+                let live: Vec<StreamId> = device.iter_open_sids().collect();
+                state.maybe_park(true, &mut park);
+                prop_assert_eq!(visited(&state), live.clone());
+                let DeviceSlot::Parked { blob, sids } = &state.slot else {
+                    prop_assert!(live.is_empty(), "a device with open streams parks");
+                    continue;
+                };
+                prop_assert_eq!(Device::frozen_open_sids(blob).collect::<Vec<_>>(), live.clone());
+                let inline: Option<Vec<StreamId>> = sids.inline().map(Iterator::collect);
+                prop_assert_eq!(inline.is_some(), live.len() <= INLINE_SIDS);
+                prop_assert!(inline.is_none_or(|inline| inline == live));
+
+                let mut w = SnapWriter::new();
+                state.snap(&mut w);
+                let bytes = w.into_bytes();
+                let mut r = SnapReader::new(&bytes);
+                let read = DeviceState::restore(id, &mut r, &mut Device::new(0)).expect("restore");
+                r.finish().expect("no trailing bytes");
+                let DeviceSlot::Parked { sids: read_sids, .. } = &read.slot else {
+                    panic!("a parked slot reads back parked");
+                };
+                prop_assert_eq!(read_sids, sids);
+                prop_assert_eq!(visited(&read), live);
+            }
+        }
+    }
+
+    /// One stream past the inline room keeps no ids inline; dropping back
+    /// under it keeps them again.
+    #[test]
+    fn a_device_past_the_inline_room_is_read_from_its_blob() {
+        let (id, mut park, mut opened) = (5, ParkScratch::default(), Vec::new());
+        let mut state = state(id);
+        for _ in 0..=INLINE_SIDS {
+            apply(state.wake(id, &mut park), &Op::Open, &mut opened);
+        }
+        state.maybe_park(true, &mut park);
+        let inline = |state: &DeviceState| -> Option<Vec<StreamId>> {
+            let DeviceSlot::Parked { sids, .. } = &state.slot else {
+                panic!("parked");
+            };
+            sids.inline().map(Iterator::collect)
+        };
+        assert_eq!(inline(&state), None);
+        assert_eq!(visited(&state), opened);
+        apply(state.wake(id, &mut park), &Op::Cancel(0), &mut opened);
+        state.maybe_park(true, &mut park);
+        assert_eq!(inline(&state), Some(opened[1..].to_vec()));
+        assert_eq!(visited(&state), opened[1..]);
     }
 }

@@ -169,6 +169,9 @@ pub struct SystemSim {
     pop_fx: Vec<PopEffect>,
     device_out: Vec<DeviceOutput>,
     park: ParkScratch,
+    /// The metrics tick's set of served stream keys
+    /// ([`SystemSim::served_keys`]).
+    served: FxHashSet<(u64, StreamId)>,
 }
 
 impl SystemSim {
@@ -392,15 +395,11 @@ impl SystemSim {
         let decisions = self.total_decisions();
         // One availability sample: of all open streams on currently-connected
         // devices, the fraction a live BRASS host is serving right now.
-        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
-        for (host, up) in self.hosts.iter().zip(&self.host_up) {
-            if *up {
-                live.extend(host.stream_keys());
-            }
-        }
-        // One walk of each device (for a parked one, of its blob): open
-        // streams across ALL devices, and of those on connected devices,
-        // how many are served.
+        let mut live = std::mem::take(&mut self.served);
+        self.served_keys(&mut live);
+        // One walk of each device's open sids (a parked one's kept beside
+        // its blob): open streams across ALL devices, and of those on
+        // connected devices, how many are served.
         let (mut active, mut open, mut served) = (0u64, 0u64, 0u64);
         for (id, state) in &self.devices {
             state.for_each_open_sid(|sid| {
@@ -429,6 +428,7 @@ impl SystemSim {
         fp.mix_u64(decisions);
         fp.mix_u64(live.len() as u64);
         fp.mix_u64(open);
+        self.served = live;
         self.fingerprints.push((at, fp.value()));
         self.event_stats.total += 1;
         self.event_stats.metrics += 1;
@@ -445,6 +445,17 @@ impl SystemSim {
             served as f64 / open as f64
         };
         self.metrics.record_availability(at, fraction);
+    }
+
+    /// Fills `served` with the `(device, sid)` key of every stream a live
+    /// BRASS host serves, emptying it first (its capacity stays).
+    fn served_keys(&self, served: &mut FxHashSet<(u64, StreamId)>) {
+        served.clear();
+        for (host, up) in self.hosts.iter().zip(&self.host_up) {
+            if *up {
+                served.extend(host.iter_stream_keys());
+            }
+        }
     }
 }
 

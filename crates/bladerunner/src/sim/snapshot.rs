@@ -270,15 +270,12 @@ impl SystemSim {
     /// every admitted update as delivered, dropped-with-reason, or
     /// backfilled.
     pub fn convergence_report(&self) -> crate::fault::ConvergenceReport {
-        let mut live: FxHashSet<(u64, StreamId)> = FxHashSet::default();
-        let mut dead_host_streams = 0u64;
-        for (host, up) in self.hosts.iter().zip(&self.host_up) {
-            if *up {
-                live.extend(host.stream_keys());
-            } else {
-                dead_host_streams += host.stream_count() as u64;
-            }
-        }
+        let mut live = FxHashSet::default();
+        self.served_keys(&mut live);
+        let dead_host_streams: u64 = (self.hosts.iter().zip(&self.host_up))
+            .filter(|(_, up)| !**up)
+            .map(|(host, _)| host.stream_count() as u64)
+            .sum();
         let mut open_streams = 0u64;
         let mut connected_devices = 0u64;
         let mut stranded: Vec<(u64, StreamId)> = Vec::new();

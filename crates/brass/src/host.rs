@@ -230,14 +230,11 @@ impl BrassHost {
         self.streams.len()
     }
 
-    /// The `(device, sid)` keys of every active stream, sorted. Used by the
-    /// chaos convergence checker and availability sampling to ask which
+    /// The `(device, sid)` key of every active stream, in no set order.
+    /// The metrics tick and the convergence audit ask it which
     /// subscriptions a host is actually serving.
-    pub fn stream_keys(&self) -> Vec<(u64, StreamId)> {
-        let mut keys: Vec<(u64, StreamId)> =
-            self.streams.keys().map(|k| (k.device.0, k.sid)).collect();
-        keys.sort_unstable_by_key(|&(d, s)| (d, s.0));
-        keys
+    pub fn iter_stream_keys(&self) -> impl Iterator<Item = (u64, StreamId)> + '_ {
+        self.streams.keys().map(|k| (k.device.0, k.sid))
     }
 
     /// Host counters.
@@ -445,7 +442,8 @@ impl BrassHost {
     /// effects to `out`.
     ///
     /// Resolution failures and capacity exhaustion produce a terminate
-    /// response rather than an error: devices are remote.
+    /// response rather than an error: devices are remote. Either ends a
+    /// live key's old incarnation too.
     pub fn on_subscribe_into(
         &mut self,
         device: DeviceId,
@@ -458,6 +456,7 @@ impl BrassHost {
         let Ok(sub) = resolve(&header) else {
             self.counters.streams_rejected += 1;
             out.push(Self::terminate(device, sid, TerminateReason::Error));
+            self.on_cancel_into(device, sid, now, out);
             return;
         };
         let Ok(index) = self.ensure_instance(&sub.app) else {
@@ -467,6 +466,7 @@ impl BrassHost {
                 sid,
                 TerminateReason::ServerShutdown,
             ));
+            self.on_cancel_into(device, sid, now, out);
             return;
         };
         let app = self.instances[index].name;
@@ -478,11 +478,20 @@ impl BrassHost {
         // so a resubscribe after failure lands back here.
         let patch = Json::obj([("brass_host", Json::from(self.config.host_id.0 as u64))]);
         let rewrite = Delta::rewrite(patch);
-        self.streams.insert(stream, StreamMeta { app, server });
+        let replaced = self.streams.insert(stream, StreamMeta { app, server });
         out.push(Self::respond(device, sid, vec![rewrite]));
         self.run_handler(app, now, out, |a, ctx| {
             a.on_subscribe(ctx, stream, &sub, &header)
         });
+        // A live key's old incarnation is closed in its own application
+        // when another one took the key over, or when its application
+        // refused the resubscribe (and so kept the old one). A same-app
+        // resubscribe it accepted is that app's to merge.
+        if let Some(old) = replaced {
+            if old.app != app || !self.streams.contains_key(&stream) {
+                self.run_handler(old.app, now, out, |a, ctx| a.on_stream_closed(ctx, stream));
+            }
+        }
     }
 
     /// Fans a Pylon update event out; the effects as a vector (see
@@ -1047,7 +1056,11 @@ mod tests {
             let topic = Topic::live_video_comments(video);
             assert_eq!(restored.watches(topic), h.watches(topic));
         }
-        assert_eq!(restored.stream_keys(), h.stream_keys());
+        let keys = |h: &BrassHost| {
+            h.iter_stream_keys()
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        assert_eq!(keys(&restored), keys(&h));
     }
 
     #[test]

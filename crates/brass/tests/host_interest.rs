@@ -1,6 +1,7 @@
 //! The host's Pylon subscription manager against a model of the open
 //! streams: several applications on one host declare overlapping topics
-//! while streams subscribe, resubscribe their live key, cancel and are
+//! while streams subscribe, resubscribe their live key (to the same
+//! application or another, which may refuse it), cancel and are
 //! redirected, and Pylon events arrive. After every step the topics the
 //! host's Pylon effects leave subscribed are the union of the topics the
 //! open streams declare, no topic is subscribed twice without an
@@ -32,15 +33,19 @@ fn topic(t: usize) -> Topic {
     Topic::new(TOPICS[t]).expect("a valid topic")
 }
 
-/// The `k`th topic `APPS[app]` accepts, cycling.
-fn topic_for(app: usize, k: usize) -> usize {
-    let family = |t: usize| match APPS[app] {
+/// Whether `APPS[app]` accepts a stream on `TOPICS[t]`.
+fn accepts(app: usize, t: usize) -> bool {
+    match APPS[app] {
         "typing" => t + 1 < TOPICS.len(),
         "likes" => TOPICS[t].starts_with("/Likes/"),
         "lvc" => TOPICS[t].starts_with("/LVC/"),
         _ => TOPICS[t].starts_with("/Notif/"),
-    };
-    let accepted: Vec<usize> = (0..TOPICS.len()).filter(|&t| family(t)).collect();
+    }
+}
+
+/// The `k`th topic `APPS[app]` accepts, cycling.
+fn topic_for(app: usize, k: usize) -> usize {
+    let accepted: Vec<usize> = (0..TOPICS.len()).filter(|&t| accepts(app, t)).collect();
     accepted[k % accepted.len()]
 }
 
@@ -52,6 +57,10 @@ enum Op {
     /// An open key subscribes again, to its own application, on the `k`th
     /// topic it takes.
     Resubscribe(u64, usize),
+    /// An open key subscribes again to `APPS[app]` on `TOPICS[t]`: another
+    /// application takes the key over, or the application refuses the
+    /// topic and the stream ends.
+    ResubscribeAs(u64, usize, usize),
     Cancel(u64),
     Redirect(u64),
     /// A Pylon event on `TOPICS[t]`.
@@ -64,6 +73,8 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (device(), 0..APPS.len(), k()).prop_map(|(d, a, k)| Op::Subscribe(d, a, k)),
         (device(), k()).prop_map(|(d, k)| Op::Resubscribe(d, k)),
+        (device(), 0..APPS.len(), 0..TOPICS.len() - 1)
+            .prop_map(|(d, a, t)| Op::ResubscribeAs(d, a, t)),
         device().prop_map(Op::Cancel),
         device().prop_map(Op::Redirect),
         (0..TOPICS.len()).prop_map(Op::Event),
@@ -122,6 +133,17 @@ proptest! {
                     let t = topic_for(held.0, k);
                     host.on_subscribe_into(DeviceId(d), sid, header(d, held.0, t), now, &mut out);
                     held.1 = t;
+                }
+                Op::ResubscribeAs(d, app, t) => {
+                    if !open.contains_key(&d) {
+                        continue;
+                    }
+                    host.on_subscribe_into(DeviceId(d), sid, header(d, app, t), now, &mut out);
+                    if accepts(app, t) {
+                        open.insert(d, (app, t));
+                    } else {
+                        open.remove(&d);
+                    }
                 }
                 Op::Cancel(d) => {
                     host.on_cancel_into(DeviceId(d), sid, now, &mut out);

@@ -157,3 +157,69 @@ fn a_resubscribe_whose_friend_list_shrank_releases_the_dropped_friend() {
         );
     }
 }
+
+impl Driven {
+    /// Asserts the host holds nothing for the stream: no stream, no topic,
+    /// one Pylon unsubscribe per subscribe, and no timer chain once the
+    /// clock runs on.
+    fn assert_released(&mut self, case: &str) {
+        assert_eq!(self.host.stream_count(), 0, "{case}: a stream is left");
+        assert!(!self.subscribes.is_empty(), "{case}: subscribed to nothing");
+        for topic in self.subscribes.keys() {
+            assert!(!self.host.watches(*topic), "{case}: {topic} still held");
+        }
+        assert_eq!(self.unsubscribes, self.subscribes, "{case}");
+        self.run_until(self.now + simkit::time::SimDuration::from_secs(90));
+        assert!(
+            self.timers.is_empty(),
+            "{case}: a chain outlived the stream"
+        );
+    }
+}
+
+/// A live key resubscribed to another application is closed in the first:
+/// it no longer holds its topic, and once the key is cancelled neither
+/// application holds anything.
+#[test]
+fn a_live_key_taken_over_by_another_app_is_closed_in_the_first() {
+    let mut d = Driven::new();
+    d.subscribe(&header("subscription { liveVideoComments(videoId: 5) }"));
+    d.subscribe(&header("subscription { postLikes(postId: 5) }"));
+    let lvc = Topic::live_video_comments(5);
+    assert!(!d.host.watches(lvc), "the replaced LVC stream holds {lvc}");
+    assert_eq!(d.host.stream_count(), 1);
+    let mut out = Vec::new();
+    d.host
+        .on_cancel_into(DeviceId(1), StreamId(1), d.now, &mut out);
+    d.absorb(out);
+    d.assert_released("lvc, then likes");
+}
+
+/// A live key whose resubscribe is refused — by its own application, or
+/// because the header does not resolve — ends whole: the host terminates
+/// it, and the application releases what the old incarnation held.
+#[test]
+fn a_refused_live_key_resubscribe_releases_the_old_stream() {
+    let apps = [
+        ("subscription { postLikes(postId: 5) }", "likes"),
+        ("subscription { notifications }", "notifications"),
+        ("subscription { liveVideoComments(videoId: 5) }", "lvc"),
+        ("subscription { mailbox(uid: 9) }", "messenger"),
+    ];
+    for (gql, app) in apps {
+        // The application's own name on a topic outside its family, and
+        // a header with no viewer.
+        let foreign = Json::obj([
+            ("viewer", Json::from(9u64)),
+            ("app", Json::from(app)),
+            ("topic", Json::from("/Unwatched/1")),
+        ]);
+        let unresolvable = Json::obj([("gql", Json::from(gql))]);
+        for refusal in [foreign, unresolvable] {
+            let mut d = Driven::new();
+            d.subscribe(&header(gql));
+            d.subscribe(&refusal);
+            d.assert_released(&format!("{app}, refused by {refusal}"));
+        }
+    }
+}

@@ -13,7 +13,7 @@
 //!   dead streams.
 
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{ensure, Snap, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{ensure, restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};
 use simkit::{snap_enum, snap_struct};
 
 use crate::frame::{Delta, FlowStatus, Frame, Payload, StreamId, TerminateReason};
@@ -634,17 +634,41 @@ snap_struct!(ProxyEntry {
     last_activity_us
 });
 
-/// Proxy-side table of stream state, keyed by `(connection, sid)` scoped to
-/// one proxy.
-///
-/// Stream ids are client-generated, so they are only unique per client
-/// connection; callers key entries by a `conn` discriminator.
-#[derive(Default)]
-pub struct ProxyStreamTable {
-    entries: FxHashMap<(u64, StreamId), ProxyEntry>,
+/// A proxy table row: a stream and its stored state.
+type Row = (StreamId, ProxyEntry);
+
+/// Where `sid` sits (or would sit) among one connection's rows.
+fn find(rows: &[Row], sid: StreamId) -> Result<usize, usize> {
+    rows.binary_search_by_key(&sid, |(s, _)| *s)
 }
 
-snap_struct!(ProxyStreamTable { entries });
+/// Edits one connection's rows through a `Vec` and boxes them again at
+/// their exact length: most connections carry a stream or two, so slack
+/// capacity would cost more than the reallocation.
+fn edit_rows(rows: &mut Box<[Row]>, edit: impl FnOnce(&mut Vec<Row>)) {
+    let mut v = Vec::from(std::mem::take(rows));
+    edit(&mut v);
+    *rows = v.into_boxed_slice();
+}
+
+/// Proxy-side table of stream state, keyed by `(connection, sid)` scoped to
+/// one proxy, and grouped by connection.
+///
+/// Stream ids are client-generated, so they are only unique per client
+/// connection; callers key entries by a `conn` discriminator. Each
+/// connection's streams sit together, ascending by sid, so what touches
+/// one stream or one connection — a frame, a cancel, a closed connection,
+/// the list of a connection's streams — costs one hashed lookup plus that
+/// connection's few streams. Only [`streams_via`](Self::streams_via),
+/// [`orphans`](Self::orphans), [`gc`](Self::gc) and the snapshot walk the
+/// whole table.
+#[derive(Default)]
+pub struct ProxyStreamTable {
+    /// Connection → its rows, ascending by sid, never empty.
+    conns: FxHashMap<u64, Box<[Row]>>,
+    /// Streams across all connections.
+    len: usize,
+}
 
 impl ProxyStreamTable {
     /// Creates an empty table.
@@ -654,12 +678,18 @@ impl ProxyStreamTable {
 
     /// Number of streams tracked.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if no streams are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    fn entry_mut(&mut self, conn: u64, sid: StreamId) -> Option<&mut ProxyEntry> {
+        let rows = self.conns.get_mut(&conn)?;
+        let i = find(rows, sid).ok()?;
+        Some(&mut rows[i].1)
     }
 
     /// Records a subscribe passing through.
@@ -672,15 +702,28 @@ impl ProxyStreamTable {
         upstream: Option<u64>,
         now_us: u64,
     ) {
-        self.entries.insert(
-            (conn, sid),
-            ProxyEntry {
-                header: PackedJson::pack(&header),
-                body: body.into_boxed_slice(),
-                upstream,
-                last_activity_us: now_us,
-            },
-        );
+        let entry = ProxyEntry {
+            header: PackedJson::pack(&header),
+            body: body.into_boxed_slice(),
+            upstream,
+            last_activity_us: now_us,
+        };
+        self.insert(conn, (sid, entry));
+    }
+
+    /// Adds a row, or replaces the one with its key.
+    fn insert(&mut self, conn: u64, row: Row) {
+        let rows = self.conns.entry(conn).or_default();
+        match find(rows, row.0) {
+            Ok(i) => rows[i] = row,
+            Err(i) => {
+                edit_rows(rows, |v| {
+                    v.reserve_exact(1);
+                    v.insert(i, row);
+                });
+                self.len += 1;
+            }
+        }
     }
 
     /// Observes a response batch passing through: applies rewrites to the
@@ -688,78 +731,90 @@ impl ProxyStreamTable {
     /// step never touches the header text), refreshes activity, and drops
     /// state on termination.
     pub fn on_response(&mut self, conn: u64, sid: StreamId, batch: &[Delta], now_us: u64) {
+        let Some(entry) = self.entry_mut(conn, sid) else {
+            return;
+        };
+        entry.last_activity_us = now_us;
         let mut remove = false;
-        if let Some(entry) = self.entries.get_mut(&(conn, sid)) {
-            entry.last_activity_us = now_us;
-            for delta in batch {
-                match delta {
-                    Delta::Terminate(_) => remove = true,
-                    _ => record_rewrite(&mut entry.header, delta),
-                }
+        for delta in batch {
+            match delta {
+                Delta::Terminate(_) => remove = true,
+                _ => record_rewrite(&mut entry.header, delta),
             }
         }
         if remove {
-            self.entries.remove(&(conn, sid));
+            self.on_cancel(conn, sid);
         }
     }
 
     /// Observes a client cancel: stream state is garbage-collected.
     pub fn on_cancel(&mut self, conn: u64, sid: StreamId) {
-        self.entries.remove(&(conn, sid));
+        let Some(rows) = self.conns.get_mut(&conn) else {
+            return;
+        };
+        let Ok(i) = find(rows, sid) else {
+            return;
+        };
+        self.len -= 1;
+        if rows.len() == 1 {
+            self.conns.remove(&conn);
+        } else {
+            edit_rows(rows, |v| drop(v.remove(i)));
+        }
     }
 
     /// Drops all streams belonging to a client connection (the device
     /// disconnected; §3.5: proxies GC stream state "when the connection to
-    /// the device fails").
-    pub fn on_connection_closed(&mut self, conn: u64) -> Vec<StreamId> {
-        let sids: Vec<StreamId> = self
-            .entries
-            .keys()
-            .filter(|(c, _)| *c == conn)
-            .map(|(_, s)| *s)
-            .collect();
-        for sid in &sids {
-            self.entries.remove(&(conn, *sid));
-        }
-        sids
+    /// the device fails") and returns how many there were.
+    pub fn on_connection_closed(&mut self, conn: u64) -> usize {
+        let dropped = self.conns.remove(&conn).map_or(0, |rows| rows.len());
+        self.len -= dropped;
+        dropped
+    }
+
+    /// One connection's streams, ascending by sid.
+    pub fn streams_of(&self, conn: u64) -> impl Iterator<Item = (StreamId, &ProxyEntry)> {
+        let rows = self.conns.get(&conn).map_or(&[][..], |rows| &rows[..]);
+        rows.iter().map(|(sid, entry)| (*sid, entry))
     }
 
     /// Looks up a stream's stored entry.
     pub fn get(&self, conn: u64, sid: StreamId) -> Option<&ProxyEntry> {
-        self.entries.get(&(conn, sid))
+        let rows = self.conns.get(&conn)?;
+        let i = find(rows, sid).ok()?;
+        Some(&rows[i].1)
     }
 
     /// Clears a stream's upstream assignment (it is now orphaned).
     pub fn clear_upstream(&mut self, conn: u64, sid: StreamId) {
-        if let Some(e) = self.entries.get_mut(&(conn, sid)) {
+        if let Some(e) = self.entry_mut(conn, sid) {
             e.upstream = None;
         }
     }
 
+    /// Every stream whose entry passes `keep`, ascending by `(conn, sid)`.
+    fn select(&self, keep: impl Fn(&ProxyEntry) -> bool) -> Vec<(u64, StreamId)> {
+        let mut v: Vec<(u64, StreamId)> = self
+            .conns
+            .iter()
+            .flat_map(|(&conn, rows)| rows.iter().map(move |row| (conn, row)))
+            .filter(|(_, (_, e))| keep(e))
+            .map(|(conn, (sid, _))| (conn, *sid))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     /// Streams whose upstream hop is not in `live` — orphans left behind
     /// when repairs had nowhere to go, re-repaired once a hop returns.
-    pub fn streams_not_via(&self, live: &[u64]) -> Vec<(u64, StreamId)> {
-        let mut v: Vec<(u64, StreamId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.upstream.is_none_or(|u| !live.contains(&u)))
-            .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable_by_key(|&(c, s)| (c, s));
-        v
+    pub fn orphans(&self, live: &[u64]) -> Vec<(u64, StreamId)> {
+        self.select(|e| e.upstream.is_none_or(|u| !live.contains(&u)))
     }
 
     /// Streams routed to a given upstream hop — the set the proxy must
     /// repair when that hop fails (axiom 2).
     pub fn streams_via(&self, upstream: u64) -> Vec<(u64, StreamId)> {
-        let mut v: Vec<(u64, StreamId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.upstream == Some(upstream))
-            .map(|(&k, _)| k)
-            .collect();
-        v.sort_unstable_by_key(|&(c, s)| (c, s));
-        v
+        self.select(|e| e.upstream == Some(upstream))
     }
 
     /// Re-routes a stream to a new upstream and returns the resubscribe
@@ -770,7 +825,7 @@ impl ProxyStreamTable {
         sid: StreamId,
         new_upstream: u64,
     ) -> Option<Frame> {
-        let entry = self.entries.get_mut(&(conn, sid))?;
+        let entry = self.entry_mut(conn, sid)?;
         entry.upstream = Some(new_upstream);
         Some(Frame::Subscribe {
             sid,
@@ -781,9 +836,41 @@ impl ProxyStreamTable {
 
     /// Garbage-collects entries idle since before `cutoff_us`.
     pub fn gc(&mut self, cutoff_us: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.last_activity_us >= cutoff_us);
-        before - self.entries.len()
+        let before = self.len;
+        let live = |(_, e): &Row| e.last_activity_us >= cutoff_us;
+        self.conns.retain(|_, rows| {
+            if !rows.iter().all(live) {
+                edit_rows(rows, |v| v.retain(live));
+            }
+            !rows.is_empty()
+        });
+        self.len = self.conns.values().map(|rows| rows.len()).sum();
+        before - self.len
+    }
+}
+
+/// The flat map's bytes: the stream count, then `((conn, sid), entry)`
+/// ascending by `(conn, sid)`.
+impl Snap for ProxyStreamTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut conns: Vec<(&u64, &Box<[Row]>)> = self.conns.iter().collect();
+        conns.sort_unstable_by_key(|(conn, _)| **conn);
+        w.put_usize(self.len);
+        for (conn, rows) in conns {
+            for (sid, entry) in rows.iter() {
+                (*conn, *sid).snap(w);
+                entry.snap(w);
+            }
+        }
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let rows = restore_sorted(r, |a: &((u64, StreamId), ProxyEntry), b| a.0 < b.0)?;
+        let mut table = ProxyStreamTable::new();
+        for ((conn, sid), entry) in rows {
+            table.insert(conn, (sid, entry));
+        }
+        Ok(table)
     }
 }
 
@@ -1201,8 +1288,7 @@ mod tests {
         t.on_subscribe(1, StreamId(5), header(), vec![], None, 0);
         t.on_subscribe(1, StreamId(6), header(), vec![], None, 0);
         t.on_subscribe(2, StreamId(5), header(), vec![], None, 0);
-        let dropped = t.on_connection_closed(1);
-        assert_eq!(dropped.len(), 2);
+        assert_eq!(t.on_connection_closed(1), 2);
         assert_eq!(t.len(), 1);
         assert!(t.get(2, StreamId(5)).is_some());
     }

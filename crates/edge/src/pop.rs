@@ -298,7 +298,7 @@ impl Pop {
             self.proxies.push(proxy);
         }
         let live: Vec<u64> = self.proxies.iter().map(|&p| p as u64).collect();
-        let orphans = self.table.streams_not_via(&live);
+        let orphans = self.table.orphans(&live);
         for (device, sid) in orphans {
             let new_proxy = self.proxies[(device % self.proxies.len() as u64) as usize];
             self.device_proxy.insert(device, new_proxy);

@@ -176,7 +176,7 @@ impl ReverseProxy {
             .entry(host)
             .or_insert_with(|| HeartbeatMonitor::new(self.hb_interval_us, self.hb_misses));
         let live: Vec<u64> = self.hosts.iter().map(|&h| h as u64).collect();
-        let orphans = self.table.streams_not_via(&live);
+        let orphans = self.table.orphans(&live);
         for (device, sid) in orphans {
             *self.host_loads.entry(host).or_insert(0) += 1;
             self.resubscribe_to(device, sid, host, out);
@@ -454,31 +454,28 @@ impl ReverseProxy {
 
     /// Handles a device connection closing at the POP: all of its stream
     /// state is dropped, and the owning BRASSes are informed via cancels
-    /// (axiom 1 upstream direction).
+    /// (axiom 1 upstream direction), host by host in pool order, each
+    /// host's in sid order. Streams with no live upstream get none.
     pub fn on_device_disconnected_into(&mut self, device: u64, out: &mut Vec<ProxyEffect>) {
-        // Collect (sid, host) pairs before mutating the table.
-        let pairs: Vec<(StreamId, Option<u64>)> = {
-            let mut v = Vec::new();
-            for host in self.host_set() {
-                for (d, sid) in self.table.streams_via(host as u64) {
-                    if d == device {
-                        v.push((sid, Some(host as u64)));
-                    }
-                }
-            }
-            v
-        };
-        for (sid, host) in pairs {
-            if let Some(host) = host {
-                out.push(ProxyEffect::ToBrass {
-                    host: host as u32,
-                    device,
-                    frame: Frame::Cancel { sid }.into(),
-                });
-            }
+        let mut cancels: Vec<(usize, StreamId)> = self
+            .table
+            .streams_of(device)
+            .filter_map(|(sid, entry)| {
+                let host = entry.upstream?;
+                let at = self.hosts.iter().position(|&h| h as u64 == host)?;
+                Some((at, sid))
+            })
+            .collect();
+        // Stable: each host's streams stay in sid order.
+        cancels.sort_by_key(|&(at, _)| at);
+        for (at, sid) in cancels {
+            out.push(ProxyEffect::ToBrass {
+                host: self.hosts[at],
+                device,
+                frame: Frame::Cancel { sid }.into(),
+            });
         }
-        let dropped = self.table.on_connection_closed(device);
-        self.counters.gc_collected += dropped.len() as u64;
+        self.counters.gc_collected += self.table.on_connection_closed(device) as u64;
     }
 
     /// Garbage-collects idle stream state (§3.5).
@@ -486,10 +483,6 @@ impl ReverseProxy {
         let n = self.table.gc(cutoff_us);
         self.counters.gc_collected += n as u64;
         n
-    }
-
-    fn host_set(&self) -> Vec<u32> {
-        self.hosts.clone()
     }
 }
 
@@ -703,6 +696,54 @@ mod tests {
             .count();
         assert_eq!(cancels, 2);
         assert_eq!(p.stream_count(), 1);
+    }
+
+    /// A disconnect's cancels come in the order a scan of each pool host's
+    /// streams gives: pool position, then sid. A stream whose host left
+    /// the pool gets none.
+    #[test]
+    fn device_disconnect_cancels_in_pool_then_sid_order() {
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![12, 10, 11, 13]);
+        let pinned = |host: u64| {
+            let mut h = header("/LVC/5");
+            h.set("brass_host", Json::from(host));
+            h
+        };
+        // Sids interleave across hosts; device 2 shares the hosts.
+        for (sid, host) in [
+            (1, 11),
+            (2, 12),
+            (3, 10),
+            (4, 11),
+            (5, 13),
+            (6, 12),
+            (7, 10),
+        ] {
+            p.on_downstream_frame(1, sub_frame(sid, pinned(host)), 0);
+            p.on_downstream_frame(2, sub_frame(sid, pinned(host)), 0);
+        }
+        p.remove_host(13);
+        let mut want = Vec::new();
+        for &host in &p.hosts {
+            for (d, sid) in p.table.streams_via(host as u64) {
+                if d == 1 {
+                    want.push((host, sid));
+                }
+            }
+        }
+        let got: Vec<(u32, StreamId)> = collect(|out| p.on_device_disconnected_into(1, out))
+            .iter()
+            .map(|e| match (e, frame_of(e)) {
+                (ProxyEffect::ToBrass { host, .. }, Some(Frame::Cancel { sid })) => (*host, *sid),
+                other => panic!("expected a cancel, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, want);
+        let hosts = [12, 12, 10, 10, 11, 11];
+        let sids = [2, 6, 3, 7, 1, 4].map(StreamId);
+        assert_eq!(got, hosts.into_iter().zip(sids).collect::<Vec<_>>());
+        assert_eq!(p.stream_count(), 7);
+        assert_eq!(p.counters().gc_collected, 7);
     }
 
     #[test]
