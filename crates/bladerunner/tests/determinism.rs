@@ -286,7 +286,9 @@ fn run_until_is_invariant_under_chunking() {
 /// latencies come from one RNG stream, and no hop is clamped to a window.
 /// Re-captured when the ledger fingerprint became a polynomial hash mod
 /// 2^61 − 1: the ledger's value and everything that folds it in moved,
-/// while every event, delivery and ledger record stayed the same.
+/// while every event, delivery and ledger record stayed the same. The
+/// seven-app pins were added with the one-timer-per-stream table; the run
+/// on to 120 s reads (0xc33a_509d_f8cf_0e4b, 6_966) at its parent.
 #[test]
 fn pinned_lvc_and_chaos_fingerprints() {
     let lvc = lvc_run(42);
@@ -305,5 +307,23 @@ fn pinned_lvc_and_chaos_fingerprints() {
         chaos.tick_fingerprints().last(),
         Some(&(SimTime::from_secs(294), 0xdb64_85a2_9332_042f)),
         "chaos seed 1234, last of 147 ticks"
+    );
+
+    // The seven-app world at its snapshot instant, then run on: it closes
+    // and reopens Active Status and Notifications keys with a timer
+    // armed, so the second pair moved when a closed stream's timer
+    // stopped ticking the reopened one (at 45 s, nothing yet had).
+    let mut seven = common::seven_app_overload_world(true);
+    let at_snapshot = (seven.fingerprint_now(), seven.event_stats().total);
+    assert_eq!(
+        at_snapshot,
+        (0xf9cc_1184_86ac_e842, 4_088),
+        "seven apps, overload"
+    );
+    seven.run_until(SimTime::from_secs(120));
+    assert_eq!(
+        (seven.fingerprint_now(), seven.event_stats().total),
+        (0x59a8_2675_eb85_bd92, 6_963),
+        "seven apps, overload, run on to 120 s"
     );
 }

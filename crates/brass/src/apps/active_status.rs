@@ -15,7 +15,7 @@ use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 /// Online-status TTL: a friend is online if they pinged within this window
 /// (devices refresh "every 30 seconds when online").
@@ -30,8 +30,6 @@ struct StreamState {
     /// Snapshot sent in the previous batch (dedupe no-change batches).
     last_sent: Vec<u64>,
 }
-
-impl Stream for StreamState {}
 
 /// The ActiveStatus BRASS application.
 #[derive(Default)]
@@ -67,16 +65,13 @@ impl BrassApp for ActiveStatusApp {
         _header: &Json,
     ) {
         // A live key's new incarnation keeps the old one's friend topics
-        // until its own friend list answers, so Pylon sees no churn.
+        // until its own friend list answers, so Pylon sees no churn; the
+        // old batch chain ends, and one is armed below.
         let state = StreamState {
             online: FxHashMap::default(),
             last_sent: Vec::new(),
         };
-        let (slot, replaced) = self.table.open(stream, state);
-        if replaced.is_some() {
-            // The old incarnation's batch chain ends; one is armed below.
-            self.table.disarm(slot);
-        }
+        let slot = self.table.open(stream, state);
         // One device subscribe → many BRASS subscriptions: fetch the friend
         // list, then declare a topic per friend.
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
@@ -114,9 +109,7 @@ impl BrassApp for ActiveStatusApp {
             return;
         };
         let stream = self.table.key(slot);
-        let Some(state) = self.table.get_mut(slot) else {
-            return;
-        };
+        let state = self.table.get_mut(slot).expect("a fired stream is open");
         let online = Self::online_snapshot(state, ctx.now);
         if online != state.last_sent {
             let payload = format!(
@@ -350,5 +343,23 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, Effect::UnsubscribeTopic(_)));
         assert_eq!(unsubscribed.count(), 2, "each friend topic released once");
+    }
+
+    /// A close and reopen of a key leaves the reopened stream one batch
+    /// chain: the closed stream's tick fires into nothing.
+    #[test]
+    fn close_and_reopen_leaves_one_timer_chain() {
+        let mut d = TestDriver::new(ActiveStatusApp::default());
+        subscribe_with_friends(&mut d, stream(1), 9, vec![5]);
+        let (_, old) = d.timers()[0];
+        d.close(stream(1));
+        subscribe_with_friends(&mut d, stream(1), 9, vec![5]);
+        assert_eq!(d.app.table.timer_count(), 1, "one chain after the reopen");
+        d.advance(BATCH_INTERVAL);
+        assert_eq!(d.fire_timer(old), vec![]);
+        let (_, new) = *d.timers().last().expect("the reopen armed");
+        let fx = d.fire_timer(new);
+        assert!(matches!(fx[..], [Effect::Timer { .. }]), "{fx:?}");
+        assert_eq!(d.app.table.timer_count(), 1);
     }
 }

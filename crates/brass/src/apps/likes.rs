@@ -18,7 +18,7 @@ use was::{EventKind, UpdateEvent};
 use crate::app::{BrassApp, Ctx, StreamKey};
 use crate::limiter::TokenBucket;
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 /// Minimum spacing between counter pushes per stream.
 pub const PUSH_INTERVAL: SimDuration = SimDuration::from_secs(3);
@@ -30,11 +30,7 @@ struct StreamState {
     /// Count included in the last push.
     pushed: u64,
     limiter: TokenBucket,
-    /// Whether a flush timer is currently armed.
-    timer_armed: bool,
 }
-
-impl Stream for StreamState {}
 
 /// The NewsFeedPostLikes BRASS application.
 #[derive(Default)]
@@ -45,7 +41,7 @@ pub struct LikesApp {
 
 impl LikesApp {
     fn push_or_defer(table: &mut StreamTable<StreamState>, ctx: &mut Ctx<'_>, slot: u32) {
-        let key = table.key(slot);
+        let (key, armed) = (table.key(slot), table.armed(slot));
         let Some(state) = table.get_mut(slot) else {
             return;
         };
@@ -56,11 +52,10 @@ impl LikesApp {
             state.pushed = state.count;
             let payload = format!(r#"{{"post":{},"likes":{}}}"#, state.post, state.count);
             ctx.send(key, payload.into_bytes());
-        } else if !state.timer_armed {
+        } else if !armed {
             // Defer the flush until a token is available. The wait is
             // floored at 1 ms: float rounding in the bucket can otherwise
             // produce a zero wait and an instantly re-firing timer.
-            state.timer_armed = true;
             let wait = state
                 .limiter
                 .time_to_available(ctx.now)
@@ -75,8 +70,7 @@ snap_struct!(
         post,
         count,
         pushed,
-        limiter,
-        timer_armed
+        limiter
     },
     |s| ensure(s.pushed <= s.count, "likes: pushed exceeds count")
 );
@@ -99,13 +93,9 @@ impl BrassApp for LikesApp {
             count: 0,
             pushed: 0,
             limiter: TokenBucket::per_interval(PUSH_INTERVAL),
-            timer_armed: false,
         };
         // A live key's old incarnation's deferred flush dies with it.
-        let (slot, replaced) = self.table.open(stream, state);
-        if replaced.is_some() {
-            self.table.disarm(slot);
-        }
+        let slot = self.table.open(stream, state);
         self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 
@@ -126,9 +116,6 @@ impl BrassApp for LikesApp {
         let Some(slot) = self.table.fire(token) else {
             return;
         };
-        if let Some(state) = self.table.get_mut(slot) {
-            state.timer_armed = false;
-        }
         Self::push_or_defer(&mut self.table, ctx, slot);
     }
 
@@ -275,6 +262,29 @@ mod tests {
         assert_eq!(timers.len(), 2, "one flush per incarnation");
         assert_eq!(d.fire_timer(timers[0].1), vec![]);
         let fx = d.fire_timer(timers[1].1);
+        assert_eq!(payloads(&fx), vec![r#"{"post":7,"likes":2}"#]);
+        assert_eq!(d.app.table.timer_count(), 0);
+    }
+
+    /// A close and reopen of a key leaves the reopened stream one deferred
+    /// flush: the closed stream's flush fires into nothing.
+    #[test]
+    fn close_and_reopen_leaves_one_timer_chain() {
+        let mut d = TestDriver::new(LikesApp::default());
+        d.subscribe(stream(1), &header(7, 9));
+        d.event(&like(7, 1));
+        d.event(&like(7, 2));
+        let (_, old) = d.timers()[0];
+        d.close(stream(1));
+        assert_eq!(d.app.table.timer_count(), 0, "the close ended the flush");
+        d.subscribe(stream(1), &header(7, 9));
+        d.event(&like(7, 3));
+        d.event(&like(7, 4));
+        assert_eq!(d.app.table.timer_count(), 1, "one flush after the reopen");
+        d.advance(PUSH_INTERVAL);
+        assert_eq!(d.fire_timer(old), vec![]);
+        let (_, new) = *d.timers().last().expect("the reopen deferred");
+        let fx = d.fire_timer(new);
         assert_eq!(payloads(&fx), vec![r#"{"post":7,"likes":2}"#]);
         assert_eq!(d.app.table.timer_count(), 0);
     }

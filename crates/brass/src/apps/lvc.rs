@@ -29,7 +29,7 @@ use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
 use crate::buffer::{PushOutcome, RankedBuffer};
 use crate::limiter::TokenBucket;
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 /// LiveVideoComments tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -78,14 +78,13 @@ struct StreamState {
     accounted_losses: u64,
 }
 
-impl Stream for StreamState {}
-
 /// The LiveVideoComments BRASS application.
 ///
 /// Its streams sit in a [`StreamTable`]: a comment offered to every viewer
 /// of a video, a push tick and a fetch response reach their stream by
-/// slot, and a timer or fetch that outlives its stream finds the key's
-/// current stream (or none), exactly as a lookup by key would.
+/// slot. A push tick ends with its stream; a fetch that outlives its
+/// stream finds the key's current stream (or none), exactly as a lookup
+/// by key would.
 pub struct LvcApp {
     config: LvcConfig,
     /// Interned viewer languages (see [`StreamState::lang`]).
@@ -220,13 +219,11 @@ impl BrassApp for LvcApp {
         // Rebuilding from scratch here silently lost every buffered
         // comment, double-armed the pop timer, and leaked a topic
         // subscription refcount per repair.
-        let replaced = match self.table.find_mut(&stream) {
-            Some(live) if live.viewer == sub.viewer && live.video == video => {
-                live.lang = lang;
-                return;
-            }
-            live => live.is_some(),
-        };
+        let live = self.table.find_mut(&stream);
+        if let Some(live) = live.filter(|l| l.viewer == sub.viewer && l.video == video) {
+            live.lang = lang;
+            return;
+        }
         // Resumption (§3.5): restore rate-limiter state a previous BRASS
         // stored in the header, if any.
         let limiter = TokenBucket::from_header(header)
@@ -242,15 +239,10 @@ impl BrassApp for LvcApp {
             accounted_losses: 0,
         };
         // Same key, different identity: the old stream is gone for good,
-        // so it is closed first and the new one joins its video's viewers
-        // last.
+        // so it is closed first (its push chain ends with it) and the new
+        // one joins its video's viewers last.
         self.on_stream_closed(ctx, stream);
-        let (slot, _) = self.table.open(stream, state);
-        if replaced {
-            // Its timer chain would tick the new stream alongside the one
-            // armed below.
-            self.table.disarm(slot);
-        }
+        let slot = self.table.open(stream, state);
         self.table.set_topics(ctx, slot, &[sub.topic]);
         if hot {
             // Hot strategy: also follow per-poster topics for the viewer's
@@ -316,9 +308,7 @@ impl BrassApp for LvcApp {
         let Some(slot) = self.table.fire(token) else {
             return;
         };
-        let Some(state) = self.table.get_mut(slot) else {
-            return; // Stream closed; let the timer chain die.
-        };
+        let state = self.table.get_mut(slot).expect("a fired stream is open");
         // Comments that aged out died waiting for the rate-limited push slot.
         for e in state.buffer.take_expired(ctx.now) {
             ctx.dropped(e.item.object, DropReason::RateLimit);
@@ -620,10 +610,11 @@ mod tests {
         assert_eq!(d.app.table.timer_count(), 1);
     }
 
-    /// A fetch and a timer in flight when a stream closes and the same key
-    /// resubscribes reach the reopened stream, through a snapshot taken
-    /// while only they still name the key: the effects a table keyed by
-    /// stream gave.
+    /// A fetch in flight when a stream closes and the same key resubscribes
+    /// reaches the reopened stream, through a snapshot taken while only it
+    /// still names the key: the effect a table keyed by stream gave. The
+    /// closed stream's timer does not: the close ended its chain, and the
+    /// reopened stream runs one.
     #[test]
     fn references_to_a_closed_key_reach_its_reopened_stream() {
         use simkit::snap::{Snap, SnapReader, SnapWriter};
@@ -641,8 +632,9 @@ mod tests {
         let (_, old_chain) = *d.timers().last().expect("re-armed");
         d.close(stream(1));
         assert_eq!(d.app.table.values().count(), 0);
-        // Only the fetch and the timer name the key now; a restore gives
-        // it a slot again.
+        assert_eq!(d.app.table.timer_count(), 0, "the close ended the chain");
+        // Only the fetch names the key now; a restore gives it a slot
+        // again.
         let bytes = |app: &LvcApp| {
             let mut w = SnapWriter::new();
             Snap::snap(app, &mut w);
@@ -659,10 +651,14 @@ mod tests {
             matches!(&fx[..], [Effect::SendPayloads { stream: s, .. }] if *s == stream(1)),
             "{fx:?}"
         );
-        // ROADMAP item 5's two-chain defect: the close did not disarm the
-        // old chain, so its timer ticks the reopened stream — it pops the
-        // comment buffered there — and re-arms beside the new chain.
-        let fx = d.fire_timer(old_chain);
+        // The old chain's timer fires into nothing: it neither pops the
+        // comment buffered on the reopened stream nor re-arms beside the
+        // new chain, which pops it.
+        assert_eq!(d.fire_timer(old_chain), vec![]);
+        assert_eq!(d.app.table.timer_count(), 1, "one chain on the stream");
+        let (_, new_chain) = *d.timers().last().expect("the reopen armed");
+        assert_ne!(new_chain, old_chain);
+        let fx = d.fire_timer(new_chain);
         let popped = fx.iter().find_map(|e| match e {
             Effect::Was {
                 request: WasRequest::FetchObject { object, .. },
@@ -671,12 +667,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(popped, Some(ObjectId(801)), "{fx:?}");
-        assert!(matches!(fx.last(), Some(Effect::Timer { .. })), "{fx:?}");
-        assert_eq!(
-            d.app.table.timer_count(),
-            2,
-            "two timer chains on one stream"
-        );
     }
 
     #[test]
@@ -894,5 +884,23 @@ mod tests {
         assert!(d.counters.decisions > 50);
         let filtered = d.counters.filtered_fraction();
         assert!(filtered > 0.5, "filtered fraction {filtered}");
+    }
+
+    /// A close and reopen of a key leaves the reopened stream one push
+    /// chain: the closed stream's tick fires into nothing.
+    #[test]
+    fn close_and_reopen_leaves_one_timer_chain() {
+        let mut d = driver();
+        d.subscribe(stream(1), &header(42, 9));
+        let (_, old) = d.timers()[0];
+        d.close(stream(1));
+        d.subscribe(stream(1), &header(42, 9));
+        assert_eq!(d.app.table.timer_count(), 1, "one chain after the reopen");
+        d.advance(SimDuration::from_secs(2));
+        assert_eq!(d.fire_timer(old), vec![]);
+        let (_, new) = *d.timers().last().expect("the reopen armed");
+        let fx = d.fire_timer(new);
+        assert!(matches!(fx[..], [Effect::Timer { .. }]), "{fx:?}");
+        assert_eq!(d.app.table.timer_count(), 1);
     }
 }

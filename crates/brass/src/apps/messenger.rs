@@ -21,7 +21,9 @@
 //! intervals): a send arms the next such instant when no tick is armed, a
 //! tick that finds unacked sends replays them and arms the next, and one
 //! that finds none ends the chain. Replays thus land exactly where a tick
-//! running every interval from subscribe would have made them.
+//! running every interval from subscribe would have made them. The stream
+//! table keeps the one armed tick: a resubscribe or a close ends it, so a
+//! replaced incarnation's tick finds nothing when it fires.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +36,7 @@ use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 #[derive(Clone, Debug)]
 enum Slot {
@@ -58,16 +60,6 @@ struct StreamState {
     /// The subscribe instant: retransmit ticks fire only at
     /// `phase + k·RETRANSMIT_INTERVAL`.
     phase: SimTime,
-    /// The token of this stream's armed retransmit tick. A fire with any
-    /// other token is stale (armed for a replaced incarnation of the key)
-    /// and does nothing, so a stream has at most one chain.
-    armed: Option<u64>,
-}
-
-impl Stream for StreamState {
-    fn armed(&self) -> Option<u64> {
-        self.armed
-    }
 }
 
 /// An in-flight WAS request of a stream.
@@ -125,16 +117,13 @@ impl MessengerApp {
         let Some(state) = table.get(slot) else {
             return;
         };
-        if state.armed.is_some() {
+        if table.armed(slot) {
             return;
         }
         let interval = RETRANSMIT_INTERVAL.as_micros();
         let into_period = ctx.now.saturating_since(state.phase).as_micros() % interval;
         let after = SimDuration::from_micros(interval - into_period);
-        let token = table.arm(ctx, slot, after);
-        if let Some(state) = table.get_mut(slot) {
-            state.armed = Some(token);
-        }
+        table.arm(ctx, slot, after);
     }
 
     fn start_backfill(table: &mut StreamTable<StreamState, Fetch>, slot: u32, ctx: &mut Ctx<'_>) {
@@ -164,8 +153,7 @@ snap_struct!(
         pending,
         backfilling,
         persisted_seq,
-        phase,
-        armed
+        phase
     },
     |s| {
         ensure(
@@ -203,11 +191,9 @@ impl BrassApp for MessengerApp {
             backfilling: false,
             persisted_seq: header.get("msgr_seq").and_then(Json::as_u64),
             phase: ctx.now,
-            armed: None,
         };
-        // A live key's old incarnation's retransmit tick finds another
-        // armed token and does nothing.
-        let (slot, _) = self.table.open(stream, state);
+        // A live key's old incarnation's retransmit tick ends with it.
+        let slot = self.table.open(stream, state);
         self.table.set_topics(ctx, slot, &[sub.topic]);
         // Catch up on anything missed while disconnected. No retransmit
         // tick yet: the first send arms one.
@@ -307,13 +293,6 @@ impl BrassApp for MessengerApp {
             return;
         };
         let stream = self.table.key(slot);
-        let Some(state) = self.table.get_mut(slot) else {
-            return; // Stream closed; the timer chain dies.
-        };
-        if state.armed != Some(token) {
-            return; // A replaced incarnation's tick.
-        }
-        state.armed = None;
         if ctx.has_unacked(stream) {
             ctx.replay_unacked(stream);
             Self::arm_retransmit(&mut self.table, slot, ctx);
@@ -579,9 +558,36 @@ mod tests {
             .collect()
     }
 
-    /// A resubscribe of a live key replaces its stream, chain and all: the
-    /// replaced incarnation's tick fires as a no-op, and from then on one
-    /// tick per interval replays and re-arms.
+    /// Fires every queued tick in time order up to `until`, queueing the
+    /// ticks they arm; nothing acks. Returns the replay instants in seconds
+    /// and the first tick left queued.
+    fn run_ticks(
+        d: &mut TestDriver<MessengerApp>,
+        mut queue: Vec<(SimTime, u64)>,
+        until: SimTime,
+    ) -> (Vec<u64>, (SimTime, u64)) {
+        let mut replays_at = Vec::new();
+        loop {
+            let i = (0..queue.len())
+                .min_by_key(|&i| queue[i].0)
+                .expect("a tick");
+            let (at, token) = queue.swap_remove(i);
+            if at > until {
+                return (replays_at, (at, token));
+            }
+            d.advance(at.saturating_since(d.now()));
+            let fx = d.fire_timer(token);
+            if fx.contains(&Effect::ReplayUnacked { stream: stream(1) }) {
+                replays_at.push(at.as_secs());
+            }
+            queue.extend(ticks(&fx));
+            assert!(queue.len() <= 1, "one armed tick at a time");
+        }
+    }
+
+    /// A resubscribe of a live key replaces its stream, chain and all, and
+    /// so does a close and reopen: the old incarnation's tick fires as a
+    /// no-op, and from then on one tick per interval replays and re-arms.
     #[test]
     fn resubscribe_of_a_live_key_leaves_one_chain() {
         let mut d = TestDriver::new(MessengerApp::default());
@@ -596,32 +602,29 @@ mod tests {
         // The header carries no `msgr_seq`: the new incarnation starts at 0.
         let second = ticks(&deliver(&mut d, 0));
         assert_eq!(second, vec![(SimTime::from_secs(7), second[0].1)]);
-        assert_eq!(
-            d.app.table.timer_count(),
-            2,
-            "the stale tick is still queued"
-        );
+        assert_eq!(d.app.table.timer_count(), 1, "the replaced tick ended");
+        d.advance(SimDuration::from_secs(3));
+        assert!(d.fire_timer(first[0].1).is_empty(), "and fires as a no-op");
 
-        // Fire every queued tick in time order for a minute; nothing acks.
-        let mut queue = vec![first[0], second[0]];
-        let mut replays_at = Vec::new();
-        while let Some(i) = (0..queue.len()).min_by_key(|&i| queue[i].0) {
-            let (at, token) = queue.swap_remove(i);
-            if at > SimTime::from_secs(60) {
-                break;
-            }
-            d.advance(at.saturating_since(d.now()));
-            let fx = d.fire_timer(token);
-            if at == SimTime::from_secs(5) {
-                assert!(fx.is_empty(), "the replaced stream's tick is a no-op");
-            }
-            if fx.contains(&Effect::ReplayUnacked { stream: stream(1) }) {
-                replays_at.push(at.as_secs());
-            }
-            queue.extend(ticks(&fx));
-            assert!(queue.len() <= 1, "one armed tick at a time");
-        }
+        // A minute of ticks on the live chain.
+        let (replays_at, (at, old)) = run_ticks(&mut d, second, SimTime::from_secs(60));
         assert_eq!(replays_at, (1..=11).map(|k| 2 + 5 * k).collect::<Vec<_>>());
+        assert_eq!(at, SimTime::from_secs(62));
+
+        // Close and reopen at 60 s: the old chain's tick at 62 s ends with
+        // the close, and the reopened stream's first send starts the one
+        // chain left, on its own phase.
+        d.advance(SimTime::from_secs(60).saturating_since(d.now()));
+        d.close(stream(1));
+        assert_eq!(d.app.table.timer_count(), 0, "the close ended the chain");
+        subscribe_empty(&mut d, stream(1), 7);
+        let third = ticks(&deliver(&mut d, 0));
+        assert_eq!(third, vec![(SimTime::from_secs(65), third[0].1)]);
+        assert_eq!(d.app.table.timer_count(), 1, "one chain after the reopen");
+        d.advance(SimDuration::from_secs(2));
+        assert!(d.fire_timer(old).is_empty(), "the closed stream's tick");
+        let (replays_at, _) = run_ticks(&mut d, third, SimTime::from_secs(90));
+        assert_eq!(replays_at, (1..=6).map(|k| 60 + 5 * k).collect::<Vec<_>>());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, StreamKey};
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 /// Coalescing window: events arriving within this span merge into one push.
 pub const COALESCE_WINDOW: SimDuration = SimDuration::from_secs(4);
@@ -35,11 +35,7 @@ struct PendingGroup {
 struct StreamState {
     /// Pending notifications per subject object (e.g. per liked post).
     pending: FxHashMap<ObjectId, PendingGroup>,
-    /// Whether a flush timer is armed.
-    timer_armed: bool,
 }
-
-impl Stream for StreamState {}
 
 /// The WebsiteNotifications BRASS application.
 #[derive(Default)]
@@ -49,26 +45,10 @@ pub struct NotificationsApp {
     table: StreamTable<StreamState>,
 }
 
-impl NotificationsApp {
-    fn arm_flush(table: &mut StreamTable<StreamState>, ctx: &mut Ctx<'_>, slot: u32) {
-        let Some(state) = table.get_mut(slot) else {
-            return;
-        };
-        if state.timer_armed {
-            return;
-        }
-        state.timer_armed = true;
-        table.arm(ctx, slot, COALESCE_WINDOW);
-    }
-}
-
 snap_struct!(PendingGroup { first_actor, count }, |g| {
     ensure(g.count != 0, "notifications: empty coalescing group")
 });
-snap_struct!(StreamState {
-    pending,
-    timer_armed
-});
+snap_struct!(StreamState { pending });
 snap_struct!(NotificationsApp { table });
 
 impl BrassApp for NotificationsApp {
@@ -85,13 +65,9 @@ impl BrassApp for NotificationsApp {
         }
         let state = StreamState {
             pending: FxHashMap::default(),
-            timer_armed: false,
         };
         // A live key's old incarnation's flush dies with it.
-        let (slot, replaced) = self.table.open(stream, state);
-        if replaced.is_some() {
-            self.table.disarm(slot);
-        }
+        let slot = self.table.open(stream, state);
         self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 
@@ -100,15 +76,17 @@ impl BrassApp for NotificationsApp {
             return;
         }
         self.table.fan_out(&event.topic, |table, slot| {
-            if let Some(state) = table.get_mut(slot) {
-                ctx.decision();
-                let group = state.pending.entry(event.object).or_default();
-                if group.count == 0 {
-                    group.first_actor = event.meta.uid;
-                }
-                group.count += 1;
+            let state = table.get_mut(slot).expect("a listed stream is open");
+            ctx.decision();
+            let group = state.pending.entry(event.object).or_default();
+            if group.count == 0 {
+                group.first_actor = event.meta.uid;
             }
-            Self::arm_flush(table, ctx, slot);
+            group.count += 1;
+            // The first event of a window starts its flush.
+            if !table.armed(slot) {
+                table.arm(ctx, slot, COALESCE_WINDOW);
+            }
         });
     }
 
@@ -117,10 +95,7 @@ impl BrassApp for NotificationsApp {
             return;
         };
         let key = self.table.key(slot);
-        let Some(state) = self.table.get_mut(slot) else {
-            return;
-        };
-        state.timer_armed = false;
+        let state = self.table.get_mut(slot).expect("a fired stream is open");
         let mut groups: Vec<(ObjectId, PendingGroup)> = state.pending.drain().collect();
         groups.sort_by_key(|(obj, _)| *obj);
         let payloads: Vec<Vec<u8>> = groups
@@ -308,6 +283,29 @@ mod tests {
         assert_eq!(timers.len(), 2, "one flush per incarnation");
         assert_eq!(d.fire_timer(timers[0].1), vec![]);
         let fx = d.fire_timer(timers[1].1);
+        assert_eq!(
+            payloads(&fx),
+            vec![r#"{"notif":"like","post":8,"actor":101}"#]
+        );
+    }
+
+    /// A close and reopen of a key leaves the reopened stream one flush:
+    /// the closed stream's flush fires into nothing.
+    #[test]
+    fn close_and_reopen_leaves_one_timer_chain() {
+        let mut d = TestDriver::new(NotificationsApp::default());
+        d.subscribe(stream(1), &header(9));
+        d.event(&notif(9, 7, 100));
+        let (_, old) = d.timers()[0];
+        d.close(stream(1));
+        assert_eq!(d.app.table.timer_count(), 0, "the close ended the flush");
+        d.subscribe(stream(1), &header(9));
+        d.event(&notif(9, 8, 101));
+        assert_eq!(d.app.table.timer_count(), 1, "one flush after the reopen");
+        d.advance(COALESCE_WINDOW);
+        assert_eq!(d.fire_timer(old), vec![]);
+        let (_, new) = *d.timers().last().expect("the reopen armed");
+        let fx = d.fire_timer(new);
         assert_eq!(
             payloads(&fx),
             vec![r#"{"notif":"like","post":8,"actor":101}"#]

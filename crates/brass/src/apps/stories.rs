@@ -19,7 +19,7 @@ use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 /// Stories tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -52,8 +52,6 @@ struct StreamState {
     /// Authors currently displayed on the device, tray order.
     displayed: Vec<u64>,
 }
-
-impl Stream for StreamState {}
 
 /// The Stories BRASS application.
 pub struct StoriesApp {
@@ -119,7 +117,7 @@ impl BrassApp for StoriesApp {
             containers: FxHashMap::default(),
             displayed: Vec::new(),
         };
-        let (slot, _) = self.table.open(stream, state);
+        let slot = self.table.open(stream, state);
         let token = ctx.was_request(WasRequest::Friends { uid: sub.viewer });
         self.table.await_fetch(token, slot, ());
     }

@@ -14,13 +14,11 @@ use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
 use crate::resolve::ResolvedSub;
-use crate::table::{Stream, StreamTable};
+use crate::table::StreamTable;
 
 struct StreamState {
     viewer: u64,
 }
-
-impl Stream for StreamState {}
 
 /// The TypingIndicator BRASS application.
 #[derive(Default)]
@@ -58,7 +56,7 @@ impl BrassApp for TypingApp {
         _header: &Json,
     ) {
         let state = StreamState { viewer: sub.viewer };
-        let (slot, _) = self.table.open(stream, state);
+        let slot = self.table.open(stream, state);
         self.table.set_topics(ctx, slot, &[sub.topic]);
     }
 

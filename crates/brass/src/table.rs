@@ -1,6 +1,6 @@
 //! The per-stream bookkeeping every BRASS application shares: each
-//! stream's state and Pylon topics, the streams listed under each topic,
-//! and the timers and WAS requests that name a stream. An application's
+//! stream's state, Pylon topics and armed timer, the streams listed under
+//! each topic, and the WAS requests that name a stream. An application's
 //! handlers then hold only its policy (Muppet's split: the framework owns
 //! each key's state). An application declares each stream's topics
 //! ([`StreamTable::set_topics`]) and never subscribes itself: the table
@@ -10,10 +10,17 @@
 //! unsubscribed when it empties; the host asks [`StreamTable::watches`].
 //!
 //! States sit in [`SlotTable`] slots. Only a subscribe and a close resolve
-//! a [`StreamKey`]; watcher lists, timers and requests carry the slot, and
-//! a timer or request *holds* it, so one that outlives its stream finds the
-//! key's current stream (or none), exactly as a lookup by key would. A
-//! snapshot writes keys, never slots, and topic names, never ids.
+//! a [`StreamKey`]; watcher lists, timers and requests carry the slot.
+//! An open stream has at most one armed timer, kept in its entry: arming
+//! replaces it, and opening or closing the key ends it, so a timer only
+//! ever ticks the stream it was armed for and holds no slot. A request
+//! *holds* its slot, so one that outlives its stream finds the key's
+//! current stream (or none), exactly as a lookup by key would: an answer
+//! is the backend's reply for the key's device, not a step of one
+//! stream's cadence, so a payload fetched for a stream that closed still
+//! reaches the stream that reopened its key (LVC sends the popped comment
+//! there). A snapshot writes keys, never slots, and topic names, never
+//! ids.
 
 use std::collections::BTreeMap;
 
@@ -25,23 +32,18 @@ use simkit::time::SimDuration;
 
 use crate::app::{Ctx, FetchToken, StreamKey};
 
-/// One stream's state in a [`StreamTable`].
-pub trait Stream: Snap {
-    /// The token of the one timer this stream keeps armed, if the app
-    /// tracks it: a restore requires the timer table to hold it.
-    fn armed(&self) -> Option<u64> {
-        None
-    }
-}
-
 /// A stream's topics in the order it declared them: the first inline, the
-/// rest boxed, so a one-topic stream allocates nothing.
+/// rest behind one thin pointer, so a one-topic stream allocates nothing
+/// and the pair takes 16 bytes.
 #[derive(Default)]
-struct Topics(Option<TopicId>, Box<[TopicId]>);
+struct Topics(Option<TopicId>, Option<Box<Box<[TopicId]>>>);
+
+const _: () = assert!(std::mem::size_of::<Topics>() == 16);
 
 impl Topics {
     fn iter(&self) -> impl Iterator<Item = TopicId> + '_ {
-        self.0.into_iter().chain(self.1.iter().copied())
+        let rest = self.1.iter().flat_map(|rest| rest.iter().copied());
+        self.0.into_iter().chain(rest)
     }
 
     fn holds(&self, id: TopicId) -> bool {
@@ -52,31 +54,56 @@ impl Topics {
 impl FromIterator<TopicId> for Topics {
     fn from_iter<I: IntoIterator<Item = TopicId>>(ids: I) -> Self {
         let mut ids = ids.into_iter();
-        Topics(ids.next(), ids.collect())
+        let (first, rest) = (ids.next(), ids.collect::<Box<[TopicId]>>());
+        Topics(first, (!rest.is_empty()).then(|| Box::new(rest)))
     }
 }
 
-/// An open stream: its state and the topics it holds.
+/// An [`Entry::timer`] with no armed timer.
+const UNARMED: u64 = u64::MAX;
+
+/// An open stream: its state, the topics it holds and its armed timer.
 struct Entry<S> {
     state: S,
     topics: Topics,
+    /// The token of the stream's armed timer, or [`UNARMED`].
+    timer: u64,
+}
+
+impl<S> Entry<S> {
+    /// A stream holding `topics` and no timer.
+    fn unarmed(state: S, topics: Topics) -> Self {
+        Entry {
+            state,
+            topics,
+            timer: UNARMED,
+        }
+    }
+
+    /// Ends the stream's armed timer, if any: its fire will find nothing.
+    fn stop_timer(&mut self, timers: &mut SeqMap<u32>) {
+        if self.timer != UNARMED {
+            timers.remove(self.timer);
+            self.timer = UNARMED;
+        }
+    }
 }
 
 /// Streams by slot, their topics and watcher lists, requests carrying
 /// `F`, timers.
-pub struct StreamTable<S: Stream, F = ()> {
+pub struct StreamTable<S, F = ()> {
     streams: SlotTable<StreamKey, Entry<S>>,
     /// Each topic's holders in the order they declared it: the fan-out
     /// order.
     watchers: FxHashMap<TopicId, Vec<u32>>,
     /// In-flight WAS requests, by [`FetchToken`] value.
     fetches: SeqMap<(u32, F)>,
-    /// Armed timers, by token.
+    /// Each open stream's armed timer, by token: the slot it ticks.
     timers: SeqMap<u32>,
     next_timer: u64,
 }
 
-impl<S: Stream, F> Default for StreamTable<S, F> {
+impl<S, F> Default for StreamTable<S, F> {
     fn default() -> Self {
         StreamTable {
             streams: SlotTable::new(),
@@ -88,7 +115,7 @@ impl<S: Stream, F> Default for StreamTable<S, F> {
     }
 }
 
-impl<S: Stream, F> StreamTable<S, F> {
+impl<S, F> StreamTable<S, F> {
     /// The stream in `slot`, if open.
     pub fn get(&self, slot: u32) -> Option<&S> {
         self.streams.get(slot).map(|e| &e.state)
@@ -109,16 +136,19 @@ impl<S: Stream, F> StreamTable<S, F> {
         self.get_mut(self.streams.slot(key)?)
     }
 
-    /// Opens `key` with `state` and returns its slot and the state it
-    /// replaced, if `key` was open. A replacing state takes over the old
-    /// one's topics and its place in their lists; a new stream holds none.
-    pub fn open(&mut self, key: StreamKey, state: S) -> (u32, Option<S>) {
+    /// Opens `key` with `state` and returns its slot. If `key` was open,
+    /// `state` replaces the old one, takes over its topics and its place in
+    /// their lists, and its timer ends; a new stream holds no topic and no
+    /// timer.
+    pub fn open(&mut self, key: StreamKey, state: S) -> u32 {
         let live = self.streams.slot(&key);
         if let Some((slot, entry)) = live.and_then(|s| Some((s, self.streams.get_mut(s)?))) {
-            return (slot, Some(std::mem::replace(&mut entry.state, state)));
+            entry.state = state;
+            entry.stop_timer(&mut self.timers);
+            return slot;
         }
-        let topics = Topics::default();
-        (self.streams.insert(key, Entry { state, topics }), None)
+        self.streams
+            .insert(key, Entry::unarmed(state, Topics::default()))
     }
 
     /// Declares the topics of the stream in `slot`, if open. Topics it
@@ -149,11 +179,12 @@ impl<S: Stream, F> StreamTable<S, F> {
         }
     }
 
-    /// Closes `key`: takes its state and releases its topics, in the order
-    /// it declared them. Timers and requests still hold the slot.
+    /// Closes `key`: takes its state, ends its timer and releases its
+    /// topics, in the order it declared them. Requests still hold the slot.
     pub fn close(&mut self, ctx: &mut Ctx<'_>, key: &StreamKey) -> Option<S> {
         let slot = self.streams.slot(key)?;
-        let entry = self.streams.take(slot)?;
+        let mut entry = self.streams.take(slot)?;
+        entry.stop_timer(&mut self.timers);
         for id in entry.topics.iter() {
             self.release_topic(ctx, slot, id);
         }
@@ -196,37 +227,33 @@ impl<S: Stream, F> StreamTable<S, F> {
         *place = list;
     }
 
-    /// Arms a timer for the stream in `slot`, firing `after` from now; the
-    /// timer holds the slot. Returns its token.
-    pub fn arm(&mut self, ctx: &mut Ctx<'_>, slot: u32, after: SimDuration) -> u64 {
+    /// Arms the timer of the open stream in `slot`, firing `after` from
+    /// now; it replaces the stream's armed timer, if any.
+    ///
+    /// # Panics
+    ///
+    /// If no stream is open in `slot`.
+    pub fn arm(&mut self, ctx: &mut Ctx<'_>, slot: u32, after: SimDuration) {
         let token = self.next_timer;
         self.next_timer += 1;
-        self.streams.hold(slot);
+        let entry = self.streams.get_mut(slot).expect("arms an open stream");
+        entry.stop_timer(&mut self.timers);
+        entry.timer = token;
         self.timers.insert(token, slot);
         ctx.timer(after, token);
-        token
     }
 
-    /// Takes a fired timer: the slot it named, if it is still armed. The
-    /// slot's stream, if open, is the key's current one; if none is open
-    /// the slot may be freed, so arm or await on it only while it is.
+    /// Takes a fired timer: the slot of the open stream it was armed for,
+    /// if it is still that stream's timer. Its stream is then unarmed.
     pub fn fire(&mut self, token: u64) -> Option<u32> {
         let slot = self.timers.remove(token)?;
-        self.streams.release(slot);
+        self.streams.get_mut(slot).expect("timed and open").timer = UNARMED;
         Some(slot)
     }
 
-    /// Disarms every timer naming `slot`; when they fire they do nothing.
-    pub fn disarm(&mut self, slot: u32) {
-        let StreamTable {
-            streams, timers, ..
-        } = self;
-        timers.retain(|_, &armed| {
-            if armed == slot {
-                streams.release(armed);
-            }
-            armed != slot
-        });
+    /// Whether the stream in `slot` is open with a timer armed.
+    pub fn armed(&self, slot: u32) -> bool {
+        self.streams.get(slot).is_some_and(|e| e.timer != UNARMED)
     }
 
     /// Armed timers.
@@ -241,8 +268,9 @@ impl<S: Stream, F> StreamTable<S, F> {
         self.fetches.insert(token.0, (slot, fetch));
     }
 
-    /// Takes an answered request: the slot it named and what it carried,
-    /// on the same terms as [`fire`](Self::fire).
+    /// Takes an answered request: the slot it named and what it carried.
+    /// The slot's stream, if open, is the key's current one; if none is
+    /// open the slot may be freed, so arm or await on it only while it is.
     pub fn answer(&mut self, token: FetchToken) -> Option<(u32, F)> {
         let (slot, fetch) = self.fetches.remove(token.0)?;
         self.streams.release(slot);
@@ -273,20 +301,19 @@ impl<S: Snap> Snap for Entry<S> {
         if names.iter().enumerate().any(twice) {
             return Err(invalid("a topic held twice by one stream"));
         }
-        let topics = names.iter().map(Topic::id).collect();
-        Ok(Entry { state, topics })
+        Ok(Entry::unarmed(state, names.iter().map(Topic::id).collect()))
     }
 }
 
 /// Streams with their topics, watcher lists by topic name, requests,
 /// timers and the timer counter, each slot written as its key. Restoring
 /// checks every cross-reference: a list names only streams that hold its
-/// topic, each once, and every held topic's list names its holder; no
-/// timer token has reached the counter; each armed tick is in the timer
-/// table.
+/// topic, each once, and every held topic's list names its holder; each
+/// timer names an open stream, no stream has two, and no token has
+/// reached the counter.
 impl<S, F> Snap for StreamTable<S, F>
 where
-    S: Stream,
+    S: Snap,
     F: Snap,
 {
     fn snap(&self, w: &mut SnapWriter) {
@@ -339,22 +366,24 @@ where
         if timers.keys().any(|token| token >= table.next_timer) {
             return Err(invalid("timer token at or above the counter"));
         }
-        for (slot, Entry { state, topics }) in table.streams.iter() {
-            let key = table.streams.key(slot);
-            if topics.iter().any(|id| !listed.contains(&(slot, id))) {
+        for (slot, entry) in table.streams.iter() {
+            if entry.topics.iter().any(|id| !listed.contains(&(slot, id))) {
                 return Err(invalid("a held topic no list names"));
             }
-            if state.armed().is_some_and(|t| timers.get(t) != Some(key)) {
-                return Err(invalid("armed tick not in the timer table"));
+        }
+        for (token, key) in timers.iter() {
+            let entry = table.streams.slot(key);
+            let entry = entry.and_then(|slot| Some((slot, table.streams.get_mut(slot)?)));
+            let (slot, entry) = entry.ok_or_else(|| invalid("a timer names a closed stream"))?;
+            if entry.timer != UNARMED {
+                return Err(invalid("a stream with two timers"));
             }
+            entry.timer = token;
+            table.timers.insert(token, slot);
         }
         for (token, (key, fetch)) in fetches {
             let slot = table.streams.acquire(key);
             table.fetches.insert(token, (slot, fetch));
-        }
-        for (token, &key) in timers.iter() {
-            let slot = table.streams.acquire(key);
-            table.timers.insert(token, slot);
         }
         Ok(table)
     }
@@ -373,19 +402,13 @@ mod tests {
     use super::*;
     use crate::app::{AppCounters, DeviceId, Effect};
 
-    /// A stream with an optional armed tick.
+    /// A stream's state: a tag that tells incarnations apart.
     #[derive(Default)]
     struct Toy {
-        armed: Option<u64>,
+        tag: u8,
     }
 
-    snap_struct!(Toy { armed });
-
-    impl Stream for Toy {
-        fn armed(&self) -> Option<u64> {
-            self.armed
-        }
-    }
+    snap_struct!(Toy { tag });
 
     fn key(n: u64) -> StreamKey {
         StreamKey {
@@ -398,8 +421,8 @@ mod tests {
         Topic::new(&format!("/toy/{n}")).expect("static shape")
     }
 
-    fn armed(t: u64) -> Toy {
-        Toy { armed: Some(t) }
+    fn tagged(tag: u8) -> Toy {
+        Toy { tag }
     }
 
     /// Runs `f` with a handler context; returns the effects it emitted.
@@ -418,7 +441,7 @@ mod tests {
 
     /// Opens `n` holding `topics`.
     fn open(table: &mut StreamTable<Toy, u8>, n: u64, topics: &[u64]) -> u32 {
-        let (slot, _) = table.open(key(n), Toy::default());
+        let slot = table.open(key(n), Toy::default());
         let topics: Vec<Topic> = topics.iter().map(|&t| topic(t)).collect();
         with_ctx(|ctx| table.set_topics(ctx, slot, &topics));
         slot
@@ -493,9 +516,13 @@ mod tests {
     fn restore_checks_every_cross_reference() {
         let none = Toy::default;
         let valid = written(
-            &[(1, armed(0), &[7]), (2, none(), &[8, 7]), (3, none(), &[8])],
+            &[
+                (1, tagged(1), &[7]),
+                (2, none(), &[8, 7]),
+                (3, none(), &[8]),
+            ],
             &[(7, &[2, 1]), (8, &[3, 2])],
-            &[(0, 1), (1, 4)],
+            &[(0, 1), (1, 3)],
             2,
         );
         let table = restore(&valid).expect("a consistent table restores");
@@ -537,27 +564,24 @@ mod tests {
             &written(&[(1, none(), &[7])], &[(7, &[1])], &[(2, 1)], 2),
             "timer token at or above the counter",
         );
-        // An armed tick the timer table lacks, or holds for another stream.
+        // A timer naming a stream that is not open, and two timers on one
+        // stream.
         rejects(
-            &written(&[(1, armed(0), &[7])], &[(7, &[1])], &[], 1),
-            "armed tick not in the timer table",
+            &written(&[(1, none(), &[7])], &[(7, &[1])], &[(0, 4)], 1),
+            "a timer names a closed stream",
         );
         rejects(
-            &written(
-                &[(1, armed(0), &[7]), (2, none(), &[7])],
-                &[(7, &[1, 2])],
-                &[(0, 2)],
-                1,
-            ),
-            "armed tick not in the timer table",
+            &written(&[(1, none(), &[7])], &[(7, &[1])], &[(0, 1), (1, 1)], 2),
+            "a stream with two timers",
         );
     }
 
     /// Fan-out follows declaration order; a replacing state keeps its
     /// topics and places; a declared set subscribes what it gains before
     /// it unsubscribes what it loses, and only a topic whose list opens or
-    /// empties; a closed stream releases its topics in declaration order; a
-    /// held slot reaches the key's reopened stream.
+    /// empties; a closed stream releases its topics in declaration order
+    /// and ends its timer; a fetch's held slot reaches the key's reopened
+    /// stream, its timer does not.
     #[test]
     fn topics_follow_declarations() {
         let mut table: StreamTable<Toy, u8> = StreamTable::default();
@@ -566,8 +590,8 @@ mod tests {
         }
         assert_eq!(order(&mut table, 7), vec![3, 1, 2]);
 
-        let (slot, replaced) = table.open(key(1), armed(0));
-        assert!(replaced.is_some_and(|t| t.armed.is_none()));
+        let slot = table.open(key(1), tagged(1));
+        assert!(table.get(slot).is_some_and(|t| t.tag == 1));
         assert_eq!(order(&mut table, 7), vec![3, 1, 2], "kept its place");
 
         let set = [8, 7, 9, 8].map(topic);
@@ -581,7 +605,7 @@ mod tests {
         assert_eq!(order(&mut table, 7), vec![3, 2]);
         assert_eq!(order(&mut table, 9), vec![1]);
 
-        let (_, fx) = with_ctx(|ctx| table.arm(ctx, slot, SimDuration::from_secs(1)));
+        let ((), fx) = with_ctx(|ctx| table.arm(ctx, slot, SimDuration::from_secs(1)));
         assert!(matches!(fx[..], [Effect::Timer { token: 0, .. }]));
         table.await_fetch(FetchToken(5), slot, 9);
         let (closed, fx) = with_ctx(|ctx| table.close(ctx, &key(1)));
@@ -589,15 +613,15 @@ mod tests {
         assert_eq!(fx, vec![unsub(topic(9)), unsub(topic(5))]);
         assert!(order(&mut table, 9).is_empty() && table.find_mut(&key(1)).is_none());
         assert_eq!(table.values().count(), 2);
+        assert_eq!(table.timer_count(), 0, "the close ended the timer");
 
-        // Closed, but named by a timer and a fetch: reopening reaches them,
-        // holding no topic.
-        let (reopened, _) = table.open(key(1), Toy::default());
+        // Closed, but named by a fetch: reopening reaches it, holding no
+        // topic and no timer; the closed stream's timer fires into nothing.
+        let reopened = table.open(key(1), Toy::default());
         assert_eq!(reopened, slot);
-        assert_eq!(table.fire(0), Some(slot));
+        assert!(!table.armed(slot));
+        assert_eq!(table.fire(0), None);
         assert_eq!(table.answer(FetchToken(5)), Some((slot, 9)));
-        assert!(table.get(slot).is_some_and(|t| t.armed.is_none()));
-        assert_eq!((table.fire(0), table.timer_count()), (None, 0));
         let (_, fx) = with_ctx(|ctx| table.close(ctx, &key(1)));
         assert!(fx.is_empty(), "the reopened stream held nothing");
     }
@@ -609,7 +633,8 @@ mod tests {
         SetTopics(u64, Vec<u64>),
         Close(u64),
         Arm(u64),
-        Fire,
+        /// Fires the n-th token armed so far (modulo their count).
+        Fire(usize),
         FanOut(u64),
     }
 
@@ -621,19 +646,22 @@ mod tests {
                 .prop_map(|(n, ts)| Op::SetTopics(n, ts)),
             stream.clone().prop_map(Op::Close),
             stream.prop_map(Op::Arm),
-            Just(Op::Fire),
+            (0usize..64).prop_map(Op::Fire),
             (0u64..5).prop_map(Op::FanOut),
         ]
     }
 
     proptest! {
-        /// Against a model of declared sets and list orders: the topics
-        /// the effects leave subscribed are the union of the open streams'
-        /// sets and the ones [`StreamTable::watches`] names, no topic is
-        /// subscribed twice without an unsubscribe between, a declaration
-        /// never unsubscribes a topic it names, fan-out visits holders in
-        /// declaration order, and a snapshot taken at any step restores and
-        /// re-snapshots to the same bytes.
+        /// Against a model of declared sets, list orders and timers: the
+        /// topics the effects leave subscribed are the union of the open
+        /// streams' sets and the ones [`StreamTable::watches`] names, no
+        /// topic is subscribed twice without an unsubscribe between, a
+        /// declaration never unsubscribes a topic it names, fan-out visits
+        /// holders in declaration order; each open stream has at most one
+        /// armed timer, arming replaces it, opening or closing the key ends
+        /// it, and `fire` answers only a stream's current token; a snapshot
+        /// taken at any step restores and re-snapshots to the same bytes,
+        /// and the run goes on from the restored table.
         #[test]
         fn random_sequences_keep_interest_equal_to_the_sets(
             ops in proptest::collection::vec(op(), 1..40),
@@ -642,7 +670,9 @@ mod tests {
             let mut sets: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
             let mut lists: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
             let mut subscribed: BTreeSet<Topic> = BTreeSet::new();
-            let mut armed: Vec<u64> = Vec::new();
+            // Each open stream's current timer token, and every token armed.
+            let mut timers: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut tokens: Vec<u64> = Vec::new();
             for op in ops {
                 let slot = |table: &StreamTable<Toy, u8>, n| {
                     let slot = table.streams.slot(&key(n))?;
@@ -652,6 +682,7 @@ mod tests {
                     Op::Open(n) => {
                         table.open(key(n), Toy::default());
                         sets.entry(n).or_default();
+                        timers.remove(&n);
                         Vec::new()
                     }
                     Op::SetTopics(n, ts) => {
@@ -681,18 +712,27 @@ mod tests {
                         for t in sets.remove(&n).unwrap_or_default() {
                             lists.get_mut(&t).expect("listed").retain(|&m| m != n);
                         }
+                        timers.remove(&n);
                         fx
                     }
                     Op::Arm(n) => {
                         let Some(slot) = slot(&table, n) else { continue };
                         let after = SimDuration::from_secs(1);
-                        let (token, _) = with_ctx(|ctx| table.arm(ctx, slot, after));
-                        armed.push(token);
+                        let ((), fx) = with_ctx(|ctx| table.arm(ctx, slot, after));
+                        let [Effect::Timer { token, .. }] = fx[..] else {
+                            panic!("{op:?} emitted {fx:?}");
+                        };
+                        timers.insert(n, token);
+                        tokens.push(token);
                         Vec::new()
                     }
-                    Op::Fire => {
-                        if !armed.is_empty() {
-                            table.fire(armed.remove(0));
+                    Op::Fire(i) => {
+                        let Some(&token) = tokens.get(i % tokens.len().max(1)) else { continue };
+                        let current = timers.iter().find(|&(_, &t)| t == token).map(|(&n, _)| n);
+                        let want = current.and_then(|n| slot(&table, n));
+                        prop_assert_eq!(table.fire(token), want, "{:?}", op);
+                        if let Some(n) = current {
+                            timers.remove(&n);
                         }
                         Vec::new()
                     }
@@ -714,9 +754,14 @@ mod tests {
                 for t in 0..5 {
                     prop_assert_eq!(table.watches(topic(t).id()), union.contains(&topic(t)));
                 }
+                for n in 0..4 {
+                    let armed = slot(&table, n).is_some_and(|slot| table.armed(slot));
+                    prop_assert_eq!(armed, timers.contains_key(&n), "stream {}", n);
+                }
+                prop_assert_eq!(table.timer_count(), timers.len());
                 let snap = bytes(&table);
-                let restored = restore(&snap).expect("a live table restores");
-                prop_assert_eq!(bytes(&restored), snap);
+                table = restore(&snap).expect("a live table restores");
+                prop_assert_eq!(bytes(&table), snap);
             }
         }
     }

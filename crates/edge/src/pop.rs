@@ -12,7 +12,7 @@ use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::ensure;
+use simkit::snap::{ensure, Scratch};
 use simkit::snap_struct;
 
 /// Microseconds between device heartbeats.
@@ -67,6 +67,8 @@ pub struct Pop {
     device_proxy: FxHashMap<u64, u32>,
     /// device → heartbeat monitor (fast last-mile failure detection).
     heartbeats: FxHashMap<u64, HeartbeatMonitor>,
+    /// The heartbeat tick's device order, kept to reuse its buffer.
+    tick_order: Scratch<Vec<u64>>,
     table: ProxyStreamTable,
     counters: PopCounters,
 }
@@ -84,6 +86,7 @@ impl Pop {
             proxies,
             device_proxy: FxHashMap::default(),
             heartbeats: FxHashMap::default(),
+            tick_order: Scratch::default(),
             table: ProxyStreamTable::new(),
             counters: PopCounters::default(),
         }
@@ -212,28 +215,27 @@ impl Pop {
     /// into full disconnect handling — detecting dead last-mile links in
     /// seconds instead of waiting out a TCP timeout (§4 footnote 11).
     pub fn on_heartbeat_tick_into(&mut self, now_us: u64, out: &mut Vec<PopEffect>) {
-        let mut dead = Vec::new();
-        // Stable (sorted) iteration: effect order must not depend on hash
+        // Ascending device order: effect order must not depend on hash
         // order, or simulations lose run-to-run determinism.
-        let mut monitored: Vec<u64> = self.heartbeats.keys().copied().collect();
-        monitored.sort_unstable();
-        for device in monitored {
-            let Some(hb) = self.heartbeats.get_mut(&device) else {
-                continue;
-            };
+        let Scratch(mut order) = std::mem::take(&mut self.tick_order);
+        order.clear();
+        order.extend(self.heartbeats.keys());
+        order.sort_unstable();
+        for &device in &order {
+            let hb = self.heartbeats.get_mut(&device).expect("monitored");
             if let Some(ping) = hb.on_tick(now_us) {
                 out.push(PopEffect::ToDevice {
                     device,
                     frame: ping.into(),
                 });
             }
-            if hb.health() == PeerHealth::Failed {
-                dead.push(device);
-            }
         }
-        for device in dead {
+        // Then the dead, in the same order.
+        order.retain(|device| self.heartbeats[device].health() == PeerHealth::Failed);
+        for &device in &order {
             self.on_device_disconnected_into(device, out);
         }
+        self.tick_order = Scratch(order);
     }
 
     /// Removes a failed proxy and repairs every affected stream onto an
@@ -319,6 +321,7 @@ snap_struct!(
         proxies,
         device_proxy,
         heartbeats,
+        tick_order,
         table,
         counters
     },
@@ -445,6 +448,45 @@ mod tests {
         assert!(gone, "silent device declared disconnected");
         assert_eq!(p.stream_count(), 0, "its stream state was dropped");
         assert_eq!(p.counters().device_drops, 1);
+    }
+
+    /// Pings, then reaps, go out in ascending device order whatever order
+    /// the devices connected in, and a restored POP keeps that order.
+    #[test]
+    fn heartbeat_ticks_go_in_device_order_after_a_restore() {
+        use simkit::snap::{Snap, SnapReader, SnapWriter};
+        let mut p = Pop::new(1, vec![100]);
+        for device in [42, 7, 1000, 3, 99] {
+            p.on_device_frame(device, sub(1), 0);
+        }
+        let mut w = SnapWriter::new();
+        p.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Pop::restore(&mut SnapReader::new(&bytes)).expect("restores");
+        let ascending = [3, 7, 42, 99, 1000];
+        for pop in [&mut p, &mut restored] {
+            let fx = collect(|out| pop.on_heartbeat_tick_into(5_000_000, out));
+            let pinged: Vec<u64> = fx
+                .iter()
+                .map(|e| match (e, frame_of(e)) {
+                    (PopEffect::ToDevice { device, .. }, Some(Frame::Ping { .. })) => *device,
+                    other => panic!("not a ping: {other:?}"),
+                })
+                .collect();
+            assert_eq!(pinged, ascending);
+            // Silence until the threshold: every device is reaped at once.
+            let fx: Vec<PopEffect> = (2..=5u64)
+                .flat_map(|i| collect(|out| pop.on_heartbeat_tick_into(i * 5_000_000, out)))
+                .collect();
+            let gone: Vec<u64> = fx
+                .iter()
+                .filter_map(|e| match e {
+                    PopEffect::DeviceGone { device, .. } => Some(*device),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(gone, ascending);
+        }
     }
 
     #[test]

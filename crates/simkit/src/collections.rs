@@ -315,21 +315,6 @@ impl<V> SeqMap<V> {
         Some(value)
     }
 
-    /// Keeps only the entries `keep` approves of.
-    pub fn retain(&mut self, mut keep: impl FnMut(u64, &V) -> bool) {
-        self.spilled.retain(|&key, value| keep(key, value));
-        for (i, slot) in self.window.iter_mut().enumerate() {
-            if slot
-                .as_ref()
-                .is_some_and(|value| !keep(self.base + i as u64, value))
-            {
-                *slot = None;
-                self.in_window -= 1;
-            }
-        }
-        self.trim_front();
-    }
-
     /// `(key, value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         let window = self.window.iter().enumerate();
@@ -720,8 +705,6 @@ mod tests {
         m.insert(1 << 50, "far");
         assert_eq!((m.spilled.len(), m.window.len()), (100, 1));
         assert_eq!(m.len(), 101);
-        m.retain(|key, _| key % 2 == 0);
-        assert_eq!(m.len(), 51);
         assert_eq!(m.keys().last(), Some(1 << 50));
     }
 
@@ -735,7 +718,6 @@ mod tests {
         RemoveNewest,
         /// Insert at (or over) an arbitrary earlier key.
         InsertOld(u64),
-        RetainOdd,
     }
 
     fn seq_op(kind: u8, raw: u64) -> SeqOp {
@@ -750,8 +732,7 @@ mod tests {
             7..=10 => SeqOp::RemoveNth((raw % 4) as usize),
             11 | 12 => SeqOp::RemoveNth((raw >> 4) as usize),
             13 => SeqOp::RemoveNewest,
-            14 => SeqOp::InsertOld(raw),
-            _ => SeqOp::RetainOdd,
+            _ => SeqOp::InsertOld(raw),
         }
     }
 
@@ -789,10 +770,6 @@ mod tests {
                     SeqOp::InsertOld(raw) if next > 0 => {
                         let key = raw % next;
                         assert_eq!(map.insert(key, i), model.insert(key, i));
-                    }
-                    SeqOp::RetainOdd => {
-                        map.retain(|key, _| key % 2 == 1);
-                        model.retain(|key, _| key % 2 == 1);
                     }
                     SeqOp::RemoveNth(_) | SeqOp::InsertOld(_) => {}
                 }

@@ -563,6 +563,18 @@ impl Snap for () {
     }
 }
 
+/// A buffer a state type reuses between calls so they allocate nothing,
+/// holding nothing between them: it writes nothing and restores empty.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch<T>(pub T);
+
+impl<T: Default> Snap for Scratch<T> {
+    fn snap(&self, _w: &mut SnapWriter) {}
+    fn restore(_r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        Ok(Scratch::default())
+    }
+}
+
 impl Snap for bool {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_bool(*self);
