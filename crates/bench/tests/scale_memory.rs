@@ -39,18 +39,18 @@ fn per_device_state_stays_under_the_ceilings() {
         "memory: {rss_per_device:.0} B/device RSS, {live_per_device:.0} B/device live, \
          {allocs_per_event:.2} allocations/event, {parked} parked"
     );
-    // Measured 2,858 B/device RSS and 2,667 B/device live. Live heap is
+    // Measured 2,817 B/device RSS and 2,614 B/device live. Live heap is
     // an exact count for a seed, so its ceiling sits about 1.3x above it;
     // RSS varies with the runner, so about 1.5x. Reintroducing a
     // per-stream heavyweight (~hundreds of bytes x 200k) fails.
     assert!(rss > 0, "no peak RSS reading");
     assert!(
-        rss_per_device < 4300.0,
-        "peak RSS/device {rss_per_device:.0} B >= 4300 B"
+        rss_per_device < 4200.0,
+        "peak RSS/device {rss_per_device:.0} B >= 4200 B"
     );
     assert!(
-        live_per_device < 3500.0,
-        "live heap/device {live_per_device:.0} B >= 3500 B"
+        live_per_device < 3400.0,
+        "live heap/device {live_per_device:.0} B >= 3400 B"
     );
     // Allocations per event are exact for a seed (3.38 measured, ramp
     // included; ceiling about 1.3x); a String or Vec back on a per-event

@@ -46,12 +46,8 @@ pub struct SystemConfig {
     /// off exponentially (capped, with deterministic jitter) to tame
     /// thundering-herd reconnect storms.
     pub reconnect_delay: SimDuration,
-    /// Interval between heartbeat ticks (proxy→BRASS pings, and POP→device
-    /// pings when [`Self::device_heartbeats`] is on). §4 footnote 11.
-    pub heartbeat_interval: SimDuration,
-    /// Unanswered pings before a proxy declares a BRASS host dead.
-    pub heartbeat_misses: u32,
-    /// Whether POPs ping devices to detect silent (unannounced) drops.
+    /// Whether POPs ping devices to detect silent (unannounced) drops
+    /// (§4 footnote 11; the policy is `burst::heartbeat`'s).
     /// Costs one ping/pong round-trip per device per interval, so the
     /// scale bench turns it off.
     pub device_heartbeats: bool,
@@ -111,8 +107,6 @@ impl SystemConfig {
             ],
             last_mile_drop: 0.0,
             reconnect_delay: SimDuration::from_secs(2),
-            heartbeat_interval: SimDuration::from_secs(5),
-            heartbeat_misses: 3,
             device_heartbeats: true,
             trace_retention: Retention::Full,
             max_streams_per_device: 20,
@@ -171,8 +165,6 @@ mod tests {
             let total: f64 = config.link_mix.iter().map(|(_, p)| p).sum();
             assert!((total - 1.0).abs() < 1e-9, "link mix sums to 1");
             assert!(!config.metrics_interval.is_zero());
-            assert!(!config.heartbeat_interval.is_zero());
-            assert!(config.heartbeat_misses > 0);
         }
     }
 }

@@ -18,7 +18,7 @@ use was::service::WebApplicationServer;
 
 use super::backend::Registries;
 use super::ev::{App, Ev, EventStats};
-use super::faults::{fresh_host, fresh_proxy};
+use super::faults::{fresh_host, fresh_proxy, HEARTBEAT_INTERVAL};
 use super::fleet::{DeviceSlot, DeviceState, ParkScratch};
 use super::SystemSim;
 use crate::config::{LinkClass, SystemConfig};
@@ -39,7 +39,7 @@ impl SystemSim {
             .map(|i| Pop::new(i, proxy_ids.clone()))
             .collect();
         let mut queue = EventQueue::new();
-        queue.schedule(SimTime::ZERO + config.heartbeat_interval, Ev::HeartbeatTick);
+        queue.schedule(SimTime::ZERO + HEARTBEAT_INTERVAL, Ev::HeartbeatTick);
         SystemSim {
             latency: LatencyModel::table3(),
             rng,
@@ -130,10 +130,7 @@ impl SystemSim {
 
     /// Total proxy-induced stream reconnects across proxies.
     pub fn total_proxy_reconnects(&self) -> u64 {
-        self.proxies
-            .iter()
-            .map(|p| p.counters().induced_reconnects)
-            .sum()
+        self.proxies.iter().map(|p| p.induced_reconnects()).sum()
     }
 
     /// A device's current state (testing). Returns an owned copy: the

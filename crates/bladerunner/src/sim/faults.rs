@@ -6,6 +6,7 @@
 
 use brass::host::{BrassHost, HostConfig};
 use burst::frame::{Frame, StreamId};
+use burst::heartbeat::INTERVAL_US;
 use edge::proxy::{ProxyEffect, ReverseProxy};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome};
@@ -206,9 +207,9 @@ impl SystemSim {
         if !self.proxy_is_up(proxy) {
             return;
         }
-        let before = self.proxies[proxy].counters().induced_reconnects;
+        let before = self.proxies[proxy].induced_reconnects();
         self.drive_proxy(now, proxy, handler);
-        let delta = self.proxies[proxy].counters().induced_reconnects - before;
+        let delta = self.proxies[proxy].induced_reconnects() - before;
         self.metrics.ts_proxy_reconnects.record(now, delta as f64);
     }
 
@@ -312,7 +313,7 @@ impl SystemSim {
             }
         }
         self.queue
-            .schedule(now + self.config.heartbeat_interval, Ev::HeartbeatTick);
+            .schedule(now + HEARTBEAT_INTERVAL, Ev::HeartbeatTick);
     }
 }
 
@@ -323,11 +324,11 @@ pub(crate) fn fresh_host(id: u32) -> BrassHost {
     host
 }
 
+/// The heartbeat tick's period: `burst::heartbeat`'s one interval.
+pub(super) const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_micros(INTERVAL_US);
+
 /// An empty reverse proxy over the full host roster, heartbeats armed.
 pub(super) fn fresh_proxy(config: &SystemConfig, id: u32) -> ReverseProxy {
     let hosts = (0..config.brass_hosts).collect();
-    ReverseProxy::new(id, config.route_strategy, hosts).with_heartbeat(
-        config.heartbeat_interval.as_micros(),
-        config.heartbeat_misses,
-    )
+    ReverseProxy::new(id, config.route_strategy, hosts)
 }

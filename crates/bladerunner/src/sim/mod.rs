@@ -274,14 +274,14 @@ impl SystemSim {
             Ev::HbPingAtHost { proxy, host, token } => {
                 self.on_hb_ping_at_host(now, proxy, host, token)
             }
-            Ev::PongFromHost { proxy, host, token } => {
+            Ev::PongFromHost { proxy, host, .. } => {
                 if self.proxy_up[proxy] {
-                    self.proxies[proxy].on_host_pong(host as u32, token);
+                    self.proxies[proxy].note_host_activity(host as u32);
                 }
             }
             Ev::PylonHostFailed { host } => self.pylon.host_failed(HostId(host as u32)),
             Ev::ProxyHostFailed { proxy, host } => self.drive_proxy_repair(now, proxy, |p, fx| {
-                p.on_brass_host_failed_into(host as u32, now.as_micros(), fx)
+                p.on_brass_host_failed_into(host as u32, fx)
             }),
             Ev::ProxyAddHost { proxy, host } => {
                 self.drive_proxy_repair(now, proxy, |p, fx| p.add_host_into(host as u32, fx))
@@ -290,7 +290,7 @@ impl SystemSim {
             // the pool and the failed/add_host pair owns repair).
             Ev::ProxyHostRestarted { proxy, host } => {
                 self.drive_proxy_repair(now, proxy, |p, fx| {
-                    p.on_host_restarted_into(host as u32, now.as_micros(), fx)
+                    p.on_host_restarted_into(host as u32, fx)
                 })
             }
             Ev::PopProxyFailed { pop, proxy } => {

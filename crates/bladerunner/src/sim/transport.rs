@@ -69,9 +69,7 @@ impl SystemSim {
         }
         // A device's POP is derived, not stored: `device % pops`.
         let pop = device as usize % self.pops.len();
-        self.drive_pop(now, pop, |p, fx| {
-            p.on_device_frame_into(device, frame, now.as_micros(), fx)
-        });
+        self.drive_pop(now, pop, |p, fx| p.on_device_frame_into(device, frame, fx));
     }
 
     pub(super) fn on_at_proxy(
@@ -92,7 +90,7 @@ impl SystemSim {
             return;
         }
         self.drive_proxy(now, proxy, |p, fx| {
-            p.on_downstream_frame_into(device, frame, now.as_micros(), fx)
+            p.on_downstream_frame_into(device, frame, fx)
         });
     }
 
@@ -225,7 +223,7 @@ impl SystemSim {
         // Not `drive_proxy`: the frame keeps the `sent_at` it left its
         // BRASS with.
         let mut fx = std::mem::take(&mut self.proxy_fx);
-        self.proxies[proxy].on_upstream_frame_into(device, frame, now.as_micros(), &mut fx);
+        self.proxies[proxy].on_upstream_frame_into(device, frame, &mut fx);
         self.process_proxy_effects(now, proxy, &mut fx, sent_at);
         self.proxy_fx = fx;
     }
@@ -242,7 +240,7 @@ impl SystemSim {
         };
         let pop = device as usize % self.pops.len();
         let mut fx = std::mem::take(&mut self.pop_fx);
-        self.pops[pop].on_proxy_frame_into(device, frame, now.as_micros(), &mut fx);
+        self.pops[pop].on_proxy_frame_into(device, frame, &mut fx);
         for effect in fx.drain(..) {
             // A POP passes a proxy's frame on to the device it came for.
             if let PopEffect::ToDevice { frame, .. } = effect {

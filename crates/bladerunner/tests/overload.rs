@@ -10,6 +10,7 @@
 use bladerunner::config::LinkClass;
 use bladerunner::scenario::FlashCrowd;
 use bladerunner::{SystemConfig, SystemSim};
+use burst::heartbeat::{INTERVAL_US, MISSES};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop};
 
@@ -131,8 +132,7 @@ fn pure_overload_never_declares_hosts_dead() {
     s.run_until(SimTime::from_secs(180));
 
     let m = s.metrics().clone();
-    let threshold_depth = (config.heartbeat_interval.as_micros() * config.heartbeat_misses as u64)
-        / config.brass_service_us;
+    let threshold_depth = (INTERVAL_US * u64::from(MISSES)) / config.brass_service_us;
     assert!(
         m.q_brass_mailbox.peak() > threshold_depth,
         "backlog peak {} never crossed the detection threshold ({}), the \

@@ -6,15 +6,23 @@
 //! e.g., by using heartbeats" (§4, footnote 11).
 //!
 //! [`HeartbeatMonitor`] drives [`Frame::Ping`]/[`Frame::Pong`] exchange on
-//! a connection: the local side pings on an interval, and declares the peer
-//! dead after a configurable number of unanswered pings — far faster than a
-//! TCP timeout. The monitoring side runs one; the responder answers each
-//! ping with a pong carrying its token (`edge::Device` does so itself).
+//! a connection: the local side pings every [`INTERVAL_US`], and declares
+//! the peer dead once [`MISSES`] pings in a row go unanswered — far faster
+//! than a TCP timeout. This is the one heartbeat policy: POPs watch devices
+//! and proxies watch BRASS hosts with it. The monitoring side runs one
+//! monitor per peer; the responder answers each ping with a pong carrying
+//! its token (`edge::Device` does so itself), and any frame from the peer,
+//! a pong or any other, clears the misses.
 
 use simkit::snap::ensure;
 use simkit::{snap_enum, snap_struct};
 
 use crate::frame::Frame;
+
+/// Microseconds between pings.
+pub const INTERVAL_US: u64 = 5_000_000;
+/// Unanswered pings tolerated before the peer is declared failed.
+pub const MISSES: u32 = 3;
 
 /// Connection health as judged by heartbeats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,36 +38,28 @@ pub enum PeerHealth {
 /// A heartbeat monitor for one connection.
 #[derive(Clone, Debug)]
 pub struct HeartbeatMonitor {
-    /// Microseconds between pings.
-    interval_us: u64,
-    /// Unanswered pings tolerated before declaring failure.
-    miss_threshold: u32,
     next_ping_at: u64,
     next_token: u64,
     outstanding: u32,
     health: PeerHealth,
 }
 
-impl HeartbeatMonitor {
-    /// Creates a monitor pinging every `interval_us`, failing the peer
-    /// after `miss_threshold` consecutive unanswered pings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_us` or `miss_threshold` is zero.
-    pub fn new(interval_us: u64, miss_threshold: u32) -> Self {
-        assert!(interval_us > 0, "interval must be positive");
-        assert!(miss_threshold > 0, "threshold must be positive");
+// One per monitored peer, so its size is per-device state at a POP.
+const _: () = assert!(std::mem::size_of::<HeartbeatMonitor>() == 24);
+
+impl Default for HeartbeatMonitor {
+    /// A monitor whose first ping is due one interval after time zero.
+    fn default() -> Self {
         HeartbeatMonitor {
-            interval_us,
-            miss_threshold,
-            next_ping_at: interval_us,
+            next_ping_at: INTERVAL_US,
             next_token: 1,
             outstanding: 0,
             health: PeerHealth::Alive,
         }
     }
+}
 
+impl HeartbeatMonitor {
     /// Current judgement of the peer.
     pub fn health(&self) -> PeerHealth {
         self.health
@@ -74,7 +74,7 @@ impl HeartbeatMonitor {
             return None;
         }
         if self.outstanding > 0 {
-            self.health = if self.outstanding >= self.miss_threshold {
+            self.health = if self.outstanding >= MISSES {
                 PeerHealth::Failed
             } else {
                 PeerHealth::Suspect
@@ -83,86 +83,74 @@ impl HeartbeatMonitor {
                 return None;
             }
         }
-        self.next_ping_at = now_us + self.interval_us;
+        self.next_ping_at = now_us + INTERVAL_US;
         self.outstanding += 1;
         let token = self.next_token;
         self.next_token += 1;
         Some(Frame::Ping { token })
     }
 
-    /// Handles an incoming pong; any response proves liveness.
-    pub fn on_pong(&mut self, _token: u64) {
+    /// Any frame from the peer, a pong or any other, proves liveness.
+    pub fn on_activity(&mut self) {
         self.outstanding = 0;
         if self.health != PeerHealth::Failed {
             self.health = PeerHealth::Alive;
         }
     }
-
-    /// Any other traffic from the peer also proves liveness.
-    pub fn on_activity(&mut self) {
-        self.on_pong(0);
-    }
 }
 
 snap_enum!(PeerHealth { 0 => Alive, 1 => Suspect, 2 => Failed });
-// Rejects configurations `new` would refuse.
+// A tick stops counting misses once they reach the threshold.
 snap_struct!(
     HeartbeatMonitor {
-        interval_us,
-        miss_threshold,
         next_ping_at,
         next_token,
         outstanding,
         health
     },
-    |m| {
-        ensure(
-            m.interval_us != 0 && m.miss_threshold != 0,
-            "zero heartbeat interval/threshold",
-        )
-    }
+    |m| ensure(m.outstanding <= MISSES, "more misses than the threshold")
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::snap::{Snap, SnapReader, SnapWriter};
 
-    fn monitor() -> HeartbeatMonitor {
-        HeartbeatMonitor::new(1_000, 3)
+    /// The `n`th ping instant.
+    fn at(n: u64) -> u64 {
+        n * INTERVAL_US
     }
 
     #[test]
     fn pings_on_interval() {
-        let mut m = monitor();
-        assert!(m.on_tick(500).is_none(), "not due yet");
-        let ping = m.on_tick(1_000);
+        let mut m = HeartbeatMonitor::default();
+        assert!(m.on_tick(at(1) - 1).is_none(), "not due yet");
+        let ping = m.on_tick(at(1));
         assert!(matches!(ping, Some(Frame::Ping { .. })));
-        assert!(m.on_tick(1_100).is_none(), "next ping not due");
+        assert!(m.on_tick(at(2) - 1).is_none(), "next ping not due");
     }
 
     #[test]
     fn responsive_peer_stays_alive() {
-        let mut m = monitor();
+        let mut m = HeartbeatMonitor::default();
         for i in 1..10u64 {
-            let ping = m.on_tick(i * 1_000).expect("ping due");
-            let Frame::Ping { token } = ping else {
-                panic!()
-            };
-            m.on_pong(token);
+            let ping = m.on_tick(at(i)).expect("ping due");
+            assert!(matches!(ping, Frame::Ping { .. }));
+            m.on_activity();
             assert_eq!(m.health(), PeerHealth::Alive);
         }
     }
 
     #[test]
     fn silent_peer_becomes_suspect_then_failed() {
-        let mut m = monitor();
-        m.on_tick(1_000); // ping 1, never answered
-        m.on_tick(2_000); // miss 1 -> suspect
+        let mut m = HeartbeatMonitor::default();
+        m.on_tick(at(1)); // ping 1, never answered
+        m.on_tick(at(2)); // miss 1 -> suspect
         assert_eq!(m.health(), PeerHealth::Suspect);
-        m.on_tick(3_000); // miss 2 -> still suspect
+        m.on_tick(at(3)); // miss 2 -> still suspect
         assert_eq!(m.health(), PeerHealth::Suspect);
         assert!(
-            m.on_tick(4_000).is_none(),
+            m.on_tick(at(4)).is_none(),
             "threshold crossed: no more pings"
         );
         assert_eq!(m.health(), PeerHealth::Failed);
@@ -170,38 +158,53 @@ mod tests {
 
     #[test]
     fn late_pong_rescues_suspect_peer() {
-        let mut m = monitor();
-        let Frame::Ping { token } = m.on_tick(1_000).unwrap() else {
-            panic!()
-        };
-        m.on_tick(2_000);
+        let mut m = HeartbeatMonitor::default();
+        assert!(matches!(m.on_tick(at(1)).unwrap(), Frame::Ping { .. }));
+        m.on_tick(at(2));
         assert_eq!(m.health(), PeerHealth::Suspect);
-        m.on_pong(token);
+        m.on_activity();
         assert_eq!(m.health(), PeerHealth::Alive);
     }
 
     #[test]
     fn any_activity_proves_liveness() {
-        let mut m = monitor();
-        m.on_tick(1_000);
-        m.on_tick(2_000);
+        let mut m = HeartbeatMonitor::default();
+        m.on_tick(at(1));
+        m.on_tick(at(2));
         m.on_activity();
         assert_eq!(m.health(), PeerHealth::Alive);
     }
 
     #[test]
     fn detection_beats_tcp_timeouts() {
-        // With a 1s interval and threshold 3, a dead peer is detected in
-        // ~4s — versus TCP's minutes-scale default.
-        let mut m = HeartbeatMonitor::new(1_000_000, 3);
-        let mut detected_at = None;
-        for t in 1..=10u64 {
-            m.on_tick(t * 1_000_000);
-            if m.health() == PeerHealth::Failed {
-                detected_at = Some(t);
-                break;
-            }
+        // A dead peer is detected `MISSES + 1` intervals in (20 s) —
+        // versus TCP's minutes-scale default.
+        let mut m = HeartbeatMonitor::default();
+        let detected_at = (1..=10u64).find(|&t| {
+            m.on_tick(at(t));
+            m.health() == PeerHealth::Failed
+        });
+        assert_eq!(detected_at, Some(u64::from(MISSES) + 1));
+    }
+
+    /// Every state a run reaches restores, the failed one included; a
+    /// miss count past the threshold, which no tick produces, does not.
+    #[test]
+    fn restore_accepts_reached_miss_counts_only() {
+        let bytes = |m: &HeartbeatMonitor| {
+            let mut w = SnapWriter::new();
+            m.snap(&mut w);
+            w.into_bytes()
+        };
+        let mut m = HeartbeatMonitor::default();
+        for t in 1..=5 {
+            m.on_tick(at(t));
+            let b = bytes(&m);
+            let back = HeartbeatMonitor::restore(&mut SnapReader::new(&b)).expect("reached");
+            assert_eq!(bytes(&back), b);
         }
-        assert_eq!(detected_at, Some(4));
+        assert_eq!((m.health(), m.outstanding), (PeerHealth::Failed, MISSES));
+        m.outstanding = MISSES + 1;
+        assert!(HeartbeatMonitor::restore(&mut SnapReader::new(&bytes(&m))).is_err());
     }
 }

@@ -623,15 +623,12 @@ pub struct ProxyEntry {
     pub body: Box<[u8]>,
     /// The upstream (BRASS-side) hop this stream is routed to.
     pub upstream: Option<u64>,
-    /// Last time any frame moved on this stream (for GC), in microseconds.
-    pub last_activity_us: u64,
 }
 
 snap_struct!(ProxyEntry {
     header,
     body,
-    upstream,
-    last_activity_us
+    upstream
 });
 
 /// A proxy table row: a stream and its stored state.
@@ -660,8 +657,7 @@ fn edit_rows(rows: &mut Box<[Row]>, edit: impl FnOnce(&mut Vec<Row>)) {
 /// one stream or one connection — a frame, a cancel, a closed connection,
 /// the list of a connection's streams — costs one hashed lookup plus that
 /// connection's few streams. Only [`streams_via`](Self::streams_via),
-/// [`orphans`](Self::orphans), [`gc`](Self::gc) and the snapshot walk the
-/// whole table.
+/// [`orphans`](Self::orphans) and the snapshot walk the whole table.
 #[derive(Default)]
 pub struct ProxyStreamTable {
     /// Connection → its rows, ascending by sid, never empty.
@@ -700,13 +696,11 @@ impl ProxyStreamTable {
         header: Json,
         body: Vec<u8>,
         upstream: Option<u64>,
-        now_us: u64,
     ) {
         let entry = ProxyEntry {
             header: PackedJson::pack(&header),
             body: body.into_boxed_slice(),
             upstream,
-            last_activity_us: now_us,
         };
         self.insert(conn, (sid, entry));
     }
@@ -728,13 +722,12 @@ impl ProxyStreamTable {
 
     /// Observes a response batch passing through: applies rewrites to the
     /// stored header (progress as a pending number, so the per-delivery
-    /// step never touches the header text), refreshes activity, and drops
-    /// state on termination.
-    pub fn on_response(&mut self, conn: u64, sid: StreamId, batch: &[Delta], now_us: u64) {
+    /// step never touches the header text), and drops state on
+    /// termination.
+    pub fn on_response(&mut self, conn: u64, sid: StreamId, batch: &[Delta]) {
         let Some(entry) = self.entry_mut(conn, sid) else {
             return;
         };
-        entry.last_activity_us = now_us;
         let mut remove = false;
         for delta in batch {
             match delta {
@@ -833,20 +826,6 @@ impl ProxyStreamTable {
             body: entry.body.to_vec(),
         })
     }
-
-    /// Garbage-collects entries idle since before `cutoff_us`.
-    pub fn gc(&mut self, cutoff_us: u64) -> usize {
-        let before = self.len;
-        let live = |(_, e): &Row| e.last_activity_us >= cutoff_us;
-        self.conns.retain(|_, rows| {
-            if !rows.iter().all(live) {
-                edit_rows(rows, |v| v.retain(live));
-            }
-            !rows.is_empty()
-        });
-        self.len = self.conns.values().map(|rows| rows.len()).sum();
-        before - self.len
-    }
 }
 
 /// The flat map's bytes: the stream count, then `((conn, sid), entry)`
@@ -926,9 +905,9 @@ mod tests {
     #[test]
     fn proxy_table_snapshot_roundtrip() {
         let mut t = ProxyStreamTable::new();
-        t.on_subscribe(2, StreamId(1), header(), vec![1, 2], Some(40), 100);
-        t.on_subscribe(1, StreamId(9), header(), vec![], None, 200);
-        t.on_subscribe(1, StreamId(3), header(), vec![7], Some(41), 300);
+        t.on_subscribe(2, StreamId(1), header(), vec![1, 2], Some(40));
+        t.on_subscribe(1, StreamId(9), header(), vec![], None);
+        t.on_subscribe(1, StreamId(3), header(), vec![7], Some(41));
         let mut w = SnapWriter::new();
         t.snap(&mut w);
         let bytes = w.into_bytes();
@@ -942,7 +921,6 @@ mod tests {
             assert_eq!(a.header.to_bytes(), b.header.to_bytes());
             assert_eq!(a.body, b.body);
             assert_eq!(a.upstream, b.upstream);
-            assert_eq!(a.last_activity_us, b.last_activity_us);
         }
         // Re-snapping the restored table yields identical bytes (the
         // sorted-key encoding is canonical).
@@ -1248,7 +1226,7 @@ mod tests {
     #[test]
     fn proxy_stores_and_rewrites() {
         let mut t = ProxyStreamTable::new();
-        t.on_subscribe(1, StreamId(5), header(), vec![9], Some(100), 0);
+        t.on_subscribe(1, StreamId(5), header(), vec![9], Some(100));
         assert_eq!(t.len(), 1);
         t.on_response(
             1,
@@ -1256,28 +1234,25 @@ mod tests {
             &[Delta::RewriteRequest {
                 patch: Json::obj([("brass", Json::from("b-2"))]),
             }],
-            10,
         );
         let e = t.get(1, StreamId(5)).unwrap();
         assert_eq!(
             e.header.unpack().get("brass").unwrap().as_str(),
             Some("b-2")
         );
-        assert_eq!(e.last_activity_us, 10);
     }
 
     #[test]
     fn proxy_terminate_and_cancel_gc() {
         let mut t = ProxyStreamTable::new();
-        t.on_subscribe(1, StreamId(5), header(), vec![], None, 0);
+        t.on_subscribe(1, StreamId(5), header(), vec![], None);
         t.on_response(
             1,
             StreamId(5),
             &[Delta::Terminate(TerminateReason::Cancelled)],
-            1,
         );
         assert!(t.is_empty());
-        t.on_subscribe(1, StreamId(6), header(), vec![], None, 0);
+        t.on_subscribe(1, StreamId(6), header(), vec![], None);
         t.on_cancel(1, StreamId(6));
         assert!(t.is_empty());
     }
@@ -1285,9 +1260,9 @@ mod tests {
     #[test]
     fn proxy_connection_close_drops_only_that_connection() {
         let mut t = ProxyStreamTable::new();
-        t.on_subscribe(1, StreamId(5), header(), vec![], None, 0);
-        t.on_subscribe(1, StreamId(6), header(), vec![], None, 0);
-        t.on_subscribe(2, StreamId(5), header(), vec![], None, 0);
+        t.on_subscribe(1, StreamId(5), header(), vec![], None);
+        t.on_subscribe(1, StreamId(6), header(), vec![], None);
+        t.on_subscribe(2, StreamId(5), header(), vec![], None);
         assert_eq!(t.on_connection_closed(1), 2);
         assert_eq!(t.len(), 1);
         assert!(t.get(2, StreamId(5)).is_some());
@@ -1296,9 +1271,9 @@ mod tests {
     #[test]
     fn proxy_repairs_streams_after_upstream_failure() {
         let mut t = ProxyStreamTable::new();
-        t.on_subscribe(1, StreamId(5), header(), vec![7], Some(100), 0);
-        t.on_subscribe(2, StreamId(9), header(), vec![], Some(100), 0);
-        t.on_subscribe(3, StreamId(1), header(), vec![], Some(200), 0);
+        t.on_subscribe(1, StreamId(5), header(), vec![7], Some(100));
+        t.on_subscribe(2, StreamId(9), header(), vec![], Some(100));
+        t.on_subscribe(3, StreamId(1), header(), vec![], Some(200));
         let affected = t.streams_via(100);
         assert_eq!(affected, vec![(1, StreamId(5)), (2, StreamId(9))]);
         let f = t.rebuild_subscribe(1, StreamId(5), 300).unwrap();
@@ -1398,7 +1373,7 @@ mod tests {
         let sid = StreamId(3);
         let mut server = ServerStream::accept(sid, &subscribe, false);
         let mut proxy = ProxyStreamTable::new();
-        proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
+        proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4));
         let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
         let mut oracle = PackedJson::pack(&subscribe);
         for last in 0..=1001u64 {
@@ -1406,7 +1381,7 @@ mod tests {
             let rewrite = server.rewrite_progress();
             oracle = oracle.merge_oracle(&rewrite.rewrite_patch().expect("a rewrite"));
             let batch = [update, rewrite];
-            proxy.on_response(9, sid, &batch, last);
+            proxy.on_response(9, sid, &batch);
             apply_batch(&mut client, &batch);
 
             let proxy_header = &proxy.get(9, sid).expect("entry").header;
@@ -1483,7 +1458,7 @@ mod tests {
             ]);
             let sid = StreamId(3);
             let mut proxy = ProxyStreamTable::new();
-            proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4), 0);
+            proxy.on_subscribe(9, sid, subscribe.clone(), vec![1], Some(4));
             let mut client = ClientStream::new(sid, subscribe.clone(), vec![1]);
             let mut oracle = subscribe;
             for step in steps {
@@ -1498,7 +1473,7 @@ mod tests {
                 };
                 oracle.merge(&patch);
                 let want = PackedJson::pack(&oracle);
-                proxy.on_response(9, sid, std::slice::from_ref(&delta), 1);
+                proxy.on_response(9, sid, std::slice::from_ref(&delta));
                 apply_batch(&mut client, std::slice::from_ref(&delta));
 
                 let proxy_header = &proxy.get(9, sid).expect("entry").header;
@@ -1568,15 +1543,5 @@ mod tests {
             apply_batch(&mut client, &[Delta::FlowStatus(FlowStatus::Recovered)]);
             assert_eq!(client.expected_seq(), resume, "recovered, {last_seq}");
         }
-    }
-
-    #[test]
-    fn proxy_gc_by_idle_time() {
-        let mut t = ProxyStreamTable::new();
-        t.on_subscribe(1, StreamId(5), header(), vec![], None, 100);
-        t.on_subscribe(1, StreamId(6), header(), vec![], None, 200);
-        let collected = t.gc(150);
-        assert_eq!(collected, 1);
-        assert!(t.get(1, StreamId(6)).is_some());
     }
 }

@@ -32,7 +32,6 @@ enum Op {
     ConnectionClosed(u64),
     ClearUpstream(u64, u64),
     RebuildSubscribe(u64, u64, u64),
-    Gc(u64),
     StreamsVia(u64),
     Orphans(Vec<u64>),
 }
@@ -69,7 +68,6 @@ fn op() -> impl Strategy<Value = Op> {
         conn().prop_map(Op::ConnectionClosed),
         (conn(), sid()).prop_map(|(c, s)| Op::ClearUpstream(c, s)),
         (conn(), sid(), hop()).prop_map(|(c, s, h)| Op::RebuildSubscribe(c, s, h)),
-        (0u64..60).prop_map(Op::Gc),
         hop().prop_map(Op::StreamsVia),
         proptest::collection::vec(hop(), 0..3).prop_map(Op::Orphans),
     ]
@@ -104,16 +102,14 @@ proptest! {
         let mut table = ProxyStreamTable::new();
         let mut model = Model::new();
         for (step, op) in ops.into_iter().enumerate() {
-            let now = step as u64;
             match op {
                 Op::Subscribe { conn, sid, upstream } => {
                     let body = vec![sid as u8];
-                    table.on_subscribe(conn, StreamId(sid), header(conn, sid), body.clone(), upstream, now);
+                    table.on_subscribe(conn, StreamId(sid), header(conn, sid), body.clone(), upstream);
                     let entry = ProxyEntry {
                         header: PackedJson::pack(&header(conn, sid)),
                         body: body.into_boxed_slice(),
                         upstream,
-                        last_activity_us: now,
                     };
                     model.insert((conn, StreamId(sid)), entry);
                 }
@@ -122,13 +118,12 @@ proptest! {
                     if terminate {
                         batch.push(Delta::Terminate(TerminateReason::Cancelled));
                     }
-                    table.on_response(conn, StreamId(sid), &batch, now);
+                    table.on_response(conn, StreamId(sid), &batch);
                     let key = (conn, StreamId(sid));
                     if terminate {
                         model.remove(&key);
                     } else if let Some(e) = model.get_mut(&key) {
                         e.header.set_last_seq(last_seq);
-                        e.last_activity_us = now;
                     }
                 }
                 Op::Cancel(conn, sid) => {
@@ -157,11 +152,6 @@ proptest! {
                         }
                     });
                     prop_assert_eq!(frame, want);
-                }
-                Op::Gc(cutoff) => {
-                    let before = model.len();
-                    model.retain(|_, e| e.last_activity_us >= cutoff);
-                    prop_assert_eq!(table.gc(cutoff), before - model.len());
                 }
                 Op::StreamsVia(hop) => {
                     let want = model_select(&model, |e| e.upstream == Some(hop));

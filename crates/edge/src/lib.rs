@@ -17,6 +17,15 @@
 //!   or drains — signals affected devices (axiom 1) and resubscribes every
 //!   affected stream to an alternate host from stored state (axiom 2).
 //!
+//! POPs and proxies keep per-stream state for one job, repairing streams
+//! when an upstream hop fails, and they detect failures with the one
+//! heartbeat policy of [`burst::heartbeat`]. Each peer has one record: a
+//! POP's device entry holds its proxy and its monitor, a proxy's pool
+//! entry a host's id, load and monitor. Stream state is dropped by a
+//! cancel, a terminate or the connection closing; nothing collects idle
+//! streams. Either pool may empty: a subscribe is then kept as an orphan
+//! (its device told `Degraded`) until a peer returns and repairs it.
+//!
 //! [`ClientStream`]: burst::stream::ClientStream
 
 pub mod device;
@@ -26,3 +35,12 @@ pub mod proxy;
 pub use device::{Device, DeviceOutput};
 pub use pop::{Pop, PopEffect};
 pub use proxy::{ProxyEffect, ReverseProxy, RouteStrategy};
+
+/// Rejects ids that come twice: a POP's or a proxy's pool names each peer
+/// once.
+fn distinct(ids: impl Iterator<Item = u32>) -> Result<(), String> {
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable();
+    let once = ids.windows(2).all(|w| w[0] != w[1]);
+    simkit::snap::ensure(once, "a pool names a peer twice")
+}

@@ -12,13 +12,10 @@ use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::stream::ProxyStreamTable;
 use simkit::fxhash::FxHashMap;
-use simkit::snap::{ensure, Scratch};
+use simkit::snap::Scratch;
 use simkit::snap_struct;
 
-/// Microseconds between device heartbeats.
-const HEARTBEAT_INTERVAL_US: u64 = 5_000_000;
-/// Unanswered heartbeats before a device is declared gone.
-const HEARTBEAT_MISSES: u32 = 3;
+use crate::distinct;
 
 /// What the POP asks its environment to do. Frames stay in the box they
 /// arrived in, so relaying one moves a pointer.
@@ -49,13 +46,21 @@ pub enum PopEffect {
     },
 }
 
-/// POP counters (Fig. 10 top: last-mile connections dropped).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PopCounters {
-    /// Device connections dropped (detected here).
-    pub device_drops: u64,
-    /// Streams repaired after an upstream proxy failure.
-    pub repaired_streams: u64,
+/// One device's connection, from its first frame until it is declared
+/// gone.
+#[derive(Clone, Debug, Default)]
+struct Conn {
+    /// The proxy carrying its streams; `None` until a frame other than a
+    /// pong finds a proxy in the pool.
+    proxy: Option<u32>,
+    /// Fast last-mile failure detection.
+    heartbeat: HeartbeatMonitor,
+}
+
+/// The pool's proxy for `device`: stable by device id. `proxies` must not
+/// be empty.
+fn pick(proxies: &[u32], device: u64) -> u32 {
+    proxies[(device % proxies.len() as u64) as usize]
 }
 
 /// A point of presence.
@@ -63,14 +68,11 @@ pub struct Pop {
     id: u32,
     /// Available upstream proxies.
     proxies: Vec<u32>,
-    /// device → proxy currently carrying its streams.
-    device_proxy: FxHashMap<u64, u32>,
-    /// device → heartbeat monitor (fast last-mile failure detection).
-    heartbeats: FxHashMap<u64, HeartbeatMonitor>,
+    /// device → its connection.
+    conns: FxHashMap<u64, Conn>,
     /// The heartbeat tick's device order, kept to reuse its buffer.
     tick_order: Scratch<Vec<u64>>,
     table: ProxyStreamTable,
-    counters: PopCounters,
 }
 
 impl Pop {
@@ -78,17 +80,15 @@ impl Pop {
     ///
     /// # Panics
     ///
-    /// Panics if `proxies` is empty.
+    /// Panics if `proxies` names a proxy twice.
     pub fn new(id: u32, proxies: Vec<u32>) -> Self {
-        assert!(!proxies.is_empty(), "POP needs at least one proxy");
+        distinct(proxies.iter().copied()).expect("a POP pool names each proxy once");
         Pop {
             id,
             proxies,
-            device_proxy: FxHashMap::default(),
-            heartbeats: FxHashMap::default(),
+            conns: FxHashMap::default(),
             tick_order: Scratch::default(),
             table: ProxyStreamTable::new(),
-            counters: PopCounters::default(),
         }
     }
 
@@ -97,38 +97,16 @@ impl Pop {
         self.id
     }
 
-    /// Counters.
-    pub fn counters(&self) -> &PopCounters {
-        &self.counters
-    }
-
-    /// Devices currently connected through this POP.
-    pub fn connected_devices(&self) -> usize {
-        self.device_proxy.len()
-    }
-
     /// Streams tracked by this POP.
     pub fn stream_count(&self) -> usize {
         self.table.len()
     }
 
-    fn proxy_for(&mut self, device: u64) -> u32 {
-        if let Some(&p) = self.device_proxy.get(&device) {
-            if self.proxies.contains(&p) {
-                return p;
-            }
-        }
-        // Stable assignment by device id.
-        let p = self.proxies[(device % self.proxies.len() as u64) as usize];
-        self.device_proxy.insert(device, p);
-        p
-    }
-
     /// Handles a frame from a connected device; the effects as a vector
-    /// (see [`Pop::on_device_frame_into`]).
-    pub fn on_device_frame(&mut self, device: u64, frame: Frame, now_us: u64) -> Vec<PopEffect> {
+    /// (see [`Pop::on_device_frame_into`]). `_now_us` is unused.
+    pub fn on_device_frame(&mut self, device: u64, frame: Frame, _now_us: u64) -> Vec<PopEffect> {
         let mut out = Vec::new();
-        self.on_device_frame_into(device, Box::new(frame), now_us, &mut out);
+        self.on_device_frame_into(device, Box::new(frame), &mut out);
         out
     }
 
@@ -138,50 +116,52 @@ impl Pop {
         &mut self,
         device: u64,
         frame: Box<Frame>,
-        now_us: u64,
         out: &mut Vec<PopEffect>,
     ) {
-        // Any device traffic proves liveness; pongs specifically do.
-        let hb = self
-            .heartbeats
-            .entry(device)
-            .or_insert_with(|| HeartbeatMonitor::new(HEARTBEAT_INTERVAL_US, HEARTBEAT_MISSES));
-        match &*frame {
-            Frame::Pong { token } => {
-                hb.on_pong(*token);
-                return; // Pongs terminate at the POP.
-            }
-            _ => hb.on_activity(),
+        // Any device traffic proves liveness, a pong's too.
+        let conn = self.conns.entry(device).or_default();
+        conn.heartbeat.on_activity();
+        if let Frame::Pong { .. } = *frame {
+            return; // Pongs terminate at the POP.
         }
-        let proxy = self.proxy_for(device);
+        let proxy = match conn.proxy {
+            Some(p) if self.proxies.contains(&p) => Some(p),
+            _ if self.proxies.is_empty() => None,
+            _ => {
+                conn.proxy = Some(pick(&self.proxies, device));
+                conn.proxy
+            }
+        };
         match &*frame {
             Frame::Subscribe { sid, header, body } => {
-                self.table.on_subscribe(
-                    device,
-                    *sid,
-                    header.clone(),
-                    body.clone(),
-                    Some(proxy as u64),
-                    now_us,
-                );
+                let upstream = proxy.map(u64::from);
+                self.table
+                    .on_subscribe(device, *sid, header.clone(), body.clone(), upstream);
+                if proxy.is_none() {
+                    // An orphan from the start: `add_proxy_into` repairs it.
+                    out.push(PopEffect::ToDevice {
+                        device,
+                        frame: Frame::flow_status(*sid, FlowStatus::Degraded).into(),
+                    });
+                }
             }
-            Frame::Cancel { sid } => {
-                self.table.on_cancel(device, *sid);
-            }
+            Frame::Cancel { sid } => self.table.on_cancel(device, *sid),
             _ => {}
         }
-        out.push(PopEffect::ToProxy {
-            proxy,
-            device,
-            frame,
-        });
+        if let Some(proxy) = proxy {
+            out.push(PopEffect::ToProxy {
+                proxy,
+                device,
+                frame,
+            });
+        }
     }
 
     /// Handles a frame from an upstream proxy; the effects as a vector
-    /// (see [`Pop::on_proxy_frame_into`]).
-    pub fn on_proxy_frame(&mut self, device: u64, frame: Frame, now_us: u64) -> Vec<PopEffect> {
+    /// (see [`Pop::on_proxy_frame_into`]). `_now_us` is unused.
+    pub fn on_proxy_frame(&mut self, device: u64, frame: Frame, _now_us: u64) -> Vec<PopEffect> {
         let mut out = Vec::new();
-        self.on_proxy_frame_into(device, Box::new(frame), now_us, &mut out);
+        self.on_proxy_frame_into(device, Box::new(frame), &mut out);
         out
     }
 
@@ -191,11 +171,10 @@ impl Pop {
         &mut self,
         device: u64,
         frame: Box<Frame>,
-        now_us: u64,
         out: &mut Vec<PopEffect>,
     ) {
         if let Frame::Response { sid, batch } = &*frame {
-            self.table.on_response(device, *sid, batch, now_us);
+            self.table.on_response(device, *sid, batch);
         }
         out.push(PopEffect::ToDevice { device, frame });
     }
@@ -203,10 +182,8 @@ impl Pop {
     /// Handles a detected device disconnect: stream state is dropped and
     /// upstream parties are informed (axiom 1).
     pub fn on_device_disconnected_into(&mut self, device: u64, out: &mut Vec<PopEffect>) {
-        self.counters.device_drops += 1;
         self.table.on_connection_closed(device);
-        self.heartbeats.remove(&device);
-        if let Some(proxy) = self.device_proxy.remove(&device) {
+        if let Some(proxy) = self.conns.remove(&device).and_then(|c| c.proxy) {
             out.push(PopEffect::DeviceGone { proxy, device });
         }
     }
@@ -219,10 +196,10 @@ impl Pop {
         // order, or simulations lose run-to-run determinism.
         let Scratch(mut order) = std::mem::take(&mut self.tick_order);
         order.clear();
-        order.extend(self.heartbeats.keys());
+        order.extend(self.conns.keys());
         order.sort_unstable();
         for &device in &order {
-            let hb = self.heartbeats.get_mut(&device).expect("monitored");
+            let hb = &mut self.conns.get_mut(&device).expect("connected").heartbeat;
             if let Some(ping) = hb.on_tick(now_us) {
                 out.push(PopEffect::ToDevice {
                     device,
@@ -231,7 +208,7 @@ impl Pop {
             }
         }
         // Then the dead, in the same order.
-        order.retain(|device| self.heartbeats[device].health() == PeerHealth::Failed);
+        order.retain(|device| self.conns[device].heartbeat.health() == PeerHealth::Failed);
         for &device in &order {
             self.on_device_disconnected_into(device, out);
         }
@@ -256,23 +233,18 @@ impl Pop {
                 self.table.clear_upstream(device, sid);
                 continue;
             }
-            let new_proxy = self.proxies[(device % self.proxies.len() as u64) as usize];
-            self.device_proxy.insert(device, new_proxy);
-            self.resubscribe_via(device, sid, new_proxy, out);
+            self.resubscribe_via(device, sid, out);
         }
     }
 
-    /// Re-routes one stream to `proxy` from stored state and tells its
-    /// device the path is whole again.
-    fn resubscribe_via(
-        &mut self,
-        device: u64,
-        sid: StreamId,
-        proxy: u32,
-        out: &mut Vec<PopEffect>,
-    ) {
+    /// Re-routes one stream to the pool's pick for its device from stored
+    /// state and tells its device the path is whole again.
+    fn resubscribe_via(&mut self, device: u64, sid: StreamId, out: &mut Vec<PopEffect>) {
+        let proxy = pick(&self.proxies, device);
+        if let Some(conn) = self.conns.get_mut(&device) {
+            conn.proxy = Some(proxy);
+        }
         if let Some(frame) = self.table.rebuild_subscribe(device, sid, proxy as u64) {
-            self.counters.repaired_streams += 1;
             out.push(PopEffect::ToProxy {
                 proxy,
                 device,
@@ -287,10 +259,10 @@ impl Pop {
 
     /// Re-adds a recovered proxy to the pool and repairs any orphaned
     /// streams — streams degraded by
-    /// [`on_proxy_failed_into`](Self::on_proxy_failed_into) while the pool
-    /// was empty. Without this re-repair the devices
-    /// behind a fully-dark POP region stayed `Degraded` forever after
-    /// the outage healed: the failure path only ever emitted the
+    /// [`on_proxy_failed_into`](Self::on_proxy_failed_into), or
+    /// subscribed, while the pool was empty. Without this re-repair the
+    /// devices behind a fully-dark POP region stayed `Degraded` forever
+    /// after the outage healed: the failure path only ever emitted the
     /// terminal `Recovered` when an alternate proxy existed *at failure
     /// time*, and nothing retried later (the proxy layer's
     /// [`add_host_into`](crate::proxy::ReverseProxy::add_host_into) already did;
@@ -302,30 +274,24 @@ impl Pop {
         let live: Vec<u64> = self.proxies.iter().map(|&p| p as u64).collect();
         let orphans = self.table.orphans(&live);
         for (device, sid) in orphans {
-            let new_proxy = self.proxies[(device % self.proxies.len() as u64) as usize];
-            self.device_proxy.insert(device, new_proxy);
-            self.resubscribe_via(device, sid, new_proxy, out);
+            self.resubscribe_via(device, sid, out);
         }
     }
 }
 
-snap_struct!(PopCounters {
-    device_drops,
-    repaired_streams
-});
+snap_struct!(Conn { proxy, heartbeat });
 // The proxy pool vec is verbatim because its order feeds the modulo
-// assignment in `proxy_for`, which also needs it non-empty.
+// assignment; it may be empty (every proxy failed), but it never names a
+// proxy twice.
 snap_struct!(
     Pop {
         id,
         proxies,
-        device_proxy,
-        heartbeats,
+        conns,
         tick_order,
-        table,
-        counters
+        table
     },
-    |p| ensure(!p.proxies.is_empty(), "POP needs at least one proxy")
+    |p| distinct(p.proxies.iter().copied())
 );
 
 #[cfg(test)]
@@ -333,6 +299,7 @@ mod tests {
     use super::*;
     use burst::frame::Delta;
     use burst::json::Json;
+    use simkit::snap::{Snap, SnapReader, SnapResult, SnapWriter};
 
     /// What an `_into` handler emits, as a vector.
     fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
@@ -390,7 +357,7 @@ mod tests {
         };
         assert_eq!(proxy_of(&fx1), proxy_of(&fx2), "same device, same proxy");
         assert_eq!(p.stream_count(), 2);
-        assert_eq!(p.connected_devices(), 1);
+        assert_eq!(p.conns.len(), 1);
     }
 
     #[test]
@@ -420,7 +387,7 @@ mod tests {
             }]
         );
         assert_eq!(p.stream_count(), 0);
-        assert_eq!(p.counters().device_drops, 1);
+        assert_eq!(p.conns.len(), 0);
     }
 
     #[test]
@@ -438,23 +405,18 @@ mod tests {
             .expect("ping emitted");
         p.on_device_frame(7, Frame::Pong { token }, 5_100_000);
         // Silence across the next four intervals crosses the threshold.
-        let mut gone = false;
-        for i in 2..=6u64 {
-            let fx = collect(|out| p.on_heartbeat_tick_into(i * 5_000_000, out));
-            gone |= fx
-                .iter()
-                .any(|e| matches!(e, PopEffect::DeviceGone { device: 7, .. }));
-        }
-        assert!(gone, "silent device declared disconnected");
+        let gone = (2..=6u64)
+            .flat_map(|i| collect(|out| p.on_heartbeat_tick_into(i * 5_000_000, out)))
+            .filter(|e| matches!(e, PopEffect::DeviceGone { device: 7, .. }))
+            .count();
+        assert_eq!(gone, 1, "silent device declared disconnected once");
         assert_eq!(p.stream_count(), 0, "its stream state was dropped");
-        assert_eq!(p.counters().device_drops, 1);
     }
 
     /// Pings, then reaps, go out in ascending device order whatever order
     /// the devices connected in, and a restored POP keeps that order.
     #[test]
     fn heartbeat_ticks_go_in_device_order_after_a_restore() {
-        use simkit::snap::{Snap, SnapReader, SnapWriter};
         let mut p = Pop::new(1, vec![100]);
         for device in [42, 7, 1000, 3, 99] {
             p.on_device_frame(device, sub(1), 0);
@@ -494,7 +456,8 @@ mod tests {
         let mut p = Pop::new(1, vec![100]);
         p.on_device_frame(7, sub(1), 0);
         for i in 1..=10u64 {
-            p.on_heartbeat_tick_into(i * 5_000_000, &mut Vec::new());
+            let fx = collect(|out| p.on_heartbeat_tick_into(i * 5_000_000, out));
+            assert!(!fx.iter().any(|e| matches!(e, PopEffect::DeviceGone { .. })));
             // The device keeps sending real traffic; no pongs needed.
             p.on_device_frame(
                 7,
@@ -505,8 +468,7 @@ mod tests {
                 i * 5_000_000 + 1,
             );
         }
-        assert_eq!(p.connected_devices(), 1);
-        assert_eq!(p.counters().device_drops, 0);
+        assert_eq!(p.conns.len(), 1);
     }
 
     #[test]
@@ -519,7 +481,6 @@ mod tests {
         assert!(signals(&fx[0], FlowStatus::Degraded));
         assert!(resubscribes_via(&fx[1], 101));
         assert!(signals(&fx[2], FlowStatus::Recovered));
-        assert_eq!(p.counters().repaired_streams, 1);
         // Future frames from the device go to the new proxy.
         let fx = p.on_device_frame(200, sub(2), 10);
         assert!(matches!(fx[0], PopEffect::ToProxy { proxy: 101, .. }));
@@ -531,7 +492,6 @@ mod tests {
         p.on_device_frame(200, sub(1), 0);
         let fx = collect(|out| p.on_proxy_failed_into(100, out));
         assert_eq!(fx.len(), 1);
-        assert_eq!(p.counters().repaired_streams, 0);
     }
 
     #[test]
@@ -545,7 +505,6 @@ mod tests {
         p.on_device_frame(201, sub(1), 0);
         let fx = collect(|out| p.on_proxy_failed_into(100, out));
         assert_eq!(fx.len(), 2, "degraded-only: no repair target exists");
-        assert_eq!(p.counters().repaired_streams, 0);
 
         let fx = collect(|out| p.add_proxy_into(101, out));
         let resubs = fx.iter().filter(|e| resubscribes_via(e, 101)).count();
@@ -555,7 +514,6 @@ mod tests {
             .count();
         assert_eq!(resubs, 2, "both orphaned streams resubscribed");
         assert_eq!(recovered, 2, "both devices told Recovered");
-        assert_eq!(p.counters().repaired_streams, 2);
         // Future frames from the devices go to the new proxy.
         let fx = p.on_device_frame(200, sub(2), 10);
         assert!(matches!(fx[0], PopEffect::ToProxy { proxy: 101, .. }));
@@ -567,7 +525,6 @@ mod tests {
         p.on_device_frame(200, sub(1), 0);
         let fx = collect(|out| p.add_proxy_into(101, out));
         assert!(fx.is_empty(), "healthy streams are left on their proxy");
-        assert_eq!(p.counters().repaired_streams, 0);
     }
 
     #[test]
@@ -597,5 +554,122 @@ mod tests {
             Some(55),
             "POP repair carries the rewritten sticky-routing state"
         );
+    }
+
+    fn bytes(p: &Pop) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        p.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> SnapResult<Pop> {
+        let mut r = SnapReader::new(bytes);
+        let p = Pop::restore(&mut r)?;
+        r.finish()?;
+        Ok(p)
+    }
+
+    /// Once every proxy has failed, a device frame neither panics nor goes
+    /// anywhere: a subscribe is kept as an orphan and its device told
+    /// `Degraded`, a cancel is applied, and a returning proxy repairs what
+    /// is left.
+    #[test]
+    fn an_empty_pool_keeps_subscribes_as_orphans_until_a_proxy_returns() {
+        let mut p = Pop::new(1, vec![100]);
+        p.on_device_frame(200, sub(1), 0);
+        collect(|out| p.on_proxy_failed_into(100, out));
+        for (device, sid) in [(200, 2), (201, 1), (201, 2)] {
+            let fx = p.on_device_frame(device, sub(sid), 10);
+            assert_eq!(fx.len(), 1, "only the degraded signal");
+            assert!(signals(&fx[0], FlowStatus::Degraded));
+        }
+        let ack = Frame::Ack {
+            sid: StreamId(1),
+            seq: 3,
+        };
+        assert!(p.on_device_frame(200, ack, 11).is_empty());
+        let cancel = Frame::Cancel { sid: StreamId(1) };
+        assert!(p.on_device_frame(201, cancel, 12).is_empty());
+        assert_eq!(p.stream_count(), 3);
+
+        let fx = collect(|out| p.add_proxy_into(101, out));
+        let resubscribed: Vec<(u64, StreamId)> = fx
+            .iter()
+            .filter_map(|e| match (e, frame_of(e)) {
+                (
+                    PopEffect::ToProxy {
+                        proxy: 101, device, ..
+                    },
+                    Some(Frame::Subscribe { sid, .. }),
+                ) => Some((*device, *sid)),
+                _ => None,
+            })
+            .collect();
+        let want = [(200, 1), (200, 2), (201, 2)].map(|(d, s)| (d, StreamId(s)));
+        assert_eq!(resubscribed, want);
+        let recovered = fx.iter().filter(|e| signals(e, FlowStatus::Recovered));
+        assert_eq!(recovered.count(), 3);
+        let fx = p.on_device_frame(201, sub(3), 20);
+        assert!(matches!(fx[..], [PopEffect::ToProxy { proxy: 101, .. }]));
+    }
+
+    /// A device whose first frame is a pong is monitored but carries no
+    /// proxy, so reaping it tells no proxy.
+    #[test]
+    fn a_pong_first_device_is_monitored_but_routed_nowhere() {
+        let mut p = Pop::new(1, vec![100]);
+        assert!(p.on_device_frame(9, Frame::Pong { token: 1 }, 0).is_empty());
+        assert_eq!(p.conns.len(), 1);
+        let fx: Vec<PopEffect> = (1..=5u64)
+            .flat_map(|i| collect(|out| p.on_heartbeat_tick_into(i * 5_000_000, out)))
+            .collect();
+        assert_eq!(fx.len(), 3, "three pings, then a silent reap: {fx:?}");
+        assert_eq!(p.conns.len(), 0);
+    }
+
+    /// A POP with no proxy left is a state a run reaches, so it restores;
+    /// a pool that names a proxy twice is not, so it does not.
+    #[test]
+    fn restore_accepts_an_empty_pool_and_rejects_a_repeated_proxy() {
+        let mut p = Pop::new(1, vec![100]);
+        p.on_device_frame(200, sub(1), 0);
+        collect(|out| p.on_proxy_failed_into(100, out));
+        p.on_device_frame(201, sub(1), 1);
+        let b = bytes(&p);
+        let mut back = restore(&b).expect("an empty pool restores");
+        assert_eq!(bytes(&back), b);
+        let fx = collect(|out| back.add_proxy_into(101, out));
+        assert_eq!(fx.iter().filter(|e| resubscribes_via(e, 101)).count(), 2);
+
+        let mut twice = Pop::new(1, vec![100]);
+        twice.proxies.push(100);
+        assert!(restore(&bytes(&twice)).is_err());
+    }
+
+    /// A restored POP is the original: the same effects on the next
+    /// heartbeat tick and the next subscribe, and the same bytes after.
+    #[test]
+    fn a_restored_pop_emits_what_the_original_emits() {
+        let mut p = Pop::new(1, vec![100, 101, 102]);
+        for device in [42, 7, 1000, 3] {
+            p.on_device_frame(device, sub(1), 0);
+        }
+        p.on_device_frame(5, Frame::Pong { token: 1 }, 0);
+        p.on_device_frame(7, sub(2), 1);
+        collect(|out| p.on_heartbeat_tick_into(5_000_000, out));
+        p.on_device_frame(42, Frame::Pong { token: 1 }, 5_000_100);
+        collect(|out| p.on_proxy_failed_into(101, out));
+        let mut back = restore(&bytes(&p)).expect("restores");
+        let run = |pop: &mut Pop| {
+            let mut fx = collect(|out| pop.on_heartbeat_tick_into(10_000_000, out));
+            fx.extend(pop.on_device_frame(1000, sub(3), 10_000_001));
+            fx.extend(pop.on_device_frame(8, sub(1), 10_000_002));
+            fx.extend(collect(|out| pop.on_proxy_failed_into(100, out)));
+            (fx, bytes(pop))
+        };
+        let want = run(&mut p);
+        // Five pings, two subscribes, five streams repaired off 100.
+        assert_eq!(want.0.len(), 5 + 2 + 5 * 3, "{:?}", want.0);
+        assert_eq!(run(&mut back), want);
     }
 }

@@ -16,13 +16,9 @@ use burst::frame::{FlowStatus, Frame, StreamId};
 use burst::heartbeat::{HeartbeatMonitor, PeerHealth};
 use burst::json::Json;
 use burst::stream::ProxyStreamTable;
-use simkit::fxhash::FxHashMap;
 use simkit::{snap_enum, snap_struct};
 
-/// Default microseconds between proxy→BRASS heartbeat pings.
-pub const HOST_HEARTBEAT_INTERVAL_US: u64 = 5_000_000;
-/// Default unanswered pings before a BRASS host is declared dead.
-pub const HOST_HEARTBEAT_MISSES: u32 = 3;
+use crate::distinct;
 
 /// How the proxy picks a BRASS host for a fresh (non-sticky) subscribe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,30 +65,29 @@ pub enum ProxyEffect {
     },
 }
 
-/// Proxy counters (Fig. 10 bottom: proxy-induced stream reconnects).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProxyCounters {
-    /// Streams re-established by this proxy after BRASS failures/drains.
-    pub induced_reconnects: u64,
-    /// Streams routed sticky (honouring `brass_host`).
-    pub sticky_routes: u64,
-    /// State entries garbage-collected.
-    pub gc_collected: u64,
+/// A BRASS host in the routing pool.
+#[derive(Clone, Debug, Default)]
+struct Host {
+    id: u32,
+    /// Streams routed here since the host joined the pool (subscribes and
+    /// repairs; cancels do not subtract). `ByLoad` picks the least.
+    load: u64,
+    /// The proxy's only way of learning that the host died unplanned (no
+    /// omniscient teardown).
+    heartbeat: HeartbeatMonitor,
 }
 
 /// A reverse proxy at the edge of a BRASS datacenter.
 pub struct ReverseProxy {
     id: u32,
     strategy: RouteStrategy,
-    hosts: Vec<u32>,
-    host_loads: FxHashMap<u32, u64>,
+    /// The routing pool, in the order hosts joined it: `ByTopic` routing
+    /// and a disconnect's cancels follow this order.
+    hosts: Vec<Host>,
     table: ProxyStreamTable,
-    counters: ProxyCounters,
-    /// One heartbeat monitor per host in the routing pool: the proxy's only
-    /// way of learning that a host died unplanned (no omniscient teardown).
-    heartbeats: FxHashMap<u32, HeartbeatMonitor>,
-    hb_interval_us: u64,
-    hb_misses: u32,
+    /// Streams re-established by this proxy after BRASS failures, drains
+    /// and restarts (Fig. 10 bottom).
+    induced_reconnects: u64,
 }
 
 impl ReverseProxy {
@@ -100,45 +95,22 @@ impl ReverseProxy {
     ///
     /// # Panics
     ///
-    /// Panics if `hosts` is empty.
+    /// Panics if `hosts` names a host twice.
     pub fn new(id: u32, strategy: RouteStrategy, hosts: Vec<u32>) -> Self {
-        assert!(!hosts.is_empty(), "proxy needs at least one BRASS host");
+        distinct(hosts.iter().copied()).expect("a proxy pool names each host once");
         ReverseProxy {
             id,
             strategy,
-            host_loads: hosts.iter().map(|&h| (h, 0)).collect(),
-            heartbeats: hosts
-                .iter()
-                .map(|&h| {
-                    (
-                        h,
-                        HeartbeatMonitor::new(HOST_HEARTBEAT_INTERVAL_US, HOST_HEARTBEAT_MISSES),
-                    )
+            hosts: hosts
+                .into_iter()
+                .map(|id| Host {
+                    id,
+                    ..Host::default()
                 })
                 .collect(),
-            hb_interval_us: HOST_HEARTBEAT_INTERVAL_US,
-            hb_misses: HOST_HEARTBEAT_MISSES,
-            hosts,
             table: ProxyStreamTable::new(),
-            counters: ProxyCounters::default(),
+            induced_reconnects: 0,
         }
-    }
-
-    /// Overrides the heartbeat cadence (builder-style; recreates the
-    /// per-host monitors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_us` or `misses` is zero.
-    pub fn with_heartbeat(mut self, interval_us: u64, misses: u32) -> Self {
-        self.hb_interval_us = interval_us;
-        self.hb_misses = misses;
-        self.heartbeats = self
-            .hosts
-            .iter()
-            .map(|&h| (h, HeartbeatMonitor::new(interval_us, misses)))
-            .collect();
-        self
     }
 
     /// This proxy's id.
@@ -151,36 +123,44 @@ impl ReverseProxy {
         self.table.len()
     }
 
-    /// Counters.
-    pub fn counters(&self) -> &ProxyCounters {
-        &self.counters
+    /// Streams re-established by this proxy after BRASS failures, drains
+    /// and restarts.
+    pub fn induced_reconnects(&self) -> u64 {
+        self.induced_reconnects
+    }
+
+    fn host_mut(&mut self, host: u32) -> Option<&mut Host> {
+        self.hosts.iter_mut().find(|h| h.id == host)
     }
 
     /// Removes a failed host from the routing pool (until re-added).
     pub fn remove_host(&mut self, host: u32) {
-        self.hosts.retain(|&h| h != host);
-        self.host_loads.remove(&host);
-        self.heartbeats.remove(&host);
+        self.hosts.retain(|h| h.id != host);
     }
 
     /// Adds a (possibly recovered) host to the routing pool and repairs any
     /// orphaned streams (streams whose repair previously had no surviving
-    /// host to land on). Axiom 2: the closest downstream component repairs
-    /// once connectivity returns.
+    /// host to land on, or that were subscribed while the pool was empty).
+    /// Axiom 2: the closest downstream component repairs once connectivity
+    /// returns.
     pub fn add_host_into(&mut self, host: u32, out: &mut Vec<ProxyEffect>) {
-        if !self.hosts.contains(&host) {
-            self.hosts.push(host);
-            self.host_loads.insert(host, 0);
+        if !self.hosts.iter().any(|h| h.id == host) {
+            self.hosts.push(Host {
+                id: host,
+                ..Host::default()
+            });
         }
-        self.heartbeats
-            .entry(host)
-            .or_insert_with(|| HeartbeatMonitor::new(self.hb_interval_us, self.hb_misses));
-        let live: Vec<u64> = self.hosts.iter().map(|&h| h as u64).collect();
+        let live: Vec<u64> = self.hosts.iter().map(|h| h.id as u64).collect();
         let orphans = self.table.orphans(&live);
+        self.add_load(host, orphans.len() as u64);
         for (device, sid) in orphans {
-            *self.host_loads.entry(host).or_insert(0) += 1;
             self.resubscribe_to(device, sid, host, out);
         }
+    }
+
+    /// Counts `n` more streams routed to `host`, a pool member.
+    fn add_load(&mut self, host: u32, n: u64) {
+        self.host_mut(host).expect("routes go to the pool").load += n;
     }
 
     /// Re-routes one stream to `host` from stored state and tells its
@@ -193,7 +173,7 @@ impl ReverseProxy {
         out: &mut Vec<ProxyEffect>,
     ) {
         if let Some(frame) = self.table.rebuild_subscribe(device, sid, host as u64) {
-            self.counters.induced_reconnects += 1;
+            self.induced_reconnects += 1;
             out.push(ProxyEffect::ToBrass {
                 host,
                 device,
@@ -212,36 +192,28 @@ impl ReverseProxy {
     /// by the stream-repair effects of
     /// [`on_brass_host_failed_into`](Self::on_brass_host_failed_into). This
     /// is the only path by which a proxy learns of an unplanned host crash.
+    /// Hosts are visited in ascending id order, whatever the pool order.
     pub fn on_heartbeat_tick_into(&mut self, now_us: u64, out: &mut Vec<ProxyEffect>) {
-        let mut pool: Vec<u32> = self.hosts.clone();
-        pool.sort_unstable();
+        let mut order: Vec<usize> = (0..self.hosts.len()).collect();
+        order.sort_unstable_by_key(|&at| self.hosts[at].id);
         let mut dead = Vec::new();
-        for host in pool {
-            let Some(hb) = self.heartbeats.get_mut(&host) else {
-                continue;
-            };
-            if let Some(Frame::Ping { token }) = hb.on_tick(now_us) {
-                out.push(ProxyEffect::PingHost { host, token });
+        for at in order {
+            let Host { id, heartbeat, .. } = &mut self.hosts[at];
+            if let Some(Frame::Ping { token }) = heartbeat.on_tick(now_us) {
+                out.push(ProxyEffect::PingHost { host: *id, token });
             }
-            if hb.health() == PeerHealth::Failed {
-                dead.push(host);
+            if heartbeat.health() == PeerHealth::Failed {
+                dead.push(*id);
             }
         }
         for host in dead {
             out.push(ProxyEffect::HostDown { host });
-            self.on_brass_host_failed_into(host, now_us, out);
+            self.on_brass_host_failed_into(host, out);
         }
     }
 
-    /// Handles a heartbeat pong from a BRASS host.
-    pub fn on_host_pong(&mut self, host: u32, token: u64) {
-        if let Some(hb) = self.heartbeats.get_mut(&host) {
-            hb.on_pong(token);
-        }
-    }
-
-    /// Credits any frame received from a BRASS host as heartbeat
-    /// liveness evidence.
+    /// Credits a heartbeat pong, or any other frame received from a BRASS
+    /// host, as liveness evidence.
     ///
     /// Without this, an overloaded-but-healthy host whose pong responses
     /// queue behind a data backlog is declared dead the moment the miss
@@ -251,45 +223,45 @@ impl ReverseProxy {
     /// delayed the pongs. Data frames are proof of life; only true
     /// silence should fail a host.
     pub fn note_host_activity(&mut self, host: u32) {
-        if let Some(hb) = self.heartbeats.get_mut(&host) {
-            hb.on_activity();
+        if let Some(h) = self.host_mut(host) {
+            h.heartbeat.on_activity();
         }
     }
 
-    fn pick_host(&self, header: &Json) -> u32 {
+    /// The host a fresh subscribe goes to; `None` when the pool is empty.
+    fn pick_host(&self, header: &Json) -> Option<u32> {
         // Sticky routing first: a header-carried brass_host wins if alive.
         if let Some(h) = header.get("brass_host").and_then(Json::as_u64) {
             let h = h as u32;
-            if self.hosts.contains(&h) {
-                return h;
+            if self.hosts.iter().any(|host| host.id == h) {
+                return Some(h);
             }
         }
-        match self.strategy {
-            RouteStrategy::ByTopic => {
+        let host = match self.strategy {
+            RouteStrategy::ByTopic if !self.hosts.is_empty() => {
                 let topic = header.get("topic").and_then(Json::as_str).unwrap_or("");
                 let gql = header.get("gql").and_then(Json::as_str).unwrap_or("");
                 let key = if topic.is_empty() { gql } else { topic };
                 let h = pylon::hash::hash_key(key.as_bytes());
-                self.hosts[(h % self.hosts.len() as u64) as usize]
+                &self.hosts[(h % self.hosts.len() as u64) as usize]
             }
-            RouteStrategy::ByLoad => *self
-                .hosts
-                .iter()
-                .min_by_key(|h| (self.host_loads.get(h).copied().unwrap_or(0), **h))
-                .expect("hosts is non-empty"),
-        }
+            RouteStrategy::ByTopic => return None,
+            RouteStrategy::ByLoad => self.hosts.iter().min_by_key(|h| (h.load, h.id))?,
+        };
+        Some(host.id)
     }
 
     /// Handles a frame arriving from a POP (device side); the effects as a
-    /// vector (see [`ReverseProxy::on_downstream_frame_into`]).
+    /// vector (see [`ReverseProxy::on_downstream_frame_into`]). `_now_us`
+    /// is unused.
     pub fn on_downstream_frame(
         &mut self,
         device: u64,
         frame: Frame,
-        now_us: u64,
+        _now_us: u64,
     ) -> Vec<ProxyEffect> {
         let mut out = Vec::new();
-        self.on_downstream_frame_into(device, Box::new(frame), now_us, &mut out);
+        self.on_downstream_frame_into(device, Box::new(frame), &mut out);
         out
     }
 
@@ -299,29 +271,24 @@ impl ReverseProxy {
         &mut self,
         device: u64,
         frame: Box<Frame>,
-        now_us: u64,
         out: &mut Vec<ProxyEffect>,
     ) {
         let host = match &*frame {
             Frame::Subscribe { sid, header, body } => {
                 let host = self.pick_host(header);
-                if header
-                    .get("brass_host")
-                    .and_then(Json::as_u64)
-                    .is_some_and(|h| h as u32 == host)
-                {
-                    self.counters.sticky_routes += 1;
+                if let Some(host) = host {
+                    self.add_load(host, 1);
+                } else {
+                    // An orphan from the start: `add_host_into` repairs it.
+                    out.push(ProxyEffect::ToDevice {
+                        device,
+                        frame: Frame::flow_status(*sid, FlowStatus::Degraded).into(),
+                    });
                 }
-                *self.host_loads.entry(host).or_insert(0) += 1;
-                self.table.on_subscribe(
-                    device,
-                    *sid,
-                    header.clone(),
-                    body.clone(),
-                    Some(host as u64),
-                    now_us,
-                );
-                Some(host)
+                let upstream = host.map(u64::from);
+                self.table
+                    .on_subscribe(device, *sid, header.clone(), body.clone(), upstream);
+                host
             }
             Frame::Cancel { sid } => {
                 let host = self.table.get(device, *sid).and_then(|e| e.upstream);
@@ -345,14 +312,15 @@ impl ReverseProxy {
 
     /// Handles a frame arriving from a BRASS host (server side); the
     /// effects as a vector (see [`ReverseProxy::on_upstream_frame_into`]).
+    /// `_now_us` is unused.
     pub fn on_upstream_frame(
         &mut self,
         device: u64,
         frame: Frame,
-        now_us: u64,
+        _now_us: u64,
     ) -> Vec<ProxyEffect> {
         let mut out = Vec::new();
-        self.on_upstream_frame_into(device, Box::new(frame), now_us, &mut out);
+        self.on_upstream_frame_into(device, Box::new(frame), &mut out);
         out
     }
 
@@ -362,11 +330,10 @@ impl ReverseProxy {
         &mut self,
         device: u64,
         frame: Box<Frame>,
-        now_us: u64,
         out: &mut Vec<ProxyEffect>,
     ) {
         if let Frame::Response { sid, batch } = &*frame {
-            self.table.on_response(device, *sid, batch, now_us);
+            self.table.on_response(device, *sid, batch);
         }
         out.push(ProxyEffect::ToDevice { device, frame });
     }
@@ -374,12 +341,7 @@ impl ReverseProxy {
     /// Handles a detected BRASS host failure (axioms 1 and 2): every
     /// affected stream is signalled degraded to its device, re-routed to an
     /// alternate host from stored state, and signalled recovered.
-    pub fn on_brass_host_failed_into(
-        &mut self,
-        host: u32,
-        now_us: u64,
-        out: &mut Vec<ProxyEffect>,
-    ) {
+    pub fn on_brass_host_failed_into(&mut self, host: u32, out: &mut Vec<ProxyEffect>) {
         self.remove_host(host);
         let affected = self.table.streams_via(host as u64);
         for (device, sid) in affected {
@@ -388,34 +350,31 @@ impl ReverseProxy {
                 device,
                 frame: Frame::flow_status(sid, FlowStatus::Degraded).into(),
             });
-            if self.hosts.is_empty() {
-                // Nothing to repair onto; the stream is orphaned until a
-                // host returns (see [`add_host_into`](Self::add_host_into)).
-                self.table.clear_upstream(device, sid);
-                continue;
-            }
             // Axiom 2: this proxy is the closest downstream component, so
             // it repairs the stream itself from stored state.
-            let entry_header = self
+            let mut header = self
                 .table
                 .get(device, sid)
                 .map(|e| e.header.unpack())
                 .expect("streams_via returned a live entry");
-            let new_host = {
-                // Ignore the stale sticky hint pointing at the dead host.
-                let mut h = entry_header;
-                if h.get("brass_host")
-                    .and_then(Json::as_u64)
-                    .is_some_and(|x| x as u32 == host)
-                {
-                    h.remove("brass_host");
+            // Ignore the stale sticky hint pointing at the dead host.
+            if header
+                .get("brass_host")
+                .and_then(Json::as_u64)
+                .is_some_and(|x| x as u32 == host)
+            {
+                header.remove("brass_host");
+            }
+            match self.pick_host(&header) {
+                Some(new_host) => {
+                    self.add_load(new_host, 1);
+                    self.resubscribe_to(device, sid, new_host, out);
                 }
-                self.pick_host(&h)
-            };
-            *self.host_loads.entry(new_host).or_insert(0) += 1;
-            self.resubscribe_to(device, sid, new_host, out);
+                // Nothing to repair onto; the stream is orphaned until a
+                // host returns (see [`add_host_into`](Self::add_host_into)).
+                None => self.table.clear_upstream(device, sid),
+            }
         }
-        let _ = now_us;
     }
 
     /// Handles a BRASS host process restart that the heartbeat monitor
@@ -425,20 +384,17 @@ impl ReverseProxy {
     /// even though ping evidence says the host is continuously healthy.
     /// The connection reset is what the proxy actually observes; it
     /// re-establishes each affected stream from stored state (axiom 2) —
-    /// the host itself is live, so repair lands straight back on it —
-    /// and restarts the heartbeat monitor so the fresh incarnation
-    /// starts with a clean slate.
-    pub fn on_host_restarted_into(&mut self, host: u32, now_us: u64, out: &mut Vec<ProxyEffect>) {
-        if !self.hosts.contains(&host) {
+    /// the host itself is live, so repair lands straight back on it, with
+    /// its load unchanged — and restarts the heartbeat monitor so the
+    /// fresh incarnation starts with a clean slate.
+    pub fn on_host_restarted_into(&mut self, host: u32, out: &mut Vec<ProxyEffect>) {
+        let Some(h) = self.host_mut(host) else {
             // The monitor did catch the death: streams were already
             // repaired off the host, and the failed/add_host pair owns
             // the rest of the lifecycle.
             return;
-        }
-        self.heartbeats.insert(
-            host,
-            HeartbeatMonitor::new(self.hb_interval_us, self.hb_misses),
-        );
+        };
+        h.heartbeat = HeartbeatMonitor::default();
         let affected = self.table.streams_via(host as u64);
         for (device, sid) in affected {
             // Axiom 1: inform the downstream endpoint.
@@ -449,7 +405,6 @@ impl ReverseProxy {
             // Axiom 2: re-subscribe from stored state.
             self.resubscribe_to(device, sid, host, out);
         }
-        let _ = now_us;
     }
 
     /// Handles a device connection closing at the POP: all of its stream
@@ -462,7 +417,7 @@ impl ReverseProxy {
             .streams_of(device)
             .filter_map(|(sid, entry)| {
                 let host = entry.upstream?;
-                let at = self.hosts.iter().position(|&h| h as u64 == host)?;
+                let at = self.hosts.iter().position(|h| h.id as u64 == host)?;
                 Some((at, sid))
             })
             .collect();
@@ -470,45 +425,40 @@ impl ReverseProxy {
         cancels.sort_by_key(|&(at, _)| at);
         for (at, sid) in cancels {
             out.push(ProxyEffect::ToBrass {
-                host: self.hosts[at],
+                host: self.hosts[at].id,
                 device,
                 frame: Frame::Cancel { sid }.into(),
             });
         }
-        self.counters.gc_collected += self.table.on_connection_closed(device) as u64;
-    }
-
-    /// Garbage-collects idle stream state (§3.5).
-    pub fn gc(&mut self, cutoff_us: u64) -> usize {
-        let n = self.table.gc(cutoff_us);
-        self.counters.gc_collected += n as u64;
-        n
+        self.table.on_connection_closed(device);
     }
 }
 
 snap_enum!(RouteStrategy { 0 => ByTopic, 1 => ByLoad });
-snap_struct!(ProxyCounters {
-    induced_reconnects,
-    sticky_routes,
-    gc_collected
-});
-// The host pool vec is verbatim: its order feeds `ByTopic` modulo routing.
-snap_struct!(ReverseProxy {
+snap_struct!(Host {
     id,
-    strategy,
-    hosts,
-    host_loads,
-    table,
-    counters,
-    heartbeats,
-    hb_interval_us,
-    hb_misses
+    load,
+    heartbeat
 });
+// The host pool is verbatim: its order feeds `ByTopic` modulo routing. It
+// may be empty (every host failed), but it never names a host twice.
+snap_struct!(
+    ReverseProxy {
+        id,
+        strategy,
+        hosts,
+        table,
+        induced_reconnects
+    },
+    |p| distinct(p.hosts.iter().map(|h| h.id))
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use burst::frame::Delta;
+    use burst::heartbeat::INTERVAL_US;
+    use simkit::snap::{Snap, SnapReader, SnapResult, SnapWriter};
 
     /// What an `_into` handler emits, as a vector.
     fn collect<E>(run: impl FnOnce(&mut Vec<E>)) -> Vec<E> {
@@ -587,7 +537,6 @@ mod tests {
         h.set("brass_host", Json::from(12u64));
         let fx = p.on_downstream_frame(1, sub_frame(1, h), 0);
         assert!(matches!(fx[0], ProxyEffect::ToBrass { host: 12, .. }));
-        assert_eq!(p.counters().sticky_routes, 1);
     }
 
     #[test]
@@ -607,13 +556,13 @@ mod tests {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0); // → 10
         p.on_downstream_frame(2, sub_frame(1, header("/LVC/6")), 0); // → 11
-        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
+        let fx = collect(|out| p.on_brass_host_failed_into(10, out));
         // Degraded → resubscribe to 11 → recovered, for device 1 only.
         assert_eq!(fx.len(), 3);
         assert!(signals(&fx[0], 1, FlowStatus::Degraded));
         assert!(resubscribes_to(&fx[1], 1, 11));
         assert!(signals(&fx[2], 1, FlowStatus::Recovered));
-        assert_eq!(p.counters().induced_reconnects, 1);
+        assert_eq!(p.induced_reconnects(), 1);
     }
 
     #[test]
@@ -631,7 +580,7 @@ mod tests {
             },
             10,
         );
-        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
+        let fx = collect(|out| p.on_brass_host_failed_into(10, out));
         let resub = fx.iter().find_map(|e| match (e, frame_of(e)) {
             (ProxyEffect::ToBrass { .. }, Some(Frame::Subscribe { header, .. })) => {
                 header.get("last_seq").and_then(Json::as_u64)
@@ -645,9 +594,9 @@ mod tests {
     fn failure_with_no_alternates_leaves_devices_degraded() {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
-        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
+        let fx = collect(|out| p.on_brass_host_failed_into(10, out));
         assert_eq!(fx.len(), 1, "only the degraded signal");
-        assert_eq!(p.counters().induced_reconnects, 0);
+        assert_eq!(p.induced_reconnects(), 0);
     }
 
     #[test]
@@ -655,13 +604,13 @@ mod tests {
         let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
         // The only host dies: the stream is orphaned (degraded only).
-        let fx = collect(|out| p.on_brass_host_failed_into(10, 100, out));
+        let fx = collect(|out| p.on_brass_host_failed_into(10, out));
         assert_eq!(fx.len(), 1);
         // The host returns: the orphan is repaired onto it.
         let fx = collect(|out| p.add_host_into(10, out));
         assert!(resubscribes_to(&fx[0], 1, 10));
         assert!(signals(&fx[1], 1, FlowStatus::Recovered));
-        assert_eq!(p.counters().induced_reconnects, 1);
+        assert_eq!(p.induced_reconnects(), 1);
     }
 
     #[test]
@@ -724,7 +673,7 @@ mod tests {
         }
         p.remove_host(13);
         let mut want = Vec::new();
-        for &host in &p.hosts {
+        for host in p.hosts.iter().map(|h| h.id) {
             for (d, sid) in p.table.streams_via(host as u64) {
                 if d == 1 {
                     want.push((host, sid));
@@ -743,16 +692,6 @@ mod tests {
         let sids = [2, 6, 3, 7, 1, 4].map(StreamId);
         assert_eq!(got, hosts.into_iter().zip(sids).collect::<Vec<_>>());
         assert_eq!(p.stream_count(), 7);
-        assert_eq!(p.counters().gc_collected, 7);
-    }
-
-    #[test]
-    fn gc_drops_idle_state() {
-        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
-        p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
-        p.on_downstream_frame(2, sub_frame(1, header("/LVC/6")), 1_000);
-        assert_eq!(p.gc(500), 1);
-        assert_eq!(p.stream_count(), 1);
     }
 
     #[test]
@@ -764,9 +703,8 @@ mod tests {
 
     #[test]
     fn heartbeat_tick_pings_every_host() {
-        let mut p =
-            ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
-        let fx = collect(|out| p.on_heartbeat_tick_into(1_000, out));
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]);
+        let fx = collect(|out| p.on_heartbeat_tick_into(INTERVAL_US, out));
         let pinged: Vec<u32> = fx
             .iter()
             .filter_map(|e| match e {
@@ -779,15 +717,14 @@ mod tests {
 
     #[test]
     fn silent_host_is_detected_and_streams_repaired() {
-        let mut p =
-            ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0); // → 10
         for t in 1..=4u64 {
-            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * INTERVAL_US, out));
             // Host 11 answers its pings; host 10 stays silent.
             for e in &fx {
-                if let ProxyEffect::PingHost { host: 11, token } = e {
-                    p.on_host_pong(11, *token);
+                if let ProxyEffect::PingHost { host: 11, .. } = e {
+                    p.note_host_activity(11);
                 }
             }
             if t < 4 {
@@ -802,18 +739,18 @@ mod tests {
                 assert!(fx.iter().any(|e| resubscribes_to(e, 1, 11)));
             }
         }
-        assert_eq!(p.counters().induced_reconnects, 1);
+        assert_eq!(p.induced_reconnects(), 1);
     }
 
     #[test]
     fn responsive_hosts_are_never_declared_dead() {
-        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]).with_heartbeat(1_000, 3);
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         for t in 1..=20u64 {
-            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * INTERVAL_US, out));
             for e in &fx {
                 assert!(!matches!(e, ProxyEffect::HostDown { .. }));
-                if let ProxyEffect::PingHost { host, token } = e {
-                    p.on_host_pong(*host, *token);
+                if let ProxyEffect::PingHost { host, .. } = e {
+                    p.note_host_activity(*host);
                 }
             }
         }
@@ -824,10 +761,10 @@ mod tests {
         // Heartbeat-starvation regression: a host under pure overload
         // whose pong responses queue behind its data backlog must not
         // trip crash detection while its data frames keep arriving.
-        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]).with_heartbeat(1_000, 3);
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
         p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
         for t in 1..=20u64 {
-            let fx = collect(|out| p.on_heartbeat_tick_into(t * 1_000, out));
+            let fx = collect(|out| p.on_heartbeat_tick_into(t * INTERVAL_US, out));
             assert!(
                 !fx.iter().any(|e| matches!(e, ProxyEffect::HostDown { .. })),
                 "data-emitting host declared dead at t={t} despite activity"
@@ -836,31 +773,165 @@ mod tests {
             // behind the backlog — but its update stream keeps flowing.
             p.note_host_activity(10);
         }
-        assert_eq!(p.counters().induced_reconnects, 0);
+        assert_eq!(p.induced_reconnects(), 0);
     }
 
     #[test]
     fn readded_host_gets_a_fresh_monitor() {
-        let mut p =
-            ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]).with_heartbeat(1_000, 3);
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10, 11]);
         for t in 1..=4u64 {
-            for e in collect(|out| p.on_heartbeat_tick_into(t * 1_000, out)) {
-                if let ProxyEffect::PingHost { host: 11, token } = e {
-                    p.on_host_pong(11, token);
+            for e in collect(|out| p.on_heartbeat_tick_into(t * INTERVAL_US, out)) {
+                if let ProxyEffect::PingHost { host: 11, .. } = e {
+                    p.note_host_activity(11);
                 }
             }
         }
         // Host 10 is gone from the pool; ticks stop mentioning it.
-        let fx = collect(|out| p.on_heartbeat_tick_into(5_000, out));
+        let fx = collect(|out| p.on_heartbeat_tick_into(5 * INTERVAL_US, out));
         assert!(!fx
             .iter()
             .any(|e| matches!(e, ProxyEffect::PingHost { host: 10, .. })));
         // It recovers: pings resume and it is not instantly re-failed.
         p.add_host_into(10, &mut Vec::new());
-        let fx = collect(|out| p.on_heartbeat_tick_into(6_000, out));
+        let fx = collect(|out| p.on_heartbeat_tick_into(6 * INTERVAL_US, out));
         assert!(fx
             .iter()
             .any(|e| matches!(e, ProxyEffect::PingHost { host: 10, .. })));
         assert!(!fx.iter().any(|e| matches!(e, ProxyEffect::HostDown { .. })));
+    }
+
+    fn bytes(p: &ReverseProxy) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        p.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> SnapResult<ReverseProxy> {
+        let mut r = SnapReader::new(bytes);
+        let p = ReverseProxy::restore(&mut r)?;
+        r.finish()?;
+        Ok(p)
+    }
+
+    /// The pool as `(id, load)` in pool order.
+    fn pool(p: &ReverseProxy) -> Vec<(u32, u64)> {
+        p.hosts.iter().map(|h| (h.id, h.load)).collect()
+    }
+
+    /// Once every host has been removed, a subscribe neither panics nor
+    /// goes anywhere, under either strategy: it is kept as an orphan and
+    /// its device told `Degraded`, a cancel is applied, and a returning
+    /// host repairs what is left.
+    #[test]
+    fn an_empty_pool_keeps_subscribes_as_orphans_until_a_host_returns() {
+        for strategy in [RouteStrategy::ByTopic, RouteStrategy::ByLoad] {
+            let mut p = ReverseProxy::new(1, strategy, vec![10]);
+            p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
+            collect(|out| p.on_brass_host_failed_into(10, out));
+            let mut sticky = header("/LVC/6");
+            sticky.set("brass_host", Json::from(10u64));
+            for (device, sid, h) in [(1, 2, sticky), (2, 1, header("/LVC/7"))] {
+                let fx = p.on_downstream_frame(device, sub_frame(sid, h), 5);
+                assert_eq!(fx.len(), 1, "{strategy:?}: only the degraded signal");
+                assert!(signals(&fx[0], device, FlowStatus::Degraded));
+            }
+            let ack = Frame::Ack {
+                sid: StreamId(2),
+                seq: 1,
+            };
+            assert!(p.on_downstream_frame(1, ack, 6).is_empty());
+            let cancel = Frame::Cancel { sid: StreamId(1) };
+            assert!(p.on_downstream_frame(2, cancel, 7).is_empty());
+            assert_eq!(p.stream_count(), 2);
+
+            let fx = collect(|out| p.add_host_into(11, out));
+            assert_eq!(fx.len(), 4, "{strategy:?}: {fx:?}");
+            assert!(resubscribes_to(&fx[0], 1, 11) && signals(&fx[1], 1, FlowStatus::Recovered));
+            assert!(resubscribes_to(&fx[2], 1, 11) && signals(&fx[3], 1, FlowStatus::Recovered));
+            assert_eq!(pool(&p), [(11, 2)]);
+        }
+    }
+
+    /// Fail, re-add and restart leave the pool in join order with the
+    /// loads the routing decisions imply: a failed host's load goes with
+    /// it, a re-added host starts at 0, a restart keeps the load.
+    #[test]
+    fn pool_order_and_loads_follow_fail_add_and_restart() {
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![12, 10, 11]);
+        for device in 1..=6 {
+            p.on_downstream_frame(device, sub_frame(1, header("/LVC/5")), 0);
+        }
+        assert_eq!(pool(&p), [(12, 2), (10, 2), (11, 2)]);
+        // Devices 1 and 4 were on 10: one repair each, least-loaded first.
+        let fx = collect(|out| p.on_brass_host_failed_into(10, out));
+        assert!(resubscribes_to(&fx[1], 1, 11) && resubscribes_to(&fx[4], 4, 12));
+        assert_eq!(pool(&p), [(12, 3), (11, 3)]);
+        assert!(collect(|out| p.add_host_into(10, out)).is_empty());
+        assert_eq!(pool(&p), [(12, 3), (11, 3), (10, 0)]);
+        // Devices 1, 2 and 5 are on 11; they land straight back on it.
+        let fx = collect(|out| p.on_host_restarted_into(11, out));
+        assert_eq!(
+            fx.iter()
+                .filter(|e| matches!(e, ProxyEffect::ToBrass { host: 11, .. }))
+                .count(),
+            3
+        );
+        assert_eq!(pool(&p), [(12, 3), (11, 3), (10, 0)]);
+        p.on_downstream_frame(7, sub_frame(1, header("/LVC/5")), 0);
+        assert_eq!(pool(&p), [(12, 3), (11, 3), (10, 1)]);
+        assert_eq!(p.induced_reconnects(), 5);
+    }
+
+    /// A proxy with no host left is a state a run reaches, so it
+    /// restores; a pool that names a host twice is not, so it does not.
+    #[test]
+    fn restore_accepts_an_empty_pool_and_rejects_a_repeated_host() {
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByTopic, vec![10]);
+        p.on_downstream_frame(1, sub_frame(1, header("/LVC/5")), 0);
+        collect(|out| p.on_brass_host_failed_into(10, out));
+        let b = bytes(&p);
+        let mut back = restore(&b).expect("an empty pool restores");
+        assert_eq!(bytes(&back), b);
+        let fx = collect(|out| back.add_host_into(10, out));
+        assert!(resubscribes_to(&fx[0], 1, 10));
+
+        let mut twice = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![10]);
+        twice.hosts.push(Host {
+            id: 10,
+            ..Host::default()
+        });
+        assert!(restore(&bytes(&twice)).is_err());
+    }
+
+    /// A restored proxy is the original: the same effects on the next
+    /// heartbeat tick and the next subscribe, and the same bytes after.
+    #[test]
+    fn a_restored_proxy_emits_what_the_original_emits() {
+        let mut p = ReverseProxy::new(1, RouteStrategy::ByLoad, vec![12, 10, 11]);
+        for device in 1..=5 {
+            p.on_downstream_frame(device, sub_frame(1, header("/LVC/5")), 0);
+        }
+        // Host 11 answers its first ping; 10 and 12 stay silent.
+        for e in collect(|out| p.on_heartbeat_tick_into(INTERVAL_US, out)) {
+            if let ProxyEffect::PingHost { host: 11, .. } = e {
+                p.note_host_activity(11);
+            }
+        }
+        collect(|out| p.on_brass_host_failed_into(12, out));
+        collect(|out| p.add_host_into(12, out));
+        let mut back = restore(&bytes(&p)).expect("restores");
+        let run = |p: &mut ReverseProxy| {
+            let mut fx = Vec::new();
+            for t in 2..=4 {
+                fx.extend(collect(|out| {
+                    p.on_heartbeat_tick_into(t * INTERVAL_US, out)
+                }));
+            }
+            fx.extend(p.on_downstream_frame(6, sub_frame(1, header("/LVC/6")), 0));
+            (fx, bytes(p))
+        };
+        let want = run(&mut p);
+        assert!(want.0.contains(&ProxyEffect::HostDown { host: 10 }));
+        assert_eq!(run(&mut back), want);
     }
 }

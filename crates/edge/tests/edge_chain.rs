@@ -105,7 +105,7 @@ fn brass_failure_ripples_degraded_and_recovered_to_device() {
     // The serving BRASS dies; the proxy signals and repairs.
     let mut device_outputs = Vec::new();
     let mut resubscribed_to = None;
-    for fx in collect(|out| proxy.on_brass_host_failed_into(host, 1, out)) {
+    for fx in collect(|out| proxy.on_brass_host_failed_into(host, out)) {
         match fx {
             ProxyEffect::ToDevice { frame, .. } => {
                 for pfx in pop.on_proxy_frame(7, *frame, 1) {

@@ -2,6 +2,7 @@
 //! through the full system.
 
 use bladerunner_repro::config::SystemConfig;
+use bladerunner_repro::fault::{FaultKind, FaultPlan};
 use bladerunner_repro::scenario::LiveVideo;
 use bladerunner_repro::sim::SystemSim;
 use simkit::time::{SimDuration, SimTime};
@@ -298,4 +299,58 @@ fn redirect_migrates_stream_transparently() {
     );
     s.run_until(SimTime::from_secs(60));
     assert_eq!(s.metrics().deliveries.get(), 1);
+}
+
+#[test]
+fn total_proxy_outage_while_devices_subscribe_converges_after_heal() {
+    // Every proxy goes dark at once, and devices subscribe while it lasts.
+    // Each POP is left with an empty pool: it keeps every subscribe as an
+    // orphan and tells the device `Degraded`, and when the proxies return
+    // it repairs the orphans through them.
+    let mut config = SystemConfig::small();
+    config.metrics_interval = SimDuration::from_secs(2);
+    config.metrics_horizon = SimDuration::from_hours(1);
+    let mut s = SystemSim::new(config.clone(), 8);
+    let video = s.was_mut().create_video("v");
+    let poster = s.create_user_device("poster", "en");
+    let viewers: Vec<u64> = (0..8)
+        .map(|i| s.create_user_device(&format!("v{i}"), "en"))
+        .collect();
+    for &v in &viewers[..4] {
+        s.subscribe_lvc(SimTime::ZERO, v, video);
+    }
+    let outage = SimTime::from_secs(10);
+    let mut plan = FaultPlan::new();
+    for proxy in 0..config.proxies as usize {
+        let kind = FaultKind::ProxyOutage {
+            proxy,
+            down: SimDuration::from_secs(20),
+        };
+        plan = plan.with(outage, kind);
+    }
+    plan.apply(&mut s);
+    for (i, &v) in viewers[4..].iter().enumerate() {
+        s.subscribe_lvc(outage + SimDuration::from_secs(1 + i as u64), v, video);
+    }
+    s.post_comment(SimTime::from_secs(5), poster, video, "before the dark");
+    s.post_comment(SimTime::from_secs(20), poster, video, "while it is dark");
+    s.run_until(SimTime::from_secs(25));
+    assert!(!(0..config.proxies as usize).any(|p| s.proxy_is_up(p)));
+
+    let heal = plan.heal_time();
+    s.post_comment(
+        heal + SimDuration::from_secs(30),
+        poster,
+        video,
+        "after the heal",
+    );
+    s.run_until(heal + SimDuration::from_secs(60));
+    let report = s.convergence_report();
+    assert!(report.converged(), "{:?}", report.failures());
+    assert_eq!(report.connected_devices, 9);
+    assert_eq!(report.open_streams, 8, "every viewer's stream is served");
+    for &v in &viewers {
+        let got = s.device(v).unwrap().delivered();
+        assert!(got >= 1, "viewer {v} got the post-heal comment ({got})");
+    }
 }

@@ -38,7 +38,7 @@ fn subscribe_rewrite_deliver_cancel_across_hops() {
     let Frame::Subscribe { sid, header, body } = sub else {
         panic!("expected subscribe");
     };
-    pop.on_subscribe(9, sid, header.clone(), body.clone(), Some(1), 0);
+    pop.on_subscribe(9, sid, header.clone(), body.clone(), Some(1));
     let f = wire(&Frame::Subscribe {
         sid,
         header: header.clone(),
@@ -47,7 +47,7 @@ fn subscribe_rewrite_deliver_cancel_across_hops() {
     let Frame::Subscribe { sid, header, body } = f else {
         panic!("expected subscribe");
     };
-    proxy.on_subscribe(9, sid, header.clone(), body, Some(7), 0);
+    proxy.on_subscribe(9, sid, header.clone(), body, Some(7));
 
     // BRASS accepts, patches sticky routing, and pushes two updates.
     let mut server = ServerStream::accept(sid, &header, false);
@@ -64,8 +64,8 @@ fn subscribe_rewrite_deliver_cancel_across_hops() {
     let Frame::Response { sid, batch } = response else {
         panic!("expected response");
     };
-    proxy.on_response(9, sid, &batch, 1);
-    pop.on_response(9, sid, &batch, 1);
+    proxy.on_response(9, sid, &batch);
+    pop.on_response(9, sid, &batch);
     assert_eq!(
         proxy
             .get(9, sid)
@@ -110,7 +110,7 @@ fn failover_resumes_from_rewritten_state() {
     ]);
     let mut client = ClientStream::new(StreamId(5), header.clone(), vec![]);
     let mut proxy = ProxyStreamTable::new();
-    proxy.on_subscribe(9, StreamId(5), header.clone(), vec![], Some(1), 0);
+    proxy.on_subscribe(9, StreamId(5), header.clone(), vec![], Some(1));
 
     let mut server_a = ServerStream::accept(StreamId(5), &header, true);
     let batch = vec![
@@ -118,7 +118,7 @@ fn failover_resumes_from_rewritten_state() {
         server_a.push(b"m1".to_vec()),
         server_a.rewrite_progress(), // installs last_seq = 1
     ];
-    proxy.on_response(9, StreamId(5), &batch, 1);
+    proxy.on_response(9, StreamId(5), &batch);
     apply_batch(&mut client, &batch);
     assert_eq!(client.delivered(), 2);
 
