@@ -16,8 +16,10 @@ use baseline::polling::ClientPoller;
 use baseline::trigger::TriggerService;
 use bladerunner::config::{LinkClass, SystemConfig};
 use bladerunner::latency::LatencyModel;
+use bladerunner::metrics::{AppLatencies, SystemMetrics};
 use bladerunner::scenario::{diurnal_day, LiveVideo};
 use bladerunner::sim::SystemSim;
+use brass::AppId;
 use pylon::{HostId, PylonCluster, PylonConfig, Topic};
 use simkit::dist::{Distribution, Exponential, Poisson};
 use simkit::metrics::Histogram;
@@ -123,6 +125,13 @@ impl Report {
 }
 
 /// Each count as a percentage of their total.
+/// `app`'s latency decomposition; every world a figure reads one from
+/// delivers that application's updates.
+fn latencies(m: &SystemMetrics, app: AppId) -> &AppLatencies {
+    m.app_latencies(app)
+        .unwrap_or_else(|| panic!("no {} update was timed", app.name()))
+}
+
 fn shares(counts: &[u64]) -> Vec<f64> {
     let total = counts.iter().sum::<u64>().max(1) as f64;
     counts.iter().map(|&c| c as f64 / total * 100.0).collect()
@@ -246,7 +255,7 @@ pub fn table3(seed: u64) -> Report {
     sim.run_until(SimTime::from_secs(700));
 
     let m = sim.metrics();
-    let (lvc, typing) = (&m.per_app["lvc"], &m.per_app["typing"]);
+    let (lvc, typing) = (latencies(m, AppId::Lvc), latencies(m, AppId::Typing));
     let model = LatencyModel::table3();
     let mut rng = DetRng::new(seed ^ 0xF00D);
     let fanout_large = (0..50_000)
@@ -320,7 +329,7 @@ pub fn fig6(viewers: usize, minutes: u64, seed: u64) -> Report {
     let window = SimDuration::from_secs(minutes * 60);
     lv.drive_comments(&mut sim, SimTime::from_secs(5), window, FIG6_COMMENT_RATE);
     sim.run_until(SimTime::from_secs(minutes * 60 + 60));
-    let stream = sim.metrics().per_app["lvc"].total.clone();
+    let stream = latencies(sim.metrics(), AppId::Lvc).total.clone();
     let poll = fig6_poll(viewers, minutes, seed);
     let mut r = Report::default();
 
@@ -650,8 +659,9 @@ pub fn fig9(minutes: u64, seed: u64) -> Report {
 
     let m = sim.metrics();
     let mut r = Report::default();
-    for app in ["typing", "lvc"] {
-        let lat = &m.per_app[app];
+    for app in [AppId::Typing, AppId::Lvc] {
+        let lat = latencies(m, app);
+        let app = app.name();
         r.line(format!("\n########## {app} ##########"));
         for (stage, hist) in [
             ("publish edge->WAS", &lat.edge_to_was),
@@ -664,7 +674,7 @@ pub fn fig9(minutes: u64, seed: u64) -> Report {
         }
     }
 
-    let (ti, lvc) = (&m.per_app["typing"], &m.per_app["lvc"]);
+    let (ti, lvc) = (latencies(m, AppId::Typing), latencies(m, AppId::Lvc));
     let (ti_total, lvc_total) = (ti.total.quantile(0.5), lvc.total.quantile(0.5));
     r.claims.push(Claim {
         text: "TI total median below LVC total median".into(),
@@ -1073,8 +1083,9 @@ pub fn ablations() -> Report {
         PrivacyPlacement::AfterRateLimit,
     ]
     .map(|privacy| {
-        engine.configure("lvc", config(privacy));
-        engine.deliver_window("lvc", &candidates, &|author| author % 2 == 0)
+        let lvc = AppId::Lvc.name();
+        engine.configure(lvc, config(privacy));
+        engine.deliver_window(lvc, &candidates, &|author| author % 2 == 0)
     });
 
     // The event log: its topic cap, then one event read by every consumer.

@@ -13,6 +13,7 @@
 
 use bench::peak_rss_bytes;
 use bladerunner::scenario::flash_crowd_tier;
+use brass::AppId;
 
 /// The admitted-update p99 bound: LVC's ranked-buffer batching alone puts
 /// the under-load baseline p99 near 11 s, and the bounded mailbox can add
@@ -53,8 +54,7 @@ fn every_load_tier_sheds_gracefully() {
             "{tier}: a Degraded signal was never Recovered"
         );
         let p99 = m
-            .per_app
-            .get("lvc")
+            .app_latencies(AppId::Lvc)
             .map_or(0.0, |lat| lat.total.quantile(0.99));
         assert!(
             p99 <= P99_BOUND_MS,

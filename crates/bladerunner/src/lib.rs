@@ -20,8 +20,6 @@
 //!   fuzzer and the snapshot and replay suites run, each built once, and
 //!   the drivers (live-video audiences, flash crowds, diurnal days) they
 //!   and the examples compose.
-//! * [`rt`] — a real-time threaded driver proving the same sans-io
-//!   components run outside the simulator.
 //!
 //! # Examples
 //!
@@ -47,7 +45,6 @@ pub mod fuzz;
 pub mod latency;
 pub mod metrics;
 pub mod replay;
-pub mod rt;
 pub mod scenario;
 pub mod sim;
 

@@ -1,10 +1,15 @@
 //! System-wide measurement: every quantity §5 reports.
 
+use std::collections::BTreeMap;
+
+use brass::AppId;
 use burst::frame::StreamId;
 use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::{Counter, Histogram, QueueGauge, TimeSeries};
-use simkit::snap::{ensure, restore_sorted, Fp64, Snap, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::{
+    ensure, restore_sorted, Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter,
+};
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 
@@ -22,6 +27,40 @@ pub struct AppLatencies {
     pub brass_to_device: Histogram,
     /// Total publish time: comment posted → rendered on another device.
     pub total: Histogram,
+}
+
+/// Whose latencies a `per_app` bucket holds: an application's, or those
+/// of frames on a stream registered on no application's topic. Ordered
+/// and snapshotted by name, `unknown` last, as a map keyed by name was.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum AppBucket {
+    App(AppId),
+    Unknown,
+}
+
+impl AppBucket {
+    fn name(self) -> &'static str {
+        match self {
+            AppBucket::App(app) => app.name(),
+            AppBucket::Unknown => "unknown",
+        }
+    }
+}
+
+/// Any name but an application's or `unknown` is rejected.
+impl Snap for AppBucket {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_str(self.name());
+    }
+
+    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
+        let name = r.get_str()?;
+        match AppId::from_name(&name) {
+            Some(app) => Ok(AppBucket::App(app)),
+            None if name == "unknown" => Ok(AppBucket::Unknown),
+            None => Err(SnapError::Invalid(format!("latency bucket {name:?}"))),
+        }
+    }
 }
 
 /// All measurements collected by a system run.
@@ -90,8 +129,9 @@ pub struct SystemMetrics {
     // ------------------------------------------------------------------
     // Latency histograms.
     // ------------------------------------------------------------------
-    /// Per-application latency decompositions.
-    pub per_app: FxHashMap<String, AppLatencies>,
+    /// Per-application latency decompositions; read through
+    /// [`Self::app_latencies`].
+    per_app: BTreeMap<AppBucket, AppLatencies>,
     /// Pylon fanout latency, streams with <10K subscribers.
     pub pylon_fanout_small: Histogram,
     /// Pylon fanout latency, streams with ≥10K subscribers.
@@ -373,7 +413,7 @@ impl SystemMetrics {
             q_brass_mailbox: QueueGauge::new(horizon, interval),
             q_flow_window: QueueGauge::new(horizon, interval),
             q_pop_egress: QueueGauge::new(horizon, interval),
-            per_app: FxHashMap::default(),
+            per_app: BTreeMap::new(),
             pylon_fanout_small: Histogram::new(),
             pylon_fanout_large: Histogram::new(),
             sub_replication: Histogram::new(),
@@ -391,13 +431,16 @@ impl SystemMetrics {
         }
     }
 
-    /// The per-app latency bucket, created on first use. Called per
-    /// delivered frame, so the name is only copied when the bucket is new.
-    pub fn app(&mut self, app: &str) -> &mut AppLatencies {
-        if !self.per_app.contains_key(app) {
-            self.per_app.insert(app.to_owned(), AppLatencies::default());
-        }
-        self.per_app.get_mut(app).expect("bucket ensured above")
+    /// `app`'s latency decomposition, if any of its updates was timed.
+    pub fn app_latencies(&self, app: AppId) -> Option<&AppLatencies> {
+        self.per_app.get(&AppBucket::App(app))
+    }
+
+    /// The latency bucket for `app`'s updates (`None`: those of a stream
+    /// registered on no application's topic), created on first use.
+    pub(crate) fn bucket(&mut self, app: Option<AppId>) -> &mut AppLatencies {
+        let bucket = app.map_or(AppBucket::Unknown, AppBucket::App);
+        self.per_app.entry(bucket).or_default()
     }
 
     /// Appends one availability sample (fraction of subscribed streams a
@@ -425,7 +468,7 @@ impl SystemMetrics {
 
     /// Records a stream opening and registers it on the topic its
     /// subscription targets, if any: `topic`'s publications are credited
-    /// to it until [`Self::unregister_stream`].
+    /// to it until the stream is unregistered.
     pub fn stream_opened(&mut self, device: u64, sid: StreamId, at: SimTime, topic: Option<Topic>) {
         let stats = &mut self.stream_stats;
         stats.streams.entry((device, sid)).or_default().opened = Some(at);
@@ -534,7 +577,7 @@ impl SystemMetrics {
     /// Folds the cheap per-tick metrics digest into a fingerprint: every
     /// counter, queue-gauge peak, histogram population, and per-stream
     /// tally — O(counters + apps + streams-opened) per call, no float
-    /// formatting, no allocation beyond the sort of app names.
+    /// formatting, no allocation.
     pub fn mix_fingerprint(&self, fp: &mut Fp64) {
         for c in self.counters() {
             fp.mix_u64(c.get());
@@ -547,11 +590,8 @@ impl SystemMetrics {
         ] {
             fp.mix_u64(g.peak());
         }
-        let mut names: Vec<&String> = self.per_app.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            fp.mix_bytes(name.as_bytes());
-            let app = &self.per_app[name];
+        for (bucket, app) in &self.per_app {
+            fp.mix_bytes(bucket.name().as_bytes());
             for h in [
                 &app.edge_to_was,
                 &app.was_handling,
@@ -779,8 +819,33 @@ mod tests {
     #[test]
     fn per_app_buckets_created_on_demand() {
         let mut m = metrics();
-        m.app("lvc").total.record(100.0);
-        m.app("lvc").total.record(200.0);
-        assert_eq!(m.per_app["lvc"].total.count(), 2);
+        m.bucket(Some(AppId::Lvc)).total.record(100.0);
+        m.bucket(Some(AppId::Lvc)).total.record(200.0);
+        assert_eq!(m.app_latencies(AppId::Lvc).unwrap().total.count(), 2);
+        assert!(m.app_latencies(AppId::Typing).is_none());
+    }
+
+    /// Buckets snapshot under their names, `unknown` last, and a name that
+    /// is neither an application's nor `unknown` is rejected.
+    #[test]
+    fn per_app_restore_rejects_an_unknown_bucket_name() {
+        let mut m = metrics();
+        m.bucket(None).total.record(1.0);
+        m.bucket(Some(AppId::Typing)).total.record(2.0);
+        m.bucket(Some(AppId::Lvc)).total.record(3.0);
+        let bytes = bytes_of(&m);
+        let resumed = SystemMetrics::restore(&mut SnapReader::new(&bytes)).expect("restores");
+        assert!(resumed == m);
+        let names: Vec<&str> = m.per_app.keys().map(|b| b.name()).collect();
+        assert_eq!(names, ["lvc", "typing", "unknown"]);
+        // "unknown" and "unkn0wn" have one length, so the swap keeps every
+        // other byte where it was.
+        let at = bytes
+            .windows(7)
+            .position(|w| w == b"unknown")
+            .expect("the bucket name is in the bytes");
+        let mut renamed = bytes.clone();
+        renamed[at..at + 7].copy_from_slice(b"unkn0wn");
+        assert!(SystemMetrics::restore(&mut SnapReader::new(&renamed)).is_err());
     }
 }

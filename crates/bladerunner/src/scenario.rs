@@ -819,7 +819,7 @@ fn flash_crowd_config() -> SystemConfig {
 }
 
 /// One offered-load tier of the celebrity-goes-live storm on
-/// [`flash_crowd_config`], everything scheduled before the clock moves:
+/// `flash_crowd_config`, everything scheduled before the clock moves:
 /// `viewers` devices pile onto one video over a 2 s ramp from 1 s, 20
 /// posters comment at `rate` per second for `storm_secs` from 5 s, one
 /// proxy goes dark for 10 s at 15 s, and every 4th viewer's link dies

@@ -2,6 +2,7 @@
 //! schedulers, and fault injection. Nothing here runs an event; each
 //! scheduler puts one on the queue.
 
+use brass::AppId;
 use burst::flow::FlowWindow;
 use burst::frame::StreamId;
 use burst::json::Json;
@@ -17,7 +18,7 @@ use tao::Tao;
 use was::service::WebApplicationServer;
 
 use super::backend::Registries;
-use super::ev::{App, Ev, EventStats};
+use super::ev::{Ev, EventStats};
 use super::faults::{fresh_host, fresh_proxy, HEARTBEAT_INTERVAL};
 use super::fleet::{DeviceSlot, DeviceState, ParkScratch};
 use super::SystemSim;
@@ -284,7 +285,7 @@ impl SystemSim {
     /// Schedules a like on a post.
     pub fn like_post(&mut self, at: SimTime, device: u64, post: u64) {
         let gql = format!("mutation {{ likePost(postId: {post}, uid: {device}) {{ ok }} }}");
-        self.schedule_mutation(at, device, gql, "likes");
+        self.schedule_mutation(at, device, gql, AppId::Likes);
     }
 
     /// Schedules a WebsiteNotifications subscription.
@@ -306,7 +307,7 @@ impl SystemSim {
         self.queue.schedule(at, Ev::DeviceCancel { device, sid });
     }
 
-    fn schedule_mutation(&mut self, at: SimTime, device: u64, gql: String, app: &'static str) {
+    fn schedule_mutation(&mut self, at: SimTime, device: u64, gql: String, app: AppId) {
         // Device → POP → edge → WAS; sampled as one compound delay.
         let link = self
             .devices
@@ -316,7 +317,7 @@ impl SystemSim {
         let delay =
             self.latency.last_mile(link, &mut self.rng) + self.latency.edge_to_was(&mut self.rng);
         self.queue
-            .schedule(at + delay, Ev::WasMutationExec { gql, app: App(app) });
+            .schedule(at + delay, Ev::WasMutationExec { gql, app });
     }
 
     /// Schedules a live-video comment post.
@@ -324,7 +325,7 @@ impl SystemSim {
         let gql = format!(
             r#"mutation {{ postComment(videoId: {video}, authorId: {device}, text: "{text}") {{ id }} }}"#
         );
-        self.schedule_mutation(at, device, gql, "lvc");
+        self.schedule_mutation(at, device, gql, AppId::Lvc);
     }
 
     /// Schedules a typing-state change.
@@ -332,20 +333,20 @@ impl SystemSim {
         let gql = format!(
             "mutation {{ setTyping(threadId: {thread}, uid: {device}, typing: {typing}) {{ ok }} }}"
         );
-        self.schedule_mutation(at, device, gql, "typing");
+        self.schedule_mutation(at, device, gql, AppId::Typing);
     }
 
     /// Schedules an online-status refresh.
     pub fn set_online(&mut self, at: SimTime, device: u64) {
         let gql = format!("mutation {{ setOnline(uid: {device}) {{ ok }} }}");
-        self.schedule_mutation(at, device, gql, "active_status");
+        self.schedule_mutation(at, device, gql, AppId::ActiveStatus);
     }
 
     /// Schedules a story creation.
     pub fn create_story(&mut self, at: SimTime, device: u64, media: &str) {
         let gql =
             format!(r#"mutation {{ createStory(authorId: {device}, media: "{media}") {{ id }} }}"#);
-        self.schedule_mutation(at, device, gql, "stories");
+        self.schedule_mutation(at, device, gql, AppId::Stories);
     }
 
     /// Schedules a Messenger message send.
@@ -353,7 +354,7 @@ impl SystemSim {
         let gql = format!(
             r#"mutation {{ sendMessage(threadId: {thread}, fromId: {device}, text: "{text}") {{ id }} }}"#
         );
-        self.schedule_mutation(at, device, gql, "messenger");
+        self.schedule_mutation(at, device, gql, AppId::Messenger);
     }
 
     // ------------------------------------------------------------------

@@ -7,11 +7,11 @@
 //! application and its fan-out leg, is read from the metrics' Fig. 7
 //! registration ([`SystemMetrics::stream_topic`]).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use brass::app::{FetchToken, WasRequest, WasResponse};
 use brass::host::HostEffect;
+use brass::AppId;
 use burst::frame::{Frame, StreamId};
 use burst::json::Json;
 use pylon::{HostId, Topic};
@@ -23,7 +23,7 @@ use tao::ObjectId;
 use was::service::{Rv, WebApplicationServer};
 use was::UpdateEvent;
 
-use super::ev::{App, Ev};
+use super::ev::Ev;
 use super::SystemSim;
 use crate::metrics::SystemMetrics;
 
@@ -107,7 +107,7 @@ impl SystemSim {
         self.send_up(now, link, device, frame);
     }
 
-    pub(super) fn on_was_mutation(&mut self, now: SimTime, gql: &str, app: &'static str) {
+    pub(super) fn on_was_mutation(&mut self, now: SimTime, gql: &str, app: AppId) {
         let Ok(outcome) = self.was.execute_mutation(gql, now.as_millis()) else {
             return;
         };
@@ -121,7 +121,7 @@ impl SystemSim {
             .latency
             .was_mutation(outcome.was_latency_ms, &mut self.engine_rng);
         self.metrics
-            .app(app)
+            .bucket(Some(app))
             .was_handling
             .record(was_delay.as_millis_f64());
         for event in outcome.events {
@@ -264,7 +264,7 @@ impl SystemSim {
         &mut self,
         now: SimTime,
         host: usize,
-        app: &'static str,
+        app: AppId,
         token: FetchToken,
         request: WasRequest,
         attributed: Option<SimTime>,
@@ -289,7 +289,7 @@ impl SystemSim {
             now + back,
             Ev::WasReply {
                 host,
-                app: App(app),
+                app,
                 token,
                 response,
                 attributed,
@@ -391,7 +391,7 @@ impl SystemSim {
                         now + d,
                         Ev::WasExec {
                             host,
-                            app: App(app),
+                            app,
                             token,
                             request,
                             attributed: attr,
@@ -428,9 +428,9 @@ impl SystemSim {
                     if let Some(event_at) = attributed {
                         // Only data batches count as event processing.
                         if frame.update_payloads().next().is_some() {
-                            let app_name = app_of_device_frame(&self.metrics, device.0, &frame);
+                            let app = app_of_stream(&self.metrics, device.0, frame.sid());
                             self.metrics
-                                .app(&app_name)
+                                .bucket(app)
                                 .brass_processing
                                 .record(send_at.saturating_since(event_at).as_millis_f64());
                         }
@@ -454,14 +454,7 @@ impl SystemSim {
                     }
                 }
                 HostEffect::Timer { at, app, token } => {
-                    self.queue.schedule(
-                        at,
-                        Ev::BrassTimer {
-                            host,
-                            app: App(app),
-                            token,
-                        },
-                    );
+                    self.queue.schedule(at, Ev::BrassTimer { host, app, token });
                 }
             }
         }
@@ -555,31 +548,14 @@ pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> 
     }
 }
 
-/// Best-effort application attribution for a downstream frame: one
-/// reverse-map lookup on the stream's registered topic. Runs twice per
-/// delivered data frame, so the known families borrow their label;
-/// only a family no app registered allocates.
-pub(super) fn app_of_device_frame(
+/// The application a stream's frames belong to: the one whose family its
+/// registered topic is in, if any.
+pub(super) fn app_of_stream(
     metrics: &SystemMetrics,
     device: u64,
-    frame: &Frame,
-) -> Cow<'static, str> {
-    let topic = frame
-        .sid()
-        .and_then(|sid| metrics.stream_topic(device, sid));
-    let Some(topic) = topic else {
-        return Cow::Borrowed("unknown");
-    };
-    Cow::Borrowed(match topic.family() {
-        "LVC" => "lvc",
-        "TI" => "typing",
-        "Status" => "active_status",
-        "Stories" => "stories",
-        "Msgr" => "messenger",
-        "Likes" => "likes",
-        "Notif" => "notifications",
-        other => return Cow::Owned(other.to_owned()),
-    })
+    sid: Option<StreamId>,
+) -> Option<AppId> {
+    AppId::of_topic(&metrics.stream_topic(device, sid?)?)
 }
 
 /// The trace ids of every update payload a frame carries, in batch

@@ -4,10 +4,11 @@
 use std::sync::Arc;
 
 use brass::app::{FetchToken, WasRequest, WasResponse};
+use brass::AppId;
 use burst::frame::{Frame, StreamId};
 use burst::json::Json;
 use pylon::Topic;
-use simkit::snap::{Fp64, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use simkit::snap::Fp64;
 use simkit::time::SimTime;
 use simkit::{snap_enum, snap_struct};
 use was::UpdateEvent;
@@ -153,7 +154,7 @@ pub(super) enum Ev {
     DeviceCancel { device: u64, sid: StreamId },
     /// A device issues a GraphQL mutation (already includes last-mile
     /// latency; `app` classifies it for metrics).
-    WasMutationExec { gql: String, app: App },
+    WasMutationExec { gql: String, app: AppId },
 
     // ------------------------------------------------------------------
     // Backend publish path.
@@ -184,9 +185,8 @@ pub(super) enum Ev {
     /// A BRASS-issued WAS request executes at the WAS.
     WasExec {
         host: usize,
-        /// The issuing application, by the name the host registered it
-        /// under (a `Copy` handle: queued events never own a string).
-        app: App,
+        /// The issuing application.
+        app: AppId,
         token: FetchToken,
         request: WasRequest,
         attributed: Option<SimTime>,
@@ -194,13 +194,13 @@ pub(super) enum Ev {
     /// The WAS response arrives back at the BRASS.
     WasReply {
         host: usize,
-        app: App,
+        app: AppId,
         token: FetchToken,
         response: WasResponse,
         attributed: Option<SimTime>,
     },
     /// An application timer fires.
-    BrassTimer { host: usize, app: App, token: u64 },
+    BrassTimer { host: usize, app: AppId, token: u64 },
 
     // ------------------------------------------------------------------
     // Frame transport, client → server.
@@ -411,37 +411,8 @@ impl Ev {
     }
 }
 
-/// An application name as events carry it: the `&'static str` every host
-/// registers the application under, which is also the label every
-/// `schedule_mutation` call site passes.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct App(pub(super) &'static str);
-
-/// The set of names is closed, so an unknown one means the bytes don't
-/// describe a world this build can produce, and the restore fails rather
-/// than guessing.
-impl Snap for App {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_str(self.0);
-    }
-
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let name = r.get_str()?;
-        [
-            "lvc",
-            "typing",
-            "active_status",
-            "stories",
-            "messenger",
-            "likes",
-            "notifications",
-        ]
-        .into_iter()
-        .find(|s| *s == name)
-        .map(App)
-        .ok_or_else(|| SnapError::Invalid(format!("unknown application {name:?}")))
-    }
-}
+// Every pending queue entry pays this.
+const _: () = assert!(std::mem::size_of::<Ev>() == 72);
 
 /// One-line rendering of an event for the bisect event log, truncated so a
 /// fat payload can't bloat the log.

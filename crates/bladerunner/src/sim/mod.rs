@@ -67,11 +67,9 @@ use crate::config::SystemConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::SystemMetrics;
 
-pub(crate) use backend::serve_was;
 use backend::Registries;
 pub use ev::EventStats;
 use ev::{ev_summary, Ev};
-pub(crate) use faults::fresh_host;
 use fleet::{DeviceState, ParkScratch};
 
 // ----------------------------------------------------------------------
@@ -185,7 +183,7 @@ impl SystemSim {
         match ev {
             Ev::DeviceSubscribe { device, header } => self.on_device_subscribe(now, device, header),
             Ev::DeviceCancel { device, sid } => self.on_device_cancel(now, device, sid),
-            Ev::WasMutationExec { gql, app } => self.on_was_mutation(now, &gql, app.0),
+            Ev::WasMutationExec { gql, app } => self.on_was_mutation(now, &gql, app),
             Ev::PylonPublish { event } => self.on_pylon_publish(now, *event),
             Ev::PylonDeliverHost { host, event } => self.on_pylon_deliver(now, host, event),
             Ev::TaoReplicate { event } => self.was.tao_mut().apply_replication(&event),
@@ -203,7 +201,7 @@ impl SystemSim {
                 token,
                 request,
                 attributed,
-            } => self.on_was_exec(now, host, app.0, token, request, attributed),
+            } => self.on_was_exec(now, host, app, token, request, attributed),
             Ev::WasReply {
                 host,
                 app,
@@ -211,11 +209,11 @@ impl SystemSim {
                 response,
                 attributed,
             } => self.drive_host(now, host, attributed, |h, fx| {
-                h.on_was_response_into(app.0, token, response, now, fx)
+                h.on_was_response_into(app, token, response, now, fx)
             }),
             Ev::BrassTimer { host, app, token } => {
                 self.drive_host(now, host, None, |h, fx| {
-                    h.on_timer_into(app.0, token, now, fx)
+                    h.on_timer_into(app, token, now, fx)
                 });
             }
             Ev::AtPop { device, frame } => self.on_at_pop(now, device, frame),

@@ -1,4 +1,5 @@
 use brass::app::{FetchToken, WasRequest, WasResponse};
+use brass::AppId;
 use burst::flow::{Admit, FlowWindow};
 use burst::frame::StreamId;
 use pylon::Topic;
@@ -6,7 +7,7 @@ use simkit::snap::{Snap, SnapReader, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Hop, HopOutcome};
 
-use super::ev::{App, Ev};
+use super::ev::Ev;
 use super::SystemSim;
 use crate::config::SystemConfig;
 
@@ -33,12 +34,12 @@ fn app_naming_events_round_trip_and_reject_unknown_apps() {
     let events = [
         Ev::BrassTimer {
             host: 3,
-            app: App("lvc"),
+            app: AppId::Lvc,
             token: 77,
         },
         Ev::WasExec {
             host: 1,
-            app: App("messenger"),
+            app: AppId::Messenger,
             token: FetchToken(9),
             request: WasRequest::MailboxAfter {
                 uid: 5,
@@ -48,7 +49,7 @@ fn app_naming_events_round_trip_and_reject_unknown_apps() {
         },
         Ev::WasReply {
             host: 2,
-            app: App("typing"),
+            app: AppId::Typing,
             token: FetchToken(10),
             response: WasResponse::Payload(b"{\"id\":1}".to_vec().into()),
             attributed: None,
@@ -99,7 +100,7 @@ fn comment_flows_end_to_end() {
         "comment reached the viewer"
     );
     assert_eq!(s.metrics().publications.get(), 1);
-    let lat = &s.metrics().per_app["lvc"];
+    let lat = s.metrics().app_latencies(AppId::Lvc).unwrap();
     assert_eq!(lat.total.count(), 1);
     // Total latency includes the ~2s WAS ranking plus fan-out and push.
     assert!(lat.total.mean() > 1_500.0, "total {}", lat.total.mean());
@@ -137,7 +138,7 @@ fn typing_indicator_round_trip() {
     s.set_typing(SimTime::from_secs(2), a, thread, true);
     s.run_until(SimTime::from_secs(20));
     assert_eq!(s.metrics().deliveries.get(), 1);
-    let lat = &s.metrics().per_app["typing"];
+    let lat = s.metrics().app_latencies(AppId::Typing).unwrap();
     assert!(lat.total.count() == 1, "typing total latency recorded");
     // Typing avoids ranking: total latency well under the LVC path.
     assert!(lat.total.mean() < 3_000.0, "total {}", lat.total.mean());
@@ -539,10 +540,9 @@ fn metrics_fingerprint() -> String {
     s.set_online(SimTime::from_secs(5), poster);
     s.run_until(SimTime::from_secs(60));
     let m = s.metrics();
-    let mut apps: Vec<_> = m.per_app.iter().collect();
-    apps.sort_by(|a, b| a.0.cmp(b.0));
-    let per_app: Vec<String> = apps
-        .iter()
+    let per_app: Vec<String> = AppId::ALL
+        .into_iter()
+        .filter_map(|app| Some((app.name(), m.app_latencies(app)?)))
         .map(|(name, lat)| {
             format!(
                 "{name}:{}:{:x}",
@@ -670,7 +670,7 @@ fn announced_drop_and_silent_vanish_share_the_connection_loss_contract() {
 fn resume_rejects_a_queued_event_naming_a_missing_host() {
     let timer = |host| Ev::BrassTimer {
         host,
-        app: App("lvc"),
+        app: AppId::Lvc,
         token: 0x5EED_7153,
     };
     let encode = |ev: &Ev| {

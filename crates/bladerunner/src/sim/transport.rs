@@ -5,6 +5,7 @@
 //! effect fan-outs live here too.
 
 use brass::app::DeviceId;
+use brass::AppId;
 use burst::flow::Admit;
 use burst::frame::{Delta, FlowStatus, Frame, StreamId};
 use edge::device::DeviceOutput;
@@ -13,7 +14,7 @@ use edge::proxy::ProxyEffect;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome};
 
-use super::backend::{app_of_device_frame, frame_traces, payload_trace};
+use super::backend::{app_of_stream, frame_traces, payload_trace};
 use super::ev::Ev;
 use super::SystemSim;
 use crate::config::LinkClass;
@@ -360,7 +361,7 @@ impl SystemSim {
         frame: &Frame,
         sent_at: SimTime,
     ) {
-        let app = app_of_device_frame(&self.metrics, device, frame);
+        let app = app_of_stream(&self.metrics, device, frame.sid());
         let state = self.devices.at_mut(slot);
         // Egress accounting drains unconditionally — every frame put on
         // the wire arrives here exactly once, delivered or not. Draining
@@ -421,7 +422,7 @@ impl SystemSim {
                     rendered_on = Some(sid);
                     self.metrics.deliveries.inc();
                     self.metrics.ts_deliveries.inc(now);
-                    let lat = self.metrics.app(&app);
+                    let lat = self.metrics.bucket(app);
                     lat.brass_to_device
                         .record(now.saturating_since(sent_at).as_millis_f64());
                     // Total publish time: the payload carries the original
@@ -488,7 +489,7 @@ impl SystemSim {
         self.device_out = outputs;
         // Reliable applications acknowledge receipt; the BRASS's retention
         // buffer shrinks and retransmission stops.
-        if app == "messenger" {
+        if app.is_some_and(AppId::retains_unacked) {
             if let Some(sid) = rendered_on {
                 let state = self.devices.at_mut(slot);
                 if let Some(ack) = state.wake(device, &mut self.park).ack(sid) {

@@ -6,6 +6,7 @@
 use bladerunner::config::SystemConfig;
 use bladerunner::scenario::LiveVideo;
 use bladerunner::sim::SystemSim;
+use brass::AppId;
 use simkit::time::{SimDuration, SimTime};
 
 #[test]
@@ -24,7 +25,7 @@ fn typing_brass_latency_reproduces_table3() {
         );
     }
     sim.run_until(SimTime::from_secs(700));
-    let lat = &sim.metrics().per_app["typing"];
+    let lat = sim.metrics().app_latencies(AppId::Typing).unwrap();
     assert!(lat.brass_processing.count() >= 300);
     let mean = lat.brass_processing.mean();
     // Table 3: 76 ms for non-buffering apps; allow sampling noise.
@@ -42,7 +43,7 @@ fn stage_latencies_sum_to_total() {
         0.3,
     );
     sim.run_until(SimTime::from_secs(400));
-    let lat = &sim.metrics().per_app["lvc"];
+    let lat = sim.metrics().app_latencies(AppId::Lvc).unwrap();
     assert!(
         lat.total.count() > 20,
         "enough samples: {}",
@@ -80,7 +81,11 @@ fn slow_links_dominate_the_delivery_tail() {
             0.3,
         );
         sim.run_until(SimTime::from_secs(300));
-        sim.metrics().per_app["lvc"].brass_to_device.mean()
+        sim.metrics()
+            .app_latencies(AppId::Lvc)
+            .unwrap()
+            .brass_to_device
+            .mean()
     };
     let fast = run(vec![(LinkClass::Fast, 1.0)]);
     let slow = run(vec![(LinkClass::Slow, 1.0)]);

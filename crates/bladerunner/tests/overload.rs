@@ -10,6 +10,7 @@
 use bladerunner::config::LinkClass;
 use bladerunner::scenario::FlashCrowd;
 use bladerunner::{SystemConfig, SystemSim};
+use brass::AppId;
 use burst::heartbeat::{INTERVAL_US, MISSES};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop};
@@ -96,7 +97,7 @@ fn overload_sheds_gracefully_with_full_attribution() {
 
     // Admitted updates stay bounded: the worst case is the LVC ranked-buffer
     // batching baseline (~11 s) plus the 0.5 s mailbox bound plus slack.
-    let lvc = &m.per_app["lvc"];
+    let lvc = m.app_latencies(AppId::Lvc).unwrap();
     assert!(lvc.total.count() > 0, "some updates must still be admitted");
     let p99_ms = lvc.total.quantile(0.99) / 1_000.0;
     assert!(

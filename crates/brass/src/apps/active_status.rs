@@ -14,6 +14,7 @@ use simkit::time::{SimDuration, SimTime};
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
+use crate::apps::AppId;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
 
@@ -92,7 +93,7 @@ impl BrassApp for ActiveStatusApp {
         if event.kind != EventKind::StatusOnline {
             return;
         }
-        let Some(friend) = event.topic.id_under("Status") else {
+        let Some(friend) = event.topic.id_under(AppId::ActiveStatus.family()) else {
             return;
         };
         self.table.fan_out(&event.topic, |table, slot| {

@@ -16,6 +16,7 @@ use simkit::time::SimDuration;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, StreamKey};
+use crate::apps::AppId;
 use crate::limiter::TokenBucket;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
@@ -84,7 +85,7 @@ impl BrassApp for LikesApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        let Some(post) = sub.topic.id_under("Likes") else {
+        let Some(post) = sub.topic.id_under(AppId::Likes.family()) else {
             ctx.terminate(stream, TerminateReason::Error);
             return;
         };

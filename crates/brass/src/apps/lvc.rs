@@ -26,6 +26,7 @@ use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
+use crate::apps::AppId;
 use crate::buffer::{PushOutcome, RankedBuffer};
 use crate::limiter::TokenBucket;
 use crate::resolve::ResolvedSub;
@@ -205,7 +206,7 @@ impl BrassApp for LvcApp {
         sub: &ResolvedSub,
         header: &Json,
     ) {
-        let Some(video) = sub.topic.id_under("LVC") else {
+        let Some(video) = sub.topic.id_under(AppId::Lvc.family()) else {
             ctx.terminate(stream, TerminateReason::Error);
             return;
         };

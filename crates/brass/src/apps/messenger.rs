@@ -35,6 +35,7 @@ use simkit::{snap_enum, snap_struct};
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
+use crate::apps::AppId;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
 
@@ -172,7 +173,7 @@ impl BrassApp for MessengerApp {
         sub: &ResolvedSub,
         header: &Json,
     ) {
-        let Some(mailbox) = sub.topic.id_under("Msgr") else {
+        let Some(mailbox) = sub.topic.id_under(AppId::Messenger.family()) else {
             ctx.terminate(stream, TerminateReason::Error);
             return;
         };

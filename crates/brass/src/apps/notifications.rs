@@ -18,6 +18,7 @@ use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, StreamKey};
+use crate::apps::AppId;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
 
@@ -59,7 +60,7 @@ impl BrassApp for NotificationsApp {
         sub: &ResolvedSub,
         _header: &Json,
     ) {
-        if sub.topic.id_under("Notif").is_none() {
+        if sub.topic.id_under(AppId::Notifications.family()).is_none() {
             ctx.terminate(stream, TerminateReason::Error);
             return;
         }

@@ -18,6 +18,7 @@ use simkit::time::SimTime;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
+use crate::apps::AppId;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
 
@@ -135,7 +136,7 @@ impl BrassApp for StoriesApp {
         if event.kind != EventKind::StoryCreated {
             return;
         }
-        let Some(author) = event.topic.id_under("Stories") else {
+        let Some(author) = event.topic.id_under(AppId::Stories.family()) else {
             return;
         };
         let tray_size = self.config.tray_size;

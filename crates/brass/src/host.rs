@@ -13,9 +13,8 @@
 //! [watches](BrassApp::watches) the topic.
 //!
 //! [`BrassHost`] turns application [`Effect`]s into [`HostEffect`]s — the
-//! externally visible actions the simulation orchestrator (or the real-time
-//! driver) executes: Pylon subscribe/unsubscribe, WAS requests, BURST
-//! response frames, timers.
+//! externally visible actions the simulation orchestrator executes: Pylon
+//! subscribe/unsubscribe, WAS requests, BURST response frames, timers.
 
 use burst::frame::{Delta, Frame, StreamId, TerminateReason};
 use burst::json::Json;
@@ -30,9 +29,7 @@ use simkit::snap_struct;
 use crate::app::{
     AppCounters, BrassApp, Ctx, DeviceId, Effect, FetchToken, StreamKey, StreamView, WasRequest,
 };
-use crate::apps::{
-    ActiveStatusApp, LikesApp, LvcApp, MessengerApp, NotificationsApp, StoriesApp, TypingApp,
-};
+use crate::apps::{AppFactory, AppId};
 use crate::resolve::resolve;
 
 /// Host configuration.
@@ -63,9 +60,8 @@ pub enum HostEffect {
     PylonUnsubscribe(Topic),
     /// Issue a WAS request on behalf of an application.
     Was {
-        /// Owning application (routes the response back): the name it was
-        /// registered under.
-        app: &'static str,
+        /// Owning application (routes the response back).
+        app: AppId,
         /// Correlation token.
         token: FetchToken,
         /// The request.
@@ -83,8 +79,8 @@ pub enum HostEffect {
     Timer {
         /// When to fire.
         at: SimTime,
-        /// Owning application: the name it was registered under.
-        app: &'static str,
+        /// Owning application.
+        app: AppId,
         /// Opaque app token.
         token: u64,
     },
@@ -100,16 +96,15 @@ pub enum HostEffect {
 }
 
 struct Instance {
-    /// The name the application was registered under.
-    name: &'static str,
+    id: AppId,
     app: Box<dyn BrassApp>,
     counters: AppCounters,
     next_token: u64,
 }
 
 struct StreamMeta {
-    /// The owning application's registered name.
-    app: &'static str,
+    /// The owning application.
+    app: AppId,
     server: ServerStream,
 }
 
@@ -128,50 +123,23 @@ pub struct HostCounters {
     pub spool_ups: u64,
     /// Subscribe requests accepted.
     pub streams_accepted: u64,
-    /// Subscribe requests rejected (capacity or unknown app).
+    /// Subscribe requests rejected (a header that does not resolve, an
+    /// application with no registered factory, or capacity).
     pub streams_rejected: u64,
 }
 
-type AppFactory = Box<dyn FnMut() -> Box<dyn BrassApp> + Send>;
-
-/// A standard application: the name a host registers it under, how it is
-/// made with its default config, and how a snapshot restores it.
-struct Standard {
-    name: &'static str,
-    make: fn() -> Box<dyn BrassApp>,
-    restore: fn(&mut SnapReader<'_>) -> SnapResult<Box<dyn BrassApp>>,
-}
-
-const fn standard<A: BrassApp + Default + Snap + 'static>(name: &'static str) -> Standard {
-    Standard {
-        name,
-        make: || Box::new(A::default()),
-        restore: |r| Ok(Box::new(A::restore(r)?)),
-    }
-}
-
-/// The one list of the standard applications.
-const STANDARD_APPS: [Standard; 7] = [
-    standard::<LvcApp>("lvc"),
-    standard::<TypingApp>("typing"),
-    standard::<ActiveStatusApp>("active_status"),
-    standard::<StoriesApp>("stories"),
-    standard::<MessengerApp>("messenger"),
-    standard::<LikesApp>("likes"),
-    standard::<NotificationsApp>("notifications"),
-];
-
 /// A BRASS host.
 ///
-/// Applications are known by the `&'static str` they were registered
-/// under; that handle is what stream metadata, effects and the simulator's
-/// queued events carry, so naming an application never copies a string.
+/// Applications are known by their [`AppId`]: stream metadata, effects
+/// and the simulator's queued events carry it, so naming an application
+/// never copies or compares a string.
 pub struct BrassHost {
     config: HostConfig,
-    factories: Vec<(&'static str, AppFactory)>,
-    /// Running instances, sorted by name: at most two per core, so a scan
-    /// beats hashing the name, and every walk is already in the sorted
-    /// order that effect emission and snapshots need.
+    /// Each application's factory, if one is registered, by [`AppId`].
+    factories: [Option<AppFactory>; AppId::ALL.len()],
+    /// Running instances in [`AppId`] (name) order: at most two per core,
+    /// so a scan is cheap, and every walk is already in the order that
+    /// effect emission and snapshots need.
     instances: Vec<Instance>,
     streams: FxHashMap<StreamKey, StreamMeta>,
     counters: HostCounters,
@@ -184,7 +152,7 @@ impl BrassHost {
     pub fn new(config: HostConfig) -> Self {
         BrassHost {
             config,
-            factories: Vec::new(),
+            factories: Default::default(),
             instances: Vec::new(),
             streams: FxHashMap::default(),
             counters: HostCounters::default(),
@@ -197,22 +165,15 @@ impl BrassHost {
         self.config.host_id
     }
 
-    /// Registers an application factory; instances spool up on demand.
-    /// Registering a name again replaces its factory.
-    pub fn register_app(
-        &mut self,
-        name: &'static str,
-        factory: impl FnMut() -> Box<dyn BrassApp> + Send + 'static,
-    ) {
-        self.factories.retain(|(n, _)| *n != name);
-        self.factories.push((name, Box::new(factory)));
+    /// Registers a factory for `app`; instances spool up on demand.
+    /// Registering an application again replaces its factory.
+    pub fn register_app(&mut self, app: AppId, factory: AppFactory) {
+        self.factories[app as usize] = Some(factory);
     }
 
-    /// Registers the standard applications with default configs.
+    /// Registers every application with its default config.
     pub fn register_standard_apps(&mut self) {
-        for app in STANDARD_APPS {
-            self.register_app(app.name, app.make);
-        }
+        self.factories = AppId::ALL.map(|app| Some(app.factory()));
     }
 
     /// Maximum instances this host can run (two per core, §3.2).
@@ -243,7 +204,7 @@ impl BrassHost {
     }
 
     /// Per-application counters, if the instance is running.
-    pub fn app_counters(&self, app: &str) -> Option<AppCounters> {
+    pub fn app_counters(&self, app: AppId) -> Option<AppCounters> {
         self.instance_index(app).map(|i| self.instances[i].counters)
     }
 
@@ -271,41 +232,37 @@ impl BrassHost {
         all.any(|(i, other)| i != index && other.app.watches(topic))
     }
 
-    /// Position of the running instance named `app` in the sorted table.
-    fn instance_index(&self, app: &str) -> Option<usize> {
-        self.instances.iter().position(|i| i.name == app)
+    /// Position of `app`'s running instance in the sorted table.
+    fn instance_index(&self, app: AppId) -> Option<usize> {
+        self.instances.iter().position(|i| i.id == app)
     }
 
-    /// The running instance for `app`, spooled up if need be: its index,
-    /// or `Err` when the app is unknown or the host is at capacity.
-    fn ensure_instance(&mut self, app: &str) -> Result<usize, ()> {
-        if let Some(index) = self.instance_index(app) {
-            return Ok(index);
+    /// Spools up an instance of `app` unless one runs; `Err` when no
+    /// factory is registered for it or the host is at capacity.
+    fn ensure_instance(&mut self, app: AppId) -> Result<(), ()> {
+        if self.instance_index(app).is_some() {
+            return Ok(());
         }
         if self.instances.len() >= self.capacity() {
             return Err(());
         }
-        let (name, factory) = self
-            .factories
-            .iter_mut()
-            .find(|(n, _)| *n == app)
-            .ok_or(())?;
+        let factory = self.factories[app as usize].ok_or(())?;
         let instance = Instance {
-            name,
+            id: app,
             app: factory(),
             counters: AppCounters::default(),
             next_token: 0,
         };
-        let index = self.instances.partition_point(|i| i.name < instance.name);
+        let index = self.instances.partition_point(|i| i.id < app);
         self.instances.insert(index, instance);
         self.counters.spool_ups += 1;
-        Ok(index)
+        Ok(())
     }
 
     /// Runs an app handler and converts its effects into host effects.
     fn run_handler(
         &mut self,
-        app: &str,
+        app: AppId,
         now: SimTime,
         out: &mut Vec<HostEffect>,
         f: impl FnOnce(&mut dyn BrassApp, &mut Ctx<'_>),
@@ -337,7 +294,7 @@ impl BrassHost {
         effects: &mut Vec<Effect>,
         out: &mut Vec<HostEffect>,
     ) {
-        let app = self.instances[index].name;
+        let app = self.instances[index].id;
         for effect in effects.drain(..) {
             match effect {
                 // The emitting instance's first holder came or its last
@@ -441,9 +398,12 @@ impl BrassHost {
     /// Handles an incoming BURST subscribe for a stream, appending the
     /// effects to `out`.
     ///
-    /// Resolution failures and capacity exhaustion produce a terminate
-    /// response rather than an error: devices are remote. Either ends a
-    /// live key's old incarnation too.
+    /// Failures produce a terminate response rather than an error: devices
+    /// are remote. A header that does not resolve, one naming no
+    /// application included, is an `Error`, which the device drops; a host
+    /// at capacity or with no factory for the application answers
+    /// `ServerShutdown`, which the device retries. Either ends a live key's
+    /// old incarnation too.
     pub fn on_subscribe_into(
         &mut self,
         device: DeviceId,
@@ -459,7 +419,8 @@ impl BrassHost {
             self.on_cancel_into(device, sid, now, out);
             return;
         };
-        let Ok(index) = self.ensure_instance(&sub.app) else {
+        let app = sub.app;
+        if self.ensure_instance(app).is_err() {
             self.counters.streams_rejected += 1;
             out.push(Self::terminate(
                 device,
@@ -468,12 +429,9 @@ impl BrassHost {
             ));
             self.on_cancel_into(device, sid, now, out);
             return;
-        };
-        let app = self.instances[index].name;
+        }
         self.counters.streams_accepted += 1;
-        // Reliable apps retain unacked updates for replay.
-        let retain = app == "messenger";
-        let server = ServerStream::accept(sid, &header, retain);
+        let server = ServerStream::accept(sid, &header, app.retains_unacked());
         // Sticky routing (§3.5): patch the header with this host's identity
         // so a resubscribe after failure lands back here.
         let patch = Json::obj([("brass_host", Json::from(self.config.host_id.0 as u64))]);
@@ -520,13 +478,13 @@ impl BrassHost {
                 continue;
             }
             instance.counters.events_in += 1;
-            let app = instance.name;
+            let app = instance.id;
             self.run_handler(app, now, out, |a, ctx| a.on_event(ctx, event));
         }
     }
 
-    /// Routes a WAS response back to the owning application; the effects
-    /// as a vector (see [`BrassHost::on_was_response_into`]).
+    /// Routes a WAS response back to the application named `app`; the
+    /// effects as a vector (see [`BrassHost::on_was_response_into`]).
     pub fn on_was_response(
         &mut self,
         app: &str,
@@ -535,14 +493,16 @@ impl BrassHost {
         now: SimTime,
     ) -> Vec<HostEffect> {
         let mut out = Vec::new();
-        self.on_was_response_into(app, token, response, now, &mut out);
+        if let Some(app) = AppId::from_name(app) {
+            self.on_was_response_into(app, token, response, now, &mut out);
+        }
         out
     }
 
     /// Routes a WAS response back to the owning application.
     pub fn on_was_response_into(
         &mut self,
-        app: &str,
+        app: AppId,
         token: FetchToken,
         response: crate::app::WasResponse,
         now: SimTime,
@@ -553,18 +513,20 @@ impl BrassHost {
         });
     }
 
-    /// Fires an application timer; the effects as a vector (see
-    /// [`BrassHost::on_timer_into`]).
+    /// Fires a timer of the application named `app`; the effects as a
+    /// vector (see [`BrassHost::on_timer_into`]).
     pub fn on_timer(&mut self, app: &str, token: u64, now: SimTime) -> Vec<HostEffect> {
         let mut out = Vec::new();
-        self.on_timer_into(app, token, now, &mut out);
+        if let Some(app) = AppId::from_name(app) {
+            self.on_timer_into(app, token, now, &mut out);
+        }
         out
     }
 
     /// Fires an application timer.
     pub fn on_timer_into(
         &mut self,
-        app: &str,
+        app: AppId,
         token: u64,
         now: SimTime,
         out: &mut Vec<HostEffect>,
@@ -632,38 +594,32 @@ snap_struct!(HostCounters {
     streams_rejected
 });
 
-/// Counters, token counter and the application's own state (its stream
-/// table is its record of interest), which is restored by dispatching on
-/// the application name — snapshots holding non-standard applications are
-/// rejected.
+/// The application, counters, token counter and the application's own
+/// state (its stream table is its record of interest), which is restored
+/// with the application's default code: a snapshot cannot carry a custom
+/// factory.
 impl Snap for Instance {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put_str(self.name);
+        self.id.snap(w);
         self.counters.snap(w);
         self.next_token.snap(w);
         self.app.snap_state(w);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let name = r.get_str()?;
-        let counters = Snap::restore(r)?;
-        let next_token = Snap::restore(r)?;
-        let Some(app) = STANDARD_APPS.iter().find(|app| app.name == name) else {
-            let error = format!("brass host: unknown application {name:?}");
-            return Err(SnapError::Invalid(error));
-        };
+        let id = AppId::restore(r)?;
         Ok(Instance {
-            name: app.name,
-            app: (app.restore)(r)?,
-            counters,
-            next_token,
+            id,
+            counters: Snap::restore(r)?,
+            next_token: Snap::restore(r)?,
+            app: id.restore_app(r)?,
         })
     }
 }
 
-/// Config, every running instance, every server-side stream (keyed by its device, owned by application
-/// name), and the host counters. Factories are code, not state: restore
-/// re-registers the standard ones (closures aren't serializable).
+/// Config, every running instance, every server-side stream (keyed by its
+/// device, owned by an application), and the host counters. Factories are
+/// code, not state: restore registers the standard ones.
 impl Snap for BrassHost {
     fn snap(&self, w: &mut SnapWriter) {
         self.config.snap(w);
@@ -674,7 +630,7 @@ impl Snap for BrassHost {
         for key in keys {
             let meta = &self.streams[key];
             key.device.snap(w);
-            w.put_str(meta.app);
+            meta.app.snap(w);
             meta.server.snap(w);
         }
         self.counters.snap(w);
@@ -683,21 +639,19 @@ impl Snap for BrassHost {
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let mut host = BrassHost::new(HostConfig::restore(r)?);
         host.register_standard_apps();
-        host.instances = restore_sorted(r, |a: &Instance, b| a.name < b.name)?;
+        host.instances = restore_sorted(r, |a: &Instance, b| a.id < b.id)?;
         if host.instances.len() > host.capacity() {
             return Err(SnapError::Invalid("brass host: over capacity".into()));
         }
-        let by_key = |a: &(DeviceId, String, ServerStream),
-                      b: &(DeviceId, String, ServerStream)| {
+        let by_key = |a: &(DeviceId, AppId, ServerStream), b: &(DeviceId, AppId, ServerStream)| {
             (a.0, a.2.sid()) < (b.0, b.2.sid())
         };
         for (device, app, server) in restore_sorted(r, by_key)? {
-            let Some(owner) = host.instance_index(&app) else {
+            if host.instance_index(app).is_none() {
                 return Err(SnapError::Invalid(
                     "brass host: stream owned by absent instance".into(),
                 ));
-            };
-            let app = host.instances[owner].name;
+            }
             let sid = server.sid();
             host.streams
                 .insert(StreamKey { device, sid }, StreamMeta { app, server });
@@ -864,19 +818,39 @@ mod tests {
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0], Delta::update(0, b"hi".to_vec()));
         assert_eq!(batch[1], Delta::Progress { last_seq: 0 });
-        let c = h.app_counters("lvc").unwrap();
+        let c = h.app_counters(AppId::Lvc).unwrap();
         assert_eq!(c.deliveries, 1);
         assert_eq!(c.events_in, 1);
     }
 
     #[test]
-    fn unknown_app_terminates_stream() {
+    fn unregistered_app_terminates_stream() {
         let mut h = BrassHost::new(HostConfig::small(1)); // no apps registered
         let fx = h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(42, 9), SimTime::ZERO);
         assert!(fx
             .iter()
             .any(|e| terminates(e, TerminateReason::ServerShutdown)));
         assert_eq!(h.counters().streams_rejected, 1);
+    }
+
+    /// A pre-resolved header naming an application no host runs is an
+    /// error, which the device does not retry, not a `ServerShutdown`,
+    /// which it retries at once and forever.
+    #[test]
+    fn header_naming_an_unknown_app_is_an_error() {
+        let mut h = host();
+        let header = Json::obj([
+            ("viewer", Json::from(9u64)),
+            ("app", Json::from("noisy")),
+            ("topic", Json::from("/LVC/42")),
+        ]);
+        let fx = h.on_subscribe(DeviceId(1), StreamId(1), header, SimTime::ZERO);
+        assert!(fx.iter().any(|e| terminates(e, TerminateReason::Error)));
+        assert!(!fx
+            .iter()
+            .any(|e| terminates(e, TerminateReason::ServerShutdown)));
+        assert_eq!(h.counters().streams_rejected, 1);
+        assert_eq!((h.instance_count(), h.stream_count()), (0, 0));
     }
 
     #[test]
@@ -898,20 +872,7 @@ mod tests {
             host_id: HostId(1),
             cores: 1, // capacity 2
         });
-        // Register three distinct trivial apps.
-        for name in ["lvc", "typing", "messenger"] {
-            match name {
-                "lvc" => h.register_app("lvc", || {
-                    Box::new(crate::apps::LvcApp::new(crate::apps::LvcConfig::default()))
-                }),
-                "typing" => {
-                    h.register_app("typing", || Box::new(crate::apps::TypingApp::default()))
-                }
-                _ => h.register_app("messenger", || {
-                    Box::new(crate::apps::MessengerApp::default())
-                }),
-            }
-        }
+        h.register_standard_apps();
         h.on_subscribe(DeviceId(1), StreamId(1), lvc_header(1, 1), SimTime::ZERO);
         let typing_header = Json::obj([
             ("viewer", Json::from(1u64)),

@@ -28,8 +28,10 @@
 //!   subscription per topic however many colocated BRASSes watch it; it
 //!   asks each app's [`BrassApp::watches`] rather than counting), and
 //!   stream bookkeeping.
-//! * [`apps`] — the five sample applications of §3.4/§4:
-//!   LiveVideoComments, ActiveStatus, TypingIndicator, Stories, Messenger.
+//! * [`apps`] — the seven applications of §3.4/§4 (LiveVideoComments,
+//!   ActiveStatus, TypingIndicator, Stories, Messenger, post Likes and
+//!   Notifications) and [`AppId`], the one declaration of their names,
+//!   topic families, factories and snapshot readers.
 
 pub mod app;
 pub mod apps;
@@ -40,5 +42,6 @@ pub mod resolve;
 pub mod table;
 
 pub use app::{AppCounters, BrassApp, Ctx, DeviceId, Effect, StreamKey, WasRequest, WasResponse};
+pub use apps::AppId;
 pub use host::{BrassHost, HostConfig};
 pub use resolve::ResolvedSub;

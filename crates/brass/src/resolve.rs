@@ -5,17 +5,20 @@
 //! The subscription travels in the BURST header under `"gql"`; this module
 //! parses it and maps the subscription field onto the owning application
 //! and its Pylon topic. Pre-resolved headers (with explicit `"app"` and
-//! `"topic"` fields — e.g. after a proxy repair) are accepted directly.
+//! `"topic"` fields — e.g. after a proxy repair) are accepted directly when
+//! `"app"` names an [`AppId`].
 
 use burst::json::Json;
 use pylon::Topic;
 use was::gql::{self, OpKind};
 
+use crate::apps::AppId;
+
 /// A resolved subscription.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResolvedSub {
-    /// The owning application, e.g. `"lvc"`.
-    pub app: String,
+    /// The owning application.
+    pub app: AppId,
     /// The primary Pylon topic for this stream.
     pub topic: Topic,
     /// The viewing user (drives per-user filtering and privacy).
@@ -31,7 +34,8 @@ pub enum ResolveError {
     MissingSubscription,
     /// The GraphQL text failed to parse or was not a subscription.
     BadGql(String),
-    /// The subscription field is not a known application.
+    /// The subscription field, or a pre-resolved header's `"app"`, is not a
+    /// known application.
     UnknownSubscription(String),
     /// A required argument was missing.
     MissingArgument(&'static str),
@@ -66,7 +70,7 @@ impl std::error::Error for ResolveError {}
 ///     ("gql", Json::from("subscription { liveVideoComments(videoId: 42) }")),
 /// ]);
 /// let sub = resolve(&header).unwrap();
-/// assert_eq!(sub.app, "lvc");
+/// assert_eq!(sub.app, brass::AppId::Lvc);
 /// assert_eq!(sub.topic.as_str(), "/LVC/42");
 /// assert_eq!(sub.viewer, 9);
 /// ```
@@ -81,12 +85,10 @@ pub fn resolve(header: &Json) -> Result<ResolvedSub, ResolveError> {
         header.get("app").and_then(Json::as_str),
         header.get("topic").and_then(Json::as_str),
     ) {
+        let app = AppId::from_name(app)
+            .ok_or_else(|| ResolveError::UnknownSubscription(app.to_owned()))?;
         let topic = Topic::new(topic).map_err(|e| ResolveError::BadGql(e.to_string()))?;
-        return Ok(ResolvedSub {
-            app: app.to_owned(),
-            topic,
-            viewer,
-        });
+        return Ok(ResolvedSub { app, topic, viewer });
     }
 
     let src = header
@@ -105,27 +107,23 @@ pub fn resolve(header: &Json) -> Result<ResolvedSub, ResolveError> {
             .ok_or(ResolveError::MissingArgument(name))
     };
     let (app, topic) = match field.name.as_str() {
-        "liveVideoComments" => ("lvc", Topic::live_video_comments(arg("videoId")?)),
+        "liveVideoComments" => (AppId::Lvc, Topic::live_video_comments(arg("videoId")?)),
         "typingIndicator" => (
-            "typing",
+            AppId::Typing,
             Topic::typing_indicator(arg("threadId")?, arg("counterpartyId")?),
         ),
-        "activeStatus" => ("active_status", Topic::active_status(viewer)),
-        "storiesTray" => ("stories", Topic::stories(viewer)),
-        "mailbox" => ("messenger", Topic::messenger_mailbox(arg("uid")?)),
+        "activeStatus" => (AppId::ActiveStatus, Topic::active_status(viewer)),
+        "storiesTray" => (AppId::Stories, Topic::stories(viewer)),
+        "mailbox" => (AppId::Messenger, Topic::messenger_mailbox(arg("uid")?)),
         "postLikes" => (
-            "likes",
+            AppId::Likes,
             Topic::new(&format!("/Likes/{}", arg("postId")?))
                 .expect("numeric post ids form valid topics"),
         ),
-        "notifications" => ("notifications", Topic::notifications(viewer)),
+        "notifications" => (AppId::Notifications, Topic::notifications(viewer)),
         other => return Err(ResolveError::UnknownSubscription(other.to_owned())),
     };
-    Ok(ResolvedSub {
-        app: app.to_owned(),
-        topic,
-        viewer,
-    })
+    Ok(ResolvedSub { app, topic, viewer })
 }
 
 #[cfg(test)]
@@ -141,25 +139,33 @@ mod tests {
         let cases = [
             (
                 "subscription { liveVideoComments(videoId: 1) }",
-                "lvc",
+                AppId::Lvc,
                 "/LVC/1",
             ),
             (
                 "subscription { typingIndicator(threadId: 2, counterpartyId: 3) }",
-                "typing",
+                AppId::Typing,
                 "/TI/2/3",
             ),
             (
                 "subscription { activeStatus }",
-                "active_status",
+                AppId::ActiveStatus,
                 "/Status/9",
             ),
-            ("subscription { storiesTray }", "stories", "/Stories/9"),
-            ("subscription { mailbox(uid: 9) }", "messenger", "/Msgr/9"),
-            ("subscription { postLikes(postId: 5) }", "likes", "/Likes/5"),
+            ("subscription { storiesTray }", AppId::Stories, "/Stories/9"),
+            (
+                "subscription { mailbox(uid: 9) }",
+                AppId::Messenger,
+                "/Msgr/9",
+            ),
+            (
+                "subscription { postLikes(postId: 5) }",
+                AppId::Likes,
+                "/Likes/5",
+            ),
             (
                 "subscription { notifications }",
-                "notifications",
+                AppId::Notifications,
                 "/Notif/9",
             ),
         ];
@@ -179,8 +185,21 @@ mod tests {
             ("topic", Json::from("/LVC/77")),
         ]);
         let sub = resolve(&h).unwrap();
-        assert_eq!(sub.app, "lvc");
+        assert_eq!(sub.app, AppId::Lvc);
         assert_eq!(sub.topic.as_str(), "/LVC/77");
+    }
+
+    #[test]
+    fn pre_resolved_headers_must_name_an_application() {
+        let h = Json::obj([
+            ("viewer", Json::from(4u64)),
+            ("app", Json::from("noisy")),
+            ("topic", Json::from("/LVC/77")),
+        ]);
+        assert_eq!(
+            resolve(&h),
+            Err(ResolveError::UnknownSubscription("noisy".into()))
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use brass::app::{BrassApp, Ctx, DeviceId, StreamKey};
 use brass::host::{BrassHost, HostConfig, HostEffect};
-use brass::ResolvedSub;
+use brass::{AppId, ResolvedSub};
 use burst::frame::{Frame, StreamId};
 use burst::json::Json;
 use pylon::Topic;
@@ -78,8 +78,8 @@ fn events_only_reach_subscribed_applications() {
         },
     };
     h.on_pylon_event(&ev, SimTime::ZERO);
-    assert_eq!(h.app_counters("lvc").unwrap().events_in, 1);
-    assert_eq!(h.app_counters("likes").unwrap().events_in, 0);
+    assert_eq!(h.app_counters(AppId::Lvc).unwrap().events_in, 1);
+    assert_eq!(h.app_counters(AppId::Likes).unwrap().events_in, 0);
 }
 
 /// A deliberately misbehaving application: panics are NOT what we model
@@ -115,7 +115,9 @@ impl BrassApp for NoisyApp {
 #[test]
 fn a_noisy_tenant_does_not_corrupt_neighbours() {
     let mut h = host();
-    h.register_app("noisy", || Box::new(NoisyApp { streams: 0 }));
+    // The noisy tenant stands in for one of the standard applications:
+    // the set of applications is closed.
+    h.register_app(AppId::Notifications, || Box::new(NoisyApp { streams: 0 }));
     // A healthy LVC stream first.
     h.on_subscribe(
         DeviceId(1),
@@ -126,7 +128,7 @@ fn a_noisy_tenant_does_not_corrupt_neighbours() {
     // The noisy app spools up via a pre-resolved header.
     let noisy_header = Json::obj([
         ("viewer", Json::from(2u64)),
-        ("app", Json::from("noisy")),
+        ("app", Json::from(AppId::Notifications.name())),
         ("topic", Json::from("/Noise/1")),
     ]);
     let fx = h.on_subscribe(DeviceId(2), StreamId(1), noisy_header, SimTime::ZERO);
@@ -154,7 +156,7 @@ fn a_noisy_tenant_does_not_corrupt_neighbours() {
         },
     };
     h.on_pylon_event(&ev, SimTime::ZERO);
-    assert_eq!(h.app_counters("lvc").unwrap().events_in, 1);
+    assert_eq!(h.app_counters(AppId::Lvc).unwrap().events_in, 1);
     let fx = h.on_timer("lvc", 0, SimTime::from_secs(2));
     assert!(
         fx.iter().any(|e| matches!(e, HostEffect::Was { .. })),
@@ -184,7 +186,7 @@ fn per_app_counters_are_independent() {
         };
         h.on_pylon_event(&ev, SimTime::ZERO);
     }
-    let likes = h.app_counters("likes").unwrap();
+    let likes = h.app_counters(AppId::Likes).unwrap();
     assert_eq!(likes.events_in, 10);
     assert_eq!(likes.decisions, 10);
     assert_eq!(likes.deliveries, 1, "rate-limited counter pushes");

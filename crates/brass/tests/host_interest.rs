@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use brass::app::DeviceId;
 use brass::host::{BrassHost, HostConfig, HostEffect};
+use brass::AppId;
 use burst::frame::StreamId;
 use burst::json::Json;
 use proptest::prelude::*;
@@ -22,7 +23,12 @@ use was::event::{EventKind, EventMeta};
 use was::UpdateEvent;
 
 /// Applications that declare exactly the topic their header names.
-const APPS: [&str; 4] = ["likes", "lvc", "notifications", "typing"];
+const APPS: [AppId; 4] = [
+    AppId::Likes,
+    AppId::Lvc,
+    AppId::Notifications,
+    AppId::Typing,
+];
 
 /// The topics streams declare, then one no stream declares. Each family's
 /// application accepts only its own; typing accepts any, so it shares
@@ -36,9 +42,9 @@ fn topic(t: usize) -> Topic {
 /// Whether `APPS[app]` accepts a stream on `TOPICS[t]`.
 fn accepts(app: usize, t: usize) -> bool {
     match APPS[app] {
-        "typing" => t + 1 < TOPICS.len(),
-        "likes" => TOPICS[t].starts_with("/Likes/"),
-        "lvc" => TOPICS[t].starts_with("/LVC/"),
+        AppId::Typing => t + 1 < TOPICS.len(),
+        AppId::Likes => TOPICS[t].starts_with("/Likes/"),
+        AppId::Lvc => TOPICS[t].starts_with("/LVC/"),
         _ => TOPICS[t].starts_with("/Notif/"),
     }
 }
@@ -85,7 +91,7 @@ fn op() -> impl Strategy<Value = Op> {
 fn header(device: u64, app: usize, t: usize) -> Json {
     Json::obj([
         ("viewer", Json::from(device)),
-        ("app", Json::from(APPS[app])),
+        ("app", Json::from(APPS[app].name())),
         ("topic", Json::from(TOPICS[t])),
     ])
 }

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use brass::app::{DeviceId, WasResponse};
 use brass::apps::messenger::RETRANSMIT_INTERVAL;
 use brass::host::{BrassHost, HostConfig, HostEffect};
+use brass::AppId;
 use burst::frame::{Delta, Frame, StreamId};
 use burst::json::Json;
 use proptest::prelude::*;
@@ -39,7 +40,7 @@ fn msg_event(mailbox: u64, seq: u64, object: u64) -> UpdateEvent {
     }
 }
 
-fn was_token(fx: &[HostEffect]) -> Option<(&'static str, brass::app::FetchToken)> {
+fn was_token(fx: &[HostEffect]) -> Option<(AppId, brass::app::FetchToken)> {
     fx.iter().find_map(|e| match e {
         HostEffect::Was { app, token, .. } => Some((*app, *token)),
         _ => None,
@@ -71,7 +72,7 @@ fn update_frames(fx: &[HostEffect]) -> Vec<(u64, Vec<Vec<u8>>)> {
         .collect()
 }
 
-fn timers_of(fx: &[HostEffect]) -> Vec<(SimTime, &'static str, u64)> {
+fn timers_of(fx: &[HostEffect]) -> Vec<(SimTime, AppId, u64)> {
     fx.iter()
         .filter_map(|e| match e {
             HostEffect::Timer { at, app, token } => Some((*at, *app, *token)),
@@ -84,7 +85,12 @@ fn timers_of(fx: &[HostEffect]) -> Vec<(SimTime, &'static str, u64)> {
 fn open_mailbox(host: &mut BrassHost) -> Vec<HostEffect> {
     let mut fx = host.on_subscribe(DeviceId(2), StreamId(1), msgr_header(2, 2), SimTime::ZERO);
     let (app, token) = was_token(&fx).expect("initial backfill");
-    fx.extend(host.on_was_response(app, token, WasResponse::Mailbox(vec![]), SimTime::ZERO));
+    fx.extend(host.on_was_response(
+        app.name(),
+        token,
+        WasResponse::Mailbox(vec![]),
+        SimTime::ZERO,
+    ));
     fx
 }
 
@@ -94,7 +100,7 @@ fn send_message(host: &mut BrassHost, seq: u64, now: SimTime) -> Vec<HostEffect>
     let fx = host.on_pylon_event(&msg_event(2, seq, 100 + seq), now);
     let (app, token) = was_token(&fx).expect("payload fetch");
     let payload = format!("m{seq}").into_bytes();
-    host.on_was_response(app, token, WasResponse::Payload(payload.into()), now)
+    host.on_was_response(app.name(), token, WasResponse::Payload(payload.into()), now)
 }
 
 #[test]
@@ -113,7 +119,10 @@ fn unacked_messages_are_retransmitted_until_acked() {
     assert_eq!(update_frames(&fx).len(), 1, "first transmission");
     let tick = timers_of(&fx);
     assert_eq!(tick.len(), 1);
-    assert_eq!((tick[0].0, tick[0].1), (SimTime::from_secs(5), "messenger"));
+    assert_eq!(
+        (tick[0].0, tick[0].1),
+        (SimTime::from_secs(5), AppId::Messenger)
+    );
 
     // No ack: the retransmit tick replays it and arms the next one.
     let fx = host.on_timer("messenger", tick[0].2, tick[0].0);
@@ -172,7 +181,7 @@ proptest! {
         let phase = SimTime::from_micros(phase_us);
         let fx = host.on_subscribe(DeviceId(2), StreamId(1), msgr_header(2, 2), phase);
         let (app, token) = was_token(&fx).expect("initial backfill");
-        host.on_was_response(app, token, WasResponse::Mailbox(vec![]), phase);
+        host.on_was_response(app.name(), token, WasResponse::Mailbox(vec![]), phase);
 
         // The script: whole milliseconds after the phase, plus 1 µs, so no
         // step shares an instant with a tick.
@@ -271,7 +280,7 @@ fn best_effort_streams_retain_nothing() {
     let fx = host.on_timer("lvc", 0, SimTime::from_secs(2));
     let (app, token) = was_token(&fx).unwrap();
     let fx = host.on_was_response(
-        app,
+        app.name(),
         token,
         WasResponse::Payload(b"c".to_vec().into()),
         SimTime::from_secs(2),

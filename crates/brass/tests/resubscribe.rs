@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 
 use brass::app::{DeviceId, WasRequest, WasResponse};
 use brass::host::{BrassHost, HostConfig, HostEffect};
+use brass::AppId;
 use burst::frame::StreamId;
 use burst::json::Json;
 use pylon::Topic;
@@ -20,7 +21,7 @@ struct Driven {
     host: BrassHost,
     now: SimTime,
     friends: Vec<u64>,
-    timers: Vec<(SimTime, &'static str, u64)>,
+    timers: Vec<(SimTime, AppId, u64)>,
     subscribes: BTreeMap<Topic, u32>,
     unsubscribes: BTreeMap<Topic, u32>,
 }
@@ -55,7 +56,9 @@ impl Driven {
                         WasRequest::MailboxAfter { .. } => WasResponse::Mailbox(Vec::new()),
                         WasRequest::FetchObject { .. } => WasResponse::NotFound,
                     };
-                    let fx = self.host.on_was_response(app, token, response, self.now);
+                    let fx = self
+                        .host
+                        .on_was_response(app.name(), token, response, self.now);
                     effects.extend(fx);
                 }
                 HostEffect::Send { .. } | HostEffect::DropUpdate { .. } => {}
@@ -79,7 +82,7 @@ impl Driven {
             }
             self.timers.swap_remove(next);
             self.now = at;
-            let fx = self.host.on_timer(app, token, at);
+            let fx = self.host.on_timer(app.name(), token, at);
             self.absorb(fx);
         }
         self.now = until;

@@ -8,9 +8,10 @@
 //!   reliability. It holds no header: BRASS edits the device's by rewrite.
 //! * [`ProxyStreamTable`] — POP / reverse-proxy side: keeps "a copy of the
 //!   current header and body of each stream passing through" so it can
-//!   resubscribe clients after an upstream failure (§3.5, §4), applies
-//!   rewrite deltas to that copy in flight, and garbage-collects state for
-//!   dead streams.
+//!   resubscribe clients after an upstream failure (§3.5, §4), and applies
+//!   rewrite deltas to that copy in flight. A stream's state goes when the
+//!   stream is cancelled or terminated, or its device connection closes;
+//!   there is no sweep for streams that ended unseen.
 
 use simkit::fxhash::FxHashMap;
 use simkit::snap::{ensure, restore_sorted, Snap, SnapReader, SnapResult, SnapWriter};

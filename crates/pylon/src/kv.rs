@@ -98,7 +98,7 @@ impl KvNode {
     /// Allocation-free replica comparison: a present list is never empty
     /// (entries are tombstoned, not removed) and always host-sorted, so
     /// `None` vs `Some` compares exactly like the owned empty-vs-populated
-    /// lists from [`read_entries`].
+    /// lists from [`read_entries`](Self::read_entries).
     pub fn entries(&self, topic: &Topic) -> Option<&SubEntries> {
         self.store.get(topic)
     }

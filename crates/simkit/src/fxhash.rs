@@ -101,7 +101,7 @@ impl Hasher for FxHasher {
         self.add_to_hash(n as u64);
     }
 
-    /// The last step of [`add_to_hash`](FxHasher::add_to_hash) is a
+    /// The last step of `FxHasher::add_to_hash` is a
     /// multiply, which only carries entropy upward: keys that step by 2^k
     /// leave the low k bits of the raw state zero, and hashbrown picks the
     /// bucket from the low bits. Rotate the product's top 21 bits — its

@@ -11,12 +11,12 @@
 //! loop, and what it costs there is cache lines, not comparisons: an event
 //! is 80–100 bytes and a line that has gone cold costs as much as a few
 //! hundred instructions. So an event is written once, into a **slab** slot
-//! it never leaves ([`Entry`]; freed slots are reused last-freed-first, so
+//! it never leaves (`Entry`; freed slots are reused last-freed-first, so
 //! the slot a pop just emptied is the warm one the next `schedule` fills),
 //! and everything that orders events moves 4-byte slab indices or 24-byte
-//! [`Key`]s instead:
+//! `Key`s instead:
 //!
-//! * **The ring** — [`RING`] buckets of `2^BUCKET_BITS` µs, covering the
+//! * **The ring** — `RING` buckets of `2^BUCKET_BITS` µs, covering the
 //!   buckets strictly after the cursor's up to `cursor + RING`. A bucket is
 //!   an unordered list of slab indices; `schedule` appends one `u32`.
 //! * **The due list** — when the cursor reaches a bucket its entries' keys
@@ -51,7 +51,7 @@
 //! better; they affect speed only, never order.
 //!
 //! A bucket keeps its index buffer between turns unless it grew past
-//! [`RETAIN_INDICES`]: small buffers refill every few seconds and would
+//! `RETAIN_INDICES`: small buffers refill every few seconds and would
 //! cost an allocation per turn, while one burst's buffer kept in each of
 //! 4,096 slots would pin the ring at its high-water mark.
 //!

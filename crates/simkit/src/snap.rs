@@ -42,7 +42,7 @@
 //! });
 //! ```
 //!
-//! [`snap_enum!`] rejects an unknown tag; tags need not be contiguous or
+//! [`snap_enum!`](crate::snap_enum) rejects an unknown tag; tags need not be contiguous or
 //! ordered. Maps and sets go through the `HashMap`/`HashSet`/`BTreeMap`
 //! impls here (or [`restore_sorted`] for a sorted `Vec`) only, and those
 //! are **strict**: keys are written sorted and must be strictly ascending
@@ -852,7 +852,7 @@ where
 }
 
 /// `Ok` when `holds`, otherwise `what` as the error: one line of a
-/// [`snap_struct!`] whole-value check, stating an invariant positively.
+/// [`snap_struct!`](crate::snap_struct) whole-value check, stating an invariant positively.
 pub fn ensure(holds: bool, what: &str) -> Result<(), String> {
     if holds {
         Ok(())

@@ -69,7 +69,7 @@ fn main() {
         "per-viewer rate limit held: {:.2} deliveries/viewer/minute in the storm window",
         (deliveries - phase1_deliveries) as f64 / 7.0 / 1.3
     );
-    let lvc = &m.per_app["lvc"];
+    let lvc = m.app_latencies(brass::AppId::Lvc).unwrap();
     println!(
         "latency through the storm: p50 {:.1} s, p95 {:.1} s (buffering caps at 10 s)",
         lvc.total.quantile(0.5) / 1_000.0,

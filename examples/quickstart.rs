@@ -42,7 +42,7 @@ fn main() {
         sim.device(bob).map(|d| d.delivered()).unwrap_or(0),
         sim.device(bob).map(|d| d.open_streams()).unwrap_or(0),
     );
-    let lvc = &m.per_app["lvc"];
+    let lvc = m.app_latencies(brass::AppId::Lvc).unwrap();
     println!(
         "end-to-end latency: {:.1} s (posting -> rendered; includes the ~2 s ML ranking)",
         lvc.total.mean() / 1_000.0

@@ -1,11 +1,11 @@
 //! Minimal vendored stand-in for `proptest` (offline build).
 //!
 //! The build environment cannot reach crates.io, so this workspace ships the
-//! subset of the proptest API its tests use: the [`Strategy`] trait with
-//! `prop_map` / `prop_filter` / `prop_recursive`, strategies for integer and
-//! float ranges, tuples, `Just`, `any::<T>()`, regex-class string patterns,
-//! `collection::vec`, `option::of`, the `prop_oneof!` union macro, and the
-//! `proptest!` test macro.
+//! subset of the proptest API its tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_filter` /
+//! `prop_recursive`, strategies for integer and float ranges, tuples, `Just`,
+//! `any::<T>()`, regex-class string patterns, `collection::vec`,
+//! `option::of`, the `prop_oneof!` union macro, and the `proptest!` macro.
 //!
 //! Failing cases are NOT shrunk — the failing input is printed as generated.
 //! Each test derives a fixed RNG seed from its own name, so runs are

@@ -3,6 +3,7 @@
 
 use bladerunner_repro::config::SystemConfig;
 use bladerunner_repro::sim::SystemSim;
+use brass::AppId;
 use simkit::time::{SimDuration, SimTime};
 
 #[test]
@@ -122,7 +123,10 @@ fn whole_system_runs_are_deterministic() {
             s.metrics().subscriptions.get(),
             s.total_decisions(),
             s.total_proxy_reconnects(),
-            format!("{:.3}", s.metrics().per_app["lvc"].total.mean()),
+            format!(
+                "{:.3}",
+                s.metrics().app_latencies(AppId::Lvc).unwrap().total.mean()
+            ),
         )
     };
     let a = run(77);
