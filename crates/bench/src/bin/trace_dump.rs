@@ -72,7 +72,7 @@ fn main() {
         .collect();
     print_table("drop attribution", &["hop", "reason", "count"], &drop_rows);
 
-    let delivered = ledger.deliveries().len();
+    let delivered = ledger.delivered_count();
     let unaccounted = ledger.unaccounted().len();
     println!(
         "\n{} traces: {} device deliveries, {} drop records, {} traces in flight at the horizon",

@@ -52,9 +52,9 @@ pub struct SystemConfig {
     /// scale bench turns it off.
     pub device_heartbeats: bool,
     /// Trace-ledger retention: `Full` keeps every hop record (what
-    /// `trace-dump` wants); `Bounded` folds accounting into histograms and
-    /// keeps only a ring of recent records, bounding peak RSS at bench
-    /// scale.
+    /// `trace-dump` wants); `Bounded` keeps only the most recent records,
+    /// bounding peak RSS at bench scale. The accounting and histograms
+    /// cover every record either way.
     pub trace_retention: Retention,
     /// Maximum concurrent streams per device ("each mobile app up to 20",
     /// §5); the oldest stream is cancelled to make room.

@@ -172,8 +172,8 @@ pub struct SystemMetrics {
     // ------------------------------------------------------------------
     // Per-stream accounting (Fig. 7 / Table 2).
     // ------------------------------------------------------------------
-    /// Per-stream stats, one entry per stream ever opened; read through
-    /// [`Self::publication_buckets`] and [`Self::streams_tracked`].
+    /// Per-stream stats, one entry per stream until it unregisters; read
+    /// through [`Self::publication_buckets`] and [`Self::streams_tracked`].
     stream_stats: StreamStats,
     /// Closed streams' lifetimes.
     pub stream_lifetimes: Vec<SimDuration>,
@@ -182,7 +182,9 @@ pub struct SystemMetrics {
 /// Lifetime and publication accounting for every stream ever opened
 /// (Fig. 7 / Table 2). One map rather than parallel `opened` /
 /// `publications` maps: at fleet scale every map shows up in
-/// bytes-per-device, and both fields are keyed identically.
+/// bytes-per-device, and both fields are keyed identically. An entry lives
+/// until its stream unregisters, then folds into a Fig. 7 bucket count (a
+/// device never reuses a sid), so churn does not grow the map.
 ///
 /// A publication is credited to its topic, not to each stream that
 /// subscribes to it: one counter increment per publish, however many
@@ -207,6 +209,19 @@ struct StreamStats {
     streams: FxHashMap<(u64, StreamId), StreamStat>,
     /// The topics that have a registered stream.
     topics: FxHashMap<TopicId, TopicCount>,
+    /// Unregistered streams, by the [`fig7_bucket`] of their settled count.
+    folded: [u64; 4],
+}
+
+/// The Fig. 7 bucket of a stream's publication count: 0, 1–9, 10–99 or
+/// 100+.
+fn fig7_bucket(publications: u64) -> usize {
+    match publications {
+        0 => 0,
+        1..=9 => 1,
+        10..=99 => 2,
+        _ => 3,
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -275,6 +290,11 @@ impl StreamStats {
         }
     }
 
+    /// Streams ever opened: those with an entry and those folded.
+    fn tracked(&self) -> u64 {
+        self.streams.len() as u64 + self.folded.iter().sum::<u64>()
+    }
+
     /// `(key, (opened, settled publications, topic))` in ascending key
     /// order.
     fn settled(&self) -> Vec<SettledRow> {
@@ -295,21 +315,31 @@ type SettledRow = ((u64, StreamId), (Option<SimTime>, u64, Option<Topic>));
 /// registrations, whatever the topic counters they are stored against.
 impl PartialEq for StreamStats {
     fn eq(&self, other: &Self) -> bool {
-        self.settled() == other.settled()
+        self.folded == other.folded && self.settled() == other.settled()
     }
 }
 
 /// The bytes of a hash map from stream to `(opened, publications, topic)`,
 /// with every count settled and the topic named while the stream is
-/// registered; restoring registers those streams again.
+/// registered, then the four folded bucket counts; restoring registers
+/// those streams again.
 impl Snap for StreamStats {
     fn snap(&self, w: &mut SnapWriter) {
         self.settled().snap(w);
+        self.folded.snap(w);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let rows = restore_sorted(r, |a: &SettledRow, b| a.0 < b.0)?;
-        let mut stats = StreamStats::default();
+        let folded: [u64; 4] = Snap::restore(r)?;
+        let sum = folded
+            .iter()
+            .try_fold(rows.len() as u64, |n, &c| n.checked_add(c));
+        ensure(sum.is_some(), "stream counts overflow").map_err(SnapError::Invalid)?;
+        let mut stats = StreamStats {
+            folded,
+            ..Default::default()
+        };
         for (key, (opened, publications, topic)) in rows {
             let stat = StreamStat {
                 opened,
@@ -490,9 +520,14 @@ impl SystemMetrics {
         }
     }
 
-    /// Stops crediting publications to a stream, keeping its count.
+    /// Stops crediting publications to a stream and folds its settled
+    /// count into its Fig. 7 bucket, dropping its entry.
     pub(crate) fn unregister_stream(&mut self, device: u64, sid: StreamId) {
-        self.stream_stats.unregister((device, sid));
+        let stats = &mut self.stream_stats;
+        stats.unregister((device, sid));
+        if let Some(stat) = stats.streams.remove(&(device, sid)) {
+            stats.folded[fig7_bucket(stat.publications)] += 1;
+        }
     }
 
     /// The topic a stream is registered on. Read for every frame, so it
@@ -512,30 +547,19 @@ impl SystemMetrics {
 
     /// Streams ever opened (Fig. 7 denominator).
     pub fn streams_tracked(&self) -> usize {
-        self.stream_stats.streams.len()
+        self.stream_stats.tracked() as usize
     }
 
     /// Fig. 7 summary: fraction of streams with 0 / 1–9 / 10–99 / 100+
     /// publications.
     pub fn publication_buckets(&self) -> [f64; 4] {
         let stats = &self.stream_stats;
-        let total = stats.streams.len().max(1) as f64;
-        let mut counts = [0usize; 4];
+        let total = stats.tracked().max(1) as f64;
+        let mut counts = stats.folded;
         for s in stats.streams.values() {
-            let b = match stats.publications(s) {
-                0 => 0,
-                1..=9 => 1,
-                10..=99 => 2,
-                _ => 3,
-            };
-            counts[b] += 1;
+            counts[fig7_bucket(stats.publications(s))] += 1;
         }
-        [
-            counts[0] as f64 / total * 100.0,
-            counts[1] as f64 / total * 100.0,
-            counts[2] as f64 / total * 100.0,
-            counts[3] as f64 / total * 100.0,
-        ]
+        counts.map(|c| c as f64 / total * 100.0)
     }
 
     /// The overall BRASS filtered fraction: `1 - deliveries / decisions`
@@ -611,7 +635,7 @@ impl SystemMetrics {
             fp.mix_u64(h.count());
         }
         fp.mix_u64(self.availability_timeline.len() as u64);
-        fp.mix_u64(self.stream_stats.streams.len() as u64);
+        fp.mix_u64(self.stream_stats.tracked());
         fp.mix_u64(self.stream_lifetimes.len() as u64);
     }
 }
@@ -649,13 +673,63 @@ mod tests {
         assert_eq!(buckets, [25.0, 25.0, 25.0, 25.0]);
     }
 
+    /// A subscribe/cancel churn keeps one stats entry per open stream,
+    /// while the Fig. 7 buckets and the stream count cover every stream
+    /// ever opened, as an unfolded tally of their counts does.
+    #[test]
+    fn unregistered_streams_fold_into_the_fig7_buckets() {
+        let topic = Topic::new("/Pubs/churn").expect("valid");
+        let mut m = metrics();
+        let mut tally: Vec<u64> = Vec::new();
+        let mut open: Vec<(u64, StreamId, usize)> = Vec::new();
+        for i in 0..400u64 {
+            let key = (i % 7, StreamId(i + 1));
+            m.stream_opened(key.0, key.1, SimTime::from_secs(i), Some(topic));
+            open.push((key.0, key.1, tally.len()));
+            tally.push(0);
+            // Each publication reaches every open stream.
+            for _ in 0..i % 13 {
+                m.publication(topic);
+                open.iter().for_each(|&(_, _, at)| tally[at] += 1);
+            }
+            if i % 3 != 0 {
+                // A step without publications cancels the stream it opened.
+                let at = match i % 13 {
+                    0 => open.len() - 1,
+                    _ => (i as usize * 7) % open.len(),
+                };
+                let (device, sid, _) = open.remove(at);
+                m.stream_closed(device, sid, SimTime::from_secs(i));
+                m.unregister_stream(device, sid);
+            }
+            assert_eq!(m.stream_stats.streams.len(), open.len(), "step {i}");
+            assert_eq!(m.streams_tracked(), tally.len());
+            let mut counts = [0.0; 4];
+            tally.iter().for_each(|&n| counts[fig7_bucket(n)] += 1.0);
+            let total = tally.len() as f64;
+            assert_eq!(m.publication_buckets(), counts.map(|c| c / total * 100.0));
+        }
+        assert!(
+            m.stream_stats.folded.iter().all(|&n| n > 0),
+            "{:?}",
+            m.stream_stats.folded
+        );
+        let resumed =
+            SystemMetrics::restore(&mut SnapReader::new(&bytes_of(&m))).expect("restores");
+        assert!(resumed == m);
+        assert_eq!(resumed.publication_buckets(), m.publication_buckets());
+    }
+
     /// The per-stream counting `publication` replaced: every publish walks
     /// the streams registered on its topic and bumps each one's counter.
+    /// It keeps every stream ever opened; `cancelled` marks those the
+    /// metrics fold.
     #[derive(Default)]
     struct EagerModel {
         stats: FxHashMap<(u64, StreamId), EagerStat>,
         topic_streams: FxHashMap<Topic, Vec<(u64, StreamId)>>,
         stream_topic: FxHashMap<(u64, StreamId), Topic>,
+        cancelled: std::collections::BTreeSet<(u64, StreamId)>,
     }
 
     #[derive(Default)]
@@ -664,14 +738,24 @@ mod tests {
         publications: u64,
     }
 
-    /// The stream stats' snapshot bytes the model implies: its rows in key
-    /// order, each naming the topic the stream is registered on.
+    /// The stream stats' snapshot bytes the model implies: the rows of the
+    /// streams not cancelled in key order, each naming the topic the stream
+    /// is registered on, then the cancelled streams' bucket counts.
     fn eager_bytes(model: &EagerModel) -> Vec<u8> {
-        let rows = model.stats.iter().map(|(key, s)| {
+        let live = model
+            .stats
+            .iter()
+            .filter(|(key, _)| !model.cancelled.contains(key));
+        let rows = live.map(|(key, s)| {
             let topic = model.stream_topic.get(key).copied();
             (*key, (s.opened, s.publications, topic))
         });
-        bytes_of(&rows.collect::<std::collections::BTreeMap<_, _>>())
+        let mut folded = [0u64; 4];
+        for key in &model.cancelled {
+            folded[fig7_bucket(model.stats[key].publications)] += 1;
+        }
+        let rows: std::collections::BTreeMap<_, _> = rows.collect();
+        bytes_of(&(rows, folded))
     }
 
     fn eager_buckets(model: &EagerModel) -> [f64; 4] {
@@ -743,6 +827,7 @@ mod tests {
                         let key = live.swap_remove(raw as usize % live.len());
                         close(&mut m, &mut model, key);
                         m.unregister_stream(key.0, key.1);
+                        model.cancelled.insert(key);
                         if let Some(topic) = model.stream_topic.remove(&key) {
                             model.topic_streams.get_mut(&topic).expect("registered").retain(|k| *k != key);
                         }
@@ -776,6 +861,8 @@ mod tests {
                     assert_eq!(m.stream_topic(key.0, key.1), topic, "op {i}");
                 }
                 assert_eq!(m.streams_tracked(), model.stats.len());
+                let open = model.stats.len() - model.cancelled.len();
+                assert_eq!(m.stream_stats.streams.len(), open, "op {i}");
                 assert_eq!(m.publication_buckets(), eager_buckets(&model));
                 assert_eq!(bytes_of(&m.stream_stats), eager_bytes(&model), "op {i}");
             }

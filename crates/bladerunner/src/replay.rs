@@ -162,7 +162,6 @@ fn ledger_tail(sim: &SystemSim, cutoff: SimTime, n: usize) -> Vec<String> {
     let render = |r: HopRecord| format!("{r}");
     let mut tail: Vec<String> = ledger
         .records()
-        .chain(ledger.recent_records().copied())
         .filter(|r| r.at <= cutoff)
         .map(render)
         .collect();

@@ -59,7 +59,7 @@ impl SystemSim {
             devices: simkit::collections::IdMap::new(),
             reg: Registries::default(),
             ledger: TraceLedger::with_retention(config.trace_retention),
-            pending_backfill: FxHashMap::default(),
+            pending_backfill: Default::default(),
             object_delivered: FxHashMap::default(),
             sub_started: FxHashMap::default(),
             metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),

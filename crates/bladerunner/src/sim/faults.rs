@@ -130,13 +130,12 @@ impl SystemSim {
         }
         // Anything lost while the device was away is refetched from the
         // WAS once the connection is back.
-        let mut missed: Vec<StreamId> = self
+        let streams = (device, StreamId(0))..=(device, StreamId(u64::MAX));
+        let missed: Vec<StreamId> = self
             .pending_backfill
-            .keys()
-            .filter(|&&(d, _)| d == device)
-            .map(|&(_, sid)| sid)
+            .range(streams)
+            .map(|(&(_, sid), _)| sid)
             .collect();
-        missed.sort_unstable_by_key(|sid| sid.0);
         for sid in missed {
             self.schedule_backfill_poll(now, link, device, sid);
         }

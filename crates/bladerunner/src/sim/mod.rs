@@ -47,6 +47,8 @@ mod fleet;
 mod snapshot;
 mod transport;
 
+use std::collections::BTreeMap;
+
 use brass::app::DeviceId;
 use brass::host::{BrassHost, HostEffect};
 use burst::frame::StreamId;
@@ -125,8 +127,9 @@ pub struct SystemSim {
     /// execution order.
     ledger: TraceLedger,
     /// (device, sid) → traces lost in delivery to that stream, recoverable
-    /// by a WAS backfill poll (gap detection or reconnect).
-    pending_backfill: FxHashMap<(u64, StreamId), Vec<TraceId>>,
+    /// by a WAS backfill poll (gap detection or reconnect). Ordered, so a
+    /// reconnect reads its own device's streams as one range.
+    pending_backfill: BTreeMap<(u64, StreamId), Vec<TraceId>>,
     /// Pylon event delivery time per (host, object), for BRASS-latency
     /// attribution of later payload fetches.
     object_delivered: FxHashMap<(usize, ObjectId), SimTime>,

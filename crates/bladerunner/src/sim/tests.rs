@@ -475,9 +475,8 @@ fn lvc_traces_account_for_every_update() {
                 .fold(SimDuration::ZERO, |a, b| a + b);
             let e2e = ledger
                 .deliveries()
-                .iter()
                 .find(|(t, _)| *t == trace)
-                .map(|(_, d)| *d)
+                .map(|(_, d)| d)
                 .unwrap();
             assert_eq!(hop_sum, e2e, "hop latencies sum to delivery latency");
         } else {

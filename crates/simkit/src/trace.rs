@@ -16,33 +16,26 @@
 //!
 //! # Retention
 //!
-//! A ledger runs in one of two [`Retention`] modes. [`Retention::Full`]
-//! (the default, what `trace-dump` wants) keeps every record and a
-//! per-trace index, so full chains can be reconstructed. It stores runs:
-//! a record identical to the one appended just before it (a storm update
+//! A ledger keeps one record store: the records in append order, as runs.
+//! A record identical to the one appended just before it (a storm update
 //! dropped from hundreds of viewers' buffers in one instant) extends that
 //! record's count instead of taking a slot, so memory is O(runs), while
-//! [`TraceLedger::records`], [`TraceLedger::chain`], the fingerprint and
-//! the snapshot all see the records one by one. The fingerprint
-//! ([`LedgerFp`]) is a polynomial hash whose value for a run has a closed
-//! form, so a run costs O(log n) to fingerprint. [`Retention::Bounded`]
-//! keeps only a fixed-size ring of the most
-//! recent records plus compact per-trace accounting state (delivered /
-//! first drop / backfilled, first and last timestamps) and folds latencies
-//! into histograms on the fly, so bench-scale chaos runs don't blow peak
-//! RSS. Accounting queries ([`TraceLedger::is_delivered`],
-//! [`TraceLedger::drop_of`], [`TraceLedger::unaccounted`], the drop table,
-//! hop summaries, e2e latency summary) answer identically in both modes;
-//! only full-chain reconstruction degrades to the retained ring.
+//! [`TraceLedger::records`] and [`TraceLedger::chain`] see the records one
+//! by one. [`Retention::Full`] (the default, what `trace-dump` wants) keeps
+//! every run; [`Retention::Bounded`] trims the store to its last `cap`
+//! records, so bench-scale runs don't blow peak RSS, and chains and
+//! deliveries then cover that window. Compact per-trace accounting state,
+//! the latency histograms and the fingerprint ([`LedgerFp`], a polynomial
+//! hash whose value for a run has a closed form, so a run costs O(log n))
+//! cover every record under either retention.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::fxhash::FxHashMap;
 use crate::metrics::{Histogram, Summary};
-use crate::snap::{Snap, SnapError, SnapReader, SnapResult, SnapWriter};
+use crate::snap::{ensure, Snap, SnapError, SnapReader, SnapResult, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 use crate::{snap_enum, snap_struct};
 
@@ -58,43 +51,30 @@ impl fmt::Display for TraceId {
 }
 
 /// A pipeline stage an update passes through (the paper's Fig. 5 path).
+/// The discriminants are stable tags the fingerprint mixes: never reorder
+/// them; append only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Hop {
     /// The write committed at the WAS/TAO and emitted an update event.
-    TaoCommit,
+    TaoCommit = 0,
     /// The event reached Pylon and fanned out to subscribed hosts.
-    PylonPublish,
+    PylonPublish = 1,
     /// Pylon handed the event to one BRASS host.
-    PylonDeliver,
+    PylonDeliver = 2,
     /// BRASS processing: filtering, buffering, and the payload fetch.
-    BrassProcess,
+    BrassProcess = 3,
     /// The BRASS emitted a BURST response frame carrying the payload.
-    BrassSend,
+    BrassSend = 4,
     /// The frame cleared the edge (proxy + POP) toward the device.
-    BurstDeliver,
+    BurstDeliver = 5,
     /// The device received and rendered the update.
-    DeviceRender,
+    DeviceRender = 6,
     /// The device recovered a previously lost update by polling the WAS
     /// (gap-detection backfill, §5).
-    WasBackfill,
+    WasBackfill = 7,
 }
 
 impl Hop {
-    /// Stable numeric tag, used by snapshots and fingerprints. Never
-    /// reorder these; append only.
-    fn tag(self) -> u8 {
-        match self {
-            Hop::TaoCommit => 0,
-            Hop::PylonPublish => 1,
-            Hop::PylonDeliver => 2,
-            Hop::BrassProcess => 3,
-            Hop::BrassSend => 4,
-            Hop::BurstDeliver => 5,
-            Hop::DeviceRender => 6,
-            Hop::WasBackfill => 7,
-        }
-    }
-
     /// Short stable name, used in tables and dumps.
     pub fn name(self) -> &'static str {
         match self {
@@ -116,39 +96,40 @@ impl fmt::Display for Hop {
     }
 }
 
-/// Why a hop killed an update.
+/// Why a hop killed an update. The discriminants are stable tags the
+/// fingerprint mixes: never reorder them; append only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DropReason {
     /// Content language did not match the viewer's.
-    LanguageFilter,
+    LanguageFilter = 0,
     /// ML quality score below the application's floor.
-    QualityFilter,
+    QualityFilter = 1,
     /// The update was already stale when the filter saw it.
-    Stale,
+    Stale = 2,
     /// The WAS privacy check denied the viewer.
-    PrivacyBlock,
+    PrivacyBlock = 3,
     /// The per-stream rate limit starved it until it aged out of the
     /// ranked buffer.
-    RateLimit,
+    RateLimit = 4,
     /// Evicted from a full ranked buffer by higher-ranked updates.
-    BufferOverflow,
+    BufferOverflow = 5,
     /// The referenced object no longer existed at fetch time.
-    NotFound,
+    NotFound = 6,
     /// Published to a topic with no subscribed host.
-    NoSubscribers,
+    NoSubscribers = 7,
     /// The target device was disconnected when the frame arrived.
-    DeviceDisconnected,
+    DeviceDisconnected = 8,
     /// The frame was lost on the last mile.
-    LastMileLoss,
+    LastMileLoss = 9,
     /// The target BRASS host was down (crashed or mid-upgrade); anything
     /// addressed to it — or buffered inside it — died with it.
-    HostDown,
+    HostDown = 10,
     /// Shed at a BRASS host's bounded ingress mailbox under overload.
-    MailboxOverflow,
+    MailboxOverflow = 11,
     /// Shed at the POP egress because the device's BURST flow-control
     /// window was exhausted; the device was told via
     /// `FlowStatus::Degraded`.
-    FlowControl,
+    FlowControl = 12,
     /// An application received the update but no live stream wanted it —
     /// the subscriber unsubscribed (or its interest lapsed) between the
     /// topic fan-out and app-level processing.
@@ -156,27 +137,6 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// Stable numeric tag, used by snapshots and fingerprints. Never
-    /// reorder these; append only.
-    fn tag(self) -> u8 {
-        match self {
-            DropReason::LanguageFilter => 0,
-            DropReason::QualityFilter => 1,
-            DropReason::Stale => 2,
-            DropReason::PrivacyBlock => 3,
-            DropReason::RateLimit => 4,
-            DropReason::BufferOverflow => 5,
-            DropReason::NotFound => 6,
-            DropReason::NoSubscribers => 7,
-            DropReason::DeviceDisconnected => 8,
-            DropReason::LastMileLoss => 9,
-            DropReason::HostDown => 10,
-            DropReason::MailboxOverflow => 11,
-            DropReason::FlowControl => 12,
-            DropReason::NoAudience => 13,
-        }
-    }
-
     /// Short stable name, used in tables and dumps.
     pub fn name(self) -> &'static str {
         match self {
@@ -247,7 +207,7 @@ impl fmt::Display for HopRecord {
     }
 }
 
-/// A run of identical consecutive records, as [`Retention::Full`] stores
+/// A run of identical consecutive records, as a [`TraceLedger`] stores
 /// them. Flat, so the count sits where a [`HopRecord`] has padding and a
 /// run costs no more than the one record it replaces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,6 +266,17 @@ snap_struct!(HopRecord {
     at,
     outcome
 });
+// A run is its record, then its count.
+snap_struct!(
+    Run {
+        trace_id,
+        hop,
+        at,
+        outcome,
+        count
+    },
+    |run| ensure(run.count > 0, "a run of no records")
+);
 snap_enum!(Retention { 0 => Full, 1 => Bounded(cap) });
 snap_struct!(TraceState {
     first_at,
@@ -321,7 +292,7 @@ impl HopOutcome {
     fn code(self) -> u64 {
         match self {
             HopOutcome::Ok => 0,
-            HopOutcome::Dropped(r) => 1 + r.tag() as u64,
+            HopOutcome::Dropped(r) => 1 + r as u64,
         }
     }
 }
@@ -446,11 +417,11 @@ impl Snap for LedgerFp {
 /// How much raw record history a [`TraceLedger`] keeps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Retention {
-    /// Keep every record and a per-trace index (full chains forever).
+    /// Keep every record (full chains forever).
     #[default]
     Full,
-    /// Keep a ring of at most this many recent records; per-trace state is
-    /// folded into compact accounting entries and histograms on the fly.
+    /// Keep the most recent records, at most this many; the accounting
+    /// state and histograms cover the whole history either way.
     Bounded(usize),
 }
 
@@ -488,22 +459,18 @@ struct TraceState {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLedger {
     retention: Retention,
-    /// Every record in append order, identical neighbours folded into one
-    /// run ([`Retention::Full`] only).
-    runs: Vec<Run>,
-    /// Indices into `runs`, per trace ([`Retention::Full`] only).
-    by_trace: FxHashMap<TraceId, Vec<u32>>,
-    /// Ring of the most recent records ([`Retention::Bounded`] only).
-    recent: VecDeque<HopRecord>,
+    /// The retained records in append order, identical neighbours folded
+    /// into one run: every record, or under [`Retention::Bounded`] the
+    /// last `cap`.
+    runs: VecDeque<Run>,
+    /// Records in `runs`: the sum of their counts.
+    stored: usize,
     /// Compact per-trace accounting, maintained in both modes.
     states: FxHashMap<TraceId, TraceState>,
     /// Latency from the previous hop of the same trace to this hop (ms).
     hop_latency: BTreeMap<Hop, Histogram>,
     /// (hop, reason) → updates killed there.
     drops: BTreeMap<(Hop, DropReason), u64>,
-    /// Completed deliveries: (trace, end-to-end latency), in render order
-    /// ([`Retention::Full`] only — use [`Self::e2e_histogram`] otherwise).
-    delivered: Vec<(TraceId, SimDuration)>,
     /// End-to-end latency of every delivery (ms), both modes.
     e2e: Histogram,
     /// Total successful renders (first per trace), both modes.
@@ -528,11 +495,6 @@ impl TraceLedger {
             retention,
             ..Self::default()
         }
-    }
-
-    /// Creates a bounded ledger retaining at most `recent` raw records.
-    pub fn bounded(recent: usize) -> Self {
-        Self::with_retention(Retention::Bounded(recent))
     }
 
     /// This ledger's retention mode.
@@ -564,7 +526,7 @@ impl TraceLedger {
         if n == 0 {
             return;
         }
-        let code = ((hop.tag() as u64) << 8) | outcome.code();
+        let code = ((hop as u64) << 8) | outcome.code();
         self.fp.mix_record(trace_id.0, at.as_micros(), code, n);
         let (st, latency) = match self.states.entry(trace_id) {
             Entry::Occupied(e) => {
@@ -602,60 +564,52 @@ impl TraceLedger {
             self.e2e.record_n(e2e.as_millis_f64(), u64::from(n));
             self.delivered_count += u64::from(n);
             st.delivered = true;
-            if self.retention == Retention::Full {
-                self.delivered
-                    .extend(std::iter::repeat_n((trace_id, e2e), n as usize));
-            }
         }
         if hop == Hop::WasBackfill && outcome == HopOutcome::Ok {
             st.backfilled = true;
         }
         st.last_at = at;
-        let rec = HopRecord {
+        self.push_run(Run {
             trace_id,
-            hop,
             at,
+            count: n,
+            hop,
             outcome,
+        });
+    }
+
+    /// Appends `run` to the store, extending the last run when it holds the
+    /// same record (up to `u32::MAX`, where a new run starts), then trims a
+    /// bounded store from the front to its cap, splitting the oldest run's
+    /// count where needed.
+    fn push_run(&mut self, mut run: Run) {
+        self.stored += run.count as usize;
+        if let Some(last) = self.runs.back_mut().filter(|r| r.record() == run.record()) {
+            let take = run.count.min(u32::MAX - last.count);
+            last.count += take;
+            run.count -= take;
+        }
+        if run.count > 0 {
+            self.runs.push_back(run);
+        }
+        let Retention::Bounded(cap) = self.retention else {
+            return;
         };
-        match self.retention {
-            Retention::Full => self.push_run(rec, n),
-            Retention::Bounded(cap) => {
-                // Copies beyond `cap` would be evicted by the copies after them.
-                let copies = (n as usize).min(cap);
-                self.recent.extend(std::iter::repeat_n(rec, copies));
-                while self.recent.len() > cap {
-                    self.recent.pop_front();
-                }
+        while self.stored > cap {
+            let oldest = self.runs.front_mut().expect("stored records are in runs");
+            let excess = self.stored - cap;
+            if (oldest.count as usize) > excess {
+                oldest.count -= excess as u32;
+                self.stored = cap;
+            } else {
+                self.stored -= oldest.count as usize;
+                self.runs.pop_front();
             }
         }
     }
 
-    /// Appends `n` copies of `rec` to the stored runs, extending the last
-    /// run when it holds the same record. Live appends and snapshot
-    /// restores both come through here, so a restored ledger folds its
-    /// records into exactly the runs the original held.
-    fn push_run(&mut self, rec: HopRecord, mut n: u32) {
-        if let Some(last) = self.runs.last_mut().filter(|r| r.record() == rec) {
-            let take = n.min(u32::MAX - last.count);
-            last.count += take;
-            n -= take;
-        }
-        if n > 0 {
-            let idx = self.runs.len() as u32;
-            self.by_trace.entry(rec.trace_id).or_default().push(idx);
-            self.runs.push(Run {
-                trace_id: rec.trace_id,
-                at: rec.at,
-                count: n,
-                hop: rec.hop,
-                outcome: rec.outcome,
-            });
-        }
-    }
-
-    /// All records, in append order, one per record appended (runs
-    /// expanded). Empty in [`Retention::Bounded`] mode — see
-    /// [`Self::recent_records`] for the retained ring.
+    /// The retained records, in append order, one per record appended
+    /// (runs expanded).
     pub fn records(&self) -> impl Iterator<Item = HopRecord> + '_ {
         self.runs()
             .flat_map(|(rec, n)| std::iter::repeat_n(rec, n as usize))
@@ -664,16 +618,9 @@ impl TraceLedger {
     /// The stored runs, in append order: each record with how many times it
     /// was appended back to back. Expanding them gives [`Self::records`];
     /// a pass that does not care about repeats (earliest instant per trace,
-    /// say) reads these instead. Empty in [`Retention::Bounded`] mode.
+    /// say) reads these instead.
     pub fn runs(&self) -> impl Iterator<Item = (HopRecord, u32)> + '_ {
         self.runs.iter().map(|r| (r.record(), r.count))
-    }
-
-    /// The retained ring of most recent records ([`Retention::Bounded`]
-    /// mode; empty under [`Retention::Full`], where [`Self::records`] has
-    /// everything).
-    pub fn recent_records(&self) -> impl Iterator<Item = &HopRecord> {
-        self.recent.iter()
     }
 
     /// Number of distinct traces seen.
@@ -682,33 +629,20 @@ impl TraceLedger {
     }
 
     /// The hop chain of one trace, in order. Under [`Retention::Bounded`]
-    /// this is only the part still inside the retained ring.
+    /// this is only the part still in the store.
     pub fn chain(&self, trace_id: TraceId) -> Vec<HopRecord> {
-        self.chain_runs(trace_id)
-            .into_iter()
-            .flat_map(|(rec, n)| std::iter::repeat_n(rec, n as usize))
-            .collect()
+        self.records().filter(|r| r.trace_id == trace_id).collect()
     }
 
     /// [`Self::chain`] with identical consecutive records folded into
     /// `(record, count)` runs.
     fn chain_runs(&self, trace_id: TraceId) -> Vec<(HopRecord, u64)> {
         let mut out: Vec<(HopRecord, u64)> = Vec::new();
-        let mut push = |rec: HopRecord, n: u64| match out.last_mut() {
-            Some((last, count)) if *last == rec => *count += n,
-            _ => out.push((rec, n)),
-        };
-        match self.retention {
-            Retention::Full => {
-                for &i in self.by_trace.get(&trace_id).into_iter().flatten() {
-                    let run = &self.runs[i as usize];
-                    push(run.record(), u64::from(run.count));
-                }
-            }
-            Retention::Bounded(_) => {
-                for rec in self.recent.iter().filter(|r| r.trace_id == trace_id) {
-                    push(*rec, 1);
-                }
+        for run in self.runs.iter().filter(|r| r.trace_id == trace_id) {
+            let (rec, n) = (run.record(), u64::from(run.count));
+            match out.last_mut() {
+                Some((last, count)) if *last == rec => *count += n,
+                _ => out.push((rec, n)),
             }
         }
         out
@@ -751,10 +685,17 @@ impl TraceLedger {
         ids
     }
 
-    /// Completed deliveries as `(trace, end-to-end latency)`, render order
-    /// ([`Retention::Full`] only; empty when bounded).
-    pub fn deliveries(&self) -> &[(TraceId, SimDuration)] {
-        &self.delivered
+    /// The stored deliveries as `(trace, end-to-end latency)`, in render
+    /// order: one per successful [`Hop::DeviceRender`] record, timed from
+    /// its trace's first record.
+    pub fn deliveries(&self) -> impl Iterator<Item = (TraceId, SimDuration)> + '_ {
+        self.runs
+            .iter()
+            .filter(|r| r.hop == Hop::DeviceRender && r.outcome == HopOutcome::Ok)
+            .flat_map(|r| {
+                let e2e = r.at.saturating_since(self.states[&r.trace_id].first_at);
+                std::iter::repeat_n((r.trace_id, e2e), r.count as usize)
+            })
     }
 
     /// Total successful renders (first render per trace), both modes.
@@ -772,10 +713,10 @@ impl TraceLedger {
         &self.e2e
     }
 
-    /// The `n` slowest deliveries, slowest first (ties: lower trace first).
-    /// [`Retention::Full`] only; empty when bounded.
+    /// The `n` slowest stored deliveries, slowest first (ties: lower trace
+    /// first).
     pub fn slowest(&self, n: usize) -> Vec<(TraceId, SimDuration)> {
-        let mut all = self.delivered.clone();
+        let mut all: Vec<_> = self.deliveries().collect();
         all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(n);
         all
@@ -853,57 +794,80 @@ impl TraceLedger {
     }
 }
 
-/// The ledger's complete state, including accounting maps, latency
-/// histograms, and the rolling fingerprint. Records are written one by one,
-/// as the plain record list the runs stand for, and folded back into runs
-/// on restore; the per-trace index is derived from the runs. A bounded
-/// ring longer than its cap is rejected.
+/// The ledger's complete state: the stored runs, as `(record, count)`, the
+/// accounting maps, latency histograms, and the rolling fingerprint.
 impl Snap for TraceLedger {
     fn snap(&self, w: &mut SnapWriter) {
         self.retention.snap(w);
-        w.put_usize(self.runs.iter().map(|r| r.count as usize).sum());
-        for rec in self.records() {
-            rec.snap(w);
-        }
-        self.recent.snap(w);
+        self.runs.snap(w);
         self.states.snap(w);
         self.hop_latency.snap(w);
         self.drops.snap(w);
-        self.delivered.snap(w);
         self.e2e.snap(w);
         self.delivered_count.snap(w);
         self.fp.snap(w);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        let mut ledger = TraceLedger::with_retention(Retention::restore(r)?);
-        for _ in 0..r.get_len()? {
-            ledger.push_run(HopRecord::restore(r)?, 1);
-        }
-        let recent = VecDeque::<HopRecord>::restore(r)?;
-        match ledger.retention {
-            Retention::Full if !recent.is_empty() => {
-                return Err(SnapError::Invalid("full ledger has a recent ring".into()));
-            }
-            Retention::Bounded(cap) if recent.len() > cap => {
-                return Err(SnapError::Invalid(format!(
-                    "ring of {} exceeds cap {cap}",
-                    recent.len()
-                )));
-            }
-            _ => {}
-        }
-        Ok(TraceLedger {
-            recent,
+        let retention = Snap::restore(r)?;
+        let runs: VecDeque<Run> = Snap::restore(r)?;
+        let ledger = TraceLedger {
+            retention,
+            stored: runs.iter().map(|run| run.count as usize).sum(),
+            runs,
             states: Snap::restore(r)?,
             hop_latency: Snap::restore(r)?,
             drops: Snap::restore(r)?,
-            delivered: Snap::restore(r)?,
             e2e: Snap::restore(r)?,
             delivered_count: Snap::restore(r)?,
             fp: Snap::restore(r)?,
-            ..ledger
-        })
+        };
+        ledger.check().map_err(SnapError::Invalid)?;
+        Ok(ledger)
+    }
+}
+
+impl TraceLedger {
+    /// Restore accepts only the store a ledger reaches, so what it loads is
+    /// canonical (a run of no records is rejected as it is read): two
+    /// adjacent runs of one record only where the first is full, at most
+    /// `cap` records, and no run of a trace without accounting state. A trace's records need not come
+    /// in time order (a send is stamped when it leaves, ahead of records
+    /// other viewers add later), so only its ends are checked: its newest
+    /// stored run is its newest record (a bounded store keeps a suffix),
+    /// and a full store holds every trace's first record.
+    fn check(&self) -> Result<(), String> {
+        let pairs = self.runs.iter().zip(self.runs.iter().skip(1));
+        for (run, next) in pairs {
+            let split = run.count == u32::MAX;
+            ensure(
+                split || run.record() != next.record(),
+                "adjacent runs of one record",
+            )?;
+        }
+        let mut ends: FxHashMap<TraceId, (SimTime, SimTime)> = FxHashMap::default();
+        for run in &self.runs {
+            ends.entry(run.trace_id)
+                .and_modify(|(_, newest)| *newest = run.at)
+                .or_insert((run.at, run.at));
+        }
+        let full = self.retention == Retention::Full;
+        ensure(
+            !full || ends.len() == self.states.len(),
+            "a trace with no run",
+        )?;
+        for (trace, (oldest, newest)) in ends {
+            let st = self
+                .states
+                .get(&trace)
+                .ok_or("a run of a trace with no state")?;
+            let at_ends = newest == st.last_at && (!full || oldest == st.first_at);
+            ensure(at_ends, "a trace's runs end off its first or last record")?;
+        }
+        match self.retention {
+            Retention::Bounded(cap) => ensure(self.stored <= cap, "more records than the cap"),
+            Retention::Full => Ok(()),
+        }
     }
 }
 
@@ -913,6 +877,10 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)
+    }
+
+    fn bounded(cap: usize) -> TraceLedger {
+        TraceLedger::with_retention(Retention::Bounded(cap))
     }
 
     #[test]
@@ -926,7 +894,7 @@ mod tests {
         l.record(t, Hop::BurstDeliver, ms(55), HopOutcome::Ok);
         l.record(t, Hop::DeviceRender, ms(100), HopOutcome::Ok);
         assert!(l.is_delivered(t));
-        assert_eq!(l.deliveries(), &[(t, SimDuration::from_millis(100))]);
+        assert!(l.deliveries().eq([(t, SimDuration::from_millis(100))]));
         assert_eq!(l.delivered_count(), 1);
         assert_eq!(l.e2e_histogram().count(), 1);
         // Per-hop latencies sum to the end-to-end latency.
@@ -1068,7 +1036,7 @@ mod tests {
     #[test]
     fn format_chain_folds_runs() {
         let overflow = HopOutcome::Dropped(DropReason::BufferOverflow);
-        for mut l in [TraceLedger::new(), TraceLedger::bounded(16)] {
+        for mut l in [TraceLedger::new(), bounded(16)] {
             let (t, other) = (TraceId(1), TraceId(2));
             l.record(t, Hop::TaoCommit, ms(1), HopOutcome::Ok);
             l.record_n(t, Hop::BrassProcess, ms(4), overflow, 3);
@@ -1102,7 +1070,7 @@ mod tests {
     #[test]
     fn bounded_ledger_accounts_like_full() {
         let mut full = TraceLedger::new();
-        let mut bounded = TraceLedger::bounded(4);
+        let mut bounded = bounded(4);
         for l in [&mut full, &mut bounded] {
             for id in 0..10u64 {
                 let t = TraceId(id);
@@ -1135,12 +1103,14 @@ mod tests {
             assert_eq!(full.drop_of(t), bounded.drop_of(t));
             assert_eq!(full.is_backfilled(t), bounded.is_backfilled(t));
         }
-        // Raw history: full keeps everything, bounded keeps the ring.
+        // Raw history: full keeps everything, bounded its last four.
         assert_eq!(full.records().count(), 34);
-        assert!(bounded.records().next().is_none());
-        assert_eq!(bounded.recent_records().count(), 4);
-        let last = bounded.recent_records().last().unwrap();
-        assert_eq!(last.trace_id, TraceId(9));
+        let kept: Vec<HopRecord> = full.records().skip(30).collect();
+        assert!(bounded.records().eq(kept));
+        assert_eq!(bounded.records().last().unwrap().trace_id, TraceId(9));
+        // Trace 9 was backfilled, so the last four hold no delivery.
+        assert_eq!(full.deliveries().count(), 6);
+        assert_eq!(bounded.deliveries().count(), 0);
     }
 
     /// Satellite: the rolling fingerprint must not depend on retention —
@@ -1149,7 +1119,7 @@ mod tests {
     #[test]
     fn fingerprint_identical_bounded_vs_full_across_ring_wrap() {
         let mut full = TraceLedger::new();
-        let mut bounded = TraceLedger::bounded(3); // wraps dozens of times
+        let mut bounded = bounded(3); // wraps dozens of times
         for l in [&mut full, &mut bounded] {
             for id in 0..100u64 {
                 let t = TraceId(id);
@@ -1167,7 +1137,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(bounded.recent_records().count(), 3);
+        assert_eq!(bounded.records().count(), 3);
         assert_eq!(full.fingerprint(), bounded.fingerprint());
         // And the fingerprint is history-sensitive, not just a count.
         let mut other = TraceLedger::new();
@@ -1328,16 +1298,131 @@ mod tests {
         }
     }
 
+    /// A ledger with a hand-edited store or accounting state, snapshotted
+    /// and restored.
+    fn reload(l: &TraceLedger) -> SnapResult<TraceLedger> {
+        let mut w = crate::snap::SnapWriter::new();
+        l.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = crate::snap::SnapReader::new(&bytes);
+        TraceLedger::restore(&mut r).and_then(|l| r.finish().map(|()| l))
+    }
+
+    /// Restore accepts only stores a ledger reaches: every rejection below
+    /// is of bytes that differ from a reachable ledger's in one field.
+    #[test]
+    fn restore_rejects_stores_no_ledger_reaches() {
+        let overflow = HopOutcome::Dropped(DropReason::BufferOverflow);
+        let build = |retention| {
+            let mut l = TraceLedger::with_retention(retention);
+            l.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
+            l.record_n(TraceId(1), Hop::BrassProcess, ms(4), overflow, 5);
+            l.record(TraceId(2), Hop::TaoCommit, ms(6), HopOutcome::Ok);
+            l.record(TraceId(1), Hop::DeviceRender, ms(9), HopOutcome::Ok);
+            l
+        };
+        for retention in [Retention::Full, Retention::Bounded(8)] {
+            let l = build(retention);
+            assert_eq!(reload(&l), Ok(l.clone()));
+            let edited = |edit: &dyn Fn(&mut TraceLedger)| {
+                let mut bad = l.clone();
+                edit(&mut bad);
+                reload(&bad)
+            };
+            let last = l.runs.len() - 1;
+            assert!(edited(&|b| b.runs[last].count = 0).is_err(), "zero count");
+            // The run of five, written as two and three.
+            let split = |b: &mut TraceLedger| {
+                let at = b.runs.iter().position(|r| r.count == 5).unwrap();
+                b.runs[at].count = 2;
+                b.runs.insert(
+                    at,
+                    Run {
+                        count: 3,
+                        ..b.runs[at]
+                    },
+                );
+            };
+            assert!(edited(&split).is_err(), "adjacent identical runs");
+            let stateless = |b: &mut TraceLedger| {
+                b.states.remove(&TraceId(2));
+            };
+            assert!(edited(&stateless).is_err(), "a trace with no state");
+            assert!(
+                edited(&|b| b.runs[last].at = ms(10)).is_err(),
+                "after its last record"
+            );
+            // A trace's records need not come in time order: only its
+            // newest stored run is tied to its `last_at`.
+            assert!(edited(&|b| b.runs[1].at = ms(3)).is_ok(), "a middle run");
+            // A full store holds each trace's first record, and a record
+            // of every trace.
+            let late = |b: &mut TraceLedger| {
+                b.states.get_mut(&TraceId(1)).unwrap().first_at = ms(2);
+            };
+            let ghost = |b: &mut TraceLedger| {
+                let st = b.states[&TraceId(2)];
+                b.states.insert(TraceId(3), st);
+            };
+            let full = retention == Retention::Full;
+            assert_eq!(edited(&late).is_err(), full, "{retention:?}: first_at");
+            assert_eq!(
+                edited(&ghost).is_err(),
+                full,
+                "{retention:?}: a trace with no run"
+            );
+        }
+        let over = |b: &mut TraceLedger| b.retention = Retention::Bounded(7);
+        let mut bounded = build(Retention::Bounded(8));
+        over(&mut bounded);
+        assert!(
+            reload(&bounded).is_err(),
+            "eight records under a cap of seven"
+        );
+        // Runs split at u32::MAX, as `record_n` leaves them, are canonical.
+        let mut full = TraceLedger::new();
+        full.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
+        full.record_n(TraceId(1), Hop::BrassProcess, ms(4), overflow, u32::MAX);
+        full.record_n(TraceId(1), Hop::BrassProcess, ms(4), overflow, 2);
+        assert_eq!(
+            full.runs().map(|(_, n)| n).collect::<Vec<_>>(),
+            [1, u32::MAX, 2]
+        );
+        assert_eq!(reload(&full), Ok(full));
+    }
+
+    /// A bounded store splits its oldest run when the cap falls inside it.
+    #[test]
+    fn bounded_store_splits_its_oldest_run() {
+        let overflow = HopOutcome::Dropped(DropReason::BufferOverflow);
+        let mut l = bounded(4);
+        l.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
+        l.record_n(TraceId(1), Hop::BrassProcess, ms(4), overflow, 5);
+        assert_eq!(l.runs().map(|(_, n)| n).collect::<Vec<_>>(), [4]);
+        l.record(TraceId(1), Hop::DeviceRender, ms(9), HopOutcome::Ok);
+        assert_eq!(l.runs().map(|(_, n)| n).collect::<Vec<_>>(), [3, 1]);
+        assert!(l
+            .deliveries()
+            .eq([(TraceId(1), SimDuration::from_millis(8))]));
+        l.record_n(TraceId(2), Hop::TaoCommit, ms(9), HopOutcome::Ok, u32::MAX);
+        assert_eq!(l.runs().map(|(_, n)| n).collect::<Vec<_>>(), [4]);
+        assert_eq!(reload(&l), Ok(l.clone()));
+        let mut empty = bounded(0);
+        empty.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
+        assert_eq!(empty.runs().count(), 0);
+        assert_eq!(empty.trace_count(), 1, "the accounting keeps the trace");
+    }
+
     #[test]
     fn bounded_chain_is_partial_but_recent() {
-        let mut l = TraceLedger::bounded(2);
+        let mut l = bounded(2);
         let t = TraceId(5);
         l.record(t, Hop::TaoCommit, ms(0), HopOutcome::Ok);
         l.record(t, Hop::PylonPublish, ms(1), HopOutcome::Ok);
         l.record(t, Hop::DeviceRender, ms(2), HopOutcome::Ok);
         let chain = l.chain(t);
-        assert_eq!(chain.len(), 2, "ring holds only the last two records");
+        assert_eq!(chain.len(), 2, "the store holds only the last two records");
         assert_eq!(chain[1].hop, Hop::DeviceRender);
-        assert!(l.is_delivered(t), "accounting survives ring eviction");
+        assert!(l.is_delivered(t), "accounting survives eviction");
     }
 }

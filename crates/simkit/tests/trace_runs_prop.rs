@@ -3,18 +3,18 @@
 //! records arrive — one [`TraceLedger::record`] call each, or one
 //! [`TraceLedger::record_n`] call per run, with or without a snapshot and
 //! restore partway — and in both retention modes. The reference below
-//! keeps every record in a `Vec` and recomputes each query from it; the
-//! fingerprint (three single-word [`LedgerFp::mix`] steps per record,
-//! never the closed form for a run) and the record section of the
-//! snapshot are rebuilt from that `Vec` too, so neither can drift with the
-//! storage.
+//! keeps every record in a `Vec` and recomputes each query from it, a
+//! bounded ledger's from the last `cap` records; the fingerprint (three
+//! single-word [`LedgerFp::mix`] steps per record, never the closed form
+//! for a run) and the run section of the snapshot are rebuilt from that
+//! `Vec` too, so neither can drift with the storage.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use simkit::metrics::{Histogram, Summary};
 use simkit::snap::{Snap, SnapReader, SnapWriter};
-use simkit::time::SimTime;
+use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{
     DropReason, Hop, HopOutcome, HopRecord, LedgerFp, Retention, TraceId, TraceLedger,
 };
@@ -114,10 +114,34 @@ impl Reference {
             .collect()
     }
 
-    /// The records a bounded ledger of capacity `cap` still holds.
-    fn ring(&self, cap: usize) -> Vec<HopRecord> {
-        self.records[self.records.len().saturating_sub(cap)..].to_vec()
+    /// The records a ledger of this retention still holds.
+    fn retained(&self, retention: Retention) -> &[HopRecord] {
+        match retention {
+            Retention::Full => &self.records,
+            Retention::Bounded(cap) => &self.records[self.records.len().saturating_sub(cap)..],
+        }
     }
+
+    /// `(trace, end-to-end latency)` of each retained render, in order.
+    fn deliveries(&self, retention: Retention) -> Vec<(TraceId, SimDuration)> {
+        self.retained(retention)
+            .iter()
+            .filter(|r| (r.hop, r.outcome) == (Hop::DeviceRender, HopOutcome::Ok))
+            .map(|r| (r.trace_id, r.at.saturating_since(self.times[&r.trace_id].0)))
+            .collect()
+    }
+}
+
+/// Folds identical neighbours into `(record, count)` runs.
+fn fold(records: &[HopRecord]) -> Vec<(HopRecord, u32)> {
+    let mut runs: Vec<(HopRecord, u32)> = Vec::new();
+    for &rec in records {
+        match runs.last_mut() {
+            Some((last, n)) if *last == rec => *n += 1,
+            _ => runs.push((rec, 1)),
+        }
+    }
+    runs
 }
 
 fn bytes_of(value: &impl Snap) -> Vec<u8> {
@@ -157,30 +181,12 @@ fn runs() -> impl Strategy<Value = Vec<(HopRecord, u32)>> {
 
 /// Asserts `ledger` answers every query as the reference does.
 fn assert_matches(ledger: &TraceLedger, reference: &Reference, label: &str) {
-    let retained = match ledger.retention() {
-        Retention::Full => {
-            assert!(
-                ledger.records().eq(reference.records.iter().copied()),
-                "{label}"
-            );
-            assert_eq!(ledger.recent_records().count(), 0, "{label}");
-            reference.records.clone()
-        }
-        Retention::Bounded(cap) => {
-            assert_eq!(ledger.records().count(), 0, "{label}");
-            let ring = reference.ring(cap);
-            assert!(ledger.recent_records().eq(ring.iter()), "{label}");
-            ring
-        }
-    };
+    let retention = ledger.retention();
+    let retained = reference.retained(retention);
+    assert!(ledger.records().eq(retained.iter().copied()), "{label}");
     // Stored runs are maximal, and expand to the records.
     let runs: Vec<(HopRecord, u32)> = ledger.runs().collect();
-    assert!(runs.windows(2).all(|w| w[0].0 != w[1].0), "{label}");
-    assert!(runs.iter().all(|&(_, n)| n > 0), "{label}");
-    let expanded = runs
-        .iter()
-        .flat_map(|&(r, n)| std::iter::repeat_n(r, n as usize));
-    assert!(expanded.eq(ledger.records()), "{label}");
+    assert_eq!(runs, fold(retained), "{label}");
     for t in reference.times.keys() {
         let chain: Vec<HopRecord> = retained
             .iter()
@@ -188,6 +194,16 @@ fn assert_matches(ledger: &TraceLedger, reference: &Reference, label: &str) {
             .copied()
             .collect();
         assert_eq!(ledger.chain(*t), chain, "{label}: chain of {t}");
+    }
+    let mut deliveries = reference.deliveries(retention);
+    assert!(
+        ledger.deliveries().eq(deliveries.iter().copied()),
+        "{label}"
+    );
+    deliveries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for n in [0, 1, 3, deliveries.len() + 1] {
+        let want = &deliveries[..n.min(deliveries.len())];
+        assert_eq!(ledger.slowest(n), want, "{label}: slowest {n}");
     }
     assert_eq!(ledger.trace_count(), reference.times.len(), "{label}");
     assert_eq!(ledger.drop_table(), reference.drop_table(), "{label}");
@@ -210,25 +226,22 @@ fn assert_matches(ledger: &TraceLedger, reference: &Reference, label: &str) {
     assert_eq!(ledger.unaccounted(), reference.unaccounted(), "{label}");
     assert_eq!(ledger.fingerprint(), reference.fp.value(), "{label}");
 
-    // The snapshot opens with the plain record list and ring, exactly as
-    // a per-record ledger writes them, and restores to the same runs.
+    // The snapshot opens with the retained records folded into
+    // `(record, count)` runs.
     let bytes = bytes_of(ledger);
     let mut head = SnapWriter::new();
-    ledger.retention().snap(&mut head);
-    match ledger.retention() {
-        Retention::Full => {
-            reference.records.snap(&mut head);
-            VecDeque::<HopRecord>::new().snap(&mut head);
-        }
-        Retention::Bounded(_) => {
-            Vec::<HopRecord>::new().snap(&mut head);
-            VecDeque::from(retained).snap(&mut head);
-        }
-    }
+    retention.snap(&mut head);
+    fold(retained).snap(&mut head);
     assert!(
         bytes.starts_with(&head.into_bytes()),
-        "{label}: record section"
+        "{label}: run section"
     );
+    assert_reloads(ledger, label);
+}
+
+/// Snapshot → restore → snapshot gives the same ledger and the same bytes.
+fn assert_reloads(ledger: &TraceLedger, label: &str) {
+    let bytes = bytes_of(ledger);
     let mut r = SnapReader::new(&bytes);
     let restored = TraceLedger::restore(&mut r).expect("restore");
     r.finish().expect("no trailing bytes");
@@ -268,6 +281,7 @@ proptest! {
                     one_by_one.record(rec.trace_id, rec.hop, rec.at, rec.outcome);
                 }
                 by_run.record_n(rec.trace_id, rec.hop, rec.at, rec.outcome, n);
+                assert_reloads(&by_run, &format!("{retention:?} after {i} runs"));
                 if i == cut {
                     let bytes = bytes_of(&resumed);
                     resumed = TraceLedger::restore(&mut SnapReader::new(&bytes)).expect("restore");
