@@ -198,12 +198,12 @@ pub struct SystemMetrics {
 /// again against fresh counters.
 ///
 /// This is the engine's one record of which stream is registered on which
-/// topic ([`SystemMetrics::stream_topic`]); the per-frame attribution
-/// reads it. Registration is not the stream's lifetime: a stream is
-/// registered when the device subscribes and unregistered when the device
-/// cancels it or drops it for good; a stream the server ended (a redirect
-/// the device retries under the same sid, say) is closed but keeps
-/// counting.
+/// topic, and so under which application ([`SystemMetrics::stream_app`]);
+/// the per-frame attribution reads it. Registration is not the stream's
+/// lifetime: a stream is registered when the device subscribes and
+/// unregistered when the device cancels it or drops it for good; a stream
+/// the server ended (a redirect the device retries under the same sid,
+/// say) is closed but keeps counting.
 #[derive(Clone, Debug, Default)]
 struct StreamStats {
     streams: FxHashMap<(u64, StreamId), StreamStat>,
@@ -240,6 +240,8 @@ struct StreamStat {
 struct TopicCount {
     /// The topic, kept so a stream's topic is read without the interner.
     topic: Topic,
+    /// The application whose family the topic is in, resolved once.
+    app: Option<AppId>,
     /// Publications since the entry was created.
     published: u64,
     /// Streams registered on the topic; the entry goes with the last.
@@ -264,6 +266,7 @@ impl StreamStats {
         self.unregister(key);
         let new = TopicCount {
             topic,
+            app: AppId::of_topic(&topic),
             published: 0,
             streams: 0,
         };
@@ -530,11 +533,13 @@ impl SystemMetrics {
         }
     }
 
-    /// The topic a stream is registered on. Read for every frame, so it
-    /// never takes the topic interner's lock.
-    pub(crate) fn stream_topic(&self, device: u64, sid: StreamId) -> Option<Topic> {
+    /// The application a stream's registered topic belongs to, resolved
+    /// when the topic was registered; `sid` is a frame's, if it names a
+    /// stream. Read for every frame.
+    pub(crate) fn stream_app(&self, device: u64, sid: Option<StreamId>) -> Option<AppId> {
         let stats = &self.stream_stats;
-        stats.topic(stats.streams.get(&(device, sid))?)
+        let topic = stats.streams.get(&(device, sid?))?.topic?;
+        stats.topics[&topic].app
     }
 
     /// Counts one publication on `topic` for every stream registered on
@@ -790,9 +795,10 @@ mod tests {
             ops in proptest::collection::vec((0..9u8, 0..64u64), 1..300),
             cut in 0..300usize,
         ) {
-            let topics: Vec<Topic> = (0..4)
-                .map(|t| Topic::new(&format!("/Pubs/{t}")).expect("valid"))
-                .collect();
+            // Two application topics and two no application claims.
+            let topics: Vec<Topic> = ["/LVC/0", "/Likes/1", "/Pubs/2", "/Pubs/3"]
+                .map(|t| Topic::new(t).expect("valid"))
+                .into();
             let mut m = metrics();
             let mut model = EagerModel::default();
             let mut next_sid = [1u64; 6];
@@ -858,7 +864,9 @@ mod tests {
                 for (key, stat) in &m.stream_stats.streams {
                     assert_eq!(m.stream_stats.publications(stat), model.stats[key].publications, "op {i}");
                     let topic = model.stream_topic.get(key).copied();
-                    assert_eq!(m.stream_topic(key.0, key.1), topic, "op {i}");
+                    assert_eq!(m.stream_stats.topic(stat), topic, "op {i}");
+                    let app = topic.and_then(|t| AppId::of_topic(&t));
+                    assert_eq!(m.stream_app(key.0, Some(key.1)), app, "op {i}");
                 }
                 assert_eq!(m.streams_tracked(), model.stats.len());
                 let open = model.stats.len() - model.cancelled.len();
@@ -877,17 +885,21 @@ mod tests {
     }
 
     /// A stream the server ended is closed yet still registered, so its
-    /// snapshot row names its topic and a restore registers it again.
+    /// snapshot row names its topic and a restore registers it again,
+    /// under its application.
     #[test]
     fn a_closed_stream_stays_registered_through_a_restore() {
-        let topic = Topic::new("/Pubs/closed").expect("valid");
+        let topic = Topic::typing_indicator(7, 2);
         let mut m = metrics();
         m.stream_opened(1, StreamId(1), SimTime::ZERO, Some(topic));
         m.stream_closed(1, StreamId(1), SimTime::from_secs(1));
         m.publication(topic);
         let mut resumed =
             SystemMetrics::restore(&mut SnapReader::new(&bytes_of(&m))).expect("restores");
-        assert_eq!(resumed.stream_topic(1, StreamId(1)), Some(topic));
+        assert_eq!(
+            resumed.stream_app(1, Some(StreamId(1))),
+            Some(AppId::Typing)
+        );
         for counts in [&mut m, &mut resumed] {
             counts.publication(topic);
             assert_eq!(counts.publication_buckets(), [0.0, 100.0, 0.0, 0.0]);

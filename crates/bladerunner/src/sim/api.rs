@@ -17,7 +17,6 @@ use simkit::trace::TraceLedger;
 use tao::Tao;
 use was::service::WebApplicationServer;
 
-use super::backend::Registries;
 use super::ev::{Ev, EventStats};
 use super::faults::{fresh_host, fresh_proxy, HEARTBEAT_INTERVAL};
 use super::fleet::{DeviceSlot, DeviceState, ParkScratch};
@@ -57,10 +56,9 @@ impl SystemSim {
             proxy_up: vec![true; config.proxies as usize],
             host_busy_until: vec![SimTime::ZERO; config.brass_hosts as usize],
             devices: simkit::collections::IdMap::new(),
-            reg: Registries::default(),
             ledger: TraceLedger::with_retention(config.trace_retention),
             pending_backfill: Default::default(),
-            object_delivered: FxHashMap::default(),
+            pylon_delivered: FxHashMap::default(),
             sub_started: FxHashMap::default(),
             metrics: SystemMetrics::new(config.metrics_horizon, config.metrics_interval),
             event_stats: EventStats::default(),
@@ -213,6 +211,7 @@ impl SystemSim {
                 flow: FlowWindow::new(self.config.egress_window_bytes),
                 degraded_sids: Vec::new(),
                 inflight_frames: 0,
+                proxy: None,
             },
         );
         uid

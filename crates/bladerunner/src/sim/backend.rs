@@ -2,21 +2,23 @@
 //! and the BRASS hosts (`DeviceSubscribe`, `DeviceCancel`,
 //! `WasMutationExec`, `PylonPublish`, `PylonDeliverHost`,
 //! `PylonSubscribeExec`, `WasExec`, `WasReply`, `WasBackfillExec`, and
-//! every host effect), plus the registries that attribute a frame to its
-//! traces and route it down. A frame's stream topic, which picks its
-//! application and its fan-out leg, is read from the metrics' Fig. 7
-//! registration ([`SystemMetrics::stream_topic`]).
+//! every host effect). A trace opens at TAO commit as `TraceId(event.id)`;
+//! from then on the data names it: a WAS fetch carries its update's
+//! trace, a host's drop names the trace it drops, and every update payload
+//! is tagged with its trace by the BRASS app that built it, so a frame's
+//! traces are read off its payloads ([`burst::frame::Payload::trace`]).
+//! A frame's application is its stream's, read from the metrics' Fig. 7
+//! registration ([`stream_app`](crate::metrics::SystemMetrics::stream_app)),
+//! and its route down is its device's proxy, learned from POP forwards.
 
 use std::sync::Arc;
 
 use brass::app::{FetchToken, WasRequest, WasResponse};
 use brass::host::HostEffect;
 use brass::AppId;
-use burst::frame::{Frame, StreamId};
+use burst::frame::{Frame, Payload, StreamId};
 use burst::json::Json;
 use pylon::{HostId, Topic};
-use simkit::fxhash::FxHashMap;
-use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome, TraceId};
 use tao::ObjectId;
@@ -25,37 +27,6 @@ use was::UpdateEvent;
 
 use super::ev::Ev;
 use super::SystemSim;
-use crate::metrics::SystemMetrics;
-
-// ----------------------------------------------------------------------
-// Attribution and routing registries.
-// ----------------------------------------------------------------------
-
-/// The registries handlers consult to attribute frames to traces and to
-/// route them back down. Grouped so a handler can walk a frame's traces
-/// while it writes the ledger.
-#[derive(Default)]
-pub(super) struct Registries {
-    /// object → trace of the most recent update event referencing it, used
-    /// to attribute payload fetches, frames, and renders back to traces.
-    /// (Updates sharing an object — e.g. one message fanned to N mailboxes —
-    /// resolve to the most recent trace.)
-    pub(super) object_trace: FxHashMap<ObjectId, TraceId>,
-    /// (topic, object) → trace. One mutation can fan one object to many
-    /// topics as *distinct* update events (a message separately added to
-    /// each member mailbox, §4); deliveries resolved through the stream's
-    /// subscription topic land on the exact per-mailbox trace instead of
-    /// collapsing onto the object's most recent one.
-    pub(super) topic_object_trace: FxHashMap<(Topic, ObjectId), TraceId>,
-    /// device → proxy carrying its streams (learned from POP routing).
-    pub(super) device_proxy: FxHashMap<u64, usize>,
-}
-
-snap_struct!(Registries {
-    object_trace,
-    topic_object_trace,
-    device_proxy
-});
 
 impl SystemSim {
     pub(super) fn on_device_subscribe(&mut self, now: SimTime, device: u64, header: Json) {
@@ -126,13 +97,8 @@ impl SystemSim {
             .record(was_delay.as_millis_f64());
         for event in outcome.events {
             // The write committed: open the update's trace.
-            let trace = TraceId(event.id);
-            self.reg.object_trace.insert(event.object, trace);
-            self.reg
-                .topic_object_trace
-                .insert((event.topic, event.object), trace);
             self.ledger
-                .record(trace, Hop::TaoCommit, now, HopOutcome::Ok);
+                .record(event.trace(), Hop::TaoCommit, now, HopOutcome::Ok);
             self.queue.schedule(
                 now + was_delay,
                 Ev::PylonPublish {
@@ -154,7 +120,7 @@ impl SystemSim {
             HopOutcome::Ok
         };
         self.ledger
-            .record(TraceId(event.id), Hop::PylonPublish, now, publish_outcome);
+            .record(event.trace(), Hop::PylonPublish, now, publish_outcome);
         let fanout = self.latency.pylon_fanout(subscribers, &mut self.engine_rng);
         if subscribers < 10_000 {
             self.metrics
@@ -204,7 +170,7 @@ impl SystemSim {
             // (that happens when a proxy's heartbeats detect the death);
             // events fanned to it meanwhile die here.
             self.ledger.record(
-                TraceId(event.id),
+                event.trace(),
                 Hop::PylonDeliver,
                 now,
                 HopOutcome::Dropped(DropReason::HostDown),
@@ -216,16 +182,16 @@ impl SystemSim {
         // the ledger never shows unaccounted loss under overload.
         let Some(qdelay) = self.host_admit(now, host, true) else {
             self.ledger.record(
-                TraceId(event.id),
+                event.trace(),
                 Hop::PylonDeliver,
                 now,
                 HopOutcome::Dropped(DropReason::MailboxOverflow),
             );
             return;
         };
-        self.object_delivered.insert((host, event.object), now);
+        self.pylon_delivered.insert((host, event.trace()), now);
         self.ledger
-            .record(TraceId(event.id), Hop::PylonDeliver, now, HopOutcome::Ok);
+            .record(event.trace(), Hop::PylonDeliver, now, HopOutcome::Ok);
         // Effects materialise once the host works through its backlog;
         // attribution stays at `now`, so the brass_processing histogram
         // captures the queueing delay — that's the latency curve bending
@@ -270,13 +236,13 @@ impl SystemSim {
         attributed: Option<SimTime>,
     ) {
         let fetched = match request {
-            WasRequest::FetchObject { object, .. } => Some(object),
+            WasRequest::FetchObject { trace, .. } => Some(trace),
             _ => None,
         };
         let response = serve_was(&mut self.was, request);
         // The payload fetch is the final BRASS-processing gate: the WAS
         // privacy check decides whether the update survives.
-        if let Some(&trace) = fetched.and_then(|object| self.reg.object_trace.get(&object)) {
+        if let Some(trace) = fetched {
             let outcome = match &response {
                 WasResponse::Payload(_) => HopOutcome::Ok,
                 WasResponse::Denied => HopOutcome::Dropped(DropReason::PrivacyBlock),
@@ -350,8 +316,6 @@ impl SystemSim {
         effects: &mut Vec<HostEffect>,
         attributed: Option<SimTime>,
     ) {
-        // A storm drops one object from hundreds of buffers in a row.
-        let mut last_drop: Option<(ObjectId, Option<TraceId>)> = None;
         for effect in effects.drain(..) {
             match effect {
                 HostEffect::PylonSubscribe(topic) => {
@@ -377,11 +341,11 @@ impl SystemSim {
                     request,
                 } => {
                     // Payload fetches inherit attribution from the event
-                    // that referenced the object (covers buffered apps).
+                    // they fetch for (covers buffered apps).
                     let attr = match &request {
-                        WasRequest::FetchObject { object, .. } => self
-                            .object_delivered
-                            .get(&(host, *object))
+                        WasRequest::FetchObject { trace, .. } => self
+                            .pylon_delivered
+                            .get(&(host, *trace))
                             .copied()
                             .or(attributed),
                         _ => attributed,
@@ -399,36 +363,27 @@ impl SystemSim {
                     );
                 }
                 HostEffect::DropUpdate {
-                    object,
+                    trace,
                     reason,
                     count,
-                } => {
-                    let trace = match last_drop {
-                        Some((last, trace)) if last == object => trace,
-                        _ => self.reg.object_trace.get(&object).copied(),
-                    };
-                    last_drop = Some((object, trace));
-                    if let Some(trace) = trace {
-                        self.ledger.record_n(
-                            trace,
-                            Hop::BrassProcess,
-                            now,
-                            HopOutcome::Dropped(reason),
-                            count,
-                        );
-                    }
-                }
+                } => self.ledger.record_n(
+                    trace,
+                    Hop::BrassProcess,
+                    now,
+                    HopOutcome::Dropped(reason),
+                    count,
+                ),
                 HostEffect::Send { device, frame } => {
                     let proc = self.latency.brass_processing(&mut self.engine_rng);
                     let send_at = now + proc;
-                    for trace in frame_traces(&self.reg, &self.metrics, device.0, &frame) {
+                    for trace in frame.update_payloads().filter_map(Payload::trace) {
                         self.ledger
                             .record(trace, Hop::BrassSend, send_at, HopOutcome::Ok);
                     }
                     if let Some(event_at) = attributed {
                         // Only data batches count as event processing.
                         if frame.update_payloads().next().is_some() {
-                            let app = app_of_stream(&self.metrics, device.0, frame.sid());
+                            let app = self.metrics.stream_app(device.0, frame.sid());
                             self.metrics
                                 .bucket(app)
                                 .brass_processing
@@ -436,15 +391,16 @@ impl SystemSim {
                         }
                     }
                     // The downstream route is resolved *at send time* from
-                    // the routing registry; frames for devices with no known
-                    // route die here (they had nowhere to go), exactly as
-                    // they used to die unrouted at the proxy layer.
-                    if let Some(&proxy) = self.reg.device_proxy.get(&device.0) {
+                    // the device's last POP forward; frames for devices with
+                    // no known route die here (they had nowhere to go),
+                    // exactly as they used to die unrouted at the proxy
+                    // layer.
+                    if let Some(proxy) = self.devices.get(device.0).and_then(|d| d.proxy) {
                         let d = self.latency.proxy_brass(&mut self.engine_rng);
                         self.queue.schedule(
                             send_at + d,
                             Ev::DownAtProxy {
-                                proxy,
+                                proxy: proxy as usize,
                                 host,
                                 device: device.0,
                                 frame,
@@ -473,7 +429,7 @@ impl SystemSim {
         why: DropReason,
     ) {
         let sid = frame.sid();
-        for trace in frame_traces(&self.reg, &self.metrics, device, frame) {
+        for trace in frame.update_payloads().filter_map(Payload::trace) {
             self.ledger
                 .record(trace, hop, now, HopOutcome::Dropped(why));
             if let Some(sid) = sid {
@@ -514,7 +470,7 @@ impl SystemSim {
 /// Answers a BRASS host's request at the WAS.
 pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> WasResponse {
     match request {
-        WasRequest::FetchObject { viewer, object } => {
+        WasRequest::FetchObject { viewer, object, .. } => {
             match was.fetch_for_viewer(0, viewer, object) {
                 Ok((payload, _)) => WasResponse::Payload(payload.into()),
                 Err(was::WasError::PrivacyDenied) => WasResponse::Denied,
@@ -537,7 +493,8 @@ pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> 
                             .filter_map(|e| {
                                 let seq = e.get("seq").and_then(Rv::as_int)? as u64;
                                 let obj = e.get("messageId").and_then(Rv::as_int)? as u64;
-                                Some((seq, ObjectId(obj)))
+                                let event = e.get("eventId").and_then(Rv::as_int)? as u64;
+                                Some((seq, ObjectId(obj), TraceId(event)))
                             })
                             .collect::<Vec<_>>()
                     })
@@ -546,56 +503,4 @@ pub(crate) fn serve_was(was: &mut WebApplicationServer, request: WasRequest) -> 
             WasResponse::Mailbox(entries)
         }
     }
-}
-
-/// The application a stream's frames belong to: the one whose family its
-/// registered topic is in, if any.
-pub(super) fn app_of_stream(
-    metrics: &SystemMetrics,
-    device: u64,
-    sid: Option<StreamId>,
-) -> Option<AppId> {
-    AppId::of_topic(&metrics.stream_topic(device, sid?)?)
-}
-
-/// The trace ids of every update payload a frame carries, in batch
-/// order. The owning stream's subscription topic disambiguates
-/// fan-out: one mutation can reference the same object from many
-/// topics under distinct traces (per-mailbox message adds).
-pub(super) fn frame_traces<'a>(
-    reg: &'a Registries,
-    metrics: &SystemMetrics,
-    device: u64,
-    frame: &'a Frame,
-) -> impl Iterator<Item = TraceId> + 'a {
-    let topic = frame
-        .sid()
-        .and_then(|sid| metrics.stream_topic(device, sid));
-    frame
-        .update_payloads()
-        .filter_map(move |p| payload_trace(reg, topic, p))
-}
-
-/// Resolves an update payload to its trace id via the embedded TAO
-/// object id. Payloads without an `"id"` field (or for objects written
-/// before tracing started) are simply untraced. When the delivering
-/// stream's topic is known, the (topic, object) fan-out leg wins over
-/// the object's most recent trace.
-///
-/// Runs on every update of every frame at every transport hop, so the
-/// id is pulled out with the single-pass [`burst::json::top_level_u64`]
-/// scanner instead of a full allocating parse.
-pub(super) fn payload_trace(
-    reg: &Registries,
-    topic: Option<Topic>,
-    payload: &[u8],
-) -> Option<TraceId> {
-    let id = burst::json::top_level_u64(payload, "id")?;
-    let object = ObjectId(id);
-    if let Some(topic) = topic {
-        if let Some(trace) = reg.topic_object_trace.get(&(topic, object)) {
-            return Some(*trace);
-        }
-    }
-    reg.object_trace.get(&object).copied()
 }

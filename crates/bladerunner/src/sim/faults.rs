@@ -9,8 +9,7 @@ use burst::frame::{Frame, StreamId};
 use burst::heartbeat::INTERVAL_US;
 use edge::proxy::{ProxyEffect, ReverseProxy};
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::{DropReason, Hop, HopOutcome};
-use tao::ObjectId;
+use simkit::trace::{DropReason, Hop, HopOutcome, TraceId};
 
 use super::ev::Ev;
 use super::SystemSim;
@@ -143,23 +142,16 @@ impl SystemSim {
 
     /// The host's process is gone and an empty one stands in its place.
     /// In-memory state — stream tables, app buffers — dies instantly, so
-    /// every update recently delivered to the host that it may still have
-    /// been buffering is dropped with attribution (traces that already
-    /// rendered are left alone; anything else gets a `HostDown` drop so the
-    /// ledger still accounts for it), and the ingress backlog dies with
-    /// the process.
+    /// every update Pylon delivered to the host within the attribution
+    /// window that it may still have been buffering is dropped with
+    /// attribution (traces that already rendered are left alone; anything
+    /// else gets a `HostDown` drop so the ledger still accounts for it),
+    /// and the ingress backlog dies with the process.
     fn wipe_host(&mut self, now: SimTime, host: usize) {
-        let mut objects: Vec<ObjectId> = self
-            .object_delivered
-            .keys()
-            .filter(|&&(h, _)| h == host)
-            .map(|&(_, o)| o)
-            .collect();
-        objects.sort_unstable_by_key(|o| o.0);
-        for object in objects {
-            let Some(&trace) = self.reg.object_trace.get(&object) else {
-                continue;
-            };
+        let delivered = self.pylon_delivered.keys();
+        let mut traces: Vec<TraceId> = delivered.filter(|k| k.0 == host).map(|k| k.1).collect();
+        traces.sort_unstable();
+        for trace in traces {
             if self.trace_resolved(trace) {
                 continue;
             }

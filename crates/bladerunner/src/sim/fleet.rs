@@ -24,7 +24,7 @@ pub(super) enum DeviceSlot {
 }
 
 // A parked device's sids ride in the room the live machine already takes.
-const _: () = assert!(size_of::<DeviceSlot>() == 56 && size_of::<DeviceState>() == 136);
+const _: () = assert!(size_of::<DeviceSlot>() == 56 && size_of::<DeviceState>() == 144);
 
 /// Open stream ids kept inline.
 const INLINE_SIDS: usize = 7;
@@ -95,6 +95,9 @@ pub(super) struct DeviceState {
     /// Frames (data *and* control) currently on the wire toward the
     /// device — the POP-egress queue depth.
     pub(super) inflight_frames: u64,
+    /// The proxy its POP last forwarded a frame of it to: where BRASS
+    /// sends its frames down. Learned on every POP forward, never cleared.
+    pub(super) proxy: Option<u32>,
 }
 
 /// What the simulator keeps between one device's park and the next one's
@@ -215,6 +218,7 @@ impl DeviceState {
         self.flow.snap(w);
         self.degraded_sids.snap(w);
         self.inflight_frames.snap(w);
+        self.proxy.snap(w);
     }
 
     /// Reads a device back. `id` is the map key (the blob doesn't store
@@ -256,6 +260,7 @@ impl DeviceState {
             flow: Snap::restore(r)?,
             degraded_sids: Snap::restore(r)?,
             inflight_frames: Snap::restore(r)?,
+            proxy: Snap::restore(r)?,
         })
     }
 }
@@ -345,6 +350,7 @@ mod tests {
             flow: FlowWindow::new(0),
             degraded_sids: Vec::new(),
             inflight_frames: 0,
+            proxy: None,
         }
     }
 

@@ -11,7 +11,7 @@
 //! The paper's unit of execution is a single-threaded event loop (§3.2),
 //! and so is the simulator's: [`SystemSim`] owns one [`EventQueue`], one
 //! engine RNG stream, one set of hosts, proxies, POPs and devices, the
-//! attribution registries, the [`TraceLedger`] and one [`SystemMetrics`],
+//! [`TraceLedger`] and one [`SystemMetrics`],
 //! all plain fields reached through `&mut self`. `run_until` pops events
 //! in `(time, seq)` order — `seq` being scheduling order, so same-instant
 //! events run FIFO — and fires the periodic metrics tick ahead of any
@@ -23,6 +23,11 @@
 //! from the engine stream forked off it once at construction. A driver
 //! that injects its workload lazily therefore cannot perturb the engine.
 //!
+//! Attribution keeps no table of its own: a trace opens at TAO commit and
+//! the data carries it from there — a WAS fetch and a host's drop name
+//! their trace, and every update payload is tagged by the BRASS app that
+//! built it, so each hop records the traces its frame's payloads name.
+//!
 //! The result is a simulation whose outputs are a pure function of
 //! `(config, seed, workload)` and of nothing about how the caller slices
 //! time: `run_until(T)` equals any chunking of it, and a snapshot taken
@@ -33,8 +38,8 @@
 //! This file holds the struct, the dispatch table (`handle`), `run_until`
 //! and the metrics tick. Each `Ev` kind's handler lives with its layer:
 //! `ev` (the event vocabulary and its snapshot tags), `fleet` (a device's
-//! resident form, park and wake), `backend` (workload, WAS, Pylon, BRASS
-//! and trace attribution), `transport` (a frame's way up and down between
+//! resident form, park and wake, its proxy route), `backend` (workload,
+//! WAS, Pylon and BRASS), `transport` (a frame's way up and down between
 //! device and BRASS), `faults` (churn, crashes, outages, heartbeats),
 //! `snapshot` (snapshot, resume, fingerprints, the convergence audit) and
 //! `api` (what a driver calls).
@@ -62,14 +67,12 @@ use simkit::rng::DetRng;
 use simkit::snap::{self, Fp64};
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{TraceId, TraceLedger};
-use tao::ObjectId;
 use was::service::WebApplicationServer;
 
 use crate::config::SystemConfig;
 use crate::latency::LatencyModel;
 use crate::metrics::SystemMetrics;
 
-use backend::Registries;
 pub use ev::EventStats;
 use ev::{ev_summary, Ev};
 use fleet::{DeviceState, ParkScratch};
@@ -78,8 +81,8 @@ use fleet::{DeviceState, ParkScratch};
 // The simulation: one event loop over the whole system.
 // ----------------------------------------------------------------------
 
-/// The full-system simulation: every component, the registries, the
-/// ledger, and the one event queue that drives them. See the module docs.
+/// The full-system simulation: every component, the ledger, and the one
+/// event queue that drives them. See the module docs.
 pub struct SystemSim {
     config: SystemConfig,
     latency: LatencyModel,
@@ -117,11 +120,10 @@ pub struct SystemSim {
     /// fleet is built in ascending-id order and lives for the whole run,
     /// so a device is found by `uid − first uid` through a 4-byte-per-id
     /// index, and at seven figures a hash table's empty buckets alone
-    /// would cost hundreds of megabytes (entries are 144 B each).
+    /// would cost hundreds of megabytes (entries are 152 B each).
     ///
     /// [`IdMap`]: simkit::collections::IdMap
     devices: simkit::collections::IdMap<DeviceState>,
-    reg: Registries,
     /// The per-update hop ledger: every admitted update's journey through
     /// write → Pylon → BRASS → BURST → device, with drop attribution, in
     /// execution order.
@@ -130,9 +132,10 @@ pub struct SystemSim {
     /// by a WAS backfill poll (gap detection or reconnect). Ordered, so a
     /// reconnect reads its own device's streams as one range.
     pending_backfill: BTreeMap<(u64, StreamId), Vec<TraceId>>,
-    /// Pylon event delivery time per (host, object), for BRASS-latency
-    /// attribution of later payload fetches.
-    object_delivered: FxHashMap<(usize, ObjectId), SimTime>,
+    /// When Pylon delivered each trace to each host, kept for an
+    /// attribution window: a later payload fetch for the trace is timed
+    /// from it (Fig. 9), and a host that dies drops what it received.
+    pylon_delivered: FxHashMap<(usize, TraceId), SimTime>,
     /// Subscription start times (device-observed subscribe latency).
     sub_started: FxHashMap<(u64, StreamId), SimTime>,
 
@@ -391,7 +394,7 @@ impl SystemSim {
     /// One metrics tick at `at`: samples the fleet, appends the per-tick
     /// run fingerprint, records the tick-driven series (active streams,
     /// decision deltas, stream availability), and rotates the
-    /// object-attribution window.
+    /// Pylon-delivery attribution window.
     fn record_tick(&mut self, at: SimTime) {
         let decisions = self.total_decisions();
         // One availability sample: of all open streams on currently-connected
@@ -415,7 +418,7 @@ impl SystemSim {
         // but keep a window covering application buffering horizons, so a
         // crash can still attribute the updates it takes down with it.
         const ATTRIBUTION_WINDOW: SimDuration = SimDuration::from_secs(30);
-        self.object_delivered
+        self.pylon_delivered
             .retain(|_, t| at.saturating_since(*t) <= ATTRIBUTION_WINDOW);
         // The per-tick run fingerprint: tick time, the state digest, and the
         // fleet aggregates the series are about to record. Cumulative by

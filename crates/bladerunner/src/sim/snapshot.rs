@@ -79,7 +79,6 @@ impl SystemSim {
         self.rng.snap(w);
         self.engine_rng.snap(w);
         self.langs.snap(w);
-        self.reg.snap(w);
         self.ledger.snap(w);
         self.fingerprints.snap(w);
         self.queue.snap(w);
@@ -99,7 +98,7 @@ impl SystemSim {
         }
         // Values verbatim: backfill traces replay in arrival order.
         self.pending_backfill.snap(w);
-        self.object_delivered.snap(w);
+        self.pylon_delivered.snap(w);
         self.sub_started.snap(w);
         self.metrics.snap(w);
         self.event_stats.snap(w);
@@ -136,13 +135,6 @@ impl SystemSim {
         s.langs = Snap::restore(r)?;
         if s.langs.iter().collect::<FxHashSet<_>>().len() != s.langs.len() {
             return Err(SnapError::Invalid("duplicate interned lang".into()));
-        }
-        s.reg = Snap::restore(r)?;
-        if let Some(proxy) = s.reg.device_proxy.values().find(|&&p| p >= s.proxies.len()) {
-            return Err(SnapError::Invalid(format!(
-                "device-proxy route to proxy {proxy}, config has {}",
-                s.proxies.len()
-            )));
         }
         s.ledger = Snap::restore(r)?;
         s.fingerprints = snap::restore_sorted(r, |a: &(SimTime, u64), b| a.0 < b.0)?;
@@ -192,13 +184,19 @@ impl SystemSim {
                     s.langs.len()
                 )));
             }
+            if let Some(proxy) = state.proxy.filter(|&p| p as usize >= s.proxies.len()) {
+                return Err(SnapError::Invalid(format!(
+                    "device {dev} routed to proxy {proxy}, config has {}",
+                    s.proxies.len()
+                )));
+            }
             s.devices.push(dev, state);
         }
         s.pending_backfill = Snap::restore(r)?;
-        s.object_delivered = Snap::restore(r)?;
-        if let Some((host, _)) = s.object_delivered.keys().find(|k| k.0 >= s.hosts.len()) {
+        s.pylon_delivered = Snap::restore(r)?;
+        if let Some((host, _)) = s.pylon_delivered.keys().find(|k| k.0 >= s.hosts.len()) {
             return Err(SnapError::Invalid(format!(
-                "object-delivered host {host}, config has {}",
+                "pylon-delivered host {host}, config has {}",
                 s.hosts.len()
             )));
         }

@@ -7,14 +7,13 @@
 use brass::app::DeviceId;
 use brass::AppId;
 use burst::flow::Admit;
-use burst::frame::{Delta, FlowStatus, Frame, StreamId};
+use burst::frame::{Delta, FlowStatus, Frame, Payload, StreamId};
 use edge::device::DeviceOutput;
 use edge::pop::PopEffect;
 use edge::proxy::ProxyEffect;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{DropReason, Hop, HopOutcome};
 
-use super::backend::{app_of_stream, frame_traces, payload_trace};
 use super::ev::Ev;
 use super::SystemSim;
 use crate::config::LinkClass;
@@ -312,7 +311,7 @@ impl SystemSim {
                 }
             }
         }
-        for trace in frame_traces(&self.reg, &self.metrics, device, &frame) {
+        for trace in frame.update_payloads().filter_map(Payload::trace) {
             self.ledger
                 .record(trace, Hop::BurstDeliver, now, HopOutcome::Ok);
         }
@@ -361,7 +360,7 @@ impl SystemSim {
         frame: &Frame,
         sent_at: SimTime,
     ) {
-        let app = app_of_stream(&self.metrics, device, frame.sid());
+        let app = self.metrics.stream_app(device, frame.sid());
         let state = self.devices.at_mut(slot);
         // Egress accounting drains unconditionally — every frame put on
         // the wire arrives here exactly once, delivered or not. Draining
@@ -432,8 +431,7 @@ impl SystemSim {
                         lat.total
                             .record(now.saturating_since(created).as_millis_f64());
                     }
-                    let topic = self.metrics.stream_topic(device, sid);
-                    if let Some(trace) = payload_trace(&self.reg, topic, &payload) {
+                    if let Some(trace) = payload.trace() {
                         self.ledger
                             .record(trace, Hop::DeviceRender, now, HopOutcome::Ok);
                     }
@@ -472,8 +470,7 @@ impl SystemSim {
                     // Too late for a gap the stream had to forget: unless
                     // it already arrived, the update is dropped here, on
                     // the record, and stays backfill-recoverable.
-                    let topic = self.metrics.stream_topic(device, sid);
-                    let trace = payload_trace(&self.reg, topic, &payload);
+                    let trace = payload.trace();
                     if let Some(trace) = trace.filter(|&t| !self.trace_resolved(t)) {
                         let why = HopOutcome::Dropped(DropReason::Stale);
                         self.ledger.record(trace, Hop::DeviceRender, now, why);
@@ -511,7 +508,9 @@ impl SystemSim {
                     device,
                     frame,
                 } => {
-                    self.reg.device_proxy.insert(device, proxy as usize);
+                    if let Some(state) = self.devices.get_mut(device) {
+                        state.proxy = Some(proxy);
+                    }
                     let d = self.latency.pop_proxy(&mut self.engine_rng);
                     self.queue.schedule(
                         now + d,

@@ -15,7 +15,7 @@ use burst::json::Json;
 use pylon::{Topic, TopicId};
 use simkit::snap::{Snap, SnapWriter};
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::DropReason;
+use simkit::trace::{DropReason, TraceId};
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::UpdateEvent;
@@ -55,6 +55,8 @@ pub enum WasRequest {
         viewer: u64,
         /// The TAO object referenced by an update event.
         object: ObjectId,
+        /// The trace of that update: the fetch decides its fate.
+        trace: TraceId,
     },
     /// Fetch a user's friend list.
     Friends {
@@ -83,13 +85,14 @@ pub enum WasResponse {
     NotFound,
     /// A friend list.
     Friends(Vec<u64>),
-    /// Mailbox entries `(seq, object)`, oldest first.
-    Mailbox(Vec<(u64, ObjectId)>),
+    /// Mailbox entries `(seq, object, trace)`, oldest first: the trace is
+    /// that of the update that added the entry.
+    Mailbox(Vec<(u64, ObjectId, TraceId)>),
 }
 
 // Requests and responses ride inside queued simulator events.
 snap_enum!(WasRequest {
-    0 => FetchObject { viewer, object },
+    0 => FetchObject { viewer, object, trace },
     1 => Friends { uid },
     2 => MailboxAfter { uid, after_seq },
 });
@@ -150,8 +153,8 @@ pub enum Effect {
     /// eviction, …) so the trace ledger can attribute the loss. Purely
     /// observational: no delivery behaviour changes.
     DropUpdate {
-        /// The TAO object the dropped update referenced.
-        object: ObjectId,
+        /// The trace of the dropped update.
+        trace: TraceId,
         /// Why the update was dropped.
         reason: DropReason,
         /// How many drops in a row this stands for: one per viewer when a
@@ -345,28 +348,28 @@ impl<'a> Ctx<'a> {
         self.effects.push(Effect::ReplayUnacked { stream });
     }
 
-    /// Reports that the app dropped an update referencing `object`, for
+    /// Reports that the app dropped the update of `trace`, for
     /// trace-ledger drop attribution. Observational only; pair with
     /// [`decision`](Self::decision) where the drop is also a judgement.
     ///
-    /// A drop of the same object for the same reason as the effect just
+    /// A drop of the same trace for the same reason as the effect just
     /// emitted in this turn extends that effect's count instead of adding
     /// one, so a storm dropped from every viewer's buffer costs one effect;
     /// expanding the counts gives back the drops one by one, in order.
-    pub fn dropped(&mut self, object: ObjectId, reason: DropReason) {
+    pub fn dropped(&mut self, trace: TraceId, reason: DropReason) {
         if let Some(Effect::DropUpdate {
-            object: o,
+            trace: t,
             reason: r,
             count,
         }) = self.effects[self.turn_start..].last_mut()
         {
-            if (*o, *r) == (object, reason) && *count < u32::MAX {
+            if (*t, *r) == (trace, reason) && *count < u32::MAX {
                 *count += 1;
                 return;
             }
         }
         self.effects.push(Effect::DropUpdate {
-            object,
+            trace,
             reason,
             count: 1,
         });
@@ -570,8 +573,8 @@ mod tests {
         assert!((counters.filtered_fraction() - 2.0 / 3.0).abs() < 1e-9);
     }
 
-    /// Adjacent drops of one object for one reason share an effect; any
-    /// other effect, object or reason in between starts a new one, and a
+    /// Adjacent drops of one trace for one reason share an effect; any
+    /// other effect, trace or reason in between starts a new one, and a
     /// new handler turn never extends an earlier turn's effect.
     #[test]
     fn dropped_folds_adjacent_repeats_within_a_turn() {
@@ -579,9 +582,9 @@ mod tests {
         let mut effects = Vec::new();
         let mut counters = AppCounters::default();
         let mut token = 0;
-        let (a, b) = (ObjectId(1), ObjectId(2));
-        let drop = |object, reason, count| Effect::DropUpdate {
-            object,
+        let (a, b) = (TraceId(1), TraceId(2));
+        let drop = |trace, reason, count| Effect::DropUpdate {
+            trace,
             reason,
             count,
         };

@@ -6,11 +6,13 @@
 //! the device. Pushing batches only periodically prevents the device from
 //! receiving too many updates."
 
+use burst::frame::Payload;
 use burst::json::Json;
 use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
 use simkit::snap_struct;
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::TraceId;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, FetchToken, StreamKey, WasRequest, WasResponse};
@@ -30,6 +32,9 @@ struct StreamState {
     online: FxHashMap<u64, SimTime>,
     /// Snapshot sent in the previous batch (dedupe no-change batches).
     last_sent: Vec<u64>,
+    /// The trace of the latest status update folded in since the last
+    /// tick, which the tick's batch carries.
+    trace: Option<TraceId>,
 }
 
 /// The ActiveStatus BRASS application.
@@ -54,7 +59,11 @@ impl ActiveStatusApp {
 }
 
 // `last_sent` is verbatim — it is device-visible.
-snap_struct!(StreamState { online, last_sent });
+snap_struct!(StreamState {
+    online,
+    last_sent,
+    trace
+});
 snap_struct!(ActiveStatusApp { table });
 
 impl BrassApp for ActiveStatusApp {
@@ -71,6 +80,7 @@ impl BrassApp for ActiveStatusApp {
         let state = StreamState {
             online: FxHashMap::default(),
             last_sent: Vec::new(),
+            trace: None,
         };
         let slot = self.table.open(stream, state);
         // One device subscribe → many BRASS subscriptions: fetch the friend
@@ -102,6 +112,7 @@ impl BrassApp for ActiveStatusApp {
             };
             ctx.decision();
             state.online.insert(friend, ctx.now);
+            state.trace = Some(event.trace());
         });
     }
 
@@ -112,6 +123,7 @@ impl BrassApp for ActiveStatusApp {
         let stream = self.table.key(slot);
         let state = self.table.get_mut(slot).expect("a fired stream is open");
         let online = Self::online_snapshot(state, ctx.now);
+        let trace = state.trace.take();
         if online != state.last_sent {
             let payload = format!(
                 r#"{{"online":[{}]}}"#,
@@ -122,7 +134,7 @@ impl BrassApp for ActiveStatusApp {
                     .join(",")
             );
             state.last_sent = online;
-            ctx.send(stream, payload.into_bytes());
+            ctx.send(stream, Payload::from(payload.into_bytes()).traced(trace));
         }
         // Garbage-collect expired entries.
         let now = ctx.now;
@@ -165,7 +177,7 @@ mod tests {
 
     fn status_event(uid: u64) -> UpdateEvent {
         UpdateEvent {
-            id: 1,
+            id: 1_000 + uid,
             topic: Topic::active_status(uid),
             object: ObjectId(uid),
             kind: EventKind::StatusOnline,
@@ -219,13 +231,13 @@ mod tests {
         let payload = fx
             .iter()
             .find_map(|e| match e {
-                Effect::SendPayloads { payloads, .. } => {
-                    Some(String::from_utf8(payloads[0].to_vec()).unwrap())
-                }
+                Effect::SendPayloads { payloads, .. } => Some(&payloads[0]),
                 _ => None,
             })
             .expect("batch pushed");
-        assert_eq!(payload, r#"{"online":[5,6]}"#);
+        assert_eq!(&payload[..], br#"{"online":[5,6]}"#);
+        // The batch carries the trace of the latest update it folded in.
+        assert_eq!(payload.trace(), Some(TraceId(1_006)));
         // Many events, one delivery: that is the point of batching.
         assert_eq!(d.counters.decisions, 2);
         assert_eq!(d.counters.deliveries, 1);

@@ -8,11 +8,12 @@
 //! demonstration that per-app BRASS code stays tiny (§3.4: "at most a few
 //! hundred JS lines").
 
-use burst::frame::TerminateReason;
+use burst::frame::{Payload, TerminateReason};
 use burst::json::Json;
 use simkit::snap::ensure;
 use simkit::snap_struct;
 use simkit::time::SimDuration;
+use simkit::trace::TraceId;
 use was::{EventKind, UpdateEvent};
 
 use crate::app::{BrassApp, Ctx, StreamKey};
@@ -30,6 +31,9 @@ struct StreamState {
     count: u64,
     /// Count included in the last push.
     pushed: u64,
+    /// The trace of the latest like counted since the last push, which
+    /// the next push carries.
+    trace: Option<TraceId>,
     limiter: TokenBucket,
 }
 
@@ -52,7 +56,8 @@ impl LikesApp {
         if state.limiter.try_acquire(ctx.now) {
             state.pushed = state.count;
             let payload = format!(r#"{{"post":{},"likes":{}}}"#, state.post, state.count);
-            ctx.send(key, payload.into_bytes());
+            let payload = Payload::from(payload.into_bytes()).traced(state.trace.take());
+            ctx.send(key, payload);
         } else if !armed {
             // Defer the flush until a token is available. The wait is
             // floored at 1 ms: float rounding in the bucket can otherwise
@@ -71,6 +76,7 @@ snap_struct!(
         post,
         count,
         pushed,
+        trace,
         limiter
     },
     |s| ensure(s.pushed <= s.count, "likes: pushed exceeds count")
@@ -93,6 +99,7 @@ impl BrassApp for LikesApp {
             post,
             count: 0,
             pushed: 0,
+            trace: None,
             limiter: TokenBucket::per_interval(PUSH_INTERVAL),
         };
         // A live key's old incarnation's deferred flush dies with it.
@@ -108,6 +115,7 @@ impl BrassApp for LikesApp {
             if let Some(state) = table.get_mut(slot) {
                 ctx.decision();
                 state.count += 1;
+                state.trace = Some(event.trace());
             }
             Self::push_or_defer(table, ctx, slot);
         });
@@ -155,7 +163,7 @@ mod tests {
 
     fn like(post: u64, uid: u64) -> UpdateEvent {
         UpdateEvent {
-            id: uid,
+            id: 1_000 + uid,
             topic: Topic::new(&format!("/Likes/{post}")).unwrap(),
             object: ObjectId(post),
             kind: EventKind::PostLiked,
@@ -166,15 +174,21 @@ mod tests {
         }
     }
 
+    fn sent(fx: &[Effect]) -> impl Iterator<Item = &Payload> {
+        fx.iter().filter_map(|e| match e {
+            Effect::SendPayloads { payloads, .. } => Some(&payloads[0]),
+            _ => None,
+        })
+    }
+
     fn payloads(fx: &[Effect]) -> Vec<String> {
-        fx.iter()
-            .filter_map(|e| match e {
-                Effect::SendPayloads { payloads, .. } => {
-                    Some(String::from_utf8(payloads[0].to_vec()).unwrap())
-                }
-                _ => None,
-            })
+        sent(fx)
+            .map(|p| String::from_utf8(p.to_vec()).unwrap())
             .collect()
+    }
+
+    fn traces(fx: &[Effect]) -> Vec<Option<TraceId>> {
+        sent(fx).map(Payload::trace).collect()
     }
 
     #[test]
@@ -183,6 +197,7 @@ mod tests {
         d.subscribe(stream(1), &header(7, 9));
         let fx = d.event(&like(7, 100));
         assert_eq!(payloads(&fx), vec![r#"{"post":7,"likes":1}"#]);
+        assert_eq!(traces(&fx), vec![Some(TraceId(1_100))]);
     }
 
     #[test]
@@ -200,6 +215,8 @@ mod tests {
         let (_, t) = d.timers()[0];
         let fx = d.fire_timer(t);
         assert_eq!(payloads(&fx), vec![r#"{"post":7,"likes":51}"#]);
+        // It carries the trace of the latest like it folded in.
+        assert_eq!(traces(&fx), vec![Some(TraceId(1_249))]);
         assert_eq!(d.counters.decisions, 51);
         assert_eq!(d.counters.deliveries, 2, "51 likes -> 2 pushes");
     }

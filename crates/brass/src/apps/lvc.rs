@@ -20,7 +20,7 @@ use burst::json::Json;
 use pylon::{Topic, TopicId};
 use simkit::snap::ensure;
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::DropReason;
+use simkit::trace::{DropReason, TraceId};
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
@@ -59,10 +59,12 @@ impl Default for LvcConfig {
     }
 }
 
-/// A buffered comment reference (the payload stays in TAO until fetched).
+/// A buffered comment reference (the payload stays in TAO until fetched)
+/// and the trace of the update that posted it.
 #[derive(Clone, Debug)]
 struct BufferedComment {
     object: ObjectId,
+    trace: TraceId,
 }
 
 struct StreamState {
@@ -98,10 +100,11 @@ pub struct LvcApp {
 #[derive(Clone, Copy)]
 enum PendingFetch {
     /// A popped comment awaiting its payload/privacy fetch. Carries the
-    /// object so the fetch outcome can be attributed if the comment never
-    /// reaches the device (privacy denial, deletion, stream teardown
-    /// while the fetch was in flight).
-    Comment(ObjectId),
+    /// comment's trace: the payload is tagged with it, and the fetch
+    /// outcome is attributed to it if the comment never reaches the device
+    /// (privacy denial, deletion, stream teardown while the fetch was in
+    /// flight).
+    Comment(TraceId),
     Friends,
 }
 
@@ -154,7 +157,7 @@ snap_struct!(
         )
     }
 );
-snap_struct!(BufferedComment { object });
+snap_struct!(BufferedComment { object, trace });
 snap_struct!(
     StreamState {
         viewer,
@@ -172,7 +175,7 @@ snap_struct!(
         )
     }
 );
-snap_enum!(PendingFetch { 0 => Comment(object), 1 => Friends });
+snap_enum!(PendingFetch { 0 => Comment(trace), 1 => Friends });
 // The language table is verbatim: interned indices are behaviour-visible.
 snap_struct!(
     LvcApp {
@@ -264,6 +267,7 @@ impl BrassApp for LvcApp {
             table,
         } = self;
         let created = SimTime::from_millis(event.meta.created_ms);
+        let trace = event.trace();
         table.fan_out(&event.topic, |table, slot| {
             let Some(state) = table.get_mut(slot) else {
                 return;
@@ -285,19 +289,17 @@ impl BrassApp for LvcApp {
                 } else {
                     DropReason::QualityFilter
                 };
-                ctx.dropped(event.object, reason);
+                ctx.dropped(trace, reason);
                 ctx.decision();
                 return;
             }
-            match state.buffer.offer(
-                event.meta.quality,
-                created,
-                BufferedComment {
-                    object: event.object,
-                },
-            ) {
+            let comment = BufferedComment {
+                object: event.object,
+                trace,
+            };
+            match state.buffer.offer(event.meta.quality, created, comment) {
                 PushOutcome::KeptEvicting(e) | PushOutcome::Rejected(e) => {
-                    ctx.dropped(e.item.object, DropReason::BufferOverflow);
+                    ctx.dropped(e.item.trace, DropReason::BufferOverflow);
                 }
                 PushOutcome::Kept => {}
             }
@@ -312,7 +314,7 @@ impl BrassApp for LvcApp {
         let state = self.table.get_mut(slot).expect("a fired stream is open");
         // Comments that aged out died waiting for the rate-limited push slot.
         for e in state.buffer.take_expired(ctx.now) {
-            ctx.dropped(e.item.object, DropReason::RateLimit);
+            ctx.dropped(e.item.trace, DropReason::RateLimit);
         }
         let mut fetch = None;
         if state.limiter.try_acquire(ctx.now) {
@@ -322,8 +324,9 @@ impl BrassApp for LvcApp {
                 let token = ctx.was_request(WasRequest::FetchObject {
                     viewer: state.viewer,
                     object: comment.object,
+                    trace: comment.trace,
                 });
-                fetch = Some((token, PendingFetch::Comment(comment.object)));
+                fetch = Some((token, PendingFetch::Comment(comment.trace)));
             }
             Self::account_buffer_losses(state, ctx);
         }
@@ -341,12 +344,12 @@ impl BrassApp for LvcApp {
         match (pending, self.table.get_mut(slot)) {
             // The stream was torn down while the fetch was in flight; the
             // popped comment dies here with it.
-            (PendingFetch::Comment(object), None) => {
-                ctx.dropped(object, DropReason::DeviceDisconnected);
+            (PendingFetch::Comment(trace), None) => {
+                ctx.dropped(trace, DropReason::DeviceDisconnected);
             }
-            (PendingFetch::Comment(object), Some(state)) => match response {
+            (PendingFetch::Comment(trace), Some(state)) => match response {
                 WasResponse::Payload(payload) => {
-                    ctx.send(stream, payload);
+                    ctx.send(stream, payload.traced(trace));
                     state.sends_since_rewrite += 1;
                     // Periodically persist limiter state into the header so
                     // a failover BRASS continues the rate limit.
@@ -360,10 +363,10 @@ impl BrassApp for LvcApp {
                 // needs trace attribution or the update ledger shows
                 // unaccounted loss.
                 WasResponse::Denied => {
-                    ctx.dropped(object, DropReason::PrivacyBlock);
+                    ctx.dropped(trace, DropReason::PrivacyBlock);
                 }
                 WasResponse::NotFound => {
-                    ctx.dropped(object, DropReason::NotFound);
+                    ctx.dropped(trace, DropReason::NotFound);
                 }
                 _ => {}
             },
@@ -390,7 +393,7 @@ impl BrassApp for LvcApp {
         // Comments still buffered when the stream goes away never reach the
         // device; attribute them so their traces resolve.
         for e in state.buffer.drain() {
-            ctx.dropped(e.item.object, DropReason::DeviceDisconnected);
+            ctx.dropped(e.item.trace, DropReason::DeviceDisconnected);
         }
         self.table.close(ctx, &stream);
     }
@@ -434,7 +437,8 @@ mod tests {
         created_ms: u64,
     ) -> UpdateEvent {
         UpdateEvent {
-            id: object,
+            // A trace apart from the object, so a test sees which is named.
+            id: 1_000 + object,
             topic: Topic::live_video_comments(video),
             object: ObjectId(object),
             kind: EventKind::CommentPosted,
@@ -489,15 +493,23 @@ mod tests {
         let fetch = fx.iter().find_map(|e| match e {
             Effect::Was {
                 token,
-                request: WasRequest::FetchObject { object, viewer },
-            } => Some((*token, *object, *viewer)),
+                request:
+                    WasRequest::FetchObject {
+                        object,
+                        viewer,
+                        trace,
+                    },
+            } => Some((*token, *object, *viewer, *trace)),
             _ => None,
         });
-        let (tok, obj, viewer) = fetch.expect("tick fetches the best comment");
-        assert_eq!(obj, ObjectId(102));
-        assert_eq!(viewer, 9);
+        let (tok, obj, viewer, trace) = fetch.expect("tick fetches the best comment");
+        assert_eq!((obj, viewer, trace), (ObjectId(102), 9, TraceId(1_102)));
         let fx = d.was_response(tok, WasResponse::Payload(b"payload".to_vec().into()));
-        assert!(matches!(fx[0], Effect::SendPayloads { .. }));
+        // The fetched payload goes out tagged with the comment's trace.
+        let Effect::SendPayloads { payloads, .. } = &fx[0] else {
+            panic!("expected a send, got {fx:?}");
+        };
+        assert_eq!(payloads[0].trace(), Some(TraceId(1_102)));
         assert_eq!(d.counters.deliveries, 1);
     }
 
@@ -723,7 +735,7 @@ mod tests {
         assert_eq!(
             fx,
             vec![Effect::DropUpdate {
-                object: ObjectId(400),
+                trace: TraceId(1_400),
                 reason: DropReason::PrivacyBlock,
                 count: 1,
             }]

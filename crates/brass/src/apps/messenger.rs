@@ -31,6 +31,7 @@ use burst::frame::{Payload, TerminateReason};
 use burst::json::Json;
 use simkit::snap::ensure;
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::TraceId;
 use simkit::{snap_enum, snap_struct};
 use was::{EventKind, UpdateEvent};
 
@@ -39,21 +40,15 @@ use crate::apps::AppId;
 use crate::resolve::ResolvedSub;
 use crate::table::StreamTable;
 
-#[derive(Clone, Debug)]
-enum Slot {
-    /// Event seen; payload fetch in flight.
-    Fetching,
-    /// Payload ready to deliver once all earlier sequences are.
-    Ready(Payload),
-}
-
 struct StreamState {
     viewer: u64,
     mailbox: u64,
     /// Next mailbox sequence number the device expects.
     next_seq: u64,
-    /// Reorder buffer keyed by mailbox seq.
-    pending: BTreeMap<u64, Slot>,
+    /// Reorder buffer keyed by mailbox seq: a message's payload, ready to
+    /// deliver once all earlier sequences are, or `None` while its fetch
+    /// is in flight.
+    pending: BTreeMap<u64, Option<Payload>>,
     /// Whether a backfill poll is currently outstanding.
     backfilling: bool,
     /// Sequence persisted in the header via the last rewrite.
@@ -65,8 +60,9 @@ struct StreamState {
 
 /// An in-flight WAS request of a stream.
 enum Fetch {
-    /// The payload of message `seq`.
-    Message(u64),
+    /// The payload of message `seq`, added to the mailbox by the update
+    /// of the trace, which the payload is tagged with.
+    Message(u64, TraceId),
     /// A mailbox backfill.
     Backfill,
 }
@@ -87,15 +83,9 @@ impl MessengerApp {
     /// persists progress into the header. Returns whether it sent anything.
     fn drain_ready(state: &mut StreamState, stream: StreamKey, ctx: &mut Ctx<'_>) -> bool {
         let mut batch: Vec<Payload> = Vec::new();
-        while let Some(Slot::Ready(_)) = state.pending.get(&state.next_seq) {
-            let Slot::Ready(payload) = state
-                .pending
-                .remove(&state.next_seq)
-                .expect("checked above")
-            else {
-                unreachable!("matched Ready above");
-            };
-            batch.push(payload);
+        while let Some(Some(_)) = state.pending.get(&state.next_seq) {
+            let ready = state.pending.remove(&state.next_seq).flatten();
+            batch.push(ready.expect("matched above"));
             state.next_seq += 1;
         }
         if !batch.is_empty() {
@@ -144,8 +134,7 @@ impl MessengerApp {
     }
 }
 
-snap_enum!(Slot { 0 => Fetching, 1 => Ready(payload) });
-snap_enum!(Fetch { 0 => Message(seq), 1 => Backfill });
+snap_enum!(Fetch { 0 => Message(seq, trace), 1 => Backfill });
 snap_struct!(
     StreamState {
         viewer,
@@ -217,19 +206,20 @@ impl BrassApp for MessengerApp {
             if seq < state.next_seq || state.pending.contains_key(&seq) {
                 return; // Duplicate.
             }
-            state.pending.insert(seq, Slot::Fetching);
+            state.pending.insert(seq, None);
             if seq > state.next_seq {
                 // A gap: events for the missing range may have been dropped
                 // by best-effort Pylon. Poll the mailbox to recover them —
                 // the BRASS recovers so the device does not have to.
                 gaps.push(slot);
             }
-            let viewer = state.viewer;
+            let (viewer, trace) = (state.viewer, event.trace());
             let token = ctx.was_request(WasRequest::FetchObject {
                 viewer,
                 object: event.object,
+                trace,
             });
-            table.await_fetch(token, slot, Fetch::Message(seq));
+            table.await_fetch(token, slot, Fetch::Message(seq, trace));
         });
         for slot in gaps {
             Self::start_backfill(&mut self.table, slot, ctx);
@@ -245,11 +235,11 @@ impl BrassApp for MessengerApp {
             return;
         };
         match fetch {
-            Fetch::Message(seq) => {
+            Fetch::Message(seq, trace) => {
                 match response {
                     WasResponse::Payload(payload) => {
                         if let Some(entry) = state.pending.get_mut(&seq) {
-                            *entry = Slot::Ready(payload);
+                            *entry = Some(payload.traced(trace));
                         }
                     }
                     _ => {
@@ -274,16 +264,23 @@ impl BrassApp for MessengerApp {
                 let WasResponse::Mailbox(entries) = response else {
                     return;
                 };
+                let viewer = state.viewer;
                 let mut fetches = Vec::new();
-                for (seq, object) in entries {
+                for (seq, object, trace) in entries {
                     if seq >= state.next_seq && !state.pending.contains_key(&seq) {
-                        state.pending.insert(seq, Slot::Fetching);
-                        fetches.push((seq, state.viewer, object));
+                        state.pending.insert(seq, None);
+                        fetches.push((seq, object, trace));
                     }
                 }
-                for (seq, viewer, object) in fetches {
-                    let token = ctx.was_request(WasRequest::FetchObject { viewer, object });
-                    self.table.await_fetch(token, slot, Fetch::Message(seq));
+                for (seq, object, trace) in fetches {
+                    let request = WasRequest::FetchObject {
+                        viewer,
+                        object,
+                        trace,
+                    };
+                    let token = ctx.was_request(request);
+                    self.table
+                        .await_fetch(token, slot, Fetch::Message(seq, trace));
                 }
             }
         }
@@ -338,7 +335,7 @@ mod tests {
 
     fn msg_event(mailbox: u64, seq: u64, object: u64) -> UpdateEvent {
         UpdateEvent {
-            id: object,
+            id: 1_000 + object,
             topic: Topic::messenger_mailbox(mailbox),
             object: ObjectId(object),
             kind: EventKind::MessageAdded,
@@ -378,19 +375,22 @@ mod tests {
             .collect()
     }
 
-    fn sent(fx: &[Effect]) -> Vec<String> {
+    fn sent_payloads(fx: &[Effect]) -> impl Iterator<Item = &Payload> {
         fx.iter()
             .filter_map(|e| match e {
-                Effect::SendPayloads { payloads, .. } => Some(
-                    payloads
-                        .iter()
-                        .map(|p| String::from_utf8(p.to_vec()).unwrap())
-                        .collect::<Vec<_>>(),
-                ),
+                Effect::SendPayloads { payloads, .. } => Some(payloads),
                 _ => None,
             })
             .flatten()
-            .collect()
+    }
+
+    fn sent(fx: &[Effect]) -> Vec<String> {
+        let text = |p: &Payload| String::from_utf8(p.to_vec()).unwrap();
+        sent_payloads(fx).map(text).collect()
+    }
+
+    fn sent_traces(fx: &[Effect]) -> Vec<Option<TraceId>> {
+        sent_payloads(fx).map(Payload::trace).collect()
     }
 
     #[test]
@@ -405,6 +405,7 @@ mod tests {
                 WasResponse::Payload(format!("m{seq}").into_bytes().into()),
             );
             assert_eq!(sent(&fx), vec![format!("m{seq}")]);
+            assert_eq!(sent_traces(&fx), vec![Some(TraceId(1_100 + seq))]);
         }
         assert_eq!(
             d.app.table.find_mut(&stream(1)).map(|s| s.next_seq),
@@ -451,9 +452,9 @@ mod tests {
         let fx = d.was_response(
             backfill,
             WasResponse::Mailbox(vec![
-                (0, ObjectId(100)),
-                (1, ObjectId(101)),
-                (2, ObjectId(102)),
+                (0, ObjectId(100), TraceId(1_100)),
+                (1, ObjectId(101), TraceId(1_101)),
+                (2, ObjectId(102), TraceId(1_102)),
             ]),
         );
         let toks = fetch_tokens(&fx);
@@ -468,6 +469,11 @@ mod tests {
             sent(&fx),
             vec!["m1", "m2"],
             "m0 flushed earlier, rest in order"
+        );
+        // A replayed message carries the trace its mailbox row names.
+        assert_eq!(
+            sent_traces(&fx),
+            vec![Some(TraceId(1_101)), Some(TraceId(1_102))]
         );
         assert_eq!(
             d.app.table.find_mut(&stream(1)).map(|s| s.next_seq),

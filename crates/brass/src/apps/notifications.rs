@@ -8,12 +8,13 @@
 //! flushes a single coalesced payload naming the first actor and the
 //! total count.
 
-use burst::frame::TerminateReason;
+use burst::frame::{Payload, TerminateReason};
 use burst::json::Json;
 use simkit::fxhash::FxHashMap;
 use simkit::snap::ensure;
 use simkit::snap_struct;
 use simkit::time::SimDuration;
+use simkit::trace::TraceId;
 use tao::ObjectId;
 use was::{EventKind, UpdateEvent};
 
@@ -25,12 +26,13 @@ use crate::table::StreamTable;
 /// Coalescing window: events arriving within this span merge into one push.
 pub const COALESCE_WINDOW: SimDuration = SimDuration::from_secs(4);
 
-#[derive(Default)]
 struct PendingGroup {
     /// The first actor in the window (named in the payload).
     first_actor: u64,
     /// Total events coalesced.
     count: u64,
+    /// The trace of the latest event coalesced, which the flush carries.
+    trace: TraceId,
 }
 
 struct StreamState {
@@ -46,9 +48,14 @@ pub struct NotificationsApp {
     table: StreamTable<StreamState>,
 }
 
-snap_struct!(PendingGroup { first_actor, count }, |g| {
-    ensure(g.count != 0, "notifications: empty coalescing group")
-});
+snap_struct!(
+    PendingGroup {
+        first_actor,
+        count,
+        trace
+    },
+    |g| { ensure(g.count != 0, "notifications: empty coalescing group") }
+);
 snap_struct!(StreamState { pending });
 snap_struct!(NotificationsApp { table });
 
@@ -79,11 +86,13 @@ impl BrassApp for NotificationsApp {
         self.table.fan_out(&event.topic, |table, slot| {
             let state = table.get_mut(slot).expect("a listed stream is open");
             ctx.decision();
-            let group = state.pending.entry(event.object).or_default();
-            if group.count == 0 {
-                group.first_actor = event.meta.uid;
-            }
+            let group = state.pending.entry(event.object).or_insert(PendingGroup {
+                first_actor: event.meta.uid,
+                count: 0,
+                trace: event.trace(),
+            });
             group.count += 1;
+            group.trace = event.trace();
             // The first event of a window starts its flush.
             if !table.armed(slot) {
                 table.arm(ctx, slot, COALESCE_WINDOW);
@@ -99,7 +108,7 @@ impl BrassApp for NotificationsApp {
         let state = self.table.get_mut(slot).expect("a fired stream is open");
         let mut groups: Vec<(ObjectId, PendingGroup)> = state.pending.drain().collect();
         groups.sort_by_key(|(obj, _)| *obj);
-        let payloads: Vec<Vec<u8>> = groups
+        let payloads: Vec<Payload> = groups
             .into_iter()
             .map(|(obj, g)| {
                 let text = if g.count == 1 {
@@ -115,7 +124,7 @@ impl BrassApp for NotificationsApp {
                         g.count - 1
                     )
                 };
-                text.into_bytes()
+                Payload::from(text.into_bytes()).traced(g.trace)
             })
             .collect();
         ctx.send_batch(key, payloads);
@@ -153,7 +162,7 @@ mod tests {
 
     fn notif(owner: u64, post: u64, actor: u64) -> UpdateEvent {
         UpdateEvent {
-            id: actor,
+            id: 1_000 + actor,
             topic: pylon::Topic::notifications(owner),
             object: ObjectId(post),
             kind: EventKind::NotificationPosted,
@@ -164,19 +173,23 @@ mod tests {
         }
     }
 
-    fn payloads(fx: &[Effect]) -> Vec<String> {
+    fn sent(fx: &[Effect]) -> impl Iterator<Item = &Payload> {
         fx.iter()
             .filter_map(|e| match e {
-                Effect::SendPayloads { payloads, .. } => Some(
-                    payloads
-                        .iter()
-                        .map(|p| String::from_utf8(p.to_vec()).unwrap())
-                        .collect::<Vec<_>>(),
-                ),
+                Effect::SendPayloads { payloads, .. } => Some(payloads),
                 _ => None,
             })
             .flatten()
+    }
+
+    fn payloads(fx: &[Effect]) -> Vec<String> {
+        sent(fx)
+            .map(|p| String::from_utf8(p.to_vec()).unwrap())
             .collect()
+    }
+
+    fn traces(fx: &[Effect]) -> Vec<Option<TraceId>> {
+        sent(fx).map(Payload::trace).collect()
     }
 
     #[test]
@@ -209,6 +222,8 @@ mod tests {
             vec![r#"{"notif":"like","post":7,"actor":100,"others":4999}"#],
             "five thousand events -> one push"
         );
+        // The push carries the trace of the latest event it coalesced.
+        assert_eq!(traces(&fx), vec![Some(TraceId(1_000 + 5_099))]);
         assert_eq!(d.counters.decisions, 5_000);
         assert_eq!(d.counters.deliveries, 1);
     }
@@ -226,6 +241,10 @@ mod tests {
         assert_eq!(p.len(), 2, "one payload per subject post");
         assert!(p[0].contains(r#""post":7"#));
         assert!(p[1].contains(r#""post":8"#));
+        assert_eq!(
+            traces(&fx),
+            vec![Some(TraceId(1_001)), Some(TraceId(1_002))]
+        );
         assert_eq!(d.counters.deliveries, 2, "two payloads in one atomic batch");
     }
 

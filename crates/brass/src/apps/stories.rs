@@ -9,6 +9,7 @@
 //! is being displayed on the device", eliminating the two intersect queries
 //! polling would need.
 
+use burst::frame::Payload;
 use burst::json::Json;
 use pylon::{Topic, TopicId};
 use simkit::fxhash::FxHashMap;
@@ -140,6 +141,7 @@ impl BrassApp for StoriesApp {
             return;
         };
         let tray_size = self.config.tray_size;
+        let trace = event.trace();
         self.table.fan_out(&event.topic, |table, slot| {
             let key = table.key(slot);
             let Some(state) = table.get_mut(slot) else {
@@ -150,24 +152,24 @@ impl BrassApp for StoriesApp {
             c.story_count += 1;
             c.last_story = ctx.now;
 
-            // Recompute the tray and diff against what the device displays.
+            // Recompute the tray and diff against what the device displays;
+            // every command carries the story's trace.
             let new_tray = Self::top_n(state, tray_size);
-            let mut commands: Vec<Vec<u8>> = Vec::new();
+            let mut commands: Vec<String> = Vec::new();
             for gone in state.displayed.iter().filter(|u| !new_tray.contains(u)) {
-                commands.push(format!(r#"{{"remove_container":{gone}}}"#).into_bytes());
+                commands.push(format!(r#"{{"remove_container":{gone}}}"#));
             }
             for added in new_tray.iter().filter(|u| !state.displayed.contains(u)) {
-                commands.push(format!(r#"{{"add_container":{added}}}"#).into_bytes());
+                commands.push(format!(r#"{{"add_container":{added}}}"#));
             }
             if new_tray.contains(&author) && state.displayed.contains(&author) {
                 // The container is already on screen: push just the story.
-                commands.push(
-                    format!(r#"{{"add_story":{},"container":{author}}}"#, event.object.0)
-                        .into_bytes(),
-                );
+                let story = event.object.0;
+                commands.push(format!(r#"{{"add_story":{story},"container":{author}}}"#));
             }
             state.displayed = new_tray;
-            ctx.send_batch(key, commands);
+            let traced = |text: String| Payload::from(text.into_bytes()).traced(trace);
+            ctx.send_batch(key, commands.into_iter().map(traced).collect());
         });
     }
 
@@ -186,6 +188,7 @@ mod tests {
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
     use simkit::time::SimDuration;
+    use simkit::trace::TraceId;
     use tao::ObjectId;
     use was::event::EventMeta;
 
@@ -205,7 +208,7 @@ mod tests {
 
     fn story(author: u64, story_id: u64) -> UpdateEvent {
         UpdateEvent {
-            id: story_id,
+            id: 1_000 + story_id,
             topic: Topic::stories(author),
             object: ObjectId(story_id),
             kind: EventKind::StoryCreated,
@@ -230,18 +233,18 @@ mod tests {
         d
     }
 
-    fn last_commands(fx: &[Effect]) -> Vec<String> {
+    fn sent(fx: &[Effect]) -> impl Iterator<Item = &Payload> {
         fx.iter()
             .filter_map(|e| match e {
-                Effect::SendPayloads { payloads, .. } => Some(
-                    payloads
-                        .iter()
-                        .map(|p| String::from_utf8(p.to_vec()).unwrap())
-                        .collect::<Vec<_>>(),
-                ),
+                Effect::SendPayloads { payloads, .. } => Some(payloads),
                 _ => None,
             })
             .flatten()
+    }
+
+    fn last_commands(fx: &[Effect]) -> Vec<String> {
+        sent(fx)
+            .map(|p| String::from_utf8(p.to_vec()).unwrap())
             .collect()
     }
 
@@ -288,6 +291,8 @@ mod tests {
             "{cmds:?}"
         );
         assert!(cmds.contains(&r#"{"add_container":7}"#.to_string()));
+        // Every command carries the trace of the story that caused it.
+        assert!(sent(&fx).all(|p| p.trace() == Some(TraceId(1_102))));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! triggers a privacy-checking WAS fetch before the (tiny) payload is
 //! pushed.
 
+use burst::frame::Payload;
 use burst::json::Json;
 use simkit::snap_struct;
 use was::{EventKind, UpdateEvent};
@@ -23,28 +24,12 @@ struct StreamState {
 /// The TypingIndicator BRASS application.
 #[derive(Default)]
 pub struct TypingApp {
-    /// Streams listed under their topic, and their privacy fetches.
-    table: StreamTable<StreamState, Pending>,
-}
-
-/// An in-flight privacy fetch for one indicator update.
-struct Pending {
-    /// The TAO object the update event referenced, echoed in the pushed
-    /// payload's `id` field so delivery tracing can follow the update
-    /// through its device-specific transformation.
-    object: u64,
-    uid: u64,
-    typing: bool,
-    created_ms: u64,
+    /// Streams listed under their topic, and their privacy fetches, each
+    /// holding the indicator payload it pushes if the check allows.
+    table: StreamTable<StreamState, Payload>,
 }
 
 snap_struct!(StreamState { viewer });
-snap_struct!(Pending {
-    object,
-    uid,
-    typing,
-    created_ms
-});
 snap_struct!(TypingApp { table });
 
 impl BrassApp for TypingApp {
@@ -64,7 +49,14 @@ impl BrassApp for TypingApp {
         if event.kind != EventKind::TypingChanged {
             return;
         }
+        // The indicator payload is tiny and the same for every viewer, and
+        // carries the update's trace. It keeps the source object's `id`,
+        // which sets its wire size; the trace ledger reads the tag.
         let typing = event.meta.typing.unwrap_or(false);
+        let (object, uid, created_ms) = (event.object.0, event.meta.uid, event.meta.created_ms);
+        let payload =
+            format!(r#"{{"id":{object},"uid":{uid},"typing":{typing},"created_ms":{created_ms}}}"#);
+        let payload = Payload::from(payload.into_bytes()).traced(event.trace());
         self.table.fan_out(&event.topic, |table, slot| {
             let Some(state) = table.get(slot) else {
                 return;
@@ -75,37 +67,18 @@ impl BrassApp for TypingApp {
             let token = ctx.was_request(WasRequest::FetchObject {
                 viewer: state.viewer,
                 object: event.object,
+                trace: event.trace(),
             });
-            let pending = Pending {
-                object: event.object.0,
-                uid: event.meta.uid,
-                typing,
-                created_ms: event.meta.created_ms,
-            };
-            table.await_fetch(token, slot, pending);
+            table.await_fetch(token, slot, payload.clone());
         });
     }
 
     fn on_was_response(&mut self, ctx: &mut Ctx<'_>, token: FetchToken, response: WasResponse) {
-        let Some((slot, pending)) = self.table.answer(token) else {
+        let Some((slot, payload)) = self.table.answer(token) else {
             return;
         };
-        if self.table.get(slot).is_none() {
-            return;
-        }
-        match response {
-            WasResponse::Payload(_) => {
-                // Device-specific transform: the indicator payload is
-                // tiny, but keeps the source object's `id` so the trace
-                // ledger can follow the transformed update to the device.
-                let payload = format!(
-                    r#"{{"id":{},"uid":{},"typing":{},"created_ms":{}}}"#,
-                    pending.object, pending.uid, pending.typing, pending.created_ms
-                );
-                ctx.send(self.table.key(slot), payload.into_bytes());
-            }
-            WasResponse::Denied | WasResponse::NotFound => {}
-            _ => {}
+        if self.table.get(slot).is_some() && matches!(response, WasResponse::Payload(_)) {
+            ctx.send(self.table.key(slot), payload);
         }
     }
 
@@ -124,6 +97,7 @@ mod tests {
     use crate::app::{DeviceId, Effect, TestDriver};
     use burst::frame::StreamId;
     use pylon::Topic;
+    use simkit::trace::TraceId;
     use tao::ObjectId;
     use was::event::EventMeta;
 
@@ -148,7 +122,7 @@ mod tests {
 
     fn typing_event(thread: u64, uid: u64, typing: bool) -> UpdateEvent {
         UpdateEvent {
-            id: 1,
+            id: 31,
             topic: Topic::typing_indicator(thread, uid),
             object: ObjectId(uid),
             kind: EventKind::TypingChanged,
@@ -169,24 +143,29 @@ mod tests {
         let tok = fx.iter().find_map(|e| match e {
             Effect::Was {
                 token,
-                request: WasRequest::FetchObject { viewer, object },
+                request:
+                    WasRequest::FetchObject {
+                        viewer,
+                        object,
+                        trace,
+                    },
             } => {
-                assert_eq!(*viewer, 9);
-                assert_eq!(*object, ObjectId(2));
+                assert_eq!((*viewer, *object, *trace), (9, ObjectId(2), TraceId(31)));
                 Some(*token)
             }
             _ => None,
         });
         let fx = d.was_response(tok.unwrap(), WasResponse::Payload(b"user".to_vec().into()));
-        let sent = match &fx[0] {
-            Effect::SendPayloads { payloads, .. } => {
-                String::from_utf8(payloads[0].to_vec()).unwrap()
-            }
+        let (sent, trace) = match &fx[0] {
+            Effect::SendPayloads { payloads, .. } => (
+                String::from_utf8(payloads[0].to_vec()).unwrap(),
+                payloads[0].trace(),
+            ),
             other => panic!("expected send, got {other:?}"),
         };
-        // The payload leads with the TAO object id so downstream trace
-        // attribution can resolve which update a rendered frame carries.
         assert_eq!(sent, r#"{"id":2,"uid":2,"typing":true,"created_ms":0}"#);
+        // The payload carries the trace of the event it came from.
+        assert_eq!(trace, Some(TraceId(31)));
         assert_eq!(d.counters.decisions, 1);
         assert_eq!(d.counters.deliveries, 1);
     }

@@ -86,8 +86,8 @@ pub enum HostEffect {
     },
     /// An application dropped an update; forwarded for trace attribution.
     DropUpdate {
-        /// The TAO object the dropped update referenced.
-        object: tao::ObjectId,
+        /// The trace of the dropped update.
+        trace: simkit::trace::TraceId,
         /// Why the update was dropped.
         reason: simkit::trace::DropReason,
         /// How many identical drops in a row this stands for.
@@ -347,11 +347,11 @@ impl BrassHost {
                 }
                 Effect::Timer { at, token } => out.push(HostEffect::Timer { at, app, token }),
                 Effect::DropUpdate {
-                    object,
+                    trace,
                     reason,
                     count,
                 } => out.push(HostEffect::DropUpdate {
-                    object,
+                    trace,
                     reason,
                     count,
                 }),
@@ -666,6 +666,7 @@ mod tests {
     use super::*;
     use crate::app::WasResponse;
     use pylon::HostId;
+    use simkit::trace::TraceId;
     use was::event::{EventKind, EventMeta};
     use was::UpdateEvent;
 
@@ -816,7 +817,9 @@ mod tests {
         // installing `last_seq`, so resubscribes resume sequence
         // numbering instead of restarting at zero.
         assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0], Delta::update(0, b"hi".to_vec()));
+        // The payload goes down tagged with the comment's trace.
+        let hi = burst::frame::Payload::from(b"hi".to_vec());
+        assert_eq!(batch[0], Delta::update(0, hi.traced(TraceId(100))));
         assert_eq!(batch[1], Delta::Progress { last_seq: 0 });
         let c = h.app_counters(AppId::Lvc).unwrap();
         assert_eq!(c.deliveries, 1);
@@ -941,7 +944,7 @@ mod tests {
         let fx = h.on_was_response(
             "messenger",
             token,
-            WasResponse::Mailbox(vec![(0, tao::ObjectId(500))]),
+            WasResponse::Mailbox(vec![(0, tao::ObjectId(500), simkit::trace::TraceId(7))]),
             SimTime::ZERO,
         );
         let token = fx

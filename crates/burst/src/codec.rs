@@ -373,6 +373,7 @@ pub fn encode_to_vec(frame: &Frame) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Payload;
     use crate::json::tests::arb_last_seq;
     use crate::json::PLAIN_INT_LIMIT;
     use proptest::prelude::*;
@@ -386,6 +387,25 @@ mod tests {
         assert_eq!(got, frame);
         assert!(dec.next_frame().unwrap().is_none());
         assert_eq!(dec.buffered(), 0);
+    }
+
+    /// The codec carries a payload's bytes and never its trace tag: a
+    /// tagged update decodes to the same bytes, untagged.
+    #[test]
+    fn the_trace_tag_is_not_encoded() {
+        let bytes = b"{\"id\":7}".to_vec();
+        let tagged = Payload::from(bytes.clone()).traced(simkit::trace::TraceId(9));
+        let frame = |payload| Frame::Response {
+            sid: StreamId(1),
+            batch: vec![Delta::update(0, payload)],
+        };
+        let wire = encode_to_vec(&frame(tagged));
+        assert_eq!(wire, encode_to_vec(&frame(Payload::from(bytes.clone()))));
+        let mut dec = Decoder::new();
+        dec.feed(&wire);
+        let got = dec.next_frame().unwrap().expect("complete frame");
+        assert_eq!(got, frame(Payload::from(bytes)));
+        assert_eq!(got.update_payloads().next().and_then(Payload::trace), None);
     }
 
     #[test]

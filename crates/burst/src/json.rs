@@ -848,8 +848,8 @@ impl From<&Json> for PackedJson {
 /// yield `None` or a best-effort value instead of an error. Keys containing
 /// escape sequences are not matched.
 ///
-/// Built for hot paths that attribute update payloads by an embedded id:
-/// the full parser allocates for every field of every payload on every hop,
+/// Built for a hot path that reads one field of every rendered update
+/// payload: the full parser allocates for every field of the payload,
 /// while this touches each byte at most once and never allocates.
 pub fn top_level_u64(input: &[u8], key: &str) -> Option<u64> {
     let key = key.as_bytes();

@@ -1210,6 +1210,25 @@ mod tests {
         assert_eq!(s.unacked().len(), 1);
     }
 
+    /// A payload's trace tag is kept in the retention buffer and comes
+    /// back on every replayed update.
+    #[test]
+    fn retention_and_replay_keep_the_trace_tag() {
+        use simkit::trace::TraceId;
+        let mut s = ServerStream::accept(StreamId(1), &header(), true);
+        let sent = s.push(Payload::from(b"a".to_vec()).traced(TraceId(41)));
+        s.push(Payload::from(b"b".to_vec()).traced(TraceId(42)));
+        assert!(
+            matches!(&sent, Delta::Update { payload, .. } if payload.trace() == Some(TraceId(41)))
+        );
+        let retained: Vec<_> = s.unacked().iter().map(|(_, p)| p.trace()).collect();
+        assert_eq!(retained, [Some(TraceId(41)), Some(TraceId(42))]);
+        s.on_ack(0);
+        let replay = s.replay_unacked();
+        let tagged = Payload::from(b"b".to_vec()).traced(TraceId(42));
+        assert_eq!(replay, vec![Delta::update(1, tagged)]);
+    }
+
     #[test]
     fn server_rewrite_progress_installs_last_seq() {
         let mut s = ServerStream::accept(StreamId(1), &header(), false);

@@ -623,15 +623,6 @@ impl Snap for Box<[u8]> {
     }
 }
 
-impl Snap for std::sync::Arc<[u8]> {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_bytes(self);
-    }
-    fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
-        Ok(r.get_bytes()?.into())
-    }
-}
-
 impl Snap for Fp64 {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.0);

@@ -10,6 +10,7 @@
 
 use pylon::Topic;
 use simkit::snap::ensure;
+use simkit::trace::TraceId;
 use simkit::{snap_enum, snap_struct};
 use tao::ObjectId;
 
@@ -69,6 +70,12 @@ pub struct UpdateEvent {
 }
 
 impl UpdateEvent {
+    /// The trace this update opens at commit: one per event, named by its
+    /// id. Whatever BRASS builds from the event carries it.
+    pub fn trace(&self) -> TraceId {
+        TraceId(self.id)
+    }
+
     /// Approximate wire size of the event (metadata only — this is the
     /// point: it stays small no matter how large the payload is).
     pub fn wire_size(&self) -> usize {

@@ -692,15 +692,21 @@ impl WebApplicationServer {
             let seq_slot = self.mailbox_seq.entry(mailbox_owner).or_insert(0);
             let seq = *seq_slot;
             *seq_slot += 1;
+            // The row names the event that added it, so a mailbox replay
+            // carries the same update as the live event.
+            let id = self.next_event_id();
             replication.extend(self.tao.assoc_add(
                 ObjectId(mailbox_owner),
                 "mailbox",
                 message,
                 seq,
-                vec![("thread".into(), Value::Int(thread as i64))],
+                vec![
+                    ("thread".into(), Value::Int(thread as i64)),
+                    ("event".into(), Value::Int(id as i64)),
+                ],
             ));
             events.push(UpdateEvent {
-                id: self.next_event_id(),
+                id,
                 topic: Topic::messenger_mailbox(mailbox_owner),
                 object: message,
                 kind: EventKind::MessageAdded,
@@ -975,9 +981,11 @@ impl WebApplicationServer {
         let mut items: Vec<Rv> = assocs
             .iter()
             .map(|a| {
+                let event = a.get("event").and_then(Value::as_int).unwrap_or(0);
                 Rv::Obj(vec![
                     ("seq".into(), Rv::Int(a.time as i64)),
                     ("messageId".into(), Rv::Int(a.id2.0 as i64)),
+                    ("eventId".into(), Rv::Int(event)),
                 ])
             })
             .collect();
@@ -1245,22 +1253,39 @@ mod tests {
             .map(|i| w.create_user(&format!("u{i}"), "en"))
             .collect();
         let t = w.create_thread(&users);
+        let mut added = Vec::new();
         for i in 0..5 {
-            w.execute_mutation(
-                &format!(r#"mutation {{ sendMessage(threadId: {t}, fromId: {}, text: "m{i}") {{ id }} }}"#, users[0]),
-                i,
-            )
-            .unwrap();
+            let out = w
+                .execute_mutation(
+                    &format!(r#"mutation {{ sendMessage(threadId: {t}, fromId: {}, text: "m{i}") {{ id }} }}"#, users[0]),
+                    i,
+                )
+                .unwrap();
+            let mailbox = Topic::messenger_mailbox(users[1]);
+            added.extend(
+                out.events
+                    .iter()
+                    .filter(|e| e.topic == mailbox)
+                    .map(|e| e.id as i64),
+            );
         }
         let q = w
             .execute_query(0, &format!("{{ mailbox(uid: {}, afterSeq: 2) }}", users[1]))
             .unwrap();
         let items = q.response.get("mailbox").unwrap().items();
-        let seqs: Vec<i64> = items
-            .iter()
-            .map(|m| m.get("seq").unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(seqs, vec![3, 4], "only messages after seq 2, oldest first");
+        let field = |name: &str| -> Vec<i64> {
+            items
+                .iter()
+                .map(|m| m.get(name).unwrap().as_int().unwrap())
+                .collect()
+        };
+        assert_eq!(
+            field("seq"),
+            vec![3, 4],
+            "only messages after seq 2, oldest first"
+        );
+        // Each row names the event that added the message to this mailbox.
+        assert_eq!(field("eventId"), added[3..]);
     }
 
     #[test]

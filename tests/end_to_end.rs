@@ -5,6 +5,8 @@ use bladerunner_repro::config::SystemConfig;
 use bladerunner_repro::scenario::LiveVideo;
 use bladerunner_repro::sim::SystemSim;
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::{Hop, HopOutcome, TraceId};
+use std::collections::BTreeSet;
 
 fn sim(seed: u64) -> SystemSim {
     SystemSim::new(SystemConfig::small(), seed)
@@ -83,6 +85,41 @@ fn typing_indicator_is_bidirectional_pair() {
     s.run_until(SimTime::from_secs(20));
     assert_eq!(s.device(a).unwrap().delivered(), 1, "a sees b typing");
     assert_eq!(s.device(b).unwrap().delivered(), 1, "b sees a typing");
+}
+
+/// One user's two typing updates, closer together than one delivery
+/// time, are two updates on one object: each renders under its own trace,
+/// and no trace is left unaccounted. (A render attributed by its payload's
+/// object named the newer trace for both, and the older one was lost.)
+#[test]
+fn close_typing_updates_render_under_their_own_traces() {
+    let mut s = sim(8);
+    let a = s.create_user_device("a", "en");
+    let b = s.create_user_device("b", "en");
+    let thread = s.was_mut().create_thread(&[a, b]);
+    s.subscribe_mailbox(SimTime::ZERO, a);
+    s.subscribe_mailbox(SimTime::ZERO, b);
+    s.subscribe_typing(SimTime::ZERO, b, thread, a);
+    s.set_typing(SimTime::from_secs(2), a, thread, true);
+    s.set_typing(SimTime::from_millis(2_050), a, thread, false);
+    s.run_until(SimTime::from_secs(30));
+    assert_eq!(s.device(b).unwrap().delivered(), 2, "b sees both updates");
+    let ledger = s.trace_ledger();
+    let admitted: BTreeSet<TraceId> = ledger
+        .records()
+        .filter(|r| r.hop == Hop::TaoCommit)
+        .map(|r| r.trace_id)
+        .collect();
+    assert_eq!(admitted.len(), 2);
+    for trace in admitted {
+        let chain = ledger.chain(trace);
+        let rendered = chain
+            .iter()
+            .filter(|r| r.hop == Hop::DeviceRender && r.outcome == HopOutcome::Ok);
+        let dropped = chain.iter().any(|r| r.outcome != HopOutcome::Ok);
+        assert!(rendered.count() == 1 || dropped, "trace {trace}: {chain:?}");
+    }
+    assert_eq!(s.convergence_report().unaccounted, Vec::<TraceId>::new());
 }
 
 #[test]
