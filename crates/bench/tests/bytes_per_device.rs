@@ -56,4 +56,19 @@ fn marginal_bytes_per_subscribed_device_stays_under_ceiling() {
         "marginal bytes per subscribed device regressed: {marginal} B \
          (ceiling {CEILING_BYTES_PER_DEVICE} B)"
     );
+    // The per-layer split accounts for every byte the system held: its
+    // rows add up to what dropping it frees (the rows' own vector aside).
+    let live = simkit::alloc::live_bytes();
+    let rows = sim.heap_by_layer();
+    let freed = live + std::mem::size_of_val(&rows[..]) - simkit::alloc::live_bytes();
+    println!("heap by layer: {rows:?}");
+    assert_eq!(rows.iter().map(|&(_, b)| b).sum::<usize>(), freed);
+    for layer in [
+        "ledger", "queue", "was", "pylon", "brass", "proxies", "pops", "devices",
+    ] {
+        assert!(
+            rows.iter().any(|&(name, b)| name == layer && b > 0),
+            "{layer} holds nothing: {rows:?}"
+        );
+    }
 }

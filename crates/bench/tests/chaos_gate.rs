@@ -4,8 +4,13 @@
 //! alone, and converge and reconverge after the last heal. The world is
 //! the one `bench --bin chaos --devices 2000` runs.
 //!
+//! The run keeps a full-retention hop ledger, so its peak RSS is held
+//! under a ceiling too. Alone in its file, so the peak RSS it reads
+//! (`VmHWM`) is its own process's.
+//!
 //! Run: `cargo test --release -p bench --test chaos_gate -- --ignored`.
 
+use bench::peak_rss_bytes;
 use bladerunner::scenario::chaos;
 
 #[test]
@@ -35,4 +40,12 @@ fn fleet_converges_after_every_fault_kind() {
         (888_861, 49_106, 0x5b07_a95b_2dce_51a9),
         "the world moved"
     );
+    // The ledger's runs are coded in about six bytes each (~13.4 MiB
+    // here; ~16.8 MiB with each run decoded, 24 bytes). The ceiling is
+    // ~1.3x the reading.
+    let rss = peak_rss_bytes();
+    let mib = rss as f64 / (1 << 20) as f64;
+    println!("chaos: peak RSS {mib:.1} MiB");
+    assert!(rss > 0, "no peak RSS reading");
+    assert!(rss < (175 << 20) / 10, "peak RSS {mib:.1} MiB >= 17.5 MiB");
 }

@@ -75,10 +75,11 @@ fn every_load_tier_sheds_gracefully() {
         "queue unbounded: mailbox peak {mailbox_peak}"
     );
     // The full ledger stores one run per storm drop, not one record per
-    // viewer, and nothing beside the runs repeats them (~15.7 MiB here;
-    // ~16.5 MiB with a per-trace index and a delivery list beside them,
-    // ~45 MiB when each viewer's drop was stored on its own). The ceiling
-    // is ~1.3x the reading.
+    // viewer, coded in about six bytes, and nothing beside the runs
+    // repeats them (~12.1 MiB here; ~15.4 MiB with each run decoded, 24
+    // bytes, ~16.5 MiB with a per-trace index and a delivery list beside
+    // them, ~45 MiB when each viewer's drop was stored on its own). The
+    // ceiling is ~1.3x the reading.
     let rss = peak_rss_bytes();
     println!(
         "flash crowd: top-tier mailbox sheds={mailbox_sheds}, peak RSS {:.1} MiB",
@@ -86,8 +87,8 @@ fn every_load_tier_sheds_gracefully() {
     );
     assert!(rss > 0, "no peak RSS reading");
     assert!(
-        rss < 20 << 20,
-        "peak RSS {:.1} MiB: per-viewer records are back",
+        rss < (157 << 20) / 10,
+        "peak RSS {:.1} MiB >= 15.7 MiB: decoded runs or per-viewer records are back",
         rss as f64 / (1 << 20) as f64
     );
 }

@@ -8,9 +8,11 @@
 //! world is the one `bench --bin scale --devices 200000 --seconds 30
 //! --active-fraction 1.0` runs.
 //!
-//! Alone in its file, so the peak RSS it reads (`VmHWM`) and the
-//! allocator's counts are its own process's. Run: `cargo test --release
-//! -p bench --test scale_memory -- --ignored`.
+//! It prints the live heap per device of each layer
+//! (`SystemSim::heap_by_layer`). Alone in its file, so the peak RSS it
+//! reads (`VmHWM`) and the allocator's counts are its own process's.
+//! Run: `cargo test --release -p bench --test scale_memory -- --ignored
+//! --nocapture`.
 
 use bench::peak_rss_bytes;
 use bladerunner::scenario::{scale, scale_config};
@@ -35,11 +37,18 @@ fn per_device_state_stays_under_the_ceilings() {
     let rss_per_device = rss as f64 / devices as f64;
     let live_per_device = live_bytes() as f64 / devices as f64;
     let (parked, _) = sim.hibernation_census();
+    let world = (total, sim.metrics().deliveries.get(), sim.fingerprint_now());
     println!(
         "memory: {rss_per_device:.0} B/device RSS, {live_per_device:.0} B/device live, \
          {allocs_per_event:.2} allocations/event, {parked} parked"
     );
-    // Measured 2,817 B/device RSS and 2,614 B/device live. Live heap is
+    for (layer, bytes) in sim.heap_by_layer() {
+        println!(
+            "  {layer:<8} {:>7.1} B/device",
+            bytes as f64 / devices as f64
+        );
+    }
+    // Measured 2,807 B/device RSS and 2,619 B/device live. Live heap is
     // an exact count for a seed, so its ceiling sits about 1.3x above it;
     // RSS varies with the runner, so about 1.5x. Reintroducing a
     // per-stream heavyweight (~hundreds of bytes x 200k) fails.
@@ -52,7 +61,7 @@ fn per_device_state_stays_under_the_ceilings() {
         live_per_device < 3400.0,
         "live heap/device {live_per_device:.0} B >= 3400 B"
     );
-    // Allocations per event are exact for a seed (3.38 measured, ramp
+    // Allocations per event are exact for a seed (3.31 measured, ramp
     // included; ceiling about 1.3x); a String or Vec back on a per-event
     // path fails here the way a per-stream heavyweight does.
     assert!(
@@ -61,7 +70,7 @@ fn per_device_state_stays_under_the_ceilings() {
     );
     assert!(parked > 190_000, "hibernation parked only {parked} of 200k");
     assert_eq!(
-        (total, sim.metrics().deliveries.get(), sim.fingerprint_now()),
+        world,
         (7_717_703, 633_274, 0xd031_6868_44f1_f7aa),
         "the world moved"
     );

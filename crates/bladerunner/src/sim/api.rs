@@ -154,6 +154,80 @@ impl SystemSim {
         (parked, self.devices.len())
     }
 
+    /// The live heap bytes each layer owns, as `(layer, bytes)` rows:
+    /// consumes the system, dropping one group of fields per row in the
+    /// rows' order and reading the counting allocator's live bytes around
+    /// each drop. Bytes two layers share (a payload's, say) count toward
+    /// the later row; every field is in exactly one row. Every row reads 0
+    /// unless the binary installed [`CountingAlloc`].
+    ///
+    /// [`CountingAlloc`]: simkit::alloc::CountingAlloc
+    pub fn heap_by_layer(self) -> Vec<(&'static str, usize)> {
+        fn freed<T>(group: T) -> usize {
+            let before = simkit::alloc::live_bytes();
+            drop(group);
+            before.saturating_sub(simkit::alloc::live_bytes())
+        }
+        let SystemSim {
+            config,
+            latency,
+            rng,
+            engine_rng,
+            queue,
+            now: _,
+            next_metrics_tick: _,
+            was,
+            pylon,
+            hosts,
+            proxies,
+            pops,
+            host_up,
+            proxy_up,
+            host_busy_until,
+            devices,
+            ledger,
+            pending_backfill,
+            pylon_delivered,
+            sub_started,
+            metrics,
+            event_stats,
+            decisions_at_tick: _,
+            langs,
+            fingerprints,
+            tick_index: _,
+            snapshot_every: _,
+            snapshots,
+            driver_blob,
+            evlog,
+            host_fx,
+            proxy_fx,
+            pop_fx,
+            device_out,
+            park,
+            served,
+        } = self;
+        vec![
+            ("ledger", freed(ledger)),
+            ("metrics", freed((metrics, event_stats, fingerprints))),
+            ("queue", freed(queue)),
+            ("was", freed(was)),
+            ("pylon", freed(pylon)),
+            ("brass", freed((hosts, host_up, host_busy_until))),
+            ("proxies", freed((proxies, proxy_up))),
+            ("pops", freed(pops)),
+            ("devices", freed((devices, langs))),
+            (
+                "engine",
+                freed((
+                    (config, latency, rng, engine_rng),
+                    (pending_backfill, pylon_delivered, sub_started),
+                    (snapshots, driver_blob, evlog),
+                    (host_fx, proxy_fx, pop_fx, device_out, park, served),
+                )),
+            ),
+        ]
+    }
+
     /// Whether a BRASS host is currently up (testing / fault plans).
     pub fn host_is_up(&self, host: usize) -> bool {
         self.host_up.get(host).copied().unwrap_or(false)

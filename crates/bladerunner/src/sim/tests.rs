@@ -107,6 +107,27 @@ fn comment_flows_end_to_end() {
     assert!(lat.total.mean() < 15_000.0, "total {}", lat.total.mean());
 }
 
+/// Without the counting allocator (this test binary runs on the stock
+/// one) every layer reads zero, and the rows name each layer once.
+#[test]
+fn heap_by_layer_reads_zero_without_the_counting_allocator() {
+    let mut s = sim();
+    let video = s.was_mut().create_video("eclipse");
+    let viewer = s.create_user_device("viewer", "en");
+    s.subscribe_lvc(SimTime::ZERO, viewer, video);
+    s.run_until(SimTime::from_secs(5));
+    let rows = s.heap_by_layer();
+    let names: Vec<&str> = rows.iter().map(|&(name, _)| name).collect();
+    assert_eq!(
+        names,
+        [
+            "ledger", "metrics", "queue", "was", "pylon", "brass", "proxies", "pops", "devices",
+            "engine"
+        ]
+    );
+    assert!(rows.iter().all(|&(_, bytes)| bytes == 0), "{rows:?}");
+}
+
 #[test]
 fn poster_does_not_receive_without_subscription() {
     let mut s = sim();

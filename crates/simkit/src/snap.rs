@@ -4,7 +4,10 @@
 //! [`SnapWriter`] and rebuild itself from a [`SnapReader`]. The encoding is
 //! deliberately dumb: little-endian fixed-width integers, length-prefixed
 //! byte strings, and *nothing* implicit — no varints, no schema evolution,
-//! no reflection. A snapshot is only ever read by the same build that wrote
+//! no reflection. (The varint pair, [`SnapWriter::put_varint`] and
+//! [`SnapReader::get_varint`], is here for in-memory stores that keep
+//! their state compact, such as the hop ledger's run blocks; no snapshot
+//! writes one.) A snapshot is only ever read by the same build that wrote
 //! it (the version stamp enforces this), so the format optimises for two
 //! properties instead:
 //!
@@ -215,6 +218,12 @@ impl SnapWriter {
         SnapWriter { buf }
     }
 
+    /// A writer that appends to `buf`, keeping what it holds;
+    /// [`SnapWriter::into_bytes`] hands it back.
+    pub fn onto(buf: Vec<u8>) -> Self {
+        SnapWriter { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -284,6 +293,26 @@ impl SnapWriter {
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
+    }
+
+    /// Writes a `u64` as a varint (LEB128): seven bits a byte, low bits
+    /// first, the top bit set on every byte but the last, so a value below
+    /// 2^7k takes k bytes (ten at most). For in-memory stores only; no
+    /// snapshot writes one.
+    #[inline]
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Writes an `i64` as a zigzag varint (0, −1, 1, −2, … ↦ 0, 1, 2, 3,
+    /// …), so a small difference of either sign takes few bytes.
+    #[inline]
+    pub fn put_zigzag(&mut self, v: i64) {
+        self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 }
 
@@ -418,6 +447,32 @@ impl<'a> SnapReader<'a> {
     pub fn get_str(&mut self) -> SnapResult<String> {
         let bytes = self.get_bytes()?;
         String::from_utf8(bytes).map_err(|_| SnapError::Invalid("non-UTF-8 string".into()))
+    }
+
+    /// Reads a varint written by [`SnapWriter::put_varint`], rejecting any
+    /// other spelling of a value: a zero last byte after the first, or bits
+    /// past the 64th.
+    #[inline]
+    pub fn get_varint(&mut self) -> SnapResult<u64> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.get_u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if (b == 0 && shift > 0) || (shift == 63 && b > 1) {
+                    return Err(SnapError::Invalid(format!("varint byte {b:#x}")));
+                }
+                return Ok(v);
+            }
+        }
+        Err(SnapError::Invalid("varint longer than ten bytes".into()))
+    }
+
+    /// Reads a zigzag varint written by [`SnapWriter::put_zigzag`].
+    #[inline]
+    pub fn get_zigzag(&mut self) -> SnapResult<i64> {
+        let v = self.get_varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 }
 
@@ -919,6 +974,52 @@ macro_rules! snap_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Varints round-trip at every length boundary, take k bytes below
+    /// 2^7k, and any other spelling of a value fails to read.
+    #[test]
+    fn varints_roundtrip_and_read_one_spelling() {
+        let mut values = vec![0, 1, u64::MAX, u64::MAX - 1];
+        for k in 1..10 {
+            values.extend([(1 << (7 * k)) - 1, 1 << (7 * k)]);
+        }
+        for v in values {
+            let mut w = SnapWriter::new();
+            w.put_varint(v);
+            let bytes = w.into_bytes();
+            let want = (64 - v.leading_zeros() as usize).div_ceil(7).max(1);
+            assert_eq!(bytes.len(), want, "{v:#x}");
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(r.get_varint(), Ok(v));
+            r.finish().unwrap();
+            for n in 0..bytes.len() {
+                assert!(SnapReader::new(&bytes[..n]).get_varint().is_err());
+            }
+        }
+        for v in [0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN] {
+            let mut w = SnapWriter::new();
+            w.put_zigzag(v);
+            let bytes = w.into_bytes();
+            assert_eq!(SnapReader::new(&bytes).get_zigzag(), Ok(v));
+        }
+        let mut w = SnapWriter::new();
+        w.put_zigzag(-1);
+        w.put_zigzag(1);
+        w.put_zigzag(-64);
+        assert_eq!(w.into_bytes(), [1, 2, 127]);
+        let overlong: [&[u8]; 4] = [
+            &[0x80, 0x00],
+            &[0xff, 0x80, 0x00],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0x80; 11],
+        ];
+        for bytes in overlong {
+            assert!(SnapReader::new(bytes).get_varint().is_err(), "{bytes:x?}");
+        }
+        let mut w = SnapWriter::onto(vec![9]);
+        w.put_varint(300);
+        assert_eq!(w.into_bytes(), [9, 0xac, 0x02]);
+    }
 
     #[test]
     fn primitive_roundtrip() {

@@ -21,13 +21,19 @@
 //! dropped from hundreds of viewers' buffers in one instant) extends that
 //! record's count instead of taking a slot, so memory is O(runs), while
 //! [`TraceLedger::records`] and [`TraceLedger::chain`] see the records one
-//! by one. [`Retention::Full`] (the default, what `trace-dump` wants) keeps
-//! every run; [`Retention::Bounded`] trims the store to its last `cap`
-//! records, so bench-scale runs don't blow peak RSS, and chains and
-//! deliveries then cover that window. Compact per-trace accounting state,
-//! the latency histograms and the fingerprint ([`LedgerFp`], a polynomial
-//! hash whose value for a run has a closed form, so a run costs O(log n))
-//! cover every record under either retention.
+//! by one. The runs are kept coded, in blocks: each as the varint
+//! differences of its trace id and instant from the run before it, its
+//! count and one byte of hop and outcome, about six bytes where a decoded
+//! run takes 24; only the newest stays decoded, so a repeat extends it in
+//! place, and readers decode as they go. [`Retention::Full`] (the default,
+//! what `trace-dump` wants) keeps every run; [`Retention::Bounded`] trims
+//! the store to its last `cap` records (whole blocks, then a count skipped
+//! inside the first, so a trim decodes nothing), so bench-scale runs don't
+//! blow peak RSS, and chains and deliveries then cover that window.
+//! Compact per-trace accounting state, the latency histograms and the
+//! fingerprint ([`LedgerFp`], a polynomial hash whose value for a run has
+//! a closed form, so a run costs O(log n)) cover every record under either
+//! retention.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -207,9 +213,8 @@ impl fmt::Display for HopRecord {
     }
 }
 
-/// A run of identical consecutive records, as a [`TraceLedger`] stores
-/// them. Flat, so the count sits where a [`HopRecord`] has padding and a
-/// run costs no more than the one record it replaces.
+/// A run of identical consecutive records, decoded: what a [`RunStore`]
+/// codes into its blocks and hands back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Run {
     trace_id: TraceId,
@@ -219,8 +224,6 @@ struct Run {
     outcome: HopOutcome,
 }
 
-const _: () = assert!(std::mem::size_of::<Run>() == std::mem::size_of::<HopRecord>());
-
 impl Run {
     fn record(&self) -> HopRecord {
         HopRecord {
@@ -229,6 +232,183 @@ impl Run {
             at: self.at,
             outcome: self.outcome,
         }
+    }
+
+    /// The hop (high nibble) and the outcome's code (low nibble) in one
+    /// byte. A hop's discriminant is its snapshot tag, and so is a drop
+    /// reason's, so [`Run::decode`] reads them back with their [`Snap`]
+    /// readers.
+    fn tag(&self) -> u8 {
+        (self.hop as u8) << 4 | self.outcome.code() as u8
+    }
+
+    /// Codes this run after `prev`, the trace and instant of the run coded
+    /// before it: the zigzag-varint differences of both, then the count
+    /// as a varint and the tag byte.
+    fn code(&self, w: &mut SnapWriter, prev: &mut (u64, u64)) {
+        let (trace, at) = (self.trace_id.0, self.at.as_micros());
+        w.put_zigzag(trace.wrapping_sub(prev.0) as i64);
+        w.put_zigzag(at.wrapping_sub(prev.1) as i64);
+        w.put_varint(u64::from(self.count));
+        w.put_u8(self.tag());
+        *prev = (trace, at);
+    }
+
+    /// Reads back what [`Run::code`] wrote after `prev`.
+    fn decode(r: &mut SnapReader<'_>, prev: &mut (u64, u64)) -> SnapResult<Run> {
+        let trace = prev.0.wrapping_add(r.get_zigzag()? as u64);
+        let at = prev.1.wrapping_add(r.get_zigzag()? as u64);
+        let count = r.get_varint()? as u32;
+        let tag = r.get_u8()?;
+        let outcome = match tag & 0xf {
+            0 => HopOutcome::Ok,
+            code => HopOutcome::Dropped(Snap::restore(&mut SnapReader::new(&[code - 1]))?),
+        };
+        *prev = (trace, at);
+        Ok(Run {
+            trace_id: TraceId(trace),
+            at: SimTime::from_micros(at),
+            count,
+            hop: Snap::restore(&mut SnapReader::new(&[tag >> 4]))?,
+            outcome,
+        })
+    }
+}
+
+/// Runs per block: a block is the unit a bounded store drops whole.
+const BLOCK_RUNS: u32 = 256;
+
+/// A typical full block's bytes (a run codes to about six), reserved when
+/// a block opens so it fills without regrowing.
+const BLOCK_BYTES: usize = 6 * BLOCK_RUNS as usize;
+
+/// Up to [`BLOCK_RUNS`] runs, coded back to back ([`Run::code`]), the
+/// first against trace 0 at instant 0, so a block decodes on its own.
+#[derive(Clone, Debug)]
+struct Block {
+    bytes: Vec<u8>,
+    /// Runs coded in `bytes`.
+    runs: u32,
+    /// Records in those runs: the sum of their counts.
+    records: usize,
+}
+
+impl Block {
+    fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        let mut r = SnapReader::new(&self.bytes);
+        let mut prev = (0, 0);
+        (0..self.runs)
+            .map(move |_| Run::decode(&mut r, &mut prev).expect("a block reads what it coded"))
+    }
+}
+
+/// A ledger's one record store, under both retentions: its runs in append
+/// order, all but the newest coded into a deque of [`Block`]s (about six
+/// bytes a run where a decoded one takes 24). The newest run stays decoded,
+/// so a repeat extends its count in place. A bounded store trims whole
+/// blocks off the front and, inside the first, skips a count of records,
+/// so a trim is O(1) and decodes nothing.
+#[derive(Clone, Debug, Default)]
+struct RunStore {
+    /// Coded runs, oldest first; the back block takes runs until it holds
+    /// [`BLOCK_RUNS`].
+    blocks: VecDeque<Block>,
+    /// The trace and instant of the back block's last coded run: what the
+    /// next run is coded against.
+    prev: (u64, u64),
+    /// The newest run, decoded.
+    newest: Option<Run>,
+    /// Records trimmed off the front of the first block, always fewer than
+    /// it holds: the oldest stored run is what is left of the run they cut.
+    skip: usize,
+    /// Records stored: the blocks' less `skip`, plus the newest run's.
+    stored: usize,
+}
+
+impl RunStore {
+    /// Appends `run` as a run of its own: no merge, no trim.
+    fn append(&mut self, run: Run) {
+        self.stored += run.count as usize;
+        let Some(older) = self.newest.replace(run) else {
+            return;
+        };
+        if self.blocks.back().is_none_or(|b| b.runs == BLOCK_RUNS) {
+            if let Some(full) = self.blocks.back_mut() {
+                full.bytes.shrink_to_fit();
+            }
+            self.blocks.push_back(Block {
+                bytes: Vec::with_capacity(BLOCK_BYTES),
+                runs: 0,
+                records: 0,
+            });
+            self.prev = (0, 0);
+        }
+        let block = self.blocks.back_mut().expect("a block is open");
+        let mut w = SnapWriter::onto(std::mem::take(&mut block.bytes));
+        older.code(&mut w, &mut self.prev);
+        block.bytes = w.into_bytes();
+        block.runs += 1;
+        block.records += older.count as usize;
+    }
+
+    /// Appends `run`, extending the newest run when it holds the same
+    /// record (up to `u32::MAX`, where a new run starts).
+    fn push(&mut self, mut run: Run) {
+        if let Some(newest) = self.newest.as_mut().filter(|r| r.record() == run.record()) {
+            let take = run.count.min(u32::MAX - newest.count);
+            newest.count += take;
+            run.count -= take;
+            self.stored += take as usize;
+        }
+        if run.count > 0 {
+            self.append(run);
+        }
+    }
+
+    /// Trims the store from the front to its last `cap` records: whole
+    /// blocks, then a skip inside the first, then (with no block left) the
+    /// newest run's count.
+    fn trim(&mut self, cap: usize) {
+        while self.stored > cap {
+            let excess = self.stored - cap;
+            match self.blocks.front() {
+                Some(front) if front.records - self.skip > excess => {
+                    self.skip += excess;
+                    self.stored = cap;
+                }
+                Some(front) => {
+                    self.stored -= front.records - self.skip;
+                    self.skip = 0;
+                    self.blocks.pop_front();
+                }
+                None => {
+                    let newest = self.newest.as_mut().expect("stored records are in runs");
+                    if newest.count as usize > excess {
+                        newest.count -= excess as u32;
+                        self.stored = cap;
+                    } else {
+                        self.stored -= newest.count as usize;
+                        self.newest = None;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The stored runs in append order, the skipped records left out.
+    fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        let mut skip = self.skip;
+        let coded = self.blocks.iter().flat_map(Block::runs);
+        let kept = coded.filter_map(move |mut run| {
+            if skip == 0 {
+                return Some(run);
+            }
+            let cut = skip.min(run.count as usize);
+            skip -= cut;
+            run.count -= cut as u32;
+            (run.count > 0).then_some(run)
+        });
+        kept.chain(self.newest)
     }
 }
 
@@ -456,15 +636,13 @@ struct TraceState {
 /// assert_eq!(ledger.chain(t).len(), 2);
 /// assert_eq!(ledger.drop_of(t), Some((Hop::PylonPublish, DropReason::NoSubscribers)));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceLedger {
     retention: Retention,
     /// The retained records in append order, identical neighbours folded
     /// into one run: every record, or under [`Retention::Bounded`] the
     /// last `cap`.
-    runs: VecDeque<Run>,
-    /// Records in `runs`: the sum of their counts.
-    stored: usize,
+    store: RunStore,
     /// Compact per-trace accounting, maintained in both modes.
     states: FxHashMap<TraceId, TraceState>,
     /// Latency from the previous hop of the same trace to this hop (ms).
@@ -569,42 +747,15 @@ impl TraceLedger {
             st.backfilled = true;
         }
         st.last_at = at;
-        self.push_run(Run {
+        self.store.push(Run {
             trace_id,
             at,
             count: n,
             hop,
             outcome,
         });
-    }
-
-    /// Appends `run` to the store, extending the last run when it holds the
-    /// same record (up to `u32::MAX`, where a new run starts), then trims a
-    /// bounded store from the front to its cap, splitting the oldest run's
-    /// count where needed.
-    fn push_run(&mut self, mut run: Run) {
-        self.stored += run.count as usize;
-        if let Some(last) = self.runs.back_mut().filter(|r| r.record() == run.record()) {
-            let take = run.count.min(u32::MAX - last.count);
-            last.count += take;
-            run.count -= take;
-        }
-        if run.count > 0 {
-            self.runs.push_back(run);
-        }
-        let Retention::Bounded(cap) = self.retention else {
-            return;
-        };
-        while self.stored > cap {
-            let oldest = self.runs.front_mut().expect("stored records are in runs");
-            let excess = self.stored - cap;
-            if (oldest.count as usize) > excess {
-                oldest.count -= excess as u32;
-                self.stored = cap;
-            } else {
-                self.stored -= oldest.count as usize;
-                self.runs.pop_front();
-            }
+        if let Retention::Bounded(cap) = self.retention {
+            self.store.trim(cap);
         }
     }
 
@@ -620,7 +771,7 @@ impl TraceLedger {
     /// a pass that does not care about repeats (earliest instant per trace,
     /// say) reads these instead.
     pub fn runs(&self) -> impl Iterator<Item = (HopRecord, u32)> + '_ {
-        self.runs.iter().map(|r| (r.record(), r.count))
+        self.store.runs().map(|r| (r.record(), r.count))
     }
 
     /// Number of distinct traces seen.
@@ -638,7 +789,7 @@ impl TraceLedger {
     /// `(record, count)` runs.
     fn chain_runs(&self, trace_id: TraceId) -> Vec<(HopRecord, u64)> {
         let mut out: Vec<(HopRecord, u64)> = Vec::new();
-        for run in self.runs.iter().filter(|r| r.trace_id == trace_id) {
+        for run in self.store.runs().filter(|r| r.trace_id == trace_id) {
             let (rec, n) = (run.record(), u64::from(run.count));
             match out.last_mut() {
                 Some((last, count)) if *last == rec => *count += n,
@@ -689,8 +840,8 @@ impl TraceLedger {
     /// order: one per successful [`Hop::DeviceRender`] record, timed from
     /// its trace's first record.
     pub fn deliveries(&self) -> impl Iterator<Item = (TraceId, SimDuration)> + '_ {
-        self.runs
-            .iter()
+        self.store
+            .runs()
             .filter(|r| r.hop == Hop::DeviceRender && r.outcome == HopOutcome::Ok)
             .flat_map(|r| {
                 let e2e = r.at.saturating_since(self.states[&r.trace_id].first_at);
@@ -794,12 +945,30 @@ impl TraceLedger {
     }
 }
 
-/// The ledger's complete state: the stored runs, as `(record, count)`, the
-/// accounting maps, latency histograms, and the rolling fingerprint.
+/// Two ledgers are equal when they hold the same runs and the same
+/// accounting, however their stores' blocks happen to fall.
+impl PartialEq for TraceLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.retention == other.retention
+            && self.store.runs().eq(other.store.runs())
+            && self.states == other.states
+            && self.hop_latency == other.hop_latency
+            && self.drops == other.drops
+            && self.e2e == other.e2e
+            && self.delivered_count == other.delivered_count
+            && self.fp == other.fp
+    }
+}
+
+/// The ledger's complete state: the stored runs, decoded, as a count and
+/// then `(record, count)` each (the store's blocks are memory layout, not
+/// state), the accounting maps, latency histograms, and the rolling
+/// fingerprint.
 impl Snap for TraceLedger {
     fn snap(&self, w: &mut SnapWriter) {
         self.retention.snap(w);
-        self.runs.snap(w);
+        w.put_usize(self.store.runs().count());
+        self.store.runs().for_each(|run| run.snap(w));
         self.states.snap(w);
         self.hop_latency.snap(w);
         self.drops.snap(w);
@@ -810,11 +979,13 @@ impl Snap for TraceLedger {
 
     fn restore(r: &mut SnapReader<'_>) -> SnapResult<Self> {
         let retention = Snap::restore(r)?;
-        let runs: VecDeque<Run> = Snap::restore(r)?;
+        let mut store = RunStore::default();
+        for _ in 0..r.get_len()? {
+            store.append(Run::restore(r)?);
+        }
         let ledger = TraceLedger {
             retention,
-            stored: runs.iter().map(|run| run.count as usize).sum(),
-            runs,
+            store,
             states: Snap::restore(r)?,
             hop_latency: Snap::restore(r)?,
             drops: Snap::restore(r)?,
@@ -837,16 +1008,12 @@ impl TraceLedger {
     /// stored run is its newest record (a bounded store keeps a suffix),
     /// and a full store holds every trace's first record.
     fn check(&self) -> Result<(), String> {
-        let pairs = self.runs.iter().zip(self.runs.iter().skip(1));
-        for (run, next) in pairs {
-            let split = run.count == u32::MAX;
-            ensure(
-                split || run.record() != next.record(),
-                "adjacent runs of one record",
-            )?;
-        }
         let mut ends: FxHashMap<TraceId, (SimTime, SimTime)> = FxHashMap::default();
-        for run in &self.runs {
+        let mut prev: Option<Run> = None;
+        for run in self.store.runs() {
+            let split = prev.is_none_or(|p| p.count == u32::MAX || p.record() != run.record());
+            ensure(split, "adjacent runs of one record")?;
+            prev = Some(run);
             ends.entry(run.trace_id)
                 .and_modify(|(_, newest)| *newest = run.at)
                 .or_insert((run.at, run.at));
@@ -865,7 +1032,9 @@ impl TraceLedger {
             ensure(at_ends, "a trace's runs end off its first or last record")?;
         }
         match self.retention {
-            Retention::Bounded(cap) => ensure(self.stored <= cap, "more records than the cap"),
+            Retention::Bounded(cap) => {
+                ensure(self.store.stored <= cap, "more records than the cap")
+            }
             Retention::Full => Ok(()),
         }
     }
@@ -1308,6 +1477,14 @@ mod tests {
         TraceLedger::restore(&mut r).and_then(|l| r.finish().map(|()| l))
     }
 
+    /// `l`'s store rebuilt from its runs after `edit`, run for run.
+    fn recode(l: &mut TraceLedger, edit: &dyn Fn(&mut Vec<Run>)) {
+        let mut runs: Vec<Run> = l.store.runs().collect();
+        edit(&mut runs);
+        l.store = RunStore::default();
+        runs.into_iter().for_each(|run| l.store.append(run));
+    }
+
     /// Restore accepts only stores a ledger reaches: every rejection below
     /// is of bytes that differ from a reachable ledger's in one field.
     #[test]
@@ -1329,32 +1506,38 @@ mod tests {
                 edit(&mut bad);
                 reload(&bad)
             };
-            let last = l.runs.len() - 1;
-            assert!(edited(&|b| b.runs[last].count = 0).is_err(), "zero count");
+            let runs_edited = |edit: &dyn Fn(&mut Vec<Run>)| edited(&|b| recode(b, edit));
+            assert!(
+                runs_edited(&|runs| runs.last_mut().unwrap().count = 0).is_err(),
+                "zero count"
+            );
             // The run of five, written as two and three.
-            let split = |b: &mut TraceLedger| {
-                let at = b.runs.iter().position(|r| r.count == 5).unwrap();
-                b.runs[at].count = 2;
-                b.runs.insert(
+            let split = |runs: &mut Vec<Run>| {
+                let at = runs.iter().position(|r| r.count == 5).unwrap();
+                runs[at].count = 2;
+                runs.insert(
                     at,
                     Run {
                         count: 3,
-                        ..b.runs[at]
+                        ..runs[at]
                     },
                 );
             };
-            assert!(edited(&split).is_err(), "adjacent identical runs");
+            assert!(runs_edited(&split).is_err(), "adjacent identical runs");
             let stateless = |b: &mut TraceLedger| {
                 b.states.remove(&TraceId(2));
             };
             assert!(edited(&stateless).is_err(), "a trace with no state");
             assert!(
-                edited(&|b| b.runs[last].at = ms(10)).is_err(),
+                runs_edited(&|runs| runs.last_mut().unwrap().at = ms(10)).is_err(),
                 "after its last record"
             );
             // A trace's records need not come in time order: only its
             // newest stored run is tied to its `last_at`.
-            assert!(edited(&|b| b.runs[1].at = ms(3)).is_ok(), "a middle run");
+            assert!(
+                runs_edited(&|runs| runs[1].at = ms(3)).is_ok(),
+                "a middle run"
+            );
             // A full store holds each trace's first record, and a record
             // of every trace.
             let late = |b: &mut TraceLedger| {
@@ -1411,6 +1594,147 @@ mod tests {
         empty.record(TraceId(1), Hop::TaoCommit, ms(1), HopOutcome::Ok);
         assert_eq!(empty.runs().count(), 0);
         assert_eq!(empty.trace_count(), 1, "the accounting keeps the trace");
+    }
+
+    /// Runs of three records each, the first 2 of every 7 a repeat of the
+    /// run before it at a split, the rest of rising, falling and extreme
+    /// traces and instants, so the deltas take every sign and width.
+    fn block_stream(n: usize) -> Vec<Run> {
+        const HOPS: [Hop; 8] = [
+            Hop::TaoCommit,
+            Hop::PylonPublish,
+            Hop::PylonDeliver,
+            Hop::BrassProcess,
+            Hop::BrassSend,
+            Hop::BurstDeliver,
+            Hop::DeviceRender,
+            Hop::WasBackfill,
+        ];
+        let outcomes = [
+            HopOutcome::Ok,
+            HopOutcome::Dropped(DropReason::BufferOverflow),
+            HopOutcome::Dropped(DropReason::NoAudience),
+        ];
+        (0..n as u64)
+            .map(|i| Run {
+                trace_id: TraceId(match i % 5 {
+                    0 => u64::MAX - i,
+                    1 => i / 3,
+                    _ => 1_000 + i * 7 % 97,
+                }),
+                at: SimTime::from_micros(if i % 11 == 0 { u64::MAX - i } else { i * 1_733 }),
+                count: 3,
+                hop: HOPS[i as usize % HOPS.len()],
+                outcome: outcomes[i as usize % 3],
+            })
+            .collect()
+    }
+
+    /// The runs a store of this retention keeps of `stream` (no two of
+    /// which are identical neighbours).
+    fn kept(stream: &[Run], cap: usize) -> Vec<Run> {
+        let mut left = cap;
+        let mut out: Vec<Run> = Vec::new();
+        for run in stream.iter().rev() {
+            let take = left.min(run.count as usize);
+            if take > 0 {
+                out.push(Run {
+                    count: take as u32,
+                    ..*run
+                });
+            }
+            left -= take;
+        }
+        out.reverse();
+        out
+    }
+
+    fn fed(retention: Retention, stream: &[Run]) -> TraceLedger {
+        let mut l = TraceLedger::with_retention(retention);
+        for r in stream {
+            l.record_n(r.trace_id, r.hop, r.at, r.outcome, r.count);
+        }
+        l
+    }
+
+    /// A store of several blocks hands back every run as it was appended,
+    /// and a bounded one its last `cap` records, for caps that fall on a
+    /// block boundary, inside a block's first run and next to both; each
+    /// restores to an equal ledger with the same bytes.
+    #[test]
+    fn store_decodes_across_blocks_and_trims_inside_them() {
+        let per_block = BLOCK_RUNS as usize;
+        let n = 5 * per_block + 17;
+        let stream = block_stream(n);
+        let full = fed(Retention::Full, &stream);
+        assert!(full.store.runs().eq(stream.iter().copied()));
+        assert_eq!(full.store.blocks.len(), 6);
+        assert_eq!(full.store.stored, 3 * n);
+        assert_eq!(reload(&full), Ok(full.clone()));
+        let mut caps = vec![0, 1, 2, 3, 4, 3 * n - 1, 3 * n, 3 * n + 5];
+        for k in 0..=5 {
+            // The store's first kept run is block k's first.
+            let at = 3 * (n - k * per_block);
+            caps.extend((at - 4..=at + 4).filter(|&c| c <= 3 * n));
+        }
+        for cap in caps {
+            let l = fed(Retention::Bounded(cap), &stream);
+            let want = kept(&stream, cap);
+            assert!(l.store.runs().eq(want.iter().copied()), "cap {cap}");
+            assert_eq!(l.store.stored, cap.min(3 * n), "cap {cap}");
+            assert!(l.store.skip < l.store.blocks.front().map_or(1, |b| b.records));
+            let restored = reload(&l).expect("restore");
+            assert_eq!(restored, l, "cap {cap}");
+            let (a, b) = (
+                crate::snap::SnapWriter::new(),
+                crate::snap::SnapWriter::new(),
+            );
+            let bytes = |l: &TraceLedger, mut w: crate::snap::SnapWriter| {
+                l.snap(&mut w);
+                w.into_bytes()
+            };
+            assert_eq!(bytes(&restored, a), bytes(&l, b), "cap {cap}");
+        }
+    }
+
+    /// A run of `u32::MAX` records that closes a block is followed by the
+    /// rest of its record at the next block's head, in both retentions.
+    #[test]
+    fn u32_max_splits_straddle_a_block_boundary() {
+        let overflow = HopOutcome::Dropped(DropReason::BufferOverflow);
+        let mut stream = block_stream(BLOCK_RUNS as usize - 1);
+        let last = *stream.last().unwrap();
+        let storm = Run {
+            trace_id: last.trace_id,
+            hop: Hop::BrassProcess,
+            outcome: overflow,
+            ..last
+        };
+        let tail = TraceId(77);
+        for retention in [Retention::Full, Retention::Bounded(1 << 33)] {
+            let mut l = fed(retention, &stream);
+            l.record_n(storm.trace_id, storm.hop, storm.at, overflow, u32::MAX - 9);
+            l.record_n(storm.trace_id, storm.hop, storm.at, overflow, 15);
+            l.record(tail, Hop::TaoCommit, storm.at, HopOutcome::Ok);
+            let counts: Vec<u32> = l
+                .runs()
+                .map(|(_, n)| n)
+                .skip(BLOCK_RUNS as usize - 1)
+                .collect();
+            assert_eq!(counts[..2], [u32::MAX, 6], "{retention:?}");
+            assert_eq!(l.store.blocks.len(), 2, "{retention:?}");
+            assert_eq!(l.store.blocks[0].runs, BLOCK_RUNS);
+            assert_eq!(reload(&l), Ok(l.clone()), "{retention:?}");
+        }
+        stream.push(Run {
+            count: u32::MAX,
+            ..storm
+        });
+        stream.push(Run { count: 6, ..storm });
+        // A cap inside the split's second half keeps that half's tail.
+        let l = fed(Retention::Bounded(4), &stream);
+        assert!(l.runs().map(|(_, n)| n).eq([4]));
+        assert_eq!(reload(&l), Ok(l));
     }
 
     #[test]

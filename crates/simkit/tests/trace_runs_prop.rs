@@ -8,6 +8,11 @@
 //! single-word [`LedgerFp::mix`] steps per record, never the closed form
 //! for a run) and the run section of the snapshot are rebuilt from that
 //! `Vec` too, so neither can drift with the storage.
+//!
+//! A second property feeds streams long enough to fill several of the
+//! store's coded blocks, with one run of more than `u32::MAX` records split
+//! across a block boundary, and trims them at caps aimed inside a block's
+//! first run; its reference works on runs, since it cannot expand that one.
 
 use std::collections::BTreeMap;
 
@@ -179,6 +184,36 @@ fn runs() -> impl Strategy<Value = Vec<(HopRecord, u32)>> {
     })
 }
 
+/// The run section as a fixed-width writer spells it, field by field:
+/// the retention, the run count, then per run its trace (u64), hop (u8),
+/// instant (u64 µs), outcome (tag 0, or tag 1 and the reason) and count
+/// (u32), all little-endian.
+fn fixed_width_runs(retention: Retention, runs: &[(HopRecord, u32)]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    match retention {
+        Retention::Full => w.put_u8(0),
+        Retention::Bounded(cap) => {
+            w.put_u8(1);
+            w.put_u64(cap as u64);
+        }
+    }
+    w.put_u64(runs.len() as u64);
+    for (rec, n) in runs {
+        w.put_u64(rec.trace_id.0);
+        w.put_u8(rec.hop as u8);
+        w.put_u64(rec.at.as_micros());
+        match rec.outcome {
+            HopOutcome::Ok => w.put_u8(0),
+            HopOutcome::Dropped(reason) => {
+                w.put_u8(1);
+                w.put_u8(reason as u8);
+            }
+        }
+        w.put_u32(*n);
+    }
+    w.into_bytes()
+}
+
 /// Asserts `ledger` answers every query as the reference does.
 fn assert_matches(ledger: &TraceLedger, reference: &Reference, label: &str) {
     let retention = ledger.retention();
@@ -321,5 +356,155 @@ proptest! {
         prop_assert_eq!(one_by_one.mean().to_bits(), at_once.mean().to_bits());
         prop_assert_eq!(one_by_one.min().to_bits(), at_once.min().to_bits());
         prop_assert_eq!(one_by_one.max().to_bits(), at_once.max().to_bits());
+    }
+}
+
+/// Runs a store codes into one block (`simkit::trace`'s block size). The
+/// caps and the long run below aim at its boundaries; under any other
+/// size the property still holds, only less pointedly.
+const BLOCK_RUNS: usize = 256;
+
+/// A long stream of maximal `(record, count)` runs, one of which, ending
+/// block `huge`, holds more than `u32::MAX` records.
+fn long_runs() -> impl Strategy<Value = Vec<(HopRecord, u64)>> {
+    let record = (0..6u64, 0..HOPS.len(), 0..50u64, 0..=REASONS.len() * 2).prop_map(
+        |(trace, hop, at, outcome)| HopRecord {
+            trace_id: TraceId(trace),
+            hop: HOPS[hop],
+            at: SimTime::from_millis(at),
+            outcome: REASONS
+                .get(outcome)
+                .map_or(HopOutcome::Ok, |&r| HopOutcome::Dropped(r)),
+        },
+    );
+    let raw = proptest::collection::vec((record, 1..4u64), 3 * BLOCK_RUNS..5 * BLOCK_RUNS);
+    (raw, 1..3usize, 1..20u64).prop_map(|(raw, huge, extra)| {
+        let mut runs: Vec<(HopRecord, u64)> = Vec::new();
+        for (rec, n) in raw {
+            match runs.last_mut() {
+                Some((last, total)) if *last == rec => *total += n,
+                _ => runs.push((rec, n)),
+            }
+        }
+        // A storm of one trace's drops, split at u32::MAX, whose longer
+        // half closes block `huge`. (A drop, not a render: a render's
+        // latency enters the e2e histogram's sum once per record.)
+        let at = (huge * BLOCK_RUNS - 1).min(runs.len() - 1);
+        let storm = HopRecord {
+            trace_id: TraceId(99),
+            hop: Hop::BrassProcess,
+            outcome: HopOutcome::Dropped(DropReason::BufferOverflow),
+            ..runs[at].0
+        };
+        runs[at] = (storm, u64::from(u32::MAX) + extra);
+        runs
+    })
+}
+
+/// `runs` as a full store holds them: a run over `u32::MAX` is split, the
+/// full part first.
+fn stored(runs: &[(HopRecord, u64)]) -> Vec<(HopRecord, u32)> {
+    let mut out = Vec::new();
+    for &(rec, mut n) in runs {
+        while n > 0 {
+            let part = n.min(u64::from(u32::MAX));
+            out.push((rec, part as u32));
+            n -= part;
+        }
+    }
+    out
+}
+
+/// Identical neighbours added up, so stores that split a record's run at
+/// different points compare by what they hold.
+fn totals(runs: impl Iterator<Item = (HopRecord, u32)>) -> Vec<(HopRecord, u64)> {
+    let mut out: Vec<(HopRecord, u64)> = Vec::new();
+    for (rec, n) in runs {
+        match out.last_mut() {
+            Some((last, total)) if *last == rec => *total += u64::from(n),
+            _ => out.push((rec, u64::from(n))),
+        }
+    }
+    out
+}
+
+/// The last `cap` records of `runs`, as `(record, total)` runs.
+fn last_records(runs: &[(HopRecord, u32)], cap: u64) -> Vec<(HopRecord, u64)> {
+    let mut left = cap;
+    let mut kept = Vec::new();
+    for &(rec, n) in runs.iter().rev() {
+        let take = left.min(u64::from(n));
+        if take > 0 {
+            kept.push((rec, take as u32));
+        }
+        left -= take;
+    }
+    kept.reverse();
+    totals(kept.into_iter())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Over several coded blocks, a full store hands back every run, the
+    /// one past `u32::MAX` split across a block boundary; a bounded store
+    /// trimmed to a cap that falls on a block's first run, or inside it,
+    /// or anywhere, holds exactly the last `cap` records, split only where
+    /// a run is full. Either way the snapshot's run section is the one a
+    /// fixed-width writer spells, and the restore is equal to the live,
+    /// front-trimmed ledger and snapshots to the same bytes.
+    #[test]
+    fn long_stores_trim_inside_blocks_and_restore(
+        stream in long_runs(),
+        into in 0..4u64,
+        anywhere in any::<u64>(),
+    ) {
+        let full_runs = stored(&stream);
+        let suffix = |from: usize| -> u64 {
+            full_runs[from..].iter().map(|&(_, n)| u64::from(n)).sum()
+        };
+        let total = suffix(0);
+        let mut caps: Vec<u64> = (0..full_runs.len())
+            .step_by(BLOCK_RUNS)
+            .flat_map(|first| {
+                let n = u64::from(full_runs[first].1);
+                [suffix(first), suffix(first) - into % n]
+            })
+            .collect();
+        caps.extend([0, 1, total, anywhere % total]);
+        let retentions = caps.into_iter().map(|cap| Retention::Bounded(cap as usize));
+        for retention in std::iter::once(Retention::Full).chain(retentions) {
+            let mut ledger = TraceLedger::with_retention(retention);
+            for &(rec, n) in &stream {
+                // A long run comes in two calls, the first short of the split.
+                let first = n.min(u64::from(u32::MAX) - 7);
+                ledger.record_n(rec.trace_id, rec.hop, rec.at, rec.outcome, first as u32);
+                if n > first {
+                    let rest = (n - first) as u32;
+                    ledger.record_n(rec.trace_id, rec.hop, rec.at, rec.outcome, rest);
+                }
+            }
+            let runs: Vec<(HopRecord, u32)> = ledger.runs().collect();
+            match retention {
+                Retention::Full => prop_assert_eq!(&runs, &full_runs),
+                Retention::Bounded(cap) => {
+                    let want = last_records(&full_runs, cap as u64);
+                    prop_assert_eq!(totals(runs.iter().copied()), want, "{:?}", retention);
+                    for pair in runs.windows(2) {
+                        prop_assert!(pair[0].0 != pair[1].0 || pair[0].1 == u32::MAX);
+                    }
+                }
+            }
+            let bytes = bytes_of(&ledger);
+            prop_assert!(
+                bytes.starts_with(&fixed_width_runs(retention, &runs)),
+                "{:?}: run section", retention
+            );
+            let mut r = SnapReader::new(&bytes);
+            let restored = TraceLedger::restore(&mut r).expect("restore");
+            r.finish().expect("no trailing bytes");
+            prop_assert!(restored == ledger, "{:?}: restore moved the runs", retention);
+            prop_assert!(bytes_of(&restored) == bytes, "{:?}: restore not canonical", retention);
+        }
     }
 }
